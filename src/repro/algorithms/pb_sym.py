@@ -20,11 +20,15 @@ Stamping engine
 ---------------
 Since the batched-engine refactor, :func:`stamp_points_sym` is a thin
 compatibility wrapper over :func:`repro.core.stamping.stamp_batch` with
-``mode="sym"``: points are grouped into stamp-shape cohorts, each cohort's
-disks and bars are tabulated in single vectorised NumPy calls, and the
-outer products are scatter-accumulated per cohort slab.  Masks, expression
-order, and per-point accumulation order within a slab match the historical
-per-point loop, which is preserved verbatim as
+``mode="sym"``: points in crowded space-time bins are reduced bin by bin
+as one ``disk.T @ bar`` matrix product; the rest are grouped into
+stamp-shape cohorts whose disks and bars are tabulated in single
+vectorised NumPy calls and whose outer products are scatter-accumulated
+per cohort slab.  Masks and kernel expressions match the historical
+per-point loop; the order in which contributions are added into a voxel
+does not (BLAS order within a bin, slab order within a cohort), so
+volumes agree with the loop to fp round-off — pinned at ``rtol=1e-12`` —
+rather than bit for bit.  The loop is preserved verbatim as
 :func:`stamp_points_sym_loop` — the reference the equivalence suite and
 ``benchmarks/bench_stamping_engine.py`` compare against.
 """
@@ -108,9 +112,10 @@ def stamp_points_sym(
     """Stamp a batch of points (rows of ``(x, y, t)``) with PB-SYM.
 
     Compatibility wrapper over the batched stamping engine
-    (:func:`repro.core.stamping.stamp_batch`, ``mode="sym"``): whole shape
-    cohorts are tabulated and scatter-accumulated in large vectorised NumPy
-    calls instead of a per-point Python loop.  The call signature, masks,
+    (:func:`repro.core.stamping.stamp_batch`, ``mode="sym"``): crowded
+    bins are reduced as matrix products and whole shape cohorts are
+    tabulated and scatter-accumulated in large vectorised NumPy calls
+    instead of a per-point Python loop.  The call signature, masks,
     and work accounting are unchanged; densities match the legacy loop
     (:func:`stamp_points_sym_loop`) to fp round-off.
     """

@@ -276,6 +276,16 @@ class MachineModel:
         execute.  Two batch sizes at the small bandwidth separate the
         per-batch fixed cost from the per-point slope; two bandwidths at
         the large batch separate per-point dispatch from per-cell work.
+
+        The engine prices a cell differently on its two PB-SYM routes, so
+        the probes are shaped like the data each regime sees: points are
+        scattered over a cube, not piled into one bin — the narrow probes
+        stay on the cohort route (dispatch-dominated, what ``c_point`` and
+        ``c_batch`` mean) and the wide probe crowds its bins with a dozen
+        points each, as clustered data does — and the wide probe pairs
+        ``Hs = 10`` with ``Ht = 3`` like the paper's wide-bandwidth
+        instances (Table 2: ``Ht`` 1–6), because on the per-bin GEMM route
+        the cost per cell falls with the length of the bar.
         """
         rng = np.random.default_rng(seed)
         # Streaming memory write rate, measured warm: the first fill
@@ -293,11 +303,17 @@ class MachineModel:
         from ..algorithms.pb_sym import stamp_points_sym
         from ..core.grid import DomainSpec
 
-        def probe(H: int, n: int) -> Tuple[float, int]:
-            """Best-of-3 seconds to stamp one batch of ``n`` interior points."""
-            g = GridSpec(DomainSpec.from_voxels(4 * H + 8, 4 * H + 8, 4 * H + 8),
-                         hs=float(H), ht=float(H))
-            pts = rng.uniform(2 * H, 2 * H + 8, size=(n, 3))
+        def probe(Hs: int, Ht: int, n: int, spread: int) -> Tuple[float, int]:
+            """Best-of-3 seconds to stamp one batch of ``n`` interior points
+            scattered over a cube ``spread`` voxels wide."""
+            g = GridSpec(
+                DomainSpec.from_voxels(
+                    2 * Hs + spread, 2 * Hs + spread, 2 * Ht + spread
+                ),
+                hs=float(Hs), ht=float(Ht),
+            )
+            pts = rng.uniform([Hs, Hs, Ht], [Hs + spread, Hs + spread, Ht + spread],
+                              size=(n, 3))
             vol = np.zeros(g.shape)
             kern = get_kernel("epanechnikov")
             best = math.inf
@@ -315,11 +331,11 @@ class MachineModel:
         # would zero c_point and make every predicted block weight
         # degenerate.
         n_small, n_large = 64, 1024
-        probe(2, 8)  # warm the engine code path before timing
-        t_small, cells_small = probe(2, n_small)
-        t_large, _ = probe(2, n_large)
-        t_cell_lo, _ = probe(2, 256)
-        t_cell_hi, cells_large = probe(10, 256)
+        probe(2, 2, 8, 40)  # warm the engine code path before timing
+        t_small, cells_small = probe(2, 2, n_small, 40)
+        t_large, _ = probe(2, 2, n_large, 40)
+        t_cell_lo, _ = probe(2, 2, 256, 40)
+        t_cell_hi, cells_large = probe(10, 3, 256, 28)
         c_cell = max(
             (t_cell_hi - t_cell_lo) / (256 * (cells_large - cells_small)), 1e-12
         )

@@ -22,11 +22,17 @@ Contracts every implementation must honour:
   reducing a mask), so instrumentation does not show up in the profile it
   measures.  Each primitive invocation additionally records one dispatch
   under the backend's name (``WorkCounter.backend_dispatches``).
+
+One more function is shared rather than overridden:
+:meth:`ComputeBackend.factor_tables`, PB-SYM's masked disk and bar tables
+for the stamping engine's per-bin GEMM route.  They are ``n * W^2`` work
+feeding ``n * W^2 * Wt`` multiply-adds that BLAS performs, so a compiled
+variant would buy nothing; every backend inherits the NumPy one.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -136,6 +142,63 @@ class ComputeBackend:
         bookkeeping — they are estimator arithmetic over these values.
         """
         raise NotImplementedError
+
+    # -- shared factor tables ------------------------------------------
+
+    def factor_tables(
+        self,
+        grid: GridSpec,
+        kernel: KernelPair,
+        norm: float,
+        dx: np.ndarray,
+        dy: np.ndarray,
+        dt: np.ndarray,
+        counter: WorkCounter,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """PB-SYM's two invariants for ``m`` points: ``(disk, bar)``.
+
+        ``disk`` is the masked spatial table ``(m, wx, wy)`` and ``bar``
+        the masked temporal table ``(m, wt)`` with ``norm`` folded in, so
+        a point's cylinder is ``disk[i] (x) bar[i]`` and a whole bin of
+        points reduces as one ``disk.reshape(m, -1).T @ bar``.  The
+        offsets may span any frame containing the points' windows: cells
+        outside a point's kernel support are zeroed by the masks.
+
+        Shared by every backend: the tables are ``m * wx * wy`` work
+        against the ``m * wx * wy * wt`` multiply-adds they feed.  Records
+        one dispatch; the caller charges the logical counts (it knows the
+        clipped windows, which a shared frame hides).
+        """
+        counter.add_dispatch(self.name)
+        return self._factor_tables(grid, kernel, norm, dx, dy, dt)
+
+    def _factor_tables(
+        self,
+        grid: GridSpec,
+        kernel: KernelPair,
+        norm: float,
+        dx: np.ndarray,
+        dy: np.ndarray,
+        dt: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        hs2 = grid.hs * grid.hs
+        # One d2 serves both the mask and the radial value.
+        d2 = dx[:, :, None] ** 2 + dy[:, None, :] ** 2
+        inside_s = d2 < hs2
+        if kernel.spatial_radial is not None:
+            d2 *= 1.0 / hs2
+            disk = kernel.spatial_radial(d2)
+        else:
+            u = dx[:, :, None] / grid.hs
+            v = dy[:, None, :] / grid.hs
+            disk = kernel.spatial(
+                np.broadcast_to(u, d2.shape), np.broadcast_to(v, d2.shape)
+            )
+        disk *= inside_s
+        bar = kernel.temporal(dt / grid.ht)
+        bar *= np.abs(dt) <= grid.ht
+        bar *= norm
+        return disk, bar
 
     # -- shared accounting ---------------------------------------------
 

@@ -56,40 +56,6 @@ class NumpyFusedBackend(ComputeBackend):
         # Non-radial custom kernels keep reference semantics exactly.
         self._ref = NumpyRefBackend()
 
-    # -- helpers -------------------------------------------------------
-
-    def _disk_table(
-        self,
-        grid: GridSpec,
-        kernel: KernelPair,
-        dx: np.ndarray,
-        dy: np.ndarray,
-    ) -> np.ndarray:
-        """Masked spatial table ``(m, wx, wy)``: ``k_s`` zeroed outside
-        the disk.  One ``d2`` serves both the mask and the radial value."""
-        hs2 = grid.hs * grid.hs
-        d2 = dx[:, :, None] ** 2 + dy[:, None, :] ** 2
-        inside_s = d2 < hs2
-        if kernel.spatial_radial is not None:
-            d2 *= 1.0 / hs2
-            disk = kernel.spatial_radial(d2)
-        else:
-            u = dx[:, :, None] / grid.hs
-            v = dy[:, None, :] / grid.hs
-            disk = kernel.spatial(
-                np.broadcast_to(u, d2.shape), np.broadcast_to(v, d2.shape)
-            )
-        disk *= inside_s
-        return disk
-
-    def _bar_table(
-        self, grid: GridSpec, kernel: KernelPair, dt: np.ndarray
-    ) -> np.ndarray:
-        """Masked temporal table ``(m, wt)``: ``k_t`` zeroed outside."""
-        bar = kernel.temporal(dt / grid.ht)
-        bar *= np.abs(dt) <= grid.ht
-        return bar
-
     # -- primitives ----------------------------------------------------
 
     def masked_kernel_product(
@@ -149,9 +115,7 @@ class NumpyFusedBackend(ComputeBackend):
         # masked-disk (x) masked-bar, with the normalisation folded into
         # the smaller factor.  The modes differ in the work they charge
         # (above) — the values agree with the reference at rtol=1e-12.
-        disk = self._disk_table(grid, kernel, dx, dy)
-        bar = self._bar_table(grid, kernel, dt)
-        bar *= norm
+        disk, bar = self._factor_tables(grid, kernel, norm, dx, dy, dt)
         return disk[:, :, :, None] * bar[:, None, None, :]
 
     def query_row_sums(

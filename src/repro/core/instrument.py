@@ -63,8 +63,11 @@ class WorkCounter:
         dispatch cost regardless of batch size, which is what the Section
         6.5 cost model's per-batch term charges.
     ``stamp_cohorts``
-        Shape cohorts processed by the engine across all batches — the
-        number of vectorised tabulate/scatter rounds actually executed.
+        Tabulation groups the engine formed across all batches: one per
+        shape cohort of the cohort route plus one per chunk of a crowded
+        bin reduced on the per-bin GEMM route (``mode="sym"``).  Every
+        group costs at least one backend dispatch
+        (``sum(backend_dispatches) >= stamp_cohorts``).
     ``tile_batches``
         (Voxel-chunk x point-block) tiles accumulated through the region
         engine (:func:`repro.core.regions.accumulate_voxel_tile`) — the

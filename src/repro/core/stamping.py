@@ -24,15 +24,42 @@ number of residual shape cohorts — then
    ``bincount`` over the cohort slab's bounding box (dense cohorts) or a
    thin slice-add sweep (sparse cohorts) — never per-point kernel dispatch.
 
-Numerical contract: the engine evaluates *exactly* the same expressions as
-the legacy per-point path (same ``d^2 < hs^2`` / ``|dt| <= ht`` masks, same
-operation order inside a point's tables), and accumulates contributions in
-ascending point order within each cohort slab.  Only the grouping of
-additions differs, so engine and legacy volumes agree to ~1e-15 relative —
-the equivalence suite pins this at ``rtol=1e-12`` for every registered
-kernel.  Work counters report the identical logical operation counts as the
-per-point path, plus two batching statistics (``stamp_batches``,
-``stamp_cohorts``) that feed the Section 6.5 cost model.
+PB-SYM (``mode="sym"``) first takes a shortcut the other profiles cannot:
+a point's cylinder *is* ``disk (x) bar``, so the cylinders of ``m`` nearby
+points add up to one matrix product.  Live points are binned on a fixed
+space-time lattice (the paper's Section 5 point decomposition, used here
+for locality instead of parallelism); every *crowded* bin — one whose
+stamps cover a good fraction of its box, see :func:`_stamp_crowded_bins` —
+tabulates its disks ``(m, BX, BY)`` and bars ``(m, BT)`` once in the box
+frame and reduces them with a single ``disk.reshape(m, -1).T @ bar``
+followed by one slice-add of the ``(BX, BY, BT)`` partial: no 4-D
+contribution array, no flat index array, no ``bincount``.  Points in bins
+that are not crowded, and the per-voxel baseline modes, take the cohort
+route above unchanged; a batch with no crowded bin leaves the shortcut
+after one ``bincount`` of bin keys.  Exact partial sums over disjoint
+point subsets recombine exactly (the subset-sum argument of parallel
+Bayesian KDE, PAPERS.md), so per-bin partials add up to the same density.
+
+Numerical contract: every route evaluates the same kernel and mask
+expressions per cell as the legacy per-point path (same ``d^2 < hs^2`` /
+``|dt| <= ht`` masks, same voxel-centre offsets; a cell of a bin's box
+outside a point's own window lies outside that point's kernel support
+and tabulates to zero).  What differs is the order of the additions into
+a voxel.  The cohort route accumulates in ascending point order within
+each slab.  Crowded bins accumulate in **BLAS order**: the GEMM sums a
+bin's points in whatever blocking the library chooses, bin partials are
+added bin by bin, and the normalisation (and any weight) is folded into
+the bar rather than the disk.  Each is a reassociation of the same
+non-cancelling sum, so engine and legacy
+volumes agree to ~1e-15 relative — the equivalence suite pins the bound
+at ``rtol=1e-12`` for every registered kernel, every route, and a
+brute-force kernel sum.  Results are deterministic for a given batch,
+grid and BLAS build, but not bit-identical across different batchings of
+the same points.  Work counters report the identical logical operation
+counts as the per-point path (clipped-window sums on every route), plus
+two batching statistics (``stamp_batches``, ``stamp_cohorts`` — the
+latter counts tabulation groups: cohorts plus GEMM chunks) that feed the
+Section 6.5 cost model.
 
 Because each cohort slab is a handful of large GIL-releasing NumPy kernels,
 this engine is also what makes the ``threads`` backend genuinely scale —
@@ -72,6 +99,16 @@ _SLAB_CELLS = 1 << 19
 #: few isolated stamps never pay a near-volume-sized temporary.
 _DENSE_SCATTER_FRACTION = 0.125
 
+#: Least stamp cells a bin must hold to be crowded, whatever its box:
+#: below this the bin's fixed dispatch (a dozen NumPy calls) costs more
+#: than the scatter it would replace.
+_MIN_BIN_CELLS = 1 << 13
+
+#: Cap on disk-table cells per GEMM chunk (512 KB of f8): the table and
+#: the temporaries of its kernel evaluation stay cache-resident, and the
+#: allocator recycles one chunk-sized block instead of growing the heap.
+_GEMM_CELLS = 1 << 16
+
 
 def batch_windows(
     grid: GridSpec,
@@ -85,7 +122,13 @@ def batch_windows(
     with the grid and the optional ``clip`` window.  Empty windows come out
     with ``lo >= hi`` and are skipped by the engine.
     """
-    vox = grid.voxels_of(coords)
+    return _windows_of(grid, grid.voxels_of(coords), clip)
+
+
+def _windows_of(
+    grid: GridSpec, vox: np.ndarray, clip: Optional[VoxelWindow]
+) -> Tuple[np.ndarray, ...]:
+    """:func:`batch_windows` from the points' voxels (shared with binning)."""
     X0 = np.maximum(vox[:, 0] - grid.Hs, 0)
     X1 = np.minimum(vox[:, 0] + grid.Hs + 1, grid.Gx)
     Y0 = np.maximum(vox[:, 1] - grid.Hs, 0)
@@ -197,6 +240,133 @@ def _scatter_slab(
             ] += contrib[i]
 
 
+def _bin_edges(grid: GridSpec) -> Tuple[int, int, int]:
+    """Bin edge in voxels along x, y, t of the per-bin GEMM route's lattice.
+
+    One bandwidth wide in space, so a bin's box (bin + halo) is three
+    stamps across and a few points already cover it; four in time, the
+    contiguous axis of the volume, where longer bars make longer runs for
+    the GEMM and the slice-add.  The floors keep narrow bandwidths from
+    cutting a cluster into bins too small to amortise their dispatch.
+    """
+    es = max(grid.Hs, 8)
+    return es, es, max(4 * grid.Ht, 16)
+
+
+def _stamp_crowded_bins(
+    vol: np.ndarray,
+    grid: GridSpec,
+    kernel: KernelPair,
+    coords: np.ndarray,
+    norm: float,
+    counter: WorkCounter,
+    backend: ComputeBackend,
+    vox: np.ndarray,
+    windows: Tuple[np.ndarray, ...],
+    live: np.ndarray,
+    clip: Optional[VoxelWindow],
+    vol_origin: Tuple[int, int, int],
+    weights: Optional[np.ndarray],
+) -> np.ndarray:
+    """PB-SYM's per-bin GEMM route; returns the ``live`` points it left.
+
+    Live points are binned on the fixed :func:`_bin_edges` lattice.  A bin
+    is *crowded* when its points' clipped stamp cells add up to
+    :data:`_DENSE_SCATTER_FRACTION` of its box (bin + halo, no larger than
+    the clipped grid) — the cover at which :func:`_scatter_slab`, too,
+    stops adding stamp by stamp and accumulates over the box — and to at
+    least :data:`_MIN_BIN_CELLS`.  Tabulating every point's disk and bar
+    over the whole box then costs less than scattering the stamps one cell
+    at a time.  Each crowded bin is reduced as
+    ``disk.reshape(m, -1).T @ bar`` — the sum over its points of
+    ``disk (x) bar`` — and added to ``vol`` with one slice-add.  The box is
+    the bounding box of the bin's clipped windows, so it lies inside the
+    grid and ``clip``; cells of it outside a point's own window are
+    outside that point's kernel support and tabulate to zero.
+
+    One ``bincount`` of bin keys decides: a batch with no crowded bin
+    returns ``live`` unchanged before any sort.
+    """
+    X0, X1, Y0, Y1, T0, T1 = windows
+    edges = _bin_edges(grid)
+    lim = grid.full_window()
+    if clip is not None:
+        lim = lim.intersect(clip)
+    box_cells = (
+        min(edges[0] + 2 * grid.Hs, lim.x1 - lim.x0)
+        * min(edges[1] + 2 * grid.Hs, lim.y1 - lim.y0)
+        * min(edges[2] + 2 * grid.Ht, lim.t1 - lim.t0)
+    )
+    crowd_cells = max(_DENSE_SCATTER_FRACTION * box_cells, _MIN_BIN_CELLS)
+    if live.size * (2 * grid.Hs + 1) ** 2 * (2 * grid.Ht + 1) < crowd_cells:
+        return live  # too few stamps to crowd even one bin
+    if live.size < vox.shape[0]:
+        vox = vox[live]
+        X0, X1, Y0, Y1, T0, T1 = (w[live] for w in windows)
+    wt = T1 - T0
+    disk_cells = (X1 - X0) * (Y1 - Y0)
+    cells = disk_cells * wt
+    # Keys relative to the batch's own corner bin: a compact batch on a
+    # large grid counts over its few bins, not the grid's.  Per axis, on
+    # 1-D columns (NumPy's (n, 3) loops are several times slower).
+    bins = [vox[:, axis] // edge for axis, edge in enumerate(edges)]
+    lo = [int(b.min()) for b in bins]
+    span = [int(b.max()) - b0 + 1 for b, b0 in zip(bins, lo)]
+    key = (bins[0] * span[1] + bins[1]) * span[2] + bins[2]
+    key -= (lo[0] * span[1] + lo[1]) * span[2] + lo[2]
+    crowded = np.bincount(key, weights=cells) >= crowd_cells
+    if not crowded.any():
+        return live
+    hot = crowded[key]
+    # Logical charges are the clipped windows', as on the cohort route.
+    n_disk = int(disk_cells[hot].sum())
+    n_bar = int(wt[hot].sum())
+    counter.spatial_evals += n_disk
+    counter.temporal_evals += n_bar
+    counter.distance_tests += n_disk + n_bar
+    counter.madds += int(cells[hot].sum())
+
+    # Sort the crowded points by bin; ``at`` indexes the live-compressed
+    # arrays, ``idx`` the caller's rows.
+    at = np.flatnonzero(hot)
+    at = at[np.argsort(key[at], kind="stable")]
+    key = key[at]
+    idx = live[at]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    bounds = zip(
+        starts.tolist(),
+        np.r_[starts[1:], at.size].tolist(),
+        np.minimum.reduceat(X0[at], starts).tolist(),
+        np.maximum.reduceat(X1[at], starts).tolist(),
+        np.minimum.reduceat(Y0[at], starts).tolist(),
+        np.maximum.reduceat(Y1[at], starts).tolist(),
+        np.minimum.reduceat(T0[at], starts).tolist(),
+        np.maximum.reduceat(T1[at], starts).tolist(),
+    )
+    xs, ys, ts = coords[idx, 0], coords[idx, 1], coords[idx, 2]
+    ws = None if weights is None else weights[idx]
+    ox, oy, ot = vol_origin
+    for a, b, x0, x1, y0, y1, t0, t1 in bounds:
+        bx, by, bt = x1 - x0, y1 - y0, t1 - t0
+        target = vol[x0 - ox : x1 - ox, y0 - oy : y1 - oy, t0 - ot : t1 - ot]
+        xc = grid.x_centers(x0, x1)
+        yc = grid.y_centers(y0, y1)
+        tc = grid.t_centers(t0, t1)
+        step = max(1, _GEMM_CELLS // (bx * by))
+        for s in range(a, b, step):
+            e = min(s + step, b)
+            counter.stamp_cohorts += 1
+            disk, bar = backend.factor_tables(
+                grid, kernel, norm,
+                xc - xs[s:e, None], yc - ys[s:e, None], tc - ts[s:e, None],
+                counter,
+            )
+            if ws is not None:
+                bar *= ws[s:e, None]
+            target += (disk.reshape(e - s, bx * by).T @ bar).reshape(bx, by, bt)
+    return live[~hot]
+
+
 def stamp_batch(
     vol: np.ndarray,
     grid: GridSpec,
@@ -241,8 +411,11 @@ def stamp_batch(
     compute:
         Compute backend for the cohort tabulation — a name, a
         :class:`~repro.core.backends.base.ComputeBackend` instance, or
-        ``None`` for the default ``numpy-ref`` (bit-identical to the
-        pre-seam engine).  Backends that cannot evaluate ``kernel``
+        ``None`` for the default ``numpy-ref``.  The per-bin GEMM route
+        of ``mode="sym"`` uses the factor tables every backend shares;
+        the cohort route uses the backend's own ``cohort_tables``
+        (``numpy-ref``: bit-identical to the pre-seam engine).
+        Backends that cannot evaluate ``kernel``
         natively fall back internally to an always-available path.
     """
     if mode not in STAMP_MODES:
@@ -259,7 +432,9 @@ def stamp_batch(
             )
     if n == 0:
         return
-    X0, X1, Y0, Y1, T0, T1 = batch_windows(grid, coords, clip)
+    vox = grid.voxels_of(coords)
+    windows = _windows_of(grid, vox, clip)
+    X0, X1, Y0, Y1, T0, T1 = windows
     wx = X1 - X0
     wy = Y1 - Y0
     wt = T1 - T0
@@ -268,6 +443,13 @@ def stamp_batch(
     if live.size == 0:
         return
     counter.stamp_batches += 1
+    if mode == "sym":
+        live = _stamp_crowded_bins(
+            vol, grid, kernel, coords, norm, counter, backend,
+            vox, windows, live, clip, vol_origin, weights,
+        )
+        if live.size == 0:
+            return
 
     dom = grid.domain
     # Cohort key: the stamp shape.  Interior points share the full

@@ -67,8 +67,9 @@ def pb_sym_dd(
     ``decomposition`` is the requested ``(A, B, C)`` subdomain grid; block
     counts exceeding the voxel extent are clamped (a 64-way split of a
     38-voxel axis is meaningless).  ``meta`` reports the realised
-    decomposition, the point replication factor, and the parallel
-    makespan.
+    decomposition, the point replication factor, the parallel makespan,
+    and per-task ``task_seconds`` (measured) and ``task_madds`` (the
+    deterministic load each subdomain task carried).
     """
     if P < 1:
         raise ValueError("P must be >= 1")
@@ -187,5 +188,6 @@ def pb_sym_dd(
             "replication_factor": binning.replication_factor(points.n),
             "occupied_blocks": len(occupied),
             "task_seconds": [t.measured for t in comp_tasks],
+            "task_madds": [c.madds for c in task_counters],
         },
     )

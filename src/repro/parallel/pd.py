@@ -235,6 +235,7 @@ def run_point_decomposition(
             "Tinf": Tinf,
             "critical_path_ratio": (Tinf / T1) if T1 > 0 else 0.0,
             "graham_bound": grahams_bound(T1, Tinf, P) if T1 > 0 else 0.0,
+            "task_madds": [c.madds for c in task_counters],
         },
     )
 

@@ -30,23 +30,13 @@ from repro.core.stamping import STAMP_MODES, masked_kernel_product, stamp_batch
 from repro.serve.engine import approx_sum, direct_sum
 from repro.serve.index import BucketIndex
 
-from tests.helpers import make_clustered_points, make_points
+from tests.helpers import CUSTOM_KERNEL, make_clustered_points, make_points
 
 RTOL = 1e-12
 ATOL = 1e-18
 
 BACKENDS = available_backends()
 FAST_BACKENDS = tuple(b for b in BACKENDS if b != DEFAULT_BACKEND)
-
-#: A non-radial, asymmetric kernel pair that is NOT in any registry —
-#: exercises the ``spatial_radial is None`` fallbacks (and, for numba,
-#: the ``supports() is False`` delegation).
-CUSTOM_KERNEL = KernelPair(
-    name="custom-nonradial",
-    spatial=lambda u, v: (1.0 - 0.5 * u) * (1.0 - 0.25 * v),
-    temporal=lambda w: 1.0 - 0.4 * w,
-    spatial_radial=None,
-)
 
 ALL_KERNELS = tuple(available_kernels()) + ("custom",)
 
@@ -105,6 +95,17 @@ class TestDispatchAccounting:
         assert c.backend_dispatches.get("numpy-ref", 0) >= 1
         # One dispatch per cohort *slab*; every cohort has at least one.
         assert sum(c.backend_dispatches.values()) >= c.stamp_cohorts
+
+    def test_gemm_chunks_are_one_group_one_dispatch_each(self, grid):
+        """A batch that is one crowded bin: ``stamp_cohorts`` counts its
+        GEMM chunks (one here, though the stamps have two shapes), each
+        exactly one ``factor_tables`` dispatch."""
+        c = WorkCounter()
+        coords = np.repeat([[1.5, 5.4, 5.6], [5.5, 5.4, 5.6]], 20, axis=0)
+        stamp_batch(np.zeros(grid.shape), grid, get_kernel("epanechnikov"),
+                    coords, 1.0, c, mode="sym")
+        assert c.stamp_cohorts == 1
+        assert c.backend_dispatches == {"numpy-ref": 1}
 
     def test_null_counter_drops_dispatches(self):
         nc = null_counter()

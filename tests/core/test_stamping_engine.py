@@ -14,15 +14,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.pb import stamp_point_pb
 from repro.algorithms.pb_sym import stamp_points_sym_loop
 from repro.algorithms.pb_variants import stamp_point_bar, stamp_point_disk
 from repro.core import DomainSpec, GridSpec, PointSet, VoxelWindow, WorkCounter
+from repro.core.backends import (
+    ComputeBackend,
+    NumpyRefBackend,
+    available_backends,
+)
 from repro.core.kernels import available_kernels, get_kernel
 from repro.core.stamping import STAMP_MODES, batch_windows, stamp_batch
 
-from tests.helpers import make_clustered_points, make_points
+from tests.helpers import CUSTOM_KERNEL, make_clustered_points, make_points
 
 RTOL = 1e-12
 ATOL = 1e-18
@@ -269,3 +276,253 @@ class TestWeightedStamping:
             stamp_batch(np.zeros(grid.shape), grid,
                         get_kernel("epanechnikov"), np.zeros((3, 3)), 1.0,
                         weights=np.ones(2))
+
+
+def clumps(centres, per, seed, spread=0.8):
+    """``per`` points scattered within ``spread`` voxels of each centre."""
+    rng = np.random.default_rng(seed)
+    centres = np.atleast_2d(np.asarray(centres, dtype=np.float64))
+    return np.concatenate([
+        c + rng.uniform(-spread, spread, size=(per, 3)) for c in centres
+    ])
+
+
+def brute_force(grid, kernel, coords, norm):
+    """O(voxels x points) kernel sum straight from the definition."""
+    xc = grid.x_centers()[:, None, None]
+    yc = grid.y_centers()[None, :, None]
+    tc = grid.t_centers()[None, None, :]
+    vol = np.zeros(grid.shape)
+    for x, y, t in coords:
+        dx, dy, dt = xc - x, yc - y, tc - t
+        inside = (dx * dx + dy * dy < grid.hs ** 2) & (np.abs(dt) <= grid.ht)
+        u = np.broadcast_to(dx / grid.hs, inside.shape)
+        v = np.broadcast_to(dy / grid.hs, inside.shape)
+        k = kernel.spatial(u, v) * kernel.temporal(dt / grid.ht)
+        vol += np.where(inside, norm * k, 0.0)
+    return vol
+
+
+class TestCrowdedBinGemm:
+    """The per-bin GEMM route of ``mode="sym"``: crowded space-time bins
+    are reduced as ``disk.T @ bar`` instead of outer product + scatter."""
+
+    @pytest.fixture
+    def wide(self):
+        # 8 x 8 x 16-voxel bins, 11 x 11 x 7 stamps: ten stamps crowd a bin.
+        return GridSpec(DomainSpec.from_voxels(40, 36, 30), hs=4.6, ht=2.2)
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        """Points sent through each route: ``{"gemm": m, "cohort": m}``."""
+        seen = {"gemm": 0, "cohort": 0}
+        gemm = ComputeBackend.factor_tables
+        cohort = NumpyRefBackend.cohort_tables
+
+        def spy_gemm(self, grid, kernel, norm, dx, dy, dt, counter):
+            seen["gemm"] += dx.shape[0]
+            return gemm(self, grid, kernel, norm, dx, dy, dt, counter)
+
+        def spy_cohort(self, grid, kernel, mode, norm, dx, dy, dt, counter):
+            seen["cohort"] += dx.shape[0]
+            return cohort(self, grid, kernel, mode, norm, dx, dy, dt, counter)
+
+        monkeypatch.setattr(ComputeBackend, "factor_tables", spy_gemm)
+        monkeypatch.setattr(NumpyRefBackend, "cohort_tables", spy_cohort)
+        return seen
+
+    @staticmethod
+    def loop_volume(grid, kernel, coords, norm, weights=None, **kw):
+        shape = kw.pop("shape", grid.shape)
+        vol = np.zeros(shape)
+        if weights is None:
+            stamp_points_sym_loop(vol, grid, kernel, coords, norm,
+                                  WorkCounter(), **kw)
+        else:
+            for row, w in zip(coords, weights):
+                stamp_points_sym_loop(vol, grid, kernel, row[None, :],
+                                      norm * w, WorkCounter(), **kw)
+        return vol
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("kname", list(available_kernels()) + ["custom"])
+    def test_matches_loop_every_kernel(self, wide, routes, kname, weighted):
+        kern = CUSTOM_KERNEL if kname == "custom" else get_kernel(kname)
+        coords = clumps([[12.3, 15.1, 9.7], [27.9, 20.2, 21.4]], 40, seed=30)
+        w = (np.random.default_rng(31).uniform(0.2, 3.0, len(coords))
+             if weighted else None)
+        vol = np.zeros(wide.shape)
+        stamp_batch(vol, wide, kern, coords, 0.37, WorkCounter(), weights=w)
+        assert routes["gemm"] > 0
+        np.testing.assert_allclose(
+            vol, self.loop_volume(wide, kern, coords, 0.37, w),
+            rtol=RTOL, atol=ATOL,
+        )
+
+    def test_negative_norm_removes_what_was_added(self, wide, routes):
+        """``IncrementalSTKDE.remove`` stamps the same rows at ``-norm``."""
+        kern = get_kernel("epanechnikov")
+        coords = clumps([20.5, 18.5, 12.5], 60, seed=32)
+        vol = np.zeros(wide.shape)
+        stamp_batch(vol, wide, kern, coords, -1.0, WorkCounter())
+        assert routes["gemm"] == len(coords)
+        np.testing.assert_allclose(
+            vol, self.loop_volume(wide, kern, coords, -1.0),
+            rtol=RTOL, atol=ATOL,
+        )
+        stamp_batch(vol, wide, kern, coords, 1.0, WorkCounter())
+        assert np.abs(vol).max() == 0.0  # same tables, same order: exact
+
+    def test_clip_window(self, wide, routes):
+        """A clip cutting through the crowded bin's box on every axis."""
+        kern = get_kernel("quartic")
+        coords = clumps([[14.2, 13.6, 11.1], [22.8, 19.3, 16.9]], 50, seed=33)
+        clip = VoxelWindow(11, 24, 9, 21, 10, 19)
+        vol = np.zeros(wide.shape)
+        stamp_batch(vol, wide, kern, coords, 1.0, WorkCounter(), clip=clip)
+        assert routes["gemm"] > 0
+        np.testing.assert_allclose(
+            vol, self.loop_volume(wide, kern, coords, 1.0, clip=clip),
+            rtol=RTOL, atol=ATOL,
+        )
+        outside = np.ones(wide.shape, dtype=bool)
+        outside[clip.slices()] = False
+        assert not vol[outside].any()
+
+    def test_offset_buffer_smaller_than_grid(self, wide, routes):
+        """``RegionBuffer.stamp``: ``vol`` is a window of the grid."""
+        kern = get_kernel("epanechnikov")
+        coords = clumps([[16.4, 14.9, 12.2], [21.1, 20.6, 17.3]], 50, seed=34)
+        win = VoxelWindow(8, 30, 6, 29, 7, 24)
+        origin = (win.x0, win.y0, win.t0)
+        buf = np.zeros(win.shape)
+        stamp_batch(buf, wide, kern, coords, 1.0, WorkCounter(),
+                    clip=win, vol_origin=origin)
+        assert routes["gemm"] > 0
+        np.testing.assert_allclose(
+            buf,
+            self.loop_volume(wide, kern, coords, 1.0, shape=win.shape,
+                             clip=win, vol_origin=origin),
+            rtol=RTOL, atol=ATOL,
+        )
+
+    def test_bins_on_every_face_edge_and_corner(self, wide, routes):
+        kern = get_kernel("epanechnikov")
+        d = wide.domain
+        ends = [(0.9, mid, g - 0.9)
+                for mid, g in zip((20.5, 18.5, 12.5), (d.gx, d.gy, d.gt))]
+        centres = [[x, y, t] for x in ends[0] for y in ends[1] for t in ends[2]]
+        # Corner stamps are clipped to an eighth: more points to crowd a bin.
+        coords = np.clip(
+            clumps(centres, 80, seed=35), 0.0,
+            np.array([d.gx, d.gy, d.gt]) * (1 - 1e-9),
+        )
+        vol = np.zeros(wide.shape)
+        stamp_batch(vol, wide, kern, coords, 1.0, WorkCounter())
+        assert routes["gemm"] == len(coords)  # all 27 clumps crowd their bins
+        np.testing.assert_allclose(
+            vol, self.loop_volume(wide, kern, coords, 1.0),
+            rtol=RTOL, atol=ATOL,
+        )
+
+    def test_mixed_batch_stamps_each_point_once(self, wide, routes):
+        kern = get_kernel("epanechnikov")
+        crowd = clumps([[12.3, 15.1, 9.7], [28.6, 21.0, 20.5]], 45, seed=36)
+        loose = make_points(wide, 30, seed=37).coords
+        rng = np.random.default_rng(38)
+        coords = rng.permutation(np.concatenate([crowd, loose]))
+        vol = np.zeros(wide.shape)
+        stamp_batch(vol, wide, kern, coords, 1.0, WorkCounter())
+        assert routes["gemm"] >= len(crowd)
+        assert routes["cohort"] > 0
+        assert routes["gemm"] + routes["cohort"] == len(coords)
+        np.testing.assert_allclose(
+            vol, self.loop_volume(wide, kern, coords, 1.0),
+            rtol=RTOL, atol=ATOL,
+        )
+
+    def test_no_crowded_bin_takes_the_cohort_route_only(self, wide, routes):
+        coords = make_points(wide, 60, seed=39).coords
+        stamp_batch(np.zeros(wide.shape), wide, get_kernel("epanechnikov"),
+                    coords, 1.0, WorkCounter())
+        assert routes == {"gemm": 0, "cohort": len(coords)}
+
+    @pytest.mark.parametrize("mode", ["pb", "disk", "bar"])
+    def test_per_voxel_modes_never_take_it(self, wide, routes, mode):
+        coords = clumps([20.5, 18.5, 12.5], 60, seed=40)
+        stamp_batch(np.zeros(wide.shape), wide, get_kernel("epanechnikov"),
+                    coords, 1.0, WorkCounter(), mode=mode)
+        assert routes["gemm"] == 0
+
+    def test_counters_match_loop_and_backends(self, wide):
+        """Logical charges are the clipped-window sums whatever the route."""
+        kern = get_kernel("epanechnikov")
+        crowd = clumps([[1.2, 15.1, 9.7], [28.6, 34.8, 28.9]], 45, seed=41)
+        coords = np.concatenate([crowd, make_points(wide, 30, seed=42).coords])
+        loop = WorkCounter()
+        stamp_points_sym_loop(np.zeros(wide.shape), wide, kern, coords, 1.0, loop)
+        per_backend = {}
+        for name in available_backends():
+            c = WorkCounter()
+            stamp_batch(np.zeros(wide.shape), wide, kern, coords, 1.0, c,
+                        compute=name)
+            for key in ("madds", "spatial_evals", "temporal_evals",
+                        "distance_tests"):
+                assert getattr(c, key) == getattr(loop, key), (name, key)
+            assert c.stamp_batches == 1
+            assert set(c.backend_dispatches) == {name}
+            per_backend[name] = (c.stamp_cohorts,
+                                 sum(c.backend_dispatches.values()))
+        assert len(set(per_backend.values())) == 1
+
+    def test_large_bin_is_chunked(self, wide, routes, monkeypatch):
+        """More points than one table chunk holds: several GEMMs, one sum."""
+        import repro.core.stamping as stamping
+
+        monkeypatch.setattr(stamping, "_GEMM_CELLS", 1 << 11)
+        kern = get_kernel("epanechnikov")
+        coords = clumps([20.5, 18.5, 12.5], 70, seed=43)
+        c = WorkCounter()
+        vol = np.zeros(wide.shape)
+        stamp_batch(vol, wide, kern, coords, 1.0, c)
+        assert routes["gemm"] == len(coords)
+        assert c.stamp_cohorts > 5
+        assert c.stamp_cohorts == sum(c.backend_dispatches.values())
+        np.testing.assert_allclose(
+            vol, self.loop_volume(wide, kern, coords, 1.0),
+            rtol=RTOL, atol=ATOL,
+        )
+
+
+@st.composite
+def clustered_case(draw):
+    grid = GridSpec(
+        DomainSpec.from_voxels(
+            draw(st.integers(6, 40)), draw(st.integers(6, 40)),
+            draw(st.integers(6, 30)),
+        ),
+        hs=draw(st.floats(0.6, 9.0)), ht=draw(st.floats(0.6, 5.0)),
+    )
+    span = np.array([grid.Gx, grid.Gy, grid.Gt], dtype=np.float64)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(1, 3))
+    per = draw(st.integers(1, 60))
+    sigma = draw(st.floats(0.0, 3.0))
+    centres = rng.uniform(0.0, span, size=(k, 3))
+    coords = np.repeat(centres, per, axis=0) + rng.normal(0, sigma, (k * per, 3))
+    return grid, np.clip(coords, 0.0, span * (1 - 1e-9))
+
+
+@given(case=clustered_case())
+@settings(max_examples=60, deadline=None)
+def test_property_sym_engine_matches_brute_force(case):
+    """Whatever mix of crowded and loose bins the batch makes, the engine
+    returns the kernel sum of the definition."""
+    grid, coords = case
+    kern = get_kernel("epanechnikov")
+    norm = grid.normalization(len(coords))
+    vol = np.zeros(grid.shape)
+    stamp_batch(vol, grid, kern, coords, norm, WorkCounter())
+    expect = brute_force(grid, kern, coords, norm)
+    np.testing.assert_allclose(vol, expect, rtol=1e-9,
+                               atol=1e-12 * expect.max())

@@ -18,8 +18,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import GridSpec, PointSet
+from repro.core.kernels import KernelPair
 
-__all__ = ["make_points", "make_clustered_points"]
+__all__ = ["CUSTOM_KERNEL", "make_points", "make_clustered_points"]
+
+#: A non-radial, asymmetric kernel pair that is NOT in any registry —
+#: exercises the ``spatial_radial is None`` fallbacks (and, for numba,
+#: the ``supports() is False`` delegation).
+CUSTOM_KERNEL = KernelPair(
+    name="custom-nonradial",
+    spatial=lambda u, v: (1.0 - 0.5 * u) * (1.0 - 0.25 * v),
+    temporal=lambda w: 1.0 - 0.4 * w,
+    spatial_radial=None,
+)
 
 
 def make_points(grid: GridSpec, n: int, seed: int = 0) -> PointSet:

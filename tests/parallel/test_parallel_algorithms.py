@@ -173,8 +173,11 @@ class TestDDOverheads:
     def test_clustered_data_imbalanced_tasks(self, grid):
         pts = make_clustered_points(grid, 400, k=2, seed=3)
         res = pb_sym_dd(pts, grid, P=4, decomposition=(4, 4, 4))
-        ts = [t for t in res.meta["task_seconds"] if t > 0]
-        assert max(ts) > 3 * (sum(ts) / len(ts))  # heavy hot-spot tasks
+        # Work, not wall-clock: per-task fixed overhead hides the imbalance
+        # in task_seconds at this size.
+        work = res.meta["task_madds"]
+        assert len(work) == res.meta["occupied_blocks"]
+        assert max(work) > 3 * (sum(work) / len(work))  # heavy hot-spot tasks
 
 
 class TestPDProperties:

@@ -322,7 +322,9 @@ class TestCrashRecovery:
         ref = DensityService(pts, grid, machine=NOMINAL)
         with ShardedDensityService(
             pts, grid, workers=2, machine=NOMINAL,
-            fault_plan=plan, request_timeout=0.5, restart_backoff_s=0.01,
+            # The deadline also bounds the respawned worker's first reply
+            # (spawn + import, ~0.45 s on a slow box): 0.5 s flaked.
+            fault_plan=plan, request_timeout=1.0, restart_backoff_s=0.01,
         ) as svc:
             out = svc.query_points(queries, backend="sharded")
             np.testing.assert_allclose(
