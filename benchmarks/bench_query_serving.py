@@ -8,10 +8,13 @@ Measures the serving layer's core trades on a clustered instance:
    query after the build).  Small batches favour direct, large batches
    amortise the build — the planner must land on the right side at both
    ends of the sweep.
-2. **Cohort speedup**: the cohort-vectorised direct-sum engine vs the
-   retained per-group walk on a scattered batch — the read-side analogue
-   of the stamping engine's cohort batching (PR-4 acceptance: >= 2x on
-   the 50k scattered batch at clustered n=1e5).
+2. **Ragged engine**: the direct-sum engine on a *clustered* batch (half
+   the rows within a voxel or so of an event) — the shape where almost
+   every home cell has its own candidate count, so batching by count
+   degenerates.  Reports distinct candidate counts beside the slab
+   dispatches actually run (which follow pairs, not cells), gated on
+   equivalence with an in-script brute-force sum at rtol=1e-12 and on
+   the dispatch count staying at its pair-count bound.
 3. **Slide-then-query**: a live sliding window served across
    ``slide_window`` — the incremental index re-buckets only the arriving
    batch (O(batch), measured by ``index_events_bucketed``) while a cold
@@ -20,7 +23,7 @@ Measures the serving layer's core trades on a clustered instance:
    the merge policy must hold the live segment count under the cap, the
    compaction debt must stay under budget, per-sync work must stay
    O(arriving batch) (bucketing counters + warm-sync wall time vs the
-   cold rebuild), and the 50k scattered cohort query on the merged index
+   cold rebuild), and the 50k scattered query batch on the merged index
    must not regress against a fresh single-segment index.
 5. **Cache-hit speedup**: a repeated dashboard slice served from the
    version-keyed LRU vs recomputed.
@@ -33,7 +36,7 @@ Measures the serving layer's core trades on a clustered instance:
 
 Every cell re-verifies that direct sums match the stamped volume at
 queried voxel centers (``rtol=1e-6`` acceptance, measured slack ~1e-12),
-and the cohort engine is re-verified against the group walk.
+and the ragged engine is re-verified against the brute-force sum.
 
 Writes ``BENCH_query.json`` at the repository root (override with
 ``--out``); ``--results-dir DIR`` additionally writes
@@ -59,6 +62,7 @@ from repro.core.backends import available_backends, get_backend
 from repro.core.incremental import IncrementalSTKDE
 from repro.core.stamping import stamp_batch
 from repro.core.kernels import get_kernel
+from repro.serve.engine import _QUERY_SLAB_PAIRS as SLAB_PAIRS
 from repro.serve import (
     BucketIndex,
     DensityService,
@@ -67,7 +71,6 @@ from repro.serve import (
     approx_sum,
     calibrate_serving,
     direct_sum,
-    direct_sum_grouped,
     sample_volume,
 )
 
@@ -165,40 +168,87 @@ def crossover_rows(grid: GridSpec, n: int, query_counts, repeats: int,
     return rows
 
 
-def cohort_row(grid: GridSpec, n: int, m: int, repeats: int) -> dict:
-    """Cohort-vectorised engine vs the per-group walk, scattered batch."""
+def clustered_batch(grid: GridSpec, coords: np.ndarray, m: int,
+                    seed: int) -> np.ndarray:
+    """Half uniform rows, half within a voxel or so of a random event."""
+    rng = np.random.default_rng(seed)
+    span = np.array([grid.domain.gx, grid.domain.gy, grid.domain.gt])
+    near = m - m // 2
+    q = np.vstack([
+        rng.uniform(0, span, size=(m // 2, 3)),
+        coords[rng.integers(0, len(coords), near)]
+        + rng.normal(0.0, 1.0, size=(near, 3)),
+    ])
+    return np.clip(q, 0, span * (1 - 1e-9))
+
+
+def brute_force_sum(grid, kern, coords, q, norm):
+    """The estimator's definition over every (query, event) pair."""
+    out = np.empty(len(q))
+    for i, (x, y, t) in enumerate(q):
+        dx, dy, dt = x - coords[:, 0], y - coords[:, 1], t - coords[:, 2]
+        inside = (dx * dx + dy * dy < grid.hs * grid.hs) & (
+            np.abs(dt) <= grid.ht
+        )
+        out[i] = (
+            kern.spatial(dx[inside] / grid.hs, dy[inside] / grid.hs)
+            * kern.temporal(dt[inside] / grid.ht)
+        ).sum()
+    return norm * out
+
+
+def ragged_row(grid: GridSpec, n: int, m: int, repeats: int) -> dict:
+    """The ragged direct-sum engine on a clustered batch.
+
+    No timing gate (smoke scale is noise): the gates are equivalence with
+    the brute-force sum on a 256-row sample, and the slab dispatch count
+    against its bound — every slab but the last holds more than
+    ``slab_pairs - K_max`` pairs, because a query's segment is never
+    split and the next query did not fit.
+    """
     kern = get_kernel("epanechnikov")
     coords = make_coords(grid, n)
     norm = grid.normalization(n)
     index = BucketIndex(grid, coords)
-    rng = np.random.default_rng(7)
-    span = np.array([grid.domain.gx, grid.domain.gy, grid.domain.gt])
-    q = rng.uniform(0, span, size=(m, 3))
+    q = clustered_batch(grid, coords, m, seed=7)
 
-    t_grouped = best_of(lambda: direct_sum_grouped(index, q, kern, norm),
-                        repeats)
     counter = WorkCounter()
-    t_cohort = best_of(lambda: direct_sum(index, q, kern, norm, counter),
-                       repeats)
-    a = direct_sum(index, q, kern, norm)
-    b = direct_sum_grouped(index, q, kern, norm)
-    equiv = bool(np.allclose(a, b, rtol=1e-12, atol=0.0))
+    out = direct_sum(index, q, kern, norm, counter)
+    t_direct = best_of(lambda: direct_sum(index, q, kern, norm), repeats)
+    sample = np.random.default_rng(8).choice(m, size=min(m, 256), replace=False)
+    equiv = bool(np.allclose(
+        out[sample], brute_force_sum(grid, kern, coords, q[sample], norm),
+        rtol=1e-12, atol=0.0,
+    ))
+    K = index.candidate_counts(q)
+    pairs = int(K.sum())
+    # A query larger than a whole slab is its own dispatch.
+    fill = max(SLAB_PAIRS - int(K.max()), 1)
+    bound = -(-pairs // fill) + 1
     row = {
-        "path": "cohort-speedup",
+        "path": "ragged-engine",
         "n_events": n,
         "n_queries": m,
         "groups": index.group_count(q),
-        "cohorts": index.cohort_count(q),
-        "grouped_seconds": t_grouped,
-        "cohort_seconds": t_cohort,
-        "cohort_speedup": t_grouped / max(t_cohort, 1e-12),
-        "cohort_matches_grouped_rtol_1e12": equiv,
+        "distinct_candidate_counts": int(np.unique(K[K > 0]).size),
+        "pairs": pairs,
+        "max_candidates": int(K.max()),
+        "slab_pairs": SLAB_PAIRS,
+        "slab_dispatches": counter.query_cohorts,
+        "pairs_over_slab_pairs": -(-pairs // SLAB_PAIRS),
+        "slab_dispatch_bound": bound,
+        "slab_dispatches_within_bound": counter.query_cohorts <= bound,
+        "direct_seconds": t_direct,
+        "pairs_per_second": pairs / max(t_direct, 1e-12),
+        "brute_force_sample_rows": int(sample.size),
+        "ragged_matches_brute_force_rtol_1e12": equiv,
     }
     print(
-        f"cohort       n={n} m={m:>6d}  grouped {t_grouped:8.4f}s "
-        f"({row['groups']} groups)  cohort {t_cohort:8.4f}s "
-        f"({row['cohorts']} cohorts)  {row['cohort_speedup']:.2f}x "
-        f"equiv={equiv}"
+        f"ragged       n={n} m={m:>6d}  {t_direct:8.4f}s  "
+        f"{row['groups']} groups, {row['distinct_candidate_counts']} "
+        f"distinct K, {pairs} pairs -> {row['slab_dispatches']} slab "
+        f"dispatches (pairs/slab {row['pairs_over_slab_pairs']}, bound "
+        f"{bound})  equiv={equiv}"
     )
     return row
 
@@ -280,7 +330,7 @@ def steady_slides_row(grid: GridSpec, n_slides: int, batch: int,
     (window of ``window_batches`` batches).  Measures: live segment count
     (merge policy cap), compaction debt vs budget, per-sync wall time and
     bucketing work (O(arriving batch) — a cold service re-buckets the
-    whole window instead), and finally a large scattered cohort query on
+    whole window instead), and finally a large scattered query batch on
     the merge-capped index vs an *uncapped* index fed identically — the
     probe-cost-bounded claim of the merge policy (a fresh monolithic
     index is also timed for reference).
@@ -329,7 +379,7 @@ def steady_slides_row(grid: GridSpec, n_slides: int, batch: int,
     equiv = bool(np.allclose(warm_probe, cold_probe, rtol=1e-9, atol=1e-18))
 
     # Probe-cost bound: the capped index vs the uncapped segment pileup
-    # on one large scattered cohort batch (fresh monolith for reference).
+    # on one large scattered batch (fresh monolith for reference).
     q_big = rng.uniform(0, span, size=(m_big, 3))
     kern = get_kernel(kern_name)
     norm = grid.normalization(inc.n)
@@ -388,7 +438,7 @@ def steady_slides_row(grid: GridSpec, n_slides: int, batch: int,
         f"(cap {cap}; uncapped {max_uncapped})  dead<= {max_dead}  sync "
         f"mean {row['mean_warm_sync_seconds'] * 1e3:6.2f}ms max "
         f"{row['max_warm_sync_seconds'] * 1e3:6.2f}ms vs cold "
-        f"{t_cold * 1e3:6.2f}ms  {m_big} cohort q: merged "
+        f"{t_cold * 1e3:6.2f}ms  {m_big} scattered q: merged "
         f"{t_merged:6.3f}s vs uncapped {t_uncapped:6.3f}s vs mono "
         f"{t_mono:6.3f}s"
     )
@@ -497,7 +547,7 @@ BACKEND_NAMES = ("numpy-ref", "numpy-fused", "numba")
 
 def compute_backend_rows(grid: GridSpec, n: int, m: int,
                          repeats: int) -> list:
-    """One scattered direct-sum row per compute backend.
+    """One clustered direct-sum row per compute backend.
 
     Same batch, same index — only the pair-evaluation backend changes,
     so the column measures exactly the seam the planner's per-backend
@@ -509,9 +559,7 @@ def compute_backend_rows(grid: GridSpec, n: int, m: int,
     coords = make_coords(grid, n)
     norm = grid.normalization(n)
     index = BucketIndex(grid, coords)
-    rng = np.random.default_rng(9)
-    span = np.array([grid.domain.gx, grid.domain.gy, grid.domain.gt])
-    q = rng.uniform(0, span, size=(m, 3))
+    q = clustered_batch(grid, coords, m, seed=9)
 
     ref = direct_sum(index, q, kern, norm, compute="numpy-ref")
     rows = []
@@ -637,14 +685,14 @@ def main(argv=None) -> int:
     grid = make_grid()
     if args.smoke:
         n, query_counts, repeats = 20_000, (10, 100_000), 1
-        cohort_m, slide_batches, slide_m = 20_000, 4, 2_000
+        batch_m, slide_batches, slide_m = 20_000, 4, 2_000
         steady_slides, steady_batch, steady_window, steady_m = 40, 250, 10, 5_000
         approx_n, approx_m = 60_000, 400
     else:
         n, query_counts, repeats = (
             100_000, (10, 100, 1_000, 10_000, 50_000, 200_000), 2
         )
-        cohort_m, slide_batches, slide_m = 50_000, 10, 10_000
+        batch_m, slide_batches, slide_m = 50_000, 10, 10_000
         steady_slides, steady_batch, steady_window, steady_m = (
             100, 1_000, 20, 50_000
         )
@@ -654,8 +702,8 @@ def main(argv=None) -> int:
     machine = calibrate_serving()
     rows = crossover_rows(grid, n, query_counts, repeats, machine)
     smallest, largest = rows[0], rows[-1]
-    cohort = cohort_row(grid, n, cohort_m, repeats)
-    rows.append(cohort)
+    ragged = ragged_row(grid, n, batch_m, repeats)
+    rows.append(ragged)
     slide = slide_row(grid, n, slide_batches, slide_m, machine)
     rows.append(slide)
     steady = steady_slides_row(
@@ -664,12 +712,12 @@ def main(argv=None) -> int:
     rows.append(steady)
     cache = cache_row(grid, n, machine)
     rows.append(cache)
-    workers = workers_scaling_row(grid, n, cohort_m, repeats, machine)
+    workers = workers_scaling_row(grid, n, batch_m, repeats, machine)
     rows.append(workers)
     approx = approx_tier_rows(approx_n, approx_m, approx_eps, repeats, machine)
     rows.extend(approx)
     approx_01 = next(r for r in approx if r["eps"] == 0.1)
-    backend_rows = compute_backend_rows(grid, n, cohort_m, repeats)
+    backend_rows = compute_backend_rows(grid, n, batch_m, repeats)
     rows.extend(backend_rows)
 
     acceptance = {
@@ -682,11 +730,14 @@ def main(argv=None) -> int:
         "lookup_wins_largest_batch": largest["measured_winner"] == "lookup",
         "planner_picks_direct_for_few": smallest["planner_choice"] == "direct",
         "planner_picks_lookup_for_many": largest["planner_choice"] == "lookup",
-        "cohort_matches_grouped_rtol_1e12":
-            cohort["cohort_matches_grouped_rtol_1e12"],
-        "cohort_speedup": cohort["cohort_speedup"],
-        "cohort_not_slower_than_grouped": cohort["cohort_speedup"] >= 1.0,
-        "cohort_speedup_ge_2x": cohort["cohort_speedup"] >= 2.0,
+        "ragged_matches_brute_force_rtol_1e12":
+            ragged["ragged_matches_brute_force_rtol_1e12"],
+        "ragged_distinct_candidate_counts":
+            ragged["distinct_candidate_counts"],
+        "ragged_slab_dispatches": ragged["slab_dispatches"],
+        "ragged_slab_dispatches_within_bound":
+            ragged["slab_dispatches_within_bound"],
+        "ragged_pairs_per_second": ragged["pairs_per_second"],
         "index_sync_rebucketed_events": slide["events_rebucketed_after_slide"],
         "index_sync_obatch": slide["sync_obatch"],
         "slide_warm_matches_cold": slide["warm_matches_cold_rtol_1e9"],
@@ -699,9 +750,7 @@ def main(argv=None) -> int:
             "merged_vs_uncapped_latency_ratio"
         ],
         # The merge policy must bound probe cost: the capped index never
-        # loses to the uncapped segment pileup on the big cohort batch
-        # (the 50k cohort row itself is gated by cohort_speedup above —
-        # that is the no-regression check for the engine).
+        # loses to the uncapped segment pileup on the big scattered batch.
         "steady_merge_bounds_probe_cost": steady[
             "merged_vs_uncapped_latency_ratio"
         ] <= 1.1,
@@ -740,7 +789,7 @@ def main(argv=None) -> int:
         "approx_planner_picks_approx_at_eps_0_1":
             approx_01["planner_picks_approx"],
         # Per-backend direct-sum columns: measured (or skipped with a
-        # reason) on the same scattered batch; every measured backend
+        # reason) on the same clustered batch; every measured backend
         # must agree with numpy-ref at rtol=1e-12.
         "compute_backends_measured": [
             r["backend"] for r in backend_rows if not r["skipped"]
@@ -763,7 +812,7 @@ def main(argv=None) -> int:
             "ht": HT,
             "n_events": n,
             "query_counts": list(query_counts),
-            "cohort_queries": cohort_m,
+            "batch_queries": batch_m,
             "slide_batches": slide_batches,
             "kernel": "epanechnikov",
             "cpu_count": cpu_count(),
@@ -778,15 +827,16 @@ def main(argv=None) -> int:
             "kernel sums over the bucket index vs materialising the volume "
             "once (build) and trilinearly sampling it; lookup_cold = build "
             "+ sample, the planner's cold-volume comparison.  "
-            "cohort-speedup = the cohort-vectorised direct-sum engine vs "
-            "the retained per-group walk on one scattered batch.  "
+            "ragged-engine = the direct-sum engine on one clustered batch "
+            "(half the rows beside events): distinct candidate counts vs "
+            "slab dispatches run, checked against a brute-force sum.  "
             "slide-sync = a slide_window absorbed by the incremental "
             "per-batch index (re-bucketed events ~ batch) vs a cold "
             "rebuild (~ n).  steady-slides = sustained tiny-batch slides "
             "through one service: merge policy caps the live segments, "
             "compaction debt stays under budget (paid in sync, off the "
             "remove path), per-sync bucketing stays O(arriving batch), "
-            "and the capped index's big cohort batch never loses to the "
+            "and the capped index's big scattered batch never loses to the "
             "uncapped segment pileup.  cache-hit = a repeated dashboard "
             "slice served from the version-keyed LRU vs its first "
             "computation.  workers-scaling = 4 shard-owning worker "

@@ -105,19 +105,14 @@ class MachineModel:
         (:func:`repro.serve.engine.sample_volume`) — the per-query unit
         cost of the serving layer's volume-lookup backend (eight gathered
         reads plus the blend).
-    c_qgroup:
-        Fixed cost of one query cell-group in the *per-group* direct-sum
-        walk (:func:`repro.serve.engine.direct_sum_grouped`): candidate
-        gather plus the dispatch of one small tabulation.  Retained for
-        pricing the legacy walk; the cohort engine's dispatch is priced by
-        ``c_qcohort`` / ``c_qprobe`` instead.
     c_qcohort:
-        Fixed cost of one candidate-count cohort in the cohort-vectorised
-        direct-sum engine (:func:`repro.serve.engine.direct_sum`): one
-        flat gather assembly plus one tabulation dispatch.  Cells (and all
-        their queries) sharing a candidate count share one cohort, so
-        scattered batches pay ~#distinct-counts dispatches instead of
-        ~one per query — the read-side analogue of ``c_batch``.
+        Fixed cost of one ragged slab dispatch of the direct-sum engine
+        (:func:`repro.serve.engine.direct_sum`): one flat (query,
+        candidate) pair list of at most 2**16 pairs — its run flatten,
+        column gathers, tabulation dispatch and segment sum.  A batch
+        pays ``ceil(pairs / 2**16)`` of them whatever its cells look
+        like — the read-side analogue of ``c_batch``.  Persisted
+        calibrations carry the key, hence the historical name.
     c_qprobe:
         Per-(cell-group x segment) cost of probing the index's CSR runs
         (vectorised ``searchsorted`` into one segment's sorted cells).
@@ -179,7 +174,6 @@ class MachineModel:
     c_tile: float = 0.0
     bandwidth_cap: float = 3.0
     c_lookup: float = 0.0
-    c_qgroup: float = 0.0
     c_qcohort: float = 0.0
     c_qprobe: float = 0.0
     c_qrow: float = 0.0
@@ -382,12 +376,12 @@ class MachineModel:
             (t_tile_large - t_tile_small) / (n_vox * (p_large - p_small)), 1e-12
         )
         c_tile = max(t_tile_small - n_vox * p_small * c_pair, 0.0)
-        # The serving-side unit costs (c_lookup, c_qgroup, c_qcohort,
-        # c_qprobe, c_qrow) are probed by repro.serve.calibrate.calibrate_serving
+        # The serving-side unit costs (c_lookup, c_qcohort, c_qprobe,
+        # c_qrow) are probed by repro.serve.calibrate.calibrate_serving
         # — the probes live with the code they measure, keeping analysis
         # below serve in the layering; until then CostModel.lookup_cost
         # falls back to a memory-rate estimate and direct batches price
-        # the per-cohort/per-probe dispatch at zero.
+        # the per-slab/per-probe dispatch at zero.
         return cls(
             c_mem=c_mem, c_point=c_point, c_cell=c_cell, c_batch=c_batch,
             c_pair=c_pair, c_tile=c_tile,
@@ -406,7 +400,7 @@ class MachineModel:
         """
         return cls(
             c_mem=1e-9, c_point=1e-7, c_cell=2e-9, c_batch=1e-5,
-            c_pair=2e-9, c_tile=1e-6, c_lookup=5e-8, c_qgroup=5e-6,
+            c_pair=2e-9, c_tile=1e-6, c_lookup=5e-8,
             c_qcohort=5e-6, c_qprobe=1e-6, c_qsample=1e-8, c_qbound=4e-9,
             c_spawn=0.2,
         )
@@ -599,10 +593,9 @@ class CostModel:
     ) -> float:
         """Predicted seconds to answer a point batch by direct kernel sums.
 
-        The cohort-engine cost shape: one engine-shaped dispatch for the
-        batch, one ``c_qcohort`` per candidate-count cohort (scattered
-        batches collapse to ~#distinct-counts dispatches;
-        ``n_cohorts=None`` conservatively assumes one per group), one
+        The ragged-engine cost shape: one engine-shaped dispatch for the
+        batch, one ``c_qcohort`` per slab dispatch (``n_cohorts``;
+        ``None`` assumes the batch's pairs fit one slab), one
         ``c_qprobe`` per (cell-group x index segment) CSR probe, a
         per-query residue at the per-point rate, and the (query,
         candidate) pairs at the shared tabulation's per-pair rate — the
@@ -612,33 +605,13 @@ class CostModel:
         """
         m = self.machine
         groups = n_queries if n_groups is None else n_groups
-        cohorts = groups if n_cohorts is None else n_cohorts
+        cohorts = 1 if n_cohorts is None else n_cohorts
         return (
             m.c_batch
             + cohorts * m.backend_cost("c_qcohort", compute)
             + groups * max(1, n_segments) * m.c_qprobe
             + n_queries * m.c_point
             + total_candidates * m.backend_cost("c_pair", compute)
-        )
-
-    def predict_grouped_query(
-        self,
-        n_queries: int,
-        total_candidates: int,
-        n_groups: Optional[int] = None,
-    ) -> float:
-        """Predicted seconds for the legacy per-group direct-sum walk.
-
-        One ``c_qgroup`` dispatch per cell group — what the cohort engine
-        collapses; kept so the cohort-vs-grouped trade stays priceable.
-        """
-        m = self.machine
-        groups = n_queries if n_groups is None else n_groups
-        return (
-            m.c_batch
-            + groups * m.c_qgroup
-            + n_queries * m.c_point
-            + total_candidates * m.c_pair
         )
 
     def predict_approx_query(
@@ -883,12 +856,12 @@ class CostModel:
         rows = n_queries if fanout_rows is None else int(fanout_rows)
         ipc = 2.0 * P * msg_rate + 2.0 * rows * ser_rate
         groups = n_queries if n_groups is None else n_groups
-        cohorts = groups if n_cohorts is None else n_cohorts
+        cohorts = 1 if n_cohorts is None else n_cohorts
         compute = self.predict_direct_query(
             -(-rows // P),
             -(-int(total_candidates) // P),
             n_groups=max(1, -(-groups // P)),
-            n_cohorts=max(1, min(cohorts, -(-groups // P))),
+            n_cohorts=max(1, -(-cohorts // P)),
             n_segments=n_segments,
         )
         return ScatterGatherPrediction(ipc + compute, ipc, compute, P)

@@ -7,7 +7,7 @@ planners enumerate :func:`available_backends` to know what this machine
 can actually run.  The ``numba`` backend registers only when the package
 imports — absence is visible, never fatal.
 
-Adding a backend: subclass :class:`ComputeBackend`, implement the four
+Adding a backend: subclass :class:`ComputeBackend`, implement the three
 primitives under the contracts in ``base.py`` (masks, rtol=1e-12 vs
 ``numpy-ref``, O(1) logical accounting), then ``register_backend(lambda:
 MyBackend())``.  The parity suite in ``tests/core/test_backends.py`` runs

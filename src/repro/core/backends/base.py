@@ -1,10 +1,12 @@
 """The compute-backend seam: pair-evaluation primitives behind one interface.
 
-Every hot path in the system funnels through a narrow waist of four
+Every hot path in the system funnels through a narrow waist of three
 primitives — the masked kernel product over broadcastable offset arrays,
-cohort table construction for the stamp modes, the cohort row sums of the
-query gather, and the sampled contribution evaluation of the approximate
-tier.  :class:`ComputeBackend` owns exactly that waist, so a compiled
+cohort table construction for the stamp modes, and the elementwise
+weighted contribution evaluation behind both query tiers (the approximate
+tier's sampled draws and, reduced per query by the shared
+:meth:`ComputeBackend.query_segment_sums`, the exact ragged gather).
+:class:`ComputeBackend` owns exactly that waist, so a compiled
 implementation accelerates stamping, VB/VB-DEC tiles, ``direct_sum`` and
 ``approx_sum`` at once without any caller changing shape.
 
@@ -14,16 +16,17 @@ Contracts every implementation must honour:
   ``|dt| <= ht`` (closed) — identical to the legacy per-point paths.
 * **Equivalence**: results agree with the ``numpy-ref`` backend at
   ``rtol=1e-12`` elementwise (the reference itself is bit-identical to the
-  pre-seam code by construction).  Reductions must either match the
-  reference's pairwise summation order or compensate (Kahan) so row sums
-  stay inside the pin.
+  pre-seam code by construction).  The one reduction of the query path,
+  :meth:`ComputeBackend.query_segment_sums`, is shared, so backends
+  cannot differ in summation order.
 * **Accounting**: work counters report the *logical* operation counts —
   identical across backends, charged in O(1) from array shapes (never by
   reducing a mask), so instrumentation does not show up in the profile it
   measures.  Each primitive invocation additionally records one dispatch
   under the backend's name (``WorkCounter.backend_dispatches``).
 
-One more function is shared rather than overridden:
+Two more functions are shared rather than overridden:
+:meth:`ComputeBackend.query_segment_sums` (above) and
 :meth:`ComputeBackend.factor_tables`, PB-SYM's masked disk and bar tables
 for the stamping engine's per-bin GEMM route.  They are ``n * W^2`` work
 feeding ``n * W^2 * Wt`` multiply-adds that BLAS performs, so a compiled
@@ -46,7 +49,7 @@ __all__ = ["ComputeBackend"]
 class ComputeBackend:
     """Interface of a pair-evaluation backend.
 
-    Subclasses set :attr:`name` and implement the four primitives.  The
+    Subclasses set :attr:`name` and implement the three primitives.  The
     scatter/gather plumbing around them (slab planning, bincount scatter,
     CSR run flattening, the Hansen–Hurwitz estimator arithmetic) stays in
     the callers — it is index bookkeeping, not pair arithmetic, and keeping
@@ -105,7 +108,7 @@ class ComputeBackend:
         """
         raise NotImplementedError
 
-    def query_row_sums(
+    def query_segment_sums(
         self,
         grid: GridSpec,
         kernel: KernelPair,
@@ -113,16 +116,26 @@ class ComputeBackend:
         dy: np.ndarray,
         dt: np.ndarray,
         weights: Optional[np.ndarray],
+        seg_starts: np.ndarray,
         counter: WorkCounter,
     ) -> np.ndarray:
-        """Per-query candidate sums for the direct-sum cohort gather.
+        """Per-query candidate sums over one ragged slab of the direct sum.
 
-        ``dx/dy/dt`` are ``(Q, K)`` query-to-candidate offsets (or 1-D
-        ``(K,)`` for the sparse single-query path); ``weights`` the
-        already-gathered per-candidate weights of the same shape or
-        ``None``.  Returns ``(Q,)`` row sums (a 0-d array for 1-D input).
+        ``dx/dy/dt`` are 1-D query-to-candidate offsets of a flat (query,
+        candidate) pair list, ``weights`` the gathered per-candidate
+        weights of the same shape or ``None``, and ``seg_starts`` the
+        ascending first pair of each query's segment (no segment is
+        empty).  Returns one sum per segment.
+
+        Shared by every backend: the elementwise evaluation is
+        :meth:`sampled_contributions`, the reduction one
+        ``np.add.reduceat`` — so a query's sum depends only on its own
+        segment, never on how the batch was cut into slabs.
         """
-        raise NotImplementedError
+        contrib = self.sampled_contributions(
+            grid, kernel, dx, dy, dt, weights, counter
+        )
+        return np.add.reduceat(contrib, seg_starts)
 
     def sampled_contributions(
         self,
@@ -134,12 +147,14 @@ class ComputeBackend:
         weights: Optional[np.ndarray],
         counter: WorkCounter,
     ) -> np.ndarray:
-        """Per-draw weighted contributions for the importance sampler.
+        """Per-pair weighted contributions for the query tiers.
 
         Elementwise: the masked kernel product with the gathered event
         weights folded in (unit weights when ``weights is None``).  The
-        caller owns the Hansen–Hurwitz reweighting and the variance
-        bookkeeping — they are estimator arithmetic over these values.
+        importance sampler's caller owns the Hansen–Hurwitz reweighting
+        and the variance bookkeeping — they are estimator arithmetic over
+        these values; the exact tier reduces them per query in
+        :meth:`query_segment_sums`.
         """
         raise NotImplementedError
 

@@ -12,8 +12,9 @@ Compiled semantics are pinned to the reference at ``rtol=1e-12``:
 * The scalar kernel bodies are transliterations of the registered NumPy
   expressions (same IEEE-754 double ops; ``fastmath`` stays **off** so
   LLVM cannot reassociate or contract them into FMAs).
-* Row reductions use Kahan compensation, so sequential loop sums stay
-  within the pin of NumPy's pairwise summation.
+* The compiled loops are elementwise; the per-query reduction of the
+  exact query path is the shared ``ComputeBackend.query_segment_sums``,
+  so summation order is the reference's.
 * Only the registered kernels are compiled (name → integer id baked into
   the jitted branches).  ``supports()`` returns ``False`` for
   user-registered pairs — callers fall back to an always-available
@@ -101,28 +102,6 @@ if HAVE_NUMBA:  # pragma: no cover - compiled paths are CI-gated
                             out[i, a, b, c] = 0.0
 
     @njit(parallel=True)
-    def _row_sums_jit(kid, hs, ht, dx, dy, dt, w, has_w, out):
-        q_n, k_n = dx.shape
-        hs2 = hs * hs
-        for q in prange(q_n):
-            total = 0.0
-            comp = 0.0  # Kahan compensation
-            for k in range(k_n):
-                xa = dx[q, k]
-                yb = dy[q, k]
-                if xa * xa + yb * yb < hs2 and abs(dt[q, k]) <= ht:
-                    val = _ks(kid, xa / hs, yb / hs) * _kt(
-                        kid, dt[q, k] / ht
-                    )
-                    if has_w:
-                        val = val * w[q, k]
-                    y = val - comp
-                    t = total + y
-                    comp = (t - total) - y
-                    total = t
-            out[q] = total
-
-    @njit(parallel=True)
     def _elementwise_jit(kid, hs, ht, dx, dy, dt, w, has_w, out):
         q_n, k_n = dx.shape
         hs2 = hs * hs
@@ -152,7 +131,7 @@ class NumbaBackend(ComputeBackend):  # pragma: no cover - CI-gated
 
     Broadcast-shaped masked products (region tiles feed arbitrary
     broadcastable offsets) delegate to ``numpy-fused`` — the compiled wins
-    live in the dense cohort tables and the 2-D query/sampler loops, and
+    live in the dense cohort tables and the elementwise query loop, and
     dispatch accounting stays honest about which backend actually ran.
     """
 
@@ -236,40 +215,6 @@ class NumbaBackend(ComputeBackend):  # pragma: no cover - CI-gated
             out,
         )
         return out
-
-    def query_row_sums(
-        self,
-        grid: GridSpec,
-        kernel: KernelPair,
-        dx: np.ndarray,
-        dy: np.ndarray,
-        dt: np.ndarray,
-        weights: Optional[np.ndarray],
-        counter: WorkCounter,
-    ) -> np.ndarray:
-        if not self.supports(kernel):
-            return self._fused.query_row_sums(
-                grid, kernel, dx, dy, dt, weights, counter
-            )
-        self._charge_pairs(counter, dx.size)
-        kid = _KERNEL_IDS[kernel.name]
-        one = np.zeros((1, 1), dtype=np.float64)
-        self._warmup(
-            "rowsum",
-            lambda: _row_sums_jit(
-                0, 1.0, 1.0, one, one, one, one, False,
-                np.empty(1, dtype=np.float64),
-            ),
-        )
-        was_1d = dx.ndim == 1
-        DX, DY, DT = _as_2d(dx), _as_2d(dy), _as_2d(dt)
-        has_w = weights is not None
-        W = _as_2d(weights) if has_w else DX
-        out = np.empty(DX.shape[0], dtype=np.float64)
-        _row_sums_jit(
-            kid, float(grid.hs), float(grid.ht), DX, DY, DT, W, has_w, out
-        )
-        return out[0] if was_1d else out
 
     def sampled_contributions(
         self,

@@ -14,8 +14,8 @@ Same primitives as ``numpy-ref``, three optimisations:
   The tables are built once per slab and expanded by one broadcast
   multiply — cutting the per-voxel kernel evaluations by the factor the
   reference mode deliberately pays.
-* **Mask-first sparse evaluation** — query-path tabulations whose inside
-  mask is mostly empty (scattered candidates, wide slabs) evaluate the
+* **Mask-first sparse evaluation** — masked products whose inside mask
+  is mostly empty (voxel tiles against scattered points) evaluate the
   kernels only on the surviving pairs and scatter them back, instead of
   evaluating everything and multiplying by the mask.
 
@@ -117,52 +117,6 @@ class NumpyFusedBackend(ComputeBackend):
         # (above) — the values agree with the reference at rtol=1e-12.
         disk, bar = self._factor_tables(grid, kernel, norm, dx, dy, dt)
         return disk[:, :, :, None] * bar[:, None, None, :]
-
-    def query_row_sums(
-        self,
-        grid: GridSpec,
-        kernel: KernelPair,
-        dx: np.ndarray,
-        dy: np.ndarray,
-        dt: np.ndarray,
-        weights: Optional[np.ndarray],
-        counter: WorkCounter,
-    ) -> np.ndarray:
-        if kernel.spatial_radial is None:
-            return self._ref.query_row_sums(
-                grid, kernel, dx, dy, dt, weights, counter
-            )
-        hs2 = grid.hs * grid.hs
-        d2 = dx * dx + dy * dy
-        inside = (d2 < hs2) & (np.abs(dt) <= grid.ht)
-        self._charge_pairs(counter, d2.size)
-        rows = d2.shape[0] if d2.ndim == 2 else None
-        n_in = int(np.count_nonzero(inside))
-        if n_in == 0:
-            return (
-                np.zeros(rows, dtype=np.float64)
-                if rows is not None
-                else np.float64(0.0)
-            )
-        if n_in < _SPARSE_FRACTION * d2.size:
-            # Mask-first: evaluate survivors only and row-scatter the sums.
-            r2 = d2[inside]
-            r2 *= 1.0 / hs2
-            vals = kernel.spatial_radial(r2)
-            vals *= kernel.temporal(dt[inside] / grid.ht)
-            if weights is not None:
-                vals *= weights[inside]
-            if rows is None:
-                return vals.sum()
-            ridx = np.nonzero(inside)[0]
-            return np.bincount(ridx, weights=vals, minlength=rows)
-        d2 *= 1.0 / hs2
-        contrib = kernel.spatial_radial(d2)
-        contrib *= kernel.temporal(dt / grid.ht)
-        contrib *= inside
-        if weights is not None:
-            contrib *= weights
-        return contrib.sum(axis=contrib.ndim - 1)
 
     def sampled_contributions(
         self,

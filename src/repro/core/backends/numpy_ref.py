@@ -135,24 +135,6 @@ class NumpyRefBackend(ComputeBackend):
             f"unknown stamp mode {mode!r}; expected one of {STAMP_MODES}"
         )
 
-    def query_row_sums(
-        self,
-        grid: GridSpec,
-        kernel: KernelPair,
-        dx: np.ndarray,
-        dy: np.ndarray,
-        dt: np.ndarray,
-        weights: Optional[np.ndarray],
-        counter: WorkCounter,
-    ) -> np.ndarray:
-        contrib = self.masked_kernel_product(grid, kernel, dx, dy, dt, counter)
-        axis = contrib.ndim - 1
-        if weights is not None:
-            # Scale-then-pairwise-sum: the reduction order the legacy
-            # grouped walk used (a matmul would reassociate the additions).
-            return (contrib * weights).sum(axis=axis)
-        return contrib.sum(axis=axis)
-
     def sampled_contributions(
         self,
         grid: GridSpec,

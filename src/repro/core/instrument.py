@@ -79,10 +79,11 @@ class WorkCounter:
         ``P * Gx * Gy * Gt`` to see the memory the bbox shards save over
         full private volumes.
     ``query_cohorts``
-        Candidate-count cohorts tabulated by the cohort-vectorised
-        direct-sum engine (:func:`repro.serve.engine.direct_sum`) — the
-        number of vectorised gather/tabulate rounds the read path ran,
-        the unit the cost model's ``c_qcohort`` prices.
+        Ragged slab dispatches of the direct-sum engine
+        (:func:`repro.serve.engine.direct_sum`): flat (query, candidate)
+        pair lists of at most 2**16 pairs, each one gather + tabulate +
+        segment-sum round — ~``ceil(pairs / 2**16)`` per batch, the unit
+        the cost model's ``c_qcohort`` prices.
     ``index_events_bucketed``
         Events bucketed (cell keys computed and sorted) into
         :class:`repro.serve.index.BucketIndex` CSR segments.  After a

@@ -48,7 +48,6 @@ from .engine import (
     approx_sum,
     direct_region,
     direct_sum,
-    direct_sum_grouped,
     region_view,
     sample_volume,
     slice_window,
@@ -91,7 +90,6 @@ __all__ = [
     "digest_queries",
     "direct_region",
     "direct_sum",
-    "direct_sum_grouped",
     "plan_shards",
     "region_view",
     "sample_volume",

@@ -8,18 +8,13 @@ into ``repro.serve``:
 ``c_lookup``
     Seconds per trilinear volume sample: slope of
     :func:`~repro.serve.engine.sample_volume` over two batch sizes.
-``c_qgroup``
-    Seconds per query cell-group of the *per-group* walk
-    (:func:`~repro.serve.engine.direct_sum_grouped`): slope over two
-    scattered batches, per group — prices the legacy walk the cohort
-    engine replaced.
 ``c_qcohort``
-    Seconds per candidate-count cohort of the cohort-vectorised engine
-    (:func:`~repro.serve.engine.direct_sum`): slope over two scattered
-    batches, per *cohort* — the dominant dispatch cost of scattered
-    traffic after cohort batching.
+    Seconds per ragged slab dispatch of the direct-sum engine
+    (:func:`~repro.serve.engine.direct_sum`): the same batch — same
+    pairs, same gathers — cut into many small slabs against few large
+    ones, per extra slab (counted by ``WorkCounter.query_cohorts``).
 ``c_qprobe``
-    Seconds per (cell-group x segment) CSR probe: slope of the cohort
+    Seconds per (cell-group x segment) CSR probe: slope of the direct-sum
     engine between a single-segment and a many-segment index over the
     same batch — what pricing an *incremental* index costs per extra
     live batch segment.
@@ -75,15 +70,16 @@ import math
 import multiprocessing as mp
 import os
 import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..analysis.model import MachineModel
 from ..core.backends import available_backends
 from ..core.grid import DomainSpec, GridSpec
+from ..core.instrument import WorkCounter
 from ..core.kernels import get_kernel
-from .engine import approx_sum, direct_sum, direct_sum_grouped, sample_volume
+from .engine import approx_sum, direct_sum, sample_volume
 from .index import BucketIndex
 
 __all__ = [
@@ -197,9 +193,9 @@ def calibrate_serving(
     """A machine model with the query unit costs probed (~0.1 s).
 
     Starts from ``machine`` (or a fresh write-side
-    :meth:`MachineModel.calibrate`) and fills ``c_lookup`` / ``c_qgroup``
-    / ``c_qcohort`` / ``c_qprobe`` / ``c_qrow`` / ``c_qsample`` /
-    ``c_qbound`` from micro-probes of the actual serving code paths.
+    :meth:`MachineModel.calibrate`) and fills ``c_lookup`` / ``c_qcohort``
+    / ``c_qprobe`` / ``c_qrow`` / ``c_qsample`` / ``c_qbound`` from
+    micro-probes of the actual serving code paths.
     """
     machine = machine if machine is not None else MachineModel.calibrate(seed)
     rng = np.random.default_rng(seed)
@@ -230,33 +226,27 @@ def calibrate_serving(
     events = rng.uniform(0, q_span, size=(2048, 3))
     idx = BucketIndex(g_q, events)
     kern = get_kernel("epanechnikov")
+    qs = rng.uniform(0, q_span, size=(512, 3))
 
-    def sum_probe(
-        fn: Callable, index: BucketIndex, n_q: int
-    ) -> Tuple[float, np.ndarray]:
-        qs = rng.uniform(0, q_span, size=(n_q, 3))
-        best = math.inf
-        for _ in range(3):
-            t0 = time.perf_counter()
-            fn(index, qs, kern, 1.0)
-            best = min(best, time.perf_counter() - t0)
-        return best, qs
+    def slab_cost(compute: Optional[str] = None) -> float:
+        """Seconds per extra slab dispatch: one batch, two slab caps."""
 
-    # Per-group dispatch of the legacy walk (slope per group).
-    sum_probe(direct_sum_grouped, idx, 8)  # warm
-    t_g_small, qs_small = sum_probe(direct_sum_grouped, idx, 64)
-    t_g_large, qs_large = sum_probe(direct_sum_grouped, idx, 512)
-    g_small = idx.group_count(qs_small)
-    g_large = idx.group_count(qs_large)
-    c_qgroup = max((t_g_large - t_g_small) / max(g_large - g_small, 1), 1e-12)
+        def timed(slab_pairs: int) -> Tuple[float, int]:
+            best = math.inf
+            for _ in range(3):
+                c = WorkCounter()
+                t0 = time.perf_counter()
+                direct_sum(idx, qs, kern, 1.0, c, slab_pairs=slab_pairs,
+                           compute=compute)
+                best = min(best, time.perf_counter() - t0)
+            return best, c.query_cohorts
 
-    # Per-cohort dispatch of the cohort engine (slope per cohort).
-    sum_probe(direct_sum, idx, 8)  # warm
-    t_c_small, qs_small = sum_probe(direct_sum, idx, 64)
-    t_c_large, qs_large = sum_probe(direct_sum, idx, 1024)
-    k_small = idx.cohort_count(qs_small)
-    k_large = idx.cohort_count(qs_large)
-    c_qcohort = max((t_c_large - t_c_small) / max(k_large - k_small, 1), 1e-12)
+        timed(1 << 8)  # warm (pays any JIT compile)
+        t_many, n_many = timed(1 << 8)
+        t_few, n_few = timed(1 << 16)
+        return max((t_many - t_few) / max(n_many - n_few, 1), 1e-13)
+
+    c_qcohort = slab_cost()
 
     # Per-(group x segment) probe cost: same batch, same events, the
     # index split into many per-batch segments vs one — the incremental
@@ -265,7 +255,6 @@ def calibrate_serving(
     idx_multi = BucketIndex(g_q)
     for s in range(n_segs):
         idx_multi.add_segment(s, events[s::n_segs])
-    qs = rng.uniform(0, q_span, size=(512, 3))
     groups = idx.group_count(qs)
 
     def seg_probe(index: BucketIndex) -> float:
@@ -340,12 +329,12 @@ def calibrate_serving(
     c_qrow = max(best / max(len(events), 1), 1e-12)
 
     machine = dataclasses.replace(
-        machine, c_lookup=c_lookup, c_qgroup=c_qgroup,
-        c_qcohort=c_qcohort, c_qprobe=c_qprobe, c_qrow=c_qrow,
+        machine, c_lookup=c_lookup, c_qcohort=c_qcohort,
+        c_qprobe=c_qprobe, c_qrow=c_qrow,
         c_qsample=c_qsample, c_qbound=c_qbound,
     )
 
-    # Per-backend unit costs: re-run the pair-dominated, cohort-dominated
+    # Per-backend unit costs: re-run the pair-dominated, slab-dispatch
     # and sampler probes once per registered compute backend, pinned via
     # the engines' ``compute=`` seam, so the planner's ``compute="auto"``
     # argmin routes on rates measured through the code paths it prices.
@@ -357,10 +346,6 @@ def calibrate_serving(
     qs_pair_large = rng.uniform(16.0, 32.0, size=(256, 3))
     pairs_small = int(idx_dense.candidate_counts(qs_pair_small).sum())
     pairs_large = int(idx_dense.candidate_counts(qs_pair_large).sum())
-    qs_coh_small = rng.uniform(0, q_span, size=(64, 3))
-    qs_coh_large = rng.uniform(0, q_span, size=(1024, 3))
-    coh_small = idx.cohort_count(qs_coh_small)
-    coh_large = idx.cohort_count(qs_coh_large)
     for name in available_backends():
 
         def dsum(index: BucketIndex, qs_probe: np.ndarray) -> float:
@@ -391,12 +376,6 @@ def calibrate_serving(
             (t_p_large - t_p_small) / max(pairs_large - pairs_small, 1),
             1e-13,
         )
-        dsum(idx, qs_coh_small[:8])  # warm the scattered cohort shape
-        t_k_small = dsum(idx, qs_coh_small)
-        t_k_large = dsum(idx, qs_coh_large)
-        c_qcohort_b = max(
-            (t_k_large - t_k_small) / max(coh_large - coh_small, 1), 1e-13
-        )
         asum(64)  # warm the sampler path on this backend
         t_a_small, st_a_small = asum(256)
         t_a_large, st_a_large = asum(2048)
@@ -408,7 +387,7 @@ def calibrate_serving(
         )
         backend_costs[name] = {
             "c_pair": c_pair_b,
-            "c_qcohort": c_qcohort_b,
+            "c_qcohort": slab_cost(name),
             "c_qsample": c_qsample_b,
         }
     return machine.with_backend_costs(backend_costs)

@@ -17,15 +17,17 @@ Two ways to answer a density query, with opposite cost shapes:
     per query after an O(n * stamp) build, which is what wins for large
     query batches — the planner prices the crossover.
 
-Concurrent queries share work at two levels.  Queries in the same index
-cell share one candidate set; cells with the same candidate *count* share
-one vectorised gather-and-tabulate round (**cohort batching**, the same
-tabulate+scatter amortisation :mod:`repro.core.stamping` applies to the
-write path): the cohort's candidate rows are assembled into one ``(Q, K)``
-block straight from the index's run table, so a scattered 50k-query batch
-runs a handful of NumPy kernels instead of ~one Python dispatch per cell
-group.  The per-group walk is retained as :func:`direct_sum_grouped` —
-the equivalence reference the tests pin the cohort engine against.
+Concurrent queries share work at the cell level.  Queries in the same
+index cell share one candidate set, flattened once per batch into a
+cell-level CSR of candidate rows straight from the index's run table.  The
+batch is then evaluated as a **ragged gather**: the queries, sorted by
+home cell, are cut into slabs of at most ``_QUERY_SLAB_PAIRS`` (query,
+candidate) pairs; each slab is one flat 1-D pair list — three column
+gathers, one elementwise masked kernel product, one segment sum.  The
+Python-level cost of a batch follows the number of *pairs* (one dispatch
+per slab), not the number of cells or of distinct candidate counts, so a
+batch over clustered events (where almost every cell has its own count)
+costs what a uniform one does.
 
 Slice and region extraction reuse
 :class:`~repro.core.regions.RegionBuffer` machinery on the direct path and
@@ -36,13 +38,14 @@ candidate rows from the index's CSR run table proportionally to a cheap
 per-run contribution bound and returns a Hansen–Hurwitz / Horvitz–Thompson
 estimate whose sample size grows (variance-driven) until a per-request
 relative error budget ``eps`` is met — sublinear in candidate count on
-dense neighbourhoods, exact fallback on sparse ones.
+dense neighbourhoods, exact fallback (the same ragged gather) on sparse
+ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -51,33 +54,25 @@ from ..core.grid import GridSpec, VoxelWindow
 from ..core.instrument import WorkCounter, null_counter
 from ..core.kernels import KernelPair
 from ..core.regions import RegionBuffer
-from ..core.stamping import masked_kernel_product
 from .index import BucketIndex
 
 __all__ = [
     "approx_sum",
     "direct_sum",
-    "direct_sum_grouped",
     "sample_volume",
+    "slab_dispatches",
     "direct_region",
     "region_view",
     "slice_window",
+    "validate_queries",
     "RegionResult",
 ]
 
-#: Cap on (query, candidate) pairs tabulated per cohort slab (~4 MB of f8
-#: per offset array).  Mirrors the stamping engine's slab cap: cohorts
-#: bigger than this are processed in query-row chunks so the tabulation
-#: temporaries stay cache-sized regardless of batch size.
-_QUERY_SLAB_PAIRS = 1 << 19
-
-#: Skewed-cohort fallback bounds: a cohort whose candidate count reaches
-#: ``skew_min_k`` while serving at most ``_SKEW_MAX_QUERIES`` queries is
-#: answered by the sparse per-query path — the dense-matrix assembly
-#: (run flattening, ``(cells, K)`` gather, per-query row expansion) would
-#: cost more than the handful of 1-D evaluations it amortises.
-_SKEW_MIN_K = 2048
-_SKEW_MAX_QUERIES = 8
+#: Cap on (query, candidate) pairs evaluated per ragged slab.  Each slab
+#: runs ~15 1-D temporaries of this length (0.5 MB of f8 each): at 2**16
+#: they stay cache-resident, at 2**19 they do not and a 3000-row batch
+#: takes 1.6x as long; below 2**14 the per-slab dispatch shows again.
+_QUERY_SLAB_PAIRS = 1 << 16
 
 #: First sampling round of the approximate backend: every query draws this
 #: many candidate rows before the variance-driven stop rule is consulted.
@@ -96,11 +91,137 @@ _APPROX_Z = 2.0
 _APPROX_MAX_ROUNDS = 40
 
 
-def _validate_queries(queries: np.ndarray) -> np.ndarray:
+def validate_queries(queries: np.ndarray) -> np.ndarray:
+    """``queries`` as a float64 ``(m, 3)`` array of finite coordinates.
+
+    The one input check of every point-query entry (engine, services,
+    front end): a non-finite coordinate has no home cell, so it is
+    rejected here rather than cast to an arbitrary one.
+    """
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != 3:
         raise ValueError(f"expected (m, 3) queries, got {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError("query coordinates must be finite (no NaN or inf)")
     return q
+
+
+def slab_dispatches(pairs: int) -> int:
+    """Ragged slab dispatches a direct sum over ``pairs`` pairs runs.
+
+    The planner's estimate of ``WorkCounter.query_cohorts`` (what
+    ``c_qcohort`` prices), from the candidate total alone.  A query's
+    segment is never split, so the engine's slabs run a little under the
+    cap (at most twice this many dispatches) or, for a query larger than
+    the cap, over it.
+    """
+    return max(1, -(-int(pairs) // _QUERY_SLAB_PAIRS))
+
+
+def _home_cell_runs(
+    index: BucketIndex, q: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct home cells of a batch and their candidate runs.
+
+    Returns ``(ucells, inv, starts, lengths)``: the ``(U, 3)`` distinct
+    cell coordinates in ascending flat-id order, each query's row into
+    them, and :meth:`BucketIndex.candidate_runs` of those cells.
+    """
+    cid = index.flat_cells(index.cell_coords(q))
+    ucid, inv = np.unique(cid, return_inverse=True)
+    ux, rem = np.divmod(ucid, index.ny * index.nt)
+    uy, ut = np.divmod(rem, index.nt)
+    ucells = np.column_stack([ux, uy, ut])
+    starts, lengths = index.candidate_runs(ucells)
+    return ucells, inv, starts, lengths
+
+
+def _flatten_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenate ``[s, s + l)`` ranges, in order (``l > 0`` each)."""
+    first = np.cumsum(lengths) - lengths
+    return np.repeat(starts - first, lengths) + np.arange(
+        int(lengths.sum()), dtype=np.int64
+    )
+
+
+def _ragged_sums(
+    index: BucketIndex,
+    q: np.ndarray,
+    rows: np.ndarray,
+    inv: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    kernel: KernelPair,
+    backend: ComputeBackend,
+    counter: WorkCounter,
+    slab_pairs: int,
+    out: np.ndarray,
+) -> None:
+    """Raw kernel sums of queries ``rows`` over their candidates, into ``out``.
+
+    ``inv`` / ``starts`` / ``lengths`` are :func:`_home_cell_runs` of the
+    whole batch ``q``.  The candidate rows of the cells ``rows`` occupy
+    are flattened once into a cell-level CSR; the queries with a
+    non-empty neighbourhood, sorted by home cell, are cut into slabs of
+    at most ``slab_pairs`` pairs (a query's segment is never split, so a
+    query with more candidates than that is its own slab), and each slab
+    is expanded to a flat pair list, evaluated elementwise and reduced by
+    :meth:`ComputeBackend.query_segment_sums`.  A query's sum therefore
+    depends only on its own candidates in run order — not on the rest of
+    the batch, nor on ``slab_pairs``.  Queries with an empty
+    neighbourhood are left untouched in ``out``.
+    """
+    K_cell = lengths.sum(axis=1)
+    cell = inv[rows]
+    by_cell = np.argsort(cell, kind="stable")
+    rows = rows[by_cell]
+    cell = cell[by_cell]
+    K = K_cell[cell]
+    # ``np.add.reduceat`` returns the element at the start index for an
+    # empty segment, so empty neighbourhoods must not reach a slab.
+    live = K > 0
+    if not live.all():
+        rows, cell, K = rows[live], cell[live], K[live]
+    if rows.size == 0:
+        return
+
+    # Cell-level CSR over the cells actually used: ``cell_rows[ptr[c] :
+    # ptr[c] + K_cell[used[c]]]`` are the candidate storage rows of used
+    # cell ``c``, runs concatenated left to right.
+    new = np.empty(rows.size, dtype=bool)
+    new[0] = True
+    np.not_equal(cell[1:], cell[:-1], out=new[1:])
+    used = cell[new]
+    L = lengths[used].ravel()
+    S = starts[used].ravel()
+    nz = L > 0
+    cell_rows = index.order_store[_flatten_runs(S[nz], L[nz])]
+    ptr = np.cumsum(K_cell[used]) - K_cell[used]
+    q_ptr = ptr[np.cumsum(new) - 1]
+
+    coords = index.coords
+    cx, cy, ct = coords[:, 0], coords[:, 1], coords[:, 2]
+    weights = index.weights
+    qx, qy, qt = q[rows, 0], q[rows, 1], q[rows, 2]
+    cum = np.cumsum(K)
+    grid = index.grid
+    a = 0
+    while a < rows.size:
+        base = int(cum[a] - K[a])
+        b = max(a + 1, int(np.searchsorted(cum, base + slab_pairs, "right")))
+        k = K[a:b]
+        seg = cum[a:b] - k - base
+        cand = cell_rows[_flatten_runs(q_ptr[a:b], k)]
+        out[rows[a:b]] = backend.query_segment_sums(
+            grid, kernel,
+            np.repeat(qx[a:b], k) - cx[cand],
+            np.repeat(qy[a:b], k) - cy[cand],
+            np.repeat(qt[a:b], k) - ct[cand],
+            weights[cand] if weights is not None else None,
+            seg, counter,
+        )
+        counter.query_cohorts += 1
+        a = b
 
 
 def direct_sum(
@@ -111,159 +232,39 @@ def direct_sum(
     counter: Optional[WorkCounter] = None,
     *,
     slab_pairs: int = _QUERY_SLAB_PAIRS,
-    skew_min_k: int = _SKEW_MIN_K,
     compute: "ComputeBackend | str | None" = None,
 ) -> np.ndarray:
     """Exact STKDE at arbitrary query locations by direct kernel summation.
 
-    ``queries`` is ``(m, 3)`` rows of ``(x, y, t)`` in domain space; the
-    return is ``(m,)`` densities ``norm * sum_i w_i k_s k_t`` over the
-    index's events (unit ``w_i`` for unweighted indexes).  Queries with an
-    empty candidate neighbourhood cost O(1).
+    ``queries`` is ``(m, 3)`` rows of finite ``(x, y, t)`` in domain
+    space; the return is ``(m,)`` densities ``norm * sum_i w_i k_s k_t``
+    over the index's events (unit ``w_i`` for unweighted indexes).
+    Queries with an empty candidate neighbourhood cost O(1).
 
-    Cohort-vectorised: the batch's home cells are grouped by candidate
-    count ``K``; each cohort's candidate rows are materialised as one
-    ``(cells, K)`` block straight from the index's run table (one
-    ``repeat`` + ``arange`` pass over the flat permutation — no per-group
-    Python walk), expanded to the cohort's queries, and evaluated with a
-    single :func:`~repro.core.stamping.masked_kernel_product` tabulation
-    per cohort slab.  Candidate order inside a row is identical to
-    :func:`direct_sum_grouped`'s concatenation order, so both paths add
-    the same numbers in the same order.
-
-    **Skewed cohorts** — at least ``skew_min_k`` candidates serving at
-    most a handful of queries (one event cluster probed by one dashboard
-    point) — skip the dense block assembly and run a sparse per-query
-    gather instead: the same candidates in the same order through the
-    same tabulation, so the fallback is bit-identical, it just avoids
-    materialising ``(cells, K)`` index matrices for single rows.
+    One ragged gather (:func:`_ragged_sums`): per slab of at most
+    ``slab_pairs`` (query, candidate) pairs, three coordinate-column
+    gathers, one elementwise masked kernel product and one segment sum.
+    Each query's candidates are added in the index's run order
+    (segment-major, then x, then y, insertion order within a cell) by
+    ``np.add.reduceat``; the result agrees with a brute-force sum over
+    all events at ``rtol=1e-12`` and is identical for every
+    ``slab_pairs``.
 
     ``compute`` selects the pair-evaluation backend
-    (:mod:`repro.core.backends`); the default ``numpy-ref`` is
-    bit-identical to the pre-seam path.
+    (:mod:`repro.core.backends`); the default is ``numpy-ref``.
     """
     counter = counter if counter is not None else null_counter()
     backend = get_backend(compute)
-    q = _validate_queries(queries)
+    q = validate_queries(queries)
     m = q.shape[0]
     out = np.zeros(m, dtype=np.float64)
     if m == 0 or index.segment_count == 0:
-        out *= norm
         return out
-    grid = index.grid
-    coords = index.coords
-    weights = index.weights
-    order_store = index.order_store
-
-    cc = index.cell_coords(q)
-    cid = (cc[:, 0] * index.ny + cc[:, 1]) * index.nt + cc[:, 2]
-    ucells, inv = np.unique(cid, return_inverse=True)
-    # Decode distinct cells and fetch their candidate runs in one pass.
-    ux, rem = np.divmod(ucells, index.ny * index.nt)
-    uy, ut = np.divmod(rem, index.nt)
-    starts, lengths = index.candidate_runs(np.column_stack([ux, uy, ut]))
-    K_cell = lengths.sum(axis=1)
-
-    # Cohorts: distinct candidate counts.  All cells (and their queries)
-    # with the same K gather into one (rows, K) block.
-    uK, cell_cohort = np.unique(K_cell, return_inverse=True)
-    q_cohort = cell_cohort[inv]
-    cell_pos = np.empty(ucells.size, dtype=np.int64)
-
-    for k_idx in range(uK.size):
-        K = int(uK[k_idx])
-        if K == 0:
-            continue  # empty neighbourhoods: O(1), stay zero
-        cell_rows = np.flatnonzero(cell_cohort == k_idx)
-        q_rows = np.flatnonzero(q_cohort == k_idx)
-        counter.query_cohorts += 1
-        if K >= skew_min_k and q_rows.size <= _SKEW_MAX_QUERIES:
-            # Skewed cohort: sparse per-query path (bit-identical — the
-            # run concatenation order and the pairwise reduction match
-            # the dense block's row-wise sum exactly).
-            for qi in q_rows:
-                cr = int(inv[qi])
-                L = lengths[cr]
-                S = starts[cr]
-                live = L > 0
-                flat = np.concatenate(
-                    [np.arange(s, s + l) for s, l in zip(S[live], L[live])]
-                )
-                cand_row = order_store[flat]
-                pts = coords[cand_row]
-                dx = q[qi, 0] - pts[:, 0]
-                dy = q[qi, 1] - pts[:, 1]
-                dt = q[qi, 2] - pts[:, 2]
-                out[qi] = backend.query_row_sums(
-                    grid, kernel, dx, dy, dt,
-                    weights[cand_row] if weights is not None else None,
-                    counter,
-                )
-            continue
-        # Flatten the cohort's runs into one gather: runs are ordered
-        # row-major per cell and each cell's lengths sum to exactly K, so
-        # the concatenated gather *is* the (cells, K) candidate matrix.
-        L = lengths[cell_rows].ravel()
-        S = starts[cell_rows].ravel()
-        live = L > 0
-        L = L[live]
-        S = S[live]
-        cum = np.cumsum(L) - L
-        flat = np.repeat(S - cum, L) + np.arange(int(L.sum()), dtype=np.int64)
-        cand = order_store[flat].reshape(cell_rows.size, K)
-        cell_pos[cell_rows] = np.arange(cell_rows.size)
-        qpos = cell_pos[inv[q_rows]]
-
-        step = max(1, slab_pairs // K)
-        for s in range(0, q_rows.size, step):
-            sel = q_rows[s : s + step]
-            rows = cand[qpos[s : s + step]]
-            pts = coords[rows]
-            dx = q[sel, 0][:, None] - pts[:, :, 0]
-            dy = q[sel, 1][:, None] - pts[:, :, 1]
-            dt = q[sel, 2][:, None] - pts[:, :, 2]
-            out[sel] = backend.query_row_sums(
-                grid, kernel, dx, dy, dt,
-                weights[rows] if weights is not None else None,
-                counter,
-            )
-    out *= norm
-    return out
-
-
-def direct_sum_grouped(
-    index: BucketIndex,
-    queries: np.ndarray,
-    kernel: KernelPair,
-    norm: float,
-    counter: Optional[WorkCounter] = None,
-) -> np.ndarray:
-    """Direct kernel sums via the per-cell-group walk (legacy hot path).
-
-    One candidate gather and one tabulation per distinct home cell — the
-    ~15 µs/group Python dispatch the cohort engine eliminates.  Retained
-    as the equivalence reference (the tests pin cohort vs grouped at
-    ``rtol=1e-12``) and as the measured baseline of the serving benchmark.
-    """
-    counter = counter if counter is not None else null_counter()
-    q = _validate_queries(queries)
-    out = np.zeros(q.shape[0], dtype=np.float64)
-    grid = index.grid
-    for (cx, cy, ct), rows in index.group_queries(q):
-        cand = index.candidates(cx, cy, ct)
-        if cand.size == 0:
-            continue
-        pts = index.coords[cand]
-        dx = q[rows, 0][:, None] - pts[None, :, 0]
-        dy = q[rows, 1][:, None] - pts[None, :, 1]
-        dt = q[rows, 2][:, None] - pts[None, :, 2]
-        contrib = masked_kernel_product(grid, kernel, dx, dy, dt, counter)
-        if index.weights is not None:
-            # Same scale-then-pairwise-sum reduction as the cohort engine
-            # (a matmul here would reassociate the additions).
-            out[rows] = (contrib * index.weights[cand][None, :]).sum(axis=1)
-        else:
-            out[rows] = contrib.sum(axis=1)
+    _, inv, starts, lengths = _home_cell_runs(index, q)
+    _ragged_sums(
+        index, q, np.arange(m), inv, starts, lengths,
+        kernel, backend, counter, slab_pairs, out,
+    )
     out *= norm
     return out
 
@@ -380,9 +381,10 @@ def approx_sum(
     neighbourhoods.
 
     Queries whose cumulative sample would reach their candidate count fall
-    back to the exact sparse gather (bit-identical to :func:`direct_sum`'s
-    answer for that query), so sparse neighbourhoods pay at most the exact
-    price and a small-enough candidate set is answered *exactly*.
+    back to the exact ragged gather (:func:`direct_sum`'s own helper, so
+    the answer for that query is bit-identical), so sparse neighbourhoods
+    pay at most the exact price and a small-enough candidate set is
+    answered *exactly*.
 
     Deterministic for a fixed ``seed`` (one
     :func:`numpy.random.default_rng` stream consumed in query order).
@@ -397,7 +399,7 @@ def approx_sum(
         raise ValueError(f"eps must be positive, got {eps}")
     counter = counter if counter is not None else null_counter()
     backend = get_backend(compute)
-    q = _validate_queries(queries)
+    q = validate_queries(queries)
     m = q.shape[0]
     out = np.zeros(m, dtype=np.float64)
     if m == 0 or index.segment_count == 0:
@@ -405,6 +407,7 @@ def approx_sum(
         return out
     grid = index.grid
     coords = index.coords
+    cx, cy, ct = coords[:, 0], coords[:, 1], coords[:, 2]
     weights = index.weights
     order_store = index.order_store
     floor_raw = floor / norm if norm > 0.0 else 0.0
@@ -419,14 +422,10 @@ def approx_sum(
     for c0 in range(0, m, chunk_queries):
         qc = q[c0 : c0 + chunk_queries]
         mc = qc.shape[0]
-        cc = index.cell_coords(qc)
-        cid = (cc[:, 0] * index.ny + cc[:, 1]) * index.nt + cc[:, 2]
-        ucells, inv = np.unique(cid, return_inverse=True)
-        ux, rem = np.divmod(ucells, index.ny * index.nt)
-        uy, ut = np.divmod(rem, index.nt)
-        starts, lengths = index.candidate_runs(np.column_stack([ux, uy, ut]))
-
-        bounds = _approx_run_bounds(index, kernel, qc, ux, uy, ut, inv, lengths)
+        ucells, inv, starts, lengths = _home_cell_runs(index, qc)
+        bounds = _approx_run_bounds(
+            index, kernel, qc, *ucells.T, inv, lengths
+        )
         K = lengths[inv].sum(axis=1)
         bounds_total += mc * bounds.shape[1]
         cand_total += int(K.sum())
@@ -437,7 +436,7 @@ def approx_sum(
         sum_v = np.zeros(mc, dtype=np.float64)
         sum_v2 = np.zeros(mc, dtype=np.float64)
         active = np.flatnonzero(B > 0.0)  # B == 0: nothing in support
-        exact_rows: list = []
+        exact_rows = [np.empty(0, dtype=np.int64)]
         nd = int(min_sample)
         for _ in range(_APPROX_MAX_ROUNDS):
             if active.size == 0:
@@ -446,7 +445,7 @@ def approx_sum(
             # candidate set: read the candidates exactly instead.
             fb = (s[active] + nd) >= K[active]
             if fb.any():
-                exact_rows.extend(int(r) for r in active[fb])
+                exact_rows.append(active[fb])
                 active = active[~fb]
                 if active.size == 0:
                     break
@@ -483,10 +482,9 @@ def approx_sum(
                 bs = np.take_along_axis(bb, ridx, axis=1)
                 off = rng.integers(0, Ls)
                 cand = order_store[Ss + off]
-                pts = coords[cand]
-                dx = qc[rows, 0][:, None] - pts[:, :, 0]
-                dy = qc[rows, 1][:, None] - pts[:, :, 1]
-                dt = qc[rows, 2][:, None] - pts[:, :, 2]
+                dx = qc[rows, 0][:, None] - cx[cand]
+                dy = qc[rows, 1][:, None] - cy[cand]
+                dt = qc[rows, 2][:, None] - ct[cand]
                 contrib = backend.sampled_contributions(
                     grid, kernel, dx, dy, dt,
                     weights[cand] if weights is not None else None,
@@ -514,29 +512,14 @@ def approx_sum(
                 active = active[~done]
             nd *= 2
         # Safety: rounds exhausted (practically unreachable) — go exact.
-        exact_rows.extend(int(r) for r in active)
+        exact_rows.append(active)
+        exact = np.concatenate(exact_rows)
 
-        for qi in exact_rows:
-            cr = int(inv[qi])
-            L = lengths[cr]
-            S = starts[cr]
-            live = L > 0
-            if not live.any():
-                continue
-            flat = np.concatenate(
-                [np.arange(s0, s0 + l0) for s0, l0 in zip(S[live], L[live])]
-            )
-            cand_row = order_store[flat]
-            pts = coords[cand_row]
-            dxx = qc[qi, 0] - pts[:, 0]
-            dyy = qc[qi, 1] - pts[:, 1]
-            dtt = qc[qi, 2] - pts[:, 2]
-            out_c[qi] = backend.query_row_sums(
-                grid, kernel, dxx, dyy, dtt,
-                weights[cand_row] if weights is not None else None,
-                counter,
-            )
-        exact_total += len(exact_rows)
+        _ragged_sums(
+            index, qc, exact, inv, starts, lengths,
+            kernel, backend, counter, slab_pairs, out_c,
+        )
+        exact_total += exact.size
         out[c0 : c0 + mc] = out_c
 
     counter.sample_rows_drawn += int(drawn_total)
@@ -566,9 +549,7 @@ def sample_volume(
     to the nearest cell — a flat extrapolation plateau, which is the
     serving contract for boundary queries.
     """
-    q = np.asarray(queries, dtype=np.float64)
-    if q.ndim != 2 or q.shape[1] != 3:
-        raise ValueError(f"expected (m, 3) queries, got {q.shape}")
+    q = validate_queries(queries)
     d = grid.domain
     out_shape = q.shape[0]
     gx = (q[:, 0] - d.x0) / d.sres - 0.5

@@ -1,6 +1,6 @@
 """Async traffic front end: coalesce, prioritise, and admit requests.
 
-The serving stack below this module is batch-shaped: the cohort
+The serving stack below this module is batch-shaped: the ragged
 direct-sum engine, the sharded scatter/gather tier, and the ε-budgeted
 sampler all amortise per-dispatch overhead over many rows, which is the
 source paper's core throughput lesson.  Real traffic is the opposite
@@ -66,7 +66,7 @@ import numpy as np
 
 from ..core.grid import VoxelWindow
 from ..core.instrument import LatencyHistogram, WorkCounter
-from .engine import RegionResult, slice_window
+from .engine import RegionResult, slice_window, validate_queries
 from .errors import CircuitOpen, ServeError, ShardFailed
 
 __all__ = ["TrafficFrontend", "Overloaded"]
@@ -481,9 +481,7 @@ class TrafficFrontend:
         """Densities at ``(m, 3)`` locations, coalesced with co-arriving
         requests that share the ``(eps, seed)`` answer policy."""
         self._check_started()
-        q = np.ascontiguousarray(np.asarray(queries, dtype=np.float64))
-        if q.ndim != 2 or q.shape[1] != 3:
-            raise ValueError(f"expected (m, 3) queries, got {q.shape}")
+        q = np.ascontiguousarray(validate_queries(queries))
         if q.shape[0] == 0:
             return np.empty(0, dtype=np.float64)
         await self._gate_breaker(q[:, 0])

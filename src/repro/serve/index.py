@@ -62,20 +62,19 @@ a full compaction; the O(live) compact survives only as a rare safety
 valve (a member larger than every gap, or heavy retirement with no
 syncs), so memory stays bounded under any retirement pattern.
 
-Query batches are grouped by cell (:meth:`group_queries`) so concurrent
-queries landing in the same neighbourhood share one candidate gather, and
-:meth:`candidate_runs` exposes every cell's 27-neighbourhood as
-``(start, length)`` runs into one flat permutation array
-(:attr:`order_store`) — the gather layout the cohort-vectorised engine
-(:func:`repro.serve.engine.direct_sum`) turns into ``(Q, K)`` candidate
-blocks without any per-group Python dispatch.
+Queries whose locations fall in the same cell share one candidate
+neighbourhood, and :meth:`candidate_runs` exposes every cell's
+27-neighbourhood as ``(start, length)`` runs into one flat permutation
+array (:attr:`order_store`) — the layout the ragged engine
+(:func:`repro.serve.engine.direct_sum`) flattens into one CSR of
+candidate rows per batch, with no per-cell Python dispatch.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,7 +183,10 @@ class BucketIndex:
         self.nx = max(1, math.ceil(d.gx / grid.hs))
         self.ny = max(1, math.ceil(d.gy / grid.hs))
         self.nt = max(1, math.ceil(d.gt / grid.ht))
-        self._coords = np.empty((0, 3), dtype=np.float64)
+        # Column-major: each of x / y / t is one contiguous run, so the
+        # engine's candidate gathers are 1-D (an (n, 3) row gather costs
+        # ~4x three column gathers) while ``coords`` stays an (n, 3) view.
+        self._coords = np.empty((0, 3), dtype=np.float64, order="F")
         self._weights: Optional[np.ndarray] = None
         self._order = np.empty(0, dtype=np.int64)
         self._size = 0  # rows used in the storage (live + dead)
@@ -209,8 +211,9 @@ class BucketIndex:
     # ------------------------------------------------------------------
     @property
     def coords(self) -> np.ndarray:
-        """The shared coordinate storage (may contain retired rows; only
-        rows reachable through a segment's runs are ever gathered)."""
+        """The shared ``(n, 3)`` coordinate storage (may contain retired
+        rows; only rows reachable through a segment's runs are ever
+        gathered).  Stored column-major: ``coords[:, k]`` is contiguous."""
         return self._coords[: self._size]
 
     @property
@@ -231,7 +234,7 @@ class BucketIndex:
         cap = self._coords.shape[0]
         if need > cap:
             new_cap = max(need, 2 * cap, 64)
-            grown = np.empty((new_cap, 3), dtype=np.float64)
+            grown = np.empty((new_cap, 3), dtype=np.float64, order="F")
             grown[: self._size] = self._coords[: self._size]
             self._coords = grown
             if self._weights is not None:
@@ -816,7 +819,7 @@ class BucketIndex:
         no sort rerun, and consolidated-segment member spans survive.
         """
         live = self.n
-        coords = np.empty((max(live, 64), 3), dtype=np.float64)
+        coords = np.empty((max(live, 64), 3), dtype=np.float64, order="F")
         weights = (
             np.ones(coords.shape[0], dtype=np.float64)
             if self._weights is not None else None
@@ -877,10 +880,14 @@ class BucketIndex:
         np.clip(out[:, 2], 0, self.nt - 1, out=out[:, 2])
         return out
 
+    def flat_cells(self, cell_coords: np.ndarray) -> np.ndarray:
+        """Flat cell ids of ``(m, 3)`` integer cell coordinates."""
+        cc = cell_coords
+        return (cc[:, 0] * self.ny + cc[:, 1]) * self.nt + cc[:, 2]
+
     def cell_of(self, queries: np.ndarray) -> np.ndarray:
         """Flat cell id of each query location."""
-        cc = self.cell_coords(queries)
-        return (cc[:, 0] * self.ny + cc[:, 1]) * self.nt + cc[:, 2]
+        return self.flat_cells(self.cell_coords(queries))
 
     def candidate_runs(
         self, cell_coords: np.ndarray
@@ -891,9 +898,14 @@ class BucketIndex:
         ``(G, 9 * segments)`` int64 arrays ``(starts, lengths)``: run ``r``
         of cell ``g`` covers ``order_store[starts[g, r] :
         starts[g, r] + lengths[g, r]]``.  Runs are ordered segment-major,
-        then x, then y — the concatenation order :meth:`candidates`
-        produces — so consuming them left-to-right reproduces the exact
-        candidate (and accumulation) order of the per-group walk.
+        then x, then y; consuming them left-to-right fixes the candidate
+        (and hence accumulation) order of every direct sum.  Cells
+        contiguous in t are contiguous in the flat id, so one ``(ix, iy)``
+        row of the neighbourhood is a single run; rows outside the cell
+        grid have length 0.
+
+        The table of all ``18 * G`` run bounds is built once and each
+        segment answers it with a single ``searchsorted``.
         """
         cc = np.asarray(cell_coords, dtype=np.int64)
         G = cc.shape[0]
@@ -902,74 +914,40 @@ class BucketIndex:
         lengths = np.zeros((G, n_runs), dtype=np.int64)
         if G == 0 or not self._segments:
             return starts, lengths
-        t_lo = np.maximum(cc[:, 2] - 1, 0)
-        t_hi = np.minimum(cc[:, 2] + 2, self.nt)
-        r = 0
-        for seg in self._segments.values():
-            for dx in (-1, 0, 1):
-                ix = cc[:, 0] + dx
-                for dy in (-1, 0, 1):
-                    iy = cc[:, 1] + dy
-                    valid = (ix >= 0) & (ix < self.nx) & (iy >= 0) & (iy < self.ny)
-                    row = (ix * self.ny + iy) * self.nt
-                    if seg.n == 0:
-                        r += 1
-                        continue
-                    lo = np.searchsorted(seg.cells_sorted, row + t_lo, side="left")
-                    hi = np.searchsorted(seg.cells_sorted, row + t_hi, side="left")
-                    starts[:, r] = np.where(valid, seg.order_base + lo, 0)
-                    lengths[:, r] = np.where(valid, hi - lo, 0)
-                    r += 1
-        return starts, lengths
-
-    def candidates(self, cx: int, cy: int, ct: int) -> np.ndarray:
-        """Event indices whose kernel can reach cell ``(cx, cy, ct)``.
-
-        The union of the 27-cell neighbourhood across every segment, as
-        storage row indices (ascending within each cell of a segment), in
-        exactly the run order :meth:`candidate_runs` reports.  No false
-        negatives for any query location inside the cell; callers apply
-        the exact masks.
-        """
-        t_lo = max(0, ct - 1)
-        t_hi = min(self.nt, ct + 2)
-        bounds: List[int] = []
-        # Cells contiguous in t are contiguous in the flat id, so one
-        # (ix, iy) row of the neighbourhood is a single [c0, c1) run.
-        # Ordered dx- then dy-major like candidate_runs (in-bounds rows
-        # ascend identically; out-of-bounds rows are zero-length there).
-        for ix in range(max(0, cx - 1), min(self.nx, cx + 2)):
-            for iy in range(max(0, cy - 1), min(self.ny, cy + 2)):
-                row = (ix * self.ny + iy) * self.nt
-                bounds.append(row + t_lo)
-                bounds.append(row + t_hi)
-        chunks: List[np.ndarray] = []
-        for seg in self._segments.values():
+        # Neighbour rows (9, G), x-major then y; each row of the bound
+        # table ascends with the (sorted) cells, which is the needle order
+        # ``searchsorted`` is fast on.
+        ix = cc[:, 0] + np.repeat(np.arange(-1, 2), 3)[:, None]
+        iy = cc[:, 1] + np.tile(np.arange(-1, 2), 3)[:, None]
+        valid = (ix >= 0) & (ix < self.nx) & (iy >= 0) & (iy < self.ny)
+        row = (ix * self.ny + iy) * self.nt
+        bounds = np.stack([
+            row + np.maximum(cc[:, 2] - 1, 0),
+            row + np.minimum(cc[:, 2] + 2, self.nt),
+        ])
+        for k, seg in enumerate(self._segments.values()):
             if seg.n == 0:
                 continue
-            pos = np.searchsorted(seg.cells_sorted, bounds)
-            for k in range(0, pos.size, 2):
-                lo, hi = int(pos[k]), int(pos[k + 1])
-                if hi > lo:
-                    chunks.append(
-                        self._order[seg.order_base + lo : seg.order_base + hi]
-                    )
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
+            lo, hi = np.searchsorted(
+                seg.cells_sorted, bounds.ravel()
+            ).reshape(bounds.shape)
+            r = slice(k * _RUNS_PER_SEGMENT, (k + 1) * _RUNS_PER_SEGMENT)
+            starts[:, r] = np.where(valid, seg.order_base + lo, 0).T
+            lengths[:, r] = np.where(valid, hi - lo, 0).T
+        return starts, lengths
 
-    def candidate_counts(self, queries: np.ndarray) -> np.ndarray:
-        """Exact candidate-set size per query, vectorised (planner input).
+    @property
+    def box_counts(self) -> np.ndarray:
+        """``(nx, ny, nt)`` candidate-set size of every home cell.
 
-        Reads a 27-neighbourhood box-sum table rebuilt lazily after
-        mutations (the per-cell counts are maintained incrementally) —
-        O(cells) per rebuild, O(m) per batch after, no candidate
-        gathering — so repeated planning costs the lookups, not the grid.
+        The 27-neighbourhood box sums of the per-cell counts (maintained
+        incrementally), rebuilt lazily after mutations — O(cells) per
+        rebuild, then a batch's candidate counts are O(m) lookups with no
+        candidate gathering.
         """
         if self._box_counts is None:
-            counts3 = self._cell_counts.reshape(self.nx, self.ny, self.nt)
             # 3-wide box sums via padded prefix sums, one axis at a time.
-            box = counts3
+            box = self._cell_counts.reshape(self.nx, self.ny, self.nt)
             for axis, size in ((0, self.nx), (1, self.ny), (2, self.nt)):
                 cum = np.concatenate(
                     [np.zeros_like(box.take([0], axis=axis)),
@@ -980,8 +958,11 @@ class BucketIndex:
                 lo = np.maximum(np.arange(size) - 1, 0)
                 box = cum.take(hi, axis=axis) - cum.take(lo, axis=axis)
             self._box_counts = box
-        cc = self.cell_coords(queries)
-        return self._box_counts[cc[:, 0], cc[:, 1], cc[:, 2]]
+        return self._box_counts
+
+    def candidate_counts(self, queries: np.ndarray) -> np.ndarray:
+        """Exact candidate-set size per query, vectorised (planner input)."""
+        return self.box_counts[tuple(self.cell_coords(queries).T)]
 
     def group_count(self, queries: np.ndarray) -> int:
         """Number of distinct home cells a query batch occupies.
@@ -994,44 +975,6 @@ class BucketIndex:
         if q.shape[0] == 0:
             return 0
         return int(np.unique(self.cell_of(q)).size)
-
-    def cohort_count(self, queries: np.ndarray) -> int:
-        """Number of candidate-count cohorts a batch collapses into.
-
-        Distinct non-zero candidate counts across the batch's home cells
-        — the number of vectorised tabulation rounds the cohort engine
-        runs, the unit the cost model's ``c_qcohort`` prices.
-        """
-        q = np.asarray(queries, dtype=np.float64)
-        if q.shape[0] == 0:
-            return 0
-        counts = self.candidate_counts(q)
-        return int(np.unique(counts[counts > 0]).size)
-
-    def group_queries(
-        self, queries: np.ndarray
-    ) -> Iterator[Tuple[Tuple[int, int, int], np.ndarray]]:
-        """Group a query batch by home cell: ``((cx, cy, ct), query_rows)``.
-
-        Queries in the same cell share one candidate gather and one
-        vectorised kernel tabulation — the batching that amortises index
-        walks across concurrent queries.
-        """
-        q = np.asarray(queries, dtype=np.float64)
-        if q.shape[0] == 0:
-            return
-        cell = self.cell_of(q)
-        order = np.argsort(cell, kind="stable")
-        sorted_cells = cell[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_cells[1:] != sorted_cells[:-1]))
-        )
-        bounds = np.concatenate((starts, [sorted_cells.size]))
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            cid = int(sorted_cells[s])
-            cx, rem = divmod(cid, self.ny * self.nt)
-            cy, ct = divmod(rem, self.nt)
-            yield (cx, cy, ct), order[s:e]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -36,6 +36,7 @@ import numpy as np
 from ..analysis.model import CostModel
 from ..core.backends import DEFAULT_BACKEND, available_backends
 from ..core.grid import VoxelWindow
+from .engine import slab_dispatches
 from .index import BucketIndex
 
 __all__ = ["QueryPlan", "QueryPlanner", "ScatterPlan"]
@@ -166,13 +167,13 @@ class QueryPlanner:
         """
         q = np.asarray(queries, dtype=np.float64)
         m = q.shape[0]
-        if m:
-            counts = index.candidate_counts(q)
-            cand = int(counts.sum())
-            n_cohorts = int(np.unique(counts[counts > 0]).size)
-        else:
-            cand = n_cohorts = 0
-        n_groups = index.group_count(q)
+        # Home cells once: candidate counts are box-table reads at them,
+        # the group count their distinct flat ids, and the slab dispatch
+        # count arithmetic on the candidate total.
+        cc = index.cell_coords(q)
+        cand = int(index.box_counts[tuple(cc.T)].sum())
+        n_groups = int(np.unique(index.flat_cells(cc)).size)
+        n_cohorts = slab_dispatches(cand)
         n_segments = index.segment_count
 
         def price(backend_name: Optional[str]):

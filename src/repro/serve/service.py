@@ -55,7 +55,9 @@ from .engine import (
     direct_sum,
     region_view,
     sample_volume,
+    slab_dispatches,
     slice_window,
+    validate_queries,
 )
 from .index import BucketIndex
 from .errors import PartialResult
@@ -470,9 +472,7 @@ class DensityService:
         without changing the return type.
         """
         self._sync()
-        q = np.ascontiguousarray(np.asarray(queries, dtype=np.float64))
-        if q.ndim != 2 or q.shape[1] != 3:
-            raise ValueError(f"expected (m, 3) queries, got {q.shape}")
+        q = np.ascontiguousarray(validate_queries(queries))
         if eps is not None and not float(eps) > 0.0:
             raise ValueError(f"eps must be positive or None, got {eps!r}")
         if q.shape[0] == 0:
@@ -539,14 +539,16 @@ class DensityService:
             self.counter.queries_exact += q.shape[0]
         else:
             out = sample_volume(self.materialize().data, self.grid, q)
-            out = self._patch_off_domain(q, out)
+            out = self._patch_off_domain(q, out, compute)
             self.counter.queries_exact += q.shape[0]
         self._backend_calls[chosen] += 1
         out.flags.writeable = False
         self.cache.put(key, out, out.nbytes)
         return out
 
-    def _patch_off_domain(self, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _patch_off_domain(
+        self, q: np.ndarray, out: np.ndarray, compute: str
+    ) -> np.ndarray:
         """Direct-sum the queries outside the domain box on the lookup path.
 
         Trilinear sampling clamps to the edge voxel, which would serve the
@@ -554,7 +556,8 @@ class DensityService:
         returns the true (decaying-to-zero) estimator value — the same
         sentinel would flip answers with the planner's choice.  Routing
         the off-domain rows through the index keeps the two backends
-        interchangeable everywhere.
+        interchangeable everywhere.  ``compute`` is the batch's resolved
+        pair-evaluation backend (the one its cache key names).
         """
         d = self.grid.domain
         outside = (
@@ -566,7 +569,7 @@ class DensityService:
             out = out.copy()
             out[outside] = direct_sum(
                 self.index(), q[outside], self.kernel, self._norm(),
-                self.counter,
+                self.counter, compute=compute,
             )
         return out
 
@@ -1015,12 +1018,17 @@ class ShardedDensityService:
             return self.compute
         model = self.planner().model
         cand = self._est_candidates(m)
+        slabs = slab_dispatches(cand)
         chosen = DEFAULT_BACKEND
-        best = model.predict_direct_query(m, cand, compute=DEFAULT_BACKEND)
+        best = model.predict_direct_query(
+            m, cand, n_cohorts=slabs, compute=DEFAULT_BACKEND
+        )
         for name in available_backends():
             if name == DEFAULT_BACKEND:
                 continue
-            cost = model.predict_direct_query(m, cand, compute=name)
+            cost = model.predict_direct_query(
+                m, cand, n_cohorts=slabs, compute=name
+            )
             if cost < best:
                 chosen, best = name, cost
         return chosen
@@ -1104,9 +1112,7 @@ class ShardedDensityService:
                 f"on_shard_failure must be 'raise' or 'partial', "
                 f"got {policy!r}"
             )
-        q = np.ascontiguousarray(np.asarray(queries, dtype=np.float64))
-        if q.ndim != 2 or q.shape[1] != 3:
-            raise ValueError(f"expected (m, 3) queries, got {q.shape}")
+        q = np.ascontiguousarray(validate_queries(queries))
         if eps is not None and not float(eps) > 0.0:
             raise ValueError(f"eps must be positive or None, got {eps!r}")
         m = q.shape[0]
@@ -1117,8 +1123,10 @@ class ShardedDensityService:
         force, force_reason = self._resolve_backend(backend)
         plan = None
         if force is None or plan_out is not None:
+            cand = self._est_candidates(m)
             plan = self.planner().plan_scatter(
-                m, self._est_candidates(m), self.n_shards, fanout,
+                m, cand, self.n_shards, fanout,
+                n_cohorts=slab_dispatches(cand),
                 force=force, force_reason=force_reason,
             )
             self._record_plan(plan)

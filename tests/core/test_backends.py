@@ -4,7 +4,7 @@ Every registered compute backend must answer every pair-evaluation
 primitive with the same numbers as ``numpy-ref`` (rtol=1e-12), the same
 logical work counts, and one dispatch record per primitive call — across
 every stamp mode, weighted and unweighted, every registered kernel plus a
-``spatial_radial=None`` custom kernel, and the direct/cohort/approx query
+``spatial_radial=None`` custom kernel, and the direct/approx query
 paths.  The suite parametrises over :func:`available_backends`, so the
 ``numba`` cases appear exactly when the import guard passes and are
 absent (never failing) when it trips.
@@ -284,8 +284,8 @@ class TestQueryParity:
         np.testing.assert_allclose(got, ref, rtol=RTOL, atol=ATOL)
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
-    def test_direct_sum_skewed_cohort(self, grid, backend):
-        """One dense cluster probed by a few queries: the sparse 1-D path."""
+    def test_direct_sum_dense_cluster(self, grid, backend):
+        """One dense cluster probed by a few queries: long segments."""
         rng = np.random.default_rng(41)
         coords = np.tile([[5.0, 5.0, 5.0]], (3000, 1)) + rng.uniform(
             -0.4, 0.4, size=(3000, 3)
@@ -293,9 +293,8 @@ class TestQueryParity:
         idx = BucketIndex(grid, coords)
         q = np.array([[5.0, 5.0, 5.0], [5.2, 4.9, 5.1]])
         kern = get_kernel("quartic")
-        ref = direct_sum(idx, q, kern, 1e-3, WorkCounter(), skew_min_k=256)
-        got = direct_sum(idx, q, kern, 1e-3, WorkCounter(), skew_min_k=256,
-                         compute=backend)
+        ref = direct_sum(idx, q, kern, 1e-3, WorkCounter())
+        got = direct_sum(idx, q, kern, 1e-3, WorkCounter(), compute=backend)
         np.testing.assert_allclose(got, ref, rtol=RTOL, atol=ATOL)
 
     @pytest.mark.parametrize("backend", FAST_BACKENDS)
@@ -332,7 +331,7 @@ class TestNumbaSpecific:
         kern = get_kernel("epanechnikov")
         rng = np.random.default_rng(51)
         dx = rng.uniform(-3, 3, size=(16, 32))
-        nb.query_row_sums(grid, kern, dx, dx, dx, None, WorkCounter())
+        nb.sampled_contributions(grid, kern, dx, dx, dx, None, WorkCounter())
         assert nb.warmup_seconds > 0.0
 
     def test_custom_kernel_falls_back(self, grid):

@@ -20,7 +20,14 @@ import numpy as np
 from repro.core import GridSpec, PointSet
 from repro.core.kernels import KernelPair
 
-__all__ = ["CUSTOM_KERNEL", "make_points", "make_clustered_points"]
+__all__ = [
+    "CUSTOM_KERNEL",
+    "brute_force_sum",
+    "cell_candidates",
+    "make_clustered_points",
+    "make_points",
+    "reference_candidates",
+]
 
 #: A non-radial, asymmetric kernel pair that is NOT in any registry —
 #: exercises the ``spatial_radial is None`` fallbacks (and, for numba,
@@ -53,3 +60,60 @@ def make_clustered_points(grid: GridSpec, n: int, k: int = 3, seed: int = 0) -> 
     pts = centers[which] + rng.normal(0, 0.08, size=(n, 3)) * span
     pts = np.clip(pts, lo, lo + span * (1 - 1e-9))
     return PointSet(pts)
+
+
+def brute_force_sum(grid, kernel, coords, queries, norm=1.0, weights=None):
+    """The estimator's definition, O(n * m): every event against every query.
+
+    The one oracle of the exact read paths: no index, no slabs, no
+    backend seam — the cylinder mask and ``k_s * k_t`` written out, summed
+    pairwise by ``ndarray.sum``.
+    """
+    coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
+    q = np.asarray(queries, dtype=np.float64)
+    out = np.zeros(q.shape[0], dtype=np.float64)
+    hs, ht = grid.hs, grid.ht
+    for lo in range(0, q.shape[0], 128):  # bound the (m, n) temporaries
+        qq = q[lo : lo + 128]
+        dx = qq[:, None, 0] - coords[None, :, 0]
+        dy = qq[:, None, 1] - coords[None, :, 1]
+        dt = qq[:, None, 2] - coords[None, :, 2]
+        inside = (dx * dx + dy * dy < hs * hs) & (np.abs(dt) <= ht)
+        contrib = np.where(
+            inside, kernel.spatial(dx / hs, dy / hs) * kernel.temporal(dt / ht),
+            0.0,
+        )
+        if weights is not None:
+            contrib = contrib * np.asarray(weights)[None, :]
+        out[lo : lo + 128] = contrib.sum(axis=1)
+    return norm * out
+
+
+def cell_candidates(index, cx, cy, ct):
+    """Candidate storage rows of one home cell, through the production
+    :meth:`BucketIndex.candidate_runs` (runs expanded left to right)."""
+    starts, lengths = index.candidate_runs(np.array([[cx, cy, ct]]))
+    chunks = [
+        index.order_store[s : s + l]
+        for s, l in zip(starts[0].tolist(), lengths[0].tolist())
+    ]
+    return np.concatenate(chunks + [np.empty(0, dtype=np.int64)])
+
+
+def reference_candidates(index, cx, cy, ct):
+    """Per-cell reference walk of the 27-neighbourhood (segment-major,
+    then x, then y), independent of ``candidate_runs``' bound table: one
+    scalar ``searchsorted`` pair per in-grid ``(ix, iy)`` row."""
+    t_lo = max(0, ct - 1)
+    t_hi = min(index.nt, ct + 2)
+    chunks = []
+    for seg in index._segments.values():
+        for ix in range(max(0, cx - 1), min(index.nx, cx + 2)):
+            for iy in range(max(0, cy - 1), min(index.ny, cy + 2)):
+                row = (ix * index.ny + iy) * index.nt
+                lo = int(np.searchsorted(seg.cells_sorted, row + t_lo))
+                hi = int(np.searchsorted(seg.cells_sorted, row + t_hi))
+                chunks.append(
+                    index.order_store[seg.order_base + lo : seg.order_base + hi]
+                )
+    return np.concatenate(chunks + [np.empty(0, dtype=np.int64)])

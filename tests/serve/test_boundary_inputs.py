@@ -1,0 +1,76 @@
+"""Boundary inputs get one typed error at every serving entry.
+
+Table-driven (ROADMAP item 3d): each row of the table is an entry point
+that answers point queries, each column a malformed input.  Non-finite
+coordinates used to be served as plan-dependent garbage — ``0.0`` from
+the direct backend (the NaN cast to an arbitrary cell), ``nan`` from the
+lookup backend.
+"""
+
+from __future__ import annotations
+
+import asyncio
+
+import numpy as np
+import pytest
+
+from repro.analysis.model import MachineModel
+from repro.core import DomainSpec, GridSpec, PointSet
+from repro.serve import DensityService, ShardedDensityService, TrafficFrontend
+
+ENTRIES = ("direct", "lookup", "sharded", "frontend")
+NON_FINITE = (np.nan, np.inf, -np.inf)
+GOOD = [8.0, 8.0, 8.0]
+
+
+@pytest.fixture(scope="module")
+def entries():
+    """``{entry: callable(q) -> densities}`` over one event set."""
+    grid = GridSpec(DomainSpec.from_voxels(24, 24, 24), hs=3.0, ht=3.0)
+    rng = np.random.default_rng(5)
+    pts = PointSet(rng.uniform(0, 24.0, size=(600, 3)))
+    machine = MachineModel.nominal()
+    svc = DensityService(pts, grid, machine=machine)
+
+    async def through_frontend(q):
+        """Each row its own request, beside a well-formed one that must
+        still be answered (a bad row may not poison its batch)."""
+        async with TrafficFrontend(svc) as fe:
+            good, *rest = await asyncio.gather(
+                fe.query_point(*GOOD),
+                *[fe.query_point(*row) for row in q.tolist()],
+                return_exceptions=True,
+            )
+        assert good == pytest.approx(float(svc.query_points([GOOD])[0]))
+        for out in rest:
+            if isinstance(out, BaseException):
+                raise out
+        return np.array(rest)
+
+    with ShardedDensityService(pts, grid, workers=2, machine=machine) as sh:
+        yield {
+            "direct": lambda q: svc.query_points(q, backend="direct"),
+            "lookup": lambda q: svc.query_points(q, backend="lookup"),
+            "sharded": lambda q: sh.query_points(q, backend="sharded"),
+            "frontend": lambda q: asyncio.run(through_frontend(q)),
+        }
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_non_finite_queries_are_rejected(entries, entry, bad):
+    query = entries[entry]
+    for axis in range(3):
+        q = np.array([GOOD, GOOD])
+        q[1, axis] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            query(q)
+    # Nothing was cached or wedged: the well-formed rows still answer.
+    out = query(np.array([GOOD, GOOD]))
+    assert out.shape == (2,) and np.isfinite(out).all() and out[0] == out[1]
+
+
+@pytest.mark.parametrize("entry", ENTRIES[:3])  # query_point has no shape
+def test_bad_shapes_are_rejected(entries, entry):
+    with pytest.raises(ValueError, match=r"\(m, 3\)"):
+        entries[entry](np.zeros((3, 2)))

@@ -26,7 +26,7 @@ from tests.helpers import make_clustered_points, make_points
 #: Flat scalars only — an *uncalibrated* machine (no backend_costs).
 NOMINAL = MachineModel(
     c_mem=1e-9, c_point=1e-7, c_cell=2e-9, c_batch=1e-5,
-    c_pair=2e-9, c_tile=1e-6, c_lookup=5e-8, c_qgroup=5e-6,
+    c_pair=2e-9, c_tile=1e-6, c_lookup=5e-8,
     c_qcohort=5e-6, c_qprobe=1e-6,
 )
 
@@ -115,9 +115,12 @@ class TestCalibrationPersistence:
         assert clone == CALIBRATED
         assert clone.backend_cost("c_pair", "numpy-fused") == 5e-10
 
-    def test_from_json_tolerates_unknown_keys(self):
+    @pytest.mark.parametrize("key", ["future_field", "c_qgroup"])
+    def test_from_json_tolerates_unknown_keys(self, key):
+        """Newer files on older code, and files persisted before a unit
+        cost was retired (``c_qgroup``: the per-group walk's)."""
         blob = CALIBRATED.to_json().replace(
-            '"c_mem"', '"future_field": 1.0, "c_mem"', 1
+            '"c_mem"', f'"{key}": 1.0, "c_mem"', 1
         )
         assert MachineModel.from_json(blob) == CALIBRATED
 
@@ -153,6 +156,31 @@ class TestServiceComputeStats:
         assert sum(blob["chosen"].values()) >= 1
         assert set(blob["chosen"]) <= set(available_backends())
         assert sum(blob["dispatches"].values()) >= 1
+
+    def test_off_domain_patch_runs_on_the_service_backend(self, small_grid):
+        """Off-domain rows of a lookup plan are direct-summed on the
+        backend the cache key names, not on the default."""
+        pts = make_points(small_grid, 600, seed=68)
+        svc = DensityService(
+            pts, small_grid, machine=NOMINAL, compute="numpy-fused"
+        )
+        svc.materialize()  # the build stamps on the default backend
+        built = svc.stats()["compute"]["dispatches"]
+        d = small_grid.domain
+        q = np.vstack([
+            make_points(small_grid, 6, seed=69).coords,
+            [[d.x0 - 0.5, d.y0 + 1.0, d.t0 + 1.0],
+             [d.x0 + 1.0, d.y0 + d.gy + 0.5, d.t0 + 1.0]],
+        ])
+        out = svc.query_points(q, backend="lookup")
+        after = svc.stats()["compute"]["dispatches"]
+        assert after.pop("numpy-fused") >= 1
+        assert after == built
+        np.testing.assert_allclose(
+            out[6:], svc.query_points(q[6:], backend="direct"),
+            rtol=1e-12, atol=0.0,
+        )
+        assert out[6:].any()
 
     def test_unknown_compute_fails_fast(self, small_grid):
         pts = make_points(small_grid, 10, seed=65)

@@ -14,17 +14,34 @@ import pytest
 from repro.algorithms.pb_sym import pb_sym
 from repro.core import WorkCounter
 from repro.core.grid import VoxelWindow
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import DomainSpec, GridSpec
+from repro.core.backends import available_backends
 from repro.core.kernels import available_kernels, get_kernel
 from repro.serve.engine import (
+    _QUERY_SLAB_PAIRS,
     direct_region,
     direct_sum,
-    direct_sum_grouped,
     region_view,
     sample_volume,
+    slab_dispatches,
     slice_window,
 )
 from repro.serve.index import BucketIndex
-from tests.helpers import make_clustered_points, make_points
+from tests.helpers import (
+    CUSTOM_KERNEL,
+    brute_force_sum,
+    make_clustered_points,
+    make_points,
+)
+
+ALL_KERNELS = tuple(available_kernels()) + ("custom",)
+
+
+def kernel_of(name):
+    return CUSTOM_KERNEL if name == "custom" else get_kernel(name)
 
 
 def voxel_center_queries(grid, stride=3):
@@ -116,133 +133,244 @@ class TestDirectSum:
             direct_sum(idx, np.zeros((3, 2)), get_kernel("epanechnikov"), 1.0)
 
 
-class TestCohortEngine:
-    """Satellite acceptance: the cohort-vectorised engine equals the
-    retained per-group walk at ``rtol=1e-12`` on random and adversarial
-    batches (in practice the two add the same numbers in the same order,
-    so they are bit-identical)."""
+def layered_index(grid, weighted, seed=70):
+    """A lived-in index and the events it holds.
 
-    def _check(self, index, queries, kernel="epanechnikov", norm=1.0):
-        kern = get_kernel(kernel)
-        a = direct_sum(index, queries, kern, norm)
-        b = direct_sum_grouped(index, queries, kern, norm)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
-        return a
+    Six clustered batches as segments; three are consolidated and one of
+    those members retired; a whole segment is removed; a late batch
+    reuses the freed rows; one segment is empty.  Returns ``(index,
+    coords, weights)`` with the live events in no particular order.
+    """
+    rng = np.random.default_rng(seed)
+    pts = make_clustered_points(grid, 600, seed=seed).coords
+    parts = {i: pts[i::6] for i in range(6)}
+    wts = {
+        i: rng.uniform(0.25, 4.0, len(p)) if weighted else None
+        for i, p in parts.items()
+    }
+    idx = BucketIndex(grid, merge_segment_cap=None)
+    for i, p in parts.items():
+        idx.add_segment(i, p, wts[i])
+    idx.add_segment("empty", np.empty((0, 3)))
+    idx.consolidate_segments([0, 1, 2])
+    idx.remove_segment(4)
+    for gone in (1, 4):
+        del parts[gone], wts[gone]
+    live = [(i, p) for i, p in parts.items()] + [("empty", np.empty((0, 3)))]
+    idx.sync(live)  # retires consolidated member 1 by filtering
+    dead = idx.dead_rows
+    parts["late"] = make_points(grid, 40, seed=seed + 1).coords
+    wts["late"] = rng.uniform(0.25, 4.0, 40) if weighted else None
+    idx.add_segment("late", parts["late"], wts["late"])
+    assert idx.dead_rows == dead - 40  # the late batch landed in a gap
+    assert idx.merged_segments == 1 and idx.segment_count == 5
+    coords = np.vstack(list(parts.values()))
+    weights = np.concatenate(list(wts.values())) if weighted else None
+    return idx, coords, weights
 
-    @pytest.mark.parametrize("kernel", available_kernels())
-    def test_random_batches(self, small_grid, kernel):
-        pts = make_clustered_points(small_grid, 150, seed=70)
-        idx = BucketIndex(small_grid, pts.coords)
-        rng = np.random.default_rng(71)
-        d = small_grid.domain
-        q = rng.uniform([d.x0, d.y0, d.t0],
-                        [d.x0 + d.gx, d.y0 + d.gy, d.t0 + d.gt],
-                        size=(300, 3))
-        self._check(idx, q, kernel, small_grid.normalization(pts.n))
 
-    def test_all_same_cell(self, small_grid):
-        """Adversarial: every query in one cell — one group, one cohort."""
-        pts = make_clustered_points(small_grid, 120, seed=72)
-        idx = BucketIndex(small_grid, pts.coords)
-        rng = np.random.default_rng(73)
-        d = small_grid.domain
-        # Strictly inside index cell (1, 1, 1).
-        base = np.array([
-            d.x0 + 1.5 * small_grid.hs,
-            d.y0 + 1.5 * small_grid.hs,
-            d.t0 + 1.5 * small_grid.ht,
-        ])
-        jitter = rng.uniform(-0.4, 0.4, size=(64, 3))
-        q = base[None, :] + jitter * np.array(
-            [small_grid.hs, small_grid.hs, small_grid.ht]
-        )
-        assert idx.group_count(q) == 1
-        c = WorkCounter()
-        a = direct_sum(idx, q, get_kernel("epanechnikov"), 1.0, c)
+def border_batch(grid, m, seed):
+    """Queries over the domain and a bandwidth beyond it on every side
+    (off-domain rows clamp into border cells)."""
+    rng = np.random.default_rng(seed)
+    d = grid.domain
+    pad = np.array([grid.hs, grid.hs, grid.ht])
+    lo = np.array([d.x0, d.y0, d.t0]) - pad
+    hi = np.array([d.x0 + d.gx, d.y0 + d.gy, d.t0 + d.gt]) + pad
+    return rng.uniform(lo, hi, size=(m, 3))
+
+
+def greedy_slabs(index, q, slab_pairs):
+    """Slab dispatches the engine's cut must produce: non-empty queries
+    in home-cell order, filled greedily, never splitting a query."""
+    K = index.candidate_counts(q)[np.argsort(index.cell_of(q), kind="stable")]
+    slabs, room = 0, 0
+    for k in K[K > 0].tolist():
+        if slabs == 0 or k > room:
+            slabs, room = slabs + 1, slab_pairs
+        room -= k
+    return slabs
+
+
+class TestRaggedEngine:
+    """The ragged gather against the estimator's definition.
+
+    Every exact pin is ``rtol=1e-12`` against :func:`brute_force_sum`
+    (pairwise ``ndarray.sum`` over all events) — the engine adds each
+    query's candidates in run order with ``np.add.reduceat``.
+    """
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("kname", ALL_KERNELS)
+    def test_matches_brute_force(self, small_grid, kname, weighted):
+        idx, coords, w = layered_index(small_grid, weighted)
+        q = np.vstack([border_batch(small_grid, 200, 71), coords[:50] + 0.05])
+        kern = kernel_of(kname)
+        norm = small_grid.normalization(len(coords))
         np.testing.assert_allclose(
-            a, direct_sum_grouped(idx, q, get_kernel("epanechnikov"), 1.0),
+            direct_sum(idx, q, kern, norm),
+            brute_force_sum(small_grid, kern, coords, q, norm, w),
             rtol=1e-12, atol=0.0,
         )
-        assert c.query_cohorts == 1  # a co-located batch is one round
 
-    def test_all_distinct_cells(self, small_grid):
-        """Adversarial: one query per cell — groups cannot merge, only
-        cohorts (equal candidate counts) can."""
-        pts = make_clustered_points(small_grid, 200, seed=74)
-        idx = BucketIndex(small_grid, pts.coords)
-        d = small_grid.domain
-        # One query per distinct index cell center.
-        qs = []
-        for cx in range(idx.nx):
-            for cy in range(idx.ny):
-                for ct in range(idx.nt):
-                    qs.append([
-                        d.x0 + (cx + 0.5) * small_grid.hs,
-                        d.y0 + (cy + 0.5) * small_grid.hs,
-                        d.t0 + (ct + 0.5) * small_grid.ht,
-                    ])
-        q = np.array(qs)
-        assert idx.group_count(q) == q.shape[0]  # truly all-distinct
-        c = WorkCounter()
-        a = direct_sum(idx, q, get_kernel("epanechnikov"), 1.0, c)
-        np.testing.assert_allclose(
-            a, direct_sum_grouped(idx, q, get_kernel("epanechnikov"), 1.0),
-            rtol=1e-12, atol=0.0,
-        )
-        assert c.query_cohorts <= idx.cohort_count(q)
-
-    def test_weighted_cohorts(self, small_grid):
-        pts = make_points(small_grid, 80, seed=75)
-        w = np.linspace(0.25, 4.0, 80)
-        idx = BucketIndex(small_grid, pts.coords, w)
-        rng = np.random.default_rng(76)
-        d = small_grid.domain
-        q = rng.uniform([d.x0, d.y0, d.t0],
-                        [d.x0 + d.gx, d.y0 + d.gy, d.t0 + d.gt],
-                        size=(120, 3))
-        self._check(idx, q)
-
-    def test_slab_chunking_is_exact(self, small_grid):
-        """Tiny slab caps force the chunked path; answers are unchanged."""
-        pts = make_clustered_points(small_grid, 150, seed=77)
-        idx = BucketIndex(small_grid, pts.coords)
-        rng = np.random.default_rng(78)
-        d = small_grid.domain
-        q = rng.uniform([d.x0, d.y0, d.t0],
-                        [d.x0 + d.gx, d.y0 + d.gy, d.t0 + d.gt],
-                        size=(200, 3))
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_slab_chunking_is_exact(self, small_grid, weighted):
+        """No slab cap changes a bit: a query's sum depends on its own
+        segment only (1 = every query its own slab)."""
+        idx, coords, _ = layered_index(small_grid, weighted)
+        q = border_batch(small_grid, 200, 78)
         kern = get_kernel("epanechnikov")
         full = direct_sum(idx, q, kern, 1.0)
-        tiny = direct_sum(idx, q, kern, 1.0, slab_pairs=64)
-        np.testing.assert_array_equal(full, tiny)
+        for slab_pairs in (1, 64):
+            np.testing.assert_array_equal(
+                full, direct_sum(idx, q, kern, 1.0, slab_pairs=slab_pairs)
+            )
 
-    def test_multi_segment_index(self, small_grid):
-        """Cohort gather spans segments exactly like the group walk."""
+    @pytest.mark.parametrize("kname", ["epanechnikov", "custom"])
+    def test_empty_and_huge_neighbourhoods_in_one_batch(self, kname):
+        """One 10^4-event cluster probed beside far-away rows with no
+        candidates at all; with ``slab_pairs=4096`` the cluster queries
+        are each larger than a slab."""
+        grid = GridSpec(DomainSpec.from_voxels(40, 40, 40), hs=4.0, ht=4.0)
+        rng = np.random.default_rng(90)
+        cluster = rng.normal([6.0, 6.0, 6.0], 0.8, size=(10_000, 3))
+        idx = BucketIndex(grid, cluster)
+        q = np.vstack([
+            rng.normal([6.0, 6.0, 6.0], 1.5, size=(6, 3)),
+            rng.uniform(25.0, 39.0, size=(20, 3)),  # nothing within 27 cells
+        ])[rng.permutation(26)]
+        K = idx.candidate_counts(q)
+        assert K.max() >= 10_000 and (K == 0).sum() == 20
+        kern = kernel_of(kname)
+        c = WorkCounter()
+        out = direct_sum(idx, q, kern, 1e-4, c)
+        np.testing.assert_allclose(
+            out, brute_force_sum(grid, kern, cluster, q, 1e-4),
+            rtol=1e-12, atol=0.0,
+        )
+        assert not out[K == 0].any()
+        assert c.query_cohorts == 1 == slab_dispatches(K.sum())
+        c = WorkCounter()
+        np.testing.assert_array_equal(
+            out, direct_sum(idx, q, kern, 1e-4, c, slab_pairs=4096)
+        )
+        assert c.query_cohorts == 6  # one over-sized slab per cluster query
+
+    def test_counters(self, small_grid):
+        """Logical work is the candidate total, whatever the slab cap and
+        the backend; ``query_cohorts`` is the slab count."""
+        idx, _, _ = layered_index(small_grid, False)
+        q = border_batch(small_grid, 200, 81)
+        K = idx.candidate_counts(q)
+        pairs = int(K.sum())
+        assert 0 < pairs < _QUERY_SLAB_PAIRS
+        kern = get_kernel("epanechnikov")
+        for slab_pairs, slabs in (
+            (_QUERY_SLAB_PAIRS, 1),
+            (64, greedy_slabs(idx, q, 64)),
+            (1, int((K > 0).sum())),
+        ):
+            for backend in available_backends():
+                c = WorkCounter()
+                direct_sum(idx, q, kern, 1.0, c, slab_pairs=slab_pairs,
+                           compute=backend)
+                assert (
+                    c.madds == c.distance_tests == c.spatial_evals
+                    == c.temporal_evals == pairs
+                )
+                assert c.query_cohorts == slabs
+                assert c.backend_dispatches == {backend: slabs}
+
+    def test_co_located_batch_is_one_dispatch(self, small_grid):
+        pts = make_clustered_points(small_grid, 120, seed=72)
+        idx = BucketIndex(small_grid, pts.coords)
+        d = small_grid.domain
+        base = np.array([d.x0 + 1.5 * small_grid.hs, d.y0 + 1.5 * small_grid.hs,
+                         d.t0 + 1.5 * small_grid.ht])  # inside cell (1, 1, 1)
+        jitter = np.random.default_rng(73).uniform(-0.4, 0.4, size=(64, 3))
+        q = base + jitter * [small_grid.hs, small_grid.hs, small_grid.ht]
+        assert idx.group_count(q) == 1
+        c = WorkCounter()
+        kern = get_kernel("epanechnikov")
+        np.testing.assert_allclose(
+            direct_sum(idx, q, kern, 1.0, c),
+            brute_force_sum(small_grid, kern, pts.coords, q),
+            rtol=1e-12, atol=0.0,
+        )
+        assert c.query_cohorts == 1
+
+    def test_segmented_equals_monolithic(self, small_grid):
         pts = make_clustered_points(small_grid, 150, seed=79)
         idx = BucketIndex(small_grid)
         for i, (s, e) in enumerate([(0, 50), (50, 120), (120, 150)]):
             idx.add_segment(i, pts.coords[s:e])
-        rng = np.random.default_rng(80)
-        d = small_grid.domain
-        q = rng.uniform([d.x0, d.y0, d.t0],
-                        [d.x0 + d.gx, d.y0 + d.gy, d.t0 + d.gt],
-                        size=(150, 3))
-        self._check(idx, q)
-        # And the segmented sums equal the monolithic index to fp slack.
-        mono = direct_sum(
-            BucketIndex(small_grid, pts.coords), q,
-            get_kernel("epanechnikov"), 1.0,
+        q = border_batch(small_grid, 150, 80)
+        kern = get_kernel("epanechnikov")
+        np.testing.assert_allclose(
+            direct_sum(idx, q, kern, 1.0),
+            direct_sum(BucketIndex(small_grid, pts.coords), q, kern, 1.0),
+            rtol=1e-12, atol=0.0,
         )
-        seg = direct_sum(idx, q, get_kernel("epanechnikov"), 1.0)
-        np.testing.assert_allclose(seg, mono, rtol=1e-12, atol=1e-18)
 
     def test_empty_index_and_empty_batch(self, small_grid):
         idx = BucketIndex(small_grid)
-        out = direct_sum(idx, np.array([[1.0, 1.0, 1.0]]),
-                         get_kernel("epanechnikov"), 1.0)
-        np.testing.assert_array_equal(out, [0.0])
-        assert direct_sum(idx, np.empty((0, 3)),
-                          get_kernel("epanechnikov"), 1.0).shape == (0,)
+        kern = get_kernel("epanechnikov")
+        np.testing.assert_array_equal(
+            direct_sum(idx, np.array([[1.0, 1.0, 1.0]]), kern, 1.0), [0.0]
+        )
+        assert direct_sum(idx, np.empty((0, 3)), kern, 1.0).shape == (0,)
+        c = WorkCounter()
+        idx.add_segment(0, np.array([[1.0, 1.0, 1.0]]))
+        far = np.array([[small_grid.domain.gx - 0.5] * 3])
+        np.testing.assert_array_equal(direct_sum(idx, far, kern, 1.0, c), [0.0])
+        assert c.query_cohorts == 0 and c.madds == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_queries(self, index_and_kernel, bad):
+        idx, kern = index_and_kernel
+        q = np.array([[1.0, 1.0, 1.0], [2.0, bad, 2.0]])
+        with pytest.raises(ValueError, match="finite"):
+            direct_sum(idx, q, kern, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            sample_volume(np.zeros(idx.grid.shape), idx.grid, q)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shape=st.tuples(*[st.integers(6, 20)] * 3),
+        hs=st.floats(1.0, 5.0),
+        ht=st.floats(1.0, 5.0),
+        n_events=st.integers(0, 300),
+        n_segments=st.integers(1, 4),
+        m=st.integers(1, 60),
+        weighted=st.booleans(),
+        slab_pairs=st.sampled_from([1, 17, _QUERY_SLAB_PAIRS]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_property_matches_brute_force(
+        self, shape, hs, ht, n_events, n_segments, m, weighted, slab_pairs, seed
+    ):
+        grid = GridSpec(DomainSpec.from_voxels(*shape), hs=hs, ht=ht)
+        coords = make_clustered_points(grid, n_events, seed=seed).coords
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.1, 5.0, n_events) if weighted else None
+        idx = BucketIndex(grid)
+        for i in range(n_segments):
+            idx.add_segment(
+                i, coords[i::n_segments], None if w is None else w[i::n_segments]
+            )
+        q = border_batch(grid, m, seed + 1)
+        kern = get_kernel("quartic")
+        np.testing.assert_allclose(
+            direct_sum(idx, q, kern, 0.5, slab_pairs=slab_pairs),
+            brute_force_sum(grid, kern, coords, q, 0.5, w),
+            rtol=1e-12, atol=0.0,
+        )
+
+
+@pytest.fixture
+def index_and_kernel(small_grid):
+    pts = make_points(small_grid, 30, seed=24)
+    return BucketIndex(small_grid, pts.coords), get_kernel("epanechnikov")
 
 
 class TestSampleVolume:
@@ -339,86 +467,3 @@ class TestRegions:
             small_grid.normalization(pts.n),
         )
         assert res.time_slice().shape == (small_grid.Gx, small_grid.Gy)
-
-
-class TestSkewedCohortFallback:
-    """Satellite acceptance: a cohort with one huge candidate set and few
-    queries takes the sparse per-query path, bit-identical to the dense
-    block gather."""
-
-    def _skewed_index(self, small_grid, n_cluster=400, seed=90):
-        rng = np.random.default_rng(seed)
-        d = small_grid.domain
-        center = np.array([
-            d.x0 + 1.5 * small_grid.hs,
-            d.y0 + 1.5 * small_grid.hs,
-            d.t0 + 1.5 * small_grid.ht,
-        ])
-        cluster = center + rng.normal(0, 0.3, size=(n_cluster, 3)) * np.array(
-            [small_grid.hs, small_grid.hs, small_grid.ht]
-        )
-        sparse = make_points(small_grid, 40, seed=seed + 1).coords
-        coords = np.clip(
-            np.vstack([cluster, sparse]),
-            [d.x0, d.y0, d.t0],
-            [d.x0 + d.gx * (1 - 1e-9), d.y0 + d.gy * (1 - 1e-9),
-             d.t0 + d.gt * (1 - 1e-9)],
-        )
-        return BucketIndex(small_grid, coords), coords, center
-
-    def test_fallback_is_bit_identical(self, small_grid):
-        idx, coords, center = self._skewed_index(small_grid)
-        rng = np.random.default_rng(91)
-        d = small_grid.domain
-        q = np.vstack([
-            center[None, :],  # one query in the huge-K cluster cell
-            rng.uniform([d.x0, d.y0, d.t0],
-                        [d.x0 + d.gx, d.y0 + d.gy, d.t0 + d.gt],
-                        size=(60, 3)),
-        ])
-        kern = get_kernel("epanechnikov")
-        dense = direct_sum(idx, q, kern, 1.0, skew_min_k=10**9)
-        sparse = direct_sum(idx, q, kern, 1.0, skew_min_k=64)
-        np.testing.assert_array_equal(dense, sparse)
-        np.testing.assert_allclose(
-            sparse, direct_sum_grouped(idx, q, kern, 1.0),
-            rtol=1e-12, atol=0.0,
-        )
-
-    def test_fallback_weighted_bit_identical(self, small_grid):
-        idx, coords, center = self._skewed_index(small_grid, seed=95)
-        w = np.linspace(0.25, 3.0, coords.shape[0])
-        widx = BucketIndex(small_grid, coords, w)
-        kern = get_kernel("epanechnikov")
-        q = center[None, :] + np.linspace(-0.2, 0.2, 5)[:, None]
-        np.testing.assert_array_equal(
-            direct_sum(widx, q, kern, 1.0, skew_min_k=10**9),
-            direct_sum(widx, q, kern, 1.0, skew_min_k=64),
-        )
-
-    def test_many_queries_keep_the_dense_path(self, small_grid):
-        """A huge-K cohort serving many queries is not skewed: the dense
-        block amortises, and both shapes agree anyway."""
-        idx, coords, center = self._skewed_index(small_grid, seed=97)
-        rng = np.random.default_rng(98)
-        q = center[None, :] + rng.normal(0, 0.2, size=(64, 3))
-        kern = get_kernel("epanechnikov")
-        np.testing.assert_array_equal(
-            direct_sum(idx, q, kern, 1.0, skew_min_k=10**9),
-            direct_sum(idx, q, kern, 1.0, skew_min_k=64),
-        )
-
-    def test_multi_segment_fallback(self, small_grid):
-        idx_src, coords, center = self._skewed_index(small_grid, seed=99)
-        idx = BucketIndex(small_grid)
-        third = len(coords) // 3
-        for i, (s, e) in enumerate(
-            [(0, third), (third, 2 * third), (2 * third, len(coords))]
-        ):
-            idx.add_segment(i, coords[s:e])
-        kern = get_kernel("epanechnikov")
-        q = center[None, :]
-        np.testing.assert_array_equal(
-            direct_sum(idx, q, kern, 1.0, skew_min_k=10**9),
-            direct_sum(idx, q, kern, 1.0, skew_min_k=64),
-        )

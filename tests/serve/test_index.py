@@ -7,7 +7,12 @@ import pytest
 
 from repro.core import DomainSpec, GridSpec
 from repro.serve.index import BucketIndex
-from tests.helpers import make_clustered_points, make_points
+from tests.helpers import (
+    cell_candidates,
+    make_clustered_points,
+    make_points,
+    reference_candidates,
+)
 
 
 @pytest.fixture
@@ -33,7 +38,7 @@ class TestConstruction:
         idx = BucketIndex(small_grid, np.empty((0, 3)))
         assert idx.n == 0
         assert idx.occupied_cells == 0
-        assert idx.candidates(0, 0, 0).size == 0
+        assert cell_candidates(idx, 0, 0, 0).size == 0
 
     def test_overhead_is_linear_not_per_cell_objects(self, small_grid):
         pts = make_points(small_grid, 500, seed=5)
@@ -63,14 +68,14 @@ class TestCandidates:
             dt = pts.coords[:, 2] - q[2]
             inside = ((dx * dx + dy * dy) < hs * hs) & (np.abs(dt) <= ht)
             cc = idx.cell_coords(q[None, :])[0]
-            cand = set(idx.candidates(*(int(c) for c in cc)).tolist())
+            cand = set(cell_candidates(idx, *(int(c) for c in cc)).tolist())
             missing = set(np.nonzero(inside)[0].tolist()) - cand
             assert not missing, f"index missed events {missing} for query {q}"
 
     def test_candidates_unique(self, index):
         for cx in range(index.nx):
             for cy in range(index.ny):
-                cand = index.candidates(cx, cy, 0)
+                cand = cell_candidates(index, cx, cy, 0)
                 assert len(np.unique(cand)) == cand.size
 
     def test_candidate_counts_match_gather(self, small_grid):
@@ -80,7 +85,7 @@ class TestCandidates:
         counts = idx.candidate_counts(qs)
         cells = idx.cell_coords(qs)
         for q_cell, n_exp in zip(cells, counts):
-            got = idx.candidates(*(int(c) for c in q_cell)).size
+            got = cell_candidates(idx, *(int(c) for c in q_cell)).size
             assert got == n_exp
 
     def test_off_domain_queries_clamp(self, small_grid):
@@ -92,23 +97,72 @@ class TestCandidates:
 
 
 class TestGrouping:
-    def test_groups_partition_the_batch(self, index, small_grid):
-        qs = make_points(small_grid, 64, seed=11).coords
-        seen = np.concatenate(
-            [rows for _, rows in index.group_queries(qs)]
-        )
-        assert sorted(seen.tolist()) == list(range(64))
-
     def test_same_cell_queries_share_a_group(self, small_grid):
         pts = make_points(small_grid, 30, seed=12)
         idx = BucketIndex(small_grid, pts.coords)
         q = np.array([[1.0, 1.0, 1.0], [1.1, 1.2, 1.05], [1.05, 0.9, 0.95]])
-        groups = list(idx.group_queries(q))
-        assert len(groups) == 1
-        assert groups[0][1].size == 3
+        assert idx.group_count(q) == 1
+        assert np.unique(idx.cell_of(q)).size == 1
+
+    def test_group_count_is_distinct_home_cells(self, index, small_grid):
+        qs = make_points(small_grid, 64, seed=11).coords
+        cc = index.cell_coords(qs)
+        assert index.group_count(qs) == len({tuple(c) for c in cc.tolist()})
+        np.testing.assert_array_equal(index.flat_cells(cc), index.cell_of(qs))
 
     def test_empty_batch(self, index):
-        assert list(index.group_queries(np.empty((0, 3)))) == []
+        assert index.group_count(np.empty((0, 3))) == 0
+
+
+class TestCandidateRuns:
+    """``candidate_runs`` (one bound table, one ``searchsorted`` per
+    segment) against the per-cell reference walk."""
+
+    def _every_cell(self, idx):
+        return np.array([
+            (cx, cy, ct)
+            for cx in range(idx.nx)
+            for cy in range(idx.ny)
+            for ct in range(idx.nt)
+        ])
+
+    def _check(self, idx):
+        cells = self._every_cell(idx)
+        starts, lengths = idx.candidate_runs(cells)
+        assert starts.shape == lengths.shape == (
+            len(cells), 9 * max(1, idx.segment_count)
+        )
+        np.testing.assert_array_equal(
+            lengths.sum(axis=1),
+            idx.box_counts[cells[:, 0], cells[:, 1], cells[:, 2]],
+        )
+        for cell in cells:
+            np.testing.assert_array_equal(
+                cell_candidates(idx, *cell), reference_candidates(idx, *cell)
+            )
+
+    def test_single_segment(self, index):
+        self._check(index)
+
+    def test_segments_with_an_empty_and_a_consolidated_one(self, small_grid):
+        pts = make_clustered_points(small_grid, 240, seed=14).coords
+        idx = BucketIndex(small_grid, merge_segment_cap=None)
+        for i in range(4):
+            idx.add_segment(i, pts[i::4])
+        idx.add_segment("empty", np.empty((0, 3)))
+        idx.consolidate_segments([0, 1, 2])
+        idx.sync([(0, pts[0::4]), (2, pts[2::4]), (3, pts[3::4]),
+                  ("empty", np.empty((0, 3)))])  # retires member 1
+        assert idx.n == 180 and idx.merged_segments == 1
+        self._check(idx)
+
+    def test_empty_inputs(self, small_grid, index):
+        starts, lengths = index.candidate_runs(np.empty((0, 3), dtype=np.int64))
+        assert starts.shape == lengths.shape == (0, 9)
+        starts, lengths = BucketIndex(small_grid).candidate_runs(
+            np.array([[0, 0, 0]])
+        )
+        assert not lengths.any()
 
 
 class TestWeights:
@@ -129,8 +183,8 @@ def _same_candidates(incremental, rebuilt):
     for cx in range(incremental.nx):
         for cy in range(incremental.ny):
             for ct in range(incremental.nt):
-                a = incremental.coords[incremental.candidates(cx, cy, ct)]
-                b = rebuilt.coords[rebuilt.candidates(cx, cy, ct)]
+                a = incremental.coords[cell_candidates(incremental, cx, cy, ct)]
+                b = rebuilt.coords[cell_candidates(rebuilt, cx, cy, ct)]
                 assert a.shape == b.shape
                 order_a = np.lexsort((a[:, 2], a[:, 1], a[:, 0]))
                 order_b = np.lexsort((b[:, 2], b[:, 1], b[:, 0]))
@@ -235,7 +289,7 @@ def test_degenerate_tiny_domain():
                     hs=5.0, ht=5.0)
     idx = BucketIndex(grid, np.array([[0.5, 0.5, 0.5]]))
     assert idx.n_cells == 1
-    assert idx.candidates(0, 0, 0).size == 1
+    assert cell_candidates(idx, 0, 0, 0).size == 1
 
 
 class TestMergePolicyAndCompaction:

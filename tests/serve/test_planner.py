@@ -23,7 +23,7 @@ from tests.serve.test_engine import voxel_center_queries
 #: that materialisation needs a real batch to amortise.
 MACHINE = MachineModel(
     c_mem=1e-9, c_point=1e-7, c_cell=2e-9, c_batch=1e-5,
-    c_pair=2e-9, c_tile=1e-6, c_lookup=5e-8, c_qgroup=5e-6,
+    c_pair=2e-9, c_tile=1e-6, c_lookup=5e-8,
     c_qcohort=5e-6, c_qprobe=1e-6,
 )
 
@@ -160,24 +160,19 @@ class TestCostModelPredictors:
         pts = make_points(small_grid, 50, seed=41)
         model = CostModel(small_grid, pts, MACHINE)
         base = model.predict_direct_query(0, 0)
-        assert base == pytest.approx(MACHINE.c_batch)
-        # Fully scattered default: one cohort and one probe per query.
+        assert base == pytest.approx(MACHINE.c_batch + MACHINE.c_qcohort)
+        # Defaults: one slab dispatch, one probe per query (all scattered).
         assert model.predict_direct_query(10, 500) == pytest.approx(
-            MACHINE.c_batch
-            + 10 * (MACHINE.c_qcohort + MACHINE.c_qprobe + MACHINE.c_point)
+            MACHINE.c_batch + MACHINE.c_qcohort
+            + 10 * (MACHINE.c_qprobe + MACHINE.c_point)
             + 500 * MACHINE.c_pair
         )
-        # Cohorts collapse the dispatch; segments multiply the probes.
+        # Slab dispatches multiply c_qcohort; segments multiply the probes.
         assert model.predict_direct_query(
             10, 500, n_groups=4, n_cohorts=2, n_segments=3
         ) == pytest.approx(
             MACHINE.c_batch + 2 * MACHINE.c_qcohort
             + 4 * 3 * MACHINE.c_qprobe + 10 * MACHINE.c_point
-            + 500 * MACHINE.c_pair
-        )
-        # The legacy per-group walk still prices its c_qgroup dispatch.
-        assert model.predict_grouped_query(10, 500, n_groups=2) == pytest.approx(
-            MACHINE.c_batch + 2 * MACHINE.c_qgroup + 10 * MACHINE.c_point
             + 500 * MACHINE.c_pair
         )
 
