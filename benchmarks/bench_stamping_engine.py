@@ -50,9 +50,15 @@ THREADS_P = 4
 #: GEMM route (the narrow grid above never does at n=1000).
 WIDE_HS, WIDE_HT = 8.0, 4.0
 
+#: Narrow-bandwidth row on a larger grid: 5 x 5 x 3 stamps scattered over
+#: four times the voxels — the init-dominated regime, where no bin is
+#: crowded and the whole batch takes the cohort route's direct scatter.
+NARROW_HS, NARROW_HT = 2.0, 1.0
+NARROW_GRID_VOXELS = (256, 256, 64)
 
-def make_grid(hs: float = HS, ht: float = HT) -> GridSpec:
-    return GridSpec(DomainSpec.from_voxels(*GRID_VOXELS), hs=hs, ht=ht)
+
+def make_grid(hs: float = HS, ht: float = HT, voxels=GRID_VOXELS) -> GridSpec:
+    return GridSpec(DomainSpec.from_voxels(*voxels), hs=hs, ht=ht)
 
 
 def make_coords(grid: GridSpec, n: int, dataset: str, seed: int = 0) -> np.ndarray:
@@ -219,6 +225,10 @@ def main(argv=None) -> int:
     # Equivalence-gated only: appended last, so the acceptance speedups
     # below keep reading the narrow-bandwidth clustered row.
     rows.append(run_cell(make_grid(WIDE_HS, WIDE_HT), "clustered", sizes[0], 2))
+    rows.append(run_cell(
+        make_grid(NARROW_HS, NARROW_HT, NARROW_GRID_VOXELS), "clustered",
+        sizes[0], 2,
+    ))
 
     backend_rows = run_backend_rows(
         grid, n=2_000 if args.smoke else 10_000,
@@ -278,6 +288,9 @@ def main(argv=None) -> int:
             "ht": HT,
             "wide_row_hs": WIDE_HS,
             "wide_row_ht": WIDE_HT,
+            "narrow_row_hs": NARROW_HS,
+            "narrow_row_ht": NARROW_HT,
+            "narrow_row_grid_voxels": list(NARROW_GRID_VOXELS),
             "stamp_cells": int((2 * grid.Hs + 1) ** 2 * (2 * grid.Ht + 1)),
             "threads_P": THREADS_P,
             "cpus_available": len(os.sched_getaffinity(0))

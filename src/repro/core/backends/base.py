@@ -50,11 +50,11 @@ class ComputeBackend:
     """Interface of a pair-evaluation backend.
 
     Subclasses set :attr:`name` and implement the three primitives.  The
-    scatter/gather plumbing around them (slab planning, bincount scatter,
-    CSR run flattening, the Hansen–Hurwitz estimator arithmetic) stays in
-    the callers — it is index bookkeeping, not pair arithmetic, and keeping
-    it shared is what guarantees every backend answers the same candidate
-    sets in the same order.
+    scatter/gather plumbing around them (slab planning, the indexed-add
+    scatter, CSR run flattening, the Hansen–Hurwitz estimator arithmetic)
+    stays in the callers — it is index bookkeeping, not pair arithmetic,
+    and keeping it shared is what guarantees every backend answers the
+    same candidate sets in the same order.
     """
 
     #: Registry name (``"numpy-ref"``, ``"numpy-fused"``, ``"numba"``).

@@ -329,7 +329,10 @@ class IncrementalSTKDE:
 
         Weighted :class:`PointSet` s are rejected: the unnormalised
         accumulator sums unit stamps, so silently dropping weights would
-        serve a different estimator than the caller built.
+        serve a different estimator than the caller built.  Raw arrays get
+        the finiteness check :class:`PointSet` applies to its own: a NaN
+        or infinite coordinate would be counted as an event and cast to
+        an arbitrary voxel.
         """
         if isinstance(points, PointSet):
             if points.weights is not None:
@@ -339,7 +342,10 @@ class IncrementalSTKDE:
                     "or drop the weights explicitly"
                 )
             return points.coords
-        return np.asarray(points, dtype=np.float64)
+        coords = np.asarray(points, dtype=np.float64)
+        if not np.all(np.isfinite(coords)):
+            raise ValueError("point coordinates must be finite")
+        return coords
 
     def add(self, points: PointSet | np.ndarray) -> None:
         """Insert events (stamps their cylinders; O(batch * stamp)).
@@ -444,6 +450,8 @@ class IncrementalSTKDE:
         slide's kernel work is proportional to one straddle slab, not to
         every survivor of a partially-expired batch.
         """
+        # Reject a malformed feed before anything is retired.
+        new_points = self._coerce_unweighted(new_points)
         retired = 0
         kept_batches: List[_TrackedBatch] = []
         for tb in self._live:
@@ -552,6 +560,12 @@ class IncrementalSTKDE:
         the live membership alone, no matter how many slides produced
         it.  Otherwise it reads the running accumulator (fp-equivalent,
         not bit-canonical: subtraction order follows history).
+
+        Only the accumulator is clamped at zero: the clamp removes the
+        cancellation noise subtraction leaves, and the composition adds
+        ``+1``-normed stamps into zeros and never subtracts — exactly what
+        a cold batch estimate does, unclamped.  Skipping the full-volume
+        pass there leaves the output bit-equal for every registered kernel.
         """
         if self._n == 0:
             return Volume(np.zeros(self.grid.shape), self.grid)
@@ -559,11 +573,11 @@ class IncrementalSTKDE:
         data = self._canonical_composition()
         if data is None:
             data = self._acc * norm
+            # Float cancellation from removals can leave tiny negatives
+            # (~1e-17); clamp exact-zero level noise only.
+            np.maximum(data, 0.0, out=data)
         else:
             data *= norm
-        # Float cancellation from removals can leave tiny negatives
-        # (~1e-17); clamp exact-zero level noise only.
-        np.maximum(data, 0.0, out=data)
         return Volume(data, self.grid)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

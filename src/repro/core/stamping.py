@@ -21,8 +21,10 @@ number of residual shape cohorts — then
    kernel products for the other cost profiles) as one ``(m, wx, wy, wt)``
    array, and
 3. scatter-accumulate the contributions into the volume with a single
-   ``bincount`` over the cohort slab's bounding box (dense cohorts) or a
-   thin slice-add sweep (sparse cohorts) — never per-point kernel dispatch.
+   unbuffered indexed add per cohort slab (``np.add.at`` over the target's
+   flat view, at ``stamp origin + cell offset``) — no bounding box, no
+   partial volume, never per-point dispatch; the scatter costs what the
+   stamped cells cost, however far apart the stamps lie.
 
 PB-SYM (``mode="sym"``) first takes a shortcut the other profiles cannot:
 a point's cylinder *is* ``disk (x) bar``, so the cylinders of ``m`` nearby
@@ -33,7 +35,7 @@ stamps cover a good fraction of its box, see :func:`_stamp_crowded_bins` —
 tabulates its disks ``(m, BX, BY)`` and bars ``(m, BT)`` once in the box
 frame and reduces them with a single ``disk.reshape(m, -1).T @ bar``
 followed by one slice-add of the ``(BX, BY, BT)`` partial: no 4-D
-contribution array, no flat index array, no ``bincount``.  Points in bins
+contribution array, no flat index array.  Points in bins
 that are not crowded, and the per-voxel baseline modes, take the cohort
 route above unchanged; a batch with no crowded bin leaves the shortcut
 after one ``bincount`` of bin keys.  Exact partial sums over disjoint
@@ -45,15 +47,17 @@ expressions per cell as the legacy per-point path (same ``d^2 < hs^2`` /
 ``|dt| <= ht`` masks, same voxel-centre offsets; a cell of a bin's box
 outside a point's own window lies outside that point's kernel support
 and tabulates to zero).  What differs is the order of the additions into
-a voxel.  The cohort route accumulates in ascending point order within
-each slab.  Crowded bins accumulate in **BLAS order**: the GEMM sums a
-bin's points in whatever blocking the library chooses, bin partials are
-added bin by bin, and the normalisation (and any weight) is folded into
-the bar rather than the disk.  Each is a reassociation of the same
-non-cancelling sum, so engine and legacy
-volumes agree to ~1e-15 relative — the equivalence suite pins the bound
-at ``rtol=1e-12`` for every registered kernel, every route, and a
-brute-force kernel sum.  Results are deterministic for a given batch,
+a voxel.  The cohort route is **bit-identical to sequential stamping
+within a slab**: the indexed add performs exactly the additions of one
+slice-add per stamp, in ascending order of the slab's (origin-sorted)
+points, so only the cohort/slab grouping reorders anything.  Crowded bins
+accumulate in **BLAS order**: the GEMM sums a bin's points in whatever
+blocking the library chooses, bin partials are added bin by bin, and the
+normalisation (and any weight) is folded into the bar rather than the
+disk.  Each is a reassociation of the same non-cancelling sum, so engine
+and legacy volumes agree to ~1e-15 relative — the equivalence suite pins
+the bound at ``rtol=1e-12`` for every registered kernel, every route, and
+a brute-force kernel sum.  Results are deterministic for a given batch,
 grid and BLAS build, but not bit-identical across different batchings of
 the same points.  Work counters report the identical logical operation
 counts as the per-point path (clipped-window sums on every route), plus
@@ -61,9 +65,11 @@ two batching statistics (``stamp_batches``, ``stamp_cohorts`` — the
 latter counts tabulation groups: cohorts plus GEMM chunks) that feed the
 Section 6.5 cost model.
 
-Because each cohort slab is a handful of large GIL-releasing NumPy kernels,
-this engine is also what makes the ``threads`` backend genuinely scale —
-see :func:`repro.parallel.executors.run_threaded_stamping`.
+Each cohort slab is a handful of large NumPy kernels, which is what
+:func:`repro.parallel.executors.run_threaded_stamping` shards across
+threads; whether that wins over the serial engine is a measured quantity
+(``parallel.threads_p2_speedup`` in the perfbench ledger), not a property
+of this module.
 """
 
 from __future__ import annotations
@@ -86,18 +92,16 @@ __all__ = ["stamp_batch", "batch_windows", "masked_kernel_product", "STAMP_MODES
 #: ``"bar"`` tabulates the bar and evaluates ``k_s`` per voxel (PB-BAR).
 STAMP_MODES = ("sym", "pb", "disk", "bar")
 
-#: Cap on contribution cells materialised per cohort slab (~4 MB of f8).
-#: Kept L3-sized on purpose: cohorts are sorted by window origin before
-#: slabbing, so a slab's scatter stays inside a compact bounding box and
-#: the bincount accumulator stays cache-resident (measured ~25% faster
-#: than one grid-wide scatter at 32 MB slabs).
+#: Cap on contribution cells materialised per cohort slab (~4 MB of f8,
+#: plus as many flat indices).  Kept L3-sized on purpose: cohorts are
+#: sorted by window origin before slabbing, so a slab's tables, indices
+#: and the region of the target it writes stay cache-resident.
 _SLAB_CELLS = 1 << 19
 
-#: Scatter densification threshold: a slab whose contributions cover at
-#: least this fraction of its bounding box is accumulated with one
-#: ``bincount`` over the box; sparser slabs use per-window slice adds so a
-#: few isolated stamps never pay a near-volume-sized temporary.
-_DENSE_SCATTER_FRACTION = 0.125
+#: Crowding cover of the per-bin GEMM rule: a bin whose clipped stamp
+#: cells add up to at least this fraction of its box (bin + halo) is
+#: reduced over the box with one matrix product instead of cell by cell.
+_CROWD_COVER = 0.125
 
 #: Least stamp cells a bin must hold to be crowded, whatever its box:
 #: below this the bin's fixed dispatch (a dozen NumPy calls) costs more
@@ -198,46 +202,47 @@ def _scatter_slab(
 ) -> None:
     """Accumulate a cohort slab's contribution cylinders into ``vol``.
 
-    Dense slabs (stamps covering a good fraction of their joint bounding
-    box) are scattered with one ``bincount`` over the box — a single C
-    loop, with additions performed in ascending point order.  Sparse slabs
-    fall back to one slice-add per stamp, which is exactly the legacy
-    accumulation and avoids a near-volume-sized temporary for a handful of
-    isolated points.
+    One unbuffered indexed add over the target's flat view: stamp ``i``'s
+    cell ``c`` lands at ``home[i] + cell[c]``, with ``home`` the stamp's
+    origin and ``cell`` the cohort shape's offsets, both in ``vol``'s own
+    element strides.  ``np.add.at`` walks the pairs in order — stamp by
+    stamp, each stamp's cells once — which is the very sequence of
+    additions of one slice-add per stamp, so the two are bit-identical;
+    the cost follows the cells written, not the box that contains them.
+
+    A non-contiguous ``vol`` has no flat view (``reshape`` would copy and
+    the adds be lost) and takes the per-stamp slice-adds.  A flat index
+    outside ``vol`` would wrap silently where a slice raised, so windows
+    that leave the target are rejected first.
     """
     m, wx, wy, wt = contrib.shape
     ox, oy, ot = vol_origin
-    bx0 = int(x0.min())
-    by0 = int(y0.min())
-    bt0 = int(t0.min())
-    bwx = int(x0.max()) + wx - bx0
-    bwy = int(y0.max()) + wy - by0
-    bwt = int(t0.max()) + wt - bt0
-    box = bwx * bwy * bwt
-
-    if contrib.size >= _DENSE_SCATTER_FRACTION * box:
-        # int32 keeps the index traffic at half the float traffic; a box
-        # never exceeds the volume, which is far below 2^31 cells here.
-        IX = (x0[:, None] - bx0 + np.arange(wx)[None, :]).astype(np.int32)
-        IY = (y0[:, None] - by0 + np.arange(wy)[None, :]).astype(np.int32)
-        IT = (t0[:, None] - bt0 + np.arange(wt)[None, :]).astype(np.int32)
-        base = (IX[:, :, None] * bwy + IY[:, None, :]) * bwt
-        flat = base[:, :, :, None] + IT[:, None, None, :]
-        partial = np.bincount(
-            flat.reshape(-1), weights=contrib.reshape(-1), minlength=box
+    sx, sy, st = vol.shape
+    x0, y0, t0 = x0 - ox, y0 - oy, t0 - ot
+    if (
+        x0.min() < 0 or y0.min() < 0 or t0.min() < 0
+        or x0.max() + wx > sx or y0.max() + wy > sy or t0.max() + wt > st
+    ):
+        raise ValueError(
+            f"stamp windows leave the target: vol of shape {vol.shape} at "
+            f"vol_origin={vol_origin} does not contain every clipped window "
+            "(pass clip= to restrict the stamps to the target's window)"
         )
-        vol[
-            bx0 - ox : bx0 - ox + bwx,
-            by0 - oy : by0 - oy + bwy,
-            bt0 - ot : bt0 - ot + bwt,
-        ] += partial.reshape(bwx, bwy, bwt)
-    else:
+    if not vol.flags.c_contiguous:
         for i in range(m):
             vol[
-                x0[i] - ox : x0[i] - ox + wx,
-                y0[i] - oy : y0[i] - oy + wy,
-                t0[i] - ot : t0[i] - ot + wt,
+                x0[i] : x0[i] + wx, y0[i] : y0[i] + wy, t0[i] : t0[i] + wt
             ] += contrib[i]
+        return
+    # The fast ufunc.at loop needs a 1-D target, intp indices and float64
+    # values; the multi-index form is an order of magnitude slower.
+    home = (x0 * sy + y0) * st + t0
+    cell = (
+        (np.arange(wx)[:, None, None] * sy + np.arange(wy)[None, :, None]) * st
+        + np.arange(wt)[None, None, :]
+    ).reshape(-1)
+    flat = home[:, None] + cell[None, :]
+    np.add.at(vol.reshape(-1), flat.reshape(-1), contrib.reshape(-1))
 
 
 def _bin_edges(grid: GridSpec) -> Tuple[int, int, int]:
@@ -272,12 +277,10 @@ def _stamp_crowded_bins(
 
     Live points are binned on the fixed :func:`_bin_edges` lattice.  A bin
     is *crowded* when its points' clipped stamp cells add up to
-    :data:`_DENSE_SCATTER_FRACTION` of its box (bin + halo, no larger than
-    the clipped grid) — the cover at which :func:`_scatter_slab`, too,
-    stops adding stamp by stamp and accumulates over the box — and to at
-    least :data:`_MIN_BIN_CELLS`.  Tabulating every point's disk and bar
-    over the whole box then costs less than scattering the stamps one cell
-    at a time.  Each crowded bin is reduced as
+    :data:`_CROWD_COVER` of its box (bin + halo, no larger than the
+    clipped grid) and to at least :data:`_MIN_BIN_CELLS`.  Tabulating
+    every point's disk and bar over the whole box then costs less than
+    scattering the stamps one cell at a time.  Each crowded bin is reduced as
     ``disk.reshape(m, -1).T @ bar`` — the sum over its points of
     ``disk (x) bar`` — and added to ``vol`` with one slice-add.  The box is
     the bounding box of the bin's clipped windows, so it lies inside the
@@ -297,7 +300,7 @@ def _stamp_crowded_bins(
         * min(edges[1] + 2 * grid.Hs, lim.y1 - lim.y0)
         * min(edges[2] + 2 * grid.Ht, lim.t1 - lim.t0)
     )
-    crowd_cells = max(_DENSE_SCATTER_FRACTION * box_cells, _MIN_BIN_CELLS)
+    crowd_cells = max(_CROWD_COVER * box_cells, _MIN_BIN_CELLS)
     if live.size * (2 * grid.Hs + 1) ** 2 * (2 * grid.Ht + 1) < crowd_cells:
         return live  # too few stamps to crowd even one bin
     if live.size < vox.shape[0]:
@@ -389,6 +392,10 @@ def stamp_batch(
     vol:
         Target array: a full ``(Gx, Gy, Gt)`` volume or a subarray whose
         voxel ``(0, 0, 0)`` sits at ``vol_origin`` in grid coordinates.
+        It must contain every clipped stamp window (``ValueError``
+        otherwise — pass ``clip`` with a smaller buffer).  C-contiguous
+        targets take the flat indexed add; any other layout is
+        accumulated with one slice-add per stamp, to the same bits.
     coords:
         ``(n, 3)`` rows of ``(x, y, t)`` in domain space.
     norm:
@@ -463,10 +470,10 @@ def stamp_batch(
     for k in range(n_cohorts):
         idx = live[inverse == k]
         counter.stamp_cohorts += 1
-        # Sort the cohort by window origin so that consecutive slabs cover
-        # compact bounding boxes: the scatter accumulator stays small and
-        # cache-resident even when the cohort spans the whole grid.
-        # Deterministic (lexicographic) accumulation order within a slab.
+        # Sort the cohort by window origin so that consecutive slabs write
+        # compact, cache-resident regions of the target even when the
+        # cohort spans the whole grid.  Deterministic (lexicographic)
+        # accumulation order within a slab.
         idx = idx[np.lexsort((T0[idx], Y0[idx], X0[idx]))]
         cwx = int(wx[idx[0]])
         cwy = int(wy[idx[0]])

@@ -8,6 +8,7 @@ import pytest
 from repro.algorithms import pb_sym
 from repro.core import DomainSpec, GridSpec, PointSet
 from repro.core.incremental import IncrementalSTKDE
+from repro.core.kernels import available_kernels
 
 from tests.helpers import make_points
 
@@ -542,6 +543,25 @@ class TestVolumeSemantics:
         np.testing.assert_allclose(
             inc.volume().data.max(), pb_sym(pts, grid).data.max(), rtol=1e-12
         )
+
+    @pytest.mark.parametrize("kernel", available_kernels())
+    def test_composed_volume_needs_no_clamp(self, grid, kernel):
+        """The canonical composition only adds into zeros, so the clamp
+        ``volume()`` keeps for the accumulator would be a no-op pass on
+        it: no negative, no ``-0.0`` — bit-equal with or without."""
+        rng = np.random.default_rng(70)
+        inc = IncrementalSTKDE(grid, kernel=kernel)
+        for step in range(12):
+            feed = np.column_stack([
+                rng.uniform(0, grid.domain.gx, 25),
+                rng.uniform(0, grid.domain.gy, 25),
+                rng.uniform(2.0 * step, 2.0 * step + 2.0, 25),
+            ])
+            inc.slide_window(feed, t_horizon=2.0 * (step - 4))
+        assert inc._canonical_composition() is not None
+        data = inc.volume().data
+        assert data.any() and not np.signbit(data).any()
+        assert np.maximum(data, 0.0).tobytes() == data.tobytes()
 
     def test_normalisation_tracks_n(self, grid):
         """Adding a far-away batch rescales earlier contributions by n."""

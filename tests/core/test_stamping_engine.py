@@ -27,6 +27,7 @@ from repro.core.backends import (
     available_backends,
 )
 from repro.core.kernels import available_kernels, get_kernel
+import repro.core.stamping as stamping
 from repro.core.stamping import STAMP_MODES, batch_windows, stamp_batch
 
 from tests.helpers import CUSTOM_KERNEL, make_clustered_points, make_points
@@ -494,6 +495,175 @@ class TestCrowdedBinGemm:
         )
 
 
+def slice_add_scatter(vol, contrib, x0, y0, t0, vol_origin):
+    """The legacy accumulation: one slice-add per stamp, in slab order."""
+    ox, oy, ot = vol_origin
+    _, wx, wy, wt = contrib.shape
+    for i in range(contrib.shape[0]):
+        vol[
+            x0[i] - ox : x0[i] - ox + wx,
+            y0[i] - oy : y0[i] - oy + wy,
+            t0[i] - ot : t0[i] - ot + wt,
+        ] += contrib[i]
+
+
+class TestDirectScatter:
+    """The cohort route's scatter: one flat ``np.add.at`` per slab, pinned
+    bit-for-bit against per-stamp slice-adds over the same tables."""
+
+    #: Every WorkCounter field the engine writes, as the slice-add/bincount
+    #: scatter left them on ``batch()`` (tabulation is not the scatter's).
+    COUNTERS = {
+        "sym": dict(madds=20909, spatial_evals=7123, temporal_evals=881,
+                    distance_tests=8004),
+        "pb": dict(madds=20909, spatial_evals=20909, temporal_evals=20909,
+                   distance_tests=20909),
+        "disk": dict(madds=20909, spatial_evals=7123, temporal_evals=20909,
+                     distance_tests=28032),
+        "bar": dict(madds=20909, spatial_evals=20909, temporal_evals=881,
+                    distance_tests=21790),
+    }
+
+    @pytest.fixture
+    def narrow(self):
+        # 5 x 5 x 3 stamps; no bin of these batches is crowded.
+        return GridSpec(DomainSpec.from_voxels(48, 40, 24), hs=2.0, ht=1.0)
+
+    @staticmethod
+    def batch():
+        """300 uniform points, boundary stamps (residual cohorts) included."""
+        return np.random.default_rng(50).uniform(0, [48, 40, 24], (300, 3))
+
+    @staticmethod
+    def both(monkeypatch, shape, *args, **kw):
+        """``(engine, reference)``: same tables, flat add vs slice-adds."""
+        got = np.zeros(shape)
+        stamp_batch(got, *args, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(stamping, "_scatter_slab", slice_add_scatter)
+            ref = np.zeros(shape)
+            stamp_batch(ref, *args, **kw)
+        assert ref.any()
+        return got, ref
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("kname", list(available_kernels()) + ["custom"])
+    @pytest.mark.parametrize("mode", STAMP_MODES)
+    def test_bit_identical_to_slice_adds(self, narrow, monkeypatch, mode,
+                                         kname, weighted):
+        kern = CUSTOM_KERNEL if kname == "custom" else get_kernel(kname)
+        coords = self.batch()
+        w = (np.random.default_rng(51).uniform(0.2, 3.0, len(coords))
+             if weighted else None)
+        got, ref = self.both(monkeypatch, narrow.shape, narrow, kern, coords,
+                             0.37, WorkCounter(), mode=mode, weights=w)
+        np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("mode", STAMP_MODES)
+    def test_retirement_clip_and_offset_buffer(self, narrow, monkeypatch, mode):
+        """``RegionBuffer.stamp`` at ``norm=-1``: a window of the grid."""
+        win = VoxelWindow(5, 31, 4, 29, 3, 17)
+        got, ref = self.both(
+            monkeypatch, win.shape, narrow, get_kernel("epanechnikov"),
+            self.batch(), -1.0, WorkCounter(), mode=mode, clip=win,
+            vol_origin=(win.x0, win.y0, win.t0),
+        )
+        np.testing.assert_array_equal(got, ref)
+        assert got.min() < 0.0 and got.max() <= 0.0
+
+    def test_coincident_points_all_accumulate(self, narrow, monkeypatch):
+        """Duplicated flat indices: a buffered ``flat[idx] += c`` keeps one."""
+        kern = get_kernel("epanechnikov")
+        coords = np.tile([[20.3, 17.6, 11.4]], (100, 1))
+        got, ref = self.both(monkeypatch, narrow.shape, narrow, kern, coords,
+                             1.0, WorkCounter())
+        np.testing.assert_array_equal(got, ref)
+        one = np.zeros(narrow.shape)
+        stamp_batch(one, narrow, kern, coords[:1], 1.0, WorkCounter())
+        np.testing.assert_allclose(got, 100.0 * one, rtol=RTOL, atol=ATOL)
+
+    @pytest.mark.parametrize("m", [185, 200])
+    def test_scattered_stamps_either_side_of_the_old_fork(self, monkeypatch, m):
+        """Box cover just below and just above 1/8 — where the parent chose
+        between per-stamp adds and a ``bincount`` over the bounding box."""
+        grid = GridSpec(DomainSpec.from_voxels(64, 64, 32), hs=2.0, ht=1.0)
+        kern = get_kernel("epanechnikov")
+        rng = np.random.default_rng(52)
+        coords = rng.uniform([3, 3, 2], [61, 61, 30], (m, 3))  # all interior
+        X0, X1, Y0, Y1, T0, T1 = batch_windows(grid, coords)
+        box = ((X1.max() - X0.min()) * (Y1.max() - Y0.min())
+               * (T1.max() - T0.min()))
+        cover = m * 75 / box
+        assert (0.115 < cover < 0.125) if m == 185 else (0.125 < cover < 0.135)
+        c = WorkCounter()
+        got, ref = self.both(monkeypatch, grid.shape, grid, kern, coords,
+                             0.5, c)
+        assert c.stamp_cohorts == 2  # one full-shape cohort in each run
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_allclose(got, brute_force(grid, kern, coords, 0.5),
+                                   rtol=RTOL, atol=ATOL)
+
+    @pytest.mark.parametrize("mode", STAMP_MODES)
+    def test_one_stamp_slabs_are_bit_identical(self, narrow, mode):
+        """Slabs only cut an ordered sequence of additions."""
+        kern = get_kernel("quartic")
+        vols = []
+        for slab_cells in (1, stamping._SLAB_CELLS):
+            vol = np.zeros(narrow.shape)
+            stamp_batch(vol, narrow, kern, self.batch(), 1.0, WorkCounter(),
+                        mode=mode, slab_cells=slab_cells)
+            vols.append(vol)
+        np.testing.assert_array_equal(*vols)
+
+    @pytest.mark.parametrize("mode", STAMP_MODES)
+    def test_counters_untouched(self, narrow, mode):
+        c = WorkCounter()
+        stamp_batch(np.zeros(narrow.shape), narrow, get_kernel("epanechnikov"),
+                    self.batch(), 1.0, c, mode=mode)
+        for key, value in self.COUNTERS[mode].items():
+            assert getattr(c, key) == value, key
+        assert c.stamp_batches == 1
+        assert c.stamp_cohorts == 9
+        assert c.backend_dispatches == {"numpy-ref": 9}
+
+    @pytest.mark.parametrize("kname", list(available_kernels()) + ["custom"])
+    def test_matches_brute_force(self, narrow, kname):
+        kern = CUSTOM_KERNEL if kname == "custom" else get_kernel(kname)
+        coords = self.batch()
+        norm = narrow.normalization(len(coords))
+        vol = np.zeros(narrow.shape)
+        stamp_batch(vol, narrow, kern, coords, norm, WorkCounter())
+        np.testing.assert_allclose(vol, brute_force(narrow, kern, coords, norm),
+                                   rtol=RTOL, atol=ATOL)
+
+    @pytest.mark.parametrize("layout", ["strided", "fortran"])
+    def test_non_contiguous_target_takes_slice_adds(self, narrow, layout):
+        """``reshape(-1)`` of such a target is a copy: the flat adds would
+        be lost, so the per-stamp fallback must carry them."""
+        kern = get_kernel("epanechnikov")
+        coords = self.batch()
+        flat = np.zeros(narrow.shape)
+        stamp_batch(flat, narrow, kern, coords, 1.0, WorkCounter())
+        if layout == "strided":
+            backing = np.zeros((narrow.Gx, narrow.Gy, 2 * narrow.Gt))
+            target = backing[:, :, ::2]
+        else:
+            backing = target = np.zeros(narrow.shape, order="F")
+        assert not target.flags.c_contiguous
+        stamp_batch(target, narrow, kern, coords, 1.0, WorkCounter())
+        np.testing.assert_array_equal(target, flat)
+        if layout == "strided":
+            assert not backing[:, :, 1::2].any()
+
+    @pytest.mark.parametrize("origin", [(6, 0, 0), (0, 0, 4), (0, 0, 0)])
+    def test_window_outside_target_raises(self, narrow, origin):
+        """A flat index that leaves the target would wrap silently."""
+        buf = np.zeros((narrow.Gx - 6, narrow.Gy, narrow.Gt - 4))
+        with pytest.raises(ValueError, match="leave the target"):
+            stamp_batch(buf, narrow, get_kernel("epanechnikov"), self.batch(),
+                        1.0, WorkCounter(), vol_origin=origin)
+
+
 @st.composite
 def clustered_case(draw):
     grid = GridSpec(
@@ -501,7 +671,10 @@ def clustered_case(draw):
             draw(st.integers(6, 40)), draw(st.integers(6, 40)),
             draw(st.integers(6, 30)),
         ),
-        hs=draw(st.floats(0.6, 9.0)), ht=draw(st.floats(0.6, 5.0)),
+        # Half the cases narrow (Hs in {1, 2}, Ht = 1: stamps of 27-75
+        # cells that no bin can crowd), half up to the GEMM route's sizes.
+        hs=draw(st.one_of(st.floats(0.3, 2.0), st.floats(0.6, 9.0))),
+        ht=draw(st.one_of(st.floats(0.3, 1.0), st.floats(0.6, 5.0))),
     )
     span = np.array([grid.Gx, grid.Gy, grid.Gt], dtype=np.float64)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))

@@ -74,3 +74,76 @@ def test_non_finite_queries_are_rejected(entries, entry, bad):
 def test_bad_shapes_are_rejected(entries, entry):
     with pytest.raises(ValueError, match=r"\(m, 3\)"):
         entries[entry](np.zeros((3, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Mutation entries: a raw array bypasses PointSet's own finiteness check.
+# ---------------------------------------------------------------------------
+MUTATIONS = (
+    "incremental.add", "incremental.remove", "incremental.slide_window",
+    "sharded.add", "sharded.slide_window", "frontend.slide_window",
+)
+
+
+@pytest.fixture(scope="module")
+def mutations():
+    """``{entry: (mutate(rows), state())}`` over live sources seeded alike.
+
+    ``state()`` is everything a rejected feed must leave alone: the event
+    count, the version, and the tracked batches (per-shard counts for the
+    sharded tier, whose batches live in the workers).
+    """
+    from repro.core.incremental import IncrementalSTKDE
+
+    grid = GridSpec(DomainSpec.from_voxels(16, 16, 16), hs=2.0, ht=2.0)
+    seed = np.random.default_rng(6).uniform(0, 16.0, size=(120, 3))
+    machine = MachineModel.nominal()
+
+    def inc_state(inc):
+        return lambda: (
+            inc.n, inc.version,
+            tuple((bid, rows.tobytes()) for bid, rows in inc.live_batches),
+        )
+
+    inc = IncrementalSTKDE(grid)
+    inc.add(seed)
+    served = IncrementalSTKDE(grid)
+    served.add(seed)
+    svc = DensityService(served, grid, machine=machine)
+
+    async def frontend_slide(rows):
+        async with TrafficFrontend(svc) as fe:
+            await fe.slide_window(rows, 4.0)
+
+    with ShardedDensityService(None, grid, workers=2, machine=machine) as sh:
+        sh.add(seed)
+
+        def sharded_state():
+            return sh.events, sh.version, tuple(sh.stats()["shard_events"])
+
+        yield {
+            "incremental.add": (inc.add, inc_state(inc)),
+            "incremental.remove": (inc.remove, inc_state(inc)),
+            "incremental.slide_window": (
+                lambda rows: inc.slide_window(rows, 4.0), inc_state(inc)),
+            "sharded.add": (sh.add, sharded_state),
+            "sharded.slide_window": (
+                lambda rows: sh.slide_window(rows, 4.0), sharded_state),
+            "frontend.slide_window": (
+                lambda rows: asyncio.run(frontend_slide(rows)),
+                inc_state(served)),
+        }
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("entry", MUTATIONS)
+def test_non_finite_events_are_rejected(mutations, entry, bad):
+    mutate, state = mutations[entry]
+    before = state()
+    for axis in range(3):
+        rows = np.array([GOOD, GOOD])
+        rows[0, axis] = bad
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            mutate(rows)
+        # Neither counted, stamped, versioned nor (on a slide) retired.
+        assert state() == before
