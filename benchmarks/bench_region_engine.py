@@ -11,7 +11,7 @@ Measures the write paths the engine unified:
    region-cached estimator vs recomputing the window from scratch with
    sequential PB-SYM.
 3. **Slide pipeline (t-slabbed retirement)**: sustained slides cutting
-   through a clustered ``n=1e5`` window — t-slab caches (subtract
+   through a clustered ``n=1e5`` window — t-slab caches (drop
    expired slabs + restamp one straddle) vs the restamp-survivors
    baseline (``t_slab_voxels=None``), sweeping slab thickness.  The
    acceptance gate requires >= 3x fewer kernel evaluations
@@ -199,9 +199,13 @@ def slide_pipeline_cells(grid: GridSpec, n: int, n_slides: int) -> list:
     One big batch spans most of the t-domain (the backfill / dense-feed
     shape whose partial retirement is the expensive case); every slide
     feeds a small fresh batch and advances the horizon *through* the big
-    batch.  The restamp-survivors baseline (``t_slab_voxels=None``)
+    batch.  The window lives in one xy quadrant of the grid: the
+    estimator slabs a batch only while its slab boxes together fit in
+    half the grid, and the overlapping slab boxes of a domain-wide
+    clustered batch total ~1.5 grids (it would stay one whole unit and
+    every config would measure the baseline).  The restamp-survivors baseline (``t_slab_voxels=None``)
     re-tabulates kernels for every survivor per slide; the t-slab configs
-    subtract expired slabs and restamp only the straddle.  Kernel
+    drop expired slabs and restamp only the straddle.  Kernel
     evaluations are deterministic (WorkCounter), wall time measured, and
     every config's final volume is pinned against a cold PB-SYM recompute
     of the live window at rtol=1e-12 in this very function.
@@ -209,12 +213,18 @@ def slide_pipeline_cells(grid: GridSpec, n: int, n_slides: int) -> list:
     from repro.algorithms.pb_sym import pb_sym
 
     span = np.array([grid.domain.gx, grid.domain.gy, grid.domain.gt])
-    big = make_coords(grid, n, "clustered", seed=17)
+
+    def quadrant(n_pts: int, seed: int) -> np.ndarray:
+        pts = make_coords(grid, n_pts, "clustered", seed=seed)
+        pts[:, :2] *= 0.5
+        return pts
+
+    big = quadrant(n, 17)
     big[:, 2] = np.random.default_rng(18).uniform(0, 0.6 * span[2], size=n)
     n_feed = max(1, n // 20)
 
     def feed(k: int) -> np.ndarray:
-        pts = make_coords(grid, n_feed, "clustered", seed=60 + k)
+        pts = quadrant(n_feed, 60 + k)
         lo = (0.62 + 0.05 * k) * span[2]
         pts[:, 2] = np.random.default_rng(80 + k).uniform(
             lo, min(lo + 0.05 * span[2], span[2] * (1 - 1e-9)), size=n_feed
@@ -233,8 +243,7 @@ def slide_pipeline_cells(grid: GridSpec, n: int, n_slides: int) -> list:
     ):
         counter = WorkCounter()
         inc = IncrementalSTKDE(
-            grid, counter=counter, cache_fraction=2.0,
-            t_slab_voxels=slab_voxels,
+            grid, counter=counter, t_slab_voxels=slab_voxels,
         )
         inc.add(big)
         # Retirement cost in isolation: the horizon advance is timed on

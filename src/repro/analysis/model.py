@@ -411,26 +411,21 @@ class SlidePrediction:
     """Predicted cost of one window slide, per retirement strategy.
 
     ``slab_seconds``
-        t-slabbed retirement: subtract the expired slabs' cached boxes,
-        then subtract and restamp only the straddle slab's survivors.
+        t-slabbed retirement: drop the expired slabs' boxes and restamp
+        only the straddle slab's survivors.
     ``restamp_seconds``
-        The monolithic-cache baseline: subtract the batch's whole cached
-        box and restamp *every* survivor.
-    ``negative_seconds``
-        The uncached fallback: stamp the expired events negatively
-        (kernel work proportional to what *left*, no cache memory).
+        The monolithic baseline: drop the batch's one whole box and
+        restamp *every* survivor.
     """
 
     slab_seconds: float
     restamp_seconds: float
-    negative_seconds: float
 
     @property
     def best(self) -> str:
         costs = {
             "slab": self.slab_seconds,
             "restamp": self.restamp_seconds,
-            "negative": self.negative_seconds,
         }
         return min(costs, key=costs.get)
 
@@ -663,7 +658,7 @@ class CostModel:
         n_straddle_survivors: Optional[int] = None,
         slab_voxels: Optional[int] = None,
     ) -> SlidePrediction:
-        """Price one window slide under the three retirement strategies.
+        """Price one window slide under the two retirement strategies.
 
         ``n_expired`` / ``n_survivors`` describe the partially-expired
         batch, ``bbox_cells`` its monolithic cache box, and
@@ -678,8 +673,10 @@ class CostModel:
         batch.  :meth:`choose_slab_voxels` sweeps this thickness to plan
         the retirement granularity per batch.  This is the trade
         :class:`~repro.core.incremental.IncrementalSTKDE` makes per slide
-        — subtractions are memory-rate, restamps pay kernel work — and
-        what the slide-pipeline benchmark sweeps.
+        and what the slide-pipeline benchmark sweeps: restamps pay kernel
+        work, and the ``c_mem`` terms stand for the box traffic a
+        thickness implies per slide-and-read cycle — expiry itself drops
+        a box for free; the read that composes the live boxes pays it.
         """
         m = self.machine
         total = max(n_expired + n_survivors, 1)
@@ -698,8 +695,9 @@ class CostModel:
             n_straddle_survivors = min(
                 n_survivors, int(total * min(1.0, slab_t / span_t))
             )
-        # Slab path: expired boxes subtract at memory rate; the straddle
-        # box subtracts, its survivors restamp into a fresh buffer.
+        # Slab path: box traffic of the expired slabs and of the straddle
+        # slab (old box out, fresh box in) at memory rate; the straddle's
+        # survivors restamp.
         slab = m.c_mem * (expired_slab_cells + 2 * straddle_cells)
         if n_straddle_survivors:
             slab += self.batch_cost(n_straddle_survivors)
@@ -708,8 +706,7 @@ class CostModel:
         restamp = m.c_mem * bbox_cells * (1 + n_survivors / total)
         if n_survivors:
             restamp += self.batch_cost(n_survivors)
-        negative = self.batch_cost(n_expired) if n_expired else 0.0
-        return SlidePrediction(slab, restamp, negative)
+        return SlidePrediction(slab, restamp)
 
     def predict_merge(
         self, n_rows: int, n_segments: int, n_groups: int
@@ -782,7 +779,7 @@ class CostModel:
         steady-state slide per candidate: a horizon advance of
         ``slide_t_voxels`` expires that share of whole slabs (each buffer
         carrying one stamp extent of t-overlap, the cost of *fine*
-        slabs), subtracts and restamps one straddle slab of the candidate
+        slabs), replaces and restamps one straddle slab of the candidate
         thickness (the cost of *coarse* slabs).  The geometric
         :func:`~repro.core.regions.auto_slab_voxels` default sits in the
         ladder, so this can only improve on it under the model — the

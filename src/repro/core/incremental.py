@@ -2,11 +2,13 @@
 
 The paper's motivation is *interactive* exploration — surveillance feeds
 update daily, dashboards slide their time window.  The PB-SYM estimator is
-a normalised **sum of per-point stamps**, so it supports exact incremental
-maintenance: adding an event stamps its cylinder, retiring one stamps the
-negative.  Only the ``1/n`` normalisation couples events; this class keeps
-the volume *unnormalised* internally and applies ``1/(n hs^2 ht)`` on
-read, making add/remove O(stamp) instead of O(volume).
+a normalised **sum of per-point stamps**, and a sum over disjoint subsets
+of the events can be taken subset by subset.  The live window is therefore
+kept as a list of **units** — disjoint event subsets, each holding its
+rows and their summed, *unnormalised* stamp in a
+:class:`~repro.core.regions.RegionBuffer` over the stamps' bounding box —
+and nothing else: no running total, no grid-sized array.  Only the ``1/n``
+normalisation couples events, and it is applied on read.
 
 Example::
 
@@ -17,41 +19,36 @@ Example::
     inc.add(tuesday_events)
 
 ``slide_window(new, horizon)`` combines both steps for the common
-time-window case.  Equivalence with batch recomputation is exact (tested
-to fp tolerance), which is the property that makes this safe to deploy.
+time-window case.
 
-Region-engine rebuild
----------------------
-All stamping goes through the batched region engine
-(:func:`repro.core.stamping.stamp_batch`), one engine batch per add /
-remove.  On top of that, each tracked batch whose stamps fit affordably
-in bounding boxes caches its materialised contribution in
-:class:`~repro.core.regions.RegionBuffer` s: the summed cohort tables the
-engine produced at ``add`` time.  Retiring a batch later reuses those
-caches instead of re-tabulating kernels.
+One live state
+--------------
+A unit's buffer is stamped once, into fresh zeros, through the batched
+region engine (:func:`repro.core.stamping.stamp_batch`) and never written
+again, so it is a pure function of the unit's rows.  ``add`` plans a batch
+into units and stamps each; ``slide_window`` drops the units the horizon
+passed (zero kernel evaluations, no pass over any volume) and rebuilds
+the one it cuts through from its survivors; ``remove`` rebuilds each unit
+that lost rows from its survivors.  Nothing is ever subtracted, so there
+is no cancellation noise to clamp, and ``volume()`` — the live buffers
+added into zeros in an order derived from their content — is a
+**bit-exact pure function of the live membership** under every
+interleaving of the three: a long-slid window and a cold estimator re-fed
+the same ``live_batches`` serve ``array_equal`` volumes, and both match a
+batch recompute at ``rtol=1e-12``.
 
-t-slabbed retirement caches
----------------------------
+t-slab units
+------------
 A batch is partitioned along t into **retirement slabs**
 (:func:`~repro.core.regions.plan_time_slabs`: stamp-origin ordered,
-balanced on stamped cell count, about two stamp extents thick by
-default), each tracked independently with its own cached buffer.  A
-sliding window's horizon then expires whole leading slabs and cuts
-through at most one *straddle* slab, so a ``slide_window`` costs:
-
-* **full slab retirement** — subtract the cached box (O(bbox), zero
-  kernel evaluations), one per expired slab;
-* **straddle restamp** — subtract the straddle slab's box and restamp
-  only *its* survivors into a fresh cache — one thin engine batch,
-  instead of re-tabulating kernels for every survivor of the batch.
-
-This makes steady-state slides O(expired delta): the pre-slab behaviour
-(restamp all survivors of a partially-expired batch) is recovered with
-``t_slab_voxels=None``, and the two are equivalent to ``rtol=1e-12``.
-Batches too spread out to cache affordably (slab boxes larger than
-``cache_fraction`` of the grid in aggregate) fall back to plain engine
-stamping with negative-norm removal, so memory stays bounded for global
-batches.
+balanced on stamped cell count), one unit each.  A sliding window's
+horizon then expires whole leading slabs and cuts through at most one
+*straddle* slab, so a slide's kernel work is one thin engine batch — the
+straddle slab's survivors — instead of every survivor of the batch
+(``t_slab_voxels=None``: one unit per batch, which restamps them all; the
+two agree to ``rtol=1e-12``).  Slab boxes overlap by one stamp extent
+along t, so a batch whose slabs would together cover more than half the
+grid stays one whole-batch unit.
 """
 
 from __future__ import annotations
@@ -65,9 +62,13 @@ from .grid import GridSpec, PointSet, Volume
 from .instrument import WorkCounter
 from .kernels import KernelPair, get_kernel
 from .regions import RegionBuffer, auto_slab_voxels, batch_bbox, plan_time_slabs
-from .stamping import stamp_batch
 
 __all__ = ["IncrementalSTKDE"]
+
+#: A batch is split into t-slab units only while the slabs' boxes together
+#: cover at most this share of the grid; past it the overlap between
+#: adjacent slab boxes outweighs thin retirement and the batch stays whole.
+_SLAB_GRID_SHARE = 0.5
 
 
 def _row_keys(coords: np.ndarray) -> np.ndarray:
@@ -78,47 +79,50 @@ def _row_keys(coords: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _TrackedBatch:
-    """A live tracking unit — one retirement slab — and its cached stamp.
+    """A live unit — one retirement slab — and its stamp.
 
     An added batch is tracked as one or more of these (one per t-slab
-    when slabbing applies).  ``batch_id`` is unique for the life of the
-    estimator and changes whenever the unit's *membership* changes
-    (partial retirement, untracking): downstream consumers keyed on it —
-    the serving layer's per-batch index segments — treat an id as an
-    immutable event set, so survivors of a split are a brand-new batch.
+    when slabbing applies).  ``buffer`` is the unit's only stamp.
+    ``batch_id`` is unique for the life of the estimator and changes
+    whenever the unit's *membership* changes (partial retirement,
+    removal): downstream consumers keyed on it — the serving layer's
+    per-batch index segments — treat an id as an immutable event set, so
+    survivors of a split are a brand-new batch.
     """
 
     batch_id: int
     coords: np.ndarray
-    buffer: Optional[RegionBuffer]
+    buffer: RegionBuffer
 
 
 class IncrementalSTKDE:
     """Exactly-maintained STKDE under event insertion and retirement.
 
-    ``cache_fraction`` bounds the per-batch region cache: a batch is
-    cached only when its stamps' bounding box covers at most that fraction
-    of the grid (sliding-window time slabs are thin along t and qualify;
-    a domain-wide backfill batch does not, and is simply engine-stamped).
-    ``cache_fraction=0.0`` disables caching entirely.
+    A list of units; :meth:`volume` is their canonical sum — a bit-exact
+    pure function of the live membership, always (module docstring).
 
-    ``memory_budget_bytes`` additionally caps the *aggregate* footprint
-    (accumulator + all cached buffers), like every other replicating path:
-    a batch whose cache would push past the budget is stamped uncached —
-    correctness is unaffected, only its later retirement falls back to
-    negative restamping.  ``None`` leaves the aggregate unbounded.
+    **Memory.**  Construction allocates nothing grid-sized.  Each live
+    unit holds one buffer over its stamps' bounding box: a thin box for a
+    t-localised feed, at most half a grid in total for a slabbed batch,
+    up to one full volume for a domain-wide batch.  There is no aggregate
+    cap: *k* live domain-wide batches hold up to *k* volumes.
+
+    **What rebuilding costs.**  A unit that loses rows is rebuilt from
+    its survivors, the price of re-adding it.  ``slide_window`` pays that
+    for one straddle slab; ``remove`` pays it for every unit it touches,
+    once per call; and a domain-wide batch, being one unit, is restamped
+    whole by each slide that cuts through it — feed backfill in t-ordered
+    pieces (docs/PERFORMANCE.md, "One live state", has the numbers).
 
     ``t_slab_voxels`` sets the retirement-slab thickness along t:
     ``"auto"`` (default) chooses per batch through the cost model
     (:meth:`repro.analysis.model.CostModel.choose_slab_voxels` prices the
-    expired-buffer-overlap vs straddle-restamp trade from the batch's
-    measured extent — the ``BENCH_regions.json`` thickness sweep spans
-    2.5x to 6.3x over fixed choices), ``"geometric"`` pins the
-    bandwidth-derived :func:`~repro.core.regions.auto_slab_voxels`
-    heuristic, an ``int`` pins the thickness (benchmark sweeps), and
-    ``None`` disables slabbing — one monolithic cache per batch, the
-    pre-slab behaviour whose partial retirement restamps every survivor.
-    ``max_slabs`` caps the tracked units a single ``add`` can mint.
+    slab-overlap vs straddle-restamp trade from the batch's measured
+    extent — the ``BENCH_regions.json`` thickness sweep spans 2.5x to
+    6.3x over fixed choices), an ``int`` pins the thickness (benchmark
+    sweeps), and ``None`` disables slabbing — one unit per batch, whose
+    partial retirement restamps every survivor.
+    ``max_slabs`` caps the units a single ``add`` can mint.
     ``machine`` supplies calibrated unit costs for the adaptive choice
     (defaults to the uncalibrated :class:`MachineModel` constants, which
     keeps the choice deterministic and probe-free).
@@ -130,26 +134,15 @@ class IncrementalSTKDE:
         *,
         kernel: str | KernelPair = "epanechnikov",
         counter: Optional[WorkCounter] = None,
-        cache_fraction: float = 0.5,
-        memory_budget_bytes: Optional[int] = None,
         t_slab_voxels: int | str | None = "auto",
         max_slabs: int = 16,
         machine=None,
         compute: Optional[str] = None,
     ) -> None:
-        if cache_fraction < 0.0:
-            raise ValueError("cache_fraction must be >= 0")
-        if t_slab_voxels == "geometric":
-            t_slab_voxels = auto_slab_voxels(grid)
-        if isinstance(t_slab_voxels, str):
-            if t_slab_voxels != "auto":
-                raise ValueError(
-                    "t_slab_voxels must be >= 1, 'auto', 'geometric', or None"
-                )
-        elif t_slab_voxels is not None and t_slab_voxels < 1:
-            raise ValueError(
-                "t_slab_voxels must be >= 1, 'auto', 'geometric', or None"
-            )
+        if t_slab_voxels not in ("auto", None) and (
+            isinstance(t_slab_voxels, str) or t_slab_voxels < 1
+        ):
+            raise ValueError("t_slab_voxels must be >= 1, 'auto', or None")
         if max_slabs < 1:
             raise ValueError("max_slabs must be >= 1")
         self.t_slab_voxels = t_slab_voxels
@@ -163,13 +156,8 @@ class IncrementalSTKDE:
         self.grid = grid
         self.kernel = get_kernel(kernel)
         self.counter = counter if counter is not None else WorkCounter()
-        self.cache_fraction = float(cache_fraction)
-        self.memory_budget_bytes = memory_budget_bytes
-        # Unnormalised accumulator: sum of k_s * k_t stamps.
-        self._acc = grid.allocate()
-        self.counter.init_writes += self._acc.size
         self._n = 0
-        self._live: List[_TrackedBatch] = []  # event batches currently included
+        self._live: List[_TrackedBatch] = []  # the live window, all of it
         self._version = 0
         self._next_batch_id = 0
 
@@ -214,26 +202,12 @@ class IncrementalSTKDE:
 
     @property
     def cached_buffer_cells(self) -> int:
-        """Cells currently held in per-batch region caches (memory gauge)."""
-        return sum(b.buffer.cells for b in self._live if b.buffer is not None)
+        """Cells held in the live units' buffers (memory gauge)."""
+        return sum(tb.buffer.cells for tb in self._live)
 
     # ------------------------------------------------------------------
-    def _cache_affordable(self, bbox_cells: int) -> bool:
-        if bbox_cells > self.cache_fraction * self.grid.n_voxels:
-            return False
-        if self.memory_budget_bytes is None:
-            return True
-        footprint = (
-            self._acc.nbytes + (self.cached_buffer_cells + bbox_cells) * 8
-        )
-        return footprint <= self.memory_budget_bytes
-
-    def _new_batch_id(self) -> int:
-        self._next_batch_id += 1
-        return self._next_batch_id
-
-    def _stamp_cached(self, coords: np.ndarray, bbox) -> _TrackedBatch:
-        """Stamp one tracking unit into a fresh cached region buffer."""
+    def _stamp_unit(self, coords: np.ndarray, bbox) -> _TrackedBatch:
+        """Mint one unit: stamp ``coords`` into a fresh buffer over ``bbox``."""
         buf = RegionBuffer(bbox)
         self.counter.init_writes += buf.cells
         self.counter.shard_bbox_cells += buf.cells
@@ -241,31 +215,22 @@ class IncrementalSTKDE:
             self.grid, self.kernel, coords, 1.0, self.counter,
             compute=self.compute,
         )
-        self.counter.reduce_adds += buf.add_into(self._acc)
-        return _TrackedBatch(self._new_batch_id(), coords, buf)
-
-    def _stamp_uncached(self, coords: np.ndarray) -> _TrackedBatch:
-        stamp_batch(
-            self._acc, self.grid, self.kernel, coords, 1.0, self.counter,
-            compute=self.compute,
-        )
-        return _TrackedBatch(self._new_batch_id(), coords, None)
+        self._next_batch_id += 1
+        return _TrackedBatch(self._next_batch_id, coords, buf)
 
     def _stamp_tracked(self, coords: np.ndarray) -> List[_TrackedBatch]:
-        """Stamp a batch through the region engine, caching when affordable.
+        """Plan a batch into units and stamp each through the region engine.
 
-        Partitions the batch into t-slabs and caches one
-        :class:`RegionBuffer` per slab when the batch's *aggregate* slab
-        footprint is affordable (``cache_fraction`` bounds the whole
-        batch, exactly as it bounded the monolithic box — slab xy-boxes
-        are tighter, so the aggregate is often smaller than the joint
-        bbox); falls back to one monolithic cache when only the single
-        bounding box fits, and to plain (uncached) engine stamping
-        otherwise.
+        One unit per t-slab while the slabs' boxes together stay within
+        ``_SLAB_GRID_SHARE`` of the grid (slab xy-boxes are tighter than
+        the joint bbox, so the aggregate is often smaller than it);
+        otherwise one unit over the batch's bounding box.  Every path that
+        changes a unit's membership comes back through here, so survivors
+        are re-planned and carry new ids.
         """
+        # Never None: off-domain points clamp to a boundary voxel, so every
+        # row of a (non-empty) batch has a stamp window on the grid.
         bbox = batch_bbox(self.grid, coords)
-        if bbox is None:
-            return [self._stamp_uncached(coords)]
         if self.t_slab_voxels is not None:
             slabs = plan_time_slabs(
                 self.grid, coords,
@@ -274,16 +239,12 @@ class IncrementalSTKDE:
             if len(slabs) > 1:
                 parts = [coords[idx] for idx in slabs]
                 boxes = [batch_bbox(self.grid, p) for p in parts]
-                total = sum(b.volume for b in boxes if b is not None)
-                if self._cache_affordable(total):
+                total = sum(b.volume for b in boxes)
+                if total <= _SLAB_GRID_SHARE * self.grid.n_voxels:
                     return [
-                        self._stamp_cached(p, b) if b is not None
-                        else self._stamp_uncached(p)
-                        for p, b in zip(parts, boxes)
+                        self._stamp_unit(p, b) for p, b in zip(parts, boxes)
                     ]
-        if self._cache_affordable(bbox.volume):
-            return [self._stamp_cached(coords, bbox)]
-        return [self._stamp_uncached(coords)]
+        return [self._stamp_unit(coords, bbox)]
 
     def _resolve_slab_voxels(self, coords: np.ndarray, bbox) -> int:
         """Per-batch retirement-slab thickness for the ``"auto"`` mode.
@@ -306,7 +267,7 @@ class IncrementalSTKDE:
         geo = auto_slab_voxels(self.grid)
         if span <= geo:
             # The whole batch fits in one geometric slab: slabbing thinner
-            # cannot beat retiring the batch's own cache wholesale, and the
+            # cannot beat dropping the batch's own unit wholesale, and the
             # single-slab path preserves insertion order in live_coords.
             return geo
         if self._slab_model is None:
@@ -327,9 +288,9 @@ class IncrementalSTKDE:
     def _coerce_unweighted(points: PointSet | np.ndarray) -> np.ndarray:
         """Event coordinates of an *unweighted* input.
 
-        Weighted :class:`PointSet` s are rejected: the unnormalised
-        accumulator sums unit stamps, so silently dropping weights would
-        serve a different estimator than the caller built.  Raw arrays get
+        Weighted :class:`PointSet` s are rejected: every unit sums
+        unit-weight stamps, so silently dropping weights would serve a
+        different estimator than the caller built.  Raw arrays get
         the finiteness check :class:`PointSet` applies to its own: a NaN
         or infinite coordinate would be counted as an event and cast to
         an arbitrary voxel.
@@ -363,18 +324,14 @@ class IncrementalSTKDE:
         self._version += 1
 
     def remove(self, points: PointSet | np.ndarray) -> None:
-        """Retire events by stamping their negative contribution.
+        """Retire live events; each unit that loses rows is rebuilt.
 
-        Removed rows that match tracked events (bit-identical
-        coordinates) are also dropped from the live tracking, so
-        :attr:`live_coords` stays consistent and a later
-        :meth:`slide_window` cannot double-retire them; a batch that
-        loses members forfeits its cached region stamp (the cache would
-        no longer match the survivors).  The caller remains responsible
-        for removing only events previously added: unknown rows are
-        stamped negative as requested, which yields a density no event
-        set generates (it may go negative, which :meth:`volume` clamps
-        is *not* — validation stays honest).
+        Every row must match a live event bit for bit, with multiplicity
+        (one live occurrence per removed row).  Rows that are not live —
+        never added, already retired, or removed more often than they
+        were added — raise ``ValueError`` before anything changes.  A
+        touched unit's survivors are re-planned and restamped as new
+        units (new ids), exactly as if they had just been added.
         """
         coords = self._coerce_unweighted(points)
         if coords.size == 0:
@@ -383,123 +340,88 @@ class IncrementalSTKDE:
             raise ValueError(
                 f"cannot remove {len(coords)} events; only {self._n} present"
             )
-        stamp_batch(
-            self._acc, self.grid, self.kernel, coords, -1.0, self.counter,
-            compute=self.compute,
-        )
+        drops = self._match_live(coords)
+        kept: List[_TrackedBatch] = []
+        for tb, drop in zip(self._live, drops):
+            if drop is None:
+                kept.append(tb)
+            elif not drop.all():
+                kept.extend(self._stamp_tracked(tb.coords[~drop]))
+        self._live = kept
         self._n -= len(coords)
-        self._untrack(np.ascontiguousarray(coords, dtype=np.float64))
         self._version += 1
 
-    def _untrack(self, coords: np.ndarray) -> None:
-        """Drop removed rows from the tracked batches (vectorised multiset).
+    def _match_live(self, coords: np.ndarray) -> List[Optional[np.ndarray]]:
+        """Per live unit, the mask of rows ``coords`` removes (or ``None``).
 
-        Rows are matched bit-exactly (byte view of the float triples); at
-        most one tracked occurrence is dropped per removed row, first
-        batches first.  Which instance of duplicated identical rows is
-        dropped is immaterial — they are indistinguishable.
+        Vectorised multiset match: rows are compared bit-exactly (byte
+        view of the float triples) and each removed row claims one live
+        occurrence, first units first.  Which instance of duplicated
+        identical rows is claimed is immaterial — they are
+        indistinguishable.  Pure: raises ``ValueError`` when a row finds
+        no live occurrence; the caller mutates only afterwards.
         """
         uniq, counts = np.unique(_row_keys(coords), return_counts=True)
-        remaining = int(counts.sum())
-        kept: List[_TrackedBatch] = []
+        remaining = len(coords)
+        drops: List[Optional[np.ndarray]] = []
         for tb in self._live:
+            drops.append(None)
             if remaining == 0:
-                kept.append(tb)
                 continue
             bk = _row_keys(tb.coords)
             pos = np.minimum(np.searchsorted(uniq, bk), uniq.size - 1)
-            matches = uniq[pos] == bk
-            if not matches.any():
-                kept.append(tb)
+            midx = np.flatnonzero((uniq[pos] == bk) & (counts[pos] > 0))
+            if midx.size == 0:
                 continue
-            # Rank only the matching rows (usually a handful) within each
-            # run of equal keys and drop the first `counts[key]` of each
-            # run; decrement the budget for later batches.
-            midx = np.flatnonzero(matches)
+            # Rank the matching rows (usually a handful) within each run
+            # of equal keys; the first `counts[key]` of each run are
+            # claimed, and later units see the budget that is left.
             order = midx[np.argsort(bk[midx], kind="stable")]
             sbk = bk[order]
             new_run = np.concatenate(([True], sbk[1:] != sbk[:-1]))
             run_starts = np.flatnonzero(new_run)
             occ = np.arange(sbk.size) - run_starts[np.cumsum(new_run) - 1]
-            drop_sorted = occ < counts[pos[order]]
-            if not drop_sorted.any():
-                kept.append(tb)
-                continue
-            dec = np.bincount(pos[order][drop_sorted], minlength=uniq.size)
-            counts = counts - dec
-            remaining -= int(dec.sum())
-            drop = np.zeros(bk.size, dtype=bool)
-            drop[order] = drop_sorted
-            survivors = tb.coords[~drop]
-            if len(survivors):
-                # The cached buffer still holds the departed stamps; the
-                # accumulator is already correct (negative stamp above),
-                # only the cache is stale — retire it.  Membership changed,
-                # so the survivors are a new batch id.
-                kept.append(_TrackedBatch(self._new_batch_id(), survivors, None))
-        self._live = kept
+            claimed = order[occ < counts[pos[order]]]
+            counts = counts - np.bincount(pos[claimed], minlength=uniq.size)
+            remaining -= claimed.size
+            drops[-1] = np.zeros(bk.size, dtype=bool)
+            drops[-1][claimed] = True
+        if remaining:
+            raise ValueError(
+                f"cannot remove {remaining} of {len(coords)} events: not "
+                f"live (never added, already retired, or removed beyond "
+                f"their multiplicity)"
+            )
+        return drops
 
     def slide_window(self, new_points: PointSet | np.ndarray, t_horizon: float) -> int:
         """Add ``new_points`` and retire all tracked events with
         ``t < t_horizon``.  Returns the number of retired events.
 
-        Retirement reuses each tracked slab's cached region stamp where
-        present: fully-expired slabs are subtracted in one box operation
-        each (zero kernel evaluations), and only the slab the horizon
-        cuts *through* restamps its survivors into a fresh cache — so a
-        slide's kernel work is proportional to one straddle slab, not to
-        every survivor of a partially-expired batch.
+        Fully-expired units are dropped, buffer and all (zero kernel
+        evaluations, no pass over any volume); only the unit the horizon
+        cuts *through* is rebuilt from its survivors — so a slide's
+        kernel work is proportional to one straddle slab, not to every
+        survivor of a partially-expired batch.
         """
         # Reject a malformed feed before anything is retired.
         new_points = self._coerce_unweighted(new_points)
         retired = 0
-        kept_batches: List[_TrackedBatch] = []
+        kept: List[_TrackedBatch] = []
         for tb in self._live:
             old_mask = tb.coords[:, 2] < t_horizon
             n_old = int(old_mask.sum())
             if n_old == 0:
-                kept_batches.append(tb)
+                kept.append(tb)
                 continue
             retired += n_old
-            kept = tb.coords[~old_mask]
-            if tb.buffer is not None:
-                # Same consistency guard remove() applies on the uncached
-                # path: retiring more events than are present means the
-                # caller already removed some out-of-band — fail loudly
-                # rather than drive _n negative and double-subtract.
-                if n_old > self._n:
-                    raise ValueError(
-                        f"cannot remove {n_old} events; only {self._n} present"
-                    )
-                # Cache reuse: drop the slab's whole materialised stamp,
-                # then restamp only the survivors (none, on full expiry).
-                self.counter.reduce_adds += tb.buffer.add_into(
-                    self._acc, sign=-1.0
-                )
-                self.counter.slab_buffers_retired += 1
-                self._n -= n_old
-                if len(kept):
-                    self.counter.slab_restamp_points += len(kept)
-                    kept_batches.extend(self._stamp_tracked(kept))
-            else:
-                # Inline negative stamp (not remove(): this loop manages
-                # the tracking itself, so the multiset untrack would be a
-                # redundant O(live) scan per batch).
-                old = tb.coords[old_mask]
-                if len(old) > self._n:
-                    raise ValueError(
-                        f"cannot remove {len(old)} events; only {self._n} present"
-                    )
-                stamp_batch(
-                    self._acc, self.grid, self.kernel, old, -1.0,
-                    self.counter, compute=self.compute,
-                )
-                self._n -= len(old)
-                if len(kept):
-                    kept_batches.append(
-                        _TrackedBatch(self._new_batch_id(), kept, None)
-                    )
-        self._live = kept_batches
+            self.counter.slab_buffers_retired += 1
+            if n_old < len(tb.coords):
+                survivors = tb.coords[~old_mask]
+                self.counter.slab_restamp_points += len(survivors)
+                kept.extend(self._stamp_tracked(survivors))
+        self._live = kept
+        self._n -= retired
         self.add(new_points)
         # add() bumped the version for non-empty feeds; a pure-retirement
         # slide must still invalidate version-keyed consumers — but a
@@ -509,38 +431,18 @@ class IncrementalSTKDE:
             self._version += 1
         return retired
 
-    def _canonical_composition(self) -> Optional[np.ndarray]:
-        """The live caches summed in canonical order, or ``None``.
+    def volume(self) -> Volume:
+        """The current normalised density volume (copy; O(volume)).
 
-        Each cached :class:`RegionBuffer` is a pure function of its
-        unit's coordinates — it was stamped into a fresh zeroed buffer at
-        add time and never mutated afterwards — so summing the caches
-        into a fresh zero volume in a *content-derived* order makes the
-        result a pure function of the live membership, independent of
-        the mutation history that produced it.  That is the bit-exact
-        warm-vs-cold contract: a long-slid window and a cold estimator
-        re-fed the same :attr:`live_batches` (one ``add`` per unit,
-        slabbing disabled so each unit re-stamps whole) compose the
-        identical buffer multiset in the identical order and produce
-        bit-equal volumes.  The order sorts by bbox window then a digest
-        of the unit's rows, so no accidental property of tracking order
-        (which *does* depend on history) leaks into the sum.
-
-        Only available when every live unit carries a cache and the
-        tracked rows account for every contributing event (out-of-band
-        ``remove`` of unknown rows leaves negative stamps only the
-        accumulator knows about); callers fall back to ``_acc``.
+        Adds every live unit's buffer into fresh zeros and scales by
+        ``1/(n hs^2 ht)``.  The units are summed in a *content-derived*
+        order — bbox window, then row count, then the rows' bytes — so
+        nothing of tracking order (which depends on the mutation history)
+        leaks into the sum.  A cold estimator re-fed :attr:`live_batches`
+        (one ``add`` per unit, slabbing disabled so each re-stamps whole)
+        therefore composes the identical buffers in the identical order:
+        the bit-exact warm-vs-cold contract.
         """
-        if not self._live:
-            return None
-        tracked = 0
-        for tb in self._live:
-            if tb.buffer is None:
-                return None
-            tracked += len(tb.coords)
-        if tracked != self._n:
-            return None
-
         def key(tb: _TrackedBatch):
             b = tb.buffer.window
             return (b.x0, b.x1, b.y0, b.y1, b.t0, b.t1,
@@ -549,35 +451,8 @@ class IncrementalSTKDE:
         data = np.zeros(self.grid.shape)
         for tb in sorted(self._live, key=key):
             tb.buffer.add_into(data)
-        return data
-
-    def volume(self) -> Volume:
-        """The current normalised density volume (copy; O(volume)).
-
-        When every live unit carries a region cache the volume is
-        composed from the caches in canonical order
-        (:meth:`_canonical_composition`) — bit-exactly reproducible from
-        the live membership alone, no matter how many slides produced
-        it.  Otherwise it reads the running accumulator (fp-equivalent,
-        not bit-canonical: subtraction order follows history).
-
-        Only the accumulator is clamped at zero: the clamp removes the
-        cancellation noise subtraction leaves, and the composition adds
-        ``+1``-normed stamps into zeros and never subtracts — exactly what
-        a cold batch estimate does, unclamped.  Skipping the full-volume
-        pass there leaves the output bit-equal for every registered kernel.
-        """
-        if self._n == 0:
-            return Volume(np.zeros(self.grid.shape), self.grid)
-        norm = self.grid.normalization(self._n)
-        data = self._canonical_composition()
-        if data is None:
-            data = self._acc * norm
-            # Float cancellation from removals can leave tiny negatives
-            # (~1e-17); clamp exact-zero level noise only.
-            np.maximum(data, 0.0, out=data)
-        else:
-            data *= norm
+        if self._n:
+            data *= self.grid.normalization(self._n)
         return Volume(data, self.grid)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

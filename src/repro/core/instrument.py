@@ -93,10 +93,10 @@ class WorkCounter:
         Events whose index segment was retired (no re-bucketing; rows go
         dead until compaction).
     ``slab_buffers_retired``
-        Cached t-slab region buffers subtracted during sliding-window
-        retirement (:meth:`repro.core.incremental.IncrementalSTKDE
-        .slide_window`) — each is an O(bbox) subtraction with zero kernel
-        evaluations.
+        t-slab region buffers dropped during sliding-window retirement
+        (:meth:`repro.core.incremental.IncrementalSTKDE.slide_window`) —
+        each goes with its unit: zero kernel evaluations, no pass over
+        any volume.
     ``slab_restamp_points``
         Survivor points restamped because the window horizon cut through
         their slab (the straddle slab).  The O(delta) slide contract:

@@ -25,9 +25,9 @@ estimator stop maintaining private copies of the same machinery:
     the grid.  This is what replaces the *full* per-worker private volumes
     of the threaded stamping path: a shard of clustered points touches a
     fraction of the grid, so its buffer (and the reduction traffic to merge
-    it) shrinks to that fraction.  The incremental estimator caches the
-    same buffers per batch, which is what makes sliding-window retirement
-    an O(bbox) subtraction instead of a kernel re-tabulation.
+    it) shrinks to that fraction.  The incremental estimator keeps its
+    live window as the same buffers, one per batch slab: sliding-window
+    retirement drops a buffer instead of re-tabulating kernels.
 
 ``plan_stamp_shards``
     Balanced shard planning shared by the threaded executor and the
@@ -249,8 +249,7 @@ class RegionBuffer:
 
         ``x_lo``/``x_hi`` restrict the merge to an x-slab of the volume —
         the unit of the slab-parallel reduction — so concurrent reducers
-        never write the same voxel.  ``sign=-1.0`` subtracts (incremental
-        retirement).
+        never write the same voxel.  ``sign=-1.0`` subtracts.
         """
         w = self.window
         x_hi = vol.shape[0] if x_hi is None else x_hi
@@ -477,8 +476,8 @@ def plan_time_slabs(
     :func:`plan_stamp_shards`, applied along t instead of x), with the
     span count chosen so each slab is about ``slab_voxels`` thick
     (default :func:`auto_slab_voxels`).  A sliding window's horizon then
-    expires whole leading slabs — subtracted from their cached
-    :class:`RegionBuffer` with zero kernel evaluations — and cuts through
+    expires whole leading slabs — each dropped with its
+    :class:`RegionBuffer`, zero kernel evaluations — and cuts through
     at most one *straddle* slab whose survivors need restamping.
 
     Returns index arrays partitioning ``[0, n)`` (every input point lands

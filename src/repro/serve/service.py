@@ -682,7 +682,7 @@ class DensityService:
             "sample_rows_drawn": c.sample_rows_drawn,
         }
         if self._inc is not None:
-            # The live source's own slide gauges (slab subtractions vs
+            # The live source's own slide gauges (slabs dropped vs
             # straddle restamps — the O(delta) retirement evidence).
             ic = self._inc.counter
             work["slab_buffers_retired"] = ic.slab_buffers_retired

@@ -22,6 +22,8 @@ replies poisoning later requests — the PR 6 fault-path bug), failed
 *queries* are retried exactly once against the recovered worker, and
 failed *mutations* are completed by the replay itself — the log entry is
 recorded before the send, so the respawned child has already applied it.
+An ``add``/``remove`` a healthy worker *rejected* is the opposite case:
+it was never applied, so its entry leaves that shard's log.
 """
 
 from __future__ import annotations
@@ -357,6 +359,13 @@ class ShardSupervisor:
                     # A healthy worker rejected the request: that is an
                     # application error, never maskable by "partial".
                     app_error = app_error or exc
+                    # A rejected add/remove was logged before the send
+                    # but never applied: replaying it would fail every
+                    # later recovery of this shard.  (Not a slide:
+                    # recording one already truncated the log.)
+                    log = self.logs[s].entries
+                    if op in ("add", "remove") and log and log[-1][1] is payload:
+                        log.pop()
         if app_error is not None:
             raise app_error
         # Recovery phase: respawn + replay, then retry each failed

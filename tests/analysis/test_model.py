@@ -214,8 +214,8 @@ class TestSelectStrategy:
 
 
 class TestSlideAndMergePredictors:
-    """The slide-pipeline predictors: slab retirement vs survivor restamp
-    vs uncached negative stamp, and the segment-merge economics."""
+    """The slide-pipeline predictors: slab retirement vs survivor
+    restamp, and the segment-merge economics."""
 
     def test_slab_wins_when_little_straddles(self, grid, machine):
         pts = make_points(grid, 2000, seed=20)
@@ -224,23 +224,11 @@ class TestSlideAndMergePredictors:
             n_expired=200, n_survivors=1800, bbox_cells=grid.n_voxels // 2,
             n_straddle_survivors=100,
         )
-        # Restamping 1800 survivors costs kernel work; subtracting slabs
-        # and restamping 100 straddlers is memory-rate plus a thin batch.
+        # Restamping 1800 survivors costs kernel work; dropping slabs and
+        # restamping 100 straddlers is box traffic plus a thin batch.
         assert p.slab_seconds < p.restamp_seconds
-        assert p.best in ("slab", "negative")
-        assert p.slab_seconds > 0 and p.negative_seconds > 0
-
-    def test_negative_wins_for_tiny_expiry_of_uncached_scale(self, grid, machine):
-        pts = make_points(grid, 2000, seed=21)
-        model = CostModel(grid, pts, machine)
-        # One expired point under a huge cache box: stamping the single
-        # negative beats touching the box memory.
-        p = model.predict_slide(
-            n_expired=1, n_survivors=1999, bbox_cells=grid.n_voxels,
-            expired_slab_cells=grid.n_voxels // 16,
-            straddle_cells=grid.n_voxels // 16, n_straddle_survivors=120,
-        )
-        assert p.negative_seconds < p.restamp_seconds
+        assert p.best == "slab"
+        assert p.slab_seconds > 0
 
     def test_geometric_defaults_fill_in(self, grid, machine):
         pts = make_points(grid, 500, seed=22)

@@ -141,28 +141,8 @@ class TestRegionCacheReuse:
         assert inc.cached_buffer_cells < grid.n_voxels
         assert inc.counter.shard_bbox_cells == inc.cached_buffer_cells
 
-    def test_domain_wide_batch_not_cached(self, grid):
-        inc = IncrementalSTKDE(grid)
-        inc.add(make_points(grid, 50, seed=21))
-        assert inc.cached_buffer_cells == 0  # bbox ~ whole grid: skip cache
-        batch = pb_sym(make_points(grid, 50, seed=21), grid)
-        np.testing.assert_allclose(inc.volume().data, batch.data,
-                                   rtol=1e-12, atol=1e-18)
-
-    def test_cache_disabled_still_exact(self, grid):
-        rng = np.random.default_rng(22)
-        a = IncrementalSTKDE(grid, cache_fraction=0.0)
-        b = IncrementalSTKDE(grid)
-        for lo, hi in ((0.0, 5.0), (5.0, 10.0)):
-            batch = self._time_slab(grid, rng, lo, hi)
-            a.add(batch)
-            b.add(batch)
-        assert a.cached_buffer_cells == 0
-        np.testing.assert_allclose(a.volume().data, b.volume().data,
-                                   rtol=1e-12, atol=1e-16)
-
     def test_full_retirement_reuses_cache(self, grid):
-        """Sliding past a cached batch subtracts its box; density matches
+        """Sliding past a cached batch drops its box; density matches
         a batch recompute over the survivors."""
         rng = np.random.default_rng(23)
         early = self._time_slab(grid, rng, 0.0, 6.0)
@@ -196,27 +176,22 @@ class TestRegionCacheReuse:
                                    rtol=1e-10, atol=1e-15)
 
     def test_many_slides_cached_vs_uncached_agree(self, grid):
+        """Many slides over the caches agree with the estimator that
+        caches nothing at all: a batch recompute on the live events."""
         rng = np.random.default_rng(25)
         cached = IncrementalSTKDE(grid)
-        plain = IncrementalSTKDE(grid, cache_fraction=0.0)
         live: list = []
         for day in range(6):
             batch = self._time_slab(grid, rng, day * 4.0, day * 4.0 + 4.0, n=12)
             horizon = max(0.0, (day - 2) * 4.0)
             cached.slide_window(batch, t_horizon=horizon)
-            plain.slide_window(batch.copy(), t_horizon=horizon)
             live = [b[b[:, 2] >= horizon] for b in live]
             live.append(batch)
-        assert cached.n == plain.n
-        np.testing.assert_allclose(cached.volume().data, plain.volume().data,
-                                   rtol=1e-9, atol=1e-14)
-        expect = pb_sym(PointSet(np.vstack([b for b in live if len(b)])), grid)
-        np.testing.assert_allclose(cached.volume().data, expect.data,
-                                   rtol=1e-9, atol=1e-14)
-
-    def test_rejects_negative_cache_fraction(self, grid):
-        with pytest.raises(ValueError, match="cache_fraction"):
-            IncrementalSTKDE(grid, cache_fraction=-0.1)
+        kept = np.vstack([b for b in live if len(b)])
+        assert cached.n == len(kept)
+        np.testing.assert_allclose(cached.volume().data,
+                                   pb_sym(PointSet(kept), grid).data,
+                                   rtol=1e-12, atol=1e-16)
 
     def test_remove_untracks_so_slide_cannot_double_retire(self, grid):
         """remove() of previously-added events drops them from tracking:
@@ -231,20 +206,6 @@ class TestRegionCacheReuse:
         assert inc.live_coords.shape == (0, 3)
         assert inc.slide_window(np.empty((0, 3)), t_horizon=10.0) == 0
         assert np.allclose(inc.volume().data, 0.0, atol=1e-12)
-
-    def test_cached_retirement_guards_against_unknown_removals(self, grid):
-        """Removing events that were never added leaves the tracking
-        intact, so sliding past a tracked batch the count can no longer
-        cover must fail loudly, not drive the event count negative."""
-        rng = np.random.default_rng(26)
-        slab = self._time_slab(grid, rng, 0.0, 5.0)
-        inc = IncrementalSTKDE(grid)
-        inc.add(slab)
-        assert inc.cached_buffer_cells > 0
-        unknown = self._time_slab(grid, rng, 0.0, 5.0)
-        inc.remove(unknown)  # legal on its own: n drops to 0
-        with pytest.raises(ValueError, match="only 0 present"):
-            inc.slide_window(np.empty((0, 3)), t_horizon=10.0)
 
     def test_remove_duplicated_rows_drops_one_instance_each(self, grid):
         """Multiset semantics: removing one copy of a duplicated event
@@ -261,15 +222,17 @@ class TestRegionCacheReuse:
         )
 
     def test_partial_remove_untracks_and_stays_exact(self, grid):
-        """A batch that loses members via remove() forfeits its cache but
-        keeps serving exact densities, including through a later slide."""
+        """A batch that loses members via remove() is rebuilt from its
+        survivors — still cached — and keeps serving exact densities,
+        including through a later slide."""
         rng = np.random.default_rng(27)
         slab = self._time_slab(grid, rng, 0.0, 5.0)
         inc = IncrementalSTKDE(grid)
         inc.add(slab)
         inc.remove(slab[:10])
         np.testing.assert_array_equal(inc.live_coords, slab[10:])
-        assert inc.cached_buffer_cells == 0  # stale cache retired
+        assert inc.cached_buffer_cells > 0
+        assert all(tb.buffer is not None for tb in inc._live)
         ref = pb_sym(PointSet(slab[10:]), grid)
         np.testing.assert_allclose(
             inc.volume().data, ref.data, rtol=1e-9, atol=1e-15
@@ -278,42 +241,28 @@ class TestRegionCacheReuse:
         assert inc.n == 0
         assert np.allclose(inc.volume().data, 0.0, atol=1e-12)
 
-    def test_memory_budget_caps_aggregate_cache(self, grid):
-        rng = np.random.default_rng(27)
-        slab_a = self._time_slab(grid, rng, 0.0, 4.0)
-        slab_b = self._time_slab(grid, rng, 8.0, 12.0)
-        probe = IncrementalSTKDE(grid)
-        probe.add(slab_a)
-        one_cache = probe.cached_buffer_cells
-        assert one_cache > 0
-        # Budget admits the accumulator plus roughly one slab cache.
-        budget = grid.grid_bytes + one_cache * 8 + 64
-        inc = IncrementalSTKDE(grid, memory_budget_bytes=budget)
-        inc.add(slab_a)
-        inc.add(slab_b)  # would exceed the budget: stamped uncached
-        assert 0 < inc.cached_buffer_cells * 8 + grid.grid_bytes <= budget
-        expect = pb_sym(PointSet(np.vstack([slab_a, slab_b])), grid)
-        np.testing.assert_allclose(inc.volume().data, expect.data,
-                                   rtol=1e-10, atol=1e-15)
-
 
 class TestTimeSlabbedCaches:
-    """The t-slabbed retirement caches: a slide subtracts expired slabs
+    """The t-slabbed retirement caches: a slide drops expired slabs
     and restamps only the straddle slab, pinned equivalent to the
     monolithic cache at rtol=1e-12."""
 
-    def _spanning_batch(self, grid, rng, n=400):
+    def _local_batch(self, grid, rng, t_lo, t_hi, n):
+        # Slab boxes overlap by one stamp extent along t, so on this
+        # small grid only a spatially localised batch keeps its slabs
+        # within half the grid (past that the batch stays whole).
         return np.column_stack([
-            rng.uniform(0, grid.domain.gx, n),
-            rng.uniform(0, grid.domain.gy, n),
-            rng.uniform(0, 0.9 * grid.domain.gt, n),
+            rng.uniform(0, 0.2 * grid.domain.gx, n),
+            rng.uniform(0, 0.2 * grid.domain.gy, n),
+            rng.uniform(t_lo, t_hi, n),
         ])
 
+    def _spanning_batch(self, grid, rng, n=400):
+        return self._local_batch(grid, rng, 0, 0.9 * grid.domain.gt, n)
+
     def _pair(self, grid, rng, **kw):
-        # Slab boxes overlap by one stamp extent along t, so a batch
-        # spanning this small grid needs headroom over the monolithic box.
-        slabbed = IncrementalSTKDE(grid, cache_fraction=3.0, **kw)
-        mono = IncrementalSTKDE(grid, cache_fraction=3.0, t_slab_voxels=None)
+        slabbed = IncrementalSTKDE(grid, **kw)
+        mono = IncrementalSTKDE(grid, t_slab_voxels=None)
         batch = self._spanning_batch(grid, rng)
         slabbed.add(batch)
         mono.add(batch.copy())
@@ -328,6 +277,8 @@ class TestTimeSlabbedCaches:
                                    rtol=1e-12, atol=1e-16)
 
     def test_slide_subtracts_slabs_and_restamps_only_straddle(self, grid):
+        """Expired slabs are dropped (the name predates that: they used
+        to be subtracted from an accumulator); the counters mean the same."""
         rng = np.random.default_rng(41)
         slabbed, mono, batch = self._pair(grid, rng, t_slab_voxels=8)
         fresh = np.column_stack([
@@ -356,27 +307,18 @@ class TestTimeSlabbedCaches:
                                    rtol=1e-12, atol=1e-15)
 
     def test_full_slab_expiry_needs_no_kernel_work(self, grid):
-        """A horizon aligned past whole slabs retires by subtraction
-        only: zero restamp points."""
+        """A horizon aligned past whole slabs retires by dropping them:
+        zero restamp points."""
         rng = np.random.default_rng(42)
-        inc = IncrementalSTKDE(grid, cache_fraction=3.0, t_slab_voxels=8)
-        early = np.column_stack([
-            rng.uniform(0, grid.domain.gx, 100),
-            rng.uniform(0, grid.domain.gy, 100),
-            rng.uniform(0, 8.0, 100),
-        ])
-        late = np.column_stack([
-            rng.uniform(0, grid.domain.gx, 100),
-            rng.uniform(0, grid.domain.gy, 100),
-            rng.uniform(16.0, 26.0, 100),
-        ])
-        inc.add(early)
-        inc.add(late)
+        inc = IncrementalSTKDE(grid, t_slab_voxels=8)
+        inc.add(self._local_batch(grid, rng, 0, 8.0, 100))
+        inc.add(self._local_batch(grid, rng, 16.0, 26.0, 100))
+        assert len(inc.live_batches) > 2  # both batches are slabbed
         evals_before = inc.counter.spatial_evals
         retired = inc.slide_window(np.empty((0, 3)), t_horizon=12.0)
         assert retired == 100
         assert inc.counter.slab_restamp_points == 0
-        assert inc.counter.spatial_evals == evals_before  # pure subtraction
+        assert inc.counter.spatial_evals == evals_before  # pure drop
         assert inc.counter.slab_buffers_retired > 0
 
     def test_fixed_thickness_and_max_slabs_validated(self, grid):
@@ -387,9 +329,7 @@ class TestTimeSlabbedCaches:
 
     def test_max_slabs_caps_tracked_units(self, grid):
         rng = np.random.default_rng(43)
-        inc = IncrementalSTKDE(
-            grid, cache_fraction=3.0, t_slab_voxels=2, max_slabs=3
-        )
+        inc = IncrementalSTKDE(grid, t_slab_voxels=2, max_slabs=3)
         inc.add(self._spanning_batch(grid, rng))
         assert 1 < len(inc.live_batches) <= 3
 
@@ -454,42 +394,161 @@ class TestBitExactWarmCold:
             warm.volume().data, other.volume().data
         )
 
-    def test_composition_matches_accumulator_at_fp_level(self, grid):
-        """The canonical composition and the running accumulator read the
-        same density (fp-order differences only)."""
+    def test_remove_and_domain_wide_batch_stay_bitwise(self, grid):
+        """The contract holds under every interleaving, not only
+        slide-only histories: a domain-wide batch (one whole-batch unit)
+        and ``remove`` of live rows from several units, between slides."""
         rng = np.random.default_rng(62)
-        warm = self._slide_many(grid, rng)
-        composed = warm.volume().data
-        acc = warm._acc * grid.normalization(warm.n)
-        np.maximum(acc, 0.0, out=acc)
-        np.testing.assert_allclose(composed, acc, rtol=1e-9, atol=1e-16)
-
-    def test_uncached_units_fall_back_to_accumulator(self, grid):
-        """A live unit without a cache (domain-wide batch) disables the
-        canonical composition; the accumulator read stays exact."""
-        rng = np.random.default_rng(63)
-        inc = IncrementalSTKDE(grid)
-        inc.add(self._feed(grid, rng, 0, 10, 4))
-        wide = make_points(grid, 40, seed=63)
-        inc.add(wide)
-        assert any(tb.buffer is None for tb in inc._live)
-        assert inc._canonical_composition() is None
-        live = PointSet(inc.live_coords)
+        warm = self._slide_many(grid, rng, steps=12, win=5)
+        wide = make_points(grid, 40, seed=63).coords
+        warm.add(wide)
+        live = warm.live_coords
+        warm.remove(live[rng.choice(len(live), 25, replace=False)])
+        horizon = 8 * grid.domain.gt / 17  # cuts through the wide batch
+        warm.slide_window(self._feed(grid, rng, 12, 12, 5), t_horizon=horizon)
+        warm.remove(warm.live_coords[::7])
+        assert len(warm.live_batches) > 3
+        assert all(tb.buffer is not None for tb in warm._live)
+        cold = self._cold_replay(grid, warm)
+        np.testing.assert_array_equal(warm.volume().data, cold.volume().data)
         np.testing.assert_allclose(
-            inc.volume().data, pb_sym(live, grid).data,
+            warm.volume().data, pb_sym(PointSet(warm.live_coords), grid).data,
             rtol=1e-12, atol=1e-16,
         )
 
-    def test_out_of_band_unknown_removal_disables_composition(self, grid):
-        """Negative stamps only the accumulator knows about (remove() of
-        never-added rows) must not be dropped by the cache composition."""
-        rng = np.random.default_rng(64)
+
+class TestOneLiveState:
+    """The units are the only representation of the live window: no
+    running accumulator, nothing grid-shaped held between calls."""
+
+    @staticmethod
+    def _holds_grid_shaped_array(inc):
+        return any(
+            isinstance(v, np.ndarray) and v.shape == inc.grid.shape
+            for v in vars(inc).values()
+        )
+
+    def test_construction_allocates_nothing_grid_sized(self):
+        import tracemalloc
+
+        big = GridSpec(DomainSpec.from_voxels(256, 256, 256), hs=3.0, ht=3.0)
+        tracemalloc.start()
+        try:
+            inc = IncrementalSTKDE(big)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the volume itself would be 134 MB
+        assert inc.counter.init_writes == 0
+
+    def test_no_grid_shaped_attribute_across_operations(self, grid):
+        rng = np.random.default_rng(81)
         inc = IncrementalSTKDE(grid)
-        inc.add(self._feed(grid, rng, 0, 10, 4))
-        inc.add(self._feed(grid, rng, 1, 10, 4))
-        unknown = self._feed(grid, rng, 0, 10, 4, n=3)
-        inc.remove(unknown)  # tracked rows no longer account for _n
-        assert inc._canonical_composition() is None
+        assert not self._holds_grid_shaped_array(inc)
+        wide = make_points(grid, 60, seed=81).coords
+        for op in (
+            lambda: inc.add(wide),
+            lambda: inc.volume(),
+            lambda: inc.remove(wide[:7]),
+            lambda: inc.slide_window(
+                rng.uniform(20.0, 29.0, size=(15, 3)), t_horizon=12.0),
+            lambda: inc.volume(),
+        ):
+            op()
+            assert not self._holds_grid_shaped_array(inc)
+
+    def test_off_domain_batch_is_tracked_and_contributes_nothing(self, grid):
+        """A batch far outside the domain is a unit like any other —
+        counted in ``n``, retired by a slide, removable — whose stamps
+        (clamped to boundary voxels, out of kernel reach) are all zero."""
+        d = grid.domain
+        rng = np.random.default_rng(82)
+        inside = rng.uniform(0, [d.gx, d.gy, 8.0], size=(20, 3))
+        outside = inside + [d.gx + 50.0, 0.0, 0.0]
+        inc = IncrementalSTKDE(grid)
+        inc.add(inside)
+        inc.add(outside)
+        assert inc.n == 40 and len(inc.live_batches) == 2
+        assert not inc._live[1].buffer.data.any()
+        both = PointSet(np.vstack([inside, outside]))
+        np.testing.assert_allclose(
+            inc.volume().data, pb_sym(both, grid).data, rtol=1e-12, atol=1e-18
+        )
+        inc.remove(outside[:5])
+        assert inc.n == 35
+        np.testing.assert_array_equal(inc.live_coords[20:], outside[5:])
+        assert inc.slide_window(np.empty((0, 3)), t_horizon=9.0) == 35
+        assert inc.n == 0 and inc.live_batches == ()
+        # On its own it serves the zero volume.
+        inc.add(outside)
+        assert inc.n == 20 and not inc.volume().data.any()
+
+    def test_unit_structure_and_kernel_work_match_recorded_history(self):
+        """Structure pin: one scripted history at default arguments — a
+        spanning batch, six slides — must plan the same units (ids,
+        order, row counts), hold the same buffer cells and charge the
+        same kernel work as recorded before the accumulator was removed;
+        the ``remove`` that follows rebuilds only the unit it touches."""
+        grid = GridSpec(DomainSpec.from_voxels(40, 36, 96), hs=2.6, ht=2.2)
+        d = grid.domain
+        rng = np.random.default_rng(80)
+
+        def batch(n, t_lo, t_hi):
+            return np.column_stack([
+                rng.uniform(0, 0.4 * d.gx, n),
+                rng.uniform(0, 0.4 * d.gy, n),
+                rng.uniform(t_lo, t_hi, n),
+            ])
+
+        inc = IncrementalSTKDE(grid)
+        inc.add(batch(600, 0.0, 60.0))
+        assert [len(c) for _, c in inc.live_batches] == [
+            47, 36, 36, 37, 38, 36, 37, 36, 36, 37, 38, 38, 36, 37, 38, 37]
+        assert inc.cached_buffer_cells == 55974
+        retired = [
+            inc.slide_window(batch(40, 60.0 + 5 * k, 65.0 + 5 * k),
+                             t_horizon=7.0 * (k + 1))
+            for k in range(6)
+        ]
+        assert retired == [65, 71, 70, 70, 67, 69]
+        assert [i for i, _ in inc.live_batches] == [
+            27, 12, 13, 14, 15, 16, 18, 20, 22, 24, 26, 28]
+        assert [len(c) for _, c in inc.live_batches] == [
+            2, 38, 36, 37, 38, 37, 40, 40, 40, 40, 40, 40]
+        assert inc.cached_buffer_cells == 40075
+        c = inc.counter
+        assert {
+            "spatial_evals": c.spatial_evals,
+            "temporal_evals": c.temporal_evals,
+            "distance_tests": c.distance_tests,
+            "madds": c.madds,
+            "points_processed": c.points_processed,
+            "stamp_batches": c.stamp_batches,
+            "stamp_cohorts": c.stamp_cohorts,
+            "shard_bbox_cells": c.shard_bbox_cells,
+            "slab_buffers_retired": c.slab_buffers_retired,
+            "slab_restamp_points": c.slab_restamp_points,
+        } == {
+            "spatial_evals": 42333,
+            "temporal_evals": 6675,
+            "distance_tests": 49008,
+            "madds": 293045,
+            "points_processed": 840,
+            "stamp_batches": 28,
+            "stamp_cohorts": 204,
+            "shard_bbox_cells": 93712,
+            "slab_buffers_retired": 16,
+            "slab_restamp_points": 124,
+        }
+        # Every buffer cell was zero-filled once and nothing else was.
+        assert c.init_writes == c.shard_bbox_cells
+
+        inc.remove(inc.live_batches[2][1][:4])
+        assert [i for i, _ in inc.live_batches] == [
+            27, 12, 29, 14, 15, 16, 18, 20, 22, 24, 26, 28]
+        assert [len(c) for _, c in inc.live_batches] == [
+            2, 38, 32, 37, 38, 37, 40, 40, 40, 40, 40, 40]
+        assert all(tb.buffer is not None for tb in inc._live)
 
 
 class TestWeightedInputsRejected:
@@ -546,9 +605,10 @@ class TestVolumeSemantics:
 
     @pytest.mark.parametrize("kernel", available_kernels())
     def test_composed_volume_needs_no_clamp(self, grid, kernel):
-        """The canonical composition only adds into zeros, so the clamp
-        ``volume()`` keeps for the accumulator would be a no-op pass on
-        it: no negative, no ``-0.0`` — bit-equal with or without."""
+        """``volume()`` only ever adds ``+1``-normed stamps into zeros —
+        slides drop units and ``remove`` rebuilds them, nothing is
+        subtracted — so there is nothing for a clamp to do: no negative,
+        no ``-0.0``."""
         rng = np.random.default_rng(70)
         inc = IncrementalSTKDE(grid, kernel=kernel)
         for step in range(12):
@@ -558,7 +618,7 @@ class TestVolumeSemantics:
                 rng.uniform(2.0 * step, 2.0 * step + 2.0, 25),
             ])
             inc.slide_window(feed, t_horizon=2.0 * (step - 4))
-        assert inc._canonical_composition() is not None
+        inc.remove(inc.live_coords[::3])
         data = inc.volume().data
         assert data.any() and not np.signbit(data).any()
         assert np.maximum(data, 0.0).tobytes() == data.tobytes()

@@ -85,6 +85,15 @@ MUTATIONS = (
 )
 
 
+def _inc_state(inc):
+    return (inc.n, inc.version,
+            tuple((bid, rows.tobytes()) for bid, rows in inc.live_batches))
+
+
+def _sharded_state(sh):
+    return sh.events, sh.version, tuple(sh.stats()["shard_events"])
+
+
 @pytest.fixture(scope="module")
 def mutations():
     """``{entry: (mutate(rows), state())}`` over live sources seeded alike.
@@ -100,10 +109,7 @@ def mutations():
     machine = MachineModel.nominal()
 
     def inc_state(inc):
-        return lambda: (
-            inc.n, inc.version,
-            tuple((bid, rows.tobytes()) for bid, rows in inc.live_batches),
-        )
+        return lambda: _inc_state(inc)
 
     inc = IncrementalSTKDE(grid)
     inc.add(seed)
@@ -119,7 +125,7 @@ def mutations():
         sh.add(seed)
 
         def sharded_state():
-            return sh.events, sh.version, tuple(sh.stats()["shard_events"])
+            return _sharded_state(sh)
 
         yield {
             "incremental.add": (inc.add, inc_state(inc)),
@@ -147,3 +153,67 @@ def test_non_finite_events_are_rejected(mutations, entry, bad):
             mutate(rows)
         # Neither counted, stamped, versioned nor (on a slide) retired.
         assert state() == before
+
+
+# ---------------------------------------------------------------------------
+# remove() of rows that are not live: a typed error before anything changes
+# (ROADMAP item 6) — there is no event set whose density "minus an absent
+# row" would be.
+# ---------------------------------------------------------------------------
+ABSENT = [1.25, 4.5, 7.75]  # never added; x < 8 puts it on shard 0 of 2
+NOT_LIVE = {
+    # case: (rows built from the entry's own live rows, expected message)
+    "never-added": (lambda own: np.array([ABSENT]), "not live"),
+    "beyond-multiplicity": (lambda own: own[[3, 3]], "not live"),
+    "known-mixed-with-absent": (
+        lambda own: np.vstack([own[:4], [ABSENT]]), "not live"),
+    "more-than-live": (
+        lambda own: np.vstack([own, [ABSENT]]), r"only \d+ present"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_LIVE)
+@pytest.mark.parametrize("entry", ("incremental", "sharded"))
+def test_remove_of_rows_not_live_raises_and_changes_nothing(entry, case):
+    from repro.core.incremental import IncrementalSTKDE
+    from repro.serve import ShardFailed
+
+    grid = GridSpec(DomainSpec.from_voxels(16, 16, 16), hs=2.0, ht=2.0)
+    rng = np.random.default_rng(7)
+    seed = rng.uniform(0, 16.0, size=(120, 3))
+    fresh = rng.uniform([0, 0, 14.0], 16.0, size=(30, 3))
+    build, message = NOT_LIVE[case]
+
+    # The cold rebuild: an estimator that never saw the rejected call.
+    cold = IncrementalSTKDE(grid)
+    cold.add(seed)
+    cold.slide_window(fresh, 4.0)
+
+    if entry == "incremental":
+        inc = IncrementalSTKDE(grid)
+        inc.add(seed)
+        before = _inc_state(inc)
+        with pytest.raises(ValueError, match=message):
+            inc.remove(build(seed))
+        assert _inc_state(inc) == before
+        inc.slide_window(fresh, 4.0)
+        np.testing.assert_array_equal(inc.volume().data, cold.volume().data)
+        return
+
+    machine = MachineModel.nominal()
+    queries = rng.uniform(0, 16.0, size=(40, 3))
+    with ShardedDensityService(None, grid, workers=2, machine=machine) as sh:
+        sh.add(seed)
+        before = _sharded_state(sh)
+        # Rows of one shard only: cross-shard atomicity of a partly
+        # rejected mutation is a separate matter.
+        with pytest.raises(ShardFailed, match=message):
+            sh.remove(build(seed[seed[:, 0] < 8.0]))
+        assert _sharded_state(sh) == before
+        sh.slide_window(fresh, 4.0)
+        np.testing.assert_allclose(
+            sh.query_points(queries, backend="sharded"),
+            DensityService(cold, machine=machine).query_points(
+                queries, backend="direct"),
+            rtol=1e-12, atol=1e-300,
+        )

@@ -379,6 +379,36 @@ class TestCrashRecovery:
                 rtol=RTOL, atol=ATOL,
             )
 
+    def test_rejected_mutation_does_not_poison_recovery(self):
+        """A mutation a healthy worker rejected was logged before the
+        send but never applied: it must leave that shard's replay log,
+        or every later recovery of the shard replays the rejection and
+        a recoverable crash becomes a permanent failure."""
+        grid = make_grid()
+        rng = np.random.default_rng(43)
+        span = span_of(grid)
+        seed = rng.uniform(0, span, size=(40, 3))
+        surplus = rng.uniform(0, span, size=(200, 3))
+        queries = rng.uniform(0, span, size=(50, 3))
+        plan = FaultPlan((
+            FaultSpec("crash", shard=1, op="query_points", nth=2),
+        ))
+        with ShardedDensityService(
+            None, grid, workers=2, machine=NOMINAL,
+            fault_plan=plan, restart_backoff_s=0.01,
+        ) as svc:
+            svc.add(seed)
+            with pytest.raises(ShardFailed, match="only .* present") as err:
+                svc.remove(surplus)  # more rows than either shard holds
+            assert not err.value.retryable
+            assert svc.stats()["recovery"]["log_entries"] == [1, 1]
+            expect = svc.query_points(queries, backend="sharded")
+            out = svc.query_points(queries, backend="sharded")  # crash+heal
+            np.testing.assert_allclose(out, expect, rtol=RTOL, atol=ATOL)
+            assert svc.counter.shard_restarts == 1
+            assert svc.counter.shard_replayed_batches == 1
+            assert svc.stats()["recovery"]["down_shards"] == []
+
     def test_env_injected_plan_drives_recovery(self, monkeypatch):
         grid = make_grid()
         rng = np.random.default_rng(59)
