@@ -119,10 +119,10 @@ class MachineModel:
         Charged ``groups * segments`` per batch: the price of keeping the
         index incremental as per-batch segments rather than one monolith.
     c_qrow:
-        Seconds per storage row copied by the index's row-movement
-        maintenance (segment merging, compaction-debt relocation) —
-        coordinate gather plus permutation remap, no re-bucketing.  What
-        :meth:`CostModel.predict_merge` charges consolidation with.
+        Seconds per storage row copied by the index's consolidation
+        gather (segment merging: one stable sort of already-computed
+        cells and a gathered copy of every column, no re-bucketing).
+        What :meth:`CostModel.predict_merge` charges consolidation with.
     c_msg:
         Fixed cost of one coordinator-to-worker message round-trip over a
         ``multiprocessing`` pipe (header pickle, syscalls, wakeup) — the
@@ -726,41 +726,6 @@ class CostModel:
         merge = m.c_batch + n_rows * row_rate
         saved = max(n_segments - 1, 0) * n_groups * m.c_qprobe
         return MergePrediction(merge, saved)
-
-    def choose_merge_cap(
-        self,
-        n_rows: int,
-        n_groups: int,
-        batches_per_sync: float,
-        caps: Tuple[int, ...] = (2, 4, 8, 16, 32, 64),
-    ) -> int:
-        """Pick the index merge cap that minimises steady-state cost.
-
-        Under a sustained feed one segment arrives per sync and the merge
-        policy consolidates back to ``cap // 2`` whenever the count
-        exceeds ``cap``, so a cap of ``c`` merges every ``c - c//2``
-        syncs, carries ``~3c/4`` live segments between merges, and each
-        merge moves ~all ``n_rows`` live rows
-        (:meth:`predict_merge`).  ``batches_per_sync`` is the deployment's
-        observed query pressure — query batches served per mutation
-        (feed rate x query rate).  Query-heavy deployments amortise
-        aggressive merging through saved per-segment CSR probes; feeds
-        that are rarely queried keep a lazy (large) cap and skip the row
-        movement.
-        """
-        best_cap, best_cost = caps[0], math.inf
-        for c in caps:
-            period = max(c - c // 2, 1)
-            merge = self.predict_merge(n_rows, c, n_groups).merge_seconds
-            avg_segments = (c + c // 2) / 2.0
-            probe = (
-                max(batches_per_sync, 0.0)
-                * n_groups * avg_segments * self.machine.c_qprobe
-            )
-            cost = merge / period + probe
-            if cost < best_cost:
-                best_cap, best_cost = c, cost
-        return best_cap
 
     def choose_slab_voxels(
         self,

@@ -90,8 +90,8 @@ class WorkCounter:
         window slide this should be ~the arriving batch size, not the
         live event count — the O(batch) index-sync contract.
     ``index_events_retired``
-        Events whose index segment was retired (no re-bucketing; rows go
-        dead until compaction).
+        Events whose index segment was retired (no re-bucketing; rows
+        are counted dead until the next repack).
     ``slab_buffers_retired``
         t-slab region buffers dropped during sliding-window retirement
         (:meth:`repro.core.incremental.IncrementalSTKDE.slide_window`) —
@@ -107,9 +107,9 @@ class WorkCounter:
         merge policy (:meth:`repro.serve.index.BucketIndex.sync`) — rows
         are copied, never re-bucketed.
     ``index_rows_compacted``
-        Storage rows moved paying down index compaction debt (gap
-        relocation and full sweeps) — the amortised cost the serving
-        path no longer pays inside ``remove_segment``.
+        Storage rows copied by a repack of the bucket index (every
+        live segment's slice moved into a fresh store once dead rows
+        outnumber live ones) — amortised O(1) per retired row.
     ``shard_messages``
         Request messages a sharded-serving coordinator sent to worker
         processes (:class:`repro.serve.service.ShardedDensityService`).

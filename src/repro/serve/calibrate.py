@@ -19,8 +19,8 @@ into ``repro.serve``:
     same batch — what pricing an *incremental* index costs per extra
     live batch segment.
 ``c_qrow``
-    Seconds per storage row of the index's row-movement maintenance:
-    the measured per-row rate of consolidating many segments into one
+    Seconds per storage row of the index's consolidation gather: the
+    measured per-row rate of consolidating many segments into one
     (:meth:`BucketIndex.sync`'s merge policy) — what
     :meth:`~repro.analysis.model.CostModel.predict_merge` charges to
     decide when consolidation pays.

@@ -195,7 +195,7 @@ def _ragged_sums(
     L = lengths[used].ravel()
     S = starts[used].ravel()
     nz = L > 0
-    cell_rows = index.order_store[_flatten_runs(S[nz], L[nz])]
+    cell_rows = _flatten_runs(S[nz], L[nz])
     ptr = np.cumsum(K_cell[used]) - K_cell[used]
     q_ptr = ptr[np.cumsum(new) - 1]
 
@@ -409,7 +409,6 @@ def approx_sum(
     coords = index.coords
     cx, cy, ct = coords[:, 0], coords[:, 1], coords[:, 2]
     weights = index.weights
-    order_store = index.order_store
     floor_raw = floor / norm if norm > 0.0 else 0.0
     rng = np.random.default_rng(seed)
 
@@ -481,7 +480,7 @@ def approx_sum(
                 Ss = np.take_along_axis(starts[inv[rows]], ridx, axis=1)
                 bs = np.take_along_axis(bb, ridx, axis=1)
                 off = rng.integers(0, Ls)
-                cand = order_store[Ss + off]
+                cand = Ss + off
                 dx = qc[rows, 0][:, None] - cx[cand]
                 dy = qc[rows, 1][:, None] - cy[cand]
                 dt = qc[rows, 2][:, None] - ct[cand]

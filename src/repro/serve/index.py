@@ -15,22 +15,32 @@ neighbourhood around it:
   whose kernel reaches ``q`` is returned, and the exact ``d < hs`` /
   ``|dt| <= ht`` masks of the engine discard the rest.
 
+Storage format
+--------------
+One append-only column store holds every row: the ``(cap, 3)``
+column-major coordinates, a flat cell id per row and an optional weight
+per row.  A **segment** is a slice ``[start, start + n)`` of it whose
+rows are **sorted by cell** (stably, so insertion order survives within
+a cell) — the paper's point binning, laid out the way its tasks read it.
+A candidate run ``(start, length)`` therefore addresses coordinates
+*directly*: one ``searchsorted`` on a segment's cell slice yields
+storage rows, with no permutation in between.
+
 Incremental segments
 --------------------
-The index is a collection of **per-batch CSR segments** mirroring the
-tracked-batch design of :class:`repro.core.incremental.IncrementalSTKDE`:
-each segment owns rows of the shared coordinate storage plus one
-sorted-cell permutation, built in O(batch) with three vectorised passes.
-:meth:`sync` diffs the estimator's live batches against the registered
-segments and appends/retires only the delta — the batches whose
-*membership* changed.  For a time-stratified feed (the normal
-sliding-window shape: each ``add`` is one or more time slabs) a slide
-re-buckets only the arriving batch; a slab the horizon cuts *through* is
-split by the estimator (survivors get a new batch id) and its survivors
-are re-bucketed too, so the true bound is O(arriving + straddling
-slabs), degrading toward O(n) only when every live batch mixes old and
-new timestamps.  The ``index_events_bucketed`` work counter records
-exactly what was re-bucketed (the CI smoke gates on it).
+Segments mirror the tracked batches of
+:class:`repro.core.incremental.IncrementalSTKDE`: :meth:`add_segment`
+buckets one batch in O(batch) (cell keys, one stable sort, one gathered
+write at the end of the store).  :meth:`sync` diffs the estimator's live
+batches against the registered segments and appends/retires only the
+delta — the batches whose *membership* changed.  For a time-stratified
+feed (the normal sliding-window shape: each ``add`` is one or more time
+slabs) a slide re-buckets only the arriving batch; a slab the horizon
+cuts *through* is split by the estimator (survivors get a new batch id)
+and its survivors are re-bucketed too, so the true bound is O(arriving +
+straddling slabs), degrading toward O(n) only when every live batch
+mixes old and new timestamps.  The ``index_events_bucketed`` work
+counter records exactly what was re-bucketed (the CI smoke gates on it).
 
 Segment merging
 ---------------
@@ -38,41 +48,41 @@ Probe cost is charged per (cell-group x segment), so a long-lived window
 fed by tiny batches would accumulate segments without bound.
 :meth:`sync` therefore applies a **merge policy**: when the live segment
 count exceeds ``merge_segment_cap``, the oldest segments are coalesced
-into one consolidated CSR segment — rows are *copied* member-major and
-their already-computed cells merge-sorted, no event is ever re-bucketed.
-The consolidated segment remembers its members, so a later slide that
-retires one member filters that member's rows out of the run table in
-one vectorised pass (again: no cell recomputed, no sort rerun).  Steady
-state under any feed granularity is therefore at most
-``merge_segment_cap`` segments.
+into one consolidated segment by **one stable sort**: their row ranges
+are concatenated in registration order, stably ordered by their
+already-computed cells and appended as one gathered copy — no event is
+ever re-bucketed, and within a cell the order is member registration
+order, then insertion order, exactly a cold build's.  The consolidated
+segment carries a per-row ``owner``, so a later slide that retires one
+member compresses that member's rows out of the slice in place (again:
+no cell recomputed, no sort rerun).  Steady state under any feed
+granularity is therefore at most ``merge_segment_cap`` segments.
 
-Amortised compaction
+Reclaiming dead rows
 --------------------
-Retired rows are left dead in the storage (``remove_segment`` is pure
-bookkeeping) and tracked as a free list of gaps.  ``add_segment`` reuses
-gaps directly, and :meth:`sync` pays the remaining **compaction debt**
-off the serving path: trailing gaps are truncated and high segments are
-relocated into low gaps until the debt falls under
-:attr:`dead_row_budget` — work proportional to the rows retired since
-the last sync, never an O(live) sweep inside a ``remove_segment`` on the
-query path.  A segment too large for any single gap is relocated in
-**split spans** (member-boundary splits for consolidated segments,
-arbitrary splits otherwise), so a fragmented tail no longer cliffs into
-a full compaction; the O(live) compact survives only as a rare safety
-valve (a member larger than every gap, or heavy retirement with no
-syncs), so memory stays bounded under any retirement pattern.
+Appending is enough because retirement only *counts*: a removed
+segment's, a retired member's and a consolidation's superseded rows stay
+where they are and add to :attr:`BucketIndex.dead_rows`; nothing is
+reused in place, so no row ever has to move to make room.  **One** rule
+reclaims them, at the end of :meth:`sync` and :meth:`remove_segment`:
+when ``dead_rows > max(64, n)`` every live segment's slice is copied, in
+registration order, into a fresh store of ``max(64, 2 n)`` rows (plain
+slice copies — no sort, no gather).  A repack copies ``n`` rows only
+after more than ``n`` rows died, so it is amortised O(1) per retired
+row, and ``dead_rows <= max(64, n)`` holds after every ``sync`` and
+``remove_segment`` — storage stays within ~2x live plus what was
+appended since.
 
 Queries whose locations fall in the same cell share one candidate
 neighbourhood, and :meth:`candidate_runs` exposes every cell's
-27-neighbourhood as ``(start, length)`` runs into one flat permutation
-array (:attr:`order_store`) — the layout the ragged engine
-(:func:`repro.serve.engine.direct_sum`) flattens into one CSR of
-candidate rows per batch, with no per-cell Python dispatch.
+27-neighbourhood as ``(start, length)`` runs of storage rows — the
+layout the ragged engine (:func:`repro.serve.engine.direct_sum`)
+flattens into one CSR of candidate rows per batch, with no per-cell
+Python dispatch.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -85,57 +95,49 @@ __all__ = ["BucketIndex"]
 
 #: The 3x3x3 neighbourhood collapses to 9 (x, y) rows per segment — cells
 #: contiguous in t are contiguous in the flat cell id, so each row is one
-#: run of the segment's sorted-cell array.
+#: run of the segment's cell-sorted slice.
 _RUNS_PER_SEGMENT = 9
 
 
 class _Segment:
-    """One segment's CSR bucket data: storage rows plus a cell-sorted view.
-
-    ``start`` is the first row of the segment in the index's coordinate
-    storage (a segment's live rows are ascending and, between partial
-    retirements, contiguous), ``cells_sorted`` the ascending flat cell
-    ids of its events, ``order_base`` the segment's span inside the
-    shared :attr:`BucketIndex.order_store` permutation (global row
-    indices sorted by cell), and ``row_hi`` one past the segment's
-    highest storage row (the storage high-water mark used by trailing-gap
-    truncation).
+    """One segment: rows ``[start, start + n)`` of the store, ascending
+    in cell id.
 
     A **consolidated** segment (the merge policy's product) additionally
-    carries ``members``: ``[member_id, rel_start, n_rows]`` triples
-    recording which original batch owns which member-major sub-range of
-    the segment's rows, so a member can later be retired by filtering —
-    never by re-bucketing.  ``members is None`` marks a simple
-    (single-batch) segment.
+    carries ``members``, mapping each original batch id it answers for
+    to a fixed ordinal, and ``owner``, the ``(n,)`` ordinal of the batch
+    each row came from (permuted with the rows), so a member can later
+    be retired by compressing the slice — never by re-bucketing.
+    Ordinals are never renumbered; a retired member just leaves the
+    mapping.  ``members is None`` marks a simple (single-batch) segment.
     """
 
-    __slots__ = (
-        "seg_id", "start", "n", "cells_sorted", "order_base", "row_hi",
-        "members",
-    )
+    __slots__ = ("seg_id", "start", "n", "members", "owner")
 
     def __init__(
         self, seg_id: object, start: int, n: int,
-        cells_sorted: np.ndarray, order_base: int,
-        members: Optional[List[List]] = None,
+        members: Optional[Dict[object, int]] = None,
+        owner: Optional[np.ndarray] = None,
     ) -> None:
         self.seg_id = seg_id
         self.start = start
         self.n = n
-        self.cells_sorted = cells_sorted
-        self.order_base = order_base
-        self.row_hi = start + n
         self.members = members
+        self.owner = owner
 
     def member_ids(self) -> Tuple[object, ...]:
         """Original batch ids this segment answers for."""
         if self.members is None:
             return (self.seg_id,)
-        return tuple(m[0] for m in self.members)
+        return tuple(self.members)
 
 
 class BucketIndex:
-    """Segmented CSR bucket index over events, cells of ``hs x hs x ht``.
+    """Segmented bucket index over events, cells of ``hs x hs x ht``.
+
+    Every segment is a contiguous, cell-sorted slice of one append-only
+    column store; dead rows are reclaimed by one amortised repack (see
+    the module docstring).
 
     Parameters
     ----------
@@ -144,12 +146,13 @@ class BucketIndex:
         (only the *domain* and bandwidths matter — the index never touches
         voxels).
     coords:
-        Optional ``(n, 3)`` event coordinates in domain space, registered
-        as one static segment.  ``None`` starts an empty index to be fed
-        through :meth:`add_segment` / :meth:`sync`.
+        Optional ``(n, 3)`` finite event coordinates in domain space,
+        registered as one static segment.  ``None`` starts an empty index
+        to be fed through :meth:`add_segment` / :meth:`sync`.
     weights:
-        Optional ``(n,)`` per-event weights, carried alongside the
-        coordinates so weighted direct sums gather them in the same pass.
+        Optional ``(n,)`` finite, non-negative per-event weights, carried
+        alongside the coordinates so weighted direct sums gather them in
+        the same pass.
     merge_segment_cap:
         Live-segment cap enforced by :meth:`sync`'s merge policy
         (``None`` disables merging).  Bounds the ``c_qprobe``-charged
@@ -160,7 +163,7 @@ class BucketIndex:
 
     __slots__ = (
         "grid", "nx", "ny", "nt", "merge_segment_cap",
-        "_coords", "_weights", "_order", "_size", "_dead", "_gaps",
+        "_coords", "_cells", "_weights", "_size", "_dead",
         "_segments", "_cell_counts", "_box_counts", "_merge_seq",
         "events_bucketed", "events_retired", "segments_merged",
         "rows_compacted",
@@ -183,15 +186,10 @@ class BucketIndex:
         self.nx = max(1, math.ceil(d.gx / grid.hs))
         self.ny = max(1, math.ceil(d.gy / grid.hs))
         self.nt = max(1, math.ceil(d.gt / grid.ht))
-        # Column-major: each of x / y / t is one contiguous run, so the
-        # engine's candidate gathers are 1-D (an (n, 3) row gather costs
-        # ~4x three column gathers) while ``coords`` stays an (n, 3) view.
-        self._coords = np.empty((0, 3), dtype=np.float64, order="F")
         self._weights: Optional[np.ndarray] = None
-        self._order = np.empty(0, dtype=np.int64)
-        self._size = 0  # rows used in the storage (live + dead)
-        self._dead = 0  # retired rows awaiting reuse / compaction
-        self._gaps: List[List[int]] = []  # free list: sorted [start, len]
+        self._allocate(0)
+        self._size = 0  # rows used in the store (live + dead)
+        self._dead = 0  # retired or superseded rows awaiting a repack
         self._segments: Dict[object, _Segment] = {}
         self._cell_counts = np.zeros(self.n_cells, dtype=np.int64)
         self._box_counts: Optional[np.ndarray] = None  # lazy 27-box table
@@ -211,9 +209,10 @@ class BucketIndex:
     # ------------------------------------------------------------------
     @property
     def coords(self) -> np.ndarray:
-        """The shared ``(n, 3)`` coordinate storage (may contain retired
-        rows; only rows reachable through a segment's runs are ever
-        gathered).  Stored column-major: ``coords[:, k]`` is contiguous."""
+        """The shared ``(size, 3)`` coordinate store: each segment's rows
+        in cell order, dead rows included (only rows reachable through a
+        segment's runs are ever gathered).  Stored column-major:
+        ``coords[:, k]`` is contiguous."""
         return self._coords[: self._size]
 
     @property
@@ -224,91 +223,61 @@ class BucketIndex:
             return None
         return self._weights[: self._size]
 
-    @property
-    def order_store(self) -> np.ndarray:
-        """The flat cell-sorted permutation all segment runs index into."""
-        return self._order
+    def _allocate(self, cap: int) -> None:
+        """Replace the store by uninitialised columns of ``cap`` rows.
 
-    def _grow_rows(self, extra: int) -> None:
-        need = self._size + extra
-        cap = self._coords.shape[0]
-        if need > cap:
-            new_cap = max(need, 2 * cap, 64)
-            grown = np.empty((new_cap, 3), dtype=np.float64, order="F")
-            grown[: self._size] = self._coords[: self._size]
-            self._coords = grown
-            if self._weights is not None:
-                gw = np.ones(new_cap, dtype=np.float64)
-                gw[: self._size] = self._weights[: self._size]
-                self._weights = gw
+        Coordinates are column-major: each of x / y / t is one contiguous
+        run, so the engine's candidate gathers are 1-D (an (n, 3) row
+        gather costs ~4x three column gathers)."""
+        self._coords = np.empty((cap, 3), dtype=np.float64, order="F")
+        self._cells = np.empty(cap, dtype=np.int64)
+        if self._weights is not None:
+            self._weights = np.empty(cap, dtype=np.float64)
 
-    def _grow_order(self, extra: int) -> None:
-        ocap = self._order.shape[0]
-        used = self._order_high
-        if used + extra > ocap:
-            new_cap = max(used + extra, 2 * ocap, 64)
-            grown = np.empty(new_cap, dtype=np.int64)
-            grown[:used] = self._order[:used]
-            self._order = grown
+    def _columns(self) -> List[np.ndarray]:
+        """The store as contiguous 1-D columns: x, y, t, cell and — once
+        a batch has carried them — weight.  Every row move is one loop
+        over these."""
+        cols = [*self._coords.T, self._cells]
+        return cols if self._weights is None else cols + [self._weights]
 
-    @property
-    def _order_high(self) -> int:
-        """High-water mark of the order store (live segments only; a dead
-        span above every live one is reused by the next append)."""
-        hi = 0
-        for s in self._segments.values():
-            hi = max(hi, s.order_base + s.n)
-        return hi
+    def _reserve(self, m: int) -> int:
+        """Claim ``m`` rows at the end of the store (growth by doubling);
+        returns their first row.  Growth reallocates the columns."""
+        start = self._size
+        cap = self._cells.shape[0]
+        if start + m > cap:
+            old = self._columns()
+            self._allocate(max(start + m, 2 * cap, 64))
+            for new, prev in zip(self._columns(), old):
+                new[:start] = prev[:start]
+        self._size += m
+        return start
 
-    # ------------------------------------------------------------------
-    # Row free list (dead rows awaiting reuse or compaction)
-    # ------------------------------------------------------------------
-    def _add_gap(self, start: int, length: int) -> None:
-        """Register a dead row range, coalescing with adjacent gaps."""
-        i = bisect.bisect_left([g[0] for g in self._gaps], start)
-        if i > 0 and self._gaps[i - 1][0] + self._gaps[i - 1][1] == start:
-            g = self._gaps[i - 1]
-            g[1] += length
-            i -= 1
-        else:
-            self._gaps.insert(i, [start, length])
-            g = self._gaps[i]
-        if i + 1 < len(self._gaps) and g[0] + g[1] == self._gaps[i + 1][0]:
-            g[1] += self._gaps[i + 1][1]
-            self._gaps.pop(i + 1)
+    def _repack_if_due(self, counter: WorkCounter) -> None:
+        """The one reclaim rule: once dead rows outnumber live ones, copy
+        every live segment's slice into a fresh store.
 
-    def _free_rows(self, rows_sorted: np.ndarray) -> None:
-        """Mark ascending storage rows dead (registered as gap runs)."""
-        if rows_sorted.size == 0:
-            return
-        breaks = np.flatnonzero(np.diff(rows_sorted) > 1)
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks, [rows_sorted.size - 1]))
-        for s, e in zip(starts, ends):
-            self._add_gap(int(rows_sorted[s]), int(e - s + 1))
-        self._dead += int(rows_sorted.size)
-
-    def _take_gap(self, length: int, limit: Optional[int] = None) -> Optional[int]:
-        """Allocate ``length`` rows from the lowest fitting gap, if any.
-
-        ``limit`` restricts the allocation to end at or below that row —
-        the relocation guard ensuring a move lowers the storage
-        high-water mark.  The caller owns the ``_dead`` decrement.
+        Slices are copied whole in registration order (already
+        cell-sorted: no sort, no gather), and segments are updated in
+        place — :meth:`sync` holds references to them across a repack.
         """
-        for i, g in enumerate(self._gaps):
-            if g[1] >= length and (limit is None or g[0] + length <= limit):
-                start = g[0]
-                if g[1] == length:
-                    self._gaps.pop(i)
-                else:
-                    g[0] += length
-                    g[1] -= length
-                return start
-        return None
-
-    def _seg_rows(self, seg: _Segment) -> np.ndarray:
-        """The segment's live storage rows, ascending."""
-        return np.sort(self._order[seg.order_base : seg.order_base + seg.n])
+        n = self.n
+        if self._dead <= max(64, n):
+            return
+        old = self._columns()
+        self._allocate(max(64, 2 * n))
+        new = self._columns()
+        pos = 0
+        for seg in self._segments.values():
+            for dst, src in zip(new, old):
+                dst[pos : pos + seg.n] = src[seg.start : seg.start + seg.n]
+            seg.start = pos
+            pos += seg.n
+        self._size = n
+        self._dead = 0
+        self.rows_compacted += n
+        counter.index_rows_compacted += n
 
     # ------------------------------------------------------------------
     # Basic geometry
@@ -330,7 +299,7 @@ class BucketIndex:
 
     @property
     def segment_count(self) -> int:
-        """Number of live per-batch CSR segments."""
+        """Number of live segments."""
         return len(self._segments)
 
     @property
@@ -340,20 +309,10 @@ class BucketIndex:
 
     @property
     def dead_rows(self) -> int:
-        """Retired storage rows awaiting reuse or compaction (the
-        compaction debt)."""
+        """Retired or superseded store rows awaiting the next repack; at
+        most ``max(64, n)`` after every :meth:`sync` and
+        :meth:`remove_segment`."""
         return self._dead
-
-    @property
-    def dead_row_budget(self) -> int:
-        """Maximum compaction debt :meth:`sync` leaves outstanding.
-
-        One live set's worth of rows: debt is paid down to this level
-        each sync (work proportional to what retired since the last
-        sync), so storage stays bounded at ~2x live under sustained
-        slides.
-        """
-        return max(64, self.n)
 
     @property
     def merged_segments(self) -> int:
@@ -362,14 +321,39 @@ class BucketIndex:
 
     @property
     def nbytes(self) -> int:
-        """Index overhead beyond the raw coordinates (sorted cells +
-        permutation + per-cell counts)."""
-        per_seg = sum(s.cells_sorted.nbytes for s in self._segments.values())
-        return per_seg + self._order_high * 8 + self._cell_counts.nbytes
+        """Index overhead beyond the raw coordinates (per-row cell ids,
+        consolidated segments' owners, per-cell counts)."""
+        owners = sum(
+            s.owner.nbytes for s in self._segments.values()
+            if s.owner is not None
+        )
+        return self._size * 8 + owners + self._cell_counts.nbytes
 
     # ------------------------------------------------------------------
     # Segment maintenance
     # ------------------------------------------------------------------
+    def _checked_batch(
+        self, seg_id: object, coords: np.ndarray,
+        weights: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """An arriving batch as float64 arrays, or ``ValueError`` before
+        any state changes: the id is new, the shapes match and every
+        value is finite (weights also non-negative)."""
+        if seg_id in self._segments:
+            raise ValueError(f"segment {seg_id!r} already registered")
+        coords = np.asarray(coords, dtype=np.float64)
+        if coords.ndim != 2 or coords.shape[1] != 3:
+            raise ValueError(f"expected (n, 3) coordinates, got {coords.shape}")
+        if not np.isfinite(coords).all():
+            raise ValueError("point coordinates must be finite")
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+            if weights.shape != (coords.shape[0],):
+                raise ValueError("weights must be (n,) matching coords")
+            if not np.isfinite(weights).all() or (weights < 0).any():
+                raise ValueError("weights must be finite and non-negative")
+        return coords, weights
+
     def add_segment(
         self,
         seg_id: object,
@@ -377,53 +361,47 @@ class BucketIndex:
         weights: Optional[np.ndarray] = None,
         counter: Optional[WorkCounter] = None,
     ) -> None:
-        """Register one event batch as a CSR segment — O(batch).
+        """Register one event batch as a segment — O(batch).
 
         The only operation that *buckets* events (computes cell keys and
         sorts them); everything else the index does is bookkeeping over
         already-bucketed segments, which is what makes a window slide
-        O(arriving batch) instead of O(live events).
+        O(arriving batch) instead of O(live events).  A duplicate id,
+        a bad shape or a non-finite value raises ``ValueError`` with the
+        index unchanged.
         """
-        if seg_id in self._segments:
-            raise ValueError(f"segment {seg_id!r} already registered")
+        coords, weights = self._checked_batch(seg_id, coords, weights)
+        self._append_segment(seg_id, coords, weights, counter)
+
+    def _append_segment(
+        self,
+        seg_id: object,
+        coords: np.ndarray,
+        weights: Optional[np.ndarray],
+        counter: Optional[WorkCounter],
+    ) -> None:
+        """:meth:`add_segment` past its checks: bucket, sort, append."""
         counter = counter if counter is not None else null_counter()
-        coords = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
-        if coords.ndim != 2 or coords.shape[1] != 3:
-            raise ValueError(f"expected (n, 3) coordinates, got {coords.shape}")
         m = coords.shape[0]
-        if weights is not None:
-            weights = np.ascontiguousarray(np.asarray(weights, dtype=np.float64))
-            if weights.shape != (m,):
-                raise ValueError("weights must be (n,) matching coords")
-        # Reuse a dead-row gap when one fits (the steady-state sliding
-        # window replaces like-sized batches, so storage stops growing);
-        # append at the high-water mark otherwise.
-        start = self._take_gap(m)
-        if start is None:
-            self._grow_rows(m)
-            start = self._size
-            self._size += m
-        else:
-            self._dead -= m
-        self._grow_order(m)
-        self._coords[start : start + m] = coords
+        cell = self.cell_of(coords)
         if weights is not None and self._weights is None:
-            w = np.ones(self._coords.shape[0], dtype=np.float64)
-            self._weights = w
+            # First weighted batch: every earlier row has unit weight.
+            self._weights = np.ones(self._cells.shape[0], dtype=np.float64)
+        start = self._reserve(m)
+        rows = slice(start, start + m)
+        self._coords[rows] = coords
+        self._cells[rows] = cell
         if self._weights is not None:
-            self._weights[start : start + m] = (
-                weights if weights is not None else 1.0
-            )
-        cell = self.cell_of(coords) if m else np.empty(0, dtype=np.int64)
-        # Stable sort keeps insertion order within a cell: deterministic
-        # candidate (and hence accumulation) order for the direct sums.
-        local = np.argsort(cell, kind="stable").astype(np.int64)
-        order_base = self._order_high
-        self._order[order_base : order_base + m] = start + local
-        seg = _Segment(seg_id, start, m, cell[local], order_base)
-        self._segments[seg_id] = seg
-        if m:
-            self._cell_counts += np.bincount(cell, minlength=self.n_cells)
+            self._weights[rows] = weights if weights is not None else 1.0
+        # Sort the slice by cell, one contiguous column at a time (a 1-D
+        # gather within the column; a row gather of the (m, 3) input is
+        # ~3x dearer).  Stable, so insertion order survives within a
+        # cell: deterministic candidate (and hence accumulation) order.
+        by_cell = np.argsort(cell, kind="stable")
+        for col in self._columns():
+            col[rows] = col[rows][by_cell]
+        self._segments[seg_id] = _Segment(seg_id, start, m)
+        self._cell_counts += np.bincount(cell, minlength=self.n_cells)
         self._box_counts = None
         self.events_bucketed += m
         counter.index_events_bucketed += m
@@ -431,61 +409,45 @@ class BucketIndex:
     def remove_segment(
         self, seg_id: object, counter: Optional[WorkCounter] = None
     ) -> None:
-        """Retire one segment — pure bookkeeping, no re-bucketing.
-
-        The rows go dead (registered on the gap free list) and stay in
-        place; :meth:`sync` pays the compaction debt off the serving
-        path.  A 4x safety valve still full-compacts for callers that
-        retire heavily without ever syncing, so memory stays bounded.
-        """
+        """Retire one segment — bookkeeping, no re-bucketing: its rows
+        are counted dead where they lie, then the repack rule runs."""
         counter = counter if counter is not None else null_counter()
         seg = self._segments.pop(seg_id, None)
         if seg is None:
             raise KeyError(f"unknown segment {seg_id!r}")
-        if seg.n:
-            self._cell_counts -= np.bincount(
-                seg.cells_sorted, minlength=self.n_cells
-            )
-            self._free_rows(self._seg_rows(seg))
+        self._cell_counts -= np.bincount(
+            self._cells[seg.start : seg.start + seg.n], minlength=self.n_cells
+        )
+        self._dead += seg.n
         self._box_counts = None
         self.events_retired += seg.n
         counter.index_events_retired += seg.n
-        if self._dead > 4 * max(self.n, 64):
-            self.rows_compacted += self.n
-            counter.index_rows_compacted += self.n
-            self._compact()
+        self._repack_if_due(counter)
 
     def _retire_member(
         self, seg: _Segment, member_id: object, counter: WorkCounter
     ) -> int:
         """Retire one member batch of a consolidated segment.
 
-        Filters the member's rows out of the segment's run table in one
-        vectorised pass — the sorted-cell order of the survivors is
-        preserved, so no cell is recomputed and no sort rerun; the rows
-        go dead like any other retirement.  Returns the rows retired.
+        One boolean compress of the segment's slice in place — the cell
+        order of the survivors is preserved, so no cell is recomputed
+        and no sort rerun; the slice's vacated tail is counted dead.
+        Returns the rows retired.
         """
-        k = next(
-            i for i, m in enumerate(seg.members) if m[0] == member_id
-        )
-        _, rel, nm = seg.members.pop(k)
-        lo = seg.start + rel
-        hi = lo + nm
-        o = self._order[seg.order_base : seg.order_base + seg.n]
-        drop = (o >= lo) & (o < hi)
+        keep = seg.owner != seg.members.pop(member_id)
+        kept = int(np.count_nonzero(keep))
+        nm = seg.n - kept
         if nm:
+            rows = slice(seg.start, seg.start + seg.n)
             self._cell_counts -= np.bincount(
-                seg.cells_sorted[drop], minlength=self.n_cells
+                self._cells[rows][~keep], minlength=self.n_cells
             )
-        keep = ~drop
-        kept = o[keep]
-        self._order[seg.order_base : seg.order_base + kept.size] = kept
-        seg.cells_sorted = seg.cells_sorted[keep]
-        seg.n = int(kept.size)
-        seg.row_hi = int(kept.max()) + 1 if kept.size else seg.start
-        self._add_gap(lo, nm)
-        self._dead += nm
-        self._box_counts = None
+            for col in self._columns():
+                col[seg.start : seg.start + kept] = col[rows][keep]
+            seg.owner = seg.owner[keep]
+            seg.n = kept
+            self._dead += nm
+            self._box_counts = None
         self.events_retired += nm
         counter.index_events_retired += nm
         return nm
@@ -504,32 +466,38 @@ class BucketIndex:
         ``slide_window`` versions.  The maintenance that keeps the index
         healthy long-term also runs here, off the query path: the merge
         policy (segment count back under :attr:`merge_segment_cap`,
-        zero re-bucketing) and the compaction-debt paydown (dead rows
-        back under :attr:`dead_row_budget`, work proportional to what
-        retired since the last sync).  Returns
-        ``(events_added, events_retired)``.
+        zero re-bucketing) and the repack rule (``dead_rows <=
+        max(64, n)`` on return).  Arriving batches are validated before
+        anything is retired, so a ``ValueError`` leaves the index
+        unchanged.  Returns ``(events_added, events_retired)``.
         """
         counter = counter if counter is not None else null_counter()
         live_ids = {bid for bid, _ in batches}
-        added = retired = 0
-        for seg_id in list(self._segments):
-            seg = self._segments[seg_id]
-            if seg.members is None:
-                if seg.seg_id not in live_ids:
-                    retired += seg.n
-                    self.remove_segment(seg_id, counter)
-                continue
-            for mid in [m[0] for m in seg.members if m[0] not in live_ids]:
-                retired += self._retire_member(seg, mid, counter)
-            if not seg.members:
-                self._segments.pop(seg_id)  # empty shell, rows already dead
+        if len(live_ids) != len(batches):
+            raise ValueError("batch ids must be distinct")
+        # Retirement only drops ids outside ``live_ids``, so coverage of
+        # the live ids can be read (and the arrivals checked) up front.
         covered = {
             mid for seg in self._segments.values() for mid in seg.member_ids()
         }
-        for bid, coords in batches:
-            if bid not in covered:
-                self.add_segment(bid, coords, counter=counter)
-                added += len(coords)
+        arriving = [
+            (bid, self._checked_batch(bid, coords, None)[0])
+            for bid, coords in batches if bid not in covered
+        ]
+        added = retired = 0
+        for seg in list(self._segments.values()):
+            if seg.members is None:
+                if seg.seg_id not in live_ids:
+                    retired += seg.n
+                    self.remove_segment(seg.seg_id, counter)
+                continue
+            for mid in [m for m in seg.members if m not in live_ids]:
+                retired += self._retire_member(seg, mid, counter)
+            if not seg.members:
+                self._segments.pop(seg.seg_id)  # empty shell, rows already dead
+        for bid, coords in arriving:
+            self._append_segment(bid, coords, None, counter)
+            added += len(coords)
         if (
             self.merge_segment_cap is not None
             and self.segment_count > self.merge_segment_cap
@@ -539,71 +507,67 @@ class BucketIndex:
                 list(self._segments)[: self.segment_count - target + 1],
                 counter,
             )
-        self._pay_compaction_debt(counter)
-        if self._order_high > max(64, 2 * self.n):
-            self._rebuild_order_store()
+        self._repack_if_due(counter)
         return added, retired
 
     def consolidate_segments(
         self, ids: List[object], counter: Optional[WorkCounter] = None
     ) -> None:
-        """Coalesce segments into one consolidated CSR segment.
+        """Coalesce segments into one consolidated segment.
 
-        Rows are copied member-major into one allocation and the members'
-        already-sorted cell arrays merge-sorted into a single run table —
-        no cell key is recomputed, no event re-bucketed.  Tie order
-        within a cell is member registration order, exactly what a cold
-        index built from the same batches would produce.  :meth:`sync`'s
-        merge policy calls this; it is public so operators (and the
-        ``c_qrow`` calibration probe) can consolidate explicitly.
+        One stable sort: the segments' row ranges are concatenated in
+        the order given (registration order from :meth:`sync`), stably
+        ordered by their already-computed cells and appended as one
+        gathered copy, each row's ``owner`` permuted along — no cell key
+        is recomputed, no event re-bucketed.  Tie order within a cell is
+        member registration order, then insertion order, exactly what a
+        cold index built from the same batches would produce.  The
+        superseded rows are counted dead (the next :meth:`sync` or
+        :meth:`remove_segment` repacks when due).  :meth:`sync`'s merge
+        policy calls this; it is public so operators (and the ``c_qrow``
+        calibration probe) can consolidate explicitly.  ``ids`` must be
+        registered and distinct (``ValueError``, index unchanged).
         """
         counter = counter if counter is not None else null_counter()
+        ids = list(ids)
+        if len(set(ids)) != len(ids) or any(
+            i not in self._segments for i in ids
+        ):
+            raise ValueError(
+                f"consolidate_segments needs distinct registered ids, got {ids!r}"
+            )
         segs = [self._segments[i] for i in ids]
-        n_total = sum(s.n for s in segs)
-        dest = self._take_gap(n_total)
-        if dest is None:
-            self._grow_rows(n_total)
-            dest = self._size
-            self._size += n_total
-        else:
-            self._dead -= n_total
-        self._grow_order(n_total)
-        members: List[List] = []
-        cells_parts: List[np.ndarray] = []
-        pos = 0
+        members: Dict[object, int] = {}
+        src_parts = [np.empty(0, dtype=np.int64)]
+        owner_parts = [np.empty(0, dtype=np.int64)]
         for s in segs:
-            o = self._order[s.order_base : s.order_base + s.n]
-            rows = np.sort(o)
-            self._coords[dest + pos : dest + pos + s.n] = self._coords[rows]
-            if self._weights is not None:
-                self._weights[dest + pos : dest + pos + s.n] = (
-                    self._weights[rows]
-                )
-            # Rows land in ascending-storage (= insertion) order, so the
-            # member-major cells come from undoing the cell sort.
-            cells_parts.append(s.cells_sorted[np.argsort(o, kind="stable")])
+            src_parts.append(np.arange(s.start, s.start + s.n, dtype=np.int64))
             if s.members is None:
-                members.append([s.seg_id, pos, s.n])
+                owner_parts.append(np.full(s.n, len(members), dtype=np.int64))
+                members[s.seg_id] = len(members)
             else:
-                for mid, rel, nm in s.members:
-                    members.append(
-                        [mid, pos + int(np.searchsorted(rows, s.start + rel)), nm]
-                    )
-            self._free_rows(rows)
-            pos += s.n
+                renumber = np.zeros(
+                    max(s.members.values(), default=-1) + 1, dtype=np.int64
+                )
+                for mid, k in s.members.items():
+                    renumber[k] = members[mid] = len(members)
+                owner_parts.append(renumber[s.owner])
+        src = np.concatenate(src_parts)
+        by_cell = np.argsort(self._cells[src], kind="stable")
+        src = src[by_cell]
+        # Reserve before taking views (growth reallocates), copy, and
+        # only then count the superseded rows dead.
+        dest = self._reserve(src.size)
+        for col in self._columns():
+            col[dest : dest + src.size] = col[src]
+        self._dead += src.size
         for i in ids:
             self._segments.pop(i)
-        cells = (
-            np.concatenate(cells_parts) if cells_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        local = np.argsort(cells, kind="stable").astype(np.int64)
-        order_base = self._order_high
-        self._order[order_base : order_base + n_total] = dest + local
         seg_id = ("merged", self._merge_seq)
         self._merge_seq += 1
         seg = _Segment(
-            seg_id, dest, n_total, cells[local], order_base, members=members
+            seg_id, dest, int(src.size), members,
+            np.concatenate(owner_parts)[by_cell],
         )
         # Oldest-first dict order, like a cold build over the same batches.
         self._segments = {seg_id: seg, **self._segments}
@@ -612,241 +576,6 @@ class BucketIndex:
         # Cell counts are unchanged (same live events), so the planner's
         # box-sum table stays valid across a merge.
 
-    # ------------------------------------------------------------------
-    # Compaction debt
-    # ------------------------------------------------------------------
-    def _relocate_segment(self, seg: _Segment, dest: int) -> None:
-        """Move a segment's live rows into ``dest``, squeezing its holes.
-
-        The rows keep their ascending (insertion) order, so the cell-
-        sorted permutation is remapped by rank and consolidated-segment
-        member offsets stay contiguous.  The vacated rows join the free
-        list; the caller owns the consumed gap's ``_dead`` accounting.
-        """
-        o = self._order[seg.order_base : seg.order_base + seg.n]
-        rows = np.sort(o)
-        n = seg.n
-        self._coords[dest : dest + n] = self._coords[rows]
-        if self._weights is not None:
-            self._weights[dest : dest + n] = self._weights[rows]
-        self._order[seg.order_base : seg.order_base + n] = (
-            dest + np.searchsorted(rows, o)
-        )
-        if seg.members is not None:
-            for m in seg.members:
-                m[1] = int(np.searchsorted(rows, seg.start + m[1]))
-        seg.start = dest
-        seg.row_hi = dest + n
-        self._free_rows(rows)
-
-    def _relocate_split(self, seg: _Segment, counter: WorkCounter) -> bool:
-        """Relocate a segment into *several* gap spans, lowest-first.
-
-        Whole-segment relocation wedges when no single gap fits the
-        segment — the fragmented-tail shape that used to force a full
-        O(live) compaction.  Splitting sidesteps the wedge: a simple
-        segment's rows break at any boundary, a consolidated segment's
-        at **member** boundaries (each member's interval must stay
-        contiguous for :meth:`_retire_member`'s ``[lo, hi)`` filter and
-        :meth:`consolidate_segments`' rank remap), and chunks pack into
-        the lowest gaps in ascending order — so rows keep their
-        ascending insertion order and the cell-sorted permutation is
-        remapped by rank exactly as in :meth:`_relocate_segment`.  Every
-        committed plan places all rows strictly below the segment's
-        current ``row_hi`` (a gap can never contain the segment's top
-        live row), so each move strictly lowers it.  Returns ``False``
-        when the gaps below the segment cannot hold it.
-        """
-        row_hi = seg.row_hi
-        spans: List[Tuple[int, int]] = []  # (dest_start, rows_packed)
-        if seg.members is None:
-            remaining = seg.n
-            for g in self._gaps:
-                if remaining == 0:
-                    break
-                take = min(g[1], remaining, row_hi - g[0])
-                if take <= 0:
-                    continue
-                spans.append((g[0], take))
-                remaining -= take
-            if remaining:
-                return False
-        else:
-            mem = sorted(
-                (m for m in seg.members if m[2]), key=lambda m: m[1]
-            )
-            sizes = [int(m[2]) for m in mem]
-            mem_dest: List[int] = []
-            k = 0
-            for g in self._gaps:
-                if k >= len(sizes):
-                    break
-                room = min(g[1], row_hi - g[0])
-                packed = 0
-                while k < len(sizes) and sizes[k] <= room - packed:
-                    mem_dest.append(g[0] + packed)
-                    packed += sizes[k]
-                    k += 1
-                if packed:
-                    spans.append((g[0], packed))
-            if k < len(sizes):
-                return False
-        # Commit: consume the planned span off each gap's low end.
-        for dest, cnt in spans:
-            i = bisect.bisect_left([g[0] for g in self._gaps], dest)
-            g = self._gaps[i]
-            if g[1] == cnt:
-                self._gaps.pop(i)
-            else:
-                g[0] += cnt
-                g[1] -= cnt
-        self._dead -= seg.n
-        o = self._order[seg.order_base : seg.order_base + seg.n]
-        rows = np.sort(o)
-        new_rows = (
-            np.concatenate(
-                [np.arange(d, d + c, dtype=np.int64) for d, c in spans]
-            )
-            if spans else np.empty(0, dtype=np.int64)
-        )
-        self._coords[new_rows] = self._coords[rows]
-        if self._weights is not None:
-            self._weights[new_rows] = self._weights[rows]
-        self._order[seg.order_base : seg.order_base + seg.n] = (
-            new_rows[np.searchsorted(rows, o)]
-        )
-        start = spans[0][0] if spans else seg.start
-        if seg.members is not None:
-            it = iter(mem_dest)
-            for m in mem:
-                m[1] = next(it) - start
-            for m in seg.members:
-                if not m[2]:
-                    m[1] = 0
-        seg.start = start
-        seg.row_hi = (spans[-1][0] + spans[-1][1]) if spans else start
-        self._free_rows(rows)
-        return True
-
-    def _truncate_tail(self) -> None:
-        """Reclaim trailing dead rows by lowering the high-water mark."""
-        hi = max((s.row_hi for s in self._segments.values()), default=0)
-        if hi >= self._size:
-            return
-        kept: List[List[int]] = []
-        for g in self._gaps:
-            if g[0] >= hi:
-                self._dead -= g[1]
-            elif g[0] + g[1] > hi:
-                self._dead -= g[0] + g[1] - hi
-                kept.append([g[0], hi - g[0]])
-            else:
-                kept.append(g)
-        self._gaps = kept
-        self._size = hi
-
-    def _pay_compaction_debt(self, counter: WorkCounter) -> None:
-        """Pay dead rows down to :attr:`dead_row_budget`, incrementally.
-
-        Trailing gaps are truncated for free; then the highest-placed
-        segments are relocated into the lowest fitting gaps until the
-        debt is under budget.  A segment no single gap can hold is
-        **split** across several spans (:meth:`_relocate_split`) —
-        member-boundary splits for consolidated segments, arbitrary for
-        simple ones — so a fragmented tail under a large consolidated
-        segment no longer wedges relocation into the old full-compact
-        cliff.  Each relocation strictly lowers the storage high-water
-        mark, so the work is proportional to the rows retired since the
-        last sync — never a full sweep on the fast path.  A full
-        compaction survives only as a last-resort safety valve (e.g. a
-        single member larger than every gap below it), so the budget
-        bound genuinely holds after every sync.
-        """
-        self._truncate_tail()
-        for _ in range(64):
-            if self._dead <= self.dead_row_budget:
-                return
-            moved = False
-            for seg in sorted(
-                (s for s in self._segments.values() if s.n),
-                key=lambda s: s.row_hi, reverse=True,
-            ):
-                dest = self._take_gap(seg.n, limit=seg.row_hi - seg.n)
-                if dest is not None:
-                    self._dead -= seg.n
-                    self._relocate_segment(seg, dest)
-                    self.rows_compacted += seg.n
-                    counter.index_rows_compacted += seg.n
-                    moved = True
-                    break
-                if self._relocate_split(seg, counter):
-                    self.rows_compacted += seg.n
-                    counter.index_rows_compacted += seg.n
-                    moved = True
-                    break
-            self._truncate_tail()
-            if not moved:
-                break
-        if self._dead > self.dead_row_budget:
-            self.rows_compacted += self.n
-            counter.index_rows_compacted += self.n
-            self._compact()
-
-    def _rebuild_order_store(self) -> None:
-        """Densify the order store (row ids unchanged, spans repacked).
-
-        The backstop for permutation-store growth under sustained churn:
-        O(live) int64 copies, triggered only when the high-water mark
-        doubles the live count.
-        """
-        live = self.n
-        order = np.empty(max(live, 64), dtype=np.int64)
-        pos = 0
-        for seg in self._segments.values():
-            order[pos : pos + seg.n] = (
-                self._order[seg.order_base : seg.order_base + seg.n]
-            )
-            seg.order_base = pos
-            pos += seg.n
-        self._order = order
-
-    def _compact(self) -> None:
-        """Squeeze all dead rows out of the stores — O(live), zero
-        bucketing.
-
-        Rows move but keep their ascending (insertion) order per segment,
-        so each permutation is remapped by rank — no cell is recomputed,
-        no sort rerun, and consolidated-segment member spans survive.
-        """
-        live = self.n
-        coords = np.empty((max(live, 64), 3), dtype=np.float64, order="F")
-        weights = (
-            np.ones(coords.shape[0], dtype=np.float64)
-            if self._weights is not None else None
-        )
-        order = np.empty(max(live, 64), dtype=np.int64)
-        pos = 0
-        for seg in self._segments.values():
-            o = self._order[seg.order_base : seg.order_base + seg.n]
-            rows = np.sort(o)
-            coords[pos : pos + seg.n] = self._coords[rows]
-            if weights is not None:
-                weights[pos : pos + seg.n] = self._weights[rows]
-            order[pos : pos + seg.n] = pos + np.searchsorted(rows, o)
-            if seg.members is not None:
-                for m in seg.members:
-                    m[1] = int(np.searchsorted(rows, seg.start + m[1]))
-            seg.start = pos
-            seg.row_hi = pos + seg.n
-            seg.order_base = pos
-            pos += seg.n
-        self._coords = coords
-        self._weights = weights
-        self._order = order
-        self._size = live
-        self._dead = 0
-        self._gaps = []
-
     def stats(self) -> Dict[str, int]:
         """Gauges for serving observability (``repro query --stats``)."""
         return {
@@ -854,8 +583,6 @@ class BucketIndex:
             "merged_segments": self.merged_segments,
             "events": self.n,
             "dead_rows": self._dead,
-            "dead_row_budget": self.dead_row_budget,
-            "gaps": len(self._gaps),
             "events_bucketed": self.events_bucketed,
             "events_retired": self.events_retired,
             "segments_merged": self.segments_merged,
@@ -896,8 +623,8 @@ class BucketIndex:
 
         ``cell_coords`` is ``(G, 3)`` integer cells; the return is two
         ``(G, 9 * segments)`` int64 arrays ``(starts, lengths)``: run ``r``
-        of cell ``g`` covers ``order_store[starts[g, r] :
-        starts[g, r] + lengths[g, r]]``.  Runs are ordered segment-major,
+        of cell ``g`` covers store rows ``[starts[g, r], starts[g, r] +
+        lengths[g, r])`` of :attr:`coords`.  Runs are ordered segment-major,
         then x, then y; consuming them left-to-right fixes the candidate
         (and hence accumulation) order of every direct sum.  Cells
         contiguous in t are contiguous in the flat id, so one ``(ix, iy)``
@@ -929,10 +656,10 @@ class BucketIndex:
             if seg.n == 0:
                 continue
             lo, hi = np.searchsorted(
-                seg.cells_sorted, bounds.ravel()
+                self._cells[seg.start : seg.start + seg.n], bounds.ravel()
             ).reshape(bounds.shape)
             r = slice(k * _RUNS_PER_SEGMENT, (k + 1) * _RUNS_PER_SEGMENT)
-            starts[:, r] = np.where(valid, seg.order_base + lo, 0).T
+            starts[:, r] = np.where(valid, seg.start + lo, 0).T
             lengths[:, r] = np.where(valid, hi - lo, 0).T
         return starts, lengths
 

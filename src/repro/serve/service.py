@@ -101,12 +101,7 @@ class DensityService:
         (``None`` disables merging) — bounds per-query probe cost under
         sustained tiny-batch slides; see
         :meth:`~repro.analysis.model.CostModel.predict_merge` for the
-        trade.  ``"auto"`` re-picks the cap per deployment through
-        :meth:`~repro.analysis.model.CostModel.choose_merge_cap` from
-        the *observed* feed/query mix (EWMA of point-query batches
-        served per version change): query-heavy traffic converges on a
-        small cap (probes dominate, merge often), feed-heavy on a large
-        one (merges dominate, tolerate segments).
+        trade.
     """
 
     def __init__(
@@ -120,7 +115,7 @@ class DensityService:
         cache: Optional[QueryCache] = None,
         machine: Optional[MachineModel] = None,
         counter: Optional[WorkCounter] = None,
-        index_merge_cap: Union[int, str, None] = 16,
+        index_merge_cap: Optional[int] = 16,
     ) -> None:
         if backend not in ("auto", "direct", "lookup", "approx"):
             raise ValueError(
@@ -129,9 +124,9 @@ class DensityService:
             )
         if compute != "auto":
             get_backend(compute)  # fail fast on unknown/unavailable names
-        if isinstance(index_merge_cap, str) and index_merge_cap != "auto":
+        if isinstance(index_merge_cap, str):
             raise ValueError(
-                f"index_merge_cap must be an int, None or 'auto', "
+                f"index_merge_cap must be an int or None, "
                 f"got {index_merge_cap!r}"
             )
         self.kernel = get_kernel(kernel)
@@ -141,17 +136,7 @@ class DensityService:
         #: batch to the cheapest calibrated backend.  The default keeps
         #: every sum on the reference backend — bit-identical results.
         self.compute = compute
-        self._merge_cap_auto = index_merge_cap == "auto"
-        self.index_merge_cap: Optional[int] = (
-            16 if self._merge_cap_auto else index_merge_cap
-        )
-        # Observed feed/query mix driving the "auto" merge cap: point
-        # batches (and their rows) served since the last version change,
-        # smoothed into per-sync EWMAs at each sync.
-        self._point_batches_since_sync = 0
-        self._point_rows_since_sync = 0
-        self._batches_per_sync = 1.0
-        self._rows_per_batch = 1.0
+        self.index_merge_cap = index_merge_cap
         self.cache = cache if cache is not None else QueryCache()
         self.counter = counter if counter is not None else WorkCounter()
         self._machine = machine
@@ -262,52 +247,12 @@ class DensityService:
         if v == self._synced_version:
             return
         if self._index is not None and self._inc is not None:
-            if self._merge_cap_auto:
-                self._retune_merge_cap()
             self._index.sync(self._inc.live_batches, counter=self.counter)
         self._volume = None
         self._planner = None
         self._live_coords = None
         self.cache.drop_stale(v)
         self._synced_version = v
-
-    def _retune_merge_cap(self) -> None:
-        """Re-pick the live index's merge cap from the observed mix.
-
-        Runs at each version change (just before the index sync whose
-        merge policy it tunes).  The EWMAs smooth the batch-per-sync and
-        rows-per-batch observations so one idle slide doesn't whipsaw
-        the cap; the group estimate is rows-per-batch clipped to the
-        occupied cell count (each query row probes at most its own home
-        cell group).  Deliberately uses the machine at hand (calibrated
-        if the planner ran, :meth:`MachineModel.nominal` otherwise) —
-        retuning must never trigger a calibration probe mid-serve.
-        """
-        b = self._point_batches_since_sync
-        self._batches_per_sync = 0.5 * self._batches_per_sync + 0.5 * b
-        if b:
-            self._rows_per_batch = (
-                0.5 * self._rows_per_batch
-                + 0.5 * (self._point_rows_since_sync / b)
-            )
-        self._point_batches_since_sync = 0
-        self._point_rows_since_sync = 0
-        machine = (
-            self._machine if self._machine is not None
-            else MachineModel.nominal()
-        )
-        model = CostModel(
-            self.grid, PointSet(np.empty((0, 3))), machine
-        )
-        n_groups = int(min(
-            max(1.0, self._rows_per_batch),
-            max(1, self._index.occupied_cells),
-        ))
-        cap = model.choose_merge_cap(
-            max(self._index.n, 1), n_groups, self._batches_per_sync
-        )
-        self.index_merge_cap = cap
-        self._index.merge_segment_cap = cap
 
     # ------------------------------------------------------------------
     # Derived structures
@@ -477,9 +422,6 @@ class DensityService:
             raise ValueError(f"eps must be positive or None, got {eps!r}")
         if q.shape[0] == 0:
             return np.empty(0, dtype=np.float64)
-        if self._inc is not None:
-            self._point_batches_since_sync += 1
-            self._point_rows_since_sync += q.shape[0]
         force, force_reason = self._resolve_backend(backend, eps)
         # Cache before planning: a hit must not pay the planner's O(n)
         # estimates.  Off voxel centers the two backends differ (exact vs
@@ -665,7 +607,7 @@ class DensityService:
     def stats(self) -> Dict[str, object]:
         """Serving counters: cache behaviour, backend mix, builds, index
         segment gauges, slide-pipeline work (slab retirement, segment
-        merging, compaction debt), and planner decisions — the JSON blob
+        merging, index repacks), and planner decisions — the JSON blob
         ``repro query --stats`` prints for load balancers and
         dashboards."""
         cache = self.cache.stats()
@@ -831,7 +773,7 @@ class ShardedDensityService:
         compute: str = DEFAULT_BACKEND,
         machine: Optional[MachineModel] = None,
         counter: Optional[WorkCounter] = None,
-        index_merge_cap: Union[int, str, None] = 16,
+        index_merge_cap: Optional[int] = 16,
         t_slab_voxels="auto",
         max_restarts: int = 3,
         restart_backoff_s: float = 0.05,
@@ -851,6 +793,11 @@ class ShardedDensityService:
             )
         if compute != "auto":
             get_backend(compute)  # fail fast on unknown/unavailable names
+        if isinstance(index_merge_cap, str):
+            raise ValueError(
+                f"index_merge_cap must be an int or None, "
+                f"got {index_merge_cap!r}"
+            )
         self.grid = grid
         self.kernel = get_kernel(kernel)
         self.backend = backend
@@ -884,9 +831,6 @@ class ShardedDensityService:
         self.plan = plan if plan is not None else plan_shards(
             grid, seed_coords, P
         )
-        # Workers' own merge policy stays fixed ("auto" adaptation is a
-        # coordinator-side concern of the single-process service).
-        worker_cap = 16 if index_merge_cap == "auto" else index_merge_cap
         self.on_shard_failure = on_shard_failure
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
@@ -899,7 +843,7 @@ class ShardedDensityService:
             # ctx=None: each ShardWorker defaults to the spawn context.
             return ShardWorker(
                 s, grid, self.kernel.name,
-                merge_cap=worker_cap, t_slab=t_slab_voxels, ctx=None,
+                merge_cap=index_merge_cap, t_slab=t_slab_voxels, ctx=None,
                 fault_plan=fp, compute=worker_compute,
             )
 

@@ -94,7 +94,7 @@ def cell_candidates(index, cx, cy, ct):
     :meth:`BucketIndex.candidate_runs` (runs expanded left to right)."""
     starts, lengths = index.candidate_runs(np.array([[cx, cy, ct]]))
     chunks = [
-        index.order_store[s : s + l]
+        np.arange(s, s + l, dtype=np.int64)
         for s, l in zip(starts[0].tolist(), lengths[0].tolist())
     ]
     return np.concatenate(chunks + [np.empty(0, dtype=np.int64)])
@@ -108,12 +108,13 @@ def reference_candidates(index, cx, cy, ct):
     t_hi = min(index.nt, ct + 2)
     chunks = []
     for seg in index._segments.values():
+        cells = index._cells[seg.start : seg.start + seg.n]
         for ix in range(max(0, cx - 1), min(index.nx, cx + 2)):
             for iy in range(max(0, cy - 1), min(index.ny, cy + 2)):
                 row = (ix * index.ny + iy) * index.nt
-                lo = int(np.searchsorted(seg.cells_sorted, row + t_lo))
-                hi = int(np.searchsorted(seg.cells_sorted, row + t_hi))
+                lo = int(np.searchsorted(cells, row + t_lo))
+                hi = int(np.searchsorted(cells, row + t_hi))
                 chunks.append(
-                    index.order_store[seg.order_base + lo : seg.order_base + hi]
+                    np.arange(seg.start + lo, seg.start + hi, dtype=np.int64)
                 )
     return np.concatenate(chunks + [np.empty(0, dtype=np.int64)])

@@ -16,7 +16,12 @@ import pytest
 
 from repro.analysis.model import MachineModel
 from repro.core import DomainSpec, GridSpec, PointSet
-from repro.serve import DensityService, ShardedDensityService, TrafficFrontend
+from repro.core.kernels import get_kernel
+from repro.serve import (
+    BucketIndex, DensityService, ShardedDensityService, TrafficFrontend,
+)
+from repro.serve.engine import direct_sum
+from tests.helpers import brute_force_sum
 
 ENTRIES = ("direct", "lookup", "sharded", "frontend")
 NON_FINITE = (np.nan, np.inf, -np.inf)
@@ -153,6 +158,72 @@ def test_non_finite_events_are_rejected(mutations, entry, bad):
             mutate(rows)
         # Neither counted, stamped, versioned nor (on a slide) retired.
         assert state() == before
+
+
+# ---------------------------------------------------------------------------
+# BucketIndex's own entry points: exported from repro.serve and fed raw
+# arrays by the shard workers, so PointSet's checks never see its input.
+# Unchecked, a NaN coordinate is cast into an arbitrary cell and counted,
+# and a NaN weight turns every neighbouring answer into NaN.
+# ---------------------------------------------------------------------------
+INDEX_ENTRIES = ("constructor", "add_segment", "sync")
+BAD_WEIGHTS = (np.nan, np.inf, -1.0)
+
+
+@pytest.fixture
+def fed_index():
+    """``(index, live coords, feed)``: two synced batches, and ``feed(entry,
+    rows, weights)`` pushing one more batch through the named entry (the
+    sync also asks for batch 0's retirement)."""
+    grid = GridSpec(DomainSpec.from_voxels(16, 16, 16), hs=2.0, ht=2.0)
+    rng = np.random.default_rng(8)
+    batches = {i: rng.uniform(0, 16.0, size=(60, 3)) for i in range(2)}
+    idx = BucketIndex(grid)
+    idx.sync(list(batches.items()))
+
+    def feed(entry, rows, weights=None):
+        if entry == "constructor":
+            BucketIndex(grid, rows, weights)
+        elif entry == "add_segment":
+            idx.add_segment("new", rows, weights)
+        else:
+            idx.sync([(1, batches[1]), ("new", rows)])
+
+    return idx, np.vstack(list(batches.values())), feed
+
+
+def _index_unchanged(idx, live):
+    assert (idx.n, idx.segment_ids, idx.dead_rows) == (120, (0, 1), 0)
+    q = np.random.default_rng(9).uniform(0, 16.0, size=(40, 3))
+    kern = get_kernel("epanechnikov")
+    np.testing.assert_allclose(
+        direct_sum(idx, q, kern, 1.0),
+        brute_force_sum(idx.grid, kern, live, q),
+        rtol=1e-12, atol=0.0,
+    )
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("entry", INDEX_ENTRIES)
+def test_index_rejects_non_finite_events(fed_index, entry, bad):
+    idx, live, feed = fed_index
+    for axis in range(3):
+        rows = np.array([GOOD, GOOD])
+        rows[1, axis] = bad
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            feed(entry, rows)
+        # Neither bucketed nor counted, and (on a sync) nothing retired.
+        _index_unchanged(idx, live)
+
+
+@pytest.mark.parametrize("bad", BAD_WEIGHTS)
+@pytest.mark.parametrize("entry", INDEX_ENTRIES[:2])  # sync carries no weights
+def test_index_rejects_bad_weights(fed_index, entry, bad):
+    idx, live, feed = fed_index
+    with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+        feed(entry, np.array([GOOD, GOOD]), np.array([1.0, bad]))
+    assert idx.weights is None  # no weight column was back-filled either
+    _index_unchanged(idx, live)
 
 
 # ---------------------------------------------------------------------------

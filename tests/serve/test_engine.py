@@ -137,8 +137,8 @@ def layered_index(grid, weighted, seed=70):
     """A lived-in index and the events it holds.
 
     Six clustered batches as segments; three are consolidated and one of
-    those members retired; a whole segment is removed; a late batch
-    reuses the freed rows; one segment is empty.  Returns ``(index,
+    those members retired (which repacks the store); a whole segment is
+    removed; a late batch is appended; one segment is empty.  Returns ``(index,
     coords, weights)`` with the live events in no particular order.
     """
     rng = np.random.default_rng(seed)
@@ -158,11 +158,9 @@ def layered_index(grid, weighted, seed=70):
         del parts[gone], wts[gone]
     live = [(i, p) for i, p in parts.items()] + [("empty", np.empty((0, 3)))]
     idx.sync(live)  # retires consolidated member 1 by filtering
-    dead = idx.dead_rows
     parts["late"] = make_points(grid, 40, seed=seed + 1).coords
     wts["late"] = rng.uniform(0.25, 4.0, 40) if weighted else None
     idx.add_segment("late", parts["late"], wts["late"])
-    assert idx.dead_rows == dead - 40  # the late batch landed in a gap
     assert idx.merged_segments == 1 and idx.segment_count == 5
     coords = np.vstack(list(parts.values()))
     weights = np.concatenate(list(wts.values())) if weighted else None

@@ -68,8 +68,9 @@ class TestCandidates:
             dt = pts.coords[:, 2] - q[2]
             inside = ((dx * dx + dy * dy) < hs * hs) & (np.abs(dt) <= ht)
             cc = idx.cell_coords(q[None, :])[0]
-            cand = set(cell_candidates(idx, *(int(c) for c in cc)).tolist())
-            missing = set(np.nonzero(inside)[0].tolist()) - cand
+            rows = cell_candidates(idx, *(int(c) for c in cc))
+            cand = set(map(tuple, idx.coords[rows].tolist()))
+            missing = set(map(tuple, pts.coords[inside].tolist())) - cand
             assert not missing, f"index missed events {missing} for query {q}"
 
     def test_candidates_unique(self, index):
@@ -170,7 +171,12 @@ class TestWeights:
         pts = make_points(small_grid, 20, seed=13)
         w = np.linspace(0.5, 2.0, 20)
         idx = BucketIndex(small_grid, pts.coords, w)
-        np.testing.assert_array_equal(idx.weights, w)
+        # Storage is in cell order: each event still carries its weight.
+        stored = np.column_stack([idx.coords, idx.weights])
+        given = np.column_stack([pts.coords, w])
+        np.testing.assert_array_equal(
+            stored[np.lexsort(stored.T)], given[np.lexsort(given.T)]
+        )
 
 
 def _same_candidates(incremental, rebuilt):
@@ -253,7 +259,7 @@ class TestIncrementalSegments:
         )
 
     def test_dead_rows_compact(self, small_grid):
-        """Retiring most segments triggers compaction; results unchanged."""
+        """Retiring most segments triggers a repack; results unchanged."""
         idx = BucketIndex(small_grid)
         keep = make_points(small_grid, 20, seed=300).coords
         idx.add_segment("keep", keep)
@@ -261,7 +267,8 @@ class TestIncrementalSegments:
             idx.add_segment(i, make_points(small_grid, 60, seed=301 + i).coords)
         for i in range(5):
             idx.remove_segment(i)
-        assert idx.dead_rows < idx.n + 65  # compaction bounded the garbage
+            assert idx.dead_rows <= max(64, idx.n)  # the repack bound
+        assert idx.rows_compacted > 0
         assert idx.n == 20
         _same_candidates(idx, BucketIndex(small_grid, keep))
 
@@ -293,9 +300,10 @@ def test_degenerate_tiny_domain():
 
 
 class TestMergePolicyAndCompaction:
-    """Tentpole acceptance: the merge policy bounds segment count with
-    zero re-bucketing, member retirement filters (never re-sorts), and
-    compaction debt is paid in sync — off the remove path."""
+    """The merge policy bounds segment count with zero re-bucketing,
+    member retirement filters (never re-sorts), and one repack rule
+    keeps ``dead_rows <= max(64, n)`` after every ``sync`` and
+    ``remove_segment``."""
 
     def _batches(self, small_grid, n_batches, size=25, seed0=400):
         return {
@@ -349,42 +357,18 @@ class TestMergePolicyAndCompaction:
                 live.pop(min(live))
             idx.sync(list(live.items()), counter=c)
             assert idx.segment_count <= 6
-            assert idx.dead_rows <= idx.dead_row_budget
+            assert idx.dead_rows <= max(64, idx.n)
+            # Storage stays bounded: live rows plus at most as many dead.
+            assert idx.coords.shape[0] <= 2 * max(64, idx.n)
         # O(delta) bucketing: every event bucketed exactly once.
         assert c.index_events_bucketed == 60 * 20
-        # Storage stayed bounded (reuse + debt paydown, no growth).
-        assert idx._size <= 2 * idx.n + 64
         _same_candidates(
             idx, BucketIndex(small_grid, np.vstack(list(live.values())))
         )
 
-    def test_remove_segment_defers_compaction_to_sync(self, small_grid):
-        idx = BucketIndex(small_grid, merge_segment_cap=None)
-        batches = self._batches(small_grid, 8, size=30)
-        idx.sync(list(batches.items()))
-        idx.remove_segment(3)
-        # No eager sweep: the rows just went dead on the free list.
-        assert idx.dead_rows == 30
-        batches.pop(3)
-        idx.sync(list(batches.items()))
-        assert idx.dead_rows <= idx.dead_row_budget
-        _same_candidates(
-            idx, BucketIndex(small_grid, np.vstack(list(batches.values())))
-        )
-
-    def test_gap_reuse_keeps_storage_flat(self, small_grid):
-        """A retired batch's rows are reused by the next like-sized add."""
-        idx = BucketIndex(small_grid, merge_segment_cap=None)
-        idx.add_segment("a", make_points(small_grid, 40, seed=600).coords)
-        idx.add_segment("b", make_points(small_grid, 40, seed=601).coords)
-        size_before = idx._size
-        idx.remove_segment("a")
-        idx.add_segment("c", make_points(small_grid, 40, seed=602).coords)
-        assert idx._size == size_before  # slot reused, no growth
-        assert idx.dead_rows == 0
-
     def test_heavy_unsynced_retirement_still_bounded(self, small_grid):
-        """The 4x safety valve: remove-only callers cannot leak storage."""
+        """Remove-only callers cannot leak storage: ``remove_segment``
+        runs the repack rule itself."""
         idx = BucketIndex(small_grid, merge_segment_cap=None)
         keep = make_points(small_grid, 10, seed=610).coords
         idx.add_segment("keep", keep)
@@ -392,8 +376,56 @@ class TestMergePolicyAndCompaction:
             idx.add_segment(i, make_points(small_grid, 50, seed=611 + i).coords)
         for i in range(40):
             idx.remove_segment(i)
-        assert idx.dead_rows <= 4 * max(idx.n, 64)
+            assert idx.dead_rows <= max(64, idx.n)
+            assert idx.coords.shape[0] <= 2 * max(64, idx.n)
         _same_candidates(idx, BucketIndex(small_grid, keep))
+
+    def test_consolidate_rejects_repeated_or_unknown_ids(self, small_grid):
+        """A bad id list is refused before anything moves."""
+        from repro.core.kernels import get_kernel
+        from repro.serve.engine import direct_sum
+
+        idx = BucketIndex(small_grid, merge_segment_cap=None)
+        for i in range(2):
+            idx.add_segment(i, make_points(small_grid, 25, seed=650 + i).coords)
+        q = make_points(small_grid, 30, seed=652).coords
+        kern = get_kernel("epanechnikov")
+        before = direct_sum(idx, q, kern, 1.0)
+        for ids in ([0, 0], [0, "unknown"]):
+            with pytest.raises(ValueError, match="distinct registered ids"):
+                idx.consolidate_segments(ids)
+            assert idx.n == 50 and idx.segment_ids == (0, 1)
+            assert idx.dead_rows == 0 and idx.merged_segments == 0
+            np.testing.assert_array_equal(direct_sum(idx, q, kern, 1.0), before)
+
+    def test_idle_sync_copies_no_rows(self, small_grid):
+        """A sync that retires nothing and merges nothing moves nothing."""
+        from repro.core import WorkCounter
+
+        batches = self._batches(small_grid, 6)
+        idx = BucketIndex(small_grid)
+        idx.sync(list(batches.items()))
+        batches.pop(0)
+        idx.sync(list(batches.items()))  # leaves 25 dead rows behind
+        c = WorkCounter()
+        assert idx.sync(list(batches.items()), counter=c) == (0, 0)
+        assert c.index_rows_compacted == 0 and idx.rows_compacted == 0
+        assert idx.dead_rows == 25
+
+    @pytest.mark.parametrize("size, cap", [(24, None), (5, 64)])
+    def test_repack_cost_is_amortised(self, small_grid, size, cap):
+        """200 slides of a 12-batch window, no merge firing: a repack
+        copies ``n`` rows only after more than ``n`` died, so the rows
+        copied never exceed the rows retired."""
+        idx = BucketIndex(small_grid, merge_segment_cap=cap)
+        live = {}
+        for step in range(200):
+            live[step] = make_points(small_grid, size, seed=800 + step).coords
+            if len(live) > 12:
+                live.pop(min(live))
+            idx.sync(list(live.items()))
+        assert idx.segments_merged == 0
+        assert 0 < idx.rows_compacted <= idx.events_retired
 
     def test_merge_preserves_weights(self, small_grid):
         from repro.serve.engine import direct_sum

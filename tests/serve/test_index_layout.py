@@ -1,0 +1,276 @@
+"""The bucket index's storage format, checked after every mutation.
+
+The format is the contract the read path relies on: every segment is a
+contiguous slice of one append-only store, sorted by cell (stably, so
+member registration order then insertion order within a cell), a
+candidate run addresses coordinates directly, and dead rows are only
+*counted* until one repack rule reclaims them.  ``check_layout`` states
+that against a model — a dict of the live batches — and is run after
+every step of a scripted history and of a ``hypothesis`` state machine
+over ``add_segment`` / ``remove_segment`` / ``sync`` /
+``consolidate_segments``; ``check_answers`` pins the reads (brute-force
+sums, a cold index's candidate sets) on the same states.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine, initialize, invariant, precondition, rule,
+)
+
+from repro.core import DomainSpec, GridSpec
+from repro.core.kernels import get_kernel
+from repro.serve.engine import direct_sum
+from repro.serve.index import BucketIndex
+from tests.helpers import brute_force_sum, cell_candidates, reference_candidates
+
+GRID = GridSpec(DomainSpec.from_voxels(10, 10, 8), hs=2.5, ht=2.0)  # 4x4x4 cells
+SPAN = np.array([GRID.domain.gx, GRID.domain.gy, GRID.domain.gt])
+KERNEL = get_kernel("epanechnikov")
+QUERIES = np.random.default_rng(1).uniform(-1.0, SPAN + 1.0, size=(48, 3))
+EVERY_CELL = [(cx, cy, ct) for cx in range(4) for cy in range(4) for ct in range(4)]
+
+
+def make_batch(rng, m, weighted):
+    """``(coords, weights)``; coarse coordinates, so cells hold ties."""
+    coords = np.round(rng.uniform(0.0, SPAN, size=(m, 3)) * 2.0) / 2.0
+    return coords, (rng.uniform(0.25, 4.0, m) if weighted else None)
+
+
+def live_events(model, weighted):
+    coords = np.vstack([c for c, _ in model.values()] + [np.empty((0, 3))])
+    if not weighted:
+        return coords, None
+    return coords, np.concatenate(
+        [w if w is not None else np.ones(len(c)) for c, w in model.values()]
+        + [np.empty(0)]
+    )
+
+
+def candidate_events(index, cell):
+    """One home cell's candidates as a sorted ``(x, y, t[, w])`` multiset."""
+    rows = cell_candidates(index, *cell)
+    cols = [index.coords[rows]]
+    if index.weights is not None:
+        cols.append(index.weights[rows])
+    events = np.column_stack(cols)
+    return events[np.lexsort(events.T)]
+
+
+def check_layout(idx, model):
+    """The format invariants of ``idx`` holding exactly ``model``'s
+    batches (``{batch_id: (coords, weights)}``)."""
+    size = idx.coords.shape[0]
+    segs = list(idx._segments.values())
+    assert sum(s.n for s in segs) + idx.dead_rows == size
+    spans = sorted((s.start, s.start + s.n) for s in segs)
+    assert all(0 <= lo <= hi <= size for lo, hi in spans)
+    assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))  # disjoint
+    seen = []
+    for s in segs:
+        rows = slice(s.start, s.start + s.n)
+        cells = idx._cells[rows]
+        assert (np.diff(cells) >= 0).all()
+        np.testing.assert_array_equal(cells, idx.cell_of(idx.coords[rows]))
+        if s.members is None:
+            assert s.owner is None
+            parts = [(s.seg_id, np.ones(s.n, dtype=bool))]
+        else:
+            assert s.owner.shape == (s.n,)
+            parts = [(mid, s.owner == k) for mid, k in s.members.items()]
+            # The members partition the segment's rows, and within a
+            # cell they appear in registration order.
+            assert sum(int(mask.sum()) for _, mask in parts) == s.n
+            rank = np.zeros(max(s.members.values()) + 1, dtype=np.int64)
+            rank[list(s.members.values())] = np.arange(len(s.members))
+            assert (np.diff(cells * len(rank) + rank[s.owner]) >= 0).all()
+        for mid, mask in parts:
+            # A member's rows are its batch, stably sorted by cell.
+            coords, w = model[mid]
+            by_cell = np.argsort(idx.cell_of(coords), kind="stable")
+            np.testing.assert_array_equal(
+                idx.coords[rows][mask], coords[by_cell]
+            )
+            if idx.weights is not None:
+                w = w if w is not None else np.ones(len(coords))
+                np.testing.assert_array_equal(
+                    idx.weights[rows][mask], w[by_cell]
+                )
+            seen.append(mid)
+    assert sorted(seen, key=repr) == sorted(model, key=repr)
+    live, _ = live_events(model, False)
+    assert idx.n == len(live)
+    np.testing.assert_array_equal(
+        idx._cell_counts,
+        np.bincount(idx.cell_of(live), minlength=idx.n_cells),
+    )
+
+
+def check_answers(idx, model):
+    """Reads over the same state: exact sums against the estimator's
+    definition, candidate sets against a cold single-segment index."""
+    weighted = idx.weights is not None
+    live, w = live_events(model, weighted)
+    np.testing.assert_allclose(
+        direct_sum(idx, QUERIES, KERNEL, 1.0),
+        brute_force_sum(GRID, KERNEL, live, QUERIES, weights=w),
+        rtol=1e-12, atol=0.0,
+    )
+    cold = BucketIndex(GRID, live, w)
+    for cell in EVERY_CELL:
+        np.testing.assert_array_equal(
+            candidate_events(idx, cell), candidate_events(cold, cell)
+        )
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_scripted_history_keeps_the_layout(weighted):
+    """Adds, an empty batch, two consolidations (the second absorbing the
+    first), member retirements, a whole-segment removal and the repacks
+    they trigger — the invariants hold after every step."""
+    rng = np.random.default_rng(3)
+    idx = BucketIndex(GRID, merge_segment_cap=None)
+    model = {}
+
+    def check():
+        check_layout(idx, model)
+        check_answers(idx, model)
+
+    def add(bid, m, w=False):
+        model[bid] = make_batch(rng, m, w)
+        idx.add_segment(bid, *model[bid])
+        check()
+
+    def sync_without(*gone):
+        for bid in gone:
+            del model[bid]
+        retired = idx.events_retired
+        idx.sync([(bid, c) for bid, (c, _) in model.items()])
+        assert idx.dead_rows <= max(64, idx.n)
+        check()
+        return idx.events_retired - retired
+
+    for bid, m in enumerate((30, 0, 45, 17, 60)):
+        add(bid, m, w=weighted and bid % 2 == 0)
+    idx.consolidate_segments([0, 1, 2])
+    check()
+    assert idx.dead_rows == 75 and idx.segment_ids == (("merged", 0), 3, 4)
+    assert sync_without(1, 2) == 45  # an empty member and a full one
+    add(5, 25, w=weighted)
+    idx.consolidate_segments([("merged", 0), 3, 5])  # absorbs the first
+    check()
+    assert idx.segment_ids == (("merged", 1), 4)
+    assert idx._segments[("merged", 1)].member_ids() == (0, 3, 5)
+    assert sync_without(3) == 17
+    idx.remove_segment(4)
+    del model[4]
+    assert idx.dead_rows <= max(64, idx.n)
+    check()
+    assert idx.rows_compacted > 0  # the history crossed the repack rule
+    assert sync_without(0, 5) == 55  # last members gone: segment dropped
+    assert idx.segment_ids == () and idx.n == 0
+
+
+def test_runs_read_left_to_right_fix_the_candidate_order():
+    """Run-order pin: the coordinates ``candidate_runs`` addresses are,
+    in order, segment-major, then x, then y, then cell, then member
+    registration order, then insertion order — for a simple, an empty
+    and a twice-consolidated segment with one retired member."""
+    rng = np.random.default_rng(5)
+    batches = {bid: make_batch(rng, 40, False)[0] for bid in range(6)}
+    batches["empty"] = np.empty((0, 3))
+    idx = BucketIndex(GRID, merge_segment_cap=None)
+    for bid in (0, 1, 2, 3, 4, "empty", 5):
+        idx.add_segment(bid, batches[bid])
+    idx.consolidate_segments([0, 1, 2])
+    idx.consolidate_segments([("merged", 0), 3, 5])
+    del batches[1]
+    idx.sync(list(batches.items()))  # retires member 1
+    segments = [s.member_ids() for s in idx._segments.values()]
+    assert segments == [(0, 2, 3, 5), (4,), ("empty",)]
+
+    for cx, cy, ct in EVERY_CELL:
+        walk = [np.empty((0, 3))]
+        for members in segments:
+            for ix in range(max(0, cx - 1), min(idx.nx, cx + 2)):
+                for iy in range(max(0, cy - 1), min(idx.ny, cy + 2)):
+                    for it in range(max(0, ct - 1), min(idx.nt, ct + 2)):
+                        cell = (ix * idx.ny + iy) * idx.nt + it
+                        walk += [
+                            batches[m][idx.cell_of(batches[m]) == cell]
+                            for m in members
+                        ]
+        rows = cell_candidates(idx, cx, cy, ct)
+        np.testing.assert_array_equal(idx.coords[rows], np.vstack(walk))
+        np.testing.assert_array_equal(
+            rows, reference_candidates(idx, cx, cy, ct)
+        )
+
+
+class IndexMachine(RuleBasedStateMachine):
+    """Random histories over the four mutating entry points; the model
+    is the dict of live batches."""
+
+    @initialize(
+        cap=st.sampled_from([None, 2, 4]), seed=st.integers(0, 2**16)
+    )
+    def start(self, cap, seed):
+        self.idx = BucketIndex(GRID, merge_segment_cap=cap)
+        self.model = {}
+        self.rng = np.random.default_rng(seed)
+        self.next_id = 0
+
+    def _new_batch(self, m, weighted):
+        bid, self.next_id = self.next_id, self.next_id + 1
+        self.model[bid] = make_batch(self.rng, m, weighted)
+        return bid
+
+    @rule(m=st.integers(0, 25), weighted=st.booleans())
+    def add_segment(self, m, weighted):
+        bid = self._new_batch(m, weighted)
+        self.idx.add_segment(bid, *self.model[bid])
+
+    @precondition(lambda self: any(
+        s.members is None for s in self.idx._segments.values()
+    ))
+    @rule(data=st.data())
+    def remove_segment(self, data):
+        bid = data.draw(st.sampled_from([
+            s.seg_id for s in self.idx._segments.values() if s.members is None
+        ]))
+        self.idx.remove_segment(bid)
+        del self.model[bid]
+        assert self.idx.dead_rows <= max(64, self.idx.n)
+
+    @rule(data=st.data(), arriving=st.lists(st.integers(0, 25), max_size=2))
+    def sync(self, data, arriving):
+        gone = [bid for bid in self.model if data.draw(st.booleans())]
+        retired = sum(len(self.model.pop(bid)[0]) for bid in gone)
+        for m in arriving:
+            self._new_batch(m, False)
+        moved = self.idx.sync([(b, c) for b, (c, _) in self.model.items()])
+        assert moved == (sum(arriving), retired)
+        assert self.idx.dead_rows <= max(64, self.idx.n)
+        cap = self.idx.merge_segment_cap
+        assert cap is None or self.idx.segment_count <= cap
+
+    @precondition(lambda self: self.idx.segment_count)
+    @rule(data=st.data())
+    def consolidate_segments(self, data):
+        self.idx.consolidate_segments(data.draw(st.lists(
+            st.sampled_from(self.idx.segment_ids), min_size=1, unique=True
+        )))
+
+    @invariant()
+    def layout_and_answers(self):
+        check_layout(self.idx, self.model)
+        check_answers(self.idx, self.model)
+
+
+TestIndexMachine = IndexMachine.TestCase
+TestIndexMachine.settings = settings(
+    max_examples=30, stateful_step_count=25, deadline=None
+)

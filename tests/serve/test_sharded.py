@@ -396,57 +396,17 @@ class TestScatterPlanning:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: model-chosen merge cap
+# The merge cap is an int or None (the model-chosen "auto" value is gone)
 # ---------------------------------------------------------------------------
 class TestAdaptiveMergeCap:
-    def test_regimes(self, small_grid):
-        model = CostModel(
-            small_grid, PointSet(np.empty((0, 3))), MachineModel.nominal()
-        )
-        # Feed-heavy (never queried between syncs): merging buys nothing,
-        # the laziest cap wins.  Query-heavy: per-segment CSR probes
-        # dominate, aggressive merging pays for itself.
-        lazy = model.choose_merge_cap(
-            50_000, n_groups=256, batches_per_sync=0.0
-        )
-        eager = model.choose_merge_cap(
-            50_000, n_groups=256, batches_per_sync=1e6
-        )
-        assert lazy == 64
-        assert eager == 2
-        assert eager < lazy
-
-    def test_service_auto_cap_retunes_live_index(self, small_grid):
-        rng = np.random.default_rng(17)
-        d = small_grid.domain
-        inc = IncrementalSTKDE(small_grid)
-        svc = DensityService(
-            inc, backend="direct", index_merge_cap="auto",
-            machine=MachineModel.nominal(),
-        )
-        q = rng.uniform(
-            [d.x0, d.y0, d.t0],
-            [d.x0 + d.gx, d.y0 + d.gy, d.t0 + d.gt],
-            size=(32, 3),
-        )
-        for i in range(6):
-            batch = rng.uniform(
-                [d.x0, d.y0, d.t0 + i],
-                [d.x0 + d.gx, d.y0 + d.gy, d.t0 + i + 1],
-                size=(50, 3),
-            )
-            inc.slide_window(batch, t_horizon=d.t0 + max(0, i - 3))
-            svc.query_points(q)
-        cap = svc.stats()["index_merge_cap"]
-        assert isinstance(cap, int) and 2 <= cap <= 64
-        assert svc.index().merge_segment_cap == cap
-
     def test_bogus_merge_cap_string_rejected(self, small_grid):
-        with pytest.raises(ValueError, match="index_merge_cap"):
-            DensityService(
-                PointSet(np.zeros((1, 3))), small_grid,
-                index_merge_cap="bogus",
-            )
+        for bogus in ("bogus", "auto"):
+            for service in (DensityService, ShardedDensityService):
+                with pytest.raises(ValueError, match="index_merge_cap"):
+                    service(
+                        PointSet(np.zeros((1, 3))), small_grid,
+                        index_merge_cap=bogus,
+                    )
 
 
 # ---------------------------------------------------------------------------
