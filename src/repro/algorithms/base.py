@@ -13,6 +13,7 @@ them uniformly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Tuple
 
@@ -79,16 +80,35 @@ _PARALLEL: Dict[str, AlgorithmFn] = {}
 def register_algorithm(
     name: str, *, parallel: bool = False
 ) -> Callable[[AlgorithmFn], AlgorithmFn]:
-    """Class of decorators registering an algorithm under its paper name."""
+    """Class of decorators registering an algorithm under its paper name.
+
+    The registered callable is where every entry — a direct call, the
+    registry, the :class:`~repro.core.stkde.STKDE` facade, the CLI —
+    passes, so the one input check the grid algorithms share lives here:
+    they estimate unit-weight events, and a weighted
+    :class:`~repro.core.grid.PointSet` raises instead of silently losing
+    its weights.
+    """
 
     def deco(fn: AlgorithmFn) -> AlgorithmFn:
         table = _PARALLEL if parallel else _SEQUENTIAL
         if name in _SEQUENTIAL or name in _PARALLEL:
             raise ValueError(f"algorithm {name!r} already registered")
-        table[name] = fn
-        fn.algorithm_name = name  # type: ignore[attr-defined]
-        fn.is_parallel = parallel  # type: ignore[attr-defined]
-        return fn
+
+        @functools.wraps(fn)
+        def checked(points, *args: Any, **kwargs: Any) -> STKDEResult:
+            if getattr(points, "weights", None) is not None:
+                raise ValueError(
+                    f"algorithm {name!r} estimates unit-weight events and would "
+                    "drop PointSet.weights; serve weighted events through "
+                    "repro.serve.DensityService"
+                )
+            return fn(points, *args, **kwargs)
+
+        table[name] = checked
+        checked.algorithm_name = name  # type: ignore[attr-defined]
+        checked.is_parallel = parallel  # type: ignore[attr-defined]
+        return checked
 
     return deco
 

@@ -41,7 +41,7 @@ from ..core.grid import GridSpec, PointSet
 from ..core.instrument import WorkCounter
 from ..core.invariants import stamp_extent
 from ..core.kernels import get_kernel
-from ..core.regions import auto_slab_voxels, plan_stamp_shards
+from ..core.regions import auto_slab_voxels
 from ..core.stamping import batch_windows
 from ..parallel.color import (
     greedy_coloring,
@@ -521,7 +521,6 @@ class CostModel:
         self.machine = machine or MachineModel.calibrate()
         self.memory_budget_bytes = memory_budget_bytes
         self._bw = BandwidthModel(cap=self.machine.bandwidth_cap)
-        self._materialize_cache: Dict[Optional[int], float] = {}
         disk, bar = stamp_extent(grid)
         #: Cells touched per interior point stamp: disk eval + bar eval +
         #: cylinder multiply-add.
@@ -855,46 +854,17 @@ class CostModel:
             spawn + ipc + restamp, spawn, ipc, restamp
         )
 
-    def predict_materialize(self, P: Optional[int] = None) -> float:
-        """Predicted seconds to materialise the volume for the lookup plan.
-
-        The serving layer routes big builds through the bbox-sharded
-        threads path when it wins (``P=None`` resolves to the machine's
-        CPU count), so the lookup plans are priced against the build the
-        service will actually run: the cheaper of serial PB-SYM and the
-        feasible threaded prediction.
-
-        Memoized per instance: the threaded prediction plans real bbox
-        shards over all ``n`` events (O(n log n)), while the answer is
-        batch-independent — without the cache every cold-volume point
-        plan would pay the shard planning, swamping the small direct
-        batches planning is meant to keep cheap.  (Instances are rebuilt
-        whenever the event set changes, so the cache cannot go stale.)
-        """
-        cached = self._materialize_cache.get(P)
-        if cached is not None:
-            return cached
-        serial = self.predict_pb_sym()
-        eff_P = P
-        if eff_P is None:
-            from ..parallel.executors import resolve_shard_count
-
-            eff_P = resolve_shard_count("auto")
-        best = serial
-        if eff_P > 1:
-            threaded = self.predict_pb_sym_threads(eff_P)
-            if threaded.feasible:
-                best = min(serial, threaded.seconds)
-        self._materialize_cache[P] = best
-        return best
+    def predict_materialize(self) -> float:
+        """Predicted seconds to materialise the volume for the lookup plan:
+        the serial PB-SYM build, which is the build the service runs."""
+        return self.predict_pb_sym()
 
     def predict_volume_lookup(self, n_queries: int, volume_ready: bool) -> float:
         """Predicted seconds to answer a point batch by volume sampling.
 
-        A cold volume charges the full materialisation up front (threaded
-        when that is what the service would run) — which is exactly what a
-        large enough batch amortises, and what a warm (already-served)
-        volume skips.
+        A cold volume charges the full serial materialisation up front —
+        which is exactly what a large enough batch amortises, and what a
+        warm (already-served) volume skips.
         """
         build = 0.0 if volume_ready else self.predict_materialize()
         return build + n_queries * self.lookup_cost
@@ -928,8 +898,8 @@ class CostModel:
         """Predicted seconds to serve a region as a view of the volume.
 
         A warm volume serves the window as a zero-copy view (one lookup's
-        worth of bookkeeping); a cold one pays materialisation first
-        (threaded when that is what the service would run).
+        worth of bookkeeping); a cold one pays the serial materialisation
+        first.
         """
         build = 0.0 if volume_ready else self.predict_materialize()
         return build + self.lookup_cost
@@ -1022,37 +992,6 @@ class CostModel:
         return Prediction(
             "vb-dec", 1,
             self.init_seconds() + bin_cost + self.tile_cost(pairs, n_tiles),
-        )
-
-    def predict_pb_sym_threads(self, P: int) -> Prediction:
-        """PB-SYM on the region engine's bbox-sharded threads backend.
-
-        Memory and reduction are charged from the *planned* shard bounding
-        boxes — the same :func:`~repro.core.regions.plan_stamp_shards` the
-        executor runs — not from ``P`` full private volumes, which is what
-        makes this strategy feasible (and competitive) on memory-tight
-        clustered instances where DR is ruled out.
-        """
-        plan = plan_stamp_shards(self.grid, self.points.coords, P)
-        need = self.grid.grid_bytes + plan.buffer_bytes
-        if self.memory_budget_bytes is not None and need > self.memory_budget_bytes:
-            return Prediction(
-                "pb-sym-threads", P, math.inf, feasible=False,
-                reason="bbox shard buffers exceed memory budget",
-            )
-        m = self.machine
-        eff = self._bw.effective_procs(P)
-        # Serial volume init, then: buffer zeroing (memory-bound, capped),
-        # the slowest shard's engine batch, and the slab reduction over the
-        # union of the boxes (memory-bound, capped).
-        zero = m.c_mem * plan.buffer_cells / eff
-        compute = max(
-            (self.batch_cost(len(s)) for s in plan.shards), default=0.0
-        )
-        reduce_ = m.c_mem * plan.buffer_cells / eff
-        return Prediction(
-            "pb-sym-threads", P,
-            self.init_seconds() + zero + compute + reduce_,
         )
 
     def predict_dr(self, P: int) -> Prediction:
@@ -1198,17 +1137,13 @@ def select_strategy(
 ) -> Tuple[Prediction, List[Prediction]]:
     """Solve the Section 6.5 combinatorial problem: best strategy + config.
 
-    Returns the winning prediction and the full ranked candidate list.
+    Ranks DR plus {DD, PD, PD-SCHED, PD-REP} at every decomposition —
+    every ``Prediction.algorithm`` is a registered parallel strategy,
+    runnable on any backend.  Returns the winning prediction and the full
+    ranked candidate list.
     """
     model = CostModel(grid, points, machine, memory_budget_bytes)
-    candidates: List[Prediction] = [
-        model.predict_dr(P),
-        # The region engine's bbox-sharded threads backend of sequential
-        # PB-SYM: competitive on compute-dominated instances now that the
-        # batched kernels overlap for real, and feasible under budgets
-        # that rule DR out (bbox buffers, not P full volumes).
-        model.predict_pb_sym_threads(P),
-    ]
+    candidates: List[Prediction] = [model.predict_dr(P)]
     for dec in decompositions:
         candidates.append(model.predict_dd(dec, P))
         candidates.append(model.predict_pd(dec, P, scheduler="parity"))

@@ -326,10 +326,10 @@ class PointSet:
     coordinates.  All algorithms consume a :class:`PointSet`.
 
     Events may carry optional non-negative ``weights`` (case multiplicities,
-    report confidences).  The grid-stamping algorithms treat every event as
-    unit weight; the query-serving subsystem's direct kernel summation
-    (:mod:`repro.serve`) honours the weights, and the CSV I/O round-trips
-    them so serving snapshots persist multiplicity.
+    report confidences).  The registered grid algorithms reject weighted
+    events; the query-serving subsystem (:mod:`repro.serve`: direct kernel
+    summation and the weighted volume build) honours the weights, and the
+    CSV I/O round-trips them so serving snapshots persist multiplicity.
     """
 
     __slots__ = ("coords", "weights")

@@ -78,12 +78,14 @@ class STKDE:
         :class:`KernelPair`.
     algorithm:
         Registered algorithm name, or ``"auto"`` to let the cost model
-        choose.
+        choose among the registered parallel strategies (it picks a
+        strategy and a decomposition, never a backend).
     P, backend, decomposition:
         Parallel execution parameters, forwarded to parallel algorithms.
-        ``P="auto"`` resolves to the machine's CPU count at construction,
-        so the threaded paths shard by what the hardware offers instead of
-        silently running single-shard.
+        Real threads run only where ``backend="threads"`` is written
+        here.  ``P="auto"`` resolves to the machine's CPU count at
+        construction, so the threaded paths shard by what the hardware
+        offers instead of silently running single-shard.
     memory_budget_bytes:
         Optional memory ceiling for strategy selection and execution.
     """
@@ -142,24 +144,9 @@ class STKDE:
             return "pb-sym", {}
         from ..analysis.model import select_strategy
 
-        best, ranked = select_strategy(
+        best, _ = select_strategy(
             grid, points, self.P, memory_budget_bytes=self.memory_budget_bytes
         )
-        if best.algorithm == "pb-sym-threads" and self.backend != "threads":
-            # The bbox-sharded threads backend only exists as real threads;
-            # under serial/simulated execution fall to the next feasible
-            # strategy so the chosen plan matches the requested backend.
-            fallback = [
-                p for p in ranked
-                if p.feasible and p.algorithm != "pb-sym-threads"
-            ]
-            best = fallback[0] if fallback else best
-        if best.algorithm == "pb-sym-threads":
-            return "pb-sym", {
-                "P": self.P,
-                "backend": "threads",
-                "memory_budget_bytes": self.memory_budget_bytes,
-            }
         kwargs = {"P": self.P, "backend": self.backend}
         if best.decomposition is not None:
             kwargs["decomposition"] = best.decomposition

@@ -21,7 +21,9 @@ from .executors import (
     BACKENDS,
     ExecTask,
     MemoryBudgetExceeded,
+    Phase,
     check_memory_budget,
+    run_phases,
     run_serial,
     run_threaded,
 )
@@ -47,6 +49,7 @@ __all__ = [
     "Coloring",
     "ExecTask",
     "MemoryBudgetExceeded",
+    "Phase",
     "PointBinning",
     "ScheduleResult",
     "TaskGraph",
@@ -67,6 +70,7 @@ __all__ = [
     "pb_sym_pd_rep",
     "pb_sym_pd_sched",
     "plan_replication",
+    "run_phases",
     "run_point_decomposition",
     "run_serial",
     "run_threaded",

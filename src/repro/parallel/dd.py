@@ -19,15 +19,12 @@ replication — but two structural costs the paper measures:
 
 Each subdomain task stamps its point batch through the batched engine
 (:mod:`repro.core.stamping` via :func:`stamp_points_sym`): one engine call
-per block, whole shape cohorts tabulated and scattered in large
-GIL-releasing NumPy kernels.  That is what makes ``backend="threads"``
-genuinely overlap block tasks instead of serialising on per-point
-interpreter dispatch.
+per block.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -36,16 +33,11 @@ from ..algorithms.pb_sym import stamp_points_sym
 from ..core.grid import GridSpec, PointSet, Volume
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.kernels import KernelPair, get_kernel
-from .executors import ExecTask, run_serial, run_threaded
+from .executors import ExecTask, Phase, run_phases, zero_fill_phase
 from .partition import BlockDecomposition
-from .schedule import BandwidthModel, TaskGraph, list_schedule, saturated_makespan
+from .schedule import BandwidthModel
 
 __all__ = ["pb_sym_dd"]
-
-
-def _slab_slices(Gx: int, P: int) -> List[slice]:
-    bounds = [(Gx * p) // P for p in range(P + 1)]
-    return [slice(bounds[p], bounds[p + 1]) for p in range(P)]
 
 
 @register_algorithm("pb-sym-dd", parallel=True)
@@ -76,7 +68,6 @@ def pb_sym_dd(
     kern = get_kernel(kernel)
     counter = counter if counter is not None else WorkCounter()
     timer = timer if timer is not None else PhaseTimer()
-    bw = bandwidth or BandwidthModel()
     A = min(decomposition[0], grid.Gx)
     B = min(decomposition[1], grid.Gy)
     C = min(decomposition[2], grid.Gt)
@@ -90,17 +81,7 @@ def pb_sym_dd(
 
     # --- init phase: the single shared volume, slab-parallel.
     vol = np.empty(grid.shape, dtype=np.float64)
-    slabs = _slab_slices(grid.Gx, P)
-    init_counters = [WorkCounter() for _ in range(P)]
-
-    def make_init(p: int):
-        def fn() -> None:
-            vol[slabs[p]].fill(0.0)
-            init_counters[p].init_writes += vol[slabs[p]].size
-
-        return fn
-
-    init_tasks = [ExecTask(make_init(p), label=("init", p)) for p in range(P)]
+    init = zero_fill_phase(vol, P, counter)
 
     # --- compute phase: one independent task per occupied subdomain.
     task_counters = [WorkCounter() for _ in occupied]
@@ -128,49 +109,11 @@ def pb_sym_dd(
         for k, bid in enumerate(occupied)
     ]
 
-    nt = len(comp_tasks)
-    trivial = TaskGraph([t.weight_hint for t in comp_tasks], [[] for _ in range(nt)], [[] for _ in range(nt)])
+    phase_ms = {
+        "bin": timer.seconds["bin"],
+        **run_phases([init, Phase("compute", comp_tasks)], P, backend, timer, bandwidth),
+    }
 
-    if backend == "threads":
-        with timer.phase("init"):
-            run_serial(init_tasks)  # cheap; measured for the breakdown
-        with timer.phase("compute"):
-            wall = run_threaded(
-                comp_tasks, trivial, P, priority=lambda v: (-comp_tasks[v].weight_hint, v)
-            )
-        makespan = timer.seconds["bin"] + timer.seconds["init"] + wall
-        phase_ms = {"bin": timer.seconds["bin"], "init": timer.seconds["init"], "compute": wall}
-    elif backend in ("serial", "simulated"):
-        with timer.phase("init"):
-            run_serial(init_tasks)
-        with timer.phase("compute"):
-            run_serial(comp_tasks)
-        init_ms = saturated_makespan([t.measured for t in init_tasks], P, bw)
-        sched = list_schedule(
-            TaskGraph([t.measured for t in comp_tasks], [[] for _ in range(nt)], [[] for _ in range(nt)]),
-            P,
-            # Longest-task-first: what an OpenMP dynamic loop over
-            # subdomains sorted by load achieves.
-            priority=lambda v: (-comp_tasks[v].measured, v),
-        )
-        bin_s = timer.seconds["bin"]
-        if backend == "serial":
-            makespan = bin_s + sum(t.measured for t in init_tasks) + sum(
-                t.measured for t in comp_tasks
-            )
-            phase_ms = {
-                "bin": bin_s,
-                "init": sum(t.measured for t in init_tasks),
-                "compute": sum(t.measured for t in comp_tasks),
-            }
-        else:
-            makespan = bin_s + init_ms + sched.makespan
-            phase_ms = {"bin": bin_s, "init": init_ms, "compute": sched.makespan}
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-
-    for c in init_counters:
-        counter.merge(c)
     for c in task_counters:
         counter.merge(c)
 
@@ -183,7 +126,7 @@ def pb_sym_dd(
             "P": P,
             "backend": backend,
             "decomposition": dec.shape,
-            "makespan": makespan,
+            "makespan": sum(phase_ms.values()),
             "phase_makespans": phase_ms,
             "replication_factor": binning.replication_factor(points.n),
             "occupied_blocks": len(occupied),

@@ -17,11 +17,10 @@ threads, eBird-Hr cannot run at all.  Both behaviours reproduce here via
 the memory-budget check and the bandwidth-saturated phase model.
 
 Worker chunks stamp through the batched engine (one
-:func:`stamp_points_sym` call per chunk), so the compute phase under
-``backend="threads"`` is a few large GIL-releasing NumPy kernels per
-worker — the same private-volume + reduction structure is also available
-directly at the engine level as
-:func:`repro.parallel.executors.run_threaded_stamping`.
+:func:`stamp_points_sym` call per chunk).  The same private-buffer +
+reduction structure, with bounding-box buffers instead of full volumes, is
+what PB-SYM's own ``backend="threads"`` runs (see
+:mod:`repro.parallel.executors`).
 """
 
 from __future__ import annotations
@@ -35,22 +34,10 @@ from ..algorithms.pb_sym import stamp_points_sym
 from ..core.grid import GridSpec, PointSet, Volume
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.kernels import KernelPair, get_kernel
-from .executors import ExecTask, check_memory_budget, run_serial, run_threaded
-from .schedule import BandwidthModel, TaskGraph, list_schedule, saturated_makespan
+from .executors import ExecTask, Phase, check_memory_budget, run_phases, slab_slices
+from .schedule import BandwidthModel
 
 __all__ = ["pb_sym_dr"]
-
-
-def _point_chunks(n: int, P: int) -> List[slice]:
-    """Split ``range(n)`` into ``P`` near-equal contiguous slices."""
-    bounds = [(n * p) // P for p in range(P + 1)]
-    return [slice(bounds[p], bounds[p + 1]) for p in range(P)]
-
-
-def _slab_slices(Gx: int, P: int) -> List[slice]:
-    """Split the leading axis into ``P`` near-equal slabs."""
-    bounds = [(Gx * p) // P for p in range(P + 1)]
-    return [slice(bounds[p], bounds[p + 1]) for p in range(P)]
 
 
 @register_algorithm("pb-sym-dr", parallel=True)
@@ -80,16 +67,16 @@ def pb_sym_dr(
         raises :class:`~repro.parallel.executors.MemoryBudgetExceeded`
         when they do not fit (the paper's Figure 8 OOMs).
 
-    Returns a result whose ``meta`` carries the (simulated or real)
-    parallel makespan under ``meta["makespan"]`` and the per-phase
-    breakdown under ``meta["phase_makespans"]``.
+    Returns a result whose ``meta`` carries the parallel makespan the
+    backend reports under ``meta["makespan"]`` and its per-phase
+    breakdown (``init`` / ``compute`` / ``reduce``) under
+    ``meta["phase_makespans"]``.
     """
     if P < 1:
         raise ValueError("P must be >= 1")
     kern = get_kernel(kernel)
     counter = counter if counter is not None else WorkCounter()
     timer = timer if timer is not None else PhaseTimer()
-    bw = bandwidth or BandwidthModel()
 
     check_memory_budget(
         (P + 1) * grid.grid_bytes, memory_budget_bytes, f"PB-SYM-DR with P={P}"
@@ -101,8 +88,8 @@ def pb_sym_dr(
     # the reduce phase overwrites it (as Algorithm 4's final loop does), so
     # its first touch is accounted to the reduce tasks.
     out = np.empty(grid.shape, dtype=np.float64)
-    chunks = _point_chunks(points.n, P)
-    slabs = _slab_slices(grid.Gx, P)
+    chunks = slab_slices(points.n, P)
+    slabs = slab_slices(grid.Gx, P)
     counters = [WorkCounter() for _ in range(P)]
 
     def make_init(p: int):
@@ -133,56 +120,18 @@ def pb_sym_dr(
 
         return fn
 
-    init_tasks = [ExecTask(make_init(p), color=0, label=("init", p)) for p in range(P)]
-    comp_tasks = [
-        ExecTask(make_compute(p), color=1, label=("compute", p)) for p in range(P)
-    ]
-    red_tasks = [
-        ExecTask(make_reduce(p), color=2, label=("reduce", p)) for p in range(P)
-    ]
+    def step(name: str, make, bound: str = "compute") -> Phase:
+        tasks = [ExecTask(make(p), label=(name, p)) for p in range(P)]
+        return Phase(name, tasks, bound)
 
-    # Dependency DAG: compute[p] after init[p]; every reduce after every
-    # compute (the reduction reads all local copies).
-    tasks = init_tasks + comp_tasks + red_tasks
-    n_t = len(tasks)
-    succs: List[List[int]] = [[] for _ in range(n_t)]
-    preds: List[List[int]] = [[] for _ in range(n_t)]
-    for p in range(P):
-        succs[p].append(P + p)
-        preds[P + p].append(p)
-        for r in range(P):
-            succs[P + p].append(2 * P + r)
-            preds[2 * P + r].append(P + p)
-    graph = TaskGraph([t.weight_hint for t in tasks], succs, preds)
-
-    if backend == "threads":
-        with timer.phase("parallel"):
-            wall = run_threaded(tasks, graph, P)
-        makespan = wall
-        phase_ms = {
-            "init": sum(t.measured for t in init_tasks) / P,
-            "compute": max(t.measured for t in comp_tasks),
-            "reduce": sum(t.measured for t in red_tasks) / P,
-        }
-    elif backend in ("serial", "simulated"):
-        with timer.phase("init"):
-            run_serial(init_tasks)
-        with timer.phase("compute"):
-            run_serial(comp_tasks)
-        with timer.phase("reduce"):
-            run_serial(red_tasks)
-        init_ms = saturated_makespan([t.measured for t in init_tasks], P, bw)
-        comp_sched = list_schedule(
-            TaskGraph([t.measured for t in comp_tasks], [[] for _ in range(P)], [[] for _ in range(P)]),
-            P,
-        )
-        red_ms = saturated_makespan([t.measured for t in red_tasks], P, bw)
-        phase_ms = {"init": init_ms, "compute": comp_sched.makespan, "reduce": red_ms}
-        makespan = init_ms + comp_sched.makespan + red_ms
-        if backend == "serial":
-            makespan = sum(t.measured for t in tasks)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    phase_ms = run_phases(
+        [
+            step("init", make_init, "memory"),
+            step("compute", make_compute),
+            step("reduce", make_reduce, "memory"),
+        ],
+        P, backend, timer, bandwidth,
+    )
 
     for c in counters:
         counter.merge(c)
@@ -195,7 +144,7 @@ def pb_sym_dr(
         meta={
             "P": P,
             "backend": backend,
-            "makespan": makespan,
+            "makespan": sum(phase_ms.values()),
             "phase_makespans": phase_ms,
             "memory_bytes": (P + 1) * grid.grid_bytes,
         },

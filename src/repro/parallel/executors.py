@@ -1,64 +1,95 @@
-"""Execution backends for the parallel STKDE strategies.
+"""One runner for the parallel STKDE strategies.
 
-The paper evaluates on a 16-core Xeon; this reproduction runs wherever it
-lands (possibly 2 cores), so each parallel algorithm supports three
-backends:
+The paper describes every strategy the same way: barrier-separated steps
+(zero the volume, stamp, reduce; Algorithms 4-6), each either
+memory-bound or a task set handed to a parallel-for, to colour classes,
+or to a dependency DAG (Section 5.2).  A strategy therefore only *builds*
+its steps, as a list of :class:`Phase` objects, and :func:`run_phases`
+is the one place that executes and clocks them.  A phase carries
+
+``bound``
+    ``"memory"`` for steps that stream the volume (zero-fill, replica
+    reduction) and saturate DRAM bandwidth — "the speedup of the
+    initialization phase using 16 threads is about 3", Section 6.3 —
+    ``"compute"`` for stamping tasks;
+``graph``
+    the dependency DAG among the tasks (``None``: independent tasks).
+    For the point decompositions the colour-oriented stencil edges are
+    the *safety* constraint — two neighbouring blocks never stamp the
+    shared volume at once — and they also fix the serial execution order;
+``classes``
+    task indices grouped into colour classes that run one after another
+    with a barrier in between (PB-SYM-PD's eight parallel-for loops).
+
+The three backends are three interpreters of the same phase list:
 
 ``serial``
-    Runs every task in a dependency-respecting order on the calling
-    thread, measuring per-task wall time.  This is the *reference*: it
-    produces the exact density volume and the task-cost vector.
-
-``threads``
-    A dependency-aware pool of real Python threads.  NumPy releases the
-    GIL inside array kernels, so stamping tasks overlap genuinely; used to
-    cross-check the simulator at small ``P`` on real hardware.
-
+    Runs every task on the calling thread in dependency order and
+    reports, per phase, the plain sum of the measured task times.
 ``simulated``
-    Runs tasks serially (hence correct results), then *replays* the
-    measured task costs through the exact scheduling policy of the
-    algorithm — barrier phases, priority list scheduling, bandwidth-capped
-    memory phases — on ``P`` virtual processors.  This is how the
-    16-thread figures of Section 6 are regenerated on small machines; the
-    task graphs, colourings and Graham-bound behaviour are identical to a
-    real run, only the clock is virtual (see DESIGN.md, substitutions).
+    The *same* execution as ``serial`` — one run, two clocks, hence
+    bit-identical volumes — then replays the measured task costs on ``P``
+    virtual processors: :func:`~repro.parallel.schedule.saturated_makespan`
+    for a memory-bound phase, a barrier schedule over ``classes`` in index
+    order, otherwise Graham list scheduling over ``graph``,
+    heaviest-measured first.  This is how the 16-thread figures of
+    Section 6 are regenerated on small machines; only the clock is
+    virtual.
+``threads``
+    Runs each phase on ``P`` real Python threads and reports its wall
+    time: one dependency-aware pool over ``graph`` (heaviest
+    ``weight_hint`` first), or one pool per colour class, in order.
+    Phases are barrier-separated on every backend; a barrier between
+    steps only regroups a sum of per-point contributions, so it never
+    changes the volume.
 
-Memory budgets: every backend checks planned volume allocations against an
-optional budget (how many float64 volumes fit), reproducing the paper's
-128 GB OOM outcomes (Figures 8 and 14) via
-:class:`MemoryBudgetExceeded`.
+Real threads run exactly where a caller writes ``backend="threads"`` —
+the five strategies through :func:`run_phases`, and sequential PB-SYM
+through :func:`run_threaded_stamping` (bounding-box shard buffers
+merged into the volume).  Nothing in the library selects them from a
+cost prediction.
+
+Memory budgets: strategies check planned allocations against an optional
+budget, reproducing the paper's 128 GB OOM outcomes (Figures 8 and 14)
+via :class:`MemoryBudgetExceeded`.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.grid import GridSpec, VoxelWindow
-from ..core.instrument import WorkCounter
+from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.kernels import KernelPair
 from ..core.regions import RegionBuffer, plan_stamp_shards
 from .schedule import (
-    ScheduleResult,
+    BandwidthModel,
     TaskGraph,
+    barrier_schedule,
     list_schedule,
+    saturated_makespan,
 )
 
 __all__ = [
     "ExecTask",
     "MemoryBudgetExceeded",
+    "Phase",
     "check_memory_budget",
     "resolve_shard_count",
+    "run_phases",
     "run_serial",
     "run_threaded",
     "run_threaded_stamping",
-    "simulate_from_measured",
+    "slab_slices",
+    "zero_fill_phase",
     "BACKENDS",
 ]
 
@@ -92,7 +123,6 @@ class ExecTask:
 
     fn: Callable[[], None]
     weight_hint: float = 1.0  # scheduling priority before measurement
-    color: int = 0
     label: object = None
     measured: float = 0.0  # wall seconds, filled by the backends
 
@@ -182,6 +212,104 @@ def run_threaded(
     if remaining != 0:
         raise RuntimeError("threaded execution deadlocked (cyclic graph?)")
     return time.perf_counter() - t_start
+
+
+def _edgeless(weights: List[float]) -> TaskGraph:
+    n = len(weights)
+    return TaskGraph(weights, [[] for _ in range(n)], [[] for _ in range(n)])
+
+
+@dataclass
+class Phase:
+    """One barrier-separated step of a strategy (see the module docstring)."""
+
+    name: str
+    tasks: Sequence[ExecTask]
+    bound: str = "compute"
+    graph: Optional[TaskGraph] = None
+    classes: Optional[Sequence[Sequence[int]]] = None
+
+    def __post_init__(self) -> None:
+        if self.bound not in ("compute", "memory"):
+            raise ValueError(f"unknown phase bound {self.bound!r}")
+
+    def simulate(self, P: int, bandwidth: Optional[BandwidthModel] = None) -> float:
+        """Makespan of the measured task costs on ``P`` virtual processors."""
+        measured = [t.measured for t in self.tasks]
+        if self.bound == "memory":
+            return saturated_makespan(measured, P, bandwidth)
+        if self.classes is not None:
+            return barrier_schedule(
+                [[measured[i] for i in cls] for cls in self.classes], P
+            )
+        graph = (
+            _edgeless(measured) if self.graph is None
+            else TaskGraph(measured, self.graph.succs, self.graph.preds)
+        )
+        # Heaviest first: what an OpenMP dynamic loop over tasks sorted by
+        # load, or a task-dependency runtime with priorities, achieves.
+        return list_schedule(graph, P, priority=lambda v: (-measured[v], v)).makespan
+
+    def run_threaded(self, P: int) -> float:
+        """Wall seconds of the phase on ``P`` real threads."""
+        hints = [t.weight_hint for t in self.tasks]
+        if self.classes is not None:
+            # One pool per colour class: the join between two calls is the
+            # barrier that keeps differently coloured neighbours apart.
+            return sum(
+                run_threaded(
+                    [self.tasks[i] for i in cls], _edgeless([hints[i] for i in cls]), P
+                )
+                for cls in self.classes
+            )
+        graph = self.graph if self.graph is not None else _edgeless(hints)
+        return run_threaded(self.tasks, graph, P, priority=lambda v: (-hints[v], v))
+
+
+def run_phases(
+    phases: Sequence[Phase],
+    P: int,
+    backend: str,
+    timer: PhaseTimer,
+    bandwidth: Optional[BandwidthModel] = None,
+) -> Dict[str, float]:
+    """Execute a strategy's phases in order on ``backend``.
+
+    Each phase runs inside ``timer.phase(name)``; returns the phase
+    seconds the backend reports (``{name: seconds}``, see the module
+    docstring for what each backend clocks).
+    """
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
+    seconds: Dict[str, float] = {}
+    for ph in phases:
+        with timer.phase(ph.name):
+            if backend == "threads":
+                spent = ph.run_threaded(P)
+            else:
+                spent = run_serial(ph.tasks, ph.graph)
+        seconds[ph.name] = (
+            ph.simulate(P, bandwidth) if backend == "simulated" else spent
+        )
+    return seconds
+
+
+def slab_slices(n: int, P: int) -> List[slice]:
+    """Split ``range(n)`` into ``P`` near-equal contiguous slices."""
+    bounds = [(n * p) // P for p in range(P + 1)]
+    return [slice(bounds[p], bounds[p + 1]) for p in range(P)]
+
+
+def zero_fill_phase(vol: np.ndarray, P: int, counter: WorkCounter) -> Phase:
+    """The ``init`` step of the shared-volume strategies: ``P`` slab fills
+    of ``vol`` along its leading axis, memory-bound, charged to
+    ``counter.init_writes`` here."""
+    counter.init_writes += vol.size
+    tasks = [
+        ExecTask(functools.partial(vol[sl].fill, 0.0), label=("init", p))
+        for p, sl in enumerate(slab_slices(vol.shape[0], P))
+    ]
+    return Phase("init", tasks, bound="memory")
 
 
 def resolve_shard_count(P: "int | str | None") -> int:
@@ -365,20 +493,3 @@ def run_threaded_stamping(
     for c in reduce_counters:
         counter.merge(c)
     return wall
-
-
-def simulate_from_measured(
-    tasks: Sequence[ExecTask],
-    graph: TaskGraph,
-    P: int,
-    priority: Optional[Callable[[int], Tuple]] = None,
-) -> ScheduleResult:
-    """Replay measured task costs through the list scheduler on ``P``
-    virtual processors (tasks must have been run via :func:`run_serial`)."""
-    measured = TaskGraph(
-        weights=[t.measured for t in tasks],
-        succs=graph.succs,
-        preds=graph.preds,
-        labels=list(graph.labels),
-    )
-    return list_schedule(measured, P, priority)

@@ -21,17 +21,14 @@ Two schedulers:
   and 13).
 
 Both produce exactly the PB-SYM volume (work-efficient; no replication
-overhead), unlike DR/DD.
-
-Block tasks stamp through the batched engine (:mod:`repro.core.stamping`
-via :func:`stamp_points_sym`), so under ``backend="threads"`` concurrent
-colour-compatible blocks overlap in large GIL-releasing NumPy kernels
-rather than contending on per-point Python dispatch.
+overhead), unlike DR/DD.  Block tasks stamp through the batched engine
+(:mod:`repro.core.stamping` via :func:`stamp_points_sym`), one call per
+block.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -46,25 +43,17 @@ from .color import (
     occupied_neighbor_map,
     parity_coloring,
 )
-from .executors import ExecTask, run_serial, run_threaded
+from .executors import ExecTask, Phase, run_phases, zero_fill_phase
 from .partition import BlockDecomposition
 from .schedule import (
     BandwidthModel,
     TaskGraph,
-    barrier_schedule,
     build_task_graph,
     critical_path,
     grahams_bound,
-    list_schedule,
-    saturated_makespan,
 )
 
 __all__ = ["pb_sym_pd", "pb_sym_pd_sched", "run_point_decomposition"]
-
-
-def _slab_slices(Gx: int, P: int) -> List[slice]:
-    bounds = [(Gx * p) // P for p in range(P + 1)]
-    return [slice(bounds[p], bounds[p + 1]) for p in range(P)]
 
 
 def run_point_decomposition(
@@ -89,7 +78,6 @@ def run_point_decomposition(
     kern = get_kernel(kernel)
     counter = counter if counter is not None else WorkCounter()
     timer = timer if timer is not None else PhaseTimer()
-    bw = bandwidth or BandwidthModel()
 
     # PD's safety constraint: blocks at least twice the bandwidth (the
     # paper adjusts undersized decompositions the same way, Figure 11).
@@ -114,17 +102,7 @@ def run_point_decomposition(
 
     # --- init phase (slab-parallel zeroing of the one shared volume).
     vol = np.empty(grid.shape, dtype=np.float64)
-    slabs = _slab_slices(grid.Gx, P)
-    init_counters = [WorkCounter() for _ in range(P)]
-
-    def make_init(p: int):
-        def fn() -> None:
-            vol[slabs[p]].fill(0.0)
-            init_counters[p].init_writes += vol[slabs[p]].size
-
-        return fn
-
-    init_tasks = [ExecTask(make_init(p), label=("init", p)) for p in range(P)]
+    init = zero_fill_phase(vol, P, counter)
 
     # --- compute tasks: one per occupied block, *unclipped* stamping.
     blocks_sorted = sorted(id_map, key=id_map.get)  # task index order
@@ -144,68 +122,23 @@ def run_point_decomposition(
         ExecTask(
             make_block_task(k, bid),
             weight_hint=loads[bid],
-            color=coloring.colors[bid],
             label=("block", bid),
         )
         for k, bid in enumerate(blocks_sorted)
     ]
 
-    if backend == "threads":
-        with timer.phase("init"):
-            run_serial(init_tasks)
-        with timer.phase("compute"):
-            if scheduler == "parity":
-                wall = 0.0
-                for cls in coloring.classes():
-                    cls_idx = [id_map[bid] for bid in cls]
-                    sub = [comp_tasks[i] for i in cls_idx]
-                    nt = len(sub)
-                    trivial = TaskGraph(
-                        [t.weight_hint for t in sub],
-                        [[] for _ in range(nt)],
-                        [[] for _ in range(nt)],
-                    )
-                    wall += run_threaded(sub, trivial, P)
-            else:
-                wall = run_threaded(
-                    comp_tasks, graph, P,
-                    priority=lambda v: (-comp_tasks[v].weight_hint, v),
-                )
-        makespan = timer.seconds["bin"] + timer.seconds["color"] + timer.seconds["init"] + wall
-        phase_ms = {"init": timer.seconds["init"], "compute": wall}
-    elif backend in ("serial", "simulated"):
-        with timer.phase("init"):
-            run_serial(init_tasks)
-        with timer.phase("compute"):
-            run_serial(comp_tasks, graph)
-        init_ms = saturated_makespan([t.measured for t in init_tasks], P, bw)
-        measured = [t.measured for t in comp_tasks]
-        if scheduler == "parity":
-            class_weights = [
-                [measured[id_map[bid]] for bid in cls] for cls in coloring.classes()
-            ]
-            comp_ms = barrier_schedule(class_weights, P)
-        else:
-            mgraph = TaskGraph(measured, graph.succs, graph.preds, labels=graph.labels)
-            sched = list_schedule(
-                mgraph, P, priority=lambda v: (-measured[v], v)
-            )
-            comp_ms = sched.makespan
-        overhead = timer.seconds["bin"] + timer.seconds["color"]
-        if backend == "serial":
-            makespan = overhead + sum(t.measured for t in init_tasks) + sum(measured)
-            phase_ms = {
-                "init": sum(t.measured for t in init_tasks),
-                "compute": sum(measured),
-            }
-        else:
-            makespan = overhead + init_ms + comp_ms
-            phase_ms = {"init": init_ms, "compute": comp_ms}
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    # The colour DAG always orders the tasks (it is what keeps neighbouring
+    # blocks apart and what fixes the serial order); parity additionally
+    # runs it class by class behind barriers.
+    classes = None
+    if scheduler == "parity":
+        classes = [[id_map[bid] for bid in cls] for cls in coloring.classes()]
+    phase_ms = run_phases(
+        [init, Phase("compute", comp_tasks, graph=graph, classes=classes)],
+        P, backend, timer, bandwidth,
+    )
+    makespan = timer.seconds["bin"] + timer.seconds["color"] + sum(phase_ms.values())
 
-    for c in init_counters:
-        counter.merge(c)
     for c in task_counters:
         counter.merge(c)
 

@@ -11,11 +11,11 @@ it*).
 
 The driving loop follows the paper: *"as long as the critical path is
 longer than* ``T1 / (2P)`` *, the tasks on the path are replicated an
-additional time and the critical path is recomputed."*  Costs are
-estimated from two micro-calibrations (per-point stamp time, per-voxel
-memory time) so the replica overhead — ``2 x halo_volume`` memory
-operations per extra replica — is weighed in the same units as the
-stamping work.
+additional time and the critical path is recomputed."*  The plan is a
+function of the inputs alone: costs are counted in work units — a task
+weighs its points times the cells of one stamp, a replica costs ``2 x
+halo_volume`` streamed voxels (zero-fill + reduction) at the nominal
+voxel-to-cell rate — so the same call always replicates the same blocks.
 
 Memory behaviour reproduces Figure 14: with a coarse decomposition the
 "blocks" are nearly the whole domain, replication degenerates to DR, and
@@ -27,15 +27,11 @@ Figure 15's legend calls it PB-SYM-PD-SCHED-REP (it builds on the SCHED
 colouring); we register it as ``"pb-sym-pd-rep"``.
 
 Replica tasks stamp into their halo buffers through the batched engine
-(:func:`stamp_points_sym` with ``clip`` + ``vol_origin``), so replicas of
-a hot block overlap as large GIL-releasing NumPy kernels under
-``backend="threads"``; the calibration micro-probes in this module measure
-the engine path and therefore price replication against batched stamping.
+(:func:`stamp_points_sym` with ``clip`` + ``vol_origin``).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -44,24 +40,22 @@ from ..algorithms.base import STKDEResult, register_algorithm
 from ..algorithms.pb_sym import stamp_points_sym
 from ..core.grid import GridSpec, PointSet, Volume
 from ..core.instrument import PhaseTimer, WorkCounter
+from ..core.invariants import stamp_extent
 from ..core.kernels import KernelPair, get_kernel
 from .color import greedy_coloring, load_order, occupied_neighbor_map
-from .executors import ExecTask, check_memory_budget, run_serial, run_threaded
+from .executors import ExecTask, Phase, check_memory_budget, run_phases, zero_fill_phase
 from .partition import BlockDecomposition
-from .schedule import (
-    BandwidthModel,
-    TaskGraph,
-    build_task_graph,
-    critical_path,
-    list_schedule,
-    saturated_makespan,
-)
+from .schedule import BandwidthModel, TaskGraph, build_task_graph, critical_path
 
 __all__ = ["pb_sym_pd_rep", "plan_replication"]
 
 #: Hard cap on replication-refinement iterations (each iteration increments
 #: every critical-path task once; progress stalls long before this).
 _MAX_REP_ITERATIONS = 64
+
+#: Cost of one streamed voxel (a zero-fill write or a reduction add) in
+#: units of one stamped cell: ``c_mem / c_cell`` of ``MachineModel.nominal()``.
+_VOXEL_PER_CELL = 0.5
 
 
 def plan_replication(
@@ -121,33 +115,6 @@ def plan_replication(
     return replicas, tinf0, tinf
 
 
-def _slab_slices(Gx: int, P: int) -> List[slice]:
-    bounds = [(Gx * p) // P for p in range(P + 1)]
-    return [slice(bounds[p], bounds[p + 1]) for p in range(P)]
-
-
-def _calibrate(
-    grid: GridSpec, points: PointSet, kern: KernelPair, norm: float
-) -> Tuple[float, float]:
-    """Measure (seconds per stamped point, seconds per voxel of memory op).
-
-    Tiny throwaway runs; the ratio weighs replica overhead against stamping
-    work in :func:`plan_replication`.
-    """
-    sample = points.coords[: min(32, points.n)]
-    scratch = np.zeros(grid.shape, dtype=np.float64)
-    c = WorkCounter()
-    t0 = time.perf_counter()
-    stamp_points_sym(scratch, grid, kern, sample, norm, c)
-    c_pt = (time.perf_counter() - t0) / max(1, len(sample))
-    m = np.empty(1 << 20, dtype=np.float64)
-    t0 = time.perf_counter()
-    m.fill(0.0)
-    m += 1.0
-    c_vox = (time.perf_counter() - t0) / (2 * m.size)
-    return max(c_pt, 1e-9), max(c_vox, 1e-12)
-
-
 @register_algorithm("pb-sym-pd-rep", parallel=True)
 def pb_sym_pd_rep(
     points: PointSet,
@@ -168,7 +135,6 @@ def pb_sym_pd_rep(
     kern = get_kernel(kernel)
     counter = counter if counter is not None else WorkCounter()
     timer = timer if timer is not None else PhaseTimer()
-    bw = bandwidth or BandwidthModel()
 
     dec = BlockDecomposition.adjusted_for_pd(grid, *decomposition)
     norm = grid.normalization(points.n)
@@ -187,12 +153,13 @@ def pb_sym_pd_rep(
         base_graph, id_map = build_task_graph(coloring, adjacency, loads)
         blocks_sorted = sorted(id_map, key=id_map.get)
 
-        c_pt, c_vox = _calibrate(grid, points, kern, norm)
-        weights = [loads[bid] * c_pt for bid in blocks_sorted]
+        disk, bar = stamp_extent(grid)
+        cells_per_stamp = disk * disk + bar + disk * disk * bar
+        weights = [loads[bid] * cells_per_stamp for bid in blocks_sorted]
         halos = [
             dec.halo_window(*dec.block_coords(bid)).volume for bid in blocks_sorted
         ]
-        overheads = [2.0 * h * c_vox for h in halos]
+        overheads = [2.0 * h * _VOXEL_PER_CELL for h in halos]
         max_reps = [max(1, int(loads[bid])) for bid in blocks_sorted]
         replicas, tinf_before, tinf_after = plan_replication(
             weights, overheads, base_graph.succs, base_graph.preds, P, max_reps
@@ -212,17 +179,7 @@ def pb_sym_pd_rep(
     # Build the expanded task list + graph.
     # ------------------------------------------------------------------
     vol = np.empty(grid.shape, dtype=np.float64)
-    slabs = _slab_slices(grid.Gx, P)
-    init_counters = [WorkCounter() for _ in range(P)]
-
-    def make_init(p: int):
-        def fn() -> None:
-            vol[slabs[p]].fill(0.0)
-            init_counters[p].init_writes += vol[slabs[p]].size
-
-        return fn
-
-    init_tasks = [ExecTask(make_init(p), label=("init", p)) for p in range(P)]
+    init = zero_fill_phase(vol, P, counter)
 
     tasks: List[ExecTask] = []
     succs: List[List[int]] = []
@@ -245,7 +202,7 @@ def pb_sym_pd_rep(
         r = replicas[k]
         if r == 1:
             tid = add_task(ExecTask(lambda: None, weight_hint=weights[k],
-                                    color=coloring.colors[bid], label=("block", bid)))
+                                    label=("block", bid)))
 
             def direct_fn(coords=coords, tid=tid):
                 stamp_points_sym(vol, grid, kern, coords, norm, task_counters[tid])
@@ -266,7 +223,6 @@ def pb_sym_pd_rep(
                     ExecTask(
                         lambda: None,
                         weight_hint=weights[k] / r + overheads[k],
-                        color=coloring.colors[bid],
                         label=("replica", bid, j),
                     )
                 )
@@ -289,7 +245,6 @@ def pb_sym_pd_rep(
                 ExecTask(
                     lambda: None,
                     weight_hint=overheads[k],
-                    color=coloring.colors[bid],
                     label=("reduce", bid),
                 )
             )
@@ -319,42 +274,11 @@ def pb_sym_pd_rep(
     graph = TaskGraph([t.weight_hint for t in tasks], succs, preds,
                       labels=[t.label for t in tasks])
 
-    if backend == "threads":
-        with timer.phase("init"):
-            run_serial(init_tasks)
-        with timer.phase("compute"):
-            wall = run_threaded(
-                tasks, graph, P, priority=lambda v: (-tasks[v].weight_hint, v)
-            )
-        makespan = (
-            timer.seconds["bin"] + timer.seconds["plan"]
-            + timer.seconds["init"] + wall
-        )
-        phase_ms = {"init": timer.seconds["init"], "compute": wall}
-    elif backend in ("serial", "simulated"):
-        with timer.phase("init"):
-            run_serial(init_tasks)
-        with timer.phase("compute"):
-            run_serial(tasks, graph)
-        init_ms = saturated_makespan([t.measured for t in init_tasks], P, bw)
-        measured = [t.measured for t in tasks]
-        mgraph = TaskGraph(measured, graph.succs, graph.preds)
-        sched = list_schedule(mgraph, P, priority=lambda v: (-measured[v], v))
-        overhead_s = timer.seconds["bin"] + timer.seconds["plan"]
-        if backend == "serial":
-            makespan = overhead_s + sum(t.measured for t in init_tasks) + sum(measured)
-            phase_ms = {
-                "init": sum(t.measured for t in init_tasks),
-                "compute": sum(measured),
-            }
-        else:
-            makespan = overhead_s + init_ms + sched.makespan
-            phase_ms = {"init": init_ms, "compute": sched.makespan}
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    phase_ms = run_phases(
+        [init, Phase("compute", tasks, graph=graph)], P, backend, timer, bandwidth
+    )
+    makespan = timer.seconds["bin"] + timer.seconds["plan"] + sum(phase_ms.values())
 
-    for c in init_counters:
-        counter.merge(c)
     for c in task_counters:
         counter.merge(c)
 

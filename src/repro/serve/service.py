@@ -46,7 +46,7 @@ from ..core.incremental import IncrementalSTKDE
 from ..core.instrument import WorkCounter
 from ..core.kernels import KernelPair, get_kernel
 from ..core.stamping import stamp_batch
-from ..parallel.executors import resolve_shard_count, run_threaded_stamping
+from ..parallel.executors import resolve_shard_count
 from .cache import QueryCache, digest_queries
 from .engine import (
     RegionResult,
@@ -278,40 +278,13 @@ class DensityService:
                 )
         return self._index
 
-    def _threaded_build_wins(self, coords: np.ndarray, P: int) -> bool:
-        """Whether the bbox-sharded threads path should build the volume.
-
-        Materialisation happens exactly when the planner predicts enough
-        (repeated) lookups to amortise a build, so the build itself is
-        worth planning: with a calibrated machine at hand the cost model
-        prices serial vs threaded stamping.  Without one (pinned-backend
-        callers that never planned) the build stays serial — guessing
-        would either force a calibration or risk allocating shard
-        buffers unpriced.  The feasibility check caps the planned shard
-        buffers at ``max(2, P/2)`` volumes' worth — at least 2x below
-        the ``P`` replicas the DR trade would allocate (clustered shards
-        measure ~1.1 volumes total), so a serving build can never
-        quietly regress to DR-scale transient memory: scattered batches
-        whose bboxes approach ``P`` full grids are refused, not
-        attempted.
-        """
-        if P <= 1 or coords.shape[0] == 0 or self._machine is None:
-            return False
-        model = CostModel(
-            self.grid, PointSet(coords), self._machine,
-            memory_budget_bytes=self._materialize_budget(P),
-        )
-        threaded = model.predict_pb_sym_threads(P)
-        return threaded.feasible and threaded.seconds < model.predict_pb_sym()
-
     def materialize(self) -> Volume:
         """Force-build (or fetch) the volume backing the lookup plan.
 
-        Static builds route through
-        :func:`~repro.parallel.executors.run_threaded_stamping` (with
-        ``P="auto"`` bbox shards) whenever the cost model predicts the
-        threaded build wins; weighted events stamp through the engine's
-        weighted mode, normalised by total weight.
+        A static snapshot is stamped with one serial
+        :func:`~repro.core.stamping.stamp_batch` (weighted events through
+        the engine's weighted mode, normalised by total weight); a live
+        source composes its cached slabs.
         """
         self._sync()
         if self._volume is None:
@@ -323,39 +296,21 @@ class DensityService:
                 self.counter.init_writes += vol.size
                 coords = self._coords()
                 if coords.shape[0]:
-                    P = resolve_shard_count("auto")
-                    if self._threaded_build_wins(coords, P):
-                        run_threaded_stamping(
-                            vol, self.grid, self.kernel, coords,
-                            self._norm(), self.counter, P,
-                            weights=self._static_weights,
-                        )
-                        self._volume_build_backend = f"threads[{P}]"
-                    else:
-                        stamp_batch(
-                            vol, self.grid, self.kernel, coords,
-                            self._norm(), self.counter,
-                            weights=self._static_weights,
-                        )
-                        self._volume_build_backend = "stamp"
+                    stamp_batch(
+                        vol, self.grid, self.kernel, coords,
+                        self._norm(), self.counter,
+                        weights=self._static_weights,
+                    )
+                    self._volume_build_backend = "stamp"
                 self._volume = vol
             self._volume_builds += 1
         return Volume(self._volume, self.grid)
 
-    def _materialize_budget(self, P: int) -> int:
-        """Transient-memory cap for a threaded volume build: shard
-        buffers at most ``max(2, P/2)`` volumes — at least 2x below the
-        ``P`` replicas of the DR trade (clustered shards measure ~1.1
-        volumes total)."""
-        return (1 + max(2, P // 2)) * self.grid.grid_bytes
-
     def planner(self) -> QueryPlanner:
         """The query planner (calibrates the machine model on first use).
 
-        The planner's model carries the same memory budget
-        :meth:`materialize` enforces, so ``predict_materialize`` prices
-        the build the service will *actually* run: a threaded build the
-        budget would refuse is priced serial, never assumed.
+        Its model prices a cold lookup with the serial build
+        :meth:`materialize` runs.
         """
         self._sync()
         if self._planner is None:
@@ -364,10 +319,7 @@ class DensityService:
 
                 self._machine = calibrate_serving()
             model = CostModel(
-                self.grid, PointSet(self._coords()), self._machine,
-                memory_budget_bytes=self._materialize_budget(
-                    resolve_shard_count("auto")
-                ),
+                self.grid, PointSet(self._coords()), self._machine
             )
             self._planner = QueryPlanner(model)
         return self._planner

@@ -104,7 +104,7 @@ class TestCostModelPredictions:
 
 
 class TestTileAndBboxPricing:
-    """Region-engine pricing: tile batches and bbox-shard memory."""
+    """Region-engine pricing: voxel-tile batches."""
 
     def test_vb_prediction_ranks_far_above_pb_sym(self, grid, machine):
         """The model must reproduce Table 3's ordering: VB orders of
@@ -136,33 +136,6 @@ class TestTileAndBboxPricing:
         fine = model.predict_vb(voxel_chunk=64, point_block=8)
         # Same pairs, many more tile batches: fine tiling must not be free.
         assert fine.seconds >= coarse.seconds
-
-    def test_pb_sym_threads_charges_bbox_memory(self, grid, machine):
-        from repro.core.regions import plan_stamp_shards
-
-        pts = make_clustered_points(grid, 600, k=2, seed=24)
-        plan = plan_stamp_shards(grid, pts.coords, 8)
-        need = grid.grid_bytes + plan.buffer_bytes
-        model = CostModel(grid, pts, machine, memory_budget_bytes=need)
-        assert model.predict_pb_sym_threads(8).feasible
-        tight = CostModel(grid, pts, machine, memory_budget_bytes=need - 1)
-        p = tight.predict_pb_sym_threads(8)
-        assert not p.feasible
-        assert "bbox" in p.reason
-
-    def test_pb_sym_threads_feasible_where_dr_is_not(self, grid, machine):
-        """The bbox-shard memory story: a budget that rules DR out (P+1
-        full volumes) can still afford the bbox-sharded threads path."""
-        pts = make_clustered_points(grid, 600, k=1, seed=25)
-        model = CostModel(grid, pts, machine,
-                          memory_budget_bytes=3 * grid.grid_bytes)
-        assert not model.predict_dr(P=8).feasible
-        assert model.predict_pb_sym_threads(8).feasible
-
-    def test_select_strategy_ranks_pb_sym_threads(self, grid, machine):
-        pts = make_clustered_points(grid, 400, seed=26)
-        _, ranked = select_strategy(grid, pts, 8, machine=machine)
-        assert any(p.algorithm == "pb-sym-threads" for p in ranked)
 
 
 class TestSelectStrategy:

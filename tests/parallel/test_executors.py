@@ -1,4 +1,5 @@
-"""Tests for the execution backends (serial / threaded / simulated)."""
+"""Tests for the execution backends (serial / threaded / simulated) and
+the one runner that interprets a strategy's phase list on them."""
 
 from __future__ import annotations
 
@@ -7,15 +8,25 @@ import time
 
 import pytest
 
+from repro.core.instrument import PhaseTimer
 from repro.parallel.executors import (
     ExecTask,
     MemoryBudgetExceeded,
+    Phase,
     check_memory_budget,
+    run_phases,
     run_serial,
     run_threaded,
-    simulate_from_measured,
+    slab_slices,
+    zero_fill_phase,
 )
-from repro.parallel.schedule import TaskGraph
+from repro.parallel.schedule import (
+    BandwidthModel,
+    TaskGraph,
+    barrier_schedule,
+    list_schedule,
+    saturated_makespan,
+)
 
 
 def make_graph(n, edges):
@@ -125,22 +136,162 @@ class TestRunThreaded:
         assert order == [1, 2, 0]
 
 
+def weighed(weights):
+    """Tasks whose measured cost is a literal — no clock involved."""
+    return [ExecTask(lambda: None, measured=w) for w in weights]
+
+
+class TestPhaseSimulate:
+    """The replay rule table, on literal weights."""
+
+    W = [5.0, 1.0, 3.0, 2.0, 4.0, 1.0]
+
+    def test_memory_step_saturates(self):
+        bw = BandwidthModel(cap=2.5)
+        got = Phase("init", weighed(self.W), bound="memory").simulate(4, bw)
+        assert got == saturated_makespan(self.W, 4, bw) == 16.0 / 2.5
+
+    def test_classes_are_index_ordered_barriers(self):
+        classes = [[0, 1, 2], [3, 4], [5]]
+        graph = make_graph(6, [(0, 3), (2, 4), (4, 5)])
+        got = Phase("compute", weighed(self.W), graph=graph, classes=classes).simulate(2)
+        # Classes win over the graph; index order, not heaviest-first.
+        assert got == barrier_schedule([[5.0, 1.0, 3.0], [2.0, 4.0], [1.0]], 2)
+        assert got == 5.0 + 4.0 + 1.0
+
+    def test_graph_is_list_scheduled_heaviest_first(self):
+        w = [1.0, 1.0, 1.0, 1.0, 6.0]
+        graph = make_graph(5, [(0, 1)])
+        got = Phase("compute", weighed(w), graph=graph).simulate(2)
+        measured = TaskGraph(w, graph.succs, graph.preds)
+        want = list_schedule(measured, 2, priority=lambda v: (-w[v], v))
+        assert got == want.makespan == 6.0
+        assert list_schedule(measured, 2).makespan == 8.0  # id order is worse
+
+    def test_edgeless_step_is_heaviest_first(self):
+        got = Phase("compute", weighed(self.W)).simulate(3)
+        assert got == barrier_schedule([self.W], 3, lpt=True) == 6.0
+
+    def test_empty_phase(self):
+        for ph in (Phase("a", []), Phase("b", [], bound="memory"),
+                   Phase("c", [], classes=[])):
+            assert ph.simulate(4) == 0.0
+            assert ph.run_threaded(4) >= 0.0
+
+    def test_rejects_unknown_bound(self):
+        with pytest.raises(ValueError, match="bound"):
+            Phase("init", [], bound="disk")
+
+
 class TestSimulateFromMeasured:
+    """The ``simulated`` backend replays the task costs it measured."""
+
     def test_replays_measured_weights(self):
-        tasks = [ExecTask(lambda: time.sleep(0.01)) for _ in range(4)]
-        graph = make_graph(4, [])
-        run_serial(tasks, graph)
-        res = simulate_from_measured(tasks, graph, P=4)
-        serial_total = sum(t.measured for t in tasks)
-        assert res.makespan <= serial_total
-        assert res.makespan >= max(t.measured for t in tasks) - 1e-9
+        ph = Phase("compute", [ExecTask(lambda: time.sleep(0.01)) for _ in range(4)])
+        got = run_phases([ph], 4, "simulated", PhaseTimer())["compute"]
+        assert got <= sum(t.measured for t in ph.tasks)
+        assert got >= max(t.measured for t in ph.tasks) - 1e-9
 
     def test_chain_cannot_beat_critical_path(self):
-        tasks = [ExecTask(lambda: time.sleep(0.005)) for _ in range(3)]
-        graph = make_graph(3, [(0, 1), (1, 2)])
-        run_serial(tasks, graph)
-        res = simulate_from_measured(tasks, graph, P=8)
-        assert res.makespan == pytest.approx(sum(t.measured for t in tasks), rel=1e-6)
+        ph = Phase(
+            "compute", [ExecTask(lambda: time.sleep(0.005)) for _ in range(3)],
+            graph=make_graph(3, [(0, 1), (1, 2)]),
+        )
+        got = run_phases([ph], 8, "simulated", PhaseTimer())["compute"]
+        assert got == pytest.approx(sum(t.measured for t in ph.tasks), rel=1e-6)
+
+
+class TestRunPhases:
+    def _chain_and_classes(self, log):
+        lock = threading.Lock()
+
+        def work(tag):
+            def fn():
+                time.sleep(0.002)
+                with lock:
+                    log.append(tag)
+            return fn
+
+        chain = Phase(
+            "chain", [ExecTask(work(("chain", i))) for i in range(4)],
+            graph=make_graph(4, [(3, 2), (2, 1), (1, 0)]),
+        )
+        barrier = Phase(
+            "barrier", [ExecTask(work(("barrier", i))) for i in range(6)],
+            classes=[[4, 5], [0, 1, 2], [3]],
+        )
+        return [chain, barrier]
+
+    @pytest.mark.parametrize("backend", ["serial", "simulated", "threads"])
+    def test_phases_barriers_and_edges_are_honoured(self, backend):
+        log = []
+        timer = PhaseTimer()
+        seconds = run_phases(self._chain_and_classes(log), 4, backend, timer)
+        assert list(seconds) == list(timer.seconds) == ["chain", "barrier"]
+        assert log[:4] == [("chain", 3), ("chain", 2), ("chain", 1), ("chain", 0)]
+        rest = [i for _, i in log[4:]]
+        assert sorted(rest) == list(range(6))
+        if backend == "threads":  # class after class, any order within one
+            assert set(rest[:2]) == {4, 5} and set(rest[2:5]) == {0, 1, 2}
+            assert rest[5] == 3
+
+    def test_serial_reports_the_plain_sum(self):
+        phases = self._chain_and_classes([])
+        seconds = run_phases(phases, 4, "serial", PhaseTimer())
+        for ph in phases:
+            assert seconds[ph.name] == pytest.approx(sum(t.measured for t in ph.tasks))
+
+    def test_simulated_replays_the_one_execution(self):
+        phases = self._chain_and_classes([])
+        seconds = run_phases(phases, 4, "simulated", PhaseTimer())
+        assert seconds == {ph.name: ph.simulate(4) for ph in phases}
+        assert seconds["barrier"] < sum(t.measured for t in phases[1].tasks)
+
+    def test_bandwidth_reaches_memory_phases(self):
+        ph = Phase("init", [ExecTask(lambda: time.sleep(0.002)) for _ in range(4)],
+                   bound="memory")
+        got = run_phases([ph], 4, "simulated", PhaseTimer(), BandwidthModel(cap=2.0))
+        total = sum(t.measured for t in ph.tasks)
+        assert got["init"] == pytest.approx(max(total / 2.0, max(t.measured for t in ph.tasks)))
+
+    @pytest.mark.parametrize("backend", ["serial", "simulated", "threads"])
+    def test_task_failure_propagates(self, backend):
+        def boom():
+            raise RuntimeError("kaboom")
+
+        ph = Phase("compute", [ExecTask(lambda: None), ExecTask(boom)])
+        with pytest.raises(RuntimeError, match="kaboom"):
+            run_phases([ph], 4, backend, PhaseTimer())
+
+    def test_unknown_backend_raises_before_any_task(self):
+        ran = []
+        timer = PhaseTimer()
+        with pytest.raises(ValueError, match="backend"):
+            run_phases([Phase("p", [ExecTask(lambda: ran.append(1))])], 2, "quantum", timer)
+        assert not ran and not timer.seconds
+
+
+class TestSharedPieces:
+    def test_slab_slices_partition_the_range(self):
+        for n, P in [(10, 3), (3, 8), (0, 2), (7, 1)]:
+            sl = slab_slices(n, P)
+            assert len(sl) == P
+            assert [i for s in sl for i in range(s.start, s.stop)] == list(range(n))
+            assert max(s.stop - s.start for s in sl) - min(s.stop - s.start for s in sl) <= 1
+
+    def test_zero_fill_phase(self):
+        import numpy as np
+
+        from repro.core import WorkCounter
+
+        vol = np.full((5, 4, 3), 7.0)
+        c = WorkCounter()
+        ph = zero_fill_phase(vol, 3, c)
+        assert (ph.name, ph.bound, len(ph.tasks)) == ("init", "memory", 3)
+        assert c.init_writes == vol.size  # charged once, up front
+        assert vol.all()
+        run_phases([ph], 3, "threads", PhaseTimer())
+        assert not vol.any() and c.init_writes == vol.size
 
 
 class TestRunThreadedStamping:

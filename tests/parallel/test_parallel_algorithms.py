@@ -265,3 +265,89 @@ class TestMetaAndPhases:
         m1 = pb_sym_pd_sched(pts, grid, P=1, decomposition=(8, 8, 8)).meta["makespan"]
         m4 = pb_sym_pd_sched(pts, grid, P=4, decomposition=(8, 8, 8)).meta["makespan"]
         assert m4 < m1
+
+
+#: Serial planning steps a strategy times itself, before the runner's phases.
+PLANNING = ("bin", "color", "plan")
+
+
+def run_on(algo, backend, grid, pts, P=3):
+    kwargs = {"P": P, "backend": backend, "counter": WorkCounter()}
+    if algo is not pb_sym_dr:
+        kwargs["decomposition"] = (4, 4, 4)
+    return algo(pts, grid, **kwargs)
+
+
+class TestRunnerContracts:
+    """What ``run_phases`` owns for every strategy, on every backend."""
+
+    @pytest.mark.parametrize("algo", PARALLEL)
+    def test_makespan_is_planning_plus_phases(self, algo, grid, pts):
+        names = set()
+        for backend in ("serial", "simulated", "threads"):
+            res = run_on(algo, backend, grid, pts)
+            seconds, phase_ms = res.timer.seconds, res.meta["phase_makespans"]
+            planning = sum(
+                seconds[k] for k in PLANNING if k in seconds and k not in phase_ms
+            )
+            assert res.meta["makespan"] == pytest.approx(
+                planning + sum(phase_ms.values())
+            )
+            assert set(phase_ms) <= set(seconds)
+            names.add(tuple(sorted(seconds)))
+        assert len(names) == 1  # same phase names whatever the backend
+
+    @pytest.mark.parametrize("algo", PARALLEL)
+    def test_serial_phase_seconds_are_task_sums(self, algo, grid, pts):
+        res = run_on(algo, "serial", grid, pts)
+        phase_ms = res.meta["phase_makespans"]
+        for k in ("init", "compute"):
+            assert 0 < phase_ms[k] <= res.timer.seconds[k]
+        if algo is pb_sym_dd:
+            assert phase_ms["compute"] == pytest.approx(sum(res.meta["task_seconds"]))
+        if algo in (pb_sym_pd, pb_sym_pd_sched):
+            assert phase_ms["compute"] == pytest.approx(res.meta["T1"])
+
+    @pytest.mark.parametrize("algo", PARALLEL)
+    def test_serial_and_simulated_are_one_execution(self, algo, grid, pts):
+        serial = run_on(algo, "serial", grid, pts)
+        simulated = run_on(algo, "simulated", grid, pts)
+        assert np.array_equal(serial.data, simulated.data)
+        threads = run_on(algo, "threads", grid, pts)
+        assert serial.counter.as_dict() == simulated.counter.as_dict()
+        assert serial.counter.as_dict() == threads.counter.as_dict()
+
+    @pytest.mark.parametrize("algo, want", [
+        # madds, init_writes, reduce_adds, points_processed, stamp_batches
+        (pb_sym_dr, (120001, 152064, 152064, 350, 3)),
+        (pb_sym_dd, (120001, 50688, 0, 1546, 45)),
+        (pb_sym_pd, (120001, 50688, 0, 350, 23)),
+        (pb_sym_pd_sched, (120001, 50688, 0, 350, 23)),
+    ])
+    def test_work_counts_pinned(self, algo, want, grid, pts):
+        c = run_on(algo, "simulated", grid, pts).counter
+        assert (c.madds, c.init_writes, c.reduce_adds, c.points_processed,
+                c.stamp_batches) == want
+
+
+class TestModelPicksStrategiesNotBackends:
+    def test_select_strategy_ranks_registered_names_only(self, grid, pts):
+        from repro.algorithms import parallel_algorithms
+        from repro.analysis.model import MachineModel, select_strategy
+
+        _, ranked = select_strategy(grid, pts, 4, machine=MachineModel.nominal())
+        assert {p.algorithm for p in ranked} == set(parallel_algorithms())
+
+    @pytest.mark.parametrize("backend", ["serial", "simulated", "threads"])
+    def test_auto_runs_a_registered_strategy_on_the_asked_backend(
+        self, backend, grid, pts, reference
+    ):
+        from repro import STKDE
+        from repro.algorithms import parallel_algorithms
+
+        est = STKDE(hs=grid.hs, ht=grid.ht, algorithm="auto", P=4, backend=backend)
+        res = est.estimate(pts, grid.domain)
+        assert res.algorithm in parallel_algorithms()
+        assert res.meta["selected_by"] == "model"
+        assert res.meta["backend"] == backend
+        np.testing.assert_allclose(res.data, reference, rtol=1e-12, atol=1e-18)

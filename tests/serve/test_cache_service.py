@@ -369,58 +369,22 @@ class TestServiceLive:
             assert svc.index().segment_count == len(inc.live_batches)
 
 
-class TestThreadedMaterialize:
-    @staticmethod
-    def _long_grid_points(n=600, seed=66):
-        """An x-elongated instance whose origin-ordered shards have thin,
-        near-disjoint bounding boxes — the geometry the threaded build's
-        memory cap admits."""
+class TestStaticMaterialize:
+    def test_static_build_is_one_serial_stamp(self, monkeypatch):
+        """No cost prediction puts a build on threads: on an x-elongated
+        instance (thin, near-disjoint shard boxes — where a threaded build
+        used to be predicted to win), with a machine model at hand and
+        four cores on offer, a static ``materialize()`` is the same serial
+        stamp, bit for bit, as without either."""
         from repro.core import DomainSpec, GridSpec
+        import repro.serve.service as service_mod
 
         grid = GridSpec(DomainSpec.from_voxels(120, 10, 10), hs=1.0, ht=1.0)
-        rng = np.random.default_rng(seed)
-        coords = np.column_stack([
-            rng.uniform(0, 120, n), rng.uniform(0, 10, n), rng.uniform(0, 10, n)
-        ])
-        return grid, PointSet(coords)
-
-    def test_threaded_build_when_predicted_to_win(self, monkeypatch):
-        """On a multi-core host the service routes big static builds
-        through the bbox-sharded threads path; the volume is unchanged."""
-        import repro.serve.service as service_mod
-
-        grid, pts = self._long_grid_points()
-        ref = DensityService(pts, grid, machine=MACHINE).materialize()
-        monkeypatch.setattr(
-            service_mod, "resolve_shard_count", lambda P: 4
+        pts = PointSet(
+            np.random.default_rng(66).uniform(0, [120, 10, 10], size=(600, 3))
         )
-        svc = DensityService(pts, grid, machine=MACHINE)
-        vol = svc.materialize()
-        np.testing.assert_allclose(vol.data, ref.data, rtol=1e-12, atol=1e-18)
-        stats = svc.stats()
-        # The pinned machine makes compute dominate, so threads predict a
-        # win and the build is recorded as threaded.
-        assert stats["volume_build_backend"] == "threads[4]"
-
-    def test_memory_cap_refuses_grid_wide_shards(self, small_domain, monkeypatch):
-        """When every stamp covers the whole grid, each shard bbox is the
-        full volume: the buffer cap refuses the threaded build and the
-        service stays serial rather than allocating ~P volumes."""
-        from repro.core import GridSpec
-        import repro.serve.service as service_mod
-
-        grid = GridSpec(small_domain, hs=30.0, ht=30.0)  # grid-wide stamps
+        ref = DensityService(pts, grid).materialize()
         monkeypatch.setattr(service_mod, "resolve_shard_count", lambda P: 4)
-        pts = make_points(grid, 400, seed=66)
         svc = DensityService(pts, grid, machine=MACHINE)
-        svc.materialize()
-        assert svc.stats()["volume_build_backend"] == "stamp"
-
-    def test_serial_build_on_single_core(self, small_grid, monkeypatch):
-        import repro.serve.service as service_mod
-
-        monkeypatch.setattr(service_mod, "resolve_shard_count", lambda P: 1)
-        pts = make_points(small_grid, 50, seed=67)
-        svc = DensityService(pts, small_grid, machine=MACHINE)
-        svc.materialize()
+        assert np.array_equal(svc.materialize().data, ref.data)
         assert svc.stats()["volume_build_backend"] == "stamp"

@@ -106,9 +106,7 @@ class TestRegionCrossover:
 
     def test_full_region_cold_estimates_comparable(self, dense_setup, small_grid):
         """A cold full-window extract *is* (a window of) a materialisation:
-        the two estimates must track each other.  The lookup side prices
-        the build the service would run (threaded on multi-core hosts),
-        so compare against the model's own materialisation estimate."""
+        the two estimates must track each other."""
         _, _, planner = dense_setup
         model = planner.model
         plan = planner.plan_region(
@@ -181,12 +179,11 @@ class TestCostModelPredictors:
         model = CostModel(small_grid, pts, MACHINE)
         cold = model.predict_volume_lookup(100, volume_ready=False)
         warm = model.predict_volume_lookup(100, volume_ready=True)
-        # The cold build is the one the service would run: serial, or the
-        # threaded bbox-shard path when that is predicted to win.
+        # The cold build is the one the service runs: serial PB-SYM.
         assert cold == pytest.approx(
             model.predict_materialize() + 100 * MACHINE.c_lookup
         )
-        assert model.predict_materialize() <= model.predict_pb_sym()
+        assert model.predict_materialize() == model.predict_pb_sym()
         assert warm == pytest.approx(100 * MACHINE.c_lookup)
 
     def test_direct_region_charges_reaching_stamps_only(self, small_grid):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import STKDE, DomainSpec, GridSpec, PointSet, infer_domain
-from repro.algorithms import pb_sym
+from repro.algorithms import parallel_algorithms, pb_sym
 from repro.cli import main as cli_main
 from repro.data.io import save_points_csv, save_volume
 from repro.viz.render import ascii_heatmap, hotspots, render_time_slice, series_csv
@@ -107,8 +107,8 @@ class TestSTKDEFacade:
             STKDE(hs=2.0, ht=2.0, P=0)
 
     def test_auto_with_threads_backend_matches_serial(self, rng):
-        """auto may now select PB-SYM's bbox-sharded threads backend; the
-        density must match the sequential reference either way."""
+        """auto runs its pick on the threads backend the caller asked for;
+        the density must match the sequential reference."""
         pts = PointSet(rng.uniform(0, 30, size=(300, 3)))
         serial = STKDE(hs=2.5, ht=2.5, algorithm="pb-sym").estimate(pts)
         auto = STKDE(hs=2.5, ht=2.5, algorithm="auto", P=4,
@@ -129,11 +129,11 @@ class TestSTKDEFacade:
         est = STKDE(hs=2.5, ht=2.5, algorithm="auto", P=4, backend="threads")
         grid = est.grid_for(pts)
         name, kwargs = est._choose_algorithm(pts, grid)
-        if name == "pb-sym":  # the threads candidate won
-            assert kwargs["backend"] == "threads"
-            assert kwargs["P"] == 4
-        else:  # another strategy won on this instance; still parallel
-            assert name.startswith("pb-sym-")
+        # No threads-only candidate is left to map: the winner is a
+        # registered strategy and the asked backend is forwarded to it.
+        assert name in parallel_algorithms()
+        assert kwargs["backend"] == "threads"
+        assert kwargs["P"] == 4
 
 
 class TestRenderer:

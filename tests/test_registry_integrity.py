@@ -94,3 +94,35 @@ class TestFacadeRegistryInterplay:
             est = STKDE(hs=2.0, ht=2.0, algorithm=name, P=2)
             res = est.estimate(pts)
             assert res.algorithm == name
+
+
+class TestWeightedEventsAreRejected:
+    """The grid algorithms are unit-weight estimators: a weighted
+    ``PointSet`` raises at the one place every entry passes through,
+    instead of producing the unweighted volume."""
+
+    @staticmethod
+    def weighted_points():
+        rng = np.random.default_rng(2)
+        return PointSet(rng.uniform(0, 12, size=(15, 3)), rng.uniform(0.5, 2.0, 15))
+
+    @pytest.mark.parametrize("name", available_algorithms())
+    def test_direct_call_and_facade_raise(self, name):
+        from repro import STKDE
+
+        grid = GridSpec(DomainSpec.from_voxels(12, 12, 12), hs=2.0, ht=2.0)
+        pts = self.weighted_points()
+        with pytest.raises(ValueError, match=f"'{name}'.*DensityService"):
+            get_algorithm(name)(pts, grid)
+        with pytest.raises(ValueError, match=f"'{name}'.*DensityService"):
+            STKDE(hs=2.0, ht=2.0, algorithm=name, P=2).estimate(pts)
+
+    def test_cli_estimate_raises_on_a_weight_column(self, tmp_path):
+        from repro.cli import main
+        from repro.data.io import save_points_csv
+
+        save_points_csv(self.weighted_points(), tmp_path / "xytw.csv")
+        with pytest.raises(ValueError, match="PointSet.weights"):
+            main(["estimate", "--points", str(tmp_path / "xytw.csv"),
+                  "--hs", "2", "--ht", "2", "--out", str(tmp_path / "v.npy")])
+        assert not (tmp_path / "v.npy").exists()
