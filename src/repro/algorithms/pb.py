@@ -13,9 +13,10 @@ Section 3.2 sets out to remove, and the baseline against which Table 3's
 ``PB-SYM`` speedup column is computed.
 
 Stamping engine: the driver routes through
-:func:`repro.core.stamping.stamp_batch` with ``mode="pb"``, which evaluates
-the same per-voxel kernel products over whole shape cohorts at once; the
-per-point :func:`stamp_point_pb` remains as the scalar reference.
+:func:`repro.core.stamping.stamp_batch` with ``mode="pb"`` on the
+``numpy-ref`` backend (named: see :mod:`repro.core.backends`), which
+evaluates the same per-voxel kernel products over whole shape cohorts at
+once; the per-point :func:`stamp_point_pb` remains the scalar reference.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ def pb(
         counter.init_writes += vol.size
     norm = grid.normalization(points.n)
     with timer.phase("compute"):
-        stamp_batch(vol, grid, kern, points.coords, norm, counter, mode="pb")
+        stamp_batch(vol, grid, kern, points.coords, norm, counter, mode="pb",
+                    compute="numpy-ref")
     counter.points_processed += points.n
     return STKDEResult(Volume(vol, grid), "pb", timer, counter)

@@ -17,10 +17,11 @@ invariants to different degrees:
 All three produce exactly the same density volume as PB.
 
 Stamping engine: both drivers route through
-:func:`repro.core.stamping.stamp_batch` (``mode="disk"`` / ``mode="bar"``),
-which reproduces each variant's cost profile over whole shape cohorts at
-once; the per-point ``stamp_point_*`` functions remain as the scalar
-references the engine is tested against.
+:func:`repro.core.stamping.stamp_batch` (``mode="disk"`` / ``mode="bar"``)
+on the ``numpy-ref`` backend (named: see :mod:`repro.core.backends`), which
+reproduces each variant's cost profile over whole shape cohorts at once;
+the per-point ``stamp_point_*`` functions remain as the scalar references
+the engine is tested against.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ def pb_disk(
         counter.init_writes += vol.size
     norm = grid.normalization(points.n)
     with timer.phase("compute"):
-        stamp_batch(vol, grid, kern, points.coords, norm, counter, mode="disk")
+        stamp_batch(vol, grid, kern, points.coords, norm, counter,
+                    mode="disk", compute="numpy-ref")
     counter.points_processed += points.n
     return STKDEResult(Volume(vol, grid), "pb-disk", timer, counter)
 
@@ -136,6 +138,7 @@ def pb_bar(
         counter.init_writes += vol.size
     norm = grid.normalization(points.n)
     with timer.phase("compute"):
-        stamp_batch(vol, grid, kern, points.coords, norm, counter, mode="bar")
+        stamp_batch(vol, grid, kern, points.coords, norm, counter,
+                    mode="bar", compute="numpy-ref")
     counter.points_processed += points.n
     return STKDEResult(Volume(vol, grid), "pb-bar", timer, counter)

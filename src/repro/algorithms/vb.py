@@ -14,7 +14,8 @@ remains voxel-based (it cannot exploit the PB-SYM symmetries, as Section
 
 Both are vectorised with NumPy over (voxel-chunk x point-block) tiles
 routed through the shared region-accumulation engine
-(:func:`repro.core.regions.accumulate_voxel_tile`); the tiling changes
+(:func:`repro.core.regions.accumulate_voxel_tile`) on the ``numpy-ref``
+backend (named: see :mod:`repro.core.backends`); the tiling changes
 memory traffic, not the operation count, which the
 :class:`~repro.core.instrument.WorkCounter` reports faithfully.  The
 historical private tile loop is retained verbatim as
@@ -125,7 +126,7 @@ def vb(
                 sl = slice(pstart, min(pstart + point_block, points.n))
                 accumulate_voxel_tile(
                     flat, idx, cx, cy, ct, px[sl], py[sl], pt[sl],
-                    grid, kern, norm, counter,
+                    grid, kern, norm, counter, compute="numpy-ref",
                 )
     counter.points_processed += points.n
     return STKDEResult(Volume(vol, grid), "vb", timer, counter)
@@ -240,7 +241,7 @@ def vb_dec(
                             accumulate_voxel_tile(
                                 flat, idx[sl], cx[sl], cy[sl], ct[sl],
                                 px[cand_idx], py[cand_idx], pt[cand_idx],
-                                grid, kern, norm, counter,
+                                grid, kern, norm, counter, compute="numpy-ref",
                             )
                     else:
                         cohorts.setdefault((idx.size, Kp), []).append(
@@ -261,7 +262,7 @@ def vb_dec(
                     flat, vox,
                     cx.reshape(B, V), cy.reshape(B, V), ct.reshape(B, V),
                     px_ext[cand_mat], py_ext[cand_mat], pt_ext[cand_mat],
-                    grid, kern, norm, counter,
+                    grid, kern, norm, counter, compute="numpy-ref",
                 )
                 n_cohort_tiles += 1
     counter.points_processed += points.n

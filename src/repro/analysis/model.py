@@ -32,11 +32,11 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-import typing
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.backends import DEFAULT_BACKEND
 from ..core.grid import GridSpec, PointSet
 from ..core.instrument import WorkCounter
 from ..core.invariants import stamp_extent
@@ -92,8 +92,9 @@ class MachineModel:
         occupied block is one batch.
     c_pair:
         Seconds per (voxel, point) pair of the region engine's voxel-tile
-        path (distance test + both kernel evaluations + masked
-        multiply-add) — the unit cost of VB/VB-DEC.
+        path on the ``numpy-ref`` backend (distance test + both kernel
+        evaluations + masked multiply-add) — the unit cost of VB/VB-DEC
+        and nothing else; the query path's pair rate is ``c_qpair``.
     c_tile:
         Fixed cost of one voxel-tile accumulation
         (:func:`repro.core.regions.accumulate_voxel_tile` dispatch,
@@ -105,6 +106,13 @@ class MachineModel:
         (:func:`repro.serve.engine.sample_volume`) — the per-query unit
         cost of the serving layer's volume-lookup backend (eight gathered
         reads plus the blend).
+    c_qpair:
+        Seconds per (query, candidate) pair of the direct-sum engine
+        (:func:`repro.serve.engine.direct_sum`: three column gathers,
+        the masked kernel product, the segment sum) — like every ``c_q*``
+        rate, probed by :func:`repro.serve.calibrate.calibrate_serving`
+        on the process's default backend.  ``0.0`` (not probed) makes
+        :attr:`CostModel.pair_cost` fall back to ``c_pair``.
     c_qcohort:
         Fixed cost of one ragged slab dispatch of the direct-sum engine
         (:func:`repro.serve.engine.direct_sum`): one flat (query,
@@ -150,21 +158,7 @@ class MachineModel:
         a supervised shard respawn, probed by
         :func:`repro.serve.calibrate.calibrate_recovery` and charged
         once per restart by :meth:`CostModel.predict_recovery`.
-    backend_costs:
-        Per-compute-backend overrides of the scalar unit costs, keyed
-        ``{backend_name: {field_name: seconds}}`` — today ``c_pair``,
-        ``c_qcohort`` and ``c_qsample``, probed per registered backend by
-        :func:`repro.serve.calibrate.calibrate_serving`.  The flat scalar
-        fields describe the reference backend (``numpy-ref``); accessors
-        fall back to them for any backend or field without an override,
-        so an uncalibrated model prices every backend identically and
-        ``compute="auto"`` routing degrades to the default backend.
     """
-
-    #: Unit-cost fields a backend entry may override.
-    BACKEND_KEYED: typing.ClassVar[Tuple[str, ...]] = (
-        "c_pair", "c_qcohort", "c_qsample",
-    )
 
     c_mem: float
     c_point: float
@@ -174,6 +168,7 @@ class MachineModel:
     c_tile: float = 0.0
     bandwidth_cap: float = 3.0
     c_lookup: float = 0.0
+    c_qpair: float = 0.0
     c_qcohort: float = 0.0
     c_qprobe: float = 0.0
     c_qrow: float = 0.0
@@ -182,52 +177,13 @@ class MachineModel:
     c_qsample: float = 0.0
     c_qbound: float = 0.0
     c_spawn: float = 0.0
-    backend_costs: Optional[Mapping[str, Mapping[str, float]]] = None
-
-    # ------------------------------------------------------------------
-    # Per-backend unit costs
-    # ------------------------------------------------------------------
-    def backend_cost(self, name: str, compute: Optional[str] = None) -> float:
-        """Unit cost ``name`` for compute backend ``compute``.
-
-        Falls back to the flat scalar field — which describes the
-        reference backend — when ``compute`` is ``None``, unprobed, or
-        the field has no override for it.
-        """
-        if compute is not None and self.backend_costs:
-            per = self.backend_costs.get(compute)
-            if per is not None and name in per:
-                return float(per[name])
-        return float(getattr(self, name))
-
-    def with_backend_costs(
-        self, costs: Mapping[str, Mapping[str, float]]
-    ) -> "MachineModel":
-        """A copy with per-backend overrides merged over existing ones."""
-        merged: Dict[str, Dict[str, float]] = {
-            k: dict(v) for k, v in (self.backend_costs or {}).items()
-        }
-        for backend, per in costs.items():
-            merged.setdefault(backend, {}).update(
-                {k: float(v) for k, v in per.items()}
-            )
-        return dataclasses.replace(self, backend_costs=merged)
-
-    def probed_backends(self) -> Tuple[str, ...]:
-        """Backend names carrying calibrated overrides, sorted."""
-        return tuple(sorted(self.backend_costs or ()))
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
     def to_json(self) -> str:
-        """Serialize every unit cost (including backend overrides)."""
-        data = dataclasses.asdict(self)
-        if data.get("backend_costs") is not None:
-            data["backend_costs"] = {
-                k: dict(v) for k, v in data["backend_costs"].items()
-            }
-        return json.dumps(data, indent=2, sort_keys=True)
+        """Serialize every unit cost."""
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "MachineModel":
@@ -237,18 +193,24 @@ class MachineModel:
         costs — they fall back to the field defaults) and of unknown
         keys (newer files on older code), so persisted calibrations
         survive schema drift in both directions.
+
+        One legacy key is still read: files written before ``c_qpair``
+        existed carry the query-path rates per compute backend under
+        ``backend_costs``.  The default backend's entry there overwrites
+        the scalars (its ``c_pair`` is the query pair rate, so it lands
+        in ``c_qpair``); the rest of the object is dropped and
+        :meth:`to_json` never writes it again.
         """
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("calibration JSON must be an object")
         names = {f.name for f in dataclasses.fields(cls)}
         kwargs = {k: v for k, v in data.items() if k in names}
-        bc = kwargs.get("backend_costs")
-        if bc is not None:
-            kwargs["backend_costs"] = {
-                str(k): {str(f): float(x) for f, x in v.items()}
-                for k, v in bc.items()
-            }
+        legacy = (data.get("backend_costs") or {}).get(DEFAULT_BACKEND, {})
+        for old, new in (("c_pair", "c_qpair"), ("c_qcohort", "c_qcohort"),
+                         ("c_qsample", "c_qsample")):
+            if old in legacy:
+                kwargs[new] = float(legacy[old])
         return cls(**kwargs)
 
     def save(self, path: str) -> None:
@@ -339,8 +301,9 @@ class MachineModel:
         c_batch = max(t_small - n_small * slope, 0.0)
 
         # Voxel-tile path (VB/VB-DEC): probe the region engine's tile
-        # accumulation at two point-block sizes; the slope is the per-pair
-        # rate, the intercept the fixed per-tile dispatch.
+        # accumulation at two point-block sizes, on the backend those two
+        # algorithms name; the slope is the per-pair rate, the intercept
+        # the fixed per-tile dispatch.
         from ..core.regions import accumulate_voxel_tile
 
         g_tile = GridSpec(
@@ -363,7 +326,7 @@ class MachineModel:
                 accumulate_voxel_tile(
                     flat, idx, cx, cy, ct,
                     pts[:, 0], pts[:, 1], pts[:, 2],
-                    g_tile, kern, 1.0, WorkCounter(),
+                    g_tile, kern, 1.0, WorkCounter(), compute="numpy-ref",
                 )
                 best = min(best, time.perf_counter() - t0)
             return best
@@ -376,12 +339,13 @@ class MachineModel:
             (t_tile_large - t_tile_small) / (n_vox * (p_large - p_small)), 1e-12
         )
         c_tile = max(t_tile_small - n_vox * p_small * c_pair, 0.0)
-        # The serving-side unit costs (c_lookup, c_qcohort, c_qprobe,
-        # c_qrow) are probed by repro.serve.calibrate.calibrate_serving
-        # — the probes live with the code they measure, keeping analysis
-        # below serve in the layering; until then CostModel.lookup_cost
-        # falls back to a memory-rate estimate and direct batches price
-        # the per-slab/per-probe dispatch at zero.
+        # The serving-side unit costs (c_lookup, c_qpair, c_qcohort,
+        # c_qprobe, c_qrow) are probed by
+        # repro.serve.calibrate.calibrate_serving — the probes live with
+        # the code they measure, keeping analysis below serve in the
+        # layering; until then CostModel.lookup_cost falls back to a
+        # memory-rate estimate, pair_cost to the tile rate, and direct
+        # batches price the per-slab/per-probe dispatch at zero.
         return cls(
             c_mem=c_mem, c_point=c_point, c_cell=c_cell, c_batch=c_batch,
             c_pair=c_pair, c_tile=c_tile,
@@ -576,6 +540,17 @@ class CostModel:
         m = self.machine
         return m.c_lookup if m.c_lookup > 0.0 else 32.0 * m.c_mem
 
+    @property
+    def pair_cost(self) -> float:
+        """Seconds per (query, candidate) pair of a direct sum.
+
+        Calibrated (``c_qpair``) when available; otherwise the voxel-tile
+        pair rate ``c_pair`` — the same masked product without the
+        gathers.
+        """
+        m = self.machine
+        return m.c_qpair if m.c_qpair > 0.0 else m.c_pair
+
     def predict_direct_query(
         self,
         n_queries: int,
@@ -583,7 +558,6 @@ class CostModel:
         n_groups: Optional[int] = None,
         n_cohorts: Optional[int] = None,
         n_segments: int = 1,
-        compute: Optional[str] = None,
     ) -> float:
         """Predicted seconds to answer a point batch by direct kernel sums.
 
@@ -592,20 +566,18 @@ class CostModel:
         ``None`` assumes the batch's pairs fit one slab), one
         ``c_qprobe`` per (cell-group x index segment) CSR probe, a
         per-query residue at the per-point rate, and the (query,
-        candidate) pairs at the shared tabulation's per-pair rate — the
-        direct analogue of :meth:`batch_cost` for reads.  ``compute``
-        prices the tabulation at that backend's calibrated
-        ``c_pair`` / ``c_qcohort`` rates (reference rates otherwise).
+        candidate) pairs at :attr:`pair_cost` — the direct analogue of
+        :meth:`batch_cost` for reads.
         """
         m = self.machine
         groups = n_queries if n_groups is None else n_groups
         cohorts = 1 if n_cohorts is None else n_cohorts
         return (
             m.c_batch
-            + cohorts * m.backend_cost("c_qcohort", compute)
+            + cohorts * m.c_qcohort
             + groups * max(1, n_segments) * m.c_qprobe
             + n_queries * m.c_point
-            + total_candidates * m.backend_cost("c_pair", compute)
+            + total_candidates * self.pair_cost
         )
 
     def predict_approx_query(
@@ -614,7 +586,6 @@ class CostModel:
         total_candidates: int,
         eps: float,
         n_segments: int = 1,
-        compute: Optional[str] = None,
     ) -> float:
         """Predicted seconds for the ε-budgeted importance sampler.
 
@@ -633,9 +604,9 @@ class CostModel:
         # Uncalibrated fallbacks mirror the measured rate ratios (a drawn
         # row costs ~5 direct pairs: RNG draws, searchsorted routing and
         # the scattered gather; a run bound ~2: clamp distances + proxy).
-        c_qsample = m.backend_cost("c_qsample", compute)
-        sample_rate = c_qsample if c_qsample > 0.0 else 5.0 * m.c_pair
-        bound_rate = m.c_qbound if m.c_qbound > 0.0 else 2.0 * m.c_pair
+        pair = self.pair_cost
+        sample_rate = m.c_qsample if m.c_qsample > 0.0 else 5.0 * pair
+        bound_rate = m.c_qbound if m.c_qbound > 0.0 else 2.0 * pair
         avg_cand = total_candidates / max(1, n_queries)
         s_per_q = min(avg_cand, 16.0 / (eps * eps))
         return (

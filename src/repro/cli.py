@@ -41,7 +41,7 @@ from . import parallel  # noqa: F401  (registers parallel algorithms)
 from .algorithms.base import available_algorithms, get_algorithm
 from .analysis.metrics import phase_breakdown
 from .analysis.model import select_strategy
-from .core.backends import available_backends
+from .core.backends import DEFAULT_BACKEND, available_backends
 from .core.stkde import STKDE
 from .data.datasets import SCALES, get_instance, instance_names, iter_instances
 from .data.io import load_points_csv, load_volume, save_volume
@@ -453,14 +453,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="sampler seed for --eps (same batch, budget "
                             "and seed is bit-reproducible)")
-        p.add_argument("--compute", default="numpy-ref",
-                       choices=("auto",) + available_backends(),
-                       help="pair-evaluation compute backend "
-                            "(repro.core.backends): 'numpy-ref' is the "
-                            "bit-exact default, 'auto' lets the planner "
-                            "route each batch to the cheapest calibrated "
-                            "backend; JIT backends appear here only when "
-                            "importable")
+        p.add_argument("--compute", default=DEFAULT_BACKEND,
+                       choices=available_backends(),
+                       help="pin the pair-evaluation compute backend by "
+                            "name (repro.core.backends): 'numpy-fused' is "
+                            "the default, 'numpy-ref' the reference the "
+                            "others are tested against; JIT backends "
+                            "appear here only when importable")
         p.add_argument("--calibration-file", default=None, metavar="PATH",
                        help="machine-model JSON: load the saved unit "
                             "costs if PATH exists, else calibrate once "

@@ -10,7 +10,6 @@ from .regions import (
     ShardPlan,
     accumulate_voxel_tile,
     batch_bbox,
-    masked_kernel_product,
     plan_stamp_shards,
 )
 from .stamping import STAMP_MODES, batch_windows, stamp_batch
@@ -19,7 +18,6 @@ __all__ = [
     "STAMP_MODES",
     "batch_windows",
     "stamp_batch",
-    "masked_kernel_product",
     "accumulate_voxel_tile",
     "batch_bbox",
     "RegionBuffer",

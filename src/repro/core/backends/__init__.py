@@ -2,10 +2,27 @@
 
 The package exports a tiny registry: backends register under a name,
 callers resolve them with :func:`get_backend` (``None`` → the default
-``numpy-ref``, a :class:`ComputeBackend` instance passes through), and
-planners enumerate :func:`available_backends` to know what this machine
-can actually run.  The ``numba`` backend registers only when the package
+:data:`DEFAULT_BACKEND`, a :class:`ComputeBackend` instance passes
+through), and :func:`available_backends` lists what this machine can
+actually run.  The ``numba`` backend registers only when the package
 imports — absence is visible, never fatal.
+
+``compute=`` on the engines, the services and the CLI is a *name pin*,
+never a policy: nothing in the library chooses between backends.  The
+two NumPy backends have different jobs:
+
+``numpy-fused``
+    The default: the paper's Figure 3 factorisation applied to every
+    pair kernel.  PB-SYM, the parallel strategies, the incremental
+    estimator and everything under :mod:`repro.serve` run it.
+``numpy-ref``
+    The paper's Table 3 cost profiles, and the oracle.  Its per-voxel
+    ``pb`` / ``disk`` / ``bar`` tables and evaluate-everything voxel
+    tiles *are* the work PB, PB-DISK, PB-BAR, VB and VB-DEC are timed
+    for (the default gives every mode PB-SYM's tables and skips
+    masked-out pairs), so those five algorithms and the tile probe that
+    prices them name it; the parity suite compares against it.  Nothing
+    else selects it.
 
 Adding a backend: subclass :class:`ComputeBackend`, implement the three
 primitives under the contracts in ``base.py`` (masks, rtol=1e-12 vs
@@ -35,8 +52,9 @@ __all__ = [
     "register_backend",
 ]
 
-#: The default: bit-identical to the pre-seam code paths.
-DEFAULT_BACKEND = "numpy-ref"
+#: The one backend a process runs unless a caller pins another by name:
+#: ``array_equal`` to itself, rtol=1e-12 to the ``numpy-ref`` oracle.
+DEFAULT_BACKEND = "numpy-fused"
 
 #: name -> factory.  Factories defer construction so that unavailable
 #: backends (numba without numba) never instantiate at import time.

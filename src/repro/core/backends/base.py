@@ -232,7 +232,7 @@ class ComputeBackend:
         evaluates), identical across backends and O(1) from the table
         shape — backends that factorise or compile the evaluation still
         charge the same logical work; their advantage shows up only in
-        the per-backend unit costs of the machine model.
+        seconds.
         """
         cells = m * wx * wy * wt
         disk_cells = m * wx * wy

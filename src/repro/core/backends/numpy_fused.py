@@ -1,4 +1,4 @@
-"""``numpy-fused``: the always-available fast path.
+"""``numpy-fused``: the default backend (always available).
 
 Same primitives as ``numpy-ref``, three optimisations:
 
@@ -22,8 +22,7 @@ Same primitives as ``numpy-ref``, three optimisations:
 Equivalence to ``numpy-ref`` is elementwise ``rtol=1e-12`` (the fusions
 only reassociate scalar factors at the ulp level); work counters charge
 the identical logical operation counts — the *mode's* cost profile, not
-the backend's physical op count — so profiles stay comparable and the
-cost model sees backend differences through per-backend unit costs only.
+the backend's physical op count — so profiles stay comparable.
 """
 
 from __future__ import annotations

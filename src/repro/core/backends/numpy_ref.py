@@ -1,10 +1,12 @@
-"""``numpy-ref``: the reference compute backend.
+"""``numpy-ref``: the paper's cost profiles, and the oracle.
 
 This is the pre-seam NumPy code moved verbatim behind
 :class:`~repro.core.backends.base.ComputeBackend` — the same expressions in
 the same order on the same temporaries, so routing through this backend is
-**bit-identical** to the historical paths by construction.  Every other
-backend is pinned against it at ``rtol=1e-12``.
+**bit-identical** to the historical paths by construction.  The five
+Table 3 algorithms whose cost profile is this evaluation name it (see the
+package docstring); every other backend is pinned against it at
+``rtol=1e-12``.
 """
 
 from __future__ import annotations

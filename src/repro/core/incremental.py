@@ -58,6 +58,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .backends import get_backend
 from .grid import GridSpec, PointSet, Volume
 from .instrument import WorkCounter
 from .kernels import KernelPair, get_kernel
@@ -126,6 +127,8 @@ class IncrementalSTKDE:
     ``machine`` supplies calibrated unit costs for the adaptive choice
     (defaults to the uncalibrated :class:`MachineModel` constants, which
     keeps the choice deterministic and probe-free).
+    ``compute`` pins the compute backend by registered name (``None``:
+    the default); an unknown name raises here, not on the first ``add``.
     """
 
     def __init__(
@@ -147,10 +150,9 @@ class IncrementalSTKDE:
             raise ValueError("max_slabs must be >= 1")
         self.t_slab_voxels = t_slab_voxels
         self._machine = machine
-        #: Compute backend for every stamp this estimator issues
-        #: (:mod:`repro.core.backends`); ``None`` keeps the reference
-        #: backend, so defaults stay bit-identical.
-        self.compute = compute
+        #: Name of the compute backend every stamp of this estimator runs
+        #: on; resolved here so an unknown name raises at construction.
+        self.compute = get_backend(compute).name
         self._slab_model = None  # lazily-built CostModel for 'auto'
         self.max_slabs = int(max_slabs)
         self.grid = grid

@@ -164,9 +164,8 @@ class WorkCounter:
         never a silently incomplete array.
     ``backend_dispatches``
         Per-compute-backend invocation counts (backend name → number of
-        primitive calls dispatched through it).  The observability handle
-        for ``compute="auto"`` routing: which backend actually ran each
-        tabulation.
+        primitive calls dispatched through it).  Answers "did the pin
+        hold": a service pinned to one backend shows one key, its name.
 
     The batching statistics are bookkeeping (like ``points_processed``):
     they are excluded from :meth:`total_ops` and :meth:`flop_estimate`,

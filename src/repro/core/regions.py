@@ -6,19 +6,15 @@ region-accumulation layer that owns **all** bounded writes into a density
 volume, so the voxel-based tiles, the threaded shards, and the incremental
 estimator stop maintaining private copies of the same machinery:
 
-``masked_kernel_product``
-    The shared tabulation core of the per-(voxel, point)-pair cost profile:
-    one inside-mask + spatial + temporal evaluation over any broadcastable
-    offset arrays.  Both the stamping engine's ``mode="pb"`` cohort tables
-    and the VB/VB-DEC voxel tiles evaluate exactly this expression; having
-    one implementation keeps their masks, operation order, and work
-    accounting in lock-step by construction.
-
 ``accumulate_voxel_tile``
     The VB/VB-DEC tile path: a (voxel-chunk x point-block) tile evaluated
-    through :func:`masked_kernel_product`, summed over the point axis, and
-    scattered onto the flat volume.  Replaces the private
-    ``_accumulate_tile`` the voxel-based algorithms used to carry.
+    through the compute backend's ``masked_kernel_product`` (one
+    inside-mask + spatial + temporal evaluation over broadcastable offset
+    arrays — the same primitive behind the stamping engine's ``mode="pb"``
+    tables and the query tiers, so masks and work accounting stay in
+    lock-step), summed over the point axis, and scattered onto the flat
+    volume.  Replaces the private ``_accumulate_tile`` the voxel-based
+    algorithms used to carry.
 
 ``RegionBuffer``
     A private accumulation buffer covering only a bounding-box window of
@@ -30,9 +26,9 @@ estimator stop maintaining private copies of the same machinery:
     retirement drops a buffer instead of re-tabulating kernels.
 
 ``plan_stamp_shards``
-    Balanced shard planning shared by the threaded executor and the
-    Section 6.5 cost model (which must price the bbox-shard memory the
-    executor will actually allocate).  Points are ordered by stamp-window
+    Balanced shard planning for the threaded executor
+    (:func:`repro.parallel.executors.run_threaded_stamping`, its only
+    caller in the library).  Points are ordered by stamp-window
     origin before sharding so each shard's bounding box is a compact slab
     rather than the whole grid — the difference between ``P`` full volumes
     and a few percent of one.
@@ -53,10 +49,9 @@ from .backends import ComputeBackend, get_backend
 from .grid import GridSpec, VoxelWindow
 from .instrument import WorkCounter, null_counter
 from .kernels import KernelPair
-from .stamping import batch_windows, masked_kernel_product, stamp_batch
+from .stamping import batch_windows, stamp_batch
 
 __all__ = [
-    "masked_kernel_product",
     "accumulate_voxel_tile",
     "accumulate_voxel_tile_batch",
     "batch_bbox",
@@ -93,8 +88,8 @@ def accumulate_voxel_tile(
     masked (preserving the Theta(voxels * points) operation profile of
     Algorithm 1), summed over the point axis, and scattered in one indexed
     add.  Each call is one tile batch (``counter.tile_batches``).
-    ``compute`` selects the pair-evaluation backend (default ``numpy-ref``,
-    bit-identical to the pre-seam path).
+    ``compute`` names the pair-evaluation backend (``None``: the default);
+    VB and VB-DEC pass ``"numpy-ref"``, bit-identical to the pre-seam path.
     """
     counter = counter if counter is not None else null_counter()
     backend = get_backend(compute)
@@ -129,7 +124,8 @@ def accumulate_voxel_tile_batch(
     ``cx`` / ``cy`` / ``ct`` are ``(B, V)`` stacks of ``B`` tiles' voxel
     indices and center coordinates, ``px/py/pt`` the ``(B, K)`` stacks of
     their candidate point blocks.  One ``(B, V, K)`` tabulation through
-    :func:`masked_kernel_product` replaces ``B`` separate dispatches —
+    the backend's ``masked_kernel_product`` replaces ``B`` separate
+    dispatches —
     within each tile the point axis keeps its order and length, so the
     per-voxel pairwise sums reduce exactly as the unbatched path's.  The
     tiles' flat voxel indices must be pairwise disjoint across the batch

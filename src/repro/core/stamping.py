@@ -83,7 +83,7 @@ from .grid import GridSpec, VoxelWindow
 from .instrument import WorkCounter, null_counter
 from .kernels import KernelPair
 
-__all__ = ["stamp_batch", "batch_windows", "masked_kernel_product", "STAMP_MODES"]
+__all__ = ["stamp_batch", "batch_windows", "STAMP_MODES"]
 
 #: Cost profiles the engine reproduces, one per point-based algorithm:
 #: ``"sym"`` tabulates disk and bar and multiply-adds their outer product
@@ -147,36 +147,6 @@ def _windows_of(
         np.maximum(T0, clip.t0, out=T0)
         np.minimum(T1, clip.t1, out=T1)
     return X0, X1, Y0, Y1, T0, T1
-
-
-def masked_kernel_product(
-    grid: GridSpec,
-    kernel: KernelPair,
-    DX: np.ndarray,
-    DY: np.ndarray,
-    DT: np.ndarray,
-    counter: WorkCounter,
-) -> np.ndarray:
-    """Masked ``k_s * k_t`` over broadcastable voxel-center offset arrays.
-
-    The shared tabulation core of the per-(voxel, point)-pair cost profile:
-    evaluate **both** kernels at every pair and zero the pairs outside the
-    cylinder.  Used by this engine's ``mode="pb"`` cohort tables and by the
-    voxel-tile path of :mod:`repro.core.regions` (VB/VB-DEC), so the two
-    write paths share one mask, one expression order, and one accounting
-    rule by construction.  Callers fold the normalisation in wherever their
-    legacy path did — elementwise ``(ks * kt) * norm`` is associative with
-    the mask, so routing through this helper is bit-identical.
-
-    This is the reference-backend primitive (see
-    :mod:`repro.core.backends`); pass ``compute=`` to the engines above it
-    to route through a faster implementation.  Accounting is O(1) from the
-    tabulated shape — ``madds`` charges the full window, mask included,
-    matching every cohort mode (no per-call mask reduction).
-    """
-    return get_backend("numpy-ref").masked_kernel_product(
-        grid, kernel, DX, DY, DT, counter
-    )
 
 
 def _axis_offsets(origin: float, res: float, lo: np.ndarray, width: int,
@@ -418,12 +388,13 @@ def stamp_batch(
     compute:
         Compute backend for the cohort tabulation — a name, a
         :class:`~repro.core.backends.base.ComputeBackend` instance, or
-        ``None`` for the default ``numpy-ref``.  The per-bin GEMM route
-        of ``mode="sym"`` uses the factor tables every backend shares;
-        the cohort route uses the backend's own ``cohort_tables``
-        (``numpy-ref``: bit-identical to the pre-seam engine).
-        Backends that cannot evaluate ``kernel``
-        natively fall back internally to an always-available path.
+        ``None`` for the default.  The per-bin GEMM route of
+        ``mode="sym"`` uses the factor tables every backend shares; the
+        cohort route uses the backend's own ``cohort_tables`` (only
+        ``numpy-ref``'s pay the per-voxel evaluations ``"pb"`` /
+        ``"disk"`` / ``"bar"`` are named for).  Backends that cannot
+        evaluate ``kernel`` natively fall back internally to an
+        always-available path.
     """
     if mode not in STAMP_MODES:
         raise ValueError(f"unknown stamp mode {mode!r}; expected one of {STAMP_MODES}")

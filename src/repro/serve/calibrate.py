@@ -8,6 +8,11 @@ into ``repro.serve``:
 ``c_lookup``
     Seconds per trilinear volume sample: slope of
     :func:`~repro.serve.engine.sample_volume` over two batch sizes.
+``c_qpair``
+    Seconds per (query, candidate) pair of
+    :func:`~repro.serve.engine.direct_sum`: slope between a small and a
+    large batch over a dense index (every query sees the full 27-cell
+    candidate set), per extra pair.
 ``c_qcohort``
     Seconds per ragged slab dispatch of the direct-sum engine
     (:func:`~repro.serve.engine.direct_sum`): the same batch — same
@@ -58,6 +63,10 @@ The self-healing tier adds one more, probed by
     :meth:`~repro.analysis.model.CostModel.predict_recovery` adds to the
     replay's IPC + restamp price to predict MTTR.
 
+Every probe runs on the process's default compute backend
+(:data:`repro.core.backends.DEFAULT_BACKEND`) — the one the services run
+unless pinned — so each rate has one meaning and one probe.
+
 :class:`~repro.serve.service.DensityService` runs this lazily the first
 time its planner is needed; callers with a pre-calibrated write-side
 model pass it in to extend rather than re-probe.
@@ -70,12 +79,11 @@ import math
 import multiprocessing as mp
 import os
 import time
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..analysis.model import MachineModel
-from ..core.backends import available_backends
 from ..core.grid import DomainSpec, GridSpec
 from ..core.instrument import WorkCounter
 from ..core.kernels import get_kernel
@@ -193,9 +201,10 @@ def calibrate_serving(
     """A machine model with the query unit costs probed (~0.1 s).
 
     Starts from ``machine`` (or a fresh write-side
-    :meth:`MachineModel.calibrate`) and fills ``c_lookup`` / ``c_qcohort``
-    / ``c_qprobe`` / ``c_qrow`` / ``c_qsample`` / ``c_qbound`` from
-    micro-probes of the actual serving code paths.
+    :meth:`MachineModel.calibrate`) and fills ``c_lookup`` / ``c_qpair``
+    / ``c_qcohort`` / ``c_qprobe`` / ``c_qrow`` / ``c_qsample`` /
+    ``c_qbound`` from micro-probes of the actual serving code paths;
+    every other field (``c_pair`` included) passes through untouched.
     """
     machine = machine if machine is not None else MachineModel.calibrate(seed)
     rng = np.random.default_rng(seed)
@@ -228,25 +237,20 @@ def calibrate_serving(
     kern = get_kernel("epanechnikov")
     qs = rng.uniform(0, q_span, size=(512, 3))
 
-    def slab_cost(compute: Optional[str] = None) -> float:
-        """Seconds per extra slab dispatch: one batch, two slab caps."""
+    def slab_probe(slab_pairs: int) -> Tuple[float, int]:
+        """One batch under a slab cap: best seconds, slab dispatches."""
+        best = math.inf
+        for _ in range(3):
+            c = WorkCounter()
+            t0 = time.perf_counter()
+            direct_sum(idx, qs, kern, 1.0, c, slab_pairs=slab_pairs)
+            best = min(best, time.perf_counter() - t0)
+        return best, c.query_cohorts
 
-        def timed(slab_pairs: int) -> Tuple[float, int]:
-            best = math.inf
-            for _ in range(3):
-                c = WorkCounter()
-                t0 = time.perf_counter()
-                direct_sum(idx, qs, kern, 1.0, c, slab_pairs=slab_pairs,
-                           compute=compute)
-                best = min(best, time.perf_counter() - t0)
-            return best, c.query_cohorts
-
-        timed(1 << 8)  # warm (pays any JIT compile)
-        t_many, n_many = timed(1 << 8)
-        t_few, n_few = timed(1 << 16)
-        return max((t_many - t_few) / max(n_many - n_few, 1), 1e-13)
-
-    c_qcohort = slab_cost()
+    slab_probe(1 << 8)  # warm
+    t_many, n_many = slab_probe(1 << 8)
+    t_few, n_few = slab_probe(1 << 16)
+    c_qcohort = max((t_many - t_few) / max(n_many - n_few, 1), 1e-13)
 
     # Per-(group x segment) probe cost: same batch, same events, the
     # index split into many per-batch segments vs one — the incremental
@@ -257,17 +261,17 @@ def calibrate_serving(
         idx_multi.add_segment(s, events[s::n_segs])
     groups = idx.group_count(qs)
 
-    def seg_probe(index: BucketIndex) -> float:
+    def direct_probe(index: BucketIndex, qs_probe: np.ndarray) -> float:
         best = math.inf
         for _ in range(3):
             t0 = time.perf_counter()
-            direct_sum(index, qs, kern, 1.0)
+            direct_sum(index, qs_probe, kern, 1.0)
             best = min(best, time.perf_counter() - t0)
         return best
 
-    seg_probe(idx_multi)  # warm the multi-segment gather shape
-    t_multi = seg_probe(idx_multi)
-    t_single = seg_probe(idx)
+    direct_probe(idx_multi, qs)  # warm the multi-segment gather shape
+    t_multi = direct_probe(idx_multi, qs)
+    t_single = direct_probe(idx, qs)
     c_qprobe = max(
         (t_multi - t_single) / max(groups * (n_segs - 1), 1), 1e-12
     )
@@ -328,66 +332,21 @@ def calibrate_serving(
         best = min(best, time.perf_counter() - t0)
     c_qrow = max(best / max(len(events), 1), 1e-12)
 
-    machine = dataclasses.replace(
-        machine, c_lookup=c_lookup, c_qcohort=c_qcohort,
+    # Per-pair rate of the direct sum: two batch sizes over the dense
+    # fixture, slope per extra (query, candidate) pair.
+    qs_pair_small = rng.uniform(16.0, 32.0, size=(32, 3))
+    qs_pair_large = rng.uniform(16.0, 32.0, size=(256, 3))
+    direct_probe(idx_dense, qs_pair_small[:4])  # warm the dense shape
+    t_p_small = direct_probe(idx_dense, qs_pair_small)
+    t_p_large = direct_probe(idx_dense, qs_pair_large)
+    d_pairs = int(
+        idx_dense.candidate_counts(qs_pair_large).sum()
+        - idx_dense.candidate_counts(qs_pair_small).sum()
+    )
+    c_qpair = max((t_p_large - t_p_small) / max(d_pairs, 1), 1e-13)
+
+    return dataclasses.replace(
+        machine, c_lookup=c_lookup, c_qpair=c_qpair, c_qcohort=c_qcohort,
         c_qprobe=c_qprobe, c_qrow=c_qrow,
         c_qsample=c_qsample, c_qbound=c_qbound,
     )
-
-    # Per-backend unit costs: re-run the pair-dominated, slab-dispatch
-    # and sampler probes once per registered compute backend, pinned via
-    # the engines' ``compute=`` seam, so the planner's ``compute="auto"``
-    # argmin routes on rates measured through the code paths it prices.
-    # Each probe warms the backend first (for numba that warm call pays
-    # the JIT compile, so the timed calls measure steady state — warmup
-    # is reported separately via ``ComputeBackend.warmup_seconds``).
-    backend_costs: Dict[str, Dict[str, float]] = {}
-    qs_pair_small = rng.uniform(16.0, 32.0, size=(32, 3))
-    qs_pair_large = rng.uniform(16.0, 32.0, size=(256, 3))
-    pairs_small = int(idx_dense.candidate_counts(qs_pair_small).sum())
-    pairs_large = int(idx_dense.candidate_counts(qs_pair_large).sum())
-    for name in available_backends():
-
-        def dsum(index: BucketIndex, qs_probe: np.ndarray) -> float:
-            best = math.inf
-            for _ in range(3):
-                t0 = time.perf_counter()
-                direct_sum(index, qs_probe, kern, 1.0, compute=name)
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        def asum(min_sample: int) -> Tuple[float, dict]:
-            best, stats = math.inf, {}
-            for _ in range(3):
-                st: dict = {}
-                t0 = time.perf_counter()
-                approx_sum(idx_dense, qs_sample, kern, 1.0, eps=1e6,
-                           seed=seed, min_sample=min_sample, stats_out=st,
-                           compute=name)
-                dt = time.perf_counter() - t0
-                if dt < best:
-                    best, stats = dt, st
-            return best, stats
-
-        dsum(idx_dense, qs_pair_small[:4])  # warm (pays any JIT compile)
-        t_p_small = dsum(idx_dense, qs_pair_small)
-        t_p_large = dsum(idx_dense, qs_pair_large)
-        c_pair_b = max(
-            (t_p_large - t_p_small) / max(pairs_large - pairs_small, 1),
-            1e-13,
-        )
-        asum(64)  # warm the sampler path on this backend
-        t_a_small, st_a_small = asum(256)
-        t_a_large, st_a_large = asum(2048)
-        d_rows_b = (
-            st_a_large["sample_rows_drawn"] - st_a_small["sample_rows_drawn"]
-        )
-        c_qsample_b = max(
-            (t_a_large - t_a_small) / max(d_rows_b, 1), 1e-13
-        )
-        backend_costs[name] = {
-            "c_pair": c_pair_b,
-            "c_qcohort": slab_cost(name),
-            "c_qsample": c_qsample_b,
-        }
-    return machine.with_backend_costs(backend_costs)

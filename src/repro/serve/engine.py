@@ -5,8 +5,9 @@ Two ways to answer a density query, with opposite cost shapes:
 ``direct-sum``
     Walk the :class:`~repro.serve.index.BucketIndex`, gather the 27-cell
     candidate set, and evaluate the estimator *definition* at the query
-    location through :func:`repro.core.stamping.masked_kernel_product` —
-    the same masked ``k_s * k_t`` tabulation every grid write path uses, so
+    location through the compute backend's masked kernel product
+    (:mod:`repro.core.backends`) — the same masked ``k_s * k_t``
+    tabulation every grid write path uses, so
     a direct sum at a voxel center reproduces the stamped volume's value
     to fp round-off.  O(neighbours) per query, zero grid memory, exact at
     arbitrary (off-grid) coordinates; per-event weights gather alongside
@@ -250,8 +251,8 @@ def direct_sum(
     all events at ``rtol=1e-12`` and is identical for every
     ``slab_pairs``.
 
-    ``compute`` selects the pair-evaluation backend
-    (:mod:`repro.core.backends`); the default is ``numpy-ref``.
+    ``compute`` names the pair-evaluation backend
+    (:mod:`repro.core.backends`; ``None``: the default).
     """
     counter = counter if counter is not None else null_counter()
     backend = get_backend(compute)
@@ -370,8 +371,8 @@ def approx_sum(
     candidate rows **with replacement** from its CSR runs — run chosen
     proportionally to :func:`_approx_run_bounds`'s ``length x kernel
     bound`` weight, row uniform within the run — and evaluates only the
-    sample through the shared
-    :func:`~repro.core.stamping.masked_kernel_product`.  The
+    sample through the compute backend's ``sampled_contributions``
+    (``compute`` as in :func:`direct_sum`).  The
     Hansen–Hurwitz estimator ``(1/s) * sum contrib_j * w_j / p_j`` is
     unbiased for the exact raw sum; the sample size grows by doubling
     rounds until the variance-driven stop rule ``z * stderr <= eps *
@@ -644,7 +645,8 @@ def direct_region(
     events whose cylinders miss the window are skipped wholesale).  Exact
     — bit-identical to the same window of a full-grid stamp — at
     O(window + reaching stamps) cost, no full volume required.
-    ``weights`` routes through the engine's weighted stamp mode.
+    ``weights`` routes through the engine's weighted stamp mode,
+    ``compute`` names the backend that tabulates the stamps.
     """
     if window.empty:
         raise ValueError(f"cannot serve an empty region: {window}")

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from ..analysis.model import CostModel
-from ..core.backends import DEFAULT_BACKEND, available_backends
+from ..core.backends import DEFAULT_BACKEND
 from ..core.grid import VoxelWindow
 from .engine import slab_dispatches
 from .index import BucketIndex
@@ -88,11 +88,9 @@ class QueryPlan:
     error budget (``eps``); infinite otherwise, so exact requests can
     never route to the approximate tier.
 
-    ``compute`` is the pair-evaluation backend the chosen plan should run
-    on (:mod:`repro.core.backends`).  A concrete request pins it; a
-    ``compute="auto"`` request lets the planner argmin over every
-    registered backend's calibrated unit costs — the default backend wins
-    ties, so an uncalibrated model never routes away from the reference.
+    ``compute`` names the pair-evaluation backend the service runs
+    (:mod:`repro.core.backends`) — recorded for observability, never
+    chosen or priced here.
     """
 
     backend: str  # "direct" | "lookup" | "approx"
@@ -158,12 +156,10 @@ class QueryPlanner:
         both exact plans and wins only where its O(runs + 1/ε²) shape
         beats them.  ``eps=None`` (the default) never routes approximate.
 
-        ``compute`` pins the pair-evaluation backend; ``"auto"`` prices
-        the kernel-summing plans at every registered backend's calibrated
-        unit costs and routes to the cheapest (the default backend wins
-        ties, so uncalibrated machines stay on the reference).  The
-        volume-lookup arm touches no pair kernels, so its price is
-        backend-independent.
+        ``compute`` is the caller's backend name, copied into
+        :attr:`QueryPlan.compute` (``None``: the default); prices come
+        from the machine model's one set of ``c_q*`` rates whatever it
+        says.
         """
         q = np.asarray(queries, dtype=np.float64)
         m = q.shape[0]
@@ -176,44 +172,24 @@ class QueryPlanner:
         n_cohorts = slab_dispatches(cand)
         n_segments = index.segment_count
 
-        def price(backend_name: Optional[str]):
-            direct = self.model.predict_direct_query(
-                m, cand,
-                n_groups=n_groups,
-                n_cohorts=n_cohorts,
-                n_segments=n_segments,
-                compute=backend_name,
+        direct = self.model.predict_direct_query(
+            m, cand,
+            n_groups=n_groups,
+            n_cohorts=n_cohorts,
+            n_segments=n_segments,
+        )
+        approx = (
+            self.model.predict_approx_query(
+                m, cand, eps, n_segments=n_segments
             )
-            approx = (
-                self.model.predict_approx_query(
-                    m, cand, eps, n_segments=n_segments,
-                    compute=backend_name,
-                )
-                if eps is not None
-                else float("inf")
-            )
-            return direct, approx
-
-        if compute == "auto":
-            # Argmin over registered backends on each kernel-summing
-            # plan's best arm; strict improvement over the default keeps
-            # ties (and uncalibrated models) on the reference backend.
-            chosen = DEFAULT_BACKEND
-            direct, approx = price(DEFAULT_BACKEND)
-            best = min(direct, approx)
-            for name in available_backends():
-                if name == DEFAULT_BACKEND:
-                    continue
-                d, a = price(name)
-                if min(d, a) < best:
-                    chosen, direct, approx, best = name, d, a, min(d, a)
-        else:
-            chosen = compute if compute is not None else DEFAULT_BACKEND
-            direct, approx = price(chosen)
+            if eps is not None
+            else float("inf")
+        )
         lookup = self.model.predict_volume_lookup(m, volume_ready)
         return self._verdict("points", m, cand, direct, lookup,
                              volume_ready, force, force_reason,
-                             approx=approx, eps=eps, compute=chosen)
+                             approx=approx, eps=eps,
+                             compute=compute or DEFAULT_BACKEND)
 
     def plan_region(
         self,

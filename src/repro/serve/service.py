@@ -90,6 +90,9 @@ class DensityService:
     backend:
         Default physical plan: ``"auto"`` (planner decides per batch),
         ``"direct"``, or ``"lookup"``.  Per-call ``backend=`` overrides.
+    compute:
+        Registered name of the compute backend (:mod:`repro.core.backends`)
+        every kernel sum, region stamp and volume build runs on — a pin.
     cache:
         Result cache; defaults to a 128-entry LRU.  Pass ``None``-ops by
         constructing with ``max_entries=1`` if caching is unwanted.
@@ -122,8 +125,6 @@ class DensityService:
                 f"backend must be 'auto', 'direct', 'lookup' or 'approx', "
                 f"got {backend!r}"
             )
-        if compute != "auto":
-            get_backend(compute)  # fail fast on unknown/unavailable names
         if isinstance(index_merge_cap, str):
             raise ValueError(
                 f"index_merge_cap must be an int or None, "
@@ -131,11 +132,9 @@ class DensityService:
             )
         self.kernel = get_kernel(kernel)
         self.backend = backend
-        #: Pair-evaluation backend: a registered name pins every kernel
-        #: sum to that backend; ``"auto"`` lets the planner route each
-        #: batch to the cheapest calibrated backend.  The default keeps
-        #: every sum on the reference backend — bit-identical results.
-        self.compute = compute
+        #: Name of the compute backend every kernel sum and stamp of this
+        #: service runs on; resolved here so unknown names fail fast.
+        self.compute = get_backend(compute).name
         self.index_merge_cap = index_merge_cap
         self.cache = cache if cache is not None else QueryCache()
         self.counter = counter if counter is not None else WorkCounter()
@@ -170,8 +169,6 @@ class DensityService:
             "direct": 0, "lookup": 0, "approx": 0,
         }
         self._plan_decisions: Dict[str, int] = {}
-        # Per-backend tally of planner compute choices (kernel-sum plans).
-        self._compute_choices: Dict[str, int] = {}
         # Realised-vs-requested ε accounting of the approximate tier.
         self._eps_requested_sum = 0.0
         self._approx_stats: Dict[str, float] = {}
@@ -299,7 +296,7 @@ class DensityService:
                     stamp_batch(
                         vol, self.grid, self.kernel, coords,
                         self._norm(), self.counter,
-                        weights=self._static_weights,
+                        weights=self._static_weights, compute=self.compute,
                     )
                     self._volume_build_backend = "stamp"
                 self._volume = vol
@@ -388,7 +385,7 @@ class DensityService:
         eps_key: Tuple = (
             ("exact",) if eps is None else ("eps", float(eps), int(seed))
         )
-        # The compute policy joins the key: backends agree only to
+        # The backend name joins the key: backends agree only to
         # rtol=1e-12, so a shared cache must never serve one backend's
         # ulps for another's request.
         key = QueryCache.make_key(
@@ -409,40 +406,30 @@ class DensityService:
         if cached is not None:
             return cached
         chosen = plan.backend if plan is not None else force
-        compute = (
-            plan.compute if plan is not None
-            else (self.compute if self.compute != "auto" else DEFAULT_BACKEND)
-        )
-        if chosen in ("approx", "direct"):
-            self._compute_choices[compute] = (
-                self._compute_choices.get(compute, 0) + 1
-            )
         if chosen == "approx":
             out = approx_sum(
                 self.index(), q, self.kernel, self._norm(), self.counter,
                 eps=float(eps), seed=seed, stats_out=self._approx_stats,
-                compute=compute,
+                compute=self.compute,
             )
             self.counter.queries_approx += q.shape[0]
             self._eps_requested_sum += float(eps) * q.shape[0]
         elif chosen == "direct":
             out = direct_sum(
                 self.index(), q, self.kernel, self._norm(), self.counter,
-                compute=compute,
+                compute=self.compute,
             )
             self.counter.queries_exact += q.shape[0]
         else:
             out = sample_volume(self.materialize().data, self.grid, q)
-            out = self._patch_off_domain(q, out, compute)
+            out = self._patch_off_domain(q, out)
             self.counter.queries_exact += q.shape[0]
         self._backend_calls[chosen] += 1
         out.flags.writeable = False
         self.cache.put(key, out, out.nbytes)
         return out
 
-    def _patch_off_domain(
-        self, q: np.ndarray, out: np.ndarray, compute: str
-    ) -> np.ndarray:
+    def _patch_off_domain(self, q: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Direct-sum the queries outside the domain box on the lookup path.
 
         Trilinear sampling clamps to the edge voxel, which would serve the
@@ -450,8 +437,7 @@ class DensityService:
         returns the true (decaying-to-zero) estimator value — the same
         sentinel would flip answers with the planner's choice.  Routing
         the off-domain rows through the index keeps the two backends
-        interchangeable everywhere.  ``compute`` is the batch's resolved
-        pair-evaluation backend (the one its cache key names).
+        interchangeable everywhere.
         """
         d = self.grid.domain
         outside = (
@@ -463,7 +449,7 @@ class DensityService:
             out = out.copy()
             out[outside] = direct_sum(
                 self.index(), q[outside], self.kernel, self._norm(),
-                self.counter, compute=compute,
+                self.counter, compute=self.compute,
             )
         return out
 
@@ -521,6 +507,7 @@ class DensityService:
             result = direct_region(
                 self.grid, self.kernel, self._coords(), window,
                 self._norm(), self.counter, weights=self._static_weights,
+                compute=self.compute,
             )
         else:
             result = region_view(self.materialize().data, window)
@@ -539,19 +526,18 @@ class DensityService:
         self._plan_decisions[key] = self._plan_decisions.get(key, 0) + 1
 
     def _compute_stats(self) -> Dict[str, object]:
-        """The ``compute`` observability blob: requested policy, registry
-        state, per-plan choices, actual dispatches, and JIT warmup —
-        warmup is one-time compile cost a backend paid on first touch,
-        reported separately so steady-state rates stay honest."""
+        """The ``compute`` observability blob: the service's backend, the
+        registry, the dispatches each backend actually ran (one key when
+        the pin held) and JIT warmup — one-time compile cost paid on first
+        touch, reported separately so steady-state rates stay honest."""
         warmup = {
             name: get_backend(name).warmup_seconds
             for name in available_backends()
             if get_backend(name).warmup_seconds > 0.0
         }
         return {
-            "requested": self.compute,
+            "backend": self.compute,
             "available": list(available_backends()),
-            "chosen": dict(self._compute_choices),
             "dispatches": dict(self.counter.backend_dispatches),
             "jit_warmup_seconds": warmup,
         }
@@ -679,6 +665,9 @@ class ShardedDensityService:
     backend:
         ``"auto"`` (planner decides per batch), ``"sharded"``, or
         ``"local"`` (static sources only).
+    compute:
+        Registered name of the compute backend every worker runs (handed
+        over once, at spawn) — a pin.
     machine:
         Calibrated :class:`MachineModel`; calibrated lazily
         (:func:`~repro.serve.calibrate.calibrate_ipc` over
@@ -743,8 +732,6 @@ class ShardedDensityService:
                 f"on_shard_failure must be 'raise' or 'partial', "
                 f"got {on_shard_failure!r}"
             )
-        if compute != "auto":
-            get_backend(compute)  # fail fast on unknown/unavailable names
         if isinstance(index_merge_cap, str):
             raise ValueError(
                 f"index_merge_cap must be an int or None, "
@@ -753,13 +740,10 @@ class ShardedDensityService:
         self.grid = grid
         self.kernel = get_kernel(kernel)
         self.backend = backend
-        #: Pair-evaluation backend policy.  Workers are spawn-context
-        #: processes, so they receive the *name* and resolve it against
-        #: their own registry; ``"auto"`` is resolved per batch by the
-        #: coordinator (the workers hold no planner) and shipped with the
-        #: scattered rows.
-        self.compute = compute
-        self._compute_choices: Dict[str, int] = {}
+        #: Name of the compute backend of every worker and of the local
+        #: fallback; resolved here, before any process is spawned.  Workers
+        #: get the *name* at spawn and resolve it in their own registry.
+        self.compute = get_backend(compute).name
         self.counter = counter if counter is not None else WorkCounter()
         self._machine = machine
         self._planner: Optional[QueryPlanner] = None
@@ -787,16 +771,12 @@ class ShardedDensityService:
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
 
-        # Workers stamp with a concrete backend: "auto" is a per-batch
-        # query-side decision, so stamping stays on the reference.
-        worker_compute = compute if compute != "auto" else DEFAULT_BACKEND
-
         def _spawn(s: int, fp: Optional[FaultPlan]) -> ShardWorker:
             # ctx=None: each ShardWorker defaults to the spawn context.
             return ShardWorker(
                 s, grid, self.kernel.name,
                 merge_cap=index_merge_cap, t_slab=t_slab_voxels, ctx=None,
-                fault_plan=fp, compute=worker_compute,
+                fault_plan=fp, compute=self.compute,
             )
 
         self._sup = ShardSupervisor(
@@ -902,33 +882,6 @@ class ShardedDensityService:
         )
         return int(m * n * frac)
 
-    def _resolve_compute(self, m: int) -> str:
-        """Concrete pair-evaluation backend for one scattered batch.
-
-        ``"auto"`` argmins the direct-query predictor over every
-        registered backend at the coordinator (the workers hold no
-        planner); strict improvement over the default keeps uncalibrated
-        machines on the reference backend.
-        """
-        if self.compute != "auto":
-            return self.compute
-        model = self.planner().model
-        cand = self._est_candidates(m)
-        slabs = slab_dispatches(cand)
-        chosen = DEFAULT_BACKEND
-        best = model.predict_direct_query(
-            m, cand, n_cohorts=slabs, compute=DEFAULT_BACKEND
-        )
-        for name in available_backends():
-            if name == DEFAULT_BACKEND:
-                continue
-            cost = model.predict_direct_query(
-                m, cand, n_cohorts=slabs, compute=name
-            )
-            if cost < best:
-                chosen, best = name, cost
-        return chosen
-
     def _resolve_backend(self, backend: Optional[str]):
         choice = backend if backend is not None else self.backend
         if choice == "auto":
@@ -1033,8 +986,6 @@ class ShardedDensityService:
             self._backend_calls["local"] += 1
             return self._local_service().query_points(q, eps=eps, seed=seed)
         out = np.zeros(m, dtype=np.float64)
-        comp = self._resolve_compute(m)
-        self._compute_choices[comp] = self._compute_choices.get(comp, 0) + 1
         sends = []
         shard_rows: Dict[int, np.ndarray] = {}
         for s in range(self.n_shards):
@@ -1043,8 +994,7 @@ class ShardedDensityService:
                 continue
             sends.append((
                 s, "query_points",
-                (q[rows], None if eps is None else float(eps), int(seed),
-                 comp),
+                (q[rows], None if eps is None else float(eps), int(seed)),
             ))
             shard_rows[s] = rows
             self.counter.shard_messages += 1
@@ -1255,9 +1205,8 @@ class ShardedDensityService:
             "backend_calls": dict(self._backend_calls),
             "planner_decisions": dict(self._plan_decisions),
             "compute": {
-                "requested": self.compute,
+                "backend": self.compute,
                 "available": list(available_backends()),
-                "chosen": dict(self._compute_choices),
                 # Dispatches merged across worker processes, so sharded
                 # backend traffic stays observable at the coordinator.
                 "dispatches": dict(merged.backend_dispatches),

@@ -39,6 +39,7 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
+from ..core.backends import DEFAULT_BACKEND
 from ..core.grid import GridSpec, VoxelWindow
 from ..core.incremental import IncrementalSTKDE
 from ..core.instrument import WorkCounter
@@ -65,15 +66,15 @@ class _WorkerState:
         kernel_name: str,
         merge_cap: Optional[int],
         t_slab,
-        compute: str = "numpy-ref",
+        compute: str = DEFAULT_BACKEND,
     ) -> None:
         self.grid = grid
         self.kernel = get_kernel(kernel_name)
         self.merge_cap = merge_cap
         self.t_slab = t_slab
-        #: Backend *name* for stamping (resolved against this process's
-        #: own registry — backend singletons don't cross spawn).  Query
-        #: ops carry their backend per request instead.
+        #: Backend *name* for every stamp and kernel sum of this shard
+        #: (resolved against this process's own registry — backend
+        #: singletons don't cross spawn).
         self.compute = compute
         self.counter = WorkCounter()
         # Static mode: coords/weights snapshot.  Live mode: incremental
@@ -157,7 +158,7 @@ class _WorkerState:
         return (retired,) + self.gauges()
 
     def op_query_points(self, payload) -> np.ndarray:
-        queries, eps, seed, compute = payload
+        queries, eps, seed = payload
         if self.index is None:
             return np.zeros(queries.shape[0], dtype=np.float64)
         # norm=1.0: an unnormalised partial the coordinator scales.
@@ -167,18 +168,18 @@ class _WorkerState:
         if eps is not None:
             return approx_sum(
                 self.index, queries, self.kernel, 1.0, self.counter,
-                eps=eps, seed=seed, compute=compute,
+                eps=eps, seed=seed, compute=self.compute,
             )
         return direct_sum(
             self.index, queries, self.kernel, 1.0, self.counter,
-            compute=compute,
+            compute=self.compute,
         )
 
     def op_query_region(self, payload) -> np.ndarray:
         window = VoxelWindow(*payload)
         result = direct_region(
             self.grid, self.kernel, self.coords, window, 1.0,
-            self.counter, weights=self.weights,
+            self.counter, weights=self.weights, compute=self.compute,
         )
         return result.data
 
@@ -198,7 +199,7 @@ def _worker_main(
     merge_cap: Optional[int],
     t_slab,
     fault_plan: Optional[FaultPlan] = None,
-    compute: str = "numpy-ref",
+    compute: str = DEFAULT_BACKEND,
 ) -> None:
     """Worker process entry point: serve requests until ``close``/EOF."""
     state = _WorkerState(grid, kernel_name, merge_cap, t_slab, compute)
@@ -255,7 +256,7 @@ class ShardWorker:
         t_slab="auto",
         ctx: Optional[mp.context.BaseContext] = None,
         fault_plan: Optional[FaultPlan] = None,
-        compute: str = "numpy-ref",
+        compute: str = DEFAULT_BACKEND,
     ) -> None:
         self.shard_id = shard_id
         ctx = ctx if ctx is not None else mp.get_context("spawn")

@@ -1,8 +1,10 @@
 """Backend parity property suite.
 
 Every registered compute backend must answer every pair-evaluation
-primitive with the same numbers as ``numpy-ref`` (rtol=1e-12), the same
-logical work counts, and one dispatch record per primitive call — across
+primitive with the same numbers as the oracle ``numpy-ref`` (rtol=1e-12;
+named explicitly, since the default backend is one of the backends under
+test), the same logical work counts, and one dispatch record per
+primitive call — across
 every stamp mode, weighted and unweighted, every registered kernel plus a
 ``spatial_radial=None`` custom kernel, and the direct/approx query
 paths.  The suite parametrises over :func:`available_backends`, so the
@@ -15,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms import get_algorithm
 from repro.core import DomainSpec, GridSpec, WorkCounter
 from repro.core.backends import (
     DEFAULT_BACKEND,
@@ -23,10 +26,12 @@ from repro.core.backends import (
     available_backends,
     get_backend,
 )
+from repro.core.incremental import IncrementalSTKDE
 from repro.core.instrument import null_counter
 from repro.core.kernels import KernelPair, available_kernels, get_kernel
 from repro.core.regions import accumulate_voxel_tile
-from repro.core.stamping import STAMP_MODES, masked_kernel_product, stamp_batch
+from repro.core.stamping import STAMP_MODES, stamp_batch
+from repro.serve import DensityService
 from repro.serve.engine import approx_sum, direct_sum
 from repro.serve.index import BucketIndex
 
@@ -35,8 +40,11 @@ from tests.helpers import CUSTOM_KERNEL, make_clustered_points, make_points
 RTOL = 1e-12
 ATOL = 1e-18
 
+#: The oracle every other backend is compared against.
+ORACLE = "numpy-ref"
+
 BACKENDS = available_backends()
-FAST_BACKENDS = tuple(b for b in BACKENDS if b != DEFAULT_BACKEND)
+FAST_BACKENDS = tuple(b for b in BACKENDS if b != ORACLE)
 
 ALL_KERNELS = tuple(available_kernels()) + ("custom",)
 
@@ -52,9 +60,12 @@ def grid():
 
 class TestRegistry:
     def test_default_is_numpy_ref(self):
-        assert DEFAULT_BACKEND == "numpy-ref"
-        assert get_backend().name == "numpy-ref"
-        assert get_backend(None).name == "numpy-ref"
+        """Keeps its id; the default is the fused backend since PR 20 and
+        ``numpy-ref`` stays registered as the oracle."""
+        assert DEFAULT_BACKEND == "numpy-fused"
+        assert get_backend().name == DEFAULT_BACKEND
+        assert get_backend(None).name == DEFAULT_BACKEND
+        assert ORACLE in BACKENDS and ORACLE != DEFAULT_BACKEND
 
     def test_always_available(self):
         assert "numpy-ref" in BACKENDS
@@ -92,7 +103,7 @@ class TestDispatchAccounting:
         coords = make_points(grid, 30, seed=0).coords
         vol = np.zeros(grid.shape)
         stamp_batch(vol, grid, kern, coords, 1.0, c, mode="sym")
-        assert c.backend_dispatches.get("numpy-ref", 0) >= 1
+        assert set(c.backend_dispatches) == {DEFAULT_BACKEND}
         # One dispatch per cohort *slab*; every cohort has at least one.
         assert sum(c.backend_dispatches.values()) >= c.stamp_cohorts
 
@@ -105,7 +116,7 @@ class TestDispatchAccounting:
         stamp_batch(np.zeros(grid.shape), grid, get_kernel("epanechnikov"),
                     coords, 1.0, c, mode="sym")
         assert c.stamp_cohorts == 1
-        assert c.backend_dispatches == {"numpy-ref": 1}
+        assert c.backend_dispatches == {DEFAULT_BACKEND: 1}
 
     def test_null_counter_drops_dispatches(self):
         nc = null_counter()
@@ -132,7 +143,7 @@ class TestDispatchAccounting:
         c = WorkCounter()
         kern = get_kernel("epanechnikov")
         dx = np.linspace(-4.0, 4.0, 7)[None, :].repeat(3, axis=0)
-        masked_kernel_product(grid, kern, dx, dx, dx, c)
+        get_backend(ORACLE).masked_kernel_product(grid, kern, dx, dx, dx, c)
         assert c.madds == dx.size
         assert c.madds == c.distance_tests
 
@@ -148,7 +159,8 @@ class TestStampParity:
         got = np.zeros(grid.shape)
         c_ref = WorkCounter()
         c_got = WorkCounter()
-        stamp_batch(ref, grid, kern, coords, 1.0, c_ref, mode=mode)
+        stamp_batch(ref, grid, kern, coords, 1.0, c_ref, mode=mode,
+                    compute=ORACLE)
         stamp_batch(got, grid, kern, coords, 1.0, c_got, mode=mode,
                     compute=backend)
         np.testing.assert_allclose(got, ref, rtol=RTOL, atol=ATOL)
@@ -164,22 +176,24 @@ class TestStampParity:
         w = np.random.default_rng(7).uniform(0.2, 3.0, size=pts.n)
         ref = np.zeros(grid.shape)
         got = np.zeros(grid.shape)
-        stamp_batch(ref, grid, kern, pts.coords, 1.0, None, weights=w)
+        stamp_batch(ref, grid, kern, pts.coords, 1.0, None, weights=w,
+                    compute=ORACLE)
         stamp_batch(got, grid, kern, pts.coords, 1.0, None, weights=w,
                     compute=backend)
         np.testing.assert_allclose(got, ref, rtol=RTOL, atol=ATOL)
 
     def test_default_stays_bit_identical(self, grid):
-        """compute=None routes to numpy-ref and must be *bit*-equal to the
-        explicit reference backend."""
+        """compute=None routes to the default backend and must be
+        *bit*-equal to naming it (and rtol=1e-12 to the oracle, above)."""
         kern = get_kernel("epanechnikov")
         coords = make_points(grid, 60, seed=5).coords
-        a = np.zeros(grid.shape)
-        b = np.zeros(grid.shape)
-        stamp_batch(a, grid, kern, coords, 1.0, None, mode="sym")
-        stamp_batch(b, grid, kern, coords, 1.0, None, mode="sym",
-                    compute="numpy-ref")
-        assert np.array_equal(a, b)
+        for mode in STAMP_MODES:
+            a = np.zeros(grid.shape)
+            b = np.zeros(grid.shape)
+            stamp_batch(a, grid, kern, coords, 1.0, None, mode=mode)
+            stamp_batch(b, grid, kern, coords, 1.0, None, mode=mode,
+                        compute=DEFAULT_BACKEND)
+            assert np.array_equal(a, b), mode
 
 
 class TestMaskedProductParity:
@@ -242,7 +256,7 @@ class TestMaskedProductParity:
         ref = np.zeros(grid.n_voxels)
         got = np.zeros(grid.n_voxels)
         accumulate_voxel_tile(ref, vox, cx, cy, ct, px, py, pt, grid, kern,
-                              0.5, WorkCounter())
+                              0.5, WorkCounter(), compute=ORACLE)
         accumulate_voxel_tile(got, vox, cx, cy, ct, px, py, pt, grid, kern,
                               0.5, WorkCounter(), compute=backend)
         np.testing.assert_allclose(got, ref, rtol=RTOL, atol=ATOL)
@@ -267,7 +281,7 @@ class TestQueryParity:
     def test_direct_sum(self, served, backend, kname):
         idx, q = served
         kern = kernel_of(kname)
-        ref = direct_sum(idx, q, kern, 0.01, WorkCounter())
+        ref = direct_sum(idx, q, kern, 0.01, WorkCounter(), compute=ORACLE)
         got = direct_sum(idx, q, kern, 0.01, WorkCounter(), compute=backend)
         np.testing.assert_allclose(got, ref, rtol=RTOL, atol=ATOL)
 
@@ -278,7 +292,8 @@ class TestQueryParity:
         idx = BucketIndex(grid, pts.coords, w)
         q = pts.coords[:50]
         kern = get_kernel("epanechnikov")
-        ref = direct_sum(idx, q, kern, 1.0 / w.sum(), WorkCounter())
+        ref = direct_sum(idx, q, kern, 1.0 / w.sum(), WorkCounter(),
+                         compute=ORACLE)
         got = direct_sum(idx, q, kern, 1.0 / w.sum(), WorkCounter(),
                          compute=backend)
         np.testing.assert_allclose(got, ref, rtol=RTOL, atol=ATOL)
@@ -293,7 +308,7 @@ class TestQueryParity:
         idx = BucketIndex(grid, coords)
         q = np.array([[5.0, 5.0, 5.0], [5.2, 4.9, 5.1]])
         kern = get_kernel("quartic")
-        ref = direct_sum(idx, q, kern, 1e-3, WorkCounter())
+        ref = direct_sum(idx, q, kern, 1e-3, WorkCounter(), compute=ORACLE)
         got = direct_sum(idx, q, kern, 1e-3, WorkCounter(), compute=backend)
         np.testing.assert_allclose(got, ref, rtol=RTOL, atol=ATOL)
 
@@ -303,7 +318,8 @@ class TestQueryParity:
         parity of the sampled contributions → identical stop decisions."""
         idx, q = served
         kern = get_kernel("epanechnikov")
-        ref = approx_sum(idx, q, kern, 0.01, WorkCounter(), eps=0.2, seed=9)
+        ref = approx_sum(idx, q, kern, 0.01, WorkCounter(), eps=0.2, seed=9,
+                         compute=ORACLE)
         got = approx_sum(idx, q, kern, 0.01, WorkCounter(), eps=0.2, seed=9,
                          compute=backend)
         np.testing.assert_allclose(got, ref, rtol=RTOL, atol=ATOL)
@@ -314,7 +330,7 @@ class TestQueryParity:
         kern = get_kernel("epanechnikov")
         c_ref = WorkCounter()
         c_got = WorkCounter()
-        direct_sum(idx, q, kern, 0.01, c_ref)
+        direct_sum(idx, q, kern, 0.01, c_ref, compute=ORACLE)
         direct_sum(idx, q, kern, 0.01, c_got, compute=backend)
         for key in ("spatial_evals", "temporal_evals", "distance_tests",
                     "madds", "query_cohorts"):
@@ -322,6 +338,60 @@ class TestQueryParity:
         assert sum(c_got.backend_dispatches.values()) == sum(
             c_ref.backend_dispatches.values()
         )
+
+
+class TestRoles:
+    """Who runs what: the Table 3 cost profiles run the oracle, everything
+    else the default — and nothing runs both."""
+
+    #: ``(madds, spatial_evals, temporal_evals, distance_tests)`` on the
+    #: fixture below, recorded before the default backend changed; logical
+    #: counts are backend-independent by contract.
+    LOGICAL = {
+        "pb": (20041, 20041, 20041, 20041),
+        "pb-disk": (20041, 2877, 20041, 22918),
+        "pb-bar": (20041, 20041, 418, 20459),
+        "pb-sym": (20041, 2877, 418, 3295),
+    }
+
+    @pytest.fixture
+    def pts(self, grid):
+        return make_clustered_points(grid, 60, seed=3)
+
+    @staticmethod
+    def run(name, pts, grid, **kw):
+        c = WorkCounter()
+        get_algorithm(name)(pts, grid, counter=c, **kw)
+        return c
+
+    @pytest.mark.parametrize("name", ["pb", "pb-disk", "pb-bar", "vb", "vb-dec"])
+    def test_paper_profiles_run_the_oracle(self, grid, pts, name):
+        c = self.run(name, pts, grid)
+        assert set(c.backend_dispatches) == {ORACLE}
+
+    def test_pb_sym_and_a_parallel_strategy_run_the_default(self, grid, pts):
+        assert set(self.run("pb-sym", pts, grid).backend_dispatches) == {
+            DEFAULT_BACKEND
+        }
+        c = self.run("pb-sym-dd", pts, grid, P=2, decomposition=(2, 2, 2))
+        assert set(c.backend_dispatches) == {DEFAULT_BACKEND}
+
+    @pytest.mark.parametrize("name", sorted(LOGICAL))
+    def test_logical_counts_did_not_move(self, grid, pts, name):
+        c = self.run(name, pts, grid)
+        assert (c.madds, c.spatial_evals, c.temporal_evals,
+                c.distance_tests) == self.LOGICAL[name]
+
+    def test_incremental_and_the_service_run_the_default(self, grid, pts):
+        inc = IncrementalSTKDE(grid)
+        inc.add(pts.coords)
+        assert inc.compute == DEFAULT_BACKEND
+        assert set(inc.counter.backend_dispatches) == {DEFAULT_BACKEND}
+        svc = DensityService(pts, grid)
+        svc.query_points(pts.coords[:10], backend="direct")
+        svc.query_region((2, 12, 2, 12, 3, 15), backend="direct")
+        svc.materialize()
+        assert set(svc.counter.backend_dispatches) == {DEFAULT_BACKEND}
 
 
 @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
@@ -339,7 +409,8 @@ class TestNumbaSpecific:
         coords = make_points(grid, 20, seed=53).coords
         ref = np.zeros(grid.shape)
         got = np.zeros(grid.shape)
-        stamp_batch(ref, grid, CUSTOM_KERNEL, coords, 1.0, None, mode="sym")
+        stamp_batch(ref, grid, CUSTOM_KERNEL, coords, 1.0, None, mode="sym",
+                    compute=ORACLE)
         stamp_batch(got, grid, CUSTOM_KERNEL, coords, 1.0, None, mode="sym",
                     compute="numba")
         np.testing.assert_allclose(got, ref, rtol=RTOL, atol=ATOL)

@@ -79,7 +79,8 @@ class TestVoxelTileViaEngine:
         )
 
     def test_tile_matches_legacy_bit_for_bit(self, grid):
-        """One engine tile reproduces the legacy tile exactly (same exprs)."""
+        """One engine tile on the reference backend — the one VB and
+        VB-DEC name — reproduces the legacy tile exactly (same exprs)."""
         kern = get_kernel("quartic")
         pts = make_clustered_points(grid, 50, seed=2)
         idx = np.arange(300, 1500)
@@ -91,7 +92,8 @@ class TestVoxelTileViaEngine:
         b = np.zeros(grid.n_voxels)
         ca, cb = WorkCounter(), WorkCounter()
         accumulate_voxel_tile(
-            a, idx, cx, cy, ct, pts.xs, pts.ys, pts.ts, grid, kern, 0.37, ca
+            a, idx, cx, cy, ct, pts.xs, pts.ys, pts.ts, grid, kern, 0.37, ca,
+            compute="numpy-ref",
         )
         accumulate_tile_legacy(
             b, idx, cx, cy, ct, pts.xs, pts.ys, pts.ts, grid, kern, 0.37, cb

@@ -22,9 +22,10 @@ from repro.algorithms.pb_sym import stamp_points_sym_loop
 from repro.algorithms.pb_variants import stamp_point_bar, stamp_point_disk
 from repro.core import DomainSpec, GridSpec, PointSet, VoxelWindow, WorkCounter
 from repro.core.backends import (
+    DEFAULT_BACKEND,
     ComputeBackend,
-    NumpyRefBackend,
     available_backends,
+    get_backend,
 )
 from repro.core.kernels import available_kernels, get_kernel
 import repro.core.stamping as stamping
@@ -318,7 +319,8 @@ class TestCrowdedBinGemm:
         """Points sent through each route: ``{"gemm": m, "cohort": m}``."""
         seen = {"gemm": 0, "cohort": 0}
         gemm = ComputeBackend.factor_tables
-        cohort = NumpyRefBackend.cohort_tables
+        default = type(get_backend())  # what a bare stamp_batch runs
+        cohort = default.cohort_tables
 
         def spy_gemm(self, grid, kernel, norm, dx, dy, dt, counter):
             seen["gemm"] += dx.shape[0]
@@ -329,7 +331,7 @@ class TestCrowdedBinGemm:
             return cohort(self, grid, kernel, mode, norm, dx, dy, dt, counter)
 
         monkeypatch.setattr(ComputeBackend, "factor_tables", spy_gemm)
-        monkeypatch.setattr(NumpyRefBackend, "cohort_tables", spy_cohort)
+        monkeypatch.setattr(default, "cohort_tables", spy_cohort)
         return seen
 
     @staticmethod
@@ -624,7 +626,7 @@ class TestDirectScatter:
             assert getattr(c, key) == value, key
         assert c.stamp_batches == 1
         assert c.stamp_cohorts == 9
-        assert c.backend_dispatches == {"numpy-ref": 9}
+        assert c.backend_dispatches == {DEFAULT_BACKEND: 9}
 
     @pytest.mark.parametrize("kname", list(available_kernels()) + ["custom"])
     def test_matches_brute_force(self, narrow, kname):

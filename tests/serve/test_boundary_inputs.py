@@ -288,3 +288,54 @@ def test_remove_of_rows_not_live_raises_and_changes_nothing(entry, case):
                 queries, backend="direct"),
             rtol=1e-12, atol=1e-300,
         )
+
+
+# ---------------------------------------------------------------------------
+# compute= is a registered backend name, checked at construction.  "auto"
+# was a routing policy once; it is now just another unknown name.
+# ---------------------------------------------------------------------------
+def _construct(entry, compute, monkeypatch):
+    from repro.core.incremental import IncrementalSTKDE
+    import repro.serve.service as service
+
+    grid = GridSpec(DomainSpec.from_voxels(16, 16, 16), hs=2.0, ht=2.0)
+    pts = np.random.default_rng(9).uniform(0, 16.0, size=(40, 3))
+    if entry == "incremental":
+        return IncrementalSTKDE(grid, compute=compute)
+    if entry == "service":
+        return DensityService(pts, grid, compute=compute)
+
+    def no_spawn(*args, **kw):
+        raise AssertionError("a worker was spawned before the name check")
+
+    monkeypatch.setattr(service, "ShardWorker", no_spawn)
+    return ShardedDensityService(pts, grid, workers=2, compute=compute)
+
+
+@pytest.mark.parametrize("compute", ("auto", "no-such"))
+@pytest.mark.parametrize("entry", ("incremental", "service", "sharded"))
+def test_unknown_compute_name_raises_at_construction(
+    entry, compute, monkeypatch
+):
+    from repro.core.backends import available_backends
+
+    with pytest.raises(KeyError, match="unknown compute backend") as err:
+        _construct(entry, compute, monkeypatch)
+    assert ", ".join(available_backends()) in str(err.value)
+
+
+@pytest.mark.parametrize("command", ("query", "serve"))
+def test_cli_rejects_compute_auto(command, tmp_path, capsys):
+    from repro.cli import main
+
+    pts = tmp_path / "events.csv"
+    np.savetxt(
+        pts, np.random.default_rng(0).uniform(0, 8, size=(20, 3)),
+        delimiter=",", header="x,y,t", comments="",
+    )
+    with pytest.raises(SystemExit):
+        main([
+            command, "--points", str(pts), "--hs", "2", "--ht", "2",
+            "--queries", str(pts), "--compute", "auto",
+        ])
+    assert "invalid choice: 'auto'" in capsys.readouterr().err

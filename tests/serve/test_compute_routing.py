@@ -1,119 +1,82 @@
-"""Per-backend cost routing and calibration persistence.
+"""The compute backend is a pin, and calibration has one rate per job.
 
-The planner's ``compute="auto"`` arm prices the kernel-summing plans at
-every registered backend's calibrated unit costs (``c_pair``,
-``c_qcohort``, ``c_qsample`` keyed per backend on the
-:class:`~repro.analysis.model.MachineModel`) and routes each batch to
-the cheapest — with the default backend winning ties, so an
-*uncalibrated* machine never routes away from the bit-exact reference.
-These tests pin both behaviours on hand-built machines, the JSON
-persistence round-trip behind ``--calibration-file`` /
-``REPRO_CALIBRATION``, and the serving-layer observability blob.
+``compute=`` on the services names the one backend every kernel sum,
+region stamp and volume build runs on; nothing chooses between backends.
+These tests pin that the name reaches every path (the dispatch tally
+shows one key, the pinned name — single-process and merged across shard
+workers), the serving-layer observability blob, the JSON persistence
+behind ``--calibration-file`` / ``REPRO_CALIBRATION`` including the one
+legacy key still read (``backend_costs``, the parent's per-backend
+table), and that the planner and the front end price pairs with the same
+``c_qpair``.
 """
 
 from __future__ import annotations
+
+import asyncio
+import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from repro.analysis.model import CostModel, MachineModel
-from repro.core import PointSet
 from repro.core.backends import DEFAULT_BACKEND, available_backends
-from repro.serve import BucketIndex, DensityService, QueryPlanner
-from repro.serve.calibrate import CALIBRATION_ENV, resolve_machine_model
+from repro.serve import (
+    DensityService,
+    ShardedDensityService,
+    TrafficFrontend,
+)
+from repro.serve.calibrate import (
+    CALIBRATION_ENV,
+    calibrate_serving,
+    resolve_machine_model,
+)
 from tests.helpers import make_clustered_points, make_points
 
-#: Flat scalars only — an *uncalibrated* machine (no backend_costs).
+#: Flat scalars only — an *uncalibrated* machine (no query-path rates).
 NOMINAL = MachineModel(
     c_mem=1e-9, c_point=1e-7, c_cell=2e-9, c_batch=1e-5,
     c_pair=2e-9, c_tile=1e-6, c_lookup=5e-8,
     c_qcohort=5e-6, c_qprobe=1e-6,
 )
 
-#: The same machine after a (synthetic) calibration that measured the
-#: fused backend's pair loop 4x cheaper than the reference's.
-CALIBRATED = NOMINAL.with_backend_costs({
-    "numpy-ref": {"c_pair": 2e-9, "c_qcohort": 5e-6},
-    "numpy-fused": {"c_pair": 5e-10, "c_qcohort": 1.25e-6},
-})
+#: The same machine after a (synthetic) serving calibration that measured
+#: the query-path pair loop 4x cheaper than the voxel-tile rate.
+CALIBRATED = dataclasses.replace(
+    NOMINAL, c_qpair=5e-10, c_qcohort=1.25e-6, c_qsample=4e-9
+)
+
+#: Every registered backend a service can be pinned *away* to.
+PINNABLE = tuple(b for b in available_backends() if b != DEFAULT_BACKEND)
 
 
-@pytest.fixture
-def dense_setup(small_grid):
-    pts = make_clustered_points(small_grid, 4000, seed=61)
-    idx = BucketIndex(small_grid, pts.coords)
-    q = make_points(small_grid, 50, seed=62).coords
-
-    def planner(machine):
-        return QueryPlanner(CostModel(small_grid, pts, machine))
-
-    return idx, q, planner
-
-
-class TestBackendCostAccessors:
-    def test_flat_scalars_serve_every_backend(self):
-        for name in ("numpy-ref", "numpy-fused", "numba"):
-            assert NOMINAL.backend_cost("c_pair", name) == NOMINAL.c_pair
-
-    def test_calibrated_entry_overrides_scalar(self):
-        assert CALIBRATED.backend_cost("c_pair", "numpy-fused") == 5e-10
-        assert CALIBRATED.backend_cost("c_pair", "numpy-ref") == 2e-9
-        # Unprobed backends fall back to the flat scalar.
-        assert CALIBRATED.backend_cost("c_pair", "numba") == NOMINAL.c_pair
-
-    def test_probed_backends_sorted(self):
-        assert CALIBRATED.probed_backends() == ("numpy-fused", "numpy-ref")
-        assert NOMINAL.probed_backends() == ()
-
-
-class TestAutoRouting:
-    def test_uncalibrated_machine_stays_on_reference(self, dense_setup):
-        idx, q, planner = dense_setup
-        plan = planner(NOMINAL).plan_points(
-            idx, q, volume_ready=False, compute="auto"
-        )
-        # Every backend prices identically on flat scalars: the default
-        # must win the tie, keeping defaults bit-identical.
-        assert plan.compute == DEFAULT_BACKEND
-
-    def test_calibrated_machine_routes_to_cheapest(self, dense_setup):
-        idx, q, planner = dense_setup
-        plan = planner(CALIBRATED).plan_points(
-            idx, q, volume_ready=False, compute="auto"
-        )
-        assert plan.compute == "numpy-fused"
-        # The reported price is the chosen backend's, not the default's.
-        nominal = planner(NOMINAL).plan_points(
-            idx, q, volume_ready=False, compute="auto"
-        )
-        assert plan.direct_seconds < nominal.direct_seconds
-
-    def test_pinned_compute_skips_the_argmin(self, dense_setup):
-        idx, q, planner = dense_setup
-        plan = planner(CALIBRATED).plan_points(
-            idx, q, volume_ready=False, compute="numpy-ref"
-        )
-        assert plan.compute == "numpy-ref"
-
-    def test_default_request_keeps_default_backend(self, dense_setup):
-        idx, q, planner = dense_setup
-        plan = planner(CALIBRATED).plan_points(idx, q, volume_ready=False)
-        assert plan.compute == DEFAULT_BACKEND
-
-    def test_auto_routing_survives_approx_arm(self, dense_setup):
-        idx, q, planner = dense_setup
-        plan = planner(CALIBRATED).plan_points(
-            idx, q, volume_ready=False, compute="auto", eps=0.2
-        )
-        assert plan.compute == "numpy-fused"
-        assert np.isfinite(plan.approx_seconds)
+#: A calibration file as the parent commit wrote it: flat scalars that
+#: describe the reference backend, the per-backend table beside them, and
+#: keys no current field reads.
+PARENT_FORMAT = {
+    "_note": "ignored",
+    "backend_costs": {
+        "numpy-fused": {
+            "c_pair": 3.25e-08, "c_qcohort": 1.5e-04, "c_qsample": 1.25e-07,
+        },
+        "numpy-ref": {
+            "c_pair": 3.5e-08, "c_qcohort": 1.75e-04, "c_qsample": 1.0e-07,
+        },
+    },
+    "bandwidth_cap": 3.0,
+    "c_batch": 1e-4, "c_cell": 6e-9, "c_lookup": 6e-8, "c_mem": 3e-10,
+    "c_msg": 2e-5, "c_pair": 5.5e-08, "c_point": 9e-7, "c_qbound": 4e-8,
+    "c_qcohort": 3e-4, "c_qgroup": 3e-5, "c_qprobe": 9e-7, "c_qrow": 2e-7,
+    "c_qsample": 2e-7, "c_qser": 5e-9, "c_spawn": 0.0, "c_tile": 0.0,
+}
 
 
 class TestCalibrationPersistence:
     def test_json_round_trip(self):
         clone = MachineModel.from_json(CALIBRATED.to_json())
         assert clone == CALIBRATED
-        assert clone.backend_cost("c_pair", "numpy-fused") == 5e-10
+        assert clone.c_qpair == 5e-10
 
     @pytest.mark.parametrize("key", ["future_field", "c_qgroup"])
     def test_from_json_tolerates_unknown_keys(self, key):
@@ -141,41 +104,175 @@ class TestCalibrationPersistence:
         monkeypatch.setenv(CALIBRATION_ENV, str(path))
         assert resolve_machine_model() == CALIBRATED
 
+    def test_parent_format_file_loads_the_default_backends_entry(self):
+        """The one legacy key: the default backend's per-backend entry
+        becomes the query-path scalars, ``c_pair`` stays the tile rate,
+        and the table is never written back."""
+        m = MachineModel.from_json(json.dumps(PARENT_FORMAT))
+        entry = PARENT_FORMAT["backend_costs"][DEFAULT_BACKEND]
+        assert m.c_qpair == entry["c_pair"]
+        assert m.c_qcohort == entry["c_qcohort"]
+        assert m.c_qsample == entry["c_qsample"]
+        assert m.c_pair == PARENT_FORMAT["c_pair"]
+        assert m.c_qbound == PARENT_FORMAT["c_qbound"]
+        written = json.loads(m.to_json())
+        assert "backend_costs" not in written and "_note" not in written
+        assert MachineModel.from_json(m.to_json()) == m
+
+    def test_file_without_the_legacy_key_loads_flat(self):
+        flat = {k: v for k, v in PARENT_FORMAT.items() if k != "backend_costs"}
+        m = MachineModel.from_json(json.dumps(flat))
+        assert m.c_qpair == 0.0
+        assert m.c_qcohort == flat["c_qcohort"]
+        assert m.c_qsample == flat["c_qsample"]
+        # A null table (what an uncalibrated parent model wrote) too.
+        flat["backend_costs"] = None
+        assert MachineModel.from_json(json.dumps(flat)) == m
+
+
+class TestOneRatePerJob:
+    """``c_qpair`` prices query pairs everywhere; ``c_pair`` is the VB tile
+    rate and only the fallback while ``c_qpair`` is unprobed."""
+
+    def test_unprobed_qpair_falls_back_to_the_tile_rate(self, small_grid):
+        pts = make_points(small_grid, 50, seed=70)
+        model = CostModel(small_grid, pts, NOMINAL)
+        assert NOMINAL.c_qpair == 0.0
+        assert model.predict_direct_query(10, 500) == pytest.approx(
+            NOMINAL.c_batch + NOMINAL.c_qcohort + 10 * NOMINAL.c_qprobe
+            + 10 * NOMINAL.c_point + 500 * NOMINAL.c_pair
+        )
+        probed = CostModel(small_grid, pts, CALIBRATED)
+        assert probed.predict_direct_query(10, 500) == pytest.approx(
+            CALIBRATED.c_batch + CALIBRATED.c_qcohort
+            + 10 * CALIBRATED.c_qprobe + 10 * CALIBRATED.c_point
+            + 500 * CALIBRATED.c_qpair
+        )
+
+    def test_calibrate_serving_probes_qpair_and_leaves_the_tile_rate(self):
+        base = MachineModel.calibrate()
+        served = calibrate_serving(base)
+        assert served.c_qpair > 0.0
+        assert served.c_pair == base.c_pair
+        assert base.c_qpair == 0.0
+
+    def test_front_end_and_planner_price_pairs_alike(self, small_grid):
+        """Both move with ``c_qpair`` and neither with ``c_pair`` (the
+        front end's admission price used to read the tile rate)."""
+        pts = make_clustered_points(small_grid, 4000, seed=61)
+        q = make_points(small_grid, 50, seed=62).coords
+
+        def prices(machine):
+            svc = DensityService(pts, small_grid, machine=machine)
+            plan = svc.planner().plan_points(
+                svc.index(), q, volume_ready=False
+            )
+
+            async def admission():
+                async with TrafficFrontend(svc) as fe:
+                    return fe._price_points(len(q), None)
+
+            return plan.direct_seconds, asyncio.run(admission())
+
+        base = prices(CALIBRATED)
+        tile = prices(dataclasses.replace(CALIBRATED, c_pair=1e-6))
+        pair = prices(dataclasses.replace(CALIBRATED, c_qpair=1e-6))
+        assert tile == base
+        assert pair[0] > 10 * base[0] and pair[1] > 10 * base[1]
+
+
+def _off_domain_batch(grid):
+    d = grid.domain
+    return np.vstack([
+        make_points(grid, 6, seed=69).coords,
+        [[d.x0 - 0.5, d.y0 + 1.0, d.t0 + 1.0],
+         [d.x0 + 1.0, d.y0 + d.gy + 0.5, d.t0 + 1.0]],
+    ])
+
+
+class TestPinReachesEveryPath:
+    """A pinned service runs *everything* on the pinned backend: the
+    dispatch tally has one key.  Parametrised over every registered
+    backend other than the default (``numba`` included when it imports)."""
+
+    WINDOW = (2, 11, 1, 9, 3, 12)
+
+    @pytest.mark.parametrize("name", PINNABLE)
+    def test_single_process(self, small_grid, name):
+        pts = make_points(small_grid, 600, seed=71)  # mass at the edges
+        q = make_points(small_grid, 40, seed=72).coords
+        off = _off_domain_batch(small_grid)
+        pinned = DensityService(
+            pts, small_grid, machine=NOMINAL, compute=name
+        )
+        default = DensityService(pts, small_grid, machine=NOMINAL)
+        got, want = [], []
+        for svc, out in ((pinned, got), (default, want)):
+            out.append(svc.query_points(q, backend="direct"))
+            out.append(svc.query_region(self.WINDOW, backend="direct").data)
+            out.append(svc.materialize().data)
+            out.append(svc.query_points(off, backend="lookup"))
+        blob = pinned.stats()["compute"]
+        assert blob["backend"] == name
+        assert set(blob["dispatches"]) == {name}
+        assert set(default.stats()["compute"]["dispatches"]) == {
+            DEFAULT_BACKEND
+        }
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-18)
+        assert got[3][6:].any()  # the off-domain rows were direct-summed
+
+    @pytest.mark.parametrize("name", PINNABLE)
+    def test_sharded_workers(self, small_grid, name):
+        pts = make_clustered_points(small_grid, 600, seed=73)
+        q = make_points(small_grid, 40, seed=74).coords
+        default = DensityService(pts, small_grid, machine=NOMINAL)
+        with ShardedDensityService(
+            pts, small_grid, workers=2, backend="sharded",
+            machine=NOMINAL, compute=name,
+        ) as svc:
+            points = svc.query_points(q)
+            region = svc.query_region(self.WINDOW).data
+            blob = svc.stats()["compute"]
+        assert blob["backend"] == name
+        assert set(blob["dispatches"]) == {name}
+        np.testing.assert_allclose(
+            points, default.query_points(q, backend="direct"),
+            rtol=1e-12, atol=1e-18,
+        )
+        np.testing.assert_allclose(
+            region, default.query_region(self.WINDOW, backend="direct").data,
+            rtol=1e-12, atol=1e-18,
+        )
+
 
 class TestServiceComputeStats:
     def test_stats_blob_shape_and_tallies(self, small_grid):
         pts = make_clustered_points(small_grid, 500, seed=63)
-        svc = DensityService(
-            pts, small_grid, machine=NOMINAL, compute=DEFAULT_BACKEND
-        )
+        svc = DensityService(pts, small_grid, machine=NOMINAL)
         q = make_points(small_grid, 8, seed=64).coords
         svc.query_points(q)
         blob = svc.stats()["compute"]
-        assert blob["requested"] == DEFAULT_BACKEND
+        assert set(blob) == {
+            "backend", "available", "dispatches", "jit_warmup_seconds",
+        }
+        assert blob["backend"] == DEFAULT_BACKEND
         assert blob["available"] == list(available_backends())
-        assert sum(blob["chosen"].values()) >= 1
-        assert set(blob["chosen"]) <= set(available_backends())
+        assert set(blob["dispatches"]) == {DEFAULT_BACKEND}
         assert sum(blob["dispatches"].values()) >= 1
 
     def test_off_domain_patch_runs_on_the_service_backend(self, small_grid):
         """Off-domain rows of a lookup plan are direct-summed on the
-        backend the cache key names, not on the default."""
+        service's backend, like the build that precedes them."""
         pts = make_points(small_grid, 600, seed=68)
-        svc = DensityService(
-            pts, small_grid, machine=NOMINAL, compute="numpy-fused"
-        )
-        svc.materialize()  # the build stamps on the default backend
-        built = svc.stats()["compute"]["dispatches"]
-        d = small_grid.domain
-        q = np.vstack([
-            make_points(small_grid, 6, seed=69).coords,
-            [[d.x0 - 0.5, d.y0 + 1.0, d.t0 + 1.0],
-             [d.x0 + 1.0, d.y0 + d.gy + 0.5, d.t0 + 1.0]],
-        ])
+        svc = DensityService(pts, small_grid, machine=NOMINAL)
+        svc.materialize()
+        built = svc.stats()["compute"]["dispatches"][DEFAULT_BACKEND]
+        q = _off_domain_batch(small_grid)
         out = svc.query_points(q, backend="lookup")
         after = svc.stats()["compute"]["dispatches"]
-        assert after.pop("numpy-fused") >= 1
-        assert after == built
+        assert set(after) == {DEFAULT_BACKEND}
+        assert after[DEFAULT_BACKEND] > built
         np.testing.assert_allclose(
             out[6:], svc.query_points(q[6:], backend="direct"),
             rtol=1e-12, atol=0.0,
@@ -190,7 +287,9 @@ class TestServiceComputeStats:
     def test_pinned_fused_matches_reference(self, small_grid):
         pts = make_clustered_points(small_grid, 800, seed=66)
         q = make_points(small_grid, 40, seed=67).coords
-        ref = DensityService(pts, small_grid, machine=NOMINAL)
+        ref = DensityService(
+            pts, small_grid, machine=NOMINAL, compute="numpy-ref"
+        )
         fused = DensityService(
             pts, small_grid, machine=NOMINAL, compute="numpy-fused"
         )
