@@ -137,7 +137,7 @@ def mttr_row(grid, n, machine, model, queries, seed) -> dict:
         "predicted_seconds": pred.seconds,
         "predicted_spawn_seconds": pred.spawn_seconds,
         "predicted_ipc_seconds": pred.ipc_seconds,
-        "predicted_restamp_seconds": pred.restamp_seconds,
+        "predicted_insert_seconds": pred.insert_seconds,
         "shard_restarts": restarts,
         "shard_replayed_batches": replayed,
         "post_recovery_matches_cold_rtol_1e12": matches,

@@ -5,9 +5,9 @@ arrive daily and analysts watch a rolling window.  This example runs the
 whole serving stack the way a deployment would:
 
 * an :class:`~repro.core.incremental.IncrementalSTKDE` maintains the
-  rolling 30-day window exactly — each day stamps the new events and
-  un-stamps the expired ones (O(events x stamp), independent of
-  history);
+  rolling 30-day window exactly — each day tracks the new events and
+  drops the expired ones (bookkeeping, independent of history; a
+  volume read stamps only what changed since the last one);
 * a :class:`~repro.serve.DensityService` answers density queries over
   the live estimator;
 * an asyncio :class:`~repro.serve.TrafficFrontend` takes the traffic —
@@ -127,9 +127,9 @@ async def monitor() -> None:
     live = np.vstack([b for b in window if len(b)])
     drift = np.max(np.abs(inc.volume().data - pb_sym(PointSet(live), grid).data))
     assert drift < 1e-12, "incremental estimate drifted from batch"
-    print("the hotspot drifts with the outbreak; each update costs only the "
-          "changed events' stamps\nwhile matching the full recomputation "
-          f"exactly (max drift {drift:.2e}).")
+    print("the hotspot drifts with the outbreak; an update is bookkeeping "
+          "and a volume read stamps only\nthe changed events, while "
+          f"matching the full recomputation exactly (max drift {drift:.2e}).")
 
 
 def main() -> None:

@@ -424,16 +424,16 @@ class RecoveryPrediction:
 
     ``spawn_seconds`` is the fixed process-standup floor (``c_spawn``),
     ``ipc_seconds`` the replay's message round-trips and row
-    serialization, ``restamp_seconds`` the respawned worker re-stamping
-    its live events through the batched engine.  ``seconds`` is their
-    sum — what the faults bench compares against measured recovery wall
-    time.
+    serialization, ``insert_seconds`` the respawned worker bucketing its
+    live events back into its index (it holds the window and stamps
+    nothing: no worker op reads a volume).  ``seconds`` is their sum —
+    what the faults bench compares against measured recovery wall time.
     """
 
     seconds: float
     spawn_seconds: float
     ipc_seconds: float
-    restamp_seconds: float
+    insert_seconds: float
 
 
 @dataclass(frozen=True)
@@ -808,10 +808,12 @@ class CostModel:
         one spawn-context process standup (``c_spawn``), then the
         mutation log replayed as ``n_batches`` request round-trips
         (``c_msg`` each, ``c_qser`` per shipped row) into a worker that
-        re-stamps its ``n_rows`` live events through the batched engine
-        (:meth:`batch_cost` per replayed batch).  Backoff sleeps are
-        policy, not work, and are excluded — the bench reports them in
-        the measured column instead.
+        inserts its ``n_rows`` live events into its bucket index
+        (``c_qrow`` per row, the rate :meth:`predict_merge` charges a row
+        move).  The replayed window is never stamped — a worker has no
+        op that reads a volume — so no kernel work is priced.  Backoff
+        sleeps are policy, not work, and are excluded — the bench
+        reports them in the measured column instead.
         """
         m = self.machine
         batches = max(0, int(n_batches))
@@ -819,10 +821,11 @@ class CostModel:
         spawn = m.c_spawn if m.c_spawn > 0.0 else 0.2
         msg_rate = m.c_msg if m.c_msg > 0.0 else 1e-4
         ser_rate = m.c_qser if m.c_qser > 0.0 else 16.0 * m.c_mem
+        row_rate = m.c_qrow if m.c_qrow > 0.0 else 8.0 * m.c_mem
         ipc = 2.0 * batches * msg_rate + rows * ser_rate
-        restamp = batches * m.c_batch + rows * self.point_cost()
+        insert = rows * row_rate
         return RecoveryPrediction(
-            spawn + ipc + restamp, spawn, ipc, restamp
+            spawn + ipc + insert, spawn, ipc, insert
         )
 
     def predict_materialize(self) -> float:

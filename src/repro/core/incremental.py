@@ -5,9 +5,10 @@ update daily, dashboards slide their time window.  The PB-SYM estimator is
 a normalised **sum of per-point stamps**, and a sum over disjoint subsets
 of the events can be taken subset by subset.  The live window is therefore
 kept as a list of **units** — disjoint event subsets, each holding its
-rows and their summed, *unnormalised* stamp in a
-:class:`~repro.core.regions.RegionBuffer` over the stamps' bounding box —
-and nothing else: no running total, no grid-sized array.  Only the ``1/n``
+rows, the bounding box of their stamps and, once a reader has asked for
+it, their summed *unnormalised* stamp in a
+:class:`~repro.core.regions.RegionBuffer` over that box — and nothing
+else: no running total, no grid-sized array.  Only the ``1/n``
 normalisation couples events, and it is applied on read.
 
 Example::
@@ -23,19 +24,25 @@ time-window case.
 
 One live state
 --------------
-A unit's buffer is stamped once, into fresh zeros, through the batched
-region engine (:func:`repro.core.stamping.stamp_batch`) and never written
-again, so it is a pure function of the unit's rows.  ``add`` plans a batch
-into units and stamps each; ``slide_window`` drops the units the horizon
-passed (zero kernel evaluations, no pass over any volume) and rebuilds
-the one it cuts through from its survivors; ``remove`` rebuilds each unit
-that lost rows from its survivors.  Nothing is ever subtracted, so there
-is no cancellation noise to clamp, and ``volume()`` — the live buffers
-added into zeros in an order derived from their content — is a
-**bit-exact pure function of the live membership** under every
-interleaving of the three: a long-slid window and a cold estimator re-fed
-the same ``live_batches`` serve ``array_equal`` volumes, and both match a
-batch recompute at ``rtol=1e-12``.
+The rows are the state; a unit's buffer is a **cache built by the first
+read**.  ``add`` plans a batch into units; ``slide_window`` drops the
+units the horizon passed and re-plans the one it cuts through from its
+survivors; ``remove`` re-plans each unit that lost rows from its
+survivors.  All three are bookkeeping — plan units, match rows, bump
+``version`` — and evaluate no kernel: a consumer that answers from the
+rows (the serving index, a shard worker) never pays for a stamp.
+``volume()`` stamps whichever live units have no buffer yet, each once,
+into fresh zeros, through the batched region engine
+(:func:`repro.core.stamping.stamp_batch`); a buffer is never written
+again and is kept until its unit's membership changes, so it is a pure
+function of the unit's rows, and a unit minted and retired between two
+reads is never stamped at all.  Nothing is ever subtracted, so there is
+no cancellation noise to clamp, and ``volume()`` — the live buffers added
+into zeros in an order derived from their content — is a **bit-exact
+pure function of the live membership** under every interleaving of the
+three: a long-slid window and a cold estimator re-fed the same
+``live_batches`` serve ``array_equal`` volumes, and both match a batch
+recompute at ``rtol=1e-12``.
 
 t-slab units
 ------------
@@ -43,12 +50,12 @@ A batch is partitioned along t into **retirement slabs**
 (:func:`~repro.core.regions.plan_time_slabs`: stamp-origin ordered,
 balanced on stamped cell count), one unit each.  A sliding window's
 horizon then expires whole leading slabs and cuts through at most one
-*straddle* slab, so a slide's kernel work is one thin engine batch — the
-straddle slab's survivors — instead of every survivor of the batch
-(``t_slab_voxels=None``: one unit per batch, which restamps them all; the
-two agree to ``rtol=1e-12``).  Slab boxes overlap by one stamp extent
-along t, so a batch whose slabs would together cover more than half the
-grid stays one whole-batch unit.
+*straddle* slab, so the kernel work a slide leaves for the next read is
+one thin engine batch — the straddle slab's survivors — instead of every
+survivor of the batch (``t_slab_voxels=None``: one unit per batch, which
+restamps them all; the two agree to ``rtol=1e-12``).  Slab boxes overlap
+by one stamp extent along t, so a batch whose slabs would together cover
+more than half the grid stays one whole-batch unit.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .backends import get_backend
-from .grid import GridSpec, PointSet, Volume
+from .grid import GridSpec, PointSet, Volume, VoxelWindow
 from .instrument import WorkCounter
 from .kernels import KernelPair, get_kernel
 from .regions import RegionBuffer, auto_slab_voxels, batch_bbox, plan_time_slabs
@@ -80,10 +87,13 @@ def _row_keys(coords: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _TrackedBatch:
-    """A live unit — one retirement slab — and its stamp.
+    """A live unit — one retirement slab — and, once read, its stamp.
 
     An added batch is tracked as one or more of these (one per t-slab
-    when slabbing applies).  ``buffer`` is the unit's only stamp.
+    when slabbing applies).  ``bbox`` is the bounding box of the rows'
+    stamps, fixed when the unit is planned; ``buffer`` is the unit's only
+    stamp, over exactly that box, ``None`` until the first
+    :meth:`IncrementalSTKDE.volume` that needs it.
     ``batch_id`` is unique for the life of the estimator and changes
     whenever the unit's *membership* changes (partial retirement,
     removal): downstream consumers keyed on it — the serving layer's
@@ -93,7 +103,8 @@ class _TrackedBatch:
 
     batch_id: int
     coords: np.ndarray
-    buffer: RegionBuffer
+    bbox: VoxelWindow
+    buffer: Optional[RegionBuffer] = None
 
 
 class IncrementalSTKDE:
@@ -102,18 +113,21 @@ class IncrementalSTKDE:
     A list of units; :meth:`volume` is their canonical sum — a bit-exact
     pure function of the live membership, always (module docstring).
 
-    **Memory.**  Construction allocates nothing grid-sized.  Each live
-    unit holds one buffer over its stamps' bounding box: a thin box for a
-    t-localised feed, at most half a grid in total for a slabbed batch,
-    up to one full volume for a domain-wide batch.  There is no aggregate
-    cap: *k* live domain-wide batches hold up to *k* volumes.
+    **Memory.**  Construction allocates nothing grid-sized, and neither
+    does any mutation.  Once read, each live unit holds one buffer over
+    its stamps' bounding box: a thin box for a t-localised feed, at most
+    half a grid in total for a slabbed batch, up to one full volume for a
+    domain-wide batch.  There is no aggregate cap: *k* live domain-wide
+    batches hold up to *k* volumes after a read.
 
-    **What rebuilding costs.**  A unit that loses rows is rebuilt from
-    its survivors, the price of re-adding it.  ``slide_window`` pays that
-    for one straddle slab; ``remove`` pays it for every unit it touches,
-    once per call; and a domain-wide batch, being one unit, is restamped
-    whole by each slide that cuts through it — feed backfill in t-ordered
-    pieces (docs/PERFORMANCE.md, "One live state", has the numbers).
+    **What rebuilding costs.**  A unit that loses rows is re-planned from
+    its survivors and loses its buffer; the survivors are stamped by the
+    next :meth:`volume`, the price of re-adding them.  Mutations between
+    two reads therefore cost nothing beyond their bookkeeping: a
+    domain-wide unit cut by every slide, and the units ``remove``
+    touches, are each stamped once per *read*, not once per mutation —
+    and never, when nobody reads (docs/PERFORMANCE.md, "One live state",
+    has the numbers).
 
     ``t_slab_voxels`` sets the retirement-slab thickness along t:
     ``"auto"`` (default) chooses per batch through the cost model
@@ -203,25 +217,48 @@ class IncrementalSTKDE:
         return tuple((tb.batch_id, tb.coords) for tb in self._live)
 
     @property
+    def units_live(self) -> int:
+        """Number of live units."""
+        return len(self._live)
+
+    @property
+    def units_stamped(self) -> int:
+        """Number of live units holding a buffer — the ones some
+        :meth:`volume` has read since their membership last changed."""
+        return sum(tb.buffer is not None for tb in self._live)
+
+    @property
     def cached_buffer_cells(self) -> int:
-        """Cells held in the live units' buffers (memory gauge)."""
-        return sum(tb.buffer.cells for tb in self._live)
+        """Cells held in the live units' buffers (memory gauge).
+
+        Counts stamped units only: a unit no :meth:`volume` has read yet
+        holds no buffer, so this is 0 until the first read.
+        """
+        return sum(
+            tb.buffer.cells for tb in self._live if tb.buffer is not None
+        )
 
     # ------------------------------------------------------------------
-    def _stamp_unit(self, coords: np.ndarray, bbox) -> _TrackedBatch:
-        """Mint one unit: stamp ``coords`` into a fresh buffer over ``bbox``."""
-        buf = RegionBuffer(bbox)
+    def _plan_unit(
+        self, coords: np.ndarray, bbox: VoxelWindow
+    ) -> _TrackedBatch:
+        """Mint one unit over ``bbox``; its buffer waits for a reader."""
+        self._next_batch_id += 1
+        return _TrackedBatch(self._next_batch_id, coords, bbox)
+
+    def _stamp_unit(self, tb: _TrackedBatch) -> None:
+        """Stamp a unit's rows into a fresh buffer over its bbox."""
+        buf = RegionBuffer(tb.bbox)
         self.counter.init_writes += buf.cells
         self.counter.shard_bbox_cells += buf.cells
         buf.stamp(
-            self.grid, self.kernel, coords, 1.0, self.counter,
+            self.grid, self.kernel, tb.coords, 1.0, self.counter,
             compute=self.compute,
         )
-        self._next_batch_id += 1
-        return _TrackedBatch(self._next_batch_id, coords, buf)
+        tb.buffer = buf
 
-    def _stamp_tracked(self, coords: np.ndarray) -> List[_TrackedBatch]:
-        """Plan a batch into units and stamp each through the region engine.
+    def _plan_tracked(self, coords: np.ndarray) -> List[_TrackedBatch]:
+        """Plan a batch into units (no kernel work: :meth:`volume` stamps).
 
         One unit per t-slab while the slabs' boxes together stay within
         ``_SLAB_GRID_SHARE`` of the grid (slab xy-boxes are tighter than
@@ -244,9 +281,9 @@ class IncrementalSTKDE:
                 total = sum(b.volume for b in boxes)
                 if total <= _SLAB_GRID_SHARE * self.grid.n_voxels:
                     return [
-                        self._stamp_unit(p, b) for p, b in zip(parts, boxes)
+                        self._plan_unit(p, b) for p, b in zip(parts, boxes)
                     ]
-        return [self._stamp_unit(coords, bbox)]
+        return [self._plan_unit(coords, bbox)]
 
     def _resolve_slab_voxels(self, coords: np.ndarray, bbox) -> int:
         """Per-batch retirement-slab thickness for the ``"auto"`` mode.
@@ -293,9 +330,13 @@ class IncrementalSTKDE:
         Weighted :class:`PointSet` s are rejected: every unit sums
         unit-weight stamps, so silently dropping weights would serve a
         different estimator than the caller built.  Raw arrays get
-        the finiteness check :class:`PointSet` applies to its own: a NaN
-        or infinite coordinate would be counted as an event and cast to
-        an arbitrary voxel.
+        the checks :class:`PointSet` applies to its own: a 2-D ``(n, 3)``
+        shape (``n = 0`` allowed) — no stamp runs inside a mutation to
+        trip over a malformed batch, and a wrong-width entry in
+        ``live_batches`` would only fail a later reader — and finite
+        values, since a NaN or infinite coordinate would be counted as an
+        event and cast to an arbitrary voxel.  Called before any state
+        changes, so a ``ValueError`` leaves the estimator untouched.
         """
         if isinstance(points, PointSet):
             if points.weights is not None:
@@ -306,34 +347,40 @@ class IncrementalSTKDE:
                 )
             return points.coords
         coords = np.asarray(points, dtype=np.float64)
+        if coords.ndim != 2 or coords.shape[1] != 3:
+            raise ValueError(
+                f"expected (n, 3) event coordinates, got shape {coords.shape}"
+            )
         if not np.all(np.isfinite(coords)):
             raise ValueError("point coordinates must be finite")
         return coords
 
     def add(self, points: PointSet | np.ndarray) -> None:
-        """Insert events (stamps their cylinders; O(batch * stamp)).
+        """Insert events: plan them into units, O(batch) bookkeeping.
 
-        Weighted :class:`PointSet` s are rejected — see
-        :meth:`_coerce_unweighted`.
+        No cylinder is stamped here; the next :meth:`volume` pays
+        O(batch * stamp) for the units it finds without a buffer.
+        Weighted :class:`PointSet` s and malformed arrays are rejected —
+        see :meth:`_coerce_unweighted`.
         """
         coords = self._coerce_unweighted(points)
         if coords.size == 0:
             return
         batch = np.array(coords, dtype=np.float64)
-        self._live.extend(self._stamp_tracked(batch))
+        self._live.extend(self._plan_tracked(batch))
         self.counter.points_processed += len(batch)
         self._n += len(batch)
         self._version += 1
 
     def remove(self, points: PointSet | np.ndarray) -> None:
-        """Retire live events; each unit that loses rows is rebuilt.
+        """Retire live events; each unit that loses rows is re-planned.
 
         Every row must match a live event bit for bit, with multiplicity
         (one live occurrence per removed row).  Rows that are not live —
         never added, already retired, or removed more often than they
         were added — raise ``ValueError`` before anything changes.  A
-        touched unit's survivors are re-planned and restamped as new
-        units (new ids), exactly as if they had just been added.
+        touched unit's survivors are re-planned as new units (new ids, no
+        buffer), exactly as if they had just been added.
         """
         coords = self._coerce_unweighted(points)
         if coords.size == 0:
@@ -348,7 +395,7 @@ class IncrementalSTKDE:
             if drop is None:
                 kept.append(tb)
             elif not drop.all():
-                kept.extend(self._stamp_tracked(tb.coords[~drop]))
+                kept.extend(self._plan_tracked(tb.coords[~drop]))
         self._live = kept
         self._n -= len(coords)
         self._version += 1
@@ -400,11 +447,12 @@ class IncrementalSTKDE:
         """Add ``new_points`` and retire all tracked events with
         ``t < t_horizon``.  Returns the number of retired events.
 
-        Fully-expired units are dropped, buffer and all (zero kernel
-        evaluations, no pass over any volume); only the unit the horizon
-        cuts *through* is rebuilt from its survivors — so a slide's
-        kernel work is proportional to one straddle slab, not to every
-        survivor of a partially-expired batch.
+        Fully-expired units are dropped, buffer (if any) and all; only
+        the unit the horizon cuts *through* is re-planned from its
+        survivors.  The slide itself evaluates no kernel and passes over
+        no volume; the kernel work it leaves for the next :meth:`volume`
+        is the arriving batch plus one straddle slab, not every survivor
+        of a partially-expired batch.
         """
         # Reject a malformed feed before anything is retired.
         new_points = self._coerce_unweighted(new_points)
@@ -421,7 +469,7 @@ class IncrementalSTKDE:
             if n_old < len(tb.coords):
                 survivors = tb.coords[~old_mask]
                 self.counter.slab_restamp_points += len(survivors)
-                kept.extend(self._stamp_tracked(survivors))
+                kept.extend(self._plan_tracked(survivors))
         self._live = kept
         self._n -= retired
         self.add(new_points)
@@ -436,7 +484,9 @@ class IncrementalSTKDE:
     def volume(self) -> Volume:
         """The current normalised density volume (copy; O(volume)).
 
-        Adds every live unit's buffer into fresh zeros and scales by
+        Stamps every live unit that has no buffer yet (the units minted
+        since the last read; none on a repeated read), then adds every
+        live unit's buffer into fresh zeros and scales by
         ``1/(n hs^2 ht)``.  The units are summed in a *content-derived*
         order — bbox window, then row count, then the rows' bytes — so
         nothing of tracking order (which depends on the mutation history)
@@ -446,10 +496,15 @@ class IncrementalSTKDE:
         the bit-exact warm-vs-cold contract.
         """
         def key(tb: _TrackedBatch):
-            b = tb.buffer.window
+            b = tb.bbox
             return (b.x0, b.x1, b.y0, b.y1, b.t0, b.t1,
                     len(tb.coords), tb.coords.tobytes())
 
+        # Pending stamps first, so their scratch is gone before the
+        # output is allocated.
+        for tb in self._live:
+            if tb.buffer is None:
+                self._stamp_unit(tb)
         data = np.zeros(self.grid.shape)
         for tb in sorted(self._live, key=key):
             tb.buffer.add_into(data)

@@ -93,15 +93,16 @@ class WorkCounter:
         Events whose index segment was retired (no re-bucketing; rows
         are counted dead until the next repack).
     ``slab_buffers_retired``
-        t-slab region buffers dropped during sliding-window retirement
+        t-slab units retired, whole or in part, by sliding-window
+        retirement
         (:meth:`repro.core.incremental.IncrementalSTKDE.slide_window`) —
-        each goes with its unit: zero kernel evaluations, no pass over
-        any volume.
+        a unit's buffer, if a read ever stamped one, goes with it: zero
+        kernel evaluations, no pass over any volume.
     ``slab_restamp_points``
-        Survivor points restamped because the window horizon cut through
-        their slab (the straddle slab).  The O(delta) slide contract:
-        this should be ~one slab's worth per slide, not the surviving
-        batch.
+        Survivor points re-planned because the window horizon cut
+        through their slab (the straddle slab); the next read restamps
+        them.  The O(delta) slide contract: this should be ~one slab's
+        worth per slide, not the surviving batch.
     ``index_segments_merged``
         Index segments absorbed into consolidated segments by the
         merge policy (:meth:`repro.serve.index.BucketIndex.sync`) — rows

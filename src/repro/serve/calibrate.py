@@ -61,7 +61,7 @@ The self-healing tier adds one more, probed by
     fresh interpreter, module imports, the pipe handshake) — the fixed
     floor of every supervised respawn, which
     :meth:`~repro.analysis.model.CostModel.predict_recovery` adds to the
-    replay's IPC + restamp price to predict MTTR.
+    replay's IPC + index-insert price to predict MTTR.
 
 Every probe runs on the process's default compute backend
 (:data:`repro.core.backends.DEFAULT_BACKEND`) — the one the services run

@@ -73,6 +73,16 @@ row, and ``dead_rows <= max(64, n)`` holds after every ``sync`` and
 ``remove_segment`` — storage stays within ~2x live plus what was
 appended since.
 
+Candidate-count table
+---------------------
+The planner prices a batch from :attr:`BucketIndex.box_counts`, the
+27-cell box sums of the per-cell event counts.  Every mutation updates
+the counts of the cells it touches and records their bounding cell-box;
+the next read of the table recomputes only those boxes, dilated by one
+cell (a box sum reaches one cell), and builds the table whole only when
+none exists yet.  A slide thus costs the table O(arriving + retiring
+cells), not O(cells).
+
 Queries whose locations fall in the same cell share one candidate
 neighbourhood, and :meth:`candidate_runs` exposes every cell's
 27-neighbourhood as ``(start, length)`` runs of storage rows — the
@@ -97,6 +107,16 @@ __all__ = ["BucketIndex"]
 #: contiguous in t are contiguous in the flat cell id, so each row is one
 #: run of the segment's cell-sorted slice.
 _RUNS_PER_SEGMENT = 9
+
+#: Per axis of a 3-D block, the index of every plane but the first and of
+#: every plane but the last: adding one into the other shifts by a cell.
+_PLANE_SHIFTS = tuple(
+    (
+        tuple(slice(1, None) if a == axis else slice(None) for a in range(3)),
+        tuple(slice(None, -1) if a == axis else slice(None) for a in range(3)),
+    )
+    for axis in range(3)
+)
 
 
 class _Segment:
@@ -164,7 +184,8 @@ class BucketIndex:
     __slots__ = (
         "grid", "nx", "ny", "nt", "merge_segment_cap",
         "_coords", "_cells", "_weights", "_size", "_dead",
-        "_segments", "_cell_counts", "_box_counts", "_merge_seq",
+        "_segments", "_cell_counts", "_box_counts", "_stale_boxes",
+        "_stale_cells", "_merge_seq",
         "events_bucketed", "events_retired", "segments_merged",
         "rows_compacted",
     )
@@ -193,6 +214,10 @@ class BucketIndex:
         self._segments: Dict[object, _Segment] = {}
         self._cell_counts = np.zeros(self.n_cells, dtype=np.int64)
         self._box_counts: Optional[np.ndarray] = None  # lazy 27-box table
+        # Cell boxes whose counts changed since the table was last read,
+        # and the cells a patch of them would recompute.
+        self._stale_boxes: List[Tuple[slice, slice, slice]] = []
+        self._stale_cells = 0
         self._merge_seq = 0
         #: Lifetime sync gauges (mirrored into WorkCounter when passed).
         self.events_bucketed = 0
@@ -332,6 +357,33 @@ class BucketIndex:
     # ------------------------------------------------------------------
     # Segment maintenance
     # ------------------------------------------------------------------
+    def _count_cells(self, cells: np.ndarray, sign: int) -> None:
+        """Add ``sign`` per row of ``cells`` (flat ids) to the per-cell
+        counts — O(rows), only the touched cells are written — and, when
+        a box table exists, record the touched cells' bounding cell-box
+        for :attr:`box_counts` to patch.
+
+        Once the recorded patches would recompute as many cells as the
+        table holds, the table is dropped instead and the next read
+        builds it whole: a grid-wide batch degenerates to the full build,
+        and a table nobody reads any more stops collecting patches.
+        """
+        if cells.size == 0:
+            return
+        np.add.at(self._cell_counts, cells, sign)
+        if self._box_counts is None:
+            return
+        shape = (self.nx, self.ny, self.nt)
+        # The box table's entries within one cell of the touched box.
+        box = tuple(
+            slice(max(int(c.min()) - 1, 0), min(int(c.max()) + 2, size))
+            for c, size in zip(np.unravel_index(cells, shape), shape)
+        )
+        self._stale_boxes.append(box)
+        self._stale_cells += math.prod(b.stop - b.start for b in box)
+        if self._stale_cells >= self.n_cells:
+            self._box_counts = None
+
     def _checked_batch(
         self, seg_id: object, coords: np.ndarray,
         weights: Optional[np.ndarray],
@@ -401,8 +453,7 @@ class BucketIndex:
         for col in self._columns():
             col[rows] = col[rows][by_cell]
         self._segments[seg_id] = _Segment(seg_id, start, m)
-        self._cell_counts += np.bincount(cell, minlength=self.n_cells)
-        self._box_counts = None
+        self._count_cells(cell, +1)
         self.events_bucketed += m
         counter.index_events_bucketed += m
 
@@ -415,11 +466,8 @@ class BucketIndex:
         seg = self._segments.pop(seg_id, None)
         if seg is None:
             raise KeyError(f"unknown segment {seg_id!r}")
-        self._cell_counts -= np.bincount(
-            self._cells[seg.start : seg.start + seg.n], minlength=self.n_cells
-        )
+        self._count_cells(self._cells[seg.start : seg.start + seg.n], -1)
         self._dead += seg.n
-        self._box_counts = None
         self.events_retired += seg.n
         counter.index_events_retired += seg.n
         self._repack_if_due(counter)
@@ -439,15 +487,12 @@ class BucketIndex:
         nm = seg.n - kept
         if nm:
             rows = slice(seg.start, seg.start + seg.n)
-            self._cell_counts -= np.bincount(
-                self._cells[rows][~keep], minlength=self.n_cells
-            )
+            self._count_cells(self._cells[rows][~keep], -1)
             for col in self._columns():
                 col[seg.start : seg.start + kept] = col[rows][keep]
             seg.owner = seg.owner[keep]
             seg.n = kept
             self._dead += nm
-            self._box_counts = None
         self.events_retired += nm
         counter.index_events_retired += nm
         return nm
@@ -574,7 +619,7 @@ class BucketIndex:
         self.segments_merged += len(ids)
         counter.index_segments_merged += len(ids)
         # Cell counts are unchanged (same live events), so the planner's
-        # box-sum table stays valid across a merge.
+        # box-sum table needs no patch for a merge.
 
     def stats(self) -> Dict[str, int]:
         """Gauges for serving observability (``repro query --stats``)."""
@@ -663,28 +708,50 @@ class BucketIndex:
             lengths[:, r] = np.where(valid, hi - lo, 0).T
         return starts, lengths
 
+    @staticmethod
+    def _box_sums(counts: np.ndarray) -> np.ndarray:
+        """3-wide box sums of a 3-D count block (cells outside it count
+        as empty): one axis at a time, each plane plus its two
+        neighbours."""
+        box = counts
+        for after, before in _PLANE_SHIFTS:
+            sums = box.copy()
+            sums[after] += box[before]
+            sums[before] += box[after]
+            box = sums
+        return box
+
     @property
     def box_counts(self) -> np.ndarray:
         """``(nx, ny, nt)`` candidate-set size of every home cell.
 
         The 27-neighbourhood box sums of the per-cell counts (maintained
-        incrementally), rebuilt lazily after mutations — O(cells) per
-        rebuild, then a batch's candidate counts are O(m) lookups with no
-        candidate gathering.
+        incrementally).  Built whole — O(cells) — on the first read;
+        after a mutation only the entries within one cell of the cells it
+        touched are recomputed (:meth:`_count_cells` recorded where), so
+        keeping the table across a window slide costs O(arriving +
+        retiring cells).  A batch's candidate counts are then O(m)
+        lookups with no candidate gathering.
         """
+        counts = self._cell_counts.reshape(self.nx, self.ny, self.nt)
         if self._box_counts is None:
-            # 3-wide box sums via padded prefix sums, one axis at a time.
-            box = self._cell_counts.reshape(self.nx, self.ny, self.nt)
-            for axis, size in ((0, self.nx), (1, self.ny), (2, self.nt)):
-                cum = np.concatenate(
-                    [np.zeros_like(box.take([0], axis=axis)),
-                     np.cumsum(box, axis=axis)],
-                    axis=axis,
+            self._box_counts = self._box_sums(counts)
+        else:
+            for box in self._stale_boxes:
+                # The entries in ``box`` read counts one cell further
+                # out; sums at the block's own faces are wrong unless the
+                # face is the grid's, and exactly those are cut off again.
+                halo = tuple(
+                    slice(max(b.start - 1, 0), min(b.stop + 1, size))
+                    for b, size in zip(box, counts.shape)
                 )
-                hi = np.minimum(np.arange(size) + 2, size)
-                lo = np.maximum(np.arange(size) - 1, 0)
-                box = cum.take(hi, axis=axis) - cum.take(lo, axis=axis)
-            self._box_counts = box
+                inner = tuple(
+                    slice(b.start - h.start, b.stop - h.start)
+                    for b, h in zip(box, halo)
+                )
+                self._box_counts[box] = self._box_sums(counts[halo])[inner]
+        self._stale_boxes.clear()
+        self._stale_cells = 0
         return self._box_counts
 
     def candidate_counts(self, queries: np.ndarray) -> np.ndarray:

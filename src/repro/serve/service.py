@@ -281,7 +281,12 @@ class DensityService:
         A static snapshot is stamped with one serial
         :func:`~repro.core.stamping.stamp_batch` (weighted events through
         the engine's weighted mode, normalised by total weight); a live
-        source composes its cached slabs.
+        source composes its units' buffers, stamping first whichever
+        units no earlier read has.  A live source's cold lookup may
+        therefore pay the stamp of every pending unit — up to the whole
+        window when nothing has read a volume since it was fed — which
+        is what :meth:`~repro.analysis.model.CostModel.predict_materialize`
+        (a full PB-SYM build) has always charged the lookup plan.
         """
         self._sync()
         if self._volume is None:
@@ -563,10 +568,14 @@ class DensityService:
         }
         if self._inc is not None:
             # The live source's own slide gauges (slabs dropped vs
-            # straddle restamps — the O(delta) retirement evidence).
+            # straddle survivors re-planned — the O(delta) retirement
+            # evidence) and how many of its units any read has stamped:
+            # 0 of ``units_live`` while every answer comes off the index.
             ic = self._inc.counter
             work["slab_buffers_retired"] = ic.slab_buffers_retired
             work["slab_restamp_points"] = ic.slab_restamp_points
+            work["units_live"] = self._inc.units_live
+            work["units_stamped"] = self._inc.units_stamped
         # Realised-vs-requested ε of the approximate tier: the mean
         # requested budget against the mean realised relative standard
         # error the sampler's own stop rule recorded per query.
@@ -1120,7 +1129,7 @@ class ShardedDensityService:
         """Retire events, routed to their owning shards only.
 
         Ownership is a pure function of the x coordinate, so a removed
-        row always reaches the shard that stamped it.
+        row always reaches the shard that holds it.
         """
         self._check_open()
         self._check_live("remove")

@@ -2,7 +2,8 @@
 
 Each worker process owns one shard's events behind a private
 :class:`~repro.serve.index.BucketIndex` (and, in live mode, a private
-:class:`~repro.core.incremental.IncrementalSTKDE`) and answers requests
+:class:`~repro.core.incremental.IncrementalSTKDE` that holds the window
+and is never asked for a volume, so it never stamps) and answers requests
 over a duplex pipe.  Workers compute **unnormalised partial sums**
 (``norm=1.0``): only the coordinator knows the window's total weight, so
 it applies the ``1 / (W hs^2 ht)`` prefactor after gathering — which is
@@ -129,8 +130,11 @@ class _WorkerState:
 
     def _ensure_live(self) -> IncrementalSTKDE:
         if self.inc is None:
+            # One counter per process: the estimator's slide gauges (and
+            # any stamp, should something ever read a volume here) show
+            # up in the ``stats`` op's ``work``.
             self.inc = IncrementalSTKDE(
-                self.grid, kernel=self.kernel,
+                self.grid, kernel=self.kernel, counter=self.counter,
                 t_slab_voxels=self.t_slab,
                 compute=self.compute,
             )
@@ -184,11 +188,17 @@ class _WorkerState:
         return result.data
 
     def op_stats(self, _payload) -> dict:
-        return {
+        stats = {
             "events": int(self.coords.shape[0]),
             "weight": self.weight(),
             "work": self.counter.as_dict(),
         }
+        if self.inc is not None:
+            # No op of a worker reads a volume, so its window is never
+            # stamped: ``units_stamped`` stays 0, replay included.
+            stats["units_live"] = self.inc.units_live
+            stats["units_stamped"] = self.inc.units_stamped
+        return stats
 
 
 def _worker_main(

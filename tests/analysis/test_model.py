@@ -233,6 +233,26 @@ class TestSlideAndMergePredictors:
         if many.probe_seconds_saved_per_batch > 0:
             assert many.pays_within(many.breakeven_batches + 1)
 
+    def test_recovery_prices_index_inserts_not_stamps(self, grid, machine):
+        """A respawned worker buckets its replayed rows and stamps
+        nothing: spawn + IPC + ``c_qrow`` per row, whatever a stamp of
+        those rows would cost on this grid."""
+        import dataclasses
+
+        pts = make_points(grid, 100, seed=25)
+        m = dataclasses.replace(
+            machine, c_spawn=0.2, c_msg=1e-4, c_qser=1e-7, c_qrow=5e-8
+        )
+        p = CostModel(grid, pts, m).predict_recovery(n_rows=4000, n_batches=4)
+        assert p.spawn_seconds == 0.2
+        assert p.ipc_seconds == pytest.approx(8 * 1e-4 + 4000 * 1e-7)
+        assert p.insert_seconds == pytest.approx(4000 * 5e-8)
+        assert p.seconds == pytest.approx(
+            p.spawn_seconds + p.ipc_seconds + p.insert_seconds)
+        dearer = dataclasses.replace(
+            m, c_point=100 * m.c_point, c_cell=100 * m.c_cell, c_batch=1.0)
+        assert CostModel(grid, pts, dearer).predict_recovery(4000, 4) == p
+
     def test_merge_of_nothing_never_pays(self, grid, machine):
         pts = make_points(grid, 100, seed=24)
         model = CostModel(grid, pts, machine)

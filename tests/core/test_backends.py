@@ -386,6 +386,8 @@ class TestRoles:
         inc = IncrementalSTKDE(grid)
         inc.add(pts.coords)
         assert inc.compute == DEFAULT_BACKEND
+        assert not inc.counter.backend_dispatches  # add() runs no kernel
+        inc.volume()
         assert set(inc.counter.backend_dispatches) == {DEFAULT_BACKEND}
         svc = DensityService(pts, grid)
         svc.query_points(pts.coords[:10], backend="direct")

@@ -137,13 +137,15 @@ class TestRegionCacheReuse:
         rng = np.random.default_rng(20)
         inc = IncrementalSTKDE(grid)
         inc.add(self._time_slab(grid, rng, 0.0, 5.0))
-        assert inc.cached_buffer_cells > 0
-        assert inc.cached_buffer_cells < grid.n_voxels
+        assert inc.cached_buffer_cells == 0  # planned, not stamped
+        inc.volume()
+        assert 0 < inc.cached_buffer_cells < grid.n_voxels
         assert inc.counter.shard_bbox_cells == inc.cached_buffer_cells
 
     def test_full_retirement_reuses_cache(self, grid):
-        """Sliding past a cached batch drops its box; density matches
-        a batch recompute over the survivors."""
+        """Sliding past a cached batch drops its box and keeps the
+        survivor's buffer — the same object, not a restamp; density
+        matches a batch recompute over the survivors."""
         rng = np.random.default_rng(23)
         early = self._time_slab(grid, rng, 0.0, 6.0)
         late = self._time_slab(grid, rng, 12.0, 18.0)
@@ -151,12 +153,19 @@ class TestRegionCacheReuse:
         inc = IncrementalSTKDE(grid)
         inc.add(early)
         inc.add(late)
-        assert inc.cached_buffer_cells > 0
+        inc.volume()
+        assert inc.units_stamped == 2
+        late_buffer = inc._live[1].buffer
+        late_cells = late_buffer.cells
         retired = inc.slide_window(fresh, t_horizon=12.0)
         assert retired == len(early)
+        # early's box went with it; fresh waits for a reader.
+        assert inc.cached_buffer_cells == late_cells
+        assert (inc.units_live, inc.units_stamped) == (2, 1)
         expect = pb_sym(PointSet(np.vstack([late, fresh])), grid)
         np.testing.assert_allclose(inc.volume().data, expect.data,
                                    rtol=1e-10, atol=1e-15)
+        assert inc._live[0].buffer is late_buffer
 
     def test_partial_retirement_restamps_survivors(self, grid):
         """A horizon cutting through a cached batch: the cache is dropped
@@ -166,14 +175,17 @@ class TestRegionCacheReuse:
         fresh = self._time_slab(grid, rng, 20.0, 28.0, n=15)
         inc = IncrementalSTKDE(grid)
         inc.add(straddling)
+        inc.volume()
+        assert inc.cached_buffer_cells > 0
         retired = inc.slide_window(fresh, t_horizon=9.0)
         kept = straddling[straddling[:, 2] >= 9.0]
         assert retired == len(straddling) - len(kept)
         assert inc.n == len(kept) + len(fresh)
-        assert inc.cached_buffer_cells > 0  # survivors re-cached
+        assert inc.cached_buffer_cells == 0  # cache dropped with the cut
         expect = pb_sym(PointSet(np.vstack([kept, fresh])), grid)
         np.testing.assert_allclose(inc.volume().data, expect.data,
                                    rtol=1e-10, atol=1e-15)
+        assert inc.units_stamped == inc.units_live  # survivors re-cached
 
     def test_many_slides_cached_vs_uncached_agree(self, grid):
         """Many slides over the caches agree with the estimator that
@@ -201,8 +213,10 @@ class TestRegionCacheReuse:
         slab = self._time_slab(grid, rng, 0.0, 5.0)
         inc = IncrementalSTKDE(grid)
         inc.add(slab)
+        inc.volume()
         assert inc.cached_buffer_cells > 0
         inc.remove(slab)  # n drops to 0 and the batch is untracked
+        assert inc.cached_buffer_cells == 0
         assert inc.live_coords.shape == (0, 3)
         assert inc.slide_window(np.empty((0, 3)), t_horizon=10.0) == 0
         assert np.allclose(inc.volume().data, 0.0, atol=1e-12)
@@ -222,21 +236,23 @@ class TestRegionCacheReuse:
         )
 
     def test_partial_remove_untracks_and_stays_exact(self, grid):
-        """A batch that loses members via remove() is rebuilt from its
-        survivors — still cached — and keeps serving exact densities,
-        including through a later slide."""
+        """A batch that loses members via remove() is re-planned from
+        its survivors — cached again by the next read — and keeps serving
+        exact densities, including through a later slide."""
         rng = np.random.default_rng(27)
         slab = self._time_slab(grid, rng, 0.0, 5.0)
         inc = IncrementalSTKDE(grid)
         inc.add(slab)
+        inc.volume()
         inc.remove(slab[:10])
         np.testing.assert_array_equal(inc.live_coords, slab[10:])
-        assert inc.cached_buffer_cells > 0
-        assert all(tb.buffer is not None for tb in inc._live)
+        assert all(tb.buffer is None for tb in inc._live)
         ref = pb_sym(PointSet(slab[10:]), grid)
         np.testing.assert_allclose(
             inc.volume().data, ref.data, rtol=1e-9, atol=1e-15
         )
+        assert inc.cached_buffer_cells > 0
+        assert all(tb.buffer is not None for tb in inc._live)
         inc.slide_window(np.empty((0, 3)), t_horizon=10.0)
         assert inc.n == 0
         assert np.allclose(inc.volume().data, 0.0, atol=1e-12)
@@ -351,12 +367,16 @@ class TestBitExactWarmCold:
             rng.uniform(t_lo, t_hi, n),
         ])
 
-    def _slide_many(self, grid, rng, steps=20, win=6):
+    def _slide_many(self, grid, rng, steps=20, win=6, read_every=3):
+        """A long-slid window, read every ``read_every`` slides: its live
+        buffers were stamped by different reads, some units never were."""
         inc = IncrementalSTKDE(grid)
         for step in range(steps):
             batch = self._feed(grid, rng, step, steps, win)
             horizon = max(0.0, (step - win) * grid.domain.gt / (steps + win))
             inc.slide_window(batch, t_horizon=horizon)
+            if step % read_every == 0:
+                inc.volume()
         return inc
 
     @staticmethod
@@ -371,9 +391,17 @@ class TestBitExactWarmCold:
     def test_warm_equals_cold_replay_bitwise(self, grid):
         rng = np.random.default_rng(60)
         warm = self._slide_many(grid, rng)
-        assert all(tb.buffer is not None for tb in warm._live)
+        # Some buffers are warm (kept across slides), one is pending.
+        assert 0 < warm.units_stamped < warm.units_live
         cold = self._cold_replay(grid, warm)
+        assert cold.units_stamped == 0
         np.testing.assert_array_equal(warm.volume().data, cold.volume().data)
+        assert all(tb.buffer is not None for tb in warm._live)
+        # A window nobody read until now composes the same bits.
+        unread = self._slide_many(
+            grid, np.random.default_rng(60), read_every=10**6)
+        assert unread.units_stamped == 0
+        np.testing.assert_array_equal(unread.volume().data, cold.volume().data)
 
     def test_volume_is_pure_function_of_live_membership(self, grid):
         """Two different mutation histories arriving at the same live
@@ -408,9 +436,9 @@ class TestBitExactWarmCold:
         warm.slide_window(self._feed(grid, rng, 12, 12, 5), t_horizon=horizon)
         warm.remove(warm.live_coords[::7])
         assert len(warm.live_batches) > 3
-        assert all(tb.buffer is not None for tb in warm._live)
         cold = self._cold_replay(grid, warm)
         np.testing.assert_array_equal(warm.volume().data, cold.volume().data)
+        assert all(tb.buffer is not None for tb in warm._live)
         np.testing.assert_allclose(
             warm.volume().data, pb_sym(PointSet(warm.live_coords), grid).data,
             rtol=1e-12, atol=1e-16,
@@ -469,11 +497,11 @@ class TestOneLiveState:
         inc.add(inside)
         inc.add(outside)
         assert inc.n == 40 and len(inc.live_batches) == 2
-        assert not inc._live[1].buffer.data.any()
         both = PointSet(np.vstack([inside, outside]))
         np.testing.assert_allclose(
             inc.volume().data, pb_sym(both, grid).data, rtol=1e-12, atol=1e-18
         )
+        assert not inc._live[1].buffer.data.any()
         inc.remove(outside[:5])
         assert inc.n == 35
         np.testing.assert_array_equal(inc.live_coords[20:], outside[5:])
@@ -485,10 +513,12 @@ class TestOneLiveState:
 
     def test_unit_structure_and_kernel_work_match_recorded_history(self):
         """Structure pin: one scripted history at default arguments — a
-        spanning batch, six slides — must plan the same units (ids,
-        order, row counts), hold the same buffer cells and charge the
-        same kernel work as recorded before the accumulator was removed;
-        the ``remove`` that follows rebuilds only the unit it touches."""
+        spanning batch, six slides, each read before the next — must
+        plan the same units (ids, order, row counts), hold the same
+        buffer cells and charge the same kernel work as recorded when
+        every mutation stamped eagerly; the ``remove`` that follows
+        costs only the unit it touches its buffer.  The same history
+        read once, at the end, plans the same units and stamps fewer."""
         grid = GridSpec(DomainSpec.from_voxels(40, 36, 96), hs=2.6, ht=2.2)
         d = grid.domain
         rng = np.random.default_rng(80)
@@ -500,16 +530,22 @@ class TestOneLiveState:
                 rng.uniform(t_lo, t_hi, n),
             ])
 
+        def slide(est, k, feed, read):
+            retired = est.slide_window(feed, t_horizon=7.0 * (k + 1))
+            if read:
+                est.volume()
+            return retired
+
+        first = batch(600, 0.0, 60.0)
+        feeds = [batch(40, 60.0 + 5 * k, 65.0 + 5 * k) for k in range(6)]
         inc = IncrementalSTKDE(grid)
-        inc.add(batch(600, 0.0, 60.0))
+        inc.add(first)
         assert [len(c) for _, c in inc.live_batches] == [
             47, 36, 36, 37, 38, 36, 37, 36, 36, 37, 38, 38, 36, 37, 38, 37]
+        assert inc.cached_buffer_cells == 0
+        inc.volume()
         assert inc.cached_buffer_cells == 55974
-        retired = [
-            inc.slide_window(batch(40, 60.0 + 5 * k, 65.0 + 5 * k),
-                             t_horizon=7.0 * (k + 1))
-            for k in range(6)
-        ]
+        retired = [slide(inc, k, f, True) for k, f in enumerate(feeds)]
         assert retired == [65, 71, 70, 70, 67, 69]
         assert [i for i, _ in inc.live_batches] == [
             27, 12, 13, 14, 15, 16, 18, 20, 22, 24, 26, 28]
@@ -548,7 +584,118 @@ class TestOneLiveState:
             27, 12, 29, 14, 15, 16, 18, 20, 22, 24, 26, 28]
         assert [len(c) for _, c in inc.live_batches] == [
             2, 38, 32, 37, 38, 37, 40, 40, 40, 40, 40, 40]
-        assert all(tb.buffer is not None for tb in inc._live)
+        assert [i for i, tb in enumerate(inc._live) if tb.buffer is None] == [2]
+
+        unread = IncrementalSTKDE(grid)
+        unread.add(first)
+        assert [
+            slide(unread, k, f, False) for k, f in enumerate(feeds)
+        ] == retired
+        unread.remove(unread.live_batches[2][1][:4])
+        assert [
+            (i, c.tobytes()) for i, c in unread.live_batches
+        ] == [(i, c.tobytes()) for i, c in inc.live_batches]
+        assert unread.counter.madds == 0
+        np.testing.assert_array_equal(unread.volume().data, inc.volume().data)
+        # Only the 12 live units were ever stamped: not the expired
+        # slabs, nor the straddle survivors a later slide cut again.
+        assert unread.counter.stamp_batches == 12
+        assert unread.counter.shard_bbox_cells == unread.cached_buffer_cells
+        assert unread.counter.madds < c.madds
+
+
+class TestBuffersAreACache:
+    """Mutations are bookkeeping; a unit's buffer is stamped by the first
+    ``volume()`` that finds it without one, and kept until its
+    membership changes."""
+
+    @staticmethod
+    def _feed(grid, rng, k, n=25):
+        return np.column_stack([
+            rng.uniform(0, grid.domain.gx, n),
+            rng.uniform(0, grid.domain.gy, n),
+            rng.uniform(3.0 * k, 3.0 * k + 3.0, n),
+        ])
+
+    @staticmethod
+    def _kernel_work(inc):
+        c = inc.counter
+        return (c.madds, c.spatial_evals, c.temporal_evals, c.stamp_batches,
+                c.init_writes, c.shard_bbox_cells)
+
+    @pytest.mark.parametrize("t_slab_voxels", ["auto", 4, None])
+    def test_mutations_without_a_read_stamp_nothing(self, grid, t_slab_voxels):
+        rng = np.random.default_rng(90)
+        inc = IncrementalSTKDE(grid, t_slab_voxels=t_slab_voxels)
+        inc.add(make_points(grid, 80, seed=90).coords)  # domain-wide
+        for k in range(6):
+            inc.slide_window(self._feed(grid, rng, k), t_horizon=3.0 * (k - 2))
+            inc.remove(inc.live_coords[::9])
+            inc.add(self._feed(grid, rng, k))
+            assert inc.cached_buffer_cells == 0 and inc.units_stamped == 0
+        assert inc.n > 0 and inc.units_live > 1
+        assert inc.counter.madds == 0
+        assert self._kernel_work(inc) == (0,) * 6
+
+    def test_a_read_stamps_the_pending_units_only(self, grid):
+        rng = np.random.default_rng(91)
+        inc = IncrementalSTKDE(grid)
+        for k in range(4):
+            inc.add(self._feed(grid, rng, k))
+        inc.volume()
+        held = {tb.batch_id: tb.buffer for tb in inc._live}
+        before = self._kernel_work(inc)
+        arrived = [self._feed(grid, rng, k) for k in (4, 5, 6)]
+        for k, feed in zip((4, 5, 6), arrived):
+            inc.slide_window(feed, t_horizon=3.0 * (k - 3))
+        assert self._kernel_work(inc) == before
+        pending = [tb.coords for tb in inc._live if tb.buffer is None]
+        inc.volume()
+        # Units that survived unchanged kept the same buffer object ...
+        survivors = [tb for tb in inc._live if tb.batch_id in held]
+        assert survivors and all(
+            tb.buffer is held[tb.batch_id] for tb in survivors)
+        # ... and the read cost what a fresh estimator pays for the
+        # pending units alone.
+        alone = IncrementalSTKDE(grid, t_slab_voxels=None)
+        for coords in pending:
+            alone.add(coords)
+        alone.volume()
+        spent = tuple(
+            a - b for a, b in zip(self._kernel_work(inc), before))
+        assert spent == self._kernel_work(alone) and spent[0] > 0
+
+    def test_units_minted_and_retired_between_reads_are_never_stamped(
+        self, grid
+    ):
+        rng = np.random.default_rng(92)
+        inc = IncrementalSTKDE(grid)
+        inc.add(self._feed(grid, rng, 6))
+        first = inc.volume().data
+        before = self._kernel_work(inc)
+        gone = self._feed(grid, rng, 0)
+        inc.add(gone)
+        inc.remove(gone[:5])  # re-planned, still pending
+        inc.slide_window(np.empty((0, 3)), t_horizon=3.0)  # and retired
+        short_lived = self._feed(grid, rng, 8)
+        inc.add(short_lived)
+        inc.remove(short_lived)
+        np.testing.assert_array_equal(inc.volume().data, first)
+        assert self._kernel_work(inc) == before
+
+    def test_repeated_read_is_identical_and_stamps_nothing(self, grid):
+        rng = np.random.default_rng(93)
+        inc = IncrementalSTKDE(grid)
+        for k in range(5):
+            inc.slide_window(self._feed(grid, rng, k), t_horizon=3.0 * (k - 2))
+        one = inc.volume().data
+        after_one = self._kernel_work(inc)
+        buffers = [tb.buffer for tb in inc._live]
+        two = inc.volume().data
+        np.testing.assert_array_equal(one, two)
+        assert one is not two
+        assert self._kernel_work(inc) == after_one
+        assert all(a is b.buffer for a, b in zip(buffers, inc._live))
 
 
 class TestWeightedInputsRejected:

@@ -160,6 +160,27 @@ def test_non_finite_events_are_rejected(mutations, entry, bad):
         assert state() == before
 
 
+MALFORMED = (
+    np.zeros((5, 2)), np.zeros(5), np.zeros((5, 4)), np.zeros((2, 5, 3)),
+)
+
+
+@pytest.mark.parametrize("bad", MALFORMED, ids=lambda a: str(a.shape))
+@pytest.mark.parametrize("entry", MUTATIONS)
+def test_malformed_event_batches_are_rejected(mutations, entry, bad):
+    """Anything but ``(n, 3)`` raises before any state changes.  No stamp
+    runs inside a mutation to trip over the shape; when one did, a slide
+    had already retired rows by then, and a 4-column batch was accepted
+    and broke the next ``live_coords``."""
+    mutate, state = mutations[entry]
+    before = state()
+    with pytest.raises(ValueError, match=r"\(n, 3\)"):
+        mutate(bad)
+    # n, version and the tracked batches (ids and rows): the slides'
+    # horizon of 4.0 would have retired rows had the feed been accepted.
+    assert state() == before
+
+
 # ---------------------------------------------------------------------------
 # BucketIndex's own entry points: exported from repro.serve and fed raw
 # arrays by the shard workers, so PointSet's checks never see its input.

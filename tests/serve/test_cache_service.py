@@ -252,6 +252,23 @@ class TestServiceLive:
         svc.query_slice(2, backend="lookup")
         assert svc.stats()["volume_builds"] == 2
 
+    def test_stats_show_whether_anybody_reads_the_buffers(self, small_grid):
+        """``units_stamped`` of ``units_live``: direct answers come off
+        the index and stamp nothing; the first lookup stamps the window,
+        a slide leaves only the arriving unit pending."""
+        pts, inc, svc = self.make_live(small_grid)
+        svc.query_points(voxel_center_queries(small_grid)[0], backend="direct")
+        work = svc.stats()["work"]
+        assert work["units_live"] == inc.units_live > 0
+        assert work["units_stamped"] == 0 and inc.counter.madds == 0
+        svc.query_slice(2, backend="lookup")
+        work = svc.stats()["work"]
+        assert work["units_stamped"] == work["units_live"]
+        fresh = make_points(small_grid, 40, seed=58).coords
+        inc.slide_window(fresh, t_horizon=float("-inf"))
+        work = svc.stats()["work"]
+        assert work["units_live"] - work["units_stamped"] == 1
+
     def test_quiet_slide_keeps_caches_warm(self, small_grid):
         """A tick that retires and adds nothing must not invalidate: the
         dashboard keeps its volume, index, and cache entries."""

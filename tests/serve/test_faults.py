@@ -290,6 +290,56 @@ class TestCrashRecovery:
             assert recovery["restarts_per_shard"][1] == 1
             assert recovery["down_shards"] == []
 
+    def test_live_workers_hold_a_window_and_never_stamp(self):
+        """A live shard worker answers points from its index and regions
+        from raw coordinates; no op reads a volume, so neither the
+        mutations nor a crash's log replay stamp a single cell — which
+        is why ``predict_recovery`` prices index inserts, not stamps."""
+        grid = make_grid()
+        rng = np.random.default_rng(41)
+        span = span_of(grid)
+        seed = rng.uniform(0, span, size=(240, 3))
+        arriving = rng.uniform(0, span, size=(80, 3))
+        arriving[:, 2] = grid.domain.t0 + grid.domain.gt * 0.8
+        horizon = grid.domain.t0 + 3.0
+        queries = rng.uniform(0, span, size=(50, 3))
+        plan = FaultPlan((FaultSpec("crash", shard=1, op="remove"),))
+        with ShardedDensityService(
+            None, grid, workers=2, machine=NOMINAL,
+            fault_plan=plan, restart_backoff_s=0.01,
+        ) as svc:
+            svc.add(seed)
+            svc.slide_window(arriving, horizon)
+            svc.remove(arriving[::4])  # shard 1 dies, respawns, replays
+            assert svc.counter.shard_restarts == 1
+            assert svc.counter.shard_replayed_batches >= 2
+            inc = IncrementalSTKDE(grid)
+            inc.add(seed)
+            inc.slide_window(arriving, horizon)
+            inc.remove(arriving[::4])
+            ref = DensityService(inc, machine=NOMINAL)
+            np.testing.assert_allclose(
+                svc.query_points(queries, backend="sharded"),
+                ref.query_points(queries, backend="direct"),
+                rtol=RTOL, atol=ATOL,
+            )
+            win = (2, 14, 3, 15, 1, 9)
+            np.testing.assert_allclose(
+                svc.query_region(win).data,
+                ref.query_region(win, backend="direct").data,
+                rtol=RTOL, atol=ATOL,
+            )
+            st = svc.stats()
+            assert sum(w["events"] for w in st["workers"]) == inc.n
+            for w in st["workers"]:
+                assert w["units_live"] > 0 and w["units_stamped"] == 0
+                # Unit buffers are the only thing a worker would count
+                # here (the region answer above stamps a scratch window).
+                assert w["work"]["shard_bbox_cells"] == 0
+            # The estimators' own gauges ride the same op (the surviving
+            # shard 0 retired its share of the slide).
+            assert st["work"]["slab_buffers_retired"] > 0
+
     def test_wedged_worker_times_out_and_recovers(self):
         grid = make_grid()
         rng = np.random.default_rng(41)

@@ -10,9 +10,18 @@ every step of a scripted history and of a ``hypothesis`` state machine
 over ``add_segment`` / ``remove_segment`` / ``sync`` /
 ``consolidate_segments``; ``check_answers`` pins the reads (brute-force
 sums, a cold index's candidate sets) on the same states.
+
+The planner's 27-cell box table is part of the format too: mutations
+patch it where they touched it, and ``check_layout`` compares it with a
+from-scratch sum of the 27 neighbours whenever it is asked to read it.
+Reading drains the pending patches, so the state machine switches the
+reads on and off at random and reads once more at the end: a patch list
+drained every step, one never drained, and everything between.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 import pytest
@@ -34,10 +43,25 @@ QUERIES = np.random.default_rng(1).uniform(-1.0, SPAN + 1.0, size=(48, 3))
 EVERY_CELL = [(cx, cy, ct) for cx in range(4) for cy in range(4) for ct in range(4)]
 
 
-def make_batch(rng, m, weighted):
-    """``(coords, weights)``; coarse coordinates, so cells hold ties."""
-    coords = np.round(rng.uniform(0.0, SPAN, size=(m, 3)) * 2.0) / 2.0
+def make_batch(rng, m, weighted, span=SPAN, local=False):
+    """``(coords, weights)``; coarse coordinates, so cells hold ties.
+    ``local`` confines the batch to a random sub-box of the domain (a
+    box-table patch smaller than the grid); otherwise it spans it."""
+    lo, hi = np.zeros(3), span
+    if local:
+        lo, hi = np.sort(rng.uniform(0.0, span, size=(2, 3)), axis=0)
+    coords = np.round(rng.uniform(lo, hi, size=(m, 3)) * 2.0) / 2.0
     return coords, (rng.uniform(0.25, 4.0, m) if weighted else None)
+
+
+def neighbour_sums(idx):
+    """The 27-cell box table from scratch: every neighbour added up."""
+    nx, ny, nt = idx.nx, idx.ny, idx.nt
+    padded = np.pad(idx._cell_counts.reshape(nx, ny, nt), 1)
+    return sum(
+        padded[dx : dx + nx, dy : dy + ny, dt : dt + nt]
+        for dx, dy, dt in product(range(3), repeat=3)
+    )
 
 
 def live_events(model, weighted):
@@ -60,9 +84,10 @@ def candidate_events(index, cell):
     return events[np.lexsort(events.T)]
 
 
-def check_layout(idx, model):
+def check_layout(idx, model, read_table=True):
     """The format invariants of ``idx`` holding exactly ``model``'s
-    batches (``{batch_id: (coords, weights)}``)."""
+    batches (``{batch_id: (coords, weights)}``).  ``read_table=False``
+    leaves the box table (and its pending patches) untouched."""
     size = idx.coords.shape[0]
     segs = list(idx._segments.values())
     assert sum(s.n for s in segs) + idx.dead_rows == size
@@ -107,6 +132,10 @@ def check_layout(idx, model):
         idx._cell_counts,
         np.bincount(idx.cell_of(live), minlength=idx.n_cells),
     )
+    assert idx._cell_counts.sum() == idx.n
+    if read_table:
+        np.testing.assert_array_equal(idx.box_counts, neighbour_sums(idx))
+        assert idx._stale_boxes == [] and idx._stale_cells == 0
 
 
 def check_answers(idx, model):
@@ -174,6 +203,49 @@ def test_scripted_history_keeps_the_layout(weighted):
     assert idx.segment_ids == () and idx.n == 0
 
 
+@pytest.mark.parametrize("voxels, cells", [
+    ((30, 25, 20), (12, 10, 10)),
+    ((10, 10, 8), (4, 4, 4)),
+    ((10, 4, 2), (4, 2, 1)),  # fewer than 3 cells on two axes
+    ((2, 2, 2), (1, 1, 1)),
+])
+def test_box_table_is_patched_where_batches_land(voxels, cells):
+    """A sliding feed of local batches through ``sync`` (merges and
+    repacks on the way), the table read every third step: it always
+    equals the from-scratch neighbour sums.  A batch confined to a few
+    cells of a larger grid is patched into the existing table; one that
+    spans the grid drops the table for the next read to build whole."""
+    grid = GridSpec(DomainSpec.from_voxels(*voxels), hs=2.5, ht=2.0)
+    span = np.array([grid.domain.gx, grid.domain.gy, grid.domain.gt])
+    rng = np.random.default_rng(11)
+    idx = BucketIndex(grid, merge_segment_cap=4)
+    assert (idx.nx, idx.ny, idx.nt) == cells
+    model = {}
+    for step in range(30):
+        model[step] = make_batch(rng, 20, False, span, local=True)
+        model.pop(step - 6, None)
+        idx.sync([(bid, c) for bid, (c, _) in model.items()])
+        check_layout(idx, model, read_table=step % 3 == 0)
+    check_layout(idx, model)
+    assert idx.segments_merged > 0 and idx.rows_compacted > 0
+
+    table = idx.box_counts
+    corner = np.full((5, 3), 0.25)
+    idx.add_segment("corner", corner)
+    model["corner"] = (corner, None)
+    if idx.n_cells > 8:  # the 2x2x2 corner patch is smaller than the grid
+        assert idx._stale_boxes == [(slice(0, 2),) * 3]
+        assert idx.box_counts is table  # patched in place
+    check_layout(idx, model)
+    model["wide"] = make_batch(rng, 200, False, span)
+    idx.add_segment("wide", model["wide"][0])
+    assert idx._box_counts is None  # dropped: the next read builds it whole
+    check_layout(idx, model)
+    idx.remove_segment("wide")
+    del model["wide"]
+    check_layout(idx, model)
+
+
 def test_runs_read_left_to_right_fix_the_candidate_order():
     """Run-order pin: the coordinates ``candidate_runs`` addresses are,
     in order, segment-major, then x, then y, then cell, then member
@@ -215,22 +287,28 @@ class IndexMachine(RuleBasedStateMachine):
     is the dict of live batches."""
 
     @initialize(
-        cap=st.sampled_from([None, 2, 4]), seed=st.integers(0, 2**16)
+        cap=st.sampled_from([None, 2, 4]), seed=st.integers(0, 2**16),
+        read_table=st.booleans(),
     )
-    def start(self, cap, seed):
+    def start(self, cap, seed, read_table):
         self.idx = BucketIndex(GRID, merge_segment_cap=cap)
         self.model = {}
         self.rng = np.random.default_rng(seed)
         self.next_id = 0
+        self.read_table = read_table
 
-    def _new_batch(self, m, weighted):
+    def _new_batch(self, m, weighted, local=False):
         bid, self.next_id = self.next_id, self.next_id + 1
-        self.model[bid] = make_batch(self.rng, m, weighted)
+        self.model[bid] = make_batch(self.rng, m, weighted, local=local)
         return bid
 
-    @rule(m=st.integers(0, 25), weighted=st.booleans())
-    def add_segment(self, m, weighted):
-        bid = self._new_batch(m, weighted)
+    @rule(read_table=st.booleans())
+    def switch_table_reads(self, read_table):
+        self.read_table = read_table
+
+    @rule(m=st.integers(0, 25), weighted=st.booleans(), local=st.booleans())
+    def add_segment(self, m, weighted, local):
+        bid = self._new_batch(m, weighted, local)
         self.idx.add_segment(bid, *self.model[bid])
 
     @precondition(lambda self: any(
@@ -250,7 +328,7 @@ class IndexMachine(RuleBasedStateMachine):
         gone = [bid for bid in self.model if data.draw(st.booleans())]
         retired = sum(len(self.model.pop(bid)[0]) for bid in gone)
         for m in arriving:
-            self._new_batch(m, False)
+            self._new_batch(m, False, local=data.draw(st.booleans()))
         moved = self.idx.sync([(b, c) for b, (c, _) in self.model.items()])
         assert moved == (sum(arriving), retired)
         assert self.idx.dead_rows <= max(64, self.idx.n)
@@ -266,8 +344,12 @@ class IndexMachine(RuleBasedStateMachine):
 
     @invariant()
     def layout_and_answers(self):
-        check_layout(self.idx, self.model)
+        check_layout(self.idx, self.model, self.read_table)
         check_answers(self.idx, self.model)
+
+    def teardown(self):
+        if hasattr(self, "idx"):  # whatever patches are still pending
+            check_layout(self.idx, self.model)
 
 
 TestIndexMachine = IndexMachine.TestCase
