@@ -205,13 +205,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
     print(f"serving n={pts.n}{' (weighted)' if pts.weighted else ''} on "
           f"grid {grid.Gx}x{grid.Gy}x{grid.Gt} "
           f"(backend={args.backend}, compute={args.compute}, {tier})")
-    try:
+    with service:
         if getattr(args, "frontend", False):
             return _run_frontend_ops(args, service, grid)
         return _run_query_ops(args, service, grid)
-    finally:
-        if isinstance(service, ShardedDensityService):
-            service.close()
 
 
 def _run_query_ops(args: argparse.Namespace, service, grid) -> int:
@@ -266,12 +263,10 @@ def _run_query_ops(args: argparse.Namespace, service, grid) -> int:
         import json
 
         print(json.dumps(stats, indent=2, default=str))
-    elif "cache" in stats:
-        print(f"stats: backends={stats['backend_calls']} cache={stats['cache']}")
     else:
         work = stats["work"]
         print(f"stats: backends={stats['backend_calls']} "
-              f"shards={stats['n_shards']} "
+              f"cache={stats['cache']} "
               f"messages={work['shard_messages']} "
               f"rows_shipped={work['shard_rows_shipped']}")
     return 0

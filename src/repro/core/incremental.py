@@ -355,6 +355,19 @@ class IncrementalSTKDE:
             raise ValueError("point coordinates must be finite")
         return coords
 
+    @staticmethod
+    def _coerce_horizon(t_horizon: float) -> float:
+        """A slide's ``t_horizon`` as a float; NaN raises ``ValueError``
+        (every ``t < nan`` is false: the slide would retire nothing and a
+        replay log truncated to ``t >= nan`` would keep nothing).  ``±inf``
+        are legal.  Every ``slide_window`` — this estimator's, a service's,
+        the sharded coordinator's — checks here, before any state changes.
+        """
+        t_horizon = float(t_horizon)
+        if t_horizon != t_horizon:
+            raise ValueError("t_horizon must not be NaN")
+        return t_horizon
+
     def add(self, points: PointSet | np.ndarray) -> None:
         """Insert events: plan them into units, O(batch) bookkeeping.
 
@@ -385,10 +398,6 @@ class IncrementalSTKDE:
         coords = self._coerce_unweighted(points)
         if coords.size == 0:
             return
-        if len(coords) > self._n:
-            raise ValueError(
-                f"cannot remove {len(coords)} events; only {self._n} present"
-            )
         drops = self._match_live(coords)
         kept: List[_TrackedBatch] = []
         for tb, drop in zip(self._live, drops):
@@ -410,6 +419,10 @@ class IncrementalSTKDE:
         indistinguishable.  Pure: raises ``ValueError`` when a row finds
         no live occurrence; the caller mutates only afterwards.
         """
+        if len(coords) > self._n:
+            raise ValueError(
+                f"cannot remove {len(coords)} events; only {self._n} present"
+            )
         uniq, counts = np.unique(_row_keys(coords), return_counts=True)
         remaining = len(coords)
         drops: List[Optional[np.ndarray]] = []
@@ -454,8 +467,9 @@ class IncrementalSTKDE:
         is the arriving batch plus one straddle slab, not every survivor
         of a partially-expired batch.
         """
-        # Reject a malformed feed before anything is retired.
+        # Reject a malformed feed or horizon before anything is retired.
         new_points = self._coerce_unweighted(new_points)
+        t_horizon = self._coerce_horizon(t_horizon)
         retired = 0
         kept: List[_TrackedBatch] = []
         for tb in self._live:

@@ -13,13 +13,18 @@ volumes or the raw events:
   volume-lookup through the Section 6.5 cost model, per batch;
 * :class:`~repro.serve.cache.QueryCache` — version-keyed LRU over results,
   invalidated by live-source mutations (``slide_window``);
-* :class:`~repro.serve.service.DensityService` — the facade tying them
-  together (also exposed as ``repro query`` on the CLI);
-* :class:`~repro.serve.shard.ShardPlan` /
-  :class:`~repro.serve.worker.ShardWorker` /
-  :class:`~repro.serve.service.ShardedDensityService` — the
-  multi-process sharded tier: shard-owning workers answering
-  scatter/gather fan-out (``repro serve --workers N``);
+* :class:`~repro.serve.shard.Shard` — one disjoint subset of the events
+  (static snapshot or live window) behind its index, answering kernel
+  sums at points and stamped regions with the prefactor as an argument;
+* :class:`~repro.serve.service.DensityService` — the one service: hosts
+  a shard in process and owns the request skeleton (validation,
+  prefactor, planner, cache, stats, the mutation surface; ``repro query``
+  on the CLI);
+* :class:`~repro.serve.service.ShardedDensityService` — the same service
+  plus a sharded arm: one :class:`~repro.serve.worker.ShardWorker`
+  process per shard of a :class:`~repro.serve.shard.ShardPlan`, each
+  hosting the same ``Shard`` class and returning unnormalised partials
+  the coordinator adds (``repro serve --workers N``);
 * :class:`~repro.serve.frontend.TrafficFrontend` — the asyncio traffic
   front end: coalesces concurrent point requests into cohort batches,
   schedules lanes by critical ratio, sheds past a cost-priced admission
@@ -56,7 +61,7 @@ from .frontend import Overloaded, TrafficFrontend
 from .index import BucketIndex
 from .planner import QueryPlan, QueryPlanner, ScatterPlan
 from .service import DensityService, ShardedDensityService
-from .shard import ShardPlan, plan_shards
+from .shard import Shard, ShardPlan, plan_shards
 from .supervisor import ShardLog, ShardSupervisor
 from .worker import ShardWorker
 
@@ -74,6 +79,7 @@ __all__ = [
     "RegionResult",
     "ScatterPlan",
     "ServeError",
+    "Shard",
     "ShardDown",
     "ShardFailed",
     "ShardLog",

@@ -62,6 +62,7 @@ __all__ = [
     "direct_sum",
     "sample_volume",
     "slab_dispatches",
+    "uniform_candidates",
     "direct_region",
     "region_view",
     "slice_window",
@@ -117,6 +118,19 @@ def slab_dispatches(pairs: int) -> int:
     the cap, over it.
     """
     return max(1, -(-int(pairs) // _QUERY_SLAB_PAIRS))
+
+
+def uniform_candidates(grid: GridSpec, n_events: int, n_queries: int) -> int:
+    """Candidate pairs of ``n_queries`` rows if events were uniform: the
+    27-cell (one-bandwidth) neighbourhood's share of the domain, times the
+    events.  What a scatter plan or an admission price is made from where
+    no index can be walked."""
+    d = grid.domain
+    vol = d.gx * d.gy * d.gt
+    if vol <= 0.0 or n_events == 0:
+        return 0
+    frac = min(1.0, (27.0 * grid.hs * grid.hs * grid.ht) / vol)
+    return int(n_queries * n_events * frac)
 
 
 def _home_cell_runs(

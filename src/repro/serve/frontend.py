@@ -66,7 +66,12 @@ import numpy as np
 
 from ..core.grid import VoxelWindow
 from ..core.instrument import LatencyHistogram, WorkCounter
-from .engine import RegionResult, slice_window, validate_queries
+from .engine import (
+    RegionResult,
+    slice_window,
+    uniform_candidates,
+    validate_queries,
+)
 from .errors import CircuitOpen, ServeError, ShardFailed
 
 __all__ = ["TrafficFrontend", "Overloaded"]
@@ -147,8 +152,9 @@ class TrafficFrontend:
     Parameters
     ----------
     service:
-        The wrapped :class:`DensityService` or
-        :class:`ShardedDensityService`.  All calls into it are
+        The wrapped :class:`DensityService` (in process or sharded: one
+        surface — ``counter``, ``events``, ``plan``, ``index_segments``,
+        ``slide_window`` are plain attributes of it).  All calls into it are
         serialized through a single-worker executor — the concurrency
         lives in the coalescer, not in racing service calls.
     max_delay_ms:
@@ -219,10 +225,7 @@ class TrafficFrontend:
         self.mutation_deadline = mutation_deadline_ms / 1e3
         self.breaker_cooldown = breaker_cooldown_ms / 1e3
         self.retry_window = retry_window_ms / 1e3
-        self.counter = (
-            counter if counter is not None
-            else getattr(service, "counter", None) or WorkCounter()
-        )
+        self.counter = counter if counter is not None else service.counter
         self.latency = LatencyHistogram()
         self._batch_rows_hist: Dict[int, int] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -318,30 +321,17 @@ class TrafficFrontend:
 
     async def _refresh_gauges(self) -> None:
         """Re-read event count / index segments used by admission pricing."""
-        def read():
-            events = int(getattr(self.service, "events", 0))
-            index = getattr(self.service, "index", None)
-            segments = index().segment_count if callable(index) else 1
-            return events, max(1, segments)
-
-        self._events, self._segments = await self._call(read)
+        self._events, self._segments = await self._call(
+            lambda: (
+                self.service.events, max(1, self.service.index_segments)
+            )
+        )
 
     # ------------------------------------------------------------------
     # Admission pricing (predicted cost units)
     # ------------------------------------------------------------------
-    def _est_candidates(self, m: int) -> int:
-        """The coordinator's uniform-density candidate estimate (27-cell
-        one-bandwidth neighbourhood fraction of the domain)."""
-        g = self.service.grid
-        d = g.domain
-        vol = d.gx * d.gy * d.gt
-        if vol <= 0.0 or self._events == 0:
-            return 0
-        frac = min(1.0, (27.0 * g.hs * g.hs * g.ht) / vol)
-        return int(m * self._events * frac)
-
     def _price_points(self, m: int, eps: Optional[float]) -> float:
-        cand = self._est_candidates(m)
+        cand = uniform_candidates(self.service.grid, self._events, m)
         if eps is not None:
             raw = self._model.predict_approx_query(
                 m, cand, eps, n_segments=self._segments
@@ -435,8 +425,8 @@ class TrafficFrontend:
         anything else (regions, unsharded services) gates on any open
         breaker — conservative, but correct.
         """
-        plan = getattr(self.service, "plan", None)
-        if xs is None or plan is None or not hasattr(plan, "scatter_spans"):
+        plan = self.service.plan
+        if xs is None or plan is None:
             return tuple(open_ids)
         lo, hi = plan.scatter_spans(np.ascontiguousarray(xs))
         return tuple(
@@ -549,8 +539,9 @@ class TrafficFrontend:
     async def slide_window(self, new_points, t_horizon: float) -> None:
         """Slide the served window: retire events before ``t_horizon``,
         add ``new_points``.  Mutations drain FIFO, in version order."""
-        target = self._mutation_target()
-        await self.mutate(lambda: target(new_points, t_horizon))
+        await self.mutate(
+            lambda: self.service.slide_window(new_points, t_horizon)
+        )
 
     async def mutate(self, fn) -> object:
         """Run an arbitrary mutation against the service thread via the
@@ -567,17 +558,6 @@ class TrafficFrontend:
         self._ready.append(item)
         self._wake.set()
         return await item.fut
-
-    def _mutation_target(self):
-        slide = getattr(self.service, "slide_window", None)
-        if slide is not None:
-            return slide
-        source = getattr(self.service, "source", None)
-        if source is not None and hasattr(source, "slide_window"):
-            return source.slide_window
-        raise RuntimeError(
-            "the wrapped service has no live source to slide"
-        )
 
     # ------------------------------------------------------------------
     # Stats

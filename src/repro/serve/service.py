@@ -1,21 +1,31 @@
-"""DensityService: the query-serving facade.
+"""One service: :class:`DensityService`, hosted in process or sharded.
 
-One object that answers *point*, *slice*, and *region* density queries
-against either a static event snapshot (:class:`~repro.core.grid.PointSet`)
-or a live sliding window (:class:`~repro.core.incremental.IncrementalSTKDE`),
-choosing the physical plan per batch:
+A normalised sum of kernel stamps over disjoint event subsets can be taken
+subset by subset and added; the serving tier is that fact applied to
+queries.  A :class:`~repro.serve.shard.Shard` holds one subset behind its
+index and returns kernel sums over it; whoever knows the total weight
+``W`` supplies the prefactor ``1 / (W hs^2 ht)`` — as an *argument*, never
+a post-multiply (see :mod:`repro.serve.shard`).
 
-* **direct-sum** — walk the :class:`~repro.serve.index.BucketIndex` and
-  evaluate the estimator definition at the query (exact, O(neighbours),
-  no volume, honours event weights);
-* **volume-lookup** — trilinear sample (points) or zero-copy view
-  (slices/regions) of a lazily materialised volume (O(1) per query after
-  the build);
-* **approx** — ε-budgeted importance sampling over the index's CSR runs
-  (:func:`~repro.serve.engine.approx_sum`), available only when the
-  request carries an error budget (``query_points(..., eps=0.1)``);
-  ``eps=None`` — the default everywhere — keeps the service exact and
-  bit-identical to a service without the approximate tier.
+* :class:`DensityService` hosts **one shard in process** — the one-subset
+  partition — and owns the request skeleton: constructor and request
+  validation, the prefactor, backend resolution, the planner and its
+  machine model, the plan tally, the result cache, the ``stats()`` frame
+  and the ``add`` / ``remove`` / ``slide_window`` mutation surface.
+* :class:`ShardedDensityService` **is** a :class:`DensityService` and adds
+  only what differs: spawn and supervise one worker process per shard
+  (each hosting the same ``Shard`` class, :mod:`repro.serve.worker`),
+  partition and route, scatter / gather of **unnormalised** partials with
+  degraded reads, merged worker stats, ``close``.  Its ``local`` arm is
+  the inherited in-process path; the scatter arm has no result cache.
+
+In process, each batch is answered by one of the three physical plans of
+:mod:`repro.serve.engine`: **direct-sum** over the bucket index (exact,
+no volume), **volume-lookup** of a lazily materialised volume (O(1) per
+query after the build), or **approx** — only when the request carries an
+error budget (``query_points(..., eps=0.1)``); ``eps=None``, the default
+everywhere, keeps the service exact and bit-identical to a service
+without the approximate tier.
 
 The :class:`~repro.serve.planner.QueryPlanner` prices the plans through
 the Section 6.5 cost model; ``backend="direct"``/``"lookup"`` (or
@@ -35,7 +45,7 @@ Example::
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -50,20 +60,18 @@ from ..parallel.executors import resolve_shard_count
 from .cache import QueryCache, digest_queries
 from .engine import (
     RegionResult,
-    approx_sum,
-    direct_region,
-    direct_sum,
     region_view,
     sample_volume,
     slab_dispatches,
     slice_window,
+    uniform_candidates,
     validate_queries,
 )
 from .index import BucketIndex
-from .errors import PartialResult
+from .errors import PartialResult, ShardFailed
 from .faults import FaultPlan
-from .planner import QueryPlan, QueryPlanner, ScatterPlan
-from .shard import ShardPlan, plan_shards
+from .planner import QueryPlanner
+from .shard import Shard, ShardPlan, plan_shards
 from .supervisor import ShardSupervisor
 from .worker import ShardWorker
 
@@ -89,7 +97,9 @@ class DensityService:
         the live estimator's kernel (checked).
     backend:
         Default physical plan: ``"auto"`` (planner decides per batch),
-        ``"direct"``, or ``"lookup"``.  Per-call ``backend=`` overrides.
+        ``"direct"``, ``"lookup"``, or ``"approx"`` — which pins the
+        sampler for requests that carry an ``eps`` and means ``"auto"``
+        for every other.  Per-call ``backend=`` overrides.
     compute:
         Registered name of the compute backend (:mod:`repro.core.backends`)
         every kernel sum, region stamp and volume build runs on — a pin.
@@ -107,6 +117,11 @@ class DensityService:
         trade.
     """
 
+    #: What ``backend=`` may pin besides ``"auto"``.
+    _BACKENDS: Tuple[str, ...] = ("direct", "lookup", "approx")
+    #: The :class:`ShardPlan` scattered reads follow; ``None`` in process.
+    plan: Optional[ShardPlan] = None
+
     def __init__(
         self,
         source: Source,
@@ -120,9 +135,9 @@ class DensityService:
         counter: Optional[WorkCounter] = None,
         index_merge_cap: Optional[int] = 16,
     ) -> None:
-        if backend not in ("auto", "direct", "lookup", "approx"):
+        if backend != "auto" and backend not in self._BACKENDS:
             raise ValueError(
-                f"backend must be 'auto', 'direct', 'lookup' or 'approx', "
+                f"backend must be 'auto' or one of {self._BACKENDS}, "
                 f"got {backend!r}"
             )
         if isinstance(index_merge_cap, str):
@@ -133,16 +148,15 @@ class DensityService:
         self.kernel = get_kernel(kernel)
         self.backend = backend
         #: Name of the compute backend every kernel sum and stamp of this
-        #: service runs on; resolved here so unknown names fail fast.
+        #: service (and of its workers) runs on; resolved here so unknown
+        #: names fail fast, before any process is spawned.
         self.compute = get_backend(compute).name
         self.index_merge_cap = index_merge_cap
         self.cache = cache if cache is not None else QueryCache()
         self.counter = counter if counter is not None else WorkCounter()
         self._machine = machine
-        self._inc: Optional[IncrementalSTKDE] = None
-        self._static_coords: Optional[np.ndarray] = None
-        self._static_weights: Optional[np.ndarray] = None
-        if isinstance(source, IncrementalSTKDE):
+        self._live = isinstance(source, IncrementalSTKDE)
+        if self._live:
             if grid is not None and grid is not source.grid:
                 raise ValueError("grid is taken from the live estimator")
             if source.kernel.name != self.kernel.name:
@@ -150,28 +164,26 @@ class DensityService:
                     f"service kernel {self.kernel.name!r} disagrees with the "
                     f"estimator's {source.kernel.name!r}"
                 )
-            self.grid = source.grid
-            self._inc = source
-        else:
-            if grid is None:
-                raise ValueError("static sources require an explicit grid")
+            grid = source.grid
+        elif grid is None:
+            raise ValueError("static sources require an explicit grid")
+        self.grid = grid
+        #: The events served in process, behind their index.
+        self._shard = Shard(
+            grid, self.kernel, merge_cap=index_merge_cap,
+            compute=self.compute, counter=self.counter,
+            inc=source if self._live else None,
+        )
+        if not self._live:
             pts = source if isinstance(source, PointSet) else PointSet(source)
-            self.grid = grid
-            self._static_coords = pts.coords
-            self._static_weights = pts.weights
-        # Lazily built, re-synced on version change.
-        self._index: Optional[BucketIndex] = None
+            self._shard.load_static(pts.coords, pts.weights)
+        # Lazily built, dropped when the version moves.
         self._volume: Optional[np.ndarray] = None
         self._planner: Optional[QueryPlanner] = None
-        self._live_coords: Optional[np.ndarray] = None
         self._synced_version: Optional[int] = None
-        self._backend_calls: Dict[str, int] = {
-            "direct": 0, "lookup": 0, "approx": 0,
-        }
+        self._backend_calls = dict.fromkeys(DensityService._BACKENDS, 0)
         self._plan_decisions: Dict[str, int] = {}
-        # Realised-vs-requested ε accounting of the approximate tier.
         self._eps_requested_sum = 0.0
-        self._approx_stats: Dict[str, float] = {}
         self._volume_builds = 0
         self._volume_build_backend: Optional[str] = None
 
@@ -181,25 +193,22 @@ class DensityService:
     @property
     def version(self) -> int:
         """Dataset version currently served (0 forever for static sources)."""
-        return self._inc.version if self._inc is not None else 0
+        return self._shard.inc.version if self._live else 0
 
     @property
     def weighted(self) -> bool:
         """Whether the served events carry non-uniform weights."""
-        return self._static_weights is not None
+        return self._shard.weights is not None
 
     @property
     def events(self) -> int:
         """Number of events currently served (live: the window's size)."""
-        return int(self._coords().shape[0])
+        return int(self._shard.coords.shape[0])
 
     @property
-    def source(self):
-        """The live :class:`IncrementalSTKDE` behind this service, or
-        ``None`` for static snapshots — how mutation-routing layers (the
-        traffic front end) reach ``slide_window`` without reaching into
-        privates."""
-        return self._inc
+    def index_segments(self) -> int:
+        """Segments a point probe walks in the index it is answered from."""
+        return self.index().segment_count
 
     @property
     def volume_ready(self) -> bool:
@@ -207,24 +216,10 @@ class DensityService:
         self._sync()
         return self._volume is not None
 
-    def _coords(self) -> np.ndarray:
-        """Current event coordinates (live sources cached per version —
-        ``live_coords`` concatenates every tracked batch on each call)."""
-        if self._inc is None:
-            return self._static_coords  # type: ignore[return-value]
-        self._sync()
-        if self._live_coords is None:
-            self._live_coords = self._inc.live_coords
-        return self._live_coords
-
-    def _norm(self) -> float:
-        """Estimator prefactor ``1 / (W hs^2 ht)`` (0 for an empty window)."""
-        if self._inc is not None:
-            w = float(self._inc.n)
-        elif self._static_weights is not None:
-            w = float(self._static_weights.sum())
-        else:
-            w = float(self._static_coords.shape[0])  # type: ignore[union-attr]
+    def _norm(self, weight: Optional[float] = None) -> float:
+        """Estimator prefactor ``1 / (W hs^2 ht)`` for total weight ``W``
+        (default: the events served in process); 0 for an empty window."""
+        w = self._shard.weight() if weight is None else weight
         if w <= 0.0:
             return 0.0
         return 1.0 / (w * self.grid.hs * self.grid.hs * self.grid.ht)
@@ -234,46 +229,25 @@ class DensityService:
 
         The ``slide_window`` invalidation wiring: a version change drops
         the materialised volume and every stale cache entry before the
-        next query is answered.  The bucket index is **not** dropped — it
-        reconciles against the estimator's tracked batches
-        (:meth:`BucketIndex.sync`), appending segments for arriving
-        batches and retiring departed ones, so keeping it warm across
-        versions costs O(changed batches) instead of an O(n) rebuild.
+        next query is answered.  The bucket index is **not** dropped —
+        the shard reconciles it in O(changed batches)
+        (:meth:`~repro.serve.shard.Shard.sync`).
         """
         v = self.version
-        if v == self._synced_version:
-            return
-        if self._index is not None and self._inc is not None:
-            self._index.sync(self._inc.live_batches, counter=self.counter)
-        self._volume = None
-        self._planner = None
-        self._live_coords = None
-        self.cache.drop_stale(v)
-        self._synced_version = v
+        if v != self._synced_version:
+            self._shard.sync()
+            self._volume = None
+            self._planner = None
+            self.cache.drop_stale(v)
+            self._synced_version = v
 
     # ------------------------------------------------------------------
     # Derived structures
     # ------------------------------------------------------------------
     def index(self) -> BucketIndex:
-        """The bucket index over the current events (built lazily).
-
-        Live sources register one CSR segment per tracked batch, so the
-        index stays incrementally maintainable across window slides.
-        """
+        """The bucket index over the current events (built lazily)."""
         self._sync()
-        if self._index is None:
-            if self._inc is not None:
-                self._index = BucketIndex(
-                    self.grid, merge_segment_cap=self.index_merge_cap
-                )
-                self._index.sync(self._inc.live_batches, counter=self.counter)
-            else:
-                self._index = BucketIndex(
-                    self.grid, self._coords(), self._static_weights,
-                    counter=self.counter,
-                    merge_segment_cap=self.index_merge_cap,
-                )
-        return self._index
+        return self._shard.index()
 
     def materialize(self) -> Volume:
         """Force-build (or fetch) the volume backing the lookup plan.
@@ -286,27 +260,33 @@ class DensityService:
         therefore pay the stamp of every pending unit — up to the whole
         window when nothing has read a volume since it was fed — which
         is what :meth:`~repro.analysis.model.CostModel.predict_materialize`
-        (a full PB-SYM build) has always charged the lookup plan.
+        (a full PB-SYM build) has always charged the lookup plan.  No
+        index is built here.
         """
         self._sync()
         if self._volume is None:
-            if self._inc is not None:
-                self._volume = self._inc.volume().data
+            if self._live:
+                self._volume = self._shard.inc.volume().data
                 self._volume_build_backend = "incremental"
             else:
                 vol = self.grid.allocate()
                 self.counter.init_writes += vol.size
-                coords = self._coords()
+                coords = self._shard.coords
                 if coords.shape[0]:
                     stamp_batch(
                         vol, self.grid, self.kernel, coords,
                         self._norm(), self.counter,
-                        weights=self._static_weights, compute=self.compute,
+                        weights=self._shard.weights, compute=self.compute,
                     )
                     self._volume_build_backend = "stamp"
                 self._volume = vol
             self._volume_builds += 1
         return Volume(self._volume, self.grid)
+
+    def _calibrate(self) -> MachineModel:
+        from .calibrate import calibrate_serving
+
+        return calibrate_serving()
 
     def planner(self) -> QueryPlanner:
         """The query planner (calibrates the machine model on first use).
@@ -317,11 +297,9 @@ class DensityService:
         self._sync()
         if self._planner is None:
             if self._machine is None:
-                from .calibrate import calibrate_serving
-
-                self._machine = calibrate_serving()
+                self._machine = self._calibrate()
             model = CostModel(
-                self.grid, PointSet(self._coords()), self._machine
+                self.grid, PointSet(self._shard.coords), self._machine
             )
             self._planner = QueryPlanner(model)
         return self._planner
@@ -331,17 +309,18 @@ class DensityService:
     ) -> Tuple[Optional[str], Optional[str]]:
         """``(pinned_backend, why)``; ``(None, None)`` = planner's choice.
 
-        Weighted events are no longer pinned to the direct path: the
-        engine's weighted stamp mode materialises ``sum w_i k / (W hs^2
-        ht)`` volumes, so the planner prices both backends for them too.
         ``"approx"`` is pinnable only alongside an ``eps`` — without a
-        budget there is no approximate plan to force.
+        budget there is no approximate plan to force, so a per-call
+        ``"approx"`` raises and a service default of it stands aside.
         """
         choice = backend if backend is not None else self.backend
-        if choice == "auto":
+        if choice == "auto" or (
+            choice == "approx" and backend is None and eps is None
+        ):
             return None, None
-        allowed = ("direct", "lookup", "approx") if eps is not None \
-            else ("direct", "lookup")
+        allowed = tuple(
+            b for b in self._BACKENDS if b != "approx" or eps is not None
+        )
         if choice not in allowed:
             raise ValueError(
                 f"backend must be 'auto' or one of {allowed}, got {choice!r}"
@@ -359,6 +338,7 @@ class DensityService:
         eps: Optional[float] = None,
         seed: int = 0,
         plan_out: Optional[list] = None,
+        **arm,
     ) -> np.ndarray:
         """Densities at ``(m, 3)`` query locations.
 
@@ -367,8 +347,9 @@ class DensityService:
         importance-sampling backend wherever the planner prices it below
         both exact plans (``seed`` fixes its sample stream — same batch,
         same budget, same seed is bit-reproducible).  ``plan_out``, when
-        a list, receives the :class:`QueryPlan` used — observability
-        without changing the return type.
+        a list, receives the plan used — observability without changing
+        the return type.  ``arm`` carries a host's own read options (the
+        sharded tier's ``on_shard_failure``).
         """
         self._sync()
         q = np.ascontiguousarray(validate_queries(queries))
@@ -376,7 +357,15 @@ class DensityService:
             raise ValueError(f"eps must be positive or None, got {eps!r}")
         if q.shape[0] == 0:
             return np.empty(0, dtype=np.float64)
-        force, force_reason = self._resolve_backend(backend, eps)
+        force, why = self._resolve_backend(backend, eps)
+        return self._answer_points(q, force, why, eps, seed, plan_out, **arm)
+
+    def _answer_points(
+        self, q: np.ndarray, force: Optional[str], why: Optional[str],
+        eps: Optional[float], seed: int, plan_out: Optional[list],
+    ) -> np.ndarray:
+        """A validated batch answered in process: cache, plan, one of
+        direct / lookup / approx over the hosted shard."""
         # Cache before planning: a hit must not pay the planner's O(n)
         # estimates.  Off voxel centers the two backends differ (exact vs
         # interpolated), so auto mode keys its own entries — a repeated
@@ -385,8 +374,6 @@ class DensityService:
         # error-budget policy is part of the key: an exact request can
         # never alias an approximate result for the same batch (nor one
         # sampled under a different budget or seed).
-        digest = digest_queries(q)
-        cache_tag = force if force is not None else "auto"
         eps_key: Tuple = (
             ("exact",) if eps is None else ("eps", float(eps), int(seed))
         )
@@ -394,42 +381,35 @@ class DensityService:
         # rtol=1e-12, so a shared cache must never serve one backend's
         # ulps for another's request.
         key = QueryCache.make_key(
-            self.version, "points", cache_tag, self.compute, digest, *eps_key
+            self.version, "points", force if force is not None else "auto",
+            self.compute, digest_queries(q), *eps_key,
         )
         cached = self.cache.get(key)
         if cached is not None and plan_out is None:
             return cached
-        plan = self.planner().plan_points(
-            self.index(), q, volume_ready=self._volume is not None,
-            eps=eps, force=force, force_reason=force_reason,
-            compute=self.compute,
-        ) if force is None or plan_out is not None else None
-        if plan is not None:
-            self._record_plan(plan)
-            if plan_out is not None:
-                plan_out.append(plan)
+        if force is None or plan_out is not None:
+            plan = self.planner().plan_points(
+                self.index(), q, volume_ready=self._volume is not None,
+                eps=eps, force=force, force_reason=why,
+                compute=self.compute,
+            )
+            self._record_plan("points", plan, plan_out)
+            force = plan.backend
         if cached is not None:
             return cached
-        chosen = plan.backend if plan is not None else force
-        if chosen == "approx":
-            out = approx_sum(
-                self.index(), q, self.kernel, self._norm(), self.counter,
-                eps=float(eps), seed=seed, stats_out=self._approx_stats,
-                compute=self.compute,
-            )
-            self.counter.queries_approx += q.shape[0]
-            self._eps_requested_sum += float(eps) * q.shape[0]
-        elif chosen == "direct":
-            out = direct_sum(
-                self.index(), q, self.kernel, self._norm(), self.counter,
-                compute=self.compute,
-            )
-            self.counter.queries_exact += q.shape[0]
-        else:
+        if force == "lookup":
             out = sample_volume(self.materialize().data, self.grid, q)
             out = self._patch_off_domain(q, out)
+        else:
+            out = self._shard.points(
+                q, self._norm(), eps if force == "approx" else None, seed
+            )
+        if force == "approx":
+            self.counter.queries_approx += q.shape[0]
+            self._eps_requested_sum += float(eps) * q.shape[0]
+        else:
             self.counter.queries_exact += q.shape[0]
-        self._backend_calls[chosen] += 1
+        self._backend_calls[force] += 1
         out.flags.writeable = False
         self.cache.put(key, out, out.nbytes)
         return out
@@ -452,10 +432,7 @@ class DensityService:
         )
         if outside.any():
             out = out.copy()
-            out[outside] = direct_sum(
-                self.index(), q[outside], self.kernel, self._norm(),
-                self.counter, compute=self.compute,
-            )
+            out[outside] = self._shard.points(q[outside], self._norm())
         return out
 
     def query_slice(
@@ -476,7 +453,8 @@ class DensityService:
         Lookup plans return a **view** of the materialised volume (zero
         copy); direct plans stamp a fresh
         :class:`~repro.core.regions.RegionBuffer` covering only the
-        window.  Both are read-only and cache-shared.
+        window.  Both are read-only and cache-shared.  ``plan_out``
+        receives the :class:`QueryPlan` when one is made.
         """
         self._sync()
         if not isinstance(window, VoxelWindow):
@@ -484,8 +462,15 @@ class DensityService:
         window = window.intersect(self.grid.full_window())
         if window.empty:
             raise ValueError(f"region window is empty on this grid: {window}")
-        force, force_reason = self._resolve_backend(backend)
-        # Cache before planning (see query_points): hits skip the
+        force, why = self._resolve_backend(backend)
+        return self._answer_region(window, force, why, plan_out)
+
+    def _answer_region(
+        self, window: VoxelWindow, force: Optional[str], why: Optional[str],
+        plan_out: Optional[list],
+    ) -> RegionResult:
+        """A clipped window answered in process: cache, plan, stamp or view."""
+        # Cache before planning (see _answer_points): hits skip the
         # planner's O(n) region estimate entirely.  Unlike point queries,
         # region extracts are bit-identical across backends (both are the
         # stamped grid values), so auto mode may reuse any variant.
@@ -497,40 +482,69 @@ class DensityService:
         )
         if cached is not None and plan_out is None:
             return cached
-        plan = self.planner().plan_region(
-            window, volume_ready=self._volume is not None,
-            force=force, force_reason=force_reason,
-        ) if force is None or plan_out is not None else None
-        if plan is not None:
-            self._record_plan(plan)
-            if plan_out is not None:
-                plan_out.append(plan)
+        if force is None or plan_out is not None:
+            plan = self.planner().plan_region(
+                window, volume_ready=self._volume is not None,
+                force=force, force_reason=why,
+            )
+            self._record_plan("region", plan, plan_out)
+            force = plan.backend
         if cached is not None:
             return cached
-        chosen = plan.backend if plan is not None else force
-        if chosen == "direct":
-            result = direct_region(
-                self.grid, self.kernel, self._coords(), window,
-                self._norm(), self.counter, weights=self._static_weights,
-                compute=self.compute,
-            )
+        if force == "direct":
+            result = self._shard.region(window, self._norm())
         else:
             result = region_view(self.materialize().data, window)
-        self._backend_calls[chosen] += 1
+        self._backend_calls[force] += 1
         # Views alias the materialised volume: no extra payload bytes.
         self.cache.put(
-            QueryCache.make_key(self.version, "region", chosen, wkey),
+            QueryCache.make_key(self.version, "region", force, wkey),
             result, 0 if result.is_view else result.data.nbytes,
         )
         return result
 
     # ------------------------------------------------------------------
-    def _record_plan(self, plan: QueryPlan) -> None:
-        """Tally a planner verdict for the observability stats."""
-        key = f"{plan.kind}:{plan.backend}"
-        self._plan_decisions[key] = self._plan_decisions.get(key, 0) + 1
+    # Mutations (live sources)
+    # ------------------------------------------------------------------
+    def _check_live(self, op: str) -> None:
+        if not self._live:
+            raise RuntimeError(
+                f"{op} requires a live source; this service serves a "
+                f"static snapshot"
+            )
 
-    def _compute_stats(self) -> Dict[str, object]:
+    def add(self, points: Union[PointSet, np.ndarray]) -> None:
+        """Insert events into the live window."""
+        self._check_live("add")
+        self._shard.inc.add(points)
+
+    def remove(self, points: Union[PointSet, np.ndarray]) -> None:
+        """Retire live events; rows that are not live raise ``ValueError``
+        before anything changes."""
+        self._check_live("remove")
+        self._shard.inc.remove(points)
+
+    def slide_window(
+        self, new_points: Union[PointSet, np.ndarray], t_horizon: float
+    ) -> int:
+        """Add ``new_points`` and retire every event with ``t <
+        t_horizon``; returns the number retired."""
+        self._check_live("slide_window")
+        return self._shard.inc.slide_window(new_points, t_horizon)
+
+    # ------------------------------------------------------------------
+    # Observability / lifecycle
+    # ------------------------------------------------------------------
+    def _record_plan(
+        self, kind: str, plan, plan_out: Optional[list]
+    ) -> None:
+        """Tally a planner verdict and hand it to the caller's list."""
+        key = f"{kind}:{plan.backend}"
+        self._plan_decisions[key] = self._plan_decisions.get(key, 0) + 1
+        if plan_out is not None:
+            plan_out.append(plan)
+
+    def _compute_stats(self, c: WorkCounter) -> Dict[str, object]:
         """The ``compute`` observability blob: the service's backend, the
         registry, the dispatches each backend actually ran (one key when
         the pin held) and JIT warmup — one-time compile cost paid on first
@@ -543,7 +557,7 @@ class DensityService:
         return {
             "backend": self.compute,
             "available": list(available_backends()),
-            "dispatches": dict(self.counter.backend_dispatches),
+            "dispatches": dict(c.backend_dispatches),
             "jit_warmup_seconds": warmup,
         }
 
@@ -553,109 +567,99 @@ class DensityService:
         merging, index repacks), and planner decisions — the JSON blob
         ``repro query --stats`` prints for load balancers and
         dashboards."""
+        return self._stats(self.counter)
+
+    def _stats(self, c: WorkCounter) -> Dict[str, object]:
+        """The stats frame over work counter ``c`` (the service's own, or
+        a sharded tier's merged with its workers')."""
         cache = self.cache.stats()
         lookups = cache["hits"] + cache["misses"]
-        c = self.counter
-        work = {
-            "index_events_bucketed": c.index_events_bucketed,
-            "index_events_retired": c.index_events_retired,
-            "index_segments_merged": c.index_segments_merged,
-            "index_rows_compacted": c.index_rows_compacted,
-            "query_cohorts": c.query_cohorts,
-            "queries_exact": c.queries_exact,
-            "queries_approx": c.queries_approx,
-            "sample_rows_drawn": c.sample_rows_drawn,
-        }
-        if self._inc is not None:
+        work = c.as_dict()
+        inc = self._shard.inc
+        if inc is not None:
             # The live source's own slide gauges (slabs dropped vs
             # straddle survivors re-planned — the O(delta) retirement
             # evidence) and how many of its units any read has stamped:
             # 0 of ``units_live`` while every answer comes off the index.
-            ic = self._inc.counter
-            work["slab_buffers_retired"] = ic.slab_buffers_retired
-            work["slab_restamp_points"] = ic.slab_restamp_points
-            work["units_live"] = self._inc.units_live
-            work["units_stamped"] = self._inc.units_stamped
+            work.update(
+                slab_buffers_retired=inc.counter.slab_buffers_retired,
+                slab_restamp_points=inc.counter.slab_restamp_points,
+                units_live=inc.units_live,
+                units_stamped=inc.units_stamped,
+            )
         # Realised-vs-requested ε of the approximate tier: the mean
         # requested budget against the mean realised relative standard
         # error the sampler's own stop rule recorded per query.
-        aq = int(self._approx_stats.get("queries", 0))
-        approx = {
-            "queries": aq,
-            "eps_requested_mean": (
-                self._eps_requested_sum / c.queries_approx
-                if c.queries_approx else None
-            ),
-            "eps_realised_mean": (
-                self._approx_stats.get("rel_se_sum", 0.0) / aq
-                if aq else None
-            ),
-            "sample_rows_drawn": int(
-                self._approx_stats.get("sample_rows_drawn", 0)
-            ),
-            "candidate_rows": int(
-                self._approx_stats.get("candidate_rows", 0)
-            ),
-            "exact_fallbacks": int(
-                self._approx_stats.get("exact_fallbacks", 0)
-            ),
-        }
+        approx = self._shard.approx_stats
+        aq = int(approx.get("queries", 0))
         return {
             "version": self.version,
-            "events": int(self._coords().shape[0]),
+            "events": self.events,
             "weighted": self.weighted,
             "volume_ready": self._volume is not None,
             "volume_builds": self._volume_builds,
             "volume_build_backend": self._volume_build_backend,
             "backend_calls": dict(self._backend_calls),
             "planner_decisions": dict(self._plan_decisions),
-            "compute": self._compute_stats(),
+            "compute": self._compute_stats(c),
             "index_merge_cap": self.index_merge_cap,
             "cache": cache,
             "cache_hit_ratio": (cache["hits"] / lookups) if lookups else None,
-            "approx": approx,
+            "approx": {
+                "queries": aq,
+                "eps_requested_mean": (
+                    self._eps_requested_sum / aq if aq else None
+                ),
+                "eps_realised_mean": (
+                    approx.get("rel_se_sum", 0.0) / aq if aq else None
+                ),
+                "sample_rows_drawn": int(approx.get("sample_rows_drawn", 0)),
+                "candidate_rows": int(approx.get("candidate_rows", 0)),
+                "exact_fallbacks": int(approx.get("exact_fallbacks", 0)),
+            },
             "work": work,
-            "index": (
-                self._index.stats() if self._index is not None else None
-            ),
+            "index": self._shard.index_stats(),
         }
 
+    def close(self, grace: Optional[float] = None) -> None:
+        """Release what the service holds (nothing, in process)."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        src = "live" if self._inc is not None else "static"
         return (
-            f"DensityService({src}, n={self._coords().shape[0]}, "
-            f"grid={self.grid.shape}, backend={self.backend!r})"
+            f"{type(self).__name__}({'live' if self._live else 'static'}, "
+            f"events={self.events}, grid={self.grid.shape}, "
+            f"backend={self.backend!r})"
         )
 
 
-class ShardedDensityService:
-    """Multi-process sharded serving: shard-owning workers behind one facade.
+class ShardedDensityService(DensityService):
+    """:class:`DensityService` plus a sharded arm: shard-owning workers.
 
     Partitions the domain into ``workers`` disjoint x-slabs
     (:class:`~repro.serve.shard.ShardPlan`) and spawns one worker process
-    per shard, each owning a private :class:`BucketIndex` (and, in live
-    mode, a private :class:`~repro.core.incremental.IncrementalSTKDE`)
-    over *its events only*.  Queries are scattered by home cell with a
-    one-bandwidth halo — every shard whose owned interval intersects a
-    query's kernel support computes an **unnormalised partial sum** — and
-    the coordinator gathers, adds, and applies the global ``1 / (W hs^2
-    ht)`` prefactor.  Because ownership is disjoint, the gathered sum
-    re-associates (never re-weights) the single-process estimator:
-    equivalence holds at ``rtol=1e-12``.
+    per shard, each hosting a :class:`~repro.serve.shard.Shard` over *its
+    events only*.  Queries are scattered by home cell with a
+    one-bandwidth halo; the coordinator adds the unnormalised partials
+    and applies the global prefactor.  Ownership is disjoint, so the
+    gathered sum re-associates (never re-weights) the single-process
+    estimator: equivalence holds at ``rtol=1e-12``.
 
-    Mutations route **only to affected shards**: ``add``/``remove``
-    contact the owners of the touched rows, ``slide_window`` the owners
-    of arriving rows plus shards whose earliest live event predates the
-    horizon.  :attr:`counter`'s ``shard_messages`` / ``shard_rows_shipped``
-    gauge that routing (observability ``stats`` traffic is deliberately
-    excluded).
+    Mutations route **only to affected shards** (:meth:`slide_window`);
+    :attr:`counter`'s ``shard_messages`` / ``shard_rows_shipped`` gauge
+    that routing.
 
-    Per batch the planner prices scatter/gather IPC against a local
-    single-process plan (:meth:`~repro.serve.planner.QueryPlanner
-    .plan_scatter`): static sources fall back to a lazily built local
-    :class:`DensityService` when the batch is too small to amortise the
-    round-trips; live sources always serve sharded (the events live in
-    the workers — the plan is still recorded).
+    Everything else is inherited.  Per batch the planner prices
+    scatter/gather IPC against a single-process plan
+    (:meth:`~repro.serve.planner.QueryPlanner.plan_scatter`); a batch too
+    small to amortise the round-trips takes the ``local`` arm.  Live
+    sources always serve sharded (the events live in the workers — the
+    plan is still recorded).
 
     Parameters
     ----------
@@ -711,6 +715,8 @@ class ShardedDensityService:
             dens = svc.query_points(queries)
     """
 
+    _BACKENDS = ("sharded", "local")
+
     def __init__(
         self,
         source: Optional[Union[PointSet, np.ndarray]],
@@ -731,52 +737,27 @@ class ShardedDensityService:
         fault_plan: Optional[FaultPlan] = None,
         on_shard_failure: str = "raise",
     ) -> None:
-        if backend not in ("auto", "sharded", "local"):
-            raise ValueError(
-                f"backend must be 'auto', 'sharded' or 'local', "
-                f"got {backend!r}"
-            )
-        if on_shard_failure not in ("raise", "partial"):
-            raise ValueError(
-                f"on_shard_failure must be 'raise' or 'partial', "
-                f"got {on_shard_failure!r}"
-            )
-        if isinstance(index_merge_cap, str):
-            raise ValueError(
-                f"index_merge_cap must be an int or None, "
-                f"got {index_merge_cap!r}"
-            )
-        self.grid = grid
-        self.kernel = get_kernel(kernel)
-        self.backend = backend
-        #: Name of the compute backend of every worker and of the local
-        #: fallback; resolved here, before any process is spawned.  Workers
-        #: get the *name* at spawn and resolve it in their own registry.
-        self.compute = get_backend(compute).name
-        self.counter = counter if counter is not None else WorkCounter()
-        self._machine = machine
-        self._planner: Optional[QueryPlanner] = None
         self._closed = False
-        self._version = 0
-        self._plan_decisions: Dict[str, int] = {}
-        self._backend_calls: Dict[str, int] = {"sharded": 0, "local": 0}
-        self._local: Optional[DensityService] = None
-        self._static_coords: Optional[np.ndarray] = None
-        self._static_weights: Optional[np.ndarray] = None
-        if source is None:
-            self._live = True
-            seed_coords = np.empty((0, 3), dtype=np.float64)
-        else:
-            self._live = False
-            pts = source if isinstance(source, PointSet) else PointSet(source)
-            self._static_coords = pts.coords
-            self._static_weights = pts.weights
-            seed_coords = pts.coords
-        P = resolve_shard_count(workers)
-        self.plan = plan if plan is not None else plan_shards(
-            grid, seed_coords, P
+        self.on_shard_failure = self._check_policy(on_shard_failure)
+        if isinstance(source, IncrementalSTKDE):
+            raise ValueError(
+                "a sharded live window is fed through add / slide_window "
+                "(source=None), not handed in as an estimator"
+            )
+        # The in-process host keeps the static snapshot (the ``local``
+        # arm answers from it); a live window lives in the workers only.
+        super().__init__(
+            np.empty((0, 3)) if source is None else source, grid,
+            kernel=kernel, backend=backend, compute=compute,
+            machine=machine, counter=counter, index_merge_cap=index_merge_cap,
         )
-        self.on_shard_failure = on_shard_failure
+        self._live = source is None
+        self._version = 0
+        self._static_coords = None if self._live else self._shard.coords
+        self._backend_calls.update(dict.fromkeys(self._BACKENDS, 0))
+        self.plan = plan if plan is not None else plan_shards(
+            grid, self._shard.coords, resolve_shard_count(workers)
+        )
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
 
@@ -802,7 +783,23 @@ class ShardedDensityService:
         self._shard_weight = [0.0] * self.n_shards
         self._shard_min_t = [float("inf")] * self.n_shards
         if not self._live:
-            self._distribute_static()
+            parts = self.plan.partition(self._static_coords)
+            weights = self._shard.weights
+            self._route("static", {
+                s: (self._static_coords[rows],
+                    None if weights is None else weights[rows])
+                for s, rows in enumerate(parts)
+            })
+            self._version = 0  # loading the snapshot is not a mutation
+
+    @staticmethod
+    def _check_policy(policy: str) -> str:
+        if policy not in ("raise", "partial"):
+            raise ValueError(
+                f"on_shard_failure must be 'raise' or 'partial', "
+                f"got {policy!r}"
+            )
+        return policy
 
     @property
     def _workers(self):
@@ -820,24 +817,19 @@ class ShardedDensityService:
         return self._version
 
     @property
-    def weighted(self) -> bool:
-        return self._static_weights is not None
-
-    @property
     def events(self) -> int:
         """Total live events across all shards."""
         return int(sum(self._shard_events))
 
-    def _check_open(self) -> None:
+    @property
+    def index_segments(self) -> int:
+        """Each worker probes its own index; the coordinator walks none."""
+        return 1
+
+    def _sync(self) -> None:
         if self._closed:
             raise RuntimeError("ShardedDensityService is closed")
-
-    def _norm(self) -> float:
-        """Global estimator prefactor over the gathered partial sums."""
-        w = float(sum(self._shard_weight))
-        if w <= 0.0:
-            return 0.0
-        return 1.0 / (w * self.grid.hs * self.grid.hs * self.grid.ht)
+        super()._sync()
 
     def _apply_gauges(self, s: int, gauges) -> None:
         events, weight, min_t = gauges
@@ -845,155 +837,67 @@ class ShardedDensityService:
         self._shard_weight[s] = weight
         self._shard_min_t[s] = min_t
 
-    def _distribute_static(self) -> None:
-        coords = self._static_coords
-        weights = self._static_weights
-        parts = self.plan.partition(coords)
-        sends = []
-        for s in range(self.n_shards):
-            part_w = None if weights is None else weights[parts[s]]
-            payload = (coords[parts[s]], part_w)
-            self._sup.record(s, "static", payload)
-            sends.append((s, "static", payload))
-            self.counter.shard_messages += 1
-            self.counter.shard_rows_shipped += int(parts[s].size)
-        results, _ = self._sup.scatter(sends, on_failure="raise")
-        for s in range(self.n_shards):
-            self._apply_gauges(s, results[s])
+    def _calibrate(self) -> MachineModel:
+        from .calibrate import calibrate_ipc
 
-    # ------------------------------------------------------------------
-    # Planner
-    # ------------------------------------------------------------------
-    def planner(self) -> QueryPlanner:
-        """The scatter planner (calibrates IPC rates on first use)."""
-        if self._planner is None:
-            if self._machine is None:
-                from .calibrate import calibrate_ipc, calibrate_serving
+        return calibrate_ipc(super()._calibrate())
 
-                self._machine = calibrate_ipc(calibrate_serving())
-            model = CostModel(
-                self.grid, PointSet(np.empty((0, 3))), self._machine
-            )
-            self._planner = QueryPlanner(model)
-        return self._planner
-
-    def _est_candidates(self, m: int) -> int:
-        """Crude candidate estimate: events under a uniform density times
-        the 27-cell (one-bandwidth) neighbourhood's domain fraction."""
-        n = self.events
-        d = self.grid.domain
-        vol = d.gx * d.gy * d.gt
-        if vol <= 0.0 or n == 0:
-            return 0
-        frac = min(
-            1.0,
-            (27.0 * self.grid.hs * self.grid.hs * self.grid.ht) / vol,
-        )
-        return int(m * n * frac)
-
-    def _resolve_backend(self, backend: Optional[str]):
-        choice = backend if backend is not None else self.backend
-        if choice == "auto":
-            if self._live:
-                # The events live in the workers: a live window has no
-                # local fallback, only the recorded plan.
-                return "sharded", "live source serves sharded"
-            return None, None
-        if choice not in ("sharded", "local"):
-            raise ValueError(
-                f"backend must be 'auto', 'sharded' or 'local', "
-                f"got {choice!r}"
-            )
-        if choice == "local" and self._live:
+    def _resolve_backend(
+        self, backend: Optional[str], eps: Optional[float] = None
+    ) -> Tuple[Optional[str], Optional[str]]:
+        force, why = super()._resolve_backend(backend)
+        if self._live and force == "local":
             raise ValueError(
                 "live sources cannot serve locally — the events are "
                 "owned by the worker processes"
             )
-        return choice, "forced by caller"
-
-    def _local_service(self) -> DensityService:
-        """Lazily built single-process fallback over the static snapshot."""
-        if self._local is None:
-            src = PointSet(self._static_coords, self._static_weights)
-            self._local = DensityService(
-                src, self.grid, kernel=self.kernel,
-                compute=self.compute,
-                machine=self._machine, counter=self.counter,
-            )
-        return self._local
-
-    def _record_plan(self, plan: ScatterPlan) -> None:
-        key = f"scatter:{plan.backend}"
-        self._plan_decisions[key] = self._plan_decisions.get(key, 0) + 1
+        if self._live and force is None:
+            # No local fallback to weigh: only the recorded plan.
+            return "sharded", "live source serves sharded"
+        return force, why
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def query_points(
-        self,
-        queries: np.ndarray,
-        *,
-        backend: Optional[str] = None,
-        eps: Optional[float] = None,
-        seed: int = 0,
-        plan_out: Optional[list] = None,
-        on_shard_failure: Optional[str] = None,
+    def _answer_points(
+        self, q, force, why, eps, seed, plan_out, on_shard_failure=None
     ) -> np.ndarray:
-        """Densities at ``(m, 3)`` query locations (scatter/gather).
+        """A validated batch by scatter/gather (or the ``local`` arm).
 
-        ``eps`` threads the per-request error budget down to the workers:
-        each shard answers its scattered rows with an *unnormalised
-        partial estimate* (exact when ``eps`` is ``None``, importance-
-        sampled otherwise).  Ownership is disjoint, so partial
+        ``eps`` threads down to the workers: each shard answers its
+        scattered rows with an *unnormalised partial estimate* (exact when
+        ``eps`` is ``None``, importance-sampled otherwise), and partial
         Hansen–Hurwitz estimates over disjoint event subsets add exactly
         like exact partials — unbiasedness and the combined variance
-        budget survive the gather, the same re-association argument as
-        the sharded exact path.
+        budget survive the gather.
 
-        ``on_shard_failure`` picks the degraded-read policy when a shard
+        ``on_shard_failure`` (``query_points``' extra keyword here; ``None``
+        = the service default) picks the degraded-read policy when a shard
         stays failed after supervised recovery: ``"raise"`` surfaces the
         typed :class:`~repro.serve.errors.ShardFailed`; ``"partial"``
         returns the surviving shards' gather as a
         :class:`~repro.serve.errors.PartialResult` whose ``coverage`` is
-        the mass-weighted fraction of total event weight that answered
-        (the missing shards are a hole of exactly ``1 - coverage`` of
-        the estimator's mass — a typed lower bound, never a silent
-        error).  ``None`` uses the service default.
+        the mass-weighted fraction of total event weight that answered —
+        a typed lower bound, never a silent error.
         """
-        self._check_open()
-        policy = (
+        policy = self._check_policy(
             self.on_shard_failure
             if on_shard_failure is None else on_shard_failure
         )
-        if policy not in ("raise", "partial"):
-            raise ValueError(
-                f"on_shard_failure must be 'raise' or 'partial', "
-                f"got {policy!r}"
-            )
-        q = np.ascontiguousarray(validate_queries(queries))
-        if eps is not None and not float(eps) > 0.0:
-            raise ValueError(f"eps must be positive or None, got {eps!r}")
         m = q.shape[0]
-        if m == 0:
-            return np.empty(0, dtype=np.float64)
         lo, hi = self.plan.scatter_spans(q[:, 0])
-        fanout = int((hi - lo + 1).sum())
-        force, force_reason = self._resolve_backend(backend)
-        plan = None
         if force is None or plan_out is not None:
-            cand = self._est_candidates(m)
+            cand = uniform_candidates(self.grid, self.events, m)
             plan = self.planner().plan_scatter(
-                m, cand, self.n_shards, fanout,
+                m, cand, self.n_shards, int((hi - lo + 1).sum()),
                 n_cohorts=slab_dispatches(cand),
-                force=force, force_reason=force_reason,
+                force=force, force_reason=why,
             )
-            self._record_plan(plan)
-            if plan_out is not None:
-                plan_out.append(plan)
-        chosen = plan.backend if plan is not None else force
-        if chosen == "local":
-            self._backend_calls["local"] += 1
-            return self._local_service().query_points(q, eps=eps, seed=seed)
+            self._record_plan("scatter", plan, plan_out)
+            force = plan.backend
+        self._backend_calls[force] += 1
+        if force == "local":
+            return super()._answer_points(q, None, None, eps, seed, None)
         out = np.zeros(m, dtype=np.float64)
         sends = []
         shard_rows: Dict[int, np.ndarray] = {}
@@ -1012,8 +916,7 @@ class ShardedDensityService:
         for s, partial in results.items():
             out[shard_rows[s]] += partial
             self.counter.shard_rows_shipped += int(shard_rows[s].size)
-        out *= self._norm()
-        self._backend_calls["sharded"] += 1
+        out *= self._norm(sum(self._shard_weight))
         if eps is not None:
             self.counter.queries_approx += m
         else:
@@ -1036,107 +939,114 @@ class ShardedDensityService:
         lost = float(sum(self._shard_weight[s] for s in failed))
         return max(0.0, 1.0 - lost / total)
 
-    def query_slice(
-        self, T: int, *, backend: Optional[str] = None
-    ) -> RegionResult:
-        """The full ``(Gx, Gy)`` density slice at voxel time ``T``."""
-        return self.query_region(slice_window(self.grid, T), backend=backend)
-
-    def query_region(
-        self,
-        window: VoxelWindow | Tuple[int, int, int, int, int, int],
-        *,
-        backend: Optional[str] = None,
-    ) -> RegionResult:
+    def _answer_region(self, window, force, why, plan_out) -> RegionResult:
         """Density over a voxel window, summed from per-shard stamps.
 
         Every shard owning events within one halo of the window stamps
         them (unnormalised) into a window-covering region buffer; the
         coordinator sums the arrays and applies the prefactor — the same
-        partition-exactness argument as point queries, per voxel.
+        partition-exactness argument as point queries, per voxel.  No
+        scatter plan is priced for regions: ``plan_out`` hears only from
+        the ``local`` arm.
         """
-        self._check_open()
-        if not isinstance(window, VoxelWindow):
-            window = VoxelWindow(*window)
-        window = window.intersect(self.grid.full_window())
-        if window.empty:
-            raise ValueError(f"region window is empty on this grid: {window}")
-        force, _ = self._resolve_backend(backend)
+        force = force or "sharded"
+        self._backend_calls[force] += 1
         if force == "local":
-            self._backend_calls["local"] += 1
-            return self._local_service().query_region(window)
+            return super()._answer_region(window, None, None, plan_out)
         shards = self.plan.shards_for_window(window)
         wkey = (window.x0, window.x1, window.y0, window.y1,
                 window.t0, window.t1)
-        sends = []
-        for s in shards:
-            sends.append((int(s), "query_region", wkey))
-            self.counter.shard_messages += 1
-        results, _ = self._sup.scatter(sends, on_failure="raise")
+        self.counter.shard_messages += len(shards)
+        results, _ = self._sup.scatter(
+            [(int(s), "query_region", wkey) for s in shards],
+            on_failure="raise",
+        )
         data = np.zeros(window.shape, dtype=np.float64)
         for s in shards:
             part = results[int(s)]
             data += part
             self.counter.shard_rows_shipped += int(part.size)
-        data *= self._norm()
+        data *= self._norm(sum(self._shard_weight))
         data.flags.writeable = False
-        self._backend_calls["sharded"] += 1
         return RegionResult(window, data, "sharded")
 
     # ------------------------------------------------------------------
     # Mutations (live sources)
     # ------------------------------------------------------------------
-    def _check_live(self, op: str) -> None:
-        if not self._live:
-            raise RuntimeError(
-                f"{op} requires a live source; this service serves a "
-                f"static snapshot"
-            )
-
-    def _route_rows(self, op: str, coords: np.ndarray) -> int:
-        """Send ``op`` with each shard's owned rows to owners only.
+    def _route(self, op: str, payloads: Dict[int, Any]) -> Dict[int, Any]:
+        """Log, send and apply one mutation on the shards it touches.
 
         Each routed batch is recorded into the supervisor's mutation log
         *before* the send — the invariant replay-based recovery rests
         on: a worker that dies mid-mutation is respawned and the replay
-        itself completes the mutation.
+        itself completes the mutation.  Every reply ends in the shard's
+        gauges.  Should the scatter raise after some shards applied their
+        part, the contacted shards' gauges are re-read before the error
+        leaves, so the coordinator's ``W`` is never stale.
         """
-        parts = self.plan.partition(coords)
-        contacted = [s for s in range(self.n_shards) if parts[s].size]
-        sends = []
-        for s in contacted:
-            payload = coords[parts[s]]
+        sends = [(s, op, payload) for s, payload in payloads.items()]
+        for s, _, payload in sends:
             self._sup.record(s, op, payload)
-            sends.append((s, op, payload))
             self.counter.shard_messages += 1
-            self.counter.shard_rows_shipped += int(parts[s].size)
-        results, _ = self._sup.scatter(sends, on_failure="raise")
-        for s in contacted:
-            self._apply_gauges(s, results[s])
+            self.counter.shard_rows_shipped += len(
+                payload if op in ("add", "remove") else payload[0]
+            )
+        failure = None
+        try:
+            replies, _ = self._sup.scatter(sends, on_failure="raise")
+        except ShardFailed as exc:
+            failure = exc
+            replies, _ = self._sup.scatter(
+                [(s, "gauges", None) for s in payloads], on_failure="partial"
+            )
+        for s, reply in replies.items():
+            self._apply_gauges(s, reply[-3:])
         self._version += 1
-        return len(contacted)
+        if failure is not None:
+            raise failure
+        return replies
+
+    def _route_rows(self, op: str, points) -> None:
+        """``add`` / ``remove``: each row goes to the shard that owns it
+        (ownership is a pure function of x, so a removed row always
+        reaches the shard that holds it).
+
+        A ``remove`` first asks every owner whether its rows are live —
+        the single-process contract: rows that are not raise
+        ``ValueError`` with workers, gauges, ``version`` and replay logs
+        untouched, whichever shard would have refused.
+        """
+        self._sync()
+        self._check_live(op)
+        coords = np.asarray(
+            IncrementalSTKDE._coerce_unweighted(points), dtype=np.float64
+        )
+        payloads = {
+            s: coords[rows]
+            for s, rows in enumerate(self.plan.partition(coords)) if rows.size
+        }
+        if not payloads:
+            return
+        if op == "remove":
+            self.counter.shard_messages += len(payloads)
+            self.counter.shard_rows_shipped += coords.shape[0]
+            refusals, _ = self._sup.scatter(
+                [(s, "rejects_remove", rows) for s, rows in payloads.items()],
+                on_failure="raise",
+            )
+            why = next(filter(None, refusals.values()), None)
+            if why is not None:
+                raise ValueError(why)
+        self._route(op, payloads)
 
     def add(self, points: Union[PointSet, np.ndarray]) -> None:
         """Insert events, routed to their owning shards only."""
-        self._check_open()
-        self._check_live("add")
-        coords = IncrementalSTKDE._coerce_unweighted(points)
-        if coords.shape[0] == 0:
-            return
-        self._route_rows("add", np.asarray(coords, dtype=np.float64))
+        self._route_rows("add", points)
 
     def remove(self, points: Union[PointSet, np.ndarray]) -> None:
-        """Retire events, routed to their owning shards only.
-
-        Ownership is a pure function of the x coordinate, so a removed
-        row always reaches the shard that holds it.
-        """
-        self._check_open()
-        self._check_live("remove")
-        coords = IncrementalSTKDE._coerce_unweighted(points)
-        if coords.shape[0] == 0:
-            return
-        self._route_rows("remove", np.asarray(coords, dtype=np.float64))
+        """Retire events, routed to their owning shards only; rows that
+        are not live raise ``ValueError`` before anything changes."""
+        self._route_rows("remove", points)
 
     def slide_window(
         self, new_points: Union[PointSet, np.ndarray], t_horizon: float
@@ -1148,48 +1058,32 @@ class ShardedDensityService:
         (nothing arriving, nothing expiring) gets **no message**, which
         is the routing contract ``shard_messages`` gauges.
         """
-        self._check_open()
+        self._sync()
         self._check_live("slide_window")
         coords = np.asarray(
             IncrementalSTKDE._coerce_unweighted(new_points), dtype=np.float64
         )
-        t_horizon = float(t_horizon)
-        parts = self.plan.partition(coords)
-        contacted = [
-            s for s in range(self.n_shards)
-            if parts[s].size or self._shard_min_t[s] < t_horizon
-        ]
-        sends = []
-        for s in contacted:
-            payload = (coords[parts[s]], t_horizon)
-            self._sup.record(s, "slide", payload)
-            sends.append((s, "slide", payload))
-            self.counter.shard_messages += 1
-            self.counter.shard_rows_shipped += int(parts[s].size)
-        results, _ = self._sup.scatter(sends, on_failure="raise")
-        retired = 0
-        for s in contacted:
-            reply = results[s]
-            retired += int(reply[0])
-            self._apply_gauges(s, reply[1:])
-        self._version += 1
-        return retired
+        t_horizon = IncrementalSTKDE._coerce_horizon(t_horizon)
+        replies = self._route("slide", {
+            s: (coords[rows], t_horizon)
+            for s, rows in enumerate(self.plan.partition(coords))
+            if rows.size or self._shard_min_t[s] < t_horizon
+        })
+        return sum(int(reply[0]) for reply in replies.values())
 
     # ------------------------------------------------------------------
     # Observability / lifecycle
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        """Coordinator and per-worker serving gauges.
+        """The service's stats frame plus the sharded tier's gauges.
 
-        ``work`` is the coordinator's counter merged with every worker's
-        (one :class:`WorkCounter` per process, merged here — the
-        cross-process analogue of the threaded schedulers' per-task
-        counter merge); ``workers`` keeps the per-shard views.  The
-        ``stats`` round-trips themselves are *not* counted into
-        ``shard_messages`` so the routing gauge stays about serving
-        traffic.
+        ``work`` (and ``compute``'s dispatches) is the coordinator's
+        counter merged with every worker's; ``workers`` keeps the
+        per-shard views.  The ``stats`` round-trips themselves are *not*
+        counted into ``shard_messages`` so the routing gauge stays about
+        serving traffic.
         """
-        self._check_open()
+        self._sync()
         sends = [(s, "stats", None) for s in range(self.n_shards)]
         results, failed = self._sup.scatter(sends, on_failure="partial")
         per_worker = [
@@ -1205,27 +1099,12 @@ class ShardedDensityService:
             set(recovery["down_shards"]) | set(failed)
         )
         return {
-            "version": self._version,
-            "events": self.events,
-            "weighted": self.weighted,
+            **self._stats(merged),
             "n_shards": self.n_shards,
             "cuts": [float(c) for c in self.plan.cuts],
             "shard_events": list(self._shard_events),
-            "backend_calls": dict(self._backend_calls),
-            "planner_decisions": dict(self._plan_decisions),
-            "compute": {
-                "backend": self.compute,
-                "available": list(available_backends()),
-                # Dispatches merged across worker processes, so sharded
-                # backend traffic stays observable at the coordinator.
-                "dispatches": dict(merged.backend_dispatches),
-            },
-            "work": merged.as_dict(),
             "workers": per_worker,
             "recovery": recovery,
-            "local": (
-                self._local.stats() if self._local is not None else None
-            ),
         }
 
     def close(self, grace: Optional[float] = None) -> None:
@@ -1239,21 +1118,8 @@ class ShardedDensityService:
         self._closed = True
         self._sup.close(grace=grace)
 
-    def __enter__(self) -> "ShardedDensityService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
     def __del__(self) -> None:  # pragma: no cover - interpreter teardown
         try:
             self.close()
         except BaseException:
             pass
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        src = "live" if self._live else "static"
-        return (
-            f"ShardedDensityService({src}, shards={self.n_shards}, "
-            f"events={self.events}, grid={self.grid.shape})"
-        )

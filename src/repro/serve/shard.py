@@ -1,4 +1,17 @@
-"""Shard planning for the multi-process serving tier.
+"""What a shard is, and how the domain is cut into them.
+
+A :class:`Shard` holds one disjoint subset of the events — a static
+``(coords, weights)`` snapshot or a live
+:class:`~repro.core.incremental.IncrementalSTKDE` window — behind the
+:class:`~repro.serve.index.BucketIndex` it keeps in sync with them, and
+gives the two answers the serving tier is built from: kernel sums at
+points and a stamped voxel region.  Both take the prefactor ``norm`` as
+an *argument*: the engine folds it into a region's stamps and derives the
+sampler's floor from it, so scaling afterwards would change bits.  A
+:class:`~repro.serve.service.DensityService` hosts one shard in process
+and passes its ``1 / (W hs^2 ht)``; a worker process
+(:mod:`repro.serve.worker`) hosts one and passes ``1.0``, and its
+coordinator scales the gathered sum.
 
 A :class:`ShardPlan` partitions the space-time domain into ``P`` disjoint
 x-slabs (cuts from :func:`repro.core.regions.plan_serving_shards`, balanced
@@ -27,13 +40,207 @@ under identical float arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..core.backends import DEFAULT_BACKEND
 from ..core.grid import GridSpec, VoxelWindow
+from ..core.incremental import IncrementalSTKDE
+from ..core.instrument import WorkCounter
+from ..core.kernels import KernelPair, get_kernel
 from ..core.regions import plan_serving_shards
+from .engine import RegionResult, approx_sum, direct_region, direct_sum
+from .index import BucketIndex
 
-__all__ = ["ShardPlan", "plan_shards"]
+__all__ = ["Shard", "ShardPlan", "plan_shards"]
+
+
+class Shard:
+    """One shard's events, their bucket index, and the answers over them.
+
+    Built from picklable facts only (``kernel`` and ``compute`` may be
+    names), so a worker can construct it after ``spawn``.  ``inc`` hands
+    in a live estimator the caller keeps feeding; without one the shard
+    serves whatever :meth:`load_static` gave it, or becomes live on its
+    first :meth:`add` / :meth:`remove` / :meth:`slide`.
+    """
+
+    def __init__(
+        self,
+        grid: GridSpec,
+        kernel: str | KernelPair,
+        *,
+        merge_cap: Optional[int] = 16,
+        t_slab="auto",
+        compute: str = DEFAULT_BACKEND,
+        counter: Optional[WorkCounter] = None,
+        inc: Optional[IncrementalSTKDE] = None,
+    ) -> None:
+        self.grid = grid
+        self.kernel = get_kernel(kernel)
+        self.merge_cap = merge_cap
+        self.t_slab = t_slab
+        #: Backend *name* of every kernel sum and stamp (resolved in this
+        #: process's registry — backend singletons don't cross spawn).
+        self.compute = compute
+        self.counter = counter if counter is not None else WorkCounter()
+        self.inc = inc
+        self.weights: Optional[np.ndarray] = None
+        #: What the sampler's own stop rule recorded, summed over calls.
+        self.approx_stats: Dict[str, float] = {}
+        # ``None`` while a live window's rows are not gathered for the
+        # version in ``_synced``.
+        self._coords: Optional[np.ndarray] = np.empty((0, 3))
+        self._index: Optional[BucketIndex] = None
+        self._synced: Optional[int] = None
+
+    # -- state ------------------------------------------------------------
+    def load_static(
+        self, coords: np.ndarray, weights: Optional[np.ndarray] = None
+    ) -> None:
+        """Serve this snapshot (replacing whatever was held)."""
+        self._coords = np.ascontiguousarray(coords, dtype=np.float64)
+        self.weights = (
+            None if weights is None
+            else np.ascontiguousarray(weights, dtype=np.float64)
+        )
+        self._index = None
+
+    def sync(self) -> None:
+        """Catch up with the live window if it has moved on.
+
+        The index is not rebuilt: it reconciles against the estimator's
+        tracked batches (:meth:`BucketIndex.sync`), appending segments for
+        arriving batches and retiring departed ones — O(changed batches).
+        """
+        if self.inc is None or self.inc.version == self._synced:
+            return
+        if self._index is not None:
+            self._index.sync(self.inc.live_batches, counter=self.counter)
+        self._coords = None
+        self._synced = self.inc.version
+
+    @property
+    def coords(self) -> np.ndarray:
+        """Current event rows (a live window's are gathered once per
+        version — ``live_coords`` concatenates every unit on each call)."""
+        self.sync()
+        if self._coords is None:
+            self._coords = self.inc.live_coords
+        return self._coords
+
+    def index(self) -> BucketIndex:
+        """The bucket index over the current events, built on first use.
+
+        A live window registers one segment per tracked batch, so the
+        index stays incrementally maintainable across slides.
+        """
+        self.sync()
+        if self._index is None:
+            live = self.inc is not None
+            self._index = BucketIndex(
+                self.grid, None if live else self._coords, self.weights,
+                counter=self.counter, merge_segment_cap=self.merge_cap,
+            )
+            if live:
+                self._index.sync(self.inc.live_batches, counter=self.counter)
+        return self._index
+
+    def index_stats(self) -> Optional[dict]:
+        """The index's gauges (``None`` while nothing has asked for it)."""
+        return None if self._index is None else self._index.stats()
+
+    def weight(self) -> float:
+        """This shard's share of the estimator's total weight ``W``."""
+        if self.inc is not None:
+            return float(self.inc.n)
+        if self.weights is not None:
+            return float(self.weights.sum())
+        return float(self._coords.shape[0])
+
+    def gauges(self) -> Tuple[int, float, float]:
+        """``(events, weight, min_t)`` — what a coordinator routes by
+        (``min_t`` is ``inf`` for an empty shard)."""
+        coords = self.coords
+        n = int(coords.shape[0])
+        return n, self.weight(), float(coords[:, 2].min()) if n else np.inf
+
+    def stats(self) -> dict:
+        """Size and this shard's work counter, as one picklable dict."""
+        stats = {
+            "events": int(self.coords.shape[0]),
+            "weight": self.weight(),
+            "work": self.counter.as_dict(),
+        }
+        if self.inc is not None:
+            # Neither answer reads a volume, so nothing here stamps the
+            # window: ``units_stamped`` moves only if the host does.
+            stats["units_live"] = self.inc.units_live
+            stats["units_stamped"] = self.inc.units_stamped
+        return stats
+
+    # -- mutations --------------------------------------------------------
+    def _live(self) -> IncrementalSTKDE:
+        if self.inc is None:
+            # One counter per shard: the estimator's slide gauges show up
+            # in :meth:`stats`'s ``work``.
+            self.inc = IncrementalSTKDE(
+                self.grid, kernel=self.kernel, counter=self.counter,
+                t_slab_voxels=self.t_slab, compute=self.compute,
+            )
+            self._index = None
+        return self.inc
+
+    def add(self, rows: np.ndarray) -> None:
+        self._live().add(rows)
+
+    def remove(self, rows: np.ndarray) -> None:
+        self._live().remove(rows)
+
+    def slide(self, rows: np.ndarray, t_horizon: float) -> int:
+        """Add ``rows``, retire events before ``t_horizon``; the count retired."""
+        return self._live().slide_window(rows, t_horizon)
+
+    def rejects_remove(self, rows: np.ndarray) -> Optional[str]:
+        """Why :meth:`remove` would refuse ``rows`` (``None``: it would
+        not).  Pure, so a coordinator can ask every owner before any of
+        them — or its replay log — sees the mutation."""
+        try:
+            self._live()._match_live(rows)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    # -- answers ----------------------------------------------------------
+    def points(
+        self,
+        queries: np.ndarray,
+        norm: float,
+        eps: Optional[float] = None,
+        seed: int = 0,
+    ) -> np.ndarray:
+        """``norm`` times the kernel sums at ``queries`` over this shard's
+        events: exact, or importance-sampled within ``eps`` when given.
+        Partial Hansen–Hurwitz estimates over disjoint event subsets add
+        like exact partials, so a coordinator's gather stays unbiased."""
+        if eps is None:
+            return direct_sum(
+                self.index(), queries, self.kernel, norm, self.counter,
+                compute=self.compute,
+            )
+        return approx_sum(
+            self.index(), queries, self.kernel, norm, self.counter,
+            eps=float(eps), seed=seed, stats_out=self.approx_stats,
+            compute=self.compute,
+        )
+
+    def region(self, window: VoxelWindow, norm: float) -> RegionResult:
+        """This shard's events stamped, ``norm`` folded in, over ``window``."""
+        return direct_region(
+            self.grid, self.kernel, self.coords, window, norm, self.counter,
+            weights=self.weights, compute=self.compute,
+        )
 
 
 @dataclass(frozen=True)

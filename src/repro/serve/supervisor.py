@@ -94,6 +94,10 @@ class ShardLog:
             return
         if op == "slide":
             coords, horizon = payload
+            if np.isnan(horizon):
+                # truncate() would keep ``t >= nan`` — no row of any
+                # entry — and the next replay would rebuild an empty shard.
+                raise ValueError("a slide horizon must not be NaN")
             self.entries.append((op, payload))
             self.truncate(float(horizon))
             return

@@ -1,14 +1,16 @@
-"""Shard-owning worker processes for the sharded serving tier.
+"""Worker processes: each hosts one :class:`~repro.serve.shard.Shard`.
 
-Each worker process owns one shard's events behind a private
-:class:`~repro.serve.index.BucketIndex` (and, in live mode, a private
-:class:`~repro.core.incremental.IncrementalSTKDE` that holds the window
-and is never asked for a volume, so it never stamps) and answers requests
-over a duplex pipe.  Workers compute **unnormalised partial sums**
-(``norm=1.0``): only the coordinator knows the window's total weight, so
-it applies the ``1 / (W hs^2 ht)`` prefactor after gathering — which is
-also what makes the partition exact, since the per-shard partials are
-plain kernel sums over disjoint event subsets.
+A worker process builds a :class:`~repro.serve.shard.Shard` — the same
+class a :class:`~repro.serve.service.DensityService` hosts in process —
+over its shard's events only and answers requests against it over a
+duplex pipe (:func:`_serve` is the whole op table).  A live shard's
+:class:`~repro.core.incremental.IncrementalSTKDE` holds the window and is
+never asked for a volume, so a worker never stamps.  Workers compute
+**unnormalised partial sums** (``norm=1.0``): only the coordinator knows
+the window's total weight, so it applies the ``1 / (W hs^2 ht)``
+prefactor after gathering — which is also what makes the partition
+exact, since the per-shard partials are plain kernel sums over disjoint
+event subsets.
 
 The protocol is a synchronous request/reply over ``(op, payload)`` tuples,
 answered with ``("ok", result)`` or ``("err", message)``.  The
@@ -36,19 +38,13 @@ import multiprocessing as mp
 import os
 import time
 from multiprocessing.connection import Connection, wait
-from typing import Any, Optional, Tuple
-
-import numpy as np
+from typing import Any, Optional
 
 from ..core.backends import DEFAULT_BACKEND
 from ..core.grid import GridSpec, VoxelWindow
-from ..core.incremental import IncrementalSTKDE
-from ..core.instrument import WorkCounter
-from ..core.kernels import get_kernel
-from .engine import approx_sum, direct_region, direct_sum
 from .errors import ShardFailed, ShardTimeout
 from .faults import FaultPlan, apply_fault
-from .index import BucketIndex
+from .shard import Shard
 
 __all__ = ["ShardWorker"]
 
@@ -58,147 +54,38 @@ __all__ = ["ShardWorker"]
 _CLOSE_GRACE = 5.0
 
 
-class _WorkerState:
-    """One worker's shard-local serving state (inside the process)."""
+def _serve(shard: Shard, op: str, payload: Any) -> Any:
+    """Answer one request against the hosted shard.
 
-    def __init__(
-        self,
-        grid: GridSpec,
-        kernel_name: str,
-        merge_cap: Optional[int],
-        t_slab,
-        compute: str = DEFAULT_BACKEND,
-    ) -> None:
-        self.grid = grid
-        self.kernel = get_kernel(kernel_name)
-        self.merge_cap = merge_cap
-        self.t_slab = t_slab
-        #: Backend *name* for every stamp and kernel sum of this shard
-        #: (resolved against this process's own registry — backend
-        #: singletons don't cross spawn).
-        self.compute = compute
-        self.counter = WorkCounter()
-        # Static mode: coords/weights snapshot.  Live mode: incremental
-        # estimator (index synced against its tracked batches).
-        self.coords = np.empty((0, 3), dtype=np.float64)
-        self.weights: Optional[np.ndarray] = None
-        self.inc: Optional[IncrementalSTKDE] = None
-        self.index: Optional[BucketIndex] = None
-
-    # -- shared helpers -------------------------------------------------
-    def _live_refresh(self) -> None:
-        """Re-sync the index and coords cache after a live mutation."""
-        assert self.inc is not None
-        if self.index is None:
-            self.index = BucketIndex(
-                self.grid, merge_segment_cap=self.merge_cap
-            )
-        self.index.sync(self.inc.live_batches, counter=self.counter)
-        self.coords = self.inc.live_coords
-
-    def weight(self) -> float:
-        """This shard's share of the estimator's total weight ``W``."""
-        if self.inc is not None:
-            return float(self.inc.n)
-        if self.weights is not None:
-            return float(self.weights.sum())
-        return float(self.coords.shape[0])
-
-    def min_t(self) -> float:
-        """Earliest live event time (``inf`` when the shard is empty)."""
-        if self.coords.shape[0] == 0:
-            return float("inf")
-        return float(self.coords[:, 2].min())
-
-    def gauges(self) -> Tuple[int, float, float]:
-        """``(events, weight, min_t)`` — the coordinator's routing state."""
-        return int(self.coords.shape[0]), self.weight(), self.min_t()
-
-    # -- ops ------------------------------------------------------------
-    def op_static(self, payload) -> Tuple[int, float, float]:
-        coords, weights = payload
-        self.coords = np.ascontiguousarray(coords, dtype=np.float64)
-        self.weights = (
-            None if weights is None
-            else np.ascontiguousarray(weights, dtype=np.float64)
-        )
-        self.index = BucketIndex(
-            self.grid, self.coords, self.weights,
-            counter=self.counter, merge_segment_cap=self.merge_cap,
-        )
-        return self.gauges()
-
-    def _ensure_live(self) -> IncrementalSTKDE:
-        if self.inc is None:
-            # One counter per process: the estimator's slide gauges (and
-            # any stamp, should something ever read a volume here) show
-            # up in the ``stats`` op's ``work``.
-            self.inc = IncrementalSTKDE(
-                self.grid, kernel=self.kernel, counter=self.counter,
-                t_slab_voxels=self.t_slab,
-                compute=self.compute,
-            )
-        return self.inc
-
-    def op_add(self, payload) -> Tuple[int, float, float]:
-        inc = self._ensure_live()
-        if payload.shape[0]:
-            inc.add(payload)
-        self._live_refresh()
-        return self.gauges()
-
-    def op_remove(self, payload) -> Tuple[int, float, float]:
-        inc = self._ensure_live()
-        if payload.shape[0]:
-            inc.remove(payload)
-        self._live_refresh()
-        return self.gauges()
-
-    def op_slide(self, payload):
-        coords, t_horizon = payload
-        inc = self._ensure_live()
-        retired = inc.slide_window(coords, t_horizon)
-        self._live_refresh()
-        return (retired,) + self.gauges()
-
-    def op_query_points(self, payload) -> np.ndarray:
+    Reads return unnormalised partials (``norm=1.0``: only the coordinator
+    knows the total weight).  Mutations reply with the shard's gauges, and
+    bring the index up to date first so the next scattered read does not
+    pay for it.
+    """
+    if op == "query_points":
         queries, eps, seed = payload
-        if self.index is None:
-            return np.zeros(queries.shape[0], dtype=np.float64)
-        # norm=1.0: an unnormalised partial the coordinator scales.
-        # Partial Hansen–Hurwitz estimates over this shard's (disjoint)
-        # events gather exactly like exact partials, so eps threads down
-        # unchanged; the coordinator's combined estimate stays unbiased.
-        if eps is not None:
-            return approx_sum(
-                self.index, queries, self.kernel, 1.0, self.counter,
-                eps=eps, seed=seed, compute=self.compute,
-            )
-        return direct_sum(
-            self.index, queries, self.kernel, 1.0, self.counter,
-            compute=self.compute,
-        )
-
-    def op_query_region(self, payload) -> np.ndarray:
-        window = VoxelWindow(*payload)
-        result = direct_region(
-            self.grid, self.kernel, self.coords, window, 1.0,
-            self.counter, weights=self.weights, compute=self.compute,
-        )
-        return result.data
-
-    def op_stats(self, _payload) -> dict:
-        stats = {
-            "events": int(self.coords.shape[0]),
-            "weight": self.weight(),
-            "work": self.counter.as_dict(),
-        }
-        if self.inc is not None:
-            # No op of a worker reads a volume, so its window is never
-            # stamped: ``units_stamped`` stays 0, replay included.
-            stats["units_live"] = self.inc.units_live
-            stats["units_stamped"] = self.inc.units_stamped
-        return stats
+        return shard.points(queries, 1.0, eps, seed)
+    if op == "query_region":
+        return shard.region(VoxelWindow(*payload), 1.0).data
+    if op == "stats":
+        return shard.stats()
+    if op == "gauges":
+        return shard.gauges()
+    if op == "rejects_remove":
+        return shard.rejects_remove(payload)
+    retired = ()
+    if op == "static":
+        shard.load_static(*payload)
+    elif op == "slide":
+        retired = (shard.slide(*payload),)
+    elif op == "add":
+        shard.add(payload)
+    elif op == "remove":
+        shard.remove(payload)
+    else:
+        raise ValueError(f"unknown op {op!r}")
+    shard.index()
+    return retired + shard.gauges()
 
 
 def _worker_main(
@@ -212,19 +99,12 @@ def _worker_main(
     compute: str = DEFAULT_BACKEND,
 ) -> None:
     """Worker process entry point: serve requests until ``close``/EOF."""
-    state = _WorkerState(grid, kernel_name, merge_cap, t_slab, compute)
+    shard = Shard(
+        grid, kernel_name, merge_cap=merge_cap, t_slab=t_slab, compute=compute
+    )
     injector = (
         fault_plan.injector(shard_id) if fault_plan is not None else None
     )
-    ops = {
-        "static": state.op_static,
-        "add": state.op_add,
-        "remove": state.op_remove,
-        "slide": state.op_slide,
-        "query_points": state.op_query_points,
-        "query_region": state.op_query_region,
-        "stats": state.op_stats,
-    }
     while True:
         try:
             op, payload = conn.recv()
@@ -242,12 +122,7 @@ def _worker_main(
             if spec is not None and not apply_fault(spec, conn):
                 continue  # reply skipped (drop/wedge/error)
         try:
-            handler = ops[op]
-        except KeyError:
-            conn.send(("err", f"unknown op {op!r}"))
-            continue
-        try:
-            conn.send(("ok", handler(payload)))
+            conn.send(("ok", _serve(shard, op, payload)))
         except Exception as exc:  # surface, don't kill the worker
             conn.send(("err", f"{type(exc).__name__}: {exc}"))
     conn.close()

@@ -27,6 +27,7 @@ __all__ = [
     "make_clustered_points",
     "make_points",
     "reference_candidates",
+    "sharded_state",
 ]
 
 #: A non-radial, asymmetric kernel pair that is NOT in any registry —
@@ -118,3 +119,14 @@ def reference_candidates(index, cx, cy, ct):
                     np.arange(seg.start + lo, seg.start + hi, dtype=np.int64)
                 )
     return np.concatenate(chunks + [np.empty(0, dtype=np.int64)])
+
+
+def sharded_state(svc):
+    """Everything a rejected mutation must leave alone on a live sharded
+    service: coordinator gauges and prefactor, what each worker holds, and
+    the rows in each replay log."""
+    st = svc.stats()
+    return (svc.events, svc.version, tuple(st["shard_events"]),
+            svc._norm(sum(svc._shard_weight)),
+            tuple(w["events"] for w in st["workers"]),
+            tuple(st["recovery"]["log_rows"]))

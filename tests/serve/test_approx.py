@@ -272,10 +272,35 @@ class TestServiceEps:
         assert out.shape == (q.shape[0],)
         assert svc._backend_calls["approx"] == 1
 
-    def test_invalid_eps_rejected(self):
-        svc, q = self._service(n=300)
-        with pytest.raises(ValueError):
-            svc.query_points(q, eps=0.0)
+    def test_approx_default_pins_only_requests_with_a_budget(self):
+        """``backend="approx"`` as the service default: the sampler for
+        requests that carry an ``eps``, the planner for everything else
+        (regions, slices and budget-less batches used to raise)."""
+        svc, q = self._service(n=300, backend="approx")
+        auto, _ = self._service(n=300)
+        plans: list = []
+        out = svc.query_points(q, eps=0.3, seed=1, plan_out=plans)
+        assert plans[-1].backend == "approx"
+        assert plans[-1].reason == "forced by caller"
+        assert np.array_equal(
+            out, auto.query_points(q, backend="approx", eps=0.3, seed=1)
+        )
+        svc.query_points(q, plan_out=plans)
+        assert plans[-1].backend in ("direct", "lookup")
+        assert plans[-1].reason != "forced by caller"
+        assert np.array_equal(svc.query_points(q), auto.query_points(q))
+        w = (2, 9, 1, 8, 3, 7)
+        assert np.array_equal(
+            svc.query_region(w, plan_out=plans).data,
+            auto.query_region(w).data,
+        )
+        assert plans[-1].kind == "region"
+        assert np.array_equal(
+            svc.query_slice(4).data, auto.query_slice(4).data
+        )
+        # A per-call pin without a budget still has no plan to force.
+        with pytest.raises(ValueError, match="backend"):
+            svc.query_points(q, backend="approx")
 
     def test_stats_blob_reports_realised_eps(self):
         svc, q = self._service()

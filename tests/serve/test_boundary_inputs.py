@@ -21,9 +21,10 @@ from repro.serve import (
     BucketIndex, DensityService, ShardedDensityService, TrafficFrontend,
 )
 from repro.serve.engine import direct_sum
-from tests.helpers import brute_force_sum
+from tests.helpers import brute_force_sum, sharded_state
 
-ENTRIES = ("direct", "lookup", "sharded", "frontend")
+# The sharded tier's rows are test_service_contract's (all four hosts).
+ENTRIES = ("direct", "lookup", "frontend")
 NON_FINITE = (np.nan, np.inf, -np.inf)
 GOOD = [8.0, 8.0, 8.0]
 
@@ -52,13 +53,11 @@ def entries():
                 raise out
         return np.array(rest)
 
-    with ShardedDensityService(pts, grid, workers=2, machine=machine) as sh:
-        yield {
-            "direct": lambda q: svc.query_points(q, backend="direct"),
-            "lookup": lambda q: svc.query_points(q, backend="lookup"),
-            "sharded": lambda q: sh.query_points(q, backend="sharded"),
-            "frontend": lambda q: asyncio.run(through_frontend(q)),
-        }
+    return {
+        "direct": lambda q: svc.query_points(q, backend="direct"),
+        "lookup": lambda q: svc.query_points(q, backend="lookup"),
+        "frontend": lambda q: asyncio.run(through_frontend(q)),
+    }
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
@@ -75,7 +74,7 @@ def test_non_finite_queries_are_rejected(entries, entry, bad):
     assert out.shape == (2,) and np.isfinite(out).all() and out[0] == out[1]
 
 
-@pytest.mark.parametrize("entry", ENTRIES[:3])  # query_point has no shape
+@pytest.mark.parametrize("entry", ENTRIES[:2])  # query_point has no shape
 def test_bad_shapes_are_rejected(entries, entry):
     with pytest.raises(ValueError, match=r"\(m, 3\)"):
         entries[entry](np.zeros((3, 2)))
@@ -86,8 +85,11 @@ def test_bad_shapes_are_rejected(entries, entry):
 # ---------------------------------------------------------------------------
 MUTATIONS = (
     "incremental.add", "incremental.remove", "incremental.slide_window",
-    "sharded.add", "sharded.slide_window", "frontend.slide_window",
+    "service.add", "service.remove", "service.slide_window",
+    "sharded.add", "sharded.remove", "sharded.slide_window",
+    "frontend.slide_window",
 )
+SLIDES = tuple(m for m in MUTATIONS if m.endswith("slide_window"))
 
 
 def _inc_state(inc):
@@ -95,17 +97,15 @@ def _inc_state(inc):
             tuple((bid, rows.tobytes()) for bid, rows in inc.live_batches))
 
 
-def _sharded_state(sh):
-    return sh.events, sh.version, tuple(sh.stats()["shard_events"])
-
-
 @pytest.fixture(scope="module")
 def mutations():
-    """``{entry: (mutate(rows), state())}`` over live sources seeded alike.
+    """``{entry: (mutate(rows), state())}`` over live sources seeded alike
+    (a slide's ``mutate`` also takes the horizon, 4.0 unless given).
 
     ``state()`` is everything a rejected feed must leave alone: the event
-    count, the version, and the tracked batches (per-shard counts for the
-    sharded tier, whose batches live in the workers).
+    count, the version, and the tracked batches (for the sharded tier,
+    whose batches live in the workers: per-shard counts on both sides of
+    the pipe and the rows in each replay log).
     """
     from repro.core.incremental import IncrementalSTKDE
 
@@ -122,26 +122,33 @@ def mutations():
     served.add(seed)
     svc = DensityService(served, grid, machine=machine)
 
-    async def frontend_slide(rows):
+    async def frontend_slide(rows, horizon):
         async with TrafficFrontend(svc) as fe:
-            await fe.slide_window(rows, 4.0)
+            await fe.slide_window(rows, horizon)
 
     with ShardedDensityService(None, grid, workers=2, machine=machine) as sh:
         sh.add(seed)
 
-        def sharded_state():
-            return _sharded_state(sh)
+        def sh_state():
+            return sharded_state(sh)
 
         yield {
             "incremental.add": (inc.add, inc_state(inc)),
             "incremental.remove": (inc.remove, inc_state(inc)),
             "incremental.slide_window": (
-                lambda rows: inc.slide_window(rows, 4.0), inc_state(inc)),
-            "sharded.add": (sh.add, sharded_state),
+                lambda rows, h=4.0: inc.slide_window(rows, h),
+                inc_state(inc)),
+            "service.add": (svc.add, inc_state(served)),
+            "service.remove": (svc.remove, inc_state(served)),
+            "service.slide_window": (
+                lambda rows, h=4.0: svc.slide_window(rows, h),
+                inc_state(served)),
+            "sharded.add": (sh.add, sh_state),
+            "sharded.remove": (sh.remove, sh_state),
             "sharded.slide_window": (
-                lambda rows: sh.slide_window(rows, 4.0), sharded_state),
+                lambda rows, h=4.0: sh.slide_window(rows, h), sh_state),
             "frontend.slide_window": (
-                lambda rows: asyncio.run(frontend_slide(rows)),
+                lambda rows, h=4.0: asyncio.run(frontend_slide(rows, h)),
                 inc_state(served)),
         }
 
@@ -179,6 +186,56 @@ def test_malformed_event_batches_are_rejected(mutations, entry, bad):
     # n, version and the tracked batches (ids and rows): the slides'
     # horizon of 4.0 would have retired rows had the feed been accepted.
     assert state() == before
+
+
+@pytest.mark.parametrize("entry", SLIDES)
+def test_nan_horizon_is_rejected(mutations, entry):
+    """``t < nan`` is false for every event: the slide used to add the
+    rows, retire nothing and bump the version — and the sharded tier's
+    replay logs, truncated to ``t >= nan``, kept no row at all."""
+    mutate, state = mutations[entry]
+    before = state()
+    with pytest.raises(ValueError, match="t_horizon must not be NaN"):
+        mutate(np.array([GOOD, GOOD]), float("nan"))
+    assert state() == before
+
+
+def test_nan_horizon_leaves_the_replay_logs_whole():
+    """The sharded row again, then a crash: the shard comes back from a
+    log the rejected slide never touched, so every answer is unchanged."""
+    from repro.serve import ShardLog
+
+    grid = GridSpec(DomainSpec.from_voxels(16, 16, 16), hs=2.0, ht=2.0)
+    rng = np.random.default_rng(10)
+    seed = rng.uniform(0, 16.0, size=(500, 3))
+    queries = rng.uniform(0, 16.0, size=(60, 3))
+    with ShardedDensityService(
+        None, grid, workers=2, machine=MachineModel.nominal(),
+        restart_backoff_s=0.01,
+    ) as sh:
+        sh.add(seed)
+        before = sharded_state(sh)
+        answers = sh.query_points(queries, backend="sharded")
+        with pytest.raises(ValueError, match="t_horizon must not be NaN"):
+            sh.slide_window(seed[:40] + 0.25, float("nan"))
+        assert sharded_state(sh) == before
+        sh._workers[1].send_op("crash")
+        np.testing.assert_array_equal(
+            sh.query_points(queries, backend="sharded"), answers
+        )
+        assert sh.counter.shard_restarts == 1
+        assert sharded_state(sh) == before
+    # The log refuses one on its own account, too.
+    log = ShardLog()
+    log.record("add", seed)
+    with pytest.raises(ValueError, match="NaN"):
+        log.record("slide", (seed[:3], float("nan")))
+    assert log.rows == 500 and len(log) == 1
+    # +-inf stay legal: retire nothing / everything.
+    log.record("slide", (seed[:3], float("-inf")))
+    assert log.rows == 503
+    log.record("slide", (seed[:3], float("inf")))
+    assert log.rows == 0
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +325,6 @@ NOT_LIVE = {
 @pytest.mark.parametrize("entry", ("incremental", "sharded"))
 def test_remove_of_rows_not_live_raises_and_changes_nothing(entry, case):
     from repro.core.incremental import IncrementalSTKDE
-    from repro.serve import ShardFailed
 
     grid = GridSpec(DomainSpec.from_voxels(16, 16, 16), hs=2.0, ht=2.0)
     rng = np.random.default_rng(7)
@@ -296,12 +352,13 @@ def test_remove_of_rows_not_live_raises_and_changes_nothing(entry, case):
     queries = rng.uniform(0, 16.0, size=(40, 3))
     with ShardedDensityService(None, grid, workers=2, machine=machine) as sh:
         sh.add(seed)
-        before = _sharded_state(sh)
-        # Rows of one shard only: cross-shard atomicity of a partly
-        # rejected mutation is a separate matter.
-        with pytest.raises(ShardFailed, match=message):
+        before = sharded_state(sh)
+        # Rows of one shard only; a remove that one of several owners
+        # rejects is test_service_contract's.  The error is the estimator's
+        # own ValueError, not the worker's ShardFailed.
+        with pytest.raises(ValueError, match=message):
             sh.remove(build(seed[seed[:, 0] < 8.0]))
-        assert _sharded_state(sh) == before
+        assert sharded_state(sh) == before
         sh.slide_window(fresh, 4.0)
         np.testing.assert_allclose(
             sh.query_points(queries, backend="sharded"),

@@ -114,14 +114,6 @@ class TestServiceStatic:
         with pytest.raises(ValueError, match="grid"):
             DensityService(pts)
 
-    def test_rejects_unknown_backend(self, small_grid):
-        pts = make_points(small_grid, 10, seed=54)
-        with pytest.raises(ValueError, match="backend"):
-            DensityService(pts, small_grid, backend="warp")
-        svc = DensityService(pts, small_grid, machine=MACHINE)
-        with pytest.raises(ValueError, match="backend"):
-            svc.query_points(pts.coords[:2], backend="warp")
-
     def test_empty_source_serves_zeros(self, small_grid):
         svc = DensityService(PointSet(np.empty((0, 3))), small_grid,
                              machine=MACHINE)

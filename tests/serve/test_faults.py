@@ -448,8 +448,16 @@ class TestCrashRecovery:
             fault_plan=plan, restart_backoff_s=0.01,
         ) as svc:
             svc.add(seed)
-            with pytest.raises(ShardFailed, match="only .* present") as err:
+            # The service asks the owners first and logs nothing ...
+            with pytest.raises(ValueError, match="only .* present"):
                 svc.remove(surplus)  # more rows than either shard holds
+            assert svc.stats()["recovery"]["log_entries"] == [1, 1]
+            # ... and a rejection that does reach a worker is un-logged by
+            # the supervisor itself.
+            part = surplus[svc.plan.owner_of(surplus[:, 0]) == 1]
+            svc._sup.record(1, "remove", part)
+            with pytest.raises(ShardFailed, match="only .* present") as err:
+                svc._sup.scatter([(1, "remove", part)])
             assert not err.value.retryable
             assert svc.stats()["recovery"]["log_entries"] == [1, 1]
             expect = svc.query_points(queries, backend="sharded")

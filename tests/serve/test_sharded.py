@@ -246,20 +246,6 @@ class TestLiveEquivalence:
             svc.slide_window(narrow, grid.domain.t0 + 1.0)
             assert svc.counter.shard_messages - before == 1
 
-    def test_live_rejects_local_backend_and_weighted_mutations(self):
-        grid = make_grid((16, 12, 8))
-        with ShardedDensityService(
-            None, grid, workers=2, machine=NOMINAL
-        ) as svc:
-            svc.add(np.array([[1.0, 1.0, 1.0]]))
-            with pytest.raises(ValueError, match="live sources"):
-                svc.query_points(np.zeros((1, 3)), backend="local")
-            weighted = PointSet(
-                np.array([[1.0, 1.0, 1.0]]), np.array([2.0])
-            )
-            with pytest.raises(ValueError, match="weight"):
-                svc.add(weighted)
-
 
 # ---------------------------------------------------------------------------
 # Fault paths: dying workers must recover (or surface typed), never hang
@@ -393,20 +379,6 @@ class TestScatterPlanning:
         machine = calibrate_ipc(MachineModel.nominal())
         assert machine.c_msg > 0.0
         assert machine.c_qser > 0.0
-
-
-# ---------------------------------------------------------------------------
-# The merge cap is an int or None (the model-chosen "auto" value is gone)
-# ---------------------------------------------------------------------------
-class TestAdaptiveMergeCap:
-    def test_bogus_merge_cap_string_rejected(self, small_grid):
-        for bogus in ("bogus", "auto"):
-            for service in (DensityService, ShardedDensityService):
-                with pytest.raises(ValueError, match="index_merge_cap"):
-                    service(
-                        PointSet(np.zeros((1, 3))), small_grid,
-                        index_merge_cap=bogus,
-                    )
 
 
 # ---------------------------------------------------------------------------
