@@ -122,10 +122,12 @@ class MachineModel:
         like — the read-side analogue of ``c_batch``.  Persisted
         calibrations carry the key, hence the historical name.
     c_qprobe:
-        Per-(cell-group x segment) cost of probing the index's CSR runs
-        (vectorised ``searchsorted`` into one segment's sorted cells).
-        Charged ``groups * segments`` per batch: the price of keeping the
-        index incremental as per-batch segments rather than one monolith.
+        Cost of probing one more index segment for a query's candidate
+        runs (vectorised ``searchsorted`` into the segment's sorted keys;
+        the exact engine probes per query, the sampler per distinct home
+        cell).  Charged ``groups * segments`` per batch: the price of
+        keeping the index incremental as per-batch segments rather than
+        one monolith.
     c_qrow:
         Seconds per storage row copied by the index's consolidation
         gather (segment merging: one stable sort of already-computed

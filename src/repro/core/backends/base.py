@@ -131,10 +131,15 @@ class ComputeBackend:
         :meth:`sampled_contributions`, the reduction one
         ``np.add.reduceat`` — so a query's sum depends only on its own
         segment, never on how the batch was cut into slabs.
+
+        Any finite offset is legal input, and one beyond ~1e154 overflows
+        when squared — outside the mask, where the value is discarded —
+        so overflow is not reported from here.
         """
-        contrib = self.sampled_contributions(
-            grid, kernel, dx, dy, dt, weights, counter
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            contrib = self.sampled_contributions(
+                grid, kernel, dx, dy, dt, weights, counter
+            )
         return np.add.reduceat(contrib, seg_starts)
 
     def sampled_contributions(

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from ..grid import GridSpec
-from ..instrument import WorkCounter
+from ..instrument import WorkCounter, null_counter
 from ..kernels import KernelPair
 from .base import ComputeBackend
 from .numpy_ref import NumpyRefBackend
@@ -116,6 +116,29 @@ class NumpyFusedBackend(ComputeBackend):
         # (above) — the values agree with the reference at rtol=1e-12.
         disk, bar = self._factor_tables(grid, kernel, norm, dx, dy, dt)
         return disk[:, :, :, None] * bar[:, None, None, :]
+
+    def query_segment_sums(
+        self,
+        grid: GridSpec,
+        kernel: KernelPair,
+        dx: np.ndarray,
+        dy: np.ndarray,
+        dt: np.ndarray,
+        weights: Optional[np.ndarray],
+        seg_starts: np.ndarray,
+        counter: WorkCounter,
+    ) -> np.ndarray:
+        sums = super().query_segment_sums(
+            grid, kernel, dx, dy, dt, weights, seg_starts, counter
+        )
+        if not np.isfinite(sums).all():
+            # An offset that overflowed to inf met the mask's
+            # multiply-by-zero (inf * 0 is NaN); the reference selects
+            # instead.  The pairs were charged above.
+            sums = self._ref.query_segment_sums(
+                grid, kernel, dx, dy, dt, weights, seg_starts, null_counter()
+            )
+        return sums
 
     def sampled_contributions(
         self,

@@ -170,6 +170,16 @@ class VoxelWindow:
         )
 
 
+def check_bandwidths(hs: float, ht: float) -> None:
+    """``ValueError`` unless both bandwidths are finite and positive —
+    before any voxel or cell count is derived from them (``ceil`` of a
+    NaN or infinite ratio raises from inside the arithmetic instead)."""
+    if not (0 < hs < math.inf and 0 < ht < math.inf):
+        raise ValueError(
+            f"bandwidths must be finite and positive, got hs={hs}, ht={ht}"
+        )
+
+
 class GridSpec:
     """Voxel grid bound to a domain and a bandwidth pair.
 
@@ -184,8 +194,7 @@ class GridSpec:
     )
 
     def __init__(self, domain: DomainSpec, hs: float, ht: float) -> None:
-        if hs <= 0 or ht <= 0:
-            raise ValueError(f"bandwidths must be positive, got hs={hs}, ht={ht}")
+        check_bandwidths(hs, ht)
         self.domain = domain
         self.hs = float(hs)
         self.ht = float(ht)

@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..algorithms.base import STKDEResult, get_algorithm
-from .grid import DomainSpec, GridSpec, PointSet
+from .grid import DomainSpec, GridSpec, PointSet, check_bandwidths
 from .instrument import PhaseTimer, WorkCounter
 from .kernels import KernelPair, get_kernel
 
@@ -102,8 +102,7 @@ class STKDE:
     memory_budget_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.hs <= 0 or self.ht <= 0:
-            raise ValueError("bandwidths must be positive")
+        check_bandwidths(self.hs, self.ht)
         if self.sres <= 0 or self.tres <= 0:
             raise ValueError("resolutions must be positive")
         get_kernel(self.kernel)  # fail fast on unknown kernels

@@ -9,17 +9,24 @@ into ``repro.serve``:
     Seconds per trilinear volume sample: slope of
     :func:`~repro.serve.engine.sample_volume` over two batch sizes.
 ``c_qpair``
-    Seconds per (query, candidate) pair of
-    :func:`~repro.serve.engine.direct_sum`: slope between a small and a
-    large batch over a dense index (every query sees the full 27-cell
-    candidate set), per extra pair.
+    Seconds of :func:`~repro.serve.engine.direct_sum` per *box
+    candidate* — per event of a query's 27-cell neighbourhood, which is
+    what :meth:`BucketIndex.candidate_counts` counts and the planner
+    multiplies by: slope between a small and a large batch over a dense
+    index, per extra box candidate.  The engine pairs a query only with
+    the candidates inside its time window (about two thirds of the box
+    for events uniform in t), so a fresh calibration already carries that
+    saving; a machine model recorded before the window cut (the pinned
+    ``perfbench/machine.json``) over-prices ``direct`` by the same factor
+    on every plan.
 ``c_qcohort``
     Seconds per ragged slab dispatch of the direct-sum engine
     (:func:`~repro.serve.engine.direct_sum`): the same batch — same
     pairs, same gathers — cut into many small slabs against few large
     ones, per extra slab (counted by ``WorkCounter.query_cohorts``).
 ``c_qprobe``
-    Seconds per (cell-group x segment) CSR probe: slope of the direct-sum
+    Seconds per (query x segment) run probe — each query's own 18 window
+    needles searched in one more segment's keys: slope of the direct-sum
     engine between a single-segment and a many-segment index over the
     same batch — what pricing an *incremental* index costs per extra
     live batch segment.
@@ -252,14 +259,13 @@ def calibrate_serving(
     t_few, n_few = slab_probe(1 << 16)
     c_qcohort = max((t_many - t_few) / max(n_many - n_few, 1), 1e-13)
 
-    # Per-(group x segment) probe cost: same batch, same events, the
+    # Per-(query x segment) probe cost: same batch, same events, the
     # index split into many per-batch segments vs one — the incremental
     # index's marginal cost per live segment.
     n_segs = 8
     idx_multi = BucketIndex(g_q)
     for s in range(n_segs):
         idx_multi.add_segment(s, events[s::n_segs])
-    groups = idx.group_count(qs)
 
     def direct_probe(index: BucketIndex, qs_probe: np.ndarray) -> float:
         best = math.inf
@@ -273,7 +279,7 @@ def calibrate_serving(
     t_multi = direct_probe(idx_multi, qs)
     t_single = direct_probe(idx, qs)
     c_qprobe = max(
-        (t_multi - t_single) / max(groups * (n_segs - 1), 1), 1e-12
+        (t_multi - t_single) / max(len(qs) * (n_segs - 1), 1), 1e-12
     )
 
     # Approximate-tier rates.  A dense fixture — wide bandwidth, queries

@@ -18,11 +18,11 @@ Two ways to answer a density query, with opposite cost shapes:
     per query after an O(n * stamp) build, which is what wins for large
     query batches — the planner prices the crossover.
 
-Concurrent queries share work at the cell level.  Queries in the same
-index cell share one candidate set, flattened once per batch into a
-cell-level CSR of candidate rows straight from the index's run table.  The
-batch is then evaluated as a **ragged gather**: the queries, sorted by
-home cell, are cut into slabs of at most ``_QUERY_SLAB_PAIRS`` (query,
+A batch is evaluated as a **ragged gather** over per-query runs: the
+index cuts each query's nine neighbour columns per segment to the query's
+own time window (:meth:`BucketIndex.window_runs` — only events within
+``ht`` of the query in t are ever paired with it), and the queries, sorted
+by home cell, are cut into slabs of at most ``_QUERY_SLAB_PAIRS`` (query,
 candidate) pairs; each slab is one flat 1-D pair list — three column
 gathers, one elementwise masked kernel product, one segment sum.  The
 Python-level cost of a batch follows the number of *pairs* (one dispatch
@@ -112,10 +112,11 @@ def slab_dispatches(pairs: int) -> int:
     """Ragged slab dispatches a direct sum over ``pairs`` pairs runs.
 
     The planner's estimate of ``WorkCounter.query_cohorts`` (what
-    ``c_qcohort`` prices), from the candidate total alone.  A query's
-    segment is never split, so the engine's slabs run a little under the
-    cap (at most twice this many dispatches) or, for a query larger than
-    the cap, over it.
+    ``c_qcohort`` prices), from the 27-cell candidate total alone — an
+    upper bound on the pairs the engine forms once each run is cut to its
+    query's time window.  A query's segment is never split, so the
+    engine's slabs run a little under the cap (at most twice this many
+    dispatches) or, for a query larger than the cap, over it.
     """
     return max(1, -(-int(pairs) // _QUERY_SLAB_PAIRS))
 
@@ -136,7 +137,8 @@ def uniform_candidates(grid: GridSpec, n_events: int, n_queries: int) -> int:
 def _home_cell_runs(
     index: BucketIndex, q: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct home cells of a batch and their candidate runs.
+    """Distinct home cells of a batch and their candidate runs (the
+    approximate engine's sampling frame).
 
     Returns ``(ucells, inv, starts, lengths)``: the ``(U, 3)`` distinct
     cell coordinates in ascending flat-id order, each query's row into
@@ -163,56 +165,42 @@ def _ragged_sums(
     index: BucketIndex,
     q: np.ndarray,
     rows: np.ndarray,
-    inv: np.ndarray,
-    starts: np.ndarray,
-    lengths: np.ndarray,
     kernel: KernelPair,
     backend: ComputeBackend,
     counter: WorkCounter,
     slab_pairs: int,
     out: np.ndarray,
 ) -> None:
-    """Raw kernel sums of queries ``rows`` over their candidates, into ``out``.
+    """Raw kernel sums of queries ``rows`` of ``q`` over their candidates,
+    into ``out``.
 
-    ``inv`` / ``starts`` / ``lengths`` are :func:`_home_cell_runs` of the
-    whole batch ``q``.  The candidate rows of the cells ``rows`` occupy
-    are flattened once into a cell-level CSR; the queries with a
-    non-empty neighbourhood, sorted by home cell, are cut into slabs of
-    at most ``slab_pairs`` pairs (a query's segment is never split, so a
-    query with more candidates than that is its own slab), and each slab
-    is expanded to a flat pair list, evaluated elementwise and reduced by
+    The queries are sorted by home cell (neighbours gather the same
+    store rows) and each gets its own runs from
+    :meth:`BucketIndex.window_runs`.  Those with any candidate are cut
+    into slabs of at most ``slab_pairs`` pairs (a query's segment is
+    never split, so a query with more candidates than that is its own
+    slab), and each slab's runs are expanded to a flat pair list,
+    evaluated elementwise and reduced by
     :meth:`ComputeBackend.query_segment_sums`.  A query's sum therefore
     depends only on its own candidates in run order — not on the rest of
-    the batch, nor on ``slab_pairs``.  Queries with an empty
-    neighbourhood are left untouched in ``out``.
+    the batch, nor on ``slab_pairs``.  Queries with no candidate are left
+    untouched in ``out``.
     """
-    K_cell = lengths.sum(axis=1)
-    cell = inv[rows]
-    by_cell = np.argsort(cell, kind="stable")
-    rows = rows[by_cell]
-    cell = cell[by_cell]
-    K = K_cell[cell]
+    rows = rows[np.argsort(index.cell_of(q[rows]), kind="stable")]
+    starts, lengths = index.window_runs(q[rows])
+    K = lengths.sum(axis=1)
     # ``np.add.reduceat`` returns the element at the start index for an
-    # empty segment, so empty neighbourhoods must not reach a slab.
+    # empty segment, so queries without candidates must not reach a slab.
     live = K > 0
     if not live.all():
-        rows, cell, K = rows[live], cell[live], K[live]
+        rows, K = rows[live], K[live]
+        starts, lengths = starts[live], lengths[live]
     if rows.size == 0:
         return
-
-    # Cell-level CSR over the cells actually used: ``cell_rows[ptr[c] :
-    # ptr[c] + K_cell[used[c]]]`` are the candidate storage rows of used
-    # cell ``c``, runs concatenated left to right.
-    new = np.empty(rows.size, dtype=bool)
-    new[0] = True
-    np.not_equal(cell[1:], cell[:-1], out=new[1:])
-    used = cell[new]
-    L = lengths[used].ravel()
-    S = starts[used].ravel()
-    nz = L > 0
-    cell_rows = _flatten_runs(S[nz], L[nz])
-    ptr = np.cumsum(K_cell[used]) - K_cell[used]
-    q_ptr = ptr[np.cumsum(new) - 1]
+    # The non-empty runs, query after query, and where each query's end.
+    held = lengths > 0
+    starts, lengths = starts[held], lengths[held]
+    run_end = np.cumsum(held.sum(axis=1))
 
     coords = index.coords
     cx, cy, ct = coords[:, 0], coords[:, 1], coords[:, 2]
@@ -220,13 +208,14 @@ def _ragged_sums(
     qx, qy, qt = q[rows, 0], q[rows, 1], q[rows, 2]
     cum = np.cumsum(K)
     grid = index.grid
-    a = 0
+    a = r = 0
     while a < rows.size:
         base = int(cum[a] - K[a])
         b = max(a + 1, int(np.searchsorted(cum, base + slab_pairs, "right")))
         k = K[a:b]
         seg = cum[a:b] - k - base
-        cand = cell_rows[_flatten_runs(q_ptr[a:b], k)]
+        r_end = int(run_end[b - 1])
+        cand = _flatten_runs(starts[r:r_end], lengths[r:r_end])
         out[rows[a:b]] = backend.query_segment_sums(
             grid, kernel,
             np.repeat(qx[a:b], k) - cx[cand],
@@ -236,7 +225,7 @@ def _ragged_sums(
             seg, counter,
         )
         counter.query_cohorts += 1
-        a = b
+        a, r = b, r_end
 
 
 def direct_sum(
@@ -254,13 +243,15 @@ def direct_sum(
     ``queries`` is ``(m, 3)`` rows of finite ``(x, y, t)`` in domain
     space; the return is ``(m,)`` densities ``norm * sum_i w_i k_s k_t``
     over the index's events (unit ``w_i`` for unweighted indexes).
-    Queries with an empty candidate neighbourhood cost O(1).
+    Queries with no candidate cost O(1).
 
     One ragged gather (:func:`_ragged_sums`): per slab of at most
     ``slab_pairs`` (query, candidate) pairs, three coordinate-column
     gathers, one elementwise masked kernel product and one segment sum.
-    Each query's candidates are added in the index's run order
-    (segment-major, then x, then y, insertion order within a cell) by
+    A query's candidates are the events of the nine cell columns around
+    it that lie in its time window (:meth:`BucketIndex.window_runs`),
+    added in the index's run order — segment-major, then x, then y, then
+    t (insertion order among rows the sort key ties) — by
     ``np.add.reduceat``; the result agrees with a brute-force sum over
     all events at ``rtol=1e-12`` and is identical for every
     ``slab_pairs``.
@@ -275,10 +266,8 @@ def direct_sum(
     out = np.zeros(m, dtype=np.float64)
     if m == 0 or index.segment_count == 0:
         return out
-    _, inv, starts, lengths = _home_cell_runs(index, q)
     _ragged_sums(
-        index, q, np.arange(m), inv, starts, lengths,
-        kernel, backend, counter, slab_pairs, out,
+        index, q, np.arange(m), kernel, backend, counter, slab_pairs, out
     )
     out *= norm
     return out
@@ -530,8 +519,7 @@ def approx_sum(
         exact = np.concatenate(exact_rows)
 
         _ragged_sums(
-            index, qc, exact, inv, starts, lengths,
-            kernel, backend, counter, slab_pairs, out_c,
+            index, qc, exact, kernel, backend, counter, slab_pairs, out_c
         )
         exact_total += exact.size
         out[c0 : c0 + mc] = out_c

@@ -18,19 +18,34 @@ neighbourhood around it:
 Storage format
 --------------
 One append-only column store holds every row: the ``(cap, 3)``
-column-major coordinates, a flat cell id per row and an optional weight
-per row.  A **segment** is a slice ``[start, start + n)`` of it whose
-rows are **sorted by cell** (stably, so insertion order survives within
-a cell) — the paper's point binning, laid out the way its tasks read it.
-A candidate run ``(start, length)`` therefore addresses coordinates
-*directly*: one ``searchsorted`` on a segment's cell slice yields
-storage rows, with no permutation in between.
+column-major coordinates, one float64 sort key per row and an optional
+weight per row.  A **segment** is a slice ``[start, start + n)`` of it
+whose rows are **sorted by (cell, t)** — the paper's point binning, laid
+out the way its tasks read it, and time-ordered inside every bin.  The
+key of a row is ``2 * cell + frac``, ``frac`` in ``[0, 1]`` being how far
+through its cell the row lies in t: keys of one cell fill ``[2 cell,
+2 cell + 1]``, so no rounding can tie two cells (a stable sort of
+``column * W + t`` could put the later cell first across a cell edge),
+and the segment is one stable sort of that single column.  Rows whose
+keys tie — same cell, times closer than the key resolves — keep insertion
+order.
+
+Cells contiguous in t are contiguous in the flat cell id, so each of the
+nine ``(ix, iy)`` **columns** around a query is one run of the slice,
+t-ascending end to end.  A run ``(start, length)`` addresses coordinates
+*directly* — ``searchsorted`` on a segment's key slice yields storage
+rows, with no permutation in between — and it is cut two ways from the
+same column: by cell bounds (:meth:`BucketIndex.candidate_runs`, the
+27-cell box the planner counts and the sampler draws from) or by a
+query's own time window ``[t - ht, t + ht]``
+(:meth:`BucketIndex.window_runs`, what the exact engine evaluates — for
+events uniform in t, two thirds of the box).
 
 Incremental segments
 --------------------
 Segments mirror the tracked batches of
 :class:`repro.core.incremental.IncrementalSTKDE`: :meth:`add_segment`
-buckets one batch in O(batch) (cell keys, one stable sort, one gathered
+buckets one batch in O(batch) (sort keys, one stable sort, one gathered
 write at the end of the store).  :meth:`sync` diffs the estimator's live
 batches against the registered segments and appends/retires only the
 delta — the batches whose *membership* changed.  For a time-stratified
@@ -50,12 +65,12 @@ fed by tiny batches would accumulate segments without bound.
 count exceeds ``merge_segment_cap``, the oldest segments are coalesced
 into one consolidated segment by **one stable sort**: their row ranges
 are concatenated in registration order, stably ordered by their
-already-computed cells and appended as one gathered copy — no event is
-ever re-bucketed, and within a cell the order is member registration
+already-computed keys and appended as one gathered copy — no event is
+ever re-bucketed, and among tied keys the order is member registration
 order, then insertion order, exactly a cold build's.  The consolidated
 segment carries a per-row ``owner``, so a later slide that retires one
 member compresses that member's rows out of the slice in place (again:
-no cell recomputed, no sort rerun).  Steady state under any feed
+no key recomputed, no sort rerun).  Steady state under any feed
 granularity is therefore at most ``merge_segment_cap`` segments.
 
 Reclaiming dead rows
@@ -84,11 +99,12 @@ none exists yet.  A slide thus costs the table O(arriving + retiring
 cells), not O(cells).
 
 Queries whose locations fall in the same cell share one candidate
-neighbourhood, and :meth:`candidate_runs` exposes every cell's
-27-neighbourhood as ``(start, length)`` runs of storage rows — the
-layout the ragged engine (:func:`repro.serve.engine.direct_sum`)
-flattens into one CSR of candidate rows per batch, with no per-cell
-Python dispatch.
+box, and :meth:`candidate_runs` exposes every cell's 27-neighbourhood as
+``(start, length)`` runs of storage rows (the approximate engine's
+sampling frame).  :meth:`window_runs` hands the exact engine
+(:func:`repro.serve.engine.direct_sum`) the same nine columns per
+segment cut to each query's time window, which it expands into one flat
+pair list per slab with no per-cell Python dispatch.
 """
 
 from __future__ import annotations
@@ -103,10 +119,26 @@ from ..core.instrument import WorkCounter, null_counter
 
 __all__ = ["BucketIndex"]
 
-#: The 3x3x3 neighbourhood collapses to 9 (x, y) rows per segment — cells
-#: contiguous in t are contiguous in the flat cell id, so each row is one
-#: run of the segment's cell-sorted slice.
+#: The 3x3x3 neighbourhood collapses to 9 (x, y) columns per segment —
+#: cells contiguous in t are contiguous in the flat cell id, so each column
+#: is one run of the segment's sorted slice.
 _RUNS_PER_SEGMENT = 9
+
+#: Offsets of those nine columns from the home column, x-major then y.
+_COLUMN_DX = np.repeat(np.arange(-1, 2), 3)[:, None]
+_COLUMN_DY = np.tile(np.arange(-1, 2), 3)[:, None]
+
+#: A query's time window reaches ``ht + _WINDOW_SLACK * (|t| + ht)`` to
+#: both sides, so that what is cut from the keys is a superset of what the
+#: engine's mask ``|fl(t - t_event)| <= ht`` passes.  The mask's
+#: subtraction rounds: it passes events up to 2**-53 ht beyond ``ht``.
+#: Forming the reach and subtracting it from ``t`` round again, by under
+#: 2**-52 (|t| + ht) together.  The slack is more than twice their sum.
+#: (Cell and fraction are non-decreasing functions of a time, computed by
+#: one expression for rows and for window ends, so they add no error.)  A
+#: false positive is masked out by the engine; a false negative would be a
+#: wrong answer.
+_WINDOW_SLACK = 2.0 ** -50
 
 #: Per axis of a 3-D block, the index of every plane but the first and of
 #: every plane but the last: adding one into the other shifts by a cell.
@@ -121,7 +153,7 @@ _PLANE_SHIFTS = tuple(
 
 class _Segment:
     """One segment: rows ``[start, start + n)`` of the store, ascending
-    in cell id.
+    in key (cell, then t).
 
     A **consolidated** segment (the merge policy's product) additionally
     carries ``members``, mapping each original batch id it answers for
@@ -155,9 +187,9 @@ class _Segment:
 class BucketIndex:
     """Segmented bucket index over events, cells of ``hs x hs x ht``.
 
-    Every segment is a contiguous, cell-sorted slice of one append-only
-    column store; dead rows are reclaimed by one amortised repack (see
-    the module docstring).
+    Every segment is a contiguous, (cell, t)-sorted slice of one
+    append-only column store; dead rows are reclaimed by one amortised
+    repack (see the module docstring).
 
     Parameters
     ----------
@@ -183,7 +215,8 @@ class BucketIndex:
 
     __slots__ = (
         "grid", "nx", "ny", "nt", "merge_segment_cap",
-        "_coords", "_cells", "_weights", "_size", "_dead",
+        "_origin", "_widths",
+        "_coords", "_keys", "_weights", "_size", "_dead",
         "_segments", "_cell_counts", "_box_counts", "_stale_boxes",
         "_stale_cells", "_merge_seq",
         "events_bucketed", "events_retired", "segments_merged",
@@ -207,6 +240,8 @@ class BucketIndex:
         self.nx = max(1, math.ceil(d.gx / grid.hs))
         self.ny = max(1, math.ceil(d.gy / grid.hs))
         self.nt = max(1, math.ceil(d.gt / grid.ht))
+        self._origin = (d.x0, d.y0, d.t0)
+        self._widths = (grid.hs, grid.hs, grid.ht)
         self._weights: Optional[np.ndarray] = None
         self._allocate(0)
         self._size = 0  # rows used in the store (live + dead)
@@ -235,7 +270,7 @@ class BucketIndex:
     @property
     def coords(self) -> np.ndarray:
         """The shared ``(size, 3)`` coordinate store: each segment's rows
-        in cell order, dead rows included (only rows reachable through a
+        in key order, dead rows included (only rows reachable through a
         segment's runs are ever gathered).  Stored column-major:
         ``coords[:, k]`` is contiguous."""
         return self._coords[: self._size]
@@ -255,22 +290,22 @@ class BucketIndex:
         run, so the engine's candidate gathers are 1-D (an (n, 3) row
         gather costs ~4x three column gathers)."""
         self._coords = np.empty((cap, 3), dtype=np.float64, order="F")
-        self._cells = np.empty(cap, dtype=np.int64)
+        self._keys = np.empty(cap, dtype=np.float64)
         if self._weights is not None:
             self._weights = np.empty(cap, dtype=np.float64)
 
     def _columns(self) -> List[np.ndarray]:
-        """The store as contiguous 1-D columns: x, y, t, cell and — once
+        """The store as contiguous 1-D columns: x, y, t, key and — once
         a batch has carried them — weight.  Every row move is one loop
         over these."""
-        cols = [*self._coords.T, self._cells]
+        cols = [*self._coords.T, self._keys]
         return cols if self._weights is None else cols + [self._weights]
 
     def _reserve(self, m: int) -> int:
         """Claim ``m`` rows at the end of the store (growth by doubling);
         returns their first row.  Growth reallocates the columns."""
         start = self._size
-        cap = self._cells.shape[0]
+        cap = self._keys.shape[0]
         if start + m > cap:
             old = self._columns()
             self._allocate(max(start + m, 2 * cap, 64))
@@ -283,8 +318,8 @@ class BucketIndex:
         """The one reclaim rule: once dead rows outnumber live ones, copy
         every live segment's slice into a fresh store.
 
-        Slices are copied whole in registration order (already
-        cell-sorted: no sort, no gather), and segments are updated in
+        Slices are copied whole in registration order (already sorted:
+        no sort, no gather), and segments are updated in
         place — :meth:`sync` holds references to them across a repack.
         """
         n = self.n
@@ -346,7 +381,7 @@ class BucketIndex:
 
     @property
     def nbytes(self) -> int:
-        """Index overhead beyond the raw coordinates (per-row cell ids,
+        """Index overhead beyond the raw coordinates (per-row sort keys,
         consolidated segments' owners, per-cell counts)."""
         owners = sum(
             s.owner.nbytes for s in self._segments.values()
@@ -415,7 +450,7 @@ class BucketIndex:
     ) -> None:
         """Register one event batch as a segment — O(batch).
 
-        The only operation that *buckets* events (computes cell keys and
+        The only operation that *buckets* events (computes sort keys and
         sorts them); everything else the index does is bookkeeping over
         already-bucketed segments, which is what makes a window slide
         O(arriving batch) instead of O(live events).  A duplicate id,
@@ -435,23 +470,23 @@ class BucketIndex:
         """:meth:`add_segment` past its checks: bucket, sort, append."""
         counter = counter if counter is not None else null_counter()
         m = coords.shape[0]
-        cell = self.cell_of(coords)
+        cell, frac = self._bucket(coords)
         if weights is not None and self._weights is None:
             # First weighted batch: every earlier row has unit weight.
-            self._weights = np.ones(self._cells.shape[0], dtype=np.float64)
+            self._weights = np.ones(self._keys.shape[0], dtype=np.float64)
         start = self._reserve(m)
         rows = slice(start, start + m)
         self._coords[rows] = coords
-        self._cells[rows] = cell
+        self._keys[rows] = 2.0 * cell + frac
         if self._weights is not None:
             self._weights[rows] = weights if weights is not None else 1.0
-        # Sort the slice by cell, one contiguous column at a time (a 1-D
+        # Sort the slice by key, one contiguous column at a time (a 1-D
         # gather within the column; a row gather of the (m, 3) input is
-        # ~3x dearer).  Stable, so insertion order survives within a
-        # cell: deterministic candidate (and hence accumulation) order.
-        by_cell = np.argsort(cell, kind="stable")
+        # ~3x dearer).  Stable, so insertion order survives among tied
+        # keys: deterministic candidate (and hence accumulation) order.
+        by_key = np.argsort(self._keys[rows], kind="stable")
         for col in self._columns():
-            col[rows] = col[rows][by_cell]
+            col[rows] = col[rows][by_key]
         self._segments[seg_id] = _Segment(seg_id, start, m)
         self._count_cells(cell, +1)
         self.events_bucketed += m
@@ -466,7 +501,8 @@ class BucketIndex:
         seg = self._segments.pop(seg_id, None)
         if seg is None:
             raise KeyError(f"unknown segment {seg_id!r}")
-        self._count_cells(self._cells[seg.start : seg.start + seg.n], -1)
+        rows = slice(seg.start, seg.start + seg.n)
+        self._count_cells(self._row_cells(rows), -1)
         self._dead += seg.n
         self.events_retired += seg.n
         counter.index_events_retired += seg.n
@@ -477,8 +513,8 @@ class BucketIndex:
     ) -> int:
         """Retire one member batch of a consolidated segment.
 
-        One boolean compress of the segment's slice in place — the cell
-        order of the survivors is preserved, so no cell is recomputed
+        One boolean compress of the segment's slice in place — the key
+        order of the survivors is preserved, so no key is recomputed
         and no sort rerun; the slice's vacated tail is counted dead.
         Returns the rows retired.
         """
@@ -487,7 +523,7 @@ class BucketIndex:
         nm = seg.n - kept
         if nm:
             rows = slice(seg.start, seg.start + seg.n)
-            self._count_cells(self._cells[rows][~keep], -1)
+            self._count_cells(self._row_cells(rows)[~keep], -1)
             for col in self._columns():
                 col[seg.start : seg.start + kept] = col[rows][keep]
             seg.owner = seg.owner[keep]
@@ -562,9 +598,9 @@ class BucketIndex:
 
         One stable sort: the segments' row ranges are concatenated in
         the order given (registration order from :meth:`sync`), stably
-        ordered by their already-computed cells and appended as one
-        gathered copy, each row's ``owner`` permuted along — no cell key
-        is recomputed, no event re-bucketed.  Tie order within a cell is
+        ordered by their already-computed keys and appended as one
+        gathered copy, each row's ``owner`` permuted along — no key is
+        recomputed, no event re-bucketed.  Tie order among equal keys is
         member registration order, then insertion order, exactly what a
         cold index built from the same batches would produce.  The
         superseded rows are counted dead (the next :meth:`sync` or
@@ -598,8 +634,8 @@ class BucketIndex:
                     renumber[k] = members[mid] = len(members)
                 owner_parts.append(renumber[s.owner])
         src = np.concatenate(src_parts)
-        by_cell = np.argsort(self._cells[src], kind="stable")
-        src = src[by_cell]
+        by_key = np.argsort(self._keys[src], kind="stable")
+        src = src[by_key]
         # Reserve before taking views (growth reallocates), copy, and
         # only then count the superseded rows dead.
         dest = self._reserve(src.size)
@@ -612,7 +648,7 @@ class BucketIndex:
         self._merge_seq += 1
         seg = _Segment(
             seg_id, dest, int(src.size), members,
-            np.concatenate(owner_parts)[by_cell],
+            np.concatenate(owner_parts)[by_key],
         )
         # Oldest-first dict order, like a cold build over the same batches.
         self._segments = {seg_id: seg, **self._segments}
@@ -639,18 +675,44 @@ class BucketIndex:
     # ------------------------------------------------------------------
     # Cell geometry and candidate walks
     # ------------------------------------------------------------------
+    def _axis_cells(
+        self, values: np.ndarray, axis: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Cell index of coordinates along one axis, and the continuous
+        cell coordinate it is the floor of — clamped *in float* to ``[0,
+        n]``, then cast: a coordinate beyond the int64 range of cells (any
+        finite value is accepted) lands in the border cell on its side
+        instead of being cast to an arbitrary one.  Both are
+        non-decreasing in the coordinate.  One axis at a time: a
+        contiguous 1-D loop per operation (broadcasting over a trailing
+        axis of 3 is ~4x dearer at 40 000 rows)."""
+        n = (self.nx, self.ny, self.nt)[axis]
+        u = (values - self._origin[axis]) / self._widths[axis]
+        np.maximum(u, 0.0, out=u)
+        np.minimum(u, n, out=u)
+        return np.minimum(u.astype(np.int64), n - 1), u
+
+    def _bucket(self, coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Flat cell id of ``(m, 3)`` locations and how far through its
+        cell each lies in t, in ``[0, 1]`` (0 for everything before the
+        cell grid, 1 for everything after): the two halves of a sort
+        key."""
+        ix, _ = self._axis_cells(coords[:, 0], 0)
+        iy, _ = self._axis_cells(coords[:, 1], 1)
+        it, ut = self._axis_cells(coords[:, 2], 2)
+        return (ix * self.ny + iy) * self.nt + it, ut - it
+
+    def _row_cells(self, rows: slice) -> np.ndarray:
+        """Flat cell ids of store rows, read back from their keys."""
+        return (self._keys[rows] * 0.5).astype(np.int64)
+
     def cell_coords(self, queries: np.ndarray) -> np.ndarray:
         """``(m, 3)`` integer cell coordinates of query locations (clamped)."""
         q = np.asarray(queries, dtype=np.float64)
-        d = self.grid.domain
-        out = np.empty((q.shape[0], 3), dtype=np.int64)
-        out[:, 0] = (q[:, 0] - d.x0) / self.grid.hs
-        out[:, 1] = (q[:, 1] - d.y0) / self.grid.hs
-        out[:, 2] = (q[:, 2] - d.t0) / self.grid.ht
-        np.clip(out[:, 0], 0, self.nx - 1, out=out[:, 0])
-        np.clip(out[:, 1], 0, self.ny - 1, out=out[:, 1])
-        np.clip(out[:, 2], 0, self.nt - 1, out=out[:, 2])
-        return out
+        return np.stack(
+            [self._axis_cells(q[:, axis], axis)[0] for axis in range(3)],
+            axis=1,
+        )
 
     def flat_cells(self, cell_coords: np.ndarray) -> np.ndarray:
         """Flat cell ids of ``(m, 3)`` integer cell coordinates."""
@@ -670,39 +732,84 @@ class BucketIndex:
         ``(G, 9 * segments)`` int64 arrays ``(starts, lengths)``: run ``r``
         of cell ``g`` covers store rows ``[starts[g, r], starts[g, r] +
         lengths[g, r])`` of :attr:`coords`.  Runs are ordered segment-major,
-        then x, then y; consuming them left-to-right fixes the candidate
-        (and hence accumulation) order of every direct sum.  Cells
-        contiguous in t are contiguous in the flat id, so one ``(ix, iy)``
-        row of the neighbourhood is a single run; rows outside the cell
-        grid have length 0.
+        then x, then y, and a run's rows ascend in t.  Cells contiguous
+        in t are contiguous in the flat id, so one ``(ix, iy)`` column of
+        the neighbourhood is a single run; columns outside the cell grid
+        have length 0.  The approximate engine's bounds and sampling
+        frame; exact reads walk :meth:`window_runs`.
 
         The table of all ``18 * G`` run bounds is built once and each
         segment answers it with a single ``searchsorted``.
         """
         cc = np.asarray(cell_coords, dtype=np.int64)
-        G = cc.shape[0]
-        n_runs = _RUNS_PER_SEGMENT * max(1, len(self._segments))
-        starts = np.zeros((G, n_runs), dtype=np.int64)
-        lengths = np.zeros((G, n_runs), dtype=np.int64)
-        if G == 0 or not self._segments:
-            return starts, lengths
-        # Neighbour rows (9, G), x-major then y; each row of the bound
-        # table ascends with the (sorted) cells, which is the needle order
-        # ``searchsorted`` is fast on.
-        ix = cc[:, 0] + np.repeat(np.arange(-1, 2), 3)[:, None]
-        iy = cc[:, 1] + np.tile(np.arange(-1, 2), 3)[:, None]
+        valid, column = self._neighbour_columns(cc[:, 0], cc[:, 1])
+        # Every key of cell c lies in [2 c, 2 c + 1].
+        return self._cut_runs(valid, 2.0 * np.stack([
+            column + np.maximum(cc[:, 2] - 1, 0),
+            column + np.minimum(cc[:, 2] + 2, self.nt),
+        ]))
+
+    def window_runs(
+        self, queries: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each query's candidate runs, cut to its own time window.
+
+        ``queries`` is ``(m, 3)`` finite locations; the return has
+        :meth:`candidate_runs`' layout with one row per *query*: run ``r``
+        of query ``i`` is the part of that neighbour column whose events
+        lie within ``[t_i - ht, t_i + ht]``, widened by
+        :data:`_WINDOW_SLACK` and read off the segment's keys — so it
+        holds every event the engine's ``|dt| <= ht`` mask passes, and
+        nothing else of the column but what the slack or a tied key lets
+        in (times before or after the cell grid all tie with its first or
+        last instant).  A subset of the home cell's
+        :meth:`candidate_runs` unless an event lies within the slack of
+        the box.  Within a query the rows are ordered segment-major, then
+        x, then y, then t.  Needles ascend when the queries are sorted by
+        home cell.
+        """
+        q = np.asarray(queries, dtype=np.float64)
+        t = q[:, 2]
+        reach = self.grid.ht + _WINDOW_SLACK * (np.abs(t) + self.grid.ht)
+        it, ut = self._axis_cells(np.stack([t - reach, t + reach]), 2)
+        valid, column = self._neighbour_columns(
+            self._axis_cells(q[:, 0], 0)[0], self._axis_cells(q[:, 1], 1)[0]
+        )
+        # The same expression as a row's key, so window ends and rows
+        # compare as their times do; the upper needle is the next key up,
+        # which makes one left-sided search serve both ends.
+        needles = 2.0 * (column + it[:, None, :]) + (ut - it)[:, None, :]
+        np.nextafter(needles[1], np.inf, out=needles[1])
+        return self._cut_runs(valid, needles)
+
+    def _neighbour_columns(
+        self, cx: np.ndarray, cy: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The nine ``(ix, iy)`` columns around ``G`` home columns, as
+        ``(9, G)`` arrays: whether each lies in the cell grid, and the
+        flat id of its first cell.  x-major then y; each row ascends with
+        sorted cells, the needle order ``searchsorted`` is fast on."""
+        ix = cx + _COLUMN_DX
+        iy = cy + _COLUMN_DY
         valid = (ix >= 0) & (ix < self.nx) & (iy >= 0) & (iy < self.ny)
-        row = (ix * self.ny + iy) * self.nt
-        bounds = np.stack([
-            row + np.maximum(cc[:, 2] - 1, 0),
-            row + np.minimum(cc[:, 2] + 2, self.nt),
-        ])
+        return valid, (ix * self.ny + iy) * self.nt
+
+    def _cut_runs(
+        self, valid: np.ndarray, needles: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(G, 9 * segments)`` run tables ``(starts, lengths)`` from
+        ``(2, 9, G)`` key needles: per segment, one ``searchsorted`` of all
+        ``18 * G``."""
+        n_runs = _RUNS_PER_SEGMENT * max(1, len(self._segments))
+        shape = (valid.shape[1], n_runs)
+        starts = np.zeros(shape, dtype=np.int64)
+        lengths = np.zeros(shape, dtype=np.int64)
         for k, seg in enumerate(self._segments.values()):
             if seg.n == 0:
                 continue
             lo, hi = np.searchsorted(
-                self._cells[seg.start : seg.start + seg.n], bounds.ravel()
-            ).reshape(bounds.shape)
+                self._keys[seg.start : seg.start + seg.n], needles.ravel()
+            ).reshape(needles.shape)
             r = slice(k * _RUNS_PER_SEGMENT, (k + 1) * _RUNS_PER_SEGMENT)
             starts[:, r] = np.where(valid, seg.start + lo, 0).T
             lengths[:, r] = np.where(valid, hi - lo, 0).T
@@ -761,9 +868,8 @@ class BucketIndex:
     def group_count(self, queries: np.ndarray) -> int:
         """Number of distinct home cells a query batch occupies.
 
-        The number of candidate neighbourhoods a batch walks — each is
-        probed once per segment, which is the unit the cost model's
-        ``c_qprobe`` prices.
+        The number of distinct 27-cell candidate boxes under a batch —
+        what the planner multiplies ``c_qprobe`` and the segment count by.
         """
         q = np.asarray(queries, dtype=np.float64)
         if q.shape[0] == 0:

@@ -21,6 +21,7 @@ from repro.core import GridSpec, PointSet
 from repro.core.kernels import KernelPair
 
 __all__ = [
+    "BOX_KERNEL",
     "CUSTOM_KERNEL",
     "brute_force_sum",
     "cell_candidates",
@@ -28,6 +29,7 @@ __all__ = [
     "make_points",
     "reference_candidates",
     "sharded_state",
+    "window_candidates",
 ]
 
 #: A non-radial, asymmetric kernel pair that is NOT in any registry —
@@ -38,6 +40,18 @@ CUSTOM_KERNEL = KernelPair(
     spatial=lambda u, v: (1.0 - 0.5 * u) * (1.0 - 0.25 * v),
     temporal=lambda w: 1.0 - 0.4 * w,
     spatial_radial=None,
+)
+
+#: ``k_s`` and ``k_t`` identically 1: a direct sum under it is the
+#: (weighted) *count* of events the cylinder mask passes, so one event
+#: wrongly cut from a run, or let through the mask, changes the answer by
+#: a whole unit.  Epanechnikov is 0 at ``|dt| = ht`` and at ``r = hs`` and
+#: cannot see either edge.
+BOX_KERNEL = KernelPair(
+    name="box",
+    spatial=lambda u, v: np.ones(np.broadcast(u, v).shape),
+    temporal=lambda w: np.ones(np.shape(w)),
+    spatial_radial=lambda r2: np.ones(np.shape(r2)),
 )
 
 
@@ -90,10 +104,8 @@ def brute_force_sum(grid, kernel, coords, queries, norm=1.0, weights=None):
     return norm * out
 
 
-def cell_candidates(index, cx, cy, ct):
-    """Candidate storage rows of one home cell, through the production
-    :meth:`BucketIndex.candidate_runs` (runs expanded left to right)."""
-    starts, lengths = index.candidate_runs(np.array([[cx, cy, ct]]))
+def _expand_runs(starts, lengths):
+    """Storage rows of one row of a run table, runs read left to right."""
     chunks = [
         np.arange(s, s + l, dtype=np.int64)
         for s, l in zip(starts[0].tolist(), lengths[0].tolist())
@@ -101,15 +113,32 @@ def cell_candidates(index, cx, cy, ct):
     return np.concatenate(chunks + [np.empty(0, dtype=np.int64)])
 
 
+def cell_candidates(index, cx, cy, ct):
+    """Candidate storage rows of one home cell, through the production
+    :meth:`BucketIndex.candidate_runs`."""
+    return _expand_runs(*index.candidate_runs(np.array([[cx, cy, ct]])))
+
+
+def window_candidates(index, query):
+    """Candidate storage rows of one query location, through the
+    production :meth:`BucketIndex.window_runs` — the rows
+    :func:`repro.serve.engine.direct_sum` pairs it with."""
+    return _expand_runs(
+        *index.window_runs(np.asarray(query, dtype=np.float64)[None])
+    )
+
+
 def reference_candidates(index, cx, cy, ct):
     """Per-cell reference walk of the 27-neighbourhood (segment-major,
-    then x, then y), independent of ``candidate_runs``' bound table: one
-    scalar ``searchsorted`` pair per in-grid ``(ix, iy)`` row."""
+    then x, then y), independent of ``candidate_runs``' bound table and
+    of the stored keys: the cells are recomputed from the stored
+    coordinates, one scalar ``searchsorted`` pair per in-grid ``(ix, iy)``
+    column."""
     t_lo = max(0, ct - 1)
     t_hi = min(index.nt, ct + 2)
     chunks = []
     for seg in index._segments.values():
-        cells = index._cells[seg.start : seg.start + seg.n]
+        cells = index.cell_of(index.coords[seg.start : seg.start + seg.n])
         for ix in range(max(0, cx - 1), min(index.nx, cx + 2)):
             for iy in range(max(0, cy - 1), min(index.ny, cy + 2)):
                 row = (ix * index.ny + iy) * index.nt

@@ -81,6 +81,42 @@ def test_bad_shapes_are_rejected(entries, entry):
 
 
 # ---------------------------------------------------------------------------
+# Bandwidths: NaN and inf are not "<= 0", and used to surface from inside
+# the voxel-count arithmetic as "cannot convert float NaN to integer"
+# (ValueError) and an OverflowError.
+# ---------------------------------------------------------------------------
+def _cli_query(hs, ht, tmp_path):
+    from repro.cli import main
+
+    pts = tmp_path / "events.csv"
+    np.savetxt(
+        pts, np.random.default_rng(0).uniform(0, 8, size=(20, 3)),
+        delimiter=",", header="x,y,t", comments="",
+    )
+    main(["query", "--points", str(pts), "--queries", str(pts),
+          "--hs", str(hs), "--ht", str(ht)])
+
+
+BANDWIDTH_ENTRIES = {
+    "GridSpec": lambda hs, ht, tmp: GridSpec(
+        DomainSpec.from_voxels(8, 8, 8), hs=hs, ht=ht),
+    "DensityService": lambda hs, ht, tmp: DensityService(
+        np.full((4, 3), 4.0),
+        GridSpec(DomainSpec.from_voxels(8, 8, 8), hs=hs, ht=ht)),
+    "cli": _cli_query,
+}
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+@pytest.mark.parametrize("which", ("hs", "ht"))
+@pytest.mark.parametrize("entry", BANDWIDTH_ENTRIES)
+def test_bandwidths_must_be_finite_and_positive(entry, which, bad, tmp_path):
+    hs, ht = (bad, 2.0) if which == "hs" else (2.0, bad)
+    with pytest.raises(ValueError, match="bandwidths must be finite and positive"):
+        BANDWIDTH_ENTRIES[entry](hs, ht, tmp_path)
+
+
+# ---------------------------------------------------------------------------
 # Mutation entries: a raw array bypasses PointSet's own finiteness check.
 # ---------------------------------------------------------------------------
 MUTATIONS = (

@@ -29,8 +29,9 @@ from repro.serve.engine import (
     slab_dispatches,
     slice_window,
 )
-from repro.serve.index import BucketIndex
+from repro.serve.index import _WINDOW_SLACK, BucketIndex
 from tests.helpers import (
+    BOX_KERNEL,
     CUSTOM_KERNEL,
     brute_force_sum,
     make_clustered_points,
@@ -178,10 +179,37 @@ def border_batch(grid, m, seed):
     return rng.uniform(lo, hi, size=(m, 3))
 
 
-def greedy_slabs(index, q, slab_pairs):
-    """Slab dispatches the engine's cut must produce: non-empty queries
-    in home-cell order, filled greedily, never splitting a query."""
-    K = index.candidate_counts(q)[np.argsort(index.cell_of(q), kind="stable")]
+def window_pairs(index, coords, q):
+    """Pairs the engine forms per query, from scratch: live events in the
+    nine cell columns around the query's home column whose time lies in
+    the query's window, widened at both ends by the index's stated slack
+    (times before or after the cell grid count as its first or last
+    instant, as the cells they are clamped into do)."""
+    ec, qc = index.cell_coords(coords), index.cell_coords(q)
+    near = (
+        (np.abs(ec[None, :, 0] - qc[:, None, 0]) <= 1)
+        & (np.abs(ec[None, :, 1] - qc[:, None, 1]) <= 1)
+    )
+    ht, t0 = index.grid.ht, index.grid.domain.t0
+    reach = ht + _WINDOW_SLACK * (np.abs(q[:, 2]) + ht)
+    t, lo, hi = (
+        np.clip(v, t0, t0 + index.nt * ht)
+        for v in (coords[None, :, 2], (q[:, 2] - reach)[:, None],
+                  (q[:, 2] + reach)[:, None])
+    )
+    return (near & (t >= lo) & (t <= hi)).sum(axis=1)
+
+
+def in_support(grid, coords, q):
+    """Pairs inside the kernel's cylinder, per query."""
+    return np.rint(brute_force_sum(grid, BOX_KERNEL, coords, q)).astype(int)
+
+
+def greedy_slabs(index, K, q, slab_pairs):
+    """Slab dispatches the engine's cut must produce for per-query pair
+    counts ``K``: non-empty queries in home-cell order, filled greedily,
+    never splitting a query."""
+    K = K[np.argsort(index.cell_of(q), kind="stable")]
     slabs, room = 0, 0
     for k in K[K > 0].tolist():
         if slabs == 0 or k > room:
@@ -255,17 +283,23 @@ class TestRaggedEngine:
         assert c.query_cohorts == 6  # one over-sized slab per cluster query
 
     def test_counters(self, small_grid):
-        """Logical work is the candidate total, whatever the slab cap and
-        the backend; ``query_cohorts`` is the slab count."""
-        idx, _, _ = layered_index(small_grid, False)
+        """Logical work is the pairs formed — each query against the
+        events of its nine cell columns inside its (widened) time window,
+        counted here from scratch — whatever the slab cap and the
+        backend; ``query_cohorts`` is the slab count.  The pairs lie
+        between the in-support pairs and the 27-cell box count the
+        planner prices."""
+        idx, coords, _ = layered_index(small_grid, False)
         q = border_batch(small_grid, 200, 81)
-        K = idx.candidate_counts(q)
+        K = window_pairs(idx, coords, q)
         pairs = int(K.sum())
         assert 0 < pairs < _QUERY_SLAB_PAIRS
+        assert (in_support(small_grid, coords, q) <= K).all()
+        assert (K <= idx.candidate_counts(q)).all()
         kern = get_kernel("epanechnikov")
         for slab_pairs, slabs in (
             (_QUERY_SLAB_PAIRS, 1),
-            (64, greedy_slabs(idx, q, 64)),
+            (64, greedy_slabs(idx, K, q, 64)),
             (1, int((K > 0).sum())),
         ):
             for backend in available_backends():
@@ -278,6 +312,22 @@ class TestRaggedEngine:
                 )
                 assert c.query_cohorts == slabs
                 assert c.backend_dispatches == {backend: slabs}
+
+    def test_pairs_follow_the_time_window_on_uniform_events(self):
+        """Uniform events, 24 cells deep in t: a window of ``2 ht`` out of
+        a box ``3 ht`` deep leaves two thirds of the box count (more only
+        for the queries in the two border layers, whose box is clamped to
+        two cells) — at most three quarters over the batch."""
+        grid = GridSpec(DomainSpec.from_voxels(24, 24, 48), hs=4.0, ht=2.0)
+        coords = make_points(grid, 4000, seed=83).coords
+        q = make_points(grid, 300, seed=84).coords
+        idx = BucketIndex(grid, coords)
+        c = WorkCounter()
+        direct_sum(idx, q, get_kernel("epanechnikov"), 1.0, c)
+        box = int(idx.candidate_counts(q).sum())
+        assert c.distance_tests == int(window_pairs(idx, coords, q).sum())
+        assert int(in_support(grid, coords, q).sum()) <= c.distance_tests
+        assert c.distance_tests <= 0.75 * box
 
     def test_co_located_batch_is_one_dispatch(self, small_grid):
         pts = make_clustered_points(small_grid, 120, seed=72)
@@ -361,6 +411,153 @@ class TestRaggedEngine:
         np.testing.assert_allclose(
             direct_sum(idx, q, kern, 0.5, slab_pairs=slab_pairs),
             brute_force_sum(grid, kern, coords, q, 0.5, w),
+            rtol=1e-12, atol=0.0,
+        )
+
+
+def test_window_slack_covers_the_masks_rounding():
+    """Why the window is widened at all: the mask rounds.  With ``t_q`` one
+    float above ``ht`` and an event at ``1e-16``, ``t_q - t_e`` exceeds
+    ``ht`` by a tenth of an ulp and rounds *to* ``ht`` — the mask passes —
+    while the unwidened window end ``fl(t_q - ht)`` is ``1.1e-16``, above
+    the event.  Cell 0 of a domain starting at 0 is where the keys
+    resolve times that small."""
+    grid = GridSpec(DomainSpec.from_voxels(8, 8, 4), hs=2.0, ht=0.7)
+    t_q = np.nextafter(grid.ht, 1.0)
+    assert t_q - 1e-16 == grid.ht and t_q - grid.ht > 1e-16
+    q = np.array([[1.0, 1.0, t_q]])
+    events = np.tile([[0.5, 0.5, 1e-16]], (6, 1))
+    for history in ("simple", "consolidated-twice"):
+        idx = lived_in(history, grid, events, None)
+        np.testing.assert_array_equal(
+            direct_sum(idx, q, BOX_KERNEL, 1.0), [6.0]
+        )
+
+
+INDEX_HISTORIES = ("simple", "segments", "consolidated-twice", "retired-member")
+
+
+def lived_in(history, grid, events, weights):
+    """An index holding exactly ``events`` after the named history.  The
+    ``retired-member`` one also held, and lost, a second copy of them."""
+    idx = BucketIndex(grid, merge_segment_cap=None)
+    if history == "simple":
+        idx.add_segment(0, events, weights)
+        return idx
+    parts = {
+        i: (events[i::6], None if weights is None else weights[i::6])
+        for i in range(6)
+    }
+    for i, (rows, w) in parts.items():
+        idx.add_segment(i, rows, w)
+    if history == "segments":
+        return idx
+    if history == "retired-member":
+        idx.add_segment("copy", events, weights)
+        idx.consolidate_segments([0, "copy", 1])
+    else:
+        idx.consolidate_segments([0, 1, 2])
+    idx.consolidate_segments([("merged", 0), 3])
+    idx.sync([(i, rows) for i, (rows, _) in parts.items()])  # drops "copy"
+    assert idx.n == len(events) and idx.merged_segments == 1
+    return idx
+
+
+class TestWindowEdge:
+    """Where a run ends, seen through a kernel that is 1 all the way to
+    the edge (Epanechnikov is 0 at ``|dt| = ht``: a run cut one row short
+    changes no answer under it).  Under :data:`BOX_KERNEL` a direct sum
+    is the weighted count of the events the mask passes — closed in t,
+    ``|dt| <= ht``; strict in space, ``r < hs`` — and the time window the
+    runs are cut to must hold every one of them: it is widened by
+    ``_WINDOW_SLACK * (|t| + ht)`` at both ends (:mod:`repro.serve.index`
+    says why that is enough), and what it lets in beyond the mask, the
+    mask drops."""
+
+    # Dyadic bandwidths, times far from zero: q.t +- ht, and the next
+    # float beyond, subtract from q.t without rounding.
+    EXACT = GridSpec(
+        DomainSpec(gx=64.0, gy=64.0, gt=16.0, sres=1.0, tres=1.0, t0=64.0),
+        hs=4.0, ht=2.0,
+    )
+    # Nothing representable: cell edges, window ends and the mask all round.
+    ROUNDED = GridSpec(
+        DomainSpec(gx=10.0, gy=10.0, gt=7.0, sres=0.5, tres=0.35,
+                   x0=-3.3, y0=1.7, t0=100.3),
+        hs=2.5, ht=0.7,
+    )
+
+    @staticmethod
+    def ring(grid, q):
+        """Events on the edges of ``q``'s cylinder, ``(counted, not)``: at
+        exactly ``t +- ht`` and one float inside the radius; one float
+        beyond ``t +- ht`` and at exactly ``r == hs``."""
+        x, y, t = q
+        hs, ht = grid.hs, grid.ht
+        counted = [
+            (x + 1.0, y, t - ht), (x, y + 1.0, t + ht),
+            (np.nextafter(x + hs, x), y, t),
+        ]
+        dropped = [
+            (x + 1.0, y, np.nextafter(t - ht, -np.inf)),
+            (x, y + 1.0, np.nextafter(t + ht, np.inf)),
+            (x + hs, y, t),
+        ]
+        return counted, dropped
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("history", INDEX_HISTORIES)
+    def test_closed_in_time_strict_in_space(self, history, weighted):
+        """Six queries too far apart to see each other's rings — mid-cell,
+        on a cell edge, on both ends of the domain and off it on both
+        sides: each counts its three edge events and none of the three
+        just beyond."""
+        grid = self.EXACT
+        q = np.array([
+            [6.0 + 10.0 * i, 6.0 + 10.0 * i, t]
+            for i, t in enumerate([69.0, 70.0, 64.0, 80.0, 61.0, 83.0])
+        ])
+        rings = [self.ring(grid, row) for row in q]
+        events = np.array([e for ring in rings for part in ring for e in part])
+        rng = np.random.default_rng(91)
+        events = events[rng.permutation(len(events))]
+        w = rng.choice([0.5, 1.0, 2.0, 4.0], len(events)) if weighted else None
+        idx = lived_in(history, grid, events, w)
+        got = direct_sum(idx, q, BOX_KERNEL, 1.0)
+        np.testing.assert_allclose(
+            got, brute_force_sum(grid, BOX_KERNEL, events, q, weights=w),
+            rtol=1e-12, atol=0.0,
+        )
+        if not weighted:
+            np.testing.assert_array_equal(got, 3.0)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("history", INDEX_HISTORIES)
+    def test_window_holds_whatever_the_mask_passes(self, history, weighted):
+        """The same rings where every subtraction rounds, around queries
+        on every t-cell edge, inside cells, and up to three bandwidths off
+        the domain on both sides — plus one event on every cell edge of
+        every query's column.  Whether ``|fl(dt)| <= ht`` holds for an
+        event a float away from the edge is the oracle's to say; the
+        engine must say the same."""
+        grid = self.ROUNDED
+        d = grid.domain
+        rng = np.random.default_rng(92)
+        edges = d.t0 + grid.ht * np.arange(11)  # 10 t-cells
+        t = np.concatenate([
+            edges, rng.uniform(d.t0 - 3 * grid.ht, edges[-1] + 3 * grid.ht, 30)
+        ])
+        q = np.column_stack([
+            rng.uniform(d.x0, d.x0 + d.gx, (len(t), 2)), t
+        ])
+        events = [e for row in q for part in self.ring(grid, row) for e in part]
+        events += [(x, y, edge) for x, y, _ in q[::4] for edge in edges]
+        events = np.array(events)[rng.permutation(len(events))]
+        w = rng.choice([0.5, 1.0, 2.0, 4.0], len(events)) if weighted else None
+        idx = lived_in(history, grid, events, w)
+        np.testing.assert_allclose(
+            direct_sum(idx, q, BOX_KERNEL, 1.0),
+            brute_force_sum(grid, BOX_KERNEL, events, q, weights=w),
             rtol=1e-12, atol=0.0,
         )
 

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core import DomainSpec, GridSpec
+from repro.core.kernels import get_kernel
+from repro.serve.engine import direct_sum
 from repro.serve.index import BucketIndex
 from tests.helpers import (
+    brute_force_sum,
     cell_candidates,
     make_clustered_points,
     make_points,
     reference_candidates,
+    window_candidates,
 )
 
 
@@ -43,15 +49,16 @@ class TestConstruction:
     def test_overhead_is_linear_not_per_cell_objects(self, small_grid):
         pts = make_points(small_grid, 500, seed=5)
         idx = BucketIndex(small_grid, pts.coords)
-        # CSR arrays only: sorted cells + permutation (n each) and one
-        # aggregate per-cell count table — no per-cell Python objects.
+        # One sort key per row and one aggregate per-cell count table —
+        # no per-cell Python objects.
         assert idx.nbytes <= 8 * (2 * idx.n + idx.n_cells) + 64
 
 
 class TestCandidates:
     def test_no_false_negatives(self, small_grid):
         """Every event within bandwidth of a query is in its candidate set
-        — the correctness contract of the 3x3x3 neighbourhood walk."""
+        — the correctness contract of the 3x3x3 neighbourhood walk — and
+        in its time-window cut of it, which holds nothing else."""
         pts = make_clustered_points(small_grid, 200, seed=6)
         idx = BucketIndex(small_grid, pts.coords)
         rng = np.random.default_rng(7)
@@ -72,6 +79,8 @@ class TestCandidates:
             cand = set(map(tuple, idx.coords[rows].tolist()))
             missing = set(map(tuple, pts.coords[inside].tolist())) - cand
             assert not missing, f"index missed events {missing} for query {q}"
+            cut = set(map(tuple, idx.coords[window_candidates(idx, q)].tolist()))
+            assert set(map(tuple, pts.coords[inside].tolist())) <= cut <= cand
 
     def test_candidates_unique(self, index):
         for cx in range(index.nx):
@@ -95,6 +104,35 @@ class TestCandidates:
         d = small_grid.domain
         far = np.array([[d.x0 + d.gx + 100.0, d.y0 - 100.0, d.t0 + d.gt + 100.0]])
         assert idx.candidate_counts(far).shape == (1,)  # no crash, clamped
+
+    @pytest.mark.parametrize("big", [1e19, -1e19, 1e300, -1e300])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_huge_finite_coordinates_clamp_before_the_cast(self, axis, big):
+        """Any finite coordinate is accepted, so it must land in the
+        border cell on its side: cast to int64 before clamping, a quotient
+        past 2**63 warned ``invalid value encountered in cast`` and became
+        an arbitrary cell (0 here).  Events and queries, every axis, no
+        warning of any kind, answers from the estimator's definition."""
+        grid = GridSpec(DomainSpec.from_voxels(6, 6, 6), hs=1.0, ht=1.0)
+        rng = np.random.default_rng(15)
+        events = rng.uniform(0.0, 6.0, size=(84, 3))
+        events[80:, axis] = big
+        # The last four queries sit on the far events (big + 0.25 == big).
+        queries = np.vstack([rng.uniform(0.0, 6.0, size=(30, 3)),
+                             events[80:] + 0.25])
+        kern = get_kernel("epanechnikov")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idx = BucketIndex(grid, events)
+            border = 0 if big < 0 else 5
+            for rows in (events[80:], queries[30:]):
+                assert (idx.cell_coords(rows)[:, axis] == border).all()
+            assert (idx.candidate_counts(queries) > 0).all()
+            got = direct_sum(idx, queries, kern, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # the oracle squares 1e300
+            want = brute_force_sum(grid, kern, events, queries)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert (got[30:] > 0).all()
 
 
 class TestGrouping:
@@ -171,7 +209,7 @@ class TestWeights:
         pts = make_points(small_grid, 20, seed=13)
         w = np.linspace(0.5, 2.0, 20)
         idx = BucketIndex(small_grid, pts.coords, w)
-        # Storage is in cell order: each event still carries its weight.
+        # Storage is in key order: each event still carries its weight.
         stored = np.column_stack([idx.coords, idx.weights])
         given = np.column_stack([pts.coords, w])
         np.testing.assert_array_equal(

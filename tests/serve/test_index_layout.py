@@ -1,10 +1,11 @@
 """The bucket index's storage format, checked after every mutation.
 
 The format is the contract the read path relies on: every segment is a
-contiguous slice of one append-only store, sorted by cell (stably, so
-member registration order then insertion order within a cell), a
-candidate run addresses coordinates directly, and dead rows are only
-*counted* until one repack rule reclaims them.  ``check_layout`` states
+contiguous slice of one append-only store, sorted by (cell, t) through
+one key per row (stably, so member registration order then insertion
+order among tied keys), a candidate run addresses coordinates directly
+and ascends in t, and dead rows are only *counted* until one repack rule
+reclaims them.  ``check_layout`` states
 that against a model — a dict of the live batches — and is run after
 every step of a scripted history and of a ``hypothesis`` state machine
 over ``add_segment`` / ``remove_segment`` / ``sync`` /
@@ -33,8 +34,10 @@ from hypothesis.stateful import (
 from repro.core import DomainSpec, GridSpec
 from repro.core.kernels import get_kernel
 from repro.serve.engine import direct_sum
-from repro.serve.index import BucketIndex
-from tests.helpers import brute_force_sum, cell_candidates, reference_candidates
+from repro.serve.index import _WINDOW_SLACK, BucketIndex
+from tests.helpers import (
+    brute_force_sum, cell_candidates, reference_candidates, window_candidates,
+)
 
 GRID = GridSpec(DomainSpec.from_voxels(10, 10, 8), hs=2.5, ht=2.0)  # 4x4x4 cells
 SPAN = np.array([GRID.domain.gx, GRID.domain.gy, GRID.domain.gt])
@@ -52,6 +55,14 @@ def make_batch(rng, m, weighted, span=SPAN, local=False):
         lo, hi = np.sort(rng.uniform(0.0, span, size=(2, 3)), axis=0)
     coords = np.round(rng.uniform(lo, hi, size=(m, 3)) * 2.0) / 2.0
     return coords, (rng.uniform(0.25, 4.0, m) if weighted else None)
+
+
+def sort_keys(idx, coords):
+    """The stored key of each location, restated: twice its cell plus how
+    far through the cell it lies in t (0 before the domain, 1 after)."""
+    cc = idx.cell_coords(coords)
+    u = (coords[:, 2] - idx.grid.domain.t0) / idx.grid.ht
+    return 2.0 * idx.flat_cells(cc) + (np.clip(u, 0.0, idx.nt) - cc[:, 2])
 
 
 def neighbour_sums(idx):
@@ -97,32 +108,40 @@ def check_layout(idx, model, read_table=True):
     seen = []
     for s in segs:
         rows = slice(s.start, s.start + s.n)
-        cells = idx._cells[rows]
+        keys = idx._keys[rows]
+        np.testing.assert_array_equal(keys, sort_keys(idx, idx.coords[rows]))
+        assert (np.diff(keys) >= 0).all()
+        tied = np.diff(keys) == 0
+        # Cells ascend, and t ascends within every (ix, iy) column run
+        # (make_batch's half-unit times are exact in the key; times closer
+        # than a key resolves would keep insertion order).
+        cells = idx.cell_of(idx.coords[rows])
         assert (np.diff(cells) >= 0).all()
-        np.testing.assert_array_equal(cells, idx.cell_of(idx.coords[rows]))
+        same_column = np.diff(cells // idx.nt) == 0
+        assert (np.diff(idx.coords[rows][:, 2])[same_column] >= 0).all()
         if s.members is None:
             assert s.owner is None
             parts = [(s.seg_id, np.ones(s.n, dtype=bool))]
         else:
             assert s.owner.shape == (s.n,)
             parts = [(mid, s.owner == k) for mid, k in s.members.items()]
-            # The members partition the segment's rows, and within a
-            # cell they appear in registration order.
+            # The members partition the segment's rows, and among tied
+            # keys they appear in registration order.
             assert sum(int(mask.sum()) for _, mask in parts) == s.n
             rank = np.zeros(max(s.members.values()) + 1, dtype=np.int64)
             rank[list(s.members.values())] = np.arange(len(s.members))
-            assert (np.diff(cells * len(rank) + rank[s.owner]) >= 0).all()
+            assert (np.diff(rank[s.owner])[tied] >= 0).all()
         for mid, mask in parts:
-            # A member's rows are its batch, stably sorted by cell.
+            # A member's rows are its batch, stably sorted by key.
             coords, w = model[mid]
-            by_cell = np.argsort(idx.cell_of(coords), kind="stable")
+            by_key = np.argsort(sort_keys(idx, coords), kind="stable")
             np.testing.assert_array_equal(
-                idx.coords[rows][mask], coords[by_cell]
+                idx.coords[rows][mask], coords[by_key]
             )
             if idx.weights is not None:
                 w = w if w is not None else np.ones(len(coords))
                 np.testing.assert_array_equal(
-                    idx.weights[rows][mask], w[by_cell]
+                    idx.weights[rows][mask], w[by_key]
                 )
             seen.append(mid)
     assert sorted(seen, key=repr) == sorted(model, key=repr)
@@ -247,10 +266,12 @@ def test_box_table_is_patched_where_batches_land(voxels, cells):
 
 
 def test_runs_read_left_to_right_fix_the_candidate_order():
-    """Run-order pin: the coordinates ``candidate_runs`` addresses are,
-    in order, segment-major, then x, then y, then cell, then member
-    registration order, then insertion order — for a simple, an empty
-    and a twice-consolidated segment with one retired member."""
+    """Run-order pin: the coordinates a run table addresses are, in
+    order, segment-major, then x, then y, then t — among tied keys member
+    registration order, then insertion order — for a simple, an empty and
+    a twice-consolidated segment with one retired member.  Both cuts of
+    the columns: ``candidate_runs`` by a home cell's three t-cells,
+    ``window_runs`` by a query's own (widened) time window."""
     rng = np.random.default_rng(5)
     batches = {bid: make_batch(rng, 40, False)[0] for bid in range(6)}
     batches["empty"] = np.empty((0, 3))
@@ -264,21 +285,38 @@ def test_runs_read_left_to_right_fix_the_candidate_order():
     segments = [s.member_ids() for s in idx._segments.values()]
     assert segments == [(0, 2, 3, 5), (4,), ("empty",)]
 
-    for cx, cy, ct in EVERY_CELL:
-        walk = [np.empty((0, 3))]
+    def walk(cx, cy, in_run):
+        """Events of the columns around ``(cx, cy)`` that ``in_run(t,
+        t-cell)`` keeps: per segment and column, members in registration
+        order, then one stable sort by key."""
+        out = [np.empty((0, 3))]
         for members in segments:
             for ix in range(max(0, cx - 1), min(idx.nx, cx + 2)):
                 for iy in range(max(0, cy - 1), min(idx.ny, cy + 2)):
-                    for it in range(max(0, ct - 1), min(idx.nt, ct + 2)):
-                        cell = (ix * idx.ny + iy) * idx.nt + it
-                        walk += [
-                            batches[m][idx.cell_of(batches[m]) == cell]
-                            for m in members
-                        ]
+                    run = np.vstack([batches[m] for m in members])
+                    cc = idx.cell_coords(run)
+                    run = run[(cc[:, 0] == ix) & (cc[:, 1] == iy)
+                              & in_run(run[:, 2], cc[:, 2])]
+                    out.append(
+                        run[np.argsort(sort_keys(idx, run), kind="stable")]
+                    )
+        return np.vstack(out)
+
+    for cx, cy, ct in EVERY_CELL:
         rows = cell_candidates(idx, cx, cy, ct)
-        np.testing.assert_array_equal(idx.coords[rows], np.vstack(walk))
+        np.testing.assert_array_equal(
+            idx.coords[rows],
+            walk(cx, cy, lambda t, it: (it >= ct - 1) & (it <= ct + 1)),
+        )
         np.testing.assert_array_equal(
             rows, reference_candidates(idx, cx, cy, ct)
+        )
+    for q in QUERIES:
+        cx, cy, _ = idx.cell_coords(q[None])[0]
+        reach = GRID.ht + _WINDOW_SLACK * (abs(q[2]) + GRID.ht)
+        np.testing.assert_array_equal(
+            idx.coords[window_candidates(idx, q)],
+            walk(cx, cy, lambda t, it: (t >= q[2] - reach) & (t <= q[2] + reach)),
         )
 
 
