@@ -58,7 +58,6 @@ import numpy as np
 
 from repro.analysis.model import CostModel, MachineModel
 from repro.core import DomainSpec, GridSpec, PointSet, WorkCounter
-from repro.core.backends import available_backends, get_backend
 from repro.core.incremental import IncrementalSTKDE
 from repro.core.stamping import stamp_batch
 from repro.core.kernels import get_kernel
@@ -398,10 +397,6 @@ def steady_slides_row(grid: GridSpec, n_slides: int, batch: int,
         rtol=1e-9, atol=1e-18,
     )
 
-    model = CostModel(grid, PointSet(inc.live_coords), machine)
-    merge_econ = model.predict_merge(
-        inc.n, n_segments=window_batches, n_groups=idx_merged.group_count(q_big)
-    )
     stats = idx_merged.stats()
     row = {
         "path": "steady-slides",
@@ -429,10 +424,6 @@ def steady_slides_row(grid: GridSpec, n_slides: int, batch: int,
         "fresh_mono_cohort_seconds": t_mono,
         "merged_vs_uncapped_latency_ratio": t_merged / max(t_uncapped, 1e-12),
         "merged_vs_mono_latency_ratio": t_merged / max(t_mono, 1e-12),
-        "predicted_merge_breakeven_batches": (
-            None if merge_econ.breakeven_batches == float("inf")
-            else merge_econ.breakeven_batches
-        ),
     }
     print(
         f"steady       {n_slides} slides x{batch}  segs<= {max_segments} "
@@ -540,10 +531,8 @@ def workers_scaling_row(grid: GridSpec, n: int, m: int, repeats: int,
     return row
 
 
-#: Backends the comparison table always names; absent ones get a
-#: ``skipped: true`` row with a reason — measured or skipped, never
-#: extrapolated.
-BACKEND_NAMES = ("numpy-ref", "numpy-fused", "numba")
+#: The compute backends compared, the reference first.
+BACKEND_NAMES = ("numpy-ref", "numpy-fused")
 
 
 def compute_backend_rows(grid: GridSpec, n: int, m: int,
@@ -552,9 +541,8 @@ def compute_backend_rows(grid: GridSpec, n: int, m: int,
 
     Same batch, same index — only the pair-evaluation backend changes,
     so the column measures exactly the seam the planner's per-backend
-    unit costs price.  Every measured row carries an rtol=1e-12
-    equivalence flag against the ``numpy-ref`` answers; JIT compile time
-    is reported separately (``jit_warmup_seconds``), paid before timing.
+    unit costs price.  Every row carries an rtol=1e-12 equivalence flag
+    against the ``numpy-ref`` answers.
     """
     kern = get_kernel("epanechnikov")
     coords = make_coords(grid, n)
@@ -566,17 +554,7 @@ def compute_backend_rows(grid: GridSpec, n: int, m: int,
     rows = []
     t_ref = None
     for name in BACKEND_NAMES:
-        if name not in available_backends():
-            rows.append({
-                "path": "compute-backends",
-                "backend": name,
-                "skipped": True,
-                "reason": f"backend {name!r} not importable in this "
-                          f"environment",
-            })
-            print(f"compute      backend {name:12s} skipped (not importable)")
-            continue
-        got = direct_sum(index, q, kern, norm, compute=name)  # warm JIT
+        got = direct_sum(index, q, kern, norm, compute=name)  # warm
         t = best_of(lambda: direct_sum(index, q, kern, norm, compute=name),
                     repeats)
         if name == "numpy-ref":
@@ -592,7 +570,6 @@ def compute_backend_rows(grid: GridSpec, n: int, m: int,
             "equivalent_rtol_1e12": bool(
                 np.allclose(got, ref, rtol=1e-12, atol=1e-18)
             ),
-            "jit_warmup_seconds": get_backend(name).warmup_seconds,
         }
         rows.append(row)
         print(
@@ -789,18 +766,11 @@ def main(argv=None) -> int:
         "approx_beats_direct_at_eps_0_1": approx_01["approx_speedup"] > 1.0,
         "approx_planner_picks_approx_at_eps_0_1":
             approx_01["planner_picks_approx"],
-        # Per-backend direct-sum columns: measured (or skipped with a
-        # reason) on the same clustered batch; every measured backend
-        # must agree with numpy-ref at rtol=1e-12.
-        "compute_backends_measured": [
-            r["backend"] for r in backend_rows if not r["skipped"]
-        ],
-        "compute_backends_skipped": [
-            r["backend"] for r in backend_rows if r["skipped"]
-        ],
+        # Per-backend direct-sum columns on the same clustered batch;
+        # every backend must agree with numpy-ref at rtol=1e-12.
+        "compute_backends_measured": [r["backend"] for r in backend_rows],
         "compute_backends_equivalent_rtol_1e12": all(
-            r["equivalent_rtol_1e12"]
-            for r in backend_rows if not r["skipped"]
+            r["equivalent_rtol_1e12"] for r in backend_rows
         ),
     }
     payload = {

@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.algorithms.pb_sym import stamp_points_sym_loop
 from repro.core import DomainSpec, GridSpec, WorkCounter
-from repro.core.backends import available_backends, get_backend
 from repro.core.kernels import get_kernel
 from repro.core.stamping import stamp_batch
 from repro.parallel.executors import run_threaded_stamping
@@ -137,10 +136,8 @@ def run_cell(grid: GridSpec, dataset: str, n: int, repeats: int) -> dict:
     return row
 
 
-#: Backends the comparison table always names.  Absent ones get a
-#: ``skipped: true`` row with a reason — measured or skipped, never
-#: extrapolated.
-BACKEND_NAMES = ("numpy-ref", "numpy-fused", "numba")
+#: The compute backends compared, the reference first.
+BACKEND_NAMES = ("numpy-ref", "numpy-fused")
 
 
 def run_backend_rows(grid: GridSpec, n: int, repeats: int) -> list:
@@ -149,14 +146,13 @@ def run_backend_rows(grid: GridSpec, n: int, repeats: int) -> list:
     ``mode="pb"`` builds the full per-voxel product table — the
     pair-evaluation-bound profile where backend differences show; the
     sym profile is table-build-light and caps fused gains near 1.1x.
-    Every measured row carries an rtol=1e-12 equivalence flag against
-    the ``numpy-ref`` volume, and JIT backends report compile time
-    separately (``jit_warmup_seconds``) so steady-state is what's timed.
+    Every row carries an rtol=1e-12 equivalence flag against the
+    ``numpy-ref`` volume.
     """
     kern = get_kernel("epanechnikov")
     coords = make_coords(grid, n, "clustered")
     norm = 1.0 / n
-    vols = {name: np.zeros(grid.shape) for name in available_backends()}
+    vols = {name: np.zeros(grid.shape) for name in BACKEND_NAMES}
 
     def stamp(name: str) -> None:
         vols[name].fill(0.0)
@@ -168,16 +164,7 @@ def run_backend_rows(grid: GridSpec, n: int, repeats: int) -> list:
     rows = []
     t_ref = None
     for name in BACKEND_NAMES:
-        if name not in available_backends():
-            rows.append({
-                "backend": name,
-                "skipped": True,
-                "reason": f"backend {name!r} not importable in this "
-                          f"environment",
-            })
-            print(f"backend {name:12s} skipped (not importable)")
-            continue
-        stamp(name)  # warm: first call pays JIT compiles / setup
+        stamp(name)  # warm
         t = best_of(lambda: stamp(name), repeats)
         if name == "numpy-ref":
             t_ref = t
@@ -196,7 +183,6 @@ def run_backend_rows(grid: GridSpec, n: int, repeats: int) -> list:
             "equivalent_rtol_1e12": bool(np.allclose(
                 vols[name], vols["numpy-ref"], rtol=1e-12, atol=1e-18
             )),
-            "jit_warmup_seconds": get_backend(name).warmup_seconds,
         }
         rows.append(row)
         print(
@@ -258,24 +244,14 @@ def main(argv=None) -> int:
     }
     by_backend = {r["backend"]: r for r in backend_rows}
     fused = by_backend.get("numpy-fused", {})
-    numba = by_backend.get("numba", {})
     acceptance["compute_backends"] = {
         "case": f"clustered mode=pb n={2_000 if args.smoke else 10_000}",
         "numpy_fused_speedup_vs_ref": fused.get("speedup_vs_numpy_ref"),
         "numpy_fused_meets_1_3x": bool(
             (fused.get("speedup_vs_numpy_ref") or 0.0) >= 1.3
         ),
-        # Skip-or-measure: a missing numba is a skipped row with a
-        # reason, never an extrapolated number.
-        "numba_measured": not numba.get("skipped", True),
-        "numba_speedup_vs_ref": numba.get("speedup_vs_numpy_ref"),
-        "numba_meets_3x": (
-            None if numba.get("skipped", True)
-            else bool(numba["speedup_vs_numpy_ref"] >= 3.0)
-        ),
         "backends_equivalent_rtol_1e12": all(
-            r["equivalent_rtol_1e12"]
-            for r in backend_rows if not r["skipped"]
+            r["equivalent_rtol_1e12"] for r in backend_rows
         ),
     }
     payload = {

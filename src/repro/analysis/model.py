@@ -28,6 +28,7 @@ memory budget, which is what rules DR out on sparse-huge instances.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import time
@@ -41,7 +42,6 @@ from ..core.grid import GridSpec, PointSet
 from ..core.instrument import WorkCounter
 from ..core.invariants import stamp_extent
 from ..core.kernels import get_kernel
-from ..core.regions import auto_slab_voxels
 from ..core.stamping import batch_windows
 from ..parallel.color import (
     greedy_coloring,
@@ -63,8 +63,6 @@ __all__ = [
     "MachineModel",
     "CostModel",
     "Prediction",
-    "SlidePrediction",
-    "MergePrediction",
     "RecoveryPrediction",
     "select_strategy",
 ]
@@ -132,7 +130,8 @@ class MachineModel:
         Seconds per storage row copied by the index's consolidation
         gather (segment merging: one stable sort of already-computed
         cells and a gathered copy of every column, no re-bucketing).
-        What :meth:`CostModel.predict_merge` charges consolidation with.
+        What :meth:`CostModel.predict_recovery` charges a respawned
+        worker per re-inserted row.
     c_msg:
         Fixed cost of one coordinator-to-worker message round-trip over a
         ``multiprocessing`` pipe (header pickle, syscalls, wakeup) — the
@@ -358,11 +357,11 @@ class MachineModel:
         """Representative unit costs for probe-free deterministic planning.
 
         Order-of-magnitude constants of a commodity core — what call
-        sites that must stay deterministic and probe-free (per-batch
-        slab-thickness planning inside the hot add path, unit tests) use
-        instead of :meth:`calibrate`.  The *ratios* between rates drive
-        every planning decision, so nominal constants pick the same side
-        of each trade as a calibration on ordinary hardware.
+        sites that must stay deterministic and probe-free (unit tests,
+        smoke benches) use instead of :meth:`calibrate`.  The *ratios*
+        between rates drive every planning decision, so nominal constants
+        pick the same side of each trade as a calibration on ordinary
+        hardware.
         """
         return cls(
             c_mem=1e-9, c_point=1e-7, c_cell=2e-9, c_batch=1e-5,
@@ -370,54 +369,6 @@ class MachineModel:
             c_qcohort=5e-6, c_qprobe=1e-6, c_qsample=1e-8, c_qbound=4e-9,
             c_spawn=0.2,
         )
-
-
-@dataclass(frozen=True)
-class SlidePrediction:
-    """Predicted cost of one window slide, per retirement strategy.
-
-    ``slab_seconds``
-        t-slabbed retirement: drop the expired slabs' boxes and restamp
-        only the straddle slab's survivors.
-    ``restamp_seconds``
-        The monolithic baseline: drop the batch's one whole box and
-        restamp *every* survivor.
-    """
-
-    slab_seconds: float
-    restamp_seconds: float
-
-    @property
-    def best(self) -> str:
-        costs = {
-            "slab": self.slab_seconds,
-            "restamp": self.restamp_seconds,
-        }
-        return min(costs, key=costs.get)
-
-
-@dataclass(frozen=True)
-class MergePrediction:
-    """Predicted economics of consolidating index segments.
-
-    ``merge_seconds`` is the one-off row-movement cost;
-    ``probe_seconds_saved_per_batch`` what every future query batch
-    stops paying in per-segment CSR probes; ``breakeven_batches`` how
-    many batches amortise the merge (``inf`` when nothing is saved).
-    """
-
-    merge_seconds: float
-    probe_seconds_saved_per_batch: float
-
-    @property
-    def breakeven_batches(self) -> float:
-        if self.probe_seconds_saved_per_batch <= 0.0:
-            return math.inf
-        return self.merge_seconds / self.probe_seconds_saved_per_batch
-
-    def pays_within(self, n_batches: float) -> bool:
-        """Whether consolidation pays for itself within ``n_batches``."""
-        return self.breakeven_batches <= n_batches
 
 
 @dataclass(frozen=True)
@@ -472,8 +423,21 @@ class Prediction:
         return f"{self.algorithm:16s} P={self.P:<3d}{dec:18s} {self.seconds * 1e3:9.2f} ms{feas}"
 
 
+@functools.lru_cache(maxsize=None)
+def _process_calibration() -> MachineModel:
+    """The calibration every ``CostModel(machine=None)`` of this process
+    shares: the probes (~0.2 s, timing-based) run once, so repeated
+    ``STKDE(algorithm="auto", P>1).estimate`` calls neither pay them again
+    nor rank strategies against a different machine each time."""
+    return MachineModel.calibrate()
+
+
 class CostModel:
-    """Analytic runtime predictions for every strategy on one instance."""
+    """Analytic runtime predictions for every strategy on one instance.
+
+    ``machine=None`` prices with the process's one memoised calibration;
+    an explicit :class:`MachineModel` is used as given.
+    """
 
     def __init__(
         self,
@@ -484,7 +448,7 @@ class CostModel:
     ) -> None:
         self.grid = grid
         self.points = points
-        self.machine = machine or MachineModel.calibrate()
+        self.machine = machine or _process_calibration()
         self.memory_budget_bytes = memory_budget_bytes
         self._bw = BandwidthModel(cap=self.machine.bandwidth_cap)
         disk, bar = stamp_extent(grid)
@@ -618,147 +582,6 @@ class CostModel:
             + n_queries * m.c_point
         )
 
-    def predict_slide(
-        self,
-        n_expired: int,
-        n_survivors: int,
-        bbox_cells: int,
-        *,
-        batch_t_voxels: Optional[int] = None,
-        expired_slab_cells: Optional[int] = None,
-        straddle_cells: Optional[int] = None,
-        n_straddle_survivors: Optional[int] = None,
-        slab_voxels: Optional[int] = None,
-    ) -> SlidePrediction:
-        """Price one window slide under the two retirement strategies.
-
-        ``n_expired`` / ``n_survivors`` describe the partially-expired
-        batch, ``bbox_cells`` its monolithic cache box, and
-        ``batch_t_voxels`` the batch's own t-extent (defaults to the
-        whole grid — conservative for temporally localized batches, so
-        pass the measured extent when known).  The slab-path arguments
-        default to the geometric expectation when not measured: expired
-        slabs cover the expired fraction of the box, the straddle slab
-        one ``slab_voxels`` thickness (default
-        :func:`~repro.core.regions.auto_slab_voxels`) of the batch's
-        t-extent, and the straddle's survivors the matching share of the
-        batch.  :meth:`choose_slab_voxels` sweeps this thickness to plan
-        the retirement granularity per batch.  This is the trade
-        :class:`~repro.core.incremental.IncrementalSTKDE` makes per slide
-        and what the slide-pipeline benchmark sweeps: restamps pay kernel
-        work, and the ``c_mem`` terms stand for the box traffic a
-        thickness implies per slide-and-read cycle — expiry itself drops
-        a box for free; the read that composes the live boxes pays it.
-        """
-        m = self.machine
-        total = max(n_expired + n_survivors, 1)
-        slab_t = (
-            auto_slab_voxels(self.grid) if slab_voxels is None
-            else max(1, int(slab_voxels))
-        )
-        span_t = max(
-            self.grid.Gt if batch_t_voxels is None else batch_t_voxels, 1
-        )
-        if expired_slab_cells is None:
-            expired_slab_cells = int(bbox_cells * n_expired / total)
-        if straddle_cells is None:
-            straddle_cells = int(bbox_cells * min(1.0, slab_t / span_t))
-        if n_straddle_survivors is None:
-            n_straddle_survivors = min(
-                n_survivors, int(total * min(1.0, slab_t / span_t))
-            )
-        # Slab path: box traffic of the expired slabs and of the straddle
-        # slab (old box out, fresh box in) at memory rate; the straddle's
-        # survivors restamp.
-        slab = m.c_mem * (expired_slab_cells + 2 * straddle_cells)
-        if n_straddle_survivors:
-            slab += self.batch_cost(n_straddle_survivors)
-        # Monolithic baseline: whole box out, every survivor restamped
-        # into a fresh (survivor-fraction-sized) box.
-        restamp = m.c_mem * bbox_cells * (1 + n_survivors / total)
-        if n_survivors:
-            restamp += self.batch_cost(n_survivors)
-        return SlidePrediction(slab, restamp)
-
-    def predict_merge(
-        self, n_rows: int, n_segments: int, n_groups: int
-    ) -> MergePrediction:
-        """Price consolidating ``n_segments`` index segments of
-        ``n_rows`` total into one.
-
-        The merge copies rows and merge-sorts the already-computed cells
-        (``c_qrow`` per row, calibrated against the real merge path; an
-        8x memory-rate estimate before serving calibration) — no event is
-        re-bucketed.  Every future batch walking ``n_groups`` cell groups
-        then saves ``(n_segments - 1)`` CSR probes per group, which is
-        what bounds steady-state probe cost for tiny-batch feeds.
-        """
-        m = self.machine
-        row_rate = m.c_qrow if m.c_qrow > 0.0 else 8.0 * m.c_mem
-        merge = m.c_batch + n_rows * row_rate
-        saved = max(n_segments - 1, 0) * n_groups * m.c_qprobe
-        return MergePrediction(merge, saved)
-
-    def choose_slab_voxels(
-        self,
-        n_batch: int,
-        bbox_cells: int,
-        batch_t_voxels: int,
-        *,
-        slide_t_voxels: int = 1,
-        max_slabs: int = 16,
-        candidates: Optional[Tuple[int, ...]] = None,
-    ) -> int:
-        """Pick the retirement-slab thickness :meth:`predict_slide` prices
-        cheapest for this batch.
-
-        Sweeps a thickness ladder around the stamp extent and prices one
-        steady-state slide per candidate: a horizon advance of
-        ``slide_t_voxels`` expires that share of whole slabs (each buffer
-        carrying one stamp extent of t-overlap, the cost of *fine*
-        slabs), replaces and restamps one straddle slab of the candidate
-        thickness (the cost of *coarse* slabs).  The geometric
-        :func:`~repro.core.regions.auto_slab_voxels` default sits in the
-        ladder, so this can only improve on it under the model — the
-        measured 2.5x-vs-6.3x spread of the thickness sweep in
-        ``BENCH_regions.json`` is exactly this trade.
-        """
-        span = max(1, int(batch_t_voxels))
-        extent = 2 * self.grid.Ht + 1  # one stamp's t-reach in voxels
-        geo = auto_slab_voxels(self.grid)
-        if candidates is None:
-            ladder = {
-                max(1, extent // 4), max(1, extent // 2), extent,
-                geo, 2 * geo,
-            }
-        else:
-            ladder = {max(1, int(s)) for s in candidates}
-        # Thickness below span/max_slabs is unreachable: the slab planner
-        # would clamp the slab count, silently coarsening back.
-        floor = -(-span // max(1, int(max_slabs)))
-        ladder = sorted({max(s, floor) for s in ladder})
-        cells_per_t = bbox_cells / span
-        h = max(1, int(slide_t_voxels))
-        best_s, best_cost = geo, math.inf
-        for s in ladder:
-            share = min(1.0, s / span)
-            straddle_survivors = max(1, int(n_batch * share))
-            pred = self.predict_slide(
-                n_expired=int(n_batch * min(1.0, h / span)),
-                n_survivors=n_batch,
-                bbox_cells=bbox_cells,
-                batch_t_voxels=span,
-                # Whole-slab expiry at h/s slabs per slide, each buffer
-                # s + one stamp extent thick.
-                expired_slab_cells=int(cells_per_t * (h / s) * (s + extent)),
-                straddle_cells=int(cells_per_t * min(span, s + extent)),
-                n_straddle_survivors=straddle_survivors,
-                slab_voxels=s,
-            )
-            if pred.slab_seconds < best_cost - 1e-15:
-                best_s, best_cost = s, pred.slab_seconds
-        return best_s
-
     def predict_scatter_gather(
         self,
         n_queries: int,
@@ -811,11 +634,11 @@ class CostModel:
         mutation log replayed as ``n_batches`` request round-trips
         (``c_msg`` each, ``c_qser`` per shipped row) into a worker that
         inserts its ``n_rows`` live events into its bucket index
-        (``c_qrow`` per row, the rate :meth:`predict_merge` charges a row
-        move).  The replayed window is never stamped — a worker has no
-        op that reads a volume — so no kernel work is priced.  Backoff
-        sleeps are policy, not work, and are excluded — the bench
-        reports them in the measured column instead.
+        (``c_qrow`` per row, the index's measured row-move rate).  The
+        replayed window is never stamped — a worker has no op that reads
+        a volume — so no kernel work is priced.  Backoff sleeps are
+        policy, not work, and are excluded — the bench reports them in
+        the measured column instead.
         """
         m = self.machine
         batches = max(0, int(n_batches))

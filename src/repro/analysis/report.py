@@ -258,7 +258,7 @@ def check_all(results_dir: Path) -> List[ShapeCheck]:
         b_rows = [r for r in rows if r.get("path") == "compute-backends"]
         if b_rows:
             names = {r.get("backend") for r in b_rows}
-            ok = {"numpy-ref", "numpy-fused", "numba"} <= names
+            ok = {"numpy-ref", "numpy-fused"} <= names
             for r in b_rows:
                 if "skipped" not in r:
                     ok = False

@@ -452,9 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=available_backends(),
                        help="pin the pair-evaluation compute backend by "
                             "name (repro.core.backends): 'numpy-fused' is "
-                            "the default, 'numpy-ref' the reference the "
-                            "others are tested against; JIT backends "
-                            "appear here only when importable")
+                            "the default, 'numpy-ref' the reference it "
+                            "is tested against")
         p.add_argument("--calibration-file", default=None, metavar="PATH",
                        help="machine-model JSON: load the saved unit "
                             "costs if PATH exists, else calibrate once "

@@ -3,9 +3,7 @@
 The package exports a tiny registry: backends register under a name,
 callers resolve them with :func:`get_backend` (``None`` → the default
 :data:`DEFAULT_BACKEND`, a :class:`ComputeBackend` instance passes
-through), and :func:`available_backends` lists what this machine can
-actually run.  The ``numba`` backend registers only when the package
-imports — absence is visible, never fatal.
+through), and :func:`available_backends` lists what is registered.
 
 ``compute=`` on the engines, the services and the CLI is a *name pin*,
 never a policy: nothing in the library chooses between backends.  The
@@ -33,18 +31,15 @@ every registered backend automatically.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 from .base import ComputeBackend
-from .numba_backend import HAVE_NUMBA, NumbaBackend
 from .numpy_fused import NumpyFusedBackend
 from .numpy_ref import NumpyRefBackend
 
 __all__ = [
     "ComputeBackend",
     "DEFAULT_BACKEND",
-    "HAVE_NUMBA",
-    "NumbaBackend",
     "NumpyFusedBackend",
     "NumpyRefBackend",
     "available_backends",
@@ -56,13 +51,11 @@ __all__ = [
 #: ``array_equal`` to itself, rtol=1e-12 to the ``numpy-ref`` oracle.
 DEFAULT_BACKEND = "numpy-fused"
 
-#: name -> factory.  Factories defer construction so that unavailable
-#: backends (numba without numba) never instantiate at import time.
+#: name -> factory.  Factories defer construction to the first use.
 _FACTORIES: Dict[str, Callable[[], ComputeBackend]] = {}
 
-#: name -> constructed singleton (backends are stateless apart from
-#: warmup bookkeeping; sharing one instance per process keeps the JIT
-#: warmup paid once).
+#: name -> constructed singleton (backends are stateless, so one
+#: instance per process serves every caller).
 _INSTANCES: Dict[str, ComputeBackend] = {}
 
 
@@ -87,8 +80,7 @@ def get_backend(
     """Resolve a backend by name (idempotent on instances).
 
     ``None`` resolves to :data:`DEFAULT_BACKEND`.  Unknown names raise
-    with the available set; ``"numba"`` in particular names the missing
-    package when the import guard tripped.
+    ``KeyError`` with the available set.
     """
     if isinstance(name, ComputeBackend):
         return name
@@ -99,12 +91,6 @@ def get_backend(
         return inst
     factory = _FACTORIES.get(name)
     if factory is None:
-        if name == "numba" and not HAVE_NUMBA:
-            raise RuntimeError(
-                "compute backend 'numba' requires the numba package, "
-                "which is not importable in this environment; "
-                f"available: {', '.join(available_backends())}"
-            )
         raise KeyError(
             f"unknown compute backend {name!r}; "
             f"available: {', '.join(available_backends())}"
@@ -116,5 +102,3 @@ def get_backend(
 
 register_backend("numpy-ref", NumpyRefBackend)
 register_backend("numpy-fused", NumpyFusedBackend)
-if HAVE_NUMBA:  # pragma: no cover - exercised in the CI numba job
-    register_backend("numba", NumbaBackend)

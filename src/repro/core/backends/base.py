@@ -35,7 +35,7 @@ variant would buy nothing; every backend inherits the NumPy one.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -57,22 +57,8 @@ class ComputeBackend:
     same candidate sets in the same order.
     """
 
-    #: Registry name (``"numpy-ref"``, ``"numpy-fused"``, ``"numba"``).
+    #: Registry name (``"numpy-ref"``, ``"numpy-fused"``).
     name: str = "abstract"
-
-    #: One-time compilation/warmup wall seconds this backend has paid
-    #: (JIT backends accumulate first-call compile times here so stats can
-    #: report warmup separately from steady-state service time).
-    warmup_seconds: float = 0.0
-
-    def supports(self, kernel: KernelPair) -> bool:
-        """Whether this backend can evaluate ``kernel`` natively.
-
-        Backends that compile a fixed set of kernels return ``False`` for
-        unknown (user-registered) pairs; callers then fall back to an
-        always-available backend for that call.
-        """
-        return True
 
     # -- primitives ----------------------------------------------------
 
@@ -131,16 +117,38 @@ class ComputeBackend:
         :meth:`sampled_contributions`, the reduction one
         ``np.add.reduceat`` — so a query's sum depends only on its own
         segment, never on how the batch was cut into slabs.
+        """
+        return self.reduced_contributions(
+            grid, kernel, dx, dy, dt, weights, counter,
+            lambda contrib: np.add.reduceat(contrib, seg_starts),
+        )
 
-        Any finite offset is legal input, and one beyond ~1e154 overflows
-        when squared — outside the mask, where the value is discarded —
-        so overflow is not reported from here.
+    def reduced_contributions(
+        self,
+        grid: GridSpec,
+        kernel: KernelPair,
+        dx: np.ndarray,
+        dy: np.ndarray,
+        dt: np.ndarray,
+        weights: Optional[np.ndarray],
+        counter: WorkCounter,
+        reduce: Callable[[np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """``reduce(sampled_contributions(...))`` for any finite offsets.
+
+        What both query tiers call (the exact tier through
+        :meth:`query_segment_sums`, the sampler with its per-query
+        moments).  Any finite offset is legal input, and one beyond
+        ~1e154 overflows when squared — outside the mask, where the value
+        is discarded — so overflow is not reported from here.  A backend
+        whose mask can turn such a pair into NaN overrides this to check
+        the *reduced* values (O(queries), not O(pairs)) and redo them on
+        one that cannot.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            contrib = self.sampled_contributions(
+            return reduce(self.sampled_contributions(
                 grid, kernel, dx, dy, dt, weights, counter
-            )
-        return np.add.reduceat(contrib, seg_starts)
+            ))
 
     def sampled_contributions(
         self,

@@ -27,7 +27,7 @@ the backend's physical op count — so profiles stay comparable.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -117,7 +117,7 @@ class NumpyFusedBackend(ComputeBackend):
         disk, bar = self._factor_tables(grid, kernel, norm, dx, dy, dt)
         return disk[:, :, :, None] * bar[:, None, None, :]
 
-    def query_segment_sums(
+    def reduced_contributions(
         self,
         grid: GridSpec,
         kernel: KernelPair,
@@ -125,20 +125,20 @@ class NumpyFusedBackend(ComputeBackend):
         dy: np.ndarray,
         dt: np.ndarray,
         weights: Optional[np.ndarray],
-        seg_starts: np.ndarray,
         counter: WorkCounter,
+        reduce: Callable[[np.ndarray], np.ndarray],
     ) -> np.ndarray:
-        sums = super().query_segment_sums(
-            grid, kernel, dx, dy, dt, weights, seg_starts, counter
+        out = super().reduced_contributions(
+            grid, kernel, dx, dy, dt, weights, counter, reduce
         )
-        if not np.isfinite(sums).all():
+        if not np.isfinite(out).all():
             # An offset that overflowed to inf met the mask's
             # multiply-by-zero (inf * 0 is NaN); the reference selects
             # instead.  The pairs were charged above.
-            sums = self._ref.query_segment_sums(
-                grid, kernel, dx, dy, dt, weights, seg_starts, null_counter()
+            out = self._ref.reduced_contributions(
+                grid, kernel, dx, dy, dt, weights, null_counter(), reduce
             )
-        return sums
+        return out
 
     def sampled_contributions(
         self,

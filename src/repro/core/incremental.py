@@ -69,7 +69,7 @@ from .backends import get_backend
 from .grid import GridSpec, PointSet, Volume, VoxelWindow
 from .instrument import WorkCounter
 from .kernels import KernelPair, get_kernel
-from .regions import RegionBuffer, auto_slab_voxels, batch_bbox, plan_time_slabs
+from .regions import RegionBuffer, batch_bbox, plan_time_slabs
 
 __all__ = ["IncrementalSTKDE"]
 
@@ -130,17 +130,13 @@ class IncrementalSTKDE:
     has the numbers).
 
     ``t_slab_voxels`` sets the retirement-slab thickness along t:
-    ``"auto"`` (default) chooses per batch through the cost model
-    (:meth:`repro.analysis.model.CostModel.choose_slab_voxels` prices the
-    slab-overlap vs straddle-restamp trade from the batch's measured
-    extent — the ``BENCH_regions.json`` thickness sweep spans 2.5x to
-    6.3x over fixed choices), an ``int`` pins the thickness (benchmark
-    sweeps), and ``None`` disables slabbing — one unit per batch, whose
-    partial retirement restamps every survivor.
-    ``max_slabs`` caps the units a single ``add`` can mint.
-    ``machine`` supplies calibrated unit costs for the adaptive choice
-    (defaults to the uncalibrated :class:`MachineModel` constants, which
-    keeps the choice deterministic and probe-free).
+    ``"auto"`` (default) is :func:`~repro.core.regions.auto_slab_voxels`,
+    two stamp extents — any t-partition of a batch is exact, so the
+    thickness is purely a cost question, and docs/PERFORMANCE.md
+    ("Retirement-slab thickness") has the sweep that settled it.  An
+    ``int`` pins the thickness and ``None`` disables slabbing — one unit
+    per batch, whose partial retirement restamps every survivor; both
+    exist for the reference estimators the tests compare against.
     ``compute`` pins the compute backend by registered name (``None``:
     the default); an unknown name raises here, not on the first ``add``.
     """
@@ -152,23 +148,16 @@ class IncrementalSTKDE:
         kernel: str | KernelPair = "epanechnikov",
         counter: Optional[WorkCounter] = None,
         t_slab_voxels: int | str | None = "auto",
-        max_slabs: int = 16,
-        machine=None,
         compute: Optional[str] = None,
     ) -> None:
         if t_slab_voxels not in ("auto", None) and (
             isinstance(t_slab_voxels, str) or t_slab_voxels < 1
         ):
             raise ValueError("t_slab_voxels must be >= 1, 'auto', or None")
-        if max_slabs < 1:
-            raise ValueError("max_slabs must be >= 1")
         self.t_slab_voxels = t_slab_voxels
-        self._machine = machine
         #: Name of the compute backend every stamp of this estimator runs
         #: on; resolved here so an unknown name raises at construction.
         self.compute = get_backend(compute).name
-        self._slab_model = None  # lazily-built CostModel for 'auto'
-        self.max_slabs = int(max_slabs)
         self.grid = grid
         self.kernel = get_kernel(kernel)
         self.counter = counter if counter is not None else WorkCounter()
@@ -273,7 +262,7 @@ class IncrementalSTKDE:
         if self.t_slab_voxels is not None:
             slabs = plan_time_slabs(
                 self.grid, coords,
-                self._resolve_slab_voxels(coords, bbox), self.max_slabs
+                None if self.t_slab_voxels == "auto" else self.t_slab_voxels,
             )
             if len(slabs) > 1:
                 parts = [coords[idx] for idx in slabs]
@@ -284,44 +273,6 @@ class IncrementalSTKDE:
                         self._plan_unit(p, b) for p, b in zip(parts, boxes)
                     ]
         return [self._plan_unit(coords, bbox)]
-
-    def _resolve_slab_voxels(self, coords: np.ndarray, bbox) -> int:
-        """Per-batch retirement-slab thickness for the ``"auto"`` mode.
-
-        Prices the thickness ladder through
-        :meth:`~repro.analysis.model.CostModel.choose_slab_voxels` on the
-        batch's measured bbox and t-extent instead of taking the
-        geometric :func:`auto_slab_voxels` — the thickness sweep in
-        ``BENCH_regions.json`` shows the fixed heuristic leaving most of
-        the slab win on the table.  Pinned ints pass through untouched.
-        The model import is local and lazy: only this opt-in planning
-        path reaches from core up into analysis, and only with
-        deterministic (nominal or caller-supplied) machine constants —
-        no calibration probe ever runs inside ``add``.
-        """
-        if self.t_slab_voxels != "auto":
-            return self.t_slab_voxels
-        d = self.grid.domain
-        span = int((coords[:, 2].max() - coords[:, 2].min()) / d.tres) + 1
-        geo = auto_slab_voxels(self.grid)
-        if span <= geo:
-            # The whole batch fits in one geometric slab: slabbing thinner
-            # cannot beat dropping the batch's own unit wholesale, and the
-            # single-slab path preserves insertion order in live_coords.
-            return geo
-        if self._slab_model is None:
-            from ..analysis.model import CostModel, MachineModel
-
-            machine = (
-                self._machine if self._machine is not None
-                else MachineModel.nominal()
-            )
-            self._slab_model = CostModel(
-                self.grid, PointSet(np.empty((0, 3))), machine
-            )
-        return self._slab_model.choose_slab_voxels(
-            coords.shape[0], bbox.volume, span, max_slabs=self.max_slabs
-        )
 
     @staticmethod
     def _coerce_unweighted(points: PointSet | np.ndarray) -> np.ndarray:

@@ -451,8 +451,8 @@ def auto_slab_voxels(grid: GridSpec) -> int:
     memory overhead of slabbing at ~50% of the un-slabbed buffer while
     keeping the straddle slab (the only part of a batch a window slide
     ever restamps) a small fraction of the batch.  Thinner slabs buy finer
-    retirement granularity at more overlap; the trade is priced by
-    :meth:`repro.analysis.model.CostModel.predict_slide`.
+    retirement granularity at more overlap; docs/PERFORMANCE.md
+    ("Retirement-slab thickness") has the measured trade.
     """
     return 2 * (2 * grid.Ht + 1)
 

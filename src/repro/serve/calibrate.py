@@ -34,8 +34,8 @@ into ``repro.serve``:
     Seconds per storage row of the index's consolidation gather: the
     measured per-row rate of consolidating many segments into one
     (:meth:`BucketIndex.sync`'s merge policy) — what
-    :meth:`~repro.analysis.model.CostModel.predict_merge` charges to
-    decide when consolidation pays.
+    :meth:`~repro.analysis.model.CostModel.predict_recovery` charges a
+    respawned worker per re-inserted row.
 ``c_qsample``
     Seconds per candidate row drawn by the approximate backend
     (:func:`~repro.serve.engine.approx_sum`): slope of the sampler over

@@ -488,15 +488,19 @@ def approx_sum(
                 dx = qc[rows, 0][:, None] - cx[cand]
                 dy = qc[rows, 1][:, None] - cy[cand]
                 dt = qc[rows, 2][:, None] - ct[cand]
-                contrib = backend.sampled_contributions(
+
+                def moments(contrib: np.ndarray) -> np.ndarray:
+                    # v_j = contrib_j * w_j / p_j, p_j = (b_r / B) / L_r.
+                    v = contrib * (tot[:, None] * Ls / bs)
+                    return np.stack((v.sum(axis=1), (v * v).sum(axis=1)))
+
+                dv, dv2 = backend.reduced_contributions(
                     grid, kernel, dx, dy, dt,
                     weights[cand] if weights is not None else None,
-                    counter,
+                    counter, moments,
                 )
-                # v_j = contrib_j * w_j / p_j with p_j = (b_r / B) / L_r.
-                v = contrib * (tot[:, None] * Ls / bs)
-                sum_v[rows] += v.sum(axis=1)
-                sum_v2[rows] += (v * v).sum(axis=1)
+                sum_v[rows] += dv
+                sum_v2[rows] += dv2
             s[active] += nd
             drawn_total += active.size * nd
             sA = s[active]

@@ -208,9 +208,7 @@ class BucketIndex:
     merge_segment_cap:
         Live-segment cap enforced by :meth:`sync`'s merge policy
         (``None`` disables merging).  Bounds the ``c_qprobe``-charged
-        probe cost of long-lived windows fed by tiny batches;
-        :meth:`repro.analysis.model.CostModel.predict_merge` prices the
-        trade.
+        probe cost of long-lived windows fed by tiny batches.
     """
 
     __slots__ = (

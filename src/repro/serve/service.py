@@ -112,9 +112,7 @@ class DensityService:
     index_merge_cap:
         Live-segment cap for the incremental index's merge policy
         (``None`` disables merging) — bounds per-query probe cost under
-        sustained tiny-batch slides; see
-        :meth:`~repro.analysis.model.CostModel.predict_merge` for the
-        trade.
+        sustained tiny-batch slides.
     """
 
     #: What ``backend=`` may pin besides ``"auto"``.
@@ -546,19 +544,12 @@ class DensityService:
 
     def _compute_stats(self, c: WorkCounter) -> Dict[str, object]:
         """The ``compute`` observability blob: the service's backend, the
-        registry, the dispatches each backend actually ran (one key when
-        the pin held) and JIT warmup — one-time compile cost paid on first
-        touch, reported separately so steady-state rates stay honest."""
-        warmup = {
-            name: get_backend(name).warmup_seconds
-            for name in available_backends()
-            if get_backend(name).warmup_seconds > 0.0
-        }
+        registry, and the dispatches each backend actually ran (one key
+        when the pin held)."""
         return {
             "backend": self.compute,
             "available": list(available_backends()),
             "dispatches": dict(c.backend_dispatches),
-            "jit_warmup_seconds": warmup,
         }
 
     def stats(self) -> Dict[str, object]:
@@ -730,7 +721,6 @@ class ShardedDensityService(DensityService):
         machine: Optional[MachineModel] = None,
         counter: Optional[WorkCounter] = None,
         index_merge_cap: Optional[int] = 16,
-        t_slab_voxels="auto",
         max_restarts: int = 3,
         restart_backoff_s: float = 0.05,
         request_timeout: Optional[float] = 30.0,
@@ -765,7 +755,7 @@ class ShardedDensityService(DensityService):
             # ctx=None: each ShardWorker defaults to the spawn context.
             return ShardWorker(
                 s, grid, self.kernel.name,
-                merge_cap=index_merge_cap, t_slab=t_slab_voxels, ctx=None,
+                merge_cap=index_merge_cap, ctx=None,
                 fault_plan=fp, compute=self.compute,
             )
 

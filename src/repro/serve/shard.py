@@ -72,7 +72,6 @@ class Shard:
         kernel: str | KernelPair,
         *,
         merge_cap: Optional[int] = 16,
-        t_slab="auto",
         compute: str = DEFAULT_BACKEND,
         counter: Optional[WorkCounter] = None,
         inc: Optional[IncrementalSTKDE] = None,
@@ -80,7 +79,6 @@ class Shard:
         self.grid = grid
         self.kernel = get_kernel(kernel)
         self.merge_cap = merge_cap
-        self.t_slab = t_slab
         #: Backend *name* of every kernel sum and stamp (resolved in this
         #: process's registry — backend singletons don't cross spawn).
         self.compute = compute
@@ -187,7 +185,7 @@ class Shard:
             # in :meth:`stats`'s ``work``.
             self.inc = IncrementalSTKDE(
                 self.grid, kernel=self.kernel, counter=self.counter,
-                t_slab_voxels=self.t_slab, compute=self.compute,
+                compute=self.compute,
             )
             self._index = None
         return self.inc

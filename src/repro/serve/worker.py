@@ -94,14 +94,11 @@ def _worker_main(
     grid: GridSpec,
     kernel_name: str,
     merge_cap: Optional[int],
-    t_slab,
     fault_plan: Optional[FaultPlan] = None,
     compute: str = DEFAULT_BACKEND,
 ) -> None:
     """Worker process entry point: serve requests until ``close``/EOF."""
-    shard = Shard(
-        grid, kernel_name, merge_cap=merge_cap, t_slab=t_slab, compute=compute
-    )
+    shard = Shard(grid, kernel_name, merge_cap=merge_cap, compute=compute)
     injector = (
         fault_plan.injector(shard_id) if fault_plan is not None else None
     )
@@ -138,7 +135,6 @@ class ShardWorker:
         kernel_name: str,
         *,
         merge_cap: Optional[int] = 16,
-        t_slab="auto",
         ctx: Optional[mp.context.BaseContext] = None,
         fault_plan: Optional[FaultPlan] = None,
         compute: str = DEFAULT_BACKEND,
@@ -149,8 +145,8 @@ class ShardWorker:
         self._proc = ctx.Process(
             target=_worker_main,
             args=(
-                child, shard_id, grid, kernel_name, merge_cap, t_slab,
-                fault_plan, compute,
+                child, shard_id, grid, kernel_name, merge_cap, fault_plan,
+                compute,
             ),
             name=f"shard-worker-{shard_id}",
             daemon=True,

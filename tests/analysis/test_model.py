@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from repro import STKDE
 from repro.algorithms import pb_sym
+from repro.analysis import model as model_module
 from repro.analysis.model import CostModel, MachineModel, select_strategy
 from repro.core import DomainSpec, GridSpec
 
@@ -186,52 +188,50 @@ class TestSelectStrategy:
         assert "infeasible" in p.describe()
 
 
+class TestProcessCalibration:
+    """``CostModel(machine=None)`` shares one calibration per process."""
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        """Count ``MachineModel.calibrate`` calls (stubbed to the nominal
+        constants); the memo is empty before and after."""
+        calls = []
+
+        def calibrate(cls, seed=0):
+            calls.append(seed)
+            return cls.nominal()
+
+        monkeypatch.setattr(MachineModel, "calibrate", classmethod(calibrate))
+        model_module._process_calibration.cache_clear()
+        yield calls
+        model_module._process_calibration.cache_clear()
+
+    def test_auto_estimates_probe_once_and_select_alike(self, probes):
+        pts = make_clustered_points(
+            GridSpec(DomainSpec.from_voxels(40, 40, 24), hs=2.5, ht=2.5),
+            400, seed=30,
+        )
+        est = STKDE(hs=2.5, ht=2.5, algorithm="auto", P=4)
+        a, b = est.estimate(pts), est.estimate(pts)
+        assert len(probes) == 1
+        assert a.meta["selected_by"] == "model"
+        assert (a.algorithm, a.meta.get("decomposition")) == (
+            b.algorithm, b.meta.get("decomposition"))
+        MachineModel.calibrate()  # a direct call still probes
+        assert len(probes) == 2
+
+    def test_explicit_machine_bypasses_the_memo(self, grid, probes):
+        pts = make_points(grid, 50, seed=31)
+        mine = MachineModel.nominal()
+        assert CostModel(grid, pts, mine).machine is mine
+        select_strategy(grid, pts, 4, machine=mine)
+        assert probes == []
+        assert model_module._process_calibration.cache_info().currsize == 0
+
+
 class TestSlideAndMergePredictors:
-    """The slide-pipeline predictors: slab retirement vs survivor
-    restamp, and the segment-merge economics."""
-
-    def test_slab_wins_when_little_straddles(self, grid, machine):
-        pts = make_points(grid, 2000, seed=20)
-        model = CostModel(grid, pts, machine)
-        p = model.predict_slide(
-            n_expired=200, n_survivors=1800, bbox_cells=grid.n_voxels // 2,
-            n_straddle_survivors=100,
-        )
-        # Restamping 1800 survivors costs kernel work; dropping slabs and
-        # restamping 100 straddlers is box traffic plus a thin batch.
-        assert p.slab_seconds < p.restamp_seconds
-        assert p.best == "slab"
-        assert p.slab_seconds > 0
-
-    def test_geometric_defaults_fill_in(self, grid, machine):
-        pts = make_points(grid, 500, seed=22)
-        model = CostModel(grid, pts, machine)
-        p = model.predict_slide(
-            n_expired=100, n_survivors=400, bbox_cells=grid.n_voxels // 3
-        )
-        assert p.slab_seconds > 0 and p.restamp_seconds > 0
-        assert math.isfinite(p.slab_seconds)
-
-    def test_merge_pays_for_chatty_feeds(self, grid, machine):
-        import dataclasses
-
-        pts = make_points(grid, 1000, seed=23)
-        # The write-side calibration leaves the serving probe cost at 0
-        # (calibrate_serving fills it); pin one for the economics check.
-        model = CostModel(
-            grid, pts, dataclasses.replace(machine, c_qprobe=1e-6)
-        )
-        many = model.predict_merge(n_rows=1000, n_segments=64, n_groups=200)
-        few = model.predict_merge(n_rows=1000, n_segments=2, n_groups=200)
-        assert many.merge_seconds > 0
-        # More segments merged away => more probe savings per batch.
-        assert (
-            many.probe_seconds_saved_per_batch
-            > few.probe_seconds_saved_per_batch >= 0
-        )
-        assert many.breakeven_batches <= few.breakeven_batches
-        if many.probe_seconds_saved_per_batch > 0:
-            assert many.pays_within(many.breakeven_batches + 1)
+    """Keeps its id: the slide and merge predictors are gone (nothing
+    consulted them), the recovery predictor they sat beside is not."""
 
     def test_recovery_prices_index_inserts_not_stamps(self, grid, machine):
         """A respawned worker buckets its replayed rows and stamps
@@ -252,11 +252,3 @@ class TestSlideAndMergePredictors:
         dearer = dataclasses.replace(
             m, c_point=100 * m.c_point, c_cell=100 * m.c_cell, c_batch=1.0)
         assert CostModel(grid, pts, dearer).predict_recovery(4000, 4) == p
-
-    def test_merge_of_nothing_never_pays(self, grid, machine):
-        pts = make_points(grid, 100, seed=24)
-        model = CostModel(grid, pts, machine)
-        p = model.predict_merge(n_rows=100, n_segments=1, n_groups=50)
-        assert p.probe_seconds_saved_per_batch == 0.0
-        assert p.breakeven_batches == math.inf
-        assert not p.pays_within(1e12)

@@ -9,6 +9,7 @@ from repro.algorithms import pb_sym
 from repro.core import DomainSpec, GridSpec, PointSet
 from repro.core.incremental import IncrementalSTKDE
 from repro.core.kernels import available_kernels
+from repro.core.regions import auto_slab_voxels
 
 from tests.helpers import make_points
 
@@ -338,16 +339,69 @@ class TestTimeSlabbedCaches:
         assert inc.counter.slab_buffers_retired > 0
 
     def test_fixed_thickness_and_max_slabs_validated(self, grid):
+        """Keeps its id; ``max_slabs`` is no longer an argument (below)."""
         with pytest.raises(ValueError, match="t_slab_voxels"):
             IncrementalSTKDE(grid, t_slab_voxels=0)
-        with pytest.raises(ValueError, match="max_slabs"):
-            IncrementalSTKDE(grid, max_slabs=0)
 
-    def test_max_slabs_caps_tracked_units(self, grid):
-        rng = np.random.default_rng(43)
-        inc = IncrementalSTKDE(grid, t_slab_voxels=2, max_slabs=3)
-        inc.add(self._spanning_batch(grid, rng))
-        assert 1 < len(inc.live_batches) <= 3
+
+class TestAutoIsTheGeometricRule:
+    """``t_slab_voxels="auto"`` *is* ``auto_slab_voxels(grid)``: no cost
+    model is consulted, and the knobs that steered one are gone."""
+
+    @staticmethod
+    def _batch(grid, rng, xy_share, t_share, n=600):
+        d = grid.domain
+        return np.column_stack([
+            rng.uniform(0, xy_share * d.gx, n),
+            rng.uniform(0, xy_share * d.gy, n),
+            rng.uniform(0, t_share * d.gt, n),
+        ])
+
+    @pytest.mark.parametrize("xy_share,t_share,slabbed", [
+        (1.0, 0.05, False),  # thin: one unit
+        (0.2, 0.9, True),    # t-wide, xy-localised: cut into slabs
+        (1.0, 1.0, False),   # domain-wide: the half-grid guard keeps it whole
+    ], ids=["thin", "t-wide-local", "domain-wide"])
+    def test_auto_plans_the_pinned_rule_units(
+        self, grid, xy_share, t_share, slabbed
+    ):
+        batch = self._batch(grid, np.random.default_rng(70), xy_share, t_share)
+        auto = IncrementalSTKDE(grid)
+        pinned = IncrementalSTKDE(grid, t_slab_voxels=auto_slab_voxels(grid))
+        for inc in (auto, pinned):
+            inc.add(batch.copy())
+            assert (inc.units_live > 1) == slabbed
+            inc.slide_window(np.empty((0, 3)), 0.3 * t_share * grid.domain.gt)
+        assert len(auto._live) == len(pinned._live)
+        for a, b in zip(auto._live, pinned._live):
+            assert a.batch_id == b.batch_id
+            assert a.bbox == b.bbox
+            np.testing.assert_array_equal(a.coords, b.coords)
+        np.testing.assert_array_equal(
+            auto.volume().data, pinned.volume().data
+        )
+
+    def test_full_xy_quarter_t_batch_is_slabbed(self):
+        """128x128x64, hs=3, ht=2 (docs/PERFORMANCE.md, "Retirement-slab
+        thickness", row 2): two stamp extents cut the batch in two; the
+        thinner slabs a cost model once picked here overlapped past the
+        half-grid guard and left it one unit."""
+        big = GridSpec(DomainSpec.from_voxels(128, 128, 64), hs=3.0, ht=2.0)
+        inc = IncrementalSTKDE(big)
+        inc.add(self._batch(big, np.random.default_rng(71), 1.0, 0.25, 4000))
+        assert inc.units_live > 1
+
+    def test_removed_knobs_are_type_errors(self, grid):
+        from repro.analysis.model import MachineModel
+        from repro.serve import ShardedDensityService
+
+        with pytest.raises(TypeError, match="machine"):
+            IncrementalSTKDE(grid, machine=MachineModel.nominal())
+        with pytest.raises(TypeError, match="max_slabs"):
+            IncrementalSTKDE(grid, max_slabs=3)
+        # Raised by the call itself: no worker is spawned.
+        with pytest.raises(TypeError, match="t_slab_voxels"):
+            ShardedDensityService(None, grid, workers=2, t_slab_voxels=4)
 
 
 class TestBitExactWarmCold:
@@ -515,10 +569,11 @@ class TestOneLiveState:
         """Structure pin: one scripted history at default arguments — a
         spanning batch, six slides, each read before the next — must
         plan the same units (ids, order, row counts), hold the same
-        buffer cells and charge the same kernel work as recorded when
-        every mutation stamped eagerly; the ``remove`` that follows
-        costs only the unit it touches its buffer.  The same history
-        read once, at the end, plans the same units and stamps fewer."""
+        buffer cells and charge the same kernel work as recorded (under
+        the two-stamp-extent thickness: the spanning batch is 5 units);
+        the ``remove`` that follows costs only the unit it touches its
+        buffer.  The same history read once, at the end, plans the same
+        units and stamps fewer."""
         grid = GridSpec(DomainSpec.from_voxels(40, 36, 96), hs=2.6, ht=2.2)
         d = grid.domain
         rng = np.random.default_rng(80)
@@ -541,17 +596,17 @@ class TestOneLiveState:
         inc = IncrementalSTKDE(grid)
         inc.add(first)
         assert [len(c) for _, c in inc.live_batches] == [
-            47, 36, 36, 37, 38, 36, 37, 36, 36, 37, 38, 38, 36, 37, 38, 37]
+            125, 119, 119, 117, 120]
         assert inc.cached_buffer_cells == 0
         inc.volume()
-        assert inc.cached_buffer_cells == 55974
+        assert inc.cached_buffer_cells == 31122
         retired = [slide(inc, k, f, True) for k, f in enumerate(feeds)]
         assert retired == [65, 71, 70, 70, 67, 69]
         assert [i for i, _ in inc.live_batches] == [
-            27, 12, 13, 14, 15, 16, 18, 20, 22, 24, 26, 28]
+            18, 5, 7, 10, 12, 15, 17, 19]
         assert [len(c) for _, c in inc.live_batches] == [
-            2, 38, 36, 37, 38, 37, 40, 40, 40, 40, 40, 40]
-        assert inc.cached_buffer_cells == 40075
+            68, 120, 40, 40, 40, 40, 40, 40]
+        assert inc.cached_buffer_cells == 32946
         c = inc.counter
         assert {
             "spatial_evals": c.spatial_evals,
@@ -565,25 +620,25 @@ class TestOneLiveState:
             "slab_buffers_retired": c.slab_buffers_retired,
             "slab_restamp_points": c.slab_restamp_points,
         } == {
-            "spatial_evals": 42333,
-            "temporal_evals": 6675,
-            "distance_tests": 49008,
-            "madds": 293045,
+            "spatial_evals": 53630,
+            "temporal_evals": 8474,
+            "distance_tests": 62104,
+            "madds": 372124,
             "points_processed": 840,
-            "stamp_batches": 28,
-            "stamp_cohorts": 204,
-            "shard_bbox_cells": 93712,
-            "slab_buffers_retired": 16,
-            "slab_restamp_points": 124,
+            "stamp_batches": 19,
+            "stamp_cohorts": 151,
+            "shard_bbox_cells": 83600,
+            "slab_buffers_retired": 11,
+            "slab_restamp_points": 381,
         }
         # Every buffer cell was zero-filled once and nothing else was.
         assert c.init_writes == c.shard_bbox_cells
 
         inc.remove(inc.live_batches[2][1][:4])
         assert [i for i, _ in inc.live_batches] == [
-            27, 12, 29, 14, 15, 16, 18, 20, 22, 24, 26, 28]
+            18, 5, 20, 10, 12, 15, 17, 19]
         assert [len(c) for _, c in inc.live_batches] == [
-            2, 38, 32, 37, 38, 37, 40, 40, 40, 40, 40, 40]
+            68, 120, 36, 40, 40, 40, 40, 40]
         assert [i for i, tb in enumerate(inc._live) if tb.buffer is None] == [2]
 
         unread = IncrementalSTKDE(grid)
@@ -597,9 +652,9 @@ class TestOneLiveState:
         ] == [(i, c.tobytes()) for i, c in inc.live_batches]
         assert unread.counter.madds == 0
         np.testing.assert_array_equal(unread.volume().data, inc.volume().data)
-        # Only the 12 live units were ever stamped: not the expired
+        # Only the 8 live units were ever stamped: not the expired
         # slabs, nor the straddle survivors a later slide cut again.
-        assert unread.counter.stamp_batches == 12
+        assert unread.counter.stamp_batches == 8
         assert unread.counter.shard_bbox_cells == unread.cached_buffer_cells
         assert unread.counter.madds < c.madds
 

@@ -33,8 +33,7 @@ __all__ = [
 ]
 
 #: A non-radial, asymmetric kernel pair that is NOT in any registry —
-#: exercises the ``spatial_radial is None`` fallbacks (and, for numba,
-#: the ``supports() is False`` delegation).
+#: exercises the ``spatial_radial is None`` fallbacks.
 CUSTOM_KERNEL = KernelPair(
     name="custom-nonradial",
     spatial=lambda u, v: (1.0 - 0.5 * u) * (1.0 - 0.25 * v),

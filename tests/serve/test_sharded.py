@@ -382,32 +382,9 @@ class TestScatterPlanning:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: model-chosen retirement-slab thickness
+# Retirement slabs under the default thickness
 # ---------------------------------------------------------------------------
 class TestAdaptiveSlabs:
-    def test_choice_never_prices_worse_than_geometric(self, small_grid):
-        from repro.core.regions import auto_slab_voxels
-
-        model = CostModel(
-            small_grid, PointSet(np.empty((0, 3))), MachineModel.nominal()
-        )
-        geo = auto_slab_voxels(small_grid)
-        span = small_grid.Gt
-        bbox_cells = small_grid.Gx * small_grid.Gy * span
-        chosen = model.choose_slab_voxels(
-            2_000, bbox_cells=bbox_cells, batch_t_voxels=span
-        )
-        assert isinstance(chosen, int) and chosen >= 1
-        # The geometric default sits in the candidate ladder, so pinning
-        # the ladder to {geo} must reproduce it exactly...
-        assert model.choose_slab_voxels(
-            2_000, bbox_cells=bbox_cells, batch_t_voxels=span,
-            candidates=(geo,),
-        ) == geo
-        # ...and the free choice never leaves the ladder's extremes.
-        extent = 2 * small_grid.Ht + 1
-        assert chosen <= max(2 * geo, extent)
-
     def test_auto_mode_stays_equivalent_to_monolithic(self, small_grid):
         rng = np.random.default_rng(19)
         d = small_grid.domain
@@ -424,20 +401,4 @@ class TestAdaptiveSlabs:
         mono.slide_window(arriving, horizon)
         np.testing.assert_allclose(
             auto.volume().data, mono.volume().data, rtol=RTOL, atol=ATOL
-        )
-
-    def test_thin_batches_fall_back_to_geometric(self, small_grid):
-        from repro.core.regions import auto_slab_voxels
-
-        rng = np.random.default_rng(21)
-        d = small_grid.domain
-        inc = IncrementalSTKDE(small_grid, t_slab_voxels="auto")
-        thin = rng.uniform(
-            [d.x0, d.y0, d.t0],
-            [d.x0 + d.gx, d.y0 + d.gy, d.t0 + d.tres],
-            size=(30, 3),
-        )
-        bbox = None  # _resolve_slab_voxels ignores bbox on the thin path
-        assert inc._resolve_slab_voxels(thin, bbox) == auto_slab_voxels(
-            small_grid
         )
