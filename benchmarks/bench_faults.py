@@ -6,11 +6,9 @@ live sharded service:
 1. **MTTR vs state size**: kill one shard worker at several live-state
    sizes and time the supervised recovery (respawn + replay of the
    horizon-truncated mutation log).  Each row records the measured wall
-   time, the replayed rows/batches, and the cost model's
-   :meth:`~repro.analysis.model.CostModel.predict_recovery` price from a
-   :func:`~repro.serve.calibrate.calibrate_recovery`-probed machine —
-   acceptance: every recovered shard answers queries identically to a
-   cold single-process rebuild at ``rtol=1e-12``.
+   time and the replayed rows/batches — acceptance: every recovered shard
+   answers queries identically to a cold single-process rebuild at
+   ``rtol=1e-12``.
 2. **Throughput through a fault**: a closed query loop with a worker
    killed mid-stream.  Records steady-state qps before the fault, the
    latency of the query that absorbs the recovery (the availability
@@ -42,15 +40,15 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.model import CostModel, MachineModel
-from repro.core import DomainSpec, GridSpec, PointSet
+from repro.analysis.model import MachineModel
+from repro.core import DomainSpec, GridSpec
 from repro.core.incremental import IncrementalSTKDE
 from repro.serve import (
     DensityService,
     PartialResult,
     ShardedDensityService,
     calibrate_ipc,
-    calibrate_recovery,
+    calibrate_serving,
 )
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
@@ -112,7 +110,7 @@ def kill_worker(svc, s: int) -> None:
 # ----------------------------------------------------------------------
 # Path 1: MTTR vs state size
 # ----------------------------------------------------------------------
-def mttr_row(grid, n, machine, model, queries, seed) -> dict:
+def mttr_row(grid, n, machine, queries, seed) -> dict:
     adds, arriving, horizon = make_batches(grid, n, seed)
     ref = cold_reference(grid, adds, arriving, horizon, machine)
     want = ref.query_points(queries, backend="direct")
@@ -127,17 +125,12 @@ def mttr_row(grid, n, machine, model, queries, seed) -> dict:
         matches = bool(np.allclose(got, want, rtol=RTOL, atol=1e-300))
         restarts = svc.counter.shard_restarts
         replayed = svc.counter.shard_replayed_batches
-    pred = model.predict_recovery(state_rows, state_batches)
     return {
         "path": "mttr",
         "n_events": n,
         "state_rows": state_rows,
         "state_batches": state_batches,
         "mttr_seconds": mttr,
-        "predicted_seconds": pred.seconds,
-        "predicted_spawn_seconds": pred.spawn_seconds,
-        "predicted_ipc_seconds": pred.ipc_seconds,
-        "predicted_insert_seconds": pred.insert_seconds,
         "shard_restarts": restarts,
         "shard_replayed_batches": replayed,
         "post_recovery_matches_cold_rtol_1e12": matches,
@@ -237,11 +230,10 @@ def main(argv=None) -> int:
     sizes = [1_000, 4_000] if args.smoke else [2_000, 10_000, 40_000]
     probes = 5 if args.smoke else 15
 
-    print("calibrating recovery machine (spawn + ipc probes) ...")
+    print("calibrating serving machine (query + ipc probes) ...")
     base = MachineModel.nominal() if args.smoke else MachineModel.calibrate()
-    machine = calibrate_recovery(calibrate_ipc(base))
-    model = CostModel(grid, PointSet(np.empty((0, 3))), machine)
-    print(f"  c_spawn={machine.c_spawn:.4f}s  c_msg={machine.c_msg:.2e}s")
+    machine = calibrate_ipc(calibrate_serving(base))
+    print(f"  c_msg={machine.c_msg:.2e}s  c_qser={machine.c_qser:.2e}s")
 
     rng = np.random.default_rng(99)
     queries = rng.uniform(0, span_of(grid), size=(80, 3))
@@ -249,11 +241,10 @@ def main(argv=None) -> int:
     rows = []
     print("mttr vs state size ...")
     for i, n in enumerate(sizes):
-        row = mttr_row(grid, n, machine, model, queries, seed=10 + i)
+        row = mttr_row(grid, n, machine, queries, seed=10 + i)
         rows.append(row)
         print(
-            f"  n={n:>6}: mttr {row['mttr_seconds'] * 1e3:7.1f} ms "
-            f"(predicted {row['predicted_seconds'] * 1e3:7.1f} ms), "
+            f"  n={n:>6}: mttr {row['mttr_seconds'] * 1e3:7.1f} ms, "
             f"{row['state_rows']} rows / {row['state_batches']} batches "
             f"replayed, matches cold rebuild: "
             f"{row['post_recovery_matches_cold_rtol_1e12']}"
@@ -312,14 +303,12 @@ def main(argv=None) -> int:
             "workers": 2,
             "probe_queries": probes,
             "kernel": "epanechnikov",
-            "c_spawn_seconds": machine.c_spawn,
         },
         "note": (
             "mttr = wall time of one supervised recovery (respawn + "
             "replay of the horizon-truncated mutation log) after a "
-            "worker os._exit mid-serving, vs the cost model's "
-            "predict_recovery price from a calibrate_recovery-probed "
-            "machine; the recovered shard must answer identically to a "
+            "worker os._exit mid-serving; the recovered shard must "
+            "answer identically to a "
             "cold single-process rebuild at rtol=1e-12.  "
             "recovery-throughput = closed query loop with a mid-stream "
             "kill: steady qps before, the latency of the query that "

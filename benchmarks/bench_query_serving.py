@@ -228,7 +228,6 @@ def ragged_row(grid: GridSpec, n: int, m: int, repeats: int) -> dict:
         "path": "ragged-engine",
         "n_events": n,
         "n_queries": m,
-        "groups": index.group_count(q),
         "distinct_candidate_counts": int(np.unique(K[K > 0]).size),
         "pairs": pairs,
         "max_candidates": int(K.max()),
@@ -244,7 +243,7 @@ def ragged_row(grid: GridSpec, n: int, m: int, repeats: int) -> dict:
     }
     print(
         f"ragged       n={n} m={m:>6d}  {t_direct:8.4f}s  "
-        f"{row['groups']} groups, {row['distinct_candidate_counts']} "
+        f"{row['distinct_candidate_counts']} "
         f"distinct K, {pairs} pairs -> {row['slab_dispatches']} slab "
         f"dispatches (pairs/slab {row['pairs_over_slab_pairs']}, bound "
         f"{bound})  equiv={equiv}"
@@ -610,9 +609,8 @@ def approx_tier_rows(n: int, m: int, eps_values, repeats: int,
 
     rows = []
     for eps in eps_values:
-        stats: dict = {}
-        approx = approx_sum(index, q, kern, norm, eps=eps, seed=7,
-                            stats_out=stats)
+        stats = WorkCounter()
+        approx = approx_sum(index, q, kern, norm, stats, eps=eps, seed=7)
         again = approx_sum(index, q, kern, norm, eps=eps, seed=7)
         reproducible = bool(np.array_equal(approx, again))
         t_approx = best_of(
@@ -633,8 +631,8 @@ def approx_tier_rows(n: int, m: int, eps_values, repeats: int,
             "approx_speedup": t_exact / max(t_approx, 1e-12),
             "p95_rel_err": p95,
             "rel_err_within_eps": p95 <= eps,
-            "sample_rows_drawn": int(stats.get("sample_rows_drawn", 0)),
-            "exact_fallbacks": int(stats.get("exact_fallbacks", 0)),
+            "sample_rows_drawn": stats.sample_rows_drawn,
+            "exact_fallbacks": stats.sample_exact_fallbacks,
             "reproducible_fixed_seed": reproducible,
             "planner_choice": plan.backend,
             "planner_picks_approx": plan.backend == "approx",

@@ -32,7 +32,7 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +40,7 @@ import numpy as np
 from ..core.backends import DEFAULT_BACKEND
 from ..core.grid import GridSpec, PointSet
 from ..core.instrument import WorkCounter
-from ..core.invariants import stamp_extent
+from ..core.invariants import stamp_cells
 from ..core.kernels import get_kernel
 from ..core.stamping import batch_windows
 from ..parallel.color import (
@@ -63,7 +63,6 @@ __all__ = [
     "MachineModel",
     "CostModel",
     "Prediction",
-    "RecoveryPrediction",
     "select_strategy",
 ]
 
@@ -88,15 +87,6 @@ class MachineModel:
         cohort grouping, slab setup), paid once per batch regardless of
         size.  This is what penalises very fine decompositions: every
         occupied block is one batch.
-    c_pair:
-        Seconds per (voxel, point) pair of the region engine's voxel-tile
-        path on the ``numpy-ref`` backend (distance test + both kernel
-        evaluations + masked multiply-add) — the unit cost of VB/VB-DEC
-        and nothing else; the query path's pair rate is ``c_qpair``.
-    c_tile:
-        Fixed cost of one voxel-tile accumulation
-        (:func:`repro.core.regions.accumulate_voxel_tile` dispatch,
-        offset setup, scatter), paid once per tile batch.
     bandwidth_cap:
         Effective parallelism of memory-bound phases (Section 6.3: ~3).
     c_lookup:
@@ -109,8 +99,7 @@ class MachineModel:
         (:func:`repro.serve.engine.direct_sum`: three column gathers,
         the masked kernel product, the segment sum) — like every ``c_q*``
         rate, probed by :func:`repro.serve.calibrate.calibrate_serving`
-        on the process's default backend.  ``0.0`` (not probed) makes
-        :attr:`CostModel.pair_cost` fall back to ``c_pair``.
+        on the process's default backend.
     c_qcohort:
         Fixed cost of one ragged slab dispatch of the direct-sum engine
         (:func:`repro.serve.engine.direct_sum`): one flat (query,
@@ -120,18 +109,12 @@ class MachineModel:
         like — the read-side analogue of ``c_batch``.  Persisted
         calibrations carry the key, hence the historical name.
     c_qprobe:
-        Cost of probing one more index segment for a query's candidate
-        runs (vectorised ``searchsorted`` into the segment's sorted keys;
-        the exact engine probes per query, the sampler per distinct home
-        cell).  Charged ``groups * segments`` per batch: the price of
-        keeping the index incremental as per-batch segments rather than
-        one monolith.
-    c_qrow:
-        Seconds per storage row copied by the index's consolidation
-        gather (segment merging: one stable sort of already-computed
-        cells and a gathered copy of every column, no re-bucketing).
-        What :meth:`CostModel.predict_recovery` charges a respawned
-        worker per re-inserted row.
+        Cost of probing one more index segment for one query's candidate
+        runs (its 18 window needles in one vectorised ``searchsorted``
+        into the segment's sorted keys).  Charged ``queries * segments``
+        per batch — the way it is probed and paid: the price of keeping
+        the index incremental as per-batch segments rather than one
+        monolith.
     c_msg:
         Fixed cost of one coordinator-to-worker message round-trip over a
         ``multiprocessing`` pipe (header pickle, syscalls, wakeup) — the
@@ -153,31 +136,21 @@ class MachineModel:
         approximate backend prices its sampling distribution with —
         charged ``9 * segments`` per query, the O(runs) fixed cost the
         sampler pays before any draw.
-    c_spawn:
-        Seconds to stand up one spawn-context worker process (fork-exec,
-        interpreter + import start, pipe handshake) — the fixed floor of
-        a supervised shard respawn, probed by
-        :func:`repro.serve.calibrate.calibrate_recovery` and charged
-        once per restart by :meth:`CostModel.predict_recovery`.
     """
 
     c_mem: float
     c_point: float
     c_cell: float
     c_batch: float = 0.0
-    c_pair: float = 0.0
-    c_tile: float = 0.0
     bandwidth_cap: float = 3.0
     c_lookup: float = 0.0
     c_qpair: float = 0.0
     c_qcohort: float = 0.0
     c_qprobe: float = 0.0
-    c_qrow: float = 0.0
     c_msg: float = 0.0
     c_qser: float = 0.0
     c_qsample: float = 0.0
     c_qbound: float = 0.0
-    c_spawn: float = 0.0
 
     # ------------------------------------------------------------------
     # Persistence
@@ -195,12 +168,15 @@ class MachineModel:
         keys (newer files on older code), so persisted calibrations
         survive schema drift in both directions.
 
-        One legacy key is still read: files written before ``c_qpair``
+        Two legacy keys are still read.  Files written before ``c_qpair``
         existed carry the query-path rates per compute backend under
-        ``backend_costs``.  The default backend's entry there overwrites
+        ``backend_costs``: the default backend's entry there overwrites
         the scalars (its ``c_pair`` is the query pair rate, so it lands
         in ``c_qpair``); the rest of the object is dropped and
-        :meth:`to_json` never writes it again.
+        :meth:`to_json` never writes it again.  A file that still has no
+        positive ``c_qpair`` after that prices query pairs at its
+        top-level ``c_pair`` (the retired voxel-tile rate, which direct
+        sums fell back to while ``c_qpair`` was unprobed).
         """
         data = json.loads(text)
         if not isinstance(data, dict):
@@ -212,6 +188,8 @@ class MachineModel:
                          ("c_qsample", "c_qsample")):
             if old in legacy:
                 kwargs[new] = float(legacy[old])
+        if not kwargs.get("c_qpair", 0.0) > 0.0 and "c_pair" in data:
+            kwargs["c_qpair"] = float(data["c_pair"])
         return cls(**kwargs)
 
     def save(self, path: str) -> None:
@@ -279,9 +257,7 @@ class MachineModel:
                 t0 = time.perf_counter()
                 stamp_points_sym(vol, g, kern, pts, 1.0, c)
                 best = min(best, time.perf_counter() - t0)
-            disk, bar = stamp_extent(g)
-            cells = disk * disk + bar + disk * disk * bar
-            return best, cells
+            return best, stamp_cells(g)
 
         # The slope probes span a 16x batch-size gap so their time
         # difference stays far above scheduler jitter — a collapsed slope
@@ -301,55 +277,14 @@ class MachineModel:
         c_point = max(slope - c_cell * cells_small, 1e-9)
         c_batch = max(t_small - n_small * slope, 0.0)
 
-        # Voxel-tile path (VB/VB-DEC): probe the region engine's tile
-        # accumulation at two point-block sizes, on the backend those two
-        # algorithms name; the slope is the per-pair rate, the intercept
-        # the fixed per-tile dispatch.
-        from ..core.regions import accumulate_voxel_tile
-
-        g_tile = GridSpec(
-            DomainSpec.from_voxels(16, 16, 16), hs=4.0, ht=4.0
-        )
-        kern = get_kernel("epanechnikov")
-        flat = np.zeros(g_tile.n_voxels)
-        n_vox = 1024
-        idx = np.arange(n_vox)
-        X, Y, T = np.unravel_index(idx, g_tile.shape)
-        cx = g_tile.domain.x0 + (X + 0.5) * g_tile.domain.sres
-        cy = g_tile.domain.y0 + (Y + 0.5) * g_tile.domain.sres
-        ct = g_tile.domain.t0 + (T + 0.5) * g_tile.domain.tres
-
-        def tile_probe(n_pts: int) -> float:
-            pts = rng.uniform(0, 16, size=(n_pts, 3))
-            best = math.inf
-            for _ in range(3):
-                t0 = time.perf_counter()
-                accumulate_voxel_tile(
-                    flat, idx, cx, cy, ct,
-                    pts[:, 0], pts[:, 1], pts[:, 2],
-                    g_tile, kern, 1.0, WorkCounter(), compute="numpy-ref",
-                )
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        p_small, p_large = 64, 512
-        tile_probe(8)  # warm the tile code path
-        t_tile_small = tile_probe(p_small)
-        t_tile_large = tile_probe(p_large)
-        c_pair = max(
-            (t_tile_large - t_tile_small) / (n_vox * (p_large - p_small)), 1e-12
-        )
-        c_tile = max(t_tile_small - n_vox * p_small * c_pair, 0.0)
-        # The serving-side unit costs (c_lookup, c_qpair, c_qcohort,
-        # c_qprobe, c_qrow) are probed by
+        # The serving-side unit costs (c_lookup, c_q*) are probed by
         # repro.serve.calibrate.calibrate_serving — the probes live with
         # the code they measure, keeping analysis below serve in the
         # layering; until then CostModel.lookup_cost falls back to a
-        # memory-rate estimate, pair_cost to the tile rate, and direct
-        # batches price the per-slab/per-probe dispatch at zero.
+        # memory-rate estimate, pairs price at zero, and direct batches
+        # price the per-slab/per-probe dispatch at zero.
         return cls(
             c_mem=c_mem, c_point=c_point, c_cell=c_cell, c_batch=c_batch,
-            c_pair=c_pair, c_tile=c_tile,
         )
 
     @classmethod
@@ -365,28 +300,9 @@ class MachineModel:
         """
         return cls(
             c_mem=1e-9, c_point=1e-7, c_cell=2e-9, c_batch=1e-5,
-            c_pair=2e-9, c_tile=1e-6, c_lookup=5e-8,
+            c_lookup=5e-8, c_qpair=2e-9,
             c_qcohort=5e-6, c_qprobe=1e-6, c_qsample=1e-8, c_qbound=4e-9,
-            c_spawn=0.2,
         )
-
-
-@dataclass(frozen=True)
-class RecoveryPrediction:
-    """Predicted MTTR of one supervised shard respawn-and-replay.
-
-    ``spawn_seconds`` is the fixed process-standup floor (``c_spawn``),
-    ``ipc_seconds`` the replay's message round-trips and row
-    serialization, ``insert_seconds`` the respawned worker bucketing its
-    live events back into its index (it holds the window and stamps
-    nothing: no worker op reads a volume).  ``seconds`` is their sum —
-    what the faults bench compares against measured recovery wall time.
-    """
-
-    seconds: float
-    spawn_seconds: float
-    ipc_seconds: float
-    insert_seconds: float
 
 
 @dataclass(frozen=True)
@@ -451,10 +367,8 @@ class CostModel:
         self.machine = machine or _process_calibration()
         self.memory_budget_bytes = memory_budget_bytes
         self._bw = BandwidthModel(cap=self.machine.bandwidth_cap)
-        disk, bar = stamp_extent(grid)
-        #: Cells touched per interior point stamp: disk eval + bar eval +
-        #: cylinder multiply-add.
-        self.cells_per_point = disk * disk + bar + disk * disk * bar
+        #: Cells touched per interior point stamp.
+        self.cells_per_point = stamp_cells(grid)
 
     # ------------------------------------------------------------------
     # Primitive phase costs
@@ -475,18 +389,6 @@ class CostModel:
         """
         return self.machine.c_batch + n_points * self.point_cost(clipped_fraction)
 
-    def tile_cost(self, n_pairs: float, n_tiles: float = 1.0) -> float:
-        """Predicted seconds for voxel-tile accumulation (VB/VB-DEC path).
-
-        The tile-batch cost shape mirrors :meth:`batch_cost`: a fixed
-        per-tile dispatch (``c_tile``) for every
-        :func:`~repro.core.regions.accumulate_voxel_tile` invocation plus
-        the per-(voxel, point)-pair rate — so a decomposition that shreds
-        the volume into many tiny tiles is charged for the dispatch it
-        actually pays.
-        """
-        return n_tiles * self.machine.c_tile + n_pairs * self.machine.c_pair
-
     def init_seconds(self) -> float:
         return self.machine.c_mem * self.grid.n_voxels
 
@@ -506,22 +408,10 @@ class CostModel:
         m = self.machine
         return m.c_lookup if m.c_lookup > 0.0 else 32.0 * m.c_mem
 
-    @property
-    def pair_cost(self) -> float:
-        """Seconds per (query, candidate) pair of a direct sum.
-
-        Calibrated (``c_qpair``) when available; otherwise the voxel-tile
-        pair rate ``c_pair`` — the same masked product without the
-        gathers.
-        """
-        m = self.machine
-        return m.c_qpair if m.c_qpair > 0.0 else m.c_pair
-
     def predict_direct_query(
         self,
         n_queries: int,
         total_candidates: int,
-        n_groups: Optional[int] = None,
         n_cohorts: Optional[int] = None,
         n_segments: int = 1,
     ) -> float:
@@ -530,20 +420,18 @@ class CostModel:
         The ragged-engine cost shape: one engine-shaped dispatch for the
         batch, one ``c_qcohort`` per slab dispatch (``n_cohorts``;
         ``None`` assumes the batch's pairs fit one slab), one
-        ``c_qprobe`` per (cell-group x index segment) CSR probe, a
-        per-query residue at the per-point rate, and the (query,
-        candidate) pairs at :attr:`pair_cost` — the direct analogue of
-        :meth:`batch_cost` for reads.
+        ``c_qprobe`` per (query x index segment) run probe, a per-query
+        residue at the per-point rate, and the (query, candidate) pairs at
+        ``c_qpair`` — the direct analogue of :meth:`batch_cost` for reads.
         """
         m = self.machine
-        groups = n_queries if n_groups is None else n_groups
         cohorts = 1 if n_cohorts is None else n_cohorts
         return (
             m.c_batch
             + cohorts * m.c_qcohort
-            + groups * max(1, n_segments) * m.c_qprobe
+            + n_queries * max(1, n_segments) * m.c_qprobe
             + n_queries * m.c_point
-            + total_candidates * self.pair_cost
+            + total_candidates * m.c_qpair
         )
 
     def predict_approx_query(
@@ -570,7 +458,7 @@ class CostModel:
         # Uncalibrated fallbacks mirror the measured rate ratios (a drawn
         # row costs ~5 direct pairs: RNG draws, searchsorted routing and
         # the scattered gather; a run bound ~2: clamp distances + proxy).
-        pair = self.pair_cost
+        pair = m.c_qpair
         sample_rate = m.c_qsample if m.c_qsample > 0.0 else 5.0 * pair
         bound_rate = m.c_qbound if m.c_qbound > 0.0 else 2.0 * pair
         avg_cand = total_candidates / max(1, n_queries)
@@ -589,7 +477,6 @@ class CostModel:
         n_shards: int,
         *,
         fanout_rows: Optional[int] = None,
-        n_groups: Optional[int] = None,
         n_cohorts: Optional[int] = None,
         n_segments: int = 1,
     ) -> ScatterGatherPrediction:
@@ -600,7 +487,7 @@ class CostModel:
         out, partial density back — ``fanout_rows`` counts halo-straddling
         queries once per contacted shard; defaults to ``n_queries``), plus
         the slowest worker's :meth:`predict_direct_query` over its
-        balanced ``1/P`` share of queries, candidates, and groups.  The
+        balanced ``1/P`` share of queries, candidates and slabs.  The
         serving planner compares this against the single-process direct
         prediction to decide whether a batch is worth the fan-out — small
         batches lose to the message constant, large clustered ones win
@@ -612,46 +499,14 @@ class CostModel:
         ser_rate = m.c_qser if m.c_qser > 0.0 else 16.0 * m.c_mem
         rows = n_queries if fanout_rows is None else int(fanout_rows)
         ipc = 2.0 * P * msg_rate + 2.0 * rows * ser_rate
-        groups = n_queries if n_groups is None else n_groups
         cohorts = 1 if n_cohorts is None else n_cohorts
         compute = self.predict_direct_query(
             -(-rows // P),
             -(-int(total_candidates) // P),
-            n_groups=max(1, -(-groups // P)),
             n_cohorts=max(1, -(-cohorts // P)),
             n_segments=n_segments,
         )
         return ScatterGatherPrediction(ipc + compute, ipc, compute, P)
-
-    def predict_recovery(
-        self, n_rows: int, n_batches: int
-    ) -> RecoveryPrediction:
-        """Price one supervised shard respawn-and-replay (MTTR).
-
-        The recovery cost shape mirrors what
-        :class:`~repro.serve.supervisor.ShardSupervisor` actually does:
-        one spawn-context process standup (``c_spawn``), then the
-        mutation log replayed as ``n_batches`` request round-trips
-        (``c_msg`` each, ``c_qser`` per shipped row) into a worker that
-        inserts its ``n_rows`` live events into its bucket index
-        (``c_qrow`` per row, the index's measured row-move rate).  The
-        replayed window is never stamped — a worker has no op that reads
-        a volume — so no kernel work is priced.  Backoff sleeps are
-        policy, not work, and are excluded — the bench reports them in
-        the measured column instead.
-        """
-        m = self.machine
-        batches = max(0, int(n_batches))
-        rows = max(0, int(n_rows))
-        spawn = m.c_spawn if m.c_spawn > 0.0 else 0.2
-        msg_rate = m.c_msg if m.c_msg > 0.0 else 1e-4
-        ser_rate = m.c_qser if m.c_qser > 0.0 else 16.0 * m.c_mem
-        row_rate = m.c_qrow if m.c_qrow > 0.0 else 8.0 * m.c_mem
-        ipc = 2.0 * batches * msg_rate + rows * ser_rate
-        insert = rows * row_rate
-        return RecoveryPrediction(
-            spawn + ipc + insert, spawn, ipc, insert
-        )
 
     def predict_materialize(self) -> float:
         """Predicted seconds to materialise the volume for the lookup plan:
@@ -708,90 +563,6 @@ class CostModel:
     # ------------------------------------------------------------------
     def predict_pb_sym(self) -> float:
         return self.init_seconds() + self.batch_cost(self.points.n)
-
-    def predict_vb(
-        self, voxel_chunk: int = 2048, point_block: int = 512
-    ) -> Prediction:
-        """Predicted runtime of gold-standard VB through the tile engine."""
-        V, n = self.grid.n_voxels, self.points.n
-        n_tiles = -(-V // voxel_chunk) * max(1, -(-n // point_block))
-        return Prediction(
-            "vb", 1, self.init_seconds() + self.tile_cost(V * n, n_tiles)
-        )
-
-    def predict_vb_dec(self, voxel_chunk: int = 2048) -> Prediction:
-        """Predicted runtime of VB-DEC from the instance's actual binning.
-
-        Reproduces the algorithm's block geometry (bandwidth-sized blocks,
-        27-neighbourhood candidates) *and* its cohort-batched dispatch:
-        blocks sharing a voxel count and a power-of-two-padded candidate
-        width ride one ``(B, V, K)`` tile batch
-        (:func:`~repro.core.regions.accumulate_voxel_tile_batch`), so the
-        model charges one ``c_tile`` per cohort dispatch and the padded
-        pair lanes each dispatch actually evaluates; oversized blocks keep
-        the voxel-chunked per-block dispatch and its unpadded pairs — the
-        constant-factor win over VB on clustered data that Section 6.2
-        describes, minus the per-edge-block dispatch tax.
-        """
-        grid = self.grid
-        bx = max(8, grid.Hs)
-        bt = max(8, grid.Ht)
-        nbx = -(-grid.Gx // bx)
-        nby = -(-grid.Gy // bx)
-        nbt = -(-grid.Gt // bt)
-        vox = grid.voxels_of(self.points.coords)
-        block_of = (
-            (vox[:, 0] // bx) * (nby * nbt)
-            + (vox[:, 1] // bx) * nbt
-            + (vox[:, 2] // bt)
-        )
-        counts = np.bincount(block_of, minlength=nbx * nby * nbt).reshape(
-            nbx, nby, nbt
-        )
-        # Candidate points per block: sum of the 27-neighbourhood.
-        cand = np.zeros_like(counts)
-        for da in (-1, 0, 1):
-            for db in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    src = counts[
-                        max(0, -da) : nbx - max(0, da),
-                        max(0, -db) : nby - max(0, db),
-                        max(0, -dc) : nbt - max(0, dc),
-                    ]
-                    cand[
-                        max(0, da) : nbx - max(0, -da),
-                        max(0, db) : nby - max(0, -db),
-                        max(0, dc) : nbt - max(0, -dc),
-                    ] += src
-        # Voxels per block (edge blocks are smaller).
-        sx = np.minimum(np.arange(1, nbx + 1) * bx, grid.Gx) - np.arange(nbx) * bx
-        sy = np.minimum(np.arange(1, nby + 1) * bx, grid.Gy) - np.arange(nby) * bx
-        st = np.minimum(np.arange(1, nbt + 1) * bt, grid.Gt) - np.arange(nbt) * bt
-        block_vox = sx[:, None, None] * sy[None, :, None] * st[None, None, :]
-        occupied = cand > 0
-        V = block_vox[occupied].astype(np.int64)
-        K = cand[occupied].astype(np.int64)
-        Kp = np.power(2, np.ceil(np.log2(np.maximum(K, 1)))).astype(np.int64)
-        pair_budget = voxel_chunk * 512
-        big = V * Kp > pair_budget
-        # Oversized blocks: per-block voxel-chunked dispatch, real pairs.
-        pairs = float((V[big] * K[big]).sum())
-        n_tiles = float(np.ceil(V[big] / voxel_chunk).sum())
-        # Cohort-batched blocks: one dispatch per (V, Kp) chunk of
-        # pair_budget, padded candidate lanes charged as executed.
-        if np.any(~big):
-            keys, counts = np.unique(
-                np.stack([V[~big], Kp[~big]], axis=1), axis=0,
-                return_counts=True,
-            )
-            per = np.maximum(1, pair_budget // (keys[:, 0] * keys[:, 1]))
-            n_tiles += float(np.ceil(counts / per).sum())
-            pairs += float((counts * keys[:, 0] * keys[:, 1]).sum())
-        bin_cost = self.points.n * 2e-7
-        return Prediction(
-            "vb-dec", 1,
-            self.init_seconds() + bin_cost + self.tile_cost(pairs, n_tiles),
-        )
 
     def predict_dr(self, P: int) -> Prediction:
         need = (P + 1) * self.grid.grid_bytes

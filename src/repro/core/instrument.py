@@ -71,7 +71,7 @@ class WorkCounter:
     ``tile_batches``
         (Voxel-chunk x point-block) tiles accumulated through the region
         engine (:func:`repro.core.regions.accumulate_voxel_tile`) — the
-        dispatch unit of VB/VB-DEC, priced per tile by the cost model.
+        dispatch unit of VB/VB-DEC.
     ``shard_bbox_cells``
         Cells of bounding-box region buffers allocated
         (:class:`repro.core.regions.RegionBuffer`): threaded stamping
@@ -132,6 +132,21 @@ class WorkCounter:
         backend across all queries — the sublinear-work gauge: compare
         against the exact path's candidate count to see what the error
         budget bought.
+    ``sample_candidate_rows``
+        Candidate rows under the sampler's queries.
+    ``sample_exact_fallbacks``
+        Sampler queries answered by the exact gather instead.
+    ``sample_bounds_evaluated``
+        (Query x run) contribution bounds the sampler priced its draws
+        with.
+    ``sample_rel_se_sum``
+        Realised relative standard error summed over the queries the
+        sampler's stop rule accepted; over ``queries_approx`` it is the
+        realised half of the ε gauge (a row straddling a shard cut adds
+        each shard's partial, so sharded it reads high).
+    ``eps_requested_sum``
+        Requested ``eps`` summed over ``queries_approx`` rows, tallied
+        where the service counts them — the requested half.
     ``frontend_batches``
         Cohort batches the async traffic front end
         (:class:`repro.serve.frontend.TrafficFrontend`) dispatched to
@@ -153,7 +168,7 @@ class WorkCounter:
         or a wedged request deadline.
     ``shard_replayed_batches``
         Mutation-log entries replayed into respawned workers — the
-        recovery work gauge ``predict_recovery`` prices.
+        recovery work gauge.
     ``requests_retried``
         Requests that failed against a dying worker and were completed
         against its recovered replacement (queries re-sent once,
@@ -196,6 +211,11 @@ class WorkCounter:
     queries_exact: int = 0
     queries_approx: int = 0
     sample_rows_drawn: int = 0
+    sample_candidate_rows: int = 0
+    sample_exact_fallbacks: int = 0
+    sample_bounds_evaluated: int = 0
+    sample_rel_se_sum: float = 0.0
+    eps_requested_sum: float = 0.0
     frontend_batches: int = 0
     frontend_coalesced: int = 0
     frontend_shed: int = 0
@@ -213,7 +233,7 @@ class WorkCounter:
 
     def merge(self, other: "WorkCounter") -> "WorkCounter":
         """Accumulate another counter into this one (returns self)."""
-        for name in _INT_FIELDS:
+        for name in _SCALAR_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         for name, count in other.backend_dispatches.items():
             self.add_dispatch(name, count)
@@ -240,9 +260,9 @@ class WorkCounter:
             + self.reduce_adds
         )
 
-    def as_dict(self) -> Dict[str, int]:
+    def as_dict(self) -> Dict[str, float]:
         """Plain-dict view (declaration key order) for serialisation."""
-        d = {name: getattr(self, name) for name in _INT_FIELDS}
+        d = {name: getattr(self, name) for name in _SCALAR_FIELDS}
         d["backend_dispatches"] = dict(self.backend_dispatches)
         return d
 
@@ -250,13 +270,13 @@ class WorkCounter:
         return WorkCounter(**self.as_dict())
 
 
-#: The integer counters, in declaration order.  ``merge``, ``as_dict`` and
+#: The scalar counters, in declaration order.  ``merge``, ``as_dict`` and
 #: the null counter derive from the dataclass through these, so a new
 #: counter is one field line (plus its docstring entry).
-_INT_FIELDS: Tuple[str, ...] = tuple(
+_SCALAR_FIELDS: Tuple[str, ...] = tuple(
     f.name for f in fields(WorkCounter) if f.name != "backend_dispatches"
 )
-_INT_FIELD_SET = frozenset(_INT_FIELDS)
+_SCALAR_FIELD_SET = frozenset(_SCALAR_FIELDS)
 
 
 class _NullCounter(WorkCounter):
@@ -275,7 +295,7 @@ class _NullCounter(WorkCounter):
         pass
 
     def __getattribute__(self, name: str):
-        if name in _INT_FIELD_SET:
+        if name in _SCALAR_FIELD_SET:
             return 0
         if name == "backend_dispatches":
             # Fresh throwaway dict: mutations by shared helpers are dropped,

@@ -28,7 +28,7 @@ from .grid import GridSpec
 from .instrument import WorkCounter, null_counter
 from .kernels import KernelPair
 
-__all__ = ["disk_table", "bar_table", "stamp_extent"]
+__all__ = ["disk_table", "bar_table", "stamp_extent", "stamp_cells"]
 
 
 def disk_table(
@@ -123,3 +123,11 @@ def stamp_extent(grid: GridSpec) -> Tuple[int, int]:
     ``(2Hs+1)^2 * (2Ht+1)`` multiply-adds.
     """
     return (2 * grid.Hs + 1, 2 * grid.Ht + 1)
+
+
+def stamp_cells(grid: GridSpec) -> int:
+    """Cells one interior stamp touches: disk evaluation, bar evaluation
+    and the cylinder's multiply-adds — the per-point work unit of the
+    cost model and of PD-REP's task weights."""
+    disk, bar = stamp_extent(grid)
+    return disk * disk + bar + disk * disk * bar

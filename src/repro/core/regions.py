@@ -238,14 +238,12 @@ class RegionBuffer:
         vol: np.ndarray,
         x_lo: int = 0,
         x_hi: Optional[int] = None,
-        *,
-        sign: float = 1.0,
     ) -> int:
         """Accumulate the buffer into a full volume; returns cells touched.
 
         ``x_lo``/``x_hi`` restrict the merge to an x-slab of the volume —
         the unit of the slab-parallel reduction — so concurrent reducers
-        never write the same voxel.  ``sign=-1.0`` subtracts.
+        never write the same voxel.
         """
         w = self.window
         x_hi = vol.shape[0] if x_hi is None else x_hi
@@ -254,13 +252,7 @@ class RegionBuffer:
         if lo >= hi:
             return 0
         target = vol[lo:hi, w.y0 : w.y1, w.t0 : w.t1]
-        src = self.data[lo - w.x0 : hi - w.x0]
-        if sign == 1.0:
-            target += src
-        elif sign == -1.0:
-            target -= src
-        else:
-            target += sign * src
+        target += self.data[lo - w.x0 : hi - w.x0]
         return target.size
 
 

@@ -40,7 +40,7 @@ from ..algorithms.base import STKDEResult, register_algorithm
 from ..algorithms.pb_sym import stamp_points_sym
 from ..core.grid import GridSpec, PointSet, Volume
 from ..core.instrument import PhaseTimer, WorkCounter
-from ..core.invariants import stamp_extent
+from ..core.invariants import stamp_cells
 from ..core.kernels import KernelPair, get_kernel
 from .color import greedy_coloring, load_order, occupied_neighbor_map
 from .executors import ExecTask, Phase, check_memory_budget, run_phases, zero_fill_phase
@@ -153,8 +153,7 @@ def pb_sym_pd_rep(
         base_graph, id_map = build_task_graph(coloring, adjacency, loads)
         blocks_sorted = sorted(id_map, key=id_map.get)
 
-        disk, bar = stamp_extent(grid)
-        cells_per_stamp = disk * disk + bar + disk * disk * bar
+        cells_per_stamp = stamp_cells(grid)
         weights = [loads[bid] * cells_per_stamp for bid in blocks_sorted]
         halos = [
             dec.halo_window(*dec.block_coords(bid)).volume for bid in blocks_sorted

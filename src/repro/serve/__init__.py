@@ -38,7 +38,7 @@ volumes or the raw events:
 """
 
 from .cache import QueryCache, digest_queries
-from .calibrate import calibrate_ipc, calibrate_recovery, calibrate_serving
+from .calibrate import calibrate_ipc, calibrate_serving
 from .errors import (
     CircuitOpen,
     PartialResult,
@@ -91,7 +91,6 @@ __all__ = [
     "TrafficFrontend",
     "approx_sum",
     "calibrate_ipc",
-    "calibrate_recovery",
     "calibrate_serving",
     "digest_queries",
     "direct_region",

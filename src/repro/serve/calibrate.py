@@ -1,7 +1,7 @@
 """Serving-side calibration of the machine model's query unit costs.
 
 :meth:`repro.analysis.model.MachineModel.calibrate` probes the *write*
-paths (stamping, tiles); the serving layer's unit costs are probed here,
+paths (stamping); the serving layer's unit costs are probed here,
 next to the code they measure, so the analysis package never reaches up
 into ``repro.serve``:
 
@@ -30,17 +30,11 @@ into ``repro.serve``:
     engine between a single-segment and a many-segment index over the
     same batch — what pricing an *incremental* index costs per extra
     live batch segment.
-``c_qrow``
-    Seconds per storage row of the index's consolidation gather: the
-    measured per-row rate of consolidating many segments into one
-    (:meth:`BucketIndex.sync`'s merge policy) — what
-    :meth:`~repro.analysis.model.CostModel.predict_recovery` charges a
-    respawned worker per re-inserted row.
 ``c_qsample``
     Seconds per candidate row drawn by the approximate backend
     (:func:`~repro.serve.engine.approx_sum`): slope of the sampler over
     two pinned draw counts on a dense fixture, per drawn row (the row
-    counts come from the sampler's own ``stats_out``).
+    counts come from the sampler's own :class:`WorkCounter` tallies).
 ``c_qbound``
     Seconds per (query x run) contribution bound: slope of the sampler
     between a single-segment and a many-segment index at a fixed draw
@@ -59,16 +53,6 @@ The sharded serving tier adds two process-boundary rates, probed by
     Seconds per ``(x, y, t)`` row serialized across the boundary: the
     slope of the same sweep — what every scattered query row and
     gathered partial pays on top of ``c_msg``.
-
-The self-healing tier adds one more, probed by
-:func:`calibrate_recovery`:
-
-``c_spawn``
-    Seconds to stand up one spawn-context worker process (fork-exec, a
-    fresh interpreter, module imports, the pipe handshake) — the fixed
-    floor of every supervised respawn, which
-    :meth:`~repro.analysis.model.CostModel.predict_recovery` adds to the
-    replay's IPC + index-insert price to predict MTTR.
 
 Every probe runs on the process's default compute backend
 (:data:`repro.core.backends.DEFAULT_BACKEND`) — the one the services run
@@ -100,7 +84,6 @@ from .index import BucketIndex
 __all__ = [
     "calibrate_serving",
     "calibrate_ipc",
-    "calibrate_recovery",
     "resolve_machine_model",
 ]
 
@@ -129,35 +112,6 @@ def resolve_machine_model(
     if target:
         machine.save(target)
     return machine
-
-
-def _spawn_probe_target() -> None:
-    """No-op child: the probe times process standup, not work."""
-
-
-def calibrate_recovery(
-    machine: Optional[MachineModel] = None, seed: int = 0
-) -> MachineModel:
-    """Fill ``c_spawn``: measured cost of one spawn-context standup.
-
-    Starts a no-op process under the same ``spawn`` context the shard
-    workers use and times start-to-join, twice (the first spawn pays
-    one-time import caching; the best of two is the steady-state
-    respawn cost the supervisor actually sees).  Expensive as probes go
-    (~0.2–0.5 s): run explicitly by the faults bench and callers that
-    want :meth:`~repro.analysis.model.CostModel.predict_recovery`, not
-    by the service's lazy calibration.
-    """
-    machine = machine if machine is not None else MachineModel.calibrate(seed)
-    ctx = mp.get_context("spawn")
-    best = math.inf
-    for _ in range(2):
-        t0 = time.perf_counter()
-        proc = ctx.Process(target=_spawn_probe_target)
-        proc.start()
-        proc.join()
-        best = min(best, time.perf_counter() - t0)
-    return dataclasses.replace(machine, c_spawn=max(best, 1e-6))
 
 
 def calibrate_ipc(
@@ -209,9 +163,9 @@ def calibrate_serving(
 
     Starts from ``machine`` (or a fresh write-side
     :meth:`MachineModel.calibrate`) and fills ``c_lookup`` / ``c_qpair``
-    / ``c_qcohort`` / ``c_qprobe`` / ``c_qrow`` / ``c_qsample`` /
-    ``c_qbound`` from micro-probes of the actual serving code paths;
-    every other field (``c_pair`` included) passes through untouched.
+    / ``c_qcohort`` / ``c_qprobe`` / ``c_qsample`` / ``c_qbound`` from
+    micro-probes of the actual serving code paths; every other field
+    passes through untouched.
     """
     machine = machine if machine is not None else MachineModel.calibrate(seed)
     rng = np.random.default_rng(seed)
@@ -300,43 +254,28 @@ def calibrate_serving(
 
     def approx_probe(
         index: BucketIndex, qs_probe: np.ndarray, min_sample: int
-    ) -> Tuple[float, dict]:
+    ) -> Tuple[float, WorkCounter]:
         best = math.inf
-        stats: dict = {}
         for _ in range(3):
-            st: dict = {}
+            c = WorkCounter()
             t0 = time.perf_counter()
-            approx_sum(index, qs_probe, kern, 1.0, eps=1e6, seed=seed,
-                       min_sample=min_sample, stats_out=st)
-            dt = time.perf_counter() - t0
-            if dt < best:
-                best, stats = dt, st
-        return best, stats
+            approx_sum(index, qs_probe, kern, 1.0, c, eps=1e6, seed=seed,
+                       min_sample=min_sample)
+            best = min(best, time.perf_counter() - t0)
+        return best, c
 
     qs_sample = rng.uniform(16.0, 32.0, size=(128, 3))
     qs_bound = rng.uniform(16.0, 32.0, size=(1024, 3))
     approx_probe(idx_dense, qs_sample, 64)  # warm the sampler code path
     t_s_small, st_s_small = approx_probe(idx_dense, qs_sample, 256)
     t_s_large, st_s_large = approx_probe(idx_dense, qs_sample, 2048)
-    d_rows = st_s_large["sample_rows_drawn"] - st_s_small["sample_rows_drawn"]
+    d_rows = st_s_large.sample_rows_drawn - st_s_small.sample_rows_drawn
     c_qsample = max((t_s_large - t_s_small) / max(d_rows, 1), 1e-12)
     t_b_one, st_b_one = approx_probe(idx_dense, qs_bound, 64)
     t_b_multi, st_b_multi = approx_probe(idx_dense_multi, qs_bound, 64)
-    d_bounds = st_b_multi["bounds_evaluated"] - st_b_one["bounds_evaluated"]
+    d_bounds = (st_b_multi.sample_bounds_evaluated
+                - st_b_one.sample_bounds_evaluated)
     c_qbound = max((t_b_multi - t_b_one) / max(d_bounds, 1), 1e-12)
-
-    # Row-movement rate of index maintenance: time the real merge path
-    # (member-major row copy + cells merge-sort, no re-bucketing) over a
-    # many-segment index, per row.
-    best = math.inf
-    for _ in range(3):
-        idx_merge = BucketIndex(g_q)
-        for s in range(n_segs):
-            idx_merge.add_segment(s, events[s::n_segs])
-        t0 = time.perf_counter()
-        idx_merge.consolidate_segments(list(range(n_segs)))
-        best = min(best, time.perf_counter() - t0)
-    c_qrow = max(best / max(len(events), 1), 1e-12)
 
     # Per-pair rate of the direct sum: two batch sizes over the dense
     # fixture, slope per extra (query, candidate) pair.
@@ -353,6 +292,5 @@ def calibrate_serving(
 
     return dataclasses.replace(
         machine, c_lookup=c_lookup, c_qpair=c_qpair, c_qcohort=c_qcohort,
-        c_qprobe=c_qprobe, c_qrow=c_qrow,
-        c_qsample=c_qsample, c_qbound=c_qbound,
+        c_qprobe=c_qprobe, c_qsample=c_qsample, c_qbound=c_qbound,
     )

@@ -365,7 +365,6 @@ def approx_sum(
     min_sample: int = _APPROX_MIN_SAMPLE,
     chunk_queries: int = 2048,
     slab_pairs: int = _QUERY_SLAB_PAIRS,
-    stats_out: Optional[dict] = None,
     compute: "ComputeBackend | str | None" = None,
 ) -> np.ndarray:
     """Approximate STKDE by bucket-level importance sampling over the index.
@@ -392,11 +391,9 @@ def approx_sum(
 
     Deterministic for a fixed ``seed`` (one
     :func:`numpy.random.default_rng` stream consumed in query order).
-    ``stats_out``, when given, accumulates ``sample_rows_drawn``,
-    ``bounds_evaluated``, ``candidate_rows``, ``exact_fallbacks``,
-    ``queries`` and ``rel_se_sum`` (realised relative standard error; its
-    mean over ``queries`` is the realised-vs-requested ε gauge the service
-    reports).
+    ``counter`` accumulates the sampler's ``sample_*`` tallies (rows
+    drawn, candidate rows, exact fallbacks, bounds evaluated, and the
+    realised relative standard error behind the service's ε gauge).
     """
     eps = float(eps)
     if not eps > 0.0:
@@ -529,16 +526,10 @@ def approx_sum(
         out[c0 : c0 + mc] = out_c
 
     counter.sample_rows_drawn += int(drawn_total)
-    if stats_out is not None:
-        for key, val in (
-            ("sample_rows_drawn", int(drawn_total)),
-            ("bounds_evaluated", int(bounds_total)),
-            ("candidate_rows", int(cand_total)),
-            ("exact_fallbacks", int(exact_total)),
-            ("queries", int(m)),
-            ("rel_se_sum", float(rel_se_sum)),
-        ):
-            stats_out[key] = stats_out.get(key, 0) + val
+    counter.sample_candidate_rows += cand_total
+    counter.sample_exact_fallbacks += exact_total
+    counter.sample_bounds_evaluated += bounds_total
+    counter.sample_rel_se_sum += rel_se_sum
     out *= norm
     return out
 

@@ -338,7 +338,7 @@ class TrafficFrontend:
             )
         else:
             raw = self._model.predict_direct_query(
-                m, cand, n_groups=m, n_cohorts=1, n_segments=self._segments
+                m, cand, n_cohorts=1, n_segments=self._segments
             )
         return raw * self._scale["points"]
 

@@ -603,9 +603,9 @@ class BucketIndex:
         cold index built from the same batches would produce.  The
         superseded rows are counted dead (the next :meth:`sync` or
         :meth:`remove_segment` repacks when due).  :meth:`sync`'s merge
-        policy calls this; it is public so operators (and the ``c_qrow``
-        calibration probe) can consolidate explicitly.  ``ids`` must be
-        registered and distinct (``ValueError``, index unchanged).
+        policy calls this; it is public so operators can consolidate
+        explicitly.  ``ids`` must be registered and distinct
+        (``ValueError``, index unchanged).
         """
         counter = counter if counter is not None else null_counter()
         ids = list(ids)
@@ -862,17 +862,6 @@ class BucketIndex:
     def candidate_counts(self, queries: np.ndarray) -> np.ndarray:
         """Exact candidate-set size per query, vectorised (planner input)."""
         return self.box_counts[tuple(self.cell_coords(queries).T)]
-
-    def group_count(self, queries: np.ndarray) -> int:
-        """Number of distinct home cells a query batch occupies.
-
-        The number of distinct 27-cell candidate boxes under a batch —
-        what the planner multiplies ``c_qprobe`` and the segment count by.
-        """
-        q = np.asarray(queries, dtype=np.float64)
-        if q.shape[0] == 0:
-            return 0
-        return int(np.unique(self.cell_of(q)).size)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

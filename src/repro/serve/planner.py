@@ -163,20 +163,13 @@ class QueryPlanner:
         """
         q = np.asarray(queries, dtype=np.float64)
         m = q.shape[0]
-        # Home cells once: candidate counts are box-table reads at them,
-        # the group count their distinct flat ids, and the slab dispatch
-        # count arithmetic on the candidate total.
-        cc = index.cell_coords(q)
-        cand = int(index.box_counts[tuple(cc.T)].sum())
-        n_groups = int(np.unique(index.flat_cells(cc)).size)
-        n_cohorts = slab_dispatches(cand)
+        # Candidate counts are box-table reads at the home cells; the slab
+        # dispatch count is arithmetic on their total.
+        cand = int(index.candidate_counts(q).sum())
         n_segments = index.segment_count
 
         direct = self.model.predict_direct_query(
-            m, cand,
-            n_groups=n_groups,
-            n_cohorts=n_cohorts,
-            n_segments=n_segments,
+            m, cand, n_cohorts=slab_dispatches(cand), n_segments=n_segments,
         )
         approx = (
             self.model.predict_approx_query(
@@ -212,7 +205,6 @@ class QueryPlanner:
         n_shards: int,
         fanout_rows: int,
         *,
-        n_groups: Optional[int] = None,
         n_cohorts: Optional[int] = None,
         n_segments: int = 1,
         force: Optional[str] = None,
@@ -231,13 +223,11 @@ class QueryPlanner:
         """
         sharded = self.model.predict_scatter_gather(
             n_queries, est_candidates, n_shards,
-            fanout_rows=fanout_rows, n_groups=n_groups,
-            n_cohorts=n_cohorts, n_segments=n_segments,
+            fanout_rows=fanout_rows, n_cohorts=n_cohorts,
+            n_segments=n_segments,
         )
         local = self.model.predict_direct_query(
-            n_queries, est_candidates,
-            n_groups=n_groups if n_groups is not None else max(1, n_queries),
-            n_cohorts=n_cohorts if n_cohorts is not None else 1,
+            n_queries, est_candidates, n_cohorts=n_cohorts,
             n_segments=n_segments,
         )
         if force is not None:

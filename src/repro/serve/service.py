@@ -181,7 +181,6 @@ class DensityService:
         self._synced_version: Optional[int] = None
         self._backend_calls = dict.fromkeys(DensityService._BACKENDS, 0)
         self._plan_decisions: Dict[str, int] = {}
-        self._eps_requested_sum = 0.0
         self._volume_builds = 0
         self._volume_build_backend: Optional[str] = None
 
@@ -404,7 +403,7 @@ class DensityService:
             )
         if force == "approx":
             self.counter.queries_approx += q.shape[0]
-            self._eps_requested_sum += float(eps) * q.shape[0]
+            self.counter.eps_requested_sum += float(eps) * q.shape[0]
         else:
             self.counter.queries_exact += q.shape[0]
         self._backend_calls[force] += 1
@@ -581,8 +580,7 @@ class DensityService:
         # Realised-vs-requested ε of the approximate tier: the mean
         # requested budget against the mean realised relative standard
         # error the sampler's own stop rule recorded per query.
-        approx = self._shard.approx_stats
-        aq = int(approx.get("queries", 0))
+        aq = c.queries_approx
         return {
             "version": self.version,
             "events": self.events,
@@ -598,15 +596,11 @@ class DensityService:
             "cache_hit_ratio": (cache["hits"] / lookups) if lookups else None,
             "approx": {
                 "queries": aq,
-                "eps_requested_mean": (
-                    self._eps_requested_sum / aq if aq else None
-                ),
-                "eps_realised_mean": (
-                    approx.get("rel_se_sum", 0.0) / aq if aq else None
-                ),
-                "sample_rows_drawn": int(approx.get("sample_rows_drawn", 0)),
-                "candidate_rows": int(approx.get("candidate_rows", 0)),
-                "exact_fallbacks": int(approx.get("exact_fallbacks", 0)),
+                "eps_requested_mean": c.eps_requested_sum / aq if aq else None,
+                "eps_realised_mean": c.sample_rel_se_sum / aq if aq else None,
+                "sample_rows_drawn": c.sample_rows_drawn,
+                "candidate_rows": c.sample_candidate_rows,
+                "exact_fallbacks": c.sample_exact_fallbacks,
             },
             "work": work,
             "index": self._shard.index_stats(),
@@ -909,6 +903,7 @@ class ShardedDensityService(DensityService):
         out *= self._norm(sum(self._shard_weight))
         if eps is not None:
             self.counter.queries_approx += m
+            self.counter.eps_requested_sum += float(eps) * m
         else:
             self.counter.queries_exact += m
         if failed:

@@ -40,7 +40,7 @@ under identical float arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -85,8 +85,6 @@ class Shard:
         self.counter = counter if counter is not None else WorkCounter()
         self.inc = inc
         self.weights: Optional[np.ndarray] = None
-        #: What the sampler's own stop rule recorded, summed over calls.
-        self.approx_stats: Dict[str, float] = {}
         # ``None`` while a live window's rows are not gathered for the
         # version in ``_synced``.
         self._coords: Optional[np.ndarray] = np.empty((0, 3))
@@ -229,8 +227,7 @@ class Shard:
             )
         return approx_sum(
             self.index(), queries, self.kernel, norm, self.counter,
-            eps=float(eps), seed=seed, stats_out=self.approx_stats,
-            compute=self.compute,
+            eps=float(eps), seed=seed, compute=self.compute,
         )
 
     def region(self, window: VoxelWindow, norm: float) -> RegionResult:

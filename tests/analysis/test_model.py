@@ -31,18 +31,12 @@ class TestMachineModel:
         assert machine.c_mem > 0
         assert machine.c_point > 0
         assert machine.c_cell > 0
-        assert machine.c_pair > 0
 
     def test_sane_magnitudes(self, machine):
         # Memory writes are ns-scale per voxel; dispatch is us-scale.
         assert machine.c_mem < 1e-6
         assert 1e-7 < machine.c_point < 1e-2
         assert machine.c_cell < 1e-6
-        # A (voxel, point) pair costs more than a stamped cell (two kernel
-        # evaluations + distance test vs a multiply-add) but is still
-        # sub-microsecond vectorised.
-        assert machine.c_pair < 1e-6
-        assert machine.c_tile >= 0.0
 
 
 class TestCostModelPredictions:
@@ -103,41 +97,6 @@ class TestCostModelPredictions:
                           memory_budget_bytes=int(1.05 * grid.grid_bytes))
         p = model.predict_pd_rep((1, 1, 1), P=8)
         assert not p.feasible
-
-
-class TestTileAndBboxPricing:
-    """Region-engine pricing: voxel-tile batches."""
-
-    def test_vb_prediction_ranks_far_above_pb_sym(self, grid, machine):
-        """The model must reproduce Table 3's ordering: VB orders of
-        magnitude slower than PB-SYM on a realistic instance."""
-        pts = make_points(grid, 500, seed=20)
-        model = CostModel(grid, pts, machine)
-        assert model.predict_vb().seconds > 10 * model.predict_pb_sym()
-
-    def test_vb_prediction_within_factor(self, machine):
-        """Tile pricing predicts a real VB run well enough to rank."""
-        from repro.algorithms.vb import vb
-
-        g = GridSpec(DomainSpec.from_voxels(16, 16, 16), hs=2.5, ht=2.0)
-        pts = make_points(g, 300, seed=21)
-        model = CostModel(g, pts, machine)
-        predicted = model.predict_vb().seconds
-        measured = vb(pts, g).elapsed
-        assert predicted == pytest.approx(measured, rel=4.0)
-
-    def test_vb_dec_cheaper_than_vb_on_clustered(self, grid, machine):
-        pts = make_clustered_points(grid, 800, k=1, seed=22)
-        model = CostModel(grid, pts, machine)
-        assert model.predict_vb_dec().seconds < model.predict_vb().seconds
-
-    def test_vb_charges_tile_dispatch(self, grid, machine):
-        pts = make_points(grid, 200, seed=23)
-        model = CostModel(grid, pts, machine)
-        coarse = model.predict_vb(voxel_chunk=4096, point_block=512)
-        fine = model.predict_vb(voxel_chunk=64, point_block=8)
-        # Same pairs, many more tile batches: fine tiling must not be free.
-        assert fine.seconds >= coarse.seconds
 
 
 class TestSelectStrategy:
@@ -227,28 +186,3 @@ class TestProcessCalibration:
         select_strategy(grid, pts, 4, machine=mine)
         assert probes == []
         assert model_module._process_calibration.cache_info().currsize == 0
-
-
-class TestSlideAndMergePredictors:
-    """Keeps its id: the slide and merge predictors are gone (nothing
-    consulted them), the recovery predictor they sat beside is not."""
-
-    def test_recovery_prices_index_inserts_not_stamps(self, grid, machine):
-        """A respawned worker buckets its replayed rows and stamps
-        nothing: spawn + IPC + ``c_qrow`` per row, whatever a stamp of
-        those rows would cost on this grid."""
-        import dataclasses
-
-        pts = make_points(grid, 100, seed=25)
-        m = dataclasses.replace(
-            machine, c_spawn=0.2, c_msg=1e-4, c_qser=1e-7, c_qrow=5e-8
-        )
-        p = CostModel(grid, pts, m).predict_recovery(n_rows=4000, n_batches=4)
-        assert p.spawn_seconds == 0.2
-        assert p.ipc_seconds == pytest.approx(8 * 1e-4 + 4000 * 1e-7)
-        assert p.insert_seconds == pytest.approx(4000 * 5e-8)
-        assert p.seconds == pytest.approx(
-            p.spawn_seconds + p.ipc_seconds + p.insert_seconds)
-        dearer = dataclasses.replace(
-            m, c_point=100 * m.c_point, c_cell=100 * m.c_cell, c_batch=1.0)
-        assert CostModel(grid, pts, dearer).predict_recovery(4000, 4) == p

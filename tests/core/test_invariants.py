@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DomainSpec, GridSpec, WorkCounter
-from repro.core.invariants import bar_table, disk_table, stamp_extent
+from repro.core.invariants import (
+    bar_table,
+    disk_table,
+    stamp_cells,
+    stamp_extent,
+)
 from repro.core.kernels import get_kernel
 
 
@@ -109,6 +114,10 @@ class TestStampExtent:
         disk, bar = stamp_extent(grid)
         assert disk == 2 * grid.Hs + 1
         assert bar == 2 * grid.Ht + 1
+
+    def test_cells_are_disk_bar_and_cylinder(self, grid):
+        disk, bar = stamp_extent(grid)
+        assert stamp_cells(grid) == disk * disk + bar + disk * disk * bar
 
 
 @given(

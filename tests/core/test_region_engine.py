@@ -172,7 +172,7 @@ class TestRegionBuffer:
         mask[bbox.slices()] = False
         assert not full[mask].any()
 
-    def test_add_into_and_sign(self, grid):
+    def test_add_into(self, grid):
         buf = RegionBuffer(VoxelWindow(2, 6, 3, 7, 1, 4))
         buf.data[:] = 1.5
         vol = np.zeros(grid.shape)
@@ -180,8 +180,6 @@ class TestRegionBuffer:
         assert touched == buf.cells
         assert vol.sum() == pytest.approx(1.5 * buf.cells)
         assert vol[2:6, 3:7, 1:4].min() == 1.5
-        buf.add_into(vol, sign=-1.0)
-        assert not vol.any()
 
     def test_add_into_slab_restriction(self, grid):
         buf = RegionBuffer(VoxelWindow(2, 10, 0, 5, 0, 5))

@@ -138,12 +138,10 @@ class TestApproxSum:
         kern = get_kernel("epanechnikov")
         norm = small_grid.normalization(50)
         exact = direct_sum(idx, q, kern, norm)
-        stats: dict = {}
-        approx = approx_sum(
-            idx, q, kern, norm, eps=0.1, seed=0, stats_out=stats
-        )
+        c = WorkCounter()
+        approx = approx_sum(idx, q, kern, norm, c, eps=0.1, seed=0)
         assert np.array_equal(approx, exact)
-        assert stats["exact_fallbacks"] > 0
+        assert c.sample_exact_fallbacks > 0
 
     def test_invalid_eps_rejected(self):
         grid, idx, q = dense_fixture(n=200)
@@ -152,19 +150,16 @@ class TestApproxSum:
             with pytest.raises(ValueError):
                 approx_sum(idx, q, kern, 1.0, eps=bad)
 
-    def test_counter_and_stats_out(self):
+    def test_counter_tallies(self):
         grid, idx, q = dense_fixture(n=2000)
         kern = get_kernel("epanechnikov")
         c = WorkCounter()
-        stats: dict = {}
-        approx_sum(
-            idx, q, kern, 1.0, c, eps=0.2, seed=4, stats_out=stats
-        )
+        approx_sum(idx, q, kern, 1.0, c, eps=0.2, seed=4)
         assert c.sample_rows_drawn > 0
-        assert stats["sample_rows_drawn"] == c.sample_rows_drawn
-        assert stats["queries"] == q.shape[0]
-        assert stats["candidate_rows"] > 0
-        assert stats["rel_se_sum"] >= 0.0
+        assert c.sample_candidate_rows == int(idx.candidate_counts(q).sum())
+        assert c.sample_bounds_evaluated == q.shape[0] * 9
+        assert c.sample_rel_se_sum > 0.0
+        assert c.eps_requested_sum == 0.0  # the service's tally
 
     @pytest.mark.parametrize("eps", [0.5, 0.3, 0.1])
     def test_far_off_domain_events_cost_no_extra_draws(self, eps):
@@ -186,22 +181,23 @@ class TestApproxSum:
             rng.uniform(1, 7, 64),
         ])
         kern = get_kernel("epanechnikov")
-        plain: dict = {}
-        approx_sum(BucketIndex(grid, coords[n_far:]), q, kern, 1.0,
-                   eps=eps, stats_out=plain)
-        stats: dict = {}
+        plain = WorkCounter()
+        approx_sum(BucketIndex(grid, coords[n_far:]), q, kern, 1.0, plain,
+                   eps=eps)
+        stats = WorkCounter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = approx_sum(BucketIndex(grid, far), q, kern, 1.0,
-                             eps=eps, stats_out=stats)
+            got = approx_sum(BucketIndex(grid, far), q, kern, 1.0, stats,
+                             eps=eps)
         # The far events are outside every support: the oracle skips them.
         exact = brute_force_sum(grid, kern, coords[n_far:], q)
         assert np.isfinite(got).all()
         assert np.quantile(rel_err(got, exact), 0.95) <= eps
-        assert stats["exact_fallbacks"] == plain["exact_fallbacks"] == 0
+        assert plain.sample_exact_fallbacks == 0
+        assert stats.sample_exact_fallbacks == 0
         # Not ``<=``: 200 more zero-valued candidates move the stop rule
         # by a few per cent either way (seeds 7-9: -1 % .. +6 %).
-        assert stats["sample_rows_drawn"] <= 1.25 * plain["sample_rows_drawn"]
+        assert stats.sample_rows_drawn <= 1.25 * plain.sample_rows_drawn
 
 
 class TestPlannerRouting:
@@ -395,6 +391,35 @@ class TestShardedEps:
             assert st["work"]["sample_rows_drawn"] > 0
         finally:
             svc.close()
+
+    @pytest.mark.parametrize("live", [False, True])
+    def test_stats_blob_carries_the_workers_sampler(self, live):
+        """The ``approx`` blob reads the counter merged with the workers':
+        the coordinator never samples, so a blob of its own tallies is
+        all zeros while ``work`` shows the sampled rows."""
+        from repro.serve import ShardedDensityService
+
+        grid = GridSpec(
+            DomainSpec.from_voxels(36, 36, 36), hs=12.0, ht=12.0
+        )
+        rng = np.random.default_rng(2)
+        coords = rng.uniform(0.0, 36.0, size=(4000, 3))
+        q = rng.uniform(6.0, 30.0, size=(256, 3))
+        with ShardedDensityService(
+            None if live else PointSet(coords), grid, workers=2,
+            backend="sharded", machine=MachineModel.nominal(),
+        ) as svc:
+            if live:
+                svc.add(coords)
+            svc.query_points(q, eps=0.1, seed=3)
+            st = svc.stats()
+        blob, work = st["approx"], st["work"]
+        assert blob["queries"] == work["queries_approx"] == q.shape[0]
+        assert blob["eps_requested_mean"] == pytest.approx(0.1)
+        assert 0.0 < blob["eps_realised_mean"] <= 0.1
+        assert blob["sample_rows_drawn"] == work["sample_rows_drawn"] > 0
+        assert blob["candidate_rows"] == work["sample_candidate_rows"] > 0
+        assert blob["exact_fallbacks"] == work["sample_exact_fallbacks"]
 
 
 class TestCliEps:

@@ -21,7 +21,7 @@ from tests.serve.test_engine import voxel_center_queries
 
 MACHINE = MachineModel(
     c_mem=1e-9, c_point=1e-7, c_cell=2e-9, c_batch=1e-5,
-    c_pair=2e-9, c_tile=1e-6, c_lookup=5e-8,
+    c_lookup=5e-8, c_qpair=2e-9,
 )
 
 

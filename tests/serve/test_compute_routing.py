@@ -6,9 +6,9 @@ These tests pin that the name reaches every path (the dispatch tally
 shows one key, the pinned name — single-process and merged across shard
 workers), the serving-layer observability blob, the JSON persistence
 behind ``--calibration-file`` / ``REPRO_CALIBRATION`` including the one
-legacy key still read (``backend_costs``, the parent's per-backend
-table), and that the planner and the front end price pairs with the same
-``c_qpair``.
+legacy keys still read (``backend_costs``, the parent's per-backend
+table, and a top-level ``c_pair``), and that the planner and the front
+end price pairs with the same ``c_qpair``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.model import CostModel, MachineModel
+from repro.analysis.model import MachineModel
 from repro.core.backends import DEFAULT_BACKEND, available_backends
 from repro.serve import (
     DensityService,
@@ -34,15 +34,15 @@ from repro.serve.calibrate import (
 )
 from tests.helpers import make_clustered_points, make_points
 
-#: Flat scalars only — an *uncalibrated* machine (no query-path rates).
+#: Flat nominal scalars.
 NOMINAL = MachineModel(
     c_mem=1e-9, c_point=1e-7, c_cell=2e-9, c_batch=1e-5,
-    c_pair=2e-9, c_tile=1e-6, c_lookup=5e-8,
+    c_lookup=5e-8, c_qpair=2e-9,
     c_qcohort=5e-6, c_qprobe=1e-6,
 )
 
 #: The same machine after a (synthetic) serving calibration that measured
-#: the query-path pair loop 4x cheaper than the voxel-tile rate.
+#: the query-path pair loop 4x cheaper.
 CALIBRATED = dataclasses.replace(
     NOMINAL, c_qpair=5e-10, c_qcohort=1.25e-6, c_qsample=4e-9
 )
@@ -105,24 +105,25 @@ class TestCalibrationPersistence:
         assert resolve_machine_model() == CALIBRATED
 
     def test_parent_format_file_loads_the_default_backends_entry(self):
-        """The one legacy key: the default backend's per-backend entry
-        becomes the query-path scalars, ``c_pair`` stays the tile rate,
-        and the table is never written back."""
+        """The default backend's per-backend entry becomes the query-path
+        scalars — its ``c_pair`` wins over the top-level one — and the
+        table is never written back."""
         m = MachineModel.from_json(json.dumps(PARENT_FORMAT))
         entry = PARENT_FORMAT["backend_costs"][DEFAULT_BACKEND]
         assert m.c_qpair == entry["c_pair"]
         assert m.c_qcohort == entry["c_qcohort"]
         assert m.c_qsample == entry["c_qsample"]
-        assert m.c_pair == PARENT_FORMAT["c_pair"]
         assert m.c_qbound == PARENT_FORMAT["c_qbound"]
         written = json.loads(m.to_json())
         assert "backend_costs" not in written and "_note" not in written
         assert MachineModel.from_json(m.to_json()) == m
 
     def test_file_without_the_legacy_key_loads_flat(self):
+        """No per-backend table and no probed ``c_qpair``: pairs price at
+        the top-level ``c_pair``, as direct sums fell back to it."""
         flat = {k: v for k, v in PARENT_FORMAT.items() if k != "backend_costs"}
         m = MachineModel.from_json(json.dumps(flat))
-        assert m.c_qpair == 0.0
+        assert m.c_qpair == flat["c_pair"]
         assert m.c_qcohort == flat["c_qcohort"]
         assert m.c_qsample == flat["c_qsample"]
         # A null table (what an uncalibrated parent model wrote) too.
@@ -131,34 +132,27 @@ class TestCalibrationPersistence:
 
 
 class TestOneRatePerJob:
-    """``c_qpair`` prices query pairs everywhere; ``c_pair`` is the VB tile
-    rate and only the fallback while ``c_qpair`` is unprobed."""
+    """``c_qpair`` prices query pairs everywhere."""
 
-    def test_unprobed_qpair_falls_back_to_the_tile_rate(self, small_grid):
-        pts = make_points(small_grid, 50, seed=70)
-        model = CostModel(small_grid, pts, NOMINAL)
-        assert NOMINAL.c_qpair == 0.0
-        assert model.predict_direct_query(10, 500) == pytest.approx(
-            NOMINAL.c_batch + NOMINAL.c_qcohort + 10 * NOMINAL.c_qprobe
-            + 10 * NOMINAL.c_point + 500 * NOMINAL.c_pair
-        )
-        probed = CostModel(small_grid, pts, CALIBRATED)
-        assert probed.predict_direct_query(10, 500) == pytest.approx(
-            CALIBRATED.c_batch + CALIBRATED.c_qcohort
-            + 10 * CALIBRATED.c_qprobe + 10 * CALIBRATED.c_point
-            + 500 * CALIBRATED.c_qpair
-        )
+    @pytest.mark.parametrize("qpair", [None, 0.0, 7e-9])
+    def test_top_level_c_pair_fills_only_an_unprobed_qpair(self, qpair):
+        blob = {"c_mem": 1e-9, "c_point": 1e-7, "c_cell": 2e-9,
+                "c_pair": 3e-8}
+        if qpair is not None:
+            blob["c_qpair"] = qpair
+        m = MachineModel.from_json(json.dumps(blob))
+        assert m.c_qpair == (qpair if qpair else 3e-8)
+        assert "c_pair" not in json.loads(m.to_json())
 
-    def test_calibrate_serving_probes_qpair_and_leaves_the_tile_rate(self):
+    def test_calibrate_serving_probes_qpair(self):
         base = MachineModel.calibrate()
         served = calibrate_serving(base)
         assert served.c_qpair > 0.0
-        assert served.c_pair == base.c_pair
         assert base.c_qpair == 0.0
 
     def test_front_end_and_planner_price_pairs_alike(self, small_grid):
-        """Both move with ``c_qpair`` and neither with ``c_pair`` (the
-        front end's admission price used to read the tile rate)."""
+        """Both move with ``c_qpair`` (the front end's admission price
+        once read another rate)."""
         pts = make_clustered_points(small_grid, 4000, seed=61)
         q = make_points(small_grid, 50, seed=62).coords
 
@@ -175,9 +169,7 @@ class TestOneRatePerJob:
             return plan.direct_seconds, asyncio.run(admission())
 
         base = prices(CALIBRATED)
-        tile = prices(dataclasses.replace(CALIBRATED, c_pair=1e-6))
         pair = prices(dataclasses.replace(CALIBRATED, c_qpair=1e-6))
-        assert tile == base
         assert pair[0] > 10 * base[0] and pair[1] > 10 * base[1]
 
 

@@ -337,7 +337,7 @@ class TestRaggedEngine:
                          d.t0 + 1.5 * small_grid.ht])  # inside cell (1, 1, 1)
         jitter = np.random.default_rng(73).uniform(-0.4, 0.4, size=(64, 3))
         q = base + jitter * [small_grid.hs, small_grid.hs, small_grid.ht]
-        assert idx.group_count(q) == 1
+        assert np.unique(idx.cell_of(q)).size == 1
         c = WorkCounter()
         kern = get_kernel("epanechnikov")
         np.testing.assert_allclose(

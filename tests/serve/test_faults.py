@@ -293,8 +293,7 @@ class TestCrashRecovery:
     def test_live_workers_hold_a_window_and_never_stamp(self):
         """A live shard worker answers points from its index and regions
         from raw coordinates; no op reads a volume, so neither the
-        mutations nor a crash's log replay stamp a single cell — which
-        is why ``predict_recovery`` prices index inserts, not stamps."""
+        mutations nor a crash's log replay stamp a single cell."""
         grid = make_grid()
         rng = np.random.default_rng(41)
         span = span_of(grid)

@@ -11,6 +11,7 @@ in-flight requests.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -355,6 +356,15 @@ class TestFailurePaths:
         grid = _grid()
         svc = _static_service(grid)
         qs = _points(grid, 10, seed=14)
+        inner = svc.query_points
+
+        def slow_points(*a, **k):
+            # An idle dispatcher flushes at once; a one-point answer can
+            # beat the canceller's 1 ms deadline unless the flush is slow.
+            time.sleep(0.05)
+            return inner(*a, **k)
+
+        svc.query_points = slow_points
 
         async def main():
             async with TrafficFrontend(svc, max_delay_ms=40.0) as fe:

@@ -140,17 +140,12 @@ class TestGrouping:
         pts = make_points(small_grid, 30, seed=12)
         idx = BucketIndex(small_grid, pts.coords)
         q = np.array([[1.0, 1.0, 1.0], [1.1, 1.2, 1.05], [1.05, 0.9, 0.95]])
-        assert idx.group_count(q) == 1
         assert np.unique(idx.cell_of(q)).size == 1
 
-    def test_group_count_is_distinct_home_cells(self, index, small_grid):
+    def test_flat_cells_are_the_home_cells(self, index, small_grid):
         qs = make_points(small_grid, 64, seed=11).coords
         cc = index.cell_coords(qs)
-        assert index.group_count(qs) == len({tuple(c) for c in cc.tolist()})
         np.testing.assert_array_equal(index.flat_cells(cc), index.cell_of(qs))
-
-    def test_empty_batch(self, index):
-        assert index.group_count(np.empty((0, 3))) == 0
 
 
 class TestCandidateRuns:

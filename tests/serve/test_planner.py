@@ -16,6 +16,7 @@ from repro.analysis.model import CostModel, MachineModel
 from repro.core import PointSet
 from repro.core.grid import VoxelWindow
 from repro.serve import BucketIndex, DensityService, QueryPlanner
+from repro.serve.engine import slab_dispatches
 from tests.helpers import make_clustered_points, make_points
 from tests.serve.test_engine import voxel_center_queries
 
@@ -23,7 +24,7 @@ from tests.serve.test_engine import voxel_center_queries
 #: that materialisation needs a real batch to amortise.
 MACHINE = MachineModel(
     c_mem=1e-9, c_point=1e-7, c_cell=2e-9, c_batch=1e-5,
-    c_pair=2e-9, c_tile=1e-6, c_lookup=5e-8,
+    c_lookup=5e-8, c_qpair=2e-9,
     c_qcohort=5e-6, c_qprobe=1e-6,
 )
 
@@ -159,19 +160,51 @@ class TestCostModelPredictors:
         model = CostModel(small_grid, pts, MACHINE)
         base = model.predict_direct_query(0, 0)
         assert base == pytest.approx(MACHINE.c_batch + MACHINE.c_qcohort)
-        # Defaults: one slab dispatch, one probe per query (all scattered).
+        # Defaults: one slab dispatch, one segment.
         assert model.predict_direct_query(10, 500) == pytest.approx(
             MACHINE.c_batch + MACHINE.c_qcohort
             + 10 * (MACHINE.c_qprobe + MACHINE.c_point)
-            + 500 * MACHINE.c_pair
+            + 500 * MACHINE.c_qpair
         )
         # Slab dispatches multiply c_qcohort; segments multiply the probes.
         assert model.predict_direct_query(
-            10, 500, n_groups=4, n_cohorts=2, n_segments=3
+            10, 500, n_cohorts=2, n_segments=3
         ) == pytest.approx(
             MACHINE.c_batch + 2 * MACHINE.c_qcohort
-            + 4 * 3 * MACHINE.c_qprobe + 10 * MACHINE.c_point
-            + 500 * MACHINE.c_pair
+            + 10 * 3 * MACHINE.c_qprobe + 10 * MACHINE.c_point
+            + 500 * MACHINE.c_qpair
+        )
+
+    @pytest.mark.parametrize(
+        "m,c,s", [(1, 27, 1), (64, 900, 4), (3000, 10**6, 20)]
+    )
+    def test_probes_are_priced_per_query_per_segment(
+        self, small_grid, m, c, s
+    ):
+        """``c_qprobe`` is paid the way it is measured: each query's own
+        window needles, searched once per segment — not once per distinct
+        home cell of the batch."""
+        model = CostModel(small_grid, make_points(small_grid, 10, seed=45),
+                          MACHINE)
+        assert model.predict_direct_query(m, c, n_segments=s) == (
+            MACHINE.c_batch + MACHINE.c_qcohort + m * s * MACHINE.c_qprobe
+            + m * MACHINE.c_point + c * MACHINE.c_qpair
+        )
+
+    def test_plan_prices_co_located_queries_per_query(self, small_grid):
+        """Queries sharing one home cell still search every segment each:
+        the direct plan pays ``m * segments`` probes, not one probe per
+        segment for the batch's single distinct cell."""
+        pts = make_points(small_grid, 200, seed=46)
+        idx = BucketIndex(small_grid)
+        for s in range(4):
+            idx.add_segment(s, pts.coords[s::4])
+        q = np.repeat(pts.coords[:1], 32, axis=0)
+        model = CostModel(small_grid, pts, MACHINE)
+        plan = QueryPlanner(model).plan_points(idx, q, volume_ready=False)
+        cand = int(idx.candidate_counts(q).sum())
+        assert plan.direct_seconds == model.predict_direct_query(
+            32, cand, n_cohorts=slab_dispatches(cand), n_segments=4
         )
 
     def test_lookup_charges_build_only_when_cold(self, small_grid):
