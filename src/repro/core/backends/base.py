@@ -30,7 +30,10 @@ Two more functions are shared rather than overridden:
 :meth:`ComputeBackend.factor_tables`, PB-SYM's masked disk and bar tables
 for the stamping engine's per-bin GEMM route.  They are ``n * W^2`` work
 feeding ``n * W^2 * Wt`` multiply-adds that BLAS performs, so a compiled
-variant would buy nothing; every backend inherits the NumPy one.
+variant would buy nothing.  Only their arithmetic (``_factor_tables``)
+varies: ``numpy-fused`` builds them in clamp form for kernels that
+declare a ``clamp_profile``; ``numpy-ref`` and every other kernel keep the
+generic NumPy form, the oracle.
 """
 
 from __future__ import annotations
@@ -195,7 +198,10 @@ class ComputeBackend:
         Shared by every backend: the tables are ``m * wx * wy`` work
         against the ``m * wx * wy * wt`` multiply-adds they feed.  Records
         one dispatch; the caller charges the logical counts (it knows the
-        clipped windows, which a shared frame hides).
+        clipped windows, which a shared frame hides).  The arithmetic is
+        :meth:`_factor_tables`: the generic form here, which
+        ``numpy-fused`` overrides with the clamp form for kernels that
+        declare a ``clamp_profile``.
         """
         counter.add_dispatch(self.name)
         return self._factor_tables(grid, kernel, norm, dx, dy, dt)

@@ -2,10 +2,17 @@
 
 Same primitives as ``numpy-ref``, three optimisations:
 
-* **Radial profiles** — for kernels with a ``spatial_radial`` form the
-  squared distance computed for the cylinder mask is reused for the kernel
-  value, instead of re-deriving ``u^2 + v^2`` from normalised offsets
-  inside ``kernel.spatial`` (the reference squares every offset twice).
+* **Clamp form** — for kernels that declare a ``clamp_profile``
+  (``k_s * k_t == c * (1 - r^2)^p * (1 - w^2)``: Epanechnikov, quartic)
+  the masked product is ``max(hs^2 - d^2, 0)^p * max(ht^2 - dt^2, 0)``
+  times one scalar: the clamp *is* the mask, so PB-SYM's disk table
+  costs two or three passes (add, subtract, clamp, square when
+  ``p == 2``) and the point-query pair kernel a handful, against the
+  reference's seven-pass mask, scale, evaluate and multiply.
+  ``hs^2 - d^2`` rounds correctly, so it is ``<= 0`` exactly where
+  ``d^2 >= hs^2``: the strict spatial mask holds bit for bit.  Other
+  radial kernels reuse the mask's squared distance for
+  ``spatial_radial``; non-radial ones take the reference path.
 * **Factorised tables** — the per-voxel stamp modes (``pb``/``disk``/
   ``bar``) exploit the paper's Figure 3 invariance structure: ``k_s`` is
   temporally invariant and ``k_t`` spatially invariant, so the masked
@@ -20,14 +27,16 @@ Same primitives as ``numpy-ref``, three optimisations:
   evaluating everything and multiplying by the mask.
 
 Equivalence to ``numpy-ref`` is elementwise ``rtol=1e-12`` (the fusions
-only reassociate scalar factors at the ulp level); work counters charge
+only reassociate scalar factors at the ulp level; a value within a few
+ulps of the kernel's rim, where ``1 - r^2`` or ``1 - w^2`` cancels in
+either form, is held to ``atol=1e-18`` instead); work counters charge
 the identical logical operation counts — the *mode's* cost profile, not
 the backend's physical op count — so profiles stay comparable.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +53,19 @@ __all__ = ["NumpyFusedBackend"]
 #: passes (count + fancy-index); the dense path costs ~4 full passes of
 #: kernel arithmetic, so the crossover sits well below one half.
 _SPARSE_FRACTION = 1.0 / 8.0
+
+
+def _clamp(bound2: float, sq: np.ndarray, p: int = 1) -> np.ndarray:
+    """``max(bound2 - sq, 0) ** p`` in place in ``sq`` (``p`` is 1 or 2).
+
+    The subtraction rounds correctly, so the result is 0 exactly where
+    ``sq >= bound2`` — and where ``sq`` overflowed to inf.
+    """
+    np.subtract(bound2, sq, out=sq)
+    np.maximum(sq, 0.0, out=sq)
+    if p == 2:
+        sq *= sq
+    return sq
 
 
 class NumpyFusedBackend(ComputeBackend):
@@ -117,6 +139,27 @@ class NumpyFusedBackend(ComputeBackend):
         disk, bar = self._factor_tables(grid, kernel, norm, dx, dy, dt)
         return disk[:, :, :, None] * bar[:, None, None, :]
 
+    def _factor_tables(
+        self,
+        grid: GridSpec,
+        kernel: KernelPair,
+        norm: float,
+        dx: np.ndarray,
+        dy: np.ndarray,
+        dt: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        if kernel.clamp_profile is None:
+            return super()._factor_tables(grid, kernel, norm, dx, dy, dt)
+        c, p = kernel.clamp_profile
+        hs2 = grid.hs * grid.hs
+        ht2 = grid.ht * grid.ht
+        # The base form's d2 bits, so the clamp is its strict mask.
+        disk = _clamp(hs2, (dx * dx)[:, :, None] + (dy * dy)[:, None, :], p)
+        # Every constant rides on the (m, wt) bar.
+        bar = _clamp(ht2, dt * dt)
+        bar *= norm * c / (hs2**p * ht2)
+        return disk, bar
+
     def reduced_contributions(
         self,
         grid: GridSpec,
@@ -131,10 +174,11 @@ class NumpyFusedBackend(ComputeBackend):
         out = super().reduced_contributions(
             grid, kernel, dx, dy, dt, weights, counter, reduce
         )
-        if not np.isfinite(out).all():
+        if kernel.clamp_profile is None and not np.isfinite(out).all():
             # An offset that overflowed to inf met the mask's
             # multiply-by-zero (inf * 0 is NaN); the reference selects
-            # instead.  The pairs were charged above.
+            # instead.  The pairs were charged above.  The clamp form
+            # cannot: hs^2 - inf clamps to 0 and meets no mask.
             out = self._ref.reduced_contributions(
                 grid, kernel, dx, dy, dt, weights, null_counter(), reduce
             )
@@ -156,8 +200,17 @@ class NumpyFusedBackend(ComputeBackend):
             )
         hs2 = grid.hs * grid.hs
         d2 = dx * dx + dy * dy
-        inside = (d2 < hs2) & (np.abs(dt) <= grid.ht)
         self._charge_pairs(counter, d2.size)
+        if kernel.clamp_profile is not None:
+            c, p = kernel.clamp_profile
+            ht2 = grid.ht * grid.ht
+            contrib = _clamp(hs2, d2, p)
+            contrib *= _clamp(ht2, dt * dt)
+            contrib *= c / (hs2**p * ht2)
+            if weights is not None:
+                contrib *= weights
+            return contrib
+        inside = (d2 < hs2) & (np.abs(dt) <= grid.ht)
         d2 *= 1.0 / hs2
         contrib = kernel.spatial_radial(d2)
         contrib *= kernel.temporal(dt / grid.ht)

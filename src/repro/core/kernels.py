@@ -136,6 +136,15 @@ class KernelPair:
         The disk tabulation computes ``r2`` anyway for the bandwidth test,
         so radial kernels (Epanechnikov, quartic) skip re-deriving it from
         broadcast offsets.  ``None`` for non-radial kernels.
+    clamp_profile:
+        ``(c, p)`` when the *product* of the two kernels is the polynomial
+        ``k_s * k_t == c * (1 - r^2)^p * (1 - w^2)`` on the support
+        (``r^2 = u^2 + v^2``).  A fact about the kernel, not a knob: it
+        lets a backend evaluate the masked product in clamp form,
+        ``max(hs^2 - d^2, 0)^p * max(ht^2 - dt^2, 0)`` times one scalar,
+        where the clamp is the mask (``d^2 >= hs^2`` and ``|dt| > ht``
+        clamp to zero).  ``None`` (the default, and every user kernel
+        that does not set it) keeps the generic mask-and-evaluate path.
     spatial_flops / temporal_flops:
         Approximate floating-point operations per evaluation, used by the
         parametric execution model (Section 6.5) and by the work counters
@@ -146,6 +155,7 @@ class KernelPair:
     spatial: SpatialKernel
     temporal: TemporalKernel
     spatial_radial: Callable[[np.ndarray], np.ndarray] | None = None
+    clamp_profile: Tuple[float, int] | None = None
     spatial_flops: int = 6
     temporal_flops: int = 3
 
@@ -209,6 +219,7 @@ register_kernel(
         spatial=epanechnikov_spatial,
         temporal=epanechnikov_temporal,
         spatial_radial=_epanechnikov_radial,
+        clamp_profile=(2.0 / math.pi * 0.75, 1),
         spatial_flops=6,
         temporal_flops=3,
     )
@@ -219,6 +230,7 @@ register_kernel(
         spatial=quartic_spatial,
         temporal=epanechnikov_temporal,
         spatial_radial=_quartic_radial,
+        clamp_profile=(3.0 / math.pi * 0.75, 2),
         spatial_flops=8,
         temporal_flops=3,
     )

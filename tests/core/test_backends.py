@@ -33,7 +33,12 @@ from repro.serve import DensityService
 from repro.serve.engine import approx_sum, direct_sum
 from repro.serve.index import BucketIndex
 
-from tests.helpers import CUSTOM_KERNEL, make_clustered_points, make_points
+from tests.helpers import (
+    BOX_KERNEL,
+    CUSTOM_KERNEL,
+    make_clustered_points,
+    make_points,
+)
 
 RTOL = 1e-12
 ATOL = 1e-18
@@ -243,6 +248,112 @@ class TestMaskedProductParity:
         accumulate_voxel_tile(got, vox, cx, cy, ct, px, py, pt, grid, kern,
                               0.5, WorkCounter(), compute=backend)
         np.testing.assert_allclose(got, ref, rtol=RTOL, atol=ATOL)
+
+
+PROFILED = tuple(k for k in available_kernels()
+                 if get_kernel(k).clamp_profile is not None)
+
+
+class TestClampForm:
+    """``numpy-fused`` evaluates kernels that declare a ``clamp_profile``
+    as ``max(hs^2 - d^2, 0)^p * max(ht^2 - dt^2, 0)`` times one scalar;
+    the clamp must be the strict-in-space, closed-in-time mask, and every
+    other kernel must keep the generic path bit for bit."""
+
+    # Dyadic bandwidths and times far from zero (``TestWindowEdge.EXACT``
+    # of the engine tests): every offset below subtracts without rounding.
+    EXACT = GridSpec(
+        DomainSpec(gx=64.0, gy=64.0, gt=16.0, sres=1.0, tres=1.0, t0=64.0),
+        hs=4.0, ht=2.0,
+    )
+
+    @classmethod
+    def edge_offsets(cls):
+        """Offsets from a query at (6, 6, 69) to events on the edges of
+        its cylinder, and whether each must contribute: at exactly
+        ``r == hs`` (no), one float inside the radius (yes), one float
+        beyond ``|dt| == ht`` on both sides (no), one float inside (yes)."""
+        hs, ht = cls.EXACT.hs, cls.EXACT.ht
+        x, y, t = 6.0, 6.0, 69.0
+        events = np.array([
+            (x + hs, y, t),
+            (np.nextafter(x + hs, x), y, t),
+            (x, y - hs, t),
+            (x, np.nextafter(y - hs, y), t),
+            (x + 1.0, y, np.nextafter(t - ht, -np.inf)),
+            (x + 1.0, y, np.nextafter(t + ht, np.inf)),
+            (x + 1.0, y, np.nextafter(t - ht, t)),
+            (x, y + 1.0, np.nextafter(t + ht, t)),
+        ])
+        counted = np.array([False, True, False, True,
+                            False, False, True, True])
+        return np.array([x, y, t]) - events, counted
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kname", PROFILED)
+    def test_edges_through_factor_tables(self, backend, kname):
+        off, counted = self.edge_offsets()
+        disk, bar = get_backend(backend).factor_tables(
+            self.EXACT, get_kernel(kname), 0.5,
+            off[:, :1], off[:, 1:2], off[:, 2:], WorkCounter(),
+        )
+        value = disk[:, 0, 0] * bar[:, 0]
+        assert (value[counted] > 0.0).all()
+        assert (value[~counted] == 0.0).all()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kname", PROFILED)
+    def test_edges_through_the_pair_kernel(self, backend, kname):
+        off, counted = self.edge_offsets()
+        value = get_backend(backend).sampled_contributions(
+            self.EXACT, get_kernel(kname), off[:, 0], off[:, 1], off[:, 2],
+            np.full(len(off), 2.0), WorkCounter(),
+        )
+        assert (value[counted] > 0.0).all()
+        assert (value[~counted] == 0.0).all()
+
+    @pytest.mark.parametrize("kern", [BOX_KERNEL, CUSTOM_KERNEL],
+                             ids=["box", "custom"])
+    def test_unprofiled_kernels_keep_the_generic_path(self, grid, kern):
+        """No profile, no clamp form: the fused tables are the base
+        class's and the fused pair kernel the oracle's, bit for bit."""
+        fused = get_backend("numpy-fused")
+        rng = np.random.default_rng(23)
+        dx = rng.uniform(-4, 4, size=(9, 7))
+        dy = rng.uniform(-4, 4, size=(9, 8))
+        dt = rng.uniform(-3, 3, size=(9, 6))
+        for got, want in zip(
+            fused._factor_tables(grid, kern, 0.5, dx, dy, dt),
+            ComputeBackend._factor_tables(fused, grid, kern, 0.5, dx, dy, dt),
+        ):
+            assert np.array_equal(got, want)
+        pairs = [rng.uniform(-4, 4, size=200) for _ in range(3)]
+        w = rng.uniform(0.5, 2.0, size=200)
+        assert np.array_equal(
+            fused.sampled_contributions(grid, kern, *pairs, w, WorkCounter()),
+            get_backend(ORACLE).sampled_contributions(
+                grid, kern, *pairs, w, WorkCounter()),
+        )
+
+    @pytest.mark.parametrize("kern", [get_kernel("epanechnikov"), BOX_KERNEL],
+                             ids=["clamp", "box"])
+    def test_overflowing_offsets_reduce_to_the_oracle(self, grid, kern):
+        """An offset that overflows when squared is outside every support:
+        the clamp form maps it to 0 outright, and a radial kernel without
+        a profile (whose mask multiplies ``inf`` by 0) is redone on the
+        oracle.  Either way the reduced sums are finite and exact."""
+        rng = np.random.default_rng(29)
+        dx, dy, dt = (rng.uniform(-3, 3, size=60) for _ in range(3))
+        dx[::7] = 1e200
+        dt[3::11] = -1e200
+        starts = np.arange(0, 60, 6)
+        got, want = (
+            get_backend(b).query_segment_sums(
+                grid, kern, dx, dy, dt, None, starts, WorkCounter())
+            for b in ("numpy-fused", ORACLE)
+        )
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
 
 
 class TestQueryParity:

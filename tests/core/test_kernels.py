@@ -134,6 +134,30 @@ class TestAsPrinted:
         )
 
 
+class TestClampProfile:
+    def test_registered_profiles(self):
+        assert get_kernel("epanechnikov").clamp_profile == (1.5 / math.pi, 1)
+        assert get_kernel("quartic").clamp_profile == (2.25 / math.pi, 2)
+        assert get_kernel("as_printed").clamp_profile is None
+        pair = get_kernel("epanechnikov")
+        assert KernelPair("user", pair.spatial, pair.temporal).clamp_profile is None
+
+    @pytest.mark.parametrize("name", [
+        k for k in available_kernels() if get_kernel(k).clamp_profile
+    ])
+    def test_profile_is_the_kernel_product(self, name):
+        """``c (1 - r^2)^p (1 - w^2) == k_s(r^2) k_t(w)`` on the support."""
+        pair = get_kernel(name)
+        c, p = pair.clamp_profile
+        r2, w = np.meshgrid(np.linspace(0.0, 1.0, 97, endpoint=False),
+                            np.linspace(0.0, 1.0, 89, endpoint=False))
+        np.testing.assert_allclose(
+            c * (1.0 - r2) ** p * (1.0 - w * w),
+            pair.spatial_radial(r2) * pair.temporal(w),
+            rtol=1e-14, atol=0.0,
+        )
+
+
 class TestKernelPairAPI:
     @pytest.mark.parametrize("name", ["epanechnikov", "quartic", "as_printed"])
     def test_scalar_matches_vectorised(self, name):
