@@ -4,12 +4,12 @@ The paper's motivation is *interactive* exploration — surveillance feeds
 update daily, dashboards slide their time window.  The PB-SYM estimator is
 a normalised **sum of per-point stamps**, and a sum over disjoint subsets
 of the events can be taken subset by subset.  The live window is therefore
-kept as a list of **units** — disjoint event subsets, each holding its
-rows, the bounding box of their stamps and, once a reader has asked for
-it, their summed *unnormalised* stamp in a
-:class:`~repro.core.regions.RegionBuffer` over that box — and nothing
-else: no running total, no grid-sized array.  Only the ``1/n``
-normalisation couples events, and it is applied on read.
+kept as a list of **units** — disjoint event subsets, each one segment of
+the estimator's :class:`~repro.core.index.BucketIndex`, with the bounding
+box of their stamps and, once a reader has asked for it, their summed
+*unnormalised* stamp in a :class:`~repro.core.regions.RegionBuffer` over
+that box — and nothing else: no running total, no grid-sized array.  Only
+the ``1/n`` normalisation couples events, and it is applied on read.
 
 Example::
 
@@ -24,13 +24,19 @@ time-window case.
 
 One live state
 --------------
-The rows are the state; a unit's buffer is a **cache built by the first
-read**.  ``add`` plans a batch into units; ``slide_window`` drops the
-units the horizon passed and re-plans the one it cuts through from its
-survivors; ``remove`` re-plans each unit that lost rows from its
-survivors.  All three are bookkeeping — plan units, match rows, bump
+The rows are the state, and they are stored once: in :attr:`index
+<IncrementalSTKDE.index>`, one segment per unit, (cell, t)-sorted — the
+same index the serving tier answers point queries from.  A unit keeps
+only its id, bbox, row count, t-range and sort key; its rows are read
+back from the index in key order.  A unit's buffer is a **cache built by
+the first read**.  ``add`` plans a batch into units; ``slide_window``
+drops the units the horizon passed (their t-ranges say which, without a
+scan) and re-plans the one it cuts through from its survivors; ``remove``
+re-plans each unit that lost rows from its survivors.  All three are
+bookkeeping — register and retire segments, match rows, run the index's
+upkeep (:meth:`~repro.core.index.BucketIndex.maintain`), bump
 ``version`` — and evaluate no kernel: a consumer that answers from the
-rows (the serving index, a shard worker) never pays for a stamp.
+rows (a service's direct sums, a shard worker) never pays for a stamp.
 ``volume()`` stamps whichever live units have no buffer yet, each once,
 into fresh zeros, through the batched region engine
 (:func:`repro.core.stamping.stamp_batch`); a buffer is never written
@@ -60,6 +66,7 @@ more than half the grid stays one whole-batch unit.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -67,6 +74,7 @@ import numpy as np
 
 from .backends import get_backend
 from .grid import GridSpec, PointSet, Volume, VoxelWindow
+from .index import BucketIndex
 from .instrument import WorkCounter
 from .kernels import KernelPair, get_kernel
 from .regions import RegionBuffer, batch_bbox, plan_time_slabs
@@ -90,20 +98,23 @@ class _TrackedBatch:
     """A live unit — one retirement slab — and, once read, its stamp.
 
     An added batch is tracked as one or more of these (one per t-slab
-    when slabbing applies).  ``bbox`` is the bounding box of the rows'
-    stamps, fixed when the unit is planned; ``buffer`` is the unit's only
-    stamp, over exactly that box, ``None`` until the first
-    :meth:`IncrementalSTKDE.volume` that needs it.
-    ``batch_id`` is unique for the life of the estimator and changes
-    whenever the unit's *membership* changes (partial retirement,
-    removal): downstream consumers keyed on it — the serving layer's
-    per-batch index segments — treat an id as an immutable event set, so
-    survivors of a split are a brand-new batch.
+    when slabbing applies).  The rows are the index segment registered
+    under ``batch_id``; the unit keeps what is fixed when it is planned:
+    ``bbox``, the bounding box of the rows' stamps, the row count ``n``,
+    ``t_range`` (earliest and latest t) and ``order``, the content-derived
+    key :meth:`IncrementalSTKDE.volume` sums units by.  ``buffer`` is the
+    unit's only stamp, over exactly ``bbox``, ``None`` until the first
+    ``volume()`` that needs it.  ``batch_id`` is unique for the life of
+    the estimator and changes whenever the unit's *membership* changes
+    (partial retirement, removal): a segment is an immutable event set,
+    so survivors of a split are a brand-new batch.
     """
 
     batch_id: int
-    coords: np.ndarray
     bbox: VoxelWindow
+    n: int
+    t_range: Tuple[float, float]
+    order: tuple
     buffer: Optional[RegionBuffer] = None
 
 
@@ -114,7 +125,10 @@ class IncrementalSTKDE:
     pure function of the live membership, always (module docstring).
 
     **Memory.**  Construction allocates nothing grid-sized, and neither
-    does any mutation.  Once read, each live unit holds one buffer over
+    does any mutation: the rows live once, in :attr:`index` (coordinates
+    and one sort key per row, at most ~2x live after a repack), whose
+    per-cell count table waits for a query to ask for it.  Once read,
+    each live unit holds one buffer over
     its stamps' bounding box: a thin box for a t-localised feed, at most
     half a grid in total for a slabbed batch, up to one full volume for a
     domain-wide batch.  There is no aggregate cap: *k* live domain-wide
@@ -161,8 +175,11 @@ class IncrementalSTKDE:
         self.grid = grid
         self.kernel = get_kernel(kernel)
         self.counter = counter if counter is not None else WorkCounter()
+        #: The live window's rows, one segment per unit; a live service
+        #: answers point queries from it.
+        self.index = BucketIndex(grid)
         self._n = 0
-        self._live: List[_TrackedBatch] = []  # the live window, all of it
+        self._live: List[_TrackedBatch] = []  # the live units
         self._version = 0
         self._next_batch_id = 0
 
@@ -176,7 +193,7 @@ class IncrementalSTKDE:
         """Monotonic dataset version, bumped on every mutation.
 
         ``add``, ``remove``, and ``slide_window`` each advance it, so any
-        derived artifact (query caches, serving indexes) keyed on the
+        derived artifact (query caches, materialised volumes) keyed on the
         version is invalidated the moment the live window changes — this is
         the invalidation contract :mod:`repro.serve` relies on.
         """
@@ -184,26 +201,26 @@ class IncrementalSTKDE:
 
     @property
     def live_coords(self) -> np.ndarray:
-        """``(n, 3)`` coordinates of all currently-live events (copy).
-
-        The concatenation of the tracked batches; what a serving layer
-        indexes to answer direct kernel-sum queries against the current
-        window without materialising a volume.
-        """
-        if not self._live:
-            return np.empty((0, 3), dtype=np.float64)
-        return np.vstack([tb.coords for tb in self._live])
+        """``(n, 3)`` coordinates of all currently-live events (copy),
+        gathered from :attr:`index` segment by segment — a multiset: the
+        row order is the index's, not the order of arrival."""
+        return self.index.live_rows()
 
     @property
     def live_batches(self) -> Tuple[Tuple[int, np.ndarray], ...]:
-        """Currently-live ``(batch_id, coords)`` pairs, in tracking order.
+        """Currently-live ``(batch_id, coords)`` pairs, in tracking order,
+        each unit's rows in index key order.  Re-fed one ``add`` per pair
+        to a cold estimator (slabbing disabled), they rebuild the same
+        units: the warm-vs-cold contract of :meth:`volume`."""
+        return tuple(
+            (tb.batch_id, self.index.rows(tb.batch_id)) for tb in self._live
+        )
 
-        The incremental-index hook: each pair is an immutable event set
-        (ids change when membership does), so a consumer holding per-batch
-        derived state — :meth:`repro.serve.index.BucketIndex.sync` — can
-        reconcile by id and touch only the batches that actually changed.
-        """
-        return tuple((tb.batch_id, tb.coords) for tb in self._live)
+    @property
+    def min_t(self) -> float:
+        """Earliest live event time (``inf`` for an empty window), read
+        off the units' t-ranges."""
+        return min((tb.t_range[0] for tb in self._live), default=np.inf)
 
     @property
     def units_live(self) -> int:
@@ -231,9 +248,21 @@ class IncrementalSTKDE:
     def _plan_unit(
         self, coords: np.ndarray, bbox: VoxelWindow
     ) -> _TrackedBatch:
-        """Mint one unit over ``bbox``; its buffer waits for a reader."""
+        """Mint one unit over ``bbox``: its rows become an index segment,
+        its buffer waits for a reader.  The unit's :meth:`volume` order is
+        fixed here, from the rows as the index holds them (key order), so
+        a cold replay of :attr:`live_batches` computes the same keys."""
         self._next_batch_id += 1
-        return _TrackedBatch(self._next_batch_id, coords, bbox)
+        bid = self._next_batch_id
+        self.index.add_segment(bid, coords, counter=self.counter)
+        rows = self.index.rows(bid)
+        digest = hashlib.blake2b(rows.tobytes(), digest_size=16).digest()
+        return _TrackedBatch(
+            bid, bbox, len(rows),
+            (float(rows[:, 2].min()), float(rows[:, 2].max())),
+            (bbox.x0, bbox.x1, bbox.y0, bbox.y1, bbox.t0, bbox.t1,
+             len(rows), digest),
+        )
 
     def _stamp_unit(self, tb: _TrackedBatch) -> None:
         """Stamp a unit's rows into a fresh buffer over its bbox."""
@@ -241,8 +270,8 @@ class IncrementalSTKDE:
         self.counter.init_writes += buf.cells
         self.counter.shard_bbox_cells += buf.cells
         buf.stamp(
-            self.grid, self.kernel, tb.coords, 1.0, self.counter,
-            compute=self.compute,
+            self.grid, self.kernel, self.index.rows(tb.batch_id), 1.0,
+            self.counter, compute=self.compute,
         )
         tb.buffer = buf
 
@@ -328,12 +357,20 @@ class IncrementalSTKDE:
         see :meth:`_coerce_unweighted`.
         """
         coords = self._coerce_unweighted(points)
-        if coords.size == 0:
-            return
-        batch = np.array(coords, dtype=np.float64)
-        self._live.extend(self._plan_tracked(batch))
-        self.counter.points_processed += len(batch)
-        self._n += len(batch)
+        if coords.size:
+            self._insert(coords)
+            self._settle()
+
+    def _insert(self, coords: np.ndarray) -> None:
+        """Plan a non-empty, checked batch into live units."""
+        self._live.extend(self._plan_tracked(coords))
+        self.counter.points_processed += len(coords)
+        self._n += len(coords)
+
+    def _settle(self) -> None:
+        """End a mutation: the index's merge policy and repack rule, then
+        a new version."""
+        self.index.maintain(self.counter)
         self._version += 1
 
     def remove(self, points: PointSet | np.ndarray) -> None:
@@ -354,11 +391,14 @@ class IncrementalSTKDE:
         for tb, drop in zip(self._live, drops):
             if drop is None:
                 kept.append(tb)
-            elif not drop.all():
-                kept.extend(self._plan_tracked(tb.coords[~drop]))
+                continue
+            survivors = self.index.rows(tb.batch_id)[~drop]
+            self.index.remove_segment(tb.batch_id, self.counter)
+            if len(survivors):
+                kept.extend(self._plan_tracked(survivors))
         self._live = kept
         self._n -= len(coords)
-        self._version += 1
+        self._settle()
 
     def _match_live(self, coords: np.ndarray) -> List[Optional[np.ndarray]]:
         """Per live unit, the mask of rows ``coords`` removes (or ``None``).
@@ -381,7 +421,7 @@ class IncrementalSTKDE:
             drops.append(None)
             if remaining == 0:
                 continue
-            bk = _row_keys(tb.coords)
+            bk = _row_keys(self.index.rows(tb.batch_id))
             pos = np.minimum(np.searchsorted(uniq, bk), uniq.size - 1)
             midx = np.flatnonzero((uniq[pos] == bk) & (counts[pos] > 0))
             if midx.size == 0:
@@ -413,10 +453,11 @@ class IncrementalSTKDE:
 
         Fully-expired units are dropped, buffer (if any) and all; only
         the unit the horizon cuts *through* is re-planned from its
-        survivors.  The slide itself evaluates no kernel and passes over
-        no volume; the kernel work it leaves for the next :meth:`volume`
-        is the arriving batch plus one straddle slab, not every survivor
-        of a partially-expired batch.
+        survivors.  The units' t-ranges decide which is which, so only
+        the straddle unit's rows are read.  The slide itself evaluates no
+        kernel and passes over no volume; the kernel work it leaves for
+        the next :meth:`volume` is the arriving batch plus one straddle
+        slab, not every survivor of a partially-expired batch.
         """
         # Reject a malformed feed or horizon before anything is retired.
         new_points = self._coerce_unweighted(new_points)
@@ -424,26 +465,28 @@ class IncrementalSTKDE:
         retired = 0
         kept: List[_TrackedBatch] = []
         for tb in self._live:
-            old_mask = tb.coords[:, 2] < t_horizon
-            n_old = int(old_mask.sum())
-            if n_old == 0:
+            t_min, t_max = tb.t_range
+            if t_min >= t_horizon:
                 kept.append(tb)
                 continue
-            retired += n_old
+            survivors = np.empty((0, 3))
+            if t_max >= t_horizon:
+                rows = self.index.rows(tb.batch_id)
+                survivors = rows[rows[:, 2] >= t_horizon]
+            self.index.remove_segment(tb.batch_id, self.counter)
+            retired += tb.n - len(survivors)
             self.counter.slab_buffers_retired += 1
-            if n_old < len(tb.coords):
-                survivors = tb.coords[~old_mask]
+            if len(survivors):
                 self.counter.slab_restamp_points += len(survivors)
                 kept.extend(self._plan_tracked(survivors))
         self._live = kept
         self._n -= retired
-        self.add(new_points)
-        # add() bumped the version for non-empty feeds; a pure-retirement
-        # slide must still invalidate version-keyed consumers — but a
-        # quiet tick (nothing retired, nothing added) changes nothing and
-        # must not force caches and serving indexes to rebuild.
-        if retired:
-            self._version += 1
+        if new_points.size:
+            self._insert(new_points)
+        # A quiet tick (nothing retired, nothing added) changes nothing
+        # and must not force version-keyed caches to rebuild.
+        if retired or new_points.size:
+            self._settle()
         return retired
 
     def volume(self) -> Volume:
@@ -453,25 +496,20 @@ class IncrementalSTKDE:
         since the last read; none on a repeated read), then adds every
         live unit's buffer into fresh zeros and scales by
         ``1/(n hs^2 ht)``.  The units are summed in a *content-derived*
-        order — bbox window, then row count, then the rows' bytes — so
-        nothing of tracking order (which depends on the mutation history)
-        leaks into the sum.  A cold estimator re-fed :attr:`live_batches`
-        (one ``add`` per unit, slabbing disabled so each re-stamps whole)
-        therefore composes the identical buffers in the identical order:
-        the bit-exact warm-vs-cold contract.
+        order — bbox window, then row count, then a digest of the rows —
+        so nothing of tracking order (which depends on the mutation
+        history) leaks into the sum.  A cold estimator re-fed
+        :attr:`live_batches` (one ``add`` per unit, slabbing disabled so
+        each re-stamps whole) therefore composes the identical buffers in
+        the identical order: the bit-exact warm-vs-cold contract.
         """
-        def key(tb: _TrackedBatch):
-            b = tb.bbox
-            return (b.x0, b.x1, b.y0, b.y1, b.t0, b.t1,
-                    len(tb.coords), tb.coords.tobytes())
-
         # Pending stamps first, so their scratch is gone before the
         # output is allocated.
         for tb in self._live:
             if tb.buffer is None:
                 self._stamp_unit(tb)
         data = np.zeros(self.grid.shape)
-        for tb in sorted(self._live, key=key):
+        for tb in sorted(self._live, key=lambda tb: tb.order):
             tb.buffer.add_into(data)
         if self._n:
             data *= self.grid.normalization(self._n)

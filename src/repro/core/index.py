@@ -43,25 +43,28 @@ events uniform in t, two thirds of the box).
 
 Incremental segments
 --------------------
-Segments mirror the tracked batches of
-:class:`repro.core.incremental.IncrementalSTKDE`: :meth:`add_segment`
-buckets one batch in O(batch) (sort keys, one stable sort, one gathered
-write at the end of the store).  :meth:`sync` diffs the estimator's live
-batches against the registered segments and appends/retires only the
-delta — the batches whose *membership* changed.  For a time-stratified
-feed (the normal sliding-window shape: each ``add`` is one or more time
-slabs) a slide re-buckets only the arriving batch; a slab the horizon
-cuts *through* is split by the estimator (survivors get a new batch id)
-and its survivors are re-bucketed too, so the true bound is O(arriving +
-straddling slabs), degrading toward O(n) only when every live batch
-mixes old and new timestamps.  The ``index_events_bucketed`` work
-counter records exactly what was re-bucketed (the CI smoke gates on it).
+The index is where :class:`repro.core.incremental.IncrementalSTKDE`
+keeps its rows: each of its units is registered as one segment when it
+is planned and retired when its membership changes, and a unit's rows
+are read back with :meth:`rows`.  :meth:`add_segment` buckets one batch
+in O(batch) (sort keys, one stable sort, one gathered write at the end
+of the store); :meth:`remove_segment` retires a segment, or one member
+of a consolidated segment, without re-bucketing anything.  For a
+time-stratified feed (the normal sliding-window shape: each ``add`` is
+one or more time slabs) a slide buckets only the arriving batch; a slab
+the horizon cuts *through* is split by the estimator (survivors get a
+new batch id) and its survivors are bucketed again, so the bound is
+O(arriving + straddling slabs), degrading toward O(n) only when every
+live batch mixes old and new timestamps.  The ``index_events_bucketed``
+work counter records exactly what was bucketed (the CI smoke gates on
+it).
 
 Segment merging
 ---------------
 Probe cost is charged per (cell-group x segment), so a long-lived window
 fed by tiny batches would accumulate segments without bound.
-:meth:`sync` therefore applies a **merge policy**: when the live segment
+:meth:`maintain` — which the estimator calls at the end of every
+mutation — therefore applies a **merge policy**: when the live segment
 count exceeds ``merge_segment_cap``, the oldest segments are coalesced
 into one consolidated segment by **one stable sort**: their row ranges
 are concatenated in registration order, stably ordered by their
@@ -79,22 +82,24 @@ Appending is enough because retirement only *counts*: a removed
 segment's, a retired member's and a consolidation's superseded rows stay
 where they are and add to :attr:`BucketIndex.dead_rows`; nothing is
 reused in place, so no row ever has to move to make room.  **One** rule
-reclaims them, at the end of :meth:`sync` and :meth:`remove_segment`:
+reclaims them, at the end of :meth:`maintain` and :meth:`remove_segment`:
 when ``dead_rows > max(64, n)`` every live segment's slice is copied, in
 registration order, into a fresh store of ``max(64, 2 n)`` rows (plain
 slice copies — no sort, no gather).  A repack copies ``n`` rows only
 after more than ``n`` rows died, so it is amortised O(1) per retired
-row, and ``dead_rows <= max(64, n)`` holds after every ``sync`` and
+row, and ``dead_rows <= max(64, n)`` holds after every ``maintain`` and
 ``remove_segment`` — storage stays within ~2x live plus what was
 appended since.
 
 Candidate-count table
 ---------------------
 The planner prices a batch from :attr:`BucketIndex.box_counts`, the
-27-cell box sums of the per-cell event counts.  Every mutation updates
+27-cell box sums of the per-cell event counts.  Neither table exists
+until the first read asks for it — an estimator that nobody queries
+never holds an ``O(cells)`` array.  From then on every mutation updates
 the counts of the cells it touches and records their bounding cell-box;
-the next read of the table recomputes only those boxes, dilated by one
-cell (a box sum reaches one cell), and builds the table whole only when
+the next read of the box table recomputes only those boxes, dilated by
+one cell (a box sum reaches one cell), and builds it whole only when
 none exists yet.  A slide thus costs the table O(arriving + retiring
 cells), not O(cells).
 
@@ -110,12 +115,12 @@ pair list per slab with no per-cell Python dispatch.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.grid import GridSpec
-from ..core.instrument import WorkCounter, null_counter
+from .grid import GridSpec
+from .instrument import WorkCounter, null_counter
 
 __all__ = ["BucketIndex"]
 
@@ -177,12 +182,6 @@ class _Segment:
         self.members = members
         self.owner = owner
 
-    def member_ids(self) -> Tuple[object, ...]:
-        """Original batch ids this segment answers for."""
-        if self.members is None:
-            return (self.seg_id,)
-        return tuple(self.members)
-
 
 class BucketIndex:
     """Segmented bucket index over events, cells of ``hs x hs x ht``.
@@ -200,13 +199,13 @@ class BucketIndex:
     coords:
         Optional ``(n, 3)`` finite event coordinates in domain space,
         registered as one static segment.  ``None`` starts an empty index
-        to be fed through :meth:`add_segment` / :meth:`sync`.
+        to be fed through :meth:`add_segment` / :meth:`remove_segment`.
     weights:
         Optional ``(n,)`` finite, non-negative per-event weights, carried
         alongside the coordinates so weighted direct sums gather them in
         the same pass.
     merge_segment_cap:
-        Live-segment cap enforced by :meth:`sync`'s merge policy
+        Live-segment cap enforced by :meth:`maintain`'s merge policy
         (``None`` disables merging).  Bounds the ``c_qprobe``-charged
         probe cost of long-lived windows fed by tiny batches.
     """
@@ -245,14 +244,16 @@ class BucketIndex:
         self._size = 0  # rows used in the store (live + dead)
         self._dead = 0  # retired or superseded rows awaiting a repack
         self._segments: Dict[object, _Segment] = {}
-        self._cell_counts = np.zeros(self.n_cells, dtype=np.int64)
-        self._box_counts: Optional[np.ndarray] = None  # lazy 27-box table
+        # Per-cell counts and their 27-box sums, both built by the first
+        # read that needs them (``_counts`` / ``box_counts``).
+        self._cell_counts: Optional[np.ndarray] = None
+        self._box_counts: Optional[np.ndarray] = None
         # Cell boxes whose counts changed since the table was last read,
         # and the cells a patch of them would recompute.
         self._stale_boxes: List[Tuple[slice, slice, slice]] = []
         self._stale_cells = 0
         self._merge_seq = 0
-        #: Lifetime sync gauges (mirrored into WorkCounter when passed).
+        #: Lifetime upkeep gauges (mirrored into WorkCounter when passed).
         self.events_bucketed = 0
         self.events_retired = 0
         self.segments_merged = 0
@@ -318,7 +319,8 @@ class BucketIndex:
 
         Slices are copied whole in registration order (already sorted:
         no sort, no gather), and segments are updated in
-        place — :meth:`sync` holds references to them across a repack.
+        place — :meth:`remove_segment` holds references to them across a
+        repack.
         """
         n = self.n
         if self._dead <= max(64, n):
@@ -353,7 +355,7 @@ class BucketIndex:
     @property
     def occupied_cells(self) -> int:
         """Number of buckets holding at least one live event."""
-        return int(np.count_nonzero(self._cell_counts))
+        return int(np.count_nonzero(self._counts()))
 
     @property
     def segment_count(self) -> int:
@@ -368,7 +370,7 @@ class BucketIndex:
     @property
     def dead_rows(self) -> int:
         """Retired or superseded store rows awaiting the next repack; at
-        most ``max(64, n)`` after every :meth:`sync` and
+        most ``max(64, n)`` after every :meth:`maintain` and
         :meth:`remove_segment`."""
         return self._dead
 
@@ -385,23 +387,24 @@ class BucketIndex:
             s.owner.nbytes for s in self._segments.values()
             if s.owner is not None
         )
-        return self._size * 8 + owners + self._cell_counts.nbytes
+        counts = 0 if self._cell_counts is None else self._cell_counts.nbytes
+        return self._size * 8 + owners + counts
 
     # ------------------------------------------------------------------
     # Segment maintenance
     # ------------------------------------------------------------------
     def _count_cells(self, cells: np.ndarray, sign: int) -> None:
         """Add ``sign`` per row of ``cells`` (flat ids) to the per-cell
-        counts — O(rows), only the touched cells are written — and, when
-        a box table exists, record the touched cells' bounding cell-box
-        for :attr:`box_counts` to patch.
+        counts, once a read has built them — O(rows), only the touched
+        cells are written — and, when a box table exists, record the
+        touched cells' bounding cell-box for :attr:`box_counts` to patch.
 
         Once the recorded patches would recompute as many cells as the
         table holds, the table is dropped instead and the next read
         builds it whole: a grid-wide batch degenerates to the full build,
         and a table nobody reads any more stops collecting patches.
         """
-        if cells.size == 0:
+        if cells.size == 0 or self._cell_counts is None:
             return
         np.add.at(self._cell_counts, cells, sign)
         if self._box_counts is None:
@@ -417,13 +420,22 @@ class BucketIndex:
         if self._stale_cells >= self.n_cells:
             self._box_counts = None
 
-    def _checked_batch(
-        self, seg_id: object, coords: np.ndarray,
-        weights: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """An arriving batch as float64 arrays, or ``ValueError`` before
-        any state changes: the id is new, the shapes match and every
-        value is finite (weights also non-negative)."""
+    def add_segment(
+        self,
+        seg_id: object,
+        coords: np.ndarray,
+        weights: Optional[np.ndarray] = None,
+        counter: Optional[WorkCounter] = None,
+    ) -> None:
+        """Register one event batch as a segment — O(batch).
+
+        The only operation that *buckets* events (computes sort keys and
+        sorts them); everything else the index does is bookkeeping over
+        already-bucketed segments, which is what makes a window slide
+        O(arriving batch) instead of O(live events).  A duplicate id, a
+        bad shape or a non-finite value (or a negative weight) raises
+        ``ValueError`` with the index unchanged.
+        """
         if seg_id in self._segments:
             raise ValueError(f"segment {seg_id!r} already registered")
         coords = np.asarray(coords, dtype=np.float64)
@@ -437,35 +449,6 @@ class BucketIndex:
                 raise ValueError("weights must be (n,) matching coords")
             if not np.isfinite(weights).all() or (weights < 0).any():
                 raise ValueError("weights must be finite and non-negative")
-        return coords, weights
-
-    def add_segment(
-        self,
-        seg_id: object,
-        coords: np.ndarray,
-        weights: Optional[np.ndarray] = None,
-        counter: Optional[WorkCounter] = None,
-    ) -> None:
-        """Register one event batch as a segment — O(batch).
-
-        The only operation that *buckets* events (computes sort keys and
-        sorts them); everything else the index does is bookkeeping over
-        already-bucketed segments, which is what makes a window slide
-        O(arriving batch) instead of O(live events).  A duplicate id,
-        a bad shape or a non-finite value raises ``ValueError`` with the
-        index unchanged.
-        """
-        coords, weights = self._checked_batch(seg_id, coords, weights)
-        self._append_segment(seg_id, coords, weights, counter)
-
-    def _append_segment(
-        self,
-        seg_id: object,
-        coords: np.ndarray,
-        weights: Optional[np.ndarray],
-        counter: Optional[WorkCounter],
-    ) -> None:
-        """:meth:`add_segment` past its checks: bucket, sort, append."""
         counter = counter if counter is not None else null_counter()
         m = coords.shape[0]
         cell, frac = self._bucket(coords)
@@ -490,104 +473,84 @@ class BucketIndex:
         self.events_bucketed += m
         counter.index_events_bucketed += m
 
+    def _holder(self, batch_id: object) -> _Segment:
+        """The segment answering for ``batch_id``: its own, or the
+        consolidated segment it is a member of (``KeyError``: neither)."""
+        seg = self._segments.get(batch_id)
+        if seg is not None:
+            return seg
+        for seg in self._segments.values():
+            if seg.members is not None and batch_id in seg.members:
+                return seg
+        raise KeyError(f"unknown segment {batch_id!r}")
+
+    def rows(self, batch_id: object) -> np.ndarray:
+        """``(k, 3)`` coordinates of one registered batch — a segment, or
+        one member of a consolidated segment — in key order (a view of
+        the store for a segment, a copy for a member)."""
+        seg = self._holder(batch_id)
+        rows = self._coords[seg.start : seg.start + seg.n]
+        if seg.seg_id == batch_id:
+            return rows
+        return rows[seg.owner == seg.members[batch_id]]
+
+    def live_rows(self) -> np.ndarray:
+        """``(n, 3)`` coordinates of every live row, segment by segment
+        (copy)."""
+        return np.concatenate([
+            self._coords[s.start : s.start + s.n]
+            for s in self._segments.values()
+        ] + [np.empty((0, 3))])
+
     def remove_segment(
         self, seg_id: object, counter: Optional[WorkCounter] = None
     ) -> None:
-        """Retire one segment — bookkeeping, no re-bucketing: its rows
-        are counted dead where they lie, then the repack rule runs."""
-        counter = counter if counter is not None else null_counter()
-        seg = self._segments.pop(seg_id, None)
-        if seg is None:
-            raise KeyError(f"unknown segment {seg_id!r}")
-        rows = slice(seg.start, seg.start + seg.n)
-        self._count_cells(self._row_cells(rows), -1)
-        self._dead += seg.n
-        self.events_retired += seg.n
-        counter.index_events_retired += seg.n
-        self._repack_if_due(counter)
+        """Retire one registered batch — bookkeeping, no re-bucketing.
 
-    def _retire_member(
-        self, seg: _Segment, member_id: object, counter: WorkCounter
-    ) -> int:
-        """Retire one member batch of a consolidated segment.
-
-        One boolean compress of the segment's slice in place — the key
-        order of the survivors is preserved, so no key is recomputed
-        and no sort rerun; the slice's vacated tail is counted dead.
-        Returns the rows retired.
+        A segment is dropped and its rows are counted dead where they
+        lie.  A member of a consolidated segment is compressed out of the
+        segment's slice in place — survivors keep their key order, so no
+        key is recomputed and no sort rerun — and the vacated tail is
+        counted dead; the segment goes with its last member.  Then the
+        repack rule runs.  An unknown id raises ``KeyError``.
         """
-        keep = seg.owner != seg.members.pop(member_id)
-        kept = int(np.count_nonzero(keep))
-        nm = seg.n - kept
-        if nm:
-            rows = slice(seg.start, seg.start + seg.n)
+        counter = counter if counter is not None else null_counter()
+        seg = self._holder(seg_id)
+        rows = slice(seg.start, seg.start + seg.n)
+        if seg.seg_id == seg_id:
+            self._segments.pop(seg_id)
+            self._count_cells(self._row_cells(rows), -1)
+            retired = seg.n
+        else:
+            keep = seg.owner != seg.members.pop(seg_id)
+            kept = int(np.count_nonzero(keep))
             self._count_cells(self._row_cells(rows)[~keep], -1)
             for col in self._columns():
                 col[seg.start : seg.start + kept] = col[rows][keep]
             seg.owner = seg.owner[keep]
-            seg.n = kept
-            self._dead += nm
-        self.events_retired += nm
-        counter.index_events_retired += nm
-        return nm
-
-    def sync(
-        self,
-        batches: Sequence[Tuple[object, np.ndarray]],
-        counter: Optional[WorkCounter] = None,
-    ) -> Tuple[int, int]:
-        """Reconcile the index with a source's live ``(batch_id, coords)``.
-
-        Appends segments for unseen batch ids, retires segments (or
-        consolidated-segment members) whose id is gone, and leaves
-        surviving segments untouched — the O(delta) maintenance contract
-        :class:`~repro.serve.service.DensityService` relies on across
-        ``slide_window`` versions.  The maintenance that keeps the index
-        healthy long-term also runs here, off the query path: the merge
-        policy (segment count back under :attr:`merge_segment_cap`,
-        zero re-bucketing) and the repack rule (``dead_rows <=
-        max(64, n)`` on return).  Arriving batches are validated before
-        anything is retired, so a ``ValueError`` leaves the index
-        unchanged.  Returns ``(events_added, events_retired)``.
-        """
-        counter = counter if counter is not None else null_counter()
-        live_ids = {bid for bid, _ in batches}
-        if len(live_ids) != len(batches):
-            raise ValueError("batch ids must be distinct")
-        # Retirement only drops ids outside ``live_ids``, so coverage of
-        # the live ids can be read (and the arrivals checked) up front.
-        covered = {
-            mid for seg in self._segments.values() for mid in seg.member_ids()
-        }
-        arriving = [
-            (bid, self._checked_batch(bid, coords, None)[0])
-            for bid, coords in batches if bid not in covered
-        ]
-        added = retired = 0
-        for seg in list(self._segments.values()):
-            if seg.members is None:
-                if seg.seg_id not in live_ids:
-                    retired += seg.n
-                    self.remove_segment(seg.seg_id, counter)
-                continue
-            for mid in [m for m in seg.members if m not in live_ids]:
-                retired += self._retire_member(seg, mid, counter)
+            retired, seg.n = seg.n - kept, kept
             if not seg.members:
-                self._segments.pop(seg.seg_id)  # empty shell, rows already dead
-        for bid, coords in arriving:
-            self._append_segment(bid, coords, None, counter)
-            added += len(coords)
-        if (
-            self.merge_segment_cap is not None
-            and self.segment_count > self.merge_segment_cap
-        ):
-            target = max(2, self.merge_segment_cap // 2)
+                self._segments.pop(seg.seg_id)
+        self._dead += retired
+        self.events_retired += retired
+        counter.index_events_retired += retired
+        self._repack_if_due(counter)
+
+    def maintain(self, counter: Optional[WorkCounter] = None) -> None:
+        """The upkeep that ends every mutation of a live window: the
+        merge policy (segment count back under
+        :attr:`merge_segment_cap`, the oldest segments consolidated, zero
+        re-bucketing), then the repack rule (``dead_rows <= max(64, n)``
+        on return)."""
+        counter = counter if counter is not None else null_counter()
+        cap = self.merge_segment_cap
+        if cap is not None and self.segment_count > cap:
+            target = max(2, cap // 2)
             self.consolidate_segments(
                 list(self._segments)[: self.segment_count - target + 1],
                 counter,
             )
         self._repack_if_due(counter)
-        return added, retired
 
     def consolidate_segments(
         self, ids: List[object], counter: Optional[WorkCounter] = None
@@ -595,15 +558,15 @@ class BucketIndex:
         """Coalesce segments into one consolidated segment.
 
         One stable sort: the segments' row ranges are concatenated in
-        the order given (registration order from :meth:`sync`), stably
+        the order given (registration order from :meth:`maintain`), stably
         ordered by their already-computed keys and appended as one
         gathered copy, each row's ``owner`` permuted along — no key is
         recomputed, no event re-bucketed.  Tie order among equal keys is
         member registration order, then insertion order, exactly what a
         cold index built from the same batches would produce.  The
-        superseded rows are counted dead (the next :meth:`sync` or
-        :meth:`remove_segment` repacks when due).  :meth:`sync`'s merge
-        policy calls this; it is public so operators can consolidate
+        superseded rows are counted dead (the next :meth:`maintain` or
+        :meth:`remove_segment` repacks when due).  :meth:`maintain`'s
+        merge policy calls this; it is public so operators can consolidate
         explicitly.  ``ids`` must be registered and distinct
         (``ValueError``, index unchanged).
         """
@@ -813,6 +776,17 @@ class BucketIndex:
             lengths[:, r] = np.where(valid, hi - lo, 0).T
         return starts, lengths
 
+    def _counts(self) -> np.ndarray:
+        """The ``(n_cells,)`` per-cell event counts, built on first use
+        from the live rows' keys and kept current by every mutation
+        after that."""
+        if self._cell_counts is None:
+            self._cell_counts = np.bincount(np.concatenate([
+                self._row_cells(slice(s.start, s.start + s.n))
+                for s in self._segments.values()
+            ] + [np.empty(0, dtype=np.int64)]), minlength=self.n_cells)
+        return self._cell_counts
+
     @staticmethod
     def _box_sums(counts: np.ndarray) -> np.ndarray:
         """3-wide box sums of a 3-D count block (cells outside it count
@@ -831,14 +805,15 @@ class BucketIndex:
         """``(nx, ny, nt)`` candidate-set size of every home cell.
 
         The 27-neighbourhood box sums of the per-cell counts (maintained
-        incrementally).  Built whole — O(cells) — on the first read;
+        incrementally).  Built whole — O(cells), with the per-cell counts
+        when they do not exist yet either — on the first read;
         after a mutation only the entries within one cell of the cells it
         touched are recomputed (:meth:`_count_cells` recorded where), so
         keeping the table across a window slide costs O(arriving +
         retiring cells).  A batch's candidate counts are then O(m)
         lookups with no candidate gathering.
         """
-        counts = self._cell_counts.reshape(self.nx, self.ny, self.nt)
+        counts = self._counts().reshape(self.nx, self.ny, self.nt)
         if self._box_counts is None:
             self._box_counts = self._box_sums(counts)
         else:

@@ -86,9 +86,9 @@ class WorkCounter:
         the cost model's ``c_qcohort`` prices.
     ``index_events_bucketed``
         Events bucketed (cell keys computed and sorted) into
-        :class:`repro.serve.index.BucketIndex` CSR segments.  After a
-        window slide this should be ~the arriving batch size, not the
-        live event count — the O(batch) index-sync contract.
+        :class:`repro.core.index.BucketIndex` segments.  After a window
+        slide this should be ~the arriving batch size, not the live event
+        count — the O(batch) index contract.
     ``index_events_retired``
         Events whose index segment was retired (no re-bucketing; rows
         are counted dead until the next repack).
@@ -105,7 +105,7 @@ class WorkCounter:
         worth per slide, not the surviving batch.
     ``index_segments_merged``
         Index segments absorbed into consolidated segments by the
-        merge policy (:meth:`repro.serve.index.BucketIndex.sync`) — rows
+        merge policy (:meth:`repro.core.index.BucketIndex.maintain`) — rows
         are copied, never re-bucketed.
     ``index_rows_compacted``
         Storage rows copied by a repack of the bucket index (every

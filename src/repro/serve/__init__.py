@@ -4,8 +4,8 @@ The compute engines (:mod:`repro.core`, :mod:`repro.parallel`) produce
 whole density volumes; this package serves *queries* against either those
 volumes or the raw events:
 
-* :class:`~repro.serve.index.BucketIndex` — ``hs x hs x ht`` bucket index
-  enabling O(neighbours) direct kernel sums;
+* :class:`~repro.core.index.BucketIndex` — ``hs x hs x ht`` bucket index
+  enabling O(neighbours) direct kernel sums (re-exported here);
 * :mod:`~repro.serve.engine` — vectorised batch execution (direct sums,
   trilinear lookups, ε-budgeted importance-sampled sums, slice/region
   extraction over region-buffer views);
@@ -37,6 +37,7 @@ volumes or the raw events:
   deterministic fault-injection harness (``REPRO_FAULTS``).
 """
 
+from ..core.index import BucketIndex
 from .cache import QueryCache, digest_queries
 from .calibrate import calibrate_ipc, calibrate_serving
 from .errors import (
@@ -58,7 +59,6 @@ from .engine import (
     slice_window,
 )
 from .frontend import Overloaded, TrafficFrontend
-from .index import BucketIndex
 from .planner import QueryPlan, QueryPlanner, ScatterPlan
 from .service import DensityService, ShardedDensityService
 from .shard import Shard, ShardPlan, plan_shards

@@ -76,10 +76,10 @@ import numpy as np
 
 from ..analysis.model import MachineModel
 from ..core.grid import DomainSpec, GridSpec
+from ..core.index import BucketIndex
 from ..core.instrument import WorkCounter
 from ..core.kernels import get_kernel
 from .engine import approx_sum, direct_sum, sample_volume
-from .index import BucketIndex
 
 __all__ = [
     "calibrate_serving",

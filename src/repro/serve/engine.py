@@ -3,7 +3,7 @@
 Two ways to answer a density query, with opposite cost shapes:
 
 ``direct-sum``
-    Walk the :class:`~repro.serve.index.BucketIndex`, gather the 27-cell
+    Walk the :class:`~repro.core.index.BucketIndex`, gather the 27-cell
     candidate set, and evaluate the estimator *definition* at the query
     location through the compute backend's masked kernel product
     (:mod:`repro.core.backends`) — the same masked ``k_s * k_t``
@@ -52,10 +52,10 @@ import numpy as np
 
 from ..core.backends import ComputeBackend, get_backend
 from ..core.grid import GridSpec, VoxelWindow
+from ..core.index import BucketIndex
 from ..core.instrument import WorkCounter, null_counter
 from ..core.kernels import KernelPair
 from ..core.regions import RegionBuffer
-from .index import BucketIndex
 
 __all__ = [
     "approx_sum",

@@ -36,8 +36,8 @@ import numpy as np
 from ..analysis.model import CostModel
 from ..core.backends import DEFAULT_BACKEND
 from ..core.grid import VoxelWindow
+from ..core.index import BucketIndex
 from .engine import slab_dispatches
-from .index import BucketIndex
 
 __all__ = ["QueryPlan", "QueryPlanner", "ScatterPlan"]
 

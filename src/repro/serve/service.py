@@ -53,6 +53,7 @@ from ..analysis.model import CostModel, MachineModel
 from ..core.backends import DEFAULT_BACKEND, available_backends, get_backend
 from ..core.grid import GridSpec, PointSet, Volume, VoxelWindow
 from ..core.incremental import IncrementalSTKDE
+from ..core.index import BucketIndex
 from ..core.instrument import WorkCounter
 from ..core.kernels import KernelPair, get_kernel
 from ..core.stamping import stamp_batch
@@ -67,7 +68,6 @@ from .engine import (
     uniform_candidates,
     validate_queries,
 )
-from .index import BucketIndex
 from .errors import PartialResult, ShardFailed
 from .faults import FaultPlan
 from .planner import QueryPlanner
@@ -87,8 +87,9 @@ class DensityService:
     ----------
     source:
         A :class:`PointSet` / ``(n, 3)`` array (static snapshot) or an
-        :class:`IncrementalSTKDE` (live window; the service re-syncs its
-        index, volume, and cache whenever the source's version advances).
+        :class:`IncrementalSTKDE` (live window: point sums walk the
+        estimator's own index; the volume and cache are dropped whenever
+        the source's version advances).
     grid:
         Required for static sources; taken from the estimator for live
         ones.
@@ -109,10 +110,11 @@ class DensityService:
     machine:
         Calibrated :class:`MachineModel` for the planner; calibrated
         lazily on first ``auto`` plan when omitted.
-    index_merge_cap:
-        Live-segment cap for the incremental index's merge policy
-        (``None`` disables merging) — bounds per-query probe cost under
-        sustained tiny-batch slides.
+    counter:
+        Work counter for the service's tallies.  A live service counts on
+        its estimator's counter — one per live window, so the index work
+        of the estimator's mutations shows up in :meth:`stats` — and any
+        other raises ``ValueError``.
     """
 
     #: What ``backend=`` may pin besides ``"auto"``.
@@ -131,17 +133,11 @@ class DensityService:
         cache: Optional[QueryCache] = None,
         machine: Optional[MachineModel] = None,
         counter: Optional[WorkCounter] = None,
-        index_merge_cap: Optional[int] = 16,
     ) -> None:
         if backend != "auto" and backend not in self._BACKENDS:
             raise ValueError(
                 f"backend must be 'auto' or one of {self._BACKENDS}, "
                 f"got {backend!r}"
-            )
-        if isinstance(index_merge_cap, str):
-            raise ValueError(
-                f"index_merge_cap must be an int or None, "
-                f"got {index_merge_cap!r}"
             )
         self.kernel = get_kernel(kernel)
         self.backend = backend
@@ -149,9 +145,7 @@ class DensityService:
         #: service (and of its workers) runs on; resolved here so unknown
         #: names fail fast, before any process is spawned.
         self.compute = get_backend(compute).name
-        self.index_merge_cap = index_merge_cap
         self.cache = cache if cache is not None else QueryCache()
-        self.counter = counter if counter is not None else WorkCounter()
         self._machine = machine
         self._live = isinstance(source, IncrementalSTKDE)
         if self._live:
@@ -162,14 +156,18 @@ class DensityService:
                     f"service kernel {self.kernel.name!r} disagrees with the "
                     f"estimator's {source.kernel.name!r}"
                 )
-            grid = source.grid
+            if counter is not None and counter is not source.counter:
+                raise ValueError(
+                    "a live service counts on its estimator's counter"
+                )
+            grid, counter = source.grid, source.counter
         elif grid is None:
             raise ValueError("static sources require an explicit grid")
         self.grid = grid
+        self.counter = counter if counter is not None else WorkCounter()
         #: The events served in process, behind their index.
         self._shard = Shard(
-            grid, self.kernel, merge_cap=index_merge_cap,
-            compute=self.compute, counter=self.counter,
+            grid, self.kernel, compute=self.compute, counter=self.counter,
             inc=source if self._live else None,
         )
         if not self._live:
@@ -200,7 +198,7 @@ class DensityService:
     @property
     def events(self) -> int:
         """Number of events currently served (live: the window's size)."""
-        return int(self._shard.coords.shape[0])
+        return self._shard.events
 
     @property
     def index_segments(self) -> int:
@@ -226,13 +224,12 @@ class DensityService:
 
         The ``slide_window`` invalidation wiring: a version change drops
         the materialised volume and every stale cache entry before the
-        next query is answered.  The bucket index is **not** dropped —
-        the shard reconciles it in O(changed batches)
-        (:meth:`~repro.serve.shard.Shard.sync`).
+        next query is answered.  There is no index to catch up: a live
+        window's index is the estimator's own, which every mutation
+        leaves current.
         """
         v = self.version
         if v != self._synced_version:
-            self._shard.sync()
             self._volume = None
             self._planner = None
             self.cache.drop_stale(v)
@@ -268,7 +265,7 @@ class DensityService:
             else:
                 vol = self.grid.allocate()
                 self.counter.init_writes += vol.size
-                coords = self._shard.coords
+                coords = self._shard.rows()
                 if coords.shape[0]:
                     stamp_batch(
                         vol, self.grid, self.kernel, coords,
@@ -296,7 +293,7 @@ class DensityService:
             if self._machine is None:
                 self._machine = self._calibrate()
             model = CostModel(
-                self.grid, PointSet(self._shard.coords), self._machine
+                self.grid, PointSet(self._shard.rows()), self._machine
             )
             self._planner = QueryPlanner(model)
         return self._planner
@@ -567,15 +564,10 @@ class DensityService:
         work = c.as_dict()
         inc = self._shard.inc
         if inc is not None:
-            # The live source's own slide gauges (slabs dropped vs
-            # straddle survivors re-planned — the O(delta) retirement
-            # evidence) and how many of its units any read has stamped:
+            # How many of the live source's units any read has stamped:
             # 0 of ``units_live`` while every answer comes off the index.
             work.update(
-                slab_buffers_retired=inc.counter.slab_buffers_retired,
-                slab_restamp_points=inc.counter.slab_restamp_points,
-                units_live=inc.units_live,
-                units_stamped=inc.units_stamped,
+                units_live=inc.units_live, units_stamped=inc.units_stamped
             )
         # Realised-vs-requested ε of the approximate tier: the mean
         # requested budget against the mean realised relative standard
@@ -591,7 +583,6 @@ class DensityService:
             "backend_calls": dict(self._backend_calls),
             "planner_decisions": dict(self._plan_decisions),
             "compute": self._compute_stats(c),
-            "index_merge_cap": self.index_merge_cap,
             "cache": cache,
             "cache_hit_ratio": (cache["hits"] / lookups) if lookups else None,
             "approx": {
@@ -714,7 +705,6 @@ class ShardedDensityService(DensityService):
         compute: str = DEFAULT_BACKEND,
         machine: Optional[MachineModel] = None,
         counter: Optional[WorkCounter] = None,
-        index_merge_cap: Optional[int] = 16,
         max_restarts: int = 3,
         restart_backoff_s: float = 0.05,
         request_timeout: Optional[float] = 30.0,
@@ -733,14 +723,14 @@ class ShardedDensityService(DensityService):
         super().__init__(
             np.empty((0, 3)) if source is None else source, grid,
             kernel=kernel, backend=backend, compute=compute,
-            machine=machine, counter=counter, index_merge_cap=index_merge_cap,
+            machine=machine, counter=counter,
         )
         self._live = source is None
         self._version = 0
-        self._static_coords = None if self._live else self._shard.coords
+        self._static_coords = None if self._live else self._shard.rows()
         self._backend_calls.update(dict.fromkeys(self._BACKENDS, 0))
         self.plan = plan if plan is not None else plan_shards(
-            grid, self._shard.coords, resolve_shard_count(workers)
+            grid, self._shard.rows(), resolve_shard_count(workers)
         )
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
@@ -748,8 +738,7 @@ class ShardedDensityService(DensityService):
         def _spawn(s: int, fp: Optional[FaultPlan]) -> ShardWorker:
             # ctx=None: each ShardWorker defaults to the spawn context.
             return ShardWorker(
-                s, grid, self.kernel.name,
-                merge_cap=index_merge_cap, ctx=None,
+                s, grid, self.kernel.name, ctx=None,
                 fault_plan=fp, compute=self.compute,
             )
 

@@ -1,11 +1,11 @@
 """What a shard is, and how the domain is cut into them.
 
 A :class:`Shard` holds one disjoint subset of the events — a static
-``(coords, weights)`` snapshot or a live
-:class:`~repro.core.incremental.IncrementalSTKDE` window — behind the
-:class:`~repro.serve.index.BucketIndex` it keeps in sync with them, and
-gives the two answers the serving tier is built from: kernel sums at
-points and a stamped voxel region.  Both take the prefactor ``norm`` as
+``(coords, weights)`` snapshot behind a
+:class:`~repro.core.index.BucketIndex` built on first use, or a live
+:class:`~repro.core.incremental.IncrementalSTKDE` window, whose rows *are*
+its index — and gives the two answers the serving tier is built from:
+kernel sums at points and a stamped voxel region.  Both take the prefactor ``norm`` as
 an *argument*: the engine folds it into a region's stamps and derives the
 sampler's floor from it, so scaling afterwards would change bits.  A
 :class:`~repro.serve.service.DensityService` hosts one shard in process
@@ -47,11 +47,11 @@ import numpy as np
 from ..core.backends import DEFAULT_BACKEND
 from ..core.grid import GridSpec, VoxelWindow
 from ..core.incremental import IncrementalSTKDE
+from ..core.index import BucketIndex
 from ..core.instrument import WorkCounter
 from ..core.kernels import KernelPair, get_kernel
 from ..core.regions import plan_serving_shards
 from .engine import RegionResult, approx_sum, direct_region, direct_sum
-from .index import BucketIndex
 
 __all__ = ["Shard", "ShardPlan", "plan_shards"]
 
@@ -63,7 +63,9 @@ class Shard:
     names), so a worker can construct it after ``spawn``.  ``inc`` hands
     in a live estimator the caller keeps feeding; without one the shard
     serves whatever :meth:`load_static` gave it, or becomes live on its
-    first :meth:`add` / :meth:`remove` / :meth:`slide`.
+    first :meth:`add` / :meth:`remove` / :meth:`slide`.  A live shard
+    holds no rows of its own: the estimator keeps them, once, in its
+    index, which every mutation leaves up to date.
     """
 
     def __init__(
@@ -71,25 +73,20 @@ class Shard:
         grid: GridSpec,
         kernel: str | KernelPair,
         *,
-        merge_cap: Optional[int] = 16,
         compute: str = DEFAULT_BACKEND,
         counter: Optional[WorkCounter] = None,
         inc: Optional[IncrementalSTKDE] = None,
     ) -> None:
         self.grid = grid
         self.kernel = get_kernel(kernel)
-        self.merge_cap = merge_cap
         #: Backend *name* of every kernel sum and stamp (resolved in this
         #: process's registry — backend singletons don't cross spawn).
         self.compute = compute
         self.counter = counter if counter is not None else WorkCounter()
         self.inc = inc
         self.weights: Optional[np.ndarray] = None
-        # ``None`` while a live window's rows are not gathered for the
-        # version in ``_synced``.
-        self._coords: Optional[np.ndarray] = np.empty((0, 3))
-        self._index: Optional[BucketIndex] = None
-        self._synced: Optional[int] = None
+        self._coords = np.empty((0, 3))  # the static snapshot
+        self._index: Optional[BucketIndex] = None  # the snapshot's
 
     # -- state ------------------------------------------------------------
     def load_static(
@@ -103,69 +100,52 @@ class Shard:
         )
         self._index = None
 
-    def sync(self) -> None:
-        """Catch up with the live window if it has moved on.
-
-        The index is not rebuilt: it reconciles against the estimator's
-        tracked batches (:meth:`BucketIndex.sync`), appending segments for
-        arriving batches and retiring departed ones — O(changed batches).
-        """
-        if self.inc is None or self.inc.version == self._synced:
-            return
-        if self._index is not None:
-            self._index.sync(self.inc.live_batches, counter=self.counter)
-        self._coords = None
-        self._synced = self.inc.version
-
-    @property
-    def coords(self) -> np.ndarray:
-        """Current event rows (a live window's are gathered once per
-        version — ``live_coords`` concatenates every unit on each call)."""
-        self.sync()
-        if self._coords is None:
-            self._coords = self.inc.live_coords
-        return self._coords
+    def rows(self) -> np.ndarray:
+        """Current event rows: the snapshot, or the live window gathered
+        from its index (a copy, in the index's row order)."""
+        return self._coords if self.inc is None else self.inc.live_coords
 
     def index(self) -> BucketIndex:
-        """The bucket index over the current events, built on first use.
-
-        A live window registers one segment per tracked batch, so the
-        index stays incrementally maintainable across slides.
-        """
-        self.sync()
+        """The bucket index over the current events: a live window's
+        own, or the snapshot's, built on first use."""
+        if self.inc is not None:
+            return self.inc.index
         if self._index is None:
-            live = self.inc is not None
             self._index = BucketIndex(
-                self.grid, None if live else self._coords, self.weights,
-                counter=self.counter, merge_segment_cap=self.merge_cap,
+                self.grid, self._coords, self.weights, counter=self.counter
             )
-            if live:
-                self._index.sync(self.inc.live_batches, counter=self.counter)
         return self._index
 
     def index_stats(self) -> Optional[dict]:
-        """The index's gauges (``None`` while nothing has asked for it)."""
-        return None if self._index is None else self._index.stats()
+        """The index's gauges (``None`` while a snapshot's is unbuilt)."""
+        if self.inc is None and self._index is None:
+            return None
+        return self.index().stats()
+
+    @property
+    def events(self) -> int:
+        """Number of events held (a running count for a live window)."""
+        return self.inc.n if self.inc is not None else len(self._coords)
 
     def weight(self) -> float:
         """This shard's share of the estimator's total weight ``W``."""
-        if self.inc is not None:
-            return float(self.inc.n)
         if self.weights is not None:
             return float(self.weights.sum())
-        return float(self._coords.shape[0])
+        return float(self.events)
 
     def gauges(self) -> Tuple[int, float, float]:
         """``(events, weight, min_t)`` — what a coordinator routes by
         (``min_t`` is ``inf`` for an empty shard)."""
-        coords = self.coords
-        n = int(coords.shape[0])
-        return n, self.weight(), float(coords[:, 2].min()) if n else np.inf
+        if self.inc is not None:
+            min_t = self.inc.min_t
+        else:
+            min_t = float(self._coords[:, 2].min()) if self.events else np.inf
+        return self.events, self.weight(), min_t
 
     def stats(self) -> dict:
         """Size and this shard's work counter, as one picklable dict."""
         stats = {
-            "events": int(self.coords.shape[0]),
+            "events": self.events,
             "weight": self.weight(),
             "work": self.counter.as_dict(),
         }
@@ -179,13 +159,13 @@ class Shard:
     # -- mutations --------------------------------------------------------
     def _live(self) -> IncrementalSTKDE:
         if self.inc is None:
-            # One counter per shard: the estimator's slide gauges show up
-            # in :meth:`stats`'s ``work``.
+            # One counter per shard: the estimator's slide and index
+            # gauges show up in :meth:`stats`'s ``work``.
             self.inc = IncrementalSTKDE(
                 self.grid, kernel=self.kernel, counter=self.counter,
                 compute=self.compute,
             )
-            self._index = None
+            self._coords, self.weights, self._index = np.empty((0, 3)), None, None
         return self.inc
 
     def add(self, rows: np.ndarray) -> None:
@@ -233,7 +213,7 @@ class Shard:
     def region(self, window: VoxelWindow, norm: float) -> RegionResult:
         """This shard's events stamped, ``norm`` folded in, over ``window``."""
         return direct_region(
-            self.grid, self.kernel, self.coords, window, norm, self.counter,
+            self.grid, self.kernel, self.rows(), window, norm, self.counter,
             weights=self.weights, compute=self.compute,
         )
 

@@ -4,9 +4,11 @@ A worker process builds a :class:`~repro.serve.shard.Shard` — the same
 class a :class:`~repro.serve.service.DensityService` hosts in process —
 over its shard's events only and answers requests against it over a
 duplex pipe (:func:`_serve` is the whole op table).  A live shard's
-:class:`~repro.core.incremental.IncrementalSTKDE` holds the window and is
-never asked for a volume, so a worker never stamps.  Workers compute
-**unnormalised partial sums** (``norm=1.0``): only the coordinator knows
+:class:`~repro.core.incremental.IncrementalSTKDE` holds the window, once,
+in the bucket index the worker's point sums walk; every mutation leaves
+that index current, and the estimator is never asked for a volume, so a
+worker never stamps.  Workers compute **unnormalised partial sums**
+(``norm=1.0``): only the coordinator knows
 the window's total weight, so it applies the ``1 / (W hs^2 ht)``
 prefactor after gathering — which is also what makes the partition
 exact, since the per-shard partials are plain kernel sums over disjoint
@@ -25,8 +27,8 @@ replay.
 
 Everything a worker needs is passed through the spawn-safe
 :func:`_worker_main` entry point (module-level, picklable arguments:
-grid spec, kernel *name*, index/incremental tuning, optional
-:class:`~repro.serve.faults.FaultPlan`).  The ``spawn`` start method is
+grid spec, kernel *name*, optional :class:`~repro.serve.faults.FaultPlan`,
+compute backend name).  The ``spawn`` start method is
 used unconditionally: it is the only method available everywhere and it
 guarantees workers never inherit the coordinator's (possibly
 multi-threaded) state.
@@ -58,9 +60,7 @@ def _serve(shard: Shard, op: str, payload: Any) -> Any:
     """Answer one request against the hosted shard.
 
     Reads return unnormalised partials (``norm=1.0``: only the coordinator
-    knows the total weight).  Mutations reply with the shard's gauges, and
-    bring the index up to date first so the next scattered read does not
-    pay for it.
+    knows the total weight).  Mutations reply with the shard's gauges.
     """
     if op == "query_points":
         queries, eps, seed = payload
@@ -84,7 +84,6 @@ def _serve(shard: Shard, op: str, payload: Any) -> Any:
         shard.remove(payload)
     else:
         raise ValueError(f"unknown op {op!r}")
-    shard.index()
     return retired + shard.gauges()
 
 
@@ -93,12 +92,11 @@ def _worker_main(
     shard_id: int,
     grid: GridSpec,
     kernel_name: str,
-    merge_cap: Optional[int],
     fault_plan: Optional[FaultPlan] = None,
     compute: str = DEFAULT_BACKEND,
 ) -> None:
     """Worker process entry point: serve requests until ``close``/EOF."""
-    shard = Shard(grid, kernel_name, merge_cap=merge_cap, compute=compute)
+    shard = Shard(grid, kernel_name, compute=compute)
     injector = (
         fault_plan.injector(shard_id) if fault_plan is not None else None
     )
@@ -134,7 +132,6 @@ class ShardWorker:
         grid: GridSpec,
         kernel_name: str,
         *,
-        merge_cap: Optional[int] = 16,
         ctx: Optional[mp.context.BaseContext] = None,
         fault_plan: Optional[FaultPlan] = None,
         compute: str = DEFAULT_BACKEND,
@@ -144,10 +141,7 @@ class ShardWorker:
         self._conn, child = ctx.Pipe(duplex=True)
         self._proc = ctx.Process(
             target=_worker_main,
-            args=(
-                child, shard_id, grid, kernel_name, merge_cap, fault_plan,
-                compute,
-            ),
+            args=(child, shard_id, grid, kernel_name, fault_plan, compute),
             name=f"shard-worker-{shard_id}",
             daemon=True,
         )

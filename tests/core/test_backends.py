@@ -31,7 +31,7 @@ from repro.core.regions import accumulate_voxel_tile
 from repro.core.stamping import STAMP_MODES, stamp_batch
 from repro.serve import DensityService
 from repro.serve.engine import approx_sum, direct_sum
-from repro.serve.index import BucketIndex
+from repro.core.index import BucketIndex
 
 from tests.helpers import (
     BOX_KERNEL,

@@ -11,7 +11,9 @@ from repro.core.incremental import IncrementalSTKDE
 from repro.core.kernels import available_kernels
 from repro.core.regions import auto_slab_voxels
 
-from tests.helpers import make_points
+from repro.core.index import BucketIndex
+
+from tests.helpers import make_points, multiset
 
 
 @pytest.fixture
@@ -246,7 +248,9 @@ class TestRegionCacheReuse:
         inc.add(slab)
         inc.volume()
         inc.remove(slab[:10])
-        np.testing.assert_array_equal(inc.live_coords, slab[10:])
+        np.testing.assert_array_equal(
+            multiset(inc.live_coords), multiset(slab[10:])
+        )
         assert all(tb.buffer is None for tb in inc._live)
         ref = pb_sym(PointSet(slab[10:]), grid)
         np.testing.assert_allclose(
@@ -376,7 +380,9 @@ class TestAutoIsTheGeometricRule:
         for a, b in zip(auto._live, pinned._live):
             assert a.batch_id == b.batch_id
             assert a.bbox == b.bbox
-            np.testing.assert_array_equal(a.coords, b.coords)
+            np.testing.assert_array_equal(
+                auto.index.rows(a.batch_id), pinned.index.rows(b.batch_id)
+            )
         np.testing.assert_array_equal(
             auto.volume().data, pinned.volume().data
         )
@@ -539,6 +545,56 @@ class TestOneLiveState:
             op()
             assert not self._holds_grid_shaped_array(inc)
 
+    def test_rows_are_stored_once_in_the_index(self, grid):
+        """A unit holds no coordinates: its rows are its index segment,
+        read back in key order, and the units' rows are the window."""
+        rng = np.random.default_rng(83)
+        inc = IncrementalSTKDE(grid)
+        batches = [rng.uniform(0, [22.0, 20.0, 30.0], size=(40, 3))
+                   for _ in range(3)]
+        for b in batches:
+            inc.add(b)
+        inc.remove(batches[1][:9])
+        inc.slide_window(batches[0][:4] + [0.0, 0.0, 5.0], t_horizon=6.0)
+        for tb in inc._live:
+            fields = vars(tb).values()
+            assert not any(isinstance(v, np.ndarray) for v in fields)
+        units = [rows for _, rows in inc.live_batches]
+        assert [len(r) for r in units] == [tb.n for tb in inc._live]
+        assert inc.index.n == inc.n == sum(map(len, units))
+        np.testing.assert_array_equal(
+            multiset(np.vstack(units)), multiset(inc.live_coords)
+        )
+        assert inc.min_t == inc.live_coords[:, 2].min() >= 6.0
+
+    def test_count_table_waits_for_a_reader(self, grid):
+        """The index's per-cell counts are built by the first read that
+        needs them, not by a mutation or a volume: a standalone estimator
+        never holds them.  Once built they equal a cold index's."""
+        rng = np.random.default_rng(84)
+        inc = IncrementalSTKDE(grid)
+        wide = make_points(grid, 80, seed=84).coords
+        for op in (
+            lambda: inc.add(wide),
+            lambda: inc.slide_window(
+                rng.uniform(10.0, 29.0, size=(25, 3)), t_horizon=8.0),
+            lambda: inc.remove(inc.live_coords[::5]),
+            lambda: inc.volume(),
+        ):
+            op()
+            assert inc.index._cell_counts is None
+            assert inc.index._box_counts is None
+        q = rng.uniform(-1.0, [23.0, 21.0, 31.0], size=(60, 3))
+        cold = BucketIndex(grid, inc.live_coords)
+        np.testing.assert_array_equal(
+            inc.index.candidate_counts(q), cold.candidate_counts(q)
+        )
+        inc.slide_window(rng.uniform(20.0, 29.0, size=(10, 3)), 15.0)
+        np.testing.assert_array_equal(
+            inc.index.candidate_counts(q),
+            BucketIndex(grid, inc.live_coords).candidate_counts(q),
+        )
+
     def test_off_domain_batch_is_tracked_and_contributes_nothing(self, grid):
         """A batch far outside the domain is a unit like any other —
         counted in ``n``, retired by a slide, removable — whose stamps
@@ -558,7 +614,10 @@ class TestOneLiveState:
         assert not inc._live[1].buffer.data.any()
         inc.remove(outside[:5])
         assert inc.n == 35
-        np.testing.assert_array_equal(inc.live_coords[20:], outside[5:])
+        np.testing.assert_array_equal(
+            multiset(inc.live_coords),
+            multiset(np.vstack([inside, outside[5:]])),
+        )
         assert inc.slide_window(np.empty((0, 3)), t_horizon=9.0) == 35
         assert inc.n == 0 and inc.live_batches == ()
         # On its own it serves the zero volume.
@@ -704,7 +763,10 @@ class TestBuffersAreACache:
         for k, feed in zip((4, 5, 6), arrived):
             inc.slide_window(feed, t_horizon=3.0 * (k - 3))
         assert self._kernel_work(inc) == before
-        pending = [tb.coords for tb in inc._live if tb.buffer is None]
+        pending = [
+            inc.index.rows(tb.batch_id) for tb in inc._live
+            if tb.buffer is None
+        ]
         inc.volume()
         # Units that survived unchanged kept the same buffer object ...
         survivors = [tb for tb in inc._live if tb.batch_id in held]

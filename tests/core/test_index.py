@@ -10,13 +10,14 @@ import pytest
 from repro.core import DomainSpec, GridSpec
 from repro.core.kernels import get_kernel
 from repro.serve.engine import direct_sum
-from repro.serve.index import BucketIndex
+from repro.core.index import BucketIndex
 from tests.helpers import (
     brute_force_sum,
     cell_candidates,
     make_clustered_points,
     make_points,
     reference_candidates,
+    sync,
     window_candidates,
 )
 
@@ -185,8 +186,7 @@ class TestCandidateRuns:
             idx.add_segment(i, pts[i::4])
         idx.add_segment("empty", np.empty((0, 3)))
         idx.consolidate_segments([0, 1, 2])
-        idx.sync([(0, pts[0::4]), (2, pts[2::4]), (3, pts[3::4]),
-                  ("empty", np.empty((0, 3)))])  # retires member 1
+        idx.remove_segment(1)  # a consolidated member
         assert idx.n == 180 and idx.merged_segments == 1
         self._check(idx)
 
@@ -277,13 +277,13 @@ class TestIncrementalSegments:
         }
         idx = BucketIndex(small_grid)
         c = WorkCounter()
-        idx.sync(list(batches.items()), counter=c)
+        sync(idx, list(batches.items()), counter=c)
         assert c.index_events_bucketed == 300
         # Slide: batch 0 retires, batch 6 arrives.
         batches.pop(0)
         batches[6] = make_points(small_grid, 50, seed=206).coords
         c2 = WorkCounter()
-        added, retired = idx.sync(list(batches.items()), counter=c2)
+        added, retired = sync(idx, list(batches.items()), counter=c2)
         assert (added, retired) == (50, 50)
         assert c2.index_events_bucketed == 50  # the delta, not 300
         assert c2.index_events_retired == 50
@@ -335,8 +335,9 @@ def test_degenerate_tiny_domain():
 class TestMergePolicyAndCompaction:
     """The merge policy bounds segment count with zero re-bucketing,
     member retirement filters (never re-sorts), and one repack rule
-    keeps ``dead_rows <= max(64, n)`` after every ``sync`` and
-    ``remove_segment``."""
+    keeps ``dead_rows <= max(64, n)`` after every ``maintain`` and
+    ``remove_segment``.  ``sync`` drives the index the way a live
+    estimator's mutations do."""
 
     def _batches(self, small_grid, n_batches, size=25, seed0=400):
         return {
@@ -350,7 +351,7 @@ class TestMergePolicyAndCompaction:
         batches = self._batches(small_grid, 24)
         idx = BucketIndex(small_grid, merge_segment_cap=8)
         c = WorkCounter()
-        idx.sync(list(batches.items()), counter=c)
+        sync(idx, list(batches.items()), counter=c)
         assert idx.segment_count <= 8
         assert idx.merged_segments >= 1
         assert c.index_segments_merged > 0
@@ -365,13 +366,13 @@ class TestMergePolicyAndCompaction:
 
         batches = self._batches(small_grid, 20)
         idx = BucketIndex(small_grid, merge_segment_cap=6)
-        idx.sync(list(batches.items()))
+        sync(idx, list(batches.items()))
         assert idx.merged_segments >= 1
         # Retire three of the oldest (merged-away) batches.
         for bid in (0, 1, 2):
             batches.pop(bid)
         c = WorkCounter()
-        added, retired = idx.sync(list(batches.items()), counter=c)
+        added, retired = sync(idx, list(batches.items()), counter=c)
         assert (added, retired) == (0, 75)
         assert c.index_events_bucketed == 0  # filtered, not re-bucketed
         _same_candidates(
@@ -388,7 +389,7 @@ class TestMergePolicyAndCompaction:
             live[step] = make_points(small_grid, 20, seed=500 + step).coords
             if len(live) > 12:
                 live.pop(min(live))
-            idx.sync(list(live.items()), counter=c)
+            sync(idx, list(live.items()), counter=c)
             assert idx.segment_count <= 6
             assert idx.dead_rows <= max(64, idx.n)
             # Storage stays bounded: live rows plus at most as many dead.
@@ -437,11 +438,11 @@ class TestMergePolicyAndCompaction:
 
         batches = self._batches(small_grid, 6)
         idx = BucketIndex(small_grid)
-        idx.sync(list(batches.items()))
+        sync(idx, list(batches.items()))
         batches.pop(0)
-        idx.sync(list(batches.items()))  # leaves 25 dead rows behind
+        sync(idx, list(batches.items()))  # leaves 25 dead rows behind
         c = WorkCounter()
-        assert idx.sync(list(batches.items()), counter=c) == (0, 0)
+        assert sync(idx, list(batches.items()), counter=c) == (0, 0)
         assert c.index_rows_compacted == 0 and idx.rows_compacted == 0
         assert idx.dead_rows == 25
 
@@ -456,7 +457,7 @@ class TestMergePolicyAndCompaction:
             live[step] = make_points(small_grid, size, seed=800 + step).coords
             if len(live) > 12:
                 live.pop(min(live))
-            idx.sync(list(live.items()))
+            sync(idx, list(live.items()))
         assert idx.segments_merged == 0
         assert 0 < idx.rows_compacted <= idx.events_retired
 
@@ -472,7 +473,7 @@ class TestMergePolicyAndCompaction:
         idx = BucketIndex(small_grid, merge_segment_cap=4)
         for i, coords in batches.items():
             idx.add_segment(i, coords, weights=np.full(15, 1.0 + i))
-        idx.sync(list(batches.items()))  # triggers the merge
+        sync(idx, list(batches.items()))  # triggers the merge
         assert idx.merged_segments >= 1
         all_coords = np.vstack(list(batches.values()))
         all_w = np.concatenate([np.full(15, 1.0 + i) for i in batches])
@@ -491,5 +492,5 @@ class TestMergePolicyAndCompaction:
         # None disables merging entirely.
         idx = BucketIndex(small_grid, merge_segment_cap=None)
         batches = self._batches(small_grid, 30, size=5, seed0=700)
-        idx.sync(list(batches.items()))
+        sync(idx, list(batches.items()))
         assert idx.segment_count == 30

@@ -8,16 +8,20 @@ and ascends in t, and dead rows are only *counted* until one repack rule
 reclaims them.  ``check_layout`` states
 that against a model — a dict of the live batches — and is run after
 every step of a scripted history and of a ``hypothesis`` state machine
-over ``add_segment`` / ``remove_segment`` / ``sync`` /
-``consolidate_segments``; ``check_answers`` pins the reads (brute-force
-sums, a cold index's candidate sets) on the same states.
+over ``add_segment`` / ``remove_segment`` (of a segment or of one member
+of a consolidated segment) / a live estimator's mutation (retirements,
+arrivals, then ``maintain``) / ``consolidate_segments``;
+``check_answers`` pins the reads (brute-force sums, a cold index's
+candidate sets) on the same states.
 
-The planner's 27-cell box table is part of the format too: mutations
-patch it where they touched it, and ``check_layout`` compares it with a
-from-scratch sum of the 27 neighbours whenever it is asked to read it.
-Reading drains the pending patches, so the state machine switches the
-reads on and off at random and reads once more at the end: a patch list
-drained every step, one never drained, and everything between.
+The planner's 27-cell box table is part of the format too: it and the
+per-cell counts under it exist only once a read asked for them, from
+then on mutations patch them where they touched them, and
+``check_layout`` compares them with from-scratch sums whenever they
+exist or it is asked to read them.  Reading drains the pending patches,
+so the state machine switches the reads on and off at random and reads
+once more at the end: tables never built, a patch list drained every
+step, one never drained, and everything between.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ from hypothesis.stateful import (
 from repro.core import DomainSpec, GridSpec
 from repro.core.kernels import get_kernel
 from repro.serve.engine import direct_sum
-from repro.serve.index import _WINDOW_SLACK, BucketIndex
+from repro.core.index import _WINDOW_SLACK, BucketIndex
 from tests.helpers import (
-    brute_force_sum, cell_candidates, reference_candidates, window_candidates,
+    brute_force_sum, cell_candidates, member_ids, reference_candidates, sync,
+    window_candidates,
 )
 
 GRID = GridSpec(DomainSpec.from_voxels(10, 10, 8), hs=2.5, ht=2.0)  # 4x4x4 cells
@@ -65,10 +70,10 @@ def sort_keys(idx, coords):
     return 2.0 * idx.flat_cells(cc) + (np.clip(u, 0.0, idx.nt) - cc[:, 2])
 
 
-def neighbour_sums(idx):
+def neighbour_sums(idx, counts):
     """The 27-cell box table from scratch: every neighbour added up."""
     nx, ny, nt = idx.nx, idx.ny, idx.nt
-    padded = np.pad(idx._cell_counts.reshape(nx, ny, nt), 1)
+    padded = np.pad(counts.reshape(nx, ny, nt), 1)
     return sum(
         padded[dx : dx + nx, dy : dy + ny, dt : dt + nt]
         for dx, dy, dt in product(range(3), repeat=3)
@@ -147,13 +152,14 @@ def check_layout(idx, model, read_table=True):
     assert sorted(seen, key=repr) == sorted(model, key=repr)
     live, _ = live_events(model, False)
     assert idx.n == len(live)
-    np.testing.assert_array_equal(
-        idx._cell_counts,
-        np.bincount(idx.cell_of(live), minlength=idx.n_cells),
-    )
-    assert idx._cell_counts.sum() == idx.n
+    counts = np.bincount(idx.cell_of(live), minlength=idx.n_cells)
+    if idx._cell_counts is not None:
+        np.testing.assert_array_equal(idx._cell_counts, counts)
     if read_table:
-        np.testing.assert_array_equal(idx.box_counts, neighbour_sums(idx))
+        np.testing.assert_array_equal(
+            idx.box_counts, neighbour_sums(idx, counts)
+        )
+        np.testing.assert_array_equal(idx._cell_counts, counts)
         assert idx._stale_boxes == [] and idx._stale_cells == 0
 
 
@@ -196,7 +202,7 @@ def test_scripted_history_keeps_the_layout(weighted):
         for bid in gone:
             del model[bid]
         retired = idx.events_retired
-        idx.sync([(bid, c) for bid, (c, _) in model.items()])
+        sync(idx, [(bid, c) for bid, (c, _) in model.items()])
         assert idx.dead_rows <= max(64, idx.n)
         check()
         return idx.events_retired - retired
@@ -211,7 +217,7 @@ def test_scripted_history_keeps_the_layout(weighted):
     idx.consolidate_segments([("merged", 0), 3, 5])  # absorbs the first
     check()
     assert idx.segment_ids == (("merged", 1), 4)
-    assert idx._segments[("merged", 1)].member_ids() == (0, 3, 5)
+    assert member_ids(idx._segments[("merged", 1)]) == (0, 3, 5)
     assert sync_without(3) == 17
     idx.remove_segment(4)
     del model[4]
@@ -243,7 +249,7 @@ def test_box_table_is_patched_where_batches_land(voxels, cells):
     for step in range(30):
         model[step] = make_batch(rng, 20, False, span, local=True)
         model.pop(step - 6, None)
-        idx.sync([(bid, c) for bid, (c, _) in model.items()])
+        sync(idx, [(bid, c) for bid, (c, _) in model.items()])
         check_layout(idx, model, read_table=step % 3 == 0)
     check_layout(idx, model)
     assert idx.segments_merged > 0 and idx.rows_compacted > 0
@@ -281,8 +287,8 @@ def test_runs_read_left_to_right_fix_the_candidate_order():
     idx.consolidate_segments([0, 1, 2])
     idx.consolidate_segments([("merged", 0), 3, 5])
     del batches[1]
-    idx.sync(list(batches.items()))  # retires member 1
-    segments = [s.member_ids() for s in idx._segments.values()]
+    sync(idx, list(batches.items()))  # retires member 1
+    segments = [member_ids(s) for s in idx._segments.values()]
     assert segments == [(0, 2, 3, 5), (4,), ("empty",)]
 
     def walk(cx, cy, in_run):
@@ -349,26 +355,28 @@ class IndexMachine(RuleBasedStateMachine):
         bid = self._new_batch(m, weighted, local)
         self.idx.add_segment(bid, *self.model[bid])
 
-    @precondition(lambda self: any(
-        s.members is None for s in self.idx._segments.values()
-    ))
+    @precondition(lambda self: self.model)
     @rule(data=st.data())
     def remove_segment(self, data):
-        bid = data.draw(st.sampled_from([
-            s.seg_id for s in self.idx._segments.values() if s.members is None
-        ]))
+        """A segment, or one member of a consolidated segment."""
+        bid = data.draw(st.sampled_from(sorted(self.model)))
         self.idx.remove_segment(bid)
         del self.model[bid]
         assert self.idx.dead_rows <= max(64, self.idx.n)
 
     @rule(data=st.data(), arriving=st.lists(st.integers(0, 25), max_size=2))
-    def sync(self, data, arriving):
+    def mutate(self, data, arriving):
+        """A live estimator's mutation: retirements, arrivals, upkeep."""
         gone = [bid for bid in self.model if data.draw(st.booleans())]
-        retired = sum(len(self.model.pop(bid)[0]) for bid in gone)
+        retired = self.idx.events_retired
+        for bid in gone:
+            self.idx.remove_segment(bid)
+            retired += len(self.model.pop(bid)[0])
         for m in arriving:
-            self._new_batch(m, False, local=data.draw(st.booleans()))
-        moved = self.idx.sync([(b, c) for b, (c, _) in self.model.items()])
-        assert moved == (sum(arriving), retired)
+            bid = self._new_batch(m, False, local=data.draw(st.booleans()))
+            self.idx.add_segment(bid, self.model[bid][0])
+        self.idx.maintain()
+        assert self.idx.events_retired == retired
         assert self.idx.dead_rows <= max(64, self.idx.n)
         cap = self.idx.merge_segment_cap
         assert cap is None or self.idx.segment_count <= cap

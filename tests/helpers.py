@@ -103,6 +103,13 @@ def brute_force_sum(grid, kernel, coords, queries, norm=1.0, weights=None):
     return norm * out
 
 
+def multiset(rows):
+    """``(n, k)`` rows in lexicographic order: compares two row sets as
+    multisets, whatever order each was gathered in."""
+    rows = np.asarray(rows)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def _expand_runs(starts, lengths):
     """Storage rows of one row of a run table, runs read left to right."""
     chunks = [
@@ -147,6 +154,35 @@ def reference_candidates(index, cx, cy, ct):
                     np.arange(seg.start + lo, seg.start + hi, dtype=np.int64)
                 )
     return np.concatenate(chunks + [np.empty(0, dtype=np.int64)])
+
+
+def member_ids(seg):
+    """The batch ids an index segment answers for."""
+    return (seg.seg_id,) if seg.members is None else tuple(seg.members)
+
+
+def sync(index, batches, counter=None):
+    """Bring ``index`` to exactly ``batches`` (``[(batch_id, coords)]``)
+    the way a live estimator's mutation does: retire every registered
+    batch that is gone (a segment, or a member of a consolidated one),
+    register every new one, then run the merge policy and repack rule.
+    Returns ``(events_added, events_retired)``."""
+    live = {bid for bid, _ in batches}
+    registered = [
+        mid for seg in list(index._segments.values())
+        for mid in member_ids(seg)
+    ]
+    retired = index.events_retired
+    for bid in registered:
+        if bid not in live:
+            index.remove_segment(bid, counter)
+    added = 0
+    for bid, coords in batches:
+        if bid not in registered:
+            index.add_segment(bid, coords, counter=counter)
+            added += len(coords)
+    index.maintain(counter)
+    return added, index.events_retired - retired
 
 
 def sharded_state(svc):

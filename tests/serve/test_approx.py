@@ -28,7 +28,7 @@ from repro.core import DomainSpec, GridSpec, PointSet, WorkCounter
 from repro.core.kernels import get_kernel
 from repro.serve import DensityService, QueryCache
 from repro.serve.engine import approx_sum, direct_sum
-from repro.serve.index import BucketIndex
+from repro.core.index import BucketIndex
 from repro.serve.planner import QueryPlanner
 
 from tests.helpers import brute_force_sum

@@ -280,28 +280,27 @@ def test_nan_horizon_leaves_the_replay_logs_whole():
 # Unchecked, a NaN coordinate is cast into an arbitrary cell and counted,
 # and a NaN weight turns every neighbouring answer into NaN.
 # ---------------------------------------------------------------------------
-INDEX_ENTRIES = ("constructor", "add_segment", "sync")
+INDEX_ENTRIES = ("constructor", "add_segment")
 BAD_WEIGHTS = (np.nan, np.inf, -1.0)
 
 
 @pytest.fixture
 def fed_index():
-    """``(index, live coords, feed)``: two synced batches, and ``feed(entry,
-    rows, weights)`` pushing one more batch through the named entry (the
-    sync also asks for batch 0's retirement)."""
+    """``(index, live coords, feed)``: two registered batches, and
+    ``feed(entry, rows, weights)`` pushing one more batch through the named
+    entry."""
     grid = GridSpec(DomainSpec.from_voxels(16, 16, 16), hs=2.0, ht=2.0)
     rng = np.random.default_rng(8)
     batches = {i: rng.uniform(0, 16.0, size=(60, 3)) for i in range(2)}
     idx = BucketIndex(grid)
-    idx.sync(list(batches.items()))
+    for bid, rows in batches.items():
+        idx.add_segment(bid, rows)
 
     def feed(entry, rows, weights=None):
         if entry == "constructor":
             BucketIndex(grid, rows, weights)
-        elif entry == "add_segment":
-            idx.add_segment("new", rows, weights)
         else:
-            idx.sync([(1, batches[1]), ("new", rows)])
+            idx.add_segment("new", rows, weights)
 
     return idx, np.vstack(list(batches.values())), feed
 
@@ -326,12 +325,12 @@ def test_index_rejects_non_finite_events(fed_index, entry, bad):
         rows[1, axis] = bad
         with pytest.raises(ValueError, match="point coordinates must be finite"):
             feed(entry, rows)
-        # Neither bucketed nor counted, and (on a sync) nothing retired.
+        # Neither bucketed nor counted.
         _index_unchanged(idx, live)
 
 
 @pytest.mark.parametrize("bad", BAD_WEIGHTS)
-@pytest.mark.parametrize("entry", INDEX_ENTRIES[:2])  # sync carries no weights
+@pytest.mark.parametrize("entry", INDEX_ENTRIES)
 def test_index_rejects_bad_weights(fed_index, entry, bad):
     idx, live, feed = fed_index
     with pytest.raises(ValueError, match="weights must be finite and non-negative"):

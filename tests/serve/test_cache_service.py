@@ -252,7 +252,9 @@ class TestServiceLive:
         svc.query_points(voxel_center_queries(small_grid)[0], backend="direct")
         work = svc.stats()["work"]
         assert work["units_live"] == inc.units_live > 0
-        assert work["units_stamped"] == 0 and inc.counter.madds == 0
+        # One counter per live window: the direct sums' pairs land on it,
+        # but no stamp of a unit buffer does.
+        assert work["units_stamped"] == 0 and inc.counter.init_writes == 0
         svc.query_slice(2, backend="lookup")
         work = svc.stats()["work"]
         assert work["units_stamped"] == work["units_live"]
@@ -350,7 +352,7 @@ class TestServiceLive:
         fresh = make_points(small_grid, 25, seed=63).coords
         inc.slide_window(PointSet(fresh), t_horizon=-1.0)
         idx_after = svc.index()
-        assert idx_after is idx_before  # same object, synced in place
+        assert idx_after is idx_before is inc.index  # the estimator's own
         assert idx_after.segment_count == 2
         assert svc.counter.index_events_bucketed == 145  # +batch, not +n
         # A full retirement drops exactly the expired segments.

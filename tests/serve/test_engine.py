@@ -29,7 +29,7 @@ from repro.serve.engine import (
     slab_dispatches,
     slice_window,
 )
-from repro.serve.index import _WINDOW_SLACK, BucketIndex
+from repro.core.index import _WINDOW_SLACK, BucketIndex
 from tests.helpers import (
     BOX_KERNEL,
     CUSTOM_KERNEL,
@@ -155,10 +155,9 @@ def layered_index(grid, weighted, seed=70):
     idx.add_segment("empty", np.empty((0, 3)))
     idx.consolidate_segments([0, 1, 2])
     idx.remove_segment(4)
+    idx.remove_segment(1)  # a consolidated member: compressed out
     for gone in (1, 4):
         del parts[gone], wts[gone]
-    live = [(i, p) for i, p in parts.items()] + [("empty", np.empty((0, 3)))]
-    idx.sync(live)  # retires consolidated member 1 by filtering
     parts["late"] = make_points(grid, 40, seed=seed + 1).coords
     wts["late"] = rng.uniform(0.25, 4.0, 40) if weighted else None
     idx.add_segment("late", parts["late"], wts["late"])
@@ -458,7 +457,8 @@ def lived_in(history, grid, events, weights):
     else:
         idx.consolidate_segments([0, 1, 2])
     idx.consolidate_segments([("merged", 0), 3])
-    idx.sync([(i, rows) for i, (rows, _) in parts.items()])  # drops "copy"
+    if history == "retired-member":
+        idx.remove_segment("copy")  # a consolidated member: compressed out
     assert idx.n == len(events) and idx.merged_segments == 1
     return idx
 
@@ -470,7 +470,7 @@ class TestWindowEdge:
     is the weighted count of the events the mask passes — closed in t,
     ``|dt| <= ht``; strict in space, ``r < hs`` — and the time window the
     runs are cut to must hold every one of them: it is widened by
-    ``_WINDOW_SLACK * (|t| + ht)`` at both ends (:mod:`repro.serve.index`
+    ``_WINDOW_SLACK * (|t| + ht)`` at both ends (:mod:`repro.core.index`
     says why that is enough), and what it lets in beyond the mask, the
     mask drops."""
 

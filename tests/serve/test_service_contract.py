@@ -168,13 +168,6 @@ def test_unknown_backend_is_rejected(hosts, kind):
         hosts[kind].query_region(WINDOW, backend="warp")
 
 
-@pytest.mark.parametrize("cls", (DensityService, ShardedDensityService))
-def test_merge_cap_is_an_int_or_none(cls):
-    for bogus in ("bogus", "auto"):
-        with pytest.raises(ValueError, match="index_merge_cap"):
-            cls(EVENTS, GRID, index_merge_cap=bogus)
-
-
 @pytest.mark.parametrize("kind", HOSTS)
 def test_plan_out_is_heard_by_points_and_regions(hosts, kind):
     svc = hosts[kind]

@@ -187,12 +187,20 @@ class TestLiveEquivalence:
         inc = IncrementalSTKDE(grid)
         ref = DensityService(inc, machine=NOMINAL)
 
-        def check(svc):
+        def check(svc, live):
             np.testing.assert_allclose(
                 svc.query_points(q),
                 ref.query_points(q, backend="direct"),
                 rtol=RTOL, atol=ATOL,
             )
+            # The routing gauges every mutation reply refreshes (running
+            # counts and unit t-ranges in the workers) against the rows
+            # each shard owns.
+            owner = svc.plan.owner_of(live[:, 0])
+            for s in range(svc.n_shards):
+                t = live[owner == s, 2]
+                assert svc.stats()["shard_events"][s] == len(t)
+                assert svc._shard_min_t[s] == (t.min() if len(t) else np.inf)
 
         with ShardedDensityService(
             None, grid, workers=3, machine=NOMINAL
@@ -201,10 +209,11 @@ class TestLiveEquivalence:
             b1[:, 2] *= 0.3
             inc.add(b1)
             svc.add(b1)
-            check(svc)
+            check(svc, b1)
             inc.remove(b1[:20])
             svc.remove(b1[:20])
-            check(svc)
+            live = b1[20:]
+            check(svc, live)
             for k in range(2):
                 newb = rng.uniform(0, span, size=(200, 3))
                 newb[:, 2] = (
@@ -215,7 +224,8 @@ class TestLiveEquivalence:
                 assert inc.slide_window(newb, horizon) == svc.slide_window(
                     newb, horizon
                 )
-                check(svc)
+                live = np.vstack([live[live[:, 2] >= horizon], newb])
+                check(svc, live)
                 w = (0, 40, 0, 32, 6, 16)
                 np.testing.assert_allclose(
                     svc.query_region(w).data,

@@ -3,10 +3,10 @@
 The steady-state contract of the slide pipeline, end to end: a live
 window fed by tiny batches must (a) keep the estimator's volume exact
 against a cold recompute at ``rtol=1e-12`` — slab subtraction and
-straddle restamps never drift — (b) keep the serving index's live
-segment count under the merge cap, and (c) keep the index's dead rows
-under the repack bound ``max(64, n)`` after every sync, with bucketing
-work O(arriving batch) throughout.
+straddle restamps never drift — (b) keep its index's live segment count
+under the default merge cap, and (c) keep the index's dead rows under
+the repack bound ``max(64, n)`` after every slide, with bucketing work
+O(arriving batch) throughout.
 """
 
 from __future__ import annotations
@@ -16,13 +16,15 @@ import numpy as np
 from repro.algorithms.pb_sym import pb_sym
 from repro.core import DomainSpec, GridSpec, PointSet, WorkCounter
 from repro.core.incremental import IncrementalSTKDE
+from repro.core.index import BucketIndex
+from repro.core.kernels import get_kernel
 from repro.serve import DensityService
-
+from repro.serve.engine import direct_sum
+from tests.helpers import sync
 
 N_SLIDES = 55
 BATCH = 24
-WINDOW_BATCHES = 12
-MERGE_CAP = 6
+WINDOW_BATCHES = 20  # more live units than the default merge cap (16)
 
 
 def _grid():
@@ -45,7 +47,8 @@ def test_soak_50_plus_tiny_batch_slides():
     rng = np.random.default_rng(77)
     counter = WorkCounter()
     inc = IncrementalSTKDE(grid, counter=counter)
-    svc = DensityService(inc, backend="direct", index_merge_cap=MERGE_CAP)
+    svc = DensityService(inc, backend="direct")
+    cap = inc.index.merge_segment_cap
     window: list = []
     probe = rng.uniform(
         0, [grid.domain.gx, grid.domain.gy, grid.domain.gt], size=(40, 3)
@@ -62,12 +65,13 @@ def test_soak_50_plus_tiny_batch_slides():
         inc.slide_window(batch, t_horizon=horizon)
         window = [b[b[:, 2] >= horizon] for b in window]
         window.append(batch)
-        svc.query_points(probe)  # forces the index sync every slide
+        svc.query_points(probe)
 
         idx = svc.index()
+        assert idx is inc.index  # one row store per live window
         # (b) merge policy bounds the live segment count.
-        assert idx.segment_count <= MERGE_CAP, (step, idx.segment_count)
-        # (c) dead rows within the repack bound, post-sync.
+        assert idx.segment_count <= cap, (step, idx.segment_count)
+        # (c) dead rows within the repack bound, after every slide.
         assert idx.dead_rows <= max(64, idx.n), (step, idx.dead_rows)
         # O(delta): this slide bucketed ~the arriving batch (plus any
         # straddle-slab survivors the estimator re-minted), never the
@@ -107,32 +111,38 @@ def test_soak_50_plus_tiny_batch_slides():
     # t-stratified feed never restamps more than a straddle's worth.
     assert counter.slab_buffers_retired > 0
     assert counter.slab_restamp_points <= N_SLIDES * BATCH
-    # Storage stayed bounded under 55 slides of churn.
+    # Storage stayed bounded under 55 slides of churn, and the merge
+    # policy did fire.
     assert svc.index().coords.shape[0] <= 2 * max(64, svc.index().n)
+    assert svc.index().segments_merged > 0
 
 
 def test_soak_merge_disabled_still_exact_but_unbounded_segments():
-    """Control: without the merge policy the same soak accumulates one
-    segment per live batch — the probe-cost growth the policy exists to
-    stop — while answers stay exact."""
+    """Control: an index without the merge policy, fed the same units,
+    accumulates one segment per live unit — the probe-cost growth the
+    policy exists to stop — while answers stay exact."""
     grid = _grid()
     rng = np.random.default_rng(78)
     inc = IncrementalSTKDE(grid)
-    svc = DensityService(inc, backend="direct", index_merge_cap=None)
+    uncapped = BucketIndex(grid, merge_segment_cap=None)
     probe = rng.uniform(
         0, [grid.domain.gx, grid.domain.gy, grid.domain.gt], size=(10, 3)
     )
-    for step in range(24):
+    for step in range(32):
         horizon = max(
             0.0,
             (step - WINDOW_BATCHES)
             * grid.domain.gt / (N_SLIDES + WINDOW_BATCHES),
         )
         inc.slide_window(_feed(grid, rng, step), t_horizon=horizon)
-        svc.query_points(probe)
-    assert svc.index().segment_count > MERGE_CAP
-    cold = DensityService(inc, backend="direct")
+        sync(uncapped, inc.live_batches)
+    assert uncapped.segment_count == inc.units_live
+    assert uncapped.segment_count > inc.index.merge_segment_cap
+    assert inc.index.segment_count <= inc.index.merge_segment_cap
+    kernel = get_kernel("epanechnikov")
+    norm = grid.normalization(inc.n)
     np.testing.assert_allclose(
-        svc.query_points(probe), cold.query_points(probe),
+        direct_sum(uncapped, probe, kernel, norm),
+        DensityService(inc, backend="direct").query_points(probe),
         rtol=1e-12, atol=1e-18,
     )
