@@ -275,38 +275,45 @@ def test_nan_horizon_leaves_the_replay_logs_whole():
 
 
 # ---------------------------------------------------------------------------
-# BucketIndex's own entry points: exported from repro.serve and fed raw
-# arrays by the shard workers, so PointSet's checks never see its input.
-# Unchecked, a NaN coordinate is cast into an arbitrary cell and counted,
-# and a NaN weight turns every neighbouring answer into NaN.
+# BucketIndex's own entry points, and the live estimator that owns one:
+# exported from repro.serve and fed raw arrays by the shard workers, so
+# PointSet's checks never see their input.  Unchecked, a NaN coordinate is
+# cast into an arbitrary cell and counted, and a NaN weight turns every
+# neighbouring answer into NaN.
 # ---------------------------------------------------------------------------
-INDEX_ENTRIES = ("constructor", "add_segment")
+INDEX_ENTRIES = ("constructor", "add_segment", "estimator")
 BAD_WEIGHTS = (np.nan, np.inf, -1.0)
 
 
 @pytest.fixture
 def fed_index():
-    """``(index, live coords, feed)``: two registered batches, and
-    ``feed(entry, rows, weights)`` pushing one more batch through the named
-    entry."""
+    """``(index, live coords, feed)``: the index of a live estimator holding
+    two batches, one segment each, and ``feed(entry, rows, weights)``
+    pushing one more batch through the named entry (the estimator's slide
+    also asks for the retirement of every row with ``t < 8``)."""
+    from repro.core.incremental import IncrementalSTKDE
+
     grid = GridSpec(DomainSpec.from_voxels(16, 16, 16), hs=2.0, ht=2.0)
     rng = np.random.default_rng(8)
-    batches = {i: rng.uniform(0, 16.0, size=(60, 3)) for i in range(2)}
-    idx = BucketIndex(grid)
-    for bid, rows in batches.items():
-        idx.add_segment(bid, rows)
+    batches = [rng.uniform(0, 16.0, size=(60, 3)) for _ in range(2)]
+    inc = IncrementalSTKDE(grid, t_slab_voxels=None)
+    for rows in batches:
+        inc.add(rows)
+    idx = inc.index
 
     def feed(entry, rows, weights=None):
         if entry == "constructor":
             BucketIndex(grid, rows, weights)
-        else:
+        elif entry == "add_segment":
             idx.add_segment("new", rows, weights)
+        else:
+            inc.slide_window(rows, t_horizon=8.0)
 
-    return idx, np.vstack(list(batches.values())), feed
+    return idx, np.vstack(batches), feed
 
 
 def _index_unchanged(idx, live):
-    assert (idx.n, idx.segment_ids, idx.dead_rows) == (120, (0, 1), 0)
+    assert (idx.n, idx.segment_ids, idx.dead_rows) == (120, (1, 2), 0)
     q = np.random.default_rng(9).uniform(0, 16.0, size=(40, 3))
     kern = get_kernel("epanechnikov")
     np.testing.assert_allclose(
@@ -325,12 +332,12 @@ def test_index_rejects_non_finite_events(fed_index, entry, bad):
         rows[1, axis] = bad
         with pytest.raises(ValueError, match="point coordinates must be finite"):
             feed(entry, rows)
-        # Neither bucketed nor counted.
+        # Neither bucketed nor counted, and (on a slide) nothing retired.
         _index_unchanged(idx, live)
 
 
 @pytest.mark.parametrize("bad", BAD_WEIGHTS)
-@pytest.mark.parametrize("entry", INDEX_ENTRIES)
+@pytest.mark.parametrize("entry", INDEX_ENTRIES[:2])  # the estimator takes no weights
 def test_index_rejects_bad_weights(fed_index, entry, bad):
     idx, live, feed = fed_index
     with pytest.raises(ValueError, match="weights must be finite and non-negative"):
