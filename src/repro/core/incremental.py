@@ -69,7 +69,7 @@ from __future__ import annotations
 import hashlib
 import numbers
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,7 +79,7 @@ from .instrument import WorkCounter
 from .kernels import KernelPair, get_kernel
 from .regions import RegionBuffer, batch_bbox, plan_time_slabs
 
-__all__ = ["IncrementalSTKDE"]
+__all__ = ["IncrementalSTKDE", "match_live"]
 
 #: A batch is split into t-slab units only while the slabs' boxes together
 #: cover at most this share of the grid; past it the overlap between
@@ -91,6 +91,67 @@ def _row_keys(coords: np.ndarray) -> np.ndarray:
     """``(n,)`` opaque byte keys for exact (bitwise) row matching."""
     a = np.ascontiguousarray(coords, dtype=np.float64)
     return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).reshape(-1)
+
+
+def match_live(
+    coords: np.ndarray,
+    t_ranges: Sequence[Tuple[float, float]],
+    rows_of: Callable[[int], np.ndarray],
+    n: int,
+) -> Dict[int, np.ndarray]:
+    """Which live rows a multiset removal of ``coords`` claims.
+
+    The live rows, ``n`` in all, are batches: ``t_ranges[i]`` is batch
+    ``i``'s earliest and latest t and ``rows_of(i)`` reads its rows, which
+    happens only while rows of ``coords`` are unclaimed and the t-range
+    holds one of their times.  Rows are compared bit-exactly (byte view
+    of the float triples) and each removed row claims one live
+    occurrence, first batches first.  Which instance of duplicated
+    identical rows is claimed is immaterial — they are
+    indistinguishable.  Returns ``{i: mask}`` for the batches that lose
+    rows.  Pure: raises ``ValueError`` when a row finds no live
+    occurrence, so the caller mutates only afterwards.
+    """
+    if len(coords) > n:
+        raise ValueError(
+            f"cannot remove {len(coords)} events; only {n} present"
+        )
+    drops: Dict[int, np.ndarray] = {}
+    remaining = len(coords)
+    if remaining == 0:
+        return drops
+    uniq, counts = np.unique(_row_keys(coords), return_counts=True)
+    lo, hi = coords[:, 2].min(), coords[:, 2].max()
+    for i, (t_min, t_max) in enumerate(t_ranges):
+        if remaining == 0:
+            break
+        if t_max < lo or t_min > hi:
+            continue
+        bk = _row_keys(rows_of(i))
+        pos = np.minimum(np.searchsorted(uniq, bk), uniq.size - 1)
+        midx = np.flatnonzero((uniq[pos] == bk) & (counts[pos] > 0))
+        if midx.size == 0:
+            continue
+        # Rank the matching rows (usually a handful) within each run of
+        # equal keys; the first `counts[key]` of each run are claimed,
+        # and later batches see the budget that is left.
+        order = midx[np.argsort(bk[midx], kind="stable")]
+        sbk = bk[order]
+        new_run = np.concatenate(([True], sbk[1:] != sbk[:-1]))
+        run_starts = np.flatnonzero(new_run)
+        occ = np.arange(sbk.size) - run_starts[np.cumsum(new_run) - 1]
+        claimed = order[occ < counts[pos[order]]]
+        counts = counts - np.bincount(pos[claimed], minlength=uniq.size)
+        remaining -= claimed.size
+        drops[i] = np.zeros(bk.size, dtype=bool)
+        drops[i][claimed] = True
+    if remaining:
+        raise ValueError(
+            f"cannot remove {remaining} of {len(coords)} events: not "
+            f"live (never added, already retired, or removed beyond "
+            f"their multiplicity)"
+        )
+    return drops
 
 
 @dataclass
@@ -339,10 +400,10 @@ class IncrementalSTKDE:
     @staticmethod
     def _coerce_horizon(t_horizon: float) -> float:
         """A slide's ``t_horizon`` as a float; NaN raises ``ValueError``
-        (every ``t < nan`` is false: the slide would retire nothing and a
-        replay log truncated to ``t >= nan`` would keep nothing).  ``±inf``
-        are legal.  Every ``slide_window`` — this estimator's, a service's,
-        the sharded coordinator's — checks here, before any state changes.
+        (every ``t < nan`` is false: the slide would retire nothing and
+        bump the version for it).  ``±inf`` are legal.  Every slide — this
+        estimator's, a service's, the sharded coordinator's and its replay
+        logs' — checks here, before any state changes.
         """
         t_horizon = float(t_horizon)
         if t_horizon != t_horizon:
@@ -387,9 +448,13 @@ class IncrementalSTKDE:
         coords = self._coerce_unweighted(points)
         if coords.size == 0:
             return
-        drops = self._match_live(coords)
+        drops = match_live(
+            coords, [tb.t_range for tb in self._live],
+            lambda i: self.index.rows(self._live[i].batch_id), self._n,
+        )
         kept: List[_TrackedBatch] = []
-        for tb, drop in zip(self._live, drops):
+        for i, tb in enumerate(self._live):
+            drop = drops.get(i)
             if drop is None:
                 kept.append(tb)
                 continue
@@ -400,53 +465,6 @@ class IncrementalSTKDE:
         self._live = kept
         self._n -= len(coords)
         self._settle()
-
-    def _match_live(self, coords: np.ndarray) -> List[Optional[np.ndarray]]:
-        """Per live unit, the mask of rows ``coords`` removes (or ``None``).
-
-        Vectorised multiset match: rows are compared bit-exactly (byte
-        view of the float triples) and each removed row claims one live
-        occurrence, first units first.  Which instance of duplicated
-        identical rows is claimed is immaterial — they are
-        indistinguishable.  Pure: raises ``ValueError`` when a row finds
-        no live occurrence; the caller mutates only afterwards.
-        """
-        if len(coords) > self._n:
-            raise ValueError(
-                f"cannot remove {len(coords)} events; only {self._n} present"
-            )
-        uniq, counts = np.unique(_row_keys(coords), return_counts=True)
-        remaining = len(coords)
-        drops: List[Optional[np.ndarray]] = []
-        for tb in self._live:
-            drops.append(None)
-            if remaining == 0:
-                continue
-            bk = _row_keys(self.index.rows(tb.batch_id))
-            pos = np.minimum(np.searchsorted(uniq, bk), uniq.size - 1)
-            midx = np.flatnonzero((uniq[pos] == bk) & (counts[pos] > 0))
-            if midx.size == 0:
-                continue
-            # Rank the matching rows (usually a handful) within each run
-            # of equal keys; the first `counts[key]` of each run are
-            # claimed, and later units see the budget that is left.
-            order = midx[np.argsort(bk[midx], kind="stable")]
-            sbk = bk[order]
-            new_run = np.concatenate(([True], sbk[1:] != sbk[:-1]))
-            run_starts = np.flatnonzero(new_run)
-            occ = np.arange(sbk.size) - run_starts[np.cumsum(new_run) - 1]
-            claimed = order[occ < counts[pos[order]]]
-            counts = counts - np.bincount(pos[claimed], minlength=uniq.size)
-            remaining -= claimed.size
-            drops[-1] = np.zeros(bk.size, dtype=bool)
-            drops[-1][claimed] = True
-        if remaining:
-            raise ValueError(
-                f"cannot remove {remaining} of {len(coords)} events: not "
-                f"live (never added, already retired, or removed beyond "
-                f"their multiplicity)"
-            )
-        return drops
 
     def slide_window(self, new_points: PointSet | np.ndarray, t_horizon: float) -> int:
         """Add ``new_points`` and retire all tracked events with

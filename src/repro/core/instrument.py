@@ -167,8 +167,9 @@ class WorkCounter:
         (:class:`repro.serve.supervisor.ShardSupervisor`) after a death
         or a wedged request deadline.
     ``shard_replayed_batches``
-        Mutation-log entries replayed into respawned workers — the
-        recovery work gauge.
+        Requests replayed into respawned workers — one ``static``, or one
+        ``add`` per live batch of the shard's log: the recovery work
+        gauge.
     ``requests_retried``
         Requests that failed against a dying worker and were completed
         against its recovered replacement (queries re-sent once,

@@ -15,9 +15,11 @@ a post-multiply (see :mod:`repro.serve.shard`).
 * :class:`ShardedDensityService` **is** a :class:`DensityService` and adds
   only what differs: spawn and supervise one worker process per shard
   (each hosting the same ``Shard`` class, :mod:`repro.serve.worker`),
-  partition and route, scatter / gather of **unnormalised** partials with
-  degraded reads, merged worker stats, ``close``.  Its ``local`` arm is
-  the inherited in-process path; the scatter arm has no result cache.
+  partition and route, a log of each shard's live rows (gauges, remove
+  checks and replay all read it), scatter / gather of **unnormalised**
+  partials with degraded reads, merged worker stats, ``close``.  Its
+  ``local`` arm is the inherited in-process path; the scatter arm has no
+  result cache.
 
 In process, each batch is answered by one of the three physical plans of
 :mod:`repro.serve.engine`: **direct-sum** over the bucket index (exact,
@@ -67,7 +69,7 @@ from .engine import (
     uniform_candidates,
     validate_queries,
 )
-from .errors import PartialResult, ShardFailed
+from .errors import PartialResult
 from .faults import FaultPlan
 from .planner import QueryPlanner
 from .shard import Shard, ShardPlan, plan_shards
@@ -596,7 +598,12 @@ class ShardedDensityService(DensityService):
 
     Mutations route **only to affected shards** (:meth:`slide_window`);
     :attr:`counter`'s ``shard_messages`` / ``shard_rows_shipped`` gauge
-    that routing.
+    that routing.  The coordinator keeps each shard's live rows in a
+    :class:`~repro.serve.supervisor.ShardLog`: the per-shard events,
+    weight ``W`` and earliest event it routes and normalises by are read
+    off the logs, a ``remove`` is checked against them before it is
+    sent, a slide's retired count is theirs, and a respawned worker is
+    replayed from them.
 
     Everything else is inherited.  Per batch the planner prices
     scatter/gather IPC against a single-process plan
@@ -627,8 +634,8 @@ class ShardedDensityService(DensityService):
         plan when omitted.
     max_restarts:
         Per-shard restart budget: how many times a dead or wedged
-        worker is respawned (with its state replayed from the
-        coordinator's mutation log) before the shard is declared down.
+        worker is respawned (with its rows replayed from the
+        coordinator's log of them) before the shard is declared down.
     restart_backoff_s:
         Base respawn backoff; attempt ``k`` waits ``2**k`` times this.
     request_timeout:
@@ -707,12 +714,7 @@ class ShardedDensityService(DensityService):
             backoff_s=restart_backoff_s,
             request_timeout=request_timeout,
             fault_plan=fault_plan,
-            gauges_cb=self._apply_gauges,
         )
-        # Coordinator routing state, refreshed from every mutation reply.
-        self._shard_events = [0] * self.n_shards
-        self._shard_weight = [0.0] * self.n_shards
-        self._shard_min_t = [float("inf")] * self.n_shards
         if not self._live:
             parts = self.plan.partition(self._static_coords)
             weights = self._shard.weights
@@ -750,7 +752,11 @@ class ShardedDensityService(DensityService):
     @property
     def events(self) -> int:
         """Total live events across all shards."""
-        return int(sum(self._shard_events))
+        return sum(log.n for log in self._sup.logs)
+
+    def _weight(self) -> float:
+        """Total event weight ``W`` across all shards."""
+        return sum(log.weight for log in self._sup.logs)
 
     @property
     def index_segments(self) -> int:
@@ -761,12 +767,6 @@ class ShardedDensityService(DensityService):
         if self._closed:
             raise RuntimeError("ShardedDensityService is closed")
         super()._sync()
-
-    def _apply_gauges(self, s: int, gauges) -> None:
-        events, weight, min_t = gauges
-        self._shard_events[s] = events
-        self._shard_weight[s] = weight
-        self._shard_min_t[s] = min_t
 
     def _calibrate(self) -> MachineModel:
         from .calibrate import calibrate_ipc
@@ -847,7 +847,7 @@ class ShardedDensityService(DensityService):
         for s, partial in results.items():
             out[shard_rows[s]] += partial
             self.counter.shard_rows_shipped += int(shard_rows[s].size)
-        out *= self._norm(sum(self._shard_weight))
+        out *= self._norm(self._weight())
         if eps is not None:
             self.counter.queries_approx += m
             self.counter.eps_requested_sum += float(eps) * m
@@ -865,10 +865,10 @@ class ShardedDensityService(DensityService):
 
     def _coverage(self, failed) -> float:
         """Mass-weighted surviving fraction for a degraded gather."""
-        total = float(sum(self._shard_weight))
+        total = self._weight()
         if total <= 0.0:
             return 1.0
-        lost = float(sum(self._shard_weight[s] for s in failed))
+        lost = sum(self._sup.logs[s].weight for s in failed)
         return max(0.0, 1.0 - lost / total)
 
     def _answer_region(self, window, force, why, plan_out) -> RegionResult:
@@ -898,7 +898,7 @@ class ShardedDensityService(DensityService):
             part = results[int(s)]
             data += part
             self.counter.shard_rows_shipped += int(part.size)
-        data *= self._norm(sum(self._shard_weight))
+        data *= self._norm(self._weight())
         data.flags.writeable = False
         return RegionResult(window, data, "sharded")
 
@@ -906,47 +906,36 @@ class ShardedDensityService(DensityService):
     # Mutations (live sources)
     # ------------------------------------------------------------------
     def _route(self, op: str, payloads: Dict[int, Any]) -> Dict[int, Any]:
-        """Log, send and apply one mutation on the shards it touches.
+        """Send one mutation to the shards it touches; per shard, what
+        its log returned (a slide's retired count).
 
-        Each routed batch is recorded into the supervisor's mutation log
-        *before* the send — the invariant replay-based recovery rests
-        on: a worker that dies mid-mutation is respawned and the replay
-        itself completes the mutation.  Every reply ends in the shard's
-        gauges.  Should the scatter raise after some shards applied their
-        part, the contacted shards' gauges are re-read before the error
-        leaves, so the coordinator's ``W`` is never stale.
+        The supervisor logs the mutation for every shard that applied it
+        — or whose replay will — so the logs, and every gauge read off
+        them, stay what the workers hold even when the scatter raises
+        after some shards applied their part.
         """
-        sends = [(s, op, payload) for s, payload in payloads.items()]
-        for s, _, payload in sends:
-            self._sup.record(s, op, payload)
+        for payload in payloads.values():
             self.counter.shard_messages += 1
             self.counter.shard_rows_shipped += len(
                 payload if op in ("add", "remove") else payload[0]
             )
-        failure = None
         try:
-            replies, _ = self._sup.scatter(sends, on_failure="raise")
-        except ShardFailed as exc:
-            failure = exc
-            replies, _ = self._sup.scatter(
-                [(s, "gauges", None) for s in payloads], on_failure="partial"
+            results, _ = self._sup.scatter(
+                [(s, op, payload) for s, payload in payloads.items()]
             )
-        for s, reply in replies.items():
-            self._apply_gauges(s, reply[-3:])
-        self._version += 1
-        if failure is not None:
-            raise failure
-        return replies
+        finally:
+            self._version += 1
+        return results
 
     def _route_rows(self, op: str, points) -> None:
         """``add`` / ``remove``: each row goes to the shard that owns it
         (ownership is a pure function of x, so a removed row always
         reaches the shard that holds it).
 
-        A ``remove`` first asks every owner whether its rows are live —
-        the single-process contract: rows that are not raise
-        ``ValueError`` with workers, gauges, ``version`` and replay logs
-        untouched, whichever shard would have refused.
+        A ``remove`` is first checked against every owner's log — the
+        single-process contract: rows that are not live raise
+        ``ValueError`` with workers, ``version`` and logs untouched,
+        whichever shard would have refused.
         """
         self._sync()
         self._check_live(op)
@@ -957,19 +946,11 @@ class ShardedDensityService(DensityService):
             s: coords[rows]
             for s, rows in enumerate(self.plan.partition(coords)) if rows.size
         }
-        if not payloads:
-            return
         if op == "remove":
-            self.counter.shard_messages += len(payloads)
-            self.counter.shard_rows_shipped += coords.shape[0]
-            refusals, _ = self._sup.scatter(
-                [(s, "rejects_remove", rows) for s, rows in payloads.items()],
-                on_failure="raise",
-            )
-            why = next(filter(None, refusals.values()), None)
-            if why is not None:
-                raise ValueError(why)
-        self._route(op, payloads)
+            for s, rows in payloads.items():
+                self._sup.logs[s].claims(rows)
+        if payloads:
+            self._route(op, payloads)
 
     def add(self, points: Union[PointSet, np.ndarray]) -> None:
         """Insert events, routed to their owning shards only."""
@@ -996,12 +977,12 @@ class ShardedDensityService(DensityService):
             IncrementalSTKDE._coerce_unweighted(new_points), dtype=np.float64
         )
         t_horizon = IncrementalSTKDE._coerce_horizon(t_horizon)
-        replies = self._route("slide", {
+        retired = self._route("slide", {
             s: (coords[rows], t_horizon)
             for s, rows in enumerate(self.plan.partition(coords))
-            if rows.size or self._shard_min_t[s] < t_horizon
+            if rows.size or self._sup.logs[s].min_t < t_horizon
         })
-        return sum(int(reply[0]) for reply in replies.values())
+        return sum(retired.values())
 
     # ------------------------------------------------------------------
     # Observability / lifecycle
@@ -1033,7 +1014,7 @@ class ShardedDensityService(DensityService):
             **self._stats(merged),
             "n_shards": self.n_shards,
             "cuts": [float(c) for c in self.plan.cuts],
-            "shard_events": list(self._shard_events),
+            "shard_events": [log.n for log in self._sup.logs],
             "workers": per_worker,
             "recovery": recovery,
         }

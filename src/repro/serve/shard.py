@@ -11,7 +11,9 @@ sampler's floor from it, so scaling afterwards would change bits.  A
 :class:`~repro.serve.service.DensityService` hosts one shard in process
 and passes its ``1 / (W hs^2 ht)``; a worker process
 (:mod:`repro.serve.worker`) hosts one and passes ``1.0``, and its
-coordinator scales the gathered sum.
+coordinator scales the gathered sum.  That coordinator keeps its own copy
+of each worker's rows (:class:`~repro.serve.supervisor.ShardLog`) and
+reads every gauge there, so a worker's mutations reply nothing.
 
 A :class:`ShardPlan` partitions the space-time domain into ``P`` disjoint
 x-slabs (cuts from :func:`repro.core.regions.plan_serving_shards`, balanced
@@ -40,7 +42,7 @@ under identical float arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -128,15 +130,6 @@ class Shard:
             return float(self.weights.sum())
         return float(self.events)
 
-    def gauges(self) -> Tuple[int, float, float]:
-        """``(events, weight, min_t)`` — what a coordinator routes by
-        (``min_t`` is ``inf`` for an empty shard)."""
-        if self.inc is not None:
-            min_t = self.inc.min_t
-        else:
-            min_t = float(self._coords[:, 2].min()) if self.events else np.inf
-        return self.events, self.weight(), min_t
-
     def stats(self) -> dict:
         """Size and this shard's work counter, as one picklable dict."""
         stats = {
@@ -171,16 +164,6 @@ class Shard:
     def slide(self, rows: np.ndarray, t_horizon: float) -> int:
         """Add ``rows``, retire events before ``t_horizon``; the count retired."""
         return self._live().slide_window(rows, t_horizon)
-
-    def rejects_remove(self, rows: np.ndarray) -> Optional[str]:
-        """Why :meth:`remove` would refuse ``rows`` (``None``: it would
-        not).  Pure, so a coordinator can ask every owner before any of
-        them — or its replay log — sees the mutation."""
-        try:
-            self._live()._match_live(rows)
-        except ValueError as exc:
-            return str(exc)
-        return None
 
     # -- answers ----------------------------------------------------------
     def points(

@@ -1,13 +1,16 @@
 """Supervision and replay-based recovery for the sharded worker pool.
 
 The coordinator already routes every mutation to the shard that owns it;
-:class:`ShardLog` simply *keeps* those routed batches — per shard, in
-arrival order, truncated to the live horizon — which makes the
-coordinator the authoritative copy of each worker's state.  When a
-worker dies (pipe EOF / sentinel) or wedges (request deadline),
-:class:`ShardSupervisor` reaps the process, respawns it with exponential
-backoff, and replays the shard's log into the fresh child; the replayed
-worker is state-equivalent to the dead one (the chaos tests pin
+:class:`ShardLog` keeps what those mutations leave behind — each shard's
+**live rows**, as the batches that brought them — which makes the
+coordinator the authoritative copy of each worker's state.  The logs are
+also where the coordinator reads a shard's size, weight and earliest
+event from, and what a ``remove`` is checked against before anything is
+sent.  When a worker dies (pipe EOF / sentinel) or wedges (request
+deadline), :class:`ShardSupervisor` reaps the process, respawns it with
+exponential backoff, and replays the shard's log into the fresh child:
+one ``static``, or one ``add`` per live batch (window inserts).  The
+replayed worker holds the dead one's rows (the chaos tests pin
 ``rtol=1e-12`` against a cold single-process rebuild).  A restart budget
 bounds the flapping: once exhausted the shard is declared **down** and
 every subsequent request against it raises a typed
@@ -20,19 +23,20 @@ the pool sane under partial failure: every pending reply is drained
 before any failure is acted on (raising mid-gather would leave unread
 replies poisoning later requests — the PR 6 fault-path bug), failed
 *queries* are retried exactly once against the recovered worker, and
-failed *mutations* are completed by the replay itself — the log entry is
-recorded before the send, so the respawned child has already applied it.
-An ``add``/``remove`` a healthy worker *rejected* is the opposite case:
-it was never applied, so its entry leaves that shard's log.
+failed *mutations* are completed by the replay itself.  A mutation is
+logged after the drain, for every shard that applied it or is about to
+be recovered — never for one whose healthy worker rejected it, which
+never applied it.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ..core.incremental import IncrementalSTKDE, match_live
 from ..core.instrument import WorkCounter
 from .errors import ShardDown, ShardFailed
 from .faults import FaultPlan
@@ -43,100 +47,135 @@ __all__ = ["ShardLog", "ShardSupervisor"]
 #: Ops whose payloads mutate worker state (and are therefore logged).
 MUTATION_OPS = frozenset({"static", "add", "remove", "slide"})
 
-#: Gauges of an empty shard: ``(events, weight, min_t)``.
-_EMPTY_GAUGES = (0, 0.0, float("inf"))
+
+class _Batch(NamedTuple):
+    """One arrival batch's live rows and their t-range."""
+
+    coords: np.ndarray
+    t_lo: float
+    t_hi: float
 
 
-def _truncate_coords(coords: np.ndarray, horizon: float) -> np.ndarray:
-    """Rows at or after the horizon (the live part of a batch)."""
-    if coords.shape[0] == 0 or horizon == -np.inf:
-        return coords
-    keep = coords[:, 2] >= horizon
-    return coords if bool(keep.all()) else coords[keep]
+def _batch(coords: np.ndarray) -> _Batch:
+    t = coords[:, 2]
+    return _Batch(coords, float(t.min()), float(t.max()))
 
 
 class ShardLog:
-    """Horizon-truncated mutation log for one shard.
+    """The live rows of one shard, as the batches that brought them.
 
-    Entries are the exact ``(op, payload)`` tuples the coordinator
-    routed to the worker, in order.  Truncation drops rows whose time
-    coordinate predates the newest slide horizon — those events are
-    retired on the worker too, so replaying the truncated log rebuilds
-    the *live* state only.  Row order is preserved, so ``remove``
-    semantics (match-by-value against prior adds) survive replay.  The
-    log is bounded by the window's live traffic, not its lifetime:
-    every slide truncates, and entries emptied by truncation are
-    dropped.
+    A ``static`` snapshot is one batch with its weights and replaces the
+    log; ``add`` appends a batch; ``slide`` retires rows before the
+    horizon by the estimator's rule (only the batches the horizon cuts
+    are read) and appends the arrivals; ``remove`` deletes rows as a
+    multiset through :func:`~repro.core.incremental.match_live`, the
+    matcher the estimator uses.  The log therefore holds exactly the rows
+    the worker holds — bounded by the live window, not its history —
+    with running ``n`` and ``weight`` totals.  A snapshot takes no
+    ``add`` / ``remove`` / ``slide`` (a static service refuses them).
     """
 
     def __init__(self) -> None:
-        self.entries: List[Tuple[str, Any]] = []
-        self.horizon: float = -np.inf
+        self.batches: List[_Batch] = []
+        self.static = False
+        self.weights: Optional[np.ndarray] = None  # the snapshot's
+        self.n = 0
+        self.weight = 0.0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.batches)
 
     @property
     def rows(self) -> int:
         """Total coordinate rows a replay would ship."""
-        total = 0
-        for op, payload in self.entries:
-            if op in ("static", "slide"):
-                total += int(payload[0].shape[0])
-            else:
-                total += int(payload.shape[0])
-        return total
+        return self.n
 
-    def record(self, op: str, payload: Any) -> None:
+    @property
+    def min_t(self) -> float:
+        """Earliest live event time (``inf`` for an empty shard)."""
+        return min((b.t_lo for b in self.batches), default=np.inf)
+
+    def apply(self, op: str, payload: Any) -> Any:
+        """Log one mutation the worker applied; a slide's retired count."""
         if op == "static":
-            # A snapshot *is* the state: it replaces any prior log.
-            self.entries = [(op, payload)]
-            return
+            return self.load_static(*payload)
         if op == "slide":
-            coords, horizon = payload
-            if np.isnan(horizon):
-                # truncate() would keep ``t >= nan`` — no row of any
-                # entry — and the next replay would rebuild an empty shard.
-                raise ValueError("a slide horizon must not be NaN")
-            self.entries.append((op, payload))
-            self.truncate(float(horizon))
-            return
-        if op in ("add", "remove"):
-            self.entries.append((op, payload))
-            return
+            return self.slide(*payload)
+        if op == "add":
+            return self.add(payload)
+        if op == "remove":
+            return self.remove(payload)
         raise ValueError(f"unloggable op {op!r}")
 
-    def truncate(self, horizon: float) -> None:
-        """Drop rows (and emptied entries) retired by ``horizon``."""
-        if horizon <= self.horizon:
-            return
-        self.horizon = horizon
-        kept: List[Tuple[str, Any]] = []
-        for op, payload in self.entries:
-            if op == "static":
-                coords, weights = payload
-                live = coords[:, 2] >= horizon if coords.shape[0] else None
-                if live is None or bool(live.all()):
-                    kept.append((op, payload))
-                else:
-                    kept.append((op, (
-                        coords[live],
-                        None if weights is None else weights[live],
-                    )))
-                continue
-            if op == "slide":
-                coords, h = payload
-                coords = _truncate_coords(coords, horizon)
-                # The horizon itself is subsumed by the truncation: a
-                # replayed slide over already-truncated entries retires
-                # nothing, so an emptied slide carries no information.
-                if coords.shape[0]:
-                    kept.append((op, (coords, h)))
-                continue
-            coords = _truncate_coords(payload, horizon)
-            if coords.shape[0]:
-                kept.append((op, coords))
-        self.entries = kept
+    def load_static(
+        self, coords: np.ndarray, weights: Optional[np.ndarray] = None
+    ) -> None:
+        """Replace the log with one snapshot."""
+        self.batches = [_batch(coords)] if len(coords) else []
+        self.static, self.weights = True, weights
+        self.n = len(coords)
+        self.weight = (
+            float(self.n) if weights is None else float(weights.sum())
+        )
+
+    def _count(self, rows: int) -> None:
+        if self.static:
+            raise ValueError("a static snapshot takes no live mutation")
+        self.n += rows
+        self.weight += rows
+
+    def add(self, coords: np.ndarray) -> None:
+        self._count(len(coords))
+        if len(coords):
+            self.batches.append(_batch(coords))
+
+    def slide(self, coords: np.ndarray, t_horizon: float) -> int:
+        """Retire rows with ``t < t_horizon``, then add ``coords``; the
+        count retired.  A NaN horizon raises before anything changes."""
+        t_horizon = IncrementalSTKDE._coerce_horizon(t_horizon)
+        kept: List[_Batch] = []
+        retired = 0
+        for b in self.batches:
+            if b.t_lo >= t_horizon:
+                kept.append(b)
+            elif b.t_hi >= t_horizon:
+                rows = b.coords[b.coords[:, 2] >= t_horizon]
+                kept.append(_batch(rows))
+                retired += len(b.coords) - len(rows)
+            else:
+                retired += len(b.coords)
+        self._count(-retired)
+        self.batches = kept
+        self.add(coords)
+        return retired
+
+    def remove(self, coords: np.ndarray) -> None:
+        """Delete rows as a multiset; rows that are not live raise
+        ``ValueError`` with the log untouched."""
+        drops = self.claims(coords)
+        self._count(-len(coords))
+        kept: List[_Batch] = []
+        for i, b in enumerate(self.batches):
+            drop = drops.get(i)
+            if drop is None:
+                kept.append(b)
+            elif not drop.all():
+                kept.append(_batch(b.coords[~drop]))
+        self.batches = kept
+
+    def claims(self, coords: np.ndarray) -> Dict[int, np.ndarray]:
+        """Per batch, the rows a ``remove`` of ``coords`` would delete
+        (pure; raises ``ValueError`` when a row is not live)."""
+        return match_live(
+            coords, [(b.t_lo, b.t_hi) for b in self.batches],
+            lambda i: self.batches[i].coords, self.n,
+        )
+
+    def replay(self) -> List[Tuple[str, Any]]:
+        """The requests that rebuild this shard in a fresh worker."""
+        if self.static:
+            return [("static", (b.coords, self.weights)) for b in self.batches]
+        return [("add", b.coords) for b in self.batches]
 
 
 class ShardSupervisor:
@@ -164,10 +203,6 @@ class ShardSupervisor:
     fault_plan:
         Optional fault-injection plan; respawned workers receive its
         :meth:`~repro.serve.faults.FaultPlan.respawn_view`.
-    gauges_cb:
-        ``gauges_cb(shard_id, (events, weight, min_t))`` — called after
-        every recovery so the service's routing state tracks the
-        replayed worker.
     """
 
     def __init__(
@@ -180,7 +215,6 @@ class ShardSupervisor:
         backoff_s: float = 0.05,
         request_timeout: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
-        gauges_cb: Optional[Callable[[int, tuple], None]] = None,
     ) -> None:
         self.counter = counter
         self.max_restarts = int(max_restarts)
@@ -188,7 +222,6 @@ class ShardSupervisor:
         self.request_timeout = request_timeout
         self._factory = factory
         self._fault_plan = fault_plan
-        self._gauges_cb = gauges_cb
         self._closed = False
         self.workers: List[ShardWorker] = [
             factory(s, fault_plan) for s in range(n_shards)
@@ -208,12 +241,8 @@ class ShardSupervisor:
     def is_down(self, s: int) -> bool:
         return s in self._down
 
-    def record(self, s: int, op: str, payload: Any) -> None:
-        """Log one routed mutation (call *before* sending it)."""
-        self.logs[s].record(op, payload)
-
-    def _raise_down(self, s: int, op: str) -> None:
-        raise ShardDown(
+    def _down_error(self, s: int, op: str) -> ShardDown:
+        return ShardDown(
             s, op,
             f"shard is down (restart budget of {self.max_restarts} "
             f"exhausted)",
@@ -222,32 +251,22 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
-    def recover(
-        self, s: int, op: str = "recover"
-    ) -> Tuple[tuple, Optional[str], Any]:
+    def recover(self, s: int, op: str = "recover") -> None:
         """Respawn shard ``s`` and replay its log into the fresh worker.
 
-        Returns ``(gauges, last_op, last_reply)`` where ``last_*``
-        describe the final replayed entry (``None`` for an empty log) —
-        the caller uses them to synthesise the reply of a mutation the
-        replay completed.  Retries the respawn within the restart budget
-        when the replay itself faults (a persistent injected fault, a
-        crashing machine); past the budget the shard is marked down and
-        :class:`ShardDown` raises.
+        Retries the respawn within the restart budget when the replay
+        itself faults (a persistent injected fault, a crashing machine);
+        past the budget the shard is marked down and :class:`ShardDown`
+        raises.
         """
         if s in self._down:
-            self._raise_down(s, op)
+            raise self._down_error(s, op)
         self.workers[s].kill()
         while True:
             attempt = self.restarts[s]
             if attempt >= self.max_restarts:
-                exc = ShardDown(
-                    s, op,
-                    f"shard is down (restart budget of "
-                    f"{self.max_restarts} exhausted)",
-                )
-                self._down[s] = exc
-                raise exc
+                self._down[s] = self._down_error(s, op)
+                raise self._down[s]
             delay = self.backoff_s * (2.0 ** attempt)
             if delay > 0.0:
                 time.sleep(delay)
@@ -260,46 +279,15 @@ class ShardSupervisor:
             worker = self._factory(s, plan)
             self.workers[s] = worker
             try:
-                gauges, last_op, last_reply = self._replay(s, worker)
+                for rop, payload in self.logs[s].replay():
+                    worker.request(rop, payload, timeout=self.request_timeout)
+                    self.counter.shard_replayed_batches += 1
             except ShardFailed as exc:
                 if not exc.retryable:
                     raise
                 worker.kill()
                 continue  # burn another restart
-            if self._gauges_cb is not None:
-                self._gauges_cb(s, gauges)
-            return gauges, last_op, last_reply
-
-    def _replay(
-        self, s: int, worker: ShardWorker
-    ) -> Tuple[tuple, Optional[str], Any]:
-        last_op: Optional[str] = None
-        last_reply: Any = None
-        for op, payload in self.logs[s].entries:
-            last_reply = worker.request(
-                op, payload, timeout=self.request_timeout
-            )
-            last_op = op
-            self.counter.shard_replayed_batches += 1
-        if last_op is None:
-            return _EMPTY_GAUGES, None, None
-        gauges = tuple(last_reply[1:]) if last_op == "slide" \
-            else tuple(last_reply)
-        return gauges, last_op, last_reply
-
-    @staticmethod
-    def _synth_reply(op: str, gauges: tuple, last_op: Optional[str],
-                     last_reply: Any) -> Any:
-        """Reply for a mutation the replay completed.
-
-        When the failed mutation is the log's final entry (the common
-        case — it was recorded just before the send), its replay reply
-        is the real one.  Otherwise (the entry was merged or emptied by
-        truncation, i.e. it was a no-op) synthesise from the gauges.
-        """
-        if last_op == op:
-            return last_reply
-        return (0,) + tuple(gauges) if op == "slide" else tuple(gauges)
+            return
 
     # ------------------------------------------------------------------
     # Supervised scatter/gather
@@ -317,10 +305,12 @@ class ShardSupervisor:
         ``(results, failed)`` keyed by shard.  All pending replies are
         drained before any recovery or raise — a mid-gather raise would
         strand unread replies in surviving workers' pipes and poison the
-        next request.  Retryable failures recover the shard and retry
-        the request once (mutations are completed by the replay itself);
-        terminal failures raise when ``on_failure="raise"`` and populate
-        ``failed`` when ``"partial"``.
+        next request.  A mutation's result is what the shard's log
+        returned for it (see :meth:`ShardLog.apply`).  Retryable
+        failures recover the shard and retry the request once (mutations
+        are completed by the replay itself); terminal failures raise when
+        ``on_failure="raise"`` and populate ``failed`` when
+        ``"partial"``.
         """
         if on_failure not in ("raise", "partial"):
             raise ValueError(
@@ -333,11 +323,7 @@ class ShardSupervisor:
         retry: List[Tuple[int, str, Any, ShardFailed]] = []
         for s, op, payload in sends:
             if s in self._down:
-                failed[s] = ShardDown(
-                    s, op,
-                    f"shard is down (restart budget of "
-                    f"{self.max_restarts} exhausted)",
-                )
+                failed[s] = self._down_error(s, op)
                 continue
             try:
                 self.workers[s].send_op(op, payload)
@@ -363,31 +349,27 @@ class ShardSupervisor:
                     # A healthy worker rejected the request: that is an
                     # application error, never maskable by "partial".
                     app_error = app_error or exc
-                    # A rejected add/remove was logged before the send
-                    # but never applied: replaying it would fail every
-                    # later recovery of this shard.  (Not a slide:
-                    # recording one already truncated the log.)
-                    log = self.logs[s].entries
-                    if op in ("add", "remove") and log and log[-1][1] is payload:
-                        log.pop()
+        # Log phase: a mutation joins a shard's log once its worker
+        # applied it or the replay is about to; a rejected one never
+        # does.  What the log returns is the reply (a slide's count).
+        recovering = {s for s, *_ in retry}
+        for s, op, payload in sends:
+            if op in MUTATION_OPS and (s in results or s in recovering):
+                results[s] = self.logs[s].apply(op, payload)
         if app_error is not None:
             raise app_error
         # Recovery phase: respawn + replay, then retry each failed
-        # request exactly once against the recovered worker.
+        # query exactly once against the recovered worker.
         for s, op, payload, exc in retry:
             try:
-                gauges, last_op, last_reply = self.recover(s, op)
-                if op in MUTATION_OPS:
-                    # Logged before the send: the replay applied it.
-                    results[s] = self._synth_reply(
-                        op, gauges, last_op, last_reply
-                    )
-                else:
+                self.recover(s, op)
+                if op not in MUTATION_OPS:  # the replay applied a mutation
                     results[s] = self.workers[s].request(
                         op, payload, timeout=self.request_timeout
                     )
                 self.counter.requests_retried += 1
             except ShardFailed as exc2:
+                results.pop(s, None)
                 failed[s] = exc2
         if failed and on_failure == "raise":
             raise next(iter(failed.values()))

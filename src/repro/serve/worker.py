@@ -3,7 +3,11 @@
 A worker process builds a :class:`~repro.serve.shard.Shard` — the same
 class a :class:`~repro.serve.service.DensityService` hosts in process —
 over its shard's events only and answers requests against it over a
-duplex pipe (:func:`_serve` is the whole op table).  A live shard's
+duplex pipe (:func:`_serve` is the whole op table: ``query_points``,
+``query_region`` and ``stats`` read; ``static``, ``add``, ``remove`` and
+``slide`` mutate and reply ``None`` — the coordinator reads each shard's
+size, weight and earliest event off its own log of the shard's rows, and
+checks a ``remove`` there before sending it).  A live shard's
 :class:`~repro.core.incremental.IncrementalSTKDE` holds the window, once,
 in the bucket index the worker's point sums walk; every mutation leaves
 that index current, and the estimator is never asked for a volume, so a
@@ -58,7 +62,8 @@ def _serve(shard: Shard, op: str, payload: Any) -> Any:
     """Answer one request against the hosted shard.
 
     Reads return unnormalised partials (``norm=1.0``: only the coordinator
-    knows the total weight).  Mutations reply with the shard's gauges.
+    knows the total weight).  Mutations reply ``None``: the coordinator
+    reads every gauge off its own log of the shard's rows.
     """
     if op == "query_points":
         queries, eps, seed = payload
@@ -67,22 +72,17 @@ def _serve(shard: Shard, op: str, payload: Any) -> Any:
         return shard.region(VoxelWindow(*payload), 1.0).data
     if op == "stats":
         return shard.stats()
-    if op == "gauges":
-        return shard.gauges()
-    if op == "rejects_remove":
-        return shard.rejects_remove(payload)
-    retired = ()
     if op == "static":
         shard.load_static(*payload)
     elif op == "slide":
-        retired = (shard.slide(*payload),)
+        shard.slide(*payload)
     elif op == "add":
         shard.add(payload)
     elif op == "remove":
         shard.remove(payload)
     else:
         raise ValueError(f"unknown op {op!r}")
-    return retired + shard.gauges()
+    return None
 
 
 def _worker_main(

@@ -187,10 +187,10 @@ def sync(index, batches, counter=None):
 
 def sharded_state(svc):
     """Everything a rejected mutation must leave alone on a live sharded
-    service: coordinator gauges and prefactor, what each worker holds, and
-    the rows in each replay log."""
+    service: the gauges and prefactor read off the replay logs, what each
+    worker holds, and the rows in each log."""
     st = svc.stats()
     return (svc.events, svc.version, tuple(st["shard_events"]),
-            svc._norm(sum(svc._shard_weight)),
+            svc._norm(svc._weight()),
             tuple(w["events"] for w in st["workers"]),
             tuple(st["recovery"]["log_rows"]))

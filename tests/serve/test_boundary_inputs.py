@@ -239,6 +239,7 @@ def test_nan_horizon_is_rejected(mutations, entry):
 def test_nan_horizon_leaves_the_replay_logs_whole():
     """The sharded row again, then a crash: the shard comes back from a
     log the rejected slide never touched, so every answer is unchanged."""
+    from repro.core.incremental import IncrementalSTKDE
     from repro.serve import ShardLog
 
     grid = GridSpec(DomainSpec.from_voxels(16, 16, 16), hs=2.0, ht=2.0)
@@ -263,15 +264,20 @@ def test_nan_horizon_leaves_the_replay_logs_whole():
         assert sharded_state(sh) == before
     # The log refuses one on its own account, too.
     log = ShardLog()
-    log.record("add", seed)
+    log.add(seed)
     with pytest.raises(ValueError, match="NaN"):
-        log.record("slide", (seed[:3], float("nan")))
+        log.slide(seed[:3], float("nan"))
     assert log.rows == 500 and len(log) == 1
-    # +-inf stay legal: retire nothing / everything.
-    log.record("slide", (seed[:3], float("-inf")))
-    assert log.rows == 503
-    log.record("slide", (seed[:3], float("inf")))
-    assert log.rows == 0
+    # +-inf stay legal: retire nothing / everything before the arrivals
+    # land, as the estimator does.
+    inc = IncrementalSTKDE(grid)
+    inc.add(seed)
+    for horizon in (float("-inf"), float("inf")):
+        assert log.slide(seed[:3], horizon) == inc.slide_window(
+            seed[:3], horizon
+        )
+        assert log.rows == inc.n
+    assert log.rows == 3
 
 
 # ---------------------------------------------------------------------------

@@ -167,55 +167,86 @@ class TestTypedErrors:
 
 
 # ---------------------------------------------------------------------------
-# ShardLog: the replay source of truth
+# ShardLog: each shard's live rows, the replay source of truth
 # ---------------------------------------------------------------------------
 class TestShardLog:
     def _coords(self, ts):
         ts = np.asarray(ts, dtype=np.float64)
         return np.column_stack([np.ones_like(ts), np.ones_like(ts), ts])
 
-    def test_static_replaces_prior_entries(self):
+    def test_static_replaces_the_log(self):
         log = ShardLog()
-        log.record("add", self._coords([1.0, 2.0]))
-        log.record("static", (self._coords([5.0]), None))
-        assert len(log) == 1 and log.rows == 1
+        log.add(self._coords([1.0, 2.0]))
+        weights = np.array([2.0, 3.0])
+        log.load_static(self._coords([5.0, 6.0]), weights)
+        assert len(log) == 1 and log.rows == log.n == 2
+        assert log.weight == 5.0 and log.min_t == 5.0
+        (op, (coords, w)), = log.replay()
+        assert op == "static" and w is weights
+        np.testing.assert_array_equal(coords[:, 2], [5.0, 6.0])
+        # A snapshot takes no live mutation (a static service refuses
+        # them before they reach a shard).
+        with pytest.raises(ValueError, match="static"):
+            log.add(self._coords([7.0]))
+        assert log.rows == 2
 
-    def test_order_preserved_for_remove_semantics(self):
+    def test_slide_retires_rows_before_the_horizon_and_returns_the_count(self):
+        early, late = self._coords(np.arange(10.0)), self._coords([20.0, 21.0])
+        arriving = self._coords([3.0, 11.0])
+        log, inc = ShardLog(), IncrementalSTKDE(make_grid(vox=(4, 4, 24)))
+        for batch in (early, late):
+            log.add(batch)
+            inc.add(batch)
+        untouched = log.batches[1]
+        # The estimator's rule: rows of the live batches with t < 5 go,
+        # the arrivals are added whole (t = 3.0 included).
+        assert log.slide(arriving, 5.0) == 5
+        assert inc.slide_window(arriving, 5.0) == 5
+        assert log.rows == inc.n == 5 + 2 + 2 and len(log) == 3
+        assert log.min_t == inc.min_t == 3.0
+        # Only the batch the horizon cuts was read and rebuilt.
+        assert log.batches[1] is untouched
+        np.testing.assert_array_equal(log.batches[0].coords[:, 2],
+                                      np.arange(5.0, 10.0))
+        # Replay is window inserts: one add per live batch.
+        assert [op for op, _ in log.replay()] == ["add"] * 3
+        # A horizon past everything empties the log: it is bounded by
+        # the live window, not its history.
+        assert log.slide(np.empty((0, 3)), 100.0) == 9
+        assert len(log) == 0 and log.rows == 0 and log.min_t == np.inf
+
+    def test_remove_deletes_a_multiset_and_refuses_rows_not_live(self):
         log = ShardLog()
-        log.record("add", self._coords([1.0, 2.0, 3.0]))
-        log.record("remove", self._coords([2.0]))
-        assert [op for op, _ in log.entries] == ["add", "remove"]
+        log.add(self._coords([1.0, 2.0, 2.0, 3.0]))
+        log.add(self._coords([2.0, 4.0]))
+        # Duplicates are matched one for one, first batches first.
+        log.remove(self._coords([2.0, 2.0]))
+        assert log.rows == 4 and log.weight == 4.0
+        assert [b.coords[:, 2].tolist() for b in log.batches] == [
+            [1.0, 3.0], [2.0, 4.0]
+        ]
+        log.remove(self._coords([2.0]))
+        assert [b.coords[:, 2].tolist() for b in log.batches] == [
+            [1.0, 3.0], [4.0]
+        ]
+        batches = list(log.batches)
+        for bad in ([2.0], [1.0, 1.0], [9.0], [1.0, 3.0, 4.0, 4.0]):
+            with pytest.raises(ValueError, match="not live|present"):
+                log.remove(self._coords(bad))
+            assert log.batches == batches and log.rows == 3
+            assert log.weight == 3.0
+
+    def test_nan_horizon_is_refused_and_infinite_ones_are_legal(self):
+        log = ShardLog()
+        log.add(self._coords([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="NaN"):
+            log.slide(self._coords([4.0]), float("nan"))
+        assert log.rows == 3 and len(log) == 1
+        assert log.slide(self._coords([4.0]), float("-inf")) == 0
         assert log.rows == 4
-
-    def test_slide_truncates_retired_rows_and_empty_entries(self):
-        log = ShardLog()
-        log.record("add", self._coords(np.arange(10.0)))
-        log.record("slide", (self._coords([11.0, 12.0]), 5.0))
-        assert log.horizon == 5.0
-        # add rows with t < 5 retired; slide arrivals kept.
-        assert log.rows == 5 + 2
-        # A horizon past everything empties (and drops) every entry:
-        # the log is bounded by live traffic, not lifetime.
-        log.record("slide", (np.empty((0, 3)), 100.0))
-        assert len(log) == 0 and log.rows == 0
-        assert log.horizon == 100.0
-
-    def test_horizon_only_moves_forward(self):
-        log = ShardLog()
-        log.record("add", self._coords([1.0, 9.0]))
-        log.truncate(5.0)
-        log.truncate(2.0)  # stale horizon: no-op
-        assert log.horizon == 5.0 and log.rows == 1
-
-    def test_static_truncation_respects_weights(self):
-        log = ShardLog()
-        coords = self._coords([1.0, 6.0, 8.0])
-        weights = np.array([2.0, 3.0, 4.0])
-        log.record("static", (coords, weights))
-        log.truncate(5.0)
-        (op, (kept, w)), = log.entries
-        assert op == "static" and kept.shape[0] == 2
-        np.testing.assert_array_equal(w, [3.0, 4.0])
+        # +inf retires every live row; the arrivals still land.
+        assert log.slide(self._coords([5.0]), float("inf")) == 4
+        assert log.rows == 1 and log.min_t == 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +320,30 @@ class TestCrashRecovery:
             recovery = svc.stats()["recovery"]
             assert recovery["restarts_per_shard"][1] == 1
             assert recovery["down_shards"] == []
+
+    def test_crash_mid_slide_returns_the_single_process_retired_count(self):
+        """A slide the replay completed still reports every row it
+        retired: the count comes from the shard's log, which retires the
+        rows itself."""
+        grid = make_grid()
+        rng = np.random.default_rng(37)
+        span = span_of(grid)
+        seed = rng.uniform(0, span, size=(240, 3))
+        arriving = rng.uniform(0, span, size=(80, 3))
+        arriving[:, 2] = grid.domain.t0 + grid.domain.gt * 0.8
+        horizon = grid.domain.t0 + 3.0
+        inc = IncrementalSTKDE(grid)
+        inc.add(seed)
+        plan = FaultPlan((FaultSpec("crash", shard=1, op="slide"),))
+        with ShardedDensityService(
+            None, grid, workers=2, machine=NOMINAL,
+            fault_plan=plan, restart_backoff_s=0.01,
+        ) as svc:
+            svc.add(seed)
+            retired = svc.slide_window(arriving, horizon)  # shard 1 dies
+            assert svc.counter.shard_restarts == 1
+            assert retired == inc.slide_window(arriving, horizon)
+            assert svc.events == inc.n
 
     def test_live_workers_hold_a_window_and_never_stamp(self):
         """A live shard worker answers points from its index and regions
@@ -429,10 +484,10 @@ class TestCrashRecovery:
             )
 
     def test_rejected_mutation_does_not_poison_recovery(self):
-        """A mutation a healthy worker rejected was logged before the
-        send but never applied: it must leave that shard's replay log,
-        or every later recovery of the shard replays the rejection and
-        a recoverable crash becomes a permanent failure."""
+        """A mutation a healthy worker rejected was never applied: it
+        must stay out of that shard's replay log, or every later
+        recovery of the shard replays the rejection and a recoverable
+        crash becomes a permanent failure."""
         grid = make_grid()
         rng = np.random.default_rng(43)
         span = span_of(grid)
@@ -447,14 +502,13 @@ class TestCrashRecovery:
             fault_plan=plan, restart_backoff_s=0.01,
         ) as svc:
             svc.add(seed)
-            # The service asks the owners first and logs nothing ...
+            # The owners' logs refuse it before anything is sent ...
             with pytest.raises(ValueError, match="only .* present"):
                 svc.remove(surplus)  # more rows than either shard holds
             assert svc.stats()["recovery"]["log_entries"] == [1, 1]
-            # ... and a rejection that does reach a worker is un-logged by
-            # the supervisor itself.
+            # ... and a rejection that does reach a worker is never
+            # logged by the supervisor.
             part = surplus[svc.plan.owner_of(surplus[:, 0]) == 1]
-            svc._sup.record(1, "remove", part)
             with pytest.raises(ShardFailed, match="only .* present") as err:
                 svc._sup.scatter([(1, "remove", part)])
             assert not err.value.retryable
@@ -528,7 +582,7 @@ class TestDegradedReads:
             out = svc.query_points(queries, backend="sharded")
             assert isinstance(out, PartialResult)
             assert out.degraded and out.failed_shards == (1,)
-            w = svc._shard_weight
+            w = [log.weight for log in svc._sup.logs]
             assert out.coverage == pytest.approx(1.0 - w[1] / sum(w))
             assert 0.0 < out.coverage < 1.0
             assert svc.counter.degraded_queries == queries.shape[0]

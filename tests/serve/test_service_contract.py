@@ -352,15 +352,14 @@ def test_a_mutation_failing_part_way_leaves_no_stale_weight():
 # ---------------------------------------------------------------------------
 def test_a_shard_answers_the_same_in_process_and_behind_a_worker():
     """The class a worker hosts is the class the service hosts: the same
-    ops give ``array_equal`` unnormalised partials on either side of the
-    pipe, static (weighted) and live."""
+    ops give equal stats and ``array_equal`` unnormalised partials on
+    either side of the pipe, static (weighted) and live."""
     rng = np.random.default_rng(41)
     weights = rng.uniform(0.5, 2.0, size=len(EVENTS))
     arriving = rng.uniform([0, 0, 9.0], SPAN, size=(70, 3))
 
-    def both(shard, worker, state):
-        assert worker.request("gauges") == shard.gauges() == state
-        assert worker.request("stats")["events"] == shard.stats()["events"]
+    def both(shard, worker):
+        assert worker.request("stats") == shard.stats()
         for eps, seed in ((None, 0), (0.2, 7)):
             np.testing.assert_array_equal(
                 worker.request("query_points", (QUERIES, eps, seed)),
@@ -377,20 +376,25 @@ def test_a_shard_answers_the_same_in_process_and_behind_a_worker():
         try:
             if not live:
                 shard.load_static(EVENTS, weights)
-                state = worker.request("static", (EVENTS, weights))
-                assert state[:2] == (len(EVENTS), float(weights.sum()))
-                both(shard, worker, state)
+                assert worker.request("static", (EVENTS, weights)) is None
+                assert shard.stats()["weight"] == float(weights.sum())
+                both(shard, worker)
                 continue
             shard.add(EVENTS)
-            both(shard, worker, worker.request("add", EVENTS))
-            why = shard.rejects_remove(arriving[:1])
-            assert "not live" in why
-            assert worker.request("rejects_remove", arriving[:1]) == why
-            assert worker.request("rejects_remove", EVENTS[:9]) is None
+            worker.request("add", EVENTS)
+            both(shard, worker)
+            # Rows that are not live are refused on both sides, and
+            # neither side changes.
+            with pytest.raises(ValueError, match="not live"):
+                shard.remove(arriving[:1])
+            with pytest.raises(ShardFailed, match="not live"):
+                worker.request("remove", arriving[:1])
+            both(shard, worker)
             shard.remove(EVENTS[:9])
-            both(shard, worker, worker.request("remove", EVENTS[:9]))
-            retired, *state = worker.request("slide", (arriving, 4.0))
-            assert retired == shard.slide(arriving, 4.0) > 0
-            both(shard, worker, tuple(state))
+            worker.request("remove", EVENTS[:9])
+            both(shard, worker)
+            assert shard.slide(arriving, 4.0) > 0
+            worker.request("slide", (arriving, 4.0))
+            both(shard, worker)
         finally:
             worker.close()

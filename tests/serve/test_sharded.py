@@ -197,14 +197,16 @@ class TestLiveEquivalence:
                 ref.query_points(q, backend="direct"),
                 rtol=RTOL, atol=ATOL,
             )
-            # The routing gauges every mutation reply refreshes (running
-            # counts and unit t-ranges in the workers) against the rows
-            # each shard owns.
+            # The routing gauges, read off the replay logs, against the
+            # rows each shard owns and the events its worker holds.
             owner = svc.plan.owner_of(live[:, 0])
+            st = svc.stats()
             for s in range(svc.n_shards):
                 t = live[owner == s, 2]
-                assert svc.stats()["shard_events"][s] == len(t)
-                assert svc._shard_min_t[s] == (t.min() if len(t) else np.inf)
+                assert st["shard_events"][s] == len(t)
+                assert st["workers"][s]["events"] == len(t)
+                min_t = t.min() if len(t) else np.inf
+                assert svc._sup.logs[s].min_t == min_t
 
         with ShardedDensityService(
             None, grid, workers=3, machine=NOMINAL
