@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.algorithms.vb import accumulate_tile_legacy, vb
 from repro.core import DomainSpec, GridSpec, PointSet, WorkCounter
+from repro.core.grid import flat_view
 from repro.core.incremental import IncrementalSTKDE
 from repro.core.kernels import get_kernel
 from repro.core.regions import auto_slab_voxels, plan_stamp_shards
@@ -88,8 +89,8 @@ def threads_cell(grid: GridSpec, dataset: str, n: int, repeats: int) -> dict:
     coords = make_coords(grid, n, dataset)
     norm = 1.0 / n
 
-    vol_serial = np.zeros(grid.shape)
-    vol_threads = np.zeros(grid.shape)
+    vol_serial = grid.allocate()
+    vol_threads = grid.allocate()
 
     def serial() -> None:
         vol_serial.fill(0.0)
@@ -107,7 +108,7 @@ def threads_cell(grid: GridSpec, dataset: str, n: int, repeats: int) -> dict:
 
     counters = WorkCounter()
     run_threaded_stamping(
-        np.zeros(grid.shape), grid, kern, coords, norm, counters, THREADS_P
+        grid.allocate(), grid, kern, coords, norm, counters, THREADS_P
     )
     plan = plan_stamp_shards(grid, coords, THREADS_P)
     full_bytes = THREADS_P * grid.grid_bytes
@@ -334,11 +335,11 @@ def vb_tile_cell(n: int) -> dict:
     tiles = res.counter.tile_batches
 
     vol_legacy = grid.allocate()
-    flat = vol_legacy.reshape(-1)
+    flat = flat_view(vol_legacy)
     t0 = time.perf_counter()
     for start in range(0, flat.size, 2048):
         idx = np.arange(start, min(start + 2048, flat.size))
-        X, Y, T = np.unravel_index(idx, grid.shape)
+        X, Y, T = grid.voxels_at(idx)
         cx = grid.domain.x0 + (X + 0.5) * grid.domain.sres
         cy = grid.domain.y0 + (Y + 0.5) * grid.domain.sres
         ct = grid.domain.t0 + (T + 0.5) * grid.domain.tres

@@ -85,9 +85,9 @@ def run_cell(grid: GridSpec, dataset: str, n: int, repeats: int) -> dict:
     coords = make_coords(grid, n, dataset)
     norm = 1.0 / n
 
-    vol_loop = np.zeros(grid.shape)
-    vol_engine = np.zeros(grid.shape)
-    vol_threads = np.zeros(grid.shape)
+    vol_loop = grid.allocate()
+    vol_engine = grid.allocate()
+    vol_threads = grid.allocate()
 
     def loop() -> None:
         vol_loop.fill(0.0)
@@ -152,7 +152,7 @@ def run_backend_rows(grid: GridSpec, n: int, repeats: int) -> list:
     kern = get_kernel("epanechnikov")
     coords = make_coords(grid, n, "clustered")
     norm = 1.0 / n
-    vols = {name: np.zeros(grid.shape) for name in BACKEND_NAMES}
+    vols = {name: grid.allocate() for name in BACKEND_NAMES}
 
     def stamp(name: str) -> None:
         vols[name].fill(0.0)

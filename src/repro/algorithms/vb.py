@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.grid import GridSpec, PointSet, Volume
+from ..core.grid import GridSpec, PointSet, Volume, flat_view
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.kernels import KernelPair, get_kernel
 from ..core.regions import accumulate_voxel_tile, accumulate_voxel_tile_batch
@@ -86,8 +86,9 @@ def accumulate_tile_legacy(
 
 
 def _voxel_chunk_coords(grid: GridSpec, flat_idx: np.ndarray):
-    """Voxel-center coordinates (cx, cy, ct) for flat C-order indices."""
-    X, Y, T = np.unravel_index(flat_idx, grid.shape)
+    """Voxel-center coordinates (cx, cy, ct) for positions in a volume's
+    :func:`~repro.core.grid.flat_view`."""
+    X, Y, T = grid.voxels_at(flat_idx)
     cx = grid.domain.x0 + (X + 0.5) * grid.domain.sres
     cy = grid.domain.y0 + (Y + 0.5) * grid.domain.sres
     ct = grid.domain.t0 + (T + 0.5) * grid.domain.tres
@@ -116,7 +117,7 @@ def vb(
         vol = grid.allocate()
         counter.init_writes += vol.size
     norm = grid.normalization(points.n)
-    flat = vol.reshape(-1)
+    flat = flat_view(vol)
     px, py, pt = points.xs, points.ys, points.ts
     with timer.phase("compute"):
         for start in range(0, flat.size, voxel_chunk):
@@ -205,7 +206,7 @@ def vb_dec(
     pt_ext = np.append(pt, d.t0 - d.gt - 4.0 * grid.ht)
     sentinel = points.n
     pair_budget = voxel_chunk * _POINT_BLOCK
-    flat = vol.reshape(-1)
+    flat = flat_view(vol)
     cohorts: dict = {}
     n_cohort_tiles = 0
     with timer.phase("compute"):
@@ -222,14 +223,13 @@ def vb_dec(
                     cand_idx = np.concatenate(cand) if cand else np.empty(0, np.int64)
                     if cand_idx.size == 0:
                         continue
-                    # Voxels of this block, as flat indices.
+                    # Voxels of this block, as flat_view positions in
+                    # memory order.
                     xs = np.arange(a * bx, min((a + 1) * bx, grid.Gx))
                     ys = np.arange(b * bx, min((b + 1) * bx, grid.Gy))
                     tss = np.arange(c * bt, min((c + 1) * bt, grid.Gt))
-                    X, Y, T = np.meshgrid(xs, ys, tss, indexing="ij")
-                    idx = np.ravel_multi_index(
-                        (X.ravel(), Y.ravel(), T.ravel()), grid.shape
-                    )
+                    T, X, Y = np.meshgrid(tss, xs, ys, indexing="ij")
+                    idx = grid.flat_index(X.ravel(), Y.ravel(), T.ravel())
                     Kp = 1 << (int(cand_idx.size) - 1).bit_length()
                     if idx.size * Kp > pair_budget:
                         # Padding this block to its cohort width would

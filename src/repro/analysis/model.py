@@ -249,7 +249,7 @@ class MachineModel:
             )
             pts = rng.uniform([Hs, Hs, Ht], [Hs + spread, Hs + spread, Ht + spread],
                               size=(n, 3))
-            vol = np.zeros(g.shape)
+            vol = g.allocate()
             kern = get_kernel("epanechnikov")
             best = math.inf
             for _ in range(3):

@@ -18,10 +18,15 @@ paper's window bound holds exactly: every voxel whose center lies within
 ``[Xi - Hs, Xi + Hs]`` (resp. ``[Ti - Ht, Ti + Ht]``) around the point's
 voxel — see :meth:`GridSpec.point_window` and the proof in the tests.
 
-Volumes are C-ordered ``float64`` arrays of shape ``(Gx, Gy, Gt)``; keeping
-time as the last (contiguous) axis makes the temporal-invariant "bar"
-multiplications of PB-SYM cache-friendly, mirroring the layout discussion in
-the paper's Section 6.3.
+Volumes are ``float64`` arrays indexed ``[x, y, t]`` (shape ``(Gx, Gy, Gt)``)
+and stored **t-outermost**: memory holds one ``(Gx, Gy)`` plane per time
+step, y contiguous (:func:`empty_volume`).  A t-slab of the grid — the
+incremental estimator's retirement unit, the buffer of a time-localised
+batch — is then one contiguous run of memory, so composing buffers and
+zero-filling slabs stream instead of striding; this is the memory-traffic
+argument the paper makes for its init-dominated instances (Section 6.3,
+Figure 7).  Indexing never depends on the layout; only code that walks
+memory flat (:func:`flat_view`, :meth:`GridSpec.flat_index`) does.
 """
 
 from __future__ import annotations
@@ -32,7 +37,10 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-__all__ = ["DomainSpec", "GridSpec", "PointSet", "Volume", "VoxelWindow"]
+__all__ = [
+    "DomainSpec", "GridSpec", "PointSet", "Volume", "VoxelWindow",
+    "empty_volume", "zeros_volume", "flat_view",
+]
 
 
 def _ceil_div_pos(a: float, b: float) -> int:
@@ -168,6 +176,43 @@ class VoxelWindow:
             and self.y0 <= Y < self.y1
             and self.t0 <= T < self.t1
         )
+
+
+def empty_volume(shape: Tuple[int, int, int]) -> np.ndarray:
+    """Uninitialised ``float64`` array indexed ``[x, y, t]``, stored
+    t-outermost: the ``(Gt, Gx, Gy)`` C-order block seen through
+    ``transpose(1, 2, 0)``.  Every volume and buffer of the library is
+    allocated here or by :func:`zeros_volume` (zeroed by
+    :meth:`GridSpec.allocate` / :class:`~repro.core.regions.RegionBuffer`,
+    or by a strategy's own fill phase), so there is one layout."""
+    sx, sy, st = shape
+    return np.empty((st, sx, sy), dtype=np.float64).transpose(1, 2, 0)
+
+
+def zeros_volume(shape: Tuple[int, int, int]) -> np.ndarray:
+    """:func:`empty_volume` from ``np.zeros``: large arrays come as
+    copy-on-write zero pages that the first write materialises, so a
+    caller whose first pass writes every page pays no separate fill."""
+    sx, sy, st = shape
+    return np.zeros((st, sx, sy), dtype=np.float64).transpose(1, 2, 0)
+
+
+def flat_view(vol: np.ndarray) -> np.ndarray:
+    """1-D view of an :func:`empty_volume`-layout array's memory.
+
+    Voxel ``(X, Y, T)`` of a ``(Gx, Gy, Gt)`` volume sits at
+    ``(T * Gx + X) * Gy + Y`` (:meth:`GridSpec.flat_index`).
+    ``vol.reshape(-1)`` would *copy* such an array, and writes through
+    the copy would be lost; this raises ``ValueError`` instead for any
+    array not in the layout (a C-order array, an x- or strided slice).
+    """
+    mem = vol.transpose(2, 0, 1)
+    if not mem.flags.c_contiguous:
+        raise ValueError(
+            "flat_view needs an array in the volume layout (empty_volume); "
+            f"got shape {vol.shape} with strides {vol.strides}"
+        )
+    return mem.reshape(-1)
 
 
 def check_bandwidths(hs: float, ht: float) -> None:
@@ -307,8 +352,20 @@ class GridSpec:
             raise ValueError("normalization requires n >= 1 points")
         return 1.0 / (n * self.hs * self.hs * self.ht)
 
+    def flat_index(self, X, Y, T) -> np.ndarray:
+        """Positions of voxels ``(X, Y, T)`` in a volume's
+        :func:`flat_view` (memory order: t outermost, y contiguous)."""
+        return np.ravel_multi_index((T, X, Y), (self.Gt, self.Gx, self.Gy))
+
+    def voxels_at(self, flat: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Voxel indices ``(X, Y, T)`` at :func:`flat_view` positions —
+        the inverse of :meth:`flat_index`."""
+        T, X, Y = np.unravel_index(flat, (self.Gt, self.Gx, self.Gy))
+        return X, Y, T
+
     def allocate(self) -> np.ndarray:
-        """Allocate a zero-initialised density volume for this grid.
+        """Allocate a zero-initialised density volume for this grid, in
+        the t-outermost layout of :func:`empty_volume`.
 
         Uses ``empty`` + ``fill`` rather than ``zeros``: ``zeros`` maps
         copy-on-write zero pages that are only materialised on first write,
@@ -317,7 +374,7 @@ class GridSpec:
         explicit fill performs the real first-touch the paper's Section 6.3
         discusses.
         """
-        vol = np.empty(self.shape, dtype=np.float64)
+        vol = empty_volume(self.shape)
         vol.fill(0.0)
         return vol
 

@@ -73,7 +73,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .grid import GridSpec, PointSet, Volume, VoxelWindow
+from .grid import GridSpec, PointSet, Volume, VoxelWindow, zeros_volume
 from .index import BucketIndex
 from .instrument import WorkCounter
 from .kernels import KernelPair, get_kernel
@@ -527,7 +527,8 @@ class IncrementalSTKDE:
         for tb in self._live:
             if tb.buffer is None:
                 self._stamp_unit(tb)
-        data = np.zeros(self.grid.shape)
+        # Lazily zeroed pages: the buffers' adds are their first touch.
+        data = zeros_volume(self.grid.shape)
         for tb in sorted(self._live, key=lambda tb: tb.order):
             tb.buffer.add_into(data)
         if self._n:

@@ -46,7 +46,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .backends import ComputeBackend, get_backend
-from .grid import GridSpec, VoxelWindow
+from .grid import GridSpec, VoxelWindow, empty_volume
 from .instrument import WorkCounter, null_counter
 from .kernels import KernelPair
 from .stamping import batch_windows, stamp_batch
@@ -83,8 +83,10 @@ def accumulate_voxel_tile(
 
     The engine's voxel-based write path, shared by VB and VB-DEC:
     ``cx/cy/ct`` are the chunk's voxel-center coordinates, ``px/py/pt`` the
-    point block, ``vox_index`` the chunk's flat C-order indices into
-    ``out_flat``.  The kernel products are evaluated on the full tile and
+    point block, ``vox_index`` the chunk's positions in ``out_flat`` — a
+    volume's :func:`~repro.core.grid.flat_view`, whose voxels
+    :meth:`~repro.core.grid.GridSpec.voxels_at` names.  The kernel
+    products are evaluated on the full tile and
     masked (preserving the Theta(voxels * points) operation profile of
     Algorithm 1), summed over the point axis, and scattered in one indexed
     add.  Each call is one tile batch (``counter.tile_batches``).
@@ -177,6 +179,9 @@ class RegionBuffer:
     and any future replica path.  The buffer's voxel ``(0, 0, 0)`` sits at
     ``window``'s origin in grid coordinates; :meth:`stamp` routes through
     the batched stamping engine with the matching ``vol_origin``.
+    ``data`` is indexed ``[x, y, t]`` and stored t-outermost, like every
+    volume (:func:`~repro.core.grid.empty_volume`), so the buffer adds
+    into its window of a volume one contiguous ``(wx, wy)`` plane per t.
     """
 
     __slots__ = ("window", "data")
@@ -187,7 +192,7 @@ class RegionBuffer:
         self.window = window
         # empty + fill, like GridSpec.allocate: perform the real first-touch
         # so buffer zeroing shows up in timings the way the paper measures.
-        self.data = np.empty(window.shape, dtype=np.float64)
+        self.data = empty_volume(window.shape)
         self.data.fill(0.0)
 
     @property

@@ -33,9 +33,10 @@ space-time lattice (the paper's Section 5 point decomposition, used here
 for locality instead of parallelism); every *crowded* bin — one whose
 stamps cover a good fraction of its box, see :func:`_stamp_crowded_bins` —
 tabulates its disks ``(m, BX, BY)`` and bars ``(m, BT)`` once in the box
-frame and reduces them with a single ``disk.reshape(m, -1).T @ bar``
-followed by one slice-add of the ``(BX, BY, BT)`` partial: no 4-D
-contribution array, no flat index array.  Points in bins
+frame and reduces them with a single ``bar.T @ disk.reshape(m, -1)``
+followed by one slice-add of the ``(BT, BX, BY)`` partial — t-outermost,
+like the volume it is added to: no 4-D contribution array, no flat
+index array.  Points in bins
 that are not crowded, and the per-voxel baseline modes, take the cohort
 route above unchanged; a batch with no crowded bin leaves the shortcut
 after one ``bincount`` of bin keys.  Exact partial sums over disjoint
@@ -172,18 +173,23 @@ def _scatter_slab(
 ) -> None:
     """Accumulate a cohort slab's contribution cylinders into ``vol``.
 
-    One unbuffered indexed add over the target's flat view: stamp ``i``'s
-    cell ``c`` lands at ``home[i] + cell[c]``, with ``home`` the stamp's
-    origin and ``cell`` the cohort shape's offsets, both in ``vol``'s own
-    element strides.  ``np.add.at`` walks the pairs in order — stamp by
-    stamp, each stamp's cells once — which is the very sequence of
-    additions of one slice-add per stamp, so the two are bit-identical;
-    the cost follows the cells written, not the box that contains them.
+    One unbuffered indexed add over the target's flat memory: stamp
+    ``i``'s cell ``c`` lands at ``home[i] + cell[c]``, with ``home`` the
+    stamp's origin and ``cell`` the cohort shape's offsets, both in
+    ``vol``'s own element strides.  Any target whose elements fill one
+    block of memory in some axis order — a volume or buffer of the
+    t-outermost layout (:func:`~repro.core.grid.empty_volume`), a t-slab
+    of one, a C- or Fortran-order array — is added through its memory-
+    order flat view (``ravel(order="K")``).  ``np.add.at`` walks the
+    pairs in order — stamp by stamp, each stamp's cells once — which is
+    the very sequence of additions of one slice-add per stamp, so the two
+    are bit-identical; the cost follows the cells written, not the box
+    that contains them.
 
-    A non-contiguous ``vol`` has no flat view (``reshape`` would copy and
-    the adds be lost) and takes the per-stamp slice-adds.  A flat index
-    outside ``vol`` would wrap silently where a slice raised, so windows
-    that leave the target are rejected first.
+    Any other target (a strided slice) has no flat view (``reshape``
+    would copy and the adds be lost) and takes :func:`_slice_adds`.  A
+    flat index outside ``vol`` would wrap silently where a slice raised,
+    so windows that leave the target are rejected first.
     """
     m, wx, wy, wt = contrib.shape
     ox, oy, ot = vol_origin
@@ -198,31 +204,53 @@ def _scatter_slab(
             f"vol_origin={vol_origin} does not contain every clipped window "
             "(pass clip= to restrict the stamps to the target's window)"
         )
-    if not vol.flags.c_contiguous:
-        for i in range(m):
-            vol[
-                x0[i] : x0[i] + wx, y0[i] : y0[i] + wy, t0[i] : t0[i] + wt
-            ] += contrib[i]
+    # Memory order: a view exactly when the elements fill one block,
+    # else a copy that would swallow the adds.
+    mem = vol.ravel(order="K")
+    if not np.may_share_memory(mem, vol):
+        _slice_adds(vol, contrib, x0, y0, t0)
         return
     # The fast ufunc.at loop needs a 1-D target, intp indices and float64
     # values; the multi-index form is an order of magnitude slower.
-    home = (x0 * sy + y0) * st + t0
+    ex, ey, et = (s // vol.itemsize for s in vol.strides)
+    home = x0 * ex + y0 * ey + t0 * et
     cell = (
-        (np.arange(wx)[:, None, None] * sy + np.arange(wy)[None, :, None]) * st
-        + np.arange(wt)[None, None, :]
+        (np.arange(wx) * ex)[:, None, None]
+        + (np.arange(wy) * ey)[None, :, None]
+        + (np.arange(wt) * et)[None, None, :]
     ).reshape(-1)
     flat = home[:, None] + cell[None, :]
-    np.add.at(vol.reshape(-1), flat.reshape(-1), contrib.reshape(-1))
+    np.add.at(mem, flat.reshape(-1), contrib.reshape(-1))
+
+
+def _slice_adds(
+    vol: np.ndarray,
+    contrib: np.ndarray,
+    x0: np.ndarray,
+    y0: np.ndarray,
+    t0: np.ndarray,
+) -> None:
+    """One slice-add per stamp: :func:`_scatter_slab`'s route for a
+    target with no flat view (origins already relative to ``vol``)."""
+    _, wx, wy, wt = contrib.shape
+    for i in range(contrib.shape[0]):
+        vol[
+            x0[i] : x0[i] + wx, y0[i] : y0[i] + wy, t0[i] : t0[i] + wt
+        ] += contrib[i]
 
 
 def _bin_edges(grid: GridSpec) -> Tuple[int, int, int]:
     """Bin edge in voxels along x, y, t of the per-bin GEMM route's lattice.
 
     One bandwidth wide in space, so a bin's box (bin + halo) is three
-    stamps across and a few points already cover it; four in time, the
-    contiguous axis of the volume, where longer bars make longer runs for
-    the GEMM and the slice-add.  The floors keep narrow bandwidths from
-    cutting a cluster into bins too small to amortise their dispatch.
+    stamps across and a few points already cover it; four bandwidths in
+    time, so the box's temporal halo (``2 Ht``) is half the bin's own
+    extent and the GEMM's ``(bt, bx*by)`` partial — one contiguous
+    ``(bx, by)`` plane of the t-outermost volume per row — has enough
+    rows to amortise a bin.  Measured on the t-outermost layout
+    (docs/PERFORMANCE.md, "Volume layout"): two or eight bandwidths read
+    slower, three or six no faster.  The floors keep narrow bandwidths
+    from cutting a cluster into bins too small to amortise their dispatch.
     """
     es = max(grid.Hs, 8)
     return es, es, max(4 * grid.Ht, 16)
@@ -251,8 +279,9 @@ def _stamp_crowded_bins(
     clipped grid) and to at least :data:`_MIN_BIN_CELLS`.  Tabulating
     every point's disk and bar over the whole box then costs less than
     scattering the stamps one cell at a time.  Each crowded bin is reduced as
-    ``disk.reshape(m, -1).T @ bar`` — the sum over its points of
-    ``disk (x) bar`` — and added to ``vol`` with one slice-add.  The box is
+    ``bar.T @ disk.reshape(m, -1)`` — the sum over its points of
+    ``bar (x) disk``, one ``(bx, by)`` plane per t, the volume's memory
+    order — and added to ``vol`` with one slice-add.  The box is
     the bounding box of the bin's clipped windows, so it lies inside the
     grid and ``clip``; cells of it outside a point's own window are
     outside that point's kernel support and tabulate to zero.
@@ -336,7 +365,9 @@ def _stamp_crowded_bins(
             )
             if ws is not None:
                 bar *= ws[s:e, None]
-            target += (disk.reshape(e - s, bx * by).T @ bar).reshape(bx, by, bt)
+            # (bt, bx*by): t-outermost, the target's own memory order.
+            partial = bar.T @ disk.reshape(e - s, bx * by)
+            target += partial.reshape(bt, bx, by).transpose(1, 2, 0)
     return live[~hot]
 
 
@@ -363,8 +394,10 @@ def stamp_batch(
         Target array: a full ``(Gx, Gy, Gt)`` volume or a subarray whose
         voxel ``(0, 0, 0)`` sits at ``vol_origin`` in grid coordinates.
         It must contain every clipped stamp window (``ValueError``
-        otherwise — pass ``clip`` with a smaller buffer).  C-contiguous
-        targets take the flat indexed add; any other layout is
+        otherwise — pass ``clip`` with a smaller buffer).  Targets whose
+        elements fill one block of memory (any :func:`~repro.core.grid.
+        empty_volume` volume or buffer, a t-slab of one, C or Fortran
+        order) take the flat indexed add; a strided target is
         accumulated with one slice-add per stamp, to the same bits.
     coords:
         ``(n, 3)`` rows of ``(x, y, t)`` in domain space.
@@ -441,11 +474,12 @@ def stamp_batch(
     for k in range(n_cohorts):
         idx = live[inverse == k]
         counter.stamp_cohorts += 1
-        # Sort the cohort by window origin so that consecutive slabs write
-        # compact, cache-resident regions of the target even when the
-        # cohort spans the whole grid.  Deterministic (lexicographic)
-        # accumulation order within a slab.
-        idx = idx[np.lexsort((T0[idx], Y0[idx], X0[idx]))]
+        # Sort the cohort by window origin in the volume layout's memory
+        # order (t, then x, then y) so that consecutive stamps, and the
+        # slabs cut from them, write compact, cache-resident regions of
+        # the target even when the cohort spans the whole grid.
+        # Deterministic (lexicographic) accumulation order within a slab.
+        idx = idx[np.lexsort((Y0[idx], X0[idx], T0[idx]))]
         cwx = int(wx[idx[0]])
         cwy = int(wy[idx[0]])
         cwt = int(wt[idx[0]])

@@ -26,11 +26,9 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import numpy as np
-
 from ..algorithms.base import STKDEResult, register_algorithm
 from ..algorithms.pb_sym import stamp_points_sym
-from ..core.grid import GridSpec, PointSet, Volume
+from ..core.grid import GridSpec, PointSet, Volume, empty_volume
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.kernels import KernelPair, get_kernel
 from .executors import ExecTask, Phase, run_phases, zero_fill_phase
@@ -80,7 +78,7 @@ def pb_sym_dd(
         occupied = [int(b) for b in binning.occupied()]
 
     # --- init phase: the single shared volume, slab-parallel.
-    vol = np.empty(grid.shape, dtype=np.float64)
+    vol = empty_volume(grid.shape)
     init = zero_fill_phase(vol, P, counter)
 
     # --- compute phase: one independent task per occupied subdomain.

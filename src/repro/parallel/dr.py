@@ -31,7 +31,7 @@ import numpy as np
 
 from ..algorithms.base import STKDEResult, register_algorithm
 from ..algorithms.pb_sym import stamp_points_sym
-from ..core.grid import GridSpec, PointSet, Volume
+from ..core.grid import GridSpec, PointSet, Volume, empty_volume
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.kernels import KernelPair, get_kernel
 from .executors import ExecTask, Phase, check_memory_budget, run_phases, slab_slices
@@ -87,9 +87,9 @@ def pb_sym_dr(
     # The output volume is one of the P+1 copies; it is *not* zeroed here —
     # the reduce phase overwrites it (as Algorithm 4's final loop does), so
     # its first touch is accounted to the reduce tasks.
-    out = np.empty(grid.shape, dtype=np.float64)
+    out = empty_volume(grid.shape)
     chunks = slab_slices(points.n, P)
-    slabs = slab_slices(grid.Gx, P)
+    slabs = slab_slices(grid.Gt, P)  # t: the volume layout's outermost axis
     counters = [WorkCounter() for _ in range(P)]
 
     def make_init(p: int):
@@ -112,10 +112,10 @@ def pb_sym_dr(
     def make_reduce(p: int):
         def fn() -> None:
             sl = slabs[p]
-            acc = out[sl]
-            np.copyto(acc, locals_[0][sl])  # type: ignore[index]
+            acc = out[:, :, sl]
+            np.copyto(acc, locals_[0][:, :, sl])  # type: ignore[index]
             for q in range(1, P):
-                acc += locals_[q][sl]  # type: ignore[index]
+                acc += locals_[q][:, :, sl]  # type: ignore[index]
             counters[p].reduce_adds += P * acc.size
 
         return fn

@@ -302,12 +302,13 @@ def slab_slices(n: int, P: int) -> List[slice]:
 
 def zero_fill_phase(vol: np.ndarray, P: int, counter: WorkCounter) -> Phase:
     """The ``init`` step of the shared-volume strategies: ``P`` slab fills
-    of ``vol`` along its leading axis, memory-bound, charged to
+    of ``vol`` along t, the outermost axis of the volume layout (each
+    slab one contiguous block), memory-bound, charged to
     ``counter.init_writes`` here."""
     counter.init_writes += vol.size
     tasks = [
-        ExecTask(functools.partial(vol[sl].fill, 0.0), label=("init", p))
-        for p, sl in enumerate(slab_slices(vol.shape[0], P))
+        ExecTask(functools.partial(vol[:, :, sl].fill, 0.0), label=("init", p))
+        for p, sl in enumerate(slab_slices(vol.shape[2], P))
     ]
     return Phase("init", tasks, bound="memory")
 

@@ -30,11 +30,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from ..algorithms.base import STKDEResult, register_algorithm
 from ..algorithms.pb_sym import stamp_points_sym
-from ..core.grid import GridSpec, PointSet, Volume
+from ..core.grid import GridSpec, PointSet, Volume, empty_volume
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.kernels import KernelPair, get_kernel
 from .color import (
@@ -101,7 +99,7 @@ def run_point_decomposition(
         graph, id_map = build_task_graph(coloring, adjacency, loads)
 
     # --- init phase (slab-parallel zeroing of the one shared volume).
-    vol = np.empty(grid.shape, dtype=np.float64)
+    vol = empty_volume(grid.shape)
     init = zero_fill_phase(vol, P, counter)
 
     # --- compute tasks: one per occupied block, *unclipped* stamping.

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..algorithms.base import STKDEResult, register_algorithm
 from ..algorithms.pb_sym import stamp_points_sym
-from ..core.grid import GridSpec, PointSet, Volume
+from ..core.grid import GridSpec, PointSet, Volume, empty_volume
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.invariants import stamp_cells
 from ..core.kernels import KernelPair, get_kernel
@@ -177,7 +177,7 @@ def pb_sym_pd_rep(
     # ------------------------------------------------------------------
     # Build the expanded task list + graph.
     # ------------------------------------------------------------------
-    vol = np.empty(grid.shape, dtype=np.float64)
+    vol = empty_volume(grid.shape)
     init = zero_fill_phase(vol, P, counter)
 
     tasks: List[ExecTask] = []
@@ -227,7 +227,7 @@ def pb_sym_pd_rep(
                 )
 
                 def rep_fn(chunk=chunk, j=j, halo=halo, tid=tid, buffers=buffers):
-                    buf = np.empty(halo.shape, dtype=np.float64)
+                    buf = empty_volume(halo.shape)
                     buf.fill(0.0)
                     task_counters[tid].init_writes += buf.size
                     stamp_points_sym(

@@ -597,8 +597,13 @@ class RegionResult:
 
     @property
     def is_view(self) -> bool:
-        """Whether ``data`` aliases a larger (materialised-volume) array."""
-        return self.data.base is not None
+        """Whether ``data`` aliases a larger (materialised-volume) array.
+
+        A direct result is a :class:`~repro.core.regions.RegionBuffer`'s
+        t-outermost array, itself a view, but of exactly its own cells.
+        """
+        base = self.data.base
+        return isinstance(base, np.ndarray) and base.size > self.data.size
 
     def time_slice(self, T: int = 0) -> np.ndarray:
         """The ``(wx, wy)`` spatial slice at window-relative time ``T``."""

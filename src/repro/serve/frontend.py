@@ -64,7 +64,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.grid import VoxelWindow
+from ..core.grid import VoxelWindow, empty_volume
 from ..core.instrument import LatencyHistogram, WorkCounter
 from .engine import (
     RegionResult,
@@ -809,7 +809,7 @@ class TrafficFrontend:
             result = item.chunk_results[0]
         else:
             W = item.window
-            data = np.empty(W.shape, dtype=np.float64)
+            data = empty_volume(W.shape)
             for r in item.chunk_results:
                 data[:, :, r.window.t0 - W.t0:r.window.t1 - W.t0] = r.data
             data.flags.writeable = False

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DomainSpec, GridSpec, PointSet, Volume, VoxelWindow
+from repro.core.grid import empty_volume, flat_view, zeros_volume
+from repro.core.regions import RegionBuffer
 
 
 class TestDomainSpec:
@@ -104,7 +106,54 @@ class TestGridSpec:
         assert vol.shape == small_grid.shape
         assert vol.dtype == np.float64
         assert not vol.any()
-        assert vol.flags["C_CONTIGUOUS"]
+        # t-outermost memory, y contiguous: [x, y, t] -> (Gy, 1, Gx*Gy).
+        gx, gy, _ = small_grid.shape
+        assert vol.strides == (8 * gy, 8, 8 * gx * gy)
+
+
+#: Grids with degenerate (size-1) axes, where strides are easiest to get
+#: wrong, beside an ordinary one.
+LAYOUT_SHAPES = [(16, 14, 20), (1, 1, 1), (5, 1, 7), (1, 9, 1), (3, 4, 1)]
+
+
+class TestVolumeLayout:
+    """One layout, t-outermost memory under ``[x, y, t]`` indexing, and a
+    flat view that is never a copy."""
+
+    @pytest.mark.parametrize("shape", LAYOUT_SHAPES)
+    def test_allocate_and_its_flat_view_share_memory(self, shape):
+        grid = GridSpec(DomainSpec.from_voxels(*shape), hs=1.0, ht=1.0)
+        for vol in (grid.allocate(), RegionBuffer(grid.full_window()).data,
+                    empty_volume(shape), zeros_volume(shape)):
+            flat = flat_view(vol)
+            assert np.shares_memory(flat, vol)
+            assert flat.shape == (vol.size,)
+
+    @pytest.mark.parametrize("shape", LAYOUT_SHAPES)
+    def test_flat_index_addresses_the_flat_view(self, shape):
+        """A write through the flat view at ``flat_index(X, Y, T)`` lands
+        on ``vol[X, Y, T]``, and ``voxels_at`` inverts ``flat_index``."""
+        grid = GridSpec(DomainSpec.from_voxels(*shape), hs=1.0, ht=1.0)
+        vol = grid.allocate()
+        X, Y, T = np.meshgrid(*(np.arange(n) for n in shape), indexing="ij")
+        X, Y, T = X.ravel(), Y.ravel(), T.ravel()
+        idx = grid.flat_index(X, Y, T)
+        flat_view(vol)[idx] = np.arange(vol.size, dtype=np.float64)
+        np.testing.assert_array_equal(
+            vol, np.arange(vol.size, dtype=np.float64).reshape(shape)
+        )
+        for got, want in zip(grid.voxels_at(idx), (X, Y, T)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.sort(idx), np.arange(vol.size))
+
+    @pytest.mark.parametrize("make", [
+        lambda g: np.zeros(g.shape),                # C order
+        lambda g: g.allocate()[:, :, ::2],          # strided
+        lambda g: g.allocate()[2:5],                # x-slab
+    ], ids=["c_order", "strided", "x_slab"])
+    def test_flat_view_refuses_what_would_be_a_copy(self, small_grid, make):
+        with pytest.raises(ValueError, match="volume layout"):
+            flat_view(make(small_grid))
 
 
 class TestWindowCoverage:

@@ -15,6 +15,7 @@ import pytest
 from repro.algorithms.pb_sym import pb_sym
 from repro.algorithms.vb import accumulate_tile_legacy, vb, vb_dec
 from repro.core import DomainSpec, GridSpec, PointSet, VoxelWindow, WorkCounter
+from repro.core.grid import flat_view
 from repro.core.kernels import available_kernels, get_kernel
 from repro.core.regions import (
     RegionBuffer,
@@ -40,12 +41,12 @@ def grid():
 def legacy_vb_volume(grid, kernel, points, voxel_chunk=2048, point_block=512):
     """Reference VB density via the retained legacy tile loop."""
     vol = grid.allocate()
-    flat = vol.reshape(-1)
+    flat = flat_view(vol)
     norm = grid.normalization(points.n)
     px, py, pt = points.xs, points.ys, points.ts
     for start in range(0, flat.size, voxel_chunk):
         idx = np.arange(start, min(start + voxel_chunk, flat.size))
-        X, Y, T = np.unravel_index(idx, grid.shape)
+        X, Y, T = grid.voxels_at(idx)
         cx = grid.domain.x0 + (X + 0.5) * grid.domain.sres
         cy = grid.domain.y0 + (Y + 0.5) * grid.domain.sres
         ct = grid.domain.t0 + (T + 0.5) * grid.domain.tres

@@ -27,7 +27,9 @@ from repro.core.backends import (
     available_backends,
     get_backend,
 )
+from repro.core.grid import empty_volume
 from repro.core.kernels import available_kernels, get_kernel
+from repro.core.regions import RegionBuffer
 import repro.core.stamping as stamping
 from repro.core.stamping import STAMP_MODES, batch_windows, stamp_batch
 
@@ -307,7 +309,7 @@ def brute_force(grid, kernel, coords, norm):
 
 class TestCrowdedBinGemm:
     """The per-bin GEMM route of ``mode="sym"``: crowded space-time bins
-    are reduced as ``disk.T @ bar`` instead of outer product + scatter."""
+    are reduced as ``bar.T @ disk`` instead of outer product + scatter."""
 
     @pytest.fixture
     def wide(self):
@@ -538,8 +540,10 @@ class TestDirectScatter:
 
     @staticmethod
     def both(monkeypatch, shape, *args, **kw):
-        """``(engine, reference)``: same tables, flat add vs slice-adds."""
-        got = np.zeros(shape)
+        """``(engine, reference)``: same tables, flat add into a volume-
+        layout target vs slice-adds into a C-order one."""
+        got = empty_volume(shape)
+        got.fill(0.0)
         stamp_batch(got, *args, **kw)
         with monkeypatch.context() as m:
             m.setattr(stamping, "_scatter_slab", slice_add_scatter)
@@ -638,23 +642,68 @@ class TestDirectScatter:
         np.testing.assert_allclose(vol, brute_force(narrow, kern, coords, norm),
                                    rtol=RTOL, atol=ATOL)
 
-    @pytest.mark.parametrize("layout", ["strided", "fortran"])
-    def test_non_contiguous_target_takes_slice_adds(self, narrow, layout):
-        """``reshape(-1)`` of such a target is a copy: the flat adds would
-        be lost, so the per-stamp fallback must carry them."""
+    @staticmethod
+    def slice_add_calls(monkeypatch):
+        """Count the per-stamp fallback's calls (it still runs)."""
+        calls = []
+        fallback = stamping._slice_adds
+
+        def spy(*args):
+            calls.append(1)
+            fallback(*args)
+
+        monkeypatch.setattr(stamping, "_slice_adds", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "layout", ["allocate", "region_buffer", "t_slab", "c_order", "fortran"]
+    )
+    def test_block_targets_take_the_flat_add(self, narrow, monkeypatch, layout):
+        """Every target whose elements fill one block of memory — the
+        volume layout's volumes and buffers, a t-slab of one, a C- or
+        Fortran-order array — is added through its flat view, never the
+        per-stamp fallback, and to the same bits."""
+        kern = get_kernel("epanechnikov")
+        coords = self.batch()
+        # The t-slab: stamps clipped to t in [5, 17) of an allocated volume.
+        t_slab = layout == "t_slab"
+        clip = VoxelWindow(0, narrow.Gx, 0, narrow.Gy, 5, 17) if t_slab else None
+        ref = np.zeros(narrow.shape)
+        stamp_batch(ref, narrow, kern, coords, 1.0, WorkCounter(), clip=clip)
+        calls = self.slice_add_calls(monkeypatch)
+        backing = {
+            "allocate": narrow.allocate,
+            "region_buffer": lambda: RegionBuffer(narrow.full_window()).data,
+            "t_slab": narrow.allocate,
+            "c_order": lambda: np.zeros(narrow.shape),
+            "fortran": lambda: np.zeros(narrow.shape, order="F"),
+        }[layout]()
+        target = backing[:, :, 5:17] if t_slab else backing
+        stamp_batch(target, narrow, kern, coords, 1.0, WorkCounter(), clip=clip,
+                    vol_origin=(0, 0, 5) if t_slab else (0, 0, 0))
+        assert calls == []
+        np.testing.assert_array_equal(backing, ref)
+
+    @pytest.mark.parametrize("layout", ["every_other_t", "reversed_x"])
+    def test_strided_target_takes_slice_adds(self, narrow, monkeypatch, layout):
+        """The flat view of a strided (or negatively strided) target is a
+        copy: the flat adds would be lost, so the per-stamp fallback must
+        carry them."""
         kern = get_kernel("epanechnikov")
         coords = self.batch()
         flat = np.zeros(narrow.shape)
         stamp_batch(flat, narrow, kern, coords, 1.0, WorkCounter())
-        if layout == "strided":
+        calls = self.slice_add_calls(monkeypatch)
+        if layout == "every_other_t":
             backing = np.zeros((narrow.Gx, narrow.Gy, 2 * narrow.Gt))
             target = backing[:, :, ::2]
         else:
-            backing = target = np.zeros(narrow.shape, order="F")
-        assert not target.flags.c_contiguous
+            backing = narrow.allocate()
+            target = backing[::-1]  # negative x stride
         stamp_batch(target, narrow, kern, coords, 1.0, WorkCounter())
+        assert calls
         np.testing.assert_array_equal(target, flat)
-        if layout == "strided":
+        if layout == "every_other_t":
             assert not backing[:, :, 1::2].any()
 
     @pytest.mark.parametrize("origin", [(6, 0, 0), (0, 0, 4), (0, 0, 0)])

@@ -121,6 +121,16 @@ class TestVolumeNpy:
         back = load_volume(tmp_path / "vol.npy")
         np.testing.assert_array_equal(back.data, v.data)
 
+    def test_round_trip_of_a_t_outermost_volume(self, tmp_path):
+        """Volumes are stored t-outermost; the file holds and gives back
+        the same ``[x, y, t]`` values."""
+        v = self.make_volume()
+        data = v.grid.allocate()
+        data[...] = v.data
+        assert not data.flags.c_contiguous
+        save_volume(Volume(data, v.grid), tmp_path / "vol.npy")
+        np.testing.assert_array_equal(load_volume(tmp_path / "vol.npy").data, v.data)
+
     def test_round_trip_geometry(self, tmp_path):
         v = self.make_volume()
         save_volume(v, tmp_path / "vol.npy")

@@ -232,6 +232,22 @@ class TestCLI:
         assert rc == 0
         assert "hotspots" in capsys.readouterr().out
 
+    def test_estimate_out_holds_the_in_process_volume(self, tmp_path, rng):
+        """``--out`` of a t-outermost volume loads back as the same
+        ``[x, y, t]`` values the library computes."""
+        from repro.core import PointSet
+
+        pts = PointSet(rng.uniform(0, 20, size=(80, 3)))
+        save_points_csv(pts, tmp_path / "events.csv")
+        vol_file = tmp_path / "vol.npy"
+        assert cli_main([
+            "estimate", "--points", str(tmp_path / "events.csv"),
+            "--hs", "2.5", "--ht", "2.0", "--out", str(vol_file),
+        ]) == 0
+        want = STKDE(hs=2.5, ht=2.0).estimate(pts).data
+        assert not want.flags.c_contiguous
+        np.testing.assert_array_equal(np.load(vol_file), want)
+
     def test_select(self, capsys):
         rc = cli_main([
             "select", "--instance", "PollenUS_Hr-Mb", "--scale", "test",

@@ -69,6 +69,22 @@ class TestSaveVTK:
             v.data, rtol=1e-6,
         )
 
+    def test_t_outermost_volume_exports_its_xyt_values(self, tmp_path):
+        """A volume in the t-outermost layout writes the same file as a
+        C-order copy of its values, x fastest."""
+        v = make_volume()
+        data = v.grid.allocate()
+        data[...] = v.data
+        assert not data.flags.c_contiguous
+        a = save_vtk(v, tmp_path / "c.vtk").read_text()
+        b = save_vtk(Volume(data, v.grid), tmp_path / "t.vtk").read_text()
+        assert a == b
+        lines = b.splitlines()
+        start = lines.index("LOOKUP_TABLE default") + 1
+        values = np.array([float(x) for line in lines[start:] for x in line.split()])
+        want = np.array([float(f"{x:.8g}") for x in data.transpose(2, 1, 0).ravel()])
+        np.testing.assert_array_equal(values, want)
+
     def test_point_count_declared(self, tmp_path):
         v = make_volume()
         out = save_vtk(v, tmp_path / "vol.vtk")
