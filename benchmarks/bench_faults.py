@@ -116,7 +116,7 @@ def mttr_row(grid, n, machine, queries, seed) -> dict:
     want = ref.query_points(queries, backend="direct")
     with build_service(grid, adds, arriving, horizon, machine) as svc:
         log = svc._sup.logs[1]
-        state_rows, state_batches = log.rows, len(log)
+        state_rows, state_batches = log.n, len(log)
         kill_worker(svc, 1)
         t0 = time.perf_counter()
         svc._sup.recover(1)

@@ -58,6 +58,7 @@ from ..core.index import BucketIndex
 from ..core.instrument import WorkCounter
 from ..core.kernels import KernelPair, get_kernel
 from ..core.stamping import stamp_batch
+from ..core.window import coerce_horizon, coerce_unweighted
 from ..parallel.executors import resolve_shard_count
 from .cache import QueryCache, digest_queries
 from .engine import (
@@ -151,9 +152,10 @@ class DensityService:
         self.grid = grid
         self.counter = source.counter if self._live else WorkCounter()
         #: The events served in process, behind their index.
+        self._inc = source if self._live else None
         self._shard = Shard(
             grid, self.kernel, counter=self.counter,
-            inc=source if self._live else None,
+            window=source.window if self._live else None,
         )
         if not self._live:
             pts = source if isinstance(source, PointSet) else PointSet(source)
@@ -173,7 +175,7 @@ class DensityService:
     @property
     def version(self) -> int:
         """Dataset version currently served (0 forever for static sources)."""
-        return self._shard.inc.version if self._live else 0
+        return self._inc.version if self._inc is not None else 0
 
     @property
     def weighted(self) -> bool:
@@ -245,7 +247,7 @@ class DensityService:
         self._sync()
         if self._volume is None:
             if self._live:
-                self._volume = self._shard.inc.volume().data
+                self._volume = self._inc.volume().data
                 self._volume_build_backend = "incremental"
             else:
                 vol = self.grid.allocate()
@@ -491,13 +493,13 @@ class DensityService:
     def add(self, points: Union[PointSet, np.ndarray]) -> None:
         """Insert events into the live window."""
         self._check_live("add")
-        self._shard.inc.add(points)
+        self._inc.add(points)
 
     def remove(self, points: Union[PointSet, np.ndarray]) -> None:
         """Retire live events; rows that are not live raise ``ValueError``
         before anything changes."""
         self._check_live("remove")
-        self._shard.inc.remove(points)
+        self._inc.remove(points)
 
     def slide_window(
         self, new_points: Union[PointSet, np.ndarray], t_horizon: float
@@ -505,7 +507,7 @@ class DensityService:
         """Add ``new_points`` and retire every event with ``t <
         t_horizon``; returns the number retired."""
         self._check_live("slide_window")
-        return self._shard.inc.slide_window(new_points, t_horizon)
+        return self._inc.slide_window(new_points, t_horizon)
 
     # ------------------------------------------------------------------
     # Observability / lifecycle
@@ -533,13 +535,12 @@ class DensityService:
         cache = self.cache.stats()
         lookups = cache["hits"] + cache["misses"]
         work = c.as_dict()
-        inc = self._shard.inc
+        inc = self._inc
         if inc is not None:
             # How many of the live source's units any read has stamped:
             # 0 of ``units_live`` while every answer comes off the index.
-            work.update(
-                units_live=inc.units_live, units_stamped=inc.units_stamped
-            )
+            work.update(units_live=inc.units_live,
+                        units_stamped=inc.units_stamped)
         # Realised-vs-requested ε of the approximate tier: the mean
         # requested budget against the mean realised relative standard
         # error the sampler's own stop rule recorded per query.
@@ -912,8 +913,11 @@ class ShardedDensityService(DensityService):
         The supervisor logs the mutation for every shard that applied it
         — or whose replay will — so the logs, and every gauge read off
         them, stay what the workers hold even when the scatter raises
-        after some shards applied their part.
+        after some shards applied their part.  Nothing to send (a quiet
+        slide) changes nothing, and ``version`` stays.
         """
+        if not payloads:
+            return {}
         for payload in payloads.values():
             self.counter.shard_messages += 1
             self.counter.shard_rows_shipped += len(
@@ -939,9 +943,7 @@ class ShardedDensityService(DensityService):
         """
         self._sync()
         self._check_live(op)
-        coords = np.asarray(
-            IncrementalSTKDE._coerce_unweighted(points), dtype=np.float64
-        )
+        coords = coerce_unweighted(points)
         payloads = {
             s: coords[rows]
             for s, rows in enumerate(self.plan.partition(coords)) if rows.size
@@ -949,8 +951,7 @@ class ShardedDensityService(DensityService):
         if op == "remove":
             for s, rows in payloads.items():
                 self._sup.logs[s].claims(rows)
-        if payloads:
-            self._route(op, payloads)
+        self._route(op, payloads)
 
     def add(self, points: Union[PointSet, np.ndarray]) -> None:
         """Insert events, routed to their owning shards only."""
@@ -973,10 +974,8 @@ class ShardedDensityService(DensityService):
         """
         self._sync()
         self._check_live("slide_window")
-        coords = np.asarray(
-            IncrementalSTKDE._coerce_unweighted(new_points), dtype=np.float64
-        )
-        t_horizon = IncrementalSTKDE._coerce_horizon(t_horizon)
+        coords = coerce_unweighted(new_points)
+        t_horizon = coerce_horizon(t_horizon)
         retired = self._route("slide", {
             s: (coords[rows], t_horizon)
             for s, rows in enumerate(self.plan.partition(coords))

@@ -3,9 +3,9 @@
 A :class:`Shard` holds one disjoint subset of the events — a static
 ``(coords, weights)`` snapshot behind a
 :class:`~repro.core.index.BucketIndex` built on first use, or a live
-:class:`~repro.core.incremental.IncrementalSTKDE` window, whose rows *are*
-its index — and gives the two answers the serving tier is built from:
-kernel sums at points and a stamped voxel region.  Both take the prefactor ``norm`` as
+:class:`~repro.core.window.Window` over an index of its own — and gives
+the two answers the serving tier is built from: kernel sums at points and
+a stamped voxel region.  Both take the prefactor ``norm`` as
 an *argument*: the engine folds it into a region's stamps and derives the
 sampler's floor from it, so scaling afterwards would change bits.  A
 :class:`~repro.serve.service.DensityService` hosts one shard in process
@@ -42,16 +42,17 @@ under identical float arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from ..core.grid import GridSpec, VoxelWindow
-from ..core.incremental import IncrementalSTKDE
 from ..core.index import BucketIndex
 from ..core.instrument import WorkCounter
 from ..core.kernels import KernelPair, get_kernel
 from ..core.regions import plan_serving_shards
+from ..core.window import Window, slab_split
 from .engine import RegionResult, approx_sum, direct_region, direct_sum
 
 __all__ = ["Shard", "ShardPlan", "plan_shards"]
@@ -61,12 +62,13 @@ class Shard:
     """One shard's events, their bucket index, and the answers over them.
 
     Built from picklable facts only (``kernel`` may be a name), so a
-    worker can construct it after ``spawn``.  ``inc`` hands
-    in a live estimator the caller keeps feeding; without one the shard
-    serves whatever :meth:`load_static` gave it, or becomes live on its
-    first :meth:`add` / :meth:`remove` / :meth:`slide`.  A live shard
-    holds no rows of its own: the estimator keeps them, once, in its
-    index, which every mutation leaves up to date.
+    worker can construct it after ``spawn``.  ``window`` hands in a live
+    :class:`~repro.core.window.Window` over a
+    :class:`~repro.core.index.BucketIndex` the caller keeps feeding (a
+    live estimator's); without one the shard serves whatever
+    :meth:`load_static` gave it, or becomes live on its first
+    :meth:`add` / :meth:`remove` / :meth:`slide`, over an index of its
+    own.  A live window's index *is* the shard's index.
     """
 
     def __init__(
@@ -75,12 +77,12 @@ class Shard:
         kernel: str | KernelPair,
         *,
         counter: Optional[WorkCounter] = None,
-        inc: Optional[IncrementalSTKDE] = None,
+        window: Optional[Window] = None,
     ) -> None:
         self.grid = grid
         self.kernel = get_kernel(kernel)
         self.counter = counter if counter is not None else WorkCounter()
-        self.inc = inc
+        self.window = window
         self.weights: Optional[np.ndarray] = None
         self._coords = np.empty((0, 3))  # the static snapshot
         self._index: Optional[BucketIndex] = None  # the snapshot's
@@ -100,13 +102,13 @@ class Shard:
     def rows(self) -> np.ndarray:
         """Current event rows: the snapshot, or the live window gathered
         from its index (a copy, in the index's row order)."""
-        return self._coords if self.inc is None else self.inc.live_coords
+        return self._coords if self.window is None else self.window.store.live_rows()
 
     def index(self) -> BucketIndex:
         """The bucket index over the current events: a live window's
         own, or the snapshot's, built on first use."""
-        if self.inc is not None:
-            return self.inc.index
+        if self.window is not None:
+            return self.window.store
         if self._index is None:
             self._index = BucketIndex(
                 self.grid, self._coords, self.weights, counter=self.counter
@@ -115,14 +117,14 @@ class Shard:
 
     def index_stats(self) -> Optional[dict]:
         """The index's gauges (``None`` while a snapshot's is unbuilt)."""
-        if self.inc is None and self._index is None:
+        if self.window is None and self._index is None:
             return None
         return self.index().stats()
 
     @property
     def events(self) -> int:
         """Number of events held (a running count for a live window)."""
-        return self.inc.n if self.inc is not None else len(self._coords)
+        return self.window.n if self.window is not None else len(self._coords)
 
     def weight(self) -> float:
         """This shard's share of the estimator's total weight ``W``."""
@@ -132,38 +134,35 @@ class Shard:
 
     def stats(self) -> dict:
         """Size and this shard's work counter, as one picklable dict."""
-        stats = {
+        return {
             "events": self.events,
             "weight": self.weight(),
             "work": self.counter.as_dict(),
         }
-        if self.inc is not None:
-            # Neither answer reads a volume, so nothing here stamps the
-            # window: ``units_stamped`` moves only if the host does.
-            stats["units_live"] = self.inc.units_live
-            stats["units_stamped"] = self.inc.units_stamped
-        return stats
 
     # -- mutations --------------------------------------------------------
-    def _live(self) -> IncrementalSTKDE:
-        if self.inc is None:
-            # One counter per shard: the estimator's slide and index
-            # gauges show up in :meth:`stats`'s ``work``.
-            self.inc = IncrementalSTKDE(
-                self.grid, kernel=self.kernel, counter=self.counter,
-            )
+    def _mutate(self, op, *args):
+        """Apply window op ``op`` — becoming live first, over an index of
+        the shard's own — then the index's upkeep."""
+        if self.window is None:
+            # One counter per shard: the window's index gauges show up in
+            # :meth:`stats`'s ``work``.
+            self.window = Window(BucketIndex(self.grid),
+                                 partial(slab_split, self.grid), self.counter)
             self._coords, self.weights, self._index = np.empty((0, 3)), None, None
-        return self.inc
+        out = op(self.window, *args)
+        self.window.store.maintain(self.counter)
+        return out
 
     def add(self, rows: np.ndarray) -> None:
-        self._live().add(rows)
+        self._mutate(Window.add, rows)
 
     def remove(self, rows: np.ndarray) -> None:
-        self._live().remove(rows)
+        self._mutate(Window.remove, rows)
 
     def slide(self, rows: np.ndarray, t_horizon: float) -> int:
         """Add ``rows``, retire events before ``t_horizon``; the count retired."""
-        return self._live().slide_window(rows, t_horizon)
+        return self._mutate(Window.slide, rows, t_horizon)
 
     # -- answers ----------------------------------------------------------
     def points(

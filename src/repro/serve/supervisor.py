@@ -1,14 +1,14 @@
 """Supervision and replay-based recovery for the sharded worker pool.
 
-The coordinator already routes every mutation to the shard that owns it;
-:class:`ShardLog` keeps what those mutations leave behind — each shard's
-**live rows**, as the batches that brought them — which makes the
-coordinator the authoritative copy of each worker's state.  The logs are
-also where the coordinator reads a shard's size, weight and earliest
-event from, and what a ``remove`` is checked against before anything is
-sent.  When a worker dies (pipe EOF / sentinel) or wedges (request
-deadline), :class:`ShardSupervisor` reaps the process, respawns it with
-exponential backoff, and replays the shard's log into the fresh child:
+The coordinator routes every mutation to the shard that owns it, and
+:class:`ShardLog` — the same :class:`~repro.core.window.Window` rule the
+worker runs, over plain arrays — keeps each shard's **live rows**: the
+coordinator's authoritative copy of each worker's state, where it reads a
+shard's size, weight and earliest event and checks a ``remove`` before
+anything is sent.  When a worker dies (pipe EOF / sentinel) or wedges
+(request deadline), :class:`ShardSupervisor` reaps the process, respawns
+it with exponential backoff, and replays the shard's log into the fresh
+child:
 one ``static``, or one ``add`` per live batch (window inserts).  The
 replayed worker holds the dead one's rows (the chaos tests pin
 ``rtol=1e-12`` against a cold single-process rebuild).  A restart budget
@@ -32,12 +32,12 @@ never applied it.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.incremental import IncrementalSTKDE, match_live
 from ..core.instrument import WorkCounter
+from ..core.window import RowDict, Window
 from .errors import ShardDown, ShardFailed
 from .faults import FaultPlan
 from .worker import ShardWorker
@@ -48,134 +48,54 @@ __all__ = ["ShardLog", "ShardSupervisor"]
 MUTATION_OPS = frozenset({"static", "add", "remove", "slide"})
 
 
-class _Batch(NamedTuple):
-    """One arrival batch's live rows and their t-range."""
+class ShardLog(Window):
+    """The live rows of one shard: a :class:`~repro.core.window.Window` of
+    the arrival batches that brought them, over a
+    :class:`~repro.core.window.RowDict`, plus the ``static`` snapshot flag
+    and its ``weights``.
 
-    coords: np.ndarray
-    t_lo: float
-    t_hi: float
-
-
-def _batch(coords: np.ndarray) -> _Batch:
-    t = coords[:, 2]
-    return _Batch(coords, float(t.min()), float(t.max()))
-
-
-class ShardLog:
-    """The live rows of one shard, as the batches that brought them.
-
-    A ``static`` snapshot is one batch with its weights and replaces the
-    log; ``add`` appends a batch; ``slide`` retires rows before the
-    horizon by the estimator's rule (only the batches the horizon cuts
-    are read) and appends the arrivals; ``remove`` deletes rows as a
-    multiset through :func:`~repro.core.incremental.match_live`, the
-    matcher the estimator uses.  The log therefore holds exactly the rows
-    the worker holds — bounded by the live window, not its history —
-    with running ``n`` and ``weight`` totals.  A snapshot takes no
-    ``add`` / ``remove`` / ``slide`` (a static service refuses them).
+    Its rule is the estimator's, so it holds exactly the rows the worker
+    holds — bounded by the live window, not its history.  A ``static``
+    snapshot is one batch with its weights and replaces the log; it takes
+    no live mutation (a static service refuses them before they reach a
+    shard).
     """
 
     def __init__(self) -> None:
-        self.batches: List[_Batch] = []
+        super().__init__(RowDict())
         self.static = False
         self.weights: Optional[np.ndarray] = None  # the snapshot's
-        self.n = 0
-        self.weight = 0.0
 
     def __len__(self) -> int:
-        return len(self.batches)
+        return len(self.units)
 
     @property
-    def rows(self) -> int:
-        """Total coordinate rows a replay would ship."""
-        return self.n
-
-    @property
-    def min_t(self) -> float:
-        """Earliest live event time (``inf`` for an empty shard)."""
-        return min((b.t_lo for b in self.batches), default=np.inf)
+    def weight(self) -> float:
+        """This shard's share of the total weight ``W``."""
+        return float(self.n if self.weights is None else self.weights.sum())
 
     def apply(self, op: str, payload: Any) -> Any:
         """Log one mutation the worker applied; a slide's retired count."""
         if op == "static":
             return self.load_static(*payload)
-        if op == "slide":
-            return self.slide(*payload)
-        if op == "add":
-            return self.add(payload)
-        if op == "remove":
-            return self.remove(payload)
-        raise ValueError(f"unloggable op {op!r}")
-
-    def load_static(
-        self, coords: np.ndarray, weights: Optional[np.ndarray] = None
-    ) -> None:
-        """Replace the log with one snapshot."""
-        self.batches = [_batch(coords)] if len(coords) else []
-        self.static, self.weights = True, weights
-        self.n = len(coords)
-        self.weight = (
-            float(self.n) if weights is None else float(weights.sum())
-        )
-
-    def _count(self, rows: int) -> None:
         if self.static:
             raise ValueError("a static snapshot takes no live mutation")
-        self.n += rows
-        self.weight += rows
+        if op == "slide":
+            return self.slide(*payload)
+        return getattr(self, op)(payload)  # add / remove
 
-    def add(self, coords: np.ndarray) -> None:
-        self._count(len(coords))
-        if len(coords):
-            self.batches.append(_batch(coords))
-
-    def slide(self, coords: np.ndarray, t_horizon: float) -> int:
-        """Retire rows with ``t < t_horizon``, then add ``coords``; the
-        count retired.  A NaN horizon raises before anything changes."""
-        t_horizon = IncrementalSTKDE._coerce_horizon(t_horizon)
-        kept: List[_Batch] = []
-        retired = 0
-        for b in self.batches:
-            if b.t_lo >= t_horizon:
-                kept.append(b)
-            elif b.t_hi >= t_horizon:
-                rows = b.coords[b.coords[:, 2] >= t_horizon]
-                kept.append(_batch(rows))
-                retired += len(b.coords) - len(rows)
-            else:
-                retired += len(b.coords)
-        self._count(-retired)
-        self.batches = kept
+    def load_static(self, coords: np.ndarray,
+                    weights: Optional[np.ndarray] = None) -> None:
+        """Replace the log with one snapshot."""
+        self.__init__()
         self.add(coords)
-        return retired
-
-    def remove(self, coords: np.ndarray) -> None:
-        """Delete rows as a multiset; rows that are not live raise
-        ``ValueError`` with the log untouched."""
-        drops = self.claims(coords)
-        self._count(-len(coords))
-        kept: List[_Batch] = []
-        for i, b in enumerate(self.batches):
-            drop = drops.get(i)
-            if drop is None:
-                kept.append(b)
-            elif not drop.all():
-                kept.append(_batch(b.coords[~drop]))
-        self.batches = kept
-
-    def claims(self, coords: np.ndarray) -> Dict[int, np.ndarray]:
-        """Per batch, the rows a ``remove`` of ``coords`` would delete
-        (pure; raises ``ValueError`` when a row is not live)."""
-        return match_live(
-            coords, [(b.t_lo, b.t_hi) for b in self.batches],
-            lambda i: self.batches[i].coords, self.n,
-        )
+        self.static, self.weights = True, weights
 
     def replay(self) -> List[Tuple[str, Any]]:
         """The requests that rebuild this shard in a fresh worker."""
         if self.static:
-            return [("static", (b.coords, self.weights)) for b in self.batches]
-        return [("add", b.coords) for b in self.batches]
+            return [("static", (rows, self.weights)) for _, rows in self.batches()]
+        return [("add", rows) for _, rows in self.batches()]
 
 
 class ShardSupervisor:
@@ -394,5 +314,5 @@ class ShardSupervisor:
             "restarts_per_shard": list(self.restarts),
             "down_shards": self.down_shards(),
             "log_entries": [len(log) for log in self.logs],
-            "log_rows": [log.rows for log in self.logs],
+            "log_rows": [log.n for log in self.logs],
         }

@@ -7,12 +7,10 @@ duplex pipe (:func:`_serve` is the whole op table: ``query_points``,
 ``query_region`` and ``stats`` read; ``static``, ``add``, ``remove`` and
 ``slide`` mutate and reply ``None`` — the coordinator reads each shard's
 size, weight and earliest event off its own log of the shard's rows, and
-checks a ``remove`` there before sending it).  A live shard's
-:class:`~repro.core.incremental.IncrementalSTKDE` holds the window, once,
-in the bucket index the worker's point sums walk; every mutation leaves
-that index current, and the estimator is never asked for a volume, so a
-worker never stamps.  Workers compute **unnormalised partial sums**
-(``norm=1.0``): only the coordinator knows
+checks a ``remove`` there before sending it).  A live shard is a
+:class:`~repro.core.window.Window` over the bucket index its point sums
+walk, and no estimator: a worker never stamps.  Workers compute
+**unnormalised partial sums** (``norm=1.0``): only the coordinator knows
 the window's total weight, so it applies the ``1 / (W hs^2 ht)``
 prefactor after gathering — which is also what makes the partition
 exact, since the per-shard partials are plain kernel sums over disjoint

@@ -16,6 +16,11 @@ from repro.core.index import BucketIndex
 from tests.helpers import make_points, multiset
 
 
+def buffers(inc):
+    """Each live unit's buffer, in tracking order (``None``: unstamped)."""
+    return [inc._stamped.get(u.id, (None, None))[1] for u in inc.window.units]
+
+
 @pytest.fixture
 def grid():
     return GridSpec(DomainSpec.from_voxels(22, 20, 30), hs=2.6, ht=2.2)
@@ -158,7 +163,7 @@ class TestRegionCacheReuse:
         inc.add(late)
         inc.volume()
         assert inc.units_stamped == 2
-        late_buffer = inc._live[1].buffer
+        late_buffer = buffers(inc)[1]
         late_cells = late_buffer.cells
         retired = inc.slide_window(fresh, t_horizon=12.0)
         assert retired == len(early)
@@ -168,7 +173,7 @@ class TestRegionCacheReuse:
         expect = pb_sym(PointSet(np.vstack([late, fresh])), grid)
         np.testing.assert_allclose(inc.volume().data, expect.data,
                                    rtol=1e-10, atol=1e-15)
-        assert inc._live[0].buffer is late_buffer
+        assert buffers(inc)[0] is late_buffer
 
     def test_partial_retirement_restamps_survivors(self, grid):
         """A horizon cutting through a cached batch: the cache is dropped
@@ -251,13 +256,13 @@ class TestRegionCacheReuse:
         np.testing.assert_array_equal(
             multiset(inc.live_coords), multiset(slab[10:])
         )
-        assert all(tb.buffer is None for tb in inc._live)
+        assert inc.units_stamped == 0
         ref = pb_sym(PointSet(slab[10:]), grid)
         np.testing.assert_allclose(
             inc.volume().data, ref.data, rtol=1e-9, atol=1e-15
         )
         assert inc.cached_buffer_cells > 0
-        assert all(tb.buffer is not None for tb in inc._live)
+        assert inc.units_stamped == inc.units_live
         inc.slide_window(np.empty((0, 3)), t_horizon=10.0)
         assert inc.n == 0
         assert np.allclose(inc.volume().data, 0.0, atol=1e-12)
@@ -379,13 +384,9 @@ class TestAutoIsTheGeometricRule:
             inc.add(batch.copy())
             assert (inc.units_live > 1) == slabbed
             inc.slide_window(np.empty((0, 3)), 0.3 * t_share * grid.domain.gt)
-        assert len(auto._live) == len(pinned._live)
-        for a, b in zip(auto._live, pinned._live):
-            assert a.batch_id == b.batch_id
-            assert a.bbox == b.bbox
-            np.testing.assert_array_equal(
-                auto.index.rows(a.batch_id), pinned.index.rows(b.batch_id)
-            )
+        assert auto.window.units == pinned.window.units
+        for a, b in zip(auto.live_batches, pinned.live_batches):
+            np.testing.assert_array_equal(a[1], b[1])
         np.testing.assert_array_equal(
             auto.volume().data, pinned.volume().data
         )
@@ -459,7 +460,7 @@ class TestBitExactWarmCold:
         cold = self._cold_replay(grid, warm)
         assert cold.units_stamped == 0
         np.testing.assert_array_equal(warm.volume().data, cold.volume().data)
-        assert all(tb.buffer is not None for tb in warm._live)
+        assert warm.units_stamped == warm.units_live
         # A window nobody read until now composes the same bits.
         unread = self._slide_many(
             grid, np.random.default_rng(60), read_every=10**6)
@@ -501,7 +502,7 @@ class TestBitExactWarmCold:
         assert len(warm.live_batches) > 3
         cold = self._cold_replay(grid, warm)
         np.testing.assert_array_equal(warm.volume().data, cold.volume().data)
-        assert all(tb.buffer is not None for tb in warm._live)
+        assert warm.units_stamped == warm.units_live
         np.testing.assert_allclose(
             warm.volume().data, pb_sym(PointSet(warm.live_coords), grid).data,
             rtol=1e-12, atol=1e-16,
@@ -559,11 +560,10 @@ class TestOneLiveState:
             inc.add(b)
         inc.remove(batches[1][:9])
         inc.slide_window(batches[0][:4] + [0.0, 0.0, 5.0], t_horizon=6.0)
-        for tb in inc._live:
-            fields = vars(tb).values()
-            assert not any(isinstance(v, np.ndarray) for v in fields)
+        for u in inc.window.units:
+            assert not any(isinstance(v, np.ndarray) for v in u)
         units = [rows for _, rows in inc.live_batches]
-        assert [len(r) for r in units] == [tb.n for tb in inc._live]
+        assert [len(r) for r in units] == [u.n for u in inc.window.units]
         assert inc.index.n == inc.n == sum(map(len, units))
         np.testing.assert_array_equal(
             multiset(np.vstack(units)), multiset(inc.live_coords)
@@ -614,7 +614,7 @@ class TestOneLiveState:
         np.testing.assert_allclose(
             inc.volume().data, pb_sym(both, grid).data, rtol=1e-12, atol=1e-18
         )
-        assert not inc._live[1].buffer.data.any()
+        assert not buffers(inc)[1].data.any()
         inc.remove(outside[:5])
         assert inc.n == 35
         np.testing.assert_array_equal(
@@ -701,7 +701,7 @@ class TestOneLiveState:
             18, 5, 20, 10, 12, 15, 17, 19]
         assert [len(c) for _, c in inc.live_batches] == [
             68, 120, 36, 40, 40, 40, 40, 40]
-        assert [i for i, tb in enumerate(inc._live) if tb.buffer is None] == [2]
+        assert [i for i, b in enumerate(buffers(inc)) if b is None] == [2]
 
         unread = IncrementalSTKDE(grid)
         unread.add(first)
@@ -760,21 +760,23 @@ class TestBuffersAreACache:
         for k in range(4):
             inc.add(self._feed(grid, rng, k))
         inc.volume()
-        held = {tb.batch_id: tb.buffer for tb in inc._live}
+        held = dict(zip((u.id for u in inc.window.units), buffers(inc)))
         before = self._kernel_work(inc)
         arrived = [self._feed(grid, rng, k) for k in (4, 5, 6)]
         for k, feed in zip((4, 5, 6), arrived):
             inc.slide_window(feed, t_horizon=3.0 * (k - 3))
         assert self._kernel_work(inc) == before
         pending = [
-            inc.index.rows(tb.batch_id) for tb in inc._live
-            if tb.buffer is None
+            rows for (_, rows), b in zip(inc.live_batches, buffers(inc))
+            if b is None
         ]
         inc.volume()
         # Units that survived unchanged kept the same buffer object ...
-        survivors = [tb for tb in inc._live if tb.batch_id in held]
-        assert survivors and all(
-            tb.buffer is held[tb.batch_id] for tb in survivors)
+        survivors = [
+            (held[u.id], b) for u, b in zip(inc.window.units, buffers(inc))
+            if u.id in held
+        ]
+        assert survivors and all(a is b for a, b in survivors)
         # ... and the read cost what a fresh estimator pays for the
         # pending units alone.
         alone = IncrementalSTKDE(grid, t_slab_voxels=None)
@@ -810,12 +812,12 @@ class TestBuffersAreACache:
             inc.slide_window(self._feed(grid, rng, k), t_horizon=3.0 * (k - 2))
         one = inc.volume().data
         after_one = self._kernel_work(inc)
-        buffers = [tb.buffer for tb in inc._live]
+        held = buffers(inc)
         two = inc.volume().data
         np.testing.assert_array_equal(one, two)
         assert one is not two
         assert self._kernel_work(inc) == after_one
-        assert all(a is b.buffer for a, b in zip(buffers, inc._live))
+        assert all(a is b for a, b in zip(held, buffers(inc)))
 
 
 class TestWeightedInputsRejected:

@@ -267,7 +267,7 @@ def test_nan_horizon_leaves_the_replay_logs_whole():
     log.add(seed)
     with pytest.raises(ValueError, match="NaN"):
         log.slide(seed[:3], float("nan"))
-    assert log.rows == 500 and len(log) == 1
+    assert log.n == 500 and len(log) == 1
     # +-inf stay legal: retire nothing / everything before the arrivals
     # land, as the estimator does.
     inc = IncrementalSTKDE(grid)
@@ -276,8 +276,8 @@ def test_nan_horizon_leaves_the_replay_logs_whole():
         assert log.slide(seed[:3], horizon) == inc.slide_window(
             seed[:3], horizon
         )
-        assert log.rows == inc.n
-    assert log.rows == 3
+        assert log.n == inc.n
+    assert log.n == 3
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ class TestShardLog:
         log.add(self._coords([1.0, 2.0]))
         weights = np.array([2.0, 3.0])
         log.load_static(self._coords([5.0, 6.0]), weights)
-        assert len(log) == 1 and log.rows == log.n == 2
+        assert len(log) == 1 and log.n == 2
         assert log.weight == 5.0 and log.min_t == 5.0
         (op, (coords, w)), = log.replay()
         assert op == "static" and w is weights
@@ -187,8 +187,8 @@ class TestShardLog:
         # A snapshot takes no live mutation (a static service refuses
         # them before they reach a shard).
         with pytest.raises(ValueError, match="static"):
-            log.add(self._coords([7.0]))
-        assert log.rows == 2
+            log.apply("add", self._coords([7.0]))
+        assert log.n == 2
 
     def test_slide_retires_rows_before_the_horizon_and_returns_the_count(self):
         early, late = self._coords(np.arange(10.0)), self._coords([20.0, 21.0])
@@ -197,23 +197,24 @@ class TestShardLog:
         for batch in (early, late):
             log.add(batch)
             inc.add(batch)
-        untouched = log.batches[1]
+        untouched = log.batches()[1]
         # The estimator's rule: rows of the live batches with t < 5 go,
         # the arrivals are added whole (t = 3.0 included).
         assert log.slide(arriving, 5.0) == 5
         assert inc.slide_window(arriving, 5.0) == 5
-        assert log.rows == inc.n == 5 + 2 + 2 and len(log) == 3
+        assert log.n == inc.n == 5 + 2 + 2 and len(log) == 3
         assert log.min_t == inc.min_t == 3.0
         # Only the batch the horizon cuts was read and rebuilt.
-        assert log.batches[1] is untouched
-        np.testing.assert_array_equal(log.batches[0].coords[:, 2],
+        uid, rows = log.batches()[1]
+        assert uid == untouched[0] and rows is untouched[1]
+        np.testing.assert_array_equal(log.batches()[0][1][:, 2],
                                       np.arange(5.0, 10.0))
         # Replay is window inserts: one add per live batch.
         assert [op for op, _ in log.replay()] == ["add"] * 3
         # A horizon past everything empties the log: it is bounded by
         # the live window, not its history.
         assert log.slide(np.empty((0, 3)), 100.0) == 9
-        assert len(log) == 0 and log.rows == 0 and log.min_t == np.inf
+        assert len(log) == 0 and log.n == 0 and log.min_t == np.inf
 
     def test_remove_deletes_a_multiset_and_refuses_rows_not_live(self):
         log = ShardLog()
@@ -221,19 +222,19 @@ class TestShardLog:
         log.add(self._coords([2.0, 4.0]))
         # Duplicates are matched one for one, first batches first.
         log.remove(self._coords([2.0, 2.0]))
-        assert log.rows == 4 and log.weight == 4.0
-        assert [b.coords[:, 2].tolist() for b in log.batches] == [
+        assert log.n == 4 and log.weight == 4.0
+        assert [rows[:, 2].tolist() for _, rows in log.batches()] == [
             [1.0, 3.0], [2.0, 4.0]
         ]
         log.remove(self._coords([2.0]))
-        assert [b.coords[:, 2].tolist() for b in log.batches] == [
+        assert [rows[:, 2].tolist() for _, rows in log.batches()] == [
             [1.0, 3.0], [4.0]
         ]
-        batches = list(log.batches)
+        units = list(log.units)
         for bad in ([2.0], [1.0, 1.0], [9.0], [1.0, 3.0, 4.0, 4.0]):
             with pytest.raises(ValueError, match="not live|present"):
                 log.remove(self._coords(bad))
-            assert log.batches == batches and log.rows == 3
+            assert log.units == units and log.n == 3
             assert log.weight == 3.0
 
     def test_nan_horizon_is_refused_and_infinite_ones_are_legal(self):
@@ -241,12 +242,12 @@ class TestShardLog:
         log.add(self._coords([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError, match="NaN"):
             log.slide(self._coords([4.0]), float("nan"))
-        assert log.rows == 3 and len(log) == 1
+        assert log.n == 3 and len(log) == 1
         assert log.slide(self._coords([4.0]), float("-inf")) == 0
-        assert log.rows == 4
+        assert log.n == 4
         # +inf retires every live row; the arrivals still land.
         assert log.slide(self._coords([5.0]), float("inf")) == 4
-        assert log.rows == 1 and log.min_t == 5.0
+        assert log.n == 1 and log.min_t == 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +347,10 @@ class TestCrashRecovery:
             assert svc.events == inc.n
 
     def test_live_workers_hold_a_window_and_never_stamp(self):
-        """A live shard worker answers points from its index and regions
-        from raw coordinates; no op reads a volume, so neither the
-        mutations nor a crash's log replay stamp a single cell."""
+        """A live shard worker holds a window over its index and no
+        estimator: it answers points from the index and regions from raw
+        coordinates, so neither the mutations nor a crash's log replay
+        stamp a single cell, and its stats carry no unit gauges."""
         grid = make_grid()
         rng = np.random.default_rng(41)
         span = span_of(grid)
@@ -363,7 +365,12 @@ class TestCrashRecovery:
             fault_plan=plan, restart_backoff_s=0.01,
         ) as svc:
             svc.add(seed)
+            retired_before = self._index_retired(svc)
             svc.slide_window(arriving, horizon)
+            # The slide retired rows from each worker's own index.
+            assert all(
+                a > b for a, b in zip(self._index_retired(svc), retired_before)
+            )
             svc.remove(arriving[::4])  # shard 1 dies, respawns, replays
             assert svc.counter.shard_restarts == 1
             assert svc.counter.shard_replayed_batches >= 2
@@ -386,13 +393,17 @@ class TestCrashRecovery:
             st = svc.stats()
             assert sum(w["events"] for w in st["workers"]) == inc.n
             for w in st["workers"]:
-                assert w["units_live"] > 0 and w["units_stamped"] == 0
+                assert not [k for k in w if k.startswith("units_")]
                 # Unit buffers are the only thing a worker would count
                 # here (the region answer above stamps a scratch window).
                 assert w["work"]["shard_bbox_cells"] == 0
-            # The estimators' own gauges ride the same op (the surviving
-            # shard 0 retired its share of the slide).
-            assert st["work"]["slab_buffers_retired"] > 0
+            # Slab buffers are the estimator's alone.
+            assert st["work"]["slab_buffers_retired"] == 0
+
+    @staticmethod
+    def _index_retired(svc):
+        return [w["work"]["index_events_retired"]
+                for w in svc.stats()["workers"]]
 
     def test_wedged_worker_times_out_and_recovers(self):
         grid = make_grid()

@@ -290,6 +290,19 @@ def test_live_hosts_mutate_through_one_surface(kind):
         )
 
 
+@pytest.mark.parametrize("kind", LIVE)
+def test_a_quiet_slide_keeps_the_version(kind):
+    """Nothing arriving and nothing before the horizon: the slide retires
+    nothing and changes nothing, so ``version`` — and every cache keyed
+    on it — stays, and no shard is sent a message."""
+    with make_host(kind) as svc:
+        before = svc.version, svc.events, svc.counter.shard_messages
+        for horizon in (-np.inf, float(EVENTS[:, 2].min())):
+            assert svc.slide_window(np.empty((0, 3)), horizon) == 0
+            assert (svc.version, svc.events,
+                    svc.counter.shard_messages) == before
+
+
 # ---------------------------------------------------------------------------
 # A remove one owner rejects; a mutation that fails part-way
 # ---------------------------------------------------------------------------

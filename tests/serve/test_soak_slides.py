@@ -91,7 +91,7 @@ def test_soak_50_plus_tiny_batch_slides():
     # cache composition): a cold estimator re-fed the warm window's live
     # units — one add per unit, slabbing disabled so each re-stamps whole
     # — serves the *identical* volume, to the last bit, after 55 slides.
-    assert all(tb.buffer is not None for tb in inc._live)
+    assert inc.units_stamped == inc.units_live
     cold_inc = IncrementalSTKDE(grid, t_slab_voxels=None)
     for _, coords in inc.live_batches:
         cold_inc.add(coords)
