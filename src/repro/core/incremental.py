@@ -63,7 +63,7 @@ import hashlib
 import numbers
 from dataclasses import astuple
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -75,6 +75,7 @@ from .regions import RegionBuffer, batch_bbox
 from .window import Window, slab_split
 
 __all__ = ["IncrementalSTKDE"]
+
 
 class IncrementalSTKDE:
     """Exactly-maintained STKDE under event insertion and retirement.

@@ -151,8 +151,8 @@ class DensityService:
             raise ValueError("static sources require an explicit grid")
         self.grid = grid
         self.counter = source.counter if self._live else WorkCounter()
-        #: The events served in process, behind their index.
         self._inc = source if self._live else None
+        #: The events served in process, behind their index.
         self._shard = Shard(
             grid, self.kernel, counter=self.counter,
             window=source.window if self._live else None,
@@ -539,8 +539,9 @@ class DensityService:
         if inc is not None:
             # How many of the live source's units any read has stamped:
             # 0 of ``units_live`` while every answer comes off the index.
-            work.update(units_live=inc.units_live,
-                        units_stamped=inc.units_stamped)
+            work.update(
+                units_live=inc.units_live, units_stamped=inc.units_stamped
+            )
         # Realised-vs-requested ε of the approximate tier: the mean
         # requested budget against the mean realised relative standard
         # error the sampler's own stop rule recorded per query.
