@@ -645,8 +645,10 @@ def direct_region(
     Stamps the events into a :class:`~repro.core.regions.RegionBuffer`
     covering only ``window`` (clipped through the batched engine, so
     events whose cylinders miss the window are skipped wholesale).  Exact
-    — bit-identical to the same window of a full-grid stamp — at
-    O(window + reaching stamps) cost, no full volume required.
+    at O(window + reaching stamps) cost, no full volume required: it
+    agrees with the same window of a full-grid stamp at ``rtol=1e-12``,
+    not bit for bit, since clipping changes how the engine groups and
+    sums the stamps.
     ``weights`` routes through the engine's weighted stamp mode,
     ``compute`` names the backend that tabulates the stamps.
     """

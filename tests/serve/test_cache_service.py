@@ -13,7 +13,7 @@ import pytest
 
 from repro.algorithms.pb_sym import pb_sym
 from repro.analysis.model import MachineModel
-from repro.core import PointSet
+from repro.core import PointSet, VoxelWindow
 from repro.core.incremental import IncrementalSTKDE
 from repro.serve import DensityService, QueryCache
 from tests.helpers import make_clustered_points, make_points
@@ -254,13 +254,49 @@ class TestServiceLive:
     def test_volume_rebuilt_after_slide(self, small_grid):
         pts, inc, svc = self.make_live(small_grid)
         assert not svc.volume_ready
-        svc.query_slice(2, backend="lookup")
+        svc.materialize()
         assert svc.volume_ready
         horizon = float(np.median(pts.coords[:, 2]))
         assert inc.slide_window(np.empty((0, 3)), t_horizon=horizon) > 0
         assert not svc.volume_ready  # dropped on version change
-        svc.query_slice(2, backend="lookup")
+        svc.materialize()
         assert svc.stats()["volume_builds"] == 2
+
+    def test_lookup_region_composes_without_materialising(self, small_grid):
+        """A live lookup region adds the unit buffers' window slices: no
+        volume is built, and the answer is the materialised volume's
+        window bit for bit.  Once a volume exists, lookups view it."""
+        _, inc, svc = self.make_live(small_grid)
+        inc.slide_window(make_points(small_grid, 40, seed=60).coords,
+                         t_horizon=5.0)
+        w = VoxelWindow(2, 11, 1, 9, 3, 12)
+        r = svc.query_region(w, backend="lookup")
+        assert svc.stats()["volume_builds"] == 0 and not svc.volume_ready
+        assert r.backend == "lookup" and not r.is_view
+        assert not r.data.flags.writeable
+        np.testing.assert_array_equal(r.data, svc.materialize().data[w.slices()])
+        assert svc.stats()["volume_builds"] == 1
+        s = svc.query_region(VoxelWindow(0, 6, 0, 5, 4, 9), backend="lookup")
+        assert s.is_view and np.shares_memory(s.data, svc.materialize().data)
+        assert svc.stats()["volume_builds"] == 1
+
+    @pytest.mark.parametrize("live", [False, True], ids=["static", "live"])
+    def test_region_backends_agree_to_rtol(self, small_grid, live):
+        """Direct and lookup regions stamp the same events, summed in
+        different orders: they agree at rtol=1e-12, not bit for bit —
+        the contract under which auto mode serves whichever is cached."""
+        pts, inc, svc = self.make_live(small_grid)
+        if live:
+            fresh = make_points(small_grid, 40, seed=61).coords
+            inc.slide_window(fresh, t_horizon=5.0)
+        else:
+            svc = DensityService(pts, small_grid, machine=MACHINE)
+        for w in (small_grid.full_window(), VoxelWindow(1, 9, 2, 13, 0, 7),
+                  VoxelWindow(4, 16, 0, 6, 6, 20)):
+            d = svc.query_region(w, backend="direct").data
+            lk = svc.query_region(w, backend="lookup").data
+            assert d.any()
+            np.testing.assert_allclose(d, lk, rtol=1e-12, atol=0)
 
     def test_stats_show_whether_anybody_reads_the_buffers(self, small_grid):
         """``units_stamped`` of ``units_live``: direct answers come off
@@ -285,6 +321,7 @@ class TestServiceLive:
         """A tick that retires and adds nothing must not invalidate: the
         dashboard keeps its volume, index, and cache entries."""
         pts, inc, svc = self.make_live(small_grid)
+        svc.materialize()
         svc.query_slice(2, backend="lookup")
         v = svc.version
         assert inc.slide_window(
