@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -155,18 +155,9 @@ class VoxelWindow:
         sx, sy, st = self.shape
         return sx * sy * st
 
-    def slices(
-        self, within: Optional["VoxelWindow"] = None
-    ) -> Tuple[slice, slice, slice]:
-        """Slices indexing this window inside a full ``(Gx, Gy, Gt)``
-        array, or inside an array covering the window ``within``."""
-        x, y, t = (0, 0, 0) if within is None else (
-            within.x0, within.y0, within.t0)
-        return (
-            slice(self.x0 - x, self.x1 - x),
-            slice(self.y0 - y, self.y1 - y),
-            slice(self.t0 - t, self.t1 - t),
-        )
+    def slices(self) -> Tuple[slice, slice, slice]:
+        """Slices indexing this window inside a full ``(Gx, Gy, Gt)`` array."""
+        return (slice(self.x0, self.x1), slice(self.y0, self.y1), slice(self.t0, self.t1))
 
     def intersect(self, other: "VoxelWindow") -> "VoxelWindow":
         """Intersection window (possibly empty)."""

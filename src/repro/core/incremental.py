@@ -31,19 +31,17 @@ from.  ``add``, ``slide_window`` and ``remove`` are the window's rule
 (:mod:`repro.core.window`) followed by the index's upkeep
 (:meth:`~repro.core.index.BucketIndex.maintain`) and a new ``version``;
 they evaluate no kernel, so a consumer that answers from the rows never
-pays for a stamp.  A read — ``region(window)``, and ``volume()``, which is
-the region of the whole grid — stamps whichever live units have no
+pays for a stamp.  ``volume()`` stamps whichever live units have no
 buffer yet, each once, through the batched region engine
 (:func:`repro.core.stamping.stamp_batch`); a buffer is never written
 again and is freed when its unit retires, so it is a pure function of the
 unit's rows, and a unit minted and retired between two reads is never
-stamped at all.  Nothing is ever subtracted: a read adds each live
-buffer's cut to its window into zeros, in an order derived from the
-buffers' content, and scales only the t-planes some buffer wrote (the
-rest stay untouched zero pages).  So it is a **bit-exact pure function
-of the live membership** under every interleaving of the three, and a
-voxel reads the same bits through any window: a long-slid window and a
-cold estimator re-fed the same ``live_batches`` serve ``array_equal``
+stamped at all.  Nothing is ever subtracted, and ``volume()`` adds the
+live buffers into zeros in an order derived from their content, then
+scales only the t-planes they cover (the rest stay untouched zero
+pages), so it is a **bit-exact pure function of the live membership**
+under every interleaving of the three: a long-slid window and a cold
+estimator re-fed the same ``live_batches`` serve ``array_equal``
 volumes, and both match a batch recompute at ``rtol=1e-12``.
 
 t-slab units
@@ -70,7 +68,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .grid import GridSpec, PointSet, Volume, VoxelWindow, zeros_volume
+from .grid import GridSpec, PointSet, Volume, zeros_volume
 from .index import BucketIndex
 from .instrument import WorkCounter
 from .kernels import KernelPair, get_kernel
@@ -83,9 +81,8 @@ __all__ = ["IncrementalSTKDE"]
 class IncrementalSTKDE:
     """Exactly-maintained STKDE under event insertion and retirement.
 
-    A list of units; :meth:`region` is their canonical sum over a
-    window, :meth:`volume` over the grid — a bit-exact pure function of
-    the live membership, always (module docstring).
+    A list of units; :meth:`volume` is their canonical sum — a bit-exact
+    pure function of the live membership, always (module docstring).
 
     **Memory.**  Construction allocates nothing grid-sized, and neither
     does any mutation: the rows live once, in :attr:`index` (coordinates
@@ -147,7 +144,7 @@ class IncrementalSTKDE:
             slab_split, grid, slab_voxels=pinned)  # None: one unit per batch
         #: The live units, over :attr:`index`.
         self.window = Window(self.index, split, self.counter)
-        # Per stamped unit id: its region() sum-order key and its buffer.
+        # Per stamped unit id: its volume() sum-order key and its buffer.
         self._stamped: Dict[int, Tuple[tuple, RegionBuffer]] = {}
         self._version = 0
 
@@ -194,9 +191,8 @@ class IncrementalSTKDE:
 
     @property
     def units_stamped(self) -> int:
-        """Number of live units holding a buffer — the ones some read
-        (:meth:`region`, :meth:`volume`) has stamped since their
-        membership last changed."""
+        """Number of live units holding a buffer — the ones some
+        :meth:`volume` has read since their membership last changed."""
         return len(self._stamped)
 
     @property
@@ -208,7 +204,7 @@ class IncrementalSTKDE:
     # ------------------------------------------------------------------
     def _stamp(self, uid: int) -> None:
         """Stamp a unit's rows into a fresh buffer over their bounding
-        box, and key it for :meth:`region` by bbox, row count and a digest
+        box, and key it for :meth:`volume` by bbox, row count and a digest
         of the rows as the index holds them (key order), so a cold replay
         of :attr:`live_batches` computes the same keys."""
         rows = self.index.rows(uid)
@@ -276,53 +272,42 @@ class IncrementalSTKDE:
         return retired
 
     def volume(self) -> Volume:
-        """The current normalised density volume (copy):
-        :meth:`region` over the whole grid.  The t-planes no live unit
-        reaches are never written, so they stay unfaulted zero pages."""
-        return Volume(self.region(self.grid.full_window()), self.grid)
-
-    def region(self, window: VoxelWindow) -> np.ndarray:
-        """Normalised density over the grid window ``window`` (fresh
-        array of ``window.shape``, O(window + covered cells)).
+        """The current normalised density volume (copy; O(volume)).
 
         Stamps every live unit that has no buffer yet (the units minted
-        since the last read; none on a repeated read), then adds each
-        live unit's buffer, cut to ``window``, into fresh zeros and
-        scales by ``1/(n hs^2 ht)`` only the t-planes some buffer wrote;
-        every other voxel is an exact zero either way.  The units are
-        summed in a *content-derived* order — bbox window, then row
-        count, then a digest of the rows — so nothing of tracking order
-        (which depends on the mutation history) leaks into the sum.  A
-        cold estimator re-fed :attr:`live_batches` (one ``add`` per
+        since the last read; none on a repeated read), then adds every
+        live unit's buffer into fresh zeros and scales by
+        ``1/(n hs^2 ht)`` only the t-planes some buffer wrote; the rest
+        are exact zeros either way and stay unfaulted zero pages.  The
+        units are summed in a *content-derived* order — bbox window, then
+        row count, then a digest of the rows — so nothing of tracking
+        order (which depends on the mutation history) leaks into the sum.
+        A cold estimator re-fed :attr:`live_batches` (one ``add`` per
         unit, slabbing disabled so each re-stamps whole) therefore
         composes the identical buffers in the identical order: the
-        bit-exact warm-vs-cold contract, and every voxel's value does
-        not depend on the window it is read through.  An empty window
-        raises ``ValueError``.
+        bit-exact warm-vs-cold contract.
         """
-        if window.empty:
-            raise ValueError(f"cannot compose an empty region: {window}")
         # Pending stamps first, so their scratch is gone before the
         # output is allocated.
         for u in self.window.units:
             if u.id not in self._stamped:
                 self._stamp(u.id)
         # Lazily zeroed pages: the buffers' adds are their first touch.
-        data = zeros_volume(window.shape)
-        wrote = np.zeros(window.shape[2], dtype=bool)
+        data = zeros_volume(self.grid.shape)
+        wrote = np.zeros(self.grid.shape[2], dtype=bool)
         for _, buf in sorted(
             (self._stamped[u.id] for u in self.window.units),
             key=lambda s: s[0],
         ):
-            if buf.add_into(data, window=window):
-                t = buf.window.intersect(window)
-                wrote[t.t0 - window.t0 : t.t1 - window.t0] = True
+            if buf.add_into(data):
+                wrote[buf.window.t0 : buf.window.t1] = True
+        # Scale each run of written t-planes once.
         edges = np.flatnonzero(np.diff(wrote, prepend=False, append=False))
         if len(edges):
             norm = self.grid.normalization(self.n)
             for t0, t1 in edges.reshape(-1, 2):
                 data[:, :, t0:t1] *= norm
-        return data
+        return Volume(data, self.grid)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"IncrementalSTKDE(n={self.n}, grid={self.grid.shape})"

@@ -40,7 +40,7 @@ equivalence pinned at ``rtol=1e-12`` by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -243,27 +243,21 @@ class RegionBuffer:
         vol: np.ndarray,
         x_lo: int = 0,
         x_hi: Optional[int] = None,
-        *,
-        window: Optional[VoxelWindow] = None,
     ) -> int:
-        """Accumulate the buffer into ``vol``; returns cells touched.
+        """Accumulate the buffer into a full volume; returns cells touched.
 
-        ``vol`` covers the grid window ``window`` (default: a full
-        volume), and only the buffer's intersection with it is added.
-        ``x_lo``/``x_hi`` restrict the merge to an x-slab of the grid —
+        ``x_lo``/``x_hi`` restrict the merge to an x-slab of the volume —
         the unit of the slab-parallel reduction — so concurrent reducers
         never write the same voxel.
         """
-        if window is None:
-            window = VoxelWindow(0, vol.shape[0], 0, vol.shape[1], 0, vol.shape[2])
-        x_hi = window.x1 if x_hi is None else x_hi
-        cut = self.window.intersect(window).intersect(
-            replace(window, x0=x_lo, x1=x_hi)
-        )
-        if cut.empty:
+        w = self.window
+        x_hi = vol.shape[0] if x_hi is None else x_hi
+        lo = max(w.x0, x_lo)
+        hi = min(w.x1, x_hi)
+        if lo >= hi:
             return 0
-        target = vol[cut.slices(window)]
-        target += self.data[cut.slices(self.window)]
+        target = vol[lo:hi, w.y0 : w.y1, w.t0 : w.t1]
+        target += self.data[lo - w.x0 : hi - w.x0]
         return target.size
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import pb_sym
-from repro.core import DomainSpec, GridSpec, PointSet, VoxelWindow
+from repro.core import DomainSpec, GridSpec, PointSet
 from repro.core.incremental import IncrementalSTKDE
 from repro.core.kernels import available_kernels
 from repro.core.regions import auto_slab_voxels
@@ -444,38 +444,6 @@ class TestBitExactWarmCold:
         return inc
 
     @staticmethod
-    def _assert_regions_match(inc, rng, unreached=True):
-        """``region(w)`` is ``array_equal`` to ``volume().data[w]`` for the
-        full window, one-voxel windows, windows whose t-range cuts a unit's
-        t-edge and random boxes; a window no unit reaches is exact zeros."""
-        vol = inc.volume().data
-        Gx, Gy, Gt = inc.grid.shape
-        boxes = [b.window for b in buffers(inc)]
-
-        def box(t0, t1):
-            x0, y0 = rng.integers(0, Gx - 1), rng.integers(0, Gy - 1)
-            return VoxelWindow(x0, rng.integers(x0 + 1, Gx + 1),
-                               y0, rng.integers(y0 + 1, Gy + 1), t0, t1)
-
-        windows = [inc.grid.full_window()]
-        for _ in range(4):
-            X, Y, T = rng.integers(0, Gx), rng.integers(0, Gy), rng.integers(0, Gt)
-            windows.append(VoxelWindow(X, X + 1, Y, Y + 1, T, T + 1))
-        for edge in sorted({b.t0 for b in boxes} | {b.t1 for b in boxes}):
-            windows.append(box(max(0, edge - 1), min(Gt, edge + 1)))
-        for _ in range(8):
-            t0 = rng.integers(0, Gt)
-            windows.append(box(t0, rng.integers(t0 + 1, Gt + 1)))
-        for w in windows:
-            np.testing.assert_array_equal(inc.region(w), vol[w.slices()])
-        if unreached:
-            lo, hi = min(b.t0 for b in boxes), max(b.t1 for b in boxes)
-            assert lo > 0 and hi < Gt
-            for w in (box(0, lo), box(hi, Gt)):
-                out = inc.region(w)
-                assert out.shape == w.shape and not out.any()
-
-    @staticmethod
     def _cold_replay(grid, warm):
         """A fresh estimator fed the warm window's live units, one add per
         unit with slabbing disabled so each re-stamps whole."""
@@ -498,14 +466,6 @@ class TestBitExactWarmCold:
             grid, np.random.default_rng(60), read_every=10**6)
         assert unread.units_stamped == 0
         np.testing.assert_array_equal(unread.volume().data, cold.volume().data)
-        self._assert_regions_match(warm, rng)
-        # region() stamps the pending units first, as volume() does.
-        unread = self._slide_many(
-            grid, np.random.default_rng(60), read_every=10**6)
-        w = VoxelWindow(3, 17, 0, 20, 12, 21)
-        np.testing.assert_array_equal(
-            unread.region(w), cold.volume().data[w.slices()])
-        assert unread.units_stamped == unread.units_live
 
     def test_volume_is_pure_function_of_live_membership(self, grid):
         """Two different mutation histories arriving at the same live
@@ -525,7 +485,6 @@ class TestBitExactWarmCold:
         np.testing.assert_array_equal(
             warm.volume().data, other.volume().data
         )
-        self._assert_regions_match(other, rng)
 
     def test_remove_and_domain_wide_batch_stay_bitwise(self, grid):
         """The contract holds under every interleaving, not only
@@ -548,21 +507,31 @@ class TestBitExactWarmCold:
             warm.volume().data, pb_sym(PointSet(warm.live_coords), grid).data,
             rtol=1e-12, atol=1e-16,
         )
-        # The domain-wide batch left no t-plane unreached.
-        self._assert_regions_match(warm, rng, unreached=False)
 
-    def test_region_of_empty_window_and_estimator(self, grid):
-        inc = IncrementalSTKDE(grid)
-        w = VoxelWindow(2, 9, 0, 4, 5, 6)
-        assert inc.region(w).shape == w.shape and not inc.region(w).any()
-        pts = make_points(grid, 30, seed=64)
-        inc.add(pts)
-        inc.remove(pts)
-        assert inc.n == 0 and not inc.region(grid.full_window()).any()
-        inc.add(pts)
-        for empty in (VoxelWindow(2, 2, 0, 4, 5, 6), VoxelWindow(2, 9, 0, 4, 6, 5)):
-            with pytest.raises(ValueError, match="empty"):
-                inc.region(empty)
+    def test_volume_scales_only_the_covered_t_planes(self, grid):
+        """``volume()`` scales just the t-planes some live buffer covers:
+        the others are exact zeros, and the covered runs — unit t-edges
+        and a gap between two runs included — match a batch recompute."""
+        rng = np.random.default_rng(64)
+        slid = self._slide_many(grid, rng, read_every=10**6)
+        gapped = IncrementalSTKDE(grid)
+        for t in (3.0, 25.0):
+            gapped.add(np.column_stack([
+                rng.uniform(0, grid.domain.gx, 30),
+                rng.uniform(0, grid.domain.gy, 30),
+                rng.uniform(t - 1.0, t + 1.0, 30),
+            ]))
+        for inc, runs in ((slid, 1), (gapped, 2)):
+            vol = inc.volume().data
+            covered = np.zeros(grid.shape[2], dtype=bool)
+            for b in buffers(inc):
+                covered[b.window.t0 : b.window.t1] = True
+            assert np.count_nonzero(np.diff(covered, prepend=False)) == 2 * runs
+            assert not covered.all() and not vol[:, :, ~covered].any()
+            np.testing.assert_allclose(
+                vol, pb_sym(PointSet(inc.live_coords), grid).data,
+                rtol=1e-12, atol=1e-16,
+            )
 
 
 class TestOneLiveState:

@@ -254,31 +254,13 @@ class TestServiceLive:
     def test_volume_rebuilt_after_slide(self, small_grid):
         pts, inc, svc = self.make_live(small_grid)
         assert not svc.volume_ready
-        svc.materialize()
+        svc.query_slice(2, backend="lookup")
         assert svc.volume_ready
         horizon = float(np.median(pts.coords[:, 2]))
         assert inc.slide_window(np.empty((0, 3)), t_horizon=horizon) > 0
         assert not svc.volume_ready  # dropped on version change
-        svc.materialize()
+        svc.query_slice(2, backend="lookup")
         assert svc.stats()["volume_builds"] == 2
-
-    def test_lookup_region_composes_without_materialising(self, small_grid):
-        """A live lookup region adds the unit buffers' window slices: no
-        volume is built, and the answer is the materialised volume's
-        window bit for bit.  Once a volume exists, lookups view it."""
-        _, inc, svc = self.make_live(small_grid)
-        inc.slide_window(make_points(small_grid, 40, seed=60).coords,
-                         t_horizon=5.0)
-        w = VoxelWindow(2, 11, 1, 9, 3, 12)
-        r = svc.query_region(w, backend="lookup")
-        assert svc.stats()["volume_builds"] == 0 and not svc.volume_ready
-        assert r.backend == "lookup" and not r.is_view
-        assert not r.data.flags.writeable
-        np.testing.assert_array_equal(r.data, svc.materialize().data[w.slices()])
-        assert svc.stats()["volume_builds"] == 1
-        s = svc.query_region(VoxelWindow(0, 6, 0, 5, 4, 9), backend="lookup")
-        assert s.is_view and np.shares_memory(s.data, svc.materialize().data)
-        assert svc.stats()["volume_builds"] == 1
 
     @pytest.mark.parametrize("live", [False, True], ids=["static", "live"])
     def test_region_backends_agree_to_rtol(self, small_grid, live):
@@ -321,7 +303,6 @@ class TestServiceLive:
         """A tick that retires and adds nothing must not invalidate: the
         dashboard keeps its volume, index, and cache entries."""
         pts, inc, svc = self.make_live(small_grid)
-        svc.materialize()
         svc.query_slice(2, backend="lookup")
         v = svc.version
         assert inc.slide_window(
