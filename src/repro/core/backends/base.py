@@ -17,8 +17,9 @@ Contracts every implementation must honour:
 * **Equivalence**: results agree with the ``numpy-ref`` backend at
   ``rtol=1e-12`` elementwise (the reference itself is bit-identical to the
   pre-seam code by construction).  The one reduction of the query path,
-  :meth:`ComputeBackend.query_segment_sums`, is shared, so backends
-  cannot differ in summation order.
+  ``np.add.reduceat`` in :meth:`ComputeBackend.query_segment_sums` and
+  its in-place twin, is the same everywhere, so backends cannot differ
+  in summation order.
 * **Accounting**: work counters report the *logical* operation counts —
   identical across backends, charged in O(1) from array shapes (never by
   reducing a mask), so instrumentation does not show up in the profile it
@@ -124,6 +125,29 @@ class ComputeBackend:
         return self.reduced_contributions(
             grid, kernel, dx, dy, dt, weights, counter,
             lambda contrib: np.add.reduceat(contrib, seg_starts),
+        )
+
+    def query_segment_sums_in_place(
+        self,
+        grid: GridSpec,
+        kernel: KernelPair,
+        dx: np.ndarray,
+        dy: np.ndarray,
+        dt: np.ndarray,
+        weights: Optional[np.ndarray],
+        seg_starts: np.ndarray,
+        counter: WorkCounter,
+    ) -> np.ndarray:
+        """:meth:`query_segment_sums` on offsets the caller hands over as
+        scratch: the evaluation may overwrite ``dx/dy/dt`` (never
+        ``weights``), and the sums are the same bits.
+
+        What the engine's ragged gather calls on its reused slab rows, so
+        a backend can evaluate there instead of allocating slab-sized
+        temporaries.  This one writes nothing.
+        """
+        return self.query_segment_sums(
+            grid, kernel, dx, dy, dt, weights, seg_starts, counter
         )
 
     def reduced_contributions(

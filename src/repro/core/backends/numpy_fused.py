@@ -68,6 +68,26 @@ def _clamp(bound2: float, sq: np.ndarray, p: int = 1) -> np.ndarray:
     return sq
 
 
+def _clamp_product(
+    grid: GridSpec,
+    kernel: KernelPair,
+    d2: np.ndarray,
+    dt2: np.ndarray,
+    weights: Optional[np.ndarray],
+) -> np.ndarray:
+    """Clamp-form weighted contributions from squared offsets ``d2`` and
+    ``dt2``, in place in both (the result is ``d2``)."""
+    c, p = kernel.clamp_profile
+    hs2 = grid.hs * grid.hs
+    ht2 = grid.ht * grid.ht
+    contrib = _clamp(hs2, d2, p)
+    contrib *= _clamp(ht2, dt2)
+    contrib *= c / (hs2**p * ht2)
+    if weights is not None:
+        contrib *= weights
+    return contrib
+
+
 class NumpyFusedBackend(ComputeBackend):
     """Fused/factorised NumPy fast path (no extra dependencies)."""
 
@@ -160,6 +180,32 @@ class NumpyFusedBackend(ComputeBackend):
         bar *= norm * c / (hs2**p * ht2)
         return disk, bar
 
+    def query_segment_sums_in_place(
+        self,
+        grid: GridSpec,
+        kernel: KernelPair,
+        dx: np.ndarray,
+        dy: np.ndarray,
+        dt: np.ndarray,
+        weights: Optional[np.ndarray],
+        seg_starts: np.ndarray,
+        counter: WorkCounter,
+    ) -> np.ndarray:
+        if kernel.clamp_profile is None:
+            return super().query_segment_sums_in_place(
+                grid, kernel, dx, dy, dt, weights, seg_starts, counter
+            )
+        # :meth:`sampled_contributions`' clamp form, op for op, with every
+        # square and clamp written into the caller's rows.
+        self._charge_pairs(counter, dx.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(dx, dx, out=dx)
+            np.multiply(dy, dy, out=dy)
+            dx += dy
+            np.multiply(dt, dt, out=dt)
+            contrib = _clamp_product(grid, kernel, dx, dt, weights)
+        return np.add.reduceat(contrib, seg_starts)
+
     def reduced_contributions(
         self,
         grid: GridSpec,
@@ -202,14 +248,7 @@ class NumpyFusedBackend(ComputeBackend):
         d2 = dx * dx + dy * dy
         self._charge_pairs(counter, d2.size)
         if kernel.clamp_profile is not None:
-            c, p = kernel.clamp_profile
-            ht2 = grid.ht * grid.ht
-            contrib = _clamp(hs2, d2, p)
-            contrib *= _clamp(ht2, dt * dt)
-            contrib *= c / (hs2**p * ht2)
-            if weights is not None:
-                contrib *= weights
-            return contrib
+            return _clamp_product(grid, kernel, d2, dt * dt, weights)
         inside = (d2 < hs2) & (np.abs(dt) <= grid.ht)
         d2 *= 1.0 / hs2
         contrib = kernel.spatial_radial(d2)

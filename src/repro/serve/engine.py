@@ -45,6 +45,7 @@ ones.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -70,10 +71,13 @@ __all__ = [
     "RegionResult",
 ]
 
-#: Cap on (query, candidate) pairs evaluated per ragged slab.  Each slab
-#: runs ~15 1-D temporaries of this length (0.5 MB of f8 each): at 2**16
-#: they stay cache-resident, at 2**19 they do not and a 3000-row batch
-#: takes 1.6x as long; below 2**14 the per-slab dispatch shows again.
+#: Cap on (query, candidate) pairs evaluated per ragged slab.  A slab is
+#: evaluated in its thread's :class:`_SlabScratch`: six rows of this
+#: length (three offsets, the weights, the candidate rows and an iota),
+#: 0.5 MB each and 3 MB per thread at 2**16, the weight row touched only
+#: for weighted indexes.  A 3000-row batch takes 1.2x as long at 2**19
+#: (the rows fall out of cache) and 1.4x at 2**12 (the per-slab dispatch
+#: shows again).
 _QUERY_SLAB_PAIRS = 1 << 16
 
 #: First sampling round of the approximate backend: every query draws this
@@ -153,12 +157,37 @@ def _home_cell_runs(
     return ucells, inv, starts, lengths
 
 
-def _flatten_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenate ``[s, s + l)`` ranges, in order (``l > 0`` each)."""
-    first = np.cumsum(lengths) - lengths
-    return np.repeat(starts - first, lengths) + np.arange(
-        int(lengths.sum()), dtype=np.int64
-    )
+class _SlabScratch(threading.local):
+    """One thread's rows for evaluating ragged slabs, reused slab after
+    slab and grown on demand (to a power of two) to the largest slab the
+    thread has evaluated.
+
+    ``off`` holds the three query-to-candidate offset rows (each gathers
+    its coordinate column first), ``weight`` the gathered event weights,
+    ``cand`` each pair's store row and ``iota`` ``0, 1, 2, ...``.  Fresh
+    slab-sized temporaries, a dozen alive at once, would be mapped and
+    faulted in anew on every slab by a process that has never freed a
+    larger block (a shard worker); these rows are faulted in once per
+    thread.  Per thread, because the front end's executor shares the
+    process with its callers.
+    """
+
+    size = 0
+
+    def rows(self, n: int) -> Tuple[np.ndarray, ...]:
+        """``(dx, dy, dt, weight, cand, iota)``, ``n`` long each."""
+        if n > self.size:
+            self.size = 1 << (n - 1).bit_length()
+            self.off = np.empty((3, self.size))
+            self.weight = np.empty(self.size)
+            self.cand = np.empty(self.size, dtype=np.int64)
+            self.iota = np.arange(self.size, dtype=np.int64)
+        off = self.off[:, :n]
+        return (off[0], off[1], off[2], self.weight[:n], self.cand[:n],
+                self.iota[:n])
+
+
+_SCRATCH = _SlabScratch()
 
 
 def _ragged_sums(
@@ -179,12 +208,12 @@ def _ragged_sums(
     :meth:`BucketIndex.window_runs`.  Those with any candidate are cut
     into slabs of at most ``slab_pairs`` pairs (a query's segment is
     never split, so a query with more candidates than that is its own
-    slab), and each slab's runs are expanded to a flat pair list,
-    evaluated elementwise and reduced by
-    :meth:`ComputeBackend.query_segment_sums`.  A query's sum therefore
-    depends only on its own candidates in run order — not on the rest of
-    the batch, nor on ``slab_pairs``.  Queries with no candidate are left
-    untouched in ``out``.
+    slab), and each slab's runs are expanded to a flat pair list in the
+    thread's :class:`_SlabScratch`, evaluated elementwise there and
+    reduced by :meth:`ComputeBackend.query_segment_sums_in_place`.  A
+    query's sum therefore depends only on its own candidates in run order
+    — not on the rest of the batch, nor on ``slab_pairs``.  Queries with
+    no candidate are left untouched in ``out``.
     """
     rows = rows[np.argsort(index.cell_of(q[rows]), kind="stable")]
     starts, lengths = index.window_runs(q[rows])
@@ -203,9 +232,9 @@ def _ragged_sums(
     run_end = np.cumsum(held.sum(axis=1))
 
     coords = index.coords
-    cx, cy, ct = coords[:, 0], coords[:, 1], coords[:, 2]
+    cols = (coords[:, 0], coords[:, 1], coords[:, 2])
     weights = index.weights
-    qx, qy, qt = q[rows, 0], q[rows, 1], q[rows, 2]
+    qcols = (q[rows, 0], q[rows, 1], q[rows, 2])
     cum = np.cumsum(K)
     grid = index.grid
     a = r = 0
@@ -215,14 +244,25 @@ def _ragged_sums(
         k = K[a:b]
         seg = cum[a:b] - k - base
         r_end = int(run_end[b - 1])
-        cand = _flatten_runs(starts[r:r_end], lengths[r:r_end])
-        out[rows[a:b]] = backend.query_segment_sums(
-            grid, kernel,
-            np.repeat(qx[a:b], k) - cx[cand],
-            np.repeat(qy[a:b], k) - cy[cand],
-            np.repeat(qt[a:b], k) - ct[cand],
-            weights[cand] if weights is not None else None,
-            seg, counter,
+        run_len = lengths[r:r_end]
+        dx, dy, dt, weight, cand, iota = _SCRATCH.rows(
+            int(cum[b - 1]) - base
+        )
+        # The runs flattened to store rows.  Each ``np.repeat`` below is
+        # the only slab-sized temporary, freed before the next is made:
+        # one block the allocator hands back, not a dozen it maps anew.
+        # Every index is in range; ``mode="raise"`` would buffer ``out``
+        # instead of writing the scratch.
+        first = np.cumsum(run_len) - run_len
+        np.add(np.repeat(starts[r:r_end] - first, run_len), iota, out=cand)
+        for off, qc, col in zip((dx, dy, dt), qcols, cols):
+            np.take(col, cand, out=off, mode="clip")
+            np.subtract(np.repeat(qc[a:b], k), off, out=off)
+        w = None
+        if weights is not None:
+            w = np.take(weights, cand, out=weight, mode="clip")
+        out[rows[a:b]] = backend.query_segment_sums_in_place(
+            grid, kernel, dx, dy, dt, w, seg, counter
         )
         counter.query_cohorts += 1
         a, r = b, r_end
