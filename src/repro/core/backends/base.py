@@ -47,7 +47,15 @@ from ..grid import GridSpec
 from ..instrument import WorkCounter
 from ..kernels import KernelPair
 
-__all__ = ["ComputeBackend"]
+__all__ = ["ComputeBackend", "cylinder_product"]
+
+
+def cylinder_product(disk: np.ndarray, bar: np.ndarray) -> np.ndarray:
+    """Each point's cylinder ``disk[i] (x) bar[i]`` from ``(m, wx, wy)``
+    disks and ``(m, wt)`` bars, in the layout of
+    :meth:`ComputeBackend.cohort_tables`: a fresh ``(m, wt, wx, wy)``
+    C-order block seen through ``transpose(0, 2, 3, 1)``."""
+    return (disk[:, None] * bar[:, :, None, None]).transpose(0, 2, 3, 1)
 
 
 class ComputeBackend:
@@ -95,6 +103,13 @@ class ComputeBackend:
         is ``(m, wx)``, ``dy`` ``(m, wy)``, ``dt`` ``(m, wt)`` per-axis
         voxel-center offsets, ``norm`` the normalisation folded into the
         tables exactly where the reference folds it.
+
+        Layout contract: the result is indexed ``[i, x, y, t]``, like a
+        volume, and stored t-outermost like one — a fresh ``(m, wt, wx,
+        wy)`` C-order block seen through ``transpose(0, 2, 3, 1)``, so
+        ``.transpose(0, 3, 1, 2)`` is C-contiguous.  The scatter walks
+        each stamp's cells in that order (the target's memory order) and
+        hands the block to ``np.add.at`` without a copy.
         """
         raise NotImplementedError
 

@@ -2,8 +2,10 @@
 
 This is the pre-seam NumPy code moved verbatim behind
 :class:`~repro.core.backends.base.ComputeBackend` — the same expressions in
-the same order on the same temporaries, so routing through this backend is
-**bit-identical** to the historical paths by construction.  The five
+the same order, element by element, so routing through this backend is
+**bit-identical** to the historical paths by construction (its cohort
+tables are stored t-outermost, like every backend's, which changes no
+value).  The five
 Table 3 algorithms whose cost profile is this evaluation name it (see the
 package docstring); every other backend is pinned against it at
 ``rtol=1e-12``.
@@ -18,7 +20,7 @@ import numpy as np
 from ..grid import GridSpec
 from ..instrument import WorkCounter
 from ..kernels import KernelPair
-from .base import ComputeBackend
+from .base import ComputeBackend, cylinder_product
 
 __all__ = ["NumpyRefBackend"]
 
@@ -60,6 +62,9 @@ class NumpyRefBackend(ComputeBackend):
         wy = dy.shape[1]
         wt = dt.shape[1]
         hs2 = grid.hs * grid.hs
+        # Every table is built t-outermost, (m, wt, wx, wy) in memory, and
+        # returned indexed [i, x, y, t]: the cohort tables' layout contract.
+        shape = (m, wt, wx, wy)
 
         if mode == "sym":
             d2 = dx[:, :, None] ** 2 + dy[:, None, :] ** 2
@@ -82,16 +87,15 @@ class NumpyRefBackend(ComputeBackend):
             counter.distance_tests += disk.size + bar.size
             counter.madds += m * wx * wy * wt
             counter.add_dispatch(self.name)
-            return disk[:, :, :, None] * bar[:, None, None, :]
+            return cylinder_product(disk, bar)
 
-        shape = (m, wx, wy, wt)
         if mode == "pb":
-            DX = np.broadcast_to(dx[:, :, None, None], shape)
-            DY = np.broadcast_to(dy[:, None, :, None], shape)
-            DT = np.broadcast_to(dt[:, None, None, :], shape)
+            DX = np.broadcast_to(dx[:, None, :, None], shape)
+            DY = np.broadcast_to(dy[:, None, None, :], shape)
+            DT = np.broadcast_to(dt[:, :, None, None], shape)
             out = self.masked_kernel_product(grid, kernel, DX, DY, DT, counter)
             out *= norm  # in place: the product above is a fresh array
-            return out
+            return out.transpose(0, 2, 3, 1)
 
         if mode == "disk":
             d2 = dx[:, :, None] ** 2 + dy[:, None, :] ** 2
@@ -106,7 +110,7 @@ class NumpyRefBackend(ComputeBackend):
                 )
             disk *= norm
             disk *= inside_s
-            DT = np.broadcast_to(dt[:, None, None, :], shape)
+            DT = np.broadcast_to(dt[:, :, None, None], shape)
             inside_t = np.abs(DT) <= grid.ht
             kt = kernel.temporal(DT / grid.ht)
             counter.spatial_evals += disk.size
@@ -114,14 +118,15 @@ class NumpyRefBackend(ComputeBackend):
             counter.temporal_evals += DT.size
             counter.madds += DT.size
             counter.add_dispatch(self.name)
-            return disk[:, :, :, None] * np.where(inside_t, kt, 0.0)
+            out = disk[:, None] * np.where(inside_t, kt, 0.0)
+            return out.transpose(0, 2, 3, 1)
 
         if mode == "bar":
             w = dt / grid.ht
             bar = kernel.temporal(w)
             bar *= np.abs(dt) <= grid.ht
-            DX = np.broadcast_to(dx[:, :, None, None], shape)
-            DY = np.broadcast_to(dy[:, None, :, None], shape)
+            DX = np.broadcast_to(dx[:, None, :, None], shape)
+            DY = np.broadcast_to(dy[:, None, None, :], shape)
             inside_s = (DX * DX + DY * DY) < hs2
             ks = kernel.spatial(DX / grid.hs, DY / grid.hs)
             counter.temporal_evals += bar.size
@@ -129,7 +134,8 @@ class NumpyRefBackend(ComputeBackend):
             counter.spatial_evals += DX.size
             counter.madds += DX.size
             counter.add_dispatch(self.name)
-            return np.where(inside_s, ks * norm, 0.0) * bar[:, None, None, :]
+            out = np.where(inside_s, ks * norm, 0.0) * bar[:, :, None, None]
+            return out.transpose(0, 2, 3, 1)
 
         from ..stamping import STAMP_MODES
 

@@ -13,16 +13,18 @@ the amortisation idea of bucketed/batched KDE evaluation (Charikar &
 Siminelakis, 2018): group points whose clipped windows share the same
 ``(wx, wy, wt)`` extent — interior points all share the full
 ``(2Hs+1, 2Hs+1, 2Ht+1)`` stamp; boundary/clipped points fall into a small
-number of residual shape cohorts — then
+number of residual shape cohorts; one stable sort of the live points by
+(shape, window origin) yields every cohort, already in origin order — then
 
 1. tabulate each cohort's spatial disks as one ``(m, wx, wy)`` vectorised
    computation and its temporal bars as one ``(m, wt)`` computation,
 2. form the per-point contributions (outer products for PB-SYM, per-voxel
    kernel products for the other cost profiles) as one ``(m, wx, wy, wt)``
-   array, and
+   array stored t-outermost, like the volume, and
 3. scatter-accumulate the contributions into the volume with a single
    unbuffered indexed add per cohort slab (``np.add.at`` over the target's
-   flat view, at ``stamp origin + cell offset``) — no bounding box, no
+   flat view, at ``stamp origin + cell offset``, each stamp's cells in the
+   target's memory order: t, then x, then y) — no bounding box, no
    partial volume, never per-point dispatch; the scatter costs what the
    stamped cells cost, however far apart the stamps lie.
 
@@ -51,7 +53,9 @@ and tabulates to zero).  What differs is the order of the additions into
 a voxel.  The cohort route is **bit-identical to sequential stamping
 within a slab**: the indexed add performs exactly the additions of one
 slice-add per stamp, in ascending order of the slab's (origin-sorted)
-points, so only the cohort/slab grouping reorders anything.  Crowded bins
+points (a stamp adds to each of its cells once, so the order of its
+cells is immaterial), so only the cohort/slab grouping reorders
+anything.  Crowded bins
 accumulate in **BLAS order**: the GEMM sums a bin's points in whatever
 blocking the library chooses, bin partials are added bin by bin, and the
 normalisation (and any weight) is folded into the bar rather than the
@@ -173,18 +177,23 @@ def _scatter_slab(
 ) -> None:
     """Accumulate a cohort slab's contribution cylinders into ``vol``.
 
-    One unbuffered indexed add over the target's flat memory: stamp
-    ``i``'s cell ``c`` lands at ``home[i] + cell[c]``, with ``home`` the
-    stamp's origin and ``cell`` the cohort shape's offsets, both in
-    ``vol``'s own element strides.  Any target whose elements fill one
-    block of memory in some axis order — a volume or buffer of the
-    t-outermost layout (:func:`~repro.core.grid.empty_volume`), a t-slab
-    of one, a C- or Fortran-order array — is added through its memory-
-    order flat view (``ravel(order="K")``).  ``np.add.at`` walks the
-    pairs in order — stamp by stamp, each stamp's cells once — which is
-    the very sequence of additions of one slice-add per stamp, so the two
-    are bit-identical; the cost follows the cells written, not the box
-    that contains them.
+    ``contrib`` is indexed ``[i, x, y, t]`` and stored t-outermost, the
+    layout :meth:`~repro.core.backends.base.ComputeBackend.cohort_tables`
+    returns.  One unbuffered indexed add over the target's flat memory:
+    stamp ``i``'s cell ``c`` lands at ``home[i] + cell[c]``, with
+    ``home`` the stamp's origin and ``cell`` the cohort shape's offsets,
+    both in ``vol``'s own element strides and ``cell`` in the tables'
+    memory order (t, then x, then y) — the volume layout's own, so
+    consecutive adds walk each ``(x, y)`` plane of a stamp in memory and
+    the values reach ``np.add.at`` without a copy.  Any target whose
+    elements fill one block of memory in some axis order — a volume or
+    buffer of the t-outermost layout (:func:`~repro.core.grid.
+    empty_volume`), a t-slab of one, a C- or Fortran-order array — is
+    added through its memory-order flat view (``ravel(order="K")``).
+    ``np.add.at`` walks the pairs in order — stamp by stamp, each stamp's
+    cells once — which is the very sequence of additions of one slice-add
+    per stamp, so the two are bit-identical; the cost follows the cells
+    written, not the box that contains them.
 
     Any other target (a strided slice) has no flat view (``reshape``
     would copy and the adds be lost) and takes :func:`_slice_adds`.  A
@@ -214,13 +223,15 @@ def _scatter_slab(
     # values; the multi-index form is an order of magnitude slower.
     ex, ey, et = (s // vol.itemsize for s in vol.strides)
     home = x0 * ex + y0 * ey + t0 * et
+    # Cells t-outermost, the tables' own memory order: the values go to
+    # ``np.add.at`` as the tables' block, without a copy.
     cell = (
-        (np.arange(wx) * ex)[:, None, None]
-        + (np.arange(wy) * ey)[None, :, None]
-        + (np.arange(wt) * et)[None, None, :]
+        (np.arange(wt) * et)[:, None, None]
+        + (np.arange(wx) * ex)[None, :, None]
+        + (np.arange(wy) * ey)[None, None, :]
     ).reshape(-1)
     flat = home[:, None] + cell[None, :]
-    np.add.at(mem, flat.reshape(-1), contrib.reshape(-1))
+    np.add.at(mem, flat.reshape(-1), contrib.transpose(0, 3, 1, 2).reshape(-1))
 
 
 def _slice_adds(
@@ -465,21 +476,25 @@ def stamp_batch(
     dom = grid.domain
     # Cohort key: the stamp shape.  Interior points share the full
     # (2Hs+1, 2Hs+1, 2Ht+1) extent; clipped points land in residual shapes.
-    span_s = 2 * grid.Hs + 2
-    span_t = 2 * grid.Ht + 2
-    key = (wx[live] * span_s + wy[live]) * span_t + wt[live]
-    _, inverse = np.unique(key, return_inverse=True)
-    n_cohorts = int(inverse.max()) + 1
+    span_y = min(2 * grid.Hs + 1, grid.Gy) + 1
+    span_t = min(2 * grid.Ht + 1, grid.Gt) + 1
+    cohort = (wx[live] * span_y + wy[live]) * span_t + wt[live]
+    # One stable sort orders every cohort: by shape key, then by window
+    # origin in the volume layout's memory order (t, then x, then y), so
+    # that consecutive stamps, and the slabs cut from them, write
+    # compact, cache-resident regions of the target even when the cohort
+    # spans the whole grid; ties keep input order.  Neither key exceeds
+    # (Gx+1)(Gy+1)(Gt+1), so the combined key fits int64 for any volume
+    # that fits in memory.
+    origin = grid.flat_index(X0[live], Y0[live], T0[live])
+    rank = np.argsort(cohort * grid.n_voxels + origin, kind="stable")
+    cohort = cohort[rank]
+    order = live[rank]
+    starts = np.flatnonzero(np.r_[True, cohort[1:] != cohort[:-1]])
 
-    for k in range(n_cohorts):
-        idx = live[inverse == k]
+    for a, b in zip(starts.tolist(), np.r_[starts[1:], order.size].tolist()):
+        idx = order[a:b]
         counter.stamp_cohorts += 1
-        # Sort the cohort by window origin in the volume layout's memory
-        # order (t, then x, then y) so that consecutive stamps, and the
-        # slabs cut from them, write compact, cache-resident regions of
-        # the target even when the cohort spans the whole grid.
-        # Deterministic (lexicographic) accumulation order within a slab.
-        idx = idx[np.lexsort((Y0[idx], X0[idx], T0[idx]))]
         cwx = int(wx[idx[0]])
         cwy = int(wy[idx[0]])
         cwt = int(wt[idx[0]])

@@ -27,6 +27,7 @@ from repro.core.incremental import IncrementalSTKDE
 from repro.core.instrument import null_counter
 from repro.core.kernels import KernelPair, available_kernels, get_kernel
 from repro.core.regions import accumulate_voxel_tile
+import repro.core.stamping as stamping
 from repro.core.stamping import STAMP_MODES, stamp_batch
 from repro.serve import DensityService, ShardedDensityService
 from repro.serve.engine import approx_sum, direct_sum
@@ -191,6 +192,86 @@ class TestStampParity:
             stamp_batch(b, grid, kern, coords, 1.0, None, mode=mode,
                         compute=DEFAULT_BACKEND)
             assert np.array_equal(a, b), mode
+
+
+def c_order_tables(backend, grid, kernel, mode, norm, dx, dy, dt):
+    """Each backend's cohort tables as the C-order ``(m, wx, wy, wt)``
+    product they were built as before the layout contract: the same
+    expressions, in the same order, on C-order temporaries."""
+    if backend.name != ORACLE:
+        disk, bar = backend._factor_tables(grid, kernel, norm, dx, dy, dt)
+        return disk[:, :, :, None] * bar[:, None, None, :]
+    hs2 = grid.hs * grid.hs
+    shape = (dx.shape[0], dx.shape[1], dy.shape[1], dt.shape[1])
+    DX = np.broadcast_to(dx[:, :, None, None], shape)
+    DY = np.broadcast_to(dy[:, None, :, None], shape)
+    DT = np.broadcast_to(dt[:, None, None, :], shape)
+    d2 = dx[:, :, None] ** 2 + dy[:, None, :] ** 2
+    if kernel.spatial_radial is not None:
+        disk = kernel.spatial_radial(d2 * (1.0 / hs2))
+    else:
+        disk = kernel.spatial(
+            np.broadcast_to(dx[:, :, None] / grid.hs, d2.shape),
+            np.broadcast_to(dy[:, None, :] / grid.hs, d2.shape),
+        )
+    disk = disk * norm * (d2 < hs2)
+    bar = kernel.temporal(dt / grid.ht) * (np.abs(dt) <= grid.ht)
+    if mode == "sym":
+        return disk[:, :, :, None] * bar[:, None, None, :]
+    if mode == "pb":
+        return backend.masked_kernel_product(
+            grid, kernel, DX, DY, DT, WorkCounter()) * norm
+    if mode == "disk":
+        return disk[:, :, :, None] * np.where(
+            np.abs(DT) <= grid.ht, kernel.temporal(DT / grid.ht), 0.0)
+    ks = kernel.spatial(DX / grid.hs, DY / grid.hs)
+    return np.where((DX * DX + DY * DY) < hs2, ks * norm, 0.0) \
+        * bar[:, None, None, :]
+
+
+class TestCohortTableLayout:
+    """``cohort_tables`` returns ``[i, x, y, t]`` tables stored
+    t-outermost, and the scatter hands that block to ``np.add.at``."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("mode", STAMP_MODES)
+    @pytest.mark.parametrize("kname", ALL_KERNELS)
+    def test_layout_contract(self, grid, monkeypatch, backend, mode, kname):
+        be, kern = get_backend(backend), kernel_of(kname)
+        rng = np.random.default_rng(29)
+        m, wx, wy, wt = 6, 5, 4, 3
+        dx = rng.uniform(-3, 3, (m, wx))
+        dy = rng.uniform(-3, 3, (m, wy))
+        dt = rng.uniform(-2.5, 2.5, (m, wt))
+        tables = be.cohort_tables(grid, kern, mode, 0.37, dx, dy, dt,
+                                  WorkCounter())
+        assert tables.shape == (m, wx, wy, wt)
+        assert tables.transpose(0, 3, 1, 2).flags.c_contiguous
+        assert np.array_equal(
+            tables, c_order_tables(be, grid, kern, mode, 0.37, dx, dy, dt))
+
+        handed = []
+
+        class SpyNumpy:
+            """``np`` as the engine sees it, recording what ``np.add.at``
+            receives."""
+
+            class add:
+                @staticmethod
+                def at(target, index, values):
+                    handed.append(values)
+                    np.add.at(target, index, values)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(stamping, "np", SpyNumpy())
+        vol = grid.allocate()
+        origin = np.arange(m)
+        stamping._scatter_slab(vol, tables, origin, origin, origin,
+                               (0, 0, 0))
+        (values,) = handed
+        assert np.shares_memory(values, tables)
 
 
 class TestMaskedProductParity:

@@ -588,6 +588,62 @@ class TestDirectScatter:
         stamp_batch(one, narrow, kern, coords[:1], 1.0, WorkCounter())
         np.testing.assert_allclose(got, 100.0 * one, rtol=RTOL, atol=ATOL)
 
+    @pytest.mark.parametrize("slab_cells", [stamping._SLAB_CELLS, 700])
+    @pytest.mark.parametrize("mode", STAMP_MODES)
+    def test_one_sort_keeps_the_per_cohort_order(self, narrow, monkeypatch,
+                                                 mode, slab_cells):
+        """The single stable sort hands the slabs their stamps in the
+        order a per-cohort sort gave: cohorts by ascending shape key
+        (``np.unique``), each by window origin (t, then x, then y), ties
+        in input order — here 30 coincident points, told apart by their
+        weights."""
+        rng = np.random.default_rng(53)
+        spot = [20.3, 17.6, 11.4]
+        coords = np.vstack([self.batch(), np.tile([spot], (30, 1))])
+        shuffle = rng.permutation(len(coords))
+        coords = coords[shuffle]
+        w = rng.uniform(0.2, 3.0, len(coords))
+        win = VoxelWindow(1, 45, 0, 37, 2, 22)
+        slabs = []
+        scatter = stamping._scatter_slab
+
+        def spy(vol, contrib, x0, y0, t0, vol_origin):
+            slabs.append((np.stack([x0, y0, t0], axis=1),
+                          contrib.sum(axis=(1, 2, 3))))
+            scatter(vol, contrib, x0, y0, t0, vol_origin)
+
+        monkeypatch.setattr(stamping, "_scatter_slab", spy)
+        stamp_batch(RegionBuffer(win).data, narrow, get_kernel("quartic"),
+                    coords, 1.0, WorkCounter(), mode=mode, clip=win,
+                    vol_origin=(win.x0, win.y0, win.t0), weights=w,
+                    slab_cells=slab_cells)
+
+        X0, X1, Y0, Y1, T0, T1 = batch_windows(narrow, coords, win)
+        wx, wy, wt = X1 - X0, Y1 - Y0, T1 - T0
+        live = np.flatnonzero((wx > 0) & (wy > 0) & (wt > 0))
+        key = ((wx * (2 * narrow.Hs + 2) + wy) * (2 * narrow.Ht + 2) + wt)
+        _, inverse = np.unique(key[live], return_inverse=True)
+        inverse = inverse.ravel()
+        cohorts = int(inverse.max()) + 1
+        order = []
+        for k in range(cohorts):
+            idx = live[inverse == k]
+            order.extend(idx[np.lexsort((Y0[idx], X0[idx], T0[idx]))])
+        order = np.array(order)
+        assert cohorts > 1
+        assert (len(slabs) > cohorts) if slab_cells == 700 \
+            else (len(slabs) == cohorts)
+
+        origins = np.concatenate([o for o, _ in slabs])
+        sums = np.concatenate([s for _, s in slabs])
+        np.testing.assert_array_equal(
+            origins, np.stack([X0, Y0, T0], axis=1)[order])
+        tie = np.flatnonzero(shuffle[order] >= len(self.batch()))
+        assert tie.size == 30 and np.all(np.diff(order[tie]) > 0)
+        np.testing.assert_allclose(sums[tie] / sums[tie[0]],
+                                   w[order[tie]] / w[order[tie[0]]],
+                                   rtol=RTOL)
+
     @pytest.mark.parametrize("m", [185, 200])
     def test_scattered_stamps_either_side_of_the_old_fork(self, monkeypatch, m):
         """Box cover just below and just above 1/8 — where the parent chose
