@@ -33,7 +33,7 @@ a point's cylinder *is* ``disk (x) bar``, so the cylinders of ``m`` nearby
 points add up to one matrix product.  Live points are binned on a fixed
 space-time lattice (the paper's Section 5 point decomposition, used here
 for locality instead of parallelism); every *crowded* bin — one whose
-stamps cover a good fraction of its box, see :func:`_stamp_crowded_bins` —
+stamps cover a good fraction of its box, see :func:`_crowded_runs` —
 tabulates its disks ``(m, BX, BY)`` and bars ``(m, BT)`` once in the box
 frame and reduces them with a single ``bar.T @ disk.reshape(m, -1)``
 followed by one slice-add of the ``(BT, BX, BY)`` partial — t-outermost,
@@ -70,6 +70,14 @@ two batching statistics (``stamp_batches``, ``stamp_cohorts`` — the
 latter counts tabulation groups: cohorts plus GEMM chunks) that feed the
 Section 6.5 cost model.
 
+The geometry of a batch — voxels, clipped windows, the crowded bins and
+the cohort order — is a :class:`StampPlan`, built once and stamped group
+by group: bins and cohorts are keyed by group first, so the point
+decomposition's block tasks (:mod:`repro.parallel.pd`) each run only
+their own block's slice of one plan, with exactly the additions and
+counts of stamping that block's points alone.  :func:`stamp_batch` is
+the plan of one group.
+
 Each cohort slab is a handful of large NumPy kernels, which is what
 :func:`repro.parallel.executors.run_threaded_stamping` shards across
 threads; whether that wins over the serial engine is a measured quantity
@@ -88,7 +96,7 @@ from .grid import GridSpec, VoxelWindow
 from .instrument import WorkCounter, null_counter
 from .kernels import KernelPair
 
-__all__ = ["stamp_batch", "batch_windows", "STAMP_MODES"]
+__all__ = ["StampPlan", "stamp_batch", "batch_windows", "STAMP_MODES"]
 
 #: Cost profiles the engine reproduces, one per point-based algorithm:
 #: ``"sym"`` tabulates disk and bar and multiply-adds their outer product
@@ -267,39 +275,31 @@ def _bin_edges(grid: GridSpec) -> Tuple[int, int, int]:
     return es, es, max(4 * grid.Ht, 16)
 
 
-def _stamp_crowded_bins(
-    vol: np.ndarray,
+def _crowded_runs(
     grid: GridSpec,
-    kernel: KernelPair,
-    coords: np.ndarray,
-    norm: float,
-    counter: WorkCounter,
-    backend: ComputeBackend,
     vox: np.ndarray,
     windows: Tuple[np.ndarray, ...],
     live: np.ndarray,
     clip: Optional[VoxelWindow],
-    vol_origin: Tuple[int, int, int],
-    weights: Optional[np.ndarray],
-) -> np.ndarray:
-    """PB-SYM's per-bin GEMM route; returns the ``live`` points it left.
+    group: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """PB-SYM's crowded bins: the rows they hold, and where each bin starts.
 
-    Live points are binned on the fixed :func:`_bin_edges` lattice.  A bin
-    is *crowded* when its points' clipped stamp cells add up to
+    Live rows are binned on the fixed :func:`_bin_edges` lattice, keyed by
+    (group, lattice bin) so that no bin spans two groups.  A bin is
+    *crowded* when its rows' clipped stamp cells add up to
     :data:`_CROWD_COVER` of its box (bin + halo, no larger than the
     clipped grid) and to at least :data:`_MIN_BIN_CELLS`.  Tabulating
     every point's disk and bar over the whole box then costs less than
-    scattering the stamps one cell at a time.  Each crowded bin is reduced as
-    ``bar.T @ disk.reshape(m, -1)`` — the sum over its points of
-    ``bar (x) disk``, one ``(bx, by)`` plane per t, the volume's memory
-    order — and added to ``vol`` with one slice-add.  The box is
-    the bounding box of the bin's clipped windows, so it lies inside the
-    grid and ``clip``; cells of it outside a point's own window are
-    outside that point's kernel support and tabulate to zero.
+    scattering the stamps one cell at a time.
 
-    One ``bincount`` of bin keys decides: a batch with no crowded bin
-    returns ``live`` unchanged before any sort.
+    Returns the crowded rows sorted by (group, bin), ties in input order,
+    and the position of each bin's first row among them.  One ``bincount``
+    of lattice keys decides first: a lattice bin short of the crowd is
+    short in every group, so a batch with no crowded lattice bin returns
+    before any sort.
     """
+    none = np.zeros(0, dtype=np.int64)
     X0, X1, Y0, Y1, T0, T1 = windows
     edges = _bin_edges(grid)
     lim = grid.full_window()
@@ -312,13 +312,11 @@ def _stamp_crowded_bins(
     )
     crowd_cells = max(_CROWD_COVER * box_cells, _MIN_BIN_CELLS)
     if live.size * (2 * grid.Hs + 1) ** 2 * (2 * grid.Ht + 1) < crowd_cells:
-        return live  # too few stamps to crowd even one bin
+        return none, none  # too few stamps to crowd even one bin
     if live.size < vox.shape[0]:
         vox = vox[live]
         X0, X1, Y0, Y1, T0, T1 = (w[live] for w in windows)
-    wt = T1 - T0
-    disk_cells = (X1 - X0) * (Y1 - Y0)
-    cells = disk_cells * wt
+    cells = (X1 - X0) * (Y1 - Y0) * (T1 - T0)
     # Keys relative to the batch's own corner bin: a compact batch on a
     # large grid counts over its few bins, not the grid's.  Per axis, on
     # 1-D columns (NumPy's (n, 3) loops are several times slower).
@@ -329,57 +327,255 @@ def _stamp_crowded_bins(
     key -= (lo[0] * span[1] + lo[1]) * span[2] + lo[2]
     crowded = np.bincount(key, weights=cells) >= crowd_cells
     if not crowded.any():
-        return live
-    hot = crowded[key]
-    # Logical charges are the clipped windows', as on the cohort route.
-    n_disk = int(disk_cells[hot].sum())
-    n_bar = int(wt[hot].sum())
-    counter.spatial_evals += n_disk
-    counter.temporal_evals += n_bar
-    counter.distance_tests += n_disk + n_bar
-    counter.madds += int(cells[hot].sum())
-
-    # Sort the crowded points by bin; ``at`` indexes the live-compressed
-    # arrays, ``idx`` the caller's rows.
-    at = np.flatnonzero(hot)
-    at = at[np.argsort(key[at], kind="stable")]
+        return none, none
+    # ``at`` indexes the live-compressed arrays; the group is the outer key.
+    at = np.flatnonzero(crowded[key])
     key = key[at]
-    idx = live[at]
+    if group is not None:
+        key += group[live[at]] * (span[0] * span[1] * span[2])
+    rank = np.argsort(key, kind="stable")
+    at, key = at[rank], key[rank]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    bounds = zip(
-        starts.tolist(),
-        np.r_[starts[1:], at.size].tolist(),
-        np.minimum.reduceat(X0[at], starts).tolist(),
-        np.maximum.reduceat(X1[at], starts).tolist(),
-        np.minimum.reduceat(Y0[at], starts).tolist(),
-        np.maximum.reduceat(Y1[at], starts).tolist(),
-        np.minimum.reduceat(T0[at], starts).tolist(),
-        np.maximum.reduceat(T1[at], starts).tolist(),
-    )
-    xs, ys, ts = coords[idx, 0], coords[idx, 1], coords[idx, 2]
-    ws = None if weights is None else weights[idx]
-    ox, oy, ot = vol_origin
-    for a, b, x0, x1, y0, y1, t0, t1 in bounds:
-        bx, by, bt = x1 - x0, y1 - y0, t1 - t0
-        target = vol[x0 - ox : x1 - ox, y0 - oy : y1 - oy, t0 - ot : t1 - ot]
-        xc = grid.x_centers(x0, x1)
-        yc = grid.y_centers(y0, y1)
-        tc = grid.t_centers(t0, t1)
-        step = max(1, _GEMM_CELLS // (bx * by))
-        for s in range(a, b, step):
-            e = min(s + step, b)
-            counter.stamp_cohorts += 1
-            disk, bar = backend.factor_tables(
-                grid, kernel, norm,
-                xc - xs[s:e, None], yc - ys[s:e, None], tc - ts[s:e, None],
-                counter,
+    # A lattice bin that two groups share may leave each part short.
+    hot = np.add.reduceat(cells[at], starts) >= crowd_cells
+    if not hot.all():
+        keep = np.repeat(hot, np.diff(np.r_[starts, at.size]))
+        at, key = at[keep], key[keep]
+        starts = np.flatnonzero(np.r_[key.size > 0, key[1:] != key[:-1]])
+    return live[at], starts
+
+
+class StampPlan:
+    """One batch's stamping geometry, built once and stamped group by group.
+
+    The plan computes every row's voxel, clipped window and liveness once;
+    for ``mode="sym"`` the crowded bins of the per-bin GEMM route, keyed by
+    (group, lattice bin) (:func:`_crowded_runs`); and the cohort order of
+    the live rows those bins leave, with one stable sort by (group, shape,
+    origin).  It holds no kernel, weight or target.  :meth:`stamp` runs
+    one group's GEMM chunks and cohort slabs into a volume and reads no
+    other group's runs, so the block tasks of the point decomposition
+    (:mod:`repro.parallel.pd`) share one plan, on any backend.
+
+    ``groups`` is ``None`` (every row in group 0) or an ``(n,)`` array of
+    non-negative integer group ids.  Bins stay on the absolute lattice and
+    ties sort in input order, so stamping a group performs exactly the
+    additions — to the bit — of :func:`stamp_batch` on that group's rows
+    alone, with the same work counts.
+    """
+
+    def __init__(
+        self,
+        grid: GridSpec,
+        coords: np.ndarray,
+        *,
+        mode: str = "sym",
+        clip: Optional[VoxelWindow] = None,
+        groups: Optional[np.ndarray] = None,
+    ) -> None:
+        if mode not in STAMP_MODES:
+            raise ValueError(
+                f"unknown stamp mode {mode!r}; expected one of {STAMP_MODES}"
             )
-            if ws is not None:
-                bar *= ws[s:e, None]
-            # (bt, bx*by): t-outermost, the target's own memory order.
-            partial = bar.T @ disk.reshape(e - s, bx * by)
-            target += partial.reshape(bt, bx, by).transpose(1, 2, 0)
-    return live[~hot]
+        self.grid = grid
+        self.mode = mode
+        self.coords = coords = np.asarray(coords, dtype=np.float64)
+        n = coords.shape[0]
+        if n == 0:
+            self.coords = coords = coords.reshape(0, 3)
+        group = None
+        if groups is not None:
+            group = np.asarray(groups)
+            if group.shape != (n,) or group.dtype.kind not in "iu" or (
+                n and group.min() < 0
+            ):
+                raise ValueError(
+                    f"groups must be ({n},) non-negative integers, got "
+                    f"{group.dtype} of shape {group.shape}"
+                )
+            group = group.astype(np.int64, copy=False)
+        #: Rows per group id, live or not (the PD block loads).
+        self.counts = (
+            np.array([n]) if group is None else np.bincount(group, minlength=1)
+        )
+        vox = grid.voxels_of(coords)
+        self._windows = X0, X1, Y0, Y1, T0, T1 = _windows_of(grid, vox, clip)
+        self._shapes = wx, wy, wt = X1 - X0, Y1 - Y0, T1 - T0
+        live = np.flatnonzero((wx > 0) & (wy > 0) & (wt > 0))
+
+        # GEMM runs, one per crowded bin: rows ``rows[a:b]`` and the
+        # bounding box of their windows.
+        rows, starts = (
+            _crowded_runs(grid, vox, self._windows, live, clip, group)
+            if mode == "sym" and live.size
+            else (np.zeros(0, dtype=np.int64),) * 2
+        )
+        self._gemm_rows = rows
+        self._gemm = []
+        if rows.size:
+            self._gemm = list(zip(
+                starts.tolist(),
+                np.r_[starts[1:], rows.size].tolist(),
+                *(f.reduceat(w[rows], starts).tolist() for w, f in zip(
+                    self._windows, (np.minimum, np.maximum) * 3)),
+            ))
+            left = np.ones(n, dtype=bool)
+            left[rows] = False
+            live = live[left[live]]
+
+        # Cohort key: the stamp shape.  Interior points share the full
+        # (2Hs+1, 2Hs+1, 2Ht+1) extent; clipped points land in residual
+        # shapes.  One stable sort orders every group's cohorts: by group,
+        # then shape key, then window origin in the volume layout's memory
+        # order (t, then x, then y), so that consecutive stamps, and the
+        # slabs cut from them, write compact, cache-resident regions of the
+        # target even when a cohort spans the whole grid; ties keep input
+        # order.  Neither shape nor origin key exceeds (Gx+1)(Gy+1)(Gt+1),
+        # so their combined key fits int64 for any volume that fits in
+        # memory; the group, if any, is a second sort key.
+        span_y = min(2 * grid.Hs + 1, grid.Gy) + 1
+        span_t = min(2 * grid.Ht + 1, grid.Gt) + 1
+        cohort = (wx[live] * span_y + wy[live]) * span_t + wt[live]
+        key = cohort * grid.n_voxels + grid.flat_index(
+            X0[live], Y0[live], T0[live]
+        )
+        rank = (
+            np.argsort(key, kind="stable") if group is None
+            else np.lexsort((key, group[live]))
+        )
+        self._cohort_rows = order = live[rank]
+        cohort = cohort[rank]
+        change = cohort[1:] != cohort[:-1]
+        if group is not None:
+            change |= group[order[1:]] != group[order[:-1]]
+        cuts = np.flatnonzero(np.r_[order.size > 0, change])
+        self._cohorts = list(zip(
+            cuts.tolist(),
+            np.r_[cuts[1:], order.size].tolist(),
+            *(s[order[cuts]].tolist() for s in (wx, wy, wt)),
+        ))
+
+        # Each group's runs are contiguous: ``runs[at[g]:at[g + 1]]``.
+        self._gemm_at, self._cohort_at = (
+            [0, len(runs)] if group is None else np.searchsorted(
+                group[first], np.arange(self.counts.size + 1)
+            ).tolist()
+            for runs, first in ((self._gemm, rows[starts]),
+                                (self._cohorts, order[cuts]))
+        )
+
+    def stamp(
+        self,
+        vol: np.ndarray,
+        kernel: KernelPair,
+        norm: float,
+        counter: Optional[WorkCounter] = None,
+        *,
+        group: int = 0,
+        weights: Optional[np.ndarray] = None,
+        vol_origin: Tuple[int, int, int] = (0, 0, 0),
+        slab_cells: int = _SLAB_CELLS,
+        compute: "ComputeBackend | str | None" = None,
+    ) -> None:
+        """Stamp the rows of one group into ``vol``.
+
+        ``weights`` (if given) are per row of the whole batch, ``(n,)``;
+        the other parameters are :func:`stamp_batch`'s.  Writes stay inside
+        the bounding box of the clipped windows of the group's own rows.
+        """
+        backend = get_backend(compute)
+        counter = counter if counter is not None else null_counter()
+        n = self.coords.shape[0]
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+            if weights.shape != (n,):
+                raise ValueError(
+                    f"weights must be ({n},) matching coords, got {weights.shape}"
+                )
+        if not 0 <= group < self.counts.size:
+            return
+        gemm = self._gemm[self._gemm_at[group] : self._gemm_at[group + 1]]
+        cohorts = self._cohorts[self._cohort_at[group] : self._cohort_at[group + 1]]
+        if not gemm and not cohorts:
+            return  # no live row
+        counter.stamp_batches += 1
+        if gemm:
+            self._stamp_bins(vol, kernel, norm, counter, backend, gemm,
+                             weights, vol_origin)
+
+        grid = self.grid
+        coords = self.coords
+        dom = grid.domain
+        X0, _, Y0, _, T0, _ = self._windows
+        for a, b, cwx, cwy, cwt in cohorts:
+            idx = self._cohort_rows[a:b]
+            counter.stamp_cohorts += 1
+            step = max(1, slab_cells // (cwx * cwy * cwt))
+            for s in range(0, idx.size, step):
+                sel = idx[s : s + step]
+                dx = _axis_offsets(dom.x0, dom.sres, X0[sel], cwx, coords[sel, 0])
+                dy = _axis_offsets(dom.y0, dom.sres, Y0[sel], cwy, coords[sel, 1])
+                dt = _axis_offsets(dom.t0, dom.tres, T0[sel], cwt, coords[sel, 2])
+                contrib = backend.cohort_tables(
+                    grid, kernel, self.mode, norm, dx, dy, dt, counter
+                )
+                if weights is not None:
+                    contrib *= weights[sel][:, None, None, None]
+                _scatter_slab(vol, contrib, X0[sel], Y0[sel], T0[sel], vol_origin)
+
+
+    def _stamp_bins(
+        self,
+        vol: np.ndarray,
+        kernel: KernelPair,
+        norm: float,
+        counter: WorkCounter,
+        backend: ComputeBackend,
+        gemm: list,
+        weights: Optional[np.ndarray],
+        vol_origin: Tuple[int, int, int],
+    ) -> None:
+        """One group's GEMM route: each crowded bin in chunks of
+        :data:`_GEMM_CELLS` disk cells, each chunk one
+        ``bar.T @ disk.reshape(m, -1)`` — the sum over its points of
+        ``bar (x) disk``, one ``(bx, by)`` plane per t, the volume's memory
+        order — added to the bin's box with one slice-add.  Cells of the
+        box outside a point's own window are outside its kernel support
+        and tabulate to zero."""
+        grid = self.grid
+        lo = gemm[0][0]
+        rows = self._gemm_rows[lo : gemm[-1][1]]
+        # Logical charges are the clipped windows', as on the cohort route.
+        wx, wy, wt = self._shapes
+        disk_cells, bar_cells = wx[rows] * wy[rows], wt[rows]
+        n_disk, n_bar = int(disk_cells.sum()), int(bar_cells.sum())
+        counter.spatial_evals += n_disk
+        counter.temporal_evals += n_bar
+        counter.distance_tests += n_disk + n_bar
+        counter.madds += int((disk_cells * bar_cells).sum())
+        xs, ys, ts = (self.coords[rows, axis] for axis in range(3))
+        ws = None if weights is None else weights[rows]
+        ox, oy, ot = vol_origin
+        for a, b, x0, x1, y0, y1, t0, t1 in gemm:
+            bx, by, bt = x1 - x0, y1 - y0, t1 - t0
+            target = vol[x0 - ox : x1 - ox, y0 - oy : y1 - oy, t0 - ot : t1 - ot]
+            xc = grid.x_centers(x0, x1)
+            yc = grid.y_centers(y0, y1)
+            tc = grid.t_centers(t0, t1)
+            step = max(1, _GEMM_CELLS // (bx * by))
+            for s in range(a - lo, b - lo, step):
+                e = min(s + step, b - lo)
+                counter.stamp_cohorts += 1
+                disk, bar = backend.factor_tables(
+                    grid, kernel, norm,
+                    xc - xs[s:e, None], yc - ys[s:e, None], tc - ts[s:e, None],
+                    counter,
+                )
+                if ws is not None:
+                    bar *= ws[s:e, None]
+                # (bt, bx*by): t-outermost, the target's own memory order.
+                partial = bar.T @ disk.reshape(e - s, bx * by)
+                target += partial.reshape(bt, bx, by).transpose(1, 2, 0)
 
 
 def stamp_batch(
@@ -398,6 +594,9 @@ def stamp_batch(
     compute: "ComputeBackend | str | None" = None,
 ) -> None:
     """Stamp a batch of points through the cohort-vectorised engine.
+
+    The one-group case of :class:`StampPlan`: one plan of the whole batch,
+    stamped once.
 
     Parameters
     ----------
@@ -440,74 +639,7 @@ def stamp_batch(
         evaluate ``kernel`` natively fall back internally to an
         always-available path.
     """
-    if mode not in STAMP_MODES:
-        raise ValueError(f"unknown stamp mode {mode!r}; expected one of {STAMP_MODES}")
-    backend = get_backend(compute)
-    counter = counter if counter is not None else null_counter()
-    coords = np.asarray(coords, dtype=np.float64)
-    n = coords.shape[0]
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (n,):
-            raise ValueError(
-                f"weights must be ({n},) matching coords, got {weights.shape}"
-            )
-    if n == 0:
-        return
-    vox = grid.voxels_of(coords)
-    windows = _windows_of(grid, vox, clip)
-    X0, X1, Y0, Y1, T0, T1 = windows
-    wx = X1 - X0
-    wy = Y1 - Y0
-    wt = T1 - T0
-    valid = (wx > 0) & (wy > 0) & (wt > 0)
-    live = np.nonzero(valid)[0]
-    if live.size == 0:
-        return
-    counter.stamp_batches += 1
-    if mode == "sym":
-        live = _stamp_crowded_bins(
-            vol, grid, kernel, coords, norm, counter, backend,
-            vox, windows, live, clip, vol_origin, weights,
-        )
-        if live.size == 0:
-            return
-
-    dom = grid.domain
-    # Cohort key: the stamp shape.  Interior points share the full
-    # (2Hs+1, 2Hs+1, 2Ht+1) extent; clipped points land in residual shapes.
-    span_y = min(2 * grid.Hs + 1, grid.Gy) + 1
-    span_t = min(2 * grid.Ht + 1, grid.Gt) + 1
-    cohort = (wx[live] * span_y + wy[live]) * span_t + wt[live]
-    # One stable sort orders every cohort: by shape key, then by window
-    # origin in the volume layout's memory order (t, then x, then y), so
-    # that consecutive stamps, and the slabs cut from them, write
-    # compact, cache-resident regions of the target even when the cohort
-    # spans the whole grid; ties keep input order.  Neither key exceeds
-    # (Gx+1)(Gy+1)(Gt+1), so the combined key fits int64 for any volume
-    # that fits in memory.
-    origin = grid.flat_index(X0[live], Y0[live], T0[live])
-    rank = np.argsort(cohort * grid.n_voxels + origin, kind="stable")
-    cohort = cohort[rank]
-    order = live[rank]
-    starts = np.flatnonzero(np.r_[True, cohort[1:] != cohort[:-1]])
-
-    for a, b in zip(starts.tolist(), np.r_[starts[1:], order.size].tolist()):
-        idx = order[a:b]
-        counter.stamp_cohorts += 1
-        cwx = int(wx[idx[0]])
-        cwy = int(wy[idx[0]])
-        cwt = int(wt[idx[0]])
-        cells = cwx * cwy * cwt
-        step = max(1, slab_cells // cells)
-        for s in range(0, idx.size, step):
-            sel = idx[s : s + step]
-            dx = _axis_offsets(dom.x0, dom.sres, X0[sel], cwx, coords[sel, 0])
-            dy = _axis_offsets(dom.y0, dom.sres, Y0[sel], cwy, coords[sel, 1])
-            dt = _axis_offsets(dom.t0, dom.tres, T0[sel], cwt, coords[sel, 2])
-            contrib = backend.cohort_tables(
-                grid, kernel, mode, norm, dx, dy, dt, counter
-            )
-            if weights is not None:
-                contrib *= weights[sel][:, None, None, None]
-            _scatter_slab(vol, contrib, X0[sel], Y0[sel], T0[sel], vol_origin)
+    StampPlan(grid, coords, mode=mode, clip=clip).stamp(
+        vol, kernel, norm, counter, weights=weights, vol_origin=vol_origin,
+        slab_cells=slab_cells, compute=compute,
+    )

@@ -21,20 +21,26 @@ Two schedulers:
   and 13).
 
 Both produce exactly the PB-SYM volume (work-efficient; no replication
-overhead), unlike DR/DD.  Block tasks stamp through the batched engine
-(:mod:`repro.core.stamping` via :func:`stamp_points_sym`), one call per
-block.
+overhead), unlike DR/DD.  The ``bin`` phase builds one
+:class:`~repro.core.stamping.StampPlan` of the whole batch, grouped by
+owner block: voxels, windows, crowded bins and the cohort sort are
+computed once, and each block task stamps only its own group's GEMM
+chunks and cohort slabs — the same additions, to the bit, as stamping
+the block's points on their own.  A group writes only inside its block's
+halo, so the colouring keeps concurrent tasks apart as before.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from ..algorithms.base import STKDEResult, register_algorithm
-from ..algorithms.pb_sym import stamp_points_sym
 from ..core.grid import GridSpec, PointSet, Volume, empty_volume
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.kernels import KernelPair, get_kernel
+from ..core.stamping import StampPlan
 from .color import (
     greedy_coloring,
     load_order,
@@ -83,10 +89,10 @@ def run_point_decomposition(
     norm = grid.normalization(points.n)
 
     with timer.phase("bin"):
-        binning = dec.bin_points_owner(points)
-        occupied = [int(b) for b in binning.occupied()]
+        plan = StampPlan(grid, points.coords, groups=dec.owners(points))
+        occupied = [int(b) for b in np.flatnonzero(plan.counts)]
         loads: Dict[int, float] = {
-            bid: float(len(binning.points_in(bid))) for bid in occupied
+            bid: float(plan.counts[bid]) for bid in occupied
         }
 
     with timer.phase("color"):
@@ -107,12 +113,9 @@ def run_point_decomposition(
     task_counters = [WorkCounter() for _ in blocks_sorted]
 
     def make_block_task(k: int, bid: int):
-        idx = binning.points_in(bid)
-        coords = points.coords[idx]
-
         def fn() -> None:
-            stamp_points_sym(vol, grid, kern, coords, norm, task_counters[k])
-            task_counters[k].points_processed += len(coords)
+            plan.stamp(vol, kern, norm, task_counters[k], group=bid)
+            task_counters[k].points_processed += int(plan.counts[bid])
 
         return fn
 

@@ -1,0 +1,195 @@
+"""The stamping plan: one batch's geometry, stamped group by group.
+
+A group of a :class:`~repro.core.stamping.StampPlan` must stamp exactly —
+to the bit, with the same work counts — what ``stamp_batch`` stamps on
+that group's rows alone, and must write only where its own rows reach:
+the point decomposition's block tasks share one plan across threads.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core import DomainSpec, GridSpec, PointSet, VoxelWindow, WorkCounter
+from repro.core.backends import ComputeBackend
+from repro.core.kernels import get_kernel
+from repro.core.regions import RegionBuffer
+from repro.core.stamping import STAMP_MODES, StampPlan, stamp_batch
+from repro.parallel import pb_sym_pd_sched
+from repro.parallel.partition import BlockDecomposition
+
+KERNEL = get_kernel("quartic")
+NORM = 0.37
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return GridSpec(DomainSpec.from_voxels(40, 36, 30), hs=4.6, ht=2.2)
+
+
+def batch(grid, seed=7):
+    """Clumps dense enough to crowd GEMM bins, scattered points on and
+    near the grid's faces, and 30 coincident points."""
+    rng = np.random.default_rng(seed)
+    hi = np.array(grid.shape, dtype=float)
+    clumps = [
+        rng.normal(centre, [2.0, 2.0, 1.5], (70, 3))
+        for centre in ([11.5, 10.5, 9.5], [27.5, 24.5, 19.5], [19.5, 17.5, 14.5])
+    ]
+    loose = rng.uniform(0.0, 1.0, (90, 3)) * hi
+    coincident = np.tile([[20.3, 17.6, 11.4]], (30, 1))
+    coords = np.vstack(clumps + [loose, coincident])
+    coords = np.clip(coords, 0.01, hi - 0.01)
+    return coords[rng.permutation(len(coords))]
+
+
+def block_groups(grid, coords, shape=(4, 3, 2)):
+    """Owner blocks, as the point decomposition groups its batch."""
+    dec = BlockDecomposition(grid, *shape)
+    return dec.owners(PointSet(coords))
+
+
+def stamp_alone(shape, grid, coords, rows, **kw):
+    """``stamp_batch`` on ``rows`` only; the volume and the counter."""
+    weights = kw.pop("weights", None)
+    if weights is not None:
+        kw["weights"] = weights[rows]
+    vol, c = np.zeros(shape), WorkCounter()
+    stamp_batch(vol, grid, KERNEL, coords[rows], NORM, c, **kw)
+    return vol, c
+
+
+class TestPlanEquivalence:
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("clipped", [False, True])
+    @pytest.mark.parametrize("mode", STAMP_MODES)
+    def test_each_group_is_its_own_stamp_batch(self, grid, mode, clipped,
+                                               weighted):
+        coords = batch(grid)
+        groups = block_groups(grid, coords)
+        rng = np.random.default_rng(3)
+        weights = rng.uniform(0.2, 3.0, len(coords)) if weighted else None
+        kw = {"mode": mode}
+        shape = grid.shape
+        if clipped:
+            # A RegionBuffer behind a vol_origin; the first block's points
+            # all lie outside it, so that group stamps nothing.
+            win = VoxelWindow(13, 40, 4, 33, 3, 27)
+            kw.update(clip=win, vol_origin=(win.x0, win.y0, win.t0))
+            shape = RegionBuffer(win).data.shape
+        plan = StampPlan(grid, coords, mode=mode, clip=kw.get("clip"),
+                         groups=groups)
+        np.testing.assert_array_equal(plan.counts, np.bincount(groups))
+        empty = 0
+        for g in rng.permutation(plan.counts.size):
+            rows = np.flatnonzero(groups == g)
+            want, wc = stamp_alone(shape, grid, coords, rows, weights=weights,
+                                   **kw)
+            got, gc = np.zeros(shape), WorkCounter()
+            plan.stamp(got, KERNEL, NORM, gc, group=g, weights=weights,
+                       vol_origin=kw.get("vol_origin", (0, 0, 0)))
+            np.testing.assert_array_equal(got, want)
+            assert gc.as_dict() == wc.as_dict()
+            empty += bool(rows.size) and not got.any()
+        if clipped:
+            assert empty >= 1  # a group whose windows are all empty
+        if mode == "sym" and not clipped:
+            # The GEMM route ran: fewer tabulation groups than points.
+            assert len(plan._gemm) > 0
+
+    def test_groups_in_any_order_build_the_same_volume(self, grid):
+        """Stamped into one volume in a shuffled group order, the plan
+        makes the additions of per-group calls in that same order."""
+        coords = batch(grid, seed=11)
+        groups = block_groups(grid, coords)
+        plan = StampPlan(grid, coords, groups=groups)
+        order = np.random.default_rng(5).permutation(plan.counts.size)
+        got, want = np.zeros(grid.shape), np.zeros(grid.shape)
+        gc, wc = WorkCounter(), WorkCounter()
+        for g in order:
+            plan.stamp(got, KERNEL, NORM, gc, group=g)
+            stamp_batch(want, grid, KERNEL, coords[groups == g], NORM, wc)
+        np.testing.assert_array_equal(got, want)
+        assert gc.as_dict() == wc.as_dict()
+
+    def test_scattered_group_ids(self, grid):
+        """Groups need not be blocks: random ids, with gaps, interleaved
+        in space."""
+        coords = batch(grid, seed=13)
+        groups = np.random.default_rng(2).choice([0, 2, 3, 7], len(coords))
+        plan = StampPlan(grid, coords, groups=groups)
+        for g in range(plan.counts.size + 1):
+            want, wc = stamp_alone(grid.shape, grid, coords,
+                                   np.flatnonzero(groups == g))
+            got, gc = np.zeros(grid.shape), WorkCounter()
+            plan.stamp(got, KERNEL, NORM, gc, group=g)
+            np.testing.assert_array_equal(got, want)
+            assert gc.as_dict() == wc.as_dict()
+
+    def test_one_group_is_stamp_batch(self, grid):
+        coords = batch(grid)
+        want, wc = stamp_alone(grid.shape, grid, coords, slice(None))
+        got, gc = np.zeros(grid.shape), WorkCounter()
+        StampPlan(grid, coords).stamp(got, KERNEL, NORM, gc)
+        np.testing.assert_array_equal(got, want)
+        assert gc.as_dict() == wc.as_dict()
+
+    def test_bad_groups_are_rejected(self, grid):
+        coords = batch(grid)
+        for groups in (np.zeros(3, dtype=int), -np.ones(len(coords), dtype=int),
+                       np.zeros(len(coords))):
+            with pytest.raises(ValueError, match="groups"):
+                StampPlan(grid, coords, groups=groups)
+
+
+class TestWriteContainment:
+    """The threads backend's safety property: a group writes only inside
+    its block's halo, also where one lattice bin straddles two blocks."""
+
+    @pytest.fixture
+    def setting(self):
+        # Hs = 4: lattice bins 8 voxels wide along x, PD blocks 12 wide,
+        # so the block edge at x = 12 cuts the lattice bin [8, 16).
+        grid = GridSpec(DomainSpec.from_voxels(48, 32, 32), hs=4.0, ht=2.0)
+        dec = BlockDecomposition.adjusted_for_pd(grid, 4, 1, 1)
+        assert dec.shape == (4, 1, 1) and dec.xb[1] == 12
+        rng = np.random.default_rng(29)
+        left = rng.uniform([8.2, 12.0, 12.0], [11.9, 15.9, 15.9], (40, 3))
+        right = rng.uniform([12.1, 12.0, 12.0], [15.9, 15.9, 15.9], (40, 3))
+        coords = np.vstack([left, right])[rng.permutation(80)]
+        return grid, dec, coords
+
+    def test_groups_write_inside_their_halo(self, setting, monkeypatch):
+        grid, dec, coords = setting
+        pts = PointSet(coords)
+        groups = dec.owners(pts)
+        assert set(groups.tolist()) == {0, 1}
+        gemm_rows = []
+        tables = ComputeBackend.factor_tables
+
+        def spy(self, grid, kernel, norm, dx, dy, dt, counter):
+            gemm_rows.append(dx.shape[0])
+            return tables(self, grid, kernel, norm, dx, dy, dt, counter)
+
+        monkeypatch.setattr(ComputeBackend, "factor_tables", spy)
+        plan = StampPlan(grid, coords, groups=groups)
+        for g in (0, 1):
+            vol = np.zeros(grid.shape)
+            plan.stamp(vol, KERNEL, NORM, group=g)
+            halo = dec.halo_window(*dec.block_coords(g))
+            inside = np.zeros(grid.shape, dtype=bool)
+            inside[halo.x0:halo.x1, halo.y0:halo.y1, halo.t0:halo.t1] = True
+            assert vol.any() and not vol[~inside].any(), g
+        # Both halves of the straddling bin were crowded: every row took
+        # the GEMM route, as two bins.
+        assert sum(gemm_rows) == len(coords)
+        assert len(plan._gemm) == 2
+
+    def test_threads_match_serial(self, setting):
+        grid, _, coords = setting
+        pts = PointSet(coords)
+        kw = dict(P=2, decomposition=(4, 1, 1))
+        serial = pb_sym_pd_sched(pts, grid, backend="serial", **kw)
+        threads = pb_sym_pd_sched(pts, grid, backend="threads", **kw)
+        np.testing.assert_array_equal(threads.data, serial.data)

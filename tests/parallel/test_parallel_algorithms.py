@@ -317,17 +317,27 @@ class TestRunnerContracts:
         assert serial.counter.as_dict() == simulated.counter.as_dict()
         assert serial.counter.as_dict() == threads.counter.as_dict()
 
+    #: Per-block madds of PD and PD-SCHED (one shared plan, one task per
+    #: occupied block): a plan that merged or split block work moves them.
+    PD_TASK_MADDS = [3087, 1029, 31213, 9604, 1372, 17836, 2058, 343, 4067,
+                     4802, 343, 11319, 14063, 343, 343, 5831, 343, 343, 686,
+                     2058, 2744, 5831, 343]
+
     @pytest.mark.parametrize("algo, want", [
-        # madds, init_writes, reduce_adds, points_processed, stamp_batches
-        (pb_sym_dr, (120001, 152064, 152064, 350, 3)),
-        (pb_sym_dd, (120001, 50688, 0, 1546, 45)),
-        (pb_sym_pd, (120001, 50688, 0, 350, 23)),
-        (pb_sym_pd_sched, (120001, 50688, 0, 350, 23)),
+        # madds, init_writes, reduce_adds, points_processed, stamp_batches,
+        # stamp_cohorts
+        (pb_sym_dr, (120001, 152064, 152064, 350, 3, 7)),
+        (pb_sym_dd, (120001, 50688, 0, 1546, 45, 1231)),
+        (pb_sym_pd, (120001, 50688, 0, 350, 23, 26)),
+        (pb_sym_pd_sched, (120001, 50688, 0, 350, 23, 26)),
     ])
     def test_work_counts_pinned(self, algo, want, grid, pts):
-        c = run_on(algo, "simulated", grid, pts).counter
+        res = run_on(algo, "simulated", grid, pts)
+        c = res.counter
         assert (c.madds, c.init_writes, c.reduce_adds, c.points_processed,
-                c.stamp_batches) == want
+                c.stamp_batches, c.stamp_cohorts) == want
+        if algo in (pb_sym_pd, pb_sym_pd_sched):
+            assert res.meta["task_madds"] == self.PD_TASK_MADDS
 
 
 class TestModelPicksStrategiesNotBackends:
