@@ -6,9 +6,10 @@ Same primitives as ``numpy-ref``, three optimisations:
   (``k_s * k_t == c * (1 - r^2)^p * (1 - w^2)``: Epanechnikov, quartic)
   the masked product is ``max(hs^2 - d^2, 0)^p * max(ht^2 - dt^2, 0)``
   times one scalar: the clamp *is* the mask, so PB-SYM's disk table
-  costs two or three passes (add, subtract, clamp, square when
-  ``p == 2``) and the point-query pair kernel a handful, against the
-  reference's seven-pass mask, scale, evaluate and multiply.
+  costs one batched matrix product for ``d^2`` (:func:`~repro.core.
+  backends.base.disk_d2`) and two or three passes (subtract, clamp,
+  square when ``p == 2``), and the point-query pair kernel a handful,
+  against the reference's seven-pass mask, scale, evaluate and multiply.
   ``hs^2 - d^2`` rounds correctly, so it is ``<= 0`` exactly where
   ``d^2 >= hs^2``: the strict spatial mask holds bit for bit.  Other
   radial kernels reuse the mask's squared distance for
@@ -43,7 +44,7 @@ import numpy as np
 from ..grid import GridSpec
 from ..instrument import WorkCounter, null_counter
 from ..kernels import KernelPair
-from .base import ComputeBackend, cylinder_product
+from .base import ComputeBackend, cylinder_product, disk_d2
 from .numpy_ref import NumpyRefBackend
 
 __all__ = ["NumpyFusedBackend"]
@@ -168,13 +169,20 @@ class NumpyFusedBackend(ComputeBackend):
         dy: np.ndarray,
         dt: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """The clamp form: ``max(hs**2 - d2, 0)**p`` and ``max(ht**2 -
+        dt**2, 0)``, every constant on the bar.  ``d2`` is the base form's
+        :func:`~repro.core.backends.base.disk_d2` product, whose cells are
+        two exact terms rounded once, the broadcast sum's bits; ``hs**2``
+        stays a separate subtraction (folded into the product it would
+        round twice), which rounds correctly, so the clamp is 0 exactly
+        where ``d2 >= hs**2``: the strict mask, bit for bit."""
         if kernel.clamp_profile is None:
             return super()._factor_tables(grid, kernel, norm, dx, dy, dt)
         c, p = kernel.clamp_profile
         hs2 = grid.hs * grid.hs
         ht2 = grid.ht * grid.ht
         # The base form's d2 bits, so the clamp is its strict mask.
-        disk = _clamp(hs2, (dx * dx)[:, :, None] + (dy * dy)[:, None, :], p)
+        disk = _clamp(hs2, disk_d2(dx, dy), p)
         # Every constant rides on the (m, wt) bar.
         bar = _clamp(ht2, dt * dt)
         bar *= norm * c / (hs2**p * ht2)

@@ -14,9 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.algorithms import get_algorithm
-from repro.core import DomainSpec, GridSpec, WorkCounter
+from repro.core import DomainSpec, GridSpec, VoxelWindow, WorkCounter
+import repro.core.backends.base as backends_base
+import repro.core.backends.numpy_fused as backends_fused
 from repro.core.backends import (
     DEFAULT_BACKEND,
     ComputeBackend,
@@ -26,7 +31,7 @@ from repro.core.backends import (
 from repro.core.incremental import IncrementalSTKDE
 from repro.core.instrument import null_counter
 from repro.core.kernels import KernelPair, available_kernels, get_kernel
-from repro.core.regions import accumulate_voxel_tile
+from repro.core.regions import RegionBuffer, accumulate_voxel_tile
 import repro.core.stamping as stamping
 from repro.core.stamping import STAMP_MODES, stamp_batch
 from repro.serve import DensityService, ShardedDensityService
@@ -36,6 +41,7 @@ from repro.core.index import BucketIndex
 from tests.helpers import (
     BOX_KERNEL,
     CUSTOM_KERNEL,
+    broadcast_d2,
     make_clustered_points,
     make_points,
 )
@@ -444,6 +450,81 @@ class TestClampForm:
         )
         assert np.isfinite(got).all()
         np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
+
+
+class TestDiskD2:
+    """The disk tables' squared distances are one batched matrix product
+    ``[dx**2, 1] @ [1; dy**2]``.  Each cell is a two-term dot product of
+    exact products, so it must round to the broadcast sum's bits on any
+    BLAS — and every volume and counter stamped over it with them."""
+
+    #: Offsets whose squares are ordinary, zero, subnormal, underflow to
+    #: zero, or overflow (alone or in the sum) to inf.
+    OFFSETS = st.one_of(
+        st.floats(-60.0, 60.0),
+        st.sampled_from([0.0, -0.0, 5e-324, -1e-170, 1e-160, 2.2e-154,
+                         -1.5e-154, 1e154, -1.2e154, 1e155, -1e200, 1.7e308]),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bits_of_the_broadcast_sum(self, data):
+        m = data.draw(st.integers(0, 6), label="m")
+        wx, wy = (data.draw(st.integers(1, 40), label=w) for w in "xy")
+        dx = data.draw(arrays(np.float64, (m, wx), elements=self.OFFSETS))
+        dy = data.draw(arrays(np.float64, (m, wy), elements=self.OFFSETS))
+        with np.errstate(over="ignore", under="ignore"):
+            got, want = backends_base.disk_d2(dx, dy), broadcast_d2(dx, dy)
+        assert got.shape == want.shape == (m, wx, wy)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    #: 8 x 8 x 16-voxel bins, 11 x 11 x 7 stamps: ten stamps crowd a bin.
+    WIDE = GridSpec(DomainSpec.from_voxels(40, 36, 30), hs=4.6, ht=2.2)
+
+    def stamp(self, backend, kern, mode):
+        """A crowded clump and scattered points stamped into a region
+        buffer, clipped and weighted: the buffer and the counter."""
+        rng = np.random.default_rng(31)
+        coords = np.concatenate([
+            [20.5, 18.5, 12.5] + rng.uniform(-0.8, 0.8, size=(40, 3)),
+            make_points(self.WIDE, 40, seed=32).coords,
+        ])
+        w = rng.uniform(0.2, 3.0, size=len(coords))
+        buf = RegionBuffer(VoxelWindow(3, 38, 2, 33, 1, 27))
+        c = WorkCounter()
+        buf.stamp(self.WIDE, kern, coords, 0.37, c, mode=mode, weights=w,
+                  clip=VoxelWindow(0, 40, 6, 36, 0, 24), compute=backend)
+        return buf.data, c.as_dict()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("mode", STAMP_MODES)
+    @pytest.mark.parametrize("kname", ALL_KERNELS + ("box",))
+    def test_stamps_match_the_broadcast_form(self, monkeypatch, backend,
+                                             mode, kname):
+        kern = BOX_KERNEL if kname == "box" else kernel_of(kname)
+        routes = {"gemm": 0, "cohort": 0}
+        gemm = ComputeBackend.factor_tables
+        cohort = type(get_backend(backend)).cohort_tables
+
+        def spy_gemm(self, grid, kernel, norm, dx, dy, dt, counter):
+            routes["gemm"] += dx.shape[0]
+            return gemm(self, grid, kernel, norm, dx, dy, dt, counter)
+
+        def spy_cohort(self, grid, kernel, mode, norm, dx, dy, dt, counter):
+            routes["cohort"] += dx.shape[0]
+            return cohort(self, grid, kernel, mode, norm, dx, dy, dt, counter)
+
+        monkeypatch.setattr(ComputeBackend, "factor_tables", spy_gemm)
+        monkeypatch.setattr(type(get_backend(backend)), "cohort_tables",
+                            spy_cohort)
+        vol, counts = self.stamp(backend, kern, mode)
+        assert routes["cohort"] > 0
+        assert (routes["gemm"] > 0) == (mode == "sym")
+        for module in (backends_base, backends_fused):
+            monkeypatch.setattr(module, "disk_d2", broadcast_d2)
+        want_vol, want_counts = self.stamp(backend, kern, mode)
+        assert np.array_equal(vol, want_vol)
+        assert counts == want_counts
 
 
 class TestQueryParity:

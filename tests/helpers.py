@@ -23,6 +23,7 @@ from repro.core.kernels import KernelPair
 __all__ = [
     "BOX_KERNEL",
     "CUSTOM_KERNEL",
+    "broadcast_d2",
     "brute_force_sum",
     "cell_candidates",
     "make_clustered_points",
@@ -52,6 +53,14 @@ BOX_KERNEL = KernelPair(
     temporal=lambda w: np.ones(np.shape(w)),
     spatial_radial=lambda r2: np.ones(np.shape(r2)),
 )
+
+
+def broadcast_d2(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """The disk tables' squared distances as the broadcast sum
+    ``dx**2 + dy**2`` over ``(m, wx)`` and ``(m, wy)`` offsets: the form
+    :func:`repro.core.backends.base.disk_d2` computes as a matrix product,
+    and its bit oracle."""
+    return (dx * dx)[:, :, None] + (dy * dy)[:, None, :]
 
 
 def make_points(grid: GridSpec, n: int, seed: int = 0) -> PointSet:
