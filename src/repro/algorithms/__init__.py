@@ -13,7 +13,7 @@ from .base import (
     sequential_algorithms,
 )
 from .pb import pb, stamp_point_pb
-from .pb_sym import pb_sym, stamp_point_sym, stamp_points_sym
+from .pb_sym import pb_sym, stamp_point_sym
 from .pb_variants import pb_bar, pb_disk, stamp_point_bar, stamp_point_disk
 from .vb import vb, vb_dec
 
@@ -32,7 +32,6 @@ __all__ = [
     "pb_sym",
     "stamp_point_pb",
     "stamp_point_sym",
-    "stamp_points_sym",
     "stamp_point_bar",
     "stamp_point_disk",
 ]

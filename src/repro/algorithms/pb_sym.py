@@ -8,20 +8,20 @@ loops.  Same ``Theta(Gx*Gy*Gt + n*Hs^2*Ht)`` complexity as PB, but a flop
 count lower by roughly the ~40-flops-per-voxel factor the paper cites —
 Table 3 reports up to 6.97x over PB.
 
-:func:`stamp_points_sym` is the workhorse shared by every parallel strategy
-(DR, DD, PD, PD-SCHED, PD-REP): it supports an optional *clip window*, which
-is how PB-SYM-DD restricts a point's contribution to one subdomain.  When a
-cylinder is clipped, the invariants are tabulated over the clipped extents —
-so a temporally-split cylinder recomputes its full disk in every subdomain
-that holds a slice of it, reproducing the replication overhead of Figure 4
-without any special-casing.
+Every parallel strategy (DR, DD, PD, PD-SCHED, PD-REP) stamps through the
+same batched engine, :mod:`repro.core.stamping`, which supports an
+optional *clip window*: that is how PB-SYM-DD restricts a point's
+contribution to one subdomain.  When a cylinder is clipped, the invariants
+are tabulated over the clipped extents — so a temporally-split cylinder
+recomputes its full disk in every subdomain that holds a slice of it,
+reproducing the replication overhead of Figure 4 without any
+special-casing.
 
 Stamping engine
 ---------------
-Since the batched-engine refactor, :func:`stamp_points_sym` is a thin
-compatibility wrapper over :func:`repro.core.stamping.stamp_batch` with
-``mode="sym"``: points in crowded space-time bins are reduced bin by bin
-as one ``disk.T @ bar`` matrix product; the rest are grouped into
+PB-SYM stamps its batch with one :func:`repro.core.stamping.stamp_batch`
+call (``mode="sym"``): points in crowded space-time bins are reduced bin
+by bin as one ``disk.T @ bar`` matrix product; the rest are grouped into
 stamp-shape cohorts whose disks and bars are tabulated in single
 vectorised NumPy calls and whose outer products are scatter-accumulated
 per cohort slab.  Masks and kernel expressions match the historical
@@ -30,7 +30,8 @@ does not (BLAS order within a bin, slab order within a cohort), so
 volumes agree with the loop to fp round-off — pinned at ``rtol=1e-12`` —
 rather than bit for bit.  The loop is preserved verbatim as
 :func:`stamp_points_sym_loop` — the reference the equivalence suite and
-``benchmarks/bench_stamping_engine.py`` compare against.
+``benchmarks/bench_stamping_engine.py`` compare against; the one-point
+:func:`stamp_point_sym` is the per-point reference of the stamping tests.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .base import STKDEResult, register_algorithm
 __all__ = [
     "pb_sym",
     "stamp_point_sym",
-    "stamp_points_sym",
     "stamp_points_sym_loop",
 ]
 
@@ -99,32 +99,6 @@ def stamp_point_sym(
     counter.madds += disk.size * bar.size
 
 
-def stamp_points_sym(
-    vol: np.ndarray,
-    grid: GridSpec,
-    kernel: KernelPair,
-    coords: np.ndarray,
-    norm: float,
-    counter: WorkCounter,
-    clip: Optional[VoxelWindow] = None,
-    vol_origin: tuple[int, int, int] = (0, 0, 0),
-) -> None:
-    """Stamp a batch of points (rows of ``(x, y, t)``) with PB-SYM.
-
-    Compatibility wrapper over the batched stamping engine
-    (:func:`repro.core.stamping.stamp_batch`, ``mode="sym"``): crowded
-    bins are reduced as matrix products and whole shape cohorts are
-    tabulated and scatter-accumulated in large vectorised NumPy calls
-    instead of a per-point Python loop.  The call signature, masks,
-    and work accounting are unchanged; densities match the legacy loop
-    (:func:`stamp_points_sym_loop`) to fp round-off.
-    """
-    stamp_batch(
-        vol, grid, kernel, coords, norm, counter,
-        mode="sym", clip=clip, vol_origin=vol_origin,
-    )
-
-
 def stamp_points_sym_loop(
     vol: np.ndarray,
     grid: GridSpec,
@@ -142,7 +116,7 @@ def stamp_points_sym_loop(
     point's invariants and accumulates its outer product.  Used by the
     engine equivalence tests and by ``benchmarks/bench_stamping_engine.py``
     as the old-hot-path baseline; production callers go through
-    :func:`stamp_points_sym`.
+    :func:`repro.core.stamping.stamp_batch`.
     """
     coords = np.asarray(coords, dtype=np.float64)
     n = coords.shape[0]
@@ -214,7 +188,7 @@ def pb_sym(
                 memory_budget_bytes=memory_budget_bytes,
             )
         else:
-            stamp_points_sym(vol, grid, kern, points.coords, norm, counter)
+            stamp_batch(vol, grid, kern, points.coords, norm, counter)
     counter.points_processed += points.n
     result = STKDEResult(Volume(vol, grid), "pb-sym", timer, counter)
     if threaded:

@@ -17,14 +17,10 @@ import numpy as np
 
 from ..algorithms.base import STKDEResult
 from ..core.grid import GridSpec, PointSet
-from ..parallel.color import (
-    greedy_coloring,
-    load_order,
-    occupied_neighbor_map,
-    parity_coloring,
-)
+from ..core.stamping import batch_windows
+from ..parallel.color import block_task_graph
 from ..parallel.partition import BlockDecomposition
-from ..parallel.schedule import build_task_graph, critical_path
+from ..parallel.schedule import critical_path
 
 __all__ = [
     "phase_breakdown",
@@ -71,23 +67,18 @@ def dd_work_overhead(
     C = min(decomposition[2], grid.Gt)
     dec = BlockDecomposition(grid, A, B, C)
     binning = dec.bin_points_replicated(points)
-    disk_cells = 0
-    bar_cells = 0
+    disk_cells = bar_cells = 0
     for bid in binning.occupied():
-        a, b, c = dec.block_coords(int(bid))
-        block = dec.block_window(a, b, c)
-        for i in binning.points_in(int(bid)):
-            win = grid.point_window(*points.coords[i]).intersect(block)
-            sx, sy, st = win.shape
-            disk_cells += sx * sy
-            bar_cells += st
-    base_disk = 0
-    base_bar = 0
-    for x, y, t in points:
-        win = grid.point_window(x, y, t)
-        sx, sy, st = win.shape
-        base_disk += sx * sy
-        base_bar += st
+        # The block's replicas, clipped to its window as DD stamps them.
+        X0, X1, Y0, Y1, T0, T1 = batch_windows(
+            grid, points.coords[binning.points_in(bid)],
+            dec.block_window(*dec.block_coords(int(bid))),
+        )
+        disk_cells += int(((X1 - X0) * (Y1 - Y0)).sum())
+        bar_cells += int((T1 - T0).sum())
+    X0, X1, Y0, Y1, T0, T1 = batch_windows(grid, points.coords)
+    base_disk = int(((X1 - X0) * (Y1 - Y0)).sum())
+    base_bar = int((T1 - T0).sum())
     return {
         "replication_factor": binning.replication_factor(points.n),
         "invariant_overhead": (disk_cells + bar_cells) / max(1, base_disk + base_bar),
@@ -107,21 +98,11 @@ def pd_critical_path_ratio(
     proportional to points (the paper's weighting).
     """
     dec = BlockDecomposition.adjusted_for_pd(grid, *decomposition)
-    binning = dec.bin_points_owner(points)
-    occupied = [int(b) for b in binning.occupied()]
-    if not occupied:
+    counts = dec.bin_points_owner(points).counts()
+    loads = {int(b): float(counts[b]) for b in np.flatnonzero(counts)}
+    graph, _ = block_task_graph(dec, loads, scheduler)
+    if not loads:
         return 0.0
-    loads = {b: float(len(binning.points_in(b))) for b in occupied}
-    if scheduler == "parity":
-        coloring = parity_coloring(dec, occupied)
-    elif scheduler == "sched":
-        coloring = greedy_coloring(
-            dec, occupied, load_order(occupied, loads), method="load-aware"
-        )
-    else:
-        raise ValueError(f"unknown scheduler {scheduler!r}")
-    adjacency = occupied_neighbor_map(dec, occupied)
-    graph, _ = build_task_graph(coloring, adjacency, loads)
     tinf, _ = critical_path(graph)
     return tinf / graph.total_weight
 

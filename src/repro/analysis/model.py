@@ -42,21 +42,10 @@ from ..core.grid import GridSpec, PointSet
 from ..core.instrument import WorkCounter
 from ..core.invariants import stamp_cells
 from ..core.kernels import get_kernel
-from ..core.stamping import batch_windows
-from ..parallel.color import (
-    greedy_coloring,
-    load_order,
-    occupied_neighbor_map,
-    parity_coloring,
-)
+from ..core.stamping import batch_windows, stamp_batch
+from ..parallel.color import block_task_graph
 from ..parallel.partition import BlockDecomposition
-from ..parallel.schedule import (
-    BandwidthModel,
-    TaskGraph,
-    barrier_schedule,
-    build_task_graph,
-    list_schedule,
-)
+from ..parallel.schedule import BandwidthModel, TaskGraph, barrier_schedule, list_schedule
 from ..parallel.rep import plan_replication
 
 __all__ = [
@@ -205,12 +194,12 @@ class MachineModel:
     def calibrate(cls, seed: int = 0) -> "MachineModel":
         """Measure unit costs with a handful of micro-probes (~0.2 s total).
 
-        Probes run through the batched engine (via
-        :func:`~repro.algorithms.pb_sym.stamp_points_sym`), so the
-        calibrated rates describe the code path the algorithms actually
-        execute.  Two batch sizes at the small bandwidth separate the
-        per-batch fixed cost from the per-point slope; two bandwidths at
-        the large batch separate per-point dispatch from per-cell work.
+        Probes run through the batched engine
+        (:func:`~repro.core.stamping.stamp_batch`), so the calibrated
+        rates describe the code path the algorithms actually execute.
+        Two batch sizes at the small bandwidth separate the per-batch
+        fixed cost from the per-point slope; two bandwidths at the large
+        batch separate per-point dispatch from per-cell work.
 
         The engine prices a cell differently on its two PB-SYM routes, so
         the probes are shaped like the data each regime sees: points are
@@ -235,7 +224,6 @@ class MachineModel:
             buf.fill(0.0)
             c_mem = min(c_mem, (time.perf_counter() - t0) / buf.size)
 
-        from ..algorithms.pb_sym import stamp_points_sym
         from ..core.grid import DomainSpec
 
         def probe(Hs: int, Ht: int, n: int, spread: int) -> Tuple[float, int]:
@@ -255,7 +243,7 @@ class MachineModel:
             for _ in range(3):
                 c = WorkCounter()
                 t0 = time.perf_counter()
-                stamp_points_sym(vol, g, kern, pts, 1.0, c)
+                stamp_batch(vol, g, kern, pts, 1.0, c)
                 best = min(best, time.perf_counter() - t0)
             return best, stamp_cells(g)
 
@@ -614,20 +602,6 @@ class CostModel:
             decomposition=(A, B, C),
         )
 
-    def _pd_graph(
-        self, dec: BlockDecomposition, loads: Dict[int, float], scheduler: str
-    ) -> Tuple[TaskGraph, object]:
-        occupied = sorted(loads)
-        if scheduler == "parity":
-            coloring = parity_coloring(dec, occupied)
-        else:
-            coloring = greedy_coloring(
-                dec, occupied, load_order(occupied, loads), method="load-aware"
-            )
-        adjacency = occupied_neighbor_map(dec, occupied)
-        graph, _ = build_task_graph(coloring, adjacency, loads)
-        return graph, coloring
-
     def predict_pd(
         self, dec_shape: Tuple[int, int, int], P: int, scheduler: str = "parity"
     ) -> Prediction:
@@ -637,9 +611,9 @@ class CostModel:
         if not loads:
             return Prediction(name, P, self.init_parallel(P) + bin_cost,
                               decomposition=dec.shape)
-        graph, coloring = self._pd_graph(dec, loads, scheduler)
+        graph, coloring = block_task_graph(dec, loads, scheduler)
         if scheduler == "parity":
-            classes = coloring.classes()  # type: ignore[attr-defined]
+            classes = coloring.classes()
             class_w = [[loads[b] for b in cls] for cls in classes]
             compute = barrier_schedule(class_w, P)
         else:
@@ -660,7 +634,7 @@ class CostModel:
             return Prediction("pb-sym-pd-rep", P,
                               self.init_parallel(P) + bin_cost,
                               decomposition=dec.shape)
-        graph, _ = self._pd_graph(dec, loads, "sched")
+        graph, _ = block_task_graph(dec, loads, "sched")
         blocks = sorted(loads)
         halos = [dec.halo_window(*dec.block_coords(b)).volume for b in blocks]
         overheads = [2.0 * h * self.machine.c_mem for h in halos]

@@ -72,11 +72,11 @@ Section 6.5 cost model.
 
 The geometry of a batch — voxels, clipped windows, the crowded bins and
 the cohort order — is a :class:`StampPlan`, built once and stamped group
-by group: bins and cohorts are keyed by group first, so the point
-decomposition's block tasks (:mod:`repro.parallel.pd`) each run only
-their own block's slice of one plan, with exactly the additions and
-counts of stamping that block's points alone.  :func:`stamp_batch` is
-the plan of one group.
+by group: bins and cohorts are keyed by group first, and each group has
+its own clip window, so the block and replica tasks of DD, PD, PD-SCHED
+and PD-REP (:mod:`repro.parallel`) each run only their own group's slice
+of one plan, with exactly the additions and counts of stamping that
+group's points alone.  :func:`stamp_batch` is the plan of one group.
 
 Each cohort slab is a handful of large NumPy kernels, which is what
 :func:`repro.parallel.executors.run_threaded_stamping` shards across
@@ -87,7 +87,7 @@ of this module.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -139,26 +139,43 @@ def batch_windows(
     with the grid and the optional ``clip`` window.  Empty windows come out
     with ``lo >= hi`` and are skipped by the engine.
     """
-    return _windows_of(grid, grid.voxels_of(coords), clip)
+    bounds = None if clip is None else _limits(grid, [clip])
+    return _windows_of(grid, grid.voxels_of(coords), bounds)
+
+
+def _limits(
+    grid: GridSpec, clip: Sequence[Optional[VoxelWindow]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(m, 3)`` lower and upper voxel limits of ``m`` windows, each
+    intersected with the grid; ``None`` is the whole grid."""
+    wins = [grid.full_window() if w is None else w for w in clip]
+    lo = np.maximum([(w.x0, w.y0, w.t0) for w in wins], 0).reshape(-1, 3)
+    hi = np.minimum([(w.x1, w.y1, w.t1) for w in wins], grid.shape).reshape(-1, 3)
+    return lo, hi
 
 
 def _windows_of(
-    grid: GridSpec, vox: np.ndarray, clip: Optional[VoxelWindow]
+    grid: GridSpec,
+    vox: np.ndarray,
+    bounds: Optional[Tuple[np.ndarray, np.ndarray]],
 ) -> Tuple[np.ndarray, ...]:
-    """:func:`batch_windows` from the points' voxels (shared with binning)."""
+    """:func:`batch_windows` from the points' voxels (shared with binning),
+    clipped to ``bounds = (lo, hi)``: ``(1, 3)`` limits for every point,
+    or ``(n, 3)``, one row per point."""
     X0 = np.maximum(vox[:, 0] - grid.Hs, 0)
     X1 = np.minimum(vox[:, 0] + grid.Hs + 1, grid.Gx)
     Y0 = np.maximum(vox[:, 1] - grid.Hs, 0)
     Y1 = np.minimum(vox[:, 1] + grid.Hs + 1, grid.Gy)
     T0 = np.maximum(vox[:, 2] - grid.Ht, 0)
     T1 = np.minimum(vox[:, 2] + grid.Ht + 1, grid.Gt)
-    if clip is not None:
-        np.maximum(X0, clip.x0, out=X0)
-        np.minimum(X1, clip.x1, out=X1)
-        np.maximum(Y0, clip.y0, out=Y0)
-        np.minimum(Y1, clip.y1, out=Y1)
-        np.maximum(T0, clip.t0, out=T0)
-        np.minimum(T1, clip.t1, out=T1)
+    if bounds is not None:
+        lo, hi = bounds
+        np.maximum(X0, lo[..., 0], out=X0)
+        np.minimum(X1, hi[..., 0], out=X1)
+        np.maximum(Y0, lo[..., 1], out=Y0)
+        np.minimum(Y1, hi[..., 1], out=Y1)
+        np.maximum(T0, lo[..., 2], out=T0)
+        np.minimum(T1, hi[..., 2], out=T1)
     return X0, X1, Y0, Y1, T0, T1
 
 
@@ -280,38 +297,31 @@ def _crowded_runs(
     vox: np.ndarray,
     windows: Tuple[np.ndarray, ...],
     live: np.ndarray,
-    clip: Optional[VoxelWindow],
+    crowd: np.ndarray,
     group: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """PB-SYM's crowded bins: the rows they hold, and where each bin starts.
 
     Live rows are binned on the fixed :func:`_bin_edges` lattice, keyed by
     (group, lattice bin) so that no bin spans two groups.  A bin is
-    *crowded* when its rows' clipped stamp cells add up to
-    :data:`_CROWD_COVER` of its box (bin + halo, no larger than the
-    clipped grid) and to at least :data:`_MIN_BIN_CELLS`.  Tabulating
-    every point's disk and bar over the whole box then costs less than
-    scattering the stamps one cell at a time.
+    *crowded* when its rows' clipped stamp cells add up to its group's
+    ``crowd`` (one entry per group, or one for all): :data:`_CROWD_COVER`
+    of the box (bin + halo, no larger than the group's clipped grid), and
+    at least :data:`_MIN_BIN_CELLS`.  Tabulating every point's disk and
+    bar over the whole box then costs less than scattering the stamps one
+    cell at a time.
 
     Returns the crowded rows sorted by (group, bin), ties in input order,
     and the position of each bin's first row among them.  One ``bincount``
-    of lattice keys decides first: a lattice bin short of the crowd is
-    short in every group, so a batch with no crowded lattice bin returns
-    before any sort.
+    of lattice keys decides first: a lattice bin short of the least crowd
+    is short in every group, so a batch with no crowded lattice bin
+    returns before any sort.
     """
     none = np.zeros(0, dtype=np.int64)
     X0, X1, Y0, Y1, T0, T1 = windows
     edges = _bin_edges(grid)
-    lim = grid.full_window()
-    if clip is not None:
-        lim = lim.intersect(clip)
-    box_cells = (
-        min(edges[0] + 2 * grid.Hs, lim.x1 - lim.x0)
-        * min(edges[1] + 2 * grid.Hs, lim.y1 - lim.y0)
-        * min(edges[2] + 2 * grid.Ht, lim.t1 - lim.t0)
-    )
-    crowd_cells = max(_CROWD_COVER * box_cells, _MIN_BIN_CELLS)
-    if live.size * (2 * grid.Hs + 1) ** 2 * (2 * grid.Ht + 1) < crowd_cells:
+    least = crowd.min()
+    if live.size * (2 * grid.Hs + 1) ** 2 * (2 * grid.Ht + 1) < least:
         return none, none  # too few stamps to crowd even one bin
     if live.size < vox.shape[0]:
         vox = vox[live]
@@ -325,7 +335,7 @@ def _crowded_runs(
     span = [int(b.max()) - b0 + 1 for b, b0 in zip(bins, lo)]
     key = (bins[0] * span[1] + bins[1]) * span[2] + bins[2]
     key -= (lo[0] * span[1] + lo[1]) * span[2] + lo[2]
-    crowded = np.bincount(key, weights=cells) >= crowd_cells
+    crowded = np.bincount(key, weights=cells) >= least
     if not crowded.any():
         return none, none
     # ``at`` indexes the live-compressed arrays; the group is the outer key.
@@ -336,8 +346,10 @@ def _crowded_runs(
     rank = np.argsort(key, kind="stable")
     at, key = at[rank], key[rank]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    # A lattice bin that two groups share may leave each part short.
-    hot = np.add.reduceat(cells[at], starts) >= crowd_cells
+    # Each part of a lattice bin against its own group's crowd: a bin two
+    # groups share may leave each part short.
+    need = crowd[0] if crowd.size == 1 else crowd[group[live[at[starts]]]]
+    hot = np.add.reduceat(cells[at], starts) >= need
     if not hot.all():
         keep = np.repeat(hot, np.diff(np.r_[starts, at.size]))
         at, key = at[keep], key[keep]
@@ -354,14 +366,17 @@ class StampPlan:
     the live rows those bins leave, with one stable sort by (group, shape,
     origin).  It holds no kernel, weight or target.  :meth:`stamp` runs
     one group's GEMM chunks and cohort slabs into a volume and reads no
-    other group's runs, so the block tasks of the point decomposition
-    (:mod:`repro.parallel.pd`) share one plan, on any backend.
+    other group's runs, so the block and replica tasks of a decomposed
+    strategy (DD, PD, PD-SCHED, PD-REP) share one plan, on any backend.
 
     ``groups`` is ``None`` (every row in group 0) or an ``(n,)`` array of
-    non-negative integer group ids.  Bins stay on the absolute lattice and
-    ties sort in input order, so stamping a group performs exactly the
+    non-negative integer group ids.  ``clip`` is ``None`` (no group
+    clipped) or one window per group, ``None`` for a group left unclipped;
+    each group's rows are clipped to its window, and its crowded bins are
+    judged against its own clipped box.  Bins stay on the absolute lattice
+    and ties sort in input order, so stamping a group performs exactly the
     additions — to the bit — of :func:`stamp_batch` on that group's rows
-    alone, with the same work counts.
+    alone, with that group's clip, and the same work counts.
     """
 
     def __init__(
@@ -370,7 +385,7 @@ class StampPlan:
         coords: np.ndarray,
         *,
         mode: str = "sym",
-        clip: Optional[VoxelWindow] = None,
+        clip: Optional[Sequence[Optional[VoxelWindow]]] = None,
         groups: Optional[np.ndarray] = None,
     ) -> None:
         if mode not in STAMP_MODES:
@@ -395,18 +410,35 @@ class StampPlan:
                 )
             group = group.astype(np.int64, copy=False)
         #: Rows per group id, live or not (the PD block loads).
-        self.counts = (
-            np.array([n]) if group is None else np.bincount(group, minlength=1)
+        self.counts = np.array([n]) if group is None else np.bincount(
+            group, minlength=1 if clip is None else len(clip)
         )
+        if clip is not None and len(clip) != self.counts.size:
+            raise ValueError(
+                f"clip must hold one window (or None) per group: "
+                f"{self.counts.size} groups, {len(clip)} windows"
+            )
+        # Each group's limits: the grid, intersected with its clip window.
+        lo, hi = _limits(grid, [None] if clip is None else clip)
+        bounds = None
+        if clip is not None:
+            bounds = (lo, hi) if group is None else (lo[group], hi[group])
+        # The crowd of a group's bins: a cover of the box (bin + halo)
+        # inside its limits, at least the fixed floor.
+        box = np.minimum(
+            np.add(_bin_edges(grid), (2 * grid.Hs, 2 * grid.Hs, 2 * grid.Ht)),
+            hi - lo,
+        ).prod(axis=1)
+        crowd = np.maximum(_CROWD_COVER * box, _MIN_BIN_CELLS)
         vox = grid.voxels_of(coords)
-        self._windows = X0, X1, Y0, Y1, T0, T1 = _windows_of(grid, vox, clip)
+        self._windows = X0, X1, Y0, Y1, T0, T1 = _windows_of(grid, vox, bounds)
         self._shapes = wx, wy, wt = X1 - X0, Y1 - Y0, T1 - T0
         live = np.flatnonzero((wx > 0) & (wy > 0) & (wt > 0))
 
         # GEMM runs, one per crowded bin: rows ``rows[a:b]`` and the
         # bounding box of their windows.
         rows, starts = (
-            _crowded_runs(grid, vox, self._windows, live, clip, group)
+            _crowded_runs(grid, vox, self._windows, live, crowd, group)
             if mode == "sym" and live.size
             else (np.zeros(0, dtype=np.int64),) * 2
         )
@@ -618,7 +650,8 @@ def stamp_batch(
     mode:
         Cost profile to reproduce — one of :data:`STAMP_MODES`.
     clip:
-        Optional window restricting every stamp (the DD subdomain path).
+        Optional window restricting every stamp (a region buffer's
+        window): the one group's window of :class:`StampPlan`'s ``clip``.
     slab_cells:
         Upper bound on contribution cells materialised at once; cohorts
         larger than this are processed in slabs of consecutive points.
@@ -639,7 +672,7 @@ def stamp_batch(
         evaluate ``kernel`` natively fall back internally to an
         always-available path.
     """
-    StampPlan(grid, coords, mode=mode, clip=clip).stamp(
-        vol, kernel, norm, counter, weights=weights, vol_origin=vol_origin,
-        slab_cells=slab_cells, compute=compute,
-    )
+    plan = StampPlan(grid, coords, mode=mode,
+                     clip=None if clip is None else [clip])
+    plan.stamp(vol, kernel, norm, counter, weights=weights,
+               vol_origin=vol_origin, slab_cells=slab_cells, compute=compute)

@@ -7,6 +7,7 @@ Importing this package registers the parallel algorithms:
 
 from .color import (
     Coloring,
+    block_task_graph,
     greedy_coloring,
     load_order,
     natural_order,
@@ -54,6 +55,7 @@ __all__ = [
     "ScheduleResult",
     "TaskGraph",
     "barrier_schedule",
+    "block_task_graph",
     "build_task_graph",
     "check_memory_budget",
     "critical_path",

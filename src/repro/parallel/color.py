@@ -21,7 +21,9 @@ Three colourings are provided:
 
 Only *occupied* blocks (those holding points) are coloured — empty
 subdomains induce no task and no conflict, which on sparse datasets (Flu)
-shrinks the graph by orders of magnitude.
+shrinks the graph by orders of magnitude.  :func:`block_task_graph` is the
+one place the colour DAG is built, for the PD strategies and the analyses
+that price them.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .partition import BlockDecomposition
+from .schedule import TaskGraph, build_task_graph
 
 __all__ = [
     "Coloring",
+    "block_task_graph",
     "stencil_neighbors",
     "occupied_neighbor_map",
     "parity_coloring",
@@ -164,6 +168,31 @@ def greedy_coloring(
         colors[bid] = col
     n = max(colors.values()) + 1 if colors else 0
     return Coloring(colors, n, method=method)
+
+
+def block_task_graph(
+    dec: BlockDecomposition, loads: Dict[int, float], scheduler: str
+) -> Tuple[TaskGraph, Coloring]:
+    """The colour DAG of the occupied blocks, and its colouring.
+
+    ``loads`` maps each occupied block to its task weight.  ``"parity"``
+    colours by Algorithm 6's eight classes (PB-SYM-PD), ``"sched"``
+    greedily in non-increasing load order (PB-SYM-PD-SCHED); the stencil
+    edges are then oriented by colour.  Task ``i`` is the ``i``-th
+    occupied block in ascending id order (``graph.labels``).
+    """
+    occupied = sorted(loads)
+    if scheduler == "parity":
+        coloring = parity_coloring(dec, occupied)
+    elif scheduler == "sched":
+        coloring = greedy_coloring(
+            dec, occupied, load_order(occupied, loads), method="load-aware"
+        )
+    else:
+        raise ValueError(f"unknown scheduler {scheduler!r}")
+    adjacency = occupied_neighbor_map(dec, occupied)
+    graph, _ = build_task_graph(coloring, adjacency, loads)
+    return graph, coloring
 
 
 def validate_coloring(

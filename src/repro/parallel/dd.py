@@ -9,28 +9,33 @@ replication — but two structural costs the paper measures:
 * **replicated work** (Figure 9): a cylinder split across subdomains
   recomputes its invariants in every part — clip a cylinder temporally and
   both halves tabulate the full spatial disk (Figure 4).  The overhead
-  emerges here naturally from clipped :func:`stamp_point_sym` calls, and
-  ``meta["replication_factor"]`` reports the average subdomains per point;
+  emerges here naturally from stamping every replica clipped to its
+  subdomain, and ``meta["replication_factor"]`` reports the average
+  subdomains per point;
 
 * **load imbalance** (Figure 10): clustered points concentrate work in few
   subdomains; since a subdomain is a single task, imbalance directly caps
   speedup, and refining the decomposition to fix it inflates the
   replication overhead — the tension Section 4.2 describes.
 
-Each subdomain task stamps its point batch through the batched engine
-(:mod:`repro.core.stamping` via :func:`stamp_points_sym`): one engine call
-per block.
+The ``bin`` phase builds one :class:`~repro.core.stamping.StampPlan` of
+the replicated rows, grouped by block, each group clipped to its block's
+window: voxels, clipped windows, crowded bins and the cohort sort are
+computed once, and each subdomain task stamps only its own group — the
+same additions, to the bit, as stamping the block's points on their own.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
+import numpy as np
+
 from ..algorithms.base import STKDEResult, register_algorithm
-from ..algorithms.pb_sym import stamp_points_sym
 from ..core.grid import GridSpec, PointSet, Volume, empty_volume
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.kernels import KernelPair, get_kernel
+from ..core.stamping import StampPlan
 from .executors import ExecTask, Phase, run_phases, zero_fill_phase
 from .partition import BlockDecomposition
 from .schedule import BandwidthModel
@@ -49,7 +54,6 @@ def pb_sym_dd(
     kernel: str | KernelPair = "epanechnikov",
     counter: Optional[WorkCounter] = None,
     timer: Optional[PhaseTimer] = None,
-    memory_budget_bytes: Optional[int] = None,
     bandwidth: Optional[BandwidthModel] = None,
 ) -> STKDEResult:
     """Domain-decomposition parallel STKDE (PB-SYM-DD).
@@ -72,9 +76,16 @@ def pb_sym_dd(
     dec = BlockDecomposition(grid, A, B, C)
     norm = grid.normalization(points.n)
 
-    # --- binning phase (serial, measured): Algorithm 5's first loop.
+    # --- binning phase (serial, measured): Algorithm 5's first loop, and
+    # the one plan of the replicated rows, each block's clipped to it.
     with timer.phase("bin"):
         binning = dec.bin_points_replicated(points)
+        plan = StampPlan(
+            grid, points.coords[binning.order],
+            groups=np.repeat(np.arange(dec.n_blocks), binning.counts()),
+            clip=[dec.block_window(*dec.block_coords(b))
+                  for b in range(dec.n_blocks)],
+        )
         occupied = [int(b) for b in binning.occupied()]
 
     # --- init phase: the single shared volume, slab-parallel.
@@ -85,23 +96,16 @@ def pb_sym_dd(
     task_counters = [WorkCounter() for _ in occupied]
 
     def make_block_task(k: int, bid: int):
-        a, b, c = dec.block_coords(bid)
-        clip = dec.block_window(a, b, c)
-        idx = binning.points_in(bid)
-        coords = points.coords[idx]
-
         def fn() -> None:
-            stamp_points_sym(
-                vol, grid, kern, coords, norm, task_counters[k], clip=clip
-            )
-            task_counters[k].points_processed += len(coords)
+            plan.stamp(vol, kern, norm, task_counters[k], group=bid)
+            task_counters[k].points_processed += int(plan.counts[bid])
 
         return fn
 
     comp_tasks = [
         ExecTask(
             make_block_task(k, bid),
-            weight_hint=float(len(binning.points_in(bid))),
+            weight_hint=float(plan.counts[bid]),
             label=("block", bid),
         )
         for k, bid in enumerate(occupied)

@@ -17,7 +17,8 @@ threads, eBird-Hr cannot run at all.  Both behaviours reproduce here via
 the memory-budget check and the bandwidth-saturated phase model.
 
 Worker chunks stamp through the batched engine (one
-:func:`stamp_points_sym` call per chunk).  The same private-buffer +
+:func:`~repro.core.stamping.stamp_batch` call per chunk: DR has no binning
+to share across its chunks).  The same private-buffer +
 reduction structure, with bounding-box buffers instead of full volumes, is
 what PB-SYM's own ``backend="threads"`` runs (see
 :mod:`repro.parallel.executors`).
@@ -30,10 +31,10 @@ from typing import List, Optional
 import numpy as np
 
 from ..algorithms.base import STKDEResult, register_algorithm
-from ..algorithms.pb_sym import stamp_points_sym
 from ..core.grid import GridSpec, PointSet, Volume, empty_volume
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.kernels import KernelPair, get_kernel
+from ..core.stamping import stamp_batch
 from .executors import ExecTask, Phase, check_memory_budget, run_phases, slab_slices
 from .schedule import BandwidthModel
 
@@ -102,7 +103,7 @@ def pb_sym_dr(
     def make_compute(p: int):
         def fn() -> None:
             assert locals_[p] is not None
-            stamp_points_sym(
+            stamp_batch(
                 locals_[p], grid, kern, points.coords[chunks[p]], norm, counters[p]
             )
             counters[p].points_processed += chunks[p].stop - chunks[p].start

@@ -41,21 +41,10 @@ from ..core.grid import GridSpec, PointSet, Volume, empty_volume
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.kernels import KernelPair, get_kernel
 from ..core.stamping import StampPlan
-from .color import (
-    greedy_coloring,
-    load_order,
-    occupied_neighbor_map,
-    parity_coloring,
-)
+from .color import block_task_graph
 from .executors import ExecTask, Phase, run_phases, zero_fill_phase
 from .partition import BlockDecomposition
-from .schedule import (
-    BandwidthModel,
-    TaskGraph,
-    build_task_graph,
-    critical_path,
-    grahams_bound,
-)
+from .schedule import BandwidthModel, TaskGraph, critical_path, grahams_bound
 
 __all__ = ["pb_sym_pd", "pb_sym_pd_sched", "run_point_decomposition"]
 
@@ -77,8 +66,6 @@ def run_point_decomposition(
     """Shared engine for PD and PD-SCHED (see module docstring)."""
     if P < 1:
         raise ValueError("P must be >= 1")
-    if scheduler not in ("parity", "sched"):
-        raise ValueError(f"unknown scheduler {scheduler!r}")
     kern = get_kernel(kernel)
     counter = counter if counter is not None else WorkCounter()
     timer = timer if timer is not None else PhaseTimer()
@@ -90,26 +77,19 @@ def run_point_decomposition(
 
     with timer.phase("bin"):
         plan = StampPlan(grid, points.coords, groups=dec.owners(points))
-        occupied = [int(b) for b in np.flatnonzero(plan.counts)]
         loads: Dict[int, float] = {
-            bid: float(plan.counts[bid]) for bid in occupied
+            int(b): float(plan.counts[b]) for b in np.flatnonzero(plan.counts)
         }
 
     with timer.phase("color"):
-        if scheduler == "parity":
-            coloring = parity_coloring(dec, occupied)
-        else:
-            order = load_order(occupied, loads)
-            coloring = greedy_coloring(dec, occupied, order, method="load-aware")
-        adjacency = occupied_neighbor_map(dec, occupied)
-        graph, id_map = build_task_graph(coloring, adjacency, loads)
+        graph, coloring = block_task_graph(dec, loads, scheduler)
 
     # --- init phase (slab-parallel zeroing of the one shared volume).
     vol = empty_volume(grid.shape)
     init = zero_fill_phase(vol, P, counter)
 
     # --- compute tasks: one per occupied block, *unclipped* stamping.
-    blocks_sorted = sorted(id_map, key=id_map.get)  # task index order
+    blocks_sorted = graph.labels  # task index order
     task_counters = [WorkCounter() for _ in blocks_sorted]
 
     def make_block_task(k: int, bid: int):
@@ -133,7 +113,8 @@ def run_point_decomposition(
     # runs it class by class behind barriers.
     classes = None
     if scheduler == "parity":
-        classes = [[id_map[bid] for bid in cls] for cls in coloring.classes()]
+        task = {bid: k for k, bid in enumerate(blocks_sorted)}
+        classes = [[task[bid] for bid in cls] for cls in coloring.classes()]
     phase_ms = run_phases(
         [init, Phase("compute", comp_tasks, graph=graph, classes=classes)],
         P, backend, timer, bandwidth,
@@ -164,7 +145,7 @@ def run_point_decomposition(
             "makespan": makespan,
             "phase_makespans": phase_ms,
             "n_colors": coloring.n_colors,
-            "occupied_blocks": len(occupied),
+            "occupied_blocks": len(blocks_sorted),
             "T1": T1,
             "Tinf": Tinf,
             "critical_path_ratio": (Tinf / T1) if T1 > 0 else 0.0,

@@ -26,8 +26,12 @@ Note on naming: the paper's text calls this algorithm PB-SYM-PD-REP while
 Figure 15's legend calls it PB-SYM-PD-SCHED-REP (it builds on the SCHED
 colouring); we register it as ``"pb-sym-pd-rep"``.
 
-Replica tasks stamp into their halo buffers through the batched engine
-(:func:`stamp_points_sym` with ``clip`` + ``vol_origin``).
+The ``plan`` phase ends with one :class:`~repro.core.stamping.StampPlan`
+of the batch, one group per block or replica: a block's points cut into
+its ``r`` chunks, each replica clipped to the block's halo and stamped
+into its buffer behind a ``vol_origin``, an unreplicated block stamped
+unclipped into the volume — the same additions, to the bit, as stamping
+each chunk on its own.
 """
 
 from __future__ import annotations
@@ -37,15 +41,15 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..algorithms.base import STKDEResult, register_algorithm
-from ..algorithms.pb_sym import stamp_points_sym
-from ..core.grid import GridSpec, PointSet, Volume, empty_volume
+from ..core.grid import GridSpec, PointSet, Volume, VoxelWindow, empty_volume
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.invariants import stamp_cells
 from ..core.kernels import KernelPair, get_kernel
-from .color import greedy_coloring, load_order, occupied_neighbor_map
+from ..core.stamping import StampPlan
+from .color import block_task_graph
 from .executors import ExecTask, Phase, check_memory_budget, run_phases, zero_fill_phase
 from .partition import BlockDecomposition
-from .schedule import BandwidthModel, TaskGraph, build_task_graph, critical_path
+from .schedule import BandwidthModel, TaskGraph, critical_path
 
 __all__ = ["pb_sym_pd_rep", "plan_replication"]
 
@@ -141,41 +145,51 @@ def pb_sym_pd_rep(
 
     with timer.phase("bin"):
         binning = dec.bin_points_owner(points)
-        occupied = [int(b) for b in binning.occupied()]
         loads: Dict[int, float] = {
-            bid: float(len(binning.points_in(bid))) for bid in occupied
+            int(b): float(len(binning.points_in(b))) for b in binning.occupied()
         }
 
     with timer.phase("plan"):
-        order = load_order(occupied, loads)
-        coloring = greedy_coloring(dec, occupied, order, method="load-aware")
-        adjacency = occupied_neighbor_map(dec, occupied)
-        base_graph, id_map = build_task_graph(coloring, adjacency, loads)
-        blocks_sorted = sorted(id_map, key=id_map.get)
+        base_graph, _ = block_task_graph(dec, loads, "sched")
+        blocks_sorted = base_graph.labels
 
         cells_per_stamp = stamp_cells(grid)
         weights = [loads[bid] * cells_per_stamp for bid in blocks_sorted]
-        halos = [
-            dec.halo_window(*dec.block_coords(bid)).volume for bid in blocks_sorted
-        ]
-        overheads = [2.0 * h * _VOXEL_PER_CELL for h in halos]
+        halos = [dec.halo_window(*dec.block_coords(bid)) for bid in blocks_sorted]
+        overheads = [2.0 * h.volume * _VOXEL_PER_CELL for h in halos]
         max_reps = [max(1, int(loads[bid])) for bid in blocks_sorted]
         replicas, tinf_before, tinf_after = plan_replication(
             weights, overheads, base_graph.succs, base_graph.preds, P, max_reps
         )
 
-    # Memory: every replicated block holds r private halo buffers.
-    extra_bytes = sum(
-        replicas[k] * halos[k] * 8 for k in range(len(blocks_sorted)) if replicas[k] > 1
-    )
-    check_memory_budget(
-        grid.grid_bytes + extra_bytes,
-        memory_budget_bytes,
-        f"PB-SYM-PD-REP {dec.shape} with P={P}",
-    )
+        # Memory: every replicated block holds r private halo buffers.
+        extra_bytes = sum(
+            replicas[k] * halos[k].volume * 8
+            for k in range(len(blocks_sorted)) if replicas[k] > 1
+        )
+        check_memory_budget(
+            grid.grid_bytes + extra_bytes,
+            memory_budget_bytes,
+            f"PB-SYM-PD-REP {dec.shape} with P={P}",
+        )
+
+        # One group per block or replica, in task order: a block's points
+        # (in input order) cut into ``r`` chunks, a replica's clipped to
+        # its block's halo.
+        groups = np.empty(points.n, dtype=np.int64)
+        clips: List[Optional[VoxelWindow]] = []
+        for k, bid in enumerate(blocks_sorted):
+            block = binning.points_in(bid)
+            r = replicas[k]
+            for j in range(r):
+                chunk = block[(block.size * j) // r : (block.size * (j + 1)) // r]
+                groups[chunk] = len(clips)
+                clips.append(halos[k] if r > 1 else None)
+        plan = StampPlan(grid, points.coords, groups=groups, clip=clips)
 
     # ------------------------------------------------------------------
-    # Build the expanded task list + graph.
+    # Build the expanded task list + graph: the block and replica tasks
+    # stamp the plan's groups in the order they were cut.
     # ------------------------------------------------------------------
     vol = empty_volume(grid.shape)
     init = zero_fill_phase(vol, P, counter)
@@ -194,30 +208,26 @@ def pb_sym_pd_rep(
         task_counters.append(WorkCounter())
         return len(tasks) - 1
 
+    g = 0  # the plan group of the next block or replica
     for k, bid in enumerate(blocks_sorted):
-        a, b, c = dec.block_coords(bid)
-        idx = binning.points_in(bid)
-        coords = points.coords[idx]
         r = replicas[k]
         if r == 1:
             tid = add_task(ExecTask(lambda: None, weight_hint=weights[k],
                                     label=("block", bid)))
 
-            def direct_fn(coords=coords, tid=tid):
-                stamp_points_sym(vol, grid, kern, coords, norm, task_counters[tid])
-                task_counters[tid].points_processed += len(coords)
+            def direct_fn(g=g, tid=tid):
+                plan.stamp(vol, kern, norm, task_counters[tid], group=g)
+                task_counters[tid].points_processed += int(plan.counts[g])
 
             tasks[tid].fn = direct_fn
             entry_nodes[k] = [tid]
             exit_node[k] = tid
+            g += 1
         else:
-            halo = dec.halo_window(a, b, c)
+            halo = halos[k]
             buffers: List[Optional[np.ndarray]] = [None] * r
-            bounds = [(len(coords) * j) // r for j in range(r + 1)]
             rep_ids = []
             for j in range(r):
-                chunk = coords[bounds[j] : bounds[j + 1]]
-
                 tid = add_task(
                     ExecTask(
                         lambda: None,
@@ -226,19 +236,20 @@ def pb_sym_pd_rep(
                     )
                 )
 
-                def rep_fn(chunk=chunk, j=j, halo=halo, tid=tid, buffers=buffers):
+                def rep_fn(g=g, j=j, halo=halo, tid=tid, buffers=buffers):
                     buf = empty_volume(halo.shape)
                     buf.fill(0.0)
                     task_counters[tid].init_writes += buf.size
-                    stamp_points_sym(
-                        buf, grid, kern, chunk, norm, task_counters[tid],
-                        clip=halo, vol_origin=(halo.x0, halo.y0, halo.t0),
+                    plan.stamp(
+                        buf, kern, norm, task_counters[tid], group=g,
+                        vol_origin=(halo.x0, halo.y0, halo.t0),
                     )
-                    task_counters[tid].points_processed += len(chunk)
+                    task_counters[tid].points_processed += int(plan.counts[g])
                     buffers[j] = buf
 
                 tasks[tid].fn = rep_fn
                 rep_ids.append(tid)
+                g += 1
 
             red_id = add_task(
                 ExecTask(

@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .color import Coloring
+if TYPE_CHECKING:
+    from .color import Coloring
 
 __all__ = [
     "TaskGraph",

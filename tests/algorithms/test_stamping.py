@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.pb_sym import stamp_point_sym, stamp_points_sym
+from repro.algorithms.pb_sym import stamp_point_sym
 from repro.core import DomainSpec, GridSpec, VoxelWindow, WorkCounter
 from repro.core.kernels import get_kernel
 from repro.core.stamping import stamp_batch
@@ -31,7 +31,7 @@ def grid():
 
 def full_stamp(grid, coords):
     vol = np.zeros(grid.shape)
-    stamp_points_sym(vol, grid, KERNEL, coords, 1.0, WorkCounter())
+    stamp_batch(vol, grid, KERNEL, coords, 1.0, WorkCounter())
     return vol
 
 
@@ -45,22 +45,22 @@ class TestClipAlgebra:
         cuts = [0, 9, 15, 24]
         for lo, hi in zip(cuts, cuts[1:]):
             clip = VoxelWindow(lo, hi, 0, grid.Gy, 0, grid.Gt)
-            stamp_points_sym(pieces, grid, KERNEL, pts.coords, 1.0,
-                             WorkCounter(), clip=clip)
+            stamp_batch(pieces, grid, KERNEL, pts.coords, 1.0,
+                        WorkCounter(), clip=clip)
         np.testing.assert_allclose(pieces, whole, rtol=1e-13, atol=1e-18)
 
     def test_clip_outside_window_is_noop(self, grid):
         vol = np.zeros(grid.shape)
         clip = VoxelWindow(20, 24, 18, 22, 20, 26)
         coords = np.array([[2.0, 2.0, 2.0]])  # window nowhere near clip
-        stamp_points_sym(vol, grid, KERNEL, coords, 1.0, WorkCounter(), clip=clip)
+        stamp_batch(vol, grid, KERNEL, coords, 1.0, WorkCounter(), clip=clip)
         assert not vol.any()
 
     def test_clip_never_writes_outside(self, grid):
         vol = np.zeros(grid.shape)
         clip = VoxelWindow(5, 12, 4, 11, 6, 14)
         pts = make_points(grid, 50, seed=2)
-        stamp_points_sym(vol, grid, KERNEL, pts.coords, 1.0, WorkCounter(), clip=clip)
+        stamp_batch(vol, grid, KERNEL, pts.coords, 1.0, WorkCounter(), clip=clip)
         mask = np.ones(grid.shape, dtype=bool)
         mask[clip.slices()] = False
         assert not vol[mask].any()
@@ -75,7 +75,7 @@ class TestOriginOffset:
         whole = full_stamp(grid, pts.coords)
         halo = VoxelWindow(4, 15, 3, 14, 5, 18)
         buf = np.zeros(halo.shape)
-        stamp_points_sym(
+        stamp_batch(
             buf, grid, KERNEL, pts.coords, 1.0, WorkCounter(),
             clip=halo, vol_origin=(halo.x0, halo.y0, halo.t0),
         )
@@ -99,7 +99,7 @@ class TestOriginOffset:
 class TestBatchSemantics:
     def test_empty_batch_is_noop(self, grid):
         vol = np.zeros(grid.shape)
-        stamp_points_sym(vol, grid, KERNEL, np.empty((0, 3)), 1.0, WorkCounter())
+        stamp_batch(vol, grid, KERNEL, np.empty((0, 3)), 1.0, WorkCounter())
         assert not vol.any()
 
     def test_batch_equals_sequential_singles(self, grid):
@@ -113,7 +113,7 @@ class TestBatchSemantics:
     def test_counter_tracks_madds(self, grid):
         c = WorkCounter()
         coords = np.array([[12.0, 11.0, 13.0]])
-        stamp_points_sym(np.zeros(grid.shape), grid, KERNEL, coords, 1.0, c)
+        stamp_batch(np.zeros(grid.shape), grid, KERNEL, coords, 1.0, c)
         disk = (2 * grid.Hs + 1) ** 2
         bar = 2 * grid.Ht + 1
         assert c.madds == disk * bar
@@ -139,7 +139,7 @@ def test_property_any_grid_partition_preserves_sum(ax, ay, at, n, seed):
 
     dec = BlockDecomposition(grid, ax, ay, at)
     for a, b, c in dec.iter_blocks():
-        stamp_points_sym(
+        stamp_batch(
             pieces, grid, KERNEL, pts.coords, 1.0, WorkCounter(),
             clip=dec.block_window(a, b, c),
         )

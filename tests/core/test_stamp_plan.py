@@ -2,8 +2,9 @@
 
 A group of a :class:`~repro.core.stamping.StampPlan` must stamp exactly —
 to the bit, with the same work counts — what ``stamp_batch`` stamps on
-that group's rows alone, and must write only where its own rows reach:
-the point decomposition's block tasks share one plan across threads.
+that group's rows alone, with that group's clip, and must write only
+where its own rows reach: the block and replica tasks of DD, PD and
+PD-REP share one plan across threads.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from repro.core.backends import ComputeBackend
 from repro.core.kernels import get_kernel
 from repro.core.regions import RegionBuffer
 from repro.core.stamping import STAMP_MODES, StampPlan, stamp_batch
-from repro.parallel import pb_sym_pd_sched
+from repro.parallel import pb_sym_dd, pb_sym_pd_rep, pb_sym_pd_sched
 from repro.parallel.partition import BlockDecomposition
 
 KERNEL = get_kernel("quartic")
@@ -50,6 +51,16 @@ def block_groups(grid, coords, shape=(4, 3, 2)):
     return dec.owners(PointSet(coords))
 
 
+def part_of(win, rng):
+    """A random window inside ``win``: up to a quarter off each face."""
+    return VoxelWindow(*(
+        int(v)
+        for a, b in ((win.x0, win.x1), (win.y0, win.y1), (win.t0, win.t1))
+        for v in (a + rng.integers(0, (b - a) // 4 + 1),
+                  b - rng.integers(0, (b - a) // 4 + 1))
+    ))
+
+
 def stamp_alone(shape, grid, coords, rows, **kw):
     """``stamp_batch`` on ``rows`` only; the volume and the counter."""
     weights = kw.pop("weights", None)
@@ -70,25 +81,30 @@ class TestPlanEquivalence:
         groups = block_groups(grid, coords)
         rng = np.random.default_rng(3)
         weights = rng.uniform(0.2, 3.0, len(coords)) if weighted else None
-        kw = {"mode": mode}
-        shape = grid.shape
+        n_groups = groups.max() + 1
+        shape, origin = grid.shape, (0, 0, 0)
         if clipped:
-            # A RegionBuffer behind a vol_origin; the first block's points
-            # all lie outside it, so that group stamps nothing.
+            # A RegionBuffer behind a vol_origin, each group clipped to
+            # its own part of it; the first block's points all lie
+            # outside it, so that group stamps nothing.
             win = VoxelWindow(13, 40, 4, 33, 3, 27)
-            kw.update(clip=win, vol_origin=(win.x0, win.y0, win.t0))
+            clips = [part_of(win, rng) for _ in range(n_groups)]
+            origin = (win.x0, win.y0, win.t0)
             shape = RegionBuffer(win).data.shape
-        plan = StampPlan(grid, coords, mode=mode, clip=kw.get("clip"),
-                         groups=groups)
+        else:
+            # Every other group unclipped, the rest each in its own window.
+            clips = [None if g % 2 else part_of(grid.full_window(), rng)
+                     for g in range(n_groups)]
+        plan = StampPlan(grid, coords, mode=mode, clip=clips, groups=groups)
         np.testing.assert_array_equal(plan.counts, np.bincount(groups))
         empty = 0
         for g in rng.permutation(plan.counts.size):
             rows = np.flatnonzero(groups == g)
             want, wc = stamp_alone(shape, grid, coords, rows, weights=weights,
-                                   **kw)
+                                   mode=mode, clip=clips[g], vol_origin=origin)
             got, gc = np.zeros(shape), WorkCounter()
             plan.stamp(got, KERNEL, NORM, gc, group=g, weights=weights,
-                       vol_origin=kw.get("vol_origin", (0, 0, 0)))
+                       vol_origin=origin)
             np.testing.assert_array_equal(got, want)
             assert gc.as_dict() == wc.as_dict()
             empty += bool(rows.size) and not got.any()
@@ -97,6 +113,27 @@ class TestPlanEquivalence:
         if mode == "sym" and not clipped:
             # The GEMM route ran: fewer tabulation groups than points.
             assert len(plan._gemm) > 0
+
+    def test_each_group_crowds_on_its_own_box(self):
+        """A bin is crowded against its own group's clipped box: two
+        stamps cut by the grid's corner crowd a small window's box, not
+        the whole grid's (bandwidths wide enough to lift the crowd above
+        its fixed floor)."""
+        wide = GridSpec(DomainSpec.from_voxels(64, 64, 40), hs=20.0, ht=6.0)
+        coords = np.array([[2.5, 2.5, 20.5], [3.5, 2.5, 20.5]] * 2)
+        groups = np.array([0, 0, 1, 1])
+        clips = [None, VoxelWindow(0, 30, 0, 30, 0, 40)]
+        plan = StampPlan(wide, coords, clip=clips, groups=groups)
+        assert len(plan._gemm) == 1  # the clipped group's bin only
+        for g in (0, 1):
+            rows = np.flatnonzero(groups == g)
+            want, wc = np.zeros(wide.shape), WorkCounter()
+            stamp_batch(want, wide, KERNEL, coords[rows], NORM, wc,
+                        clip=clips[g])
+            got, gc = np.zeros(wide.shape), WorkCounter()
+            plan.stamp(got, KERNEL, NORM, gc, group=g)
+            np.testing.assert_array_equal(got, want)
+            assert gc.as_dict() == wc.as_dict()
 
     def test_groups_in_any_order_build_the_same_volume(self, grid):
         """Stamped into one volume in a shuffled group order, the plan
@@ -141,11 +178,16 @@ class TestPlanEquivalence:
                        np.zeros(len(coords))):
             with pytest.raises(ValueError, match="groups"):
                 StampPlan(grid, coords, groups=groups)
+        groups = block_groups(grid, coords)
+        for clip in ([None] * groups.max(), []):  # fewer windows than groups
+            with pytest.raises(ValueError, match="clip"):
+                StampPlan(grid, coords, clip=clip, groups=groups)
 
 
 class TestWriteContainment:
     """The threads backend's safety property: a group writes only inside
-    its block's halo, also where one lattice bin straddles two blocks."""
+    its block's halo, also where one lattice bin straddles two blocks, and
+    a group clipped to its block's window (DD) only inside that window."""
 
     @pytest.fixture
     def setting(self):
@@ -160,10 +202,22 @@ class TestWriteContainment:
         coords = np.vstack([left, right])[rng.permutation(80)]
         return grid, dec, coords
 
-    def test_groups_write_inside_their_halo(self, setting, monkeypatch):
+    @pytest.mark.parametrize("replicated", [False, True])
+    def test_groups_write_inside_their_halo(self, setting, monkeypatch,
+                                            replicated):
         grid, dec, coords = setting
         pts = PointSet(coords)
-        groups = dec.owners(pts)
+        blocks = range(dec.n_blocks)
+        if replicated:
+            # DD's plan: every row in each block its cylinder meets.
+            binning = dec.bin_points_replicated(pts)
+            rows = coords[binning.order]
+            groups = np.repeat(np.arange(dec.n_blocks), binning.counts())
+            clip = [dec.block_window(*dec.block_coords(b)) for b in blocks]
+            reach = clip
+        else:
+            rows, groups, clip = coords, dec.owners(pts), None
+            reach = [dec.halo_window(*dec.block_coords(b)) for b in blocks]
         assert set(groups.tolist()) == {0, 1}
         gemm_rows = []
         tables = ComputeBackend.factor_tables
@@ -173,23 +227,23 @@ class TestWriteContainment:
             return tables(self, grid, kernel, norm, dx, dy, dt, counter)
 
         monkeypatch.setattr(ComputeBackend, "factor_tables", spy)
-        plan = StampPlan(grid, coords, groups=groups)
+        plan = StampPlan(grid, rows, groups=groups, clip=clip)
         for g in (0, 1):
             vol = np.zeros(grid.shape)
             plan.stamp(vol, KERNEL, NORM, group=g)
-            halo = dec.halo_window(*dec.block_coords(g))
             inside = np.zeros(grid.shape, dtype=bool)
-            inside[halo.x0:halo.x1, halo.y0:halo.y1, halo.t0:halo.t1] = True
+            inside[reach[g].slices()] = True
             assert vol.any() and not vol[~inside].any(), g
         # Both halves of the straddling bin were crowded: every row took
         # the GEMM route, as two bins.
-        assert sum(gemm_rows) == len(coords)
+        assert sum(gemm_rows) == len(rows)
         assert len(plan._gemm) == 2
 
-    def test_threads_match_serial(self, setting):
+    @pytest.mark.parametrize("algo", [pb_sym_pd_sched, pb_sym_dd, pb_sym_pd_rep])
+    def test_threads_match_serial(self, setting, algo):
         grid, _, coords = setting
         pts = PointSet(coords)
         kw = dict(P=2, decomposition=(4, 1, 1))
-        serial = pb_sym_pd_sched(pts, grid, backend="serial", **kw)
-        threads = pb_sym_pd_sched(pts, grid, backend="threads", **kw)
+        serial = algo(pts, grid, backend="serial", **kw)
+        threads = algo(pts, grid, backend="threads", **kw)
         np.testing.assert_array_equal(threads.data, serial.data)

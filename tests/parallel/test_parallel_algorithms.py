@@ -104,6 +104,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="backend"):
             algo(pts, grid, P=2, backend="quantum")
 
+    def test_dd_takes_no_memory_budget(self, grid, pts):
+        """DD holds one volume and no replica: it has no budget to check."""
+        with pytest.raises(TypeError, match="memory_budget_bytes"):
+            pb_sym_dd(pts, grid, decomposition=(2, 2, 2), memory_budget_bytes=10)
+
     def test_pd_rejects_unknown_scheduler(self, grid, pts):
         from repro.parallel.pd import run_point_decomposition
 
@@ -330,6 +335,7 @@ class TestRunnerContracts:
         (pb_sym_dd, (120001, 50688, 0, 1546, 45, 1231)),
         (pb_sym_pd, (120001, 50688, 0, 350, 23, 26)),
         (pb_sym_pd_sched, (120001, 50688, 0, 350, 23, 26)),
+        (pb_sym_pd_rep, (120001, 685434, 634746, 350, 196, 197)),
     ])
     def test_work_counts_pinned(self, algo, want, grid, pts):
         res = run_on(algo, "simulated", grid, pts)
