@@ -63,7 +63,10 @@ class MachineModel:
     Attributes
     ----------
     c_mem:
-        Seconds per voxel of streaming memory write (init / reduce).
+        Seconds per voxel of streaming memory write (init / reduce),
+        calibrated on a *warm* write to pages already faulted in.  A cold
+        init, whose pages fault as it zeroes them, costs several times
+        more per voxel.
     c_point:
         Per-point cost of batched stamping beyond the per-cell arithmetic
         (window math, cohort bookkeeping, scatter indexing) — the residue
@@ -216,8 +219,7 @@ class MachineModel:
         # materialises the pages (an allocator artifact that would inflate
         # the rate 3-5x and destabilise every memory-vs-compute trade the
         # model prices), the timed fills measure steady-state bandwidth.
-        buf = np.empty(1 << 21, dtype=np.float64)
-        buf.fill(0.0)
+        buf = np.full(1 << 21, 0.0)
         c_mem = math.inf
         for _ in range(3):
             t0 = time.perf_counter()

@@ -39,7 +39,7 @@ import numpy as np
 
 __all__ = [
     "DomainSpec", "GridSpec", "PointSet", "Volume", "VoxelWindow",
-    "empty_volume", "zeros_volume", "flat_view",
+    "empty_volume", "zeros_volume", "zeroed_volume", "first_touch", "flat_view",
 ]
 
 
@@ -182,9 +182,8 @@ def empty_volume(shape: Tuple[int, int, int]) -> np.ndarray:
     """Uninitialised ``float64`` array indexed ``[x, y, t]``, stored
     t-outermost: the ``(Gt, Gx, Gy)`` C-order block seen through
     ``transpose(1, 2, 0)``.  Every volume and buffer of the library is
-    allocated here or by :func:`zeros_volume` (zeroed by
-    :meth:`GridSpec.allocate` / :class:`~repro.core.regions.RegionBuffer`,
-    or by a strategy's own fill phase), so there is one layout."""
+    allocated here (only where the first pass writes every cell) or by
+    :func:`zeros_volume` / :func:`zeroed_volume`, so there is one layout."""
     sx, sy, st = shape
     return np.empty((st, sx, sy), dtype=np.float64).transpose(1, 2, 0)
 
@@ -192,9 +191,30 @@ def empty_volume(shape: Tuple[int, int, int]) -> np.ndarray:
 def zeros_volume(shape: Tuple[int, int, int]) -> np.ndarray:
     """:func:`empty_volume` from ``np.zeros``: large arrays come as
     copy-on-write zero pages that the first write materialises, so a
-    caller whose first pass writes every page pays no separate fill."""
+    caller whose first pass writes every page pays no separate fill.
+    :func:`zeroed_volume` faults the pages in as well."""
     sx, sy, st = shape
     return np.zeros((st, sx, sy), dtype=np.float64).transpose(1, 2, 0)
+
+
+def first_touch(vol: np.ndarray) -> np.ndarray:
+    """Fault in every page of a :func:`zeros_volume` (or a t-slab of one)
+    with one ``+0.0`` store per 4 KiB page, through :func:`flat_view`,
+    and return it.  The kernel zeroes each page at its fault; no cell
+    changes value."""
+    flat = flat_view(vol)
+    flat[::512] = 0.0  # 512 doubles: one store per 4 KiB page
+    flat[-1:] = 0.0  # the run's last page, if it starts past a stride
+    return vol
+
+
+def zeroed_volume(shape: Tuple[int, int, int]) -> np.ndarray:
+    """The zeroing primitive: a :func:`zeros_volume` whose pages are all
+    faulted in (:func:`first_touch`) before it is returned.  Fresh
+    memory is zeroed once, by the kernel at the fault, instead of a
+    second time by a fill; memory the allocator reuses is cleared by
+    ``calloc``.  Either way the cost lands here, in the caller's init."""
+    return first_touch(zeros_volume(shape))
 
 
 def flat_view(vol: np.ndarray) -> np.ndarray:
@@ -367,16 +387,14 @@ class GridSpec:
         """Allocate a zero-initialised density volume for this grid, in
         the t-outermost layout of :func:`empty_volume`.
 
-        Uses ``empty`` + ``fill`` rather than ``zeros``: ``zeros`` maps
-        copy-on-write zero pages that are only materialised on first write,
-        which would hide the initialisation cost the paper's Figure 7
-        measures (and that dominates sparse instances like Flu).  The
-        explicit fill performs the real first-touch the paper's Section 6.3
-        discusses.
+        Uses :func:`zeroed_volume` rather than a bare ``zeros``: ``zeros``
+        maps copy-on-write zero pages that are only materialised on first
+        write, which would hide the initialisation cost the paper's
+        Figure 7 measures (and that dominates sparse instances like Flu).
+        One store per page performs the real first-touch the paper's
+        Section 6.3 discusses, without writing every cell a second time.
         """
-        vol = empty_volume(self.shape)
-        vol.fill(0.0)
-        return vol
+        return zeroed_volume(self.shape)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -2,8 +2,9 @@
 
 The paper's evaluation reasons about three kinds of cost:
 
-* **initialisation** — zeroing (and first-touching) the density volume,
-  ``Theta(Gx * Gy * Gt)`` writes (Figure 7 shows instances where this
+* **initialisation** — zeroing the density volume: one store per page
+  first-touches it and the kernel zeroes the page at that fault,
+  ``Theta(Gx * Gy * Gt)`` bytes (Figure 7 shows instances where this
   dominates);
 * **compute** — kernel evaluations and multiply-adds inside the point
   cylinders, ``Theta(n * Hs^2 * Ht)``;

@@ -46,7 +46,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .backends import ComputeBackend, get_backend
-from .grid import GridSpec, VoxelWindow, empty_volume
+from .grid import GridSpec, VoxelWindow, zeroed_volume
 from .instrument import WorkCounter, null_counter
 from .kernels import KernelPair
 from .stamping import batch_windows, stamp_batch
@@ -190,10 +190,9 @@ class RegionBuffer:
         if window.empty:
             raise ValueError(f"cannot buffer an empty window: {window}")
         self.window = window
-        # empty + fill, like GridSpec.allocate: perform the real first-touch
-        # so buffer zeroing shows up in timings the way the paper measures.
-        self.data = empty_volume(window.shape)
-        self.data.fill(0.0)
+        # Zeroed and faulted in here, like GridSpec.allocate, so buffer
+        # zeroing shows up in timings the way the paper measures.
+        self.data = zeroed_volume(window.shape)
 
     @property
     def cells(self) -> int:

@@ -32,7 +32,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..algorithms.base import STKDEResult, register_algorithm
-from ..core.grid import GridSpec, PointSet, Volume, empty_volume
+from ..core.grid import GridSpec, PointSet, Volume
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.kernels import KernelPair, get_kernel
 from ..core.stamping import StampPlan
@@ -89,8 +89,7 @@ def pb_sym_dd(
         occupied = [int(b) for b in binning.occupied()]
 
     # --- init phase: the single shared volume, slab-parallel.
-    vol = empty_volume(grid.shape)
-    init = zero_fill_phase(vol, P, counter)
+    vol, init = zero_fill_phase(grid.shape, P, counter)
 
     # --- compute phase: one independent task per occupied subdomain.
     task_counters = [WorkCounter() for _ in occupied]

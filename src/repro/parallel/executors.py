@@ -66,7 +66,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.grid import GridSpec, VoxelWindow
+from ..core.grid import GridSpec, VoxelWindow, first_touch, zeros_volume
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.kernels import KernelPair
 from ..core.regions import RegionBuffer, plan_stamp_shards
@@ -300,17 +300,21 @@ def slab_slices(n: int, P: int) -> List[slice]:
     return [slice(bounds[p], bounds[p + 1]) for p in range(P)]
 
 
-def zero_fill_phase(vol: np.ndarray, P: int, counter: WorkCounter) -> Phase:
-    """The ``init`` step of the shared-volume strategies: ``P`` slab fills
-    of ``vol`` along t, the outermost axis of the volume layout (each
-    slab one contiguous block), memory-bound, charged to
-    ``counter.init_writes`` here."""
+def zero_fill_phase(shape, P: int, counter: WorkCounter) -> Tuple[np.ndarray, Phase]:
+    """The shared-volume strategies' zeroed volume of ``shape`` and its
+    ``init`` step: ``P`` tasks that each first-touch
+    (:func:`~repro.core.grid.first_touch`) one t-slab, the outermost axis
+    of the volume layout (each slab one contiguous block), so the
+    kernel's page zeroing is the phase's memory-bound work; charged to
+    ``counter.init_writes`` here.  (A block the allocator reuses is
+    cleared by ``calloc`` at this call instead.)"""
+    vol = zeros_volume(shape)
     counter.init_writes += vol.size
     tasks = [
-        ExecTask(functools.partial(vol[:, :, sl].fill, 0.0), label=("init", p))
-        for p, sl in enumerate(slab_slices(vol.shape[2], P))
+        ExecTask(functools.partial(first_touch, vol[:, :, sl]), label=("init", p))
+        for p, sl in enumerate(slab_slices(shape[2], P))
     ]
-    return Phase("init", tasks, bound="memory")
+    return vol, Phase("init", tasks, bound="memory")
 
 
 def resolve_shard_count(P: "int | str | None") -> int:

@@ -37,7 +37,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..algorithms.base import STKDEResult, register_algorithm
-from ..core.grid import GridSpec, PointSet, Volume, empty_volume
+from ..core.grid import GridSpec, PointSet, Volume
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.kernels import KernelPair, get_kernel
 from ..core.stamping import StampPlan
@@ -85,8 +85,7 @@ def run_point_decomposition(
         graph, coloring = block_task_graph(dec, loads, scheduler)
 
     # --- init phase (slab-parallel zeroing of the one shared volume).
-    vol = empty_volume(grid.shape)
-    init = zero_fill_phase(vol, P, counter)
+    vol, init = zero_fill_phase(grid.shape, P, counter)
 
     # --- compute tasks: one per occupied block, *unclipped* stamping.
     blocks_sorted = graph.labels  # task index order

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..algorithms.base import STKDEResult, register_algorithm
-from ..core.grid import GridSpec, PointSet, Volume, VoxelWindow, empty_volume
+from ..core.grid import GridSpec, PointSet, Volume, VoxelWindow, zeroed_volume
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.invariants import stamp_cells
 from ..core.kernels import KernelPair, get_kernel
@@ -191,8 +191,7 @@ def pb_sym_pd_rep(
     # Build the expanded task list + graph: the block and replica tasks
     # stamp the plan's groups in the order they were cut.
     # ------------------------------------------------------------------
-    vol = empty_volume(grid.shape)
-    init = zero_fill_phase(vol, P, counter)
+    vol, init = zero_fill_phase(grid.shape, P, counter)
 
     tasks: List[ExecTask] = []
     succs: List[List[int]] = []
@@ -237,8 +236,7 @@ def pb_sym_pd_rep(
                 )
 
                 def rep_fn(g=g, j=j, halo=halo, tid=tid, buffers=buffers):
-                    buf = empty_volume(halo.shape)
-                    buf.fill(0.0)
+                    buf = zeroed_volume(halo.shape)
                     task_counters[tid].init_writes += buf.size
                     plan.stamp(
                         buf, kern, norm, task_counters[tid], group=g,

@@ -279,19 +279,24 @@ class TestSharedPieces:
             assert [i for s in sl for i in range(s.start, s.stop)] == list(range(n))
             assert max(s.stop - s.start for s in sl) - min(s.stop - s.start for s in sl) <= 1
 
-    def test_zero_fill_phase(self):
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("P", [1, 3, 7])
+    def test_zero_fill_phase_returns_a_zeroed_volume(self, backend, P):
+        """The phase allocates the volume it returns: all ``+0.0`` bits
+        once its ``P`` slab tasks ran (P = 7 > Gt = 5 leaves empty slabs),
+        with ``init_writes`` charged once."""
         import numpy as np
 
         from repro.core import WorkCounter
+        from repro.core.grid import flat_view
 
-        vol = np.full((5, 4, 3), 7.0)
         c = WorkCounter()
-        ph = zero_fill_phase(vol, 3, c)
-        assert (ph.name, ph.bound, len(ph.tasks)) == ("init", "memory", 3)
-        assert c.init_writes == vol.size  # charged once, up front
-        assert vol.all()
-        run_phases([ph], 3, "threads", PhaseTimer())
-        assert not vol.any() and c.init_writes == vol.size
+        vol, ph = zero_fill_phase((64, 48, 5), P, c)
+        assert (ph.name, ph.bound, len(ph.tasks)) == ("init", "memory", P)
+        assert vol.shape == (64, 48, 5)
+        run_phases([ph], P, backend, PhaseTimer())
+        assert not flat_view(vol).view(np.uint64).any()
+        assert c.init_writes == vol.size
 
 
 class TestRunThreadedStamping:
