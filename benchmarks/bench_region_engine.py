@@ -2,8 +2,8 @@
 
 Measures the write paths the engine unified:
 
-1. **Bbox-sharded threads** (:func:`repro.parallel.executors.run_threaded_stamping`)
-   against the serial engine — wall time *and* peak shard-buffer bytes vs
+1. **Bbox-sharded threads** (``pb_sym(..., P=THREADS_P, backend="threads")``)
+   against serial PB-SYM — wall time *and* peak shard-buffer bytes vs
    the ``P`` full private volumes the pre-regions path allocated.  The
    acceptance gate requires the bbox buffers to come in strictly below
    ``P`` full volumes on the clustered ``n=1e5`` instance.
@@ -43,14 +43,13 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.algorithms.pb_sym import pb_sym
 from repro.algorithms.vb import accumulate_tile_legacy, vb
 from repro.core import DomainSpec, GridSpec, PointSet, WorkCounter
 from repro.core.grid import flat_view
 from repro.core.incremental import IncrementalSTKDE
 from repro.core.kernels import get_kernel
 from repro.core.regions import auto_slab_voxels, plan_stamp_shards
-from repro.core.stamping import stamp_batch
-from repro.parallel.executors import run_threaded_stamping
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_regions.json"
 
@@ -84,33 +83,25 @@ def best_of(fn, repeats: int) -> float:
 
 
 def threads_cell(grid: GridSpec, dataset: str, n: int, repeats: int) -> dict:
-    """Bbox-sharded threads vs serial engine, plus the memory comparison."""
-    kern = get_kernel("epanechnikov")
-    coords = make_coords(grid, n, dataset)
-    norm = 1.0 / n
+    """Bbox-sharded threads vs serial PB-SYM, plus the memory comparison.
 
-    vol_serial = grid.allocate()
-    vol_threads = grid.allocate()
+    Both sides are whole ``pb_sym`` runs, so both time their own volume's
+    zeroing."""
+    pts = PointSet(make_coords(grid, n, dataset))
+    runs = {}
 
     def serial() -> None:
-        vol_serial.fill(0.0)
-        stamp_batch(vol_serial, grid, kern, coords, norm, WorkCounter())
+        runs["serial"] = pb_sym(pts, grid)
 
     def threads() -> None:
-        vol_threads.fill(0.0)
-        run_threaded_stamping(
-            vol_threads, grid, kern, coords, norm, WorkCounter(), THREADS_P
-        )
+        runs["threads"] = pb_sym(pts, grid, P=THREADS_P, backend="threads")
 
     serial()  # warm the engine code path
     t_serial = best_of(serial, repeats)
     t_threads = best_of(threads, repeats)
-
-    counters = WorkCounter()
-    run_threaded_stamping(
-        grid.allocate(), grid, kern, coords, norm, counters, THREADS_P
-    )
-    plan = plan_stamp_shards(grid, coords, THREADS_P)
+    vol_serial, vol_threads = runs["serial"].data, runs["threads"].data
+    counters = runs["threads"].counter
+    plan = plan_stamp_shards(grid, pts.coords, THREADS_P)
     full_bytes = THREADS_P * grid.grid_bytes
     row = {
         "path": "threads-bbox",
@@ -173,7 +164,6 @@ def incremental_cell(grid: GridSpec, n: int) -> dict:
 
     live = np.vstack([b[b[:, 2] >= 2 * day_len] for b in batches] + [fresh])
 
-    from repro.algorithms.pb_sym import pb_sym
 
     t0 = time.perf_counter()
     batch_res = pb_sym(PointSet(live), grid, kernel=kern_name)
@@ -225,7 +215,6 @@ def slide_pipeline_cells(grid: GridSpec, n: int, n_slides: int) -> list:
     every config's final volume is pinned against a cold PB-SYM recompute
     of the live window at rtol=1e-12 in this very function.
     """
-    from repro.algorithms.pb_sym import pb_sym
 
     span = np.array([grid.domain.gx, grid.domain.gy, grid.domain.gt])
 
@@ -450,8 +439,8 @@ def main(argv=None) -> int:
             "kernel": "epanechnikov",
         },
         "note": (
-            "threads-bbox = run_threaded_stamping with bounding-box shard "
-            "buffers (peak bytes = all P buffers live between stamp and "
+            "threads-bbox = pb_sym(P, backend='threads') with bounding-box "
+            "shard buffers (peak bytes = all P buffers live between stamp and "
             "reduce) vs the P full private volumes of the pre-regions "
             "path; incremental-slide = slide_window on a region-cached "
             "IncrementalSTKDE vs sequential PB-SYM recompute of the live "

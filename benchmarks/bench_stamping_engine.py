@@ -3,10 +3,10 @@
 Measures the PR's tentpole claim on the PB-SYM hot path: cohort-batched
 tabulation + scatter accumulation (:func:`repro.core.stamping.stamp_batch`)
 against the historical per-point Python loop
-(:func:`repro.algorithms.pb_sym.stamp_points_sym_loop`), plus the engine's
-sharded ``threads`` path at ``P=4``
-(:func:`repro.parallel.executors.run_threaded_stamping`), on uniform and
-clustered instances with n in {1e3, 1e4, 1e5}.
+(:func:`repro.algorithms.pb_sym.stamp_points_sym_loop`), plus PB-SYM's
+sharded ``threads`` path at ``P=4`` (``pb_sym(..., P=4,
+backend="threads")``, a whole run including its volume's zeroing), on
+uniform and clustered instances with n in {1e3, 1e4, 1e5}.
 
 Every cell also verifies that the engine density matches the legacy loop
 to ``rtol=1e-12`` — a speedup that changed the answer would be worthless.
@@ -28,11 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.algorithms.pb_sym import stamp_points_sym_loop
-from repro.core import DomainSpec, GridSpec, WorkCounter
+from repro.algorithms.pb_sym import pb_sym, stamp_points_sym_loop
+from repro.core import DomainSpec, GridSpec, PointSet, WorkCounter
 from repro.core.kernels import get_kernel
 from repro.core.stamping import stamp_batch
-from repro.parallel.executors import run_threaded_stamping
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_stamping.json"
 
@@ -83,11 +82,11 @@ def best_of(fn, repeats: int) -> float:
 def run_cell(grid: GridSpec, dataset: str, n: int, repeats: int) -> dict:
     kern = get_kernel("epanechnikov")
     coords = make_coords(grid, n, dataset)
-    norm = 1.0 / n
+    norm = grid.normalization(n)  # pb_sym's, so all three columns compare
 
     vol_loop = grid.allocate()
     vol_engine = grid.allocate()
-    vol_threads = grid.allocate()
+    threaded = {}
 
     def loop() -> None:
         vol_loop.fill(0.0)
@@ -98,15 +97,15 @@ def run_cell(grid: GridSpec, dataset: str, n: int, repeats: int) -> dict:
         stamp_batch(vol_engine, grid, kern, coords, norm, WorkCounter())
 
     def threads() -> None:
-        vol_threads.fill(0.0)
-        run_threaded_stamping(
-            vol_threads, grid, kern, coords, norm, WorkCounter(), THREADS_P
+        threaded["res"] = pb_sym(
+            PointSet(coords), grid, P=THREADS_P, backend="threads"
         )
 
     engine()  # warm the engine code path (first call pays imports/JIT-less setup)
     t_loop = best_of(loop, repeats)
     t_engine = best_of(engine, repeats)
     t_threads = best_of(threads, repeats)
+    vol_threads = threaded["res"].data
 
     scale = max(np.abs(vol_loop).max(), 1e-300)
     equiv_engine = bool(np.allclose(vol_engine, vol_loop, rtol=1e-12, atol=1e-18))
@@ -276,8 +275,8 @@ def main(argv=None) -> int:
         "note": (
             "legacy_loop = pre-engine per-point PB-SYM hot path (the serial "
             "PB-SYM of the seed); engine = batched cohort stamping; threads "
-            "= engine sharded across P workers with private volumes merged "
-            "by reduction.  On a single-CPU container the threads row "
+            "= pb_sym(P, backend='threads'), a whole run: the engine sharded "
+            "across P bounding-box buffers reduced into one zeroed volume.  On a single-CPU container the threads row "
             "measures overhead, not scaling; its speedup over the legacy "
             "serial loop comes from the engine itself."
         ),

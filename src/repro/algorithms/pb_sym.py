@@ -36,7 +36,8 @@ rather than bit for bit.  The loop is preserved verbatim as
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
+from typing import List, Optional
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from ..core.grid import GridSpec, PointSet, Volume, VoxelWindow
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.invariants import bar_table, disk_table
 from ..core.kernels import KernelPair, get_kernel
+from ..core.regions import RegionBuffer, plan_stamp_shards
 from ..core.stamping import batch_windows, stamp_batch
 from .base import STKDEResult, register_algorithm
 
@@ -154,17 +156,14 @@ def pb_sym(
 ) -> STKDEResult:
     """Point-based STKDE exploiting both invariants (Algorithm 3).
 
-    With ``P > 1`` and ``backend="threads"``, the stamping work itself is
-    parallelised through the region engine's sharded threads path
-    (:func:`repro.parallel.executors.run_threaded_stamping`): ``P`` workers
-    stamp cell-balanced point shards into bounding-box
-    :class:`~repro.core.regions.RegionBuffer`\\ s merged by a slab-parallel
-    reduction — one output volume plus the shards' joint bounding boxes,
+    With ``P > 1`` and ``backend="threads"`` PB-SYM runs PB-SYM-DR's
+    zero / stamp / reduce steps at bounding-box granularity (see
+    :func:`_run_threaded`): one output volume plus the shards' joint
+    bounding boxes, a fraction of the ``P + 1`` full volumes of DR,
     checked against ``memory_budget_bytes`` from the *planned* buffer
-    sizes (a fraction of the ``P + 1`` full volumes the pre-regions path
-    needed).  ``P="auto"`` shards by the machine's CPU count instead of
-    silently running single-shard.  The default remains the serial engine,
-    so PB-SYM stays the sequential reference of the paper's Table 3.
+    sizes before anything is allocated.  ``P="auto"`` shards by the
+    machine's CPU count.  The default remains the serial engine, so
+    PB-SYM stays the sequential reference of the paper's Table 3.
     """
     if backend not in ("serial", "threads"):
         raise ValueError(
@@ -173,24 +172,92 @@ def pb_sym(
     kern = get_kernel(kernel)
     counter = counter if counter is not None else WorkCounter()
     timer = timer if timer is not None else PhaseTimer()
-    from ..parallel.executors import resolve_shard_count, run_threaded_stamping
+    from ..parallel.executors import resolve_shard_count
 
     P = resolve_shard_count(P)
-    threaded = P > 1 and backend == "threads"
     norm = grid.normalization(points.n)
-    with timer.phase("init"):
-        vol = grid.allocate()
-        counter.init_writes += vol.size
-    with timer.phase("compute"):
-        if threaded:
-            wall = run_threaded_stamping(
-                vol, grid, kern, points.coords, norm, counter, P,
-                memory_budget_bytes=memory_budget_bytes,
-            )
-        else:
+    meta = {}
+    if P > 1 and backend == "threads":
+        vol, meta = _run_threaded(
+            points.coords, grid, kern, norm, counter, timer, P,
+            memory_budget_bytes,
+        )
+    else:
+        with timer.phase("init"):
+            vol = grid.allocate()
+            counter.init_writes += vol.size
+        with timer.phase("compute"):
             stamp_batch(vol, grid, kern, points.coords, norm, counter)
     counter.points_processed += points.n
-    result = STKDEResult(Volume(vol, grid), "pb-sym", timer, counter)
-    if threaded:
-        result.meta.update({"P": P, "backend": backend, "stamp_wall": wall})
-    return result
+    return STKDEResult(Volume(vol, grid), "pb-sym", timer, counter, meta=meta)
+
+
+def _run_threaded(coords, grid, kernel, norm, counter, timer, P, memory_budget_bytes):
+    """PB-SYM on ``P`` threads: PB-SYM-DR's three phases, run by
+    :func:`~repro.parallel.executors.run_phases`, with bounding-box
+    buffers in place of DR's full private volumes.
+
+    After a serial ``plan`` step (the shards, timed into ``makespan``),
+    ``init`` zero-fills the output volume slab by slab; ``compute`` has
+    one task per :func:`~repro.core.regions.plan_stamp_shards` shard, each
+    stamping into its own :class:`~repro.core.regions.RegionBuffer` (so
+    concurrent stamps never race; its zeroing is charged to
+    ``init_writes`` and ``shard_bbox_cells``); ``reduce`` has ``P`` tasks,
+    each adding every buffer's part inside one t-slab of the volume
+    (``reduce_adds``).  The t-slabs are disjoint, so no two reducers write
+    the same voxel.  Returns the volume and the result's ``meta``.
+    """
+    from ..parallel.executors import (
+        ExecTask,
+        Phase,
+        check_memory_budget,
+        run_phases,
+        slab_slices,
+        zero_fill_phase,
+    )
+
+    with timer.phase("plan"):
+        plan = plan_stamp_shards(grid, coords, P)
+    check_memory_budget(
+        grid.grid_bytes + plan.buffer_bytes, memory_budget_bytes,
+        f"threaded PB-SYM with {plan.n_shards} bbox shards",
+    )
+    out, init = zero_fill_phase(grid.shape, P, counter)
+    n = plan.n_shards
+    buffers: List[RegionBuffer] = [None] * n  # type: ignore[list-item]
+    slabs = slab_slices(grid.Gt, P)
+    counters = [WorkCounter() for _ in range(n + P)]
+
+    def stamp(p: int) -> None:
+        buf = RegionBuffer(plan.windows[p])
+        counters[p].init_writes += buf.cells
+        counters[p].shard_bbox_cells += buf.cells
+        buf.stamp(grid, kernel, coords[plan.shards[p]], norm, counters[p])
+        buffers[p] = buf
+
+    def reduce(r: int) -> None:
+        sl = slabs[r]
+        for buf in buffers:
+            w = buf.window
+            lo, hi = max(w.t0, sl.start), min(w.t1, sl.stop)
+            if lo < hi:
+                target = out[0][w.x0 : w.x1, w.y0 : w.y1, lo:hi]
+                target += buf.data[:, :, lo - w.t0 : hi - w.t0]
+                counters[n + r].reduce_adds += target.size
+
+    def step(name: str, fn, count: int, bound: str) -> Phase:
+        tasks = [ExecTask(partial(fn, p), label=(name, p)) for p in range(count)]
+        return Phase(name, tasks, bound)
+
+    phase_ms = run_phases(
+        [init, step("compute", stamp, n, "compute"),
+         step("reduce", reduce, P, "memory")],
+        P, "threads", timer,
+    )
+    for c in counters:
+        counter.merge(c)
+    return out[0], {
+        "P": P, "backend": "threads",
+        "makespan": timer.seconds["plan"] + sum(phase_ms.values()),
+        "phase_makespans": phase_ms,
+    }

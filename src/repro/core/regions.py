@@ -1,10 +1,9 @@
 """Unified region-accumulation engine: every bounded write into a volume.
 
-PR 1 centralised the *point-stamp* write path (cohort batching in
-:mod:`repro.core.stamping`); this module generalises it into a single
-region-accumulation layer that owns **all** bounded writes into a density
-volume, so the voxel-based tiles, the threaded shards, and the incremental
-estimator stop maintaining private copies of the same machinery:
+The stamping engine (:mod:`repro.core.stamping`) owns the point-stamp
+write path; this module owns the bounded writes around it, so the
+voxel-based tiles, PB-SYM's threaded shards and the incremental estimator
+share one machinery:
 
 ``accumulate_voxel_tile``
     The VB/VB-DEC tile path: a (voxel-chunk x point-block) tile evaluated
@@ -13,25 +12,23 @@ estimator stop maintaining private copies of the same machinery:
     arrays — the same primitive behind the stamping engine's ``mode="pb"``
     tables and the query tiers, so masks and work accounting stay in
     lock-step), summed over the point axis, and scattered onto the flat
-    volume.  Replaces the private ``_accumulate_tile`` the voxel-based
-    algorithms used to carry.
+    volume.
 
 ``RegionBuffer``
     A private accumulation buffer covering only a bounding-box window of
-    the grid.  This is what replaces the *full* per-worker private volumes
-    of the threaded stamping path: a shard of clustered points touches a
-    fraction of the grid, so its buffer (and the reduction traffic to merge
-    it) shrinks to that fraction.  The incremental estimator keeps its
-    live window as the same buffers, one per batch slab: sliding-window
-    retirement drops a buffer instead of re-tabulating kernels.
+    the grid.  PB-SYM's ``backend="threads"`` stamps each shard into one
+    instead of a full private volume, as PB-SYM-DR does: a shard of
+    clustered points touches a fraction of the grid, so its buffer (and
+    the reduction traffic to merge it) shrinks to that fraction.  The
+    incremental estimator keeps its live window as the same buffers, one
+    per unit: sliding-window retirement drops a buffer instead of
+    re-tabulating kernels.
 
 ``plan_stamp_shards``
-    Balanced shard planning for the threaded executor
-    (:func:`repro.parallel.executors.run_threaded_stamping`, its only
-    caller in the library).  Points are ordered by stamp-window
-    origin before sharding so each shard's bounding box is a compact slab
-    rather than the whole grid — the difference between ``P`` full volumes
-    and a few percent of one.
+    Balanced shard planning for those threaded shards.  Points are
+    ordered by stamp-window origin before sharding so each shard's
+    bounding box is a compact slab rather than the whole grid — the
+    difference between ``P`` full volumes and a few percent of one.
 
 Everything here preserves the engine's numerical contract: identical
 masks and expression order to the legacy per-point / per-tile paths, with
@@ -175,8 +172,8 @@ class RegionBuffer:
     """A private accumulation buffer covering one bounding-box window.
 
     Replaces full-grid private volumes wherever a writer only touches a
-    bounded region: threaded stamping shards, incremental batch caches,
-    and any future replica path.  The buffer's voxel ``(0, 0, 0)`` sits at
+    bounded region: PB-SYM's threaded shards and the incremental
+    estimator's unit caches.  The buffer's voxel ``(0, 0, 0)`` sits at
     ``window``'s origin in grid coordinates; :meth:`stamp` routes through
     the batched stamping engine with the matching ``vol_origin``.
     ``data`` is indexed ``[x, y, t]`` and stored t-outermost, like every
@@ -237,26 +234,12 @@ class RegionBuffer:
             compute=compute,
         )
 
-    def add_into(
-        self,
-        vol: np.ndarray,
-        x_lo: int = 0,
-        x_hi: Optional[int] = None,
-    ) -> int:
-        """Accumulate the buffer into a full volume; returns cells touched.
-
-        ``x_lo``/``x_hi`` restrict the merge to an x-slab of the volume —
-        the unit of the slab-parallel reduction — so concurrent reducers
-        never write the same voxel.
-        """
+    def add_into(self, vol: np.ndarray) -> int:
+        """Accumulate the buffer into its window of a full volume; returns
+        the cells touched."""
         w = self.window
-        x_hi = vol.shape[0] if x_hi is None else x_hi
-        lo = max(w.x0, x_lo)
-        hi = min(w.x1, x_hi)
-        if lo >= hi:
-            return 0
-        target = vol[lo:hi, w.y0 : w.y1, w.t0 : w.t1]
-        target += self.data[lo - w.x0 : hi - w.x0]
+        target = vol[w.x0 : w.x1, w.y0 : w.y1, w.t0 : w.t1]
+        target += self.data
         return target.size
 
 
@@ -266,8 +249,7 @@ class ShardPlan:
 
     ``shards[p]`` are point indices (into the planned batch) and
     ``windows[p]`` the joint bounding window of their clipped stamps — the
-    exact buffer the threaded executor allocates, and the exact memory the
-    cost model charges.
+    exact buffer PB-SYM's threaded shard ``p`` allocates.
     """
 
     shards: List[np.ndarray]
@@ -287,12 +269,6 @@ class ShardPlan:
         """Total float64 bytes of the shard buffers."""
         return self.buffer_cells * 8
 
-    def union_x_range(self) -> Tuple[int, int]:
-        """Half-open x-extent covered by any shard buffer (for slabbing)."""
-        if not self.windows:
-            return (0, 0)
-        return (min(w.x0 for w in self.windows), max(w.x1 for w in self.windows))
-
 
 def _balanced_bounds(cells: np.ndarray, n_shards: int) -> np.ndarray:
     """Cut positions of near-equal cumulative cell count (``n_shards + 1``)."""
@@ -304,40 +280,6 @@ def _balanced_bounds(cells: np.ndarray, n_shards: int) -> np.ndarray:
     return np.concatenate(
         ([0], np.searchsorted(cum, targets), [cells.size])
     ).astype(np.int64)
-
-
-def _snap_bounds_to_gaps(
-    bounds: np.ndarray, X0o: np.ndarray, X1o: np.ndarray
-) -> np.ndarray:
-    """Nudge interior cuts onto x-disjoint gaps when one is nearby.
-
-    With points in stamp-origin order, ``X0o`` is nondecreasing, so a cut
-    at position ``j`` separates the two shards' bounding boxes along x iff
-    every stamp before ``j`` ends by the time the first stamp from ``j``
-    begins (prefix max of ``X1o``).  Disjoint boxes unlock the executors'
-    per-shard merge (no slab sweep, no empty intersections), so each
-    balanced cut moves to the nearest disjoint position within ~10% of a
-    shard — clustered batches get provably non-overlapping buffers at a
-    bounded balance cost, and batches with no gap keep the exact balanced
-    cuts.
-    """
-    n = X0o.size
-    if n == 0 or bounds.size <= 2:
-        return bounds
-    pmax = np.maximum.accumulate(X1o)
-    out = bounds.copy()
-    tol = max(2, n // (10 * (bounds.size - 1)))
-    for k in range(1, bounds.size - 1):
-        b = int(out[k])
-        lo = max(int(out[k - 1]) + 1, b - tol)
-        hi = min(int(out[k + 1]) - 1, b + tol, n - 1)
-        if hi < lo:
-            continue
-        ok = X0o[lo : hi + 1] >= pmax[lo - 1 : hi]
-        js = np.nonzero(ok)[0] + lo
-        if js.size:
-            out[k] = js[np.argmin(np.abs(js - b))]
-    return out
 
 
 def plan_stamp_shards(
@@ -353,11 +295,7 @@ def plan_stamp_shards(
     bounding boxes, then cut into ``n_shards`` spans balanced on stamped
     cell count — boundary-clipped (cheap) and interior (full-stamp) points
     balance, exactly as the previous full-volume sharding did, but each
-    shard now knows the only region of the grid it can write.  Balanced
-    cuts additionally snap to nearby x-gaps in the ordered stamps
-    (:func:`_snap_bounds_to_gaps`), so clustered batches yield pairwise
-    **disjoint** shard boxes and the threaded executor can merge each
-    buffer independently instead of slab-sweeping their union.
+    shard now knows the only region of the grid it can write.
     """
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
@@ -374,7 +312,6 @@ def plan_stamp_shards(
         return ShardPlan([], [])
     order = live[np.lexsort((T0[live], Y0[live], X0[live]))]
     bounds = _balanced_bounds(cells[order], n_shards)
-    bounds = _snap_bounds_to_gaps(bounds, X0[order], X1[order])
     shards: List[np.ndarray] = []
     windows: List[VoxelWindow] = []
     for p in range(n_shards):

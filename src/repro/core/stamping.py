@@ -79,8 +79,7 @@ of one plan, with exactly the additions and counts of stamping that
 group's points alone.  :func:`stamp_batch` is the plan of one group.
 
 Each cohort slab is a handful of large NumPy kernels, which is what
-:func:`repro.parallel.executors.run_threaded_stamping` shards across
-threads; whether that wins over the serial engine is a measured quantity
+PB-SYM's ``backend="threads"`` shards across threads; whether that wins over the serial engine is a measured quantity
 (``parallel.threads_p2_speedup`` in the perfbench ledger), not a property
 of this module.
 """

@@ -89,14 +89,14 @@ def pb_sym_dd(
         occupied = [int(b) for b in binning.occupied()]
 
     # --- init phase: the single shared volume, slab-parallel.
-    vol, init = zero_fill_phase(grid.shape, P, counter)
+    out, init = zero_fill_phase(grid.shape, P, counter)
 
     # --- compute phase: one independent task per occupied subdomain.
     task_counters = [WorkCounter() for _ in occupied]
 
     def make_block_task(k: int, bid: int):
         def fn() -> None:
-            plan.stamp(vol, kern, norm, task_counters[k], group=bid)
+            plan.stamp(out[0], kern, norm, task_counters[k], group=bid)
             task_counters[k].points_processed += int(plan.counts[bid])
 
         return fn
@@ -119,7 +119,7 @@ def pb_sym_dd(
         counter.merge(c)
 
     return STKDEResult(
-        Volume(vol, grid),
+        Volume(out[0], grid),
         "pb-sym-dd",
         timer,
         counter,

@@ -18,10 +18,9 @@ the memory-budget check and the bandwidth-saturated phase model.
 
 Worker chunks stamp through the batched engine (one
 :func:`~repro.core.stamping.stamp_batch` call per chunk: DR has no binning
-to share across its chunks).  The same private-buffer +
-reduction structure, with bounding-box buffers instead of full volumes, is
-what PB-SYM's own ``backend="threads"`` runs (see
-:mod:`repro.parallel.executors`).
+to share across its chunks).  PB-SYM's own ``backend="threads"``
+(:func:`repro.algorithms.pb_sym.pb_sym`) runs these three phases with
+bounding-box buffers in place of the full private volumes.
 """
 
 from __future__ import annotations

@@ -36,18 +36,18 @@ The three backends are three interpreters of the same phase list:
     Section 6 are regenerated on small machines; only the clock is
     virtual.
 ``threads``
-    Runs each phase on ``P`` real Python threads and reports its wall
-    time: one dependency-aware pool over ``graph`` (heaviest
-    ``weight_hint`` first), or one pool per colour class, in order.
+    Runs each phase on ``P`` real Python threads (the calling thread and
+    ``P - 1`` started ones) and reports its wall time: one
+    dependency-aware pool over ``graph`` (heaviest ``weight_hint``
+    first), or one pool per colour class, in order.
     Phases are barrier-separated on every backend; a barrier between
     steps only regroups a sum of per-point contributions, so it never
     changes the volume.
 
-Real threads run exactly where a caller writes ``backend="threads"`` —
-the five strategies through :func:`run_phases`, and sequential PB-SYM
-through :func:`run_threaded_stamping` (bounding-box shard buffers
-merged into the volume).  Nothing in the library selects them from a
-cost prediction.
+Real threads run exactly where a caller writes ``backend="threads"``:
+the five strategies and PB-SYM's bounding-box shards
+(:func:`repro.algorithms.pb_sym.pb_sym`), all through :func:`run_phases`.
+Nothing in the library selects them from a cost prediction.
 
 Memory budgets: strategies check planned allocations against an optional
 budget, reproducing the paper's 128 GB OOM outcomes (Figures 8 and 14)
@@ -66,10 +66,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.grid import GridSpec, VoxelWindow, first_touch, zeros_volume
+from ..core.grid import first_touch, zeros_volume
 from ..core.instrument import PhaseTimer, WorkCounter
-from ..core.kernels import KernelPair
-from ..core.regions import RegionBuffer, plan_stamp_shards
 from .schedule import (
     BandwidthModel,
     TaskGraph,
@@ -87,7 +85,6 @@ __all__ = [
     "run_phases",
     "run_serial",
     "run_threaded",
-    "run_threaded_stamping",
     "slab_slices",
     "zero_fill_phase",
     "BACKENDS",
@@ -153,8 +150,9 @@ def run_threaded(
     """Dependency-aware thread-pool execution; returns wall-clock time.
 
     Ready tasks are dispatched highest-priority-first (smallest priority
-    tuple).  Worker threads run the task closures directly; NumPy's
-    GIL-releasing kernels give true overlap for the stamping work.
+    tuple) to ``P`` workers: the calling thread and ``P - 1`` started
+    threads, which run the task closures directly; NumPy's GIL-releasing
+    kernels give true overlap for the stamping work.
     """
     if P < 1:
         raise ValueError("P must be >= 1")
@@ -171,15 +169,16 @@ def run_threaded(
     remaining = graph.n
     failures: List[BaseException] = []
 
-    def worker() -> None:
+    def worker(v: Optional[int] = None) -> None:
         nonlocal remaining
         while True:
-            with work_available:
-                while not ready and remaining > 0 and not failures:
-                    work_available.wait()
-                if remaining <= 0 or failures:
-                    return
-                _, v = heapq.heappop(ready)
+            if v is None:
+                with work_available:
+                    while not ready and remaining > 0 and not failures:
+                        work_available.wait()
+                    if remaining <= 0 or failures:
+                        return
+                    _, v = heapq.heappop(ready)
             t = tasks[v]
             t0 = time.perf_counter()
             try:
@@ -197,14 +196,21 @@ def run_threaded(
                     if indeg[s] == 0:
                         heapq.heappush(ready, (prio(s), s))
                 work_available.notify_all()
+            v = None
 
     t_start = time.perf_counter()
+    # The calling thread is worker 0 and takes the first ready task before
+    # the others start, so a task that allocates (the zero-fill phase's
+    # first) gets memory the caller's earlier frees left for reuse; a
+    # fresh thread's allocator arena would fault in new pages instead.
+    first = heapq.heappop(ready)[1] if ready else None
     threads = [
         threading.Thread(target=worker, name=f"stkde-worker-{i}", daemon=True)
-        for i in range(min(P, max(1, graph.n)))
+        for i in range(1, min(P, max(1, graph.n)))
     ]
     for th in threads:
         th.start()
+    worker(first)
     for th in threads:
         th.join()
     if failures:
@@ -300,21 +306,35 @@ def slab_slices(n: int, P: int) -> List[slice]:
     return [slice(bounds[p], bounds[p + 1]) for p in range(P)]
 
 
-def zero_fill_phase(shape, P: int, counter: WorkCounter) -> Tuple[np.ndarray, Phase]:
-    """The shared-volume strategies' zeroed volume of ``shape`` and its
-    ``init`` step: ``P`` tasks that each first-touch
-    (:func:`~repro.core.grid.first_touch`) one t-slab, the outermost axis
-    of the volume layout (each slab one contiguous block), so the
-    kernel's page zeroing is the phase's memory-bound work; charged to
-    ``counter.init_writes`` here.  (A block the allocator reuses is
-    cleared by ``calloc`` at this call instead.)"""
-    vol = zeros_volume(shape)
-    counter.init_writes += vol.size
+def zero_fill_phase(
+    shape, P: int, counter: WorkCounter
+) -> Tuple[List[np.ndarray], Phase]:
+    """The shared-volume strategies' ``init`` step: ``P`` tasks that each
+    first-touch (:func:`~repro.core.grid.first_touch`) one t-slab, the
+    outermost axis of the volume layout (each slab one contiguous block),
+    of a zeroed volume of ``shape``.  The first task allocates it and the
+    others wait for that task, so ``calloc``'s clear of a block the
+    allocator reuses is booked inside the phase, like the page faults of
+    fresh memory.  Returns ``(out, phase)``: ``out[0]`` is the volume
+    once the phase ran.  Charged to ``counter.init_writes`` here."""
+    out: List[np.ndarray] = []
+    slabs = slab_slices(shape[2], P)
+
+    def touch(p: int) -> None:
+        if p == 0:
+            out.append(zeros_volume(shape))
+        first_touch(out[0][:, :, slabs[p]])
+
+    counter.init_writes += int(np.prod(shape))
     tasks = [
-        ExecTask(functools.partial(first_touch, vol[:, :, sl]), label=("init", p))
-        for p, sl in enumerate(slab_slices(shape[2], P))
+        ExecTask(functools.partial(touch, p), label=("init", p)) for p in range(P)
     ]
-    return vol, Phase("init", tasks, bound="memory")
+    after_alloc = TaskGraph(
+        [1.0] * P,
+        [list(range(1, P))] + [[] for _ in range(1, P)],
+        [[]] + [[0] for _ in range(1, P)],
+    )
+    return out, Phase("init", tasks, bound="memory", graph=after_alloc)
 
 
 def resolve_shard_count(P: "int | str | None") -> int:
@@ -333,168 +353,3 @@ def resolve_shard_count(P: "int | str | None") -> int:
     if P < 1:
         raise ValueError("P must be >= 1")
     return P
-
-
-def _windows_pairwise_disjoint(windows: Sequence[VoxelWindow]) -> bool:
-    """Whether no two shard bounding boxes share a voxel (O(P^2), tiny P).
-
-    Pairwise-disjoint boxes admit the per-shard merge: concurrent
-    whole-buffer merges can never write the same output voxel.
-    """
-    for i in range(len(windows)):
-        for j in range(i + 1, len(windows)):
-            if not windows[i].intersect(windows[j]).empty:
-                return False
-    return True
-
-
-def run_threaded_stamping(
-    vol: np.ndarray,
-    grid: GridSpec,
-    kernel: KernelPair,
-    coords: np.ndarray,
-    norm: float,
-    counter: WorkCounter,
-    P: "int | str",
-    *,
-    mode: str = "sym",
-    clip: Optional[VoxelWindow] = None,
-    memory_budget_bytes: Optional[int] = None,
-    weights: Optional[np.ndarray] = None,
-) -> float:
-    """Stamp a point batch on ``P`` threads through the region engine.
-
-    The scaling path the engine enables: the batch is partitioned by
-    :func:`repro.core.regions.plan_stamp_shards` into ``P`` shards balanced
-    by stamped-cell count and ordered by stamp-window origin, each worker
-    accumulates its shard into a **bounding-box** :class:`RegionBuffer`
-    covering only the grid region its stamps can touch (so concurrent
-    stamps never race, and every heavy operation is a GIL-releasing NumPy
-    kernel), and the buffers are merged into ``vol``: **per shard** when
-    the bounding boxes are pairwise disjoint (one merge task per buffer,
-    released the moment its own stamp finishes — no slab sweep over empty
-    intersections), otherwise by a slab-parallel reduction over the union
-    of the boxes in which each slab visits only the shards whose x-extent
-    reaches it.  This keeps the no-shared-write
-    structure of the DR trade while shrinking its memory tax from ``P``
-    full volumes to the shards' joint bounding boxes — on clustered data a
-    small fraction of the grid — and shrinking the reduction traffic by
-    the same factor.
-
-    Work accounting mirrors DR at buffer granularity: buffer zeroing is
-    charged to ``init_writes`` (and recorded in ``shard_bbox_cells``), the
-    merge to ``reduce_adds``.  ``P="auto"`` shards by the machine's CPU
-    count.  ``memory_budget_bytes`` bounds the *actual* planned footprint
-    (output volume + shard buffers), raising :class:`MemoryBudgetExceeded`
-    before anything is allocated.  Returns the wall-clock seconds of the
-    threaded region.
-    """
-    P = resolve_shard_count(P)
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.shape[0] == 0:
-        return 0.0
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (coords.shape[0],):
-            raise ValueError("weights must be (n,) matching coords")
-    plan = plan_stamp_shards(grid, coords, P, clip)
-    n_shards = plan.n_shards
-    if n_shards == 0:
-        return 0.0
-    check_memory_budget(
-        vol.nbytes + plan.buffer_bytes, memory_budget_bytes,
-        f"threaded stamping with {n_shards} bbox shards",
-    )
-
-    buffers: List[Optional[RegionBuffer]] = [None] * n_shards
-    shard_counters = [WorkCounter() for _ in range(n_shards)]
-
-    def make_shard(p: int):
-        chunk = coords[plan.shards[p]]
-        chunk_w = weights[plan.shards[p]] if weights is not None else None
-        window = plan.windows[p]
-
-        def fn() -> None:
-            buf = RegionBuffer(window)
-            shard_counters[p].init_writes += buf.cells
-            shard_counters[p].shard_bbox_cells += buf.cells
-            buf.stamp(
-                grid, kernel, chunk, norm, shard_counters[p],
-                mode=mode, clip=clip, weights=chunk_w,
-            )
-            buffers[p] = buf
-
-        return fn
-
-    # Reduction strategy.  Shard bounding boxes that are pairwise disjoint
-    # (the normal shape for clustered data under origin-ordered sharding)
-    # can be merged **per shard**: one task per buffer, each writing only
-    # its own box — no slab sweep over the union extent, no empty
-    # intersections visited.  Overlapping boxes fall back to the
-    # slab-parallel reduction over the union x-extent (each reducer owns
-    # an x-slab, so concurrent merges never write the same voxel), where
-    # each slab pre-filters to the shards that actually reach it.
-    per_shard_merge = n_shards > 1 and _windows_pairwise_disjoint(plan.windows)
-    if per_shard_merge:
-        reduce_counters = [WorkCounter() for _ in range(n_shards)]
-
-        def make_reduce(r: int):
-            def fn() -> None:
-                added = buffers[r].add_into(vol)  # type: ignore[union-attr]
-                reduce_counters[r].reduce_adds += added
-
-            return fn
-
-        n_merges = n_shards
-    else:
-        ux0, ux1 = plan.union_x_range()
-        span = ux1 - ux0
-        slab_bounds = [ux0 + (span * p) // P for p in range(P + 1)]
-        slabs = [
-            (slab_bounds[p], slab_bounds[p + 1])
-            for p in range(P)
-            if slab_bounds[p + 1] > slab_bounds[p]
-        ]
-        # Shards whose x-extent misses a slab contribute nothing to it;
-        # skip them instead of bouncing off add_into's empty check.
-        slab_shards = [
-            [
-                q
-                for q in range(n_shards)
-                if plan.windows[q].x0 < hi and plan.windows[q].x1 > lo
-            ]
-            for lo, hi in slabs
-        ]
-        reduce_counters = [WorkCounter() for _ in slabs]
-
-        def make_reduce(r: int):
-            def fn() -> None:
-                lo, hi = slabs[r]
-                added = 0
-                for q in slab_shards[r]:
-                    added += buffers[q].add_into(vol, lo, hi)  # type: ignore[union-attr]
-                reduce_counters[r].reduce_adds += added
-
-            return fn
-
-        n_merges = len(slabs)
-
-    tasks = [ExecTask(make_shard(p), label=("stamp", p)) for p in range(n_shards)]
-    tasks += [ExecTask(make_reduce(r), label=("merge", r)) for r in range(n_merges)]
-    n_t = len(tasks)
-    succs: List[List[int]] = [[] for _ in range(n_t)]
-    preds: List[List[int]] = [[] for _ in range(n_t)]
-    # A merge waits only on the stamps whose buffers it reads: its own
-    # shard on the per-shard path (so disjoint merges start the moment
-    # their shard finishes), the slab's reaching shards otherwise.
-    for r in range(n_merges):
-        readers = [r] if per_shard_merge else slab_shards[r]
-        for p in readers:
-            succs[p].append(n_shards + r)
-            preds[n_shards + r].append(p)
-    wall = run_threaded(tasks, TaskGraph([t.weight_hint for t in tasks], succs, preds), P)
-    for c in shard_counters:
-        counter.merge(c)
-    for c in reduce_counters:
-        counter.merge(c)
-    return wall

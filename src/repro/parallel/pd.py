@@ -85,7 +85,7 @@ def run_point_decomposition(
         graph, coloring = block_task_graph(dec, loads, scheduler)
 
     # --- init phase (slab-parallel zeroing of the one shared volume).
-    vol, init = zero_fill_phase(grid.shape, P, counter)
+    out, init = zero_fill_phase(grid.shape, P, counter)
 
     # --- compute tasks: one per occupied block, *unclipped* stamping.
     blocks_sorted = graph.labels  # task index order
@@ -93,7 +93,7 @@ def run_point_decomposition(
 
     def make_block_task(k: int, bid: int):
         def fn() -> None:
-            plan.stamp(vol, kern, norm, task_counters[k], group=bid)
+            plan.stamp(out[0], kern, norm, task_counters[k], group=bid)
             task_counters[k].points_processed += int(plan.counts[bid])
 
         return fn
@@ -131,7 +131,7 @@ def run_point_decomposition(
     Tinf, _ = critical_path(measured_graph)
 
     return STKDEResult(
-        Volume(vol, grid),
+        Volume(out[0], grid),
         algorithm_name,
         timer,
         counter,

@@ -191,7 +191,7 @@ def pb_sym_pd_rep(
     # Build the expanded task list + graph: the block and replica tasks
     # stamp the plan's groups in the order they were cut.
     # ------------------------------------------------------------------
-    vol, init = zero_fill_phase(grid.shape, P, counter)
+    out, init = zero_fill_phase(grid.shape, P, counter)
 
     tasks: List[ExecTask] = []
     succs: List[List[int]] = []
@@ -215,7 +215,7 @@ def pb_sym_pd_rep(
                                     label=("block", bid)))
 
             def direct_fn(g=g, tid=tid):
-                plan.stamp(vol, kern, norm, task_counters[tid], group=g)
+                plan.stamp(out[0], kern, norm, task_counters[tid], group=g)
                 task_counters[tid].points_processed += int(plan.counts[g])
 
             tasks[tid].fn = direct_fn
@@ -258,7 +258,7 @@ def pb_sym_pd_rep(
             )
 
             def red_fn(halo=halo, buffers=buffers, red_id=red_id, r=r):
-                target = vol[halo.slices()]
+                target = out[0][halo.slices()]
                 for j in range(r):
                     target += buffers[j]  # type: ignore[operator]
                     buffers[j] = None  # free replica memory promptly
@@ -292,7 +292,7 @@ def pb_sym_pd_rep(
 
     n_replicated = sum(1 for r in replicas if r > 1)
     return STKDEResult(
-        Volume(vol, grid),
+        Volume(out[0], grid),
         "pb-sym-pd-rep",
         timer,
         counter,

@@ -248,7 +248,8 @@ class TrafficFrontend:
         self._seq = 0
         self._closing = False
         self._started = False
-        # Admission pricing state (captured in start(), EWMA-corrected).
+        # Admission pricing state (read in start() and after every
+        # mutation, EWMA-corrected).
         self._model = None
         self._events = 0
         self._segments = 1
@@ -260,7 +261,7 @@ class TrafficFrontend:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "TrafficFrontend":
-        """Capture the cost model and launch the dispatcher task."""
+        """Read the pricing gauges and launch the dispatcher task."""
         if self._started:
             return self
         self._loop = asyncio.get_running_loop()
@@ -271,7 +272,6 @@ class TrafficFrontend:
         self._space = asyncio.Event()
         self._idle = asyncio.Event()
         self._drained = asyncio.Event()
-        self._model = await self._call(lambda: self.service.planner().model)
         await self._refresh_gauges()
         self._task = self._loop.create_task(self._run())
         self._started = True
@@ -320,10 +320,13 @@ class TrafficFrontend:
         return await self._loop.run_in_executor(self._executor, fn)
 
     async def _refresh_gauges(self) -> None:
-        """Re-read event count / index segments used by admission pricing."""
-        self._events, self._segments = await self._call(
+        """Re-read what admission prices with: the planner's cost model
+        (a live service builds a new one per version), the event count
+        and the index segments."""
+        self._model, self._events, self._segments = await self._call(
             lambda: (
-                self.service.events, max(1, self.service.index_segments)
+                self.service.planner().model, self.service.events,
+                max(1, self.service.index_segments),
             )
         )
 

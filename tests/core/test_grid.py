@@ -161,9 +161,9 @@ class TestVolumeLayout:
 
 
 def _zero_fill(shape):
-    vol, init = zero_fill_phase(shape, 3, WorkCounter())
+    out, init = zero_fill_phase(shape, 3, WorkCounter())
     run_phases([init], 3, "serial", PhaseTimer())
-    return vol
+    return out[0]
 
 
 #: Every zeroing entry point; ``zeroed_volume`` is also PD-REP's halo buffer.

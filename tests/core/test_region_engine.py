@@ -182,16 +182,6 @@ class TestRegionBuffer:
         assert vol.sum() == pytest.approx(1.5 * buf.cells)
         assert vol[2:6, 3:7, 1:4].min() == 1.5
 
-    def test_add_into_slab_restriction(self, grid):
-        buf = RegionBuffer(VoxelWindow(2, 10, 0, 5, 0, 5))
-        buf.data[:] = 1.0
-        vol = np.zeros(grid.shape)
-        a = buf.add_into(vol, 0, 6)
-        b = buf.add_into(vol, 6, grid.Gx)
-        assert a + b == buf.cells
-        assert vol[2:10, 0:5, 0:5].min() == 1.0
-        assert buf.add_into(vol, 15, 20) == 0  # disjoint slab: no-op
-
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError, match="empty"):
             RegionBuffer(VoxelWindow(3, 3, 0, 2, 0, 2))
@@ -241,6 +231,13 @@ class TestPlanStampShards:
         with pytest.raises(ValueError):
             plan_stamp_shards(grid, np.zeros((1, 3)), 0)
 
+    def test_uniform_cuts_near_balanced(self, grid):
+        coords = make_points(grid, 200, seed=31).coords
+        plan = plan_stamp_shards(grid, coords, 4)
+        sizes = [len(s) for s in plan.shards]
+        assert sum(sizes) == 200
+        assert max(sizes) - min(sizes) <= 20
+
     def test_more_shards_than_points(self, grid):
         coords = make_points(grid, 3, seed=13).coords
         plan = plan_stamp_shards(grid, coords, 8)
@@ -263,44 +260,6 @@ class TestThreadedBboxVsSequential:
         )
         assert threaded.counter.shard_bbox_cells > 0
         assert threaded.counter.shard_bbox_cells < 4 * grid.n_voxels
-
-
-class TestGapSnappedShards:
-    """Balanced cuts snap onto x-gaps so clustered shards come out disjoint."""
-
-    def test_clustered_cuts_snap_to_gap(self, grid):
-        rng = np.random.default_rng(30)
-        coords = np.concatenate([
-            rng.normal([4, 4, 4], 0.4, size=(60, 3)),
-            rng.normal([15, 13, 17], 0.4, size=(60, 3)),
-        ]).clip(0, [19.9, 17.9, 21.9])
-        plan = plan_stamp_shards(grid, coords, 2)
-        assert plan.n_shards == 2
-        a, b = plan.windows
-        left, right = (a, b) if a.x0 <= b.x0 else (b, a)
-        assert left.x1 <= right.x0  # x-disjoint boxes
-        # The snap put whole clusters in whole shards.
-        assert [len(s) for s in plan.shards] == [60, 60]
-
-    def test_no_gap_keeps_balanced_cuts(self, grid):
-        coords = make_points(grid, 200, seed=31).coords
-        plan = plan_stamp_shards(grid, coords, 4)
-        sizes = [len(s) for s in plan.shards]
-        assert sum(sizes) == 200
-        assert max(sizes) - min(sizes) <= 20  # still near-balanced
-
-    def test_snapping_preserves_partition_invariants(self, grid):
-        rng = np.random.default_rng(32)
-        coords = np.concatenate([
-            rng.normal([4, 4, 4], 0.4, size=(80, 3)),
-            rng.normal([15, 13, 17], 0.4, size=(40, 3)),
-        ]).clip(0, [19.9, 17.9, 21.9])
-        plan = plan_stamp_shards(grid, coords, 3)
-        all_idx = np.concatenate(plan.shards)
-        assert len(np.unique(all_idx)) == len(all_idx) == len(coords)
-        X0, X1, Y0, Y1, T0, T1 = batch_windows(grid, coords)
-        for sel, w in zip(plan.shards, plan.windows):
-            assert X0[sel].min() >= w.x0 and X1[sel].max() <= w.x1
 
 
 class TestPlanTimeSlabs:

@@ -260,21 +260,6 @@ class TestWeightedStamping:
             expect += w[i] * one
         np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-18)
 
-    def test_weighted_threads_path_matches_serial(self, grid):
-        from repro.parallel.executors import run_threaded_stamping
-
-        rng = np.random.default_rng(23)
-        coords = make_clustered_points(grid, 200, seed=24).coords
-        w = rng.uniform(0.2, 2.0, size=200)
-        kern = get_kernel("epanechnikov")
-        serial = np.zeros(grid.shape)
-        stamp_batch(serial, grid, kern, coords, 0.5, weights=w)
-        threaded = np.zeros(grid.shape)
-        run_threaded_stamping(
-            threaded, grid, kern, coords, 0.5, WorkCounter(), P=3, weights=w
-        )
-        np.testing.assert_allclose(threaded, serial, rtol=1e-12, atol=1e-18)
-
     def test_weighted_shape_mismatch_rejected(self, grid):
         with pytest.raises(ValueError, match="weights"):
             stamp_batch(np.zeros(grid.shape), grid,

@@ -126,6 +126,19 @@ class TestRunThreaded:
         with pytest.raises(ValueError, match="mismatch"):
             run_threaded([ExecTask(lambda: None)], make_graph(2, []), P=1)
 
+    def test_caller_runs_the_first_ready_task(self):
+        """The calling thread is one of the ``P`` workers and takes the
+        first ready task: the zero-fill phase's allocating task runs
+        where the caller's freed memory is reused."""
+        ran_on = {}
+        tasks = [
+            ExecTask(lambda i=i: ran_on.__setitem__(i, threading.current_thread()))
+            for i in range(6)
+        ]
+        run_threaded(tasks, make_graph(6, [(0, k) for k in range(1, 6)]), P=4)
+        assert sorted(ran_on) == list(range(6))
+        assert ran_on[0] is threading.current_thread()
+
     def test_priority_order_on_single_worker(self):
         order = []
         tasks = [ExecTask(lambda i=i: order.append(i), weight_hint=w)
@@ -282,7 +295,7 @@ class TestSharedPieces:
     @pytest.mark.parametrize("backend", ["serial", "threads"])
     @pytest.mark.parametrize("P", [1, 3, 7])
     def test_zero_fill_phase_returns_a_zeroed_volume(self, backend, P):
-        """The phase allocates the volume it returns: all ``+0.0`` bits
+        """The phase allocates the volume it hands out: all ``+0.0`` bits
         once its ``P`` slab tasks ran (P = 7 > Gt = 5 leaves empty slabs),
         with ``init_writes`` charged once."""
         import numpy as np
@@ -291,100 +304,170 @@ class TestSharedPieces:
         from repro.core.grid import flat_view
 
         c = WorkCounter()
-        vol, ph = zero_fill_phase((64, 48, 5), P, c)
+        out, ph = zero_fill_phase((64, 48, 5), P, c)
         assert (ph.name, ph.bound, len(ph.tasks)) == ("init", "memory", P)
-        assert vol.shape == (64, 48, 5)
+        assert out == []  # allocated by the phase, not before it
         run_phases([ph], P, backend, PhaseTimer())
+        (vol,) = out
+        assert vol.shape == (64, 48, 5)
         assert not flat_view(vol).view(np.uint64).any()
         assert c.init_writes == vol.size
 
 
-class TestRunThreadedStamping:
-    """The batched engine's sharded threads path (private volumes + merge)."""
-
-    def _setup(self, n=120):
+class TestZeroFillBooking:
+    def test_allocation_is_booked_inside_init(self, monkeypatch):
+        """The volume's allocation (a reused block's ``calloc`` clear)
+        runs inside the ``init`` phase: a 30 ms allocation shows in both
+        the timer and the reported phase makespan."""
         import numpy as np
 
-        from repro.core import DomainSpec, GridSpec, WorkCounter
-        from repro.core.kernels import get_kernel
+        import repro.parallel.executors as executors
+        from repro.core import DomainSpec, GridSpec, PointSet
+        from repro.parallel.pd import pb_sym_pd_sched
 
-        grid = GridSpec(DomainSpec.from_voxels(18, 16, 20), hs=2.5, ht=2.1)
-        rng = np.random.default_rng(7)
-        coords = rng.uniform([0, 0, 0], [18, 16, 20], size=(n, 3))
-        return np, grid, get_kernel("epanechnikov"), coords, WorkCounter
+        real = executors.zeros_volume
 
-    def test_matches_serial_engine(self):
+        def slow_zeros_volume(shape):
+            time.sleep(0.03)
+            return real(shape)
+
+        monkeypatch.setattr(executors, "zeros_volume", slow_zeros_volume)
+        grid = GridSpec(DomainSpec.from_voxels(16, 16, 16), hs=2.0, ht=2.0)
+        pts = PointSet(np.random.default_rng(3).uniform(0, 16, size=(40, 3)))
+        res = pb_sym_pd_sched(pts, grid, P=4, backend="serial",
+                              decomposition=(4, 4, 4))
+        assert res.timer.seconds["init"] >= 0.03
+        assert res.meta["phase_makespans"]["init"] >= 0.03
+
+
+def _threads_points(kind, n=300):
+    """Uniform, clustered, and two tight clusters far apart in x."""
+    import numpy as np
+
+    from repro.core import PointSet
+
+    rng = np.random.default_rng({"uniform": 7, "clustered": 8, "two": 9}[kind])
+    span = np.array([32.0, 24.0, 20.0])
+    if kind == "uniform":
+        coords = rng.uniform(0, span, size=(n, 3))
+    elif kind == "clustered":
+        centers = rng.uniform(0.2 * span, 0.8 * span, size=(4, 3))
+        coords = centers[rng.integers(0, 4, size=n)] + rng.normal(
+            0, 0.06, size=(n, 3)) * span
+    else:
+        coords = np.vstack([rng.normal([6, 6, 6], 1.0, size=(n // 2, 3)),
+                            rng.normal([26, 18, 14], 1.0, size=(n // 2, 3))])
+    return PointSet(np.clip(coords, 0, span * (1 - 1e-9)))
+
+
+class TestThreadedPbSym:
+    """``pb_sym(P, backend="threads")``: bounding-box shards stamped and
+    reduced as three phases of ``run_phases``."""
+
+    @pytest.fixture
+    def grid(self):
+        from repro.core import DomainSpec, GridSpec
+
+        return GridSpec(DomainSpec.from_voxels(32, 24, 20), hs=2.5, ht=2.1)
+
+    @pytest.mark.parametrize("kind", ["uniform", "clustered", "two"])
+    @pytest.mark.parametrize("P", [1, 2, 3, 4, "auto"])
+    def test_matches_serial(self, grid, kind, P):
         import numpy as np
 
-        from repro.core.stamping import stamp_batch
-        from repro.parallel.executors import run_threaded_stamping
+        from repro.algorithms import pb_sym
 
-        np_, grid, kern, coords, WC = self._setup()
-        serial = np.zeros(grid.shape)
-        stamp_batch(serial, grid, kern, coords, 1.0, WC())
-        for P in (1, 2, 4):
-            vol = np.zeros(grid.shape)
-            wall = run_threaded_stamping(vol, grid, kern, coords, 1.0, WC(), P)
-            np.testing.assert_allclose(vol, serial, rtol=1e-12, atol=1e-18)
-            assert wall >= 0
+        pts = _threads_points(kind)
+        serial = pb_sym(pts, grid)
+        threaded = pb_sym(pts, grid, P=P, backend="threads")
+        np.testing.assert_allclose(threaded.data, serial.data, rtol=1e-12, atol=1e-18)
+        assert threaded.counter.madds == serial.counter.madds
+        assert threaded.counter.points_processed == pts.n
 
-    def test_accounts_bbox_buffers_and_reduction(self):
-        import numpy as np
-
+    @pytest.mark.parametrize("kind", ["uniform", "clustered", "two"])
+    @pytest.mark.parametrize("P", [2, 3, 4])
+    def test_accounts_bbox_buffers_and_reduction(self, grid, kind, P):
+        from repro.algorithms import pb_sym
         from repro.core.regions import plan_stamp_shards
-        from repro.parallel.executors import run_threaded_stamping
 
-        np_, grid, kern, coords, WC = self._setup()
-        c = WC()
-        vol = np.zeros(grid.shape)
-        P = 3
-        run_threaded_stamping(vol, grid, kern, coords, 1.0, c, P)
-        plan = plan_stamp_shards(grid, coords, P)
-        # Buffer zeroing is charged per bbox cell (and mirrored in the
-        # shard_bbox_cells gauge); the slab reduction touches every buffer
-        # cell exactly once.
-        assert c.shard_bbox_cells == plan.buffer_cells
-        assert c.init_writes == plan.buffer_cells
-        assert c.reduce_adds == plan.buffer_cells
+        pts = _threads_points(kind)
+        res = pb_sym(pts, grid, P=P, backend="threads")
+        plan = plan_stamp_shards(grid, pts.coords, P)
+        c = res.counter
+        # One engine batch per shard; each buffer cell is zeroed once and
+        # reduced once (the t-slabs partition every buffer).
         assert c.stamp_batches == plan.n_shards == P
+        assert c.shard_bbox_cells == c.reduce_adds == plan.buffer_cells
+        assert c.init_writes == grid.n_voxels + plan.buffer_cells
         # The whole point of bbox shards: strictly below P full volumes.
         assert c.shard_bbox_cells < P * grid.n_voxels
+        assert res.meta["P"] == P and res.meta["backend"] == "threads"
+        assert set(res.meta["phase_makespans"]) == {"init", "compute", "reduce"}
+        assert res.meta["makespan"] == (
+            res.timer.seconds["plan"] + sum(res.meta["phase_makespans"].values()))
 
-    def test_memory_budget_from_planned_buffers(self):
+    def test_more_threads_than_cores_with_rapid_switching(self, grid):
+        """Stress: P = 8 shards and reducers with a 1 us switch interval.
+        A lost buffer, a reducer writing outside its t-slab or a task
+        reading the volume before the init task allocated it would break
+        the match or the one-add-per-buffer-cell count."""
+        import sys
+
         import numpy as np
-        import pytest as _pytest
 
+        from repro.algorithms import pb_sym
         from repro.core.regions import plan_stamp_shards
-        from repro.parallel.executors import (
-            MemoryBudgetExceeded,
-            run_threaded_stamping,
-        )
 
-        np_, grid, kern, coords, WC = self._setup()
-        vol = np.zeros(grid.shape)
-        plan = plan_stamp_shards(grid, coords, 3)
-        need = vol.nbytes + plan.buffer_bytes
-        with _pytest.raises(MemoryBudgetExceeded):
-            run_threaded_stamping(
-                vol, grid, kern, coords, 1.0, WC(), 3,
-                memory_budget_bytes=need - 1,
-            )
-        assert not vol.any()  # refused before stamping anything
-        run_threaded_stamping(
-            vol, grid, kern, coords, 1.0, WC(), 3, memory_budget_bytes=need
-        )
-        assert vol.any()
+        pts = _threads_points("uniform", n=600)
+        serial = pb_sym(pts, grid)
+        plan = plan_stamp_shards(grid, pts.coords, 8)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t0 = time.perf_counter()
+            for _ in range(3):
+                res = pb_sym(pts, grid, P=8, backend="threads")
+                np.testing.assert_allclose(
+                    res.data, serial.data, rtol=1e-12, atol=1e-18)
+                assert res.counter.reduce_adds == plan.buffer_cells
+        finally:
+            sys.setswitchinterval(old)
+        assert time.perf_counter() - t0 < 60.0
 
-    def test_auto_shard_count(self):
+    def test_memory_budget_refused_before_any_allocation(self, grid, monkeypatch):
+        """The planned footprint (output volume + bbox buffers) is checked
+        before the volume or a buffer is allocated."""
+        import numpy as np
+
+        import repro.core.regions as regions
+        import repro.parallel.executors as executors
+        from repro.algorithms import pb_sym
+        from repro.core.regions import plan_stamp_shards
+
+        pts = _threads_points("clustered")
+        need = grid.grid_bytes + plan_stamp_shards(grid, pts.coords, 4).buffer_bytes
+        assert need < 5 * grid.grid_bytes  # bbox shards undercut P+1 volumes
+        allocated = []
+        for mod, name in ((executors, "zeros_volume"), (regions, "zeroed_volume")):
+            real = getattr(mod, name)
+            monkeypatch.setattr(
+                mod, name,
+                lambda shape, real=real: allocated.append(shape) or real(shape))
+        with pytest.raises(MemoryBudgetExceeded):
+            pb_sym(pts, grid, P=4, backend="threads", memory_budget_bytes=need - 1)
+        assert allocated == []
+        serial = pb_sym(pts, grid)
+        res = pb_sym(pts, grid, P=4, backend="threads", memory_budget_bytes=need)
+        np.testing.assert_allclose(res.data, serial.data, rtol=1e-12, atol=1e-18)
+        assert len(allocated) == 1 + 4  # the volume, then one buffer per shard
+
+    def test_auto_shard_count(self, grid):
         import os
 
         import numpy as np
 
-        from repro.core.stamping import stamp_batch
-        from repro.parallel.executors import (
-            resolve_shard_count,
-            run_threaded_stamping,
-        )
+        from repro.algorithms import pb_sym
+        from repro.parallel.executors import resolve_shard_count
 
         assert resolve_shard_count(3) == 3
         auto = resolve_shard_count("auto")
@@ -395,172 +478,18 @@ class TestRunThreadedStamping:
             resolve_shard_count(0)
         with np.testing.assert_raises(ValueError):
             resolve_shard_count("four")
-
-        np_, grid, kern, coords, WC = self._setup()
-        serial = np.zeros(grid.shape)
-        stamp_batch(serial, grid, kern, coords, 1.0, WC())
-        vol = np.zeros(grid.shape)
-        run_threaded_stamping(vol, grid, kern, coords, 1.0, WC(), "auto")
-        np.testing.assert_allclose(vol, serial, rtol=1e-12, atol=1e-18)
-
-    def test_clip_respected(self):
-        import numpy as np
-
-        from repro.core import VoxelWindow
-        from repro.core.stamping import stamp_batch
-        from repro.parallel.executors import run_threaded_stamping
-
-        np_, grid, kern, coords, WC = self._setup()
-        clip = VoxelWindow(3, 12, 2, 11, 4, 16)
-        serial = np.zeros(grid.shape)
-        stamp_batch(serial, grid, kern, coords, 1.0, WC(), clip=clip)
-        vol = np.zeros(grid.shape)
-        run_threaded_stamping(vol, grid, kern, coords, 1.0, WC(), 2, clip=clip)
-        np.testing.assert_allclose(vol, serial, rtol=1e-12, atol=1e-18)
-        mask = np.ones(grid.shape, dtype=bool)
-        mask[clip.slices()] = False
-        assert not vol[mask].any()
-
-    def test_empty_batch(self):
-        import numpy as np
-
-        from repro.parallel.executors import run_threaded_stamping
-
-        np_, grid, kern, _, WC = self._setup()
-        vol = np.zeros(grid.shape)
-        wall = run_threaded_stamping(vol, grid, kern, np.empty((0, 3)), 1.0, WC(), 4)
-        assert wall == 0.0 and not vol.any()
-
-    def test_pb_sym_threads_backend_matches_serial(self):
-        import numpy as np
-
-        from repro.algorithms import pb_sym
-        from repro.core import DomainSpec, GridSpec, PointSet
-
-        grid = GridSpec(DomainSpec.from_voxels(18, 16, 20), hs=2.5, ht=2.1)
-        rng = np.random.default_rng(11)
-        pts = PointSet(rng.uniform([0, 0, 0], [18, 16, 20], size=(90, 3)))
-        serial = pb_sym(pts, grid)
-        threaded = pb_sym(pts, grid, P=4, backend="threads")
-        np.testing.assert_allclose(threaded.data, serial.data, rtol=1e-12, atol=1e-18)
-        assert threaded.meta["P"] == 4
-        assert threaded.meta["backend"] == "threads"
-        assert threaded.counter.points_processed == pts.n
+        res = pb_sym(_threads_points("uniform"), grid, P="auto", backend="threads")
+        assert res.meta.get("P", 1) == auto
 
     def test_pb_sym_rejects_unknown_backend(self):
         import numpy as np
-        import pytest as _pytest
 
         from repro.algorithms import pb_sym
         from repro.core import DomainSpec, GridSpec, PointSet
 
         grid = GridSpec(DomainSpec.from_voxels(10, 10, 10), hs=2.0, ht=2.0)
         pts = PointSet(np.random.default_rng(0).uniform(0, 10, size=(5, 3)))
-        with _pytest.raises(ValueError, match="backend"):
+        with pytest.raises(ValueError, match="backend"):
             pb_sym(pts, grid, P=4, backend="simulated")
-        with _pytest.raises(ValueError, match="backend"):
+        with pytest.raises(ValueError, match="backend"):
             pb_sym(pts, grid, backend="thread")  # typo must not run serial
-
-    def test_pb_sym_threads_respects_memory_budget(self):
-        import numpy as np
-        import pytest as _pytest
-
-        from repro.algorithms import pb_sym
-        from repro.core import DomainSpec, GridSpec, PointSet
-        from repro.parallel.executors import MemoryBudgetExceeded
-
-        grid = GridSpec(DomainSpec.from_voxels(12, 12, 12), hs=2.0, ht=2.0)
-        pts = PointSet(np.random.default_rng(1).uniform(0, 12, size=(20, 3)))
-        # The budget is checked against the *planned* footprint: the output
-        # volume plus the bbox shard buffers (not P+1 full volumes).
-        from repro.core.regions import plan_stamp_shards
-
-        need = grid.grid_bytes + plan_stamp_shards(grid, pts.coords, 4).buffer_bytes
-        assert need < 5 * grid.grid_bytes  # bbox shards undercut P+1 volumes
-        with _pytest.raises(MemoryBudgetExceeded):
-            pb_sym(pts, grid, P=4, backend="threads",
-                   memory_budget_bytes=need - 1)
-        # A budget covering the planned buffers runs fine and matches serial.
-        serial = pb_sym(pts, grid)
-        res = pb_sym(pts, grid, P=4, backend="threads",
-                     memory_budget_bytes=need)
-        np.testing.assert_allclose(res.data, serial.data, rtol=1e-12, atol=1e-18)
-
-
-class TestPerShardMerge:
-    """Disjoint shard boxes merge per shard, not per slab (PR-2 follow-on)."""
-
-    def _two_cluster_setup(self):
-        import numpy as np
-
-        from repro.core import DomainSpec, GridSpec, WorkCounter
-        from repro.core.kernels import get_kernel
-
-        grid = GridSpec(DomainSpec.from_voxels(96, 64, 48), hs=3.0, ht=2.0)
-        rng = np.random.default_rng(21)
-        coords = np.vstack([
-            rng.normal([20, 20, 20], 1.5, size=(300, 3)),
-            rng.normal([76, 44, 38], 1.5, size=(300, 3)),
-        ])
-        return np, grid, get_kernel("epanechnikov"), coords, WorkCounter
-
-    def test_cluster_shards_are_disjoint(self):
-        from repro.core.regions import plan_stamp_shards
-        from repro.parallel.executors import _windows_pairwise_disjoint
-
-        np, grid, kern, coords, WC = self._two_cluster_setup()
-        plan = plan_stamp_shards(grid, coords, 2)
-        assert plan.n_shards == 2
-        assert _windows_pairwise_disjoint(plan.windows)
-
-    def test_disjoint_merge_matches_serial(self):
-        from repro.core.stamping import stamp_batch
-        from repro.parallel.executors import run_threaded_stamping
-
-        np, grid, kern, coords, WC = self._two_cluster_setup()
-        serial = np.zeros(grid.shape)
-        stamp_batch(serial, grid, kern, coords, 1.0, WC())
-        for P in (2, 4):
-            vol = np.zeros(grid.shape)
-            run_threaded_stamping(vol, grid, kern, coords, 1.0, WC(), P)
-            np.testing.assert_allclose(vol, serial, rtol=1e-12, atol=1e-18)
-
-    def test_disjoint_merge_accounting_unchanged(self):
-        """Each buffer cell reduces exactly once on either merge path."""
-        from repro.core.regions import plan_stamp_shards
-        from repro.parallel.executors import run_threaded_stamping
-
-        np, grid, kern, coords, WC = self._two_cluster_setup()
-        c = WC()
-        run_threaded_stamping(np.zeros(grid.shape), grid, kern, coords, 1.0, c, 2)
-        plan = plan_stamp_shards(grid, coords, 2)
-        assert c.reduce_adds == plan.buffer_cells
-        assert c.init_writes == plan.buffer_cells
-
-    def test_overlapping_shards_still_slab_merge(self):
-        """Uniform data has no gaps: the slab path remains and is exact."""
-        import numpy as np
-
-        from repro.core import DomainSpec, GridSpec, WorkCounter
-        from repro.core.kernels import get_kernel
-        from repro.core.regions import plan_stamp_shards
-        from repro.core.stamping import stamp_batch
-        from repro.parallel.executors import (
-            _windows_pairwise_disjoint,
-            run_threaded_stamping,
-        )
-
-        grid = GridSpec(DomainSpec.from_voxels(32, 24, 20), hs=2.5, ht=2.0)
-        coords = np.random.default_rng(22).uniform(
-            0, [32, 24, 20], size=(400, 3)
-        )
-        plan = plan_stamp_shards(grid, coords, 4)
-        assert not _windows_pairwise_disjoint(plan.windows)
-        serial = np.zeros(grid.shape)
-        stamp_batch(serial, grid, kern := get_kernel("epanechnikov"),
-                    coords, 1.0, WorkCounter())
-        vol = np.zeros(grid.shape)
-        c = WorkCounter()
-        run_threaded_stamping(vol, grid, kern, coords, 1.0, c, 4)
-        np.testing.assert_allclose(vol, serial, rtol=1e-12, atol=1e-18)
-        assert c.reduce_adds == plan.buffer_cells

@@ -1,12 +1,12 @@
 """Threads-scaling smoke: shard correctness under *real* concurrency.
 
 The tier-1 suite runs everywhere, including single-CPU containers where
-the threaded stamping path executes its tasks effectively one at a time —
-so races between shard workers, or between slab reducers reading the
-shard buffers, would never be exercised.  These tests are skipped below
-two CPUs and run in CI's dedicated multi-core job (and in tier-1 on any
-multi-core machine), hammering the bbox-shard path with enough work that
-the GIL-releasing NumPy kernels genuinely overlap.
+``pb_sym(P, backend="threads")`` executes its phases' tasks effectively
+one at a time — so races between shard stamps, or between t-slab
+reducers reading the shard buffers, would never be exercised.  These
+tests are skipped below two CPUs and run in CI's dedicated multi-core job
+(and in tier-1 on any multi-core machine), hammering the bbox-shard path
+with enough work that the GIL-releasing NumPy kernels genuinely overlap.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms.pb_sym import pb_sym
-from repro.core import DomainSpec, GridSpec, PointSet, WorkCounter
-from repro.core.kernels import get_kernel
-from repro.core.stamping import stamp_batch
-from repro.parallel.executors import resolve_shard_count, run_threaded_stamping
+from repro.core import DomainSpec, GridSpec, PointSet
+from repro.core.regions import plan_stamp_shards
+from repro.parallel.executors import resolve_shard_count
 
 _CPUS = (
     len(os.sched_getaffinity(0))
@@ -50,26 +49,27 @@ def _clustered(grid, n, seed):
 
 @multicore
 class TestRealConcurrency:
-    def test_bbox_shards_match_serial_repeatedly(self, grid):
-        """Several concurrent runs, all bit-compared against one serial run.
+    @pytest.mark.parametrize("kernel", ["epanechnikov", "quartic"])
+    def test_bbox_shards_match_serial_repeatedly(self, grid, kernel):
+        """Several concurrent runs, all compared against one serial run.
 
         Repetition matters: a racy reduction would be intermittent, and a
         single lucky pass proves nothing.
         """
-        kern = get_kernel("epanechnikov")
-        coords = _clustered(grid, 8000, seed=0)
-        serial = np.zeros(grid.shape)
-        stamp_batch(serial, grid, kern, coords, 1.0, WorkCounter())
+        pts = PointSet(_clustered(grid, 8000, seed=0))
+        serial = pb_sym(pts, grid, kernel=kernel)
         P = min(4, _CPUS)
+        plan = plan_stamp_shards(grid, pts.coords, P)
         for rep in range(3):
-            vol = np.zeros(grid.shape)
-            c = WorkCounter()
-            run_threaded_stamping(vol, grid, kern, coords, 1.0, c, P)
+            res = pb_sym(pts, grid, kernel=kernel, P=P, backend="threads")
             np.testing.assert_allclose(
-                vol, serial, rtol=1e-12, atol=1e-18,
+                res.data, serial.data, rtol=1e-12, atol=1e-18,
                 err_msg=f"threads diverged from serial on repetition {rep}",
             )
-            assert c.stamp_batches == P
+            c = res.counter
+            assert c.madds == serial.counter.madds
+            assert c.stamp_batches == plan.n_shards == P
+            assert c.shard_bbox_cells == c.reduce_adds == plan.buffer_cells
             assert c.shard_bbox_cells < P * grid.n_voxels
 
     def test_auto_shard_count_uses_the_cores(self, grid):
@@ -81,18 +81,3 @@ class TestRealConcurrency:
             auto.data, serial.data, rtol=1e-12, atol=1e-18
         )
         assert auto.meta["P"] == _CPUS
-
-    def test_concurrent_clipped_shards(self, grid):
-        from repro.core import VoxelWindow
-
-        kern = get_kernel("quartic")
-        coords = _clustered(grid, 4000, seed=2)
-        clip = VoxelWindow(5, 40, 6, 42, 4, 28)
-        serial = np.zeros(grid.shape)
-        stamp_batch(serial, grid, kern, coords, 1.0, WorkCounter(), clip=clip)
-        vol = np.zeros(grid.shape)
-        run_threaded_stamping(
-            vol, grid, kern, coords, 1.0, WorkCounter(), min(4, _CPUS),
-            clip=clip,
-        )
-        np.testing.assert_allclose(vol, serial, rtol=1e-12, atol=1e-18)

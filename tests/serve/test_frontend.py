@@ -235,6 +235,49 @@ class TestMutations:
             out, svc.query_points(probe), rtol=1e-12, atol=1e-18
         )
 
+    def test_regions_priced_over_the_live_window(self):
+        """After a slide the front end prices a region with the live
+        planner's model, not the one of the window it started on: a
+        quantum between the two prices splits the region."""
+        from repro.analysis.model import CostModel
+        from repro.core import VoxelWindow
+
+        grid = _grid()
+        inc = IncrementalSTKDE(grid)
+        inc.add(_points(grid, 20, seed=11))
+        svc = DensityService(inc, backend="direct")
+        fresh = _points(grid, 20000, seed=12)
+        window = VoxelWindow(0, 20, 0, 20, 0, 30)
+        one_slice = VoxelWindow(0, 20, 0, 20, 0, 1)
+        machine = svc.planner().model.machine
+        stale, live = (
+            30 * CostModel(grid, PointSet(pts), machine)
+            .predict_direct_region(one_slice)
+            for pts in (inc.index.live_rows(), np.vstack([inc.index.live_rows(), fresh]))
+        )
+        assert live > 4 * stale
+        calls = []
+        real_region = svc.query_region
+
+        def spy_region(*a, **k):
+            calls.append(a)
+            return real_region(*a, **k)
+
+        svc.query_region = spy_region
+
+        async def main():
+            async with TrafficFrontend(
+                svc, bulk_quantum_seconds=(stale * live) ** 0.5
+            ) as fe:
+                await fe.slide_window(fresh, t_horizon=0.0)
+                return await fe.query_region(window)
+
+        res = run(main())
+        assert len(calls) > 1
+        np.testing.assert_allclose(
+            res.data, real_region(window).data, rtol=1e-12, atol=1e-16
+        )
+
     def test_mutations_drain_in_version_order(self):
         grid = _grid()
         inc, svc = self._live(grid)
