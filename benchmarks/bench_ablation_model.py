@@ -62,18 +62,17 @@ def measured_candidates(instance: str) -> Dict[str, float]:
 
 def _run_pick(instance: str, algorithm: str, decomposition) -> float:
     """Actually execute the model's pick (simulated, P=16) -> speedup."""
-    from repro.algorithms.base import get_algorithm
+    from repro import STKDE
     from .common import pb_sym_baseline
 
     inst, grid, pts = load_instance(instance)
-    fn = get_algorithm(algorithm)
-    kwargs = {"P": PAPER_P, "backend": "simulated"}
-    if decomposition is not None and algorithm != "pb-sym-dr":
-        kwargs["decomposition"] = tuple(decomposition)
-    if algorithm in ("pb-sym-dr", "pb-sym-pd-rep"):
-        kwargs["memory_budget_bytes"] = inst.memory_budget_bytes
+    est = STKDE(
+        hs=grid.hs, ht=grid.ht, algorithm=algorithm, P=PAPER_P,
+        decomposition=None if decomposition is None else tuple(decomposition),
+        memory_budget_bytes=inst.memory_budget_bytes,
+    )
     try:
-        res = fn(pts, grid, **kwargs)
+        res = est.estimate(pts, grid.domain)
     except MemoryBudgetExceeded:
         return float("nan")
     return pb_sym_baseline(instance) / res.meta["makespan"]

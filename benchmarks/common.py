@@ -20,15 +20,13 @@ Conventions
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.algorithms import pb_sym
-from repro.algorithms.base import STKDEResult, get_algorithm
 from repro.core.grid import GridSpec, PointSet
-from repro.data.datasets import Instance, get_instance, instance_names, iter_instances
+from repro.data.datasets import Instance, get_instance, instance_names
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -63,30 +61,6 @@ def pb_sym_baseline(name: str, scale: str = "bench") -> float:
         res = pb_sym(pts, grid)
         _BASELINE_CACHE[key] = res.elapsed
     return _BASELINE_CACHE[key]
-
-
-def run_algorithm(
-    name: str,
-    instance: str,
-    *,
-    scale: str = "bench",
-    P: int = PAPER_P,
-    decomposition: Optional[Tuple[int, int, int]] = None,
-    use_memory_budget: bool = False,
-    backend: str = "simulated",
-) -> STKDEResult:
-    """Run a registered algorithm on an instance with standard plumbing."""
-    inst, grid, pts = load_instance(instance, scale)
-    fn = get_algorithm(name)
-    kwargs: Dict = {}
-    if getattr(fn, "is_parallel", False):
-        kwargs["P"] = P
-        kwargs["backend"] = backend
-        if decomposition is not None and name != "pb-sym-dr":
-            kwargs["decomposition"] = decomposition
-        if use_memory_budget and name in ("pb-sym-dr", "pb-sym-pd-rep"):
-            kwargs["memory_budget_bytes"] = inst.memory_budget_bytes
-    return fn(pts, grid, **kwargs)
 
 
 def record(experiment: str, rows: List[Dict]) -> Path:

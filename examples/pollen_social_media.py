@@ -12,7 +12,7 @@ Run:  python examples/pollen_social_media.py
 
 from __future__ import annotations
 
-from repro import get_algorithm
+from repro import STKDE
 from repro.algorithms import pb_sym
 from repro.analysis import dd_work_overhead, pd_critical_path_ratio, speedup
 from repro.data import get_instance
@@ -46,11 +46,9 @@ def main() -> None:
     rows = []
     for name in ("pb-sym-dr", "pb-sym-dd", "pb-sym-pd", "pb-sym-pd-sched",
                  "pb-sym-pd-rep"):
-        fn = get_algorithm(name)
-        kwargs = {"P": P, "backend": "simulated"}
-        if name != "pb-sym-dr":
-            kwargs["decomposition"] = DEC
-        res = fn(points, grid, **kwargs)
+        est = STKDE(hs=grid.hs, ht=grid.ht, algorithm=name, P=P,
+                    decomposition=DEC)
+        res = est.estimate(points, grid.domain)
         s = speedup(base.elapsed, res)
         rows.append((name, res.meta["makespan"], s))
     for name, ms, s in rows:

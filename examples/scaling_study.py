@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 
-from repro import get_algorithm
+from repro import STKDE
 from repro.algorithms import pb_sym
 from repro.analysis import speedup
 from repro.data import get_instance, instance_names
@@ -42,14 +42,11 @@ def main() -> None:
     for P in PS:
         cells = [f"{P:4d}"]
         for s in STRATEGIES:
-            fn = get_algorithm(s)
-            kwargs = {"P": P, "backend": "simulated"}
-            if s != "pb-sym-dr":
-                kwargs["decomposition"] = DEC
-            if s in ("pb-sym-dr", "pb-sym-pd-rep"):
-                kwargs["memory_budget_bytes"] = inst.memory_budget_bytes
+            est = STKDE(hs=grid.hs, ht=grid.ht, algorithm=s, P=P,
+                        decomposition=DEC,
+                        memory_budget_bytes=inst.memory_budget_bytes)
             try:
-                res = fn(points, grid, **kwargs)
+                res = est.estimate(points, grid.domain)
                 sp = speedup(base.elapsed, res)
                 curves[s].append(sp)
                 cells.append(f"{sp:11.2f}x")

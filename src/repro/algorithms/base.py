@@ -14,6 +14,7 @@ them uniformly.
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Tuple
 
@@ -21,8 +22,10 @@ import numpy as np
 
 from ..core.grid import Volume
 from ..core.instrument import PhaseTimer, WorkCounter
+from ..core.kernels import get_kernel
 
 __all__ = [
+    "RUN_OPTIONS",
     "STKDEResult",
     "AlgorithmFn",
     "register_algorithm",
@@ -73,6 +76,10 @@ class STKDEResult:
 
 AlgorithmFn = Callable[..., STKDEResult]
 
+#: The run options shared by the strategies: worker count, execution
+#: backend, block decomposition and memory budget (Sections 4-6.5).
+RUN_OPTIONS = ("P", "backend", "decomposition", "memory_budget_bytes")
+
 _SEQUENTIAL: Dict[str, AlgorithmFn] = {}
 _PARALLEL: Dict[str, AlgorithmFn] = {}
 
@@ -84,30 +91,49 @@ def register_algorithm(
 
     The registered callable is where every entry — a direct call, the
     registry, the :class:`~repro.core.stkde.STKDE` facade, the CLI —
-    passes, so the one input check the grid algorithms share lives here:
-    they estimate unit-weight events, and a weighted
-    :class:`~repro.core.grid.PointSet` raises instead of silently losing
-    its weights.
+    passes, so the prologue the algorithms share lives here: a weighted
+    :class:`~repro.core.grid.PointSet` raises (the grid algorithms
+    estimate unit-weight events); ``kernel`` is resolved (the signature's
+    default when omitted); a ``None`` counter / timer becomes a fresh
+    one; a given ``P`` is checked by
+    :func:`~repro.parallel.executors.resolve_shard_count`.  Other keywords
+    pass as given, so one the signature lacks raises :class:`TypeError`.
+    The signature's :data:`RUN_OPTIONS` are recorded as ``run_options``
+    (what :class:`~repro.core.stkde.STKDE` binds).
     """
 
     def deco(fn: AlgorithmFn) -> AlgorithmFn:
         table = _PARALLEL if parallel else _SEQUENTIAL
         if name in _SEQUENTIAL or name in _PARALLEL:
             raise ValueError(f"algorithm {name!r} already registered")
+        params = inspect.signature(fn).parameters
+        default_kernel = params["kernel"].default
 
         @functools.wraps(fn)
-        def checked(points, *args: Any, **kwargs: Any) -> STKDEResult:
+        def checked(points, grid, *, kernel=default_kernel, counter=None,
+                    timer=None, **options: Any) -> STKDEResult:
             if getattr(points, "weights", None) is not None:
                 raise ValueError(
                     f"algorithm {name!r} estimates unit-weight events and would "
                     "drop PointSet.weights; serve weighted events through "
                     "repro.serve.DensityService"
                 )
-            return fn(points, *args, **kwargs)
+            if "P" in options:
+                from ..parallel.executors import resolve_shard_count
+
+                options["P"] = resolve_shard_count(options["P"])
+            return fn(
+                points, grid, kernel=get_kernel(kernel),
+                counter=counter if counter is not None else WorkCounter(),
+                timer=timer if timer is not None else PhaseTimer(),
+                **options,
+            )
 
         table[name] = checked
         checked.algorithm_name = name  # type: ignore[attr-defined]
-        checked.is_parallel = parallel  # type: ignore[attr-defined]
+        checked.run_options = tuple(  # type: ignore[attr-defined]
+            o for o in RUN_OPTIONS if o in params
+        )
         return checked
 
     return deco

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.grid import GridSpec, PointSet, Volume
 from ..core.instrument import PhaseTimer, WorkCounter
-from ..core.kernels import KernelPair, get_kernel
+from ..core.kernels import KernelPair
 from ..core.stamping import stamp_batch
 from .base import STKDEResult, register_algorithm
 
@@ -79,15 +79,12 @@ def pb(
     timer: Optional[PhaseTimer] = None,
 ) -> STKDEResult:
     """Point-based STKDE without invariant reuse (Algorithm 2)."""
-    kern = get_kernel(kernel)
-    counter = counter if counter is not None else WorkCounter()
-    timer = timer if timer is not None else PhaseTimer()
     with timer.phase("init"):
         vol = grid.allocate()
         counter.init_writes += vol.size
     norm = grid.normalization(points.n)
     with timer.phase("compute"):
-        stamp_batch(vol, grid, kern, points.coords, norm, counter, mode="pb",
+        stamp_batch(vol, grid, kernel, points.coords, norm, counter, mode="pb",
                     compute="numpy-ref")
     counter.points_processed += points.n
     return STKDEResult(Volume(vol, grid), "pb", timer, counter)

@@ -44,7 +44,7 @@ import numpy as np
 from ..core.grid import GridSpec, PointSet, Volume, VoxelWindow
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.invariants import bar_table, disk_table
-from ..core.kernels import KernelPair, get_kernel
+from ..core.kernels import KernelPair
 from ..core.regions import RegionBuffer, plan_stamp_shards
 from ..core.stamping import batch_windows, stamp_batch
 from .base import STKDEResult, register_algorithm
@@ -169,17 +169,11 @@ def pb_sym(
         raise ValueError(
             f"pb-sym backend must be 'serial' or 'threads', got {backend!r}"
         )
-    kern = get_kernel(kernel)
-    counter = counter if counter is not None else WorkCounter()
-    timer = timer if timer is not None else PhaseTimer()
-    from ..parallel.executors import resolve_shard_count
-
-    P = resolve_shard_count(P)
     norm = grid.normalization(points.n)
     meta = {}
     if P > 1 and backend == "threads":
         vol, meta = _run_threaded(
-            points.coords, grid, kern, norm, counter, timer, P,
+            points.coords, grid, kernel, norm, counter, timer, P,
             memory_budget_bytes,
         )
     else:
@@ -187,7 +181,7 @@ def pb_sym(
             vol = grid.allocate()
             counter.init_writes += vol.size
         with timer.phase("compute"):
-            stamp_batch(vol, grid, kern, points.coords, norm, counter)
+            stamp_batch(vol, grid, kernel, points.coords, norm, counter)
     counter.points_processed += points.n
     return STKDEResult(Volume(vol, grid), "pb-sym", timer, counter, meta=meta)
 

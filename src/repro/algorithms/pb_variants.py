@@ -33,7 +33,7 @@ import numpy as np
 from ..core.grid import GridSpec, PointSet, Volume
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.invariants import bar_table, disk_table
-from ..core.kernels import KernelPair, get_kernel
+from ..core.kernels import KernelPair
 from ..core.stamping import stamp_batch
 from .base import STKDEResult, register_algorithm
 
@@ -106,15 +106,12 @@ def pb_disk(
     timer: Optional[PhaseTimer] = None,
 ) -> STKDEResult:
     """Point-based STKDE reusing the spatial invariant only (PB-DISK)."""
-    kern = get_kernel(kernel)
-    counter = counter if counter is not None else WorkCounter()
-    timer = timer if timer is not None else PhaseTimer()
     with timer.phase("init"):
         vol = grid.allocate()
         counter.init_writes += vol.size
     norm = grid.normalization(points.n)
     with timer.phase("compute"):
-        stamp_batch(vol, grid, kern, points.coords, norm, counter,
+        stamp_batch(vol, grid, kernel, points.coords, norm, counter,
                     mode="disk", compute="numpy-ref")
     counter.points_processed += points.n
     return STKDEResult(Volume(vol, grid), "pb-disk", timer, counter)
@@ -130,15 +127,12 @@ def pb_bar(
     timer: Optional[PhaseTimer] = None,
 ) -> STKDEResult:
     """Point-based STKDE reusing the temporal invariant only (PB-BAR)."""
-    kern = get_kernel(kernel)
-    counter = counter if counter is not None else WorkCounter()
-    timer = timer if timer is not None else PhaseTimer()
     with timer.phase("init"):
         vol = grid.allocate()
         counter.init_writes += vol.size
     norm = grid.normalization(points.n)
     with timer.phase("compute"):
-        stamp_batch(vol, grid, kern, points.coords, norm, counter,
+        stamp_batch(vol, grid, kernel, points.coords, norm, counter,
                     mode="bar", compute="numpy-ref")
     counter.points_processed += points.n
     return STKDEResult(Volume(vol, grid), "pb-bar", timer, counter)

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..core.grid import GridSpec, PointSet, Volume, flat_view
 from ..core.instrument import PhaseTimer, WorkCounter
-from ..core.kernels import KernelPair, get_kernel
+from ..core.kernels import KernelPair
 from ..core.regions import accumulate_voxel_tile, accumulate_voxel_tile_batch
 from .base import STKDEResult, register_algorithm
 
@@ -110,9 +110,6 @@ def vb(
 
     Complexity ``Theta(Gx*Gy*Gt*n)`` time, ``Theta(Gx*Gy*Gt)`` memory.
     """
-    kern = get_kernel(kernel)
-    counter = counter if counter is not None else WorkCounter()
-    timer = timer if timer is not None else PhaseTimer()
     with timer.phase("init"):
         vol = grid.allocate()
         counter.init_writes += vol.size
@@ -127,7 +124,7 @@ def vb(
                 sl = slice(pstart, min(pstart + point_block, points.n))
                 accumulate_voxel_tile(
                     flat, idx, cx, cy, ct, px[sl], py[sl], pt[sl],
-                    grid, kern, norm, counter, compute="numpy-ref",
+                    grid, kernel, norm, counter, compute="numpy-ref",
                 )
     counter.points_processed += points.n
     return STKDEResult(Volume(vol, grid), "vb", timer, counter)
@@ -162,9 +159,6 @@ def vb_dec(
     padded tile would overrun the pair budget keep the voxel-chunked
     per-block dispatch.
     """
-    kern = get_kernel(kernel)
-    counter = counter if counter is not None else WorkCounter()
-    timer = timer if timer is not None else PhaseTimer()
     with timer.phase("init"):
         vol = grid.allocate()
         counter.init_writes += vol.size
@@ -241,7 +235,7 @@ def vb_dec(
                             accumulate_voxel_tile(
                                 flat, idx[sl], cx[sl], cy[sl], ct[sl],
                                 px[cand_idx], py[cand_idx], pt[cand_idx],
-                                grid, kern, norm, counter, compute="numpy-ref",
+                                grid, kernel, norm, counter, compute="numpy-ref",
                             )
                     else:
                         cohorts.setdefault((idx.size, Kp), []).append(
@@ -262,7 +256,7 @@ def vb_dec(
                     flat, vox,
                     cx.reshape(B, V), cy.reshape(B, V), ct.reshape(B, V),
                     px_ext[cand_mat], py_ext[cand_mat], pt_ext[cand_mat],
-                    grid, kern, norm, counter, compute="numpy-ref",
+                    grid, kernel, norm, counter, compute="numpy-ref",
                 )
                 n_cohort_tiles += 1
     counter.points_processed += points.n

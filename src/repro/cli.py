@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 from . import algorithms  # noqa: F401  (registers sequential algorithms)
 from . import parallel  # noqa: F401  (registers parallel algorithms)
-from .algorithms.base import available_algorithms, get_algorithm
+from .algorithms.base import available_algorithms
 from .analysis.metrics import phase_breakdown
 from .analysis.model import select_strategy
 from .core.stkde import STKDE
@@ -80,19 +80,14 @@ def _cmd_instances(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     inst = get_instance(args.instance, args.scale)
     grid = inst.grid()
-    pts = inst.points()
-    fn = get_algorithm(args.algorithm)
-    kwargs = {}
-    if getattr(fn, "is_parallel", False):
-        kwargs["P"] = args.threads
-        kwargs["backend"] = args.backend
-        if args.decomposition and args.algorithm != "pb-sym-dr":
-            kwargs["decomposition"] = args.decomposition
-        if args.algorithm in ("pb-sym-dr", "pb-sym-pd-rep") and args.memory_budget:
-            kwargs["memory_budget_bytes"] = inst.memory_budget_bytes
+    est = STKDE(
+        hs=grid.hs, ht=grid.ht, kernel=args.kernel, algorithm=args.algorithm,
+        P=args.threads, backend=args.backend, decomposition=args.decomposition,
+        memory_budget_bytes=inst.memory_budget_bytes if args.memory_budget else None,
+    )
     print(f"instance : {inst.describe()}")
-    print(f"algorithm: {args.algorithm}  {kwargs}")
-    res = fn(pts, grid, kernel=args.kernel, **kwargs)
+    print(f"algorithm: {args.algorithm}  {est.bind(args.algorithm, args.decomposition)}")
+    res = est.estimate(inst.points(), grid.domain)
     print(f"elapsed  : {res.elapsed:.4f} s (measured wall)")
     if "makespan" in res.meta:
         print(f"makespan : {res.meta['makespan']:.4f} s (P={res.meta['P']}, {res.meta['backend']})")

@@ -37,7 +37,7 @@ from ..algorithms.base import STKDEResult, register_algorithm
 from ..algorithms.pb_sym import pb_sym
 from .grid import GridSpec, PointSet, Volume
 from .instrument import PhaseTimer, WorkCounter
-from .kernels import KernelPair, get_kernel
+from .kernels import KernelPair
 
 __all__ = ["adaptive_pb_sym", "pilot_at_points", "adaptive_pd_block_constraint"]
 
@@ -97,12 +97,9 @@ def adaptive_pb_sym(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be within [0, 1], got {alpha}")
-    kern = get_kernel(kernel)
-    counter = counter if counter is not None else WorkCounter()
-    timer = timer if timer is not None else PhaseTimer()
 
     with timer.phase("pilot"):
-        pilot_vals = pilot_at_points(points, grid, kern, counter)
+        pilot_vals = pilot_at_points(points, grid, kernel, counter)
         lambdas = (
             _lambda_factors(pilot_vals, alpha)
             if alpha > 0.0
@@ -133,19 +130,19 @@ def adaptive_pb_sym(
             dy = grid.y_centers(y0, y1) - y
             d2 = dx[:, None] ** 2 + dy[None, :] ** 2
             inside = d2 < hs_i * hs_i
-            if kern.spatial_radial is not None:
-                disk = kern.spatial_radial(d2 * (1.0 / (hs_i * hs_i)))
+            if kernel.spatial_radial is not None:
+                disk = kernel.spatial_radial(d2 * (1.0 / (hs_i * hs_i)))
             else:
                 u = dx[:, None] / hs_i
                 v = dy[None, :] / hs_i
-                disk = kern.spatial(
+                disk = kernel.spatial(
                     np.broadcast_to(u, inside.shape),
                     np.broadcast_to(v, inside.shape),
                 )
             disk = disk * norm_i
             disk *= inside
             dt = grid.t_centers(t0, t1) - t
-            bar = kern.temporal(dt / ht_i)
+            bar = kernel.temporal(dt / ht_i)
             bar *= np.abs(dt) <= ht_i
             vol[x0:x1, y0:y1, t0:t1] += disk[:, :, None] * bar[None, None, :]
             counter.spatial_evals += disk.size

@@ -12,7 +12,8 @@ object::
 ``algorithm="auto"`` consults the Section 6.5 cost model: sequential
 PB-SYM for small work, otherwise the predicted-fastest parallel strategy
 under the machine's memory budget.  Any registered algorithm name can be
-forced explicitly.
+forced explicitly.  Either way :meth:`STKDE.bind` is the one place that
+binds the run options onto the algorithm.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..algorithms.base import STKDEResult, get_algorithm
+from ..algorithms.base import STKDEResult, get_algorithm, parallel_algorithms
 from .grid import DomainSpec, GridSpec, PointSet, check_bandwidths
 from .instrument import PhaseTimer, WorkCounter
 from .kernels import KernelPair, get_kernel
@@ -81,11 +82,11 @@ class STKDE:
         choose among the registered parallel strategies (it picks a
         strategy and a decomposition, never a backend).
     P, backend, decomposition:
-        Parallel execution parameters, forwarded to parallel algorithms.
-        Real threads run only where ``backend="threads"`` is written
-        here.  ``P="auto"`` resolves to the machine's CPU count at
-        construction, so the threaded paths shard by what the hardware
-        offers instead of silently running single-shard.
+        Parallel execution parameters, bound by :meth:`bind`.  Real
+        threads run only where ``backend="threads"`` is written here.
+        ``P="auto"`` resolves to the machine's CPU count at construction,
+        so the threaded paths shard by what the hardware offers instead
+        of silently running single-shard.
     memory_budget_bytes:
         Optional memory ceiling for strategy selection and execution.
     """
@@ -118,40 +119,34 @@ class STKDE:
         )
         return GridSpec(dom, hs=self.hs, ht=self.ht)
 
-    def _choose_algorithm(self, points: PointSet, grid: GridSpec) -> Tuple[str, dict]:
+    def bind(self, name: str, decomposition: Optional[Tuple[int, int, int]]) -> dict:
+        """The run options algorithm ``name`` is called with: each of the
+        :data:`~repro.algorithms.base.RUN_OPTIONS` its signature names that
+        is set (``decomposition``: the user's, or the model's pick).  A
+        sequential algorithm takes them only on real threads (``P > 1``,
+        ``backend="threads"``: PB-SYM's threaded path)."""
+        fn = get_algorithm(name)  # raises on unknown
+        threaded = self.P > 1 and self.backend == "threads"
+        if not threaded and name not in parallel_algorithms():
+            return {}
+        given = dict(P=self.P, backend=self.backend, decomposition=decomposition,
+                     memory_budget_bytes=self.memory_budget_bytes)
+        return {o: given[o] for o in fn.run_options if given[o] is not None}
+
+    def _choose_algorithm(
+        self, points: PointSet, grid: GridSpec
+    ) -> Tuple[str, Optional[Tuple[int, int, int]]]:
+        """The algorithm to run and the decomposition to bind."""
         if self.algorithm != "auto":
-            name = self.algorithm
-            fn = get_algorithm(name)  # raises on unknown
-            kwargs = {}
-            if getattr(fn, "is_parallel", False):
-                kwargs["P"] = self.P
-                kwargs["backend"] = self.backend
-                if self.decomposition is not None and name != "pb-sym-dr":
-                    kwargs["decomposition"] = self.decomposition
-                if name in ("pb-sym-dr", "pb-sym-pd-rep"):
-                    kwargs["memory_budget_bytes"] = self.memory_budget_bytes
-            elif name == "pb-sym" and self.P > 1 and self.backend == "threads":
-                # PB-SYM stays registered sequential, but the batched engine
-                # gives it a real threads path (sharded private volumes) —
-                # forward the parallel knobs instead of silently dropping
-                # them.
-                kwargs["P"] = self.P
-                kwargs["backend"] = self.backend
-                kwargs["memory_budget_bytes"] = self.memory_budget_bytes
-            return name, kwargs
+            return self.algorithm, self.decomposition
         if self.P <= 1:
-            return "pb-sym", {}
+            return "pb-sym", None
         from ..analysis.model import select_strategy
 
         best, _ = select_strategy(
             grid, points, self.P, memory_budget_bytes=self.memory_budget_bytes
         )
-        kwargs = {"P": self.P, "backend": self.backend}
-        if best.decomposition is not None:
-            kwargs["decomposition"] = best.decomposition
-        if best.algorithm in ("pb-sym-dr", "pb-sym-pd-rep"):
-            kwargs["memory_budget_bytes"] = self.memory_budget_bytes
-        return best.algorithm, kwargs
+        return best.algorithm, best.decomposition
 
     def estimate(
         self,
@@ -169,10 +164,10 @@ class STKDE:
         """
         pts = points if isinstance(points, PointSet) else PointSet(points)
         grid = self.grid_for(pts, domain)
-        name, kwargs = self._choose_algorithm(pts, grid)
-        fn = get_algorithm(name)
-        result = fn(
-            pts, grid, kernel=self.kernel, counter=counter, timer=timer, **kwargs
+        name, decomposition = self._choose_algorithm(pts, grid)
+        result = get_algorithm(name)(
+            pts, grid, kernel=self.kernel, counter=counter, timer=timer,
+            **self.bind(name, decomposition),
         )
         result.meta.setdefault("selected_by", "user" if self.algorithm != "auto" else "model")
         return result

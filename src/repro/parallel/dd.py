@@ -34,7 +34,7 @@ import numpy as np
 from ..algorithms.base import STKDEResult, register_algorithm
 from ..core.grid import GridSpec, PointSet, Volume
 from ..core.instrument import PhaseTimer, WorkCounter
-from ..core.kernels import KernelPair, get_kernel
+from ..core.kernels import KernelPair
 from ..core.stamping import StampPlan
 from .executors import ExecTask, Phase, run_phases, zero_fill_phase
 from .partition import BlockDecomposition
@@ -65,11 +65,6 @@ def pb_sym_dd(
     and per-task ``task_seconds`` (measured) and ``task_madds`` (the
     deterministic load each subdomain task carried).
     """
-    if P < 1:
-        raise ValueError("P must be >= 1")
-    kern = get_kernel(kernel)
-    counter = counter if counter is not None else WorkCounter()
-    timer = timer if timer is not None else PhaseTimer()
     A = min(decomposition[0], grid.Gx)
     B = min(decomposition[1], grid.Gy)
     C = min(decomposition[2], grid.Gt)
@@ -96,7 +91,7 @@ def pb_sym_dd(
 
     def make_block_task(k: int, bid: int):
         def fn() -> None:
-            plan.stamp(out[0], kern, norm, task_counters[k], group=bid)
+            plan.stamp(out[0], kernel, norm, task_counters[k], group=bid)
             task_counters[k].points_processed += int(plan.counts[bid])
 
         return fn

@@ -32,7 +32,7 @@ import numpy as np
 from ..algorithms.base import STKDEResult, register_algorithm
 from ..core.grid import GridSpec, PointSet, Volume, empty_volume
 from ..core.instrument import PhaseTimer, WorkCounter
-from ..core.kernels import KernelPair, get_kernel
+from ..core.kernels import KernelPair
 from ..core.stamping import stamp_batch
 from .executors import ExecTask, Phase, check_memory_budget, run_phases, slab_slices
 from .schedule import BandwidthModel
@@ -72,12 +72,6 @@ def pb_sym_dr(
     breakdown (``init`` / ``compute`` / ``reduce``) under
     ``meta["phase_makespans"]``.
     """
-    if P < 1:
-        raise ValueError("P must be >= 1")
-    kern = get_kernel(kernel)
-    counter = counter if counter is not None else WorkCounter()
-    timer = timer if timer is not None else PhaseTimer()
-
     check_memory_budget(
         (P + 1) * grid.grid_bytes, memory_budget_bytes, f"PB-SYM-DR with P={P}"
     )
@@ -103,7 +97,7 @@ def pb_sym_dr(
         def fn() -> None:
             assert locals_[p] is not None
             stamp_batch(
-                locals_[p], grid, kern, points.coords[chunks[p]], norm, counters[p]
+                locals_[p], grid, kernel, points.coords[chunks[p]], norm, counters[p]
             )
             counters[p].points_processed += chunks[p].stop - chunks[p].start
 

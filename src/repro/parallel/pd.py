@@ -39,7 +39,7 @@ import numpy as np
 from ..algorithms.base import STKDEResult, register_algorithm
 from ..core.grid import GridSpec, PointSet, Volume
 from ..core.instrument import PhaseTimer, WorkCounter
-from ..core.kernels import KernelPair, get_kernel
+from ..core.kernels import KernelPair
 from ..core.stamping import StampPlan
 from .color import block_task_graph
 from .executors import ExecTask, Phase, run_phases, zero_fill_phase
@@ -57,19 +57,17 @@ def run_point_decomposition(
     P: int,
     backend: str,
     scheduler: str,
-    kernel: str | KernelPair,
-    counter: Optional[WorkCounter],
-    timer: Optional[PhaseTimer],
+    kernel: KernelPair,
+    counter: WorkCounter,
+    timer: PhaseTimer,
     bandwidth: Optional[BandwidthModel],
     algorithm_name: str,
 ) -> STKDEResult:
-    """Shared engine for PD and PD-SCHED (see module docstring)."""
-    if P < 1:
-        raise ValueError("P must be >= 1")
-    kern = get_kernel(kernel)
-    counter = counter if counter is not None else WorkCounter()
-    timer = timer if timer is not None else PhaseTimer()
+    """Shared engine for PD and PD-SCHED (see module docstring).
 
+    Called by the two registered entries, so it takes their prologue's
+    results: a resolved kernel, a counter and a timer.
+    """
     # PD's safety constraint: blocks at least twice the bandwidth (the
     # paper adjusts undersized decompositions the same way, Figure 11).
     dec = BlockDecomposition.adjusted_for_pd(grid, *decomposition)
@@ -93,7 +91,7 @@ def run_point_decomposition(
 
     def make_block_task(k: int, bid: int):
         def fn() -> None:
-            plan.stamp(out[0], kern, norm, task_counters[k], group=bid)
+            plan.stamp(out[0], kernel, norm, task_counters[k], group=bid)
             task_counters[k].points_processed += int(plan.counts[bid])
 
         return fn

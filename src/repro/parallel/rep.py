@@ -44,7 +44,7 @@ from ..algorithms.base import STKDEResult, register_algorithm
 from ..core.grid import GridSpec, PointSet, Volume, VoxelWindow, zeroed_volume
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.invariants import stamp_cells
-from ..core.kernels import KernelPair, get_kernel
+from ..core.kernels import KernelPair
 from ..core.stamping import StampPlan
 from .color import block_task_graph
 from .executors import ExecTask, Phase, check_memory_budget, run_phases, zero_fill_phase
@@ -134,12 +134,6 @@ def pb_sym_pd_rep(
     bandwidth: Optional[BandwidthModel] = None,
 ) -> STKDEResult:
     """Point decomposition with critical-path replication (PB-SYM-PD-REP)."""
-    if P < 1:
-        raise ValueError("P must be >= 1")
-    kern = get_kernel(kernel)
-    counter = counter if counter is not None else WorkCounter()
-    timer = timer if timer is not None else PhaseTimer()
-
     dec = BlockDecomposition.adjusted_for_pd(grid, *decomposition)
     norm = grid.normalization(points.n)
 
@@ -215,7 +209,7 @@ def pb_sym_pd_rep(
                                     label=("block", bid)))
 
             def direct_fn(g=g, tid=tid):
-                plan.stamp(out[0], kern, norm, task_counters[tid], group=g)
+                plan.stamp(out[0], kernel, norm, task_counters[tid], group=g)
                 task_counters[tid].points_processed += int(plan.counts[g])
 
             tasks[tid].fn = direct_fn
@@ -239,7 +233,7 @@ def pb_sym_pd_rep(
                     buf = zeroed_volume(halo.shape)
                     task_counters[tid].init_writes += buf.size
                     plan.stamp(
-                        buf, kern, norm, task_counters[tid], group=g,
+                        buf, kernel, norm, task_counters[tid], group=g,
                         vol_origin=(halo.x0, halo.y0, halo.t0),
                     )
                     task_counters[tid].points_processed += int(plan.counts[g])

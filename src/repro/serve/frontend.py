@@ -80,6 +80,16 @@ __all__ = ["TrafficFrontend", "Overloaded"]
 # the slack into meaninglessly huge ratios.
 _COST_FLOOR = 1e-4
 
+# Lane deadlines (seconds) for the critical-ratio rule: how long after it
+# arrives a region request, or a mutation, is due.
+_BULK_DEADLINE = 2.0
+_MUTATION_DEADLINE = 0.5
+
+# Extra time (seconds) past an item's lane deadline inside which a
+# *retryable* ServeError re-enqueues the read once (mutations never
+# retry: double-apply risk).
+_RETRY_WINDOW = 1.0
+
 
 class Overloaded(RuntimeError):
     """Admission control rejected a request: the pending-work budget is full.
@@ -177,18 +187,12 @@ class TrafficFrontend:
         Cost bound per bulk sub-dispatch: region windows are split
         along ``t`` so each chunk's predicted direct cost stays under
         this, and the scheduler re-picks between chunks.
-    bulk_deadline_ms / mutation_deadline_ms:
-        Lane deadlines for the critical-ratio rule.
     breaker_cooldown_ms:
         How long a per-shard circuit breaker stays open after a
         :class:`~repro.serve.errors.ShardFailed` surfaces from a
         dispatch — new traffic touching that shard is shed
         (:class:`~repro.serve.errors.CircuitOpen`) or deferred per the
         overload policy while the shard recovers.
-    retry_window_ms:
-        Extra time past an item's lane deadline inside which a
-        *retryable* :class:`~repro.serve.errors.ServeError` re-enqueues
-        the read once (mutations never retry — double-apply risk).
     counter:
         Defaults to the wrapped service's :class:`WorkCounter`, so
         ``frontend_*`` gauges land next to the engine's own counters.
@@ -203,10 +207,7 @@ class TrafficFrontend:
         max_pending_seconds: float = 0.25,
         overload: str = "shed",
         bulk_quantum_seconds: float = 0.025,
-        bulk_deadline_ms: float = 2000.0,
-        mutation_deadline_ms: float = 500.0,
         breaker_cooldown_ms: float = 250.0,
-        retry_window_ms: float = 1000.0,
         counter: Optional[WorkCounter] = None,
     ) -> None:
         if max_batch < 1:
@@ -221,10 +222,7 @@ class TrafficFrontend:
         self.max_pending_seconds = max_pending_seconds
         self.overload = overload
         self.bulk_quantum = bulk_quantum_seconds
-        self.bulk_deadline = bulk_deadline_ms / 1e3
-        self.mutation_deadline = mutation_deadline_ms / 1e3
         self.breaker_cooldown = breaker_cooldown_ms / 1e3
-        self.retry_window = retry_window_ms / 1e3
         self.counter = counter if counter is not None else service.counter
         self.latency = LatencyHistogram()
         self._batch_rows_hist: Dict[int, int] = {}
@@ -530,7 +528,7 @@ class TrafficFrontend:
         await self._admit("region", est)
         now = self._loop.time()
         item = self._new_item(
-            "region", "bulk", deadline=now + self.bulk_deadline, est=est,
+            "region", "bulk", deadline=now + _BULK_DEADLINE, est=est,
         )
         item.window = window
         item.backend = backend
@@ -554,7 +552,7 @@ class TrafficFrontend:
         await self._admit("mutation", est)
         item = self._new_item(
             "mutation", "mutation",
-            deadline=self._loop.time() + self.mutation_deadline, est=est,
+            deadline=self._loop.time() + _MUTATION_DEADLINE, est=est,
         )
         item.fn = fn
         item.fut = self._loop.create_future()
@@ -715,7 +713,7 @@ class TrafficFrontend:
             return False
         if item.retried or self._closing:
             return False
-        if self._loop.time() > item.deadline + self.retry_window:
+        if self._loop.time() > item.deadline + _RETRY_WINDOW:
             return False
         item.retried = True
         self._retries += 1

@@ -279,11 +279,13 @@ class DensityService:
         if self._planner is None:
             if self._machine is None:
                 self._machine = self._calibrate()
-            model = CostModel(
-                self.grid, PointSet(self._shard.rows()), self._machine
-            )
+            model = CostModel(self.grid, PointSet(self._rows()), self._machine)
             self._planner = QueryPlanner(model)
         return self._planner
+
+    def _rows(self) -> np.ndarray:
+        """The served events' coordinates: what the planner's model prices."""
+        return self._shard.rows()
 
     def _resolve_backend(
         self, backend: Optional[str], eps: Optional[float] = None
@@ -760,6 +762,14 @@ class ShardedDensityService(DensityService):
     def _weight(self) -> float:
         """Total event weight ``W`` across all shards."""
         return sum(log.weight for log in self._sup.logs)
+
+    def _rows(self) -> np.ndarray:
+        """Every shard's live rows, read off the coordinator's logs (a
+        live window's events are in the workers, not the in-process
+        shard)."""
+        return np.concatenate([np.empty((0, 3))] + [
+            rows for log in self._sup.logs for _, rows in log.batches()
+        ])
 
     @property
     def index_segments(self) -> int:

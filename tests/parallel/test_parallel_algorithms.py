@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import pb_sym
-from repro.core import DomainSpec, GridSpec, PointSet, WorkCounter
+from repro.core import DomainSpec, GridSpec, PhaseTimer, PointSet, WorkCounter
 from repro.parallel import (
     MemoryBudgetExceeded,
     pb_sym_dd,
@@ -115,8 +115,8 @@ class TestValidation:
         with pytest.raises(ValueError, match="scheduler"):
             run_point_decomposition(
                 pts, grid, decomposition=(2, 2, 2), P=2, backend="simulated",
-                scheduler="magic", kernel="epanechnikov", counter=None,
-                timer=None, bandwidth=None, algorithm_name="x",
+                scheduler="magic", kernel="epanechnikov", counter=WorkCounter(),
+                timer=PhaseTimer(), bandwidth=None, algorithm_name="x",
             )
 
 

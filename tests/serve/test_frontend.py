@@ -391,6 +391,13 @@ class TestAdmissionControl:
         with pytest.raises(ValueError, match="overload"):
             TrafficFrontend(_static_service(grid), overload="drop")
 
+    @pytest.mark.parametrize(
+        "kw", ["bulk_deadline_ms", "mutation_deadline_ms", "retry_window_ms"]
+    )
+    def test_lane_deadlines_and_retry_window_are_not_options(self, kw):
+        with pytest.raises(TypeError, match=kw):
+            TrafficFrontend(_static_service(_grid()), **{kw: 1.0})
+
 
 class TestFailurePaths:
     def test_cancellation_mid_flush_drops_only_the_canceller(self):

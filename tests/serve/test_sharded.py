@@ -263,6 +263,38 @@ class TestLiveEquivalence:
             assert svc.counter.shard_messages - before == 1
 
 
+class TestPlannerModel:
+    """The planner prices the served window: on a sharded service its
+    model holds the rows the coordinator's shard logs hold."""
+
+    def test_live_window(self):
+        grid = make_grid((20, 20, 30))
+        rng = np.random.default_rng(19)
+        span = span_of(grid)
+        with ShardedDensityService(
+            None, grid, workers=1, machine=NOMINAL
+        ) as svc:
+            svc.add(rng.uniform(0, span, size=(5000, 3)))
+            assert svc.events == 5000
+            assert svc.planner().model.points.n == svc.events
+            late = rng.uniform(0, span, size=(100, 3))
+            late[:, 2] = grid.domain.t0 + grid.domain.gt * 0.95
+            assert svc.slide_window(late, grid.domain.t0 + grid.domain.gt / 2) > 0
+            assert svc.planner().model.points.n == svc.events < 5100
+
+    def test_static_snapshot(self):
+        grid = make_grid()
+        pts = make_clustered_points(grid, 400, seed=23)
+        with ShardedDensityService(
+            pts, grid, workers=2, machine=NOMINAL
+        ) as svc:
+            rows = svc.planner().model.points.coords
+            np.testing.assert_array_equal(
+                np.unique(rows, axis=0), np.unique(pts.coords, axis=0)
+            )
+            assert len(rows) == pts.n
+
+
 # ---------------------------------------------------------------------------
 # Fault paths: dying workers must recover (or surface typed), never hang
 # ---------------------------------------------------------------------------

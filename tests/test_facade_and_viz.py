@@ -118,22 +118,19 @@ class TestSTKDEFacade:
 
     def test_auto_never_picks_threads_under_simulated_backend(self, rng):
         pts = PointSet(rng.uniform(0, 30, size=(200, 3)))
-        est = STKDE(hs=2.5, ht=2.5, algorithm="auto", P=4)  # simulated
-        grid = est.grid_for(pts)
-        name, kwargs = est._choose_algorithm(pts, grid)
-        assert kwargs.get("backend") != "threads"
-        assert name != "pb-sym"  # parallel P must map to a real strategy
+        res = STKDE(hs=2.5, ht=2.5, algorithm="auto", P=4).estimate(pts)
+        assert res.meta["backend"] == "simulated"
+        assert res.algorithm != "pb-sym"  # parallel P must map to a real strategy
 
     def test_auto_threads_backend_maps_winner_to_pb_sym_threads(self, rng):
         pts = PointSet(rng.uniform(0, 30, size=(200, 3)))
-        est = STKDE(hs=2.5, ht=2.5, algorithm="auto", P=4, backend="threads")
-        grid = est.grid_for(pts)
-        name, kwargs = est._choose_algorithm(pts, grid)
+        res = STKDE(hs=2.5, ht=2.5, algorithm="auto", P=4,
+                    backend="threads").estimate(pts)
         # No threads-only candidate is left to map: the winner is a
         # registered strategy and the asked backend is forwarded to it.
-        assert name in parallel_algorithms()
-        assert kwargs["backend"] == "threads"
-        assert kwargs["P"] == 4
+        assert res.algorithm in parallel_algorithms()
+        assert res.meta["backend"] == "threads"
+        assert res.meta["P"] == 4
 
 
 class TestRenderer:
@@ -215,6 +212,59 @@ class TestCLI:
         ])
         assert rc == 0
         assert "makespan" in capsys.readouterr().out
+
+    @staticmethod
+    def run_capturing(args, monkeypatch):
+        """``repro run`` with the result its ``STKDE.estimate`` returned."""
+        results = []
+        estimate = STKDE.estimate
+
+        def keep(self, *a, **k):
+            results.append(estimate(self, *a, **k))
+            return results[-1]
+
+        monkeypatch.setattr(STKDE, "estimate", keep)
+        assert cli_main(["run", "--scale", "test", *args]) == 0
+        (res,) = results
+        return res
+
+    def test_run_pb_sym_on_threads(self, capsys, monkeypatch):
+        """``-P`` / ``--backend threads`` reach PB-SYM's threaded path."""
+        args = ["--instance", "Flu_Lr-Hb", "--algorithm", "pb-sym"]
+        serial = self.run_capturing(args, monkeypatch)
+        capsys.readouterr()
+        threaded = self.run_capturing(
+            [*args, "-P", "2", "--backend", "threads"], monkeypatch
+        )
+        out = capsys.readouterr().out
+        assert "{'P': 2, 'backend': 'threads'}" in out
+        assert "(P=2, threads)" in out
+        assert threaded.meta["P"] == 2 and threaded.meta["backend"] == "threads"
+        np.testing.assert_allclose(threaded.data, serial.data, rtol=1e-12, atol=0)
+        assert threaded.counter.madds == serial.counter.madds
+
+    def test_run_sequential_ignores_the_default_parallel_options(
+        self, capsys, monkeypatch
+    ):
+        """Under the defaults (``-P 4 --backend simulated``) VB runs serially."""
+        res = self.run_capturing(
+            ["--instance", "Flu_Lr-Hb", "--algorithm", "vb"], monkeypatch
+        )
+        out = capsys.readouterr().out
+        assert "algorithm: vb  {}" in out
+        assert "makespan" not in out
+        assert "P" not in res.meta
+
+    def test_run_dr_with_a_decomposition(self, capsys):
+        """DR takes no decomposition; asking for one still runs it."""
+        rc = cli_main([
+            "run", "--instance", "Dengue_Lr-Hb", "--scale", "test",
+            "--algorithm", "pb-sym-dr", "--decomposition", "2x2x2",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "{'P': 4, 'backend': 'simulated'}" in out
+        assert "(P=4, simulated)" in out
 
     def test_estimate_and_render(self, tmp_path, capsys, rng):
         pts_file = tmp_path / "events.csv"

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import available_algorithms, get_algorithm
+from repro import available_algorithms, get_algorithm, parallel_algorithms
 from repro.core import DomainSpec, GridSpec, PointSet
 
 PAPER_ALGOS = {
@@ -43,8 +43,8 @@ class TestAlgorithmRegistry:
         assert fn.algorithm_name == name
 
     def test_parallel_flags(self):
-        assert not get_algorithm("pb-sym").is_parallel
-        assert get_algorithm("pb-sym-dd").is_parallel
+        assert "pb-sym" not in parallel_algorithms()
+        assert "pb-sym-dd" in parallel_algorithms()
 
     @pytest.mark.parametrize("name", sorted(PAPER_ALGOS))
     def test_common_signature(self, name):
@@ -59,10 +59,92 @@ class TestAlgorithmRegistry:
         rng = np.random.default_rng(0)
         pts = PointSet(rng.uniform(0, 12, size=(15, 3)))
         fn = get_algorithm(name)
-        kwargs = {"P": 2, "backend": "simulated"} if fn.is_parallel else {}
+        kwargs = {"P": 2, "backend": "simulated"} if name in parallel_algorithms() else {}
         res = fn(pts, grid, **kwargs)
         assert res.data.shape == grid.shape
         assert np.isfinite(res.data).all()
+
+
+class TestRegistryPrologue:
+    """The registry wrapper resolves the kernel, supplies the counter and
+    timer, and checks ``P`` for every registered algorithm."""
+
+    @staticmethod
+    def case():
+        grid = GridSpec(DomainSpec.from_voxels(12, 12, 12), hs=2.0, ht=2.0)
+        pts = PointSet(np.random.default_rng(3).uniform(0, 12, size=(15, 3)))
+        return grid, pts
+
+    @pytest.mark.parametrize("name", available_algorithms())
+    def test_kernel_counter_and_timer(self, name):
+        from repro.core import PhaseTimer, WorkCounter, get_kernel
+
+        grid, pts = self.case()
+        fn = get_algorithm(name)
+        counter, timer = WorkCounter(), PhaseTimer()
+        res = fn(pts, grid, kernel=get_kernel("quartic"), counter=counter,
+                 timer=timer)
+        assert res.counter is counter and res.timer is timer
+        np.testing.assert_array_equal(
+            fn(pts, grid, kernel="quartic").data, res.data
+        )
+        np.testing.assert_array_equal(
+            fn(pts, grid).data, fn(pts, grid, kernel="epanechnikov").data
+        )
+
+    @pytest.mark.parametrize(
+        "name", [n for n in available_algorithms()
+                 if "P" in get_algorithm(n).run_options]
+    )
+    def test_P_is_checked(self, name):
+        grid, pts = self.case()
+        for bad in (0, "four", 2.0):
+            with pytest.raises(ValueError, match="P must be"):
+                get_algorithm(name)(pts, grid, P=bad)
+
+
+class TestRunOptionBinding:
+    """``STKDE`` binds ``P`` / ``backend`` / ``decomposition`` /
+    ``memory_budget_bytes`` by each algorithm's own signature."""
+
+    BUDGET = 1 << 30
+    DEC = (2, 2, 2)
+    #: What each algorithm is bound at ``P=4`` (PB-SYM: on threads only).
+    BOUND = {
+        "pb-sym-dr": {"P", "backend", "memory_budget_bytes"},
+        "pb-sym-dd": {"P", "backend", "decomposition"},
+        "pb-sym-pd": {"P", "backend", "decomposition"},
+        "pb-sym-pd-sched": {"P", "backend", "decomposition"},
+        "pb-sym-pd-rep": {"P", "backend", "decomposition", "memory_budget_bytes"},
+    }
+
+    @pytest.mark.parametrize("backend", ["simulated", "threads"])
+    @pytest.mark.parametrize("name", available_algorithms())
+    def test_bound_keywords(self, name, backend):
+        from repro import STKDE
+
+        est = STKDE(hs=2.0, ht=2.0, algorithm=name, P=4, backend=backend,
+                    decomposition=self.DEC, memory_budget_bytes=self.BUDGET)
+        keys = self.BOUND.get(name, set())
+        if name == "pb-sym" and backend == "threads":
+            keys = {"P", "backend", "memory_budget_bytes"}
+        given = {"P": 4, "backend": backend, "decomposition": self.DEC,
+                 "memory_budget_bytes": self.BUDGET}
+        assert est.bind(name, self.DEC) == {k: given[k] for k in keys}
+
+    @pytest.mark.parametrize("name", available_algorithms())
+    def test_run_options_are_the_shared_names(self, name):
+        from repro.algorithms.base import RUN_OPTIONS
+
+        assert set(get_algorithm(name).run_options) <= set(RUN_OPTIONS)
+
+    def test_unset_options_and_one_thread_bind_nothing_extra(self):
+        from repro import STKDE
+
+        assert STKDE(hs=2.0, ht=2.0, P=1, backend="threads").bind(
+            "pb-sym", None) == {}
+        assert STKDE(hs=2.0, ht=2.0, P=3).bind("pb-sym-pd-rep", None) == {
+            "P": 3, "backend": "simulated"}
 
 
 class TestModuleDocumentation:
