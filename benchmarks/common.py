@@ -20,11 +20,18 @@ Conventions
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
+# One BLAS thread, pinned before NumPy loads (as perfbench pins it), so no
+# timed call pays a thread pool's start and every cell is one core's.
+# ``conftest.py`` pins it too: bench modules load NumPy before this one.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from repro.algorithms import pb_sym
+from repro.analysis import warm_baseline
 from repro.core.grid import GridSpec, PointSet
 from repro.data.datasets import Instance, get_instance, instance_names
 
@@ -54,12 +61,12 @@ def load_instance(name: str, scale: str = "bench") -> Tuple[Instance, GridSpec, 
 
 
 def pb_sym_baseline(name: str, scale: str = "bench") -> float:
-    """Measured sequential PB-SYM seconds for an instance (cached)."""
+    """Measured sequential PB-SYM seconds for an instance (cached): the
+    warm median of :func:`~repro.analysis.warm_baseline`."""
     key = (name, scale)
     if key not in _BASELINE_CACHE:
         _, grid, pts = load_instance(name, scale)
-        res = pb_sym(pts, grid)
-        _BASELINE_CACHE[key] = res.elapsed
+        _BASELINE_CACHE[key], _ = warm_baseline(lambda: pb_sym(pts, grid))
     return _BASELINE_CACHE[key]
 
 

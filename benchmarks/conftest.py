@@ -7,7 +7,12 @@ from the JSON rows each bench module records under ``results/``.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
+
+# One BLAS thread before any bench module loads NumPy, as ``common.py``
+# pins it for processes that import it first (and perfbench for its own).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 _SESSION_EXPERIMENTS: list = []

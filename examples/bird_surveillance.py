@@ -13,8 +13,14 @@ Run:  python examples/bird_surveillance.py
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, pinned before NumPy loads (as perfbench pins it): the
+# timings below are one core's, and no call pays a BLAS thread pool's start.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from repro.algorithms import pb_sym
-from repro.analysis import phase_breakdown, select_strategy, speedup
+from repro.analysis import phase_breakdown, select_strategy, speedup, warm_baseline
 from repro.data import get_instance
 from repro.parallel import MemoryBudgetExceeded, pb_sym_dd, pb_sym_dr
 
@@ -29,9 +35,9 @@ def main() -> None:
           f"{inst.memory_budget_bytes / 1e6:.0f} MB "
           f"= {inst.copies_allowed:.1f} volume copies")
 
-    base = pb_sym(points, grid)
+    t_base, base = warm_baseline(lambda: pb_sym(points, grid))
     frac = phase_breakdown(base)
-    print(f"\nsequential PB-SYM: {base.elapsed * 1e3:.0f} ms")
+    print(f"\nsequential PB-SYM: {t_base * 1e3:.0f} ms (warm median)")
     for phase, f in sorted(frac.items()):
         print(f"  {phase:8s} {f:6.1%}")
     print("-> the volume is so sparse that zeroing it outweighs the kernels.")
@@ -48,13 +54,13 @@ def main() -> None:
     res4 = pb_sym_dr(points, grid, P=4,
                      memory_budget_bytes=inst.memory_budget_bytes)
     print(f"  makespan {res4.meta['makespan'] * 1e3:.0f} ms, "
-          f"speedup {speedup(base.elapsed, res4):.2f}x "
+          f"speedup {speedup(t_base, res4):.2f}x "
           f"(extra volume traffic eats the gain)")
 
     res_dd = pb_sym_dd(points, grid, P=P, decomposition=(8, 8, 8))
     print(f"\ndomain decomposition at P={P}: "
           f"{res_dd.meta['makespan'] * 1e3:.0f} ms, "
-          f"speedup {speedup(base.elapsed, res_dd):.2f}x "
+          f"speedup {speedup(t_base, res_dd):.2f}x "
           f"(bounded by the ~3x memory-bandwidth ceiling on init)")
 
     best, ranked = select_strategy(

@@ -12,9 +12,16 @@ Run:  python examples/pollen_social_media.py
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, pinned before NumPy loads (as perfbench pins it): the
+# timings below are one core's, and no call pays a BLAS thread pool's start.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from repro import STKDE
 from repro.algorithms import pb_sym
-from repro.analysis import dd_work_overhead, pd_critical_path_ratio, speedup
+from repro.analysis import (dd_work_overhead, pd_critical_path_ratio, speedup,
+                            warm_baseline)
 from repro.data import get_instance
 
 P = 8  # virtual processors (simulated backend)
@@ -26,8 +33,8 @@ def main() -> None:
     grid, points = inst.grid(), inst.points()
     print(f"instance: {inst.describe()}")
 
-    base = pb_sym(points, grid)
-    print(f"\nsequential PB-SYM: {base.elapsed * 1e3:.0f} ms "
+    t_base, base = warm_baseline(lambda: pb_sym(points, grid))
+    print(f"\nsequential PB-SYM: {t_base * 1e3:.0f} ms (warm median) "
           f"(init {base.timer.fraction('init'):.0%} / "
           f"compute {base.timer.fraction('compute'):.0%})")
 
@@ -49,7 +56,7 @@ def main() -> None:
         est = STKDE(hs=grid.hs, ht=grid.ht, algorithm=name, P=P,
                     decomposition=DEC)
         res = est.estimate(points, grid.domain)
-        s = speedup(base.elapsed, res)
+        s = speedup(t_base, res)
         rows.append((name, res.meta["makespan"], s))
     for name, ms, s in rows:
         bar = "#" * int(round(s * 4))

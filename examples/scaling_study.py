@@ -10,11 +10,16 @@ Run:  python examples/scaling_study.py [instance-name]
 
 from __future__ import annotations
 
+import os
 import sys
+
+# One BLAS thread, pinned before NumPy loads (as perfbench pins it): the
+# timings below are one core's, and no call pays a BLAS thread pool's start.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from repro import STKDE
 from repro.algorithms import pb_sym
-from repro.analysis import speedup
+from repro.analysis import speedup, warm_baseline
 from repro.data import get_instance, instance_names
 
 PS = (1, 2, 4, 8, 16)
@@ -32,8 +37,8 @@ def main() -> None:
     grid, points = inst.grid(), inst.points()
     print(f"instance: {inst.describe()}")
 
-    base = pb_sym(points, grid)
-    print(f"sequential PB-SYM baseline: {base.elapsed * 1e3:.0f} ms\n")
+    t_base, _ = warm_baseline(lambda: pb_sym(points, grid))
+    print(f"sequential PB-SYM baseline: {t_base * 1e3:.0f} ms (warm median)\n")
 
     header = "P".rjust(4) + "".join(f"{s.replace('pb-sym-', ''):>12s}" for s in STRATEGIES)
     print(header)
@@ -47,7 +52,7 @@ def main() -> None:
                         memory_budget_bytes=inst.memory_budget_bytes)
             try:
                 res = est.estimate(points, grid.domain)
-                sp = speedup(base.elapsed, res)
+                sp = speedup(t_base, res)
                 curves[s].append(sp)
                 cells.append(f"{sp:11.2f}x")
             except Exception:

@@ -8,6 +8,7 @@ from .metrics import (
     phase_breakdown,
     replication_stats,
     speedup,
+    warm_baseline,
 )
 from .model import CostModel, MachineModel, Prediction, select_strategy
 from .validate import (
@@ -33,4 +34,5 @@ __all__ = [
     "replication_stats",
     "select_strategy",
     "speedup",
+    "warm_baseline",
 ]

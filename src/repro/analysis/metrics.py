@@ -11,7 +11,7 @@ use either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from ..parallel.schedule import critical_path
 __all__ = [
     "phase_breakdown",
     "speedup",
+    "warm_baseline",
     "dd_work_overhead",
     "pd_critical_path_ratio",
     "load_imbalance",
@@ -51,6 +52,28 @@ def speedup(baseline_seconds: float, result: STKDEResult) -> float:
     if t <= 0:
         raise ValueError("result has no positive runtime")
     return baseline_seconds / t
+
+
+def warm_baseline(
+    run: Callable[[], STKDEResult], repeats: int = 5
+) -> Tuple[float, STKDEResult]:
+    """The sequential baseline a :func:`speedup` divides by, timed warm.
+
+    Calls ``run`` once and discards the result: a process's first call
+    pays one-off costs (BLAS thread-pool start, the allocator's first page
+    faults, lazy imports) that no timed strategy pays again.  Then calls
+    it ``repeats`` (>= 5) more times and returns the median ``elapsed`` of
+    those calls, with the last call's result for its phase breakdown (no
+    earlier result, nor its volume, is kept).
+    """
+    if repeats < 5:
+        raise ValueError(f"a warm baseline takes >= 5 timed calls, got {repeats}")
+    run()
+    seconds = []
+    for _ in range(repeats):
+        result = run()
+        seconds.append(result.elapsed)
+    return float(np.median(seconds)), result
 
 
 def dd_work_overhead(

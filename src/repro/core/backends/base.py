@@ -21,10 +21,11 @@ Contracts every implementation must honour:
   its in-place twin, is the same everywhere, so backends cannot differ
   in summation order.
 * **Accounting**: work counters report the *logical* operation counts —
-  identical across backends, charged in O(1) from array shapes (never by
-  reducing a mask), so instrumentation does not show up in the profile it
-  measures.  Each primitive invocation additionally records one dispatch
-  under the backend's name (``WorkCounter.backend_dispatches``).
+  identical across backends, charged in O(1) from array shapes, or per
+  row from window extents (never by reducing a mask), so instrumentation
+  does not show up in the profile it measures.  Each primitive invocation
+  additionally records one dispatch under the backend's name
+  (``WorkCounter.backend_dispatches``).
 
 Two more functions are shared rather than overridden:
 :meth:`ComputeBackend.query_segment_sums` (above) and
@@ -318,9 +319,9 @@ class ComputeBackend:
         counter: WorkCounter,
         mode: str,
         m: int,
-        wx: int,
-        wy: int,
-        wt: int,
+        wx: "int | np.ndarray",
+        wy: "int | np.ndarray",
+        wt: "int | np.ndarray",
     ) -> None:
         """Charge one cohort-table build with ``mode``'s logical profile.
 
@@ -328,11 +329,20 @@ class ComputeBackend:
         evaluates), identical across backends and O(1) from the table
         shape — backends that factorise or compile the evaluation still
         charge the same logical work; their advantage shows up only in
-        seconds.
+        seconds.  ``wx``, ``wy``, ``wt`` are ints, one shape for all ``m``
+        rows, or ``(m,)`` arrays, one window per row: the per-row form
+        that the engine's clipped cohort charges, whose tables are larger
+        than its stamps' clipped windows and whose logical work is the
+        windows'.
         """
-        cells = m * wx * wy * wt
-        disk_cells = m * wx * wy
-        bar_cells = m * wt
+        if np.ndim(wx):
+            disk = wx * wy
+            disk_cells, bar_cells = int(disk.sum()), int(wt.sum())
+            cells = int((disk * wt).sum())
+        else:
+            cells = m * wx * wy * wt
+            disk_cells = m * wx * wy
+            bar_cells = m * wt
         if mode == "sym":
             counter.spatial_evals += disk_cells
             counter.temporal_evals += bar_cells

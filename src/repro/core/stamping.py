@@ -10,11 +10,16 @@ between tiny kernels the ``threads`` backend gets almost no real overlap.
 
 This module replaces the per-point loop with **cohort batching**, following
 the amortisation idea of bucketed/batched KDE evaluation (Charikar &
-Siminelakis, 2018): group points whose clipped windows share the same
-``(wx, wy, wt)`` extent — interior points all share the full
-``(2Hs+1, 2Hs+1, 2Ht+1)`` stamp; boundary/clipped points fall into a small
-number of residual shape cohorts; one stable sort of the live points by
-(shape, window origin) yields every cohort, already in origin order — then
+Siminelakis, 2018).  A group's live points form at most two cohorts: the
+interior points, whose windows all have the full ``(2Hs+1, 2Hs+1, 2Ht+1)``
+extent, and the points whose windows the grid edge or a clip window cut.
+A clipped point keeps one table shape — its cohort's widest window per
+axis, the full stamp unless every clipped window of the group is cut on
+that axis — and is cut to its window in the scatter, not in the table:
+the paper's domain decomposition likewise copies a point into every block
+its cylinder meets at no extra multiply-adds.  One stable sort of the live
+points by (clipped or not, window origin) yields both cohorts, already in
+origin order — then
 
 1. tabulate each cohort's spatial disks as one ``(m, wx, wy)`` vectorised
    computation and its temporal bars as one ``(m, wt)`` computation,
@@ -23,10 +28,11 @@ number of residual shape cohorts; one stable sort of the live points by
    array stored t-outermost, like the volume, and
 3. scatter-accumulate the contributions into the volume with a single
    unbuffered indexed add per cohort slab (``np.add.at`` over the target's
-   flat view, at ``stamp origin + cell offset``, each stamp's cells in the
-   target's memory order: t, then x, then y) — no bounding box, no
-   partial volume, never per-point dispatch; the scatter costs what the
-   stamped cells cost, however far apart the stamps lie.
+   flat view, at each cell's voxel, each stamp's cells in the target's
+   memory order: t, then x, then y; a clipped stamp's cells outside its
+   window dropped first) — no bounding box, no partial volume, never
+   per-point or per-shape dispatch; the scatter costs what the tabulated
+   cells cost, however far apart the stamps lie.
 
 PB-SYM (``mode="sym"``) first takes a shortcut the other profiles cannot:
 a point's cylinder *is* ``disk (x) bar``, so the cylinders of ``m`` nearby
@@ -78,10 +84,13 @@ and PD-REP (:mod:`repro.parallel`) each run only their own group's slice
 of one plan, with exactly the additions and counts of stamping that
 group's points alone.  :func:`stamp_batch` is the plan of one group.
 
-Each cohort slab is a handful of large NumPy kernels, which is what
-PB-SYM's ``backend="threads"`` shards across threads; whether that wins over the serial engine is a measured quantity
-(``parallel.threads_p2_speedup`` in the perfbench ledger), not a property
-of this module.
+Threads gain nothing on the cohort route: its scatter is one ``np.add.at``
+per slab, which does not overlap across threads (two threads each running
+it took longer than one thread running both, docs/PERFORMANCE.md); the
+GEMM route's matrix products and slice-adds do.  What PB-SYM's
+``backend="threads"`` and the threaded strategies gain is therefore a
+measured quantity (``parallel.threads_p2_speedup`` in the perfbench
+ledger), not a property of this module.
 """
 
 from __future__ import annotations
@@ -198,39 +207,52 @@ def _scatter_slab(
     y0: np.ndarray,
     t0: np.ndarray,
     vol_origin: Tuple[int, int, int],
+    window: Optional[Tuple[np.ndarray, ...]] = None,
 ) -> None:
     """Accumulate a cohort slab's contribution cylinders into ``vol``.
 
     ``contrib`` is indexed ``[i, x, y, t]`` and stored t-outermost, the
     layout :meth:`~repro.core.backends.base.ComputeBackend.cohort_tables`
-    returns.  One unbuffered indexed add over the target's flat memory:
-    stamp ``i``'s cell ``c`` lands at ``home[i] + cell[c]``, with
-    ``home`` the stamp's origin and ``cell`` the cohort shape's offsets,
-    both in ``vol``'s own element strides and ``cell`` in the tables'
-    memory order (t, then x, then y) — the volume layout's own, so
-    consecutive adds walk each ``(x, y)`` plane of a stamp in memory and
-    the values reach ``np.add.at`` without a copy.  Any target whose
-    elements fill one block of memory in some axis order — a volume or
-    buffer of the t-outermost layout (:func:`~repro.core.grid.
+    returns, stamp ``i``'s table at voxel ``(x0, y0, t0)[i]``.  One
+    unbuffered indexed add over the target's flat memory: stamp ``i``'s
+    cell ``c`` lands at ``home[i] + cell[c]``, with ``home`` the table's
+    origin and ``cell`` the cohort shape's offsets, both in ``vol``'s own
+    element strides and ``cell`` in the tables' memory order (t, then x,
+    then y) — the volume layout's own, so consecutive adds walk each
+    ``(x, y)`` plane of a stamp in memory and the values reach
+    ``np.add.at`` without a copy.  ``window`` is ``None`` when every
+    table is its stamp's whole window, or the six ``(m,)`` limits ``X0,
+    X1, Y0, Y1, T0, T1`` of the stamps' clipped windows when the tables
+    are larger (the clipped cohort): each stamp's cells outside its
+    window are then dropped, by one compress of the indices and values
+    with the product of per-axis in-window masks, before the add.  Any
+    target whose elements fill one block of memory in some axis order — a
+    volume or buffer of the t-outermost layout (:func:`~repro.core.grid.
     empty_volume`), a t-slab of one, a C- or Fortran-order array — is
     added through its memory-order flat view (``ravel(order="K")``).
     ``np.add.at`` walks the pairs in order — stamp by stamp, each stamp's
     cells once — which is the very sequence of additions of one slice-add
-    per stamp, so the two are bit-identical; the cost follows the cells
-    written, not the box that contains them.
+    per stamp (of each stamp's part inside its window), so the two are
+    bit-identical; the cost follows the cells tabulated, not the box that
+    contains them.
 
     Any other target (a strided slice) has no flat view (``reshape``
     would copy and the adds be lost) and takes :func:`_slice_adds`.  A
     flat index outside ``vol`` would wrap silently where a slice raised,
-    so windows that leave the target are rejected first.
+    so windows that leave the target are rejected first; a clipped
+    cohort's tables may hang off the target, but not its windows.
     """
     m, wx, wy, wt = contrib.shape
     ox, oy, ot = vol_origin
     sx, sy, st = vol.shape
     x0, y0, t0 = x0 - ox, y0 - oy, t0 - ot
+    X0, X1, Y0, Y1, T0, T1 = (
+        (x0, x0 + wx, y0, y0 + wy, t0, t0 + wt) if window is None
+        else (w - o for w, o in zip(window, (ox, ox, oy, oy, ot, ot)))
+    )
     if (
-        x0.min() < 0 or y0.min() < 0 or t0.min() < 0
-        or x0.max() + wx > sx or y0.max() + wy > sy or t0.max() + wt > st
+        X0.min() < 0 or Y0.min() < 0 or T0.min() < 0
+        or X1.max() > sx or Y1.max() > sy or T1.max() > st
     ):
         raise ValueError(
             f"stamp windows leave the target: vol of shape {vol.shape} at "
@@ -241,7 +263,7 @@ def _scatter_slab(
     # else a copy that would swallow the adds.
     mem = vol.ravel(order="K")
     if not np.may_share_memory(mem, vol):
-        _slice_adds(vol, contrib, x0, y0, t0)
+        _slice_adds(vol, contrib, (x0, y0, t0), (X0, X1, Y0, Y1, T0, T1))
         return
     # The fast ufunc.at loop needs a 1-D target, intp indices and float64
     # values; the multi-index form is an order of magnitude slower.
@@ -254,24 +276,40 @@ def _scatter_slab(
         + (np.arange(wx) * ex)[None, :, None]
         + (np.arange(wy) * ey)[None, None, :]
     ).reshape(-1)
-    flat = home[:, None] + cell[None, :]
-    np.add.at(mem, flat.reshape(-1), contrib.transpose(0, 3, 1, 2).reshape(-1))
+    flat = (home[:, None] + cell[None, :]).reshape(-1)
+    vals = contrib.transpose(0, 3, 1, 2).reshape(-1)
+    if window is not None:
+        # Only each stamp's cells inside its window: the product of the
+        # per-axis in-window masks (all three axes in one ``(3, m, w)``
+        # pass), one compress of indices and values.
+        first = np.array([x0, y0, t0])[:, :, None]
+        cells = np.arange(max(wx, wy, wt))
+        inside = (cells >= np.array([X0, Y0, T0])[:, :, None] - first) & (
+            cells < np.array([X1, Y1, T1])[:, :, None] - first
+        )
+        plane = inside[0, :, :wx, None] & inside[1, :, None, :wy]
+        keep = inside[2, :, :wt, None] & plane.reshape(m, 1, wx * wy)
+        keep = keep.reshape(-1)
+        flat, vals = flat[keep], vals[keep]
+    np.add.at(mem, flat, vals)
 
 
 def _slice_adds(
     vol: np.ndarray,
     contrib: np.ndarray,
-    x0: np.ndarray,
-    y0: np.ndarray,
-    t0: np.ndarray,
+    first: Tuple[np.ndarray, ...],
+    window: Tuple[np.ndarray, ...],
 ) -> None:
-    """One slice-add per stamp: :func:`_scatter_slab`'s route for a
-    target with no flat view (origins already relative to ``vol``)."""
-    _, wx, wy, wt = contrib.shape
+    """One slice-add per stamp, its table cut to its window:
+    :func:`_scatter_slab`'s route for a target with no flat view (table
+    origins ``first`` and windows relative to ``vol``)."""
+    x0, y0, t0 = first
+    X0, X1, Y0, Y1, T0, T1 = window
     for i in range(contrib.shape[0]):
-        vol[
-            x0[i] : x0[i] + wx, y0[i] : y0[i] + wy, t0[i] : t0[i] + wt
-        ] += contrib[i]
+        x, y, t = x0[i], y0[i], t0[i]
+        vol[X0[i] : X1[i], Y0[i] : Y1[i], T0[i] : T1[i]] += contrib[
+            i, X0[i] - x : X1[i] - x, Y0[i] - y : Y1[i] - y, T0[i] - t : T1[i] - t
+        ]
 
 
 def _bin_edges(grid: GridSpec) -> Tuple[int, int, int]:
@@ -362,8 +400,8 @@ class StampPlan:
     The plan computes every row's voxel, clipped window and liveness once;
     for ``mode="sym"`` the crowded bins of the per-bin GEMM route, keyed by
     (group, lattice bin) (:func:`_crowded_runs`); and the cohort order of
-    the live rows those bins leave, with one stable sort by (group, shape,
-    origin).  It holds no kernel, weight or target.  :meth:`stamp` runs
+    the live rows those bins leave, with one stable sort by (group,
+    clipped or full-shape, origin): at most two cohorts per group.  It holds no kernel, weight or target.  :meth:`stamp` runs
     one group's GEMM chunks and cohort slabs into a volume and reads no
     other group's runs, so the block and replica tasks of a decomposed
     strategy (DD, PD, PD-SCHED, PD-REP) share one plan, on any backend.
@@ -454,36 +492,52 @@ class StampPlan:
             left[rows] = False
             live = live[left[live]]
 
-        # Cohort key: the stamp shape.  Interior points share the full
-        # (2Hs+1, 2Hs+1, 2Ht+1) extent; clipped points land in residual
-        # shapes.  One stable sort orders every group's cohorts: by group,
-        # then shape key, then window origin in the volume layout's memory
-        # order (t, then x, then y), so that consecutive stamps, and the
-        # slabs cut from them, write compact, cache-resident regions of the
-        # target even when a cohort spans the whole grid; ties keep input
-        # order.  Neither shape nor origin key exceeds (Gx+1)(Gy+1)(Gt+1),
-        # so their combined key fits int64 for any volume that fits in
-        # memory; the group, if any, is a second sort key.
-        span_y = min(2 * grid.Hs + 1, grid.Gy) + 1
-        span_t = min(2 * grid.Ht + 1, grid.Gt) + 1
-        cohort = (wx[live] * span_y + wy[live]) * span_t + wt[live]
-        key = cohort * grid.n_voxels + grid.flat_index(
-            X0[live], Y0[live], T0[live]
-        )
+        # Cohort key: clipped or not.  Interior points share the full
+        # (2Hs+1, 2Hs+1, 2Ht+1) extent; every point whose window the grid
+        # or its group's clip cut joins its group's one clipped cohort,
+        # tabulated at that cohort's shape (below) and cut to its window
+        # in the scatter.  One stable sort orders every
+        # group's cohorts: by group, clipped before full, then window
+        # origin in the volume layout's memory order (t, then x, then y),
+        # so that consecutive stamps, and the slabs cut from them, write
+        # compact, cache-resident regions of the target even when a
+        # cohort spans the whole grid; ties keep input order.  The group,
+        # if any, is a second sort key.
+        full = (wx[live] == 2 * grid.Hs + 1) & (wy[live] == 2 * grid.Hs + 1)
+        full &= wt[live] == 2 * grid.Ht + 1
+        key = full * grid.n_voxels + grid.flat_index(X0[live], Y0[live], T0[live])
         rank = (
             np.argsort(key, kind="stable") if group is None
             else np.lexsort((key, group[live]))
         )
         self._cohort_rows = order = live[rank]
-        cohort = cohort[rank]
-        change = cohort[1:] != cohort[:-1]
+        full = full[rank]
+        change = full[1:] != full[:-1]
         if group is not None:
             change |= group[order[1:]] != group[order[:-1]]
         cuts = np.flatnonzero(np.r_[order.size > 0, change])
+        # A cohort's table shape: the full stamp, or per axis a clipped
+        # cohort's widest window (the full extent unless every stamp of it
+        # is cut on that axis).  Each row's table origin: its window's,
+        # or a clipped row's unclipped stamp origin, moved in as far as
+        # its cohort's shape needs to cover its window.
+        half = (grid.Hs, grid.Hs, grid.Ht)
+        shape = [np.full(cuts.size, 2 * h + 1) for h in half]
+        self._origins = X0, Y0, T0
+        if not full.all():
+            cut = ~full[cuts]
+            clipped = order[~full]  # cohort by cohort
+            lengths = np.diff(np.r_[cuts, order.size])[cut]
+            begin = np.r_[0, np.cumsum(lengths)[:-1]]
+            self._origins = tuple(w.copy() for w in self._origins)
+            for o, v, h, hi, w, sh in zip(self._origins, vox.T, half,
+                                          (X1, Y1, T1), self._shapes, shape):
+                sh[cut] = np.maximum.reduceat(w[clipped], begin)
+                o[clipped] = np.maximum(
+                    v[clipped] - h, hi[clipped] - np.repeat(sh[cut], lengths))
         self._cohorts = list(zip(
-            cuts.tolist(),
-            np.r_[cuts[1:], order.size].tolist(),
-            *(s[order[cuts]].tolist() for s in (wx, wy, wt)),
+            cuts.tolist(), np.r_[cuts[1:], order.size].tolist(),
+            full[cuts].tolist(), *(w.tolist() for w in shape),
         ))
 
         # Each group's runs are contiguous: ``runs[at[g]:at[g + 1]]``.
@@ -537,22 +591,29 @@ class StampPlan:
         grid = self.grid
         coords = self.coords
         dom = grid.domain
-        X0, _, Y0, _, T0, _ = self._windows
-        for a, b, cwx, cwy, cwt in cohorts:
+        for a, b, full, cwx, cwy, cwt in cohorts:
             idx = self._cohort_rows[a:b]
             counter.stamp_cohorts += 1
             step = max(1, slab_cells // (cwx * cwy * cwt))
             for s in range(0, idx.size, step):
                 sel = idx[s : s + step]
-                dx = _axis_offsets(dom.x0, dom.sres, X0[sel], cwx, coords[sel, 0])
-                dy = _axis_offsets(dom.y0, dom.sres, Y0[sel], cwy, coords[sel, 1])
-                dt = _axis_offsets(dom.t0, dom.tres, T0[sel], cwt, coords[sel, 2])
+                x0, y0, t0 = (o[sel] for o in self._origins)
+                dx = _axis_offsets(dom.x0, dom.sres, x0, cwx, coords[sel, 0])
+                dy = _axis_offsets(dom.y0, dom.sres, y0, cwy, coords[sel, 1])
+                dt = _axis_offsets(dom.t0, dom.tres, t0, cwt, coords[sel, 2])
                 contrib = backend.cohort_tables(
-                    grid, kernel, self.mode, norm, dx, dy, dt, counter
+                    grid, kernel, self.mode, norm, dx, dy, dt,
+                    counter if full else null_counter(),
                 )
+                window = None
+                if not full:
+                    # Logical work is the clipped windows', not the tables'.
+                    backend._charge_mode(counter, self.mode, sel.size,
+                                         *(w[sel] for w in self._shapes))
+                    window = tuple(w[sel] for w in self._windows)
                 if weights is not None:
                     contrib *= weights[sel][:, None, None, None]
-                _scatter_slab(vol, contrib, X0[sel], Y0[sel], T0[sel], vol_origin)
+                _scatter_slab(vol, contrib, x0, y0, t0, vol_origin, window)
 
 
     def _stamp_bins(

@@ -151,8 +151,11 @@ def run_threaded(
 
     Ready tasks are dispatched highest-priority-first (smallest priority
     tuple) to ``P`` workers: the calling thread and ``P - 1`` started
-    threads, which run the task closures directly; NumPy's GIL-releasing
-    kernels give true overlap for the stamping work.
+    threads, which run the task closures directly.  Tasks overlap only
+    where their NumPy calls release the GIL: the GEMM route's matrix
+    products and slice-adds do, but the cohort route's ``np.add.at``
+    scatter ran slower on two threads than on one (docs/PERFORMANCE.md,
+    "Direct scatter"), so stamping tasks rarely beat serial here.
     """
     if P < 1:
         raise ValueError("P must be >= 1")

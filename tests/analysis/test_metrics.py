@@ -13,6 +13,7 @@ from repro.analysis.metrics import (
     phase_breakdown,
     replication_stats,
     speedup,
+    warm_baseline,
 )
 from repro.core import DomainSpec, GridSpec
 from repro.parallel import pb_sym_pd_rep
@@ -60,6 +61,48 @@ class TestSpeedup:
         res.meta["makespan"] = 0.0
         with pytest.raises(ValueError):
             speedup(1.0, res)
+
+
+class TestWarmBaseline:
+    @staticmethod
+    def runs(seconds):
+        """A baseline whose calls report ``seconds`` in turn."""
+        from repro.algorithms.base import STKDEResult
+        from repro.core import PhaseTimer, Volume, WorkCounter
+
+        g = GridSpec(DomainSpec.from_voxels(4, 4, 4), hs=1, ht=1)
+        calls = iter(seconds)
+
+        def run():
+            timer = PhaseTimer()
+            timer.add("compute", next(calls))
+            return STKDEResult(Volume(np.zeros(g.shape), g), "pb-sym", timer,
+                               WorkCounter())
+
+        return run
+
+    def test_slow_first_call_never_reaches_the_baseline(self):
+        """A cold first call 100x the warm ones is discarded, whatever
+        the warm calls' order."""
+        for warm in ([1.0, 1.2, 0.9, 1.1, 1.0], [0.9, 1.0, 1.0, 1.1, 1.2]):
+            t, last = warm_baseline(self.runs([100.0] + warm))
+            assert t == pytest.approx(float(np.median(warm)))
+            assert last.elapsed == warm[-1]
+
+    def test_median_resists_one_slow_warm_call(self):
+        t, _ = warm_baseline(self.runs([100.0, 1.0, 50.0, 1.0, 1.0, 1.0, 1.0]),
+                             repeats=6)
+        assert t == pytest.approx(1.0)
+
+    def test_takes_at_least_five_timed_calls(self):
+        with pytest.raises(ValueError, match=">= 5"):
+            warm_baseline(self.runs([1.0] * 5), repeats=4)
+
+    def test_on_a_real_baseline(self, grid):
+        pts = make_points(grid, 30, seed=1)
+        t, res = warm_baseline(lambda: pb_sym(pts, grid))
+        assert t > 0 and res.algorithm == "pb-sym"
+        assert speedup(t, res) == pytest.approx(t / res.elapsed)
 
 
 class TestDDOverhead:

@@ -484,16 +484,25 @@ class TestCrowdedBinGemm:
         )
 
 
-def slice_add_scatter(vol, contrib, x0, y0, t0, vol_origin):
-    """The legacy accumulation: one slice-add per stamp, in slab order."""
+def slice_add_scatter(vol, contrib, x0, y0, t0, vol_origin, window=None):
+    """The legacy accumulation: one slice-add per stamp, in slab order —
+    of a clipped slab's stamps, each table's part inside its window."""
     ox, oy, ot = vol_origin
     _, wx, wy, wt = contrib.shape
+    if window is None:
+        window = (x0, x0 + wx, y0, y0 + wy, t0, t0 + wt)
+    X0, X1, Y0, Y1, T0, T1 = window
     for i in range(contrib.shape[0]):
         vol[
-            x0[i] - ox : x0[i] - ox + wx,
-            y0[i] - oy : y0[i] - oy + wy,
-            t0[i] - ot : t0[i] - ot + wt,
-        ] += contrib[i]
+            X0[i] - ox : X1[i] - ox,
+            Y0[i] - oy : Y1[i] - oy,
+            T0[i] - ot : T1[i] - ot,
+        ] += contrib[
+            i,
+            X0[i] - x0[i] : X1[i] - x0[i],
+            Y0[i] - y0[i] : Y1[i] - y0[i],
+            T0[i] - t0[i] : T1[i] - t0[i],
+        ]
 
 
 class TestDirectScatter:
@@ -577,11 +586,10 @@ class TestDirectScatter:
     @pytest.mark.parametrize("mode", STAMP_MODES)
     def test_one_sort_keeps_the_per_cohort_order(self, narrow, monkeypatch,
                                                  mode, slab_cells):
-        """The single stable sort hands the slabs their stamps in the
-        order a per-cohort sort gave: cohorts by ascending shape key
-        (``np.unique``), each by window origin (t, then x, then y), ties
-        in input order — here 30 coincident points, told apart by their
-        weights."""
+        """The single stable sort hands the slabs their stamps in cohort
+        order: the clipped cohort, then the full-shape one, each by
+        clipped window origin (t, then x, then y), ties in input order —
+        here 30 coincident points, told apart by their weights."""
         rng = np.random.default_rng(53)
         spot = [20.3, 17.6, 11.4]
         coords = np.vstack([self.batch(), np.tile([spot], (30, 1))])
@@ -592,10 +600,10 @@ class TestDirectScatter:
         slabs = []
         scatter = stamping._scatter_slab
 
-        def spy(vol, contrib, x0, y0, t0, vol_origin):
-            slabs.append((np.stack([x0, y0, t0], axis=1),
-                          contrib.sum(axis=(1, 2, 3))))
-            scatter(vol, contrib, x0, y0, t0, vol_origin)
+        def spy(vol, contrib, x0, y0, t0, vol_origin, window=None):
+            lo = (x0, y0, t0) if window is None else window[0::2]
+            slabs.append((np.stack(lo, axis=1), contrib.sum(axis=(1, 2, 3))))
+            scatter(vol, contrib, x0, y0, t0, vol_origin, window)
 
         monkeypatch.setattr(stamping, "_scatter_slab", spy)
         stamp_batch(RegionBuffer(win).data, narrow, get_kernel("quartic"),
@@ -606,18 +614,14 @@ class TestDirectScatter:
         X0, X1, Y0, Y1, T0, T1 = batch_windows(narrow, coords, win)
         wx, wy, wt = X1 - X0, Y1 - Y0, T1 - T0
         live = np.flatnonzero((wx > 0) & (wy > 0) & (wt > 0))
-        key = ((wx * (2 * narrow.Hs + 2) + wy) * (2 * narrow.Ht + 2) + wt)
-        _, inverse = np.unique(key[live], return_inverse=True)
-        inverse = inverse.ravel()
-        cohorts = int(inverse.max()) + 1
+        full = ((wx == 2 * narrow.Hs + 1) & (wy == 2 * narrow.Hs + 1)
+                & (wt == 2 * narrow.Ht + 1))[live]
         order = []
-        for k in range(cohorts):
-            idx = live[inverse == k]
+        for idx in (live[~full], live[full]):
+            assert idx.size
             order.extend(idx[np.lexsort((Y0[idx], X0[idx], T0[idx]))])
         order = np.array(order)
-        assert cohorts > 1
-        assert (len(slabs) > cohorts) if slab_cells == 700 \
-            else (len(slabs) == cohorts)
+        assert (len(slabs) > 2) if slab_cells == 700 else (len(slabs) == 2)
 
         origins = np.concatenate([o for o, _ in slabs])
         sums = np.concatenate([s for _, s in slabs])
@@ -670,8 +674,8 @@ class TestDirectScatter:
         for key, value in self.COUNTERS[mode].items():
             assert getattr(c, key) == value, key
         assert c.stamp_batches == 1
-        assert c.stamp_cohorts == 9
-        assert c.backend_dispatches == {DEFAULT_BACKEND: 9}
+        assert c.stamp_cohorts == 2  # the full-shape and the clipped cohort
+        assert c.backend_dispatches == {DEFAULT_BACKEND: 2}
 
     @pytest.mark.parametrize("kname", list(available_kernels()) + ["custom"])
     def test_matches_brute_force(self, narrow, kname):
