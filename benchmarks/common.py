@@ -20,15 +20,9 @@ Conventions
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
-
-# One BLAS thread, pinned before NumPy loads (as perfbench pins it), so no
-# timed call pays a thread pool's start and every cell is one core's.
-# ``conftest.py`` pins it too: bench modules load NumPy before this one.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from repro.algorithms import pb_sym
 from repro.analysis import warm_baseline

@@ -10,8 +10,9 @@ import json
 import os
 from pathlib import Path
 
-# One BLAS thread before any bench module loads NumPy, as ``common.py``
-# pins it for processes that import it first (and perfbench for its own).
+# One BLAS thread before any bench module loads NumPy (as perfbench pins
+# it), so no timed call pays a thread pool's start and every cell is one
+# core's.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"

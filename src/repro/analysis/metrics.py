@@ -54,23 +54,22 @@ def speedup(baseline_seconds: float, result: STKDEResult) -> float:
     return baseline_seconds / t
 
 
-def warm_baseline(
-    run: Callable[[], STKDEResult], repeats: int = 5
-) -> Tuple[float, STKDEResult]:
+_WARM_REPEATS = 5  # timed calls after the warm-up; the median is taken
+
+
+def warm_baseline(run: Callable[[], STKDEResult]) -> Tuple[float, STKDEResult]:
     """The sequential baseline a :func:`speedup` divides by, timed warm.
 
     Calls ``run`` once and discards the result: a process's first call
     pays one-off costs (BLAS thread-pool start, the allocator's first page
     faults, lazy imports) that no timed strategy pays again.  Then calls
-    it ``repeats`` (>= 5) more times and returns the median ``elapsed`` of
-    those calls, with the last call's result for its phase breakdown (no
-    earlier result, nor its volume, is kept).
+    it five more times and returns the median ``elapsed`` of those calls,
+    with the last call's result for its phase breakdown (no earlier
+    result, nor its volume, is kept).
     """
-    if repeats < 5:
-        raise ValueError(f"a warm baseline takes >= 5 timed calls, got {repeats}")
     run()
     seconds = []
-    for _ in range(repeats):
+    for _ in range(_WARM_REPEATS):
         result = run()
         seconds.append(result.elapsed)
     return float(np.median(seconds)), result

@@ -21,11 +21,14 @@ Contracts every implementation must honour:
   its in-place twin, is the same everywhere, so backends cannot differ
   in summation order.
 * **Accounting**: work counters report the *logical* operation counts —
-  identical across backends, charged in O(1) from array shapes, or per
-  row from window extents (never by reducing a mask), so instrumentation
-  does not show up in the profile it measures.  Each primitive invocation
-  additionally records one dispatch under the backend's name
-  (``WorkCounter.backend_dispatches``).
+  identical across backends, charged in O(1) from array shapes (never by
+  reducing a mask), so instrumentation does not show up in the profile it
+  measures.  Each primitive invocation additionally records one dispatch
+  under the backend's name (``WorkCounter.backend_dispatches``).  The
+  stamping tables (:meth:`ComputeBackend.cohort_tables`,
+  :meth:`ComputeBackend.factor_tables`) record only the dispatch: their
+  caller charges the logical counts from the stamps' clipped windows,
+  which a table larger than its window hides.
 
 Two more functions are shared rather than overridden:
 :meth:`ComputeBackend.query_segment_sums` (above) and
@@ -136,7 +139,10 @@ class ComputeBackend:
         ``mode`` is one of :data:`repro.core.stamping.STAMP_MODES`; ``dx``
         is ``(m, wx)``, ``dy`` ``(m, wy)``, ``dt`` ``(m, wt)`` per-axis
         voxel-center offsets, ``norm`` the normalisation folded into the
-        tables exactly where the reference folds it.
+        tables exactly where the reference folds it.  Records one
+        dispatch; the caller charges ``mode``'s logical counts (it knows
+        the stamps' clipped windows, which may be smaller than the
+        tables).
 
         Layout contract: the result is indexed ``[i, x, y, t]``, like a
         volume, and stored t-outermost like one — a fresh ``(m, wt, wx,
@@ -313,63 +319,6 @@ class ComputeBackend:
         return disk, bar
 
     # -- shared accounting ---------------------------------------------
-
-    def _charge_mode(
-        self,
-        counter: WorkCounter,
-        mode: str,
-        m: int,
-        wx: "int | np.ndarray",
-        wy: "int | np.ndarray",
-        wt: "int | np.ndarray",
-    ) -> None:
-        """Charge one cohort-table build with ``mode``'s logical profile.
-
-        The counts are the *mode's* cost profile (what the reference
-        evaluates), identical across backends and O(1) from the table
-        shape — backends that factorise or compile the evaluation still
-        charge the same logical work; their advantage shows up only in
-        seconds.  ``wx``, ``wy``, ``wt`` are ints, one shape for all ``m``
-        rows, or ``(m,)`` arrays, one window per row: the per-row form
-        that the engine's clipped cohort charges, whose tables are larger
-        than its stamps' clipped windows and whose logical work is the
-        windows'.
-        """
-        if np.ndim(wx):
-            disk = wx * wy
-            disk_cells, bar_cells = int(disk.sum()), int(wt.sum())
-            cells = int((disk * wt).sum())
-        else:
-            cells = m * wx * wy * wt
-            disk_cells = m * wx * wy
-            bar_cells = m * wt
-        if mode == "sym":
-            counter.spatial_evals += disk_cells
-            counter.temporal_evals += bar_cells
-            counter.distance_tests += disk_cells + bar_cells
-            counter.madds += cells
-        elif mode == "pb":
-            counter.spatial_evals += cells
-            counter.temporal_evals += cells
-            counter.distance_tests += cells
-            counter.madds += cells
-        elif mode == "disk":
-            counter.spatial_evals += disk_cells
-            counter.temporal_evals += cells
-            counter.distance_tests += disk_cells + cells
-            counter.madds += cells
-        elif mode == "bar":
-            counter.spatial_evals += cells
-            counter.temporal_evals += bar_cells
-            counter.distance_tests += bar_cells + cells
-            counter.madds += cells
-        else:
-            from ..stamping import STAMP_MODES
-
-            raise ValueError(
-                f"unknown stamp mode {mode!r}; expected one of {STAMP_MODES}"
-            )
-        counter.add_dispatch(self.name)
 
     def _charge_pairs(self, counter: WorkCounter, pairs: int) -> None:
         """Charge one tabulation of ``pairs`` kernel-product pairs.

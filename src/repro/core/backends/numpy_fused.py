@@ -30,9 +30,10 @@ Same primitives as ``numpy-ref``, three optimisations:
 Equivalence to ``numpy-ref`` is elementwise ``rtol=1e-12`` (the fusions
 only reassociate scalar factors at the ulp level; a value within a few
 ulps of the kernel's rim, where ``1 - r^2`` or ``1 - w^2`` cancels in
-either form, is held to ``atol=1e-18`` instead); work counters charge
+either form, is held to ``atol=1e-18`` instead); work counters record
 the identical logical operation counts — the *mode's* cost profile, not
-the backend's physical op count — so profiles stay comparable.
+the backend's physical op count, charged by the stamping engine for the
+cohort tables — so profiles stay comparable.
 """
 
 from __future__ import annotations
@@ -148,15 +149,12 @@ class NumpyFusedBackend(ComputeBackend):
         dt: np.ndarray,
         counter: WorkCounter,
     ) -> np.ndarray:
-        m, wx = dx.shape
-        wy = dy.shape[1]
-        wt = dt.shape[1]
-        self._charge_mode(counter, mode, m, wx, wy, wt)
-
+        counter.add_dispatch(self.name)
         # All four cost profiles produce the same factorised *values*:
         # masked-disk (x) masked-bar, with the normalisation folded into
-        # the smaller factor.  The modes differ in the work they charge
-        # (above) — the values agree with the reference at rtol=1e-12.
+        # the smaller factor.  The modes differ only in the work the
+        # caller charges — the values agree with the reference at
+        # rtol=1e-12.
         disk, bar = self._factor_tables(grid, kernel, norm, dx, dy, dt)
         return cylinder_product(disk, bar)
 

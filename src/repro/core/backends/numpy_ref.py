@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from ..grid import GridSpec
-from ..instrument import WorkCounter
+from ..instrument import WorkCounter, null_counter
 from ..kernels import KernelPair
 from .base import ComputeBackend, cylinder_product
 
@@ -65,6 +65,7 @@ class NumpyRefBackend(ComputeBackend):
         # Every table is built t-outermost, (m, wt, wx, wy) in memory, and
         # returned indexed [i, x, y, t]: the cohort tables' layout contract.
         shape = (m, wt, wx, wy)
+        counter.add_dispatch(self.name)
 
         if mode == "sym":
             d2 = dx[:, :, None] ** 2 + dy[:, None, :] ** 2
@@ -82,18 +83,14 @@ class NumpyRefBackend(ComputeBackend):
             w = dt / grid.ht
             bar = kernel.temporal(w)
             bar *= np.abs(dt) <= grid.ht
-            counter.spatial_evals += disk.size
-            counter.temporal_evals += bar.size
-            counter.distance_tests += disk.size + bar.size
-            counter.madds += m * wx * wy * wt
-            counter.add_dispatch(self.name)
             return cylinder_product(disk, bar)
 
         if mode == "pb":
             DX = np.broadcast_to(dx[:, None, :, None], shape)
             DY = np.broadcast_to(dy[:, None, None, :], shape)
             DT = np.broadcast_to(dt[:, :, None, None], shape)
-            out = self.masked_kernel_product(grid, kernel, DX, DY, DT, counter)
+            out = self.masked_kernel_product(grid, kernel, DX, DY, DT,
+                                             null_counter())
             out *= norm  # in place: the product above is a fresh array
             return out.transpose(0, 2, 3, 1)
 
@@ -113,11 +110,6 @@ class NumpyRefBackend(ComputeBackend):
             DT = np.broadcast_to(dt[:, :, None, None], shape)
             inside_t = np.abs(DT) <= grid.ht
             kt = kernel.temporal(DT / grid.ht)
-            counter.spatial_evals += disk.size
-            counter.distance_tests += disk.size + DT.size
-            counter.temporal_evals += DT.size
-            counter.madds += DT.size
-            counter.add_dispatch(self.name)
             out = disk[:, None] * np.where(inside_t, kt, 0.0)
             return out.transpose(0, 2, 3, 1)
 
@@ -129,11 +121,6 @@ class NumpyRefBackend(ComputeBackend):
             DY = np.broadcast_to(dy[:, None, None, :], shape)
             inside_s = (DX * DX + DY * DY) < hs2
             ks = kernel.spatial(DX / grid.hs, DY / grid.hs)
-            counter.temporal_evals += bar.size
-            counter.distance_tests += bar.size + DX.size
-            counter.spatial_evals += DX.size
-            counter.madds += DX.size
-            counter.add_dispatch(self.name)
             out = np.where(inside_s, ks * norm, 0.0) * bar[:, :, None, None]
             return out.transpose(0, 2, 3, 1)
 

@@ -14,7 +14,7 @@ Siminelakis, 2018).  A group's live points form at most two cohorts: the
 interior points, whose windows all have the full ``(2Hs+1, 2Hs+1, 2Ht+1)``
 extent, and the points whose windows the grid edge or a clip window cut.
 A clipped point keeps one table shape — its cohort's widest window per
-axis, the full stamp unless every clipped window of the group is cut on
+axis, the full stamp unless every clipped window of the cohort is cut on
 that axis — and is cut to its window in the scatter, not in the table:
 the paper's domain decomposition likewise copies a point into every block
 its cylinder meets at no extra multiply-adds.  One stable sort of the live
@@ -312,6 +312,40 @@ def _slice_adds(
         ]
 
 
+def _charge_windows(
+    counter: WorkCounter,
+    mode: str,
+    wx: np.ndarray,
+    wy: np.ndarray,
+    wt: np.ndarray,
+) -> None:
+    """Charge ``mode``'s logical profile for stamps of clipped windows
+    ``wx * wy * wt``, one ``(m,)`` extent per axis.
+
+    The counts are the *mode's* cost profile (what the ``numpy-ref``
+    tables evaluate), identical across backends and routes: backends that
+    factorise the evaluation, the GEMM route's shared frames and the
+    cohort route's full-shape tables of clipped stamps charge the same
+    logical work, and show their advantage only in seconds.  O(1) per
+    stamp, never a mask reduction.
+    """
+    disk = wx * wy
+    disk_cells, bar_cells = int(disk.sum()), int(wt.sum())
+    cells = int((disk * wt).sum())
+    if mode == "sym":
+        spatial, temporal, tests = disk_cells, bar_cells, disk_cells + bar_cells
+    elif mode == "pb":  # one distance test per cell
+        spatial = temporal = tests = cells
+    elif mode == "disk":
+        spatial, temporal, tests = disk_cells, cells, disk_cells + cells
+    else:  # "bar"
+        spatial, temporal, tests = cells, bar_cells, bar_cells + cells
+    counter.spatial_evals += spatial
+    counter.temporal_evals += temporal
+    counter.distance_tests += tests
+    counter.madds += cells
+
+
 def _bin_edges(grid: GridSpec) -> Tuple[int, int, int]:
     """Bin edge in voxels along x, y, t of the per-bin GEMM route's lattice.
 
@@ -401,10 +435,11 @@ class StampPlan:
     for ``mode="sym"`` the crowded bins of the per-bin GEMM route, keyed by
     (group, lattice bin) (:func:`_crowded_runs`); and the cohort order of
     the live rows those bins leave, with one stable sort by (group,
-    clipped or full-shape, origin): at most two cohorts per group.  It holds no kernel, weight or target.  :meth:`stamp` runs
-    one group's GEMM chunks and cohort slabs into a volume and reads no
-    other group's runs, so the block and replica tasks of a decomposed
-    strategy (DD, PD, PD-SCHED, PD-REP) share one plan, on any backend.
+    clipped or full-shape, origin): at most two cohorts per group.  It
+    holds no kernel, weight or target.  :meth:`stamp` runs one group's
+    GEMM chunks and cohort slabs into a volume and reads no other group's
+    runs, so the block and replica tasks of a decomposed strategy (DD,
+    PD, PD-SCHED, PD-REP) share one plan, on any backend.
 
     ``groups`` is ``None`` (every row in group 0) or an ``(n,)`` array of
     non-negative integer group ids.  ``clip`` is ``None`` (no group
@@ -516,25 +551,25 @@ class StampPlan:
         if group is not None:
             change |= group[order[1:]] != group[order[:-1]]
         cuts = np.flatnonzero(np.r_[order.size > 0, change])
-        # A cohort's table shape: the full stamp, or per axis a clipped
-        # cohort's widest window (the full extent unless every stamp of it
-        # is cut on that axis).  Each row's table origin: its window's,
-        # or a clipped row's unclipped stamp origin, moved in as far as
-        # its cohort's shape needs to cover its window.
+        # Every table starts at its row's unclipped stamp origin
+        # ``vox - (Hs, Hs, Ht)`` (a full-shape row's window origin) and has
+        # the full stamp's shape, except that a clipped cohort's table is,
+        # per axis, only as wide as the widest window in it (so a small
+        # region's slivers tabulate no more than themselves), each origin
+        # moved in as far as that shape needs to cover the row's window.
         half = (grid.Hs, grid.Hs, grid.Ht)
+        self._origins = tuple(v - h for v, h in zip(vox.T, half))
         shape = [np.full(cuts.size, 2 * h + 1) for h in half]
-        self._origins = X0, Y0, T0
-        if not full.all():
-            cut = ~full[cuts]
+        cut = ~full[cuts]
+        if cut.any():
             clipped = order[~full]  # cohort by cohort
             lengths = np.diff(np.r_[cuts, order.size])[cut]
             begin = np.r_[0, np.cumsum(lengths)[:-1]]
-            self._origins = tuple(w.copy() for w in self._origins)
-            for o, v, h, hi, w, sh in zip(self._origins, vox.T, half,
-                                          (X1, Y1, T1), self._shapes, shape):
+            for o, hi, w, sh in zip(self._origins, (X1, Y1, T1),
+                                    self._shapes, shape):
                 sh[cut] = np.maximum.reduceat(w[clipped], begin)
                 o[clipped] = np.maximum(
-                    v[clipped] - h, hi[clipped] - np.repeat(sh[cut], lengths))
+                    o[clipped], hi[clipped] - np.repeat(sh[cut], lengths))
         self._cohorts = list(zip(
             cuts.tolist(), np.r_[cuts[1:], order.size].tolist(),
             full[cuts].tolist(), *(w.tolist() for w in shape),
@@ -602,19 +637,16 @@ class StampPlan:
                 dy = _axis_offsets(dom.y0, dom.sres, y0, cwy, coords[sel, 1])
                 dt = _axis_offsets(dom.t0, dom.tres, t0, cwt, coords[sel, 2])
                 contrib = backend.cohort_tables(
-                    grid, kernel, self.mode, norm, dx, dy, dt,
-                    counter if full else null_counter(),
+                    grid, kernel, self.mode, norm, dx, dy, dt, counter
                 )
-                window = None
-                if not full:
-                    # Logical work is the clipped windows', not the tables'.
-                    backend._charge_mode(counter, self.mode, sel.size,
-                                         *(w[sel] for w in self._shapes))
-                    window = tuple(w[sel] for w in self._windows)
+                # Logical work is the windows', which a clipped stamp's
+                # table exceeds.
+                _charge_windows(counter, self.mode,
+                                *(w[sel] for w in self._shapes))
                 if weights is not None:
                     contrib *= weights[sel][:, None, None, None]
+                window = None if full else tuple(w[sel] for w in self._windows)
                 _scatter_slab(vol, contrib, x0, y0, t0, vol_origin, window)
-
 
     def _stamp_bins(
         self,
@@ -637,14 +669,7 @@ class StampPlan:
         grid = self.grid
         lo = gemm[0][0]
         rows = self._gemm_rows[lo : gemm[-1][1]]
-        # Logical charges are the clipped windows', as on the cohort route.
-        wx, wy, wt = self._shapes
-        disk_cells, bar_cells = wx[rows] * wy[rows], wt[rows]
-        n_disk, n_bar = int(disk_cells.sum()), int(bar_cells.sum())
-        counter.spatial_evals += n_disk
-        counter.temporal_evals += n_bar
-        counter.distance_tests += n_disk + n_bar
-        counter.madds += int((disk_cells * bar_cells).sum())
+        _charge_windows(counter, "sym", *(w[rows] for w in self._shapes))
         xs, ys, ts = (self.coords[rows, axis] for axis in range(3))
         ws = None if weights is None else weights[rows]
         ox, oy, ot = vol_origin

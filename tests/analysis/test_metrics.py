@@ -90,13 +90,8 @@ class TestWarmBaseline:
             assert last.elapsed == warm[-1]
 
     def test_median_resists_one_slow_warm_call(self):
-        t, _ = warm_baseline(self.runs([100.0, 1.0, 50.0, 1.0, 1.0, 1.0, 1.0]),
-                             repeats=6)
+        t, _ = warm_baseline(self.runs([100.0, 1.0, 50.0, 1.0, 1.0, 1.0]))
         assert t == pytest.approx(1.0)
-
-    def test_takes_at_least_five_timed_calls(self):
-        with pytest.raises(ValueError, match=">= 5"):
-            warm_baseline(self.runs([1.0] * 5), repeats=4)
 
     def test_on_a_real_baseline(self, grid):
         pts = make_points(grid, 30, seed=1)

@@ -133,7 +133,18 @@ class TestAgainstBruteForce:
         VoxelWindow(12, 13, 9, 10, 8, 9),    # one voxel
         VoxelWindow(0, 23, 0, 19, 16, 17),   # the last t-plane
     ], ids=["x-sliver", "y-sliver", "voxel", "t-plane"])
-    def test_clip_narrower_than_a_stamp(self, clip, mode, target):
+    def test_clip_narrower_than_a_stamp(self, clip, mode, target,
+                                        monkeypatch):
+        """Right values and counts, from tables no wider than the clip:
+        a sliver's clipped cohort does not tabulate whole stamps."""
+        tables = []
+        scatter = stamping._scatter_slab
+
+        def spy(vol, contrib, *args):
+            tables.append(contrib.shape[1:])
+            scatter(vol, contrib, *args)
+
+        monkeypatch.setattr(stamping, "_scatter_slab", spy)
         rng = np.random.default_rng(62)
         coords = np.vstack([edge_points(),
                             rng.uniform(0, GRID.shape, (40, 3))])
@@ -149,6 +160,7 @@ class TestAgainstBruteForce:
                                    rtol=RTOL, atol=ATOL)
         assert_counts(c, clipped_counts(coords, mode, clip))
         assert 1 <= c.stamp_cohorts <= 2
+        assert tables and np.all(np.array(tables) <= clip.shape)
 
     @pytest.mark.parametrize("mode", STAMP_MODES)
     def test_slabs_only_cut_the_clipped_cohort(self, mode):
