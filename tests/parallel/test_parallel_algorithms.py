@@ -346,6 +346,61 @@ class TestRunnerContracts:
             assert res.meta["task_madds"] == self.PD_TASK_MADDS
 
 
+#: Every key the paper benchmarks, ``benchmarks/sweeps.py`` and the
+#: perfbench layers may read off a strategy run: ``meta``, its
+#: ``phase_makespans`` and the timer's phases, the same on every backend.
+_SHARED = {"P", "backend", "makespan", "phase_makespans"}
+_PD_META = _SHARED | {
+    "scheduler", "decomposition", "requested_decomposition", "n_colors",
+    "occupied_blocks", "T1", "Tinf", "critical_path_ratio", "graham_bound",
+    "task_madds",
+}
+CONTRACT = {
+    "pb-sym-dr": (
+        _SHARED | {"memory_bytes"},
+        {"init", "compute", "reduce"},
+        {"init", "compute", "reduce"},
+    ),
+    "pb-sym-dd": (
+        _SHARED | {"decomposition", "replication_factor", "occupied_blocks",
+                   "task_seconds", "task_madds"},
+        {"bin", "init", "compute"},
+        {"bin", "init", "compute"},
+    ),
+    "pb-sym-pd": (_PD_META, {"init", "compute"}, {"bin", "color", "init", "compute"}),
+    "pb-sym-pd-sched": (
+        _PD_META, {"init", "compute"}, {"bin", "color", "init", "compute"},
+    ),
+    "pb-sym-pd-rep": (
+        _SHARED | {"decomposition", "requested_decomposition", "replicas",
+                   "blocks_replicated", "max_replication", "tinf_planned_before",
+                   "tinf_planned_after", "extra_bytes", "occupied_blocks"},
+        {"init", "compute"},
+        {"bin", "plan", "init", "compute"},
+    ),
+    "pb-sym": (_SHARED, {"init", "compute", "reduce"}, {"plan", "init", "compute", "reduce"}),
+}
+
+
+class TestStrategyContract:
+    """The exact ``meta``, ``phase_makespans`` and timer key sets of every
+    parallel strategy and of PB-SYM's threads path, on every backend."""
+
+    @pytest.mark.parametrize("algo, backend", [
+        *((a, b) for a in PARALLEL for b in ("serial", "simulated", "threads")),
+        (pb_sym, "threads"),
+    ])
+    def test_key_sets(self, algo, backend, grid, pts):
+        kwargs = {"P": 2, "backend": backend}
+        if algo in DECOMPOSED:
+            kwargs["decomposition"] = (4, 4, 4)
+        res = algo(pts, grid, **kwargs)
+        meta, phases, timed = CONTRACT[res.algorithm]
+        assert set(res.meta) == meta
+        assert set(res.meta["phase_makespans"]) == phases
+        assert set(res.timer.seconds) == timed
+
+
 class TestModelPicksStrategiesNotBackends:
     def test_select_strategy_ranks_registered_names_only(self, grid, pts):
         from repro.algorithms import parallel_algorithms
