@@ -11,9 +11,11 @@ Table 3 reports up to 6.97x over PB.
 Every parallel strategy (DR, DD, PD, PD-SCHED, PD-REP) stamps through the
 same batched engine, :mod:`repro.core.stamping`, which supports an
 optional *clip window*: that is how PB-SYM-DD restricts a point's
-contribution to one subdomain.  When a cylinder is clipped, the invariants
-are tabulated over the clipped extents — so a temporally-split cylinder
-recomputes its full disk in every subdomain that holds a slice of it,
+contribution to one subdomain.  A clipped cylinder is tabulated at its
+cohort's widest window (the full stamp unless every clipped window of the
+cohort is cut on that axis) and cut to its window in the scatter, while
+the logical counts charge the clipped window: a temporally-split cylinder
+still tabulates its disk in every subdomain that holds a slice of it,
 reproducing the replication overhead of Figure 4 without any
 special-casing.
 
@@ -21,10 +23,10 @@ Stamping engine
 ---------------
 PB-SYM stamps its batch with one :func:`repro.core.stamping.stamp_batch`
 call (``mode="sym"``): points in crowded space-time bins are reduced bin
-by bin as one ``disk.T @ bar`` matrix product; the rest are grouped into
-stamp-shape cohorts whose disks and bars are tabulated in single
-vectorised NumPy calls and whose outer products are scatter-accumulated
-per cohort slab.  Masks and kernel expressions match the historical
+by bin as one ``disk.T @ bar`` matrix product; the rest form at most two
+cohorts, full-shape and clipped stamps, whose disks and bars are
+tabulated in single vectorised NumPy calls and whose outer products are
+scatter-accumulated per cohort slab.  Masks and kernel expressions match the historical
 per-point loop; the order in which contributions are added into a voxel
 does not (BLAS order within a bin, slab order within a cohort), so
 volumes agree with the loop to fp round-off — pinned at ``rtol=1e-12`` —
@@ -36,8 +38,7 @@ rather than bit for bit.  The loop is preserved verbatim as
 
 from __future__ import annotations
 
-from functools import partial
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from ..core.grid import GridSpec, PointSet, Volume, VoxelWindow
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.invariants import bar_table, disk_table
 from ..core.kernels import KernelPair
-from ..core.regions import RegionBuffer, plan_stamp_shards
+from ..core.regions import plan_stamp_shards
 from ..core.stamping import batch_windows, stamp_batch
 from .base import STKDEResult, register_algorithm
 
@@ -157,7 +158,7 @@ def pb_sym(
     """Point-based STKDE exploiting both invariants (Algorithm 3).
 
     With ``P > 1`` and ``backend="threads"`` PB-SYM runs PB-SYM-DR's
-    zero / stamp / reduce steps at bounding-box granularity (see
+    spec at bounding-box granularity (see
     :func:`_run_threaded`): one output volume plus the shards' joint
     bounding boxes, a fraction of the ``P + 1`` full volumes of DR,
     checked against ``memory_budget_bytes`` from the *planned* buffer
@@ -182,76 +183,36 @@ def pb_sym(
             counter.init_writes += vol.size
         with timer.phase("compute"):
             stamp_batch(vol, grid, kernel, points.coords, norm, counter)
-    counter.points_processed += points.n
+        counter.points_processed += points.n
     return STKDEResult(Volume(vol, grid), "pb-sym", timer, counter, meta=meta)
 
 
 def _run_threaded(coords, grid, kernel, norm, counter, timer, P, memory_budget_bytes):
-    """PB-SYM on ``P`` threads: PB-SYM-DR's three phases, run by
-    :func:`~repro.parallel.executors.run_phases`, with bounding-box
+    """PB-SYM on ``P`` threads: PB-SYM-DR's spec, run by
+    :func:`~repro.parallel.executors.run_strategy`, with bounding-box
     buffers in place of DR's full private volumes.
 
     After a serial ``plan`` step (the shards, timed into ``makespan``),
     ``init`` zero-fills the output volume slab by slab; ``compute`` has
     one task per :func:`~repro.core.regions.plan_stamp_shards` shard, each
-    stamping into its own :class:`~repro.core.regions.RegionBuffer` (so
-    concurrent stamps never race; its zeroing is charged to
-    ``init_writes`` and ``shard_bbox_cells``); ``reduce`` has ``P`` tasks,
-    each adding every buffer's part inside one t-slab of the volume
-    (``reduce_adds``).  The t-slabs are disjoint, so no two reducers write
-    the same voxel.  Returns the volume and the result's ``meta``.
+    planning its rows and stamping them into its own buffer over the
+    shard's window (so concurrent stamps never race; its zeroing is
+    charged to ``init_writes`` and ``shard_bbox_cells``); ``reduce`` has
+    ``P`` tasks, each adding every buffer's part inside one t-slab of the
+    volume (``reduce_adds``).  Returns the volume and the result's ``meta``.
     """
-    from ..parallel.executors import (
-        ExecTask,
-        Phase,
-        check_memory_budget,
-        run_phases,
-        slab_slices,
-        zero_fill_phase,
-    )
+    from ..parallel.executors import StrategySpec, check_memory_budget, run_strategy
 
     with timer.phase("plan"):
-        plan = plan_stamp_shards(grid, coords, P)
+        shards = plan_stamp_shards(grid, coords, P)
     check_memory_budget(
-        grid.grid_bytes + plan.buffer_bytes, memory_budget_bytes,
-        f"threaded PB-SYM with {plan.n_shards} bbox shards",
+        grid.grid_bytes + shards.buffer_bytes, memory_budget_bytes,
+        f"threaded PB-SYM with {shards.n_shards} bbox shards",
     )
-    out, init = zero_fill_phase(grid.shape, P, counter)
-    n = plan.n_shards
-    buffers: List[RegionBuffer] = [None] * n  # type: ignore[list-item]
-    slabs = slab_slices(grid.Gt, P)
-    counters = [WorkCounter() for _ in range(n + P)]
-
-    def stamp(p: int) -> None:
-        buf = RegionBuffer(plan.windows[p])
-        counters[p].init_writes += buf.cells
-        counters[p].shard_bbox_cells += buf.cells
-        buf.stamp(grid, kernel, coords[plan.shards[p]], norm, counters[p])
-        buffers[p] = buf
-
-    def reduce(r: int) -> None:
-        sl = slabs[r]
-        for buf in buffers:
-            w = buf.window
-            lo, hi = max(w.t0, sl.start), min(w.t1, sl.stop)
-            if lo < hi:
-                target = out[0][w.x0 : w.x1, w.y0 : w.y1, lo:hi]
-                target += buf.data[:, :, lo - w.t0 : hi - w.t0]
-                counters[n + r].reduce_adds += target.size
-
-    def step(name: str, fn, count: int, bound: str) -> Phase:
-        tasks = [ExecTask(partial(fn, p), label=(name, p)) for p in range(count)]
-        return Phase(name, tasks, bound)
-
-    phase_ms = run_phases(
-        [init, step("compute", stamp, n, "compute"),
-         step("reduce", reduce, P, "memory")],
-        P, "threads", timer,
+    spec = StrategySpec(
+        grid, kernel, norm, blocks=[[g] for g in zip(shards.shards, shards.windows)],
+        coords=coords, slab_reduce=True, planning=("plan",),
     )
-    for c in counters:
-        counter.merge(c)
-    return out[0], {
-        "P": P, "backend": "threads",
-        "makespan": timer.seconds["plan"] + sum(phase_ms.values()),
-        "phase_makespans": phase_ms,
-    }
+    vol, meta, _, _ = run_strategy(spec, P, "threads", timer, counter)
+    counter.shard_bbox_cells += shards.buffer_cells
+    return vol, meta

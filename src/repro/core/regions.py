@@ -171,9 +171,10 @@ def batch_bbox(
 class RegionBuffer:
     """A private accumulation buffer covering one bounding-box window.
 
-    Replaces full-grid private volumes wherever a writer only touches a
-    bounded region: PB-SYM's threaded shards and the incremental
-    estimator's unit caches.  The buffer's voxel ``(0, 0, 0)`` sits at
+    The private targets of the parallel strategies (DR's whole-grid
+    replicas, PD-REP's halo replicas, PB-SYM's threaded shards), and the
+    incremental estimator's unit caches: a writer holds only the region
+    it touches.  The buffer's voxel ``(0, 0, 0)`` sits at
     ``window``'s origin in grid coordinates; :meth:`stamp` routes through
     the batched stamping engine with the matching ``vol_origin``.
     ``data`` is indexed ``[x, y, t]`` and stored t-outermost, like every

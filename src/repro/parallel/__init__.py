@@ -23,13 +23,15 @@ from .executors import (
     ExecTask,
     MemoryBudgetExceeded,
     Phase,
+    StrategySpec,
     check_memory_budget,
     run_phases,
     run_serial,
+    run_strategy,
     run_threaded,
 )
 from .partition import BlockDecomposition, PointBinning
-from .pd import pb_sym_pd, pb_sym_pd_sched, run_point_decomposition
+from .pd import pb_sym_pd, pb_sym_pd_sched
 from .rep import pb_sym_pd_rep, plan_replication
 from .schedule import (
     BandwidthModel,
@@ -53,6 +55,7 @@ __all__ = [
     "Phase",
     "PointBinning",
     "ScheduleResult",
+    "StrategySpec",
     "TaskGraph",
     "barrier_schedule",
     "block_task_graph",
@@ -73,8 +76,8 @@ __all__ = [
     "pb_sym_pd_sched",
     "plan_replication",
     "run_phases",
-    "run_point_decomposition",
     "run_serial",
+    "run_strategy",
     "run_threaded",
     "saturated_makespan",
     "stencil_neighbors",

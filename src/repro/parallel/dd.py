@@ -36,7 +36,7 @@ from ..core.grid import GridSpec, PointSet, Volume
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.kernels import KernelPair
 from ..core.stamping import StampPlan
-from .executors import ExecTask, Phase, run_phases, zero_fill_phase
+from .executors import StrategySpec, run_strategy
 from .partition import BlockDecomposition
 from .schedule import BandwidthModel
 
@@ -69,7 +69,6 @@ def pb_sym_dd(
     B = min(decomposition[1], grid.Gy)
     C = min(decomposition[2], grid.Gt)
     dec = BlockDecomposition(grid, A, B, C)
-    norm = grid.normalization(points.n)
 
     # --- binning phase (serial, measured): Algorithm 5's first loop, and
     # the one plan of the replicated rows, each block's clipped to it.
@@ -81,52 +80,23 @@ def pb_sym_dd(
             clip=[dec.block_window(*dec.block_coords(b))
                   for b in range(dec.n_blocks)],
         )
-        occupied = [int(b) for b in binning.occupied()]
+        occupied = binning.occupied()
 
-    # --- init phase: the single shared volume, slab-parallel.
-    out, init = zero_fill_phase(grid.shape, P, counter)
-
-    # --- compute phase: one independent task per occupied subdomain.
-    task_counters = [WorkCounter() for _ in occupied]
-
-    def make_block_task(k: int, bid: int):
-        def fn() -> None:
-            plan.stamp(out[0], kernel, norm, task_counters[k], group=bid)
-            task_counters[k].points_processed += int(plan.counts[bid])
-
-        return fn
-
-    comp_tasks = [
-        ExecTask(
-            make_block_task(k, bid),
-            weight_hint=float(plan.counts[bid]),
-            label=("block", bid),
-        )
-        for k, bid in enumerate(occupied)
-    ]
-
-    phase_ms = {
-        "bin": timer.seconds["bin"],
-        **run_phases([init, Phase("compute", comp_tasks)], P, backend, timer, bandwidth),
-    }
-
-    for c in task_counters:
-        counter.merge(c)
-
-    return STKDEResult(
-        Volume(out[0], grid),
-        "pb-sym-dd",
-        timer,
-        counter,
-        meta={
-            "P": P,
-            "backend": backend,
-            "decomposition": dec.shape,
-            "makespan": sum(phase_ms.values()),
-            "phase_makespans": phase_ms,
-            "replication_factor": binning.replication_factor(points.n),
-            "occupied_blocks": len(occupied),
-            "task_seconds": [t.measured for t in comp_tasks],
-            "task_madds": [c.madds for c in task_counters],
-        },
+    # One independent task per occupied subdomain, into the shared volume.
+    spec = StrategySpec(
+        grid, kernel, grid.normalization(points.n),
+        blocks=[[(int(b), None)] for b in occupied], plan=plan,
+        weights=plan.counts[occupied].astype(float).tolist(), planning=("bin",),
     )
+    vol, meta, tasks, counters = run_strategy(
+        spec, P, backend, timer, counter, bandwidth)
+    meta["phase_makespans"] = {"bin": timer.seconds["bin"],
+                               **meta["phase_makespans"]}
+    return STKDEResult(Volume(vol, grid), "pb-sym-dd", timer, counter, meta={
+        **meta,
+        "decomposition": dec.shape,
+        "replication_factor": binning.replication_factor(points.n),
+        "occupied_blocks": len(occupied),
+        "task_seconds": [t.measured for t in tasks],
+        "task_madds": [c.madds for c in counters],
+    })

@@ -16,25 +16,26 @@ and on large grids the replicas simply do not fit — Flu-Hr dies at 8
 threads, eBird-Hr cannot run at all.  Both behaviours reproduce here via
 the memory-budget check and the bandwidth-saturated phase model.
 
-Worker chunks stamp through the batched engine (one
-:func:`~repro.core.stamping.stamp_batch` call per chunk: DR has no binning
-to share across its chunks).  PB-SYM's own ``backend="threads"``
-(:func:`repro.algorithms.pb_sym.pb_sym`) runs these three phases with
+DR is a :class:`~repro.parallel.executors.StrategySpec`: one group per
+point chunk, each writing a private whole-grid buffer, reduced by ``P``
+t-slab tasks, and no zero-fill of the output.  Each chunk builds its own
+:class:`~repro.core.stamping.StampPlan` inside its compute task, as a
+:func:`~repro.core.stamping.stamp_batch` call would: DR has no binning to
+share across its chunks, and a serial whole-batch plan would cap its
+speedup.  PB-SYM's own ``backend="threads"``
+(:func:`repro.algorithms.pb_sym.pb_sym`) runs the same spec with
 bounding-box buffers in place of the full private volumes.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+from typing import Optional
 
 from ..algorithms.base import STKDEResult, register_algorithm
-from ..core.grid import GridSpec, PointSet, Volume, empty_volume
+from ..core.grid import GridSpec, PointSet, Volume
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.kernels import KernelPair
-from ..core.stamping import stamp_batch
-from .executors import ExecTask, Phase, check_memory_budget, run_phases, slab_slices
+from .executors import StrategySpec, check_memory_budget, run_strategy, slab_slices
 from .schedule import BandwidthModel
 
 __all__ = ["pb_sym_dr"]
@@ -75,71 +76,15 @@ def pb_sym_dr(
     check_memory_budget(
         (P + 1) * grid.grid_bytes, memory_budget_bytes, f"PB-SYM-DR with P={P}"
     )
-
-    norm = grid.normalization(points.n)
-    locals_: List[Optional[np.ndarray]] = [None] * P
-    # The output volume is one of the P+1 copies; it is *not* zeroed here —
-    # the reduce phase overwrites it (as Algorithm 4's final loop does), so
-    # its first touch is accounted to the reduce tasks.
-    out = empty_volume(grid.shape)
-    chunks = slab_slices(points.n, P)
-    slabs = slab_slices(grid.Gt, P)  # t: the volume layout's outermost axis
-    counters = [WorkCounter() for _ in range(P)]
-
-    def make_init(p: int):
-        def fn() -> None:
-            locals_[p] = grid.allocate()
-            counters[p].init_writes += grid.n_voxels
-
-        return fn
-
-    def make_compute(p: int):
-        def fn() -> None:
-            assert locals_[p] is not None
-            stamp_batch(
-                locals_[p], grid, kernel, points.coords[chunks[p]], norm, counters[p]
-            )
-            counters[p].points_processed += chunks[p].stop - chunks[p].start
-
-        return fn
-
-    def make_reduce(p: int):
-        def fn() -> None:
-            sl = slabs[p]
-            acc = out[:, :, sl]
-            np.copyto(acc, locals_[0][:, :, sl])  # type: ignore[index]
-            for q in range(1, P):
-                acc += locals_[q][:, :, sl]  # type: ignore[index]
-            counters[p].reduce_adds += P * acc.size
-
-        return fn
-
-    def step(name: str, make, bound: str = "compute") -> Phase:
-        tasks = [ExecTask(make(p), label=(name, p)) for p in range(P)]
-        return Phase(name, tasks, bound)
-
-    phase_ms = run_phases(
-        [
-            step("init", make_init, "memory"),
-            step("compute", make_compute),
-            step("reduce", make_reduce, "memory"),
-        ],
-        P, backend, timer, bandwidth,
+    # One private whole-grid buffer per point chunk, each chunk planning
+    # its own rows in its task; the output volume is one of the P + 1
+    # copies, *not* zeroed: the reduce overwrites it (Algorithm 4's final
+    # loop), so its first touch is accounted to the reduce tasks.
+    spec = StrategySpec(
+        grid, kernel, grid.normalization(points.n),
+        blocks=[[(chunk, grid.full_window())] for chunk in slab_slices(points.n, P)],
+        coords=points.coords, slab_reduce=True, zero_volume=False,
     )
-
-    for c in counters:
-        counter.merge(c)
-
-    return STKDEResult(
-        Volume(out, grid),
-        "pb-sym-dr",
-        timer,
-        counter,
-        meta={
-            "P": P,
-            "backend": backend,
-            "makespan": sum(phase_ms.values()),
-            "phase_makespans": phase_ms,
-            "memory_bytes": (P + 1) * grid.grid_bytes,
-        },
-    )
+    vol, meta, _, _ = run_strategy(spec, P, backend, timer, counter, bandwidth)
+    meta["memory_bytes"] = (P + 1) * grid.grid_bytes
+    return STKDEResult(Volume(vol, grid), "pb-sym-dr", timer, counter, meta=meta)

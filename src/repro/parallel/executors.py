@@ -3,9 +3,18 @@
 The paper describes every strategy the same way: barrier-separated steps
 (zero the volume, stamp, reduce; Algorithms 4-6), each either
 memory-bound or a task set handed to a parallel-for, to colour classes,
-or to a dependency DAG (Section 5.2).  A strategy therefore only *builds*
-its steps, as a list of :class:`Phase` objects, and :func:`run_phases`
-is the one place that executes and clocks them.  A phase carries
+or to a dependency DAG (Section 5.2).  The strategies differ in three
+choices only: how points are grouped, where a group writes (the shared
+volume or a private zeroed buffer over a window), and how the tasks
+synchronise (no edges, the colour DAG, colour classes, a reduction).  A
+strategy is therefore data: a :class:`StrategySpec` over one
+:class:`~repro.core.stamping.StampPlan` (or over row chunks that each
+task plans itself), plus its memory-budget check.
+:func:`run_strategy` is the one interpreter: it builds the ``init``,
+``compute`` and optional ``reduce`` phases, one
+:class:`~repro.core.instrument.WorkCounter` per task, and the ``meta``
+keys every strategy shares; :func:`run_phases` is the one place that
+executes and clocks the phases.  A :class:`Phase` carries
 
 ``bound``
     ``"memory"`` for steps that stream the volume (zero-fill, replica
@@ -46,7 +55,7 @@ The three backends are three interpreters of the same phase list:
 
 Real threads run exactly where a caller writes ``backend="threads"``:
 the five strategies and PB-SYM's bounding-box shards
-(:func:`repro.algorithms.pb_sym.pb_sym`), all through :func:`run_phases`.
+(:func:`repro.algorithms.pb_sym.pb_sym`), all through :func:`run_strategy`.
 Nothing in the library selects them from a cost prediction.
 
 Memory budgets: strategies check planned allocations against an optional
@@ -66,8 +75,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.grid import first_touch, zeros_volume
+from ..core.grid import GridSpec, VoxelWindow, empty_volume, first_touch, zeros_volume
 from ..core.instrument import PhaseTimer, WorkCounter
+from ..core.kernels import KernelPair
+from ..core.regions import RegionBuffer
+from ..core.stamping import StampPlan
 from .schedule import (
     BandwidthModel,
     TaskGraph,
@@ -81,8 +93,10 @@ __all__ = [
     "MemoryBudgetExceeded",
     "Phase",
     "check_memory_budget",
+    "StrategySpec",
     "resolve_shard_count",
     "run_phases",
+    "run_strategy",
     "run_serial",
     "run_threaded",
     "slab_slices",
@@ -120,7 +134,6 @@ class ExecTask:
 
     fn: Callable[[], None]
     weight_hint: float = 1.0  # scheduling priority before measurement
-    label: object = None
     measured: float = 0.0  # wall seconds, filled by the backends
 
 
@@ -329,15 +342,186 @@ def zero_fill_phase(
         first_touch(out[0][:, :, slabs[p]])
 
     counter.init_writes += int(np.prod(shape))
-    tasks = [
-        ExecTask(functools.partial(touch, p), label=("init", p)) for p in range(P)
-    ]
+    tasks = [ExecTask(functools.partial(touch, p)) for p in range(P)]
     after_alloc = TaskGraph(
         [1.0] * P,
         [list(range(1, P))] + [[] for _ in range(1, P)],
         [[]] + [[0] for _ in range(1, P)],
     )
     return out, Phase("init", tasks, bound="memory", graph=after_alloc)
+
+
+@dataclass
+class StrategySpec:
+    """One parallel strategy as data, run by :func:`run_strategy`.
+
+    ``blocks`` holds each block's groups, each a ``(group, window)`` pair.
+    ``group`` is a group id of the shared ``plan``; with no plan, it is
+    the rows of ``coords`` that the group's own task plans (so per-chunk
+    planning stays parallel).  ``window`` is ``None`` to stamp the shared
+    volume, or the window of a private zeroed buffer, which also clips
+    a self-planned group.  A block of one group is one task.  A block of
+    several groups is one block's replicas: each stamps its buffer, then
+    a reduce task in the graph adds them into the volume (PD-REP).
+    Single-group buffers are added by ``slab_reduce``'s ``P`` t-slab
+    tasks (DR, threaded PB-SYM).  ``zero_volume=False`` skips the volume
+    zero-fill: ``init`` zeroes the buffers instead, and the reduce copies
+    the first buffer, which must span the grid (Algorithm 4).
+
+    ``weights`` (per block, default 1) are the tasks' scheduling hints;
+    a replica weighs its block's share plus the block's ``overheads``
+    entry, and so does its reduce task.  ``graph`` and ``classes`` order
+    the blocks as :class:`Phase` orders tasks.  ``planning`` names the
+    timer phases the strategy ran before, counted into ``makespan``.
+    """
+
+    grid: GridSpec
+    kernel: KernelPair
+    norm: float
+    blocks: Sequence[Sequence[Tuple[object, Optional[VoxelWindow]]]]
+    plan: Optional[StampPlan] = None
+    coords: Optional[np.ndarray] = None
+    weights: Optional[Sequence[float]] = None
+    overheads: Optional[Sequence[float]] = None
+    graph: Optional[TaskGraph] = None
+    classes: Optional[Sequence[Sequence[int]]] = None
+    slab_reduce: bool = False
+    zero_volume: bool = True
+    planning: Tuple[str, ...] = ()
+
+
+def run_strategy(
+    spec: StrategySpec,
+    P: int,
+    backend: str,
+    timer: PhaseTimer,
+    counter: WorkCounter,
+    bandwidth: Optional[BandwidthModel] = None,
+) -> Tuple[np.ndarray, dict, List[ExecTask], List[WorkCounter]]:
+    """Run a strategy's ``init``, ``compute`` and optional ``reduce``
+    phases on ``backend``, one :class:`~repro.core.instrument.WorkCounter`
+    per task, all merged into ``counter``.
+
+    Returns ``(volume, meta, tasks, counters)``: ``meta`` holds the keys
+    every strategy reports (``P``, ``backend``, ``makespan``,
+    ``phase_makespans``), ``tasks`` and ``counters`` are the compute
+    phase's, in task order.
+    """
+    grid = spec.grid
+    groups = [g for block in spec.blocks for g in block]
+    buffers: List[Optional[RegionBuffer]] = [None] * len(groups)
+    counters: List[WorkCounter] = []
+
+    def task(fn, *args, weight: float = 1.0) -> ExecTask:
+        counters.append(WorkCounter())
+        return ExecTask(functools.partial(fn, counters[-1], *args), weight)
+
+    def allocate(c: WorkCounter, i: int) -> None:
+        buffers[i] = RegionBuffer(groups[i][1])
+        c.init_writes += buffers[i].cells
+
+    def stamp(c: WorkCounter, i: int) -> None:
+        group, window = groups[i]
+        plan = spec.plan
+        if plan is None:
+            plan = StampPlan(grid, spec.coords[group], clip=[window])
+            group = 0
+        if window is None:
+            target, origin = out[0], (0, 0, 0)
+        else:
+            if buffers[i] is None:
+                allocate(c, i)
+            target, origin = buffers[i].data, buffers[i].origin
+        plan.stamp(target, spec.kernel, spec.norm, c, group=group,
+                   vol_origin=origin)
+        c.points_processed += int(plan.counts[group])
+
+    def reduce_block(c: WorkCounter, ids: range) -> None:
+        for i in ids:
+            c.reduce_adds += buffers[i].add_into(out[0])
+            buffers[i] = None  # free replica memory promptly
+
+    def reduce_slab(c: WorkCounter, sl: slice) -> None:
+        for j, buf in enumerate(buffers):
+            w = buf.window
+            lo, hi = max(w.t0, sl.start), min(w.t1, sl.stop)
+            if lo < hi:
+                target = out[0][w.x0 : w.x1, w.y0 : w.y1, lo:hi]
+                part = buf.data[:, :, lo - w.t0 : hi - w.t0]
+                if j or spec.zero_volume:
+                    target += part
+                else:
+                    np.copyto(target, part)
+                c.reduce_adds += target.size
+
+    if spec.zero_volume:
+        out, init = zero_fill_phase(grid.shape, P, counter)
+    else:
+        out = [empty_volume(grid.shape)]
+        init = Phase("init", [task(allocate, i) for i in range(len(groups))],
+                     bound="memory")
+
+    # The compute tasks, block by block: a block's one task, or its
+    # replicas and then their reduce task.
+    n = len(spec.blocks)
+    weights = spec.weights if spec.weights is not None else [1.0] * n
+    overheads = spec.overheads if spec.overheads is not None else [0.0] * n
+    tasks: List[ExecTask] = []
+    succs: List[List[int]] = []
+    preds: List[List[int]] = []
+    entry: List[List[int]] = []
+    exit_: List[int] = []
+
+    def add(t: ExecTask, after: Sequence[int] = ()) -> int:
+        v = len(tasks)
+        tasks.append(t)
+        succs.append([])
+        preds.append([])
+        for u in after:
+            succs[u].append(v)
+            preds[v].append(u)
+        return v
+
+    i = 0
+    for k, block in enumerate(spec.blocks):
+        r = len(block)
+        if r == 1:
+            entry.append([add(task(stamp, i, weight=weights[k]))])
+            exit_.append(entry[-1][0])
+        else:
+            share = weights[k] / r + overheads[k]
+            entry.append([add(task(stamp, i + j, weight=share)) for j in range(r)])
+            exit_.append(add(task(reduce_block, range(i, i + r),
+                                  weight=overheads[k]), after=entry[-1]))
+        i += r
+    comp_counters = counters[-len(tasks):] if tasks else []
+    graph = None
+    if spec.graph is not None:
+        # The blocks' edges, from each block's last task to the next's first.
+        for k in range(n):
+            for s in spec.graph.succs[k]:
+                for dst in entry[s]:
+                    succs[exit_[k]].append(dst)
+                    preds[dst].append(exit_[k])
+        graph = TaskGraph([t.weight_hint for t in tasks], succs, preds)
+    phases = [init, Phase("compute", tasks, graph=graph, classes=spec.classes)]
+    if spec.slab_reduce:
+        phases.append(Phase(
+            "reduce", [task(reduce_slab, sl) for sl in slab_slices(grid.Gt, P)],
+            bound="memory",
+        ))
+
+    phase_ms = run_phases(phases, P, backend, timer, bandwidth)
+    for c in counters:
+        counter.merge(c)
+    meta = {
+        "P": P,
+        "backend": backend,
+        "makespan": sum(timer.seconds[k] for k in spec.planning)
+        + sum(phase_ms.values()),
+        "phase_makespans": phase_ms,
+    }
+    return out[0], meta, tasks, comp_counters
 
 
 def resolve_shard_count(P: "int | str | None") -> int:

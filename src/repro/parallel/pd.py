@@ -42,36 +42,31 @@ from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.kernels import KernelPair
 from ..core.stamping import StampPlan
 from .color import block_task_graph
-from .executors import ExecTask, Phase, run_phases, zero_fill_phase
+from .executors import StrategySpec, run_strategy
 from .partition import BlockDecomposition
 from .schedule import BandwidthModel, TaskGraph, critical_path, grahams_bound
 
-__all__ = ["pb_sym_pd", "pb_sym_pd_sched", "run_point_decomposition"]
+__all__ = ["pb_sym_pd", "pb_sym_pd_sched"]
 
 
-def run_point_decomposition(
+def _point_decomposition(
     points: PointSet,
     grid: GridSpec,
+    scheduler: str,
+    name: str,
     *,
     decomposition: Tuple[int, int, int],
     P: int,
     backend: str,
-    scheduler: str,
     kernel: KernelPair,
     counter: WorkCounter,
     timer: PhaseTimer,
     bandwidth: Optional[BandwidthModel],
-    algorithm_name: str,
 ) -> STKDEResult:
-    """Shared engine for PD and PD-SCHED (see module docstring).
-
-    Called by the two registered entries, so it takes their prologue's
-    results: a resolved kernel, a counter and a timer.
-    """
+    """PD and PD-SCHED: one spec, differing only by ``scheduler``."""
     # PD's safety constraint: blocks at least twice the bandwidth (the
     # paper adjusts undersized decompositions the same way, Figure 11).
     dec = BlockDecomposition.adjusted_for_pd(grid, *decomposition)
-    norm = grid.normalization(points.n)
 
     with timer.phase("bin"):
         plan = StampPlan(grid, points.coords, groups=dec.owners(points))
@@ -82,74 +77,41 @@ def run_point_decomposition(
     with timer.phase("color"):
         graph, coloring = block_task_graph(dec, loads, scheduler)
 
-    # --- init phase (slab-parallel zeroing of the one shared volume).
-    out, init = zero_fill_phase(grid.shape, P, counter)
-
-    # --- compute tasks: one per occupied block, *unclipped* stamping.
-    blocks_sorted = graph.labels  # task index order
-    task_counters = [WorkCounter() for _ in blocks_sorted]
-
-    def make_block_task(k: int, bid: int):
-        def fn() -> None:
-            plan.stamp(out[0], kernel, norm, task_counters[k], group=bid)
-            task_counters[k].points_processed += int(plan.counts[bid])
-
-        return fn
-
-    comp_tasks = [
-        ExecTask(
-            make_block_task(k, bid),
-            weight_hint=loads[bid],
-            label=("block", bid),
-        )
-        for k, bid in enumerate(blocks_sorted)
-    ]
-
+    # One task per occupied block, *unclipped*, into the shared volume.
     # The colour DAG always orders the tasks (it is what keeps neighbouring
     # blocks apart and what fixes the serial order); parity additionally
     # runs it class by class behind barriers.
+    blocks = graph.labels  # task index order
     classes = None
     if scheduler == "parity":
-        task = {bid: k for k, bid in enumerate(blocks_sorted)}
+        task = {bid: k for k, bid in enumerate(blocks)}
         classes = [[task[bid] for bid in cls] for cls in coloring.classes()]
-    phase_ms = run_phases(
-        [init, Phase("compute", comp_tasks, graph=graph, classes=classes)],
-        P, backend, timer, bandwidth,
+    spec = StrategySpec(
+        grid, kernel, grid.normalization(points.n),
+        blocks=[[(bid, None)] for bid in blocks], plan=plan,
+        weights=[loads[bid] for bid in blocks], graph=graph, classes=classes,
+        planning=("bin", "color"),
     )
-    makespan = timer.seconds["bin"] + timer.seconds["color"] + sum(phase_ms.values())
-
-    for c in task_counters:
-        counter.merge(c)
+    vol, meta, tasks, counters = run_strategy(
+        spec, P, backend, timer, counter, bandwidth)
 
     # Critical-path diagnostics (Figure 12) from measured task times.
-    measured_graph = TaskGraph(
-        [t.measured for t in comp_tasks], graph.succs, graph.preds
-    )
-    T1 = measured_graph.total_weight
-    Tinf, _ = critical_path(measured_graph)
-
-    return STKDEResult(
-        Volume(out[0], grid),
-        algorithm_name,
-        timer,
-        counter,
-        meta={
-            "P": P,
-            "backend": backend,
-            "scheduler": scheduler,
-            "decomposition": dec.shape,
-            "requested_decomposition": tuple(decomposition),
-            "makespan": makespan,
-            "phase_makespans": phase_ms,
-            "n_colors": coloring.n_colors,
-            "occupied_blocks": len(blocks_sorted),
-            "T1": T1,
-            "Tinf": Tinf,
-            "critical_path_ratio": (Tinf / T1) if T1 > 0 else 0.0,
-            "graham_bound": grahams_bound(T1, Tinf, P) if T1 > 0 else 0.0,
-            "task_madds": [c.madds for c in task_counters],
-        },
-    )
+    T1 = sum(t.measured for t in tasks)
+    Tinf, _ = critical_path(
+        TaskGraph([t.measured for t in tasks], graph.succs, graph.preds))
+    return STKDEResult(Volume(vol, grid), name, timer, counter, meta={
+        **meta,
+        "scheduler": scheduler,
+        "decomposition": dec.shape,
+        "requested_decomposition": tuple(decomposition),
+        "n_colors": coloring.n_colors,
+        "occupied_blocks": len(blocks),
+        "T1": T1,
+        "Tinf": Tinf,
+        "critical_path_ratio": (Tinf / T1) if T1 > 0 else 0.0,
+        "graham_bound": grahams_bound(T1, Tinf, P) if T1 > 0 else 0.0,
+        "task_madds": [c.madds for c in counters],
+    })
 
 
 @register_algorithm("pb-sym-pd", parallel=True)
@@ -167,11 +129,10 @@ def pb_sym_pd(
 ) -> STKDEResult:
     """Point-decomposition STKDE with the 8-colour parity wavefront
     (PB-SYM-PD, Algorithm 6)."""
-    return run_point_decomposition(
-        points, grid,
-        decomposition=decomposition, P=P, backend=backend, scheduler="parity",
-        kernel=kernel, counter=counter, timer=timer, bandwidth=bandwidth,
-        algorithm_name="pb-sym-pd",
+    return _point_decomposition(
+        points, grid, "parity", "pb-sym-pd",
+        decomposition=decomposition, P=P, backend=backend, kernel=kernel,
+        counter=counter, timer=timer, bandwidth=bandwidth,
     )
 
 
@@ -190,9 +151,8 @@ def pb_sym_pd_sched(
 ) -> STKDEResult:
     """Point-decomposition STKDE with load-aware colouring and task-graph
     scheduling (PB-SYM-PD-SCHED, Section 5.2)."""
-    return run_point_decomposition(
-        points, grid,
-        decomposition=decomposition, P=P, backend=backend, scheduler="sched",
-        kernel=kernel, counter=counter, timer=timer, bandwidth=bandwidth,
-        algorithm_name="pb-sym-pd-sched",
+    return _point_decomposition(
+        points, grid, "sched", "pb-sym-pd-sched",
+        decomposition=decomposition, P=P, backend=backend, kernel=kernel,
+        counter=counter, timer=timer, bandwidth=bandwidth,
     )

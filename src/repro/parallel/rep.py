@@ -41,13 +41,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..algorithms.base import STKDEResult, register_algorithm
-from ..core.grid import GridSpec, PointSet, Volume, VoxelWindow, zeroed_volume
+from ..core.grid import GridSpec, PointSet, Volume, VoxelWindow
 from ..core.instrument import PhaseTimer, WorkCounter
 from ..core.invariants import stamp_cells
 from ..core.kernels import KernelPair
 from ..core.stamping import StampPlan
 from .color import block_task_graph
-from .executors import ExecTask, Phase, check_memory_budget, run_phases, zero_fill_phase
+from .executors import StrategySpec, check_memory_budget, run_strategy
 from .partition import BlockDecomposition
 from .schedule import BandwidthModel, TaskGraph, critical_path
 
@@ -135,7 +135,6 @@ def pb_sym_pd_rep(
 ) -> STKDEResult:
     """Point decomposition with critical-path replication (PB-SYM-PD-REP)."""
     dec = BlockDecomposition.adjusted_for_pd(grid, *decomposition)
-    norm = grid.normalization(points.n)
 
     with timer.phase("bin"):
         binning = dec.bin_points_owner(points)
@@ -169,140 +168,36 @@ def pb_sym_pd_rep(
 
         # One group per block or replica, in task order: a block's points
         # (in input order) cut into ``r`` chunks, a replica's clipped to
-        # its block's halo.
+        # its block's halo and stamped into a private buffer over it.
         groups = np.empty(points.n, dtype=np.int64)
         clips: List[Optional[VoxelWindow]] = []
+        blocks = []
         for k, bid in enumerate(blocks_sorted):
             block = binning.points_in(bid)
             r = replicas[k]
+            window = halos[k] if r > 1 else None
+            blocks.append([(len(clips) + j, window) for j in range(r)])
             for j in range(r):
                 chunk = block[(block.size * j) // r : (block.size * (j + 1)) // r]
                 groups[chunk] = len(clips)
-                clips.append(halos[k] if r > 1 else None)
+                clips.append(window)
         plan = StampPlan(grid, points.coords, groups=groups, clip=clips)
 
-    # ------------------------------------------------------------------
-    # Build the expanded task list + graph: the block and replica tasks
-    # stamp the plan's groups in the order they were cut.
-    # ------------------------------------------------------------------
-    out, init = zero_fill_phase(grid.shape, P, counter)
-
-    tasks: List[ExecTask] = []
-    succs: List[List[int]] = []
-    preds: List[List[int]] = []
-    entry_nodes: Dict[int, List[int]] = {}  # base task -> expanded entries
-    exit_node: Dict[int, int] = {}  # base task -> expanded exit
-    task_counters: List[WorkCounter] = []
-
-    def add_task(t: ExecTask) -> int:
-        tasks.append(t)
-        succs.append([])
-        preds.append([])
-        task_counters.append(WorkCounter())
-        return len(tasks) - 1
-
-    g = 0  # the plan group of the next block or replica
-    for k, bid in enumerate(blocks_sorted):
-        r = replicas[k]
-        if r == 1:
-            tid = add_task(ExecTask(lambda: None, weight_hint=weights[k],
-                                    label=("block", bid)))
-
-            def direct_fn(g=g, tid=tid):
-                plan.stamp(out[0], kernel, norm, task_counters[tid], group=g)
-                task_counters[tid].points_processed += int(plan.counts[g])
-
-            tasks[tid].fn = direct_fn
-            entry_nodes[k] = [tid]
-            exit_node[k] = tid
-            g += 1
-        else:
-            halo = halos[k]
-            buffers: List[Optional[np.ndarray]] = [None] * r
-            rep_ids = []
-            for j in range(r):
-                tid = add_task(
-                    ExecTask(
-                        lambda: None,
-                        weight_hint=weights[k] / r + overheads[k],
-                        label=("replica", bid, j),
-                    )
-                )
-
-                def rep_fn(g=g, j=j, halo=halo, tid=tid, buffers=buffers):
-                    buf = zeroed_volume(halo.shape)
-                    task_counters[tid].init_writes += buf.size
-                    plan.stamp(
-                        buf, kernel, norm, task_counters[tid], group=g,
-                        vol_origin=(halo.x0, halo.y0, halo.t0),
-                    )
-                    task_counters[tid].points_processed += int(plan.counts[g])
-                    buffers[j] = buf
-
-                tasks[tid].fn = rep_fn
-                rep_ids.append(tid)
-                g += 1
-
-            red_id = add_task(
-                ExecTask(
-                    lambda: None,
-                    weight_hint=overheads[k],
-                    label=("reduce", bid),
-                )
-            )
-
-            def red_fn(halo=halo, buffers=buffers, red_id=red_id, r=r):
-                target = out[0][halo.slices()]
-                for j in range(r):
-                    target += buffers[j]  # type: ignore[operator]
-                    buffers[j] = None  # free replica memory promptly
-                task_counters[red_id].reduce_adds += r * target.size
-
-            tasks[red_id].fn = red_fn
-            for tid in rep_ids:
-                succs[tid].append(red_id)
-                preds[red_id].append(tid)
-            entry_nodes[k] = rep_ids
-            exit_node[k] = red_id
-
-    # Wire base-graph dependencies through entry/exit nodes.
-    for k in range(len(blocks_sorted)):
-        for s in base_graph.succs[k]:
-            src = exit_node[k]
-            for dst in entry_nodes[s]:
-                succs[src].append(dst)
-                preds[dst].append(src)
-
-    graph = TaskGraph([t.weight_hint for t in tasks], succs, preds,
-                      labels=[t.label for t in tasks])
-
-    phase_ms = run_phases(
-        [init, Phase("compute", tasks, graph=graph)], P, backend, timer, bandwidth
+    spec = StrategySpec(
+        grid, kernel, grid.normalization(points.n), blocks=blocks, plan=plan,
+        weights=weights, overheads=overheads, graph=base_graph,
+        planning=("bin", "plan"),
     )
-    makespan = timer.seconds["bin"] + timer.seconds["plan"] + sum(phase_ms.values())
-
-    for c in task_counters:
-        counter.merge(c)
-
-    n_replicated = sum(1 for r in replicas if r > 1)
-    return STKDEResult(
-        Volume(out[0], grid),
-        "pb-sym-pd-rep",
-        timer,
-        counter,
-        meta={
-            "P": P,
-            "backend": backend,
-            "decomposition": dec.shape,
-            "requested_decomposition": tuple(decomposition),
-            "makespan": makespan,
-            "phase_makespans": phase_ms,
-            "replicas": dict(zip(blocks_sorted, replicas)),
-            "blocks_replicated": n_replicated,
-            "max_replication": max(replicas) if replicas else 1,
-            "tinf_planned_before": tinf_before,
-            "tinf_planned_after": tinf_after,
-            "extra_bytes": extra_bytes,
-            "occupied_blocks": len(blocks_sorted),
-        },
-    )
+    vol, meta, _, _ = run_strategy(spec, P, backend, timer, counter, bandwidth)
+    return STKDEResult(Volume(vol, grid), "pb-sym-pd-rep", timer, counter, meta={
+        **meta,
+        "decomposition": dec.shape,
+        "requested_decomposition": tuple(decomposition),
+        "replicas": dict(zip(blocks_sorted, replicas)),
+        "blocks_replicated": sum(1 for r in replicas if r > 1),
+        "max_replication": max(replicas) if replicas else 1,
+        "tinf_planned_before": tinf_before,
+        "tinf_planned_after": tinf_after,
+        "extra_bytes": extra_bytes,
+        "occupied_blocks": len(blocks_sorted),
+    })

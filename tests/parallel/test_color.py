@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import DomainSpec, GridSpec
 from repro.parallel.color import (
+    block_task_graph,
     greedy_coloring,
     load_order,
     natural_order,
@@ -134,6 +135,21 @@ class TestGreedyColoring:
         occ = list(range(8))
         bad = Coloring({bid: 0 for bid in occ}, 1, "bad")
         assert not validate_coloring(dec, bad, occ)
+
+
+class TestBlockTaskGraph:
+    def test_rejects_unknown_scheduler(self):
+        dec = make_dec(2, 2, 2)
+        with pytest.raises(ValueError, match="scheduler"):
+            block_task_graph(dec, {0: 1.0, 7: 2.0}, "magic")
+
+    @pytest.mark.parametrize("scheduler", ["parity", "sched"])
+    def test_tasks_are_occupied_blocks_in_id_order(self, scheduler):
+        dec = make_dec(2, 2, 2)
+        graph, coloring = block_task_graph(dec, {7: 1.0, 0: 2.0, 3: 3.0}, scheduler)
+        assert graph.labels == [0, 3, 7]
+        assert graph.weights == [2.0, 3.0, 1.0]
+        assert validate_coloring(dec, coloring, [0, 3, 7])
 
 
 class TestLoadOrder:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import pb_sym
-from repro.core import DomainSpec, GridSpec, PhaseTimer, PointSet, WorkCounter
+from repro.core import DomainSpec, GridSpec, PointSet, WorkCounter
 from repro.parallel import (
     MemoryBudgetExceeded,
     pb_sym_dd,
@@ -108,16 +108,6 @@ class TestValidation:
         """DD holds one volume and no replica: it has no budget to check."""
         with pytest.raises(TypeError, match="memory_budget_bytes"):
             pb_sym_dd(pts, grid, decomposition=(2, 2, 2), memory_budget_bytes=10)
-
-    def test_pd_rejects_unknown_scheduler(self, grid, pts):
-        from repro.parallel.pd import run_point_decomposition
-
-        with pytest.raises(ValueError, match="scheduler"):
-            run_point_decomposition(
-                pts, grid, decomposition=(2, 2, 2), P=2, backend="simulated",
-                scheduler="magic", kernel="epanechnikov", counter=WorkCounter(),
-                timer=PhaseTimer(), bandwidth=None, algorithm_name="x",
-            )
 
 
 class TestMemoryBudget:
