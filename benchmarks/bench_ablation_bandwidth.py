@@ -10,7 +10,7 @@ depend on the cap:
   3.7" observation;
 * on compute-dominated instances (PollenUS-Hb) the cap barely matters.
 
-Standalone: ``python benchmarks/bench_ablation_bandwidth.py``
+Standalone: ``PYTHONPATH=src python -m benchmarks.bench_ablation_bandwidth``
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ PB-SYM/PB speedup moves by only a few percent, because the algorithms'
 costs are dominated by table sizes and memory traffic, not by the exact
 polynomial evaluated.
 
-Standalone: ``python benchmarks/bench_ablation_kernels.py``
+Standalone: ``PYTHONPATH=src python -m benchmarks.bench_ablation_kernels``
 """
 
 from __future__ import annotations

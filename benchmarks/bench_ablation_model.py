@@ -9,7 +9,7 @@ strategies *analytically*; we then actually run a candidate set
 Reported: per-instance regret ``T(model pick) / T(oracle)`` — 1.0 means
 the model picked the true winner.
 
-Standalone: ``python benchmarks/bench_ablation_model.py``
+Standalone: ``PYTHONPATH=src python -m benchmarks.bench_ablation_model``
 """
 
 from __future__ import annotations

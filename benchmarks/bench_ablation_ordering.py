@@ -11,7 +11,7 @@ The paper's claim to verify: most of SCHED's gain comes from removing the
 barriers; the load-aware order contributes a further (marginal) critical-
 path reduction but, critically, releases heavy blocks first.
 
-Standalone: ``python benchmarks/bench_ablation_ordering.py``
+Standalone: ``PYTHONPATH=src python -m benchmarks.bench_ablation_ordering``
 """
 
 from __future__ import annotations

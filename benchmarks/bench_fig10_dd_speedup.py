@@ -9,7 +9,7 @@ Same sweep as Figure 9 (cells are shared); reports the simulated
 * init-heavy (Flu) instances cap at ~2-4: parallel zeroing saturates
   memory bandwidth (modelled at 3x, the paper's measured value).
 
-Standalone: ``python benchmarks/bench_fig10_dd_speedup.py``
+Standalone: ``PYTHONPATH=src python -m benchmarks.bench_fig10_dd_speedup``
 """
 
 from __future__ import annotations

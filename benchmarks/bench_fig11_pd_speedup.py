@@ -8,7 +8,7 @@ The parity-coloured point decomposition.  The paper's claims:
 * the ceiling is load imbalance/critical path, not work: PollenUS Lr-Lb
   never exceeds 2.6 in the paper.
 
-Standalone: ``python benchmarks/bench_fig11_pd_speedup.py``
+Standalone: ``PYTHONPATH=src python -m benchmarks.bench_fig11_pd_speedup``
 """
 
 from __future__ import annotations

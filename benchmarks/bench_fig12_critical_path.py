@@ -10,7 +10,7 @@ number of points").  The claims:
 * PollenUS Hr-Hb is pathological (~55% -> speedup < 2);
 * the load-aware colouring (PD-SCHED) is marginally shorter everywhere.
 
-Standalone: ``python benchmarks/bench_fig12_critical_path.py``
+Standalone: ``PYTHONPATH=src python -m benchmarks.bench_fig12_critical_path``
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ scheduling.  The paper's claims:
   same effect);
 * Flu instances remain capped by initialisation.
 
-Standalone: ``python benchmarks/bench_fig13_pd_sched_speedup.py``
+Standalone: ``PYTHONPATH=src python -m benchmarks.bench_fig13_pd_sched_speedup``
 """
 
 from __future__ import annotations

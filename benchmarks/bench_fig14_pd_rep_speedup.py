@@ -8,7 +8,7 @@ decompositions under each instance's memory budget.  The paper's claims:
   REP degenerate to DR, paying massive init/reduce);
 * Flu Hr-Lb / Flu Hr-Hb run *out of memory* at small decompositions.
 
-Standalone: ``python benchmarks/bench_fig14_pd_rep_speedup.py``
+Standalone: ``PYTHONPATH=src python -m benchmarks.bench_fig14_pd_rep_speedup``
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ strategy achieves over its configuration sweep.  The claims:
 This bench reuses the sweep caches populated by the Figure 8-14 benches
 when run in the same session, and computes whatever is missing.
 
-Standalone: ``python benchmarks/bench_fig15_best.py``
+Standalone: ``PYTHONPATH=src python -m benchmarks.bench_fig15_best``
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ zeroing the volume versus stamping cylinders.  The paper's claim: the Flu
 instances are mostly initialisation (31K points spanning the planet),
 while PollenUS-Hb/eBird instances are almost pure compute.
 
-Standalone: ``python benchmarks/bench_fig7_breakdown.py``
+Standalone: ``PYTHONPATH=src python -m benchmarks.bench_fig7_breakdown``
 """
 
 from __future__ import annotations

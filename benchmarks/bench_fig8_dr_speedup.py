@@ -9,7 +9,7 @@ paper-proportional memory budget.  The paper's claims:
 * Flu-Hr runs out of memory at 8 and 16 threads; eBird-Hr cannot
   replicate at all.
 
-Standalone: ``python benchmarks/bench_fig8_dr_speedup.py``
+Standalone: ``PYTHONPATH=src python -m benchmarks.bench_fig8_dr_speedup``
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ paper's claims:
 Cells whose predicted replica blow-up exceeds the skip cap are omitted —
 the paper does the same for eBird Hr-Hb.
 
-Standalone: ``python benchmarks/bench_fig9_dd_overhead.py``
+Standalone: ``PYTHONPATH=src python -m benchmarks.bench_fig9_dd_overhead``
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Prints the registry at paper scale (verbatim Table 2) and at bench scale
 (the scaled twins the other benchmarks run), and times instance
 construction (grid + synthetic points) as the benchmark payload.
 
-Standalone: ``python benchmarks/bench_table2_instances.py``
+Standalone: ``PYTHONPATH=src python -m benchmarks.bench_table2_instances``
 """
 
 from __future__ import annotations

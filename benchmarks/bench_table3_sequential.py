@@ -13,7 +13,7 @@ reproduce (and is asserted in EXPERIMENTS.md):
 * the PB-SYM/PB speedup growing with bandwidth, ~1 on low-bandwidth or
   init-dominated instances, largest on PollenUS-Hb-like instances.
 
-Standalone: ``python benchmarks/bench_table3_sequential.py``
+Standalone: ``PYTHONPATH=src python -m benchmarks.bench_table3_sequential``
 """
 
 from __future__ import annotations
