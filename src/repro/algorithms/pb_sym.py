@@ -210,8 +210,8 @@ def _run_threaded(coords, grid, kernel, norm, counter, timer, P, memory_budget_b
         f"threaded PB-SYM with {shards.n_shards} bbox shards",
     )
     spec = StrategySpec(
-        grid, kernel, norm, blocks=[[g] for g in zip(shards.shards, shards.windows)],
-        coords=coords, slab_reduce=True, planning=("plan",),
+        grid, kernel, norm, slab_reduce=True, planning=("plan",),
+        blocks=[[(coords[rows], w)] for rows, w in zip(shards.shards, shards.windows)],
     )
     vol, meta, _, _ = run_strategy(spec, P, "threads", timer, counter)
     counter.shard_bbox_cells += shards.buffer_cells

@@ -82,8 +82,9 @@ def pb_sym_dr(
     # loop), so its first touch is accounted to the reduce tasks.
     spec = StrategySpec(
         grid, kernel, grid.normalization(points.n),
-        blocks=[[(chunk, grid.full_window())] for chunk in slab_slices(points.n, P)],
-        coords=points.coords, slab_reduce=True, zero_volume=False,
+        blocks=[[(points.coords[chunk], grid.full_window())]
+                for chunk in slab_slices(points.n, P)],
+        slab_reduce=True, zero_volume=False,
     )
     vol, meta, _, _ = run_strategy(spec, P, backend, timer, counter, bandwidth)
     meta["memory_bytes"] = (P + 1) * grid.grid_bytes

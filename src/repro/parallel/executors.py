@@ -357,10 +357,10 @@ class StrategySpec:
 
     ``blocks`` holds each block's groups, each a ``(group, window)`` pair.
     ``group`` is a group id of the shared ``plan``; with no plan, it is
-    the rows of ``coords`` that the group's own task plans (so per-chunk
-    planning stays parallel).  ``window`` is ``None`` to stamp the shared
-    volume, or the window of a private zeroed buffer, which also clips
-    a self-planned group.  A block of one group is one task.  A block of
+    the ``(m, 3)`` coordinates that the group's own task plans (so
+    per-chunk planning stays parallel).  ``window`` is ``None`` to stamp
+    the shared volume, or the window of a private zeroed buffer, which
+    also clips a self-planned group.  A block of one group is one task.  A block of
     several groups is one block's replicas: each stamps its buffer, then
     a reduce task in the graph adds them into the volume (PD-REP).
     Single-group buffers are added by ``slab_reduce``'s ``P`` t-slab
@@ -380,7 +380,6 @@ class StrategySpec:
     norm: float
     blocks: Sequence[Sequence[Tuple[object, Optional[VoxelWindow]]]]
     plan: Optional[StampPlan] = None
-    coords: Optional[np.ndarray] = None
     weights: Optional[Sequence[float]] = None
     overheads: Optional[Sequence[float]] = None
     graph: Optional[TaskGraph] = None
@@ -424,7 +423,7 @@ def run_strategy(
         group, window = groups[i]
         plan = spec.plan
         if plan is None:
-            plan = StampPlan(grid, spec.coords[group], clip=[window])
+            plan = StampPlan(grid, group, clip=[window])
             group = 0
         if window is None:
             target, origin = out[0], (0, 0, 0)
@@ -469,8 +468,8 @@ def run_strategy(
     tasks: List[ExecTask] = []
     succs: List[List[int]] = []
     preds: List[List[int]] = []
-    entry: List[List[int]] = []
-    exit_: List[int] = []
+    first: List[List[int]] = []  # per block: the tasks its edges enter
+    last: List[int] = []  # per block: the task its edges leave
 
     def add(t: ExecTask, after: Sequence[int] = ()) -> int:
         v = len(tasks)
@@ -486,23 +485,22 @@ def run_strategy(
     for k, block in enumerate(spec.blocks):
         r = len(block)
         if r == 1:
-            entry.append([add(task(stamp, i, weight=weights[k]))])
-            exit_.append(entry[-1][0])
+            first.append([add(task(stamp, i, weight=weights[k]))])
+            last.append(first[-1][0])
         else:
             share = weights[k] / r + overheads[k]
-            entry.append([add(task(stamp, i + j, weight=share)) for j in range(r)])
-            exit_.append(add(task(reduce_block, range(i, i + r),
-                                  weight=overheads[k]), after=entry[-1]))
+            first.append([add(task(stamp, i + j, weight=share)) for j in range(r)])
+            last.append(add(task(reduce_block, range(i, i + r),
+                                 weight=overheads[k]), after=first[-1]))
         i += r
     comp_counters = counters[-len(tasks):] if tasks else []
     graph = None
     if spec.graph is not None:
-        # The blocks' edges, from each block's last task to the next's first.
         for k in range(n):
             for s in spec.graph.succs[k]:
-                for dst in entry[s]:
-                    succs[exit_[k]].append(dst)
-                    preds[dst].append(exit_[k])
+                for dst in first[s]:
+                    succs[last[k]].append(dst)
+                    preds[dst].append(last[k])
         graph = TaskGraph([t.weight_hint for t in tasks], succs, preds)
     phases = [init, Phase("compute", tasks, graph=graph, classes=spec.classes)]
     if spec.slab_reduce:
