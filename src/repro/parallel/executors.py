@@ -494,10 +494,10 @@ def run_strategy(
                                  weight=overheads[k]), after=first[-1]))
         i += r
     comp_counters = counters[-len(tasks):] if tasks else []
-    graph = None
-    if spec.graph is not None:
+    graph = spec.graph  # over the tasks too, while each block is one task
+    if graph is not None and len(tasks) > n:
         for k in range(n):
-            for s in spec.graph.succs[k]:
+            for s in graph.succs[k]:
                 for dst in first[s]:
                     succs[last[k]].append(dst)
                     preds[dst].append(last[k])
