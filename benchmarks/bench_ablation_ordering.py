@@ -16,24 +16,14 @@ Standalone: ``PYTHONPATH=src python -m benchmarks.bench_ablation_ordering``
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict
 
 import pytest
 
-from repro.parallel.color import (
-    greedy_coloring,
-    load_order,
-    natural_order,
-    occupied_neighbor_map,
-    parity_coloring,
-)
+from repro.parallel.color import block_task_graph
 from repro.parallel.partition import BlockDecomposition
-from repro.parallel.schedule import (
-    barrier_schedule,
-    build_task_graph,
-    critical_path,
-    list_schedule,
-)
+from repro.parallel.schedule import barrier_schedule, critical_path, list_schedule
 
 from .common import PAPER_P, load_instance, record
 from .conftest import note_experiment
@@ -51,21 +41,24 @@ def analyse(instance: str) -> list:
     binning = dec.bin_points_owner(pts)
     occupied = [int(b) for b in binning.occupied()]
     loads = {b: float(len(binning.points_in(b))) for b in occupied}
-    adjacency = occupied_neighbor_map(dec, occupied)
     total = sum(loads.values())
 
-    colorings = {
-        "parity": parity_coloring(dec, occupied),
-        "greedy-natural": greedy_coloring(dec, occupied, natural_order(occupied)),
-        "greedy-load": greedy_coloring(
-            dec, occupied, load_order(occupied, loads), method="load-aware"
+    # Greedy in natural order is the load-aware greedy with every load
+    # tied (ties fall back to block id), then weighted with the loads.
+    natural, natural_classes = block_task_graph(
+        dec, dict.fromkeys(loads, 0.0), "sched")
+    dags = {
+        "parity": block_task_graph(dec, loads, "parity"),
+        "greedy-natural": (
+            replace(natural, weights=[loads[b] for b in natural.labels]),
+            natural_classes,
         ),
+        "greedy-load": block_task_graph(dec, loads, "sched"),
     }
     rows = []
-    for cname, coloring in colorings.items():
-        graph, id_map = build_task_graph(coloring, adjacency, loads)
+    for cname, (graph, classes) in dags.items():
         tinf, _ = critical_path(graph)
-        class_w = [[loads[b] for b in cls] for cls in coloring.classes()]
+        class_w = [[graph.weights[k] for k in cls] for cls in classes]
         barrier = barrier_schedule(class_w, PAPER_P)
         dag = list_schedule(
             graph, PAPER_P, priority=lambda v: (-graph.weights[v], v)
@@ -74,7 +67,7 @@ def analyse(instance: str) -> list:
             {
                 "instance": instance,
                 "coloring": cname,
-                "n_colors": coloring.n_colors,
+                "n_colors": len(classes),
                 "critical_path_ratio": tinf / total,
                 "barrier_speedup": total / barrier,
                 "dag_speedup": total / dag,

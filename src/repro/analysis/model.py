@@ -613,11 +613,10 @@ class CostModel:
         if not loads:
             return Prediction(name, P, self.init_parallel(P) + bin_cost,
                               decomposition=dec.shape)
-        graph, coloring = block_task_graph(dec, loads, scheduler)
+        graph, classes = block_task_graph(dec, loads, scheduler)
         if scheduler == "parity":
-            classes = coloring.classes()
-            class_w = [[loads[b] for b in cls] for cls in classes]
-            compute = barrier_schedule(class_w, P)
+            compute = barrier_schedule(
+                [[graph.weights[k] for k in cls] for cls in classes], P)
         else:
             compute = list_schedule(
                 graph, P, priority=lambda v: (-graph.weights[v], v)

@@ -5,17 +5,7 @@ Importing this package registers the parallel algorithms:
 ``pb-sym-pd-rep``.
 """
 
-from .color import (
-    Coloring,
-    block_task_graph,
-    greedy_coloring,
-    load_order,
-    natural_order,
-    occupied_neighbor_map,
-    parity_coloring,
-    stencil_neighbors,
-    validate_coloring,
-)
+from .color import block_task_graph
 from .dd import pb_sym_dd
 from .dr import pb_sym_dr
 from .executors import (
@@ -38,7 +28,6 @@ from .schedule import (
     ScheduleResult,
     TaskGraph,
     barrier_schedule,
-    build_task_graph,
     critical_path,
     grahams_bound,
     list_schedule,
@@ -49,7 +38,6 @@ __all__ = [
     "BACKENDS",
     "BandwidthModel",
     "BlockDecomposition",
-    "Coloring",
     "ExecTask",
     "MemoryBudgetExceeded",
     "Phase",
@@ -59,16 +47,10 @@ __all__ = [
     "TaskGraph",
     "barrier_schedule",
     "block_task_graph",
-    "build_task_graph",
     "check_memory_budget",
     "critical_path",
     "grahams_bound",
-    "greedy_coloring",
     "list_schedule",
-    "load_order",
-    "natural_order",
-    "occupied_neighbor_map",
-    "parity_coloring",
     "pb_sym_dd",
     "pb_sym_dr",
     "pb_sym_pd",
@@ -80,6 +62,4 @@ __all__ = [
     "run_strategy",
     "run_threaded",
     "saturated_makespan",
-    "stencil_neighbors",
-    "validate_coloring",
 ]

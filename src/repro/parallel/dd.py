@@ -90,8 +90,6 @@ def pb_sym_dd(
     )
     vol, meta, tasks, counters = run_strategy(
         spec, P, backend, timer, counter, bandwidth)
-    meta["phase_makespans"] = {"bin": timer.seconds["bin"],
-                               **meta["phase_makespans"]}
     return STKDEResult(Volume(vol, grid), "pb-sym-dd", timer, counter, meta={
         **meta,
         "decomposition": dec.shape,

@@ -27,7 +27,7 @@ bandwidths are adjusted", Figure 11).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -135,20 +135,6 @@ class BlockDecomposition:
             min(g.Gt, int(self.tb[c + 1]) + g.Ht),
         )
 
-    def min_block_shape(self) -> Tuple[int, int, int]:
-        """Smallest block edge lengths along each axis."""
-        return (
-            int(np.diff(self.xb).min()),
-            int(np.diff(self.yb).min()),
-            int(np.diff(self.tb).min()),
-        )
-
-    def iter_blocks(self) -> Iterator[Tuple[int, int, int]]:
-        for a in range(self.A):
-            for b in range(self.B):
-                for c in range(self.C):
-                    yield a, b, c
-
     # ------------------------------------------------------------------
     # Point assignment
     # ------------------------------------------------------------------
@@ -171,18 +157,6 @@ class BlockDecomposition:
             owner[order], np.arange(self.n_blocks + 1)
         ).astype(np.int64)
         return PointBinning(self.n_blocks, order, offsets, replicas=points.n)
-
-    def blocks_intersecting(self, win: VoxelWindow) -> Tuple[range, range, range]:
-        """Block index ranges whose windows intersect a voxel window."""
-        if win.empty:
-            return range(0), range(0), range(0)
-        a0 = int(self._owner_axis(np.int64(win.x0), self.xb))
-        a1 = int(self._owner_axis(np.int64(win.x1 - 1), self.xb))
-        b0 = int(self._owner_axis(np.int64(win.y0), self.yb))
-        b1 = int(self._owner_axis(np.int64(win.y1 - 1), self.yb))
-        c0 = int(self._owner_axis(np.int64(win.t0), self.tb))
-        c1 = int(self._owner_axis(np.int64(win.t1 - 1), self.tb))
-        return range(a0, a1 + 1), range(b0, b1 + 1), range(c0, c1 + 1)
 
     def count_replicas(self, points: PointSet) -> int:
         """Total point-to-block assignments of the replication binning.
@@ -274,14 +248,6 @@ class BlockDecomposition:
         max_B = max(1, grid.Gy // (2 * grid.Hs + 1))
         max_C = max(1, grid.Gt // (2 * grid.Ht + 1))
         return cls(grid, min(A, max_A), min(B, max_B), min(C, max_C))
-
-    def satisfies_pd_constraint(self) -> bool:
-        """True if same-parity blocks can never interact (PD-safe)."""
-        mx, my, mt = self.min_block_shape()
-        sx = self.A == 1 or mx >= 2 * self.grid.Hs + 1
-        sy = self.B == 1 or my >= 2 * self.grid.Hs + 1
-        st = self.C == 1 or mt >= 2 * self.grid.Ht + 1
-        return sx and sy and st
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BlockDecomposition({self.A}x{self.B}x{self.C} on {self.grid.shape})"

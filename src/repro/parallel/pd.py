@@ -75,21 +75,18 @@ def _point_decomposition(
         }
 
     with timer.phase("color"):
-        graph, coloring = block_task_graph(dec, loads, scheduler)
+        graph, classes = block_task_graph(dec, loads, scheduler)
 
     # One task per occupied block, *unclipped*, into the shared volume.
     # The colour DAG always orders the tasks (it is what keeps neighbouring
     # blocks apart and what fixes the serial order); parity additionally
     # runs it class by class behind barriers.
     blocks = graph.labels  # task index order
-    classes = None
-    if scheduler == "parity":
-        task = {bid: k for k, bid in enumerate(blocks)}
-        classes = [[task[bid] for bid in cls] for cls in coloring.classes()]
     spec = StrategySpec(
         grid, kernel, grid.normalization(points.n),
         blocks=[[(bid, None)] for bid in blocks], plan=plan,
-        weights=[loads[bid] for bid in blocks], graph=graph, classes=classes,
+        weights=[loads[bid] for bid in blocks], graph=graph,
+        classes=classes if scheduler == "parity" else None,
         planning=("bin", "color"),
     )
     vol, meta, tasks, counters = run_strategy(
@@ -104,7 +101,7 @@ def _point_decomposition(
         "scheduler": scheduler,
         "decomposition": dec.shape,
         "requested_decomposition": tuple(decomposition),
-        "n_colors": coloring.n_colors,
+        "n_colors": len(classes),
         "occupied_blocks": len(blocks),
         "T1": T1,
         "Tinf": Tinf,

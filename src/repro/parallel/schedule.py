@@ -2,7 +2,8 @@
 
 A colouring of the occupied-block conflict graph induces a dependency DAG:
 every stencil edge is oriented from the lower colour to the higher colour
-(Figure 6).  Executing tasks in any order consistent with that DAG is safe;
+(Figure 6; :func:`repro.parallel.color.block_task_graph` builds it).
+Executing tasks in any order consistent with that DAG is safe;
 how *fast* it runs is bounded by Graham's list-scheduling guarantee
 
 .. math::  T_P \\le (T_1 - T_\\infty) / P + T_\\infty
@@ -14,7 +15,8 @@ this bound (Figure 12 plots ``T_infty / T_1``), and so do we.
 This module provides:
 
 * :class:`TaskGraph` — weighted DAG with successor/predecessor lists;
-* :func:`critical_path` — weighted longest path (``T_infty``);
+* :func:`critical_path` — weighted longest path (``T_infty``), and
+  :func:`grahams_bound` over it;
 * :func:`list_schedule` — event-driven greedy scheduler on ``P``
   processors with a pluggable priority (PD-SCHED's "heaviest first");
 * :func:`barrier_schedule` — the colour-class-by-colour-class execution of
@@ -29,15 +31,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:
-    from .color import Coloring
+from typing import Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "TaskGraph",
     "ScheduleResult",
-    "build_task_graph",
     "critical_path",
     "list_schedule",
     "barrier_schedule",
@@ -98,46 +96,6 @@ class TaskGraph:
         if len(out) != self.n:
             raise ValueError("task graph contains a cycle")
         return out
-
-
-def build_task_graph(
-    coloring: Coloring,
-    adjacency: Dict[int, List[int]],
-    weights: Dict[int, float],
-) -> Tuple[TaskGraph, Dict[int, int]]:
-    """Orient the conflict graph by colour into a dependency DAG.
-
-    Parameters
-    ----------
-    coloring:
-        Proper colouring of the occupied blocks.
-    adjacency:
-        ``{block_id: [neighbour block ids]}`` over occupied blocks.
-    weights:
-        ``{block_id: cost}`` task weights (seconds or work units).
-
-    Returns
-    -------
-    (graph, id_map) where ``id_map`` maps block id to task index.
-    """
-    blocks = sorted(coloring.colors)
-    id_map = {bid: i for i, bid in enumerate(blocks)}
-    n = len(blocks)
-    succs: List[List[int]] = [[] for _ in range(n)]
-    preds: List[List[int]] = [[] for _ in range(n)]
-    for bid in blocks:
-        cu = coloring.colors[bid]
-        for nb in adjacency.get(bid, ()):  # neighbours are occupied blocks
-            cv = coloring.colors[nb]
-            if cu == cv:
-                raise ValueError(
-                    f"improper coloring: blocks {bid} and {nb} share colour {cu}"
-                )
-            if cu < cv:
-                succs[id_map[bid]].append(id_map[nb])
-                preds[id_map[nb]].append(id_map[bid])
-    w = [float(weights.get(bid, 0.0)) for bid in blocks]
-    return TaskGraph(w, succs, preds, labels=list(blocks)), id_map
 
 
 def critical_path(graph: TaskGraph) -> Tuple[float, List[int]]:

@@ -1,23 +1,16 @@
-"""Tests for stencil-graph colouring."""
+"""Tests for the colour DAG builder, against a brute-force oracle."""
 
 from __future__ import annotations
 
-import numpy as np
+import itertools
+from types import SimpleNamespace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import DomainSpec, GridSpec
-from repro.parallel.color import (
-    block_task_graph,
-    greedy_coloring,
-    load_order,
-    natural_order,
-    occupied_neighbor_map,
-    parity_coloring,
-    stencil_neighbors,
-    validate_coloring,
-)
+from repro.parallel.color import block_task_graph
 from repro.parallel.partition import BlockDecomposition
 
 
@@ -26,165 +19,216 @@ def make_dec(A=4, B=4, C=4, G=40):
     return BlockDecomposition(grid, A, B, C)
 
 
-class TestStencilNeighbors:
-    def test_interior_block_has_26(self):
-        dec = make_dec()
-        assert len(list(stencil_neighbors(dec, 1, 1, 1))) == 26
+def oracle(dec, loads, scheduler):
+    """Pure-Python colour DAG: Chebyshev pairs, colours, succs, preds."""
+    labels = sorted(loads)
+    xyz = [dec.block_coords(b) for b in labels]
+    nbrs = [
+        [j for j, q in enumerate(xyz)
+         if j != i and max(abs(x - y) for x, y in zip(p, q)) <= 1]
+        for i, p in enumerate(xyz)
+    ]
+    if scheduler == "parity":
+        col = [4 * (a % 2) + 2 * (b % 2) + c % 2 for a, b, c in xyz]
+    else:
+        col = [-1] * len(labels)
+        for i in sorted(range(len(labels)), key=lambda i: (-loads[labels[i]], labels[i])):
+            taken = {col[j] for j in nbrs[i]}
+            col[i] = next(c for c in itertools.count() if c not in taken)
+    succs = [[j for j in nbrs[i] if col[i] < col[j]] for i in range(len(labels))]
+    preds = [[j for j in nbrs[i] if col[j] < col[i]] for i in range(len(labels))]
+    return nbrs, col, succs, preds
 
-    def test_corner_block_has_7(self):
-        dec = make_dec()
-        assert len(list(stencil_neighbors(dec, 0, 0, 0))) == 7
 
-    def test_face_block_has_17(self):
-        dec = make_dec()
-        assert len(list(stencil_neighbors(dec, 0, 1, 1))) == 17
+def colour_of(classes):
+    return {t: k for k, cls in enumerate(classes) for t in cls}
 
-    def test_never_self(self):
-        dec = make_dec()
-        for a, b, c in dec.iter_blocks():
-            assert (a, b, c) not in set(stencil_neighbors(dec, a, b, c))
 
-    def test_symmetric(self):
-        dec = make_dec(3, 3, 3)
-        for a, b, c in dec.iter_blocks():
-            for nb in stencil_neighbors(dec, a, b, c):
-                assert (a, b, c) in set(stencil_neighbors(dec, *nb))
+@st.composite
+def decompositions(draw):
+    """A 1-D, 2-D or 3-D decomposition, a sparse or full set of occupied
+    blocks, and small integer loads (so ties are common)."""
+    dec = make_dec(*draw(st.tuples(*[st.integers(1, 6)] * 3)), G=30)
+    occ = draw(st.sets(st.integers(0, dec.n_blocks - 1), min_size=1)
+               | st.just(set(range(dec.n_blocks))))
+    return dec, {b: float(draw(st.integers(0, 4))) for b in sorted(occ)}
+
+
+#: Explicit 1-D and 2-D decompositions, every block occupied, tied loads.
+FULL = [make_dec(*shape, G=30) for shape in ((7, 1, 1), (1, 1, 5), (5, 4, 1), (1, 3, 6))]
+
+
+def oracle_property(test):
+    """Run ``test((dec, loads))`` on drawn and explicit cases."""
+    for dec in FULL:
+        test = example(case=(dec, dict.fromkeys(range(dec.n_blocks), 1.0)))(test)
+    return given(case=decompositions())(settings(max_examples=60, deadline=None)(test))
+
+
+@oracle_property
+def test_edges_are_the_chebyshev_pairs(case):
+    dec, loads = case
+    nbrs = oracle(dec, loads, "parity")[0]
+    pairs = {frozenset((i, j)) for i in range(len(nbrs)) for j in nbrs[i]}
+    for scheduler in ("parity", "sched"):
+        graph, _ = block_task_graph(dec, loads, scheduler)
+        assert graph.labels == sorted(loads)
+        assert graph.weights == [loads[b] for b in graph.labels]
+        assert pairs == {frozenset((u, v))
+                         for u in range(graph.n) for v in graph.succs[u]}
+
+
+@oracle_property
+def test_edges_run_from_lower_to_higher_class(case):
+    dec, loads = case
+    for scheduler in ("parity", "sched"):
+        graph, classes = block_task_graph(dec, loads, scheduler)
+        of = colour_of(classes)
+        assert sorted(of) == list(range(graph.n))  # every task in one class
+        assert all(cls == sorted(cls) for cls in classes)
+        assert all(of[u] < of[v] for u in range(graph.n) for v in graph.succs[u])
+        assert all(of[u] < of[v] for v in range(graph.n) for u in graph.preds[v])
+
+
+@oracle_property
+def test_parity_classes_follow_the_formula(case):
+    dec, loads = case
+    graph, classes = block_task_graph(dec, loads, "parity")
+    col = [4 * (a % 2) + 2 * (b % 2) + c % 2
+           for a, b, c in map(dec.block_coords, graph.labels)]
+    assert [colour_of(classes)[t] for t in range(graph.n)] == col
+    assert len(classes) == max(col) + 1  # empty classes below the top kept
+
+
+@oracle_property
+def test_sched_colours_are_first_fit_by_load_then_id(case):
+    dec, loads = case
+    _, classes = block_task_graph(dec, loads, "sched")
+    nbrs, col = oracle(dec, loads, "sched")[:2]
+    assert [colour_of(classes)[t] for t in range(len(col))] == col
+    assert len(classes) == max(col) + 1 <= max(map(len, nbrs)) + 1
+
+
+@oracle_property
+def test_lists_equal_the_oracle_in_order(case):
+    """``succs`` and ``preds`` fix the serial stamping order: equal as
+    lists, not only as sets."""
+    dec, loads = case
+    for scheduler in ("parity", "sched"):
+        graph, _ = block_task_graph(dec, loads, scheduler)
+        _, _, succs, preds = oracle(dec, loads, scheduler)
+        assert graph.succs == succs
+        assert graph.preds == preds
+
+
+@oracle_property
+def test_tied_loads_colour_in_natural_order(case):
+    """All loads equal: the load-aware greedy is the classic greedy in
+    block-id order (the ordering ablation's natural arm)."""
+    dec, loads = case
+    tied = dict.fromkeys(loads, 0.0)
+    _, classes = block_task_graph(dec, tied, "sched")
+    nbrs = oracle(dec, tied, "sched")[0]
+    col = []
+    for i in range(len(nbrs)):
+        taken = {col[j] for j in nbrs[i] if j < i}
+        col.append(next(c for c in itertools.count() if c not in taken))
+    assert [colour_of(classes)[t] for t in range(len(col))] == col
+
+
+@pytest.mark.parametrize("scheduler", ["parity", "sched"])
+def test_empty_loads_give_empty_graph(scheduler):
+    graph, classes = block_task_graph(make_dec(), {}, scheduler)
+    assert (graph.n, graph.succs, graph.preds, graph.labels) == (0, [], [], [])
+    assert classes == []
+
+
+def test_rejects_unknown_scheduler():
+    with pytest.raises(ValueError, match="scheduler"):
+        block_task_graph(make_dec(2, 2, 2), {0: 1.0, 7: 2.0}, "magic")
+
+
+def test_edge_inside_a_colour_rejected():
+    """A decomposition whose ids alias across the stencil puts a block and
+    its same-parity neighbour on one edge; the DAG refuses it."""
+    dec = SimpleNamespace(A=8, B=1, C=1, shape=(8, 2, 2))
+    with pytest.raises(ValueError, match="share colour"):
+        block_task_graph(dec, dict.fromkeys(range(8), 1.0), "parity")
+
+
+@pytest.mark.parametrize("scheduler", ["parity", "sched"])
+def test_tasks_are_occupied_blocks_in_id_order(scheduler):
+    graph, _ = block_task_graph(make_dec(2, 2, 2), {7: 1.0, 0: 2.0, 3: 3.0}, scheduler)
+    assert graph.labels == [0, 3, 7]
+    assert graph.weights == [2.0, 3.0, 1.0]
+
+
+class TestStencil:
+    def degree(self, graph, a, b, c, dec):
+        t = graph.labels.index(dec.linear_id(a, b, c))
+        return len(graph.succs[t]) + len(graph.preds[t])
+
+    def test_full_grid_degrees(self):
+        dec = make_dec()
+        graph, _ = block_task_graph(dec, dict.fromkeys(range(64), 1.0), "parity")
+        assert self.degree(graph, 1, 1, 1, dec) == 26  # interior
+        assert self.degree(graph, 0, 0, 0, dec) == 7  # corner
+        assert self.degree(graph, 0, 1, 1, dec) == 17  # face
 
     def test_1d_decomposition(self):
         dec = make_dec(5, 1, 1)
-        assert len(list(stencil_neighbors(dec, 2, 0, 0))) == 2
-        assert len(list(stencil_neighbors(dec, 0, 0, 0))) == 1
+        graph, _ = block_task_graph(dec, dict.fromkeys(range(5), 1.0), "sched")
+        assert self.degree(graph, 2, 0, 0, dec) == 2
+        assert self.degree(graph, 0, 0, 0, dec) == 1
 
-
-class TestOccupiedNeighborMap:
-    def test_only_occupied_appear(self):
+    def test_only_occupied_blocks_are_tasks(self):
         dec = make_dec(3, 3, 3)
-        occupied = [dec.linear_id(0, 0, 0), dec.linear_id(2, 2, 2), dec.linear_id(0, 0, 1)]
-        adj = occupied_neighbor_map(dec, occupied)
-        assert set(adj) == set(occupied)
+        occ = [dec.linear_id(0, 0, 0), dec.linear_id(0, 0, 1), dec.linear_id(2, 2, 2)]
+        graph, _ = block_task_graph(dec, dict.fromkeys(occ, 1.0), "parity")
         # (0,0,0) and (0,0,1) adjacent; (2,2,2) isolated.
-        assert adj[dec.linear_id(0, 0, 0)] == [dec.linear_id(0, 0, 1)]
-        assert adj[dec.linear_id(2, 2, 2)] == []
+        assert graph.succs == [[1], [], []]
+        assert graph.preds == [[], [0], []]
 
 
-class TestParityColoring:
-    def test_proper_and_at_most_8_colors(self):
+class TestParity:
+    def test_at_most_8_colors(self):
         dec = make_dec(4, 4, 4)
-        occ = list(range(dec.n_blocks))
-        col = parity_coloring(dec, occ)
-        assert col.n_colors <= 8
-        assert validate_coloring(dec, col, occ)
-
-    def test_exact_color_formula(self):
-        dec = make_dec(4, 4, 4)
-        col = parity_coloring(dec, list(range(dec.n_blocks)))
-        for bid, c in col.colors.items():
-            a, b, cc = dec.block_coords(bid)
-            assert c == 4 * (a % 2) + 2 * (b % 2) + (cc % 2)
-
-    def test_classes_group_by_color(self):
-        dec = make_dec(2, 2, 2)
-        col = parity_coloring(dec, list(range(8)))
-        classes = col.classes()
+        _, classes = block_task_graph(dec, dict.fromkeys(range(64), 1.0), "parity")
         assert len(classes) == 8
-        assert all(len(cls) == 1 for cls in classes)
+
+    def test_one_block_per_class_on_2x2x2(self):
+        _, classes = block_task_graph(make_dec(2, 2, 2), dict.fromkeys(range(8), 1.0), "parity")
+        assert classes == [[k] for k in range(8)]
+
+    def test_empty_classes_kept(self):
+        """A lone block of colour 5 still makes six classes."""
+        dec = make_dec(2, 2, 2)
+        _, classes = block_task_graph(dec, {dec.linear_id(1, 0, 1): 1.0}, "parity")
+        assert classes == [[], [], [], [], [], [0]]
 
 
-class TestGreedyColoring:
-    def test_proper_on_full_grid(self):
-        dec = make_dec(5, 4, 3)
-        occ = list(range(dec.n_blocks))
-        col = greedy_coloring(dec, occ, natural_order(occ))
-        assert validate_coloring(dec, col, occ)
-
+class TestSched:
     def test_at_most_27_colors(self):
-        """Greedy on a 27-stencil uses at most deg+1 = 27 colors."""
+        """Greedy on a 27-stencil uses at most deg+1 = 27 colours."""
         dec = make_dec(6, 6, 6)
-        occ = list(range(dec.n_blocks))
-        col = greedy_coloring(dec, occ, natural_order(occ))
-        assert col.n_colors <= 27
+        _, classes = block_task_graph(dec, dict.fromkeys(range(216), 1.0), "sched")
+        assert len(classes) <= 27
 
-    def test_sparse_occupancy_fewer_colors(self):
-        """Isolated occupied blocks all get colour 0."""
+    def test_isolated_blocks_share_colour_0(self):
         dec = make_dec(6, 6, 6)
         occ = [dec.linear_id(a, a, a) for a in (0, 2, 4)]
-        col = greedy_coloring(dec, occ, natural_order(occ))
-        assert col.n_colors == 1
+        _, classes = block_task_graph(dec, dict.fromkeys(occ, 1.0), "sched")
+        assert classes == [[0, 1, 2]]
 
-    def test_load_order_colors_heavy_first(self):
+    def test_heaviest_block_gets_colour_0(self):
         dec = make_dec(4, 4, 4)
-        occ = list(range(dec.n_blocks))
-        loads = {bid: float(bid % 7) for bid in occ}
-        order = load_order(occ, loads)
-        col = greedy_coloring(dec, occ, order, method="load-aware")
-        assert validate_coloring(dec, col, occ)
-        # The single heaviest block in any neighbourhood gets colour 0.
-        heaviest = order[0]
-        assert col.colors[heaviest] == 0
+        loads = {bid: float(bid % 7) for bid in range(64)}
+        loads[37] = 100.0
+        graph, classes = block_task_graph(dec, loads, "sched")
+        assert graph.labels.index(37) in classes[0]
 
-    def test_rejects_non_permutation_order(self):
-        dec = make_dec(2, 2, 2)
-        occ = list(range(8))
-        with pytest.raises(ValueError, match="permutation"):
-            greedy_coloring(dec, occ, occ[:-1])
-
-    def test_validate_rejects_improper(self):
-        from repro.parallel.color import Coloring
-
-        dec = make_dec(2, 2, 2)
-        occ = list(range(8))
-        bad = Coloring({bid: 0 for bid in occ}, 1, "bad")
-        assert not validate_coloring(dec, bad, occ)
-
-
-class TestBlockTaskGraph:
-    def test_rejects_unknown_scheduler(self):
-        dec = make_dec(2, 2, 2)
-        with pytest.raises(ValueError, match="scheduler"):
-            block_task_graph(dec, {0: 1.0, 7: 2.0}, "magic")
-
-    @pytest.mark.parametrize("scheduler", ["parity", "sched"])
-    def test_tasks_are_occupied_blocks_in_id_order(self, scheduler):
-        dec = make_dec(2, 2, 2)
-        graph, coloring = block_task_graph(dec, {7: 1.0, 0: 2.0, 3: 3.0}, scheduler)
-        assert graph.labels == [0, 3, 7]
-        assert graph.weights == [2.0, 3.0, 1.0]
-        assert validate_coloring(dec, coloring, [0, 3, 7])
-
-
-class TestLoadOrder:
-    def test_non_increasing(self):
-        loads = {1: 5.0, 2: 9.0, 3: 1.0, 4: 9.0}
-        order = load_order([1, 2, 3, 4], loads)
-        assert order == [2, 4, 1, 3]  # ties by id
-
-    def test_natural_order_sorted(self):
-        assert natural_order([5, 1, 3]) == [1, 3, 5]
-
-
-@given(
-    A=st.integers(2, 5),
-    B=st.integers(2, 5),
-    C=st.integers(2, 5),
-    occ_fraction=st.floats(0.2, 1.0),
-    seed=st.integers(0, 100),
-    use_load=st.booleans(),
-)
-@settings(max_examples=60, deadline=None)
-def test_property_greedy_coloring_always_proper(A, B, C, occ_fraction, seed, use_load):
-    dec = make_dec(A, B, C, G=30)
-    rng = np.random.default_rng(seed)
-    all_blocks = np.arange(dec.n_blocks)
-    k = max(1, int(occ_fraction * dec.n_blocks))
-    occ = sorted(rng.choice(all_blocks, size=k, replace=False).tolist())
-    if use_load:
-        loads = {bid: float(rng.integers(0, 100)) for bid in occ}
-        order = load_order(occ, loads)
-    else:
-        order = natural_order(occ)
-    col = greedy_coloring(dec, occ, order)
-    assert validate_coloring(dec, col, occ)
-    # Greedy never uses more colours than max degree + 1.
-    adj = occupied_neighbor_map(dec, occ)
-    max_deg = max((len(v) for v in adj.values()), default=0)
-    assert col.n_colors <= max_deg + 1
+    def test_ties_fall_back_to_id_order(self):
+        """On a 1-D chain with equal loads the greedy alternates 0, 1 from
+        block 0, as the natural-order greedy does."""
+        _, classes = block_task_graph(make_dec(5, 1, 1), dict.fromkeys(range(5), 3.0), "sched")
+        assert classes == [[0, 2, 4], [1, 3]]

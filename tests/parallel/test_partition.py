@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ def dec(grid):
 class TestGeometry:
     def test_blocks_tile_grid_exactly(self, grid, dec):
         cover = np.zeros(grid.shape, dtype=int)
-        for a, b, c in dec.iter_blocks():
+        for a, b, c in itertools.product(*map(range, dec.shape)):
             w = dec.block_window(a, b, c)
             cover[w.slices()] += 1
         assert (cover == 1).all()
@@ -39,7 +41,7 @@ class TestGeometry:
             assert sizes.max() - sizes.min() <= 1
 
     def test_linear_id_round_trip(self, dec):
-        for a, b, c in dec.iter_blocks():
+        for a, b, c in itertools.product(*map(range, dec.shape)):
             assert dec.block_coords(dec.linear_id(a, b, c)) == (a, b, c)
 
     def test_halo_window_grows_by_bandwidth(self, grid, dec):
@@ -97,9 +99,10 @@ class TestReplication:
         binning = dec.bin_points_replicated(pts)
         for i, (x, y, t) in enumerate(pts):
             win = grid.point_window(x, y, t)
-            ra, rb, rc = dec.blocks_intersecting(win)
             expect = {
-                dec.linear_id(a, b, c) for a in ra for b in rb for c in rc
+                dec.linear_id(a, b, c)
+                for a, b, c in itertools.product(*map(range, dec.shape))
+                if not dec.block_window(a, b, c).intersect(win).empty
             }
             got = {
                 k
@@ -126,20 +129,21 @@ class TestReplication:
         binning = dec1.bin_points_replicated(pts)
         assert binning.replication_factor(pts.n) == 1.0
 
-    def test_blocks_intersecting_clamps_to_grid(self, grid, dec):
-        win = grid.point_window(0.2, 0.2, 0.2)
-        ra, rb, rc = dec.blocks_intersecting(win)
-        assert ra.start == 0 and rb.start == 0 and rc.start == 0
+    def test_corner_point_clamps_to_corner_blocks(self, grid, dec):
+        """A cylinder cut by the grid's low corner reaches block (0, 0, 0)
+        and nothing below it."""
+        pts = PointSet(np.array([[0.2, 0.2, 0.2]]))
+        binning = dec.bin_points_replicated(pts)
+        held = [k for k in range(dec.n_blocks) if len(binning.points_in(k))]
+        assert held[0] == dec.linear_id(0, 0, 0)
+        assert binning.replicas == len(held)
 
 
 class TestPDConstraint:
     def test_adjustment_enforces_min_block(self, grid):
         dec = BlockDecomposition.adjusted_for_pd(grid, 64, 64, 64)
-        assert dec.satisfies_pd_constraint()
-        mx, my, mt = dec.min_block_shape()
-        assert mx >= 2 * grid.Hs + 1
-        assert my >= 2 * grid.Hs + 1
-        assert mt >= 2 * grid.Ht + 1
+        for bounds, H in ((dec.xb, grid.Hs), (dec.yb, grid.Hs), (dec.tb, grid.Ht)):
+            assert np.diff(bounds).min() >= 2 * H + 1
 
     def test_adjustment_keeps_valid_requests(self, grid):
         dec = BlockDecomposition.adjusted_for_pd(grid, 2, 2, 2)
@@ -188,7 +192,7 @@ def test_property_blocks_always_tile(A, B, C, gx, gy, gt):
     grid = GridSpec(DomainSpec.from_voxels(gx, gy, gt), hs=2.0, ht=2.0)
     dec = BlockDecomposition(grid, A, B, C)
     total = 0
-    for a, b, c in dec.iter_blocks():
+    for a, b, c in itertools.product(*map(range, dec.shape)):
         total += dec.block_window(a, b, c).volume
     assert total == grid.n_voxels
 

@@ -8,18 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DomainSpec, GridSpec
-from repro.parallel.color import (
-    greedy_coloring,
-    natural_order,
-    occupied_neighbor_map,
-    parity_coloring,
-)
+from repro.parallel.color import block_task_graph
 from repro.parallel.partition import BlockDecomposition
 from repro.parallel.schedule import (
     BandwidthModel,
     TaskGraph,
     barrier_schedule,
-    build_task_graph,
     critical_path,
     grahams_bound,
     list_schedule,
@@ -194,11 +188,8 @@ class TestBarrierSchedule:
         occ = list(range(dec.n_blocks))
         rng = np.random.default_rng(3)
         weights = {bid: float(rng.uniform(0.1, 2.0)) for bid in occ}
-        coloring = parity_coloring(dec, occ)
-        adj = occupied_neighbor_map(dec, occ)
-        graph, id_map = build_task_graph(coloring, adj, weights)
-        classes = coloring.classes()
-        class_w = [[weights[b] for b in cls] for cls in classes]
+        graph, classes = block_task_graph(dec, weights, "parity")
+        class_w = [[graph.weights[k] for k in cls] for cls in classes]
         for P in (2, 4, 8):
             dag = list_schedule(graph, P).makespan
             barrier = barrier_schedule(class_w, P)
@@ -208,40 +199,24 @@ class TestBarrierSchedule:
         assert barrier_schedule([[], [1.0], []], 2) == pytest.approx(1.0)
 
 
-class TestBuildTaskGraph:
+class TestColourDag:
     def test_edges_oriented_low_to_high(self):
         dec = BlockDecomposition(
             GridSpec(DomainSpec.from_voxels(30, 30, 30), hs=2.0, ht=2.0), 3, 3, 3
         )
-        occ = list(range(dec.n_blocks))
-        coloring = greedy_coloring(dec, occ, natural_order(occ))
-        adj = occupied_neighbor_map(dec, occ)
-        graph, id_map = build_task_graph(coloring, adj, {b: 1.0 for b in occ})
-        inv = {v: k for k, v in id_map.items()}
+        graph, classes = block_task_graph(
+            dec, dict.fromkeys(range(dec.n_blocks), 1.0), "sched")
+        colour = {t: k for k, cls in enumerate(classes) for t in cls}
         for u in range(graph.n):
             for v in graph.succs[u]:
-                assert coloring.colors[inv[u]] < coloring.colors[inv[v]]
-
-    def test_improper_coloring_rejected(self):
-        from repro.parallel.color import Coloring
-
-        dec = BlockDecomposition(
-            GridSpec(DomainSpec.from_voxels(20, 20, 20), hs=2.0, ht=2.0), 2, 2, 2
-        )
-        occ = list(range(8))
-        bad = Coloring({b: 0 for b in occ}, 1, "bad")
-        adj = occupied_neighbor_map(dec, occ)
-        with pytest.raises(ValueError, match="improper"):
-            build_task_graph(bad, adj, {b: 1.0 for b in occ})
+                assert colour[u] < colour[v]
 
     def test_acyclic(self):
         dec = BlockDecomposition(
             GridSpec(DomainSpec.from_voxels(40, 40, 40), hs=2.0, ht=2.0), 4, 4, 4
         )
-        occ = list(range(dec.n_blocks))
-        coloring = parity_coloring(dec, occ)
-        adj = occupied_neighbor_map(dec, occ)
-        graph, _ = build_task_graph(coloring, adj, {b: 1.0 for b in occ})
+        graph, _ = block_task_graph(
+            dec, dict.fromkeys(range(dec.n_blocks), 1.0), "parity")
         graph.topological_order()  # raises on cycle
 
 
