@@ -44,7 +44,7 @@ from ..core.invariants import stamp_cells
 from ..core.kernels import get_kernel
 from ..core.stamping import batch_windows, stamp_batch
 from ..parallel.color import block_task_graph
-from ..parallel.partition import BlockDecomposition
+from ..parallel.partition import BlockDecomposition, PointBinning
 from ..parallel.schedule import BandwidthModel, TaskGraph, barrier_schedule, list_schedule
 from ..parallel.rep import plan_replication
 
@@ -329,6 +329,19 @@ class Prediction:
         return f"{self.algorithm:16s} P={self.P:<3d}{dec:18s} {self.seconds * 1e3:9.2f} ms{feas}"
 
 
+@dataclass(frozen=True)
+class _PDPlan:
+    """One PD decomposition as its three predictors price it: owner
+    counts per block, the occupied blocks' loads, the bin cost, and the
+    colour DAG with its classes per scheduler."""
+
+    dec: BlockDecomposition
+    counts: np.ndarray
+    loads: Dict[int, float]
+    bin_cost: float
+    graphs: Dict[str, Tuple[TaskGraph, List[List[int]]]]
+
+
 @functools.lru_cache(maxsize=None)
 def _process_calibration() -> MachineModel:
     """The calibration every ``CostModel(machine=None)`` of this process
@@ -359,6 +372,7 @@ class CostModel:
         self._bw = BandwidthModel(cap=self.machine.bandwidth_cap)
         #: Cells touched per interior point stamp.
         self.cells_per_point = stamp_cells(grid)
+        self._pd_plans: Dict[Tuple[int, int, int], _PDPlan] = {}
 
     # ------------------------------------------------------------------
     # Primitive phase costs
@@ -568,17 +582,15 @@ class CostModel:
         return Prediction("pb-sym-dr", P, init + compute + reduce_)
 
     def _block_loads(
-        self, dec: BlockDecomposition, replicated: bool
+        self, binning: PointBinning, replicated: bool
     ) -> Tuple[Dict[int, float], float]:
         """Analytic per-block task weights (seconds) and the bin cost."""
         if replicated:
-            binning = dec.bin_points_replicated(self.points)
             # Clipped stamps still tabulate full invariants along the cut
             # axis; approximate the per-replica cost with the unclipped
             # point cost scaled by a 0.6 clipping discount.
             per_pt = self.point_cost(clipped_fraction=0.6)
         else:
-            binning = dec.bin_points_owner(self.points)
             per_pt = self.point_cost()
         counts = binning.counts()
         # One engine batch per occupied block: fixed c_batch + amortised
@@ -591,12 +603,28 @@ class CostModel:
         bin_cost = self.points.n * 2e-7 * (3.0 if replicated else 1.0)
         return loads, bin_cost
 
+    def _pd_plan(self, dec_shape: Tuple[int, int, int]) -> _PDPlan:
+        """PD's adjusted decomposition, its owner binning's block loads,
+        and the colour DAGs over them: binned once per decomposition and
+        shared by the three PD predictors."""
+        dec = BlockDecomposition.adjusted_for_pd(self.grid, *dec_shape)
+        plan = self._pd_plans.get(dec.shape)
+        if plan is None:
+            binning = dec.bin_points_owner(self.points)
+            loads, bin_cost = self._block_loads(binning, replicated=False)
+            graphs = {s: block_task_graph(dec, loads, s)
+                      for s in ("parity", "sched")}
+            plan = _PDPlan(dec, binning.counts(), loads, bin_cost, graphs)
+            self._pd_plans[dec.shape] = plan
+        return plan
+
     def predict_dd(self, dec_shape: Tuple[int, int, int], P: int) -> Prediction:
         A = min(dec_shape[0], self.grid.Gx)
         B = min(dec_shape[1], self.grid.Gy)
         C = min(dec_shape[2], self.grid.Gt)
         dec = BlockDecomposition(self.grid, A, B, C)
-        loads, bin_cost = self._block_loads(dec, replicated=True)
+        loads, bin_cost = self._block_loads(
+            dec.bin_points_replicated(self.points), replicated=True)
         ws = sorted(loads.values(), reverse=True)
         compute = barrier_schedule([ws], P, lpt=True)
         return Prediction(
@@ -607,13 +635,15 @@ class CostModel:
     def predict_pd(
         self, dec_shape: Tuple[int, int, int], P: int, scheduler: str = "parity"
     ) -> Prediction:
-        dec = BlockDecomposition.adjusted_for_pd(self.grid, *dec_shape)
-        loads, bin_cost = self._block_loads(dec, replicated=False)
+        plan = self._pd_plan(dec_shape)
+        if scheduler not in plan.graphs:
+            raise ValueError(f"unknown scheduler {scheduler!r}")
+        dec, bin_cost = plan.dec, plan.bin_cost
         name = "pb-sym-pd" if scheduler == "parity" else "pb-sym-pd-sched"
-        if not loads:
+        if not plan.loads:
             return Prediction(name, P, self.init_parallel(P) + bin_cost,
                               decomposition=dec.shape)
-        graph, classes = block_task_graph(dec, loads, scheduler)
+        graph, classes = plan.graphs[scheduler]
         if scheduler == "parity":
             compute = barrier_schedule(
                 [[graph.weights[k] for k in cls] for cls in classes], P)
@@ -629,18 +659,17 @@ class CostModel:
     def predict_pd_rep(
         self, dec_shape: Tuple[int, int, int], P: int
     ) -> Prediction:
-        dec = BlockDecomposition.adjusted_for_pd(self.grid, *dec_shape)
-        loads, bin_cost = self._block_loads(dec, replicated=False)
-        if not loads:
+        plan = self._pd_plan(dec_shape)
+        dec, bin_cost = plan.dec, plan.bin_cost
+        if not plan.loads:
             return Prediction("pb-sym-pd-rep", P,
                               self.init_parallel(P) + bin_cost,
                               decomposition=dec.shape)
-        graph, _ = block_task_graph(dec, loads, "sched")
-        blocks = sorted(loads)
+        graph, _ = plan.graphs["sched"]
+        blocks = sorted(plan.loads)
         halos = [dec.halo_window(*dec.block_coords(b)).volume for b in blocks]
         overheads = [2.0 * h * self.machine.c_mem for h in halos]
-        binning = dec.bin_points_owner(self.points)
-        max_reps = [max(1, len(binning.points_in(b))) for b in blocks]
+        max_reps = [max(1, int(plan.counts[b])) for b in blocks]
         replicas, _, _ = plan_replication(
             list(graph.weights), overheads, graph.succs, graph.preds, P, max_reps
         )

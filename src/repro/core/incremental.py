@@ -42,7 +42,10 @@ scales only the t-planes they cover (the rest stay untouched zero
 pages), so it is a **bit-exact pure function of the live membership**
 under every interleaving of the three: a long-slid window and a cold
 estimator re-fed the same ``live_batches`` serve ``array_equal``
-volumes, and both match a batch recompute at ``rtol=1e-12``.
+volumes, and both match a batch recompute at ``rtol=1e-12``.  A unit
+whose box is mostly zero (narrow stamps spread over a wide box) is kept
+as its nonzero cells and added by one fancy-index add: the same
+additions minus the ``+0.0`` ones, so the same bits.
 
 t-slab units
 ------------
@@ -68,7 +71,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .grid import GridSpec, PointSet, Volume, zeros_volume
+from .grid import GridSpec, PointSet, Volume, flat_view, zeros_volume
 from .index import BucketIndex
 from .instrument import WorkCounter
 from .kernels import KernelPair, get_kernel
@@ -76,6 +79,43 @@ from .regions import RegionBuffer, batch_bbox
 from .window import Window, slab_split
 
 __all__ = ["IncrementalSTKDE"]
+
+#: A stamped unit with at most this share of its buffer's cells nonzero
+#: is held as those cells: composing it costs a gather-scatter per entry
+#: instead of a pass over every cell, and the two break even near here
+#: (docs/PERFORMANCE.md, "Sparse units", has the sweep).
+_SPARSE_SHARE = 0.25
+
+
+class _SparseUnit:
+    """A stamped unit held as its buffer's nonzero cells: their sorted
+    positions in a grid volume's :func:`~repro.core.grid.flat_view` and
+    their values.  :meth:`add_into` gives every voxel the additions the
+    buffer's would, minus the ``+0.0`` ones; ``x + 0.0 == x`` bit for bit
+    for every ``x`` but ``-0.0``, which a sum started from ``+0.0`` never
+    reaches, so it composes the same bits."""
+
+    __slots__ = ("window", "idx", "vals")
+
+    def __init__(
+        self, grid: GridSpec, buf: RegionBuffer, nonzero: np.ndarray
+    ) -> None:
+        """``nonzero``: ``flat_view(buf.data) != 0``."""
+        w = self.window = buf.window
+        flat = flat_view(buf.data)
+        pos = np.flatnonzero(nonzero)
+        wx, wy, wt = w.shape
+        T, X, Y = np.unravel_index(pos, (wt, wx, wy))
+        self.idx = grid.flat_index(X + w.x0, Y + w.y0, T + w.t0)
+        self.vals = flat[pos]
+
+    @property
+    def cells(self) -> int:
+        """Number of values held."""
+        return self.vals.size
+
+    def add_into(self, vol: np.ndarray) -> None:
+        flat_view(vol)[self.idx] += self.vals
 
 
 class IncrementalSTKDE:
@@ -88,11 +128,13 @@ class IncrementalSTKDE:
     does any mutation: the rows live once, in :attr:`index` (coordinates
     and one sort key per row, at most ~2x live after a repack), whose
     per-cell count table waits for a query to ask for it.  Once read,
-    each live unit holds one buffer over
-    its stamps' bounding box: a thin box for a t-localised feed, at most
-    half a grid in total for a slabbed batch, up to one full volume for a
-    domain-wide batch.  There is no aggregate cap: *k* live domain-wide
-    batches hold up to *k* volumes after a read.
+    each live unit holds its summed stamp over its stamps' bounding box:
+    a thin box for a t-localised feed, at most half a grid in total for
+    a slabbed batch, up to one full volume for a domain-wide batch.  A
+    unit with at most a quarter of that box nonzero (narrow stamps, the
+    paper's low-bandwidth instances) keeps only its nonzero cells, at
+    16 bytes each, and frees the box.  There is no aggregate cap: *k*
+    live domain-wide batches hold up to *k* volumes after a read.
 
     **What rebuilding costs.**  A unit that loses rows is re-planned from
     its survivors and loses its buffer; the survivors are stamped by the
@@ -144,8 +186,10 @@ class IncrementalSTKDE:
             slab_split, grid, slab_voxels=pinned)  # None: one unit per batch
         #: The live units, over :attr:`index`.
         self.window = Window(self.index, split, self.counter)
-        # Per stamped unit id: its volume() sum-order key and its buffer.
-        self._stamped: Dict[int, Tuple[tuple, RegionBuffer]] = {}
+        # Per stamped unit id: its volume() sum-order key and its buffer,
+        # or, for a mostly-zero one, its nonzero cells.
+        self._stamped: Dict[
+            int, Tuple[tuple, RegionBuffer | _SparseUnit]] = {}
         self._version = 0
 
     @property
@@ -197,16 +241,19 @@ class IncrementalSTKDE:
 
     @property
     def cached_buffer_cells(self) -> int:
-        """Cells held in the live units' buffers (memory gauge; 0 until
-        the first read)."""
+        """Values the live units hold: the cells of their dense buffers
+        plus the entries of the sparse ones (memory gauge; 0 until the
+        first read).  ``counter.shard_bbox_cells`` counts the
+        bounding-box cells stamped."""
         return sum(buf.cells for _, buf in self._stamped.values())
 
     # ------------------------------------------------------------------
     def _stamp(self, uid: int) -> None:
         """Stamp a unit's rows into a fresh buffer over their bounding
-        box, and key it for :meth:`volume` by bbox, row count and a digest
-        of the rows as the index holds them (key order), so a cold replay
-        of :attr:`live_batches` computes the same keys."""
+        box, keep it (or, if mostly zero, its nonzero cells), and key it
+        for :meth:`volume` by bbox, row count and a digest of the rows as
+        the index holds them (key order), so a cold replay of
+        :attr:`live_batches` computes the same keys."""
         rows = self.index.rows(uid)
         # Never None: off-domain points clamp to a boundary voxel, so
         # every row has a stamp window on the grid.
@@ -215,8 +262,14 @@ class IncrementalSTKDE:
         self.counter.init_writes += buf.cells
         self.counter.shard_bbox_cells += buf.cells
         buf.stamp(self.grid, self.kernel, rows, 1.0, self.counter)
+        # Through a mask: count_nonzero and flatnonzero read float64
+        # cells several times slower than bools, and every unit pays this.
+        nonzero = flat_view(buf.data) != 0.0
+        held = buf
+        if np.count_nonzero(nonzero) <= _SPARSE_SHARE * buf.cells:
+            held = _SparseUnit(self.grid, buf, nonzero)
         digest = hashlib.blake2b(rows.tobytes(), digest_size=16).digest()
-        self._stamped[uid] = ((astuple(bbox), len(rows), digest), buf)
+        self._stamped[uid] = ((astuple(bbox), len(rows), digest), held)
 
     def _settle(self) -> None:
         """End a mutation: the index's merge policy and repack rule, the
@@ -276,7 +329,8 @@ class IncrementalSTKDE:
 
         Stamps every live unit that has no buffer yet (the units minted
         since the last read; none on a repeated read), then adds every
-        live unit's buffer into fresh zeros and scales by
+        live unit's buffer — or a sparse unit's nonzero cells — into
+        fresh zeros and scales by
         ``1/(n hs^2 ht)`` only the t-planes some buffer wrote; the rest
         are exact zeros either way and stay unfaulted zero pages.  The
         units are summed in a *content-derived* order — bbox window, then
@@ -295,12 +349,12 @@ class IncrementalSTKDE:
         # Lazily zeroed pages: the buffers' adds are their first touch.
         data = zeros_volume(self.grid.shape)
         wrote = np.zeros(self.grid.shape[2], dtype=bool)
-        for _, buf in sorted(
+        for _, held in sorted(
             (self._stamped[u.id] for u in self.window.units),
             key=lambda s: s[0],
         ):
-            if buf.add_into(data):
-                wrote[buf.window.t0 : buf.window.t1] = True
+            held.add_into(data)
+            wrote[held.window.t0 : held.window.t1] = True
         # Scale each run of written t-planes once.
         edges = np.flatnonzero(np.diff(wrote, prepend=False, append=False))
         if len(edges):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from repro.algorithms import pb_sym
 from repro.analysis import model as model_module
 from repro.analysis.model import CostModel, MachineModel, select_strategy
 from repro.core import DomainSpec, GridSpec
+from repro.data.datasets import get_instance
+from repro.parallel.partition import BlockDecomposition
 
 from tests.helpers import make_clustered_points, make_points
 
@@ -145,6 +148,68 @@ class TestSelectStrategy:
         model = CostModel(grid, pts, machine, memory_budget_bytes=grid.grid_bytes)
         p = model.predict_dr(P=8)
         assert "infeasible" in p.describe()
+
+
+class TestOneBinningPerDecomposition:
+    """The PD predictors share one owner binning and one colour DAG per
+    decomposition; what they predict is what three separate binnings
+    predicted."""
+
+    #: sha256 prefixes of the ranked predictions (algorithm, P, seconds as
+    #: ``float.hex``, decomposition, feasibility, reason) under
+    #: ``MachineModel.nominal()`` at P=16, without and with the instance's
+    #: memory budget, recorded while every predictor binned on its own.
+    RANKED = {
+        "Dengue_Hr-Lb": ("94b8f2292b110850", "94b8f2292b110850"),
+        "Flu_Lr-Lb": ("59f6838d8ad624f0", "59f6838d8ad624f0"),
+        "Flu_Hr-Lb": ("ec91e90c84a7e35f", "5cc41859464f5e06"),
+        "PollenUS_VHr-Lb": ("81acf6fb9c46eb4c", "17a2aac656287823"),
+    }
+
+    @staticmethod
+    def _digest(ranked):
+        rows = [(p.algorithm, p.P, p.seconds.hex(), p.feasible,
+                 p.decomposition, p.reason) for p in ranked]
+        return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("name", sorted(RANKED))
+    def test_predictions_and_ranking_unchanged(self, name):
+        inst = get_instance(name, "bench")
+        grid, pts = inst.grid(), inst.points()
+        for budget, want in zip((None, inst.memory_budget_bytes),
+                                self.RANKED[name]):
+            best, ranked = select_strategy(
+                grid, pts, 16, machine=MachineModel.nominal(),
+                memory_budget_bytes=budget)
+            assert self._digest(ranked) == want
+            # A fresh model per prediction binned nothing twice, so
+            # sharing between predictors can only show here.
+            fresh = lambda: CostModel(grid, pts, MachineModel.nominal(),
+                                      budget)
+            for p in ranked:
+                if p.algorithm == "pb-sym-pd-rep":
+                    alone = fresh().predict_pd_rep(p.decomposition, 16)
+                elif p.algorithm == "pb-sym-pd":
+                    alone = fresh().predict_pd(p.decomposition, 16, "parity")
+                elif p.algorithm == "pb-sym-pd-sched":
+                    alone = fresh().predict_pd(p.decomposition, 16, "sched")
+                else:
+                    continue
+                assert alone == p
+
+    def test_one_owner_binning_per_decomposition(self, monkeypatch):
+        calls = []
+        bin_owner = BlockDecomposition.bin_points_owner
+
+        def counted(dec, points):
+            calls.append(dec.shape)
+            return bin_owner(dec, points)
+
+        monkeypatch.setattr(BlockDecomposition, "bin_points_owner", counted)
+        inst = get_instance("Dengue_Hr-Lb", "bench")
+        select_strategy(inst.grid(), inst.points(), 16,
+                        machine=MachineModel.nominal())
+        assert calls == [(4, 4, 4), (8, 8, 8), (15, 16, 16)]
 
 
 class TestProcessCalibration:

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import pb_sym
-from repro.core import DomainSpec, GridSpec, PointSet
-from repro.core.incremental import IncrementalSTKDE
+from repro.core import DomainSpec, GridSpec, PointSet, incremental
+from repro.core.grid import zeros_volume
+from repro.core.incremental import IncrementalSTKDE, _SparseUnit
 from repro.core.kernels import available_kernels
-from repro.core.regions import auto_slab_voxels
+from repro.core.regions import RegionBuffer, auto_slab_voxels
 
 from repro.core.index import BucketIndex
 
@@ -639,7 +642,11 @@ class TestOneLiveState:
         np.testing.assert_allclose(
             inc.volume().data, pb_sym(both, grid).data, rtol=1e-12, atol=1e-18
         )
-        assert not buffers(inc)[1].data.any()
+        # The off-domain unit holds no nonzero value, whichever form
+        # (dense buffer or nonzero cells) it is held in.
+        alone = zeros_volume(grid.shape)
+        buffers(inc)[1].add_into(alone)
+        assert not alone.any()
         inc.remove(outside[:5])
         assert inc.n == 35
         np.testing.assert_array_equal(
@@ -843,6 +850,102 @@ class TestBuffersAreACache:
         assert one is not two
         assert self._kernel_work(inc) == after_one
         assert all(a is b for a, b in zip(held, buffers(inc)))
+
+
+class TestSparseUnits:
+    """A unit whose bounding box is mostly zero is held as its nonzero
+    cells, which compose the same bits as its dense buffer."""
+
+    @staticmethod
+    def _stream_window(shape, hs, ht, n, batches=4, seed=0):
+        """A read window of clustered stream batches, one t-voxel each
+        (the benchmark's live-window shape)."""
+        grid = GridSpec(DomainSpec.from_voxels(*shape), hs=hs, ht=ht)
+        rng = np.random.default_rng(seed)
+        extent = np.array(shape[:2], dtype=np.float64)
+        centres = rng.uniform(0.2, 0.8, (8, 2)) * extent
+        inc = IncrementalSTKDE(grid)
+        for i in range(batches):
+            xy = centres[np.arange(n) % 8] + rng.normal(0, 0.08, (n, 2)) * extent
+            t = rng.uniform(ht + i, ht + i + 1, n)
+            inc.add(np.column_stack([np.clip(xy, 0.01, extent - 0.01), t]))
+        inc.volume()
+        return inc
+
+    def test_form_follows_the_nonzero_share(self):
+        """Narrow stamps over a wide box (hs=2 over 384²) are held sparse,
+        stamps that fill their box (hs=12 over 128²) dense."""
+        narrow = self._stream_window((384, 384, 96), 2.0, 1.0, 1000, seed=4)
+        assert narrow.units_live == 4
+        assert all(isinstance(b, _SparseUnit) for b in buffers(narrow))
+        assert narrow.cached_buffer_cells < narrow.counter.shard_bbox_cells / 4
+        wide = self._stream_window((128, 128, 96), 12.0, 4.0, 250, seed=5)
+        assert wide.units_live == 4
+        assert all(isinstance(b, RegionBuffer) for b in buffers(wide))
+        assert wide.cached_buffer_cells == wide.counter.shard_bbox_cells
+
+    GRID = GridSpec(DomainSpec.from_voxels(96, 96, 24), hs=1.5, ht=1.0)
+
+    @classmethod
+    def _batch(cls, rng, kind, t0):
+        """``sparse``: a few events scattered over the whole xy plane;
+        ``dense``: many events packed into one small patch."""
+        d = cls.GRID.domain
+        if kind == "sparse":
+            xy = rng.uniform(0, [d.gx, d.gy], (6, 2))
+        else:
+            xy = rng.uniform(0, 6, 2) + rng.uniform(40, 46, (60, 2))
+        t = rng.uniform(t0, t0 + 2.0, len(xy))
+        return np.column_stack([xy, t])
+
+    @staticmethod
+    def _cold(inc, force_dense=False):
+        """A fresh estimator fed ``inc``'s live units, one add each;
+        ``force_dense`` holds every unit as its dense buffer."""
+        with pytest.MonkeyPatch.context() as mp:
+            if force_dense:
+                mp.setattr(incremental, "_SPARSE_SHARE", -1.0)
+            cold = IncrementalSTKDE(inc.grid, t_slab_voxels=None)
+            for _, coords in inc.live_batches:
+                cold.add(coords)
+            vol = cold.volume().data
+        if force_dense:
+            assert all(isinstance(b, RegionBuffer) for b in buffers(cold))
+        return vol
+
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["add", "remove", "slide"]),
+                st.sampled_from(["sparse", "dense"]),
+                st.floats(0.0, 20.0),
+                st.integers(0, 2**16),
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_window_composes_like_dense_and_cold(self, steps):
+        rng = np.random.default_rng(0)
+        inc = IncrementalSTKDE(self.GRID)
+        inc.add(self._batch(rng, "sparse", 4.0))
+        inc.add(self._batch(rng, "dense", 9.0))
+        inc.volume()
+        forms = {type(b) for b in buffers(inc)}
+        assert forms == {_SparseUnit, RegionBuffer}
+        for op, kind, t, seed in steps:
+            rng = np.random.default_rng(seed)
+            if op == "add":
+                inc.add(self._batch(rng, kind, t))
+            elif op == "remove" and inc.n:
+                live = inc.live_coords
+                k = rng.integers(1, len(live) + 1)
+                inc.remove(live[rng.choice(len(live), k, replace=False)])
+            elif op == "slide":
+                inc.slide_window(self._batch(rng, kind, t + 2.0), t)
+            vol = inc.volume().data
+            np.testing.assert_array_equal(vol, self._cold(inc, force_dense=True))
+            np.testing.assert_array_equal(vol, self._cold(inc))
 
 
 class TestWeightedInputsRejected:
