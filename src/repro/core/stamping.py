@@ -36,10 +36,11 @@ origin order — then
 
 PB-SYM (``mode="sym"``) first takes a shortcut the other profiles cannot:
 a point's cylinder *is* ``disk (x) bar``, so the cylinders of ``m`` nearby
-points add up to one matrix product.  Live points are binned on a fixed
-space-time lattice (the paper's Section 5 point decomposition, used here
-for locality instead of parallelism); every *crowded* bin — one whose
-stamps cover a good fraction of its box, see :func:`_crowded_runs` —
+points add up to one matrix product.  Each group's live points are binned
+on a space-time lattice anchored at the group's own lowest live voxel
+(the paper's Section 5 point decomposition, used here for locality
+instead of parallelism); every *crowded* bin — one whose stamps cover a
+good fraction of its box, see :func:`_crowded_runs` —
 tabulates its disks ``(m, BX, BY)`` and bars ``(m, BT)`` once in the box
 frame and reduces them with a single ``bar.T @ disk.reshape(m, -1)``
 followed by one slice-add of the ``(BT, BX, BY)`` partial — t-outermost,
@@ -126,8 +127,12 @@ _CROWD_COVER = 0.125
 
 #: Least stamp cells a bin must hold to be crowded, whatever its box:
 #: below this the bin's fixed dispatch (a dozen NumPy calls) costs more
-#: than the scatter it would replace.
-_MIN_BIN_CELLS = 1 << 13
+#: than the scatter it would replace.  Measured (docs/PERFORMANCE.md,
+#: "Per-group lattice and crowd floor"): at 2**12 one ``hs=12, ht=4``
+#: stamp (5 625 cells) is a bin of its own, and a one-point GEMM costs
+#: less than that stamp as a cohort of its own; at 2**11 the densest bins
+#: of ``hs=2, ht=1`` clusters crowd, and the GEMM does not pay there.
+_MIN_BIN_CELLS = 1 << 12
 
 #: Cap on disk-table cells per GEMM chunk (512 KB of f8): the table and
 #: the temporaries of its kernel evaluation stay cache-resident, and the
@@ -373,58 +378,68 @@ def _crowded_runs(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """PB-SYM's crowded bins: the rows they hold, and where each bin starts.
 
-    Live rows are binned on the fixed :func:`_bin_edges` lattice, keyed by
-    (group, lattice bin) so that no bin spans two groups.  A bin is
-    *crowded* when its rows' clipped stamp cells add up to its group's
-    ``crowd`` (one entry per group, or one for all): :data:`_CROWD_COVER`
-    of the box (bin + halo, no larger than the group's clipped grid), and
-    at least :data:`_MIN_BIN_CELLS`.  Tabulating every point's disk and
-    bar over the whole box then costs less than scattering the stamps one
-    cell at a time.
+    Each group's live rows are binned on a :func:`_bin_edges` lattice
+    anchored, per axis, at the group's own lowest live voxel, and keyed by
+    (group, bin) so that no bin spans two groups.  Wherever a group sits on
+    the grid its rows then fill at most ``ceil(extent / edge)`` bins per
+    axis: a block of the point decomposition is not cut by a lattice it
+    does not line up with.  The anchor is a function of the group's live
+    rows alone, so :func:`stamp_batch` on those rows bins them the same
+    way.  A bin is *crowded* when its rows' clipped stamp cells add up to
+    its group's ``crowd`` (one entry per group, or one for all):
+    :data:`_CROWD_COVER` of the box (bin + halo, no larger than the group's
+    clipped grid), and at least :data:`_MIN_BIN_CELLS`.  Tabulating every
+    point's disk and bar over the whole box then costs less than
+    scattering the stamps one cell at a time.
 
     Returns the crowded rows sorted by (group, bin), ties in input order,
     and the position of each bin's first row among them.  One ``bincount``
-    of lattice keys decides first: a lattice bin short of the least crowd
-    is short in every group, so a batch with no crowded lattice bin
-    returns before any sort.
+    of (group, bin) keys weighs every bin against its group's crowd, so a
+    batch with no crowded bin returns before any sort.  Its table holds
+    one entry per group and bin of the largest group's extent: a few per
+    block for the decomposed strategies' compact groups.
     """
     none = np.zeros(0, dtype=np.int64)
     X0, X1, Y0, Y1, T0, T1 = windows
     edges = _bin_edges(grid)
-    least = crowd.min()
-    if live.size * (2 * grid.Hs + 1) ** 2 * (2 * grid.Ht + 1) < least:
+    if live.size * (2 * grid.Hs + 1) ** 2 * (2 * grid.Ht + 1) < crowd.min():
         return none, none  # too few stamps to crowd even one bin
     if live.size < vox.shape[0]:
         vox = vox[live]
         X0, X1, Y0, Y1, T0, T1 = (w[live] for w in windows)
     cells = (X1 - X0) * (Y1 - Y0) * (T1 - T0)
-    # Keys relative to the batch's own corner bin: a compact batch on a
-    # large grid counts over its few bins, not the grid's.  Per axis, on
-    # 1-D columns (NumPy's (n, 3) loops are several times slower).
-    bins = [vox[:, axis] // edge for axis, edge in enumerate(edges)]
-    lo = [int(b.min()) for b in bins]
-    span = [int(b.max()) - b0 + 1 for b, b0 in zip(bins, lo)]
+    # Bins from each group's lowest live voxel, so keys are compact: a
+    # batch on a large grid counts over its groups' few bins, not the
+    # grid's.  Per axis, on 1-D columns (NumPy's (n, 3) loops are several
+    # times slower).
+    owner = None if group is None else group[live]
+    bins = []
+    for axis, edge in enumerate(edges):
+        col = vox[:, axis]
+        if owner is None:
+            anchor = col.min()
+        else:
+            low = np.full(owner.max() + 1, col.max())
+            np.minimum.at(low, owner, col)
+            anchor = low[owner]
+        bins.append((col - anchor) // edge)
+    span = [int(b.max()) + 1 for b in bins]
+    size = span[0] * span[1] * span[2]
+    # The group is the outer key.
     key = (bins[0] * span[1] + bins[1]) * span[2] + bins[2]
-    key -= (lo[0] * span[1] + lo[1]) * span[2] + lo[2]
-    crowded = np.bincount(key, weights=cells) >= least
+    if owner is not None:
+        key += owner * size
+    weight = np.bincount(key, weights=cells)
+    need = crowd[0] if crowd.size == 1 else crowd[np.arange(weight.size) // size]
+    crowded = weight >= need
     if not crowded.any():
         return none, none
-    # ``at`` indexes the live-compressed arrays; the group is the outer key.
+    # ``at`` indexes the live-compressed arrays.
     at = np.flatnonzero(crowded[key])
     key = key[at]
-    if group is not None:
-        key += group[live[at]] * (span[0] * span[1] * span[2])
     rank = np.argsort(key, kind="stable")
     at, key = at[rank], key[rank]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    # Each part of a lattice bin against its own group's crowd: a bin two
-    # groups share may leave each part short.
-    need = crowd[0] if crowd.size == 1 else crowd[group[live[at[starts]]]]
-    hot = np.add.reduceat(cells[at], starts) >= need
-    if not hot.all():
-        keep = np.repeat(hot, np.diff(np.r_[starts, at.size]))
-        at, key = at[keep], key[keep]
-        starts = np.flatnonzero(np.r_[key.size > 0, key[1:] != key[:-1]])
     return live[at], starts
 
 
@@ -445,10 +460,11 @@ class StampPlan:
     non-negative integer group ids.  ``clip`` is ``None`` (no group
     clipped) or one window per group, ``None`` for a group left unclipped;
     each group's rows are clipped to its window, and its crowded bins are
-    judged against its own clipped box.  Bins stay on the absolute lattice
-    and ties sort in input order, so stamping a group performs exactly the
-    additions — to the bit — of :func:`stamp_batch` on that group's rows
-    alone, with that group's clip, and the same work counts.
+    judged against its own clipped box.  A group's lattice is anchored at
+    its own lowest live voxel, which :func:`stamp_batch` on that group's
+    rows alone anchors at too, and ties sort in input order, so stamping a
+    group performs exactly the additions — to the bit — of that call, with
+    that group's clip, and the same work counts.
     """
 
     def __init__(

@@ -720,7 +720,7 @@ class TestOneLiveState:
             "madds": 372124,
             "points_processed": 840,
             "stamp_batches": 19,
-            "stamp_cohorts": 48,
+            "stamp_cohorts": 63,
             "shard_bbox_cells": 83600,
             "slab_buffers_retired": 11,
             "slab_restamp_points": 381,

@@ -16,6 +16,7 @@ from repro.core import DomainSpec, GridSpec, PointSet, VoxelWindow, WorkCounter
 from repro.core.backends import ComputeBackend
 from repro.core.kernels import get_kernel
 from repro.core.regions import RegionBuffer
+import repro.core.stamping as stamping
 from repro.core.stamping import STAMP_MODES, StampPlan, stamp_batch
 from repro.parallel import pb_sym_dd, pb_sym_pd_rep, pb_sym_pd_sched
 from repro.parallel.partition import BlockDecomposition
@@ -97,6 +98,12 @@ class TestPlanEquivalence:
                      for g in range(n_groups)]
         plan = StampPlan(grid, coords, mode=mode, clip=clips, groups=groups)
         np.testing.assert_array_equal(plan.counts, np.bincount(groups))
+        # Most groups' lowest voxels lie off the absolute lattice on every
+        # axis, so their bins are anchored at voxels of their own.
+        edges = np.array(stamping._bin_edges(grid))
+        off = [(grid.voxels_of(coords[groups == g]).min(axis=0) % edges).all()
+               for g in np.unique(groups)]
+        assert sum(off) >= len(off) // 2
         empty = 0
         for g in rng.permutation(plan.counts.size):
             rows = np.flatnonzero(groups == g)
@@ -184,15 +191,54 @@ class TestPlanEquivalence:
                 StampPlan(grid, coords, clip=clip, groups=groups)
 
 
+class TestGroupLattice:
+    """Each group's bins are anchored at its own lowest live voxel, per
+    axis: a block's rows fill as few bins as their extent needs, wherever
+    the block sits against the grid origin."""
+
+    def test_a_block_off_the_absolute_lattice_is_one_bin(self):
+        # Hs = 4: bins 8 voxels wide along x.  PD's blocks are 12 wide;
+        # the rows of block [12, 24) span x in [12, 20) and those of block
+        # [24, 36) span [26, 34), which the lattice anchored at the grid
+        # origin cuts at x = 16 and x = 32.
+        grid = GridSpec(DomainSpec.from_voxels(48, 32, 32), hs=4.0, ht=2.0)
+        dec = BlockDecomposition.adjusted_for_pd(grid, 4, 1, 1)
+        assert dec.xb[1] == 12 and dec.xb[2] == 24
+        rng = np.random.default_rng(31)
+        coords = np.vstack([
+            rng.uniform([x, 12.0, 12.0], [x + 7.9, 15.9, 15.9], (60, 3))
+            for x in (12.0, 26.0)
+        ])[rng.permutation(120)]
+        groups = dec.owners(PointSet(coords))
+        assert set(groups.tolist()) == {1, 2}
+        plan = StampPlan(grid, coords, groups=groups)
+        for g in (1, 2):
+            rows = np.flatnonzero(groups == g)
+            edge = stamping._bin_edges(grid)[0]
+            absolute = np.unique(grid.voxels_of(coords[rows])[:, 0] // edge)
+            assert absolute.size == 2
+            # One GEMM run holds every row of the group: one table chunk.
+            runs = plan._gemm[plan._gemm_at[g] : plan._gemm_at[g + 1]]
+            assert [b - a for a, b, *_ in runs] == [rows.size]
+            want, wc = stamp_alone(grid.shape, grid, coords, rows)
+            got, gc = np.zeros(grid.shape), WorkCounter()
+            plan.stamp(got, KERNEL, NORM, gc, group=g)
+            np.testing.assert_array_equal(got, want)
+            assert gc.as_dict() == wc.as_dict()
+            assert gc.stamp_cohorts == 1
+
+
 class TestWriteContainment:
     """The threads backend's safety property: a group writes only inside
-    its block's halo, also where one lattice bin straddles two blocks, and
-    a group clipped to its block's window (DD) only inside that window."""
+    its block's halo, also where two blocks' crowded rows meet across the
+    block edge (each group binned and boxed on its own rows), and a group
+    clipped to its block's window (DD) only inside that window."""
 
     @pytest.fixture
     def setting(self):
-        # Hs = 4: lattice bins 8 voxels wide along x, PD blocks 12 wide,
-        # so the block edge at x = 12 cuts the lattice bin [8, 16).
+        # Hs = 4: bins 8 voxels wide along x, PD blocks 12 wide; the rows
+        # of blocks [0, 12) and [12, 24) crowd x in [8, 16) across the
+        # block edge at x = 12.
         grid = GridSpec(DomainSpec.from_voxels(48, 32, 32), hs=4.0, ht=2.0)
         dec = BlockDecomposition.adjusted_for_pd(grid, 4, 1, 1)
         assert dec.shape == (4, 1, 1) and dec.xb[1] == 12
@@ -234,8 +280,8 @@ class TestWriteContainment:
             inside = np.zeros(grid.shape, dtype=bool)
             inside[reach[g].slices()] = True
             assert vol.any() and not vol[~inside].any(), g
-        # Both halves of the straddling bin were crowded: every row took
-        # the GEMM route, as two bins.
+        # Both blocks' rows were crowded: every row took the GEMM route,
+        # as one bin per block.
         assert sum(gemm_rows) == len(rows)
         assert len(plan._gemm) == 2
 

@@ -483,6 +483,48 @@ class TestCrowdedBinGemm:
             rtol=RTOL, atol=ATOL,
         )
 
+    def test_a_lone_wide_stamp_is_a_crowded_bin(self, routes):
+        """The crowd floor from above: one interior hs=12, ht=4 stamp
+        (25 x 25 x 9 = 5 625 cells, ``volume_dense``'s) is a bin of its
+        own, one factor-table dispatch and no cohort table."""
+        grid = GridSpec(DomainSpec.from_voxels(64, 64, 32), hs=12.0, ht=4.0)
+        assert (2 * grid.Hs + 1) ** 2 * (2 * grid.Ht + 1) == 5625
+        kern = get_kernel("epanechnikov")
+        coords = np.array([[31.3, 30.6, 15.2]])
+        c = WorkCounter()
+        vol = np.zeros(grid.shape)
+        stamp_batch(vol, grid, kern, coords, 1.0, c)
+        assert routes == {"gemm": 1, "cohort": 0}
+        assert c.stamp_cohorts == 1
+        assert c.backend_dispatches == {DEFAULT_BACKEND: 1}
+        np.testing.assert_allclose(vol, brute_force(grid, kern, coords, 1.0),
+                                   rtol=RTOL, atol=ATOL)
+
+    @pytest.mark.parametrize("seed", [4101, 9801, 123])
+    def test_sparse_clusters_crowd_no_bin(self, routes, monkeypatch, seed):
+        """The crowd floor from below: ``volume_sparse``'s shape (hs=2,
+        ht=1, 384 x 384 x 96, 20 000 events in eight clusters) crowds no
+        bin, and its stamps stay two cohorts; a floor of 2**11 would
+        crowd its densest bins."""
+        grid = GridSpec(DomainSpec.from_voxels(384, 384, 96), hs=2.0, ht=1.0)
+        centres = np.array([
+            [0.25, 0.30, 0.20], [0.70, 0.25, 0.35], [0.45, 0.55, 0.50],
+            [0.30, 0.75, 0.65], [0.75, 0.70, 0.80], [0.55, 0.35, 0.70],
+            [0.20, 0.50, 0.40], [0.65, 0.50, 0.25],
+        ])
+        extent = np.array(grid.shape, dtype=float)
+        rng = np.random.default_rng(seed)
+        coords = (centres[np.arange(20000) % 8]
+                  + rng.normal(0.0, 0.07, (20000, 3))) * extent
+        coords = np.clip(coords, 0.01, extent - 0.01)
+        c = WorkCounter()
+        stamp_batch(np.zeros(grid.shape), grid, get_kernel("epanechnikov"),
+                    coords, 1.0, c)
+        assert routes["gemm"] == 0
+        assert c.stamp_cohorts == 2
+        monkeypatch.setattr(stamping, "_MIN_BIN_CELLS", 1 << 11)
+        assert len(stamping.StampPlan(grid, coords)._gemm) > 0
+
 
 def slice_add_scatter(vol, contrib, x0, y0, t0, vol_origin, window=None):
     """The legacy accumulation: one slice-add per stamp, in slab order —

@@ -335,10 +335,10 @@ class TestRunnerContracts:
     @pytest.mark.parametrize("algo, want", [
         # madds, init_writes, reduce_adds, points_processed, stamp_batches,
         # stamp_cohorts
-        (pb_sym_dr, (120001, 152064, 152064, 350, 3, 7)),
-        (pb_sym_dd, (120001, 50688, 0, 1546, 45, 52)),
-        (pb_sym_pd, (120001, 50688, 0, 350, 23, 26)),
-        (pb_sym_pd_sched, (120001, 50688, 0, 350, 23, 26)),
+        (pb_sym_dr, (120001, 152064, 152064, 350, 3, 16)),
+        (pb_sym_dd, (120001, 50688, 0, 1546, 45, 56)),
+        (pb_sym_pd, (120001, 50688, 0, 350, 23, 28)),
+        (pb_sym_pd_sched, (120001, 50688, 0, 350, 23, 28)),
         (pb_sym_pd_rep, (120001, 685434, 634746, 350, 196, 197)),
     ])
     def test_work_counts_pinned(self, algo, want, grid, pts):
