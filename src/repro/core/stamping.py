@@ -1,97 +1,49 @@
-"""Batched stamping engine: cohort-vectorised point-cylinder accumulation.
+"""Batched stamping engine: a batch's point cylinders added into a volume.
 
-The point-based algorithms (PB, PB-DISK, PB-BAR, PB-SYM) all share one hot
-path: *for every point, tabulate kernel values over its clipped stamp
-window and accumulate them into the density volume*.  Executing that loop
-point-by-point at the Python level costs a handful of interpreter-dispatched
-NumPy calls per point; for the small stamps of realistic bandwidths the
-dispatch dominates the arithmetic, and because the loop re-acquires the GIL
-between tiny kernels the ``threads`` backend gets almost no real overlap.
+Every point-based algorithm (PB, PB-DISK, PB-BAR, PB-SYM), and every
+strategy, region and live unit built on them, stamps through this module:
+for each point, tabulate its kernel over its clipped stamp window and add
+the values into the target.  A :class:`StampPlan` is one batch's geometry,
+built once; :meth:`StampPlan.stamp` runs one group of it (a block or
+replica task of DD, PD, PD-SCHED, PD-REP); :func:`stamp_batch` is the plan
+of one group.
 
-This module replaces the per-point loop with **cohort batching**, following
-the amortisation idea of bucketed/batched KDE evaluation (Charikar &
-Siminelakis, 2018).  A group's live points form at most two cohorts: the
-interior points, whose windows all have the full ``(2Hs+1, 2Hs+1, 2Ht+1)``
-extent, and the points whose windows the grid edge or a clip window cut.
-A clipped point keeps one table shape — its cohort's widest window per
-axis, the full stamp unless every clipped window of the cohort is cut on
-that axis — and is cut to its window in the scatter, not in the table:
-the paper's domain decomposition likewise copies a point into every block
-its cylinder meets at no extra multiply-adds.  One stable sort of the live
-points by (clipped or not, window origin) yields both cohorts, already in
-origin order — then
+Routes.  ``mode="sym"`` (PB-SYM) bins each group's live points on a
+space-time lattice anchored at the group's own lowest live voxel (the
+paper's Section 5 point decomposition, used for locality).  A *crowded*
+bin (:func:`_crowded_runs`) is reduced by one ``bar.T @ disk`` matrix
+product per chunk and added to its box with one slice-add.  Every other
+live point, and every point of the per-voxel profiles ``"pb"``, ``"disk"``
+and ``"bar"``, takes the cohort route: a group's points form at most two
+cohorts (full-shape stamps, and those the grid or a clip cut, tabulated at
+the cohort's widest window and cut to their own in the scatter), in window
+origin order, tabulated in slabs as one ``(m, wx, wy, wt)`` array each and
+added by one unbuffered ``np.add.at`` per slab.
 
-1. tabulate each cohort's spatial disks as one ``(m, wx, wy)`` vectorised
-   computation and its temporal bars as one ``(m, wt)`` computation,
-2. form the per-point contributions (outer products for PB-SYM, per-voxel
-   kernel products for the other cost profiles) as one ``(m, wx, wy, wt)``
-   array stored t-outermost, like the volume, and
-3. scatter-accumulate the contributions into the volume with a single
-   unbuffered indexed add per cohort slab (``np.add.at`` over the target's
-   flat view, at each cell's voxel, each stamp's cells in the target's
-   memory order: t, then x, then y; a clipped stamp's cells outside its
-   window dropped first) — no bounding box, no partial volume, never
-   per-point or per-shape dispatch; the scatter costs what the tabulated
-   cells cost, however far apart the stamps lie.
+The plan in linear passes.  One ``(3, n)`` pass computes the voxels,
+clipped windows and liveness; one ``bincount`` of (group, bin) keys weighs
+every bin against its group's crowd; the crowded rows, and the cohort rows
+by (group, clipped or full, window origin), are ordered by stable passes
+over 16-bit digits, least significant first (NumPy sorts ``uint16`` by
+radix): one pass for a key below 2**16, and exactly the permutation of a
+stable comparison sort.  An unclipped batch has every row live and skips
+the live compress.
 
-PB-SYM (``mode="sym"``) first takes a shortcut the other profiles cannot:
-a point's cylinder *is* ``disk (x) bar``, so the cylinders of ``m`` nearby
-points add up to one matrix product.  Each group's live points are binned
-on a space-time lattice anchored at the group's own lowest live voxel
-(the paper's Section 5 point decomposition, used here for locality
-instead of parallelism); every *crowded* bin — one whose stamps cover a
-good fraction of its box, see :func:`_crowded_runs` —
-tabulates its disks ``(m, BX, BY)`` and bars ``(m, BT)`` once in the box
-frame and reduces them with a single ``bar.T @ disk.reshape(m, -1)``
-followed by one slice-add of the ``(BT, BX, BY)`` partial — t-outermost,
-like the volume it is added to: no 4-D contribution array, no flat
-index array.  Points in bins
-that are not crowded, and the per-voxel baseline modes, take the cohort
-route above unchanged; a batch with no crowded bin leaves the shortcut
-after one ``bincount`` of bin keys.  Exact partial sums over disjoint
-point subsets recombine exactly (the subset-sum argument of parallel
-Bayesian KDE, PAPERS.md), so per-bin partials add up to the same density.
+Numerical contract.  Every route evaluates the per-point path's kernel and
+mask expressions per cell; only the order of the additions into a voxel
+differs.  The cohort route is bit-identical to one slice-add per stamp, in
+its slab's origin order; GEMM bins add in BLAS order.  Engine and
+per-point volumes agree at ``rtol=1e-12`` for every kernel and route
+(the equivalence suite), deterministically for one batch, grid and BLAS
+build, but not across batchings.  A plan's group stamps exactly the
+additions, to the bit, and the work counts of :func:`stamp_batch` on that
+group's rows with that group's clip.  Work counters charge the mode's
+logical profile over the clipped windows on every route, plus
+``stamp_batches`` and ``stamp_cohorts`` (cohorts plus GEMM chunks).
 
-Numerical contract: every route evaluates the same kernel and mask
-expressions per cell as the legacy per-point path (same ``d^2 < hs^2`` /
-``|dt| <= ht`` masks, same voxel-centre offsets; a cell of a bin's box
-outside a point's own window lies outside that point's kernel support
-and tabulates to zero).  What differs is the order of the additions into
-a voxel.  The cohort route is **bit-identical to sequential stamping
-within a slab**: the indexed add performs exactly the additions of one
-slice-add per stamp, in ascending order of the slab's (origin-sorted)
-points (a stamp adds to each of its cells once, so the order of its
-cells is immaterial), so only the cohort/slab grouping reorders
-anything.  Crowded bins
-accumulate in **BLAS order**: the GEMM sums a bin's points in whatever
-blocking the library chooses, bin partials are added bin by bin, and the
-normalisation (and any weight) is folded into the bar rather than the
-disk.  Each is a reassociation of the same non-cancelling sum, so engine
-and legacy volumes agree to ~1e-15 relative — the equivalence suite pins
-the bound at ``rtol=1e-12`` for every registered kernel, every route, and
-a brute-force kernel sum.  Results are deterministic for a given batch,
-grid and BLAS build, but not bit-identical across different batchings of
-the same points.  Work counters report the identical logical operation
-counts as the per-point path (clipped-window sums on every route), plus
-two batching statistics (``stamp_batches``, ``stamp_cohorts`` — the
-latter counts tabulation groups: cohorts plus GEMM chunks) that feed the
-Section 6.5 cost model.
-
-The geometry of a batch — voxels, clipped windows, the crowded bins and
-the cohort order — is a :class:`StampPlan`, built once and stamped group
-by group: bins and cohorts are keyed by group first, and each group has
-its own clip window, so the block and replica tasks of DD, PD, PD-SCHED
-and PD-REP (:mod:`repro.parallel`) each run only their own group's slice
-of one plan, with exactly the additions and counts of stamping that
-group's points alone.  :func:`stamp_batch` is the plan of one group.
-
-Threads gain nothing on the cohort route: its scatter is one ``np.add.at``
-per slab, which does not overlap across threads (two threads each running
-it took longer than one thread running both, docs/PERFORMANCE.md); the
-GEMM route's matrix products and slice-adds do.  What PB-SYM's
-``backend="threads"`` and the threaded strategies gain is therefore a
-measured quantity (``parallel.threads_p2_speedup`` in the perfbench
-ledger), not a property of this module.
+Threads overlap the GEMM route's products and slice-adds, not the cohort
+route's ``np.add.at``; what they gain is measured
+(``parallel.threads_p2_speedup`` in the perfbench ledger).
 """
 
 from __future__ import annotations
@@ -152,44 +104,43 @@ def batch_windows(
     with the grid and the optional ``clip`` window.  Empty windows come out
     with ``lo >= hi`` and are skipped by the engine.
     """
-    bounds = None if clip is None else _limits(grid, [clip])
-    return _windows_of(grid, grid.voxels_of(coords), bounds)
+    coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
+    _, win = _geometry(grid, coords, _limits(grid, [clip]))
+    return win[0, 0], win[1, 0], win[0, 1], win[1, 1], win[0, 2], win[1, 2]
 
 
 def _limits(
     grid: GridSpec, clip: Sequence[Optional[VoxelWindow]]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(m, 3)`` lower and upper voxel limits of ``m`` windows, each
+    """``(3, m)`` lower and upper voxel limits of ``m`` windows, each
     intersected with the grid; ``None`` is the whole grid."""
     wins = [grid.full_window() if w is None else w for w in clip]
     lo = np.maximum([(w.x0, w.y0, w.t0) for w in wins], 0).reshape(-1, 3)
     hi = np.minimum([(w.x1, w.y1, w.t1) for w in wins], grid.shape).reshape(-1, 3)
-    return lo, hi
+    return lo.T, hi.T
 
 
-def _windows_of(
+def _geometry(
     grid: GridSpec,
-    vox: np.ndarray,
-    bounds: Optional[Tuple[np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, ...]:
-    """:func:`batch_windows` from the points' voxels (shared with binning),
-    clipped to ``bounds = (lo, hi)``: ``(1, 3)`` limits for every point,
-    or ``(n, 3)``, one row per point."""
-    X0 = np.maximum(vox[:, 0] - grid.Hs, 0)
-    X1 = np.minimum(vox[:, 0] + grid.Hs + 1, grid.Gx)
-    Y0 = np.maximum(vox[:, 1] - grid.Hs, 0)
-    Y1 = np.minimum(vox[:, 1] + grid.Hs + 1, grid.Gy)
-    T0 = np.maximum(vox[:, 2] - grid.Ht, 0)
-    T1 = np.minimum(vox[:, 2] + grid.Ht + 1, grid.Gt)
-    if bounds is not None:
-        lo, hi = bounds
-        np.maximum(X0, lo[..., 0], out=X0)
-        np.minimum(X1, hi[..., 0], out=X1)
-        np.maximum(Y0, lo[..., 1], out=Y0)
-        np.minimum(Y1, hi[..., 1], out=Y1)
-        np.maximum(T0, lo[..., 2], out=T0)
-        np.minimum(T1, hi[..., 2], out=T1)
-    return X0, X1, Y0, Y1, T0, T1
+    coords: np.ndarray,
+    limits: Tuple[np.ndarray, np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Unclipped stamp origins and clipped windows of ``(n, 3)`` points.
+
+    One pass over ``(3, n)`` columns, x, y, t: each point's voxel
+    (:meth:`GridSpec.voxel_columns`), its stamp's origin ``voxel - (Hs,
+    Hs, Ht)``, and its window ``win[0]`` to ``win[1]`` (half-open),
+    intersected with ``limits = (lo, hi)``, which lie inside the grid:
+    ``(3, 1)`` for every point, or ``(3, n)``, one column per point.
+    """
+    half = np.array([[grid.Hs], [grid.Hs], [grid.Ht]])
+    origin = grid.voxel_columns(coords)
+    origin -= half
+    win = np.empty((2,) + origin.shape, dtype=np.int64)
+    np.add(origin, 2 * half + 1, out=win[1])
+    np.maximum(origin, limits[0], out=win[0])
+    np.minimum(win[1], limits[1], out=win[1])
+    return origin, win
 
 
 def _axis_offsets(origin: float, res: float, lo: np.ndarray, width: int,
@@ -368,79 +319,109 @@ def _bin_edges(grid: GridSpec) -> Tuple[int, int, int]:
     return es, es, max(4 * grid.Ht, 16)
 
 
+def _stable_order(key: np.ndarray, top: int) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` of non-negative integer keys
+    below ``top``, in stable passes over 16-bit digits, least significant
+    first.
+
+    NumPy sorts ``uint16`` and ``uint8`` arrays stably by radix, so each
+    pass is linear, and ties keep the order of the pass before: the
+    permutation is exactly the stable comparison sort's.  A key below
+    2**16 is one pass, below 2**32 two; a last digit below 2**8 is sorted
+    as ``uint8``, one byte pass instead of two.
+    """
+    if key.size < 2:
+        return np.arange(key.size)
+    order, shift = None, 0
+    while shift == 0 or top > 1 << shift:
+        digit = key if order is None else key[order]
+        if shift:
+            digit = digit >> shift
+        if top > 1 << (shift + 16):
+            digit = digit & 0xFFFF
+        digit = digit.astype(np.uint8 if top <= 1 << (shift + 8) else np.uint16)
+        step = np.argsort(digit, kind="stable")
+        order = step if order is None else order[step]
+        shift += 16
+    return order
+
+
 def _crowded_runs(
     grid: GridSpec,
-    vox: np.ndarray,
-    windows: Tuple[np.ndarray, ...],
-    live: np.ndarray,
+    origin: np.ndarray,
+    shapes: np.ndarray,
     crowd: np.ndarray,
     group: Optional[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
+    n_groups: int,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """PB-SYM's crowded bins: the rows they hold, and where each bin starts.
 
-    Each group's live rows are binned on a :func:`_bin_edges` lattice
-    anchored, per axis, at the group's own lowest live voxel, and keyed by
-    (group, bin) so that no bin spans two groups.  Wherever a group sits on
-    the grid its rows then fill at most ``ceil(extent / edge)`` bins per
-    axis: a block of the point decomposition is not cut by a lattice it
-    does not line up with.  The anchor is a function of the group's live
-    rows alone, so :func:`stamp_batch` on those rows bins them the same
-    way.  A bin is *crowded* when its rows' clipped stamp cells add up to
-    its group's ``crowd`` (one entry per group, or one for all):
-    :data:`_CROWD_COVER` of the box (bin + halo, no larger than the group's
-    clipped grid), and at least :data:`_MIN_BIN_CELLS`.  Tabulating every
-    point's disk and bar over the whole box then costs less than
-    scattering the stamps one cell at a time.
+    ``origin`` and ``shapes`` are ``m`` live rows' ``(3, m)`` unclipped
+    stamp origins (voxels less ``(Hs, Hs, Ht)``) and clipped window
+    extents, ``group`` their ids among ``n_groups`` groups (``None``: one
+    group), ``crowd`` each group's crowd (``(n_groups,)``, or ``(1,)`` for
+    all).  Each group's rows are binned on a
+    :func:`_bin_edges` lattice anchored, per axis, at the group's own
+    lowest live voxel, and keyed by (group, bin) so that no bin spans two
+    groups.  Wherever a group sits on the grid its rows then fill at most
+    ``ceil(extent / edge)`` bins per axis: a block of the point
+    decomposition is not cut by a lattice it does not line up with.  The
+    anchor is a function of the group's live rows alone, so
+    :func:`stamp_batch` on those rows bins them the same way.  A bin is
+    *crowded* when its rows' clipped stamp cells add up to its group's
+    crowd: :data:`_CROWD_COVER` of the box (bin + halo, no larger than
+    the group's clipped grid), and at least :data:`_MIN_BIN_CELLS`.
+    Tabulating every point's disk and bar over the whole box then costs
+    less than scattering the stamps one cell at a time.
 
-    Returns the crowded rows sorted by (group, bin), ties in input order,
-    and the position of each bin's first row among them.  One ``bincount``
-    of (group, bin) keys weighs every bin against its group's crowd, so a
-    batch with no crowded bin returns before any sort.  Its table holds
-    one entry per group and bin of the largest group's extent: a few per
-    block for the decomposed strategies' compact groups.
+    Returns the crowded rows (positions among the ``m``) sorted by (group,
+    bin), ties in input order, the position of each bin's first row among
+    them, and the mask of the ``m`` rows left to the cohorts (``None``
+    when no bin is crowded).  One ``bincount`` of (group, bin) keys weighs
+    every bin against its group's crowd, so a batch with no crowded bin
+    returns before any sort; the crowded rows are ordered by
+    :func:`_stable_order`, one pass below 2**16 keys.  The table holds one
+    entry per group and bin of the largest group's extent: a few per block
+    for the decomposed strategies' compact groups.
     """
     none = np.zeros(0, dtype=np.int64)
-    X0, X1, Y0, Y1, T0, T1 = windows
-    edges = _bin_edges(grid)
-    if live.size * (2 * grid.Hs + 1) ** 2 * (2 * grid.Ht + 1) < crowd.min():
-        return none, none  # too few stamps to crowd even one bin
-    if live.size < vox.shape[0]:
-        vox = vox[live]
-        X0, X1, Y0, Y1, T0, T1 = (w[live] for w in windows)
-    cells = (X1 - X0) * (Y1 - Y0) * (T1 - T0)
-    # Bins from each group's lowest live voxel, so keys are compact: a
-    # batch on a large grid counts over its groups' few bins, not the
-    # grid's.  Per axis, on 1-D columns (NumPy's (n, 3) loops are several
-    # times slower).
-    owner = None if group is None else group[live]
-    bins = []
-    for axis, edge in enumerate(edges):
-        col = vox[:, axis]
-        if owner is None:
-            anchor = col.min()
-        else:
-            low = np.full(owner.max() + 1, col.max())
-            np.minimum.at(low, owner, col)
-            anchor = low[owner]
-        bins.append((col - anchor) // edge)
-    span = [int(b.max()) + 1 for b in bins]
-    size = span[0] * span[1] * span[2]
+    m = origin.shape[1]
+    if m * (2 * grid.Hs + 1) ** 2 * (2 * grid.Ht + 1) < crowd.min():
+        return none, none, None  # too few stamps to crowd even one bin
+    cells = shapes[0] * shapes[1] * shapes[2]
+    edges = np.array(_bin_edges(grid))[:, None]
+    if group is None:
+        anchor = origin.min(axis=1, keepdims=True)
+    else:
+        # Each group's lowest origin per axis: one 1-D ``minimum.at`` over
+        # the (axis, group) table (NumPy's fast ``ufunc.at`` loop).
+        low = np.full((3, n_groups), max(grid.shape))
+        slot = group + np.arange(0, 3 * n_groups, n_groups)[:, None]
+        np.minimum.at(low.reshape(-1), slot.reshape(-1), origin.reshape(-1))
+        anchor = low[:, group]
+    bins = origin - anchor
+    bins //= edges
+    _, s1, s2 = span = (bins.max(axis=1) + 1).tolist()
+    size = span[0] * s1 * s2
     # The group is the outer key.
-    key = (bins[0] * span[1] + bins[1]) * span[2] + bins[2]
-    if owner is not None:
-        key += owner * size
-    weight = np.bincount(key, weights=cells)
-    need = crowd[0] if crowd.size == 1 else crowd[np.arange(weight.size) // size]
-    crowded = weight >= need
+    key = bins[0] * s1
+    key += bins[1]
+    key *= s2
+    key += bins[2]
+    if group is not None:
+        key += group * size
+    n_keys = size if group is None else n_groups * size
+    weight = np.bincount(key, weights=cells, minlength=n_keys)
+    crowded = (weight.reshape(-1, size) >= crowd[:, None]).reshape(-1)
     if not crowded.any():
-        return none, none
-    # ``at`` indexes the live-compressed arrays.
-    at = np.flatnonzero(crowded[key])
+        return none, none, None
+    inside = crowded[key]
+    at = np.flatnonzero(inside)
     key = key[at]
-    rank = np.argsort(key, kind="stable")
-    at, key = at[rank], key[rank]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    return live[at], starts
+    order = _stable_order(key, n_keys)
+    counts = np.bincount(key, minlength=n_keys)
+    starts = np.cumsum(counts) - counts
+    return at[order], starts[crowded], ~inside
 
 
 class StampPlan:
@@ -449,12 +430,12 @@ class StampPlan:
     The plan computes every row's voxel, clipped window and liveness once;
     for ``mode="sym"`` the crowded bins of the per-bin GEMM route, keyed by
     (group, lattice bin) (:func:`_crowded_runs`); and the cohort order of
-    the live rows those bins leave, with one stable sort by (group,
-    clipped or full-shape, origin): at most two cohorts per group.  It
-    holds no kernel, weight or target.  :meth:`stamp` runs one group's
-    GEMM chunks and cohort slabs into a volume and reads no other group's
-    runs, so the block and replica tasks of a decomposed strategy (DD,
-    PD, PD-SCHED, PD-REP) share one plan, on any backend.
+    the live rows those bins leave, by (group, clipped or full-shape,
+    origin): at most two cohorts per group.  It holds no kernel, weight or
+    target.  :meth:`stamp` runs one group's GEMM chunks and cohort slabs
+    into a volume and reads no other group's runs, so the block and
+    replica tasks of a decomposed strategy (DD, PD, PD-SCHED, PD-REP)
+    share one plan, on any backend.
 
     ``groups`` is ``None`` (every row in group 0) or an ``(n,)`` array of
     non-negative integer group ids.  ``clip`` is ``None`` (no group
@@ -501,104 +482,131 @@ class StampPlan:
         self.counts = np.array([n]) if group is None else np.bincount(
             group, minlength=1 if clip is None else len(clip)
         )
-        if clip is not None and len(clip) != self.counts.size:
+        n_groups = self.counts.size
+        if clip is not None and len(clip) != n_groups:
             raise ValueError(
                 f"clip must hold one window (or None) per group: "
-                f"{self.counts.size} groups, {len(clip)} windows"
+                f"{n_groups} groups, {len(clip)} windows"
             )
         # Each group's limits: the grid, intersected with its clip window.
-        lo, hi = _limits(grid, [None] if clip is None else clip)
-        bounds = None
-        if clip is not None:
-            bounds = (lo, hi) if group is None else (lo[group], hi[group])
         # The crowd of a group's bins: a cover of the box (bin + halo)
         # inside its limits, at least the fixed floor.
-        box = np.minimum(
-            np.add(_bin_edges(grid), (2 * grid.Hs, 2 * grid.Hs, 2 * grid.Ht)),
-            hi - lo,
-        ).prod(axis=1)
-        crowd = np.maximum(_CROWD_COVER * box, _MIN_BIN_CELLS)
-        vox = grid.voxels_of(coords)
-        self._windows = X0, X1, Y0, Y1, T0, T1 = _windows_of(grid, vox, bounds)
-        self._shapes = wx, wy, wt = X1 - X0, Y1 - Y0, T1 - T0
-        live = np.flatnonzero((wx > 0) & (wy > 0) & (wt > 0))
+        half = np.array([[grid.Hs], [grid.Hs], [grid.Ht]])
+        box = np.add(_bin_edges(grid), 2 * half[:, 0])[:, None]
+        lo, hi = _limits(grid, [None] if clip is None else clip)
+        crowd = np.maximum(
+            _CROWD_COVER * np.minimum(box, hi - lo).prod(axis=0), _MIN_BIN_CELLS)
+        limits = (lo, hi) if lo.shape[1] == 1 else (lo[:, group], hi[:, group])
+        origin, win = _geometry(grid, coords, limits)
+        self._windows = tuple(win[i, axis] for axis in range(3) for i in (0, 1))
+        shapes = win[1] - win[0]
+        self._shapes = tuple(shapes)
+        # Unclipped, every row is live: its voxel lies on the grid, so its
+        # window holds that voxel.  ``live is None``: every row.
+        live = None
+        if clip is not None:
+            alive = (shapes > 0).all(axis=0)
+            if not alive.all():
+                live = np.flatnonzero(alive)
+
+        def of_live(a: np.ndarray) -> np.ndarray:
+            # ``take``, not ``a[:, live]``: each axis stays one row.
+            return a if live is None else np.take(a, live, axis=-1)
 
         # GEMM runs, one per crowded bin: rows ``rows[a:b]`` and the
         # bounding box of their windows.
-        rows, starts = (
-            _crowded_runs(grid, vox, self._windows, live, crowd, group)
-            if mode == "sym" and live.size
-            else (np.zeros(0, dtype=np.int64),) * 2
-        )
+        rows = starts = np.zeros(0, dtype=np.int64)
+        if mode == "sym" and n and (live is None or live.size):
+            at, starts, rest = _crowded_runs(
+                grid, of_live(origin), of_live(shapes), crowd,
+                None if group is None else of_live(group), n_groups,
+            )
+            rows = at if live is None else live[at]
         self._gemm_rows = rows
         self._gemm = []
         if rows.size:
+            # A run's box, per axis: its rows' least window start and
+            # greatest window end.  The limits are monotone, so these are
+            # its rows' extreme stamp origins, limited.
+            o = np.take(origin, rows, axis=1)
+            bounds = np.empty((3, 2, starts.size), dtype=np.int64)
+            lo, hi = bounds[:, 0], bounds[:, 1]
+            np.minimum.reduceat(o, starts, axis=1, out=lo)
+            np.maximum.reduceat(o, starts, axis=1, out=hi)
+            hi += 2 * half + 1
+            low, high = limits
+            if low.shape[1] > 1:  # one column per row: the runs' own
+                low, high = (np.take(a, rows[starts], axis=1) for a in limits)
+            np.maximum(lo, low, out=lo)
+            np.minimum(hi, high, out=hi)
             self._gemm = list(zip(
-                starts.tolist(),
-                np.r_[starts[1:], rows.size].tolist(),
-                *(f.reduceat(w[rows], starts).tolist() for w, f in zip(
-                    self._windows, (np.minimum, np.maximum) * 3)),
+                starts.tolist(), starts[1:].tolist() + [rows.size],
+                *bounds.reshape(6, -1).tolist(),
             ))
-            left = np.ones(n, dtype=bool)
-            left[rows] = False
-            live = live[left[live]]
+            live = np.flatnonzero(rest) if live is None else live[rest]
 
         # Cohort key: clipped or not.  Interior points share the full
         # (2Hs+1, 2Hs+1, 2Ht+1) extent; every point whose window the grid
         # or its group's clip cut joins its group's one clipped cohort,
         # tabulated at that cohort's shape (below) and cut to its window
-        # in the scatter.  One stable sort orders every
-        # group's cohorts: by group, clipped before full, then window
-        # origin in the volume layout's memory order (t, then x, then y),
-        # so that consecutive stamps, and the slabs cut from them, write
-        # compact, cache-resident regions of the target even when a
-        # cohort spans the whole grid; ties keep input order.  The group,
-        # if any, is a second sort key.
-        full = (wx[live] == 2 * grid.Hs + 1) & (wy[live] == 2 * grid.Hs + 1)
-        full &= wt[live] == 2 * grid.Ht + 1
-        key = full * grid.n_voxels + grid.flat_index(X0[live], Y0[live], T0[live])
-        rank = (
-            np.argsort(key, kind="stable") if group is None
-            else np.lexsort((key, group[live]))
-        )
-        self._cohort_rows = order = live[rank]
-        full = full[rank]
-        change = full[1:] != full[:-1]
-        if group is not None:
-            change |= group[order[1:]] != group[order[:-1]]
-        cuts = np.flatnonzero(np.r_[order.size > 0, change])
-        # Every table starts at its row's unclipped stamp origin
-        # ``vox - (Hs, Hs, Ht)`` (a full-shape row's window origin) and has
-        # the full stamp's shape, except that a clipped cohort's table is,
-        # per axis, only as wide as the widest window in it (so a small
-        # region's slivers tabulate no more than themselves), each origin
-        # moved in as far as that shape needs to cover the row's window.
-        half = (grid.Hs, grid.Hs, grid.Ht)
-        self._origins = tuple(v - h for v, h in zip(vox.T, half))
-        shape = [np.full(cuts.size, 2 * h + 1) for h in half]
-        cut = ~full[cuts]
-        if cut.any():
-            clipped = order[~full]  # cohort by cohort
-            lengths = np.diff(np.r_[cuts, order.size])[cut]
-            begin = np.r_[0, np.cumsum(lengths)[:-1]]
-            for o, hi, w, sh in zip(self._origins, (X1, Y1, T1),
-                                    self._shapes, shape):
-                sh[cut] = np.maximum.reduceat(w[clipped], begin)
-                o[clipped] = np.maximum(
-                    o[clipped], hi[clipped] - np.repeat(sh[cut], lengths))
-        self._cohorts = list(zip(
-            cuts.tolist(), np.r_[cuts[1:], order.size].tolist(),
-            full[cuts].tolist(), *(w.tolist() for w in shape),
-        ))
+        # in the scatter.  One stable order sorts every group's cohorts:
+        # by group, clipped before full, then window origin in the volume
+        # layout's memory order (t, then x, then y), so that consecutive
+        # stamps, and the slabs cut from them, write compact,
+        # cache-resident regions of the target even when a cohort spans
+        # the whole grid; ties keep input order.  ``_origins`` are rows of
+        # ``origin``: views, so the clipped rows' origins moved in below
+        # show through.
+        self._origins = tuple(origin)
+        self._cohort_rows = kinds = np.zeros(0, dtype=np.int64)
+        self._cohorts = []
+        if live is None or live.size:  # else every live row is in a bin
+            full = (of_live(shapes) == 2 * half + 1).all(axis=0)
+            x0, y0, t0 = of_live(win[0])
+            kind = full.astype(np.int64)  # (group, clipped or full)
+            if group is not None:
+                kind += 2 * of_live(group)
+            key = kind * grid.n_voxels + (t0 * grid.Gx + x0) * grid.Gy + y0
+            order = _stable_order(key, 2 * n_groups * grid.n_voxels)
+            if live is not None:
+                order = live[order]
+            self._cohort_rows = order
+            # Cohorts: the kinds present, each one run of ``order``.
+            per = np.bincount(kind, minlength=2 * n_groups)
+            kinds = np.flatnonzero(per)
+            lengths = per[kinds]
+            ends = np.cumsum(lengths)
+            cuts = ends - lengths
+            whole = (kinds & 1).astype(bool)
+            # Every table starts at its row's unclipped stamp origin
+            # ``vox - (Hs, Hs, Ht)`` (a full-shape row's window origin)
+            # and has the full stamp's shape, except that a clipped
+            # cohort's table is, per axis, only as wide as the widest
+            # window in it (so a small region's slivers tabulate no more
+            # than themselves), each origin moved in as far as that shape
+            # needs to cover the row's window.
+            shape = np.repeat(2 * half + 1, kinds.size, axis=1)
+            cut = ~whole
+            if cut.any():
+                clipped = order[np.repeat(cut, lengths)]  # cohort by cohort
+                sizes = lengths[cut]
+                shape[:, cut] = np.maximum.reduceat(
+                    shapes[:, clipped], np.cumsum(sizes) - sizes, axis=1)
+                origin[:, clipped] = np.maximum(
+                    origin[:, clipped],
+                    win[1][:, clipped] - np.repeat(shape[:, cut], sizes, axis=1))
+            self._cohorts = list(zip(
+                cuts.tolist(), ends.tolist(), whole.tolist(), *shape.tolist()
+            ))
 
         # Each group's runs are contiguous: ``runs[at[g]:at[g + 1]]``.
-        self._gemm_at, self._cohort_at = (
-            [0, len(runs)] if group is None else np.searchsorted(
-                group[first], np.arange(self.counts.size + 1)
-            ).tolist()
-            for runs, first in ((self._gemm, rows[starts]),
-                                (self._cohorts, order[cuts]))
-        )
+        if group is None:
+            self._gemm_at = [0, len(self._gemm)]
+            self._cohort_at = [0, len(self._cohorts)]
+        else:
+            ids = np.arange(n_groups + 1)
+            self._gemm_at = np.searchsorted(group[rows[starts]], ids).tolist()
+            self._cohort_at = np.searchsorted(kinds >> 1, ids).tolist()
 
     def stamp(
         self,
@@ -615,10 +623,17 @@ class StampPlan:
     ) -> None:
         """Stamp the rows of one group into ``vol``.
 
-        ``weights`` (if given) are per row of the whole batch, ``(n,)``;
-        the other parameters are :func:`stamp_batch`'s.  Writes stay inside
-        the bounding box of the clipped windows of the group's own rows.
+        ``group`` is a non-negative id; an id past the plan's groups
+        holds no row and stamps nothing.  ``weights`` (if given) are per row of
+        the whole batch, ``(n,)``; the other parameters are
+        :func:`stamp_batch`'s.  Writes stay inside the bounding box of the
+        clipped windows of the group's own rows.
         """
+        if group < 0:
+            raise ValueError(
+                f"group must be a non-negative id (rows are in groups 0 to "
+                f"{self.counts.size - 1}), got {group}"
+            )
         backend = get_backend(compute)
         counter = counter if counter is not None else null_counter()
         n = self.coords.shape[0]
@@ -628,7 +643,7 @@ class StampPlan:
                 raise ValueError(
                     f"weights must be ({n},) matching coords, got {weights.shape}"
                 )
-        if not 0 <= group < self.counts.size:
+        if group >= self.counts.size:
             return
         gemm = self._gemm[self._gemm_at[group] : self._gemm_at[group + 1]]
         cohorts = self._cohorts[self._cohort_at[group] : self._cohort_at[group + 1]]

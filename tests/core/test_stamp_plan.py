@@ -171,6 +171,19 @@ class TestPlanEquivalence:
             np.testing.assert_array_equal(got, want)
             assert gc.as_dict() == wc.as_dict()
 
+    def test_group_ids_past_the_plan_are_empty_and_negative_ones_rejected(
+            self, grid):
+        coords = batch(grid)
+        plan = StampPlan(grid, coords, groups=np.arange(len(coords)) % 2)
+        vol, c = np.zeros(grid.shape), WorkCounter()
+        for g in (2, 3, 100):
+            plan.stamp(vol, KERNEL, NORM, c, group=g)
+        assert not vol.any() and c.as_dict() == WorkCounter().as_dict()
+        for g in (-1, -3):
+            with pytest.raises(ValueError, match=r"group.*0 to 1.*got -"):
+                plan.stamp(vol, KERNEL, NORM, c, group=g)
+        assert not vol.any()
+
     def test_one_group_is_stamp_batch(self, grid):
         coords = batch(grid)
         want, wc = stamp_alone(grid.shape, grid, coords, slice(None))

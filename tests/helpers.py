@@ -29,6 +29,7 @@ __all__ = [
     "make_clustered_points",
     "make_points",
     "reference_candidates",
+    "reference_plan",
     "sharded_state",
     "window_candidates",
 ]
@@ -163,6 +164,121 @@ def reference_candidates(index, cx, cy, ct):
                     np.arange(seg.start + lo, seg.start + hi, dtype=np.int64)
                 )
     return np.concatenate(chunks + [np.empty(0, dtype=np.int64)])
+
+
+def reference_plan(grid, coords, *, mode="sym", clip=None, groups=None):
+    """The fields of a :class:`~repro.core.stamping.StampPlan`, ordered by
+    comparison sorts: the crowded rows by ``np.argsort(kind="stable")`` of
+    their (group, bin) key, the cohort rows by ``np.lexsort`` of (group,
+    clipped or full, window origin).  Per-axis 1-D columns, the voxels of
+    :meth:`GridSpec.voxels_of`; the plan's rules (lattice, crowd, cohort
+    shapes) restated from its documentation.  Returns a dict of the
+    plan's field names."""
+    from repro.core import stamping
+
+    coords = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
+    n = coords.shape[0]
+    group = None if groups is None else np.asarray(groups).astype(np.int64)
+    counts = np.array([n]) if group is None else np.bincount(
+        group, minlength=1 if clip is None else len(clip))
+    half = (grid.Hs, grid.Hs, grid.Ht)
+    wins = [grid.full_window() if w is None else w
+            for w in ([None] if clip is None else clip)]
+    lo = np.maximum([(w.x0, w.y0, w.t0) for w in wins], 0).reshape(-1, 3)
+    hi = np.minimum([(w.x1, w.y1, w.t1) for w in wins], grid.shape).reshape(-1, 3)
+    box = np.add(stamping._bin_edges(grid), np.multiply(2, half))
+    crowd = np.maximum(stamping._CROWD_COVER * np.minimum(box, hi - lo).prod(axis=1),
+                       stamping._MIN_BIN_CELLS)
+    if clip is not None and group is not None:
+        lo, hi = lo[group], hi[group]
+    vox = grid.voxels_of(coords)
+    origins = tuple(vox[:, a] - half[a] for a in range(3))
+    lows = tuple(np.maximum(origins[a], lo[..., a]) for a in range(3))
+    highs = tuple(np.minimum(origins[a] + 2 * half[a] + 1, hi[..., a])
+                  for a in range(3))
+    shapes = tuple(h - l for l, h in zip(lows, highs))
+    live = np.flatnonzero((shapes[0] > 0) & (shapes[1] > 0) & (shapes[2] > 0))
+
+    rows = starts = np.zeros(0, dtype=np.int64)
+    if mode == "sym" and live.size:
+        # Bins from each group's lowest live voxel.
+        owner = None if group is None else group[live]
+        bins = []
+        for a, edge in enumerate(stamping._bin_edges(grid)):
+            col = vox[live, a]
+            if owner is None:
+                anchor = col.min()
+            else:
+                low = np.full(owner.max() + 1, col.max())
+                np.minimum.at(low, owner, col)
+                anchor = low[owner]
+            bins.append((col - anchor) // edge)
+        span = [int(b.max()) + 1 for b in bins]
+        size = span[0] * span[1] * span[2]
+        key = (bins[0] * span[1] + bins[1]) * span[2] + bins[2]
+        if owner is not None:
+            key += owner * size
+        cells = shapes[0][live] * shapes[1][live] * shapes[2][live]
+        weight = np.bincount(key, weights=cells)
+        need = crowd[0] if crowd.size == 1 else crowd[np.arange(weight.size) // size]
+        crowded = weight >= need
+        at = np.flatnonzero(crowded[key])
+        rank = np.argsort(key[at], kind="stable")
+        rows, key = live[at[rank]], key[at[rank]]
+        starts = np.flatnonzero(np.r_[rows.size > 0, key[1:] != key[:-1]])
+    gemm = []
+    if rows.size:
+        bounds = (lows[0], highs[0], lows[1], highs[1], lows[2], highs[2])
+        gemm = list(zip(
+            starts.tolist(), np.r_[starts[1:], rows.size].tolist(),
+            *(f.reduceat(w[rows], starts).tolist()
+              for w, f in zip(bounds, (np.minimum, np.maximum) * 3)),
+        ))
+    left = np.ones(n, dtype=bool)
+    left[rows] = False
+    live = live[left[live]]
+
+    full = np.ones(live.size, dtype=bool)
+    for a in range(3):
+        full &= shapes[a][live] == 2 * half[a] + 1
+    key = full * grid.n_voxels + grid.flat_index(
+        lows[0][live], lows[1][live], lows[2][live])
+    rank = (np.argsort(key, kind="stable") if group is None
+            else np.lexsort((key, group[live])))
+    order = live[rank]
+    full = full[rank]
+    change = full[1:] != full[:-1]
+    if group is not None:
+        change |= group[order[1:]] != group[order[:-1]]
+    cuts = np.flatnonzero(np.r_[order.size > 0, change])
+    ends = np.r_[cuts[1:], order.size].astype(np.int64)
+    shape = [np.full(cuts.size, 2 * h + 1) for h in half]
+    for c, (a, b) in enumerate(zip(cuts.tolist(), ends.tolist())):
+        if full[a]:
+            continue
+        cohort = order[a:b]
+        for axis in range(3):
+            shape[axis][c] = shapes[axis][cohort].max()
+            origins[axis][cohort] = np.maximum(
+                origins[axis][cohort], highs[axis][cohort] - shape[axis][c])
+    cohorts = list(zip(cuts.tolist(), ends.tolist(), full[cuts].tolist(),
+                       *(s.tolist() for s in shape)))
+    first_gemm, first_cohort = rows[starts], order[cuts]
+    at_of = (
+        (lambda runs, first: [0, len(runs)]) if group is None
+        else (lambda runs, first: np.searchsorted(
+            group[first], np.arange(counts.size + 1)).tolist())
+    )
+    return {
+        "counts": counts,
+        "_gemm_rows": rows,
+        "_gemm": gemm,
+        "_gemm_at": at_of(gemm, first_gemm),
+        "_cohort_rows": order,
+        "_cohorts": cohorts,
+        "_cohort_at": at_of(cohorts, first_cohort),
+        "_origins": origins,
+    }
 
 
 def member_ids(seg):
